@@ -1,15 +1,15 @@
 //! Steady-state zero-copy decode performs **zero heap allocations per
-//! frame**: after the reader's record buffer has grown to the largest
-//! record, `next_view` borrows every frame from it — no `Vec` per
-//! payload, no per-frame header boxes.
+//! frame**: `next_view` borrows every frame from the reader's window
+//! (or the mapping), across refills — no `Vec` per payload, no
+//! per-frame header boxes.
 //!
 //! The counting allocator lives here because the packet crate itself
 //! (rightly) forbids `unsafe`; an integration test is its own crate,
 //! so the `#[global_allocator]` below scopes to this binary only.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::net::Ipv4Addr;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 use tdat_packet::{
     FrameBlock, FrameBuilder, FrameLike, MmapReader, PcapReader, PcapWriter, TcpFlags, TcpOption,
@@ -18,21 +18,40 @@ use tdat_timeset::Micros;
 
 struct CountingAllocator;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Allocations made by *this* thread. The test runner puts each
+    /// test on its own thread, so a test reading its own counter never
+    /// sees a sibling's allocations. The const initialiser and the
+    /// `Cell<u64>` payload mean the slot needs neither lazy
+    /// initialisation nor a destructor, so touching it from inside the
+    /// allocator cannot itself allocate or recurse.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Allocations the calling thread has made so far.
+fn allocations() -> u64 {
+    ALLOCATIONS.with(Cell::get)
+}
+
+fn count_one() {
+    // `try_with`: a thread may still allocate while its locals are
+    // being torn down; those allocations belong to no test.
+    let _ = ALLOCATIONS.try_with(|count| count.set(count.get() + 1));
+}
 
 // SAFETY: delegates every operation to `System`; the counter is the
-// only addition and is atomic.
+// only addition and is thread-local.
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         unsafe { System.alloc(layout) }
     }
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         unsafe { System.alloc_zeroed(layout) }
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
@@ -101,14 +120,14 @@ fn steady_state_decode_allocates_nothing_per_frame() {
         assert!(view.is_some(), "warm-up frames present");
     }
 
-    let before = ALLOCATIONS.load(Ordering::SeqCst);
+    let before = allocations();
     let mut frames = 0usize;
     let mut payload_bytes = 0u64;
     while let Some(view) = reader.next_view().expect("valid record") {
         frames += 1;
         payload_bytes += view.payload.len() as u64;
     }
-    let after = ALLOCATIONS.load(Ordering::SeqCst);
+    let after = allocations();
 
     assert_eq!(frames, FRAMES);
     assert!(payload_bytes > 0);
@@ -181,14 +200,14 @@ fn mmap_steady_state_decode_allocates_nothing_per_frame() {
         assert!(view.is_some(), "warm-up frames present");
     }
 
-    let before = ALLOCATIONS.load(Ordering::SeqCst);
+    let before = allocations();
     let mut frames = 0usize;
     let mut payload_bytes = 0u64;
     while let Some(view) = reader.next_view().expect("valid record") {
         frames += 1;
         payload_bytes += view.payload.len() as u64;
     }
-    let after = ALLOCATIONS.load(Ordering::SeqCst);
+    let after = allocations();
 
     assert_eq!(frames, FRAMES);
     assert!(payload_bytes > 0);
@@ -218,7 +237,7 @@ fn block_decode_reuses_frame_block_with_zero_allocations() {
     let warm = reader.next_views_into(&mut block).expect("valid records");
     assert_eq!(warm.len(), 256, "first block fills completely");
 
-    let before = ALLOCATIONS.load(Ordering::SeqCst);
+    let before = allocations();
     let mut frames = 0usize;
     let mut options = 0usize;
     loop {
@@ -231,7 +250,7 @@ fn block_decode_reuses_frame_block_with_zero_allocations() {
             options += frame.tcp().options.len();
         }
     }
-    let after = ALLOCATIONS.load(Ordering::SeqCst);
+    let after = allocations();
 
     assert_eq!(frames, AFTER_WARMUP + 2 - 256);
     assert_eq!(options, frames, "every frame carries its Timestamps option");
@@ -252,12 +271,12 @@ fn block_decode_reuses_frame_block_with_zero_allocations() {
 fn owned_decode_allocates_per_frame() {
     const FRAMES: usize = 64;
     let pcap = capture(FRAMES);
-    let before = ALLOCATIONS.load(Ordering::SeqCst);
+    let before = allocations();
     let frames = PcapReader::new(&pcap[..])
         .expect("valid pcap")
         .read_all()
         .expect("valid records");
-    let after = ALLOCATIONS.load(Ordering::SeqCst);
+    let after = allocations();
     assert_eq!(frames.len(), FRAMES + 2);
     assert!(
         after - before >= FRAMES as u64,

@@ -46,7 +46,7 @@ use tdat_trace::{ConnKey, ConnectionTracker, FinalizedConnection, TrackerConfig}
 use crate::alerts::{Alert, AlertConfig, AlertEngine, AlertKind, Condition};
 use crate::metrics::MonitorMetrics;
 use crate::set::{SetEvent, SourceId, SourceSet};
-use crate::source::{AttributedAnomaly, PacketSource, SourceEvent};
+use crate::source::AttributedAnomaly;
 
 /// The scope name the single-source convenience APIs
 /// ([`Monitor::ingest`], [`Monitor::note_anomaly`]) register on first
@@ -87,9 +87,9 @@ pub struct MonitorConfig {
     /// byte-identical output.
     pub shards: usize,
     /// Wall-clock wait between polls while every source is
-    /// [`Pending`](SourceEvent::Pending). One knob for every driver
-    /// (serial engine, sharded engine, and the CLI's idle loop);
-    /// wall-clock only, so it never affects the event stream.
+    /// [`Pending`](crate::source::SourceEvent::Pending). One knob for
+    /// every driver (serial engine, sharded engine, and the CLI's idle
+    /// loop); wall-clock only, so it never affects the event stream.
     pub pending_backoff: std::time::Duration,
 }
 
@@ -1104,39 +1104,6 @@ impl Monitor {
             }
         }
         self.next_tick = None;
-    }
-
-    /// Drives a single source to exhaustion under the default
-    /// [`DEFAULT_SOURCE`] scope; superseded by the multi-source
-    /// [`run_set`](Self::run_set).
-    ///
-    /// # Errors
-    ///
-    /// Stops at the first source error (I/O or malformed capture).
-    #[deprecated(
-        note = "build a `SourceSet` and use `Monitor::run_set`, which isolates \
-                         per-source failures instead of aborting the watch"
-    )]
-    pub fn run(&mut self, source: &mut dyn PacketSource) -> tdat_packet::Result<Vec<MonitorEvent>> {
-        loop {
-            match source.poll()? {
-                SourceEvent::Batch { frames, now } => {
-                    for anomaly in source.drain_anomalies() {
-                        self.note_anomaly(anomaly);
-                    }
-                    for frame in &frames {
-                        self.ingest(frame);
-                    }
-                    if let Some(now) = now {
-                        self.advance_to(now);
-                    }
-                }
-                SourceEvent::Pending => std::thread::sleep(self.pending_backoff),
-                SourceEvent::Finished => break,
-            }
-        }
-        self.finish();
-        Ok(self.drain_events())
     }
 
     /// Drives a [`SourceSet`] to exhaustion: registers one scope per

@@ -138,21 +138,6 @@ impl FollowSource {
         })
     }
 
-    /// Opens a capture file for following.
-    ///
-    /// # Errors
-    ///
-    /// Fails if the file cannot be opened.
-    #[deprecated(
-        note = "use `FollowSource::tail(path)` with `with_exit_idle`, or build the \
-                         source through `SourceSpec::follow`"
-    )]
-    pub fn open(path: impl AsRef<Path>, exit_idle: Option<Duration>) -> Result<FollowSource> {
-        let mut source = FollowSource::tail(path)?;
-        source.exit_idle = exit_idle;
-        Ok(source)
-    }
-
     /// Sets the idle budget: the source reports
     /// [`SourceEvent::Finished`] after this long (wall clock) without a
     /// new record. The clock starts at the *first consumed record* —
@@ -275,28 +260,6 @@ impl SimSource {
         SimSource {
             tap: self.tap.paced(factor),
         }
-    }
-
-    /// Builds a canonical scenario as a live packet feed.
-    ///
-    /// # Errors
-    ///
-    /// Returns the scenario parser's message for an unknown spec.
-    #[deprecated(
-        note = "use `SimSource::scenario` with `with_pace`, or build the source \
-                         through `SourceSpec::sim`"
-    )]
-    pub fn from_scenario(
-        spec: &str,
-        opts: &ScenarioOptions,
-        step: Micros,
-        pace: Option<f64>,
-    ) -> std::result::Result<SimSource, String> {
-        let mut source = SimSource::scenario(spec, opts, step)?;
-        if let Some(factor) = pace {
-            source = source.with_pace(factor);
-        }
-        Ok(source)
     }
 
     /// Virtual time the simulation has been driven to.
@@ -447,17 +410,6 @@ mod tests {
             .idle_from_open();
         std::thread::sleep(Duration::from_millis(10));
         assert!(matches!(src.poll().expect("poll"), SourceEvent::Finished));
-    }
-
-    #[test]
-    fn deprecated_open_wrapper_matches_the_new_path() {
-        let file = TempPcap::create("compat_open", &capture_bytes());
-        #[allow(deprecated)]
-        let mut src = FollowSource::open(&file.0, Some(Duration::from_millis(10))).expect("open");
-        match src.poll().expect("poll") {
-            SourceEvent::Batch { frames, .. } => assert_eq!(frames.len(), 1),
-            other => panic!("expected a batch, got {other:?}"),
-        }
     }
 
     #[test]

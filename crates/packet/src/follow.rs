@@ -13,86 +13,30 @@
 //! the byte offset of the last fully consumed record and, on each poll,
 //! attempts to parse one more record from there. If the bytes are not
 //! all present yet it reports [`None`] and leaves the committed offset
-//! untouched, so the next poll re-reads the partial tail. Decode errors
-//! (bad magic, implausible record length) are still errors: growth can
-//! only ever fix missing bytes, not wrong ones.
+//! untouched, so the next poll picks the partial tail up again. A bad
+//! magic number is still an error: growth can only ever fix missing
+//! bytes, not wrong ones.
 
 use std::fs::File;
-use std::io::{self, Read, Seek, SeekFrom};
+use std::io::{Read, Seek, SeekFrom};
 use std::path::Path;
 
 use crate::error::{PacketError, Result};
-use crate::frame::TcpFrame;
-use crate::lossy::{
-    plausible_record_header, CaptureAnomaly, LossyDecoder, LossyFrame, RESYNC_SCAN_LIMIT,
-};
-use crate::pcap::{Endianness, RawRecord, LINKTYPE_ETHERNET, MAGIC_MICROS, MAGIC_NANOS};
+use crate::lossy::{CaptureAnomaly, LossyDecoder, LossyFrame};
+use crate::pcap::LINKTYPE_ETHERNET;
+use crate::walk::{LossyStep, Source, Walker, Window, RESYNC_SCAN_LIMIT};
 use tdat_timeset::faultpoint::FaultPlan;
-use tdat_timeset::Micros;
 
-/// Parsed global-header state, established once 24 bytes are available.
-#[derive(Debug, Clone, Copy)]
-struct FileHeader {
-    little_endian: bool,
-    nanos: bool,
-    link_type: u32,
-}
-
-impl FileHeader {
-    fn u32(&self, b: [u8; 4]) -> u32 {
-        if self.little_endian {
-            u32::from_le_bytes(b)
-        } else {
-            u32::from_be_bytes(b)
-        }
-    }
-
-    fn endianness(&self) -> Endianness {
-        if self.little_endian {
-            Endianness::Little
-        } else {
-            Endianness::Big
-        }
-    }
-}
-
-/// A pcap reader that tails a growing file.
-///
-/// Unlike [`PcapReader`](crate::PcapReader), end-of-file is never an
-/// error *or* a terminal condition: [`poll_record`] returns `Ok(None)`
-/// whenever the next record is not fully written yet, and a later poll
-/// picks up from the same committed offset. Timestamps are rebased to
-/// the first record, matching the batch reader.
-///
-/// # Examples
-///
-/// ```no_run
-/// use tdat_packet::PcapFollower;
-///
-/// let mut follower = PcapFollower::open("live.pcap")?;
-/// loop {
-///     match follower.poll_frame()? {
-///         Some(frame) => println!("{frame}"),
-///         None => std::thread::sleep(std::time::Duration::from_millis(50)),
-///     }
-/// }
-/// # Ok::<(), Box<dyn std::error::Error>>(())
-/// ```
-///
-/// [`poll_record`]: PcapFollower::poll_record
+/// The growing file as a byte source: a read window whose refill first
+/// checks that the file has not shrunk, and for which "no more bytes"
+/// means *not yet*.
 #[derive(Debug)]
-pub struct PcapFollower<R> {
-    input: R,
-    /// Byte offset just past the last fully consumed item (global
-    /// header or record). Never advanced past a partial read.
+struct Tail<R> {
+    window: Window<R>,
+    /// Byte offset just past the last committed item (global header,
+    /// record, or skipped garbage) — the window's position in the
+    /// file. Read-ahead past it is invisible here.
     offset: u64,
-    header: Option<FileHeader>,
-    /// Timestamp of the first record (the trace epoch).
-    epoch: Option<i64>,
-    /// Whole-seconds timestamp of the last record read, used to judge
-    /// resynchronization candidates in lossy mode.
-    last_ts_sec: Option<i64>,
-    records_read: u64,
     /// Largest file length ever observed. A followed capture only ever
     /// grows; any decrease means it was rotated or truncated.
     high_water: u64,
@@ -100,6 +44,76 @@ pub struct PcapFollower<R> {
     /// poisoned (waiting for regrowth would resync onto unrelated
     /// bytes at the committed offset).
     truncated: bool,
+}
+
+impl<R: Read + Seek> Source for Tail<R> {
+    fn available(&self) -> &[u8] {
+        self.window.available()
+    }
+
+    fn advance(&mut self, n: usize) {
+        self.window.advance(n);
+        self.offset += n as u64;
+    }
+
+    /// Errors if the file ever shrank, then reads on from where the
+    /// window ends. A capture being followed is append-only; a length
+    /// decrease means rotation or truncation, and resuming at the
+    /// committed offset after regrowth would read bytes from an
+    /// unrelated record stream. The condition is sticky: a poll that
+    /// cannot be served from the window comes back here and fails
+    /// again rather than silently resynchronizing.
+    fn refill(&mut self, want: usize) -> Result<bool> {
+        let len = self.window.input.seek(SeekFrom::End(0))?;
+        if len < self.high_water {
+            self.truncated = true;
+        }
+        self.high_water = self.high_water.max(len);
+        if self.truncated {
+            return Err(PacketError::SourceTruncated {
+                committed: self.offset,
+                len,
+            });
+        }
+        let read_from = self.offset + self.window.available().len() as u64;
+        self.window.input.seek(SeekFrom::Start(read_from))?;
+        self.window.refill(want)
+    }
+}
+
+/// A pcap reader that tails a growing file: the lossy policy over a
+/// source that can say "not yet" (see the crate docs, "Capture
+/// ingest").
+///
+/// Unlike [`PcapReader`](crate::PcapReader), end-of-file is never an
+/// error *or* a terminal condition: [`poll_lossy`] returns `Ok(None)`
+/// whenever the next record is not fully written yet, and a later poll
+/// picks up from the same committed offset. Timestamps are rebased to
+/// the first record, matching the batch reader.
+///
+/// # Examples
+///
+/// ```no_run
+/// use tdat_packet::{LossyDecoder, PcapFollower};
+///
+/// let mut follower = PcapFollower::open("live.pcap")?;
+/// let mut decoder = LossyDecoder::new();
+/// loop {
+///     match follower.poll_lossy(&mut decoder)? {
+///         Some(item) => println!("{:?}", item.frame),
+///         None => std::thread::sleep(std::time::Duration::from_millis(50)),
+///     }
+/// }
+/// # Ok::<(), Box<dyn std::error::Error>>(())
+/// ```
+///
+/// [`poll_lossy`]: PcapFollower::poll_lossy
+#[derive(Debug)]
+pub struct PcapFollower<R> {
+    tail: Tail<R>,
+    /// `None` until the global header's 24 bytes have been written.
+    walker: Option<Walker>,
+    records_read: u64,
     /// Fault-injection schedule; disabled (free to check) by default.
     faults: FaultPlan,
 }
@@ -119,17 +133,17 @@ impl PcapFollower<File> {
 
 impl<R: Read + Seek> PcapFollower<R> {
     /// Wraps any seekable reader positioned anywhere (the follower
-    /// seeks absolutely on every poll).
+    /// seeks absolutely on every refill).
     pub fn new(input: R) -> Self {
         PcapFollower {
-            input,
-            offset: 0,
-            header: None,
-            epoch: None,
-            last_ts_sec: None,
+            tail: Tail {
+                window: Window::new(input),
+                offset: 0,
+                high_water: 0,
+                truncated: false,
+            },
+            walker: None,
             records_read: 0,
-            high_water: 0,
-            truncated: false,
             faults: FaultPlan::disabled(),
         }
     }
@@ -142,26 +156,6 @@ impl<R: Read + Seek> PcapFollower<R> {
         self
     }
 
-    /// Errors if the source ever shrank. A capture being followed is
-    /// append-only; a length decrease means rotation or truncation, and
-    /// resuming at the committed offset after regrowth would read bytes
-    /// from an unrelated record stream. The condition is sticky: every
-    /// later poll keeps failing rather than silently resynchronizing.
-    fn check_shrink(&mut self) -> Result<()> {
-        let len = self.input.seek(SeekFrom::End(0))?;
-        if len < self.high_water {
-            self.truncated = true;
-        }
-        self.high_water = self.high_water.max(len);
-        if self.truncated {
-            return Err(PacketError::SourceTruncated {
-                committed: self.offset,
-                len,
-            });
-        }
-        Ok(())
-    }
-
     /// Records fully consumed so far.
     pub fn records_read(&self) -> u64 {
         self.records_read
@@ -172,165 +166,12 @@ impl<R: Read + Seek> PcapFollower<R> {
     /// records: everything before it has been delivered, everything
     /// after it has not been touched.
     pub fn offset(&self) -> u64 {
-        self.offset
-    }
-
-    /// Absolute microsecond timestamp of the first record (the trace
-    /// epoch all delivered timestamps are rebased against), once one
-    /// record has been read.
-    pub fn epoch(&self) -> Option<i64> {
-        self.epoch
+        self.tail.offset
     }
 
     /// The file's link type, once the global header has been read.
     pub fn link_type(&self) -> Option<u32> {
-        self.header.map(|h| h.link_type)
-    }
-
-    /// Reads exactly `buf.len()` bytes at the current position, or
-    /// reports `Ok(false)` if the file ends first (partial tail —
-    /// retry after growth). Other I/O errors propagate.
-    fn read_full(&mut self, buf: &mut [u8]) -> Result<bool> {
-        let mut filled = 0;
-        while filled < buf.len() {
-            match self.input.read(&mut buf[filled..]) {
-                Ok(0) => return Ok(false),
-                Ok(n) => filled += n,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(e) => return Err(e.into()),
-            }
-        }
-        Ok(true)
-    }
-
-    /// Parses the 24-byte global header if not done yet. `Ok(false)`
-    /// means the header is still incomplete on disk.
-    fn ensure_header(&mut self) -> Result<bool> {
-        if self.header.is_some() {
-            return Ok(true);
-        }
-        self.input.seek(SeekFrom::Start(0))?;
-        let mut header = [0u8; 24];
-        if !self.read_full(&mut header)? {
-            return Ok(false);
-        }
-        let magic_le = u32::from_le_bytes([header[0], header[1], header[2], header[3]]);
-        let magic_be = u32::from_be_bytes([header[0], header[1], header[2], header[3]]);
-        let (little_endian, nanos) = match (magic_le, magic_be) {
-            (MAGIC_MICROS, _) => (true, false),
-            (MAGIC_NANOS, _) => (true, true),
-            (_, MAGIC_MICROS) => (false, false),
-            (_, MAGIC_NANOS) => (false, true),
-            _ => return Err(PacketError::BadMagic(magic_le)),
-        };
-        let parsed = FileHeader {
-            little_endian,
-            nanos,
-            link_type: 0, // patched below once endianness is known
-        };
-        let link_type = parsed.u32([header[20], header[21], header[22], header[23]]);
-        self.header = Some(FileHeader {
-            link_type,
-            ..parsed
-        });
-        self.offset = 24;
-        Ok(true)
-    }
-
-    /// Attempts to read the next complete record.
-    ///
-    /// Returns `Ok(None)` when the file does not (yet) contain a full
-    /// record past the committed offset — including a bare or partial
-    /// record header and a record header whose captured bytes are still
-    /// being written. The committed offset is only advanced over fully
-    /// read records, so polling again after the file grows resumes
-    /// cleanly.
-    ///
-    /// # Errors
-    ///
-    /// Fails on I/O errors, a bad magic number, an implausible record
-    /// length (true corruption, which no amount of growth can repair),
-    /// or [`PacketError::SourceTruncated`] once the file has ever
-    /// shrunk (rotation/truncation — the error is sticky, since the
-    /// committed offset no longer refers into the original record
-    /// stream even if the file later regrows past it).
-    pub fn poll_record(&mut self) -> Result<Option<RawRecord>> {
-        if let Some(err) = self.faults.fail_io("follow.read") {
-            return Err(err.into());
-        }
-        if self.faults.should_fail("follow.short_read") {
-            return Ok(None);
-        }
-        self.check_shrink()?;
-        if !self.ensure_header()? {
-            return Ok(None);
-        }
-        let Some(header) = self.header else {
-            return Ok(None);
-        };
-        self.input.seek(SeekFrom::Start(self.offset))?;
-        let mut rec_header = [0u8; 16];
-        if !self.read_full(&mut rec_header)? {
-            return Ok(None);
-        }
-        let ts_sec =
-            header.u32([rec_header[0], rec_header[1], rec_header[2], rec_header[3]]) as i64;
-        let ts_frac =
-            header.u32([rec_header[4], rec_header[5], rec_header[6], rec_header[7]]) as i64;
-        let incl_len = header.u32([rec_header[8], rec_header[9], rec_header[10], rec_header[11]]);
-        let orig_len = header.u32([
-            rec_header[12],
-            rec_header[13],
-            rec_header[14],
-            rec_header[15],
-        ]);
-        if incl_len > 0x0400_0000 {
-            return Err(PacketError::Malformed {
-                what: "pcap record",
-                detail: format!("implausible captured length {incl_len}"),
-            });
-        }
-        let mut data = vec![0u8; incl_len as usize];
-        if !self.read_full(&mut data)? {
-            return Ok(None);
-        }
-        self.offset += 16 + incl_len as u64;
-        self.records_read += 1;
-        self.last_ts_sec = Some(ts_sec);
-        let micros = if header.nanos {
-            ts_frac / 1000
-        } else {
-            ts_frac
-        };
-        let abs = ts_sec * 1_000_000 + micros;
-        let epoch = *self.epoch.get_or_insert(abs);
-        Ok(Some(RawRecord {
-            timestamp: Micros(abs - epoch),
-            orig_len,
-            data,
-        }))
-    }
-
-    /// Attempts to read the next record and parse it as a TCP/IPv4
-    /// Ethernet frame. `Ok(None)` means "not yet" — see
-    /// [`poll_record`](Self::poll_record).
-    ///
-    /// # Errors
-    ///
-    /// Fails on I/O errors, corruption, a non-Ethernet link type, or a
-    /// record that is not TCP over IPv4.
-    pub fn poll_frame(&mut self) -> Result<Option<TcpFrame>> {
-        match self.poll_record()? {
-            Some(record) => {
-                if let Some(header) = self.header {
-                    if header.link_type != LINKTYPE_ETHERNET {
-                        return Err(PacketError::UnsupportedLinkType(header.link_type));
-                    }
-                }
-                TcpFrame::parse(record.timestamp, &record.data).map(Some)
-            }
-            None => Ok(None),
-        }
+        self.walker.as_ref().map(Walker::link_type)
     }
 
     /// Attempts to read the next record lossily: capture damage becomes
@@ -339,19 +180,24 @@ impl<R: Read + Seek> PcapFollower<R> {
     /// a bounded forward scan for the next plausible record header
     /// rather than an eternal retry.
     ///
-    /// `Ok(None)` still means "not yet": either the tail is a clean
-    /// partial record, or it is garbage for which no resynchronization
-    /// target has been written yet. `Ok(Some(..))` may carry a frame,
-    /// anomalies, both, or neither (a consumed cross-traffic record) —
-    /// poll again for more.
+    /// `Ok(None)` means "not yet": the tail is a partial global header,
+    /// a bare or partial record header, a record whose captured bytes
+    /// are still being written, or garbage for which no
+    /// resynchronization target has been written yet. The committed
+    /// offset only advances over whole items, so polling again after
+    /// the file grows resumes cleanly. `Ok(Some(..))` may carry a
+    /// frame, anomalies, both, or neither (a consumed cross-traffic
+    /// record) — poll again for more.
     ///
     /// # Errors
     ///
     /// Fails on I/O errors, a bad magic number, a non-Ethernet link
-    /// type, [`PacketError::SourceTruncated`] after a shrink, or when a
-    /// resynchronization scan exhausts its byte budget without finding
-    /// a plausible record header (the file is garbage from the
-    /// committed offset on, and retrying cannot fix it).
+    /// type, [`PacketError::SourceTruncated`] once the file has ever
+    /// shrunk (sticky, since the committed offset no longer refers into
+    /// the original record stream even if the file later regrows past
+    /// it), or when a resynchronization scan exhausts its byte budget
+    /// without finding a plausible record header (the file is garbage
+    /// from the committed offset on, and retrying cannot fix it).
     pub fn poll_lossy(&mut self, decoder: &mut LossyDecoder) -> Result<Option<LossyFrame>> {
         if let Some(err) = self.faults.fail_io("follow.read") {
             return Err(err.into());
@@ -359,112 +205,81 @@ impl<R: Read + Seek> PcapFollower<R> {
         if self.faults.should_fail("follow.short_read") {
             return Ok(None);
         }
-        self.check_shrink()?;
-        if !self.ensure_header()? {
-            return Ok(None);
+        if self.walker.is_none() {
+            self.walker = Walker::open(&mut self.tail)?;
         }
-        let Some(header) = self.header else {
+        let Some(walker) = &mut self.walker else {
             return Ok(None);
         };
-        if header.link_type != LINKTYPE_ETHERNET {
-            return Err(PacketError::UnsupportedLinkType(header.link_type));
+        if walker.link_type() != LINKTYPE_ETHERNET {
+            return Err(PacketError::UnsupportedLinkType(walker.link_type()));
         }
-        self.input.seek(SeekFrom::Start(self.offset))?;
-        let mut rec_header = [0u8; 16];
-        if !self.read_full(&mut rec_header)? {
-            return Ok(None);
-        }
-        let Some(parsed) = plausible_record_header(
-            header.endianness(),
-            header.nanos,
-            &rec_header,
-            self.last_ts_sec,
-        ) else {
-            return self.resync_lossy(&header, decoder);
-        };
-        let mut data = vec![0u8; parsed.incl_len as usize];
-        if !self.read_full(&mut data)? {
-            return Ok(None);
-        }
-        self.offset += 16 + parsed.incl_len as u64;
-        self.records_read += 1;
-        self.last_ts_sec = Some(parsed.ts_sec);
-        let abs = parsed.abs_micros(header.nanos);
-        let epoch = *self.epoch.get_or_insert(abs);
-        let record = RawRecord {
-            timestamp: Micros(abs - epoch),
-            orig_len: parsed.orig_len,
-            data,
-        };
-        Ok(Some(decoder.decode_record(&record)))
-    }
-
-    /// Scans forward from the committed offset for a plausible record
-    /// header. Finding one commits the skip and reports it as a
-    /// [`CaptureAnomaly::Desynchronized`]; running out of written bytes
-    /// first leaves the offset alone and reports pending (the target
-    /// may simply not have been appended yet); exhausting the scan
-    /// budget is a hard error — the bound that replaces retry-forever.
-    fn resync_lossy(
-        &mut self,
-        header: &FileHeader,
-        decoder: &mut LossyDecoder,
-    ) -> Result<Option<LossyFrame>> {
-        self.input.seek(SeekFrom::Start(self.offset))?;
-        let mut window = Vec::with_capacity(4096);
-        let mut chunk = [0u8; 4096];
-        while window.len() < RESYNC_SCAN_LIMIT + 16 {
-            match self.input.read(&mut chunk) {
-                Ok(0) => break,
-                Ok(n) => window.extend_from_slice(&chunk[..n]),
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(e) => return Err(e.into()),
+        match walker.next_lossy(&mut self.tail)? {
+            LossyStep::Record(record) => {
+                self.records_read += 1;
+                let wire = self.tail.window.behind(record.body_len);
+                let item = decoder.decode_wire(record.timestamp, record.orig_len, wire);
+                Ok(Some(item.to_lossy_frame()))
             }
-        }
-        for pos in 1..=window.len().saturating_sub(16) {
-            if pos > RESYNC_SCAN_LIMIT {
-                break;
-            }
-            let mut candidate = [0u8; 16];
-            candidate.copy_from_slice(&window[pos..pos + 16]);
-            if plausible_record_header(
-                header.endianness(),
-                header.nanos,
-                &candidate,
-                self.last_ts_sec,
-            )
-            .is_some()
-            {
-                self.offset += pos as u64;
-                let anomaly = CaptureAnomaly::Desynchronized {
-                    skipped: pos as u64,
-                };
+            LossyStep::Resynced(skipped) => {
+                let anomaly = CaptureAnomaly::Desynchronized { skipped };
                 decoder.note(&anomaly);
-                let mut item = LossyFrame::default();
-                item.anomalies.push(anomaly);
-                return Ok(Some(item));
+                Ok(Some(LossyFrame {
+                    anomalies: vec![anomaly],
+                    ..LossyFrame::default()
+                }))
             }
-        }
-        if window.len() > RESYNC_SCAN_LIMIT {
-            return Err(PacketError::Malformed {
+            // The file is still growing: whatever the tail lacks may
+            // simply not have been appended yet.
+            LossyStep::Short { .. } | LossyStep::NoTarget => Ok(None),
+            // The bound that replaces retry-forever.
+            LossyStep::BudgetSpent => Err(PacketError::Malformed {
                 what: "pcap stream",
                 detail: format!(
                     "no plausible record header within {RESYNC_SCAN_LIMIT} bytes of offset {}",
-                    self.offset
+                    self.tail.offset
                 ),
-            });
+            }),
         }
-        Ok(None)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::frame::FrameBuilder;
+    use crate::frame::{FrameBuilder, TcpFrame};
     use crate::pcap::PcapWriter;
-    use std::io::Write;
+    use std::io::{self, Write};
     use std::net::Ipv4Addr;
+    use tdat_timeset::Micros;
+
+    /// A follower with its decoder, polled for clean TCP frames: any
+    /// anomaly or cross-traffic record fails the test.
+    struct Polled<R> {
+        follower: PcapFollower<R>,
+        decoder: LossyDecoder,
+    }
+
+    impl<R: Read + Seek> Polled<R> {
+        fn new(follower: PcapFollower<R>) -> Polled<R> {
+            Polled {
+                follower,
+                decoder: LossyDecoder::new(),
+            }
+        }
+
+        fn poll_frame(&mut self) -> Result<Option<TcpFrame>> {
+            let item = self.follower.poll_lossy(&mut self.decoder)?;
+            Ok(item.map(|item| {
+                assert_eq!(item.anomalies, vec![], "clean capture");
+                item.frame.expect("a TCP frame")
+            }))
+        }
+    }
+
+    fn open(file: &GrowingFile) -> Polled<File> {
+        Polled::new(PcapFollower::open(&file.path).unwrap())
+    }
 
     fn frame(t_ms: i64, len: usize) -> TcpFrame {
         FrameBuilder::new(Ipv4Addr::new(10, 0, 0, 1), Ipv4Addr::new(10, 0, 0, 2))
@@ -518,7 +333,7 @@ mod tests {
         let frames = vec![frame(0, 10), frame(5, 0), frame(12, 300)];
         let bytes = encode(&frames);
         let mut file = GrowingFile::create("byte_at_a_time.pcap");
-        let mut follower = PcapFollower::open(&file.path).unwrap();
+        let mut follower = open(&file);
         let mut got = Vec::new();
         for b in &bytes {
             // Before the byte lands, the tail is partial: poll must
@@ -532,7 +347,7 @@ mod tests {
         assert_eq!(got, frames);
         // Fully drained: further polls stay Pending.
         assert!(follower.poll_frame().unwrap().is_none());
-        assert_eq!(follower.records_read(), 3);
+        assert_eq!(follower.follower.records_read(), 3);
     }
 
     #[test]
@@ -543,7 +358,7 @@ mod tests {
         let cut = bytes.len() - 10;
         let mut file = GrowingFile::create("truncated_tail.pcap");
         file.append(&bytes[..cut]);
-        let mut follower = PcapFollower::open(&file.path).unwrap();
+        let mut follower = open(&file);
         assert_eq!(follower.poll_frame().unwrap(), Some(frames[0].clone()));
         // The second record is incomplete: repeated polls report
         // Pending and do not lose position.
@@ -559,38 +374,25 @@ mod tests {
         let bytes = encode(&[frame(0, 5)]);
         let mut file = GrowingFile::create("partial_header.pcap");
         file.append(&bytes[..13]); // half the global header
-        let mut follower = PcapFollower::open(&file.path).unwrap();
+        let mut follower = open(&file);
         assert!(follower.poll_frame().unwrap().is_none());
-        assert!(follower.link_type().is_none());
+        assert!(follower.follower.link_type().is_none());
         file.append(&bytes[13..]);
         assert!(follower.poll_frame().unwrap().is_some());
-        assert_eq!(follower.link_type(), Some(LINKTYPE_ETHERNET));
+        assert_eq!(follower.follower.link_type(), Some(LINKTYPE_ETHERNET));
     }
 
     #[test]
     fn bad_magic_is_a_hard_error() {
         let mut file = GrowingFile::create("bad_magic.pcap");
         file.append(&[0u8; 24]);
-        let mut follower = PcapFollower::open(&file.path).unwrap();
-        assert!(matches!(
-            follower.poll_record(),
-            Err(PacketError::BadMagic(_))
-        ));
-    }
-
-    #[test]
-    fn implausible_record_length_is_a_hard_error() {
-        let bytes = encode(&[]);
-        let mut file = GrowingFile::create("implausible_len.pcap");
-        file.append(&bytes);
-        let mut rec = Vec::new();
-        rec.extend_from_slice(&0u32.to_le_bytes());
-        rec.extend_from_slice(&0u32.to_le_bytes());
-        rec.extend_from_slice(&0xffff_ffffu32.to_le_bytes()); // incl_len
-        rec.extend_from_slice(&0u32.to_le_bytes());
-        file.append(&rec);
-        let mut follower = PcapFollower::open(&file.path).unwrap();
-        assert!(follower.poll_record().is_err());
+        let mut follower = open(&file);
+        for _ in 0..2 {
+            assert!(matches!(
+                follower.poll_frame(),
+                Err(PacketError::BadMagic(_))
+            ));
+        }
     }
 
     #[test]
@@ -599,11 +401,15 @@ mod tests {
         let bytes = encode(&frames);
         let mut file = GrowingFile::create("shrunk_then_regrown.pcap");
         file.append(&bytes);
-        let mut follower = PcapFollower::open(&file.path).unwrap();
+        let mut follower = open(&file);
         assert_eq!(follower.poll_frame().unwrap(), Some(frames[0].clone()));
         assert_eq!(follower.poll_frame().unwrap(), Some(frames[1].clone()));
         // The capture is rotated: truncated below the committed offset.
         file.out.set_len(30).unwrap();
+        // The third record was read ahead while the file still held it:
+        // it belongs to the original stream and is delivered. The next
+        // poll has to go back to the file, and finds it shrunk.
+        assert_eq!(follower.poll_frame().unwrap(), Some(frames[2].clone()));
         match follower.poll_frame() {
             Err(PacketError::SourceTruncated { committed, len }) => {
                 assert_eq!(len, 30);
@@ -620,7 +426,7 @@ mod tests {
                 Err(PacketError::SourceTruncated { .. })
             ));
         }
-        assert_eq!(follower.records_read(), 2);
+        assert_eq!(follower.follower.records_read(), 3);
     }
 
     #[test]
@@ -628,7 +434,7 @@ mod tests {
         let frames = vec![frame(1_000_000, 1), frame(1_000_500, 1)];
         let mut file = GrowingFile::create("epoch.pcap");
         file.append(&encode(&frames));
-        let mut follower = PcapFollower::open(&file.path).unwrap();
+        let mut follower = open(&file);
         assert_eq!(
             follower.poll_frame().unwrap().unwrap().timestamp,
             Micros::ZERO
@@ -641,11 +447,10 @@ mod tests {
 
     #[test]
     fn garbage_tail_resyncs_instead_of_retrying_forever() {
-        // The satellite fix this test pins: the tail of the file is
-        // mid-record *garbage* (an implausible record header), not a
-        // clean partial record. Strict polling would error; the old
-        // lossy behaviour would be to wait forever for bytes that are
-        // never coming. Lossy polling must (a) stay pending while no
+        // The tail of the file is mid-record *garbage* (an implausible
+        // record header), not a clean partial record; waiting for it
+        // to complete would wait forever for bytes that are never
+        // coming. Lossy polling must (a) stay pending while no
         // resync target exists, then (b) skip the garbage and resume
         // at the first plausible record appended after it.
         let first = frame(0, 80);
@@ -713,12 +518,49 @@ mod tests {
     }
 
     #[test]
+    fn a_quiet_day_is_not_corruption() {
+        // Two days of silence after the second record. The clock-step
+        // bound judges resync candidates only; an in-sequence record
+        // that far on is just a quiet link, through either lossy path.
+        const DAY_MS: i64 = 86_400_000;
+        let frames = vec![
+            frame(0, 10),
+            frame(5, 20),
+            frame(2 * DAY_MS + 7, 30),
+            frame(2 * DAY_MS + 9, 0),
+            frame(2 * DAY_MS + 12, 40),
+        ];
+        let bytes = encode(&frames);
+        let strict = crate::PcapReader::new(&bytes[..])
+            .unwrap()
+            .read_all()
+            .unwrap();
+        assert_eq!(strict, frames);
+
+        let mut reader = crate::LossyReader::new(&bytes[..]).unwrap();
+        let mut got = Vec::new();
+        while let Some(item) = reader.next_lossy().unwrap() {
+            got.extend(item.frame);
+        }
+        assert_eq!(got, strict);
+        assert_eq!(reader.counts().total(), 0);
+
+        let mut follower = Polled::new(PcapFollower::new(io::Cursor::new(bytes)));
+        let mut got = Vec::new();
+        while let Some(frame) = follower.poll_frame().unwrap() {
+            got.push(frame);
+        }
+        assert_eq!(got, strict);
+        assert_eq!(follower.decoder.counts().total(), 0);
+    }
+
+    #[test]
     fn injected_read_faults_error_then_clear() {
         let frames = vec![frame(0, 10), frame(5, 20)];
         let mut file = GrowingFile::create("fault_read.pcap");
         file.append(&encode(&frames));
         let faults = FaultPlan::parse("follow.read@hit=2", 0).unwrap();
-        let mut follower = PcapFollower::open(&file.path).unwrap().with_faults(faults);
+        let mut follower = Polled::new(PcapFollower::open(&file.path).unwrap().with_faults(faults));
         assert_eq!(follower.poll_frame().unwrap(), Some(frames[0].clone()));
         let err = follower.poll_frame().unwrap_err();
         assert!(matches!(err, PacketError::Io(_)));
@@ -735,7 +577,7 @@ mod tests {
         let mut file = GrowingFile::create("fault_short.pcap");
         file.append(&encode(&frames));
         let faults = FaultPlan::parse("follow.short_read@hits=1..2", 0).unwrap();
-        let mut follower = PcapFollower::open(&file.path).unwrap().with_faults(faults);
+        let mut follower = Polled::new(PcapFollower::open(&file.path).unwrap().with_faults(faults));
         assert!(follower.poll_frame().unwrap().is_none());
         assert!(follower.poll_frame().unwrap().is_none());
         assert_eq!(follower.poll_frame().unwrap(), Some(frames[0].clone()));
@@ -745,20 +587,18 @@ mod tests {
     fn offset_accessor_tracks_committed_records() {
         let frames = vec![frame(0, 10), frame(5, 0)];
         let bytes = encode(&frames);
-        let mut follower = PcapFollower::new(io::Cursor::new(bytes.clone()));
-        assert_eq!(follower.offset(), 0);
-        assert!(follower.epoch().is_none());
+        let mut follower = Polled::new(PcapFollower::new(io::Cursor::new(bytes.clone())));
+        assert_eq!(follower.follower.offset(), 0);
         follower.poll_frame().unwrap().unwrap();
         follower.poll_frame().unwrap().unwrap();
-        assert_eq!(follower.offset(), bytes.len() as u64);
-        assert!(follower.epoch().is_some());
+        assert_eq!(follower.follower.offset(), bytes.len() as u64);
     }
 
     #[test]
     fn in_memory_cursor_works() {
         let frames = vec![frame(0, 40)];
         let bytes = encode(&frames);
-        let mut follower = PcapFollower::new(io::Cursor::new(bytes));
+        let mut follower = Polled::new(PcapFollower::new(io::Cursor::new(bytes)));
         assert_eq!(follower.poll_frame().unwrap(), Some(frames[0].clone()));
         assert!(follower.poll_frame().unwrap().is_none());
     }

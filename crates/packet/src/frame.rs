@@ -4,9 +4,9 @@ use bytes::BufMut;
 use std::fmt;
 use std::net::Ipv4Addr;
 
-use crate::error::Result;
+use crate::error::{PacketError, Result};
 use crate::eth::{EthernetHeader, MacAddr, ETHERTYPE_IPV4};
-use crate::ipv4::{Ipv4Header, IPPROTO_TCP};
+use crate::ipv4::{internet_checksum, Ipv4Header, IPPROTO_TCP};
 use crate::tcp::{TcpFlags, TcpHeader, TcpOption};
 use tdat_timeset::Micros;
 
@@ -102,6 +102,86 @@ impl TcpFrame {
     }
 }
 
+/// The Ethernet → IPv4 header chain of one captured frame, walked as
+/// far as the TCP segment. Every frame decoder is an adapter over this
+/// walk: [`FrameView::parse`] and the block decoder's slot fill decode
+/// the TCP header out of `segment` (fresh, or in place), and
+/// [`FrameView::parse_lossy`] also asks for the IPv4 checksum and
+/// sorts the [`Stop`]s into cross traffic and damage.
+#[derive(Debug)]
+pub(crate) struct Layers<'a> {
+    pub(crate) eth: EthernetHeader,
+    pub(crate) ip: Ipv4Header,
+    /// TCP header plus payload: the captured bytes past the IP header,
+    /// trimmed to the IP `total_len` (trailing link padding is legal
+    /// and common).
+    pub(crate) segment: &'a [u8],
+    /// Offset of `segment` in the wire bytes.
+    pub(crate) segment_at: usize,
+    /// The segment length `total_len` declares; more than
+    /// `segment.len()` when the capture cut the frame short.
+    pub(crate) declared_len: usize,
+}
+
+/// Why a frame's header chain did not reach a TCP segment.
+#[derive(Debug)]
+pub(crate) enum Stop {
+    Ethernet(PacketError),
+    NotIpv4(u16),
+    Ipv4(PacketError),
+    IpChecksum,
+    NotTcp(u8),
+}
+
+impl<'a> Layers<'a> {
+    /// Walks `wire`. With `verify_ip_checksum`, a header whose checksum
+    /// does not hold stops the walk before its protocol and addresses
+    /// are believed.
+    #[inline]
+    pub(crate) fn walk(
+        wire: &'a [u8],
+        verify_ip_checksum: bool,
+    ) -> std::result::Result<Layers<'a>, Stop> {
+        let mut buf = wire;
+        let eth = EthernetHeader::decode(&mut buf).map_err(Stop::Ethernet)?;
+        if eth.ethertype != ETHERTYPE_IPV4 {
+            return Err(Stop::NotIpv4(eth.ethertype));
+        }
+        let ip_bytes = buf;
+        let ip = Ipv4Header::decode(&mut buf).map_err(Stop::Ipv4)?;
+        if verify_ip_checksum && internet_checksum(&ip_bytes[..ip.header_len()]) != 0 {
+            return Err(Stop::IpChecksum);
+        }
+        if ip.protocol != IPPROTO_TCP {
+            return Err(Stop::NotTcp(ip.protocol));
+        }
+        let declared_len = ip.payload_len();
+        Ok(Layers {
+            eth,
+            ip,
+            segment: &buf[..declared_len.min(buf.len())],
+            segment_at: wire.len() - buf.len(),
+            declared_len,
+        })
+    }
+}
+
+/// The strict decoders' reading of a [`Stop`]: every one is an error.
+impl From<Stop> for PacketError {
+    fn from(stop: Stop) -> PacketError {
+        let (what, detail) = match stop {
+            Stop::Ethernet(err) | Stop::Ipv4(err) => return err,
+            Stop::NotIpv4(ethertype) => (
+                "ethernet header",
+                format!("ethertype {ethertype:#06x} is not ipv4"),
+            ),
+            Stop::IpChecksum => ("ipv4 header", "header checksum mismatch".to_string()),
+            Stop::NotTcp(protocol) => ("ipv4 header", format!("protocol {protocol} is not tcp")),
+        };
+        PacketError::Malformed { what, detail }
+    }
+}
+
 /// A borrowed, zero-copy view of a parsed TCP/IPv4 Ethernet frame.
 ///
 /// Identical to [`TcpFrame`] except that the payload is a slice into
@@ -135,32 +215,14 @@ impl<'a> FrameView<'a> {
     /// Fails for truncated input, a non-IPv4 EtherType, a non-TCP
     /// protocol number, or malformed headers.
     pub fn parse(timestamp: Micros, wire: &'a [u8]) -> Result<FrameView<'a>> {
-        let mut buf = wire;
-        let eth = EthernetHeader::decode(&mut buf)?;
-        if eth.ethertype != ETHERTYPE_IPV4 {
-            return Err(crate::PacketError::Malformed {
-                what: "ethernet header",
-                detail: format!("ethertype {:#06x} is not ipv4", eth.ethertype),
-            });
-        }
-        let ip = Ipv4Header::decode(&mut buf)?;
-        if ip.protocol != IPPROTO_TCP {
-            return Err(crate::PacketError::Malformed {
-                what: "ipv4 header",
-                detail: format!("protocol {} is not tcp", ip.protocol),
-            });
-        }
-        let tcp_plus_payload = (ip.total_len as usize)
-            .saturating_sub(ip.header_len())
-            .min(buf.len());
-        let (tcp, consumed) = TcpHeader::decode_slice(&buf[..tcp_plus_payload])?;
-        let payload = &buf[consumed..tcp_plus_payload];
+        let layers = Layers::walk(wire, false)?;
+        let (tcp, consumed) = TcpHeader::decode_slice(layers.segment)?;
         Ok(FrameView {
             timestamp,
-            eth,
-            ip,
+            eth: layers.eth,
+            ip: layers.ip,
             tcp,
-            payload,
+            payload: &layers.segment[consumed..],
         })
     }
 

@@ -17,9 +17,10 @@
 //! * [`LossyDecoder`] turns raw records into [`LossyFrame`]s, detecting
 //!   duplicates, timestamp regressions, snap clipping, and header or
 //!   checksum corruption, and keeping running [`AnomalyCounts`];
-//! * [`LossyReader`] reads a whole pcap stream this way, surviving a
-//!   truncated tail and resynchronizing (bounded scan) after mid-file
-//!   garbage instead of erroring out.
+//! * [`LossyReader`] reads a whole pcap stream this way — the lossy
+//!   policy over a read window (see the crate docs, "Capture ingest")
+//!   — surviving a truncated tail and resynchronizing (bounded scan)
+//!   after mid-file garbage instead of erroring out.
 //!
 //! Cross traffic (non-IPv4, non-TCP) is *not* an anomaly: a production
 //! tap sees ARP, IPv6, and UDP all day. It is counted separately and
@@ -28,33 +29,18 @@
 use std::collections::VecDeque;
 use std::fmt;
 use std::fs::File;
-use std::io::{self, BufReader, Read};
+use std::io::Read;
 use std::net::Ipv4Addr;
 use std::path::Path;
 
 use crate::error::Result;
-use crate::eth::{EthernetHeader, ETHERTYPE_IPV4};
-use crate::frame::{FrameLike, FrameView, TcpFrame};
-use crate::ipv4::{internet_checksum, Ipv4Header, IPPROTO_TCP};
-use crate::pcap::{parse_global_header, Endianness, RawRecord, RecordHeader};
+use crate::frame::{FrameLike, FrameView, Layers, Stop, TcpFrame};
 use crate::tcp::{tcp_checksum, TcpHeader};
+use crate::walk::{LossyStep, Walker, Window, RECORD_HEADER_LEN};
 use tdat_timeset::Micros;
-
-/// Largest captured length the lossy reader treats as a believable
-/// record rather than corruption of the length field. Ethernet frames
-/// top out at 64 kB even with jumbo encapsulation; 128 kB leaves slack.
-const PLAUSIBLE_RECORD_BYTES: u32 = 0x0002_0000;
-
-/// How far a resynchronization scan may advance before giving up.
-pub(crate) const RESYNC_SCAN_LIMIT: usize = 1 << 20;
 
 /// How many recent record signatures the duplicate detector remembers.
 const DUP_WINDOW: usize = 32;
-
-/// Largest believable forward step of the capture clock between
-/// adjacent records (one day, in seconds). Used only to judge resync
-/// candidates, not in-sequence records.
-const PLAUSIBLE_CLOCK_STEP_SECS: i64 = 86_400;
 
 /// One observed unit of capture damage.
 ///
@@ -279,22 +265,7 @@ impl LossyFrameView<'_> {
     }
 }
 
-/// Result of [`TcpFrame::parse_lossy`].
-#[derive(Debug, Clone)]
-pub enum LossyParse {
-    /// A usable frame; `Some` when payload-level damage (a failed TCP
-    /// checksum) was detected but the headers were trustworthy.
-    Frame(TcpFrame, Option<CaptureAnomaly>),
-    /// Structurally valid but not TCP over IPv4 — cross traffic, not
-    /// damage.
-    NonTcp,
-    /// Unrecoverable: a header was truncated, malformed, or failed its
-    /// checksum.
-    Damaged(CaptureAnomaly),
-}
-
-/// Result of [`FrameView::parse_lossy`]: [`LossyParse`] without the
-/// payload copy.
+/// Result of [`FrameView::parse_lossy`].
 #[derive(Debug, Clone)]
 pub enum LossyParseView<'a> {
     /// A usable frame view; `Some` when payload-level damage (a failed
@@ -306,19 +277,6 @@ pub enum LossyParseView<'a> {
     /// Unrecoverable: a header was truncated, malformed, or failed its
     /// checksum.
     Damaged(CaptureAnomaly),
-}
-
-impl TcpFrame {
-    /// Parses wire bytes tolerantly, classifying damage instead of
-    /// erroring. Delegates to [`FrameView::parse_lossy`] and copies the
-    /// payload out.
-    pub fn parse_lossy(timestamp: Micros, wire: &[u8], clipped: bool) -> LossyParse {
-        match FrameView::parse_lossy(timestamp, wire, clipped) {
-            LossyParseView::Frame(view, damage) => LossyParse::Frame(view.to_frame(), damage),
-            LossyParseView::NonTcp => LossyParse::NonTcp,
-            LossyParseView::Damaged(anomaly) => LossyParse::Damaged(anomaly),
-        }
-    }
 }
 
 impl<'a> FrameView<'a> {
@@ -333,60 +291,28 @@ impl<'a> FrameView<'a> {
     /// captured bytes were cut by a snap length; the TCP checksum is
     /// then unverifiable and skipped.
     pub fn parse_lossy(timestamp: Micros, wire: &'a [u8], clipped: bool) -> LossyParseView<'a> {
-        let mut buf = wire;
-        let eth = match EthernetHeader::decode(&mut buf) {
-            Ok(eth) => eth,
-            Err(e) => {
-                return LossyParseView::Damaged(CaptureAnomaly::BadHeader {
-                    layer: "ethernet",
-                    detail: e.to_string(),
-                })
+        let damaged =
+            |layer, detail| LossyParseView::Damaged(CaptureAnomaly::BadHeader { layer, detail });
+        let layers = match Layers::walk(wire, true) {
+            Ok(layers) => layers,
+            Err(Stop::NotIpv4(_) | Stop::NotTcp(_)) => return LossyParseView::NonTcp,
+            Err(Stop::Ethernet(e)) => return damaged("ethernet", e.to_string()),
+            Err(Stop::Ipv4(e)) => return damaged("ipv4", e.to_string()),
+            Err(Stop::IpChecksum) => {
+                return damaged("ipv4", "header checksum mismatch".to_string())
             }
         };
-        if eth.ethertype != ETHERTYPE_IPV4 {
-            return LossyParseView::NonTcp;
-        }
-        let ip_bytes = buf;
-        let ip = match Ipv4Header::decode(&mut buf) {
-            Ok(ip) => ip,
-            Err(e) => {
-                return LossyParseView::Damaged(CaptureAnomaly::BadHeader {
-                    layer: "ipv4",
-                    detail: e.to_string(),
-                })
-            }
+        let (tcp, consumed) = match TcpHeader::decode_slice(layers.segment) {
+            Ok(decoded) => decoded,
+            Err(e) => return damaged("tcp", e.to_string()),
         };
-        if internet_checksum(&ip_bytes[..ip.header_len()]) != 0 {
-            return LossyParseView::Damaged(CaptureAnomaly::BadHeader {
-                layer: "ipv4",
-                detail: "header checksum mismatch".to_string(),
-            });
-        }
-        if ip.protocol != IPPROTO_TCP {
-            return LossyParseView::NonTcp;
-        }
-        let tcp_len = (ip.total_len as usize).saturating_sub(ip.header_len());
-        let available = tcp_len.min(buf.len());
-        let segment = &buf[..available];
-        let mut tcp_buf = segment;
-        let tcp = match TcpHeader::decode(&mut tcp_buf) {
-            Ok(tcp) => tcp,
-            Err(e) => {
-                return LossyParseView::Damaged(CaptureAnomaly::BadHeader {
-                    layer: "tcp",
-                    detail: e.to_string(),
-                })
-            }
-        };
-        let consumed = segment.len() - tcp_buf.len();
-        let payload = &segment[consumed..];
         // The TCP checksum covers header and payload; a mismatch on a
         // fully captured segment means the bytes were damaged after the
         // endpoint sent them. The frame structure is still usable, so
         // keep it and flag the damage.
         let damage = if !clipped
-            && available == tcp_len
-            && tcp_checksum(ip.src, ip.dst, segment, &[]) != 0
+            && layers.segment.len() == layers.declared_len
+            && tcp_checksum(layers.ip.src, layers.ip.dst, layers.segment, &[]) != 0
         {
             Some(CaptureAnomaly::BadHeader {
                 layer: "tcp",
@@ -397,10 +323,10 @@ impl<'a> FrameView<'a> {
         };
         let frame = FrameView {
             timestamp,
-            eth,
-            ip,
+            eth: layers.eth,
+            ip: layers.ip,
             tcp,
-            payload,
+            payload: &layers.segment[consumed..],
         };
         LossyParseView::Frame(frame, damage)
     }
@@ -431,7 +357,7 @@ fn record_signature(timestamp: Micros, orig_len: u32, data: &[u8]) -> u64 {
 /// Detects duplicates (signature ring over the last 32
 /// records), clamps timestamp regressions, flags snap clipping, and
 /// delegates byte-level damage classification to
-/// [`TcpFrame::parse_lossy`]. Keeps running totals so a whole-capture
+/// [`FrameView::parse_lossy`]. Keeps running totals so a whole-capture
 /// summary costs nothing extra.
 #[derive(Debug, Default)]
 pub struct LossyDecoder {
@@ -467,13 +393,6 @@ impl LossyDecoder {
     /// tails, resync scans) so [`counts`](Self::counts) stays complete.
     pub fn note(&mut self, anomaly: &CaptureAnomaly) {
         self.counts.note(anomaly);
-    }
-
-    /// Decodes one raw record, never failing. Delegates to
-    /// [`decode_wire`](Self::decode_wire) and copies the frame out.
-    pub fn decode_record(&mut self, record: &RawRecord) -> LossyFrame {
-        self.decode_wire(record.timestamp, record.orig_len, &record.data)
-            .to_lossy_frame()
     }
 
     /// Decodes one record's wire bytes without copying the payload: the
@@ -551,31 +470,6 @@ impl LossyDecoder {
     }
 }
 
-/// Judges whether 16 bytes look like a believable record header.
-/// Used both as the lossy reader's sanity gate and as the resync
-/// scanner's match condition.
-pub(crate) fn plausible_record_header(
-    endianness: Endianness,
-    nanos: bool,
-    bytes: &[u8; 16],
-    last_ts_sec: Option<i64>,
-) -> Option<RecordHeader> {
-    let h = RecordHeader::parse(endianness, bytes);
-    if h.incl_len > PLAUSIBLE_RECORD_BYTES || h.orig_len > PLAUSIBLE_RECORD_BYTES {
-        return None;
-    }
-    let frac_limit = if nanos { 1_000_000_000 } else { 1_000_000 };
-    if h.ts_frac >= frac_limit {
-        return None;
-    }
-    if let Some(last) = last_ts_sec {
-        if (h.ts_sec - last).abs() > PLAUSIBLE_CLOCK_STEP_SECS {
-            return None;
-        }
-    }
-    Some(h)
-}
-
 /// A lossy streaming pcap reader: the batch counterpart of
 /// [`PcapReader`](crate::PcapReader) that degrades instead of failing.
 ///
@@ -607,28 +501,20 @@ pub(crate) fn plausible_record_header(
 /// ```
 #[derive(Debug)]
 pub struct LossyReader<R> {
-    input: R,
-    endianness: Endianness,
-    nanos: bool,
-    link_type: u32,
-    epoch: Option<i64>,
-    last_ts_sec: Option<i64>,
-    /// Bytes read ahead of the parse position during a resync scan.
-    carry: VecDeque<u8>,
-    /// Reusable record body buffer for the zero-copy view path.
-    record_buf: Vec<u8>,
+    src: Window<R>,
+    walker: Walker,
     decoder: LossyDecoder,
     done: bool,
 }
 
-impl LossyReader<BufReader<File>> {
+impl LossyReader<File> {
     /// Opens a pcap file for lossy reading.
     ///
     /// # Errors
     ///
     /// Fails on I/O errors or a bad magic number.
     pub fn open(path: impl AsRef<Path>) -> Result<Self> {
-        LossyReader::new(BufReader::new(File::open(path)?))
+        LossyReader::new(File::open(path)?)
     }
 }
 
@@ -638,19 +524,12 @@ impl<R: Read> LossyReader<R> {
     /// # Errors
     ///
     /// Fails if the global header cannot be read or has a bad magic.
-    pub fn new(mut input: R) -> Result<Self> {
-        let mut header = [0u8; 24];
-        input.read_exact(&mut header)?;
-        let (endianness, nanos, link_type) = parse_global_header(&header)?;
+    pub fn new(input: R) -> Result<Self> {
+        let mut src = Window::new(input);
+        let walker = Walker::open_finite(&mut src)?;
         Ok(LossyReader {
-            input,
-            endianness,
-            nanos,
-            link_type,
-            epoch: None,
-            last_ts_sec: None,
-            carry: VecDeque::new(),
-            record_buf: Vec::new(),
+            src,
+            walker,
             decoder: LossyDecoder::new(),
             done: false,
         })
@@ -658,7 +537,7 @@ impl<R: Read> LossyReader<R> {
 
     /// The file's link type.
     pub fn link_type(&self) -> u32 {
-        self.link_type
+        self.walker.link_type()
     }
 
     /// Anomaly tally so far.
@@ -669,58 +548,6 @@ impl<R: Read> LossyReader<R> {
     /// The shared per-record decoder (frame/cross-traffic counters).
     pub fn decoder(&self) -> &LossyDecoder {
         &self.decoder
-    }
-
-    /// Reads into `buf` from the carry buffer first, then the input.
-    /// Returns the number of bytes filled (short only at end of input).
-    fn fill(&mut self, buf: &mut [u8]) -> Result<usize> {
-        let mut filled = 0;
-        while filled < buf.len() {
-            if let Some(byte) = self.carry.pop_front() {
-                buf[filled] = byte;
-                filled += 1;
-                continue;
-            }
-            match self.input.read(&mut buf[filled..]) {
-                Ok(0) => break,
-                Ok(n) => filled += n,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(e) => return Err(e.into()),
-            }
-        }
-        Ok(filled)
-    }
-
-    /// Scans forward for a plausible record header, starting from the
-    /// 16 already-consumed garbage bytes in `window`. On success the
-    /// unconsumed tail is pushed back onto the carry buffer and the
-    /// number of skipped bytes is returned; `None` means the scan
-    /// budget (or the input) was exhausted.
-    fn resync(&mut self, mut window: Vec<u8>) -> Result<Option<u64>> {
-        let mut pos = 1usize;
-        loop {
-            while window.len() < pos + 16 {
-                let mut byte = [0u8; 1];
-                if self.fill(&mut byte)? == 0 {
-                    return Ok(None);
-                }
-                window.push(byte[0]);
-            }
-            let mut candidate = [0u8; 16];
-            candidate.copy_from_slice(&window[pos..pos + 16]);
-            if plausible_record_header(self.endianness, self.nanos, &candidate, self.last_ts_sec)
-                .is_some()
-            {
-                for &byte in window[pos..].iter().rev() {
-                    self.carry.push_front(byte);
-                }
-                return Ok(Some(pos as u64));
-            }
-            pos += 1;
-            if pos > RESYNC_SCAN_LIMIT {
-                return Ok(None);
-            }
-        }
     }
 
     /// Reads and decodes the next record, or `None` once the stream is
@@ -740,10 +567,10 @@ impl<R: Read> LossyReader<R> {
         }
     }
 
-    /// Reads and decodes the next record against the reader's reusable
-    /// internal buffer, or `None` once the stream is exhausted. The
-    /// view borrows that buffer, so the steady-state decode path
-    /// performs no per-record heap allocation.
+    /// Reads and decodes the next record in place in the reader's
+    /// window, or `None` once the stream is exhausted. The view borrows
+    /// the window, so the steady-state decode path performs no
+    /// per-record heap allocation.
     ///
     /// Unlike [`next_lossy`](Self::next_lossy), cross traffic is *not*
     /// skipped here — a borrowed return value cannot be discarded and
@@ -758,72 +585,40 @@ impl<R: Read> LossyReader<R> {
         if self.done {
             return Ok(None);
         }
-        let mut rec_header = [0u8; 16];
-        let got = self.fill(&mut rec_header)?;
-        if got == 0 {
-            self.done = true;
-            return Ok(None);
-        }
-        if got < 16 {
-            self.done = true;
-            let anomaly = CaptureAnomaly::TruncatedRecord {
-                detail: format!("{got} of 16 record-header bytes at end of capture"),
-            };
-            self.decoder.note(&anomaly);
-            return Ok(Some(LossyFrameView::anomaly(anomaly)));
-        }
-        let header = match plausible_record_header(
-            self.endianness,
-            self.nanos,
-            &rec_header,
-            self.last_ts_sec,
-        ) {
-            Some(h) => h,
-            None => {
-                match self.resync(rec_header.to_vec())? {
-                    Some(skipped) => {
-                        let anomaly = CaptureAnomaly::Desynchronized { skipped };
-                        self.decoder.note(&anomaly);
-                        return Ok(Some(LossyFrameView::anomaly(anomaly)));
-                    }
-                    None => {
-                        // Scan budget or input exhausted: the rest of
-                        // the capture is unreadable.
-                        self.done = true;
-                        let anomaly = CaptureAnomaly::TruncatedRecord {
-                            detail: "unreadable tail: no plausible record header found".to_string(),
-                        };
-                        self.decoder.note(&anomaly);
-                        return Ok(Some(LossyFrameView::anomaly(anomaly)));
-                    }
+        // The capture is finished, so a source that runs dry is its
+        // end: whatever is left there is the last anomaly.
+        let anomaly = match self.walker.next_lossy(&mut self.src)? {
+            LossyStep::Record(record) => {
+                let wire = self.src.behind(record.body_len);
+                let item = self
+                    .decoder
+                    .decode_wire(record.timestamp, record.orig_len, wire);
+                return Ok(Some(item));
+            }
+            LossyStep::Resynced(skipped) => CaptureAnomaly::Desynchronized { skipped },
+            LossyStep::Short { have: 0, .. } => {
+                self.done = true;
+                return Ok(None);
+            }
+            LossyStep::Short { have, want } => {
+                self.done = true;
+                let detail = if want == RECORD_HEADER_LEN {
+                    format!("{have} of 16 record-header bytes at end of capture")
+                } else {
+                    let (have, want) = (have - RECORD_HEADER_LEN, want - RECORD_HEADER_LEN);
+                    format!("{have} of {want} record bytes at end of capture")
+                };
+                CaptureAnomaly::TruncatedRecord { detail }
+            }
+            LossyStep::NoTarget | LossyStep::BudgetSpent => {
+                self.done = true;
+                CaptureAnomaly::TruncatedRecord {
+                    detail: "unreadable tail: no plausible record header found".to_string(),
                 }
             }
         };
-        // `fill` needs `&mut self`, so temporarily move the reusable
-        // buffer out rather than borrowing it across the call.
-        let mut data = std::mem::take(&mut self.record_buf);
-        data.resize(header.incl_len as usize, 0);
-        let got = self.fill(&mut data)?;
-        self.record_buf = data;
-        if got < self.record_buf.len() {
-            self.done = true;
-            let anomaly = CaptureAnomaly::TruncatedRecord {
-                detail: format!(
-                    "{got} of {} record bytes at end of capture",
-                    header.incl_len
-                ),
-            };
-            self.decoder.note(&anomaly);
-            return Ok(Some(LossyFrameView::anomaly(anomaly)));
-        }
-        self.last_ts_sec = Some(header.ts_sec);
-        let abs = header.abs_micros(self.nanos);
-        let epoch = *self.epoch.get_or_insert(abs);
-        Ok(Some(self.decoder.decode_wire(
-            Micros(abs - epoch),
-            header.orig_len,
-            &self.record_buf,
-        )))
+        self.decoder.note(&anomaly);
+        Ok(Some(LossyFrameView::anomaly(anomaly)))
     }
 }
 

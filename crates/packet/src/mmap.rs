@@ -1,21 +1,17 @@
 //! Memory-mapped pcap ingest and block decode — the batch hot path.
 //!
-//! [`PcapReader`](crate::PcapReader) copies every record out of its
-//! input into a reusable buffer before parsing. That copy is already
-//! cheap, but for huge offline captures it is pure overhead: the bytes
-//! are sitting in the page cache, and the decode layer only needs to
-//! *borrow* them. [`MmapReader`] maps the file (via [`tdat_mapfile`])
-//! and feeds [`FrameView`]s straight out of the mapping; when mapping
-//! is unavailable the whole file is buffered once at open and the
-//! reader behaves identically.
+//! [`MmapReader`] is the strict policy over a source that is all there
+//! (see the crate docs, "Capture ingest"): it maps the file (via
+//! [`tdat_mapfile`]) and feeds [`FrameView`]s straight out of the
+//! mapping, with no window in between; when mapping is unavailable the
+//! whole file is buffered once at open and the reader behaves
+//! identically.
 //!
 //! On top of that sits block decode: [`MmapReader::next_views_into`]
 //! fills a caller-owned [`FrameBlock`] with up to a block's worth of
-//! decoded headers per call. The per-frame loop then touches only
-//! pre-decoded slots — the pcap record-header parse, the epoch rebase,
-//! and the source-shrink check are hoisted out to once per block, and
-//! the TCP option scan runs through the SWAR word paths of
-//! [`TcpHeader::decode_into`]. Slots reuse their option-vector
+//! decoded headers per call. The source-shrink check is hoisted out to
+//! once per block, and the TCP option scan runs through the SWAR word
+//! paths of [`TcpHeader::decode_into`]. Slots reuse their option-vector
 //! capacity, so steady-state block decode performs zero heap
 //! allocations per frame.
 //!
@@ -35,37 +31,58 @@
 //! offline captures. Buffered-fallback readers snapshot the file at
 //! open and cannot observe later shrinks at all.
 
-use std::fs::File;
-use std::io::{self, BufReader};
-use std::ops::Range;
 use std::path::Path;
 
 use crate::error::{PacketError, Result};
-use crate::eth::{EthernetHeader, ETHERTYPE_IPV4};
-use crate::frame::{FrameLike, FrameView, TcpFrame};
-use crate::ipv4::{Ipv4Header, IPPROTO_TCP};
-use crate::pcap::{parse_global_header, Endianness, PcapReader, RecordHeader, LINKTYPE_ETHERNET};
+use crate::eth::EthernetHeader;
+use crate::frame::{FrameLike, FrameView, Layers, TcpFrame};
+use crate::ipv4::Ipv4Header;
+use crate::pcap::LINKTYPE_ETHERNET;
 use crate::tcp::TcpHeader;
+use crate::walk::{Source, Walker};
 use tdat_mapfile::MappedFile;
 use tdat_timeset::Micros;
 
 /// Default number of frame slots in a [`FrameBlock`].
 pub const DEFAULT_BLOCK_FRAMES: usize = 256;
 
-/// The message `std::io::Read::read_exact` uses for a short read; the
-/// mapped reader mirrors it so both readers fail identically on a
-/// record that ends mid-data.
-const SHORT_READ: &str = "failed to fill whole buffer";
+/// A capture that is all there: the mapping (or its buffered stand-in)
+/// and the committed position in it.
+#[derive(Debug)]
+struct Mapped {
+    map: MappedFile,
+    pos: usize,
+}
+
+impl Mapped {
+    /// The last `n` committed bytes and their offset in the mapping.
+    fn behind(&self, n: usize) -> (usize, &[u8]) {
+        let start = self.pos - n;
+        (start, &self.map.bytes()[start..self.pos])
+    }
+}
+
+impl Source for Mapped {
+    fn available(&self) -> &[u8] {
+        &self.map.bytes()[self.pos..]
+    }
+
+    fn advance(&mut self, n: usize) {
+        self.pos += n;
+    }
+
+    fn refill(&mut self, want: usize) -> Result<bool> {
+        Ok(self.available().len() >= want)
+    }
+}
 
 /// Zero-copy pcap reader over a memory-mapped (or, as a fallback,
 /// fully buffered) capture file.
 ///
 /// Iterates the same classic-pcap record stream as
-/// [`PcapReader`](crate::PcapReader) — both endiannesses, both
-/// timestamp resolutions, epoch rebased to the first record — and
-/// yields byte-identical frames, but borrows record bytes directly
-/// from the mapping instead of copying each record into a scratch
-/// buffer.
+/// [`PcapReader`](crate::PcapReader) — the same walk — and yields
+/// byte-identical frames and errors, but borrows record bytes directly
+/// from the mapping instead of reading them into a window.
 ///
 /// ```no_run
 /// use tdat_packet::{FrameBlock, FrameLike, MmapReader};
@@ -85,14 +102,8 @@ const SHORT_READ: &str = "failed to fill whole buffer";
 /// ```
 #[derive(Debug)]
 pub struct MmapReader {
-    map: MappedFile,
-    /// Offset of the next unread byte (starts past the global header).
-    pos: usize,
-    endianness: Endianness,
-    nanos: bool,
-    link_type: u32,
-    /// Timestamp of the first record (the trace epoch).
-    epoch: Option<i64>,
+    src: Mapped,
+    walker: Walker,
     /// Error hit while a partially filled block was in flight; returned
     /// by the next read call so the block's frames are not lost.
     pending: Option<PacketError>,
@@ -130,36 +141,24 @@ impl MmapReader {
     }
 
     fn with_map(map: MappedFile) -> Result<MmapReader> {
-        let bytes = map.bytes();
-        if bytes.len() < 24 {
-            return Err(PacketError::Io(io::Error::new(
-                io::ErrorKind::UnexpectedEof,
-                SHORT_READ,
-            )));
-        }
-        let mut header = [0u8; 24];
-        header.copy_from_slice(&bytes[..24]);
-        let (endianness, nanos, link_type) = parse_global_header(&header)?;
+        let mut src = Mapped { map, pos: 0 };
+        let walker = Walker::open_finite(&mut src)?;
         Ok(MmapReader {
-            map,
-            pos: 24,
-            endianness,
-            nanos,
-            link_type,
-            epoch: None,
+            src,
+            walker,
             pending: None,
         })
     }
 
     /// The file's link type (e.g. [`LINKTYPE_ETHERNET`]).
     pub fn link_type(&self) -> u32 {
-        self.link_type
+        self.walker.link_type()
     }
 
     /// `true` when the reader is backed by a live kernel mapping rather
     /// than a buffered copy of the file.
     pub fn is_mapped(&self) -> bool {
-        self.map.is_mapped()
+        self.src.map.is_mapped()
     }
 
     /// Errors with [`PacketError::SourceTruncated`] if the underlying
@@ -168,52 +167,31 @@ impl MmapReader {
     /// Buffered and in-memory backings snapshot their bytes at open and
     /// always pass.
     fn shrink_check(&self) -> Result<()> {
-        if !self.map.is_mapped() {
+        let map = &self.src.map;
+        if !map.is_mapped() {
             return Ok(());
         }
-        let current = self.map.current_file_len()?;
-        if (current as usize) < self.map.len() {
+        let current = map.current_file_len()?;
+        if (current as usize) < map.len() {
             return Err(PacketError::SourceTruncated {
-                committed: self.pos as u64,
+                committed: self.src.pos as u64,
                 len: current,
             });
         }
         Ok(())
     }
 
-    /// Parses the next record header, advancing past the record.
-    /// Returns the rebased timestamp and the record's byte range in the
-    /// mapping, or `None` at a clean end of file (including a trailing
-    /// partial record *header*, which the buffered reader also treats
-    /// as EOF).
-    fn record_bounds(&mut self) -> Result<Option<(Micros, Range<usize>)>> {
-        let bytes = self.map.bytes();
-        if bytes.len() - self.pos < 16 {
-            return Ok(None);
+    /// The checks every read starts with: a held-back error first, then
+    /// the link type, then the shrink check — before any mapped page
+    /// is touched.
+    fn begin_read(&mut self) -> Result<()> {
+        if let Some(err) = self.pending.take() {
+            return Err(err);
         }
-        let mut rec_header = [0u8; 16];
-        rec_header.copy_from_slice(&bytes[self.pos..self.pos + 16]);
-        let h = RecordHeader::parse(self.endianness, &rec_header);
-        if h.incl_len > 0x0400_0000 {
-            self.pos += 16;
-            return Err(PacketError::Malformed {
-                what: "pcap record",
-                detail: format!("implausible captured length {}", h.incl_len),
-            });
+        if self.link_type() != LINKTYPE_ETHERNET {
+            return Err(PacketError::UnsupportedLinkType(self.link_type()));
         }
-        let data_start = self.pos + 16;
-        let data_end = data_start + h.incl_len as usize;
-        if data_end > bytes.len() {
-            self.pos = bytes.len();
-            return Err(PacketError::Io(io::Error::new(
-                io::ErrorKind::UnexpectedEof,
-                SHORT_READ,
-            )));
-        }
-        self.pos = data_end;
-        let abs = h.abs_micros(self.nanos);
-        let epoch = *self.epoch.get_or_insert(abs);
-        Ok(Some((Micros(abs - epoch), data_start..data_end)))
+        self.shrink_check()
     }
 
     /// Reads the next record and parses it as a zero-copy
@@ -224,19 +202,14 @@ impl MmapReader {
     ///
     /// # Errors
     ///
-    /// Same failure modes as [`PcapReader::next_view`], plus
+    /// Same failure modes as [`PcapReader::next_view`](crate::PcapReader::next_view), plus
     /// [`PacketError::SourceTruncated`] when the mapped file shrank.
     pub fn next_view(&mut self) -> Result<Option<FrameView<'_>>> {
-        if let Some(err) = self.pending.take() {
-            return Err(err);
-        }
-        if self.link_type != LINKTYPE_ETHERNET {
-            return Err(PacketError::UnsupportedLinkType(self.link_type));
-        }
-        self.shrink_check()?;
-        match self.record_bounds()? {
-            Some((timestamp, range)) => {
-                FrameView::parse(timestamp, &self.map.bytes()[range]).map(Some)
+        self.begin_read()?;
+        match self.walker.next_strict(&mut self.src)? {
+            Some(record) => {
+                let (_, wire) = self.src.behind(record.body_len);
+                FrameView::parse(record.timestamp, wire).map(Some)
             }
             None => Ok(None),
         }
@@ -246,8 +219,7 @@ impl MmapReader {
     /// `block`'s slots (and their option-vector capacity). Returns the
     /// decoded views; an empty result means a clean end of file.
     ///
-    /// The pcap record walk, the trace-epoch rebase, and the
-    /// source-shrink check run once per block instead of once per
+    /// The source-shrink check runs once per block instead of once per
     /// frame. A decode error inside a partially filled block is held
     /// back and returned by the *next* call, so the error sequence a
     /// consumer observes is identical to looping
@@ -258,33 +230,20 @@ impl MmapReader {
     /// Same failure modes as [`next_view`](MmapReader::next_view).
     pub fn next_views_into<'r>(&'r mut self, block: &'r mut FrameBlock) -> Result<BlockViews<'r>> {
         block.len = 0;
-        if let Some(err) = self.pending.take() {
-            return Err(err);
-        }
-        if self.link_type != LINKTYPE_ETHERNET {
-            return Err(PacketError::UnsupportedLinkType(self.link_type));
-        }
-        self.shrink_check()?;
+        self.begin_read()?;
         while block.len < block.slots.len() {
-            let (timestamp, range) = match self.record_bounds() {
-                Ok(Some(next)) => next,
-                Ok(None) => break,
-                Err(err) => {
-                    if block.len == 0 {
-                        return Err(err);
-                    }
-                    self.pending = Some(err);
-                    break;
+            let filled = match self.walker.next_strict(&mut self.src) {
+                Ok(Some(record)) => {
+                    let (base, wire) = self.src.behind(record.body_len);
+                    block.slots[block.len].parse(record.timestamp, base, wire)
                 }
+                Ok(None) => break,
+                Err(err) => Err(err),
             };
-            let bytes = self.map.bytes();
-            let slot = &mut block.slots[block.len];
-            match slot.parse(timestamp, range.start, &bytes[range]) {
+            match filled {
                 Ok(()) => block.len += 1,
+                Err(err) if block.len == 0 => return Err(err),
                 Err(err) => {
-                    if block.len == 0 {
-                        return Err(err);
-                    }
                     self.pending = Some(err);
                     break;
                 }
@@ -292,7 +251,7 @@ impl MmapReader {
         }
         Ok(BlockViews {
             slots: &block.slots[..block.len],
-            data: self.map.bytes(),
+            data: self.src.map.bytes(),
         })
     }
 
@@ -302,8 +261,7 @@ impl MmapReader {
     ///
     /// Propagates the first decode or I/O error.
     pub fn read_all(&mut self) -> Result<Vec<TcpFrame>> {
-        // Same sizing heuristic as `PcapReader::read_all`.
-        let mut frames = Vec::with_capacity(self.map.len() / 330);
+        let mut frames = Vec::new();
         let mut block = FrameBlock::new();
         loop {
             let views = self.next_views_into(&mut block)?;
@@ -318,22 +276,9 @@ impl MmapReader {
     }
 }
 
-impl PcapReader<BufReader<File>> {
-    /// Opens a pcap file through the memory-mapped batch reader — the
-    /// zero-copy counterpart of [`PcapReader::open`]. Falls back to a
-    /// one-shot buffered read when mapping is unavailable.
-    ///
-    /// # Errors
-    ///
-    /// Same failure modes as [`MmapReader::open`].
-    pub fn open_mmap(path: impl AsRef<Path>) -> Result<MmapReader> {
-        MmapReader::open(path)
-    }
-}
-
 /// One decoded frame slot of a [`FrameBlock`]: the parsed headers plus
 /// the payload's byte range in the source mapping.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 struct FrameSlot {
     timestamp: Micros,
     eth: EthernetHeader,
@@ -343,50 +288,19 @@ struct FrameSlot {
     payload_len: usize,
 }
 
-impl Default for FrameSlot {
-    fn default() -> Self {
-        FrameSlot {
-            timestamp: Micros::ZERO,
-            eth: EthernetHeader::default(),
-            ip: Ipv4Header::default(),
-            tcp: TcpHeader::default(),
-            payload_start: 0,
-            payload_len: 0,
-        }
-    }
-}
-
 impl FrameSlot {
-    /// Decodes one record into this slot. Mirrors [`FrameView::parse`]
-    /// exactly (same validation, trimming, and errors) but writes the
-    /// TCP header in place so option-vector capacity is reused.
-    /// `base` is the record's data offset in the source mapping.
+    /// Decodes one record into this slot: [`FrameView::parse`] over the
+    /// same header walk, but with the TCP header written in place so
+    /// option-vector capacity is reused. `base` is the record's data
+    /// offset in the source mapping.
     fn parse(&mut self, timestamp: Micros, base: usize, wire: &[u8]) -> Result<()> {
-        let mut buf = wire;
-        let eth = EthernetHeader::decode(&mut buf)?;
-        if eth.ethertype != ETHERTYPE_IPV4 {
-            return Err(PacketError::Malformed {
-                what: "ethernet header",
-                detail: format!("ethertype {:#06x} is not ipv4", eth.ethertype),
-            });
-        }
-        let ip = Ipv4Header::decode(&mut buf)?;
-        if ip.protocol != IPPROTO_TCP {
-            return Err(PacketError::Malformed {
-                what: "ipv4 header",
-                detail: format!("protocol {} is not tcp", ip.protocol),
-            });
-        }
-        let tcp_plus_payload = (ip.total_len as usize)
-            .saturating_sub(ip.header_len())
-            .min(buf.len());
-        let headers_consumed = wire.len() - buf.len();
-        let tcp_consumed = self.tcp.decode_into(&buf[..tcp_plus_payload])?;
+        let layers = Layers::walk(wire, false)?;
+        let consumed = self.tcp.decode_into(layers.segment)?;
         self.timestamp = timestamp;
-        self.eth = eth;
-        self.ip = ip;
-        self.payload_start = base + headers_consumed + tcp_consumed;
-        self.payload_len = tcp_plus_payload - tcp_consumed;
+        self.eth = layers.eth;
+        self.ip = layers.ip;
+        self.payload_start = base + layers.segment_at + consumed;
+        self.payload_len = layers.segment.len() - consumed;
         Ok(())
     }
 }
@@ -523,7 +437,8 @@ impl<'a> BlockFrame<'a> {
     }
 
     /// Reassembles the equivalent [`FrameView`], byte-identical to what
-    /// [`PcapReader::next_view`] yields for the same record.
+    /// [`PcapReader::next_view`](crate::PcapReader::next_view) yields for
+    /// the same record.
     pub fn to_view(&self) -> FrameView<'a> {
         FrameView {
             timestamp: self.slot.timestamp,
@@ -569,7 +484,7 @@ impl FrameLike for BlockFrame<'_> {
 mod tests {
     use super::*;
     use crate::frame::FrameBuilder;
-    use crate::pcap::PcapWriter;
+    use crate::pcap::{PcapReader, PcapWriter};
     use crate::tcp::TcpOption;
     use crate::TcpFlags;
     use std::net::Ipv4Addr;

@@ -8,11 +8,12 @@
 //! [`TcpFrame`]s, but raw records of any link type can be iterated.
 
 use std::fs::File;
-use std::io::{self, BufReader, BufWriter, Read, Write};
+use std::io::{BufWriter, Read, Write};
 use std::path::Path;
 
 use crate::error::{PacketError, Result};
 use crate::frame::{FrameView, TcpFrame};
+use crate::walk::{Walker, Window};
 use tdat_timeset::Micros;
 
 /// Microsecond-resolution pcap magic, as written by tcpdump.
@@ -34,71 +35,8 @@ pub struct RawRecord {
     pub data: Vec<u8>,
 }
 
-/// Byte-order-aware integer reading.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Endianness {
-    Little,
-    Big,
-}
-
-impl Endianness {
-    pub(crate) fn u32(self, b: [u8; 4]) -> u32 {
-        match self {
-            Endianness::Little => u32::from_le_bytes(b),
-            Endianness::Big => u32::from_be_bytes(b),
-        }
-    }
-}
-
-/// Parses the 24-byte pcap global header into (endianness, nanosecond
-/// resolution, link type). Shared by the strict reader, the follower,
-/// and the lossy reader.
-pub(crate) fn parse_global_header(header: &[u8; 24]) -> Result<(Endianness, bool, u32)> {
-    let magic_le = u32::from_le_bytes([header[0], header[1], header[2], header[3]]);
-    let magic_be = u32::from_be_bytes([header[0], header[1], header[2], header[3]]);
-    let (endianness, nanos) = match (magic_le, magic_be) {
-        (MAGIC_MICROS, _) => (Endianness::Little, false),
-        (MAGIC_NANOS, _) => (Endianness::Little, true),
-        (_, MAGIC_MICROS) => (Endianness::Big, false),
-        (_, MAGIC_NANOS) => (Endianness::Big, true),
-        _ => return Err(PacketError::BadMagic(magic_le)),
-    };
-    let link_type = endianness.u32([header[20], header[21], header[22], header[23]]);
-    Ok((endianness, nanos, link_type))
-}
-
-/// Decoded fields of a 16-byte pcap record header.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct RecordHeader {
-    pub(crate) ts_sec: i64,
-    pub(crate) ts_frac: i64,
-    pub(crate) incl_len: u32,
-    pub(crate) orig_len: u32,
-}
-
-impl RecordHeader {
-    pub(crate) fn parse(e: Endianness, h: &[u8; 16]) -> RecordHeader {
-        RecordHeader {
-            ts_sec: e.u32([h[0], h[1], h[2], h[3]]) as i64,
-            ts_frac: e.u32([h[4], h[5], h[6], h[7]]) as i64,
-            incl_len: e.u32([h[8], h[9], h[10], h[11]]),
-            orig_len: e.u32([h[12], h[13], h[14], h[15]]),
-        }
-    }
-
-    /// Absolute timestamp in microseconds, regardless of the file's
-    /// native resolution.
-    pub(crate) fn abs_micros(&self, nanos: bool) -> i64 {
-        let micros = if nanos {
-            self.ts_frac / 1000
-        } else {
-            self.ts_frac
-        };
-        self.ts_sec * 1_000_000 + micros
-    }
-}
-
-/// Streaming reader for classic pcap files.
+/// Streaming reader for classic pcap files: the strict policy over a
+/// read window (see the crate docs, "Capture ingest").
 ///
 /// # Examples
 ///
@@ -114,95 +52,38 @@ impl RecordHeader {
 /// ```
 #[derive(Debug)]
 pub struct PcapReader<R> {
-    input: R,
-    endianness: Endianness,
-    nanos: bool,
-    link_type: u32,
-    /// Timestamp of the first record, used as the trace epoch so that
-    /// in-memory timestamps stay small. `None` until the first record.
-    epoch: Option<i64>,
-    /// Reusable record buffer: every record is decoded in place here,
-    /// so the steady-state read path performs no per-record allocation.
-    record_buf: Vec<u8>,
-    /// Total input size in bytes when known (file size, slice length),
-    /// used to pre-size [`read_all`](PcapReader::read_all)'s vector.
-    len_hint: Option<u64>,
+    src: Window<R>,
+    walker: Walker,
 }
 
-impl PcapReader<BufReader<File>> {
-    /// Opens a pcap file from disk. The file size becomes the length
-    /// hint used to pre-size [`read_all`](PcapReader::read_all).
+impl PcapReader<File> {
+    /// Opens a pcap file from disk.
     ///
     /// # Errors
     ///
     /// Fails on I/O errors or an unrecognized magic number.
     pub fn open(path: impl AsRef<Path>) -> Result<Self> {
-        let file = File::open(path)?;
-        let len = file.metadata().map(|m| m.len()).ok();
-        let mut reader = PcapReader::new(BufReader::new(file))?;
-        reader.len_hint = len;
-        Ok(reader)
+        PcapReader::new(File::open(path)?)
     }
 }
 
 impl<R: Read> PcapReader<R> {
     /// Wraps any reader positioned at the start of a pcap stream. A
-    /// `&mut [u8]` slice works for in-memory traces.
+    /// `&[u8]` slice works for in-memory traces. The reader does its
+    /// own buffering, a window at a time, so `input` need not.
     ///
     /// # Errors
     ///
     /// Fails if the global header cannot be read or has a bad magic.
-    pub fn new(mut input: R) -> Result<Self> {
-        let mut header = [0u8; 24];
-        input.read_exact(&mut header)?;
-        let (endianness, nanos, link_type) = parse_global_header(&header)?;
-        Ok(PcapReader {
-            input,
-            endianness,
-            nanos,
-            link_type,
-            epoch: None,
-            record_buf: Vec::new(),
-            len_hint: None,
-        })
-    }
-
-    /// Sets the total input size in bytes, which
-    /// [`read_all`](PcapReader::read_all) uses to pre-size its frame
-    /// vector. [`open`](PcapReader::open) sets this from the file size
-    /// automatically; in-memory callers can pass the slice length.
-    pub fn with_len_hint(mut self, total_bytes: u64) -> Self {
-        self.len_hint = Some(total_bytes);
-        self
+    pub fn new(input: R) -> Result<Self> {
+        let mut src = Window::new(input);
+        let walker = Walker::open_finite(&mut src)?;
+        Ok(PcapReader { src, walker })
     }
 
     /// The file's link type (e.g. [`LINKTYPE_ETHERNET`]).
     pub fn link_type(&self) -> u32 {
-        self.link_type
-    }
-
-    /// Reads the next record header and body into the internal reusable
-    /// buffer. Returns the record timestamp and original length, or
-    /// `None` at a clean end of file; the body is in `self.record_buf`.
-    fn fill_record(&mut self) -> Result<Option<(Micros, u32)>> {
-        let mut rec_header = [0u8; 16];
-        match self.input.read_exact(&mut rec_header) {
-            Ok(()) => {}
-            Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => return Ok(None),
-            Err(e) => return Err(e.into()),
-        }
-        let h = RecordHeader::parse(self.endianness, &rec_header);
-        if h.incl_len > 0x0400_0000 {
-            return Err(PacketError::Malformed {
-                what: "pcap record",
-                detail: format!("implausible captured length {}", h.incl_len),
-            });
-        }
-        self.record_buf.resize(h.incl_len as usize, 0);
-        self.input.read_exact(&mut self.record_buf)?;
-        let abs = h.abs_micros(self.nanos);
-        let epoch = *self.epoch.get_or_insert(abs);
-        Ok(Some((Micros(abs - epoch), h.orig_len)))
+        self.walker.link_type()
     }
 
     /// Reads the next raw record, or `None` at a clean end of file.
@@ -212,39 +93,20 @@ impl<R: Read> PcapReader<R> {
     ///
     /// # Errors
     ///
-    /// Fails on I/O errors or a record that ends mid-header/mid-data.
+    /// Fails on I/O errors or a record that ends mid-data.
     pub fn next_record(&mut self) -> Result<Option<RawRecord>> {
-        match self.fill_record()? {
-            Some((timestamp, orig_len)) => Ok(Some(RawRecord {
-                timestamp,
-                orig_len,
-                data: self.record_buf.clone(),
-            })),
-            None => Ok(None),
-        }
-    }
-
-    /// Reads the next record and parses it as a TCP/IPv4 Ethernet
-    /// frame.
-    ///
-    /// # Errors
-    ///
-    /// Fails on I/O errors, on a non-Ethernet link type, or on frames
-    /// that are not TCP over IPv4 (callers that expect mixed traffic
-    /// should use [`next_record`] and filter).
-    ///
-    /// [`next_record`]: PcapReader::next_record
-    pub fn next_frame(&mut self) -> Result<Option<TcpFrame>> {
-        match self.next_view()? {
-            Some(view) => Ok(Some(view.to_frame())),
-            None => Ok(None),
-        }
+        let record = self.walker.next_strict(&mut self.src)?;
+        Ok(record.map(|record| RawRecord {
+            timestamp: record.timestamp,
+            orig_len: record.orig_len,
+            data: self.src.behind(record.body_len).to_vec(),
+        }))
     }
 
     /// Reads the next record and parses it as a borrowed, zero-copy
-    /// [`FrameView`] over the reader's internal record buffer. The view
-    /// is valid until the next read call; the steady-state loop
-    /// performs no heap allocation per frame.
+    /// [`FrameView`] over the reader's window. The view is valid until
+    /// the next read call; the steady-state loop performs no heap
+    /// allocation per frame.
     ///
     /// ```no_run
     /// use tdat_packet::PcapReader;
@@ -259,82 +121,44 @@ impl<R: Read> PcapReader<R> {
     ///
     /// # Errors
     ///
-    /// Same failure modes as [`next_frame`](PcapReader::next_frame).
+    /// Fails on I/O errors, on a non-Ethernet link type, or on frames
+    /// that are not TCP over IPv4 (callers that expect mixed traffic
+    /// should use [`next_record`](PcapReader::next_record) and filter).
     pub fn next_view(&mut self) -> Result<Option<FrameView<'_>>> {
-        if self.link_type != LINKTYPE_ETHERNET {
-            return Err(PacketError::UnsupportedLinkType(self.link_type));
+        if self.link_type() != LINKTYPE_ETHERNET {
+            return Err(PacketError::UnsupportedLinkType(self.link_type()));
         }
-        match self.fill_record()? {
-            Some((timestamp, _orig_len)) => FrameView::parse(timestamp, &self.record_buf).map(Some),
+        match self.walker.next_strict(&mut self.src)? {
+            Some(record) => {
+                let wire = self.src.behind(record.body_len);
+                FrameView::parse(record.timestamp, wire).map(Some)
+            }
             None => Ok(None),
         }
     }
 
+    fn next_frame(&mut self) -> Result<Option<TcpFrame>> {
+        Ok(self.next_view()?.map(|view| view.to_frame()))
+    }
+
     /// Iterator over parsed TCP frames.
-    pub fn frames(&mut self) -> Frames<'_, R> {
-        Frames { reader: self }
+    pub fn frames(&mut self) -> impl Iterator<Item = Result<TcpFrame>> + '_ {
+        std::iter::from_fn(move || self.next_frame().transpose())
     }
 
     /// Owning iterator over parsed TCP frames, for handing a whole
     /// reader to a streaming consumer.
-    pub fn into_frames(self) -> IntoFrames<R> {
-        IntoFrames { reader: self }
+    pub fn into_frames(mut self) -> impl Iterator<Item = Result<TcpFrame>> {
+        std::iter::from_fn(move || self.next_frame().transpose())
     }
 
-    /// Reads all frames into memory. When a length hint is available
-    /// (set by [`open`](PcapReader::open) or
-    /// [`with_len_hint`](PcapReader::with_len_hint)), the frame vector
-    /// is pre-sized from it, assuming a typical trace mix of pure-ACK
-    /// and MSS-sized data records.
+    /// Reads all frames into memory.
     ///
     /// # Errors
     ///
     /// Propagates the first decode or I/O error.
     pub fn read_all(&mut self) -> Result<Vec<TcpFrame>> {
-        // A BGP monitoring trace alternates ~70-byte ACK records with
-        // up-to-MSS data records; ~330 bytes/record is a conservative
-        // middle that avoids both gross over-reservation on data-heavy
-        // captures and repeated regrowth on ACK-heavy ones.
-        const TYPICAL_RECORD_BYTES: u64 = 330;
-        let capacity = self
-            .len_hint
-            .map(|bytes| (bytes / TYPICAL_RECORD_BYTES) as usize)
-            .unwrap_or(0);
-        let mut frames = Vec::with_capacity(capacity);
-        while let Some(view) = self.next_view()? {
-            frames.push(view.to_frame());
-        }
-        Ok(frames)
-    }
-}
-
-/// Iterator over the TCP frames of a [`PcapReader`], created by
-/// [`PcapReader::frames`].
-#[derive(Debug)]
-pub struct Frames<'a, R> {
-    reader: &'a mut PcapReader<R>,
-}
-
-impl<R: Read> Iterator for Frames<'_, R> {
-    type Item = Result<TcpFrame>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        self.reader.next_frame().transpose()
-    }
-}
-
-/// Owning iterator over the TCP frames of a [`PcapReader`], created by
-/// [`PcapReader::into_frames`].
-#[derive(Debug)]
-pub struct IntoFrames<R> {
-    reader: PcapReader<R>,
-}
-
-impl<R: Read> Iterator for IntoFrames<R> {
-    type Item = Result<TcpFrame>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        self.reader.next_frame().transpose()
+        self.frames().collect()
     }
 }
 

@@ -184,76 +184,36 @@ impl TcpHeader {
         })
     }
 
-    /// Decodes a TCP header (including options) from `buf`, advancing
-    /// past it. The payload is left in `buf`.
+    /// Decodes a TCP header (including options) from the front of
+    /// `buf`'s current chunk, advancing past it. The payload is left in
+    /// `buf`. A [`decode_slice`](TcpHeader::decode_slice) adapter for
+    /// callers walking a `Buf`: the header must be contiguous, as it is
+    /// in a `&[u8]`.
     ///
     /// # Errors
     ///
     /// Returns [`PacketError::Truncated`] or [`PacketError::Malformed`]
     /// for short buffers or an invalid data-offset field.
     pub fn decode(buf: &mut impl Buf) -> Result<TcpHeader> {
-        if buf.remaining() < TCP_HEADER_LEN {
-            return Err(PacketError::Truncated {
-                what: "tcp header",
-                needed: TCP_HEADER_LEN,
-                available: buf.remaining(),
-            });
-        }
-        let src_port = buf.get_u16();
-        let dst_port = buf.get_u16();
-        let seq = buf.get_u32();
-        let ack = buf.get_u32();
-        let offset_flags = buf.get_u16();
-        let data_offset = ((offset_flags >> 12) & 0x0f) as usize * 4;
-        let flags = TcpFlags((offset_flags & 0x3f) as u8);
-        let window = buf.get_u16();
-        let _checksum = buf.get_u16();
-        let urgent = buf.get_u16();
-        if data_offset < TCP_HEADER_LEN {
-            return Err(PacketError::Malformed {
-                what: "tcp header",
-                detail: format!("data offset {data_offset} below 20-byte minimum"),
-            });
-        }
-        let opt_len = data_offset - TCP_HEADER_LEN;
-        if buf.remaining() < opt_len {
-            return Err(PacketError::Truncated {
-                what: "tcp options",
-                needed: opt_len,
-                available: buf.remaining(),
-            });
-        }
-        let mut raw = vec![0u8; opt_len];
-        buf.copy_to_slice(&mut raw);
-        let options = decode_options(&raw)?;
-        Ok(TcpHeader {
-            src_port,
-            dst_port,
-            seq,
-            ack,
-            flags,
-            window,
-            urgent,
-            options,
-        })
+        let (header, consumed) = TcpHeader::decode_slice(buf.chunk())?;
+        buf.advance(consumed);
+        Ok(header)
     }
 
     /// Decodes a TCP header from a contiguous byte slice *into* `self`,
     /// reusing the option vector's existing capacity, and returns the
     /// number of bytes consumed (the header length).
     ///
-    /// This is the block-decode hot path: unlike
-    /// [`decode`](TcpHeader::decode), no temporary option buffer is
-    /// allocated, and the common option layouts are recognized by the
-    /// SWAR scan in `decode_options_into`, so a reused header performs
-    /// zero heap allocations per frame in steady state. Field values
-    /// and error behavior are byte-identical to `decode`.
+    /// This is the one TCP header decode, and the block-decode hot
+    /// path: the common option layouts are recognized by the SWAR scan
+    /// in `decode_options_into`, so a reused header performs zero heap
+    /// allocations per frame in steady state.
     ///
     /// # Errors
     ///
     /// Returns [`PacketError::Truncated`] or [`PacketError::Malformed`]
     /// for short buffers, an invalid data-offset field, or malformed
-    /// options — the same failures, in the same order, as `decode`.
+    /// options.
     pub fn decode_into(&mut self, buf: &[u8]) -> Result<usize> {
         if buf.len() < TCP_HEADER_LEN {
             return Err(PacketError::Truncated {
@@ -293,13 +253,11 @@ impl TcpHeader {
     }
 
     /// Decodes a TCP header from a contiguous byte slice, returning the
-    /// header and the number of bytes consumed. Equivalent to
-    /// [`decode`](TcpHeader::decode) over the same bytes but without
-    /// the temporary option buffer.
+    /// header and the number of bytes consumed.
     ///
     /// # Errors
     ///
-    /// Same failure modes as [`decode`](TcpHeader::decode).
+    /// Same failure modes as [`decode_into`](TcpHeader::decode_into).
     pub fn decode_slice(buf: &[u8]) -> Result<(TcpHeader, usize)> {
         let mut header = TcpHeader::default();
         let consumed = header.decode_into(buf)?;
@@ -378,12 +336,6 @@ fn encode_option(opt: &TcpOption, out: &mut Vec<u8>) {
             out.put_slice(data);
         }
     }
-}
-
-fn decode_options(raw: &[u8]) -> Result<Vec<TcpOption>> {
-    let mut options = Vec::new();
-    decode_options_into(raw, &mut options)?;
-    Ok(options)
 }
 
 /// All-NOP padding word, for the SWAR scan below.
@@ -692,8 +644,8 @@ mod tests {
     #[test]
     fn malformed_options_rejected() {
         // MSS option claiming 3 bytes length but body truncated.
-        let raw = [2u8, 10, 0];
-        assert!(decode_options(&raw).is_err());
+        let decode_options = |raw: &[u8]| decode_options_into(raw, &mut Vec::new());
+        assert!(decode_options(&[2u8, 10, 0]).is_err());
         // Kind without length.
         assert!(decode_options(&[5u8]).is_err());
         // Length below 2.
