@@ -4,7 +4,7 @@
 //! the whole analysis.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
-use tdat::{Analyzer, AnalyzerConfig, StreamAnalyzer, StreamOptions, TrackerConfig};
+use tdat::Analyzer;
 use tdat_bench::{generate_transfer, Dataset, Scenario};
 use tdat_packet::{PcapReader, PcapWriter, TcpFrame};
 use tdat_timeset::Micros;
@@ -81,75 +81,6 @@ fn bench_pipeline(c: &mut Criterion) {
     group.finish();
 }
 
-/// A multi-connection capture: four independent transfers interleaved
-/// by timestamp, serialized as one in-memory pcap stream.
-fn interleaved_pcap(per_conn_routes: usize) -> (Vec<u8>, u64) {
-    let mut frames: Vec<TcpFrame> = Vec::new();
-    for i in 0..4 {
-        frames.extend(
-            generate_transfer(
-                Dataset::IspAQuagga,
-                i,
-                Scenario::Clean,
-                per_conn_routes,
-                9_000 + i as u64,
-            )
-            .frames,
-        );
-    }
-    frames.sort_by_key(|f| f.timestamp);
-    let wire_bytes: u64 = frames.iter().map(|f| f.to_wire().len() as u64 + 16).sum();
-    let mut pcap = Vec::new();
-    {
-        let mut w = PcapWriter::new(&mut pcap).unwrap();
-        for f in &frames {
-            w.write_frame(f).unwrap();
-        }
-    }
-    (pcap, wire_bytes)
-}
-
-/// Batch vs streaming engine, end to end from pcap bytes to delay
-/// vectors, over a four-connection interleaved capture. The batch path
-/// materializes the whole frame vector; the streaming path decodes,
-/// tracks, and analyzes incrementally (`workers` threads).
-fn bench_streaming_vs_batch(c: &mut Criterion) {
-    let (pcap, wire_bytes) = interleaved_pcap(8_000);
-    let mut group = c.benchmark_group("streaming_vs_batch");
-    group.sample_size(10);
-    group.throughput(Throughput::Bytes(wire_bytes));
-    group.bench_function("batch_read_all", |b| {
-        let analyzer = Analyzer::default();
-        b.iter(|| {
-            let frames = PcapReader::new(&pcap[..]).unwrap().read_all().unwrap();
-            black_box(analyzer.analyze_frames(&frames))
-        })
-    });
-    for workers in [1usize, 2, 4] {
-        let engine = StreamAnalyzer::with_options(
-            AnalyzerConfig::default(),
-            StreamOptions {
-                workers,
-                tracker: TrackerConfig::streaming(),
-                shards: 0,
-            },
-        );
-        group.bench_function(format!("streaming_{workers}w"), |b| {
-            b.iter(|| {
-                let mut n = 0usize;
-                engine
-                    .analyze_stream(PcapReader::new(&pcap[..]).unwrap().into_frames(), |a| {
-                        n += 1;
-                        black_box(a);
-                    })
-                    .unwrap();
-                black_box(n)
-            })
-        });
-    }
-    group.finish();
-}
-
 fn bench_simulation(c: &mut Criterion) {
     // Cost of synthesizing one table transfer (corpus generation).
     let mut group = c.benchmark_group("simulate");
@@ -168,10 +99,5 @@ fn bench_simulation(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(
-    benches,
-    bench_pipeline,
-    bench_streaming_vs_batch,
-    bench_simulation
-);
+criterion_group!(benches, bench_pipeline, bench_simulation);
 criterion_main!(benches);

@@ -11,6 +11,8 @@
 //! corpus generates in seconds; every *shape* result is preserved (see
 //! DESIGN.md).
 
+use std::sync::Mutex;
+
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -501,23 +503,23 @@ where
         .map(|n| n.get())
         .unwrap_or(4)
         .min(16);
-    let mut results: Vec<Option<R>> = Vec::new();
-    results.resize_with(jobs.len(), || None);
-    let jobs: Vec<(usize, J)> = jobs.into_iter().enumerate().collect();
-    let queue = parking_lot::Mutex::new(jobs);
-    let out = parking_lot::Mutex::new(&mut results);
-    crossbeam::scope(|scope| {
+    let slots: Mutex<Vec<Option<R>>> = Mutex::new((0..jobs.len()).map(|_| None).collect());
+    let queue = Mutex::new(jobs.into_iter().enumerate().collect::<Vec<_>>());
+    // A panicking job poisons no lock (none is held while it runs); the
+    // panic propagates when the scope joins.
+    std::thread::scope(|scope| {
         for _ in 0..threads {
-            scope.spawn(|_| loop {
-                let job = queue.lock().pop();
+            scope.spawn(|| loop {
+                let job = queue.lock().expect("never held across a job").pop();
                 let Some((idx, job)) = job else { break };
                 let result = f(job);
-                out.lock()[idx] = Some(result);
+                slots.lock().expect("never held across a job")[idx] = Some(result);
             });
         }
-    })
-    .expect("worker threads do not panic");
-    results
+    });
+    slots
+        .into_inner()
+        .expect("never held across a job")
         .into_iter()
         .map(|r| r.expect("every job completed"))
         .collect()

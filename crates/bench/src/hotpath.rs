@@ -117,17 +117,17 @@ pub fn block_decode(path: &Path) -> u64 {
     }
 }
 
-/// The partitioned batch analyzer end to end: mmap + block decode +
-/// `shards` persistent worker lanes (0 = the serial streaming driver
-/// over the same capture file). Returns the connection count — by
-/// construction identical at every shard count.
+/// The batch engine end to end over a capture file, at a lane count
+/// (0 = the serial pass; lanes also read via mmap + block decode).
+/// Returns the connection count — by construction identical at every
+/// count.
 pub fn batch_sharded(path: &Path, shards: usize) -> usize {
     let engine = StreamAnalyzer::with_options(
         AnalyzerConfig::default(),
         StreamOptions {
-            workers: 1,
             tracker: tdat::TrackerConfig::batch(),
             shards,
+            ..Default::default()
         },
     );
     engine

@@ -12,7 +12,10 @@
 //!    `shards: N` renders byte-identical reports to the serial driver
 //!    over the oracle matrix, and under both chaos presets the lossy
 //!    sharded run matches the serial one report-for-report and
-//!    anomaly-count-for-anomaly-count.
+//!    anomaly-count-for-anomaly-count; a source that fails mid-capture
+//!    delivers the same reports and the same error at every lane count;
+//!    and on a clean capture the lossy source reads what the strict one
+//!    does.
 
 use proptest::prelude::*;
 use std::path::PathBuf;
@@ -46,9 +49,9 @@ fn engine(shards: usize, tracker: TrackerConfig) -> StreamAnalyzer {
     StreamAnalyzer::with_options(
         AnalyzerConfig::default(),
         StreamOptions {
-            workers: 1,
             tracker,
             shards,
+            ..Default::default()
         },
     )
 }
@@ -153,6 +156,93 @@ fn sharded_batch_reports_match_serial_over_oracle_matrix() {
                 sc.name
             );
         }
+        // The strict sources are the lossy source with nothing to
+        // charge: on a clean capture the two read the same reports.
+        let path = temp_pcap(&format!("{}-clean.pcap", sc.name), &pcap_of(&frames));
+        let strict = serial.analyze_pcap(&path).expect("clean capture");
+        let (lossy, report) = serial.analyze_pcap_lossy(&path).expect("clean capture");
+        assert_eq!(report.counts.total(), 0, "{}: clean capture", sc.name);
+        assert_eq!(report.connections, lossy.len(), "{}", sc.name);
+        assert_eq!(
+            rendered(&serial, &lossy),
+            rendered(&serial, &strict),
+            "{}: lossy reports diverged from strict on a clean capture",
+            sc.name
+        );
+    }
+}
+
+/// `sessions` short sessions from distinct routers to one collector,
+/// `gap` apart: far enough that the streaming tracker idles the early
+/// ones out while later ones are still arriving.
+fn short_sessions(sessions: u8, gap: Micros) -> Vec<TcpFrame> {
+    let collector = std::net::Ipv4Addr::new(10, 9, 0, 200);
+    let mut frames = Vec::new();
+    for i in 0..sessions {
+        let router = std::net::Ipv4Addr::new(10, 9, i, 1);
+        let at = |us: i64| Micros(i as i64 * gap.0 + us);
+        frames.push(
+            FrameBuilder::new(router, collector)
+                .at(at(0))
+                .ports(179, 40000)
+                .seq(100)
+                .flags(TcpFlags::SYN)
+                .build(),
+        );
+        frames.push(
+            FrameBuilder::new(collector, router)
+                .at(at(100))
+                .ports(40000, 179)
+                .seq(900)
+                .ack_to(101)
+                .flags(TcpFlags::SYN | TcpFlags::ACK)
+                .build(),
+        );
+        frames.push(
+            FrameBuilder::new(router, collector)
+                .at(at(200))
+                .ports(179, 40000)
+                .seq(101)
+                .ack_to(901)
+                .payload(vec![0xCA; 700])
+                .build(),
+        );
+        frames.push(
+            FrameBuilder::new(collector, router)
+                .at(at(400))
+                .ports(40000, 179)
+                .seq(901)
+                .ack_to(801)
+                .build(),
+        );
+    }
+    frames
+}
+
+#[test]
+fn read_error_delivers_the_same_reports_at_every_lane_count() {
+    // 40 sessions 9 s apart under the 60 s idle timeout: most have
+    // finalized by the time the reader hits the cut in the last record.
+    let bytes = pcap_of(&short_sessions(40, Micros::from_secs(9)));
+    let path = temp_pcap("cut-short.pcap", &bytes[..bytes.len() - 20]);
+    let outcome = |shards: usize| {
+        let engine = engine(shards, TrackerConfig::streaming());
+        let mut got = Vec::new();
+        let err = engine
+            .analyze_pcap_with(&path, |a| got.push(a))
+            .expect_err("the last record is cut short");
+        (rendered(&engine, &got), err.to_string())
+    };
+    let (want, want_err) = outcome(0);
+    assert!(
+        (1..40).contains(&want.len()),
+        "finalized before the failure, and only those: {}",
+        want.len()
+    );
+    for shards in [2, 5] {
+        let (got, err) = outcome(shards);
+        assert_eq!(got, want, "{shards} lanes: delivered set diverged");
+        assert_eq!(err, want_err, "{shards} lanes");
     }
 }
 

@@ -72,9 +72,9 @@ fn streaming_zero_copy_reports_match_batch_reports() {
     let engine = StreamAnalyzer::with_options(
         config.clone(),
         StreamOptions {
-            workers: 1,
             tracker: TrackerConfig::streaming(),
             shards: 0,
+            ..Default::default()
         },
     );
     let dir = std::env::temp_dir();

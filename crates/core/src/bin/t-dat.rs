@@ -2,15 +2,15 @@
 //!
 //! ```text
 //! t-dat <trace.pcap> [--json] [--plot] [--tsplot] [--series]
-//!       [--threshold 0.3] [--workers N] [--shards N]
+//!       [--threshold 0.3] [--shards N]
 //! ```
 //!
-//! Streams a pcap capture of BGP sessions through the
-//! [`StreamAnalyzer`] engine (one connection at a time, `--workers`
-//! analysis threads), identifies each connection's table transfer, and
-//! prints the delay-factor report; `--plot` adds the BGPlot
-//! square-wave view and `--series` lists every series with its delay
-//! ratio. `--shards N` switches to the partitioned batch engine: the
+//! Runs a pcap capture of BGP sessions through the [`StreamAnalyzer`]
+//! engine — one serial pass that tracks, reassembles and analyzes each
+//! connection on the calling thread — identifies each connection's
+//! table transfer, and prints the delay-factor report; `--plot` adds
+//! the BGPlot square-wave view and `--series` lists every series with
+//! its delay ratio. `--shards N` (N ≥ 2) partitions the same pass: the
 //! capture is memory-mapped, frames are block-decoded straight out of
 //! the mapping, and connections are fanned out to `N` persistent
 //! worker lanes by connection hash — output is byte-identical to the
@@ -21,7 +21,10 @@ use std::process::ExitCode;
 use tdat::{StreamAnalyzer, StreamOptions, TrackerConfig};
 
 const USAGE: &str = "usage: t-dat <trace.pcap> [--json] [--plot] [--tsplot] [--series] \
-                     [--threshold 0.3] [--workers N] [--shards N]";
+                     [--threshold 0.3] [--shards N]
+  --shards N   split the capture across N worker lanes (0 or 1: serial, the default);
+               byte-identical output; measured slower than serial on a 2-core host,
+               see benchmark/README.md";
 
 fn main() -> ExitCode {
     let mut args = std::env::args().skip(1);
@@ -31,7 +34,6 @@ fn main() -> ExitCode {
     let mut json = false;
     let mut series = false;
     let mut threshold = 0.3f64;
-    let mut workers = 0usize;
     let mut shards = 0usize;
     while let Some(arg) = args.next() {
         match arg.as_str() {
@@ -46,16 +48,9 @@ fn main() -> ExitCode {
                 };
                 threshold = v;
             }
-            "--workers" => {
-                let Some(v) = args.next().and_then(|v| v.parse().ok()) else {
-                    eprintln!("--workers needs a thread count (0 = auto)");
-                    return ExitCode::from(2);
-                };
-                workers = v;
-            }
             "--shards" => {
                 let Some(v) = args.next().and_then(|v| v.parse().ok()) else {
-                    eprintln!("--shards needs a shard count (0 = serial)");
+                    eprintln!("--shards needs a lane count (0 or 1 = serial)");
                     return ExitCode::from(2);
                 };
                 shards = v;
@@ -89,11 +84,11 @@ fn main() -> ExitCode {
     let engine = StreamAnalyzer::with_options(
         config,
         StreamOptions {
-            workers,
             // The CLI reports on the whole capture, so hold every
             // connection to its last frame like the batch path.
             tracker: TrackerConfig::batch(),
             shards,
+            ..Default::default()
         },
     );
     let analyzer = engine.analyzer();

@@ -13,10 +13,13 @@
 //! them into per-connection state ([`tdat_trace::ConnectionTracker`]),
 //! reassembles BGP messages incrementally, finalizes each connection
 //! when it closes or idles out ([`TrackerConfig`]), and runs the
-//! per-connection pipeline on a pool of worker threads. Memory stays
-//! proportional to the *open* connections — not the trace size — so
-//! day-long multi-session captures analyze in bounded space, and
-//! results arrive as connections finish instead of after the whole
+//! per-connection pipeline on it there and then. It is one loop over
+//! three sources (a pcap path, a frame iterator, a lossy reader) into
+//! one of two sinks: the calling thread — the default — or
+//! [`StreamOptions::shards`] worker lanes with byte-identical output.
+//! Memory stays proportional to the *open* connections — not the trace
+//! size — so day-long multi-session captures analyze in bounded space,
+//! and results arrive as connections finish instead of after the whole
 //! file is read.
 //!
 //! The per-connection pipeline (paper Fig. 10) is unchanged:

@@ -1,52 +1,56 @@
-//! Sharded single-capture batch analysis.
+//! The *lanes* sink: one capture partitioned across worker lanes.
 //!
-//! [`StreamAnalyzer`] with [`StreamOptions::shards`] `> 0` partitions
-//! one capture across persistent worker lanes while producing output
-//! byte-identical to the serial driver. The split follows the sharded
-//! monitor's recipe ([`tdat_trace::shard_of`] over the normalized
-//! connection key, so a connection's frames always land on one lane)
-//! and reuses its lifecycle/routed tracker split:
+//! [`StreamOptions::shards`](crate::StreamOptions::shards) `>= 2` makes
+//! every [`StreamAnalyzer`](crate::StreamAnalyzer) source step its
+//! frames into a [`ShardCoordinator`] instead of the inline sink, with
+//! output byte-identical to the serial pass. The split follows the
+//! sharded monitor's recipe ([`tdat_trace::shard_of`] over the
+//! normalized connection key, so a connection's frames always land on
+//! one lane) and reuses its lifecycle/routed tracker split:
 //!
-//! * the **coordinator** (the calling thread) decodes frames — block
-//!   decode straight out of an [`MmapReader`](tdat_packet::MmapReader)
-//!   mapping on the pcap path — and runs a
-//!   [`ConnectionTracker::lifecycle`] router that makes every policy
-//!   decision (ordinals, sweep order, eviction) exactly like the serial
-//!   tracker;
+//! * the **coordinator** (the calling thread) is handed decoded frames
+//!   by the source and runs a [`ConnectionTracker::lifecycle`] router
+//!   that makes every policy decision (ordinals, sweep order, eviction)
+//!   exactly like the serial tracker;
 //! * each **lane** (a [`WorkerPool`] worker) owns a routed
 //!   [`ConnectionTracker`] plus a [`BgpDemux`] for its slice of the
-//!   connection space and runs extraction + analysis, so the expensive
-//!   per-connection work runs off the decode thread;
+//!   connection space and runs reassembly + analysis off the decode
+//!   thread;
 //! * ops flow lane-ward in batches over bounded SPSC rings
 //!   ([`tdat_timeset::workpool`]), and analyses flow back tagged with
 //!   the **global finalization sequence** the router assigned, which a
 //!   reorder buffer restores — delivery order, and therefore report
-//!   JSON, is byte-for-byte the serial driver's.
+//!   JSON, is byte-for-byte the serial pass's.
 //!
 //! Determinism argument, in one breath: the router replicates the
 //! serial tracker's decisions (`lifecycle` is policy-identical by
 //! construction), each lane sees exactly the frames of its own
 //! connections in capture order (hash partition by connection key +
-//! FIFO rings), `analyze_extracted` is a pure function of
+//! FIFO rings), `analyze_extracted_lossy` is a pure function of
 //! `(connection, extraction, counts)`, and the reorder buffer emits in
 //! router-finalization order. Nothing observable depends on lane
-//! scheduling.
+//! scheduling — a failed source included, since
+//! [`finish`](ShardCoordinator::finish) drains the lanes before the
+//! error is returned.
+//!
+//! What it costs: the coordinator decodes, routes and copies every
+//! frame on one thread, and the lanes track again what the router
+//! tracked. On the repository benchmark's 2-core host two lanes spend
+//! 1.3–1.4× the CPU of the serial pass and finish slower than it on all
+//! three workloads (`benchmark/README.md`: `core.sharded2.speedup`,
+//! `core.sharded2.cpu_ratio`).
 
 use std::collections::HashMap;
-use std::path::Path;
 use std::sync::Arc;
 
-use tdat_packet::{
-    AnomalyCounts, CaptureAnomaly, FrameBlock, FrameLike, Ipv4Header, LossyReader, MmapReader,
-    TcpFrame, TcpHeader,
-};
+use tdat_packet::{AnomalyCounts, FrameLike, Ipv4Header, TcpHeader};
 use tdat_timeset::workpool::WorkerPool;
 use tdat_timeset::Micros;
 use tdat_trace::{shard_of, ConnKey, ConnectionTracker, TrackerConfig};
 
-use crate::analyzer::{Analysis, Analyzer};
+use crate::analyzer::Analysis;
 use crate::error::{Error, Result};
-use crate::stream::{connection_of, BgpDemux, LossyRunReport, ReorderBuffer, StreamAnalyzer};
+use crate::stream::{BgpDemux, ReorderBuffer, StreamAnalyzer};
 
 /// Ops per batch shipped to a lane. Large enough to amortize the ring
 /// hand-off (one mutex round-trip per batch, not per frame), small
@@ -151,34 +155,31 @@ struct ShardLane {
 
 /// The coordinator side of a sharded batch run. Feed frames with
 /// [`step`](Self::step) (capture order), then [`finish`](Self::finish).
-struct ShardCoordinator<F: FnMut(Analysis)> {
+pub(crate) struct ShardCoordinator<F: FnMut(Analysis)> {
     router: ConnectionTracker,
     pool: WorkerPool<Batch, Vec<(usize, Analysis)>>,
     /// Per-lane batch being accumulated (flushed at [`BATCH_OPS`]).
     pending: Vec<Batch>,
-    /// Batches sent to / results received from each lane: every batch
-    /// yields exactly one result, so `sent - received` is the per-lane
-    /// drain obligation.
-    sent: Vec<usize>,
-    received: Vec<usize>,
-    reorder: ReorderBuffer,
+    /// Batches sent to each lane and not yet answered: every batch
+    /// yields exactly one result, so this is the per-lane drain
+    /// obligation.
+    owed: Vec<usize>,
+    reorder: ReorderBuffer<Analysis>,
     /// Finalization sequence numbers issued so far.
     dispatched: usize,
-    /// Capture-quality anomalies per still-open connection (lossy runs).
-    quality: HashMap<ConnKey, AnomalyCounts>,
+    /// Capture anomalies per still-open connection (lossy sources); a
+    /// connection's `Finalize` op carries its entry to the lane.
+    pub(crate) quality: HashMap<ConnKey, AnomalyCounts>,
     shards: usize,
     on_result: F,
 }
 
 impl<F: FnMut(Analysis)> ShardCoordinator<F> {
-    fn new(
-        analyzer: &Analyzer,
-        tracker: TrackerConfig,
-        shards: usize,
-        on_result: F,
-    ) -> ShardCoordinator<F> {
-        let shards = shards.max(1);
-        let analyzer = Arc::new(analyzer.clone());
+    /// Spawns the engine's `shards` lanes; the engine keeps counts below
+    /// two on the inline sink.
+    pub(crate) fn new(engine: &StreamAnalyzer, on_result: F) -> ShardCoordinator<F> {
+        let shards = engine.options.shards;
+        let analyzer = Arc::new(engine.analyzer().clone());
         let pool = WorkerPool::new(
             shards,
             RING_DEPTH,
@@ -230,12 +231,11 @@ impl<F: FnMut(Analysis)> ShardCoordinator<F> {
             },
         );
         ShardCoordinator {
-            router: ConnectionTracker::lifecycle(tracker, 0),
+            router: ConnectionTracker::lifecycle(engine.options.tracker, 0),
             pool,
             pending: (0..shards).map(|_| Batch::empty()).collect(),
-            sent: vec![0; shards],
-            received: vec![0; shards],
-            reorder: ReorderBuffer::default(),
+            owed: vec![0; shards],
+            reorder: ReorderBuffer::new(),
             dispatched: 0,
             quality: HashMap::new(),
             shards,
@@ -243,19 +243,10 @@ impl<F: FnMut(Analysis)> ShardCoordinator<F> {
         }
     }
 
-    /// Records capture anomalies against a connection so its eventual
-    /// `Finalize` op carries them (lossy runs only).
-    fn note_anomalies(&mut self, key: ConnKey, anomalies: &[CaptureAnomaly]) {
-        let counts = self.quality.entry(key).or_default();
-        for anomaly in anomalies {
-            counts.note(anomaly);
-        }
-    }
-
     /// Ingests one frame in capture order: routes it to its lane, and
     /// turns every router finalization into a `Finalize` op carrying
     /// the next global sequence number.
-    fn step(&mut self, frame: &impl FrameLike) -> Result<()> {
+    pub(crate) fn step(&mut self, frame: &impl FrameLike) -> Result<()> {
         let key = ConnKey::of(frame);
         let index = self.router.frames_seen();
         let (ordinal, finalized) = self.router.ingest_with_ordinal(frame);
@@ -313,7 +304,7 @@ impl<F: FnMut(Analysis)> ShardCoordinator<F> {
         if !self.pool.send(lane, batch) {
             return Err(Error::WorkerLost);
         }
-        self.sent[lane] += 1;
+        self.owed[lane] += 1;
         Ok(())
     }
 
@@ -322,7 +313,7 @@ impl<F: FnMut(Analysis)> ShardCoordinator<F> {
     fn drain_ready(&mut self) {
         for lane in 0..self.shards {
             while let Some(results) = self.pool.try_recv(lane) {
-                self.received[lane] += 1;
+                self.owed[lane] -= 1;
                 for (seq, analysis) in results {
                     self.reorder.insert(seq, analysis, &mut self.on_result);
                 }
@@ -330,24 +321,34 @@ impl<F: FnMut(Analysis)> ShardCoordinator<F> {
         }
     }
 
-    /// End of capture: finalizes every still-open connection (router
-    /// ordinal order, like the serial driver), flushes all lanes, and
-    /// blocks until every dispatched analysis has been re-ordered out.
-    fn finish(mut self) -> Result<()> {
-        let router = std::mem::replace(
-            &mut self.router,
-            ConnectionTracker::lifecycle(TrackerConfig::batch(), 0),
-        );
-        for fin in router.finish() {
-            self.dispatch_finalize(fin.key)?;
+    /// Ends the run with the source's outcome. After a clean read every
+    /// still-open connection is finalized (router ordinal order, like
+    /// the inline sink); after a failed one nothing further is. Either
+    /// way the lanes are then drained, so every finalization already
+    /// issued is delivered before the source's error is returned.
+    pub(crate) fn finish(mut self, read: Result<()>) -> Result<()> {
+        if read.is_ok() {
+            let router = std::mem::replace(
+                &mut self.router,
+                ConnectionTracker::lifecycle(TrackerConfig::batch(), 0),
+            );
+            for fin in router.finish() {
+                self.dispatch_finalize(fin.key)?;
+            }
         }
+        read.and(self.drain())
+    }
+
+    /// Flushes all lanes and blocks until every dispatched analysis has
+    /// been re-ordered out.
+    fn drain(&mut self) -> Result<()> {
         for lane in 0..self.shards {
             self.flush_lane(lane)?;
         }
         for lane in 0..self.shards {
-            while self.received[lane] < self.sent[lane] {
+            while self.owed[lane] > 0 {
                 let results = self.pool.recv(lane).ok_or(Error::WorkerLost)?;
-                self.received[lane] += 1;
+                self.owed[lane] -= 1;
                 for (seq, analysis) in results {
                     self.reorder.insert(seq, analysis, &mut self.on_result);
                 }
@@ -363,102 +364,13 @@ impl<F: FnMut(Analysis)> ShardCoordinator<F> {
     }
 }
 
-impl StreamAnalyzer {
-    /// Sharded pcap driver: mmap the capture, block-decode frames out
-    /// of the mapping, and fan connections out to persistent lanes.
-    pub(crate) fn drive_sharded_pcap<F>(&self, path: &Path, on_result: F) -> Result<()>
-    where
-        F: FnMut(Analysis),
-    {
-        let mut reader = MmapReader::open(path)?;
-        let mut block = FrameBlock::new();
-        let mut coordinator = ShardCoordinator::new(
-            self.analyzer(),
-            self.options().tracker,
-            self.options().shards,
-            on_result,
-        );
-        loop {
-            let views = reader.next_views_into(&mut block)?;
-            if views.is_empty() {
-                break;
-            }
-            for frame in &views {
-                coordinator.step(&frame)?;
-            }
-        }
-        coordinator.finish()
-    }
-
-    /// Sharded driver over already-decoded owned frames.
-    pub(crate) fn drive_sharded_stream<I, F>(&self, frames: I, on_result: F) -> Result<()>
-    where
-        I: IntoIterator<Item = tdat_packet::Result<TcpFrame>>,
-        F: FnMut(Analysis),
-    {
-        let mut coordinator = ShardCoordinator::new(
-            self.analyzer(),
-            self.options().tracker,
-            self.options().shards,
-            on_result,
-        );
-        for frame in frames {
-            coordinator.step(&frame?)?;
-        }
-        coordinator.finish()
-    }
-
-    /// Sharded lossy driver: the coordinator keeps the capture-quality
-    /// ledger and the run report; lanes do extraction + analysis.
-    pub(crate) fn drive_sharded_lossy<R, F>(
-        &self,
-        mut reader: LossyReader<R>,
-        mut on_result: F,
-    ) -> Result<LossyRunReport>
-    where
-        R: std::io::Read,
-        F: FnMut(Analysis),
-    {
-        let mut report = LossyRunReport::default();
-        {
-            let mut coordinator = ShardCoordinator::new(
-                self.analyzer(),
-                self.options().tracker,
-                self.options().shards,
-                |analysis: Analysis| {
-                    report.connections += 1;
-                    if analysis.verdict.is_quarantined() {
-                        report.quarantined += 1;
-                    }
-                    on_result(analysis);
-                },
-            );
-            while let Some(lossy) = reader.next_lossy_view()? {
-                if lossy.is_cross_traffic() {
-                    continue;
-                }
-                if let Some(key) = connection_of(&lossy) {
-                    coordinator.note_anomalies(key, &lossy.anomalies);
-                }
-                let Some(frame) = &lossy.frame else { continue };
-                coordinator.step(frame)?;
-            }
-            coordinator.finish()?;
-        }
-        report.counts = *reader.counts();
-        report.frames = reader.decoder().frames_decoded();
-        report.cross_traffic = reader.decoder().cross_traffic();
-        Ok(report)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::AnalyzerConfig;
     use crate::stream::StreamOptions;
     use std::net::Ipv4Addr as Ip;
-    use tdat_packet::{FrameBuilder, TcpFlags};
+    use tdat_packet::{FrameBuilder, TcpFlags, TcpFrame};
 
     fn exchange(a: Ip, b: Ip, t0: i64) -> Vec<TcpFrame> {
         vec![
@@ -518,9 +430,9 @@ mod tests {
         let serial = StreamAnalyzer::with_options(
             AnalyzerConfig::default(),
             StreamOptions {
-                workers: 1,
                 tracker: TrackerConfig::batch(),
                 shards: 0,
+                ..Default::default()
             },
         );
         let mut want = Vec::new();
@@ -531,9 +443,9 @@ mod tests {
             let engine = StreamAnalyzer::with_options(
                 AnalyzerConfig::default(),
                 StreamOptions {
-                    workers: 1,
                     tracker: TrackerConfig::batch(),
                     shards,
+                    ..Default::default()
                 },
             );
             let mut got = Vec::new();
@@ -568,9 +480,9 @@ mod tests {
         let serial = StreamAnalyzer::with_options(
             AnalyzerConfig::default(),
             StreamOptions {
-                workers: 1,
                 tracker,
                 shards: 0,
+                ..Default::default()
             },
         );
         let mut want = Vec::new();
@@ -580,9 +492,9 @@ mod tests {
         let engine = StreamAnalyzer::with_options(
             AnalyzerConfig::default(),
             StreamOptions {
-                workers: 1,
                 tracker,
                 shards: 4,
+                ..Default::default()
             },
         );
         let mut got = Vec::new();
@@ -603,18 +515,18 @@ mod tests {
         let serial = StreamAnalyzer::with_options(
             AnalyzerConfig::default(),
             StreamOptions {
-                workers: 1,
                 tracker: TrackerConfig::batch(),
                 shards: 0,
+                ..Default::default()
             },
         );
         let want = serial.analyze_pcap(&path).unwrap();
         let engine = StreamAnalyzer::with_options(
             AnalyzerConfig::default(),
             StreamOptions {
-                workers: 1,
                 tracker: TrackerConfig::batch(),
                 shards: 2,
+                ..Default::default()
             },
         );
         let got = engine.analyze_pcap(&path).unwrap();

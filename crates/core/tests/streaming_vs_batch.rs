@@ -1,8 +1,8 @@
 //! API-redesign contract: the streaming engine ([`StreamAnalyzer`])
 //! must produce *byte-identical* analyses to the batch path
 //! ([`Analyzer::analyze_frames`]) on a multi-connection interleaved
-//! capture — single-threaded, with parallel workers, and through the
-//! pcap file entry point.
+//! capture — from owned frames and through the pcap file entry point.
+//! (Identity under parallelism is `batch_shard_identity`'s.)
 
 use tdat::{Analyzer, AnalyzerConfig, StreamAnalyzer, StreamOptions, TrackerConfig};
 use tdat_bgp::TableGenerator;
@@ -59,11 +59,11 @@ fn fingerprints(analyses: &[tdat::Analysis]) -> Vec<String> {
     analyses.iter().map(|a| format!("{a:?}")).collect()
 }
 
-fn batch_options(workers: usize) -> StreamOptions {
+fn batch_options() -> StreamOptions {
     StreamOptions {
-        workers,
         tracker: TrackerConfig::batch(),
         shards: 0,
+        ..Default::default()
     }
 }
 
@@ -73,7 +73,7 @@ fn streaming_matches_batch_single_threaded() {
     let batch = fingerprints(&Analyzer::default().analyze_frames(&frames));
     assert_eq!(batch.len(), ROUTERS, "one analysis per router session");
 
-    let engine = StreamAnalyzer::with_options(AnalyzerConfig::default(), batch_options(1));
+    let engine = StreamAnalyzer::with_options(AnalyzerConfig::default(), batch_options());
     let mut streamed = Vec::new();
     engine
         .analyze_stream(frames.iter().cloned().map(Ok), |a| {
@@ -84,28 +84,13 @@ fn streaming_matches_batch_single_threaded() {
 }
 
 #[test]
-fn streaming_matches_batch_with_parallel_workers() {
-    let frames = interleaved_trace();
-    let batch = fingerprints(&Analyzer::default().analyze_frames(&frames));
-
-    let engine = StreamAnalyzer::with_options(AnalyzerConfig::default(), batch_options(4));
-    let mut streamed = Vec::new();
-    engine
-        .analyze_stream(frames.iter().cloned().map(Ok), |a| {
-            streamed.push(format!("{a:?}"))
-        })
-        .expect("in-memory stream cannot fail");
-    assert_eq!(streamed, batch, "worker pool must preserve dispatch order");
-}
-
-#[test]
 fn streaming_pcap_entry_point_matches_batch_pcap() {
     let frames = interleaved_trace();
     let path = std::env::temp_dir().join("tdat_streaming_vs_batch.pcap");
     tdat_packet::write_pcap_file(&path, &frames).expect("write temp pcap");
 
     let batch = fingerprints(&Analyzer::default().analyze_pcap(&path).expect("batch read"));
-    let engine = StreamAnalyzer::with_options(AnalyzerConfig::default(), batch_options(0));
+    let engine = StreamAnalyzer::with_options(AnalyzerConfig::default(), batch_options());
     let streamed = fingerprints(&engine.analyze_pcap(&path).expect("streaming read"));
     std::fs::remove_file(&path).ok();
     assert_eq!(streamed, batch);
@@ -123,9 +108,9 @@ fn streaming_finalization_policy_still_covers_every_connection() {
     let engine = StreamAnalyzer::with_options(
         AnalyzerConfig::default(),
         StreamOptions {
-            workers: 1,
             tracker: TrackerConfig::streaming(),
             shards: 0,
+            ..Default::default()
         },
     );
     let mut streamed = Vec::new();
