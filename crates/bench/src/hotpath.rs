@@ -23,7 +23,7 @@ use std::net::Ipv4Addr;
 use std::path::Path;
 
 use tdat::{Analyzer, AnalyzerConfig, DelayVector, SeriesSet, StreamAnalyzer, StreamOptions};
-use tdat_monitor::{Monitor, MonitorConfig, ShardedMonitor, TrackerConfig};
+use tdat_monitor::{Monitor, MonitorConfig, TrackerConfig};
 use tdat_packet::{
     FrameBlock, FrameBuilder, FrameLike, MmapReader, PcapReader, PcapWriter, TcpFlags, TcpFrame,
 };
@@ -467,7 +467,7 @@ impl FleetScenario {
     /// [`FLEET_TICKS`]` - 1` steady-state ticks of active-fleet
     /// re-analysis plus frame routing.
     pub fn run_steady(&self, shards: usize) -> std::time::Duration {
-        let mut monitor = ShardedMonitor::new(self.config(shards));
+        let mut monitor = Monitor::new(self.config(shards));
         let id = monitor.register_source("fleet");
         for f in self.setup.clone() {
             monitor.ingest_owned(id, f);

@@ -13,7 +13,7 @@
 use proptest::prelude::*;
 use tdat_monitor::shard_of;
 use tdat_monitor::AttributedAnomaly;
-use tdat_monitor::{MonitorConfig, ShardedMonitor};
+use tdat_monitor::{Monitor, MonitorConfig};
 use tdat_oracle::{scenario_capture, scenario_matrix};
 use tdat_packet::{LossyReader, TcpFrame};
 use tdat_tcpsim::chaos::{apply_chaos, ChaosSpec};
@@ -39,7 +39,7 @@ struct Observed {
 
 /// Runs clean frames through an engine at the given shard count.
 fn observe_frames(frames: &[TcpFrame], shards: usize) -> Observed {
-    let mut monitor = ShardedMonitor::new(config(shards));
+    let mut monitor = Monitor::new(config(shards));
     let id = monitor.register_source("capture");
     let mut last = Micros::ZERO;
     for frame in frames {
@@ -60,7 +60,7 @@ fn observe_frames(frames: &[TcpFrame], shards: usize) -> Observed {
 /// Runs a damaged capture (pcap bytes) through the lossy reader into
 /// an engine, anomalies attributed the way `FollowSource` does it.
 fn observe_lossy(bytes: &[u8], shards: usize) -> Observed {
-    let mut monitor = ShardedMonitor::new(config(shards));
+    let mut monitor = Monitor::new(config(shards));
     let id = monitor.register_source("capture");
     let mut reader = LossyReader::new(bytes).expect("chaos output has a valid header");
     let mut last = Micros::ZERO;

@@ -21,9 +21,11 @@
 //!   --pace F          sim mode: F virtual seconds per wall second
 //!   --routes N        sim table size   --seed S   sim RNG seed
 //!   --jobs N          sweep worker threads (default: CPU count)
-//!   --shards N        partition connections across N worker shards
-//!                     (default 1 = serial; output is byte-identical
-//!                     for any N)
+//!   --shards N        partition connections across N worker lanes
+//!                     (default 1 = analyze inline; output is
+//!                     byte-identical for any N; measured cost on a
+//!                     2-core host: monitor.sharded2.speedup 0.92 /
+//!                     1.04 / 0.82, see benchmark/README.md)
 //!
 //! supervision options:
 //!   --checkpoint PATH periodically snapshot recovery state to PATH
@@ -68,8 +70,8 @@ use std::process::ExitCode;
 use std::time::{Duration, Instant};
 
 use tdat_monitor::{
-    sweep_directory, Checkpoint, EventSchema, MonitorConfig, MonitorEvent, SetEvent,
-    ShardedMonitor, SourceCheckpoint, SourceSet, SourceSpec,
+    sweep_directory, Checkpoint, EventSchema, Monitor, MonitorConfig, MonitorEvent,
+    SourceCheckpoint, SourceSet, SourceSpec, Step,
 };
 use tdat_tcpsim::scenario::{ScenarioOptions, SCENARIO_USAGE};
 use tdat_timeset::faultpoint::FaultPlan;
@@ -375,7 +377,7 @@ fn main() -> ExitCode {
         emitted: skip,
         write_preamble,
     };
-    let mut monitor = ShardedMonitor::new(config);
+    let mut monitor = Monitor::new(config);
     let status = drive(&mut monitor, &mut set, &mut output, ckpt);
     eprint!("{}", monitor.metrics());
     failed |= !set.failures().is_empty();
@@ -442,7 +444,7 @@ fn prepare_resume(path: &str) -> Result<(u64, bool), String> {
 /// Snapshots recovery state to the checkpoint file; failures are
 /// reported but never kill the watch (the previous checkpoint, if any,
 /// is still intact thanks to the atomic replace).
-fn write_checkpoint(ctx: &CheckpointCtx, set: &SourceSet, monitor: &ShardedMonitor, emitted: u64) {
+fn write_checkpoint(ctx: &CheckpointCtx, set: &SourceSet, monitor: &Monitor, emitted: u64) {
     let sources = set
         .progress()
         .into_iter()
@@ -465,83 +467,36 @@ fn write_checkpoint(ctx: &CheckpointCtx, set: &SourceSet, monitor: &ShardedMonit
     }
 }
 
-/// The streaming main loop: poll the set, ingest each released run
-/// under its source's scope, write events as they happen. Per-source
-/// failures are reported and the loop keeps going; transient outages
-/// surface as down/up pairs while the set resurrects the source.
+/// The streaming main loop: [`Monitor::run_set`]'s loop with the
+/// events written out after every step that can produce them, and the
+/// checkpoint cadence in between. Per-source failures are logged and
+/// the loop keeps going; transient outages surface as down/up pairs
+/// while the set resurrects the source.
 fn drive(
-    monitor: &mut ShardedMonitor,
+    monitor: &mut Monitor,
     set: &mut SourceSet,
     output: &mut WatchOutput<'_>,
     mut ckpt: Option<CheckpointCtx>,
 ) -> Result<(), String> {
-    let ids: Vec<_> = set
-        .names()
-        .iter()
-        .map(|name| monitor.register_source(name))
-        .collect();
+    let ids = monitor.register_set(set);
     if output.write_preamble {
         if let Some(preamble) = output.schema.preamble(&set.names()) {
             writeln!(output.out, "{preamble}").map_err(|e| e.to_string())?;
         }
     }
     loop {
-        let event = set.poll();
-        for (sid, anomaly) in set.drain_anomalies() {
-            if let Some(&id) = ids.get(sid.index()) {
-                monitor.note_anomaly_from(id, anomaly);
-            }
-        }
-        match event {
-            SetEvent::Batch { runs, now } => {
-                for run in runs {
-                    let Some(&id) = ids.get(run.source.index()) else {
-                        continue;
-                    };
-                    for frame in run.frames {
-                        monitor.ingest_owned(id, frame);
-                    }
-                }
-                if let Some(now) = now {
-                    monitor.advance_to(now);
-                }
+        match monitor.step(set, &ids) {
+            Step::Progress => write_events(monitor, output)?,
+            Step::Notice(notice) => {
+                eprintln!("t-dat-monitor: {notice}");
                 write_events(monitor, output)?;
             }
-            SetEvent::SourceDown { source, error } => {
-                let name = set
-                    .name(source)
-                    .map(|n| n.to_string())
-                    .unwrap_or_else(|| source.to_string());
-                eprintln!("t-dat-monitor: source {name}: down: {error} (will retry)");
-                monitor.note_source_down(ids.get(source.index()).copied().unwrap_or(source), error);
-                write_events(monitor, output)?;
-            }
-            SetEvent::SourceUp { source, attempts } => {
-                let name = set
-                    .name(source)
-                    .map(|n| n.to_string())
-                    .unwrap_or_else(|| source.to_string());
-                eprintln!("t-dat-monitor: source {name}: recovered after {attempts} attempt(s)");
-                monitor
-                    .note_source_up(ids.get(source.index()).copied().unwrap_or(source), attempts);
-                write_events(monitor, output)?;
-            }
-            SetEvent::SourceFailed { source, error } => {
-                let name = set
-                    .name(source)
-                    .map(|n| n.to_string())
-                    .unwrap_or_else(|| source.to_string());
-                eprintln!("t-dat-monitor: source {name}: {error}");
-                monitor
-                    .note_source_failure(ids.get(source.index()).copied().unwrap_or(source), error);
-                write_events(monitor, output)?;
-            }
-            SetEvent::Pending => {
+            Step::Pending => {
                 // Keep downstream consumers (tail -f) current while idle.
                 output.out.flush().map_err(|e| e.to_string())?;
                 std::thread::sleep(monitor.pending_backoff());
             }
-            SetEvent::Finished => break,
+            Step::Finished => break,
         }
         if let Some(ctx) = ckpt.as_mut() {
             if ctx.last.elapsed() >= CHECKPOINT_EVERY {
@@ -561,7 +516,7 @@ fn drive(
     Ok(())
 }
 
-fn write_events(monitor: &mut ShardedMonitor, output: &mut WatchOutput<'_>) -> Result<(), String> {
+fn write_events(monitor: &mut Monitor, output: &mut WatchOutput<'_>) -> Result<(), String> {
     for event in monitor.drain_events() {
         if output.schema == EventSchema::V1 {
             // v1 has no source lifecycle lines; the outage already went
@@ -599,7 +554,9 @@ fn usage(message: &str) -> ExitCode {
          [--sweep <dir> [--jobs N]] [--exit-idle SECS] [--stale SECS] \
          [--routes N] [--seed S] [--pace F] \
          [--window SECS] [--interval SECS] [--events PATH] [--schema 1|2] [--shards N] \
-         [--checkpoint PATH] [--resume] [--faults SPEC] [--fault-seed N]"
+         [--checkpoint PATH] [--resume] [--faults SPEC] [--fault-seed N]\n\
+         --shards N: byte-identical output at any N; monitor.sharded2.speedup \
+         0.92 / 1.04 / 0.82 on a 2-core host, see benchmark/README.md"
     );
     ExitCode::from(2)
 }

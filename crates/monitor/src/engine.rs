@@ -1,19 +1,19 @@
 //! The monitoring engine: frames in, JSONL events out.
 //!
 //! [`Monitor`] glues the suite's streaming pieces into a long-running
-//! watcher:
+//! watcher. It is one *control plane* over one of two *data planes*.
+//!
+//! The control plane (`Control`, written once, always on the caller's
+//! thread) decides what the event stream says:
 //!
 //! * frames arrive from one or more packet sources, each registered as
-//!   a named *scope* ([`register_source`](Monitor::register_source));
-//!   every scope gets its own [`ConnectionTracker`] (per-connection
-//!   state) and [`BgpDemux`] (incremental BGP reassembly for both
-//!   directions), so one damaged collector degrades only its own view;
-//! * every `interval` of *trace* time it re-analyzes the connections
-//!   that saw traffic (or new capture damage) since their last
-//!   analysis over a trailing `window` via
-//!   [`Analyzer::analyze_partial`], reusing cached analyses for idle
-//!   connections — steady-state tick cost follows new traffic, not the
-//!   open-connection count;
+//!   a named *scope* ([`register_source`](Monitor::register_source)),
+//!   so one damaged collector degrades only its own view;
+//! * every `interval` of *trace* time a tick re-analyzes the
+//!   connections that saw traffic (or new capture damage) since their
+//!   last analysis over a trailing `window`, reusing cached analyses
+//!   for idle connections — steady-state tick cost follows new
+//!   traffic, not the open-connection count;
 //! * the detector outcomes become [`Condition`]s fed to an
 //!   [`AlertEngine`] keyed per (source, session, kind); peer-group
 //!   blocking correlates across the whole fleet of scopes, but
@@ -30,6 +30,21 @@
 //!   byte-identical to pre-source-set releases) and
 //!   [`EventSchema::V2`] (adds a `source` field and a `meta`
 //!   preamble).
+//!
+//! The data plane does the per-connection work: every scope owns a
+//! [`ConnectionTracker`] (per-connection state), a [`BgpDemux`]
+//! (incremental BGP reassembly for both directions) and the tick cache
+//! ([`Analyzer::analyze_partial`] results). [`MonitorConfig::shards`]
+//! alone picks it: `<= 1` runs the scopes *inline* — nothing queued,
+//! events immediate; `N >= 2` partitions the connections across N
+//! worker *lanes* ([`crate::shard`]), which report back through the
+//! same two control-plane steps (`Control::emit_finalized`,
+//! `Control::close_tick`) the inline plane calls directly, so the
+//! stream is byte-identical either way.
+//!
+//! The loop that feeds a [`SourceSet`] into the engine is
+//! [`Monitor::step`]; [`Monitor::run_set`] is that step until the set
+//! finishes.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
@@ -39,13 +54,14 @@ use tdat::{
     find_peer_group_blocking_all, report::json, Analysis, Analyzer, BgpDemux, QuarantineConfig,
     Report,
 };
-use tdat_packet::{AnomalyCounts, TcpFrame};
+use tdat_packet::{AnomalyCounts, CaptureAnomaly, TcpFrame};
 use tdat_timeset::{Micros, Span};
 use tdat_trace::{ConnKey, ConnectionTracker, FinalizedConnection, TrackerConfig};
 
 use crate::alerts::{Alert, AlertConfig, AlertEngine, AlertKind, Condition};
 use crate::metrics::MonitorMetrics;
 use crate::set::{SetEvent, SourceId, SourceSet};
+use crate::shard::{poisoned_shard_report, Lanes};
 use crate::source::AttributedAnomaly;
 
 /// The scope name the single-source convenience APIs
@@ -80,16 +96,16 @@ pub struct MonitorConfig {
     /// differential tests can prove that, at the cost of tick time
     /// proportional to the open-connection count.
     pub recompute_all: bool,
-    /// Worker shards for the engine. `1` (the default) is the serial
-    /// [`Monitor`]; larger values partition connections by key hash
-    /// across that many per-shard trackers/demuxes/tick caches (see
-    /// [`ShardedMonitor`](crate::shard::ShardedMonitor)), producing
-    /// byte-identical output.
+    /// Worker lanes for the data plane, and the only thing that picks
+    /// one: `1` (the default) analyzes inline on the caller's thread;
+    /// `N >= 2` partitions connections by key hash across that many
+    /// per-shard trackers/demuxes/tick caches (see
+    /// [`shard`](crate::shard)), producing byte-identical output.
     pub shards: usize,
     /// Wall-clock wait between polls while every source is
     /// [`Pending`](crate::source::SourceEvent::Pending). One knob for
-    /// every driver (serial engine, sharded engine, and the CLI's idle
-    /// loop); wall-clock only, so it never affects the event stream.
+    /// every driver ([`Monitor::run_set`] and the CLI's idle loop);
+    /// wall-clock only, so it never affects the event stream.
     pub pending_backoff: std::time::Duration,
 }
 
@@ -175,7 +191,7 @@ impl MonitorConfigBuilder {
         self
     }
 
-    /// Sets the worker shard count (1 = the serial engine).
+    /// Sets the worker lane count (1 = analyze inline).
     pub fn shards(mut self, shards: usize) -> MonitorConfigBuilder {
         self.config.shards = shards;
         self
@@ -547,11 +563,23 @@ pub(crate) fn analysis_conditions(
     conditions
 }
 
+/// The read-only analysis context a data plane works under. Fixed at
+/// construction: the inline plane borrows it, the lanes plane clones it
+/// (the analyzer behind its `Arc`) into every shard it ships to a
+/// worker lane, which outlives any one flush.
+#[derive(Debug, Clone)]
+pub(crate) struct AnalysisCtx {
+    pub(crate) analyzer: Arc<Analyzer>,
+    pub(crate) window: Micros,
+    pub(crate) timer_min_gaps: usize,
+    pub(crate) stall_after: Micros,
+    pub(crate) recompute_all: bool,
+}
+
 /// Per-source isolation unit: everything whose damage must stay
-/// confined to the source that produced it. The serial [`Monitor`]
-/// holds one per source; the sharded engine holds one per
-/// (shard, source) pair — the methods below are the shared
-/// data-plane logic both drive.
+/// confined to the source that produced it. The inline plane holds one
+/// per source; the lanes plane holds one per (shard, source) pair —
+/// the methods below are the data-plane logic both drive.
 #[derive(Debug)]
 pub(crate) struct SourceScope {
     pub(crate) name: Arc<str>,
@@ -559,24 +587,21 @@ pub(crate) struct SourceScope {
     pub(crate) demux: BgpDemux,
     /// Per-connection data-progress watermarks for stall detection:
     /// `(data bytes at last progress, tick time of last progress)`.
-    pub(crate) progress: HashMap<ConnKey, (u64, Micros)>,
+    progress: HashMap<ConnKey, (u64, Micros)>,
     /// Capture anomalies attributed to each open connection; consumed
     /// by the quarantine verdict at every tick and at finalization.
-    pub(crate) quality: HashMap<ConnKey, AnomalyCounts>,
+    quality: HashMap<ConnKey, AnomalyCounts>,
     /// Connections whose `quality` entry changed since their last
     /// analysis — they must be re-analyzed even without new traffic.
-    pub(crate) quality_dirty: HashSet<ConnKey>,
-    /// Capture damage this source could not tie to any connection.
-    pub(crate) unattributed: AnomalyCounts,
+    quality_dirty: HashSet<ConnKey>,
     /// Cached per-connection analyses from previous ticks; entries are
     /// refreshed only when their connection is dirty.
     pub(crate) cache: HashMap<ConnKey, CachedAnalysis>,
 }
 
 /// What [`SourceScope::finalize_connection`] produced: the data-plane
-/// half of finalization. The caller (serial monitor or shard
-/// coordinator) owns the control-plane half — alert clearing, metrics,
-/// and the event itself.
+/// half of finalization. [`Control::emit_finalized`] owns the other
+/// half — alert clearing, metrics, and the event itself.
 #[derive(Debug)]
 pub(crate) struct FinalizeOutcome {
     /// The finalized session id.
@@ -602,9 +627,34 @@ impl SourceScope {
             progress: HashMap::new(),
             quality: HashMap::new(),
             quality_dirty: HashSet::new(),
-            unattributed: AnomalyCounts::default(),
             cache: HashMap::new(),
         }
+    }
+
+    /// Counts attributed capture damage against a connection's
+    /// quarantine budget. New damage changes the verdict, so the
+    /// connection must be re-analyzed at the next tick even if it saw
+    /// no traffic.
+    pub(crate) fn note_damage(&mut self, key: ConnKey, anomaly: &CaptureAnomaly) {
+        self.quality.entry(key).or_default().note(anomaly);
+        self.quality_dirty.insert(key);
+    }
+
+    /// Tick phases 1–2 for this scope at trace time `at`: re-analyze
+    /// the *dirty* connections (new traffic or new capture damage since
+    /// their last analysis), reuse cached analyses for the rest, then
+    /// evaluate the detectors over the whole cache. Returns one
+    /// `(ordinal, conditions)` entry per cached connection, in
+    /// tracker-insertion order.
+    ///
+    /// Each connection's analysis window is anchored at its last-dirty
+    /// tick (`[anchor - window, anchor]`), so a cached entry is exactly
+    /// what re-analysis would produce — steady-state tick cost scales
+    /// with new traffic, not with the open-connection count.
+    pub(crate) fn tick(&mut self, at: Micros, ctx: &AnalysisCtx) -> Vec<(u64, Vec<Condition>)> {
+        let work = self.dirty_work(at, ctx.recompute_all);
+        self.refresh(work, ctx);
+        self.entry_conditions(at, ctx.stall_after)
     }
 
     /// The tick's analysis work list: tracker-dirty (saw frames) plus
@@ -612,7 +662,7 @@ impl SourceScope {
     /// only, each with the anchor its window hangs from. Computed
     /// identically in incremental and recompute-all modes so both
     /// assign the same anchors.
-    pub(crate) fn dirty_work(&mut self, at: Micros, recompute_all: bool) -> Vec<(ConnKey, Micros)> {
+    fn dirty_work(&mut self, at: Micros, recompute_all: bool) -> Vec<(ConnKey, Micros)> {
         let mut dirty = self.tracker.take_dirty();
         if !self.quality_dirty.is_empty() {
             let seen: HashSet<ConnKey> = dirty.iter().copied().collect();
@@ -653,20 +703,15 @@ impl SourceScope {
     }
 
     /// Refreshes the cached analyses for `work` (tick phase 1).
-    pub(crate) fn refresh(
-        &mut self,
-        work: Vec<(ConnKey, Micros)>,
-        analyzer: &Analyzer,
-        window: Micros,
-        timer_min_gaps: usize,
-    ) {
+    fn refresh(&mut self, work: Vec<(ConnKey, Micros)>, ctx: &AnalysisCtx) {
+        let analyzer = &ctx.analyzer;
         for (key, anchor) in work {
             let (Some(fin), Some(ordinal)) =
                 (self.tracker.snapshot_of(key), self.tracker.ordinal_of(key))
             else {
                 continue;
             };
-            let span = Span::new(anchor.saturating_sub(window), anchor);
+            let span = Span::new(anchor.saturating_sub(ctx.window), anchor);
             let extraction = self.demux.snapshot(key, fin.connection.sender);
             let counts = self.quality.get(&key).copied().unwrap_or_default();
             let analysis =
@@ -676,7 +721,7 @@ impl SourceScope {
                 &analysis,
                 &self.name,
                 &session,
-                timer_min_gaps,
+                ctx.timer_min_gaps,
                 analyzer.config(),
             );
             self.cache.insert(
@@ -696,11 +741,7 @@ impl SourceScope {
     /// order: one `(ordinal, conditions)` entry per cached connection
     /// (cached analysis-derived conditions plus the stall watermark
     /// check, which mutates `progress` against the current tick time).
-    pub(crate) fn entry_conditions(
-        &mut self,
-        at: Micros,
-        stall_after: Micros,
-    ) -> Vec<(u64, Vec<Condition>)> {
+    fn entry_conditions(&mut self, at: Micros, stall_after: Micros) -> Vec<(u64, Vec<Condition>)> {
         let SourceScope {
             name,
             progress,
@@ -746,14 +787,6 @@ impl SourceScope {
         out
     }
 
-    /// The cached analyses in tracker-insertion order (for the
-    /// peer-group fleet and report snapshots).
-    pub(crate) fn ordered_cache(&self) -> Vec<&CachedAnalysis> {
-        let mut entries: Vec<&CachedAnalysis> = self.cache.values().collect();
-        entries.sort_unstable_by_key(|cached| cached.ordinal);
-        entries
-    }
-
     /// The data-plane half of finalizing a connection that left this
     /// scope's tracker: clear its per-connection state, drain its BGP
     /// extraction, and build the whole-lifetime analysis.
@@ -780,13 +813,32 @@ impl SourceScope {
     }
 }
 
-/// Tick phase 3, shared by the serial and sharded engines: peer-group
-/// blocking correlates across the whole fleet — a BGP sender paces
-/// *all* its group members, wherever each one was captured.
-/// Quarantined connections are excluded, so a poisoned source cannot
-/// contaminate the correlation. `fleet` must be in (scope,
-/// tracker-insertion) order for deterministic output.
-pub(crate) fn peer_group_conditions(
+/// The cached analyses of every source in (source, tracker-insertion)
+/// order — the order the peer-group correlation and the report
+/// snapshots read the fleet in. `partitions` holds each healthy
+/// partition's scopes, indexed by source: the inline plane's one, or
+/// one per unpoisoned shard, whose entries interleave by ordinal.
+pub(crate) fn fleet_view<'a>(
+    partitions: &[&'a [SourceScope]],
+) -> Vec<(&'a Arc<str>, &'a CachedAnalysis)> {
+    let sources = partitions.iter().map(|p| p.len()).max().unwrap_or(0);
+    let mut fleet = Vec::new();
+    for source in 0..sources {
+        let start = fleet.len();
+        for scope in partitions.iter().filter_map(|p| p.get(source)) {
+            fleet.extend(scope.cache.values().map(|cached| (&scope.name, cached)));
+        }
+        fleet[start..].sort_unstable_by_key(|(_, cached)| cached.ordinal);
+    }
+    fleet
+}
+
+/// Tick phase 3: peer-group blocking correlates across the whole
+/// fleet — a BGP sender paces *all* its group members, wherever each
+/// one was captured. Quarantined connections are excluded, so a
+/// poisoned source cannot contaminate the correlation. `fleet` must be
+/// in (source, tracker-insertion) order for deterministic output.
+fn peer_group_conditions(
     fleet: &[(&Arc<str>, &CachedAnalysis)],
     min_pause: Micros,
     conditions: &mut Vec<Condition>,
@@ -823,62 +875,271 @@ pub(crate) fn peer_group_conditions(
     }
 }
 
-/// The long-running monitoring engine; see the module docs.
+/// What a data plane hands [`Control::emit_finalized`].
+// Built and consumed within one call, and the large variant is the
+// common one: boxing it would only add an allocation per finalization.
+#[allow(clippy::large_enum_variant)]
 #[derive(Debug)]
-pub struct Monitor {
-    analyzer: Analyzer,
-    tracker_config: TrackerConfig,
-    alerts: AlertEngine,
-    metrics: MonitorMetrics,
-    window: Micros,
-    interval: Micros,
-    /// Trace time the monitor has advanced to.
-    now: Micros,
-    /// Next tick boundary; set by the first time advance.
-    next_tick: Option<Micros>,
-    /// Per-source isolation units, indexed by [`SourceId`].
-    scopes: Vec<SourceScope>,
-    /// Name → scope index, for idempotent registration.
-    index: HashMap<Arc<str>, SourceId>,
-    recompute_all: bool,
-    pending_backoff: std::time::Duration,
-    events: Vec<MonitorEvent>,
+pub(crate) enum Finalized {
+    /// The owning scope analyzed the connection.
+    Outcome(FinalizeOutcome),
+    /// The shard that owned the connection was lost to a panic (whose
+    /// message is `reason`) before it produced the outcome.
+    Lost { key: ConnKey, reason: String },
 }
 
-impl Monitor {
-    /// Creates a monitor.
-    pub fn new(config: MonitorConfig) -> Monitor {
-        Monitor {
-            analyzer: Analyzer::new(config.analyzer).with_quarantine(config.quarantine),
-            tracker_config: config.tracker,
-            alerts: AlertEngine::new(config.alerts),
-            metrics: MonitorMetrics::default(),
-            window: config.window.max(Micros(1)),
-            interval: config.interval.max(Micros(1)),
-            now: Micros::ZERO,
-            next_tick: None,
-            scopes: Vec::new(),
-            index: HashMap::new(),
-            recompute_all: config.recompute_all,
-            pending_backoff: config.pending_backoff,
-            events: Vec::new(),
+/// The control plane, written once for both data planes: the trace
+/// clock and tick schedule, the source registry, alert hysteresis,
+/// metrics, and the event buffer — everything that decides *what the
+/// stream says*, as opposed to where the per-connection analysis runs.
+#[derive(Debug)]
+pub(crate) struct Control {
+    pub(crate) ctx: AnalysisCtx,
+    pub(crate) tracker_config: TrackerConfig,
+    alerts: AlertEngine,
+    pub(crate) metrics: MonitorMetrics,
+    interval: Micros,
+    /// Trace time the monitor has advanced to.
+    pub(crate) now: Micros,
+    /// Next tick boundary; set by the first time advance.
+    next_tick: Option<Micros>,
+    /// Registered source names, indexed by [`SourceId`].
+    names: Vec<Arc<str>>,
+    /// Name → id, for idempotent registration.
+    index: HashMap<Arc<str>, SourceId>,
+    /// Per-source capture damage no connection could be blamed for
+    /// (order-insensitive counters, so they never need a data plane).
+    unattributed: Vec<AnomalyCounts>,
+    pending_backoff: std::time::Duration,
+    pub(crate) events: Vec<MonitorEvent>,
+}
+
+impl Control {
+    fn emit_alert(&mut self, alert: Alert) {
+        self.metrics.record_alert(&alert);
+        self.events.push(MonitorEvent::Alert(alert));
+    }
+
+    fn clear_alerts(&mut self, source: &Arc<str>, session: &str, at: Micros) {
+        for alert in self.alerts.clear_session(source, session, at) {
+            self.emit_alert(alert);
         }
     }
 
-    /// The monitor's health counters.
+    /// The finalize-emit step: a connection of source `source` left
+    /// its tracker when the engine clock read `now`, leaving `open`
+    /// connections behind. Clears its alerts, counts it, and emits its
+    /// whole-lifetime report attributed to its source.
+    pub(crate) fn emit_finalized(
+        &mut self,
+        source: usize,
+        now: Micros,
+        open: usize,
+        finalized: Finalized,
+    ) {
+        let Some(name) = self.names.get(source).cloned() else {
+            debug_assert!(
+                false,
+                "finalized connection from unregistered source {source}"
+            );
+            return;
+        };
+        let (at, session, report) = match finalized {
+            Finalized::Outcome(outcome) => {
+                let at = now.max(outcome.profile_end);
+                // Alerts are keyed by the session id the tick cache
+                // last published; if late traffic re-elected the data
+                // sender (an LRU-evicted connection captured
+                // mid-stream, say), the final session differs and the
+                // cached session's alerts would otherwise survive
+                // their connection.
+                if let Some(stale) = &outcome.stale_session {
+                    self.clear_alerts(&name, stale, at);
+                }
+                self.clear_alerts(&name, &outcome.session, at);
+                (at, outcome.session, outcome.report)
+            }
+            // No analysis survived: quarantine the connection instead
+            // of dropping it silently. Its direction is unknown, so
+            // alerts clear under both orientations and the endpoints
+            // follow the normalized key.
+            Finalized::Lost { key, reason } => {
+                let (a, b) = (
+                    format!("{}:{}", key.a.0, key.a.1),
+                    format!("{}:{}", key.b.0, key.b.1),
+                );
+                let session = format!("{a}->{b}");
+                self.clear_alerts(&name, &session, now);
+                self.clear_alerts(&name, &format!("{b}->{a}"), now);
+                (now, session, poisoned_shard_report(a, b, &reason))
+            }
+        };
+        self.metrics.record_finalized(open);
+        self.events
+            .push(MonitorEvent::Connection(ConnectionSummary {
+                at,
+                source: name,
+                session,
+                report,
+            }));
+    }
+
+    /// The tick-close step (phase 3): correlate peer-group blocking
+    /// across `fleet`, feed the tick's conditions to the alert engine,
+    /// and record the tick. Its latency sample is `analysis` — the
+    /// per-connection work already done off this clock — plus the time
+    /// since `started`.
+    pub(crate) fn close_tick(
+        &mut self,
+        at: Micros,
+        open: usize,
+        mut conditions: Vec<Condition>,
+        fleet: &[(&Arc<str>, &CachedAnalysis)],
+        analysis: std::time::Duration,
+        started: Instant,
+    ) {
+        peer_group_conditions(fleet, self.alerts.config().min_pause, &mut conditions);
+        for alert in self.alerts.observe(at, &conditions) {
+            self.emit_alert(alert);
+        }
+        self.metrics.record_tick(open, analysis + started.elapsed());
+    }
+}
+
+/// Where the per-connection work runs; picked by
+/// [`MonitorConfig::shards`] and nothing else.
+#[derive(Debug)]
+pub(crate) enum Plane {
+    /// On the caller's thread, one scope per source (indexed by
+    /// [`SourceId`]): nothing queued, events immediate.
+    Inline(Vec<SourceScope>),
+    /// Across worker lanes; see [`crate::shard`].
+    Lanes(Lanes),
+}
+
+/// One frame through an inline scope: feed the reassembler, track the
+/// connection, and finalize whatever the advance of time closed.
+fn ingest_inline(
+    control: &mut Control,
+    scopes: &mut [SourceScope],
+    source: usize,
+    frame: &TcpFrame,
+) {
+    let scope = &mut scopes[source];
+    scope.demux.feed(frame);
+    for fin in scope.tracker.ingest(frame) {
+        finalize_inline(control, scopes, fin);
+    }
+}
+
+/// One inline analysis tick at trace time `at`.
+fn tick_inline(control: &mut Control, scopes: &mut [SourceScope], at: Micros) {
+    let started = Instant::now();
+    let mut conditions: Vec<Condition> = Vec::new();
+    let mut open = 0usize;
+    for scope in scopes.iter_mut() {
+        let entries = scope.tick(at, &control.ctx);
+        open += entries.len();
+        for (_, entry) in entries {
+            conditions.extend(entry);
+        }
+    }
+    let fleet = fleet_view(&[&*scopes]);
+    control.close_tick(
+        at,
+        open,
+        conditions,
+        &fleet,
+        std::time::Duration::ZERO,
+        started,
+    );
+}
+
+/// A connection left its inline scope's tracker, which stamped the
+/// scope index into `fin.scope`.
+fn finalize_inline(control: &mut Control, scopes: &mut [SourceScope], fin: FinalizedConnection) {
+    let source = fin.scope as usize;
+    let Some(scope) = scopes.get_mut(source) else {
+        debug_assert!(false, "finalized connection from unknown scope {source}");
+        return;
+    };
+    let outcome = scope.finalize_connection(fin, &control.ctx.analyzer);
+    let open = scopes.iter().map(|s| s.tracker.open_connections()).sum();
+    control.emit_finalized(source, control.now, open, Finalized::Outcome(outcome));
+}
+
+/// What one [`Monitor::step`] did.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Step {
+    /// Released frames and/or the merged clock went into the engine.
+    Progress,
+    /// Nothing releasable right now: wait
+    /// [`pending_backoff`](Monitor::pending_backoff), then step again.
+    Pending,
+    /// A source went down, came back, or failed for good. The engine
+    /// has the event; this is the line for the operator's log.
+    Notice(String),
+    /// Every source is exhausted: [`finish`](Monitor::finish) the
+    /// watch.
+    Finished,
+}
+
+/// The long-running monitoring engine; see the module docs.
+#[derive(Debug)]
+pub struct Monitor {
+    control: Control,
+    pub(crate) plane: Plane,
+}
+
+impl Monitor {
+    /// Creates a monitor; `config.shards` picks its data plane.
+    pub fn new(config: MonitorConfig) -> Monitor {
+        let plane = if config.shards <= 1 {
+            Plane::Inline(Vec::new())
+        } else {
+            Plane::Lanes(Lanes::new(config.shards))
+        };
+        let control = Control {
+            ctx: AnalysisCtx {
+                analyzer: Arc::new(
+                    Analyzer::new(config.analyzer).with_quarantine(config.quarantine),
+                ),
+                window: config.window.max(Micros(1)),
+                timer_min_gaps: config.alerts.timer_min_gaps,
+                stall_after: config.alerts.stall_after,
+                recompute_all: config.recompute_all,
+            },
+            tracker_config: config.tracker,
+            alerts: AlertEngine::new(config.alerts),
+            metrics: MonitorMetrics::default(),
+            interval: config.interval.max(Micros(1)),
+            now: Micros::ZERO,
+            next_tick: None,
+            names: Vec::new(),
+            index: HashMap::new(),
+            unattributed: Vec::new(),
+            pending_backoff: config.pending_backoff,
+            events: Vec::new(),
+        };
+        Monitor { control, plane }
+    }
+
+    /// The monitor's health counters. With worker lanes, tick and
+    /// finalization counters update at flush boundaries, not per
+    /// queued op.
     pub fn metrics(&self) -> &MonitorMetrics {
-        &self.metrics
+        &self.control.metrics
     }
 
     /// Trace time the monitor has advanced to.
     pub fn now(&self) -> Micros {
-        self.now
+        self.control.now
     }
 
     /// The configured wall-clock wait between polls while every source
     /// is pending.
     pub fn pending_backoff(&self) -> std::time::Duration {
-        self.pending_backoff
+        self.control.pending_backoff
     }
 
     /// A deterministic fingerprint of the alert engine's hysteresis
@@ -886,7 +1147,7 @@ impl Monitor {
     /// so a resumed watch can be validated against the state the
     /// original would have had.
     pub fn alert_fingerprint(&self) -> u64 {
-        self.alerts.fingerprint()
+        self.control.alerts.fingerprint()
     }
 
     /// Registers a named source scope (idempotent: a known name returns
@@ -894,26 +1155,32 @@ impl Monitor {
     /// [`SourceId`] — connections, capture damage, alerts, reports —
     /// stays attributed to this source.
     pub fn register_source(&mut self, name: &str) -> SourceId {
-        if let Some(&id) = self.index.get(name) {
+        let Monitor { control, plane } = self;
+        if let Some(&id) = control.index.get(name) {
             return id;
         }
-        let id = SourceId(self.scopes.len() as u32);
+        let id = SourceId(control.names.len() as u32);
         let name: Arc<str> = Arc::from(name);
-        self.index.insert(name.clone(), id);
-        // The tracker stamps the scope index into everything it
-        // finalizes, so a finalized connection routes back to its
-        // source without a lookup.
-        self.scopes.push(SourceScope::new(
-            name,
-            ConnectionTracker::scoped(self.tracker_config, id.index() as u64),
-        ));
-        self.metrics.record_sources(self.scopes.len());
+        control.index.insert(name.clone(), id);
+        match plane {
+            // The tracker stamps the scope index into everything it
+            // finalizes, so a finalized connection routes back to its
+            // source without a lookup.
+            Plane::Inline(scopes) => scopes.push(SourceScope::new(
+                name.clone(),
+                ConnectionTracker::scoped(control.tracker_config, id.index() as u64),
+            )),
+            Plane::Lanes(lanes) => lanes.register(&name, control.tracker_config),
+        }
+        control.unattributed.push(AnomalyCounts::default());
+        control.names.push(name);
+        control.metrics.record_sources(control.names.len());
         id
     }
 
     /// The registered source names, in [`SourceId`] order.
     pub fn source_names(&self) -> Vec<Arc<str>> {
-        self.scopes.iter().map(|s| s.name.clone()).collect()
+        self.control.names.clone()
     }
 
     /// Ingests one captured frame (capture order) under the default
@@ -928,43 +1195,73 @@ impl Monitor {
     /// Frames must arrive in capture order *per source*; the caller (or
     /// a [`SourceSet`]) is responsible for a sensible global
     /// interleaving. Runs any analysis ticks that became due before
-    /// this frame's timestamp.
+    /// this frame's timestamp. Worker lanes queue the frame, which
+    /// costs a clone here; callers that own their frames should prefer
+    /// [`ingest_owned`](Self::ingest_owned).
     pub fn ingest_from(&mut self, source: SourceId, frame: &TcpFrame) {
-        self.advance_to(frame.timestamp);
-        let Some(scope) = self.scopes.get_mut(source.index()) else {
-            debug_assert!(false, "unregistered source {source}");
+        if !self.admit(source, frame.timestamp) {
             return;
-        };
-        let name = scope.name.clone();
-        self.metrics.record_frame_from(&name);
-        scope.demux.feed(frame);
-        let finalized = scope.tracker.ingest(frame);
-        for fin in finalized {
-            self.finalize(fin);
         }
+        let Monitor { control, plane } = self;
+        match plane {
+            Plane::Inline(scopes) => ingest_inline(control, scopes, source.index(), frame),
+            Plane::Lanes(lanes) => lanes.ingest(control, source.index(), frame.clone()),
+        }
+    }
+
+    /// [`ingest_from`](Self::ingest_from) for a frame the caller is
+    /// done with: worker lanes take it without a copy.
+    pub fn ingest_owned(&mut self, source: SourceId, frame: TcpFrame) {
+        if !self.admit(source, frame.timestamp) {
+            return;
+        }
+        let Monitor { control, plane } = self;
+        match plane {
+            Plane::Inline(scopes) => ingest_inline(control, scopes, source.index(), &frame),
+            Plane::Lanes(lanes) => lanes.ingest(control, source.index(), frame),
+        }
+    }
+
+    /// The control-plane half of ingesting a frame stamped `at`: run
+    /// the ticks due before it and count it against its source.
+    /// `false` for a source nobody registered.
+    fn admit(&mut self, source: SourceId, at: Micros) -> bool {
+        self.advance_to(at);
+        let Some(name) = self.control.names.get(source.index()) else {
+            debug_assert!(false, "unregistered source {source}");
+            return false;
+        };
+        self.control.metrics.record_frame_from(name);
+        true
     }
 
     /// Advances trace time without a frame (a source whose clock runs
     /// ahead of its captures, or silence on the wire), running any
-    /// analysis ticks that became due.
+    /// analysis ticks that became due: per scope, re-analyze what
+    /// changed; across the fleet, correlate peer-group blocking and
+    /// update alerts.
     pub fn advance_to(&mut self, now: Micros) {
-        if now <= self.now && self.next_tick.is_some() {
+        let Monitor { control, plane } = self;
+        if now <= control.now && control.next_tick.is_some() {
             return;
         }
-        self.now = self.now.max(now);
-        let mut boundary = match self.next_tick {
+        control.now = control.now.max(now);
+        let mut boundary = match control.next_tick {
             Some(t) => t,
             // First sign of time: schedule the first tick one interval in.
             None => {
-                self.next_tick = Some(now + self.interval);
+                control.next_tick = Some(now + control.interval);
                 return;
             }
         };
-        while boundary <= self.now {
-            self.tick(boundary);
-            boundary += self.interval;
+        while boundary <= control.now {
+            match plane {
+                Plane::Inline(scopes) => tick_inline(control, scopes, boundary),
+                Plane::Lanes(lanes) => lanes.tick(control, boundary),
+            }
+            boundary += control.interval;
         }
-        self.next_tick = Some(boundary);
+        control.next_tick = Some(boundary);
     }
 
     /// Notes one capture anomaly under the default [`DEFAULT_SOURCE`]
@@ -979,20 +1276,20 @@ impl Monitor {
     /// *within that source's scope*; unattributable damage is tallied
     /// per source.
     pub fn note_anomaly_from(&mut self, source: SourceId, anomaly: AttributedAnomaly) {
-        self.metrics.record_anomaly();
-        let Some(scope) = self.scopes.get_mut(source.index()) else {
+        let Monitor { control, plane } = self;
+        control.metrics.record_anomaly();
+        let Some(unattributed) = control.unattributed.get_mut(source.index()) else {
             debug_assert!(false, "unregistered source {source}");
             return;
         };
-        match anomaly.key {
-            Some(key) => {
-                scope.quality.entry(key).or_default().note(&anomaly.anomaly);
-                // New damage changes the quarantine verdict; the
-                // connection must be re-analyzed at the next tick even
-                // if it saw no traffic.
-                scope.quality_dirty.insert(key);
+        match (anomaly.key, plane) {
+            (None, _) => unattributed.note(&anomaly.anomaly),
+            (Some(key), Plane::Inline(scopes)) => {
+                scopes[source.index()].note_damage(key, &anomaly.anomaly)
             }
-            None => scope.unattributed.note(&anomaly.anomaly),
+            (Some(key), Plane::Lanes(lanes)) => {
+                lanes.note_damage(source.index(), key, anomaly.anomaly)
+            }
         }
     }
 
@@ -1000,16 +1297,8 @@ impl Monitor {
     /// [`MonitorEvent::SourceDown`]. Its scope's accumulated state
     /// stays: already-tracked connections finalize and report normally.
     pub fn note_source_failure(&mut self, source: SourceId, detail: String) {
-        self.metrics.record_source_failure();
-        let Some(scope) = self.scopes.get(source.index()) else {
-            debug_assert!(false, "unregistered source {source}");
-            return;
-        };
-        self.events.push(MonitorEvent::SourceDown(SourceDown {
-            at: self.now,
-            source: scope.name.clone(),
-            detail,
-        }));
+        self.control.metrics.record_source_failure();
+        self.source_down(source, detail);
     }
 
     /// Notes that a source went down *transiently* — its supervising
@@ -1018,254 +1307,218 @@ impl Monitor {
     /// pairing `source_up` distinguishes the outcomes) but counts it as
     /// a flap, not a failure, in the metrics.
     pub fn note_source_down(&mut self, source: SourceId, detail: String) {
-        self.metrics.record_source_flap();
-        let Some(scope) = self.scopes.get(source.index()) else {
-            debug_assert!(false, "unregistered source {source}");
-            return;
-        };
-        self.events.push(MonitorEvent::SourceDown(SourceDown {
-            at: self.now,
-            source: scope.name.clone(),
-            detail,
-        }));
+        self.control.metrics.record_source_flap();
+        self.source_down(source, detail);
+    }
+
+    fn source_down(&mut self, source: SourceId, detail: String) {
+        self.source_notice(source, |at, source| {
+            MonitorEvent::SourceDown(SourceDown { at, source, detail })
+        });
     }
 
     /// Notes that a transiently-down source was resurrected, emitting
     /// the [`MonitorEvent::SourceUp`] paired with its earlier
     /// `source_down`.
     pub fn note_source_up(&mut self, source: SourceId, attempts: u32) {
-        self.metrics.record_source_resurrection();
-        let Some(scope) = self.scopes.get(source.index()) else {
+        self.control.metrics.record_source_resurrection();
+        self.source_notice(source, |at, source| {
+            MonitorEvent::SourceUp(SourceUp {
+                at,
+                source,
+                attempts,
+                detail: format!("recovered after {attempts} reopen attempt(s)"),
+            })
+        });
+    }
+
+    /// Emits an event about `source` itself, stamped with the engine
+    /// clock, in stream order: behind every finalization already
+    /// decided, which worker lanes may not have reported yet.
+    fn source_notice(
+        &mut self,
+        source: SourceId,
+        event: impl FnOnce(Micros, Arc<str>) -> MonitorEvent,
+    ) {
+        let Monitor { control, plane } = self;
+        let Some(name) = control.names.get(source.index()) else {
             debug_assert!(false, "unregistered source {source}");
             return;
         };
-        self.events.push(MonitorEvent::SourceUp(SourceUp {
-            at: self.now,
-            source: scope.name.clone(),
-            attempts,
-            detail: format!("recovered after {attempts} reopen attempt(s)"),
-        }));
+        let event = event(control.now, name.clone());
+        match plane {
+            Plane::Inline(_) => control.events.push(event),
+            Plane::Lanes(lanes) => lanes.defer(event),
+        }
     }
 
     /// Capture damage no source could tie to any connection, summed
     /// across sources.
     pub fn unattributed_anomalies(&self) -> AnomalyCounts {
         let mut total = AnomalyCounts::default();
-        for scope in &self.scopes {
-            total.merge(&scope.unattributed);
+        for counts in &self.control.unattributed {
+            total.merge(counts);
         }
         total
     }
 
     /// Open connections across every source scope.
     pub fn open_connections(&self) -> usize {
-        self.scopes
-            .iter()
-            .map(|s| s.tracker.open_connections())
-            .sum()
+        match &self.plane {
+            Plane::Inline(scopes) => scopes.iter().map(|s| s.tracker.open_connections()).sum(),
+            Plane::Lanes(lanes) => lanes.open_connections(),
+        }
+    }
+
+    /// Brings the event buffer and the tick caches up to date with
+    /// everything ingested so far. Inline they always are; worker
+    /// lanes flush their queues (a snapshot boundary).
+    fn sync(&mut self) {
+        if let Plane::Lanes(lanes) = &mut self.plane {
+            lanes.flush(&mut self.control);
+        }
     }
 
     /// Takes the events accumulated since the last drain.
     pub fn drain_events(&mut self) -> Vec<MonitorEvent> {
-        std::mem::take(&mut self.events)
+        self.sync();
+        std::mem::take(&mut self.control.events)
     }
 
     /// The per-connection analyses as of the last tick, rendered as
     /// `(source, session, report JSON)` in (source, tracker-insertion)
     /// order — a point-in-time view of the monitor's working state,
     /// used by the differential tests proving incremental ticks equal
-    /// full recomputation.
-    pub fn snapshot_reports(&self) -> Vec<(String, String, String)> {
-        let mut out = Vec::new();
-        for scope in &self.scopes {
-            out.extend(scope.ordered_cache().into_iter().map(|cached| {
+    /// full recomputation and lanes equal inline.
+    pub fn snapshot_reports(&mut self) -> Vec<(String, String, String)> {
+        self.sync();
+        let config = self.control.ctx.analyzer.config();
+        let fleet = match &self.plane {
+            Plane::Inline(scopes) => fleet_view(&[scopes.as_slice()]),
+            Plane::Lanes(lanes) => lanes.fleet(),
+        };
+        fleet
+            .into_iter()
+            .map(|(source, cached)| {
                 (
-                    scope.name.to_string(),
+                    source.to_string(),
                     cached.session.clone(),
-                    Report::from_analysis(&cached.analysis, self.analyzer.config()).to_json(),
+                    Report::from_analysis(&cached.analysis, config).to_json(),
                 )
-            }));
-        }
-        out
+            })
+            .collect()
     }
 
     /// Ends the watch: finalizes every still-open connection in every
     /// scope (emitting its report and clearing its alerts). The monitor
     /// is reusable afterwards, fresh.
     pub fn finish(&mut self) {
-        for idx in 0..self.scopes.len() {
-            let fresh = ConnectionTracker::scoped(self.tracker_config, idx as u64);
-            let Some(scope) = self.scopes.get_mut(idx) else {
-                continue;
-            };
-            let tracker = std::mem::replace(&mut scope.tracker, fresh);
-            for fin in tracker.finish() {
-                self.finalize(fin);
+        let Monitor { control, plane } = self;
+        match plane {
+            Plane::Inline(scopes) => {
+                for idx in 0..scopes.len() {
+                    let fresh = ConnectionTracker::scoped(control.tracker_config, idx as u64);
+                    let tracker = std::mem::replace(&mut scopes[idx].tracker, fresh);
+                    for fin in tracker.finish() {
+                        finalize_inline(control, scopes, fin);
+                    }
+                }
             }
+            Plane::Lanes(lanes) => lanes.finalize_open(control),
         }
-        self.next_tick = None;
+        control.next_tick = None;
     }
 
-    /// Drives a [`SourceSet`] to exhaustion: registers one scope per
-    /// source, polls the set's watermark merge, ingests each released
-    /// run under its source's scope, sleeps briefly while the set is
-    /// pending, finalizes at the end. Per-source failures surface as
-    /// [`MonitorEvent::SourceDown`] while the siblings keep running —
-    /// the run itself never fails. Returns every event of the run
-    /// (including any already accumulated but not yet drained).
-    ///
-    /// Long-running drivers that want to stream events out as they
-    /// happen should run this loop themselves with
-    /// [`drain_events`](Self::drain_events) between polls.
-    pub fn run_set(&mut self, set: &mut SourceSet) -> Vec<MonitorEvent> {
-        let ids: Vec<SourceId> = set
-            .names()
+    /// Registers one scope per source of `set`, returning the ids
+    /// [`step`](Self::step) routes by (indexed by the set's own
+    /// [`SourceId`]s).
+    pub fn register_set(&mut self, set: &SourceSet) -> Vec<SourceId> {
+        set.names()
             .iter()
             .map(|name| self.register_source(name))
-            .collect();
-        loop {
-            let event = set.poll();
-            for (sid, anomaly) in set.drain_anomalies() {
-                if let Some(&id) = ids.get(sid.index()) {
-                    self.note_anomaly_from(id, anomaly);
-                }
+            .collect()
+    }
+
+    /// One turn of the watch loop: polls `set` once and routes what it
+    /// released — capture anomalies, frames under their source's
+    /// scope, the merged clock, source down/up/failed notices — into
+    /// the engine. `ids` is [`register_set`](Self::register_set)'s
+    /// result. Per-source failures surface as
+    /// [`MonitorEvent::SourceDown`] while the siblings keep running;
+    /// the step itself never fails.
+    ///
+    /// [`run_set`](Self::run_set) is this in a loop; long-running
+    /// drivers that stream events out as they happen call it
+    /// themselves with [`drain_events`](Self::drain_events) in between.
+    pub fn step(&mut self, set: &mut SourceSet, ids: &[SourceId]) -> Step {
+        let event = set.poll();
+        for (source, anomaly) in set.drain_anomalies() {
+            if let Some(&id) = ids.get(source.index()) {
+                self.note_anomaly_from(id, anomaly);
             }
-            match event {
-                SetEvent::Batch { runs, now } => {
-                    for run in runs {
-                        let Some(&id) = ids.get(run.source.index()) else {
-                            continue;
-                        };
-                        for frame in &run.frames {
-                            self.ingest_from(id, frame);
-                        }
-                    }
-                    if let Some(now) = now {
-                        self.advance_to(now);
-                    }
-                }
-                SetEvent::Pending => std::thread::sleep(self.pending_backoff),
-                SetEvent::SourceFailed { source, error } => {
-                    if let Some(&id) = ids.get(source.index()) {
-                        self.note_source_failure(id, error);
+        }
+        let label = |source: SourceId| match set.name(source) {
+            Some(name) => name.to_string(),
+            None => source.to_string(),
+        };
+        match event {
+            SetEvent::Batch { runs, now } => {
+                for run in runs {
+                    let Some(&id) = ids.get(run.source.index()) else {
+                        continue;
+                    };
+                    for frame in run.frames {
+                        self.ingest_owned(id, frame);
                     }
                 }
-                SetEvent::SourceDown { source, error } => {
-                    if let Some(&id) = ids.get(source.index()) {
-                        self.note_source_down(id, error);
-                    }
+                if let Some(now) = now {
+                    self.advance_to(now);
                 }
-                SetEvent::SourceUp { source, attempts } => {
-                    if let Some(&id) = ids.get(source.index()) {
-                        self.note_source_up(id, attempts);
-                    }
+                Step::Progress
+            }
+            SetEvent::Pending => Step::Pending,
+            SetEvent::SourceFailed { source, error } => {
+                let notice = format!("source {}: {error}", label(source));
+                if let Some(&id) = ids.get(source.index()) {
+                    self.note_source_failure(id, error);
                 }
-                SetEvent::Finished => break,
+                Step::Notice(notice)
+            }
+            SetEvent::SourceDown { source, error } => {
+                let notice = format!("source {}: down: {error} (will retry)", label(source));
+                if let Some(&id) = ids.get(source.index()) {
+                    self.note_source_down(id, error);
+                }
+                Step::Notice(notice)
+            }
+            SetEvent::SourceUp { source, attempts } => {
+                if let Some(&id) = ids.get(source.index()) {
+                    self.note_source_up(id, attempts);
+                }
+                Step::Notice(format!(
+                    "source {}: recovered after {attempts} attempt(s)",
+                    label(source)
+                ))
+            }
+            SetEvent::Finished => Step::Finished,
+        }
+    }
+
+    /// Drives a [`SourceSet`] to exhaustion: [`step`](Self::step)s
+    /// until the set finishes, sleeping briefly while it is pending,
+    /// then finalizes. Returns every event of the run (including any
+    /// already accumulated but not yet drained).
+    pub fn run_set(&mut self, set: &mut SourceSet) -> Vec<MonitorEvent> {
+        let ids = self.register_set(set);
+        loop {
+            match self.step(set, &ids) {
+                Step::Progress | Step::Notice(_) => {}
+                Step::Pending => std::thread::sleep(self.control.pending_backoff),
+                Step::Finished => break,
             }
         }
         self.finish();
         self.drain_events()
-    }
-
-    /// One analysis tick at trace time `at`: per scope, re-analyze the
-    /// *dirty* connections (new traffic or new capture damage since
-    /// their last analysis), reuse cached analyses for the rest;
-    /// evaluate detectors over every scope's cache; correlate
-    /// peer-group blocking across the whole fleet; update alerts.
-    ///
-    /// Each connection's analysis window is anchored at its last-dirty
-    /// tick (`[anchor - window, anchor]`), so a cached entry is exactly
-    /// what re-analysis would produce — steady-state tick cost scales
-    /// with new traffic, not with the open-connection count.
-    fn tick(&mut self, at: Micros) {
-        let started = Instant::now();
-        let timer_min_gaps = self.alerts.config().timer_min_gaps;
-        let (stall_after, min_pause) = {
-            let cfg = self.alerts.config();
-            (cfg.stall_after, cfg.min_pause)
-        };
-        let window = self.window;
-        let recompute_all = self.recompute_all;
-
-        // Phase 1, per scope: refresh the dirty analyses. The dirty
-        // set is tracker-dirty (saw frames) plus quality-dirty (new
-        // capture damage), deduplicated, still-open only. This is
-        // computed identically in incremental and recompute-all modes
-        // so both assign the same anchors.
-        for scope in &mut self.scopes {
-            let work = scope.dirty_work(at, recompute_all);
-            scope.refresh(work, &self.analyzer, window, timer_min_gaps);
-        }
-
-        // Phase 2, per scope: condition evaluation over the whole cache
-        // (cheap: no re-analysis), in tracker-insertion order for
-        // determinism.
-        let mut conditions: Vec<Condition> = Vec::new();
-        let mut open = 0usize;
-        for scope in &mut self.scopes {
-            let entries = scope.entry_conditions(at, stall_after);
-            open += entries.len();
-            for (_, entry) in entries {
-                conditions.extend(entry);
-            }
-        }
-
-        // Phase 3: peer-group blocking correlates across the whole
-        // fleet.
-        let mut fleet: Vec<(&Arc<str>, &CachedAnalysis)> = Vec::new();
-        for scope in &self.scopes {
-            let entries = scope.ordered_cache();
-            fleet.extend(entries.into_iter().map(|cached| (&scope.name, cached)));
-        }
-        peer_group_conditions(&fleet, min_pause, &mut conditions);
-        drop(fleet);
-
-        for alert in self.alerts.observe(at, &conditions) {
-            self.metrics.record_alert(&alert);
-            self.events.push(MonitorEvent::Alert(alert));
-        }
-        self.metrics.record_tick(open, started.elapsed());
-    }
-
-    /// A connection left its scope's tracker: emit its whole-lifetime
-    /// report (attributed to its source) and clear its alerts. The
-    /// tracker stamped the scope index into `fin.scope`.
-    fn finalize(&mut self, fin: FinalizedConnection) {
-        let Some(scope) = self.scopes.get_mut(fin.scope as usize) else {
-            debug_assert!(
-                false,
-                "finalized connection from unknown scope {}",
-                fin.scope
-            );
-            return;
-        };
-        let source = scope.name.clone();
-        let outcome = scope.finalize_connection(fin, &self.analyzer);
-        let at = self.now.max(outcome.profile_end);
-        // Alerts are keyed by the session id the tick cache last
-        // published; if late traffic re-elected the data sender (an
-        // LRU-evicted connection captured mid-stream, say), the final
-        // session differs and the cached session's alerts would
-        // otherwise survive their connection.
-        if let Some(stale) = &outcome.stale_session {
-            for alert in self.alerts.clear_session(&source, stale, at) {
-                self.metrics.record_alert(&alert);
-                self.events.push(MonitorEvent::Alert(alert));
-            }
-        }
-        for alert in self.alerts.clear_session(&source, &outcome.session, at) {
-            self.metrics.record_alert(&alert);
-            self.events.push(MonitorEvent::Alert(alert));
-        }
-        let open = self.open_connections();
-        self.metrics.record_finalized(open);
-        self.events
-            .push(MonitorEvent::Connection(ConnectionSummary {
-                at,
-                source,
-                session: outcome.session,
-                report: outcome.report,
-            }));
     }
 }
 

@@ -230,7 +230,14 @@ impl MonitorMetrics {
         self.raised.values().sum()
     }
 
-    /// The analysis-tick wall-clock latency histogram.
+    /// The analysis-tick wall-clock latency histogram: one sample per
+    /// tick, its critical path. Inline (`shards <= 1`) that is the
+    /// whole tick — dirty re-analysis, detectors, peer-group
+    /// correlation, alert update. On worker lanes it is the slowest
+    /// shard's share of the re-analysis and detectors (each shard
+    /// times its own; their sum when the batch was small enough to run
+    /// on the caller's thread) plus the merge, correlation and alert
+    /// update — not the queueing before the flush.
     pub fn analysis_latency(&self) -> &LatencyHistogram {
         &self.latency
     }

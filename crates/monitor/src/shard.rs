@@ -1,74 +1,81 @@
-//! The sharded monitoring engine: the serial [`Monitor`] scaled
-//! across worker shards, byte-identical output.
+//! The lanes data plane: a [`Monitor`](crate::Monitor)'s
+//! per-connection work partitioned across worker shards, byte-identical
+//! output.
 //!
-//! # Architecture
+//! [`MonitorConfig::shards`](crate::MonitorConfig::shards)` >= 2`
+//! swaps the monitor's inline data plane for this one. The control
+//! plane — trace clock, source registry, alert engine, metrics, the
+//! finalize-emit and tick-close steps — is the same code either way
+//! (`engine.rs`); what lives here is only what partitioning needs:
 //!
-//! The engine splits the serial monitor's work into a *control plane*
-//! and a *data plane*:
-//!
-//! * **Control plane (router, the caller's thread).** One
+//! * **Router (the caller's thread).** One
 //!   [`ConnectionTracker::lifecycle`] tracker per source replicates
-//!   every policy decision the serial engine would make — ordinal
-//!   assignment, per-source frame indices, sweep timing, idle/close
-//!   expiry, and LRU eviction under `max_connections` (the cap stays
-//!   global, never split across shards). It stores only one frame's
-//!   metadata per connection, so its memory is O(open connections).
-//!   Frames, attributed anomalies, and finalization orders are routed
-//!   by [`shard_of`] — a deterministic hash of the normalized
-//!   connection key — into per-shard mailbox queues, and every
-//!   decision is journaled into a global op log that pins the exact
-//!   serial event order.
-//! * **Data plane (shards).** Each shard owns a `SourceScope` per
-//!   source — tracker metadata, BGP demux, quality counters, and the
-//!   per-connection incremental tick cache — for just its partition of
-//!   the connection space. Shards touch no shared state: between
-//!   flushes the coordinator owns everything, and during a parallel
-//!   flush each shard is *shipped* (moved, not borrowed) to its
-//!   persistent worker lane — a [`tdat_timeset::workpool::WorkerPool`]
-//!   thread parked on a bounded ring between flushes — and received
-//!   back at the join barrier, so a flush costs a queue hand-off
-//!   instead of a thread spawn, and no locks guard the hot path.
+//!   every policy decision the inline plane's trackers would make —
+//!   ordinal assignment, per-source frame indices, sweep timing,
+//!   idle/close expiry, and LRU eviction under `max_connections` (the
+//!   cap stays one global budget, never split across shards). It
+//!   stores only one frame's metadata per connection, so its memory is
+//!   O(open connections). Frames, attributed anomalies, and
+//!   finalization orders are routed by [`shard_of`] — a deterministic
+//!   hash of the normalized connection key — into per-shard mailbox
+//!   queues, and every decision is journaled into a global op log that
+//!   pins the exact inline event order.
+//! * **Shards.** Each shard owns a `SourceScope` per source — tracker
+//!   metadata, BGP demux, quality counters, and the per-connection
+//!   incremental tick cache — for just its partition of the connection
+//!   space. Shards touch no shared state: between flushes the router
+//!   owns everything, and during a parallel flush each shard is
+//!   *shipped* (moved, not borrowed) to its persistent worker lane — a
+//!   [`tdat_timeset::workpool::WorkerPool`] thread parked on a bounded
+//!   ring between flushes — and received back at the join barrier, so
+//!   a flush costs a queue hand-off instead of a thread spawn, and no
+//!   locks guard the hot path.
 //!
 //! Queues drain at *snapshot boundaries*: every analysis tick, a
-//! queue-depth threshold, [`drain_events`](ShardedMonitor::drain_events),
-//! [`snapshot_reports`](ShardedMonitor::snapshot_reports), and
-//! [`finish`](ShardedMonitor::finish). After the fork-join the
-//! coordinator walks the op log in decision order, merging per-shard
-//! results: finalization reports pop from each shard's FIFO, tick
-//! conditions k-way-merge by tracker ordinal, and the peer-group
-//! correlation plus the [`AlertEngine`] run once over the merged
-//! (source, ordinal)-ordered fleet — the same order the serial engine
-//! iterates in, which is the determinism argument: every observable
-//! decision is either made serially on the router or reassembled in
-//! router order, so `shards=N` produces byte-identical JSONL to
-//! `shards=1` (pinned by the identity tests over the oracle matrix).
+//! queue-depth threshold,
+//! [`drain_events`](crate::Monitor::drain_events),
+//! [`snapshot_reports`](crate::Monitor::snapshot_reports), and
+//! [`finish`](crate::Monitor::finish). After the fork-join the router
+//! walks the op log in decision order and hands each entry to the
+//! control-plane step the inline plane calls directly: finalization
+//! outcomes pop from each shard's FIFO, tick conditions k-way-merge by
+//! tracker ordinal, and the peer-group correlation plus the alert
+//! engine run once over the merged (source, ordinal)-ordered fleet —
+//! the order the inline plane iterates in. That is the determinism
+//! argument: every observable decision is either made serially on the
+//! router or reassembled in router order, so `shards = N` produces
+//! byte-identical JSONL to `shards = 1` (pinned by the identity tests
+//! over the oracle matrix and the multi-source suites).
+//!
+//! What it costs: the router, the mailboxes and the flush barrier are
+//! pure overhead next to the inline plane, so the split pays only when
+//! per-tick analysis dominates and there are spare cores. On the
+//! repository benchmark's 2-core host `monitor.sharded2.speedup` reads
+//! 0.92 / 1.04 / 0.82 (see `benchmark/README.md`).
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
-use tdat::Analyzer;
-use tdat_packet::{AnomalyCounts, CaptureAnomaly, TcpFrame};
+use tdat_packet::{CaptureAnomaly, TcpFrame};
 use tdat_timeset::workpool::WorkerPool;
 use tdat_timeset::Micros;
-use tdat_trace::{ConnKey, ConnectionTracker, TrackerConfig};
+use tdat_trace::{ConnKey, ConnectionTracker, FinalizedConnection, TrackerConfig};
 
-use crate::alerts::{AlertEngine, Condition};
+use crate::alerts::Condition;
 use crate::engine::{
-    peer_group_conditions, CachedAnalysis, ConnectionSummary, FinalizeOutcome, Monitor,
-    MonitorConfig, MonitorEvent, SourceDown, SourceScope, SourceUp, DEFAULT_SOURCE,
+    fleet_view, AnalysisCtx, CachedAnalysis, Control, FinalizeOutcome, Finalized, MonitorEvent,
+    SourceScope,
 };
-use crate::metrics::MonitorMetrics;
-use crate::set::{SetEvent, SourceId, SourceSet};
-use crate::source::AttributedAnomaly;
 
 /// Flush the shard queues once this many ops are buffered, even
 /// without a tick boundary (bounds queue memory between ticks).
 const FLUSH_THRESHOLD: usize = 8_192;
 
 /// Minimum work (queued ops, or cached connections at a tick) before a
-/// flush spawns worker threads; smaller batches run inline — thread
-/// spawn costs more than the work.
+/// flush ships the shards to their worker lanes; smaller batches run
+/// on the caller's thread — the hand-off and the barrier cost more
+/// than the work.
 const PARALLEL_MIN: usize = 256;
 
 pub use tdat_trace::shard_of;
@@ -99,19 +106,19 @@ enum ShardOp {
     Tick { at: Micros },
 }
 
-/// A control-plane decision journaled for in-order reassembly.
+/// A router decision journaled for in-order reassembly.
 #[derive(Debug)]
 enum GlobalOp {
     /// A connection finalized: pop the next outcome from `shard`'s
     /// FIFO. `now` is the engine clock at decision time and `open` the
-    /// post-removal open-connection count (for metrics parity with the
-    /// serial engine).
+    /// post-removal open-connection count (what the inline plane reads
+    /// at the same point).
     Finalize {
         shard: usize,
         source: u32,
-        /// The finalized connection's key — enough to synthesize a
-        /// quarantined summary if the owning shard was poisoned by a
-        /// panic and never produced the real outcome.
+        /// The finalized connection's key — enough to report it
+        /// quarantined if the owning shard was poisoned by a panic and
+        /// never produced the real outcome.
         key: ConnKey,
         now: Micros,
         open: usize,
@@ -119,26 +126,20 @@ enum GlobalOp {
     /// A tick boundary: merge every shard's queued tick output.
     Tick { at: Micros },
     /// An event produced directly on the control plane (source
-    /// failures), kept in op order (boxed: rare next to the other
+    /// notices), kept in op order (boxed: rare next to the other
     /// variants, and much larger).
     Event(Box<MonitorEvent>),
 }
 
-/// Read-only context shipped with every shard during a flush. Owned
-/// (the analyzer behind an `Arc`) rather than borrowed so it can cross
-/// into the persistent worker lanes, which outlive any one flush.
-#[derive(Debug, Clone)]
-struct ShardCtx {
-    analyzer: Arc<Analyzer>,
-    window: Micros,
-    timer_min_gaps: usize,
-    stall_after: Micros,
-    recompute_all: bool,
+/// One shard's share of a tick.
+#[derive(Debug, Default)]
+struct TickOutput {
+    /// `[source][entry]`, each entry `(ordinal, conditions)` sorted by
+    /// ordinal within the shard.
+    entries: Vec<Vec<(u64, Vec<Condition>)>>,
+    /// Wall-clock time the shard spent on its `Tick` op.
+    elapsed: Duration,
 }
-
-/// Per-entry tick conditions for one shard: `[source][entry]`, each
-/// entry `(ordinal, conditions)` sorted by ordinal within the shard.
-type TickOutput = Vec<Vec<(u64, Vec<Condition>)>>;
 
 /// One worker shard: a `SourceScope` per source covering this
 /// shard's partition of the connection space, plus its mailbox and
@@ -166,7 +167,11 @@ struct Shard {
 /// and the verdict is typed `quarantined` with the panic as the
 /// reason. The endpoint order follows the normalized [`ConnKey`] (the
 /// data sender is unknown without the analysis).
-fn poisoned_shard_report(sender: String, receiver: String, reason: &str) -> tdat::Report {
+pub(crate) fn poisoned_shard_report(
+    sender: String,
+    receiver: String,
+    reason: &str,
+) -> tdat::Report {
     tdat::Report {
         sender,
         receiver,
@@ -205,8 +210,8 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 impl Shard {
     /// An inert shard left behind while the real one is out on a
     /// worker lane — and the stand-in if that lane ever dies without
-    /// returning it (`poisoned` pre-set so the op log synthesizes
-    /// quarantined reports for everything the lost shard owed).
+    /// returning it (`poisoned` pre-set so the op log reports
+    /// everything the lost shard owed as quarantined).
     fn placeholder(lost: bool) -> Shard {
         Shard {
             scopes: Vec::new(),
@@ -222,9 +227,9 @@ impl Shard {
     /// [`run`](Self::run) under `catch_unwind`: a panicking batch
     /// poisons this shard instead of tearing down the watch (or, on
     /// the parallel path, aborting via a panicking worker thread).
-    fn run_guarded(&mut self, ctx: &ShardCtx) {
+    fn run_guarded(&mut self, ctx: &AnalysisCtx) {
         if self.poisoned.is_some() {
-            // Drop anything routed before the coordinator noticed.
+            // Drop anything routed before the router noticed.
             self.queue.clear();
             return;
         }
@@ -237,7 +242,7 @@ impl Shard {
 
     /// Drains the mailbox in order. Runs on a worker lane during
     /// parallel flushes; everything it touches is shard-local.
-    fn run(&mut self, ctx: &ShardCtx) {
+    fn run(&mut self, ctx: &AnalysisCtx) {
         #[cfg(test)]
         if std::mem::take(&mut self.panic_next) {
             panic!("injected shard panic");
@@ -266,8 +271,7 @@ impl Shard {
                         debug_assert!(false, "routed op for unregistered source {source}");
                         continue;
                     };
-                    scope.quality.entry(key).or_default().note(&anomaly);
-                    scope.quality_dirty.insert(key);
+                    scope.note_damage(key, &anomaly);
                 }
                 ShardOp::Finalize { source, key } => {
                     let Some(scope) = self.scopes.get_mut(source as usize) else {
@@ -282,302 +286,187 @@ impl Shard {
                     self.fins.push_back(outcome);
                 }
                 ShardOp::Tick { at } => {
-                    let mut out: TickOutput = Vec::with_capacity(self.scopes.len());
-                    for scope in &mut self.scopes {
-                        let work = scope.dirty_work(at, ctx.recompute_all);
-                        scope.refresh(work, &ctx.analyzer, ctx.window, ctx.timer_min_gaps);
-                        out.push(scope.entry_conditions(at, ctx.stall_after));
-                    }
-                    self.ticks.push_back(out);
+                    // Timed here, where the analysis happens: the
+                    // router's clock only ever sees the merge.
+                    let started = Instant::now();
+                    let entries = self.scopes.iter_mut().map(|s| s.tick(at, ctx)).collect();
+                    self.ticks.push_back(TickOutput {
+                        entries,
+                        elapsed: started.elapsed(),
+                    });
                 }
             }
         }
     }
 }
 
-/// The sharded engine proper; public API lives on [`ShardedMonitor`].
+/// The lanes data plane proper: the router's policy replica, the
+/// shards, their worker lanes, and the op log.
 #[derive(Debug)]
-struct ShardEngine {
-    /// Shared with the worker lanes through each flush's [`ShardCtx`].
-    analyzer: Arc<Analyzer>,
-    tracker_config: TrackerConfig,
-    alerts: AlertEngine,
-    metrics: MonitorMetrics,
-    window: Micros,
-    interval: Micros,
-    now: Micros,
-    next_tick: Option<Micros>,
-    recompute_all: bool,
+pub(crate) struct Lanes {
     /// Per-source lifecycle trackers: the policy replica (see module
     /// docs).
     lifecycles: Vec<ConnectionTracker>,
-    names: Vec<Arc<str>>,
-    index: HashMap<Arc<str>, SourceId>,
-    /// Per-source unattributed capture damage (control-plane state:
-    /// order-insensitive counters).
-    unattributed: Vec<AnomalyCounts>,
     shards: Vec<Shard>,
     /// Persistent worker lanes (one per shard), created on the first
-    /// flush big enough to go parallel; `None` until then so purely
-    /// inline workloads never spawn a thread. Lanes park on their rings
-    /// between flushes; dropping the engine closes and joins them.
-    pool: Option<WorkerPool<(Shard, ShardCtx), Shard>>,
+    /// flush big enough to go parallel; `None` until then so workloads
+    /// that never reach [`PARALLEL_MIN`] never spawn a thread. Lanes
+    /// park on their rings between flushes; dropping the plane closes
+    /// and joins them.
+    pool: Option<WorkerPool<(Shard, AnalysisCtx), Shard>>,
     ops: Vec<GlobalOp>,
     /// Shard ops queued since the last flush.
     queued: usize,
-    pending_backoff: std::time::Duration,
-    events: Vec<MonitorEvent>,
 }
 
-impl ShardEngine {
-    fn new(config: MonitorConfig) -> ShardEngine {
-        let shard_count = config.shards.max(2);
-        ShardEngine {
-            analyzer: Arc::new(Analyzer::new(config.analyzer).with_quarantine(config.quarantine)),
-            tracker_config: config.tracker,
-            alerts: AlertEngine::new(config.alerts),
-            metrics: MonitorMetrics::default(),
-            window: config.window.max(Micros(1)),
-            interval: config.interval.max(Micros(1)),
-            now: Micros::ZERO,
-            next_tick: None,
-            recompute_all: config.recompute_all,
+impl Lanes {
+    pub(crate) fn new(shards: usize) -> Lanes {
+        Lanes {
             lifecycles: Vec::new(),
-            names: Vec::new(),
-            index: HashMap::new(),
-            unattributed: Vec::new(),
-            shards: (0..shard_count)
-                .map(|_| Shard::placeholder(false))
-                .collect(),
+            shards: (0..shards).map(|_| Shard::placeholder(false)).collect(),
             pool: None,
             ops: Vec::new(),
             queued: 0,
-            pending_backoff: config.pending_backoff,
-            events: Vec::new(),
         }
     }
 
-    fn register_source(&mut self, name: &str) -> SourceId {
-        if let Some(&id) = self.index.get(name) {
-            return id;
-        }
-        let id = SourceId(self.names.len() as u32);
-        let name: Arc<str> = Arc::from(name);
-        self.index.insert(name.clone(), id);
-        self.lifecycles.push(ConnectionTracker::lifecycle(
-            self.tracker_config,
-            id.index() as u64,
-        ));
-        self.unattributed.push(AnomalyCounts::default());
+    /// Adds the next source: a lifecycle tracker on the router and a
+    /// scope named `name` on every shard.
+    pub(crate) fn register(&mut self, name: &Arc<str>, config: TrackerConfig) {
+        let scope = self.lifecycles.len() as u64;
+        self.lifecycles
+            .push(ConnectionTracker::lifecycle(config, scope));
         for shard in &mut self.shards {
             shard.scopes.push(SourceScope::new(
                 name.clone(),
                 // Routed trackers never run policy themselves (no
                 // sweep, no eviction) — the config is inert here.
-                ConnectionTracker::scoped(self.tracker_config, id.index() as u64),
+                ConnectionTracker::scoped(config, scope),
             ));
         }
-        self.names.push(name);
-        self.metrics.record_sources(self.names.len());
-        id
     }
 
-    fn advance_to(&mut self, now: Micros) {
-        if now <= self.now && self.next_tick.is_some() {
+    pub(crate) fn open_connections(&self) -> usize {
+        self.lifecycles.iter().map(|t| t.open_connections()).sum()
+    }
+
+    /// Queues `op` on the shard that owns `key`, unless a panic
+    /// poisoned it; returns the shard.
+    fn route(&mut self, key: &ConnKey, op: ShardOp) -> usize {
+        let shard = shard_of(key, self.shards.len());
+        if self.shards[shard].poisoned.is_none() {
+            self.shards[shard].queue.push(op);
+            self.queued += 1;
+        }
+        shard
+    }
+
+    /// Routes the finalizations the router just decided for `source`.
+    fn route_finalized(&mut self, source: u32, fins: Vec<FinalizedConnection>, now: Micros) {
+        if fins.is_empty() {
             return;
         }
-        self.now = self.now.max(now);
-        let mut boundary = match self.next_tick {
-            Some(t) => t,
-            // First sign of time: schedule the first tick one interval in.
-            None => {
-                self.next_tick = Some(now + self.interval);
-                return;
-            }
-        };
-        while boundary <= self.now {
-            // A tick is a snapshot boundary: it must be the last op in
-            // every queue when its flush runs, so the merged caches the
-            // peer-group correlation reads are exactly the post-tick
-            // state.
-            for shard in &mut self.shards {
-                if shard.poisoned.is_some() {
-                    continue;
-                }
-                shard.queue.push(ShardOp::Tick { at: boundary });
-                self.queued += 1;
-            }
-            self.ops.push(GlobalOp::Tick { at: boundary });
-            self.flush();
-            boundary += self.interval;
+        // The lifecycle tracker already removed every finalized key,
+        // so the post-removal open count is the same for the whole
+        // batch — exactly what the inline plane's per-finalize
+        // `open_connections()` reads.
+        let open = self.open_connections();
+        for fin in fins {
+            let key = fin.key;
+            let shard = self.route(&key, ShardOp::Finalize { source, key });
+            // The op stays journaled even for a poisoned shard:
+            // assemble() reports the connection quarantined.
+            self.ops.push(GlobalOp::Finalize {
+                shard,
+                source,
+                key,
+                now,
+                open,
+            });
         }
-        self.next_tick = Some(boundary);
     }
 
-    fn ingest_owned(&mut self, source: SourceId, frame: TcpFrame) {
-        self.advance_to(frame.timestamp);
-        let idx = source.index();
-        let (Some(lifecycle), Some(name)) = (self.lifecycles.get_mut(idx), self.names.get(idx))
-        else {
+    pub(crate) fn ingest(&mut self, control: &mut Control, source: usize, frame: TcpFrame) {
+        let Some(lifecycle) = self.lifecycles.get_mut(source) else {
             debug_assert!(false, "unregistered source {source}");
             return;
         };
-        self.metrics.record_frame_from(name);
         let key = ConnKey::of(&frame);
-        let fins = lifecycle.ingest(&frame);
-        let index = lifecycle.frames_seen() - 1;
-        let Some(ordinal) = lifecycle.ordinal_of(key) else {
-            debug_assert!(false, "just-ingested key must be open");
-            return;
-        };
-        let shard = shard_of(&key, self.shards.len());
-        if self.shards[shard].poisoned.is_none() {
-            self.shards[shard].queue.push(ShardOp::Ingest {
-                source: idx as u32,
+        let index = lifecycle.frames_seen();
+        let (ordinal, fins) = lifecycle.ingest_with_ordinal(&frame);
+        let source = source as u32;
+        self.route(
+            &key,
+            ShardOp::Ingest {
+                source,
                 frame,
                 ordinal,
                 index,
-            });
-            self.queued += 1;
-        }
-        if !fins.is_empty() {
-            // The lifecycle tracker already removed every finalized
-            // key, so the post-removal open count is the same for the
-            // whole batch — exactly what the serial engine's
-            // per-finalize `open_connections()` reads.
-            let open: usize = self.lifecycles.iter().map(|t| t.open_connections()).sum();
-            for fin in fins {
-                let shard = shard_of(&fin.key, self.shards.len());
-                if self.shards[shard].poisoned.is_none() {
-                    self.shards[shard].queue.push(ShardOp::Finalize {
-                        source: idx as u32,
-                        key: fin.key,
-                    });
-                    self.queued += 1;
-                }
-                // The op stays journaled even for a poisoned shard:
-                // assemble() synthesizes its quarantined summary.
-                self.ops.push(GlobalOp::Finalize {
-                    shard,
-                    source: idx as u32,
-                    key: fin.key,
-                    now: self.now,
-                    open,
-                });
-            }
-        }
+            },
+        );
+        self.route_finalized(source, fins, control.now);
         if self.queued >= FLUSH_THRESHOLD {
-            self.flush();
+            self.flush(control);
         }
     }
 
-    fn note_anomaly_from(&mut self, source: SourceId, anomaly: AttributedAnomaly) {
-        self.metrics.record_anomaly();
-        let idx = source.index();
-        if idx >= self.names.len() {
-            debug_assert!(false, "unregistered source {source}");
-            return;
-        }
-        match anomaly.key {
-            Some(key) => {
-                let shard = shard_of(&key, self.shards.len());
-                if self.shards[shard].poisoned.is_some() {
-                    return;
-                }
-                self.shards[shard].queue.push(ShardOp::Anomaly {
-                    source: idx as u32,
-                    key,
-                    anomaly: anomaly.anomaly,
-                });
+    pub(crate) fn note_damage(&mut self, source: usize, key: ConnKey, anomaly: CaptureAnomaly) {
+        let source = source as u32;
+        self.route(
+            &key,
+            ShardOp::Anomaly {
+                source,
+                key,
+                anomaly,
+            },
+        );
+    }
+
+    /// Journals a control-plane event behind the finalizations already
+    /// decided.
+    pub(crate) fn defer(&mut self, event: MonitorEvent) {
+        self.ops.push(GlobalOp::Event(Box::new(event)));
+    }
+
+    pub(crate) fn tick(&mut self, control: &mut Control, at: Micros) {
+        // A tick is a snapshot boundary: it must be the last op in
+        // every queue when its flush runs, so the merged caches the
+        // peer-group correlation reads are exactly the post-tick state.
+        for shard in &mut self.shards {
+            if shard.poisoned.is_none() {
+                shard.queue.push(ShardOp::Tick { at });
                 self.queued += 1;
             }
-            None => self.unattributed[idx].note(&anomaly.anomaly),
         }
+        self.ops.push(GlobalOp::Tick { at });
+        self.flush(control);
     }
 
-    fn note_source_failure(&mut self, source: SourceId, detail: String) {
-        self.metrics.record_source_failure();
-        let Some(name) = self.names.get(source.index()) else {
-            debug_assert!(false, "unregistered source {source}");
-            return;
-        };
-        self.ops
-            .push(GlobalOp::Event(Box::new(MonitorEvent::SourceDown(
-                SourceDown {
-                    at: self.now,
-                    source: name.clone(),
-                    detail,
-                },
-            ))));
-    }
-
-    fn note_source_down(&mut self, source: SourceId, detail: String) {
-        self.metrics.record_source_flap();
-        let Some(name) = self.names.get(source.index()) else {
-            debug_assert!(false, "unregistered source {source}");
-            return;
-        };
-        self.ops
-            .push(GlobalOp::Event(Box::new(MonitorEvent::SourceDown(
-                SourceDown {
-                    at: self.now,
-                    source: name.clone(),
-                    detail,
-                },
-            ))));
-    }
-
-    fn note_source_up(&mut self, source: SourceId, attempts: u32) {
-        self.metrics.record_source_resurrection();
-        let Some(name) = self.names.get(source.index()) else {
-            debug_assert!(false, "unregistered source {source}");
-            return;
-        };
-        self.ops
-            .push(GlobalOp::Event(Box::new(MonitorEvent::SourceUp(
-                SourceUp {
-                    at: self.now,
-                    source: name.clone(),
-                    attempts,
-                    detail: format!("recovered after {attempts} reopen attempt(s)"),
-                },
-            ))));
-    }
-
-    fn finish(&mut self) {
+    /// Finalizes every connection still open on the router.
+    pub(crate) fn finalize_open(&mut self, control: &mut Control) {
         for idx in 0..self.lifecycles.len() {
-            let fresh = ConnectionTracker::lifecycle(self.tracker_config, idx as u64);
+            let fresh = ConnectionTracker::lifecycle(control.tracker_config, idx as u64);
             let lifecycle = std::mem::replace(&mut self.lifecycles[idx], fresh);
-            let fins = lifecycle.finish();
-            if fins.is_empty() {
-                continue;
-            }
-            let open: usize = self.lifecycles.iter().map(|t| t.open_connections()).sum();
-            for fin in fins {
-                let shard = shard_of(&fin.key, self.shards.len());
-                if self.shards[shard].poisoned.is_none() {
-                    self.shards[shard].queue.push(ShardOp::Finalize {
-                        source: idx as u32,
-                        key: fin.key,
-                    });
-                    self.queued += 1;
-                }
-                self.ops.push(GlobalOp::Finalize {
-                    shard,
-                    source: idx as u32,
-                    key: fin.key,
-                    now: self.now,
-                    open,
-                });
-            }
+            self.route_finalized(idx as u32, lifecycle.finish(), control.now);
         }
-        self.flush();
-        self.next_tick = None;
+        self.flush(control);
     }
 
-    /// Fork-join: workers drain every shard mailbox, then the
-    /// coordinator reassembles results in op-log (decision) order.
-    fn flush(&mut self) {
+    /// The healthy shards' cached analyses in (source, ordinal) order.
+    pub(crate) fn fleet(&self) -> Vec<(&Arc<str>, &CachedAnalysis)> {
+        let healthy: Vec<&[SourceScope]> = self
+            .shards
+            .iter()
+            .filter(|shard| shard.poisoned.is_none())
+            .map(|shard| shard.scopes.as_slice())
+            .collect();
+        fleet_view(&healthy)
+    }
+
+    /// Fork-join: every shard drains its mailbox, then the router
+    /// reassembles results in op-log (decision) order.
+    pub(crate) fn flush(&mut self, control: &mut Control) {
+        let mut parallel = false;
         if self.queued > 0 {
             let has_tick = self
                 .ops
@@ -591,15 +480,10 @@ impl ShardEngine {
             } else {
                 0
             };
-            let ctx = ShardCtx {
-                analyzer: Arc::clone(&self.analyzer),
-                window: self.window,
-                timer_min_gaps: self.alerts.config().timer_min_gaps,
-                stall_after: self.alerts.config().stall_after,
-                recompute_all: self.recompute_all,
-            };
+            let ctx = &control.ctx;
             let busy = self.shards.iter().filter(|s| !s.queue.is_empty()).count();
-            if busy > 1 && (self.queued >= PARALLEL_MIN || cached >= PARALLEL_MIN) {
+            parallel = busy > 1 && (self.queued >= PARALLEL_MIN || cached >= PARALLEL_MIN);
+            if parallel {
                 // Ship each busy shard to its persistent lane and take
                 // it back at the barrier: ownership moves, so the lanes
                 // need no 'static borrows and stay parked between
@@ -610,7 +494,7 @@ impl ShardEngine {
                         lanes,
                         1,
                         |_| (),
-                        |(), (mut shard, ctx): (Shard, ShardCtx)| {
+                        |(), (mut shard, ctx): (Shard, AnalysisCtx)| {
                             shard.run_guarded(&ctx);
                             Some(shard)
                         },
@@ -637,26 +521,27 @@ impl ShardEngine {
             } else {
                 for shard in &mut self.shards {
                     if !shard.queue.is_empty() {
-                        shard.run_guarded(&ctx);
+                        shard.run_guarded(ctx);
                     }
                 }
             }
             self.queued = 0;
             let poisoned = self.shards.iter().filter(|s| s.poisoned.is_some()).count() as u64;
-            while self.metrics.shards_poisoned() < poisoned {
-                self.metrics.record_shard_poisoned();
+            while control.metrics.shards_poisoned() < poisoned {
+                control.metrics.record_shard_poisoned();
             }
         }
-        self.assemble();
+        self.assemble(control, parallel);
     }
 
-    /// Walks the op log in decision order, merging per-shard results
-    /// into the serial event stream.
-    fn assemble(&mut self) {
-        let min_pause = self.alerts.config().min_pause;
+    /// Walks the op log in decision order, handing each entry to the
+    /// control-plane step the inline plane calls directly. `parallel`
+    /// says how the flush just ran, i.e. what a tick's critical path
+    /// was: the slowest shard on worker lanes, their sum on one thread.
+    fn assemble(&mut self, control: &mut Control, parallel: bool) {
         for op in std::mem::take(&mut self.ops) {
             match op {
-                GlobalOp::Event(event) => self.events.push(*event),
+                GlobalOp::Event(event) => control.events.push(*event),
                 GlobalOp::Finalize {
                     shard,
                     source,
@@ -664,69 +549,19 @@ impl ShardEngine {
                     now,
                     open,
                 } => {
-                    let outcome = self
-                        .shards
-                        .get_mut(shard)
-                        .and_then(|sh| sh.fins.pop_front());
-                    let Some(name) = self.names.get(source as usize).cloned() else {
-                        debug_assert!(false, "finalize for unregistered source {source}");
-                        continue;
-                    };
-                    let Some(outcome) = outcome else {
-                        // The shard never produced the outcome. If it
-                        // was poisoned by a panic, quarantine the
-                        // connection: clear its alerts (the session
-                        // direction is unknown without the analysis, so
-                        // both orientations) and report it with a typed
-                        // quarantined verdict instead of dropping it
-                        // silently.
-                        let Some(reason) =
-                            self.shards.get(shard).and_then(|sh| sh.poisoned.clone())
-                        else {
+                    let owner = &mut self.shards[shard];
+                    let finalized = match (owner.fins.pop_front(), &owner.poisoned) {
+                        (Some(outcome), _) => Finalized::Outcome(outcome),
+                        (None, Some(reason)) => Finalized::Lost {
+                            key,
+                            reason: reason.clone(),
+                        },
+                        (None, None) => {
                             debug_assert!(false, "op log references a missing finalize outcome");
                             continue;
-                        };
-                        let (ep_a, ep_b) = (
-                            format!("{}:{}", key.a.0, key.a.1),
-                            format!("{}:{}", key.b.0, key.b.1),
-                        );
-                        let fwd = format!("{ep_a}->{ep_b}");
-                        let rev = format!("{ep_b}->{ep_a}");
-                        for session in [&fwd, &rev] {
-                            for alert in self.alerts.clear_session(&name, session, now) {
-                                self.metrics.record_alert(&alert);
-                                self.events.push(MonitorEvent::Alert(alert));
-                            }
                         }
-                        self.metrics.record_finalized(open);
-                        self.events
-                            .push(MonitorEvent::Connection(ConnectionSummary {
-                                at: now,
-                                source: name,
-                                session: fwd,
-                                report: poisoned_shard_report(ep_a, ep_b, &reason),
-                            }));
-                        continue;
                     };
-                    let at = now.max(outcome.profile_end);
-                    if let Some(stale) = &outcome.stale_session {
-                        for alert in self.alerts.clear_session(&name, stale, at) {
-                            self.metrics.record_alert(&alert);
-                            self.events.push(MonitorEvent::Alert(alert));
-                        }
-                    }
-                    for alert in self.alerts.clear_session(&name, &outcome.session, at) {
-                        self.metrics.record_alert(&alert);
-                        self.events.push(MonitorEvent::Alert(alert));
-                    }
-                    self.metrics.record_finalized(open);
-                    self.events
-                        .push(MonitorEvent::Connection(ConnectionSummary {
-                            at,
-                            source: name,
-                            session: outcome.session,
-                            report: outcome.report,
-                        }));
+                    control.emit_finalized(source as usize, now, open, finalized);
                 }
                 GlobalOp::Tick { at } => {
                     let started = Instant::now();
@@ -735,15 +570,21 @@ impl ShardEngine {
                         .iter_mut()
                         .map(|sh| sh.ticks.pop_front().unwrap_or_default())
                         .collect();
+                    let elapsed = outputs.iter().map(|output| output.elapsed);
+                    let analysis = if parallel {
+                        elapsed.max().unwrap_or_default()
+                    } else {
+                        elapsed.sum()
+                    };
                     let mut conditions: Vec<Condition> = Vec::new();
                     let mut open = 0usize;
-                    for s in 0..self.names.len() {
+                    for s in 0..self.lifecycles.len() {
                         // K-way merge of this source's per-entry
                         // conditions across shards, by tracker ordinal
-                        // — the serial engine's iteration order.
+                        // — the inline plane's iteration order.
                         let mut merged: Vec<(u64, Vec<Condition>)> = Vec::new();
                         for output in &mut outputs {
-                            if let Some(entries) = output.get_mut(s) {
+                            if let Some(entries) = output.entries.get_mut(s) {
                                 merged.append(entries);
                             }
                         }
@@ -753,347 +594,20 @@ impl ShardEngine {
                             conditions.extend(entry);
                         }
                     }
-                    // Peer-group correlation over the merged fleet, in
-                    // (source, ordinal) order, by reference: snapshot
-                    // boundaries are the only place cross-shard state
-                    // meets.
-                    let mut fleet: Vec<(&Arc<str>, &CachedAnalysis)> = Vec::new();
-                    for (s, name) in self.names.iter().enumerate() {
-                        let mut entries: Vec<&CachedAnalysis> = Vec::new();
-                        for shard in &self.shards {
-                            if shard.poisoned.is_some() {
-                                continue;
-                            }
-                            if let Some(scope) = shard.scopes.get(s) {
-                                entries.extend(scope.cache.values());
-                            }
-                        }
-                        entries.sort_unstable_by_key(|cached| cached.ordinal);
-                        fleet.extend(entries.into_iter().map(|cached| (name, cached)));
-                    }
-                    peer_group_conditions(&fleet, min_pause, &mut conditions);
-                    drop(fleet);
-                    for alert in self.alerts.observe(at, &conditions) {
-                        self.metrics.record_alert(&alert);
-                        self.events.push(MonitorEvent::Alert(alert));
-                    }
-                    self.metrics.record_tick(open, started.elapsed());
+                    // Snapshot boundaries are the only place
+                    // cross-shard state meets: the correlation reads
+                    // the merged fleet by reference.
+                    control.close_tick(at, open, conditions, &self.fleet(), analysis, started);
                 }
             }
         }
-    }
-
-    fn snapshot_reports(&mut self) -> Vec<(String, String, String)> {
-        self.flush();
-        let mut out = Vec::new();
-        for (s, name) in self.names.iter().enumerate() {
-            let mut entries: Vec<&CachedAnalysis> = Vec::new();
-            for shard in &self.shards {
-                if shard.poisoned.is_some() {
-                    continue;
-                }
-                if let Some(scope) = shard.scopes.get(s) {
-                    entries.extend(scope.cache.values());
-                }
-            }
-            entries.sort_unstable_by_key(|cached| cached.ordinal);
-            out.extend(entries.into_iter().map(|cached| {
-                (
-                    name.to_string(),
-                    cached.session.clone(),
-                    tdat::Report::from_analysis(&cached.analysis, self.analyzer.config()).to_json(),
-                )
-            }));
-        }
-        out
-    }
-}
-
-/// A [`Monitor`] with a worker-shard count: `shards = 1` *is* the
-/// serial engine (same code path); `shards = N` partitions connections
-/// by key hash across N shards with byte-identical JSONL output. See
-/// the module docs for the architecture.
-#[derive(Debug)]
-pub struct ShardedMonitor {
-    inner: Inner,
-}
-
-// The serial monitor is the smaller variant and `ShardedMonitor` is a
-// long-lived singleton — boxing would only add indirection.
-#[allow(clippy::large_enum_variant)]
-#[derive(Debug)]
-enum Inner {
-    Serial(Monitor),
-    Sharded(ShardEngine),
-}
-
-impl ShardedMonitor {
-    /// Creates an engine with `config.shards` workers; `shards <= 1`
-    /// is exactly the serial [`Monitor`].
-    pub fn new(config: MonitorConfig) -> ShardedMonitor {
-        let inner = if config.shards <= 1 {
-            Inner::Serial(Monitor::new(config))
-        } else {
-            Inner::Sharded(ShardEngine::new(config))
-        };
-        ShardedMonitor { inner }
-    }
-
-    /// The configured shard count (1 for the serial engine).
-    pub fn shards(&self) -> usize {
-        match &self.inner {
-            Inner::Serial(_) => 1,
-            Inner::Sharded(engine) => engine.shards.len(),
-        }
-    }
-
-    /// The engine's health counters. Tick and finalization counters
-    /// update at snapshot boundaries (flushes), not per queued op.
-    pub fn metrics(&self) -> &MonitorMetrics {
-        match &self.inner {
-            Inner::Serial(monitor) => monitor.metrics(),
-            Inner::Sharded(engine) => &engine.metrics,
-        }
-    }
-
-    /// Trace time the engine has advanced to.
-    pub fn now(&self) -> Micros {
-        match &self.inner {
-            Inner::Serial(monitor) => monitor.now(),
-            Inner::Sharded(engine) => engine.now,
-        }
-    }
-
-    /// Registers a named source scope (idempotent); see
-    /// [`Monitor::register_source`].
-    pub fn register_source(&mut self, name: &str) -> SourceId {
-        match &mut self.inner {
-            Inner::Serial(monitor) => monitor.register_source(name),
-            Inner::Sharded(engine) => engine.register_source(name),
-        }
-    }
-
-    /// The registered source names, in [`SourceId`] order.
-    pub fn source_names(&self) -> Vec<Arc<str>> {
-        match &self.inner {
-            Inner::Serial(monitor) => monitor.source_names(),
-            Inner::Sharded(engine) => engine.names.clone(),
-        }
-    }
-
-    /// Ingests one frame under the default [`DEFAULT_SOURCE`] scope.
-    pub fn ingest(&mut self, frame: &TcpFrame) {
-        let id = self.register_source(DEFAULT_SOURCE);
-        self.ingest_from(id, frame);
-    }
-
-    /// Ingests one captured frame under a registered source scope; see
-    /// [`Monitor::ingest_from`]. The sharded engine clones the frame
-    /// into its shard mailbox; callers that own their frames should
-    /// prefer [`ingest_owned`](Self::ingest_owned).
-    pub fn ingest_from(&mut self, source: SourceId, frame: &TcpFrame) {
-        match &mut self.inner {
-            Inner::Serial(monitor) => monitor.ingest_from(source, frame),
-            Inner::Sharded(engine) => engine.ingest_owned(source, frame.clone()),
-        }
-    }
-
-    /// Ingests one owned frame under a registered source scope without
-    /// a copy on the sharded path.
-    pub fn ingest_owned(&mut self, source: SourceId, frame: TcpFrame) {
-        match &mut self.inner {
-            Inner::Serial(monitor) => monitor.ingest_from(source, &frame),
-            Inner::Sharded(engine) => engine.ingest_owned(source, frame),
-        }
-    }
-
-    /// Advances trace time without a frame, running any due ticks; see
-    /// [`Monitor::advance_to`].
-    pub fn advance_to(&mut self, now: Micros) {
-        match &mut self.inner {
-            Inner::Serial(monitor) => monitor.advance_to(now),
-            Inner::Sharded(engine) => engine.advance_to(now),
-        }
-    }
-
-    /// Notes one capture anomaly a source survived; see
-    /// [`Monitor::note_anomaly_from`].
-    pub fn note_anomaly_from(&mut self, source: SourceId, anomaly: AttributedAnomaly) {
-        match &mut self.inner {
-            Inner::Serial(monitor) => monitor.note_anomaly_from(source, anomaly),
-            Inner::Sharded(engine) => engine.note_anomaly_from(source, anomaly),
-        }
-    }
-
-    /// Notes that a source died mid-watch; see
-    /// [`Monitor::note_source_failure`].
-    pub fn note_source_failure(&mut self, source: SourceId, detail: String) {
-        match &mut self.inner {
-            Inner::Serial(monitor) => monitor.note_source_failure(source, detail),
-            Inner::Sharded(engine) => engine.note_source_failure(source, detail),
-        }
-    }
-
-    /// Notes a transient source outage; see
-    /// [`Monitor::note_source_down`].
-    pub fn note_source_down(&mut self, source: SourceId, detail: String) {
-        match &mut self.inner {
-            Inner::Serial(monitor) => monitor.note_source_down(source, detail),
-            Inner::Sharded(engine) => engine.note_source_down(source, detail),
-        }
-    }
-
-    /// Notes a resurrected source; see [`Monitor::note_source_up`].
-    pub fn note_source_up(&mut self, source: SourceId, attempts: u32) {
-        match &mut self.inner {
-            Inner::Serial(monitor) => monitor.note_source_up(source, attempts),
-            Inner::Sharded(engine) => engine.note_source_up(source, attempts),
-        }
-    }
-
-    /// The configured wall-clock wait between polls while every source
-    /// is pending.
-    pub fn pending_backoff(&self) -> std::time::Duration {
-        match &self.inner {
-            Inner::Serial(monitor) => monitor.pending_backoff(),
-            Inner::Sharded(engine) => engine.pending_backoff,
-        }
-    }
-
-    /// A deterministic fingerprint of the alert engine's hysteresis
-    /// state; see [`AlertEngine::fingerprint`].
-    pub fn alert_fingerprint(&self) -> u64 {
-        match &self.inner {
-            Inner::Serial(monitor) => monitor.alert_fingerprint(),
-            Inner::Sharded(engine) => engine.alerts.fingerprint(),
-        }
-    }
-
-    /// Worker shards quarantined after a panic so far (0 for the
-    /// serial engine).
-    pub fn poisoned_shards(&self) -> usize {
-        match &self.inner {
-            Inner::Serial(_) => 0,
-            Inner::Sharded(engine) => engine
-                .shards
-                .iter()
-                .filter(|s| s.poisoned.is_some())
-                .count(),
-        }
-    }
-
-    /// Capture damage no source could tie to any connection, summed
-    /// across sources.
-    pub fn unattributed_anomalies(&self) -> AnomalyCounts {
-        match &self.inner {
-            Inner::Serial(monitor) => monitor.unattributed_anomalies(),
-            Inner::Sharded(engine) => {
-                let mut total = AnomalyCounts::default();
-                for counts in &engine.unattributed {
-                    total.merge(counts);
-                }
-                total
-            }
-        }
-    }
-
-    /// Open connections across every source scope.
-    pub fn open_connections(&self) -> usize {
-        match &self.inner {
-            Inner::Serial(monitor) => monitor.open_connections(),
-            Inner::Sharded(engine) => engine.lifecycles.iter().map(|t| t.open_connections()).sum(),
-        }
-    }
-
-    /// Takes the events accumulated since the last drain, flushing any
-    /// queued shard work first (a snapshot boundary).
-    pub fn drain_events(&mut self) -> Vec<MonitorEvent> {
-        match &mut self.inner {
-            Inner::Serial(monitor) => monitor.drain_events(),
-            Inner::Sharded(engine) => {
-                engine.flush();
-                std::mem::take(&mut engine.events)
-            }
-        }
-    }
-
-    /// The per-connection analyses as of the last tick, merged across
-    /// shards in (source, tracker-insertion) order — the same rows as
-    /// [`Monitor::snapshot_reports`]. Flushes queued work first.
-    pub fn snapshot_reports(&mut self) -> Vec<(String, String, String)> {
-        match &mut self.inner {
-            Inner::Serial(monitor) => monitor.snapshot_reports(),
-            Inner::Sharded(engine) => engine.snapshot_reports(),
-        }
-    }
-
-    /// Ends the watch: finalizes every still-open connection in every
-    /// scope. The engine is reusable afterwards, fresh.
-    pub fn finish(&mut self) {
-        match &mut self.inner {
-            Inner::Serial(monitor) => monitor.finish(),
-            Inner::Sharded(engine) => engine.finish(),
-        }
-    }
-
-    /// Drives a [`SourceSet`] to exhaustion; see [`Monitor::run_set`].
-    pub fn run_set(&mut self, set: &mut SourceSet) -> Vec<MonitorEvent> {
-        if let Inner::Serial(monitor) = &mut self.inner {
-            return monitor.run_set(set);
-        }
-        let ids: Vec<SourceId> = set
-            .names()
-            .iter()
-            .map(|name| self.register_source(name))
-            .collect();
-        loop {
-            let event = set.poll();
-            for (sid, anomaly) in set.drain_anomalies() {
-                if let Some(&id) = ids.get(sid.index()) {
-                    self.note_anomaly_from(id, anomaly);
-                }
-            }
-            match event {
-                SetEvent::Batch { runs, now } => {
-                    for run in runs {
-                        let Some(&id) = ids.get(run.source.index()) else {
-                            continue;
-                        };
-                        for frame in run.frames {
-                            self.ingest_owned(id, frame);
-                        }
-                    }
-                    if let Some(now) = now {
-                        self.advance_to(now);
-                    }
-                }
-                SetEvent::Pending => std::thread::sleep(self.pending_backoff()),
-                SetEvent::SourceFailed { source, error } => {
-                    if let Some(&id) = ids.get(source.index()) {
-                        self.note_source_failure(id, error);
-                    }
-                }
-                SetEvent::SourceDown { source, error } => {
-                    if let Some(&id) = ids.get(source.index()) {
-                        self.note_source_down(id, error);
-                    }
-                }
-                SetEvent::SourceUp { source, attempts } => {
-                    if let Some(&id) = ids.get(source.index()) {
-                        self.note_source_up(id, attempts);
-                    }
-                }
-                SetEvent::Finished => break,
-            }
-        }
-        self.finish();
-        self.drain_events()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::{Monitor, MonitorConfig, Plane};
     use std::net::Ipv4Addr;
     use tdat_packet::{FrameBuilder, TcpFlags, TcpOption};
 
@@ -1162,12 +676,18 @@ mod tests {
     /// A multi-connection workload long enough for ticks, stalls, and
     /// finalizations.
     fn fleet_frames() -> Vec<TcpFrame> {
+        fleet_frames_of(6, 15)
+    }
+
+    /// `connections` staggered transfers of `exchanges` each,
+    /// interleaved in capture order.
+    fn fleet_frames_of(connections: u8, exchanges: usize) -> Vec<TcpFrame> {
         let mut frames = Vec::new();
-        for i in 0..6u8 {
+        for i in 0..connections {
             frames.extend(transfer_frames_between(
                 Ipv4Addr::new(10, 0, i, 1),
                 Ipv4Addr::new(10, 0, i, 2),
-                15,
+                exchanges,
                 i as i64 * 2_500,
             ));
         }
@@ -1176,7 +696,7 @@ mod tests {
     }
 
     fn run_events(shards: usize) -> (Vec<String>, Vec<(String, String, String)>) {
-        let mut monitor = ShardedMonitor::new(config(60, 10, shards));
+        let mut monitor = Monitor::new(config(60, 10, shards));
         let id = monitor.register_source("capture");
         for frame in fleet_frames() {
             monitor.ingest_owned(id, frame);
@@ -1203,6 +723,39 @@ mod tests {
         }
     }
 
+    /// Ticks and mean tick latency (µs) of a watch whose every tick
+    /// re-analyzes 16 growing transfers: 0.3 s of traffic, a tick every
+    /// 20 ms.
+    fn heavy_ticks(shards: usize) -> (u64, u64) {
+        let mut monitor = Monitor::new(MonitorConfig {
+            interval: Micros::from_millis(20),
+            shards,
+            ..MonitorConfig::default()
+        });
+        let id = monitor.register_source("capture");
+        for frame in fleet_frames_of(16, 200) {
+            monitor.ingest_owned(id, frame);
+        }
+        monitor.finish();
+        let metrics = monitor.metrics();
+        (metrics.ticks(), metrics.analysis_latency().mean_us())
+    }
+
+    #[test]
+    fn tick_latency_includes_the_analysis_done_on_the_shards() {
+        let (serial_ticks, serial_us) = heavy_ticks(1);
+        let (ticks, us) = heavy_ticks(2);
+        assert!(serial_ticks >= 10, "{serial_ticks} ticks");
+        assert_eq!(ticks, serial_ticks);
+        // Wall-clock, so the margin is wide: the same analysis split
+        // two ways should read about the same (0.5–1.5×); timing only
+        // the merge read under a hundredth.
+        assert!(
+            us * 5 >= serial_us,
+            "a tick reads {us} µs on 2 shards, {serial_us} µs inline"
+        );
+    }
+
     #[test]
     fn shard_of_is_direction_symmetric_and_in_range() {
         let a = (Ipv4Addr::new(10, 0, 0, 1), 179u16);
@@ -1213,12 +766,6 @@ mod tests {
             assert_eq!(fwd, rev);
             assert!(fwd < shards);
         }
-    }
-
-    #[test]
-    fn serial_shard_count_is_reported() {
-        assert_eq!(ShardedMonitor::new(config(60, 10, 1)).shards(), 1);
-        assert_eq!(ShardedMonitor::new(config(60, 10, 4)).shards(), 4);
     }
 
     #[test]
@@ -1242,20 +789,19 @@ mod tests {
             "fleet must span more than one shard: {owner:?}"
         );
 
-        let mut monitor = ShardedMonitor::new(config(60, 10, shard_count));
+        let mut monitor = Monitor::new(config(60, 10, shard_count));
         let id = monitor.register_source("capture");
         for frame in fleet_frames() {
             monitor.ingest_owned(id, frame);
         }
         // Arm the hook before the first flush: the victim's very first
         // batch panics, so none of its analysis ever lands.
-        match &mut monitor.inner {
-            Inner::Sharded(engine) => engine.shards[victim].panic_next = true,
-            Inner::Serial(_) => unreachable!("3 shards build the sharded engine"),
+        match &mut monitor.plane {
+            Plane::Lanes(lanes) => lanes.shards[victim].panic_next = true,
+            Plane::Inline(_) => unreachable!("3 shards build the lanes plane"),
         }
         monitor.advance_to(Micros::from_secs(200));
         monitor.finish();
-        assert_eq!(monitor.poisoned_shards(), 1);
         assert_eq!(monitor.metrics().shards_poisoned(), 1);
 
         let mut quarantined = 0;

@@ -4,11 +4,10 @@
 //! takes a directory of *finished* captures (a day of rotated collector
 //! output, a regression corpus) and produces every file's full event
 //! stream in one run. Files are analyzed independently — each gets its
-//! own [`ShardedMonitor`] with a single-source
-//! [`SourceSet`] in static-drain mode — so the work
-//! parallelizes perfectly across worker threads, and the merged report
-//! is simply the per-file streams concatenated in file-name order:
-//! deterministic regardless of worker scheduling.
+//! own [`Monitor`] with a single-source [`SourceSet`] in static-drain
+//! mode — so the work parallelizes perfectly across worker threads,
+//! and the merged report is simply the per-file streams concatenated in
+//! file-name order: deterministic regardless of worker scheduling.
 //!
 //! One unreadable or damaged file fails only its own
 //! [`SweepOutcome`]; the sweep itself keeps going.
@@ -18,9 +17,8 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Duration;
 
-use crate::engine::{MonitorConfig, MonitorEvent};
+use crate::engine::{Monitor, MonitorConfig, MonitorEvent};
 use crate::set::{SourceSet, SourceSpec};
-use crate::shard::ShardedMonitor;
 
 /// The result of sweeping one capture file.
 #[derive(Debug)]
@@ -100,7 +98,7 @@ fn sweep_one(path: &Path, config: &MonitorConfig) -> SweepOutcome {
     let set = SourceSet::builder().source(spec).build();
     let (frames, connections, result) = match set {
         Ok(mut set) => {
-            let mut monitor = ShardedMonitor::new(config.clone());
+            let mut monitor = Monitor::new(config.clone());
             let events = monitor.run_set(&mut set);
             (
                 monitor.metrics().frames(),

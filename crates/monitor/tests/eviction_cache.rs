@@ -5,9 +5,7 @@
 
 use std::net::Ipv4Addr;
 
-use tdat_monitor::{
-    AlertAction, AlertConfig, MonitorConfig, MonitorEvent, ShardedMonitor, TrackerConfig,
-};
+use tdat_monitor::{AlertAction, AlertConfig, Monitor, MonitorConfig, MonitorEvent, TrackerConfig};
 use tdat_packet::{FrameBuilder, TcpFlags, TcpFrame, TcpOption};
 use tdat_timeset::Micros;
 
@@ -87,7 +85,7 @@ fn session_frames(i: usize, t0: i64) -> Vec<TcpFrame> {
 /// Drives 12 staggered stalling sessions through a cap-4 watch and
 /// returns the rendered event stream.
 fn run_eviction_watch(shards: usize) -> Vec<String> {
-    let mut monitor = ShardedMonitor::new(config(shards));
+    let mut monitor = Monitor::new(config(shards));
     let id = monitor.register_source("capture");
     for i in 0..SESSIONS {
         // 15 s apart: each new session finds the tracker full and
@@ -198,7 +196,7 @@ fn sender_flip_between_tick_and_finalize_still_clears_alerts() {
         })
         .build()
         .expect("valid config");
-    let mut monitor = ShardedMonitor::new(config);
+    let mut monitor = Monitor::new(config);
     let id = monitor.register_source("capture");
 
     // Mid-stream capture (no SYN): Y sends the only data early, so the

@@ -7,7 +7,9 @@
 //! Identity is checked at the finest observable granularity:
 //! per-connection snapshot reports after every tick boundary, the full
 //! JSONL event stream, and the finalization summaries — across the
-//! simulator scenario matrix.
+//! simulator scenario matrix, on the inline data plane and on 2 and 4
+//! worker lanes (where `recompute_all` travels inside the context
+//! shipped with every shard).
 
 use tdat_monitor::{Monitor, MonitorConfig, PacketSource, SimSource, SourceEvent};
 use tdat_packet::TcpFrame;
@@ -45,16 +47,24 @@ fn collect(spec: &str, routes: usize) -> (Vec<TcpFrame>, Micros) {
 
 /// Everything one monitor run observes: snapshot reports after each
 /// tick boundary, then the final event stream as JSONL.
+#[derive(PartialEq)]
 struct Observed {
     snapshots: Vec<Vec<(String, String, String)>>,
     events: String,
 }
 
-fn run(frames: &[TcpFrame], end: Micros, interval: Micros, recompute_all: bool) -> Observed {
+fn run(
+    frames: &[TcpFrame],
+    end: Micros,
+    interval: Micros,
+    recompute_all: bool,
+    shards: usize,
+) -> Observed {
     let mut monitor = Monitor::new(MonitorConfig {
         interval,
         window: Micros::from_secs(60),
         recompute_all,
+        shards,
         ..MonitorConfig::default()
     });
     let mut snapshots = Vec::new();
@@ -87,8 +97,8 @@ fn incremental_ticks_match_full_recompute_everywhere() {
         // Scenario durations span 0.2 s to minutes; pick the interval
         // so every run crosses ~10 tick boundaries.
         let interval = Micros((end.0 / 10).max(1));
-        let incremental = run(&frames, end, interval, false);
-        let full = run(&frames, end, interval, true);
+        let incremental = run(&frames, end, interval, false, 1);
+        let full = run(&frames, end, interval, true, 1);
 
         assert!(
             incremental.snapshots.len() >= 5,
@@ -117,5 +127,13 @@ fn incremental_ticks_match_full_recompute_everywhere() {
             incremental.events, full.events,
             "{spec}: event streams diverge"
         );
+        for shards in [2, 4] {
+            for recompute_all in [false, true] {
+                assert!(
+                    run(&frames, end, interval, recompute_all, shards) == incremental,
+                    "{spec}: {shards} lanes (recompute_all = {recompute_all}) diverge from inline"
+                );
+            }
+        }
     }
 }

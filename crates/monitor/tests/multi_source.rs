@@ -1,13 +1,14 @@
 //! Multi-source monitoring end to end: interleaved follow files plus a
 //! simulator tap must merge into a byte-stable, fully-attributed event
 //! stream, and a quarantined source must never suppress alerts on its
-//! siblings.
+//! siblings — on the inline data plane and, byte for byte, on 2 and 4
+//! worker lanes.
 
 use std::net::Ipv4Addr;
 
 use tdat_monitor::{
     AlertAction, AlertKind, AttributedAnomaly, EventSchema, Monitor, MonitorConfig, MonitorEvent,
-    PacketSource, SourceEvent, SourceSet, SourceSpec,
+    PacketSource, SourceEvent, SourceSet, SourceSpec, Step,
 };
 use tdat_packet::{write_pcap_file, CaptureAnomaly, FrameBuilder, TcpFlags, TcpFrame, TcpOption};
 use tdat_tcpsim::scenario::ScenarioOptions;
@@ -78,36 +79,78 @@ fn follow_static(path: &std::path::Path) -> SourceSpec {
         .with_idle_from_open()
 }
 
-/// One full v2 run over two follow files and one sim tap.
-fn run_once(a: &std::path::Path, b: &std::path::Path) -> (String, Vec<MonitorEvent>) {
-    let config = MonitorConfig::builder()
+fn config(shards: usize) -> MonitorConfig {
+    MonitorConfig::builder()
         .window(Micros::from_secs(60))
         .interval(Micros::from_secs(1))
+        .shards(shards)
         .build()
-        .expect("valid config");
+        .expect("valid config")
+}
+
+fn zwbug_tap(config: &MonitorConfig) -> SourceSpec {
     let opts = ScenarioOptions {
         routes: 6_000,
         ..ScenarioOptions::default()
     };
-    let sim = SourceSpec::sim("zwbug", opts, config.interval).expect("known scenario");
-    let mut set = SourceSet::builder()
+    SourceSpec::sim("zwbug", opts, config.interval).expect("known scenario")
+}
+
+/// Two follow files and one sim tap.
+fn fleet_set(a: &std::path::Path, b: &std::path::Path, config: &MonitorConfig) -> SourceSet {
+    SourceSet::builder()
         .source(follow_static(a))
         .source(follow_static(b))
-        .source(sim)
+        .source(zwbug_tap(config))
         .build()
-        .expect("all sources open");
-    let mut monitor = Monitor::new(config);
-    let events = monitor.run_set(&mut set);
+        .expect("all sources open")
+}
+
+fn render(sources: &SourceSet, events: &[MonitorEvent]) -> String {
     let mut out = String::new();
-    if let Some(preamble) = EventSchema::V2.preamble(&set.names()) {
+    if let Some(preamble) = EventSchema::V2.preamble(&sources.names()) {
         out.push_str(&preamble);
         out.push('\n');
     }
-    for event in &events {
+    for event in events {
         out.push_str(&EventSchema::V2.render(event));
         out.push('\n');
     }
-    (out, events)
+    out
+}
+
+/// One full v2 run over [`fleet_set`].
+fn run_once(
+    a: &std::path::Path,
+    b: &std::path::Path,
+    shards: usize,
+) -> (String, Vec<MonitorEvent>) {
+    let config = config(shards);
+    let mut set = fleet_set(a, b, &config);
+    let events = Monitor::new(config).run_set(&mut set);
+    (render(&set, &events), events)
+}
+
+/// The same watch driven one [`Monitor::step`] at a time with a drain
+/// after every step — the CLI's shape, a flush boundary per poll.
+fn run_stepwise(a: &std::path::Path, b: &std::path::Path, shards: usize) -> String {
+    let config = config(shards);
+    let mut set = fleet_set(a, b, &config);
+    let mut monitor = Monitor::new(config);
+    let ids = monitor.register_set(&set);
+    let mut events = Vec::new();
+    loop {
+        let step = monitor.step(&mut set, &ids);
+        events.extend(monitor.drain_events());
+        match step {
+            Step::Finished => break,
+            Step::Pending => std::thread::sleep(monitor.pending_backoff()),
+            Step::Progress | Step::Notice(_) => {}
+        }
+    }
+    monitor.finish();
+    events.extend(monitor.drain_events());
+    render(&set, &events)
 }
 
 #[test]
@@ -137,11 +180,22 @@ fn interleaved_sources_merge_into_a_byte_stable_attributed_stream() {
     )
     .expect("scratch pcap");
 
-    let (first, events) = run_once(&a_path, &b_path);
-    let (second, _) = run_once(&a_path, &b_path);
+    let (first, events) = run_once(&a_path, &b_path, 1);
+    let (second, _) = run_once(&a_path, &b_path, 1);
+    let sharded = [2, 4].map(|shards| run_once(&a_path, &b_path, shards).0);
+    let stepwise = [1, 2].map(|shards| run_stepwise(&a_path, &b_path, shards));
     let _ = std::fs::remove_file(&a_path);
     let _ = std::fs::remove_file(&b_path);
     assert_eq!(first, second, "merged stream must be byte-stable");
+    for stream in &sharded {
+        assert_eq!(stream, &first, "worker lanes must not change the stream");
+    }
+    for stream in &stepwise {
+        assert_eq!(
+            stream, &first,
+            "per-step drains must concatenate to run_set"
+        );
+    }
 
     // The preamble names every source, in registration order.
     let mut lines = first.lines();
@@ -213,13 +267,9 @@ impl PacketSource for Poisoned {
     }
 }
 
-#[test]
-fn a_quarantined_source_never_suppresses_its_siblings_alerts() {
-    let config = MonitorConfig::builder()
-        .window(Micros::from_secs(60))
-        .interval(Micros::from_secs(1))
-        .build()
-        .expect("valid config");
+/// A poisoned custom source next to a healthy sim tap.
+fn quarantined_watch(shards: usize) -> Vec<MonitorEvent> {
+    let config = config(shards);
     let frames = transfer(
         Ipv4Addr::new(10, 7, 0, 1),
         Ipv4Addr::new(10, 7, 0, 2),
@@ -241,18 +291,24 @@ fn a_quarantined_source_never_suppresses_its_siblings_alerts() {
         frames: Some(frames),
         anomalies,
     };
-    let opts = ScenarioOptions {
-        routes: 6_000,
-        ..ScenarioOptions::default()
-    };
-    let sim = SourceSpec::sim("zwbug", opts, config.interval).expect("known scenario");
     let mut set = SourceSet::builder()
         .custom("poisoned", Box::new(poisoned))
-        .source(sim)
+        .source(zwbug_tap(&config))
         .build()
         .expect("sources open");
-    let mut monitor = Monitor::new(config);
-    let events = monitor.run_set(&mut set);
+    Monitor::new(config).run_set(&mut set)
+}
+
+#[test]
+fn a_quarantined_source_never_suppresses_its_siblings_alerts() {
+    let events = quarantined_watch(1);
+    for shards in [2, 4] {
+        assert_eq!(
+            quarantined_watch(shards),
+            events,
+            "{shards} worker lanes must not change the stream"
+        );
+    }
 
     // The sibling's injected bug still raises, on the sim tap.
     let raised_on_sim: Vec<AlertKind> = events

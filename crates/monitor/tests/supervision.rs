@@ -2,14 +2,18 @@
 //! under an injected fault must resurrect (byte-deterministically, for
 //! a fixed fault schedule) without disturbing its healthy sibling; a
 //! source whose outage outlives the retry budget must fail terminally
-//! without killing the watch; and a watch restarted with `--resume`
-//! must append exactly the lines the crashed incarnation never wrote.
+//! without killing the watch — each byte-identically on the inline data
+//! plane and on 2 and 4 worker lanes; and a watch restarted with
+//! `--resume` must append exactly the lines the crashed incarnation
+//! never wrote.
 
 use std::net::Ipv4Addr;
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 
-use tdat_monitor::{EventSchema, Monitor, MonitorConfig, MonitorEvent, SourceSet, SourceSpec};
+use tdat_monitor::{
+    EventSchema, Monitor, MonitorConfig, MonitorEvent, MonitorMetrics, SourceSet, SourceSpec,
+};
 use tdat_packet::{write_pcap_file, FrameBuilder, TcpFlags, TcpFrame, TcpOption};
 use tdat_timeset::faultpoint::FaultPlan;
 use tdat_timeset::Micros;
@@ -78,18 +82,29 @@ fn follow_static(path: &Path) -> SourceSpec {
         .with_idle_from_open()
 }
 
-fn config() -> MonitorConfig {
+fn config(shards: usize) -> MonitorConfig {
     MonitorConfig::builder()
         .window(Micros::from_secs(60))
         .interval(Micros::from_secs(1))
         .pending_backoff(Duration::from_millis(1))
+        .shards(shards)
         .build()
         .expect("valid config")
 }
 
+/// What one supervised watch produced.
+struct Watch {
+    /// The v2 stream.
+    stream: String,
+    events: Vec<MonitorEvent>,
+    /// Sources the set declared terminally failed.
+    failed: usize,
+    metrics: MonitorMetrics,
+}
+
 /// One two-source watch over static files `a`/`b` named "a"/"b", with
-/// an optional fault schedule, rendered as the v2 stream.
-fn watch(a: &Path, b: &Path, faults: Option<&str>) -> (String, Vec<MonitorEvent>) {
+/// an optional fault schedule and a reopen budget of `retries`.
+fn watch(a: &Path, b: &Path, faults: Option<&str>, retries: u32, shards: usize) -> Watch {
     let plan = match faults {
         Some(spec) => FaultPlan::parse(spec, 7).expect("spec parses"),
         None => FaultPlan::disabled(),
@@ -97,18 +112,23 @@ fn watch(a: &Path, b: &Path, faults: Option<&str>) -> (String, Vec<MonitorEvent>
     let mut set = SourceSet::builder()
         .named("a", follow_static(a))
         .named("b", follow_static(b))
-        .retry(3, Duration::from_millis(1))
+        .retry(retries, Duration::from_millis(1))
         .faults(plan)
         .build()
         .expect("sources open");
-    let mut monitor = Monitor::new(config());
+    let mut monitor = Monitor::new(config(shards));
     let events = monitor.run_set(&mut set);
-    let mut out = String::new();
+    let mut stream = String::new();
     for event in &events {
-        out.push_str(&EventSchema::V2.render(event));
-        out.push('\n');
+        stream.push_str(&EventSchema::V2.render(event));
+        stream.push('\n');
     }
-    (out, events)
+    Watch {
+        stream,
+        events,
+        failed: set.failures().len(),
+        metrics: monitor.metrics().clone(),
+    }
 }
 
 fn source_of(event: &MonitorEvent) -> &str {
@@ -153,16 +173,27 @@ fn a_flapping_source_resurrects_deterministically_without_disturbing_its_sibling
     // set reopens it after the 1 ms backoff and resumes at the released
     // watermark, replaying nothing into the merge.
     let schedule = "source.poll:b@hit=2";
-    let (first, events) = watch(&a_path, &b_path, Some(schedule));
-    let (second, _) = watch(&a_path, &b_path, Some(schedule));
-    let (baseline, baseline_events) = watch(&a_path, &b_path, None);
+    let first = watch(&a_path, &b_path, Some(schedule), 3, 1);
+    let second = watch(&a_path, &b_path, Some(schedule), 3, 1);
+    let baseline = watch(&a_path, &b_path, None, 3, 1);
+    let sharded = [2, 4].map(|shards| {
+        (
+            watch(&a_path, &b_path, Some(schedule), 3, shards).stream,
+            watch(&a_path, &b_path, None, 3, shards).stream,
+        )
+    });
     let _ = std::fs::remove_file(&a_path);
     let _ = std::fs::remove_file(&b_path);
 
     assert_eq!(
-        first, second,
+        first.stream, second.stream,
         "a fixed fault schedule must replay byte-identically"
     );
+    for (flapped, clean) in &sharded {
+        assert_eq!(flapped, &first.stream, "worker lanes changed the flap");
+        assert_eq!(clean, &baseline.stream, "worker lanes changed the baseline");
+    }
+    let (events, baseline_events) = (&first.events, &baseline.events);
 
     // The outage surfaces as a paired down/up on b, in that order.
     let lifecycle: Vec<(&str, &str)> = events
@@ -195,7 +226,7 @@ fn a_flapping_source_resurrects_deterministically_without_disturbing_its_sibling
         .iter()
         .map(|e| EventSchema::V2.render(e))
         .collect();
-    assert_eq!(stripped, expected, "baseline:\n{baseline}");
+    assert_eq!(stripped, expected, "baseline:\n{}", baseline.stream);
     assert!(
         baseline_events.iter().any(|e| source_of(e) == "a"),
         "the healthy source produced events at all"
@@ -208,21 +239,22 @@ fn an_outage_that_outlives_the_retry_budget_fails_terminally_not_fatally() {
     let b_path = scratch("budget-b.pcap");
     write_fleet(&a_path, &b_path);
 
-    let plan = FaultPlan::parse("source.poll:b@always", 7).expect("spec parses");
-    let mut set = SourceSet::builder()
-        .named("a", follow_static(&a_path))
-        .named("b", follow_static(&b_path))
-        .retry(2, Duration::from_millis(1))
-        .faults(plan)
-        .build()
-        .expect("sources open");
-    let mut monitor = Monitor::new(config());
-    let events = monitor.run_set(&mut set);
+    let outage = "source.poll:b@always";
+    let Watch {
+        stream,
+        events,
+        failed,
+        metrics,
+    } = watch(&a_path, &b_path, Some(outage), 2, 1);
+    let sharded = [2, 4].map(|shards| watch(&a_path, &b_path, Some(outage), 2, shards).stream);
     let _ = std::fs::remove_file(&a_path);
     let _ = std::fs::remove_file(&b_path);
+    for other in &sharded {
+        assert_eq!(other, &stream, "worker lanes changed the outage");
+    }
 
     // b burned its whole budget and was declared terminally failed...
-    assert_eq!(set.failures().len(), 1);
+    assert_eq!(failed, 1);
     let gave_up = events.iter().any(|e| match e {
         MonitorEvent::SourceDown(d) => {
             d.source.as_ref() == "b" && d.detail.contains("gave up after 2 reopen attempts")
@@ -235,7 +267,7 @@ fn an_outage_that_outlives_the_retry_budget_fails_terminally_not_fatally() {
         e,
         MonitorEvent::Connection(c) if c.source.as_ref() == "a"
     )));
-    assert_eq!(monitor.metrics().source_failures(), 1);
+    assert_eq!(metrics.source_failures(), 1);
 }
 
 /// Drives the real binary: a full uninterrupted run, then a simulated
