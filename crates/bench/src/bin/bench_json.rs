@@ -1,228 +1,78 @@
-//! Machine-readable hot-path benchmark runner.
+//! Report-store timing rows, machine-readable.
 //!
-//! Times the `tdat_bench::hotpath` workloads (the same code the
-//! `hot_path` criterion bench exercises) and writes a `BENCH_*.json`
-//! file CI can diff against a checked-in baseline:
+//! The store is outside the repository benchmark's scope
+//! (`benchmark/README.md`, "Layers"), so its three rows live here:
+//! sealing a 10k-session synthetic corpus into columnar segments, and
+//! rollup / filtered-scan query latency against the sealed snapshot.
 //!
 //! ```text
-//! cargo run -p tdat-bench --release --bin bench-json -- --out BENCH_pr.json
-//! cargo run -p tdat-bench --release --bin bench-json -- \
-//!     --out BENCH_pr.json --baseline bench_results/BENCH_baseline.json --max-ratio 2.0
+//! cargo run -p tdat-bench --release --bin bench-json -- --out BENCH_store.json
 //! ```
 //!
-//! With `--baseline`, any workload whose median exceeds
-//! `max-ratio × baseline` fails the run (exit code 1). Benches missing
-//! from the baseline are warned about — and fail the run under
-//! `--strict`, so a stale baseline cannot silently stop gating new
-//! workloads. `--quick` cuts the sample count (and skips the 100k
-//! fleet benches) for CI smoke use. The JSON schema is documented in
-//! `EXPERIMENTS.md`.
+//! `--quick` takes 3 samples in place of 7. The rows are recorded, not
+//! gated: the exit status says only whether the run completed. Every
+//! speed number for the capture path comes from the command in
+//! `BENCHMARK.json`. The JSON schema is documented in `EXPERIMENTS.md`.
 
-use std::time::Instant;
-
-use tdat_bench::hotpath::{
-    batch_analyze, batch_sharded, block_decode, decode_owned, decode_views, interleaved_pcap,
-    mmap_read, FleetScenario, MonitorScenario, StageInputs,
-};
-use tdat_timeset::SpanScratch;
+use std::time::{Duration, Instant};
 
 const SCHEMA: &str = "tdat-bench-json/1";
 
-struct Options {
-    out: String,
-    baseline: Option<String>,
-    max_ratio: f64,
-    samples: usize,
-    quick: bool,
-    strict: bool,
-}
-
-fn parse_args() -> Options {
-    let mut opts = Options {
-        out: "BENCH_pr.json".to_string(),
-        baseline: None,
-        max_ratio: 2.0,
-        samples: 7,
-        quick: false,
-        strict: false,
-    };
+/// Returns the output path and the sample count.
+fn parse_args() -> (String, usize) {
+    let mut out = "BENCH_pr.json".to_string();
+    let mut samples = 7;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--out" => opts.out = args.next().expect("--out takes a path"),
-            "--baseline" => opts.baseline = Some(args.next().expect("--baseline takes a path")),
-            "--max-ratio" => {
-                opts.max_ratio = args
-                    .next()
-                    .expect("--max-ratio takes a number")
-                    .parse()
-                    .expect("--max-ratio takes a number")
-            }
-            "--quick" => {
-                opts.samples = 3;
-                opts.quick = true;
-            }
-            "--strict" => opts.strict = true,
+            "--out" => out = args.next().expect("--out takes a path"),
+            "--quick" => samples = 3,
             other => {
                 eprintln!("unknown argument: {other}");
                 std::process::exit(2);
             }
         }
     }
-    opts
+    (out, samples)
 }
 
-/// Runs `work` once as warm-up, then `samples` timed runs; returns the
-/// median duration in nanoseconds.
-fn measure(samples: usize, mut work: impl FnMut()) -> u64 {
-    measure_durations(samples, || {
-        let start = Instant::now();
-        work();
-        start.elapsed()
-    })
-}
-
-/// Like [`measure`], for workloads that clock a sub-section themselves
-/// (the monitor steady-phase runs, whose setup must stay off the
-/// clock). Returns the median of the reported durations in ns.
-fn measure_durations(samples: usize, mut work: impl FnMut() -> std::time::Duration) -> u64 {
+/// Runs `work` once as warm-up, then `samples` times; returns the
+/// median of the durations it reports, in nanoseconds. `work` clocks
+/// its own timed section so setup stays off the clock.
+fn measure(samples: usize, mut work: impl FnMut() -> Duration) -> u64 {
     work();
     let mut times: Vec<u64> = (0..samples).map(|_| work().as_nanos() as u64).collect();
     times.sort_unstable();
     times[times.len() / 2]
 }
 
-/// Extracts `benches.<name>.median_ns` from a parsed `BENCH_*.json`
-/// file (the canonical suite JSON, parsed with [`tdat::json`]).
-fn baseline_median(baseline: &tdat::json::JsonValue, name: &str) -> Option<u64> {
-    baseline
-        .get("benches")?
-        .get(name)?
-        .get("median_ns")?
-        .as_u64()
-}
-
 fn main() {
-    let opts = parse_args();
+    let (out, samples) = parse_args();
 
-    eprintln!("preparing corpora...");
-    let (pcap, wire_bytes) = interleaved_pcap(8_000);
-    // The mmap and sharded-batch workloads read the same capture
-    // through the filesystem, as the CLI does.
-    let pcap_path =
-        std::env::temp_dir().join(format!("tdat-bench-capture-{}.pcap", std::process::id()));
-    std::fs::write(&pcap_path, &pcap).expect("write bench capture");
-    let stages = StageInputs::prepare();
-    let mut scratch = SpanScratch::new();
-    let analyzer = tdat::Analyzer::default();
-    let monitor_alone = MonitorScenario::prepare(0);
-    let monitor_crowded = MonitorScenario::prepare(500);
-
-    let mut results: Vec<(&str, u64)> = Vec::new();
-    let mut run = |name: &'static str, work: &mut dyn FnMut()| {
-        let median = measure(opts.samples, &mut *work);
-        eprintln!("{name:<40} {:>12.3} ms", median as f64 / 1e6);
-        results.push((name, median));
-    };
-
-    run("decode_views", &mut || {
-        std::hint::black_box(decode_views(&pcap));
-    });
-    run("decode_owned", &mut || {
-        std::hint::black_box(decode_owned(&pcap));
-    });
-    run("series_only", &mut || {
-        std::hint::black_box(stages.series_only(&mut scratch));
-    });
-    run("factors_only", &mut || {
-        std::hint::black_box(stages.factors_only(&mut scratch));
-    });
-    run("mmap_read", &mut || {
-        std::hint::black_box(mmap_read(&pcap_path));
-    });
-    run("block_decode", &mut || {
-        std::hint::black_box(block_decode(&pcap_path));
-    });
-    run("batch_read_all", &mut || {
-        std::hint::black_box(batch_analyze(&analyzer, &pcap));
-    });
-    // The partitioned batch engine over the same capture file: serial
-    // streaming driver vs. 2 and 4 persistent worker lanes. On one
-    // core the shard variants measure partition-and-merge overhead
-    // (acceptance: ≤1.1x of serial); with spare cores they scale.
-    run("batch_sharded_0", &mut || {
-        std::hint::black_box(batch_sharded(&pcap_path, 0));
-    });
-    run("batch_sharded_2", &mut || {
-        std::hint::black_box(batch_sharded(&pcap_path, 2));
-    });
-    run("batch_sharded_4", &mut || {
-        std::hint::black_box(batch_sharded(&pcap_path, 4));
-    });
-    run("monitor_ticks_1_active_0_idle", &mut || {
-        std::hint::black_box(monitor_alone.run(false));
-    });
-    run("monitor_ticks_1_active_500_idle", &mut || {
-        std::hint::black_box(monitor_crowded.run(false));
-    });
-    let mut run_steady = |name: &'static str, scenario: &MonitorScenario| {
-        let median = measure_durations(opts.samples, || scenario.run_steady(false));
-        eprintln!("{name:<40} {:>12.3} ms", median as f64 / 1e6);
-        results.push((name, median));
-    };
-    run_steady("monitor_steady_1_active_0_idle", &monitor_alone);
-    run_steady("monitor_steady_1_active_500_idle", &monitor_crowded);
-
-    // Fleet-scale scaling workloads for the sharded engine: every
-    // active session exchanges data at every tick, so steady-tick cost
-    // is dominated by per-connection re-analysis — the work sharding
-    // divides. On a multi-core host the 4-shard variant should run
-    // near-linearly faster; on one core it measures the routing
-    // overhead instead.
-    eprintln!("preparing fleet corpora...");
-    let mut run_fleet = |name: &'static str, scenario: &FleetScenario, shards: usize| {
-        let median = measure_durations(opts.samples, || scenario.run_steady(shards));
-        eprintln!("{name:<40} {:>12.3} ms", median as f64 / 1e6);
-        results.push((name, median));
-    };
-    let fleet_10k = FleetScenario::prepare(10_000, 10_000);
-    run_fleet("monitor_steady_10k", &fleet_10k, 1);
-    run_fleet("monitor_steady_10k_4shards", &fleet_10k, 4);
-    drop(fleet_10k);
-    if opts.quick {
-        eprintln!("monitor_steady_100k* skipped under --quick");
-    } else {
-        let fleet_100k = FleetScenario::prepare(100_000, 10_000);
-        run_fleet("monitor_steady_100k", &fleet_100k, 1);
-        run_fleet("monitor_steady_100k_4shards", &fleet_100k, 4);
-    }
-
-    // Report-store workloads: sealing a 10k-session synthetic corpus
-    // into columnar segments, and rollup / filtered-scan query latency
-    // against the sealed snapshot. Corpus generation and store setup
-    // stay off the clock.
+    // Corpus generation and store setup stay off the clock.
     let store_dir = std::env::temp_dir().join(format!("tdat-bench-store-{}", std::process::id()));
+    let ingest_dir =
+        std::env::temp_dir().join(format!("tdat-bench-store-ingest-{}", std::process::id()));
     let corpus = tdat_store::synth::synth_records(10_000, 1);
-    let query_store = {
-        std::fs::remove_dir_all(&store_dir).ok();
-        let store = tdat_store::Store::create(&store_dir).expect("create bench store");
-        store.ingest(corpus.clone()).expect("seal bench corpus");
-        store
-    };
+    std::fs::remove_dir_all(&store_dir).ok();
+    let query_store = tdat_store::Store::create(&store_dir).expect("create bench store");
+    query_store
+        .ingest(corpus.clone())
+        .expect("seal bench corpus");
     let snapshot = query_store.snapshot();
     let rollup =
         tdat_store::Query::parse("group by peer_as,bucket bucket 1h agg count,mean_duration_s")
             .expect("rollup query parses");
     let scan = tdat_store::Query::parse("where verdict = quarantined order by duration_s desc")
         .expect("scan query parses");
-    let ingest_dir =
-        std::env::temp_dir().join(format!("tdat-bench-store-ingest-{}", std::process::id()));
-    let mut run_timed = |name: &'static str, work: &mut dyn FnMut() -> std::time::Duration| {
-        let median = measure_durations(opts.samples, &mut *work);
-        eprintln!("{name:<40} {:>12.3} ms", median as f64 / 1e6);
+
+    let mut results: Vec<(&str, u64)> = Vec::new();
+    let mut run = |name: &'static str, work: &mut dyn FnMut() -> Duration| {
+        let median = measure(samples, work);
+        eprintln!("{name:<28} {:>10.3} ms", median as f64 / 1e6);
         results.push((name, median));
     };
-    run_timed("store_ingest_10k", &mut || {
+    run("store_ingest_10k", &mut || {
         std::fs::remove_dir_all(&ingest_dir).ok();
         let store = tdat_store::Store::create(&ingest_dir).expect("create bench store");
         let records = corpus.clone();
@@ -230,50 +80,23 @@ fn main() {
         store.ingest(records).expect("seal bench corpus");
         start.elapsed()
     });
-    run_timed("store_query_rollup_10k", &mut || {
+    run("store_query_rollup_10k", &mut || {
         let start = Instant::now();
         std::hint::black_box(rollup.run(&snapshot));
         start.elapsed()
     });
-    run_timed("store_query_scan_10k", &mut || {
+    run("store_query_scan_10k", &mut || {
         let start = Instant::now();
         std::hint::black_box(scan.run(&snapshot));
         start.elapsed()
     });
     std::fs::remove_dir_all(&store_dir).ok();
     std::fs::remove_dir_all(&ingest_dir).ok();
-    std::fs::remove_file(&pcap_path).ok();
 
-    let lookup = |name: &str| {
-        results
-            .iter()
-            .find(|(n, _)| *n == name)
-            .map(|&(_, ns)| ns as f64)
-            .unwrap_or(f64::NAN)
-    };
-    eprintln!(
-        "derived: decode zero-copy speedup {:.2}x, monitor 500-idle/0-idle ratio {:.2}x, \
-         decode_views {:.3} GiB/s",
-        lookup("decode_owned") / lookup("decode_views"),
-        lookup("monitor_steady_1_active_500_idle") / lookup("monitor_steady_1_active_0_idle"),
-        wire_bytes as f64 / lookup("decode_views") * 1e9 / (1024.0 * 1024.0 * 1024.0),
+    let mut json = format!(
+        "{{\n  \"schema\": \"{}\",\n  \"samples\": {samples},\n  \"benches\": {{\n",
+        tdat::json::escape(SCHEMA)
     );
-    eprintln!(
-        "derived: mmap/buffered view ratio {:.2}x, block/mmap ratio {:.2}x, \
-         sharded-2/serial {:.2}x, sharded-4/serial {:.2}x, block_decode {:.3} GiB/s",
-        lookup("mmap_read") / lookup("decode_views"),
-        lookup("block_decode") / lookup("mmap_read"),
-        lookup("batch_sharded_2") / lookup("batch_sharded_0"),
-        lookup("batch_sharded_4") / lookup("batch_sharded_0"),
-        wire_bytes as f64 / lookup("block_decode") * 1e9 / (1024.0 * 1024.0 * 1024.0),
-    );
-
-    let mut json = String::new();
-    json.push_str(&format!(
-        "{{\n  \"schema\": \"{}\",\n  \"samples\": {},\n  \"benches\": {{\n",
-        tdat::json::escape(SCHEMA),
-        opts.samples
-    ));
     for (i, (name, ns)) in results.iter().enumerate() {
         let comma = if i + 1 < results.len() { "," } else { "" };
         json.push_str(&format!(
@@ -282,58 +105,6 @@ fn main() {
         ));
     }
     json.push_str("  }\n}\n");
-    std::fs::write(&opts.out, &json).expect("write results json");
-    eprintln!("wrote {}", opts.out);
-
-    let Some(baseline_path) = opts.baseline else {
-        return;
-    };
-    let baseline = std::fs::read_to_string(&baseline_path).expect("read baseline json");
-    let baseline = tdat::json::parse(&baseline).expect("baseline is valid suite JSON");
-    let mut failed = false;
-    let mut uncovered: Vec<&str> = Vec::new();
-    for (name, ns) in &results {
-        match baseline_median(&baseline, name) {
-            Some(base) => {
-                let ratio = *ns as f64 / base as f64;
-                let verdict = if ratio > opts.max_ratio {
-                    failed = true;
-                    "REGRESSION"
-                } else {
-                    "ok"
-                };
-                eprintln!(
-                    "{name:<40} {:>9.3} ms vs baseline {:>9.3} ms  ({ratio:.2}x)  {verdict}",
-                    *ns as f64 / 1e6,
-                    base as f64 / 1e6
-                );
-            }
-            None => {
-                eprintln!("{name:<40} not in baseline (new bench), ungated");
-                uncovered.push(name);
-            }
-        }
-    }
-    if !uncovered.is_empty() {
-        eprintln!(
-            "WARNING: {} workload(s) not covered by the baseline: {}",
-            uncovered.len(),
-            uncovered.join(", ")
-        );
-        if opts.strict {
-            eprintln!("FAIL (--strict): refresh {baseline_path} to cover every workload");
-            std::process::exit(1);
-        }
-    }
-    if failed {
-        eprintln!(
-            "FAIL: at least one workload regressed more than {:.1}x vs {baseline_path}",
-            opts.max_ratio
-        );
-        std::process::exit(1);
-    }
-    eprintln!(
-        "all workloads within {:.1}x of {baseline_path}",
-        opts.max_ratio
-    );
+    std::fs::write(&out, &json).expect("write results json");
+    eprintln!("wrote {out}");
 }

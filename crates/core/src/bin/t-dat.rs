@@ -59,6 +59,10 @@ fn main() -> ExitCode {
                 eprintln!("{USAGE}");
                 return ExitCode::SUCCESS;
             }
+            other if other.starts_with('-') => {
+                eprintln!("unknown flag {other:?}\n{USAGE}");
+                return ExitCode::from(2);
+            }
             other if path.is_none() => path = Some(other.to_string()),
             other => {
                 eprintln!("unexpected argument {other:?}");
@@ -118,7 +122,8 @@ fn main() -> ExitCode {
     {
         for incident in incidents {
             println!(
-                "WARNING: connection {blocked} paused {} while connection {faulty} was failing                  (peer-group blocking signature)",
+                "WARNING: connection {blocked} paused {} while connection {faulty} was failing \
+                 (peer-group blocking signature)",
                 incident.pause.duration()
             );
         }
@@ -170,7 +175,8 @@ fn main() -> ExitCode {
         }
         if let Some(race) = analysis.delayed_ack_interaction() {
             println!(
-                "  WARNING: {} spurious retransmission(s) outside loss episodes                  (delayed-ACK / RTO race)",
+                "  WARNING: {} spurious retransmission(s) outside loss episodes \
+                 (delayed-ACK / RTO race)",
                 race.count
             );
         }

@@ -58,15 +58,17 @@
 //! clipping, IPv4 and TCP checksums) is classified by the shared
 //! [`LossyDecoder`].
 //!
-//! **Shrink checks and fault points.** [`MmapReader`] `fstat`s before
-//! every [`next_view`](MmapReader::next_view) and once per
+//! **Shrink checks and fault points.** [`MmapReader`] `fstat`s once per
 //! [`next_views_into`](MmapReader::next_views_into) block, before any
 //! mapped page is touched; [`PcapFollower`] checks at every refill,
 //! and the error is sticky. Both report
-//! [`PacketError::SourceTruncated`]. The follower's `follow.read` and
-//! `follow.short_read` fault points are evaluated once per
-//! [`poll_lossy`](PcapFollower::poll_lossy) call, before anything
-//! else.
+//! [`PacketError::SourceTruncated`]. A decode error that lands inside a
+//! partly filled block is held back to the next call, so the block
+//! reader yields the same frames and errors, in the same order, as
+//! looping [`PcapReader::next_view`] over the same bytes. The
+//! follower's `follow.read` and `follow.short_read` fault points are
+//! evaluated once per [`poll_lossy`](PcapFollower::poll_lossy) call,
+//! before anything else.
 //!
 //! # Examples
 //!

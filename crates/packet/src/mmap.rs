@@ -19,10 +19,10 @@
 //!
 //! A mapped file that another process shrinks turns the mapped tail
 //! into a `SIGBUS` trap. The reader therefore re-checks the on-disk
-//! length (one `fstat`, no page touched) before reading — per call for
-//! [`next_view`](MmapReader::next_view), once per block for
-//! [`next_views_into`](MmapReader::next_views_into) — and surfaces a
-//! shrink as [`PacketError::SourceTruncated`], the same typed error
+//! length (one `fstat`, no page touched) before reading — once per
+//! block, at the top of [`next_views_into`](MmapReader::next_views_into)
+//! — and surfaces a shrink as [`PacketError::SourceTruncated`], the
+//! same typed error
 //! [`PcapFollower`](crate::PcapFollower) reports when a followed
 //! capture is rotated under it: never UB, never a panic. The check is
 //! inherently best-effort (a shrink can land between the check and the
@@ -194,40 +194,22 @@ impl MmapReader {
         self.shrink_check()
     }
 
-    /// Reads the next record and parses it as a zero-copy
-    /// [`FrameView`] borrowing the mapping. The per-record path; for
-    /// bulk decode prefer [`next_views_into`](MmapReader::next_views_into),
-    /// which amortizes the record walk and the shrink check over a
-    /// whole block.
-    ///
-    /// # Errors
-    ///
-    /// Same failure modes as [`PcapReader::next_view`](crate::PcapReader::next_view), plus
-    /// [`PacketError::SourceTruncated`] when the mapped file shrank.
-    pub fn next_view(&mut self) -> Result<Option<FrameView<'_>>> {
-        self.begin_read()?;
-        match self.walker.next_strict(&mut self.src)? {
-            Some(record) => {
-                let (_, wire) = self.src.behind(record.body_len);
-                FrameView::parse(record.timestamp, wire).map(Some)
-            }
-            None => Ok(None),
-        }
-    }
-
     /// Decodes up to a block's worth of frames in one call, reusing
     /// `block`'s slots (and their option-vector capacity). Returns the
     /// decoded views; an empty result means a clean end of file.
     ///
-    /// The source-shrink check runs once per block instead of once per
+    /// The source-shrink check runs once per block, not once per
     /// frame. A decode error inside a partially filled block is held
-    /// back and returned by the *next* call, so the error sequence a
-    /// consumer observes is identical to looping
-    /// [`next_view`](MmapReader::next_view).
+    /// back and returned by the *next* call, so a consumer sees the
+    /// same frames and errors in the same order as looping
+    /// [`PcapReader::next_view`](crate::PcapReader::next_view) over the
+    /// same bytes.
     ///
     /// # Errors
     ///
-    /// Same failure modes as [`next_view`](MmapReader::next_view).
+    /// Same failure modes as
+    /// [`PcapReader::next_view`](crate::PcapReader::next_view), plus
+    /// [`PacketError::SourceTruncated`] when the mapped file shrank.
     pub fn next_views_into<'r>(&'r mut self, block: &'r mut FrameBlock) -> Result<BlockViews<'r>> {
         block.len = 0;
         self.begin_read()?;
@@ -511,19 +493,8 @@ mod tests {
     fn from_vec_matches_buffered_reader() {
         let pcap = capture(200);
         let expect = PcapReader::new(&pcap[..]).unwrap().read_all().unwrap();
-        let got = MmapReader::from_vec(pcap.clone())
-            .unwrap()
-            .read_all()
-            .unwrap();
+        let got = MmapReader::from_vec(pcap).unwrap().read_all().unwrap();
         assert_eq!(got, expect);
-
-        // Per-record path agrees too.
-        let mut reader = MmapReader::from_vec(pcap).unwrap();
-        let mut singles = Vec::new();
-        while let Some(view) = reader.next_view().unwrap() {
-            singles.push(view.to_frame());
-        }
-        assert_eq!(singles, expect);
     }
 
     #[test]
@@ -637,10 +608,6 @@ mod tests {
             other => panic!("expected SourceTruncated, got {other:?}"),
         }
         assert!(err.is_transient());
-
-        // The per-record path reports the same condition.
-        let err = reader.next_view().unwrap_err();
-        assert!(matches!(err, PacketError::SourceTruncated { .. }));
 
         std::fs::remove_file(&path).ok();
     }
