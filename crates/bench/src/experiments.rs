@@ -293,7 +293,10 @@ pub fn table3() -> String {
     // delay is arrival − episode start (they were all queued when the
     // loss began).
     let conns = tdat_trace::extract_connections(&transfer.frames);
-    let extraction = tdat_pcap2bgp::extract_from_frames(&conns[0], &transfer.frames);
+    // The table prints AS paths, so this is one of the few places that
+    // keeps whole messages.
+    let extraction =
+        tdat_pcap2bgp::extract_from_frames::<tdat_bgp::WholeMessages>(&conns[0], &transfer.frames);
     let window = Span::new(episode.span.start, episode.span.end + Micros::from_secs(1));
     let in_window: Vec<_> = extraction
         .messages

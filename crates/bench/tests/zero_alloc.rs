@@ -2,8 +2,10 @@
 //! frame**: `next_view` borrows every frame from the reader's window
 //! and `next_views_into` from the mapping, across refills — no `Vec`
 //! per payload, no per-frame header boxes. The same counter pins the
-//! monitor's incremental tick: an idle connection costs a steady tick
-//! (next to) nothing.
+//! monitor's incremental tick (an idle connection costs a steady tick
+//! next to nothing) and the capture path's reassembly: a whole batch
+//! pass allocates a couple of times per frame, not once per path
+//! attribute, and a flow that is not BGP costs no allocation at all.
 //!
 //! The counting allocator lives here because the packet crate itself
 //! (rightly) forbids `unsafe`; an integration test is its own crate,
@@ -13,12 +15,14 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::net::Ipv4Addr;
 
+use tdat::StreamAnalyzer;
 use tdat_bench::{generate_transfer, Dataset, Scenario};
 use tdat_monitor::{Monitor, MonitorConfig};
 use tdat_packet::{
     FrameBlock, FrameBuilder, FrameLike, MmapReader, PcapReader, PcapWriter, TcpFlags, TcpFrame,
     TcpOption,
 };
+use tdat_pcap2bgp::{extract_all, StreamExtractor};
 use tdat_timeset::Micros;
 
 struct CountingAllocator;
@@ -335,11 +339,11 @@ fn steady_tick_allocations(idle: usize, recompute_all: bool) -> u64 {
 /// "Tick cost tracks new traffic, not open connections", as a count:
 /// 500 open-but-idle sessions may add at most `PER_IDLE_PER_TICK`
 /// allocations each to a steady tick. Measured (debug and release,
-/// repeating exactly): 47 633 allocations over the 16 steady ticks with
-/// the transfer alone, 55 761 with 500 idle sessions beside it — 8 128
+/// repeating exactly): 1 011 allocations over the 16 steady ticks with
+/// the transfer alone, 9 139 with 500 idle sessions beside it — 8 128
 /// more, 1.02 per idle session per tick, the peer-group correlation's
 /// one bucket per sender. Re-analysing every open connection instead
-/// (`recompute_all`) makes 594 681, 68 per idle session per tick; that
+/// (`recompute_all`) makes 428 035, 53 per idle session per tick; that
 /// run guards the test itself — if idle sessions stopped being open,
 /// or the counter stopped seeing the tick, it would fail first.
 #[test]
@@ -362,4 +366,89 @@ fn idle_connections_cost_a_steady_tick_nothing() {
         "recompute_all should re-analyse every idle session per tick \
          ({alone} alone, {recomputed} recomputed; bound {bound})"
     );
+}
+
+/// `alloc.batch.count_per_frame`, pinned as a count: a clean
+/// 8 000-route transfer through the inline [`StreamAnalyzer`] — decode
+/// aside, the whole batch pass: tracker, reassembly into the message
+/// log, MCT, labelling, series, factors. Measured (debug and release,
+/// repeating exactly): 305 allocations over the transfer's 173 frames,
+/// 1.8 per frame, most of them the per-connection analysis; when
+/// reassembly kept an owned `BgpMessage` tree per message the same pass
+/// made 19 363, 112 per frame. That path still exists for the
+/// `pcap2bgp` tool, and guards the test: `extract_all` over the same
+/// frames makes 19 108, 110 per frame — if the counter stopped seeing
+/// reassembly, the second assertion would fail first.
+#[test]
+fn batch_pass_allocates_a_few_times_per_frame() {
+    const PER_FRAME: u64 = 3;
+    let frames = generate_transfer(Dataset::IspAQuagga, 0, Scenario::Clean, 8_000, 7).frames;
+    let count = frames.len() as u64;
+    let owned: Vec<tdat_packet::Result<TcpFrame>> = frames.iter().cloned().map(Ok).collect();
+
+    let before = allocations();
+    let mut analyses = Vec::new();
+    StreamAnalyzer::new(Default::default())
+        .analyze_stream(owned, |analysis| analyses.push(analysis))
+        .expect("in-memory frames");
+    let inline = allocations() - before;
+    assert_eq!(analyses.len(), 1);
+    let prefixes = analyses[0].transfer.as_ref().map(|t| t.prefix_count);
+    assert_eq!(prefixes, Some(8_000));
+    assert!(
+        inline <= PER_FRAME * count,
+        "{inline} allocations over {count} frames (bound {PER_FRAME} per frame)"
+    );
+
+    let before = allocations();
+    let whole = extract_all(&frames);
+    let trees = allocations() - before;
+    assert_eq!(whole[0].1.announced_prefixes(), 8_000);
+    assert!(
+        trees > 30 * count,
+        "whole-message extraction should allocate per attribute \
+         ({trees} allocations over {count} frames)"
+    );
+}
+
+/// A TCP flow that is not BGP is skipped without a single allocation:
+/// once the framing buffer has grown to a segment, 64 KiB of payload —
+/// pseudo-random bytes and a long run of marker bytes, the worst case
+/// for the resync scan — goes through a default [`StreamExtractor`]
+/// with the counter still. (Each rejected byte used to cost a failed
+/// decode and a heap-allocated error string.)
+#[test]
+fn non_bgp_payload_allocates_nothing() {
+    const SEGMENT: usize = 1448;
+    let mut state = 0x9e37_79b9_7f4a_7c15u64;
+    let mut payload: Vec<u8> = (0..32 << 10)
+        .map(|_| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state as u8
+        })
+        .collect();
+    payload.resize(64 << 10, 0xff);
+
+    let mut extractor = StreamExtractor::new();
+    extractor.anchor(1);
+    let mut seq = 1u32;
+    // Warm-up: two segments size the reassembler's ready buffer and
+    // the framing buffer (one segment plus a carried-over tail).
+    for _ in 0..2 {
+        extractor.push(Micros(0), seq, TcpFlags::ACK, &[0xAB; SEGMENT]);
+        seq += SEGMENT as u32;
+    }
+
+    let before = allocations();
+    for segment in payload.chunks(SEGMENT) {
+        extractor.push(Micros(1), seq, TcpFlags::ACK, segment);
+        seq += segment.len() as u32;
+    }
+    let after = allocations();
+    assert_eq!(after - before, 0, "non-BGP payload must not allocate");
+    assert_eq!(extractor.messages_decoded(), 0);
+    let skipped = extractor.extraction().unparsed_bytes + extractor.buffered_bytes() as u64;
+    assert_eq!(skipped, (2 * SEGMENT + payload.len()) as u64);
 }

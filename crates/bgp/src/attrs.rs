@@ -217,7 +217,7 @@ pub enum PathAttribute {
 
 const FLAG_OPTIONAL: u8 = 0x80;
 const FLAG_TRANSITIVE: u8 = 0x40;
-const FLAG_EXT_LEN: u8 = 0x10;
+pub(crate) const FLAG_EXT_LEN: u8 = 0x10;
 
 impl PathAttribute {
     /// The attribute's wire type code.

@@ -11,7 +11,11 @@
 //!   Quagga collectors;
 //! * [`find_transfer_end`] — the MCT (Minimum Collection Time)
 //!   estimator for where an initial table transfer ends in an update
-//!   stream.
+//!   stream;
+//! * [`MessageLog`] — what the capture path keeps of a stream instead
+//!   of decoded messages: a row per message and the announced prefixes,
+//!   filled by a skim decoder that accepts exactly what
+//!   [`BgpMessage::decode`] accepts, and read in place by MCT.
 //!
 //! # Examples
 //!
@@ -37,6 +41,7 @@
 
 mod attrs;
 mod error;
+mod log;
 mod mct;
 mod message;
 mod mrt;
@@ -46,7 +51,8 @@ mod table;
 
 pub use attrs::{AsPath, AsPathSegment, Origin, PathAttribute};
 pub use error::{BgpError, Result};
-pub use mct::{find_transfer_end, find_transfer_end_ref, MctConfig, TableTransfer};
+pub use log::{Framed, KeptMessages, LogRow, MessageLog, WholeMessages};
+pub use mct::{find_transfer_end, find_transfer_end_ref, MctConfig, MctUpdate, TableTransfer};
 pub use message::{
     BgpMessage, NotificationMessage, OpenMessage, UpdateMessage, BGP_HEADER_LEN,
     BGP_MAX_MESSAGE_LEN, KEEPALIVE_LEN,

@@ -18,6 +18,7 @@
 
 use std::collections::HashSet;
 
+use crate::log::LogRow;
 use crate::message::UpdateMessage;
 use crate::prefix::Prefix;
 use tdat_timeset::{Micros, Span};
@@ -102,12 +103,43 @@ pub fn find_transfer_end(
     find_transfer_end_ref(start, updates.iter().map(|(t, u)| (*t, u)), config)
 }
 
-/// A `/len` prefix packed into one word: the set of prefixes seen so
-/// far is hot (one membership probe per announced prefix of every
-/// update), so it is keyed by this packed form under a multiplicative
-/// hasher instead of hashing the struct field-by-field with SipHash.
-fn packed(p: &Prefix) -> u64 {
-    (u64::from(u32::from(p.network())) << 8) | u64::from(p.len())
+/// What MCT reads of one UPDATE: how many prefixes it announced,
+/// whether it withdrew any, and the announced prefixes packed into one
+/// word each (`network << 8 | len`). The set of prefixes seen so far is
+/// hot (one membership probe per announced prefix of every update), so
+/// it is keyed by that packed form under a multiplicative hasher
+/// instead of hashing the struct field-by-field with SipHash.
+pub trait MctUpdate {
+    /// Number of announced prefixes.
+    fn announced_len(&self) -> usize;
+    /// True when the update withdraws nothing.
+    fn withdrawn_is_empty(&self) -> bool;
+    /// The announced prefixes in wire order, packed.
+    fn packed_announced(&self) -> impl Iterator<Item = u64> + '_;
+}
+
+impl MctUpdate for &UpdateMessage {
+    fn announced_len(&self) -> usize {
+        self.announced.len()
+    }
+    fn withdrawn_is_empty(&self) -> bool {
+        self.withdrawn.is_empty()
+    }
+    fn packed_announced(&self) -> impl Iterator<Item = u64> + '_ {
+        self.announced.iter().map(Prefix::packed)
+    }
+}
+
+impl MctUpdate for LogRow<'_> {
+    fn announced_len(&self) -> usize {
+        self.announced.len()
+    }
+    fn withdrawn_is_empty(&self) -> bool {
+        self.withdrawn == 0
+    }
+    fn packed_announced(&self) -> impl Iterator<Item = u64> + '_ {
+        self.announced.iter().copied()
+    }
 }
 
 /// Multiplicative hasher for already-well-distributed packed prefixes
@@ -136,17 +168,20 @@ impl std::hash::Hasher for PackedHasher {
 
 type PackedSet = HashSet<u64, std::hash::BuildHasherDefault<PackedHasher>>;
 
-/// [`find_transfer_end`] over borrowed updates, so callers holding an
-/// extraction can run MCT without deep-cloning every message. The
-/// distinct-prefix count is maintained inline during the single scan
-/// instead of re-counting in a second pass.
-pub fn find_transfer_end_ref<'a, I>(
+/// [`find_transfer_end`] over anything MCT can read as updates —
+/// borrowed [`UpdateMessage`]s or the rows of a
+/// [`MessageLog`](crate::MessageLog) — so callers holding an extraction
+/// run MCT without cloning or rebuilding a message. The distinct-prefix
+/// count is maintained inline during the single scan instead of
+/// re-counting in a second pass.
+pub fn find_transfer_end_ref<I, U>(
     start: Micros,
     updates: I,
     config: &MctConfig,
 ) -> Option<TableTransfer>
 where
-    I: IntoIterator<Item = (Micros, &'a UpdateMessage)>,
+    I: IntoIterator<Item = (Micros, U)>,
+    U: MctUpdate,
 {
     let mut seen = PackedSet::default();
     let mut end: Option<Micros> = None;
@@ -157,7 +192,8 @@ where
     let mut prefix_count = 0;
     let mut iter = updates.into_iter();
     for (time, update) in iter.by_ref() {
-        if update.announced.is_empty() && update.withdrawn.is_empty() {
+        let announced = update.announced_len();
+        if announced == 0 && update.withdrawn_is_empty() {
             continue; // keepalive-equivalent / attribute-only updates
         }
         if time - last_time > config.max_gap {
@@ -165,12 +201,11 @@ where
         }
         counted += 1;
         let new = update
-            .announced
-            .iter()
-            .filter(|p| !seen.contains(&packed(p)))
+            .packed_announced()
+            .filter(|p| !seen.contains(p))
             .count();
-        let dup_frac = 1.0 - new as f64 / update.announced.len().max(1) as f64;
-        seen.extend(update.announced.iter().map(packed));
+        let dup_frac = 1.0 - new as f64 / announced.max(1) as f64;
+        seen.extend(update.packed_announced());
         last_time = time;
         if new > 0 && dup_frac <= config.dup_tolerance {
             end = Some(time);
@@ -198,7 +233,7 @@ where
         if time > end {
             break;
         }
-        seen.extend(update.announced.iter().map(packed));
+        seen.extend(update.packed_announced());
         prefix_count = seen.len();
     }
     Some(TableTransfer {

@@ -72,6 +72,12 @@ impl Prefix {
         (u32::from(addr) & mask) == self.bits
     }
 
+    /// The prefix as one word, `network << 8 | len` — the key MCT's
+    /// seen-set hashes and the form the message log stores.
+    pub(crate) fn packed(&self) -> u64 {
+        u64::from(self.bits) << 8 | u64::from(self.len)
+    }
+
     /// Number of bytes the NLRI encoding of this prefix occupies.
     pub fn wire_len(&self) -> usize {
         1 + (self.len as usize).div_ceil(8)

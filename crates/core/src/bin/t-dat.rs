@@ -16,9 +16,10 @@
 //! worker lanes by connection hash — output is byte-identical to the
 //! serial run.
 
+use std::io::{self, Write};
 use std::process::ExitCode;
 
-use tdat::{StreamAnalyzer, StreamOptions, TrackerConfig};
+use tdat::{Analysis, Analyzer, StreamAnalyzer, StreamOptions, TrackerConfig};
 
 const USAGE: &str = "usage: t-dat <trace.pcap> [--json] [--plot] [--tsplot] [--series] \
                      [--threshold 0.3] [--shards N]
@@ -107,97 +108,150 @@ fn main() -> ExitCode {
         eprintln!("t-dat: {path}: no TCP connections found");
         return ExitCode::FAILURE;
     }
-    if json {
-        let reports: Vec<String> = analyses
-            .iter()
-            .map(|a| tdat::Report::from_analysis(a, analyzer.config()).to_json())
-            .collect();
-        println!("[{}]", reports.join(","));
-        return ExitCode::SUCCESS;
+    // One locked, buffered stdout for the whole report. A reader that
+    // goes away early (`t-dat … | head`) is not an error of ours.
+    let mut out = io::BufWriter::new(io::stdout().lock());
+    let show = Show {
+        json,
+        plot,
+        tsplot,
+        series,
+        threshold,
+    };
+    match write_report(&mut out, &analyses, analyzer, &show).and_then(|()| out.flush()) {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(e) if e.kind() == io::ErrorKind::BrokenPipe => ExitCode::SUCCESS,
+        Err(e) => {
+            eprintln!("t-dat: stdout: {e}");
+            ExitCode::FAILURE
+        }
+    }
+}
+
+/// What the command line asked to see.
+struct Show {
+    json: bool,
+    plot: bool,
+    tsplot: bool,
+    series: bool,
+    threshold: f64,
+}
+
+fn write_report(
+    out: &mut impl Write,
+    analyses: &[Analysis],
+    analyzer: &Analyzer,
+    show: &Show,
+) -> io::Result<()> {
+    if show.json {
+        write!(out, "[")?;
+        for (i, analysis) in analyses.iter().enumerate() {
+            if i > 0 {
+                write!(out, ",")?;
+            }
+            let report = tdat::Report::from_analysis(analysis, analyzer.config());
+            write!(out, "{}", report.to_json())?;
+        }
+        return writeln!(out, "]");
     }
     // Cross-connection check: peer-group blocking between sessions of
     // the same router.
     for (blocked, faulty, incidents) in
-        tdat::find_peer_group_blocking_all(&analyses, tdat_timeset::Micros::from_secs(60))
+        tdat::find_peer_group_blocking_all(analyses, tdat_timeset::Micros::from_secs(60))
     {
         for incident in incidents {
-            println!(
+            writeln!(
+                out,
                 "WARNING: connection {blocked} paused {} while connection {faulty} was failing \
                  (peer-group blocking signature)",
                 incident.pause.duration()
-            );
+            )?;
         }
     }
     for (i, analysis) in analyses.iter().enumerate() {
-        println!(
+        writeln!(
+            out,
             "connection {i}: {}:{} -> {}:{}",
             analysis.sender.0, analysis.sender.1, analysis.receiver.0, analysis.receiver.1
-        );
+        )?;
         match &analysis.transfer {
-            Some(t) => println!(
+            Some(t) => writeln!(
+                out,
                 "  table transfer: {} updates / {} prefixes, duration {}",
                 t.update_count,
                 t.prefix_count,
                 t.duration()
-            ),
-            None => println!("  (no BGP table transfer identified; analyzing whole capture)"),
+            )?,
+            None => writeln!(
+                out,
+                "  (no BGP table transfer identified; analyzing whole capture)"
+            )?,
         }
         if let Some(rtt) = analysis.profile.rtt {
-            println!("  rtt {rtt}, mss {:?}", analysis.profile.mss);
+            writeln!(out, "  rtt {rtt}, mss {:?}", analysis.profile.mss)?;
         }
-        println!(
+        writeln!(
+            out,
             "  delay ratios: sender {:.3}  receiver {:.3}  network {:.3}",
             analysis.vector.sender, analysis.vector.receiver, analysis.vector.network
-        );
-        for group in analysis.vector.major_groups(threshold) {
-            println!(
+        )?;
+        for group in analysis.vector.major_groups(show.threshold) {
+            writeln!(
+                out,
                 "  MAJOR {group}-limited (dominant factor: {})",
                 analysis.vector.dominant_factor_in(group)
-            );
+            )?;
         }
         if let Some(timer) = analysis.infer_timer(8) {
-            println!(
+            writeln!(
+                out,
                 "  repetitive sender timer: ~{:.0} ms ({} gaps, {:.2}s induced)",
                 timer.period.as_millis_f64(),
                 timer.gap_count,
                 timer.total_delay.as_secs_f64()
-            );
+            )?;
         }
         for ep in analysis.consecutive_losses(analyzer.config()) {
-            println!(
+            writeln!(
+                out,
                 "  consecutive losses: {} retransmissions over {}",
                 ep.retransmissions,
                 ep.span.duration()
-            );
+            )?;
         }
         if analysis.zero_ack_bug().is_some() {
-            println!("  WARNING: zero-window + upstream-loss conflict (ZeroAckBug signature)");
+            writeln!(
+                out,
+                "  WARNING: zero-window + upstream-loss conflict (ZeroAckBug signature)"
+            )?;
         }
         if let Some(race) = analysis.delayed_ack_interaction() {
-            println!(
+            writeln!(
+                out,
                 "  WARNING: {} spurious retransmission(s) outside loss episodes \
                  (delayed-ACK / RTO race)",
                 race.count
-            );
+            )?;
         }
-        if series {
-            println!("  series (ratio of analysis period):");
+        if show.series {
+            writeln!(out, "  series (ratio of analysis period):")?;
             for (name, set) in analysis.series.named() {
                 let ratio = set.ratio(analysis.period);
                 if ratio > 0.0 {
-                    println!("    {name:<18} {ratio:.3}");
+                    writeln!(out, "    {name:<18} {ratio:.3}")?;
                 }
             }
         }
-        if plot {
-            println!("{}", analysis.plot(100));
+        if show.plot {
+            writeln!(out, "{}", analysis.plot(100))?;
         }
-        if tsplot {
-            println!(
+        if show.tsplot {
+            writeln!(
+                out,
                 "{}",
                 tdat::plot::render_analysis_time_sequence(analysis, 100, 24)
-            );
+            )?;
         }
     }
-    ExitCode::SUCCESS
+    Ok(())
 }

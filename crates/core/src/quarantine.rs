@@ -191,8 +191,9 @@ mod tests {
     #[test]
     fn unparsed_and_overflow_budgets_trip_independently() {
         let config = QuarantineConfig::default();
+        let one_keepalive = [(tdat_timeset::Micros::ZERO, tdat_bgp::BgpMessage::Keepalive)];
         let bad_framing = Extraction {
-            messages: vec![(tdat_timeset::Micros::ZERO, tdat_bgp::BgpMessage::Keepalive)],
+            messages: one_keepalive.iter().collect(),
             unparsed_bytes: config.max_unparsed_bytes + 1,
             ..Extraction::default()
         };

@@ -4,7 +4,8 @@
 //! entry point is the same pass — demultiplex frames into
 //! per-connection state with a [`ConnectionTracker`], feed payload
 //! bytes straight into incremental BGP reassembly
-//! ([`tdat_pcap2bgp::StreamExtractor`]), run the
+//! ([`tdat_pcap2bgp::StreamExtractor`], which keeps a flat message log
+//! per connection, not decoded messages), run the
 //! series/factor/detector pipeline on each connection as it finalizes,
 //! deliver the [`Analysis`] results in finalization order — and the
 //! entry points differ only in their **source**, what is read:
@@ -29,7 +30,8 @@
 //!
 //! Unlike the batch path ([`Analyzer::analyze_pcap`]), which
 //! materializes the whole trace, memory here is proportional to the
-//! *open* connections' segment metadata plus bounded reassembly
+//! *open* connections' segment metadata and message logs (16 bytes per
+//! BGP message, 8 per announced prefix) plus bounded reassembly
 //! buffers — frame payloads are dropped as soon as they are ingested.
 
 use std::collections::{BTreeMap, HashMap};
@@ -412,9 +414,13 @@ impl<F: FnMut(Analysis)> InlineSink<'_, F> {
 /// The data sender is unknown until a connection finalizes, so both
 /// directions are reassembled; the loser (the ACK direction, which
 /// carries little or no payload) is discarded at
-/// [`take`](BgpDemux::take). Live monitors that diagnose still-open
-/// connections use [`snapshot`](BgpDemux::snapshot) instead, which
-/// leaves the streams in place.
+/// [`take`](BgpDemux::take). What is kept per message is the flat
+/// [`MessageLog`](tdat_bgp::MessageLog) — a row and the announced
+/// prefixes, which is all the analysis reads — so an open connection
+/// holds 16 bytes per message and 8 per announced prefix until it is
+/// taken. Live monitors that diagnose still-open connections borrow
+/// that state with [`snapshot`](BgpDemux::snapshot), which copies
+/// nothing and leaves the streams in place.
 #[derive(Debug, Default)]
 pub struct BgpDemux {
     streams: HashMap<ConnKey, SidePair>,
@@ -461,14 +467,17 @@ impl BgpDemux {
         }
     }
 
-    /// A point-in-time extraction of the `sender` side of an open
-    /// connection, leaving the streams untouched for further feeding.
-    pub fn snapshot(&self, key: ConnKey, sender: Endpoint) -> Extraction {
-        match self.streams.get(&key) {
-            Some(pair) if sender == key.a => pair.from_a.extraction(),
-            Some(pair) => pair.from_b.extraction(),
-            None => Extraction::default(),
-        }
+    /// The extraction so far of the `sender` side of an open
+    /// connection, lent in place: nothing is copied and the streams
+    /// stay where they are for further feeding. `None` when no stream
+    /// of the connection is held (never fed, or already taken).
+    pub fn snapshot(&self, key: ConnKey, sender: Endpoint) -> Option<&Extraction> {
+        let pair = self.streams.get(&key)?;
+        Some(if sender == key.a {
+            pair.from_a.extraction()
+        } else {
+            pair.from_b.extraction()
+        })
     }
 }
 

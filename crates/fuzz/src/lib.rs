@@ -16,7 +16,7 @@
 //! * **follow** — the live monitor tailing the file via
 //!   [`FollowSource`](tdat_monitor::FollowSource).
 //!
-//! Two invariants are enforced on every run, for every damage class:
+//! Three invariants are enforced on every run, for every damage class:
 //!
 //! 1. **Never panic.** Damaged bytes degrade or quarantine; they never
 //!    abort the process (the harness itself is the panic detector).
@@ -24,6 +24,10 @@
 //!    connection carries a non-empty typed reason, and a connection
 //!    whose attributed anomaly count exceeds the default budget is
 //!    never labeled anything milder than quarantined.
+//! 3. **The two kept-message types agree.** Reassembled once into the
+//!    flat message log the pipelines read and once into whole decoded
+//!    messages, every stream of the capture yields the same byte
+//!    accounting and the same messages ([`run_kept_types`]).
 //!
 //! The `anomaly-summary` binary runs the full corpus and emits the
 //! per-class outcome table CI uploads as an artifact.
@@ -31,15 +35,17 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 use std::time::Duration;
 
 use tdat::{Analysis, QuarantineConfig, StreamAnalyzer};
-use tdat_bgp::TableGenerator;
+use tdat_bgp::{TableGenerator, WholeMessages};
 use tdat_monitor::{Monitor, MonitorConfig, MonitorEvent, SourceSet, SourceSpec};
-use tdat_packet::{LossyReader, TcpFrame};
+use tdat_packet::{FrameLike, LossyReader, TcpFrame};
+use tdat_pcap2bgp::StreamExtractor;
 use tdat_tcpsim::scenario::{monitoring_topology, transfer_spec, TopologyOptions};
 use tdat_tcpsim::{apply_chaos, ChaosSpec, ChaosStats, Simulation};
 use tdat_timeset::Micros;
@@ -305,9 +311,50 @@ pub fn run_follow(entry: &CorpusEntry) -> PipelineOutcome {
     outcome
 }
 
+/// Reassembles every TCP stream of one damaged capture twice — into
+/// the [`MessageLog`](tdat_bgp::MessageLog) the pipelines read and into
+/// [`WholeMessages`] — and holds the two to the same `unparsed_bytes`,
+/// `duplicate_bytes` and `overflow_bytes` and the same message times,
+/// type codes and prefixes. Returns the messages compared.
+///
+/// # Panics
+///
+/// Panics when the skim decoder and `BgpMessage::decode` part ways on
+/// any stream.
+pub fn run_kept_types(entry: &CorpusEntry) -> usize {
+    let mut reader = LossyReader::new(entry.bytes.as_slice())
+        .expect("chaos mutations keep the global header intact");
+    type BothKinds = (StreamExtractor, StreamExtractor<WholeMessages>);
+    let mut streams: HashMap<_, BothKinds> = HashMap::new();
+    while let Some(lossy) = reader
+        .next_lossy_view()
+        .expect("lossy decode survives in-stream damage")
+    {
+        let Some(frame) = &lossy.frame else { continue };
+        let (log, whole) = streams.entry((frame.src(), frame.dst())).or_default();
+        let tcp = frame.tcp();
+        log.push(frame.timestamp(), tcp.seq, tcp.flags, frame.payload());
+        whole.push(frame.timestamp(), tcp.seq, tcp.flags, frame.payload());
+    }
+    let mut messages = 0;
+    for ((src, dst), (log, whole)) in streams {
+        let whole = whole.finish();
+        assert_eq!(
+            log.finish(),
+            whole.to_log(),
+            "kept-types/{}: {src:?} -> {dst:?}",
+            entry.class
+        );
+        messages += whole.messages.len();
+    }
+    messages
+}
+
 /// Runs one corpus entry through all three pipelines, returning the
-/// outcomes as `(batch, streaming, follow)`.
+/// outcomes as `(batch, streaming, follow)`, and through
+/// [`run_kept_types`].
 pub fn run_all(entry: &CorpusEntry) -> (PipelineOutcome, PipelineOutcome, PipelineOutcome) {
+    run_kept_types(entry);
     (run_batch(entry), run_streaming(entry), run_follow(entry))
 }
 
@@ -354,6 +401,8 @@ mod tests {
             assert_eq!(o.quarantined, 0, "{name}: clean capture quarantined");
             assert_eq!(o.anomalies, 0, "{name}: clean capture grew anomalies");
         }
+        // The kept-types comparison has something to compare.
+        assert!(run_kept_types(&entry) > 1_000);
     }
 
     /// The acceptance gate: the fixed-seed corpus (all damage classes)
@@ -395,6 +444,7 @@ mod tests {
         ) {
             let entry = mutate(DAMAGE_CLASSES[class_ix], seed);
             let _ = run_streaming(&entry);
+            let _ = run_kept_types(&entry);
         }
     }
 }

@@ -705,6 +705,8 @@ impl SourceScope {
     /// Refreshes the cached analyses for `work` (tick phase 1).
     fn refresh(&mut self, work: Vec<(ConnKey, Micros)>, ctx: &AnalysisCtx) {
         let analyzer = &ctx.analyzer;
+        // What a connection the demux holds no stream for reads as.
+        let unseen = tdat_pcap2bgp::Extraction::default();
         for (key, anchor) in work {
             let (Some(fin), Some(ordinal)) =
                 (self.tracker.snapshot_of(key), self.tracker.ordinal_of(key))
@@ -712,10 +714,12 @@ impl SourceScope {
                 continue;
             };
             let span = Span::new(anchor.saturating_sub(ctx.window), anchor);
-            let extraction = self.demux.snapshot(key, fin.connection.sender);
+            let extraction = self
+                .demux
+                .snapshot(key, fin.connection.sender)
+                .unwrap_or(&unseen);
             let counts = self.quality.get(&key).copied().unwrap_or_default();
-            let analysis =
-                analyzer.analyze_partial_lossy(fin.connection, &extraction, span, counts);
+            let analysis = analyzer.analyze_partial_lossy(fin.connection, extraction, span, counts);
             let session = session_id(&analysis);
             let conditions = analysis_conditions(
                 &analysis,

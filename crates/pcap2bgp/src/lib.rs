@@ -9,6 +9,16 @@
 //! contiguous at the capture point, i.e. when the receiving BGP process
 //! could first have read it.
 //!
+//! There is one reassembler, one framing loop and one resync rule, and
+//! they are generic over *what is kept* of each framed message
+//! ([`tdat_bgp::KeptMessages`]). The analysis path needs two facts per
+//! message — that time, and the prefixes announced — so by default an
+//! [`Extraction`] holds a flat [`tdat_bgp::MessageLog`] filled by a
+//! skim decoder: 16 bytes per message and 8 per announced prefix, no
+//! tree per message to build and free. The tool proper, whose product
+//! *is* the messages, keeps [`tdat_bgp::WholeMessages`]:
+//! [`extract_all`] and [`to_mrt_records`] speak that type.
+//!
 //! # Examples
 //!
 //! ```
@@ -33,7 +43,9 @@
 
 use std::collections::BTreeMap;
 
-use tdat_bgp::{BgpMessage, MrtRecord};
+use tdat_bgp::{
+    Framed, KeptMessages, LogRow, MessageLog, MrtRecord, WholeMessages, BGP_HEADER_LEN,
+};
 use tdat_packet::{seq_diff, TcpFlags, TcpFrame};
 use tdat_timeset::Micros;
 use tdat_trace::{Direction, TcpConnection};
@@ -276,11 +288,15 @@ impl StreamReassembler {
 }
 
 /// Result of BGP extraction from one connection.
+///
+/// `K` is what was kept of each message: the flat [`MessageLog`] the
+/// analysis path reads (the default), or [`WholeMessages`] where
+/// decoded messages are the product.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct Extraction {
-    /// Decoded messages with the capture time at which each message's
-    /// last byte first became contiguous.
-    pub messages: Vec<(Micros, BgpMessage)>,
+pub struct Extraction<K = MessageLog> {
+    /// The framed messages, each stamped with the capture time at
+    /// which its last byte first became contiguous.
+    pub messages: K,
     /// Bytes that could not be framed as BGP (corruption or a partial
     /// tail at the end of the capture).
     pub unparsed_bytes: u64,
@@ -292,31 +308,32 @@ pub struct Extraction {
     pub overflow_bytes: u64,
 }
 
-impl Extraction {
+impl<K: KeptMessages> Extraction<K> {
     /// Total prefixes announced across all extracted updates.
     pub fn announced_prefixes(&self) -> usize {
-        self.messages
-            .iter()
-            .filter_map(|(_, m)| match m {
-                BgpMessage::Update(u) => Some(u.announced.len()),
-                _ => None,
-            })
-            .sum()
+        self.messages.announced_prefixes()
     }
+}
 
-    /// The update messages with their timestamps (the MCT input).
-    pub fn updates(&self) -> Vec<(Micros, tdat_bgp::UpdateMessage)> {
-        self.updates_iter().map(|(t, u)| (t, u.clone())).collect()
+impl Extraction<WholeMessages> {
+    /// The same extraction with each message reduced to its log row —
+    /// what an extractor keeping the default [`MessageLog`] makes of
+    /// the same segments.
+    pub fn to_log(&self) -> Extraction {
+        Extraction {
+            messages: self.messages.iter().collect(),
+            unparsed_bytes: self.unparsed_bytes,
+            duplicate_bytes: self.duplicate_bytes,
+            overflow_bytes: self.overflow_bytes,
+        }
     }
+}
 
-    /// The timestamped UPDATE messages, borrowed — the hot path for
-    /// per-tick MCT runs, which must not deep-clone every prefix and
-    /// path attribute of the table just to scan them.
-    pub fn updates_iter(&self) -> impl Iterator<Item = (Micros, &tdat_bgp::UpdateMessage)> {
-        self.messages.iter().filter_map(|(t, m)| match m {
-            BgpMessage::Update(u) => Some((*t, u)),
-            _ => None,
-        })
+impl Extraction {
+    /// The timestamped UPDATE messages, borrowed from the log — the
+    /// MCT input, read in place at every run.
+    pub fn updates_iter(&self) -> impl Iterator<Item = (Micros, LogRow<'_>)> {
+        self.messages.updates()
     }
 }
 
@@ -325,14 +342,20 @@ impl Extraction {
 /// Feed it segments in capture order with [`push`](Self::push); it
 /// anchors the sequence space (from the SYN, or from the lowest
 /// sequence among the first segments of a mid-connection capture),
-/// reassembles the byte stream and decodes BGP messages as their bytes
-/// become contiguous. [`finish`](Self::finish) yields the same
-/// [`Extraction`] the batch [`extract_from_frames`] produces.
+/// reassembles the byte stream and frames BGP messages as their bytes
+/// become contiguous, keeping of each what `K` keeps.
+/// [`finish`](Self::finish) yields the same [`Extraction`] the batch
+/// [`extract_from_frames`] produces.
 ///
-/// Memory is bounded by the reassembler's out-of-order window plus at
-/// most one partial message — not by the stream length.
+/// Memory has a bounded part and a part that grows with the stream.
+/// Bounded: the reassembler's out-of-order window
+/// ([`MAX_PENDING_BYTES`]), the pre-anchor buffer ([`PREANCHOR_BYTES`])
+/// and at most one partial message. Growing, until the extraction is
+/// taken: what is kept of every message framed so far — with the
+/// default [`MessageLog`], one 16-byte row per message plus 8 bytes per
+/// announced prefix.
 #[derive(Debug, Default)]
-pub struct StreamExtractor {
+pub struct StreamExtractor<K = MessageLog> {
     reasm: StreamReassembler,
     anchored: bool,
     /// Pre-anchor segments of a SYN-less capture, held until the anchor
@@ -343,8 +366,10 @@ pub struct StreamExtractor {
     prebuf_bytes: usize,
     /// Contiguous bytes not yet framed as a whole message.
     buffer: Vec<u8>,
-    messages: Vec<(Micros, BgpMessage)>,
-    unparsed_bytes: u64,
+    /// The extraction so far: messages and unparsed bytes accumulate
+    /// here, the reassembler's byte counters are copied in after every
+    /// feed, so a snapshot is a borrow of this field.
+    so_far: Extraction<K>,
 }
 
 /// Segments buffered before anchoring a SYN-less stream; beyond this
@@ -356,14 +381,18 @@ const PREANCHOR_SEGMENTS: usize = 64;
 pub const PREANCHOR_BYTES: usize = 256 << 10;
 
 impl StreamExtractor {
-    /// Creates an extractor with an unanchored sequence space.
+    /// Creates an extractor with an unanchored sequence space that
+    /// keeps a [`MessageLog`]; one that keeps something else is made
+    /// with `StreamExtractor::<K>::default()`.
     pub fn new() -> StreamExtractor {
         StreamExtractor::default()
     }
+}
 
+impl<K: KeptMessages> StreamExtractor<K> {
     /// Creates an extractor whose reassembler uses a custom
     /// out-of-order window cap (bytes).
-    pub fn with_pending_cap(cap: usize) -> StreamExtractor {
+    pub fn with_pending_cap(cap: usize) -> StreamExtractor<K> {
         StreamExtractor {
             reasm: StreamReassembler::with_pending_cap(cap),
             ..StreamExtractor::default()
@@ -426,6 +455,8 @@ impl StreamExtractor {
             return;
         }
         self.reasm.push(seq, payload);
+        self.so_far.duplicate_bytes = self.reasm.duplicate_bytes();
+        self.so_far.overflow_bytes = self.reasm.overflow_bytes();
         let before = self.buffer.len();
         self.reasm.take_ready_into(&mut self.buffer);
         if self.buffer.len() == before {
@@ -433,14 +464,23 @@ impl StreamExtractor {
         }
         let mut cursor = &self.buffer[..];
         loop {
-            match BgpMessage::decode(&mut cursor) {
-                Ok(Some(msg)) => self.messages.push((time, msg)),
-                Ok(None) => break,
-                Err(_) => {
-                    // Lost framing: skip one byte and retry (resync is
-                    // heuristic; corrupted captures are rare).
-                    self.unparsed_bytes += 1;
-                    let skip = 1.min(cursor.len());
+            match self.so_far.messages.keep(time, &mut cursor) {
+                Framed::Kept => {}
+                Framed::Partial => break,
+                Framed::Rejected => {
+                    // Lost framing: resync at the next byte that can
+                    // start a marker. A reject needs a whole header, so
+                    // from `wait` on the answer is "partial"; before
+                    // it, any byte but 0xff is rejected on sight. Same
+                    // count and same stop as retrying byte by byte,
+                    // without one failed decode per byte of a flow that
+                    // is not BGP.
+                    let wait = cursor.len() - (BGP_HEADER_LEN - 1);
+                    let skip = cursor[1..wait]
+                        .iter()
+                        .position(|&b| b == 0xff)
+                        .map_or(wait, |at| at + 1);
+                    self.so_far.unparsed_bytes += skip as u64;
                     cursor = &cursor[skip..];
                 }
             }
@@ -449,9 +489,9 @@ impl StreamExtractor {
         self.buffer.drain(..consumed);
     }
 
-    /// Messages decoded so far.
+    /// Messages framed so far.
     pub fn messages_decoded(&self) -> usize {
-        self.messages.len()
+        self.so_far.messages.len()
     }
 
     /// Bytes parked in the reassembler and framing buffer.
@@ -461,42 +501,36 @@ impl StreamExtractor {
             + self.prebuf.iter().map(|(_, _, p)| p.len()).sum::<usize>()
     }
 
-    /// A point-in-time snapshot of the extraction so far, without
-    /// consuming the extractor — the live-monitoring path for
-    /// connections that are still transferring.
+    /// The extraction so far, lent without consuming or copying — the
+    /// live-monitoring path for connections that are still
+    /// transferring.
     ///
     /// Unlike [`finish`](Self::finish), the unframed tail in the
     /// buffer is *not* counted as unparsed: it is a partial message
     /// still in flight, not corruption.
-    pub fn extraction(&self) -> Extraction {
-        Extraction {
-            messages: self.messages.clone(),
-            unparsed_bytes: self.unparsed_bytes,
-            duplicate_bytes: self.reasm.duplicate_bytes(),
-            overflow_bytes: self.reasm.overflow_bytes(),
-        }
+    pub fn extraction(&self) -> &Extraction<K> {
+        &self.so_far
     }
 
     /// Completes extraction: unframed tail bytes are counted as
     /// unparsed, and a never-anchored stream is anchored at its lowest
     /// buffered sequence first.
-    pub fn finish(mut self) -> Extraction {
+    pub fn finish(mut self) -> Extraction<K> {
         if !self.anchored && !self.prebuf.is_empty() {
             self.anchor_at_min();
         }
-        Extraction {
-            messages: self.messages,
-            unparsed_bytes: self.unparsed_bytes + self.buffer.len() as u64,
-            duplicate_bytes: self.reasm.duplicate_bytes(),
-            overflow_bytes: self.reasm.overflow_bytes(),
-        }
+        self.so_far.unparsed_bytes += self.buffer.len() as u64;
+        self.so_far
     }
 }
 
 /// Reassembles the data direction of `conn` (whose segments index into
-/// `frames`) and extracts its BGP messages.
-pub fn extract_from_frames(conn: &TcpConnection, frames: &[TcpFrame]) -> Extraction {
-    let mut extractor = StreamExtractor::new();
+/// `frames`) and extracts its BGP messages, keeping what `K` keeps.
+pub fn extract_from_frames<K: KeptMessages>(
+    conn: &TcpConnection,
+    frames: &[TcpFrame],
+) -> Extraction<K> {
+    let mut extractor = StreamExtractor::<K>::default();
     // Anchor at the SYN if captured, so handshake seq space is skipped.
     // Without a SYN (capture started mid-connection), anchor at the
     // lowest data sequence number seen — the first captured segment may
@@ -527,11 +561,12 @@ pub fn extract_from_frames(conn: &TcpConnection, frames: &[TcpFrame]) -> Extract
     extractor.finish()
 }
 
-/// Extracts BGP messages for every connection in `frames`.
+/// Extracts the whole BGP messages of every connection in `frames` —
+/// the `pcap2bgp` tool's view, which exists to hand messages on.
 ///
 /// Returns `(connection, extraction)` pairs in the order of
 /// [`tdat_trace::extract_connections`].
-pub fn extract_all(frames: &[TcpFrame]) -> Vec<(TcpConnection, Extraction)> {
+pub fn extract_all(frames: &[TcpFrame]) -> Vec<(TcpConnection, Extraction<WholeMessages>)> {
     tdat_trace::extract_connections(frames)
         .into_iter()
         .map(|conn| {
@@ -545,7 +580,7 @@ pub fn extract_all(frames: &[TcpFrame]) -> Vec<(TcpConnection, Extraction)> {
 /// [`tdat_bgp::write_mrt`].
 pub fn to_mrt_records(
     conn: &TcpConnection,
-    extraction: &Extraction,
+    extraction: &Extraction<WholeMessages>,
     peer_as: u16,
     local_as: u16,
 ) -> Vec<MrtRecord> {
@@ -569,7 +604,7 @@ pub fn to_mrt_records(
 mod tests {
     use super::*;
     use std::net::Ipv4Addr;
-    use tdat_bgp::TableGenerator;
+    use tdat_bgp::{BgpMessage, TableGenerator};
     use tdat_packet::FrameBuilder;
 
     fn frame(t: i64, seq: u32, payload: Vec<u8>) -> TcpFrame {
@@ -651,7 +686,10 @@ mod tests {
         let (_, extraction) = &results[0];
         assert_eq!(extraction.announced_prefixes(), 300);
         assert_eq!(extraction.unparsed_bytes, 0);
-        assert_eq!(extraction.updates().len(), extraction.messages.len());
+        assert!(extraction
+            .messages
+            .iter()
+            .all(|(_, m)| matches!(m, BgpMessage::Update(_))));
     }
 
     #[test]
@@ -732,7 +770,7 @@ mod tests {
             pair.reverse();
         }
         let batch = extract_all(&frames).remove(0).1;
-        let mut ex = StreamExtractor::new();
+        let mut ex = StreamExtractor::<WholeMessages>::default();
         ex.anchor(1);
         for f in &frames {
             ex.push(f.timestamp, f.tcp.seq, f.tcp.flags, &f.payload);
@@ -744,7 +782,7 @@ mod tests {
     fn extraction_snapshot_is_nondestructive_and_converges_to_finish() {
         let table = TableGenerator::new(6).routes(200).generate();
         let stream = table.to_update_stream();
-        let mut ex = StreamExtractor::new();
+        let mut ex = StreamExtractor::<WholeMessages>::default();
         ex.anchor(0);
         let mut seq = 0u32;
         let chunks: Vec<Vec<u8>> = stream.chunks(700).map(|c| c.to_vec()).collect();
@@ -753,15 +791,15 @@ mod tests {
             ex.push(Micros(0), seq, TcpFlags::ACK, chunk);
             seq = seq.wrapping_add(chunk.len() as u32);
         }
-        let mid = ex.extraction();
+        let mid = ex.extraction().clone();
         // Snapshotting twice yields the same thing and disturbs nothing.
-        assert_eq!(mid, ex.extraction());
+        assert_eq!(&mid, ex.extraction());
         assert_eq!(mid.messages.len(), ex.messages_decoded());
         for chunk in &chunks[half..] {
             ex.push(Micros(1), seq, TcpFlags::ACK, chunk);
             seq = seq.wrapping_add(chunk.len() as u32);
         }
-        let end = ex.extraction();
+        let end = ex.extraction().clone();
         // The mid-stream messages are a prefix of the final list.
         assert_eq!(&end.messages[..mid.messages.len()], &mid.messages[..]);
         assert_eq!(ex.finish(), end, "drained stream: snapshot == finish");

@@ -1,12 +1,14 @@
 //! Property tests: any schedule of segmentation, reordering, and
 //! duplication of a valid BGP byte stream reassembles to exactly the
-//! original message sequence.
+//! original message sequence — whichever of the two kept-message types
+//! the extractor fills — and a stream that is only partly BGP resyncs
+//! exactly as a byte-at-a-time retry loop would.
 
 use proptest::prelude::*;
 use std::net::Ipv4Addr;
-use tdat_bgp::{BgpMessage, TableGenerator};
+use tdat_bgp::{BgpMessage, KeptMessages, MessageLog, TableGenerator, WholeMessages};
 use tdat_packet::{FrameBuilder, TcpFlags, TcpFrame};
-use tdat_pcap2bgp::{extract_all, StreamExtractor, StreamReassembler};
+use tdat_pcap2bgp::{extract_all, Extraction, StreamExtractor, StreamReassembler};
 use tdat_timeset::Micros;
 
 fn frame(t: i64, seq: u32, payload: Vec<u8>) -> TcpFrame {
@@ -17,6 +19,21 @@ fn frame(t: i64, seq: u32, payload: Vec<u8>) -> TcpFrame {
         .ack_to(1)
         .payload(payload)
         .build()
+}
+
+/// Feeds `frames` one at a time, capture order, to one extractor of
+/// each kept-message type; the log one must equal what the whole one
+/// skims to.
+fn extract_incrementally(frames: &[TcpFrame]) -> Result<Extraction<WholeMessages>, TestCaseError> {
+    let mut whole = StreamExtractor::<WholeMessages>::default();
+    let mut log = StreamExtractor::new();
+    for f in frames {
+        whole.push(f.timestamp, f.tcp.seq, f.tcp.flags, &f.payload);
+        log.push(f.timestamp, f.tcp.seq, f.tcp.flags, &f.payload);
+    }
+    let whole = whole.finish();
+    prop_assert_eq!(log.finish(), whole.to_log());
+    Ok(whole)
 }
 
 /// A delivery plan: chunk sizes, a permutation bias, and duplication
@@ -159,8 +176,133 @@ fn deliver_with_retrans(stream: &[u8], plan: &RetransPlan) -> Vec<TcpFrame> {
     frames
 }
 
+/// One piece of a stream that is only partly BGP.
+#[derive(Debug, Clone)]
+enum Piece {
+    /// The `n`-th UPDATE of the table (modulo its length), intact.
+    Update(usize),
+    /// The front of one, cut short.
+    CutUpdate(usize, usize),
+    /// A run of marker bytes.
+    Ones(usize),
+    /// Arbitrary bytes.
+    Noise(Vec<u8>),
+}
+
+fn arb_piece() -> impl Strategy<Value = Piece> {
+    prop_oneof![
+        (0usize..64).prop_map(Piece::Update),
+        (0usize..64).prop_map(Piece::Update),
+        (0usize..64, 1usize..200).prop_map(|(n, cut)| Piece::CutUpdate(n, cut)),
+        (1usize..48).prop_map(Piece::Ones),
+        prop::collection::vec(any::<u8>(), 1..80).prop_map(Piece::Noise),
+    ]
+}
+
+/// The resync rule as it was first written, kept here as the reference:
+/// on a reject, count one unparsed byte, skip it, try again.
+#[derive(Default)]
+struct ByteAtATime {
+    buffer: Vec<u8>,
+    messages: WholeMessages,
+    unparsed_bytes: u64,
+}
+
+impl ByteAtATime {
+    fn feed(&mut self, time: Micros, bytes: &[u8]) {
+        self.buffer.extend_from_slice(bytes);
+        let mut cursor = &self.buffer[..];
+        loop {
+            match BgpMessage::decode(&mut cursor) {
+                Ok(Some(message)) => self.messages.push((time, message)),
+                Ok(None) => break,
+                Err(_) => {
+                    self.unparsed_bytes += 1;
+                    cursor = &cursor[1..];
+                }
+            }
+        }
+        let consumed = self.buffer.len() - cursor.len();
+        self.buffer.drain(..consumed);
+    }
+}
+
+/// Feeds `segments` in order to an extractor keeping `K` and to the
+/// byte-at-a-time reference, holding after every segment that both
+/// have counted the same unparsed bytes, framed the same number of
+/// messages and left the same tail waiting.
+fn resync_against_reference<K: KeptMessages>(
+    segments: &[&[u8]],
+) -> Result<(Extraction<K>, ByteAtATime), TestCaseError> {
+    let mut extractor = StreamExtractor::<K>::default();
+    extractor.anchor(1);
+    let mut reference = ByteAtATime::default();
+    let mut seq = 1u32;
+    for (i, segment) in segments.iter().enumerate() {
+        let time = Micros(i as i64 * 100);
+        extractor.push(time, seq, TcpFlags::ACK, segment);
+        reference.feed(time, segment);
+        seq = seq.wrapping_add(segment.len() as u32);
+        prop_assert_eq!(
+            extractor.extraction().unparsed_bytes,
+            reference.unparsed_bytes
+        );
+        prop_assert_eq!(extractor.messages_decoded(), reference.messages.len());
+        prop_assert_eq!(extractor.buffered_bytes(), reference.buffer.len());
+    }
+    Ok((extractor.finish(), reference))
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Skipping ahead to the next possible marker start on a reject is
+    /// the byte-at-a-time rule, faster: over mixes of valid updates,
+    /// truncated ones, `0xff` runs and noise under random segmentation,
+    /// the same unparsed count, message sequence and leftover tail —
+    /// for both kept-message types.
+    #[test]
+    fn resync_matches_byte_at_a_time_reference(
+        pieces in prop::collection::vec(arb_piece(), 1..24),
+        cuts in prop::collection::vec(1usize..1600, 1..12),
+    ) {
+        let updates: Vec<Vec<u8>> = TableGenerator::new(31)
+            .routes(400)
+            .generate()
+            .to_updates()
+            .into_iter()
+            .map(|u| BgpMessage::Update(u).to_bytes())
+            .collect();
+        let mut stream = Vec::new();
+        for piece in &pieces {
+            match piece {
+                Piece::Update(n) => stream.extend_from_slice(&updates[n % updates.len()]),
+                Piece::CutUpdate(n, cut) => {
+                    let wire = &updates[n % updates.len()];
+                    stream.extend_from_slice(&wire[..(*cut).min(wire.len() - 1)]);
+                }
+                Piece::Ones(n) => stream.resize(stream.len() + n, 0xff),
+                Piece::Noise(bytes) => stream.extend_from_slice(bytes),
+            }
+        }
+        let mut segments = Vec::new();
+        let mut rest = &stream[..];
+        for size in cuts.iter().cycle() {
+            if rest.is_empty() {
+                break;
+            }
+            let (segment, tail) = rest.split_at((*size).min(rest.len()));
+            segments.push(segment);
+            rest = tail;
+        }
+
+        let (whole, reference) = resync_against_reference::<WholeMessages>(&segments)?;
+        let tail = reference.buffer.len() as u64;
+        prop_assert_eq!(whole.unparsed_bytes, reference.unparsed_bytes + tail);
+        prop_assert_eq!(&whole.messages, &reference.messages);
+        let (log, _) = resync_against_reference::<MessageLog>(&segments)?;
+        prop_assert_eq!(log, whole.to_log());
+    }
 
     #[test]
     fn reassembler_reconstructs_byte_stream(plan in arb_plan(), len in 1usize..20_000) {
@@ -208,11 +350,7 @@ proptest! {
         let offline = &results[0].1;
 
         // Incremental: one frame at a time, capture order.
-        let mut extractor = StreamExtractor::new();
-        for f in &frames {
-            extractor.push(f.timestamp, f.tcp.seq, f.tcp.flags, &f.payload);
-        }
-        let incremental = extractor.finish();
+        let incremental = extract_incrementally(&frames)?;
         prop_assert_eq!(&incremental, offline);
 
         // Both equal the ground-truth message sequence, fully parsed.
@@ -268,11 +406,7 @@ proptest! {
         prop_assert_eq!(results.len(), 1);
         let offline = &results[0].1;
 
-        let mut extractor = StreamExtractor::new();
-        for f in &frames {
-            extractor.push(f.timestamp, f.tcp.seq, f.tcp.flags, &f.payload);
-        }
-        let incremental = extractor.finish();
+        let incremental = extract_incrementally(&frames)?;
         prop_assert_eq!(&incremental, offline);
 
         let reference: Vec<BgpMessage> = table
