@@ -439,14 +439,6 @@ impl ConnectionTracker {
         dirty.into_iter().map(|(_, k)| k).collect()
     }
 
-    /// Keys of every open connection, by ordinal.
-    pub fn open_keys(&self) -> Vec<ConnKey> {
-        let mut keys: Vec<(u64, ConnKey)> =
-            self.open.iter().map(|(k, s)| (s.ordinal, *k)).collect();
-        keys.sort_unstable();
-        keys.into_iter().map(|(_, k)| k).collect()
-    }
-
     /// The ordinal of an open connection, or `None` if `key` is not
     /// open.
     pub fn ordinal_of(&self, key: ConnKey) -> Option<u64> {
