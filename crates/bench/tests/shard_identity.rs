@@ -49,11 +49,7 @@ fn observe_frames(frames: &[TcpFrame], shards: usize) -> Observed {
     monitor.advance_to(last + Micros::from_secs(30));
     let snapshot = monitor.snapshot_reports();
     monitor.finish();
-    let events = monitor
-        .drain_events()
-        .iter()
-        .map(|e| e.to_json_v2())
-        .collect();
+    let events = monitor.drain_events().iter().map(|e| e.to_json()).collect();
     Observed { events, snapshot }
 }
 
@@ -80,11 +76,7 @@ fn observe_lossy(bytes: &[u8], shards: usize) -> Observed {
     monitor.advance_to(last + Micros::from_secs(30));
     let snapshot = monitor.snapshot_reports();
     monitor.finish();
-    let events = monitor
-        .drain_events()
-        .iter()
-        .map(|e| e.to_json_v2())
-        .collect();
+    let events = monitor.drain_events().iter().map(|e| e.to_json()).collect();
     Observed { events, snapshot }
 }
 

@@ -13,8 +13,6 @@
 //!   --window SECS     trailing analysis window      (default 120)
 //!   --interval SECS   trace time between ticks      (default 10)
 //!   --events PATH     JSONL output, "-" for stdout  (default -)
-//!   --schema 1|2      event schema (default: 1 for a single source,
-//!                     2 whenever sources are plural or swept)
 //!   --exit-idle SECS  follow mode: finish after SECS without records
 //!   --stale SECS      multi-source: drop a silent source from the
 //!                     merge clock after SECS (default 5 when plural)
@@ -50,10 +48,9 @@
 //! directory of finished captures in parallel, one independent monitor
 //! per file, and concatenates the streams in file-name order.
 //!
-//! Schema 2 prefixes the stream with a `meta` line naming the sources
-//! and adds a `source` field to every event; schema 1 is the
-//! historical single-source format (byte-identical to prior releases)
-//! and refuses to run with more than one source.
+//! The stream is `tdat-monitor-events/2` however many sources there
+//! are: a `meta` line naming the sources, then one line per event, each
+//! carrying the `source` it is attributed to.
 //!
 //! Events use trace (virtual) time only, so a given input produces
 //! byte-identical output. That determinism is what makes `--resume`
@@ -70,8 +67,8 @@ use std::process::ExitCode;
 use std::time::{Duration, Instant};
 
 use tdat_monitor::{
-    sweep_directory, Checkpoint, EventSchema, Monitor, MonitorConfig, MonitorEvent,
-    SourceCheckpoint, SourceSet, SourceSpec, Step,
+    sweep_directory, Checkpoint, EventSchema, Monitor, MonitorConfig, SourceCheckpoint, SourceSet,
+    SourceSpec, Step,
 };
 use tdat_tcpsim::scenario::{ScenarioOptions, SCENARIO_USAGE};
 use tdat_timeset::faultpoint::FaultPlan;
@@ -94,7 +91,6 @@ fn main() -> ExitCode {
     let mut exit_idle: Option<f64> = None;
     let mut stale: Option<f64> = None;
     let mut pace: Option<f64> = None;
-    let mut schema: Option<u32> = None;
     let mut jobs: Option<usize> = None;
     let mut shards: usize = 1;
     let mut checkpoint: Option<String> = None;
@@ -118,7 +114,6 @@ fn main() -> ExitCode {
                 "--exit-idle" => exit_idle = Some(parse(&take("--exit-idle")?, "--exit-idle")?),
                 "--stale" => stale = Some(parse(&take("--stale")?, "--stale")?),
                 "--pace" => pace = Some(parse(&take("--pace")?, "--pace")?),
-                "--schema" => schema = Some(parse(&take("--schema")?, "--schema")?),
                 "--jobs" => jobs = Some(parse(&take("--jobs")?, "--jobs")?),
                 "--shards" => shards = parse(&take("--shards")?, "--shards")?,
                 "--routes" => opts.routes = parse(&take("--routes")?, "--routes")?,
@@ -197,44 +192,18 @@ fn main() -> ExitCode {
         return usage("at least one of --follow, --sim, or --sweep is required");
     }
 
-    // Schema selection: v1 only exists for the historical single-source
-    // shape; anything plural (or a sweep, whose corpus size is not
-    // known to the reader up front) defaults to v2.
-    let plural = specs.len() > 1 || sweep.is_some();
-    let schema = match schema {
-        None if plural => EventSchema::V2,
-        None => EventSchema::V1,
-        Some(1) if plural => {
-            return usage("--schema 1 is single-source only; use --schema 2");
-        }
-        Some(1) => EventSchema::V1,
-        Some(2) => EventSchema::V2,
-        Some(other) => return usage(&format!("--schema: unknown schema {other}")),
-    };
-
     // Resume: the events file is the authority on how far the previous
-    // incarnation got. Count its complete lines (dropping a torn tail),
-    // then replay the watch from the origin suppressing that many.
+    // incarnation got. Count its complete event lines (dropping a torn
+    // tail), then replay the watch from the origin suppressing that many.
     let mut skip = 0u64;
     let mut write_preamble = true;
     if resume {
         match prepare_resume(&events) {
-            Ok((lines, has_meta)) => {
-                if schema == EventSchema::V2 {
-                    if has_meta {
-                        write_preamble = false;
-                        skip = lines.saturating_sub(1);
-                    } else if lines > 0 {
-                        eprintln!(
-                            "t-dat-monitor: {events}: existing schema-2 events file does not \
-                             start with a meta line; refusing to resume into it"
-                        );
-                        return ExitCode::FAILURE;
-                    }
-                } else {
-                    skip = lines;
-                }
+            Ok(Some(lines)) => {
+                write_preamble = false;
+                skip = lines;
             }
+            Ok(None) => {}
             Err(e) => {
                 eprintln!("t-dat-monitor: --resume: {e}");
                 return ExitCode::FAILURE;
@@ -269,7 +238,7 @@ fn main() -> ExitCode {
     if let Some(dir) = &sweep {
         match sweep_directory(dir, &config, jobs.unwrap_or(0)) {
             Ok(report) => {
-                if let Some(preamble) = schema.preamble(
+                if let Some(preamble) = EventSchema::V2.preamble(
                     &report
                         .outcomes
                         .iter()
@@ -284,7 +253,7 @@ fn main() -> ExitCode {
                     match &outcome.result {
                         Ok(events) => {
                             for event in events {
-                                if writeln!(out, "{}", schema.render(event)).is_err() {
+                                if writeln!(out, "{}", event.to_json()).is_err() {
                                     return ExitCode::FAILURE;
                                 }
                             }
@@ -320,6 +289,7 @@ fn main() -> ExitCode {
         };
     }
 
+    let plural = specs.len() > 1 || sweep.is_some();
     let mut builder = SourceSet::builder().faults(faults.clone());
     for spec in specs {
         builder = builder.source(spec);
@@ -372,7 +342,6 @@ fn main() -> ExitCode {
 
     let mut output = WatchOutput {
         out: &mut out,
-        schema,
         skip,
         emitted: skip,
         write_preamble,
@@ -397,7 +366,6 @@ fn main() -> ExitCode {
 /// file holds, for checkpoints.
 struct WatchOutput<'a> {
     out: &'a mut Box<dyn Write>,
-    schema: EventSchema,
     skip: u64,
     emitted: u64,
     write_preamble: bool,
@@ -410,20 +378,28 @@ struct CheckpointCtx {
     last: Instant,
 }
 
-/// Counts the complete event lines already in `path`, truncating any
-/// torn trailing partial line a crash may have left mid-write, and
-/// reports whether the first line is a schema-2 meta preamble. A
-/// missing file counts as empty.
-fn prepare_resume(path: &str) -> Result<(u64, bool), String> {
+/// Readies the events file at `path` for a resumed watch: the number of
+/// event lines after its `meta` preamble, or `None` when it holds no
+/// complete line yet (missing, empty, or torn inside the preamble).
+/// A torn trailing partial line a crash may have left mid-write is
+/// truncated; a file whose first line is not a `meta` preamble is
+/// refused and left as it is.
+fn prepare_resume(path: &str) -> Result<Option<u64>, String> {
     let bytes = match std::fs::read(path) {
         Ok(bytes) => bytes,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok((0, false)),
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
         Err(e) => return Err(format!("{path}: {e}")),
     };
     let keep = match bytes.iter().rposition(|&b| b == b'\n') {
         Some(i) => i + 1,
         None => 0,
     };
+    if keep > 0 && !bytes.starts_with(b"{\"type\":\"meta\"") {
+        return Err(format!(
+            "{path}: the first line is not a tdat-monitor-events/2 meta line (an older \
+             single-source stream, or not an events file); refusing to resume into it"
+        ));
+    }
     if keep < bytes.len() {
         let file = std::fs::File::options()
             .write(true)
@@ -437,8 +413,7 @@ fn prepare_resume(path: &str) -> Result<(u64, bool), String> {
         );
     }
     let lines = bytes[..keep].iter().filter(|&&b| b == b'\n').count() as u64;
-    let has_meta = bytes.starts_with(b"{\"type\":\"meta\"");
-    Ok((lines, has_meta))
+    Ok(lines.checked_sub(1))
 }
 
 /// Snapshots recovery state to the checkpoint file; failures are
@@ -480,7 +455,7 @@ fn drive(
 ) -> Result<(), String> {
     let ids = monitor.register_set(set);
     if output.write_preamble {
-        if let Some(preamble) = output.schema.preamble(&set.names()) {
+        if let Some(preamble) = EventSchema::V2.preamble(&set.names()) {
             writeln!(output.out, "{preamble}").map_err(|e| e.to_string())?;
         }
     }
@@ -518,22 +493,12 @@ fn drive(
 
 fn write_events(monitor: &mut Monitor, output: &mut WatchOutput<'_>) -> Result<(), String> {
     for event in monitor.drain_events() {
-        if output.schema == EventSchema::V1 {
-            // v1 has no source lifecycle lines; the outage already went
-            // to stderr. Keep the stream schema-clean.
-            if matches!(
-                &event,
-                MonitorEvent::SourceDown(_) | MonitorEvent::SourceUp(_)
-            ) {
-                continue;
-            }
-        }
         if output.skip > 0 {
             // Replaying into a resumed file: this line is already there.
             output.skip -= 1;
             continue;
         }
-        writeln!(output.out, "{}", output.schema.render(&event)).map_err(|e| e.to_string())?;
+        writeln!(output.out, "{}", event.to_json()).map_err(|e| e.to_string())?;
         output.emitted += 1;
     }
     Ok(())
@@ -553,7 +518,7 @@ fn usage(message: &str) -> ExitCode {
         "usage: t-dat-monitor [--follow <pcap>]... [--sim <{SCENARIO_USAGE}>]... \
          [--sweep <dir> [--jobs N]] [--exit-idle SECS] [--stale SECS] \
          [--routes N] [--seed S] [--pace F] \
-         [--window SECS] [--interval SECS] [--events PATH] [--schema 1|2] [--shards N] \
+         [--window SECS] [--interval SECS] [--events PATH] [--shards N] \
          [--checkpoint PATH] [--resume] [--faults SPEC] [--fault-seed N]\n\
          --shards N: byte-identical output at any N; monitor.sharded2.speedup \
          0.92 / 1.04 / 0.82 on a 2-core host, see benchmark/README.md"

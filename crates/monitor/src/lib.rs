@@ -14,8 +14,8 @@
 //! Detector outcomes feed an [`AlertEngine`] with per-(source,
 //! session) hysteresis, so alerts raise when a problem persists and
 //! clear when it goes away, once each. Events stream out as JSON Lines
-//! ([`EventSchema::V1`] is the historical single-source format,
-//! [`EventSchema::V2`] adds per-event source attribution);
+//! (`tdat-monitor-events/2`, see [`EventSchema`]: a `meta` preamble
+//! naming the sources, then every line attributed to one);
 //! operational counters (including an analysis-latency histogram and
 //! per-source frame counts) live in [`MonitorMetrics`]. There is one
 //! engine: [`MonitorConfig::shards`] only moves its per-connection
@@ -32,13 +32,13 @@
 //!
 //! ```text
 //! t-dat-monitor --follow live.pcap --events alerts.jsonl
-//! t-dat-monitor --follow a.pcap --follow b.pcap --sim peergroup --schema 2
+//! t-dat-monitor --follow a.pcap --follow b.pcap --sim peergroup
 //! t-dat-monitor --sweep captures/ --jobs 4
 //! ```
 //!
 //! # Examples
 //!
-//! Watch a simulated scenario next to a (hypothetical) live capture:
+//! Watch a simulated scenario and print its event stream:
 //!
 //! ```
 //! use tdat_monitor::{EventSchema, Monitor, MonitorConfig, SourceSet, SourceSpec};
@@ -52,8 +52,12 @@
 //!     .build()
 //!     .map_err(tdat::Error::Config)?;
 //! let mut monitor = Monitor::new(config);
-//! for event in monitor.run_set(&mut set) {
-//!     println!("{}", EventSchema::V1.render(&event));
+//! let events = monitor.run_set(&mut set);
+//! if let Some(meta) = EventSchema::V2.preamble(&set.names()) {
+//!     println!("{meta}");
+//! }
+//! for event in events {
+//!     println!("{}", event.to_json());
 //! }
 //! # Ok::<(), tdat::Error>(())
 //! ```

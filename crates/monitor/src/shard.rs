@@ -704,11 +704,7 @@ mod tests {
         monitor.advance_to(Micros::from_secs(200));
         let snapshots = monitor.snapshot_reports();
         monitor.finish();
-        let events = monitor
-            .drain_events()
-            .iter()
-            .map(|e| e.to_json_v2())
-            .collect();
+        let events = monitor.drain_events().iter().map(|e| e.to_json()).collect();
         (events, snapshots)
     }
 

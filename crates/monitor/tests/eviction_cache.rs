@@ -123,11 +123,7 @@ fn run_eviction_watch(shards: usize) -> Vec<String> {
         monitor.snapshot_reports().is_empty(),
         "finish must clear every cached analysis"
     );
-    monitor
-        .drain_events()
-        .iter()
-        .map(|e| e.to_json_v2())
-        .collect()
+    monitor.drain_events().iter().map(|e| e.to_json()).collect()
 }
 
 #[test]

@@ -113,7 +113,7 @@ fn render(sources: &SourceSet, events: &[MonitorEvent]) -> String {
         out.push('\n');
     }
     for event in events {
-        out.push_str(&EventSchema::V2.render(event));
+        out.push_str(&event.to_json());
         out.push('\n');
     }
     out

@@ -11,9 +11,7 @@ use std::net::Ipv4Addr;
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 
-use tdat_monitor::{
-    EventSchema, Monitor, MonitorConfig, MonitorEvent, MonitorMetrics, SourceSet, SourceSpec,
-};
+use tdat_monitor::{Monitor, MonitorConfig, MonitorEvent, MonitorMetrics, SourceSet, SourceSpec};
 use tdat_packet::{write_pcap_file, FrameBuilder, TcpFlags, TcpFrame, TcpOption};
 use tdat_timeset::faultpoint::FaultPlan;
 use tdat_timeset::Micros;
@@ -120,7 +118,7 @@ fn watch(a: &Path, b: &Path, faults: Option<&str>, retries: u32, shards: usize) 
     let events = monitor.run_set(&mut set);
     let mut stream = String::new();
     for event in &events {
-        stream.push_str(&EventSchema::V2.render(event));
+        stream.push_str(&event.to_json());
         stream.push('\n');
     }
     Watch {
@@ -220,12 +218,9 @@ fn a_flapping_source_resurrects_deterministically_without_disturbing_its_sibling
     let stripped: Vec<String> = events
         .iter()
         .filter(|e| !matches!(e, MonitorEvent::SourceDown(_) | MonitorEvent::SourceUp(_)))
-        .map(|e| EventSchema::V2.render(e))
+        .map(|e| e.to_json())
         .collect();
-    let expected: Vec<String> = baseline_events
-        .iter()
-        .map(|e| EventSchema::V2.render(e))
-        .collect();
+    let expected: Vec<String> = baseline_events.iter().map(|e| e.to_json()).collect();
     assert_eq!(stripped, expected, "baseline:\n{}", baseline.stream);
     assert!(
         baseline_events.iter().any(|e| source_of(e) == "a"),
@@ -295,16 +290,7 @@ fn resume_after_a_torn_crash_reproduces_the_uninterrupted_stream() {
         let mut cmd = std::process::Command::new(env!("CARGO_BIN_EXE_t-dat-monitor"));
         cmd.arg("--follow")
             .arg(&capture)
-            .args([
-                "--exit-idle",
-                "0.05",
-                "--window",
-                "60",
-                "--interval",
-                "1",
-                "--schema",
-                "2",
-            ])
+            .args(["--exit-idle", "0.05", "--window", "60", "--interval", "1"])
             .arg("--events")
             .arg(events)
             .arg("--checkpoint")
