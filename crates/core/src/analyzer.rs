@@ -161,24 +161,15 @@ impl Analyzer {
     /// else at the last captured frame.
     pub fn analyze_connection(&self, conn: &TcpConnection, frames: &[TcpFrame]) -> Analysis {
         let extraction = tdat_pcap2bgp::extract_from_frames(conn, frames);
-        self.analyze_extracted(conn.clone(), &extraction)
+        self.analyze_extracted_lossy(conn.clone(), &extraction, AnomalyCounts::default())
     }
 
     /// Analyzes a connection whose BGP messages are already extracted —
     /// the streaming engine's entry point, which owns both pieces and
     /// so moves the profile and segments into the [`Analysis`] instead
-    /// of cloning them.
-    pub fn analyze_extracted(
-        &self,
-        conn: TcpConnection,
-        extraction: &tdat_pcap2bgp::Extraction,
-    ) -> Analysis {
-        self.analyze_extracted_lossy(conn, extraction, AnomalyCounts::default())
-    }
-
-    /// Like [`analyze_extracted`](Self::analyze_extracted), but with
-    /// capture anomalies attributed to this connection by a lossy
-    /// ingestion path; the resulting [`Analysis::verdict`] reflects the
+    /// of cloning them. `anomalies` are the capture anomalies a lossy
+    /// ingestion path attributed to this connection (the default for a
+    /// clean capture); the resulting [`Analysis::verdict`] reflects the
     /// quarantine budget.
     pub fn analyze_extracted_lossy(
         &self,
@@ -204,25 +195,13 @@ impl Analyzer {
     /// over a trailing `window` — the live-monitoring entry point.
     ///
     /// The analysis period is `window` clipped to start no earlier than
-    /// the connection itself; unlike [`analyze_extracted`] it is *not*
-    /// clipped to the MCT transfer end, because a live view must keep
-    /// counting silence up to "now" (`window.end`) — that is exactly
-    /// how a stalled transfer shows up. The MCT transfer estimate over
-    /// the messages decoded so far is still computed and reported.
-    ///
-    /// [`analyze_extracted`]: Self::analyze_extracted
-    pub fn analyze_partial(
-        &self,
-        conn: TcpConnection,
-        extraction: &tdat_pcap2bgp::Extraction,
-        window: Span,
-    ) -> Analysis {
-        self.analyze_partial_lossy(conn, extraction, window, AnomalyCounts::default())
-    }
-
-    /// Like [`analyze_partial`](Self::analyze_partial), but with
-    /// capture anomalies attributed to this connection by a lossy
-    /// ingestion path.
+    /// the connection itself; unlike
+    /// [`analyze_extracted_lossy`](Self::analyze_extracted_lossy) it is
+    /// *not* clipped to the MCT transfer end, because a live view must
+    /// keep counting silence up to "now" (`window.end`) — that is
+    /// exactly how a stalled transfer shows up. The MCT transfer
+    /// estimate over the messages decoded so far is still computed and
+    /// reported. `anomalies` are as for `analyze_extracted_lossy`.
     pub fn analyze_partial_lossy(
         &self,
         conn: TcpConnection,
@@ -408,7 +387,12 @@ mod tests {
         // reaching past the last frame (live "now").
         let now = last + Micros::from_millis(10);
         let window = Span::new(last / 2, now);
-        let analysis = Analyzer::default().analyze_partial(conn.clone(), &extraction, window);
+        let analysis = Analyzer::default().analyze_partial_lossy(
+            conn.clone(),
+            &extraction,
+            window,
+            AnomalyCounts::default(),
+        );
         assert_eq!(analysis.period, window, "window within the connection");
         assert!(analysis.transfer.is_some(), "MCT still estimated");
         for (_, r) in analysis.vector.factors {
@@ -416,7 +400,12 @@ mod tests {
         }
         // A window starting before the connection clips to its start.
         let wide = Span::new(Micros(-5_000_000), now);
-        let analysis = Analyzer::default().analyze_partial(conn, &extraction, wide);
+        let analysis = Analyzer::default().analyze_partial_lossy(
+            conn,
+            &extraction,
+            wide,
+            AnomalyCounts::default(),
+        );
         assert_eq!(analysis.period.start, Micros::ZERO);
     }
 
