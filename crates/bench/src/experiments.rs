@@ -7,8 +7,9 @@
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-use tdat::{Analysis, Analyzer, AnalyzerConfig, Factor, FactorGroup};
+use tdat::{Analysis, AnalyzerConfig, Factor, FactorGroup, StreamAnalyzer};
 use tdat_bgp::BgpMessage;
+use tdat_packet::TcpFrame;
 use tdat_tcpsim::scenario::{monitoring_topology, transfer_spec, TopologyOptions};
 use tdat_tcpsim::{
     BgpReceiverConfig, ConnectionSpec, ScriptAction, SenderTimer, Simulation, TcpConfig,
@@ -34,10 +35,9 @@ impl ExperimentCtx {
         let config = AnalyzerConfig::builder()
             .build()
             .expect("paper defaults are valid");
-        let analyzer = Analyzer::new(config.clone());
         let jobs: Vec<&Transfer> = corpus.transfers.iter().collect();
         let analyses = parallel_map(jobs, |t| {
-            let mut all = analyzer.analyze_frames(&t.frames);
+            let mut all = analyze(&t.frames, config.clone());
             assert_eq!(all.len(), 1, "one connection per transfer");
             all.remove(0)
         });
@@ -55,6 +55,13 @@ impl ExperimentCtx {
         }
         map
     }
+}
+
+/// Every connection of `frames`, through the one batch pass.
+fn analyze(frames: &[TcpFrame], config: AnalyzerConfig) -> Vec<Analysis> {
+    StreamAnalyzer::new(config)
+        .analyze_frames(frames)
+        .expect("in-memory frames cannot fail")
 }
 
 fn secs(m: Micros) -> f64 {
@@ -268,8 +275,7 @@ pub fn table3() -> String {
         8_000,
         20_260_101,
     );
-    let analyzer = Analyzer::default();
-    let analyses = analyzer.analyze_frames(&transfer.frames);
+    let analyses = analyze(&transfer.frames, AnalyzerConfig::default());
     let analysis = &analyses[0];
     let episodes = tdat::find_consecutive_losses(&analysis.series, 2, Micros::from_secs(2));
     let mut out = String::new();
@@ -292,11 +298,9 @@ pub fn table3() -> String {
     // Updates whose arrival falls inside the (dilated) episode: their
     // delay is arrival − episode start (they were all queued when the
     // loss began).
-    let conns = tdat_trace::extract_connections(&transfer.frames);
     // The table prints AS paths, so this is one of the few places that
     // keeps whole messages.
-    let extraction =
-        tdat_pcap2bgp::extract_from_frames::<tdat_bgp::WholeMessages>(&conns[0], &transfer.frames);
+    let (_, extraction) = tdat_pcap2bgp::extract_all(&transfer.frames).remove(0);
     let window = Span::new(episode.span.start, episode.span.end + Micros::from_secs(1));
     let in_window: Vec<_> = extraction
         .messages
@@ -342,8 +346,7 @@ pub fn table3() -> String {
 /// Emits a time–sequence series for a transfer: `t_s seq label`,
 /// prefixed with a rendered character plot.
 fn time_sequence(transfer: &Transfer, max_points: usize) -> String {
-    let analyzer = Analyzer::default();
-    let analyses = analyzer.analyze_frames(&transfer.frames);
+    let analyses = analyze(&transfer.frames, AnalyzerConfig::default());
     let analysis = &analyses[0];
     let rendered = tdat::plot::render_analysis_time_sequence(analysis, 100, 20);
     let data: Vec<&tdat_trace::Segment> = analysis
@@ -436,7 +439,7 @@ pub fn fig8() -> String {
 }
 
 fn classification_report(transfer: &Transfer) -> String {
-    let analyses = Analyzer::default().analyze_frames(&transfer.frames);
+    let analyses = analyze(&transfer.frames, AnalyzerConfig::default());
     let analysis = &analyses[0];
     let mut counts: BTreeMap<&'static str, usize> = BTreeMap::new();
     for l in &analysis.labels {
@@ -518,7 +521,7 @@ pub fn run_peer_group_incident(seed: u64) -> (Analysis, Analysis, Vec<tdat::Peer
     sim.run(Micros::from_secs(600));
     let out = sim.into_output();
     let frames = &out.taps[0].1;
-    let mut analyses = Analyzer::default().analyze_frames(frames);
+    let mut analyses = analyze(frames, AnalyzerConfig::default());
     analyses.sort_by_key(|a| a.receiver.0);
     let vendor_a = analyses.pop().expect("two connections");
     let quagga_a = analyses.pop().expect("two connections");
@@ -576,14 +579,14 @@ pub fn fig11() -> String {
         6_000,
         11_11,
     );
-    let analyses = Analyzer::default().analyze_frames(&transfer.frames);
+    let analyses = analyze(&transfer.frames, AnalyzerConfig::default());
     analyses[0].plot(100)
 }
 
 /// Regenerates Fig. 13: per-flight ACK shifts applied by preprocessing.
 pub fn fig13() -> String {
     let transfer = generate_transfer(Dataset::IspAQuagga, 3, Scenario::Clean, 4_000, 13_13);
-    let analyses = Analyzer::default().analyze_frames(&transfer.frames);
+    let analyses = analyze(&transfer.frames, AnalyzerConfig::default());
     let mut out = String::from("# flight_start_s flight_acks shift_us\n");
     for shift in analyses[0].trace.shifts.iter().take(40) {
         writeln!(
@@ -806,7 +809,7 @@ pub fn fig15() -> String {
         }
         sim.run(Micros::from_secs(1800));
         let out_sim = sim.into_output();
-        let analyses = Analyzer::default().analyze_frames(&out_sim.taps[0].1);
+        let analyses = analyze(&out_sim.taps[0].1, AnalyzerConfig::default());
         let n_a = analyses.len().max(1) as f64;
         let bgp: f64 = analyses
             .iter()
@@ -964,7 +967,7 @@ pub fn fig17(ctx: &ExperimentCtx) -> String {
         8_000,
         17_17,
     );
-    let analyses = Analyzer::default().analyze_frames(&transfer.frames);
+    let analyses = analyze(&transfer.frames, AnalyzerConfig::default());
     let analysis = &analyses[0];
     let gaps: Vec<Micros> = analysis.series.send_app_limited.durations().collect();
     out.push_str("\n# example 200 ms transfer gap distribution\n");
@@ -1003,13 +1006,11 @@ pub fn ablation_ack_shift() -> String {
         "# timer-paced transfer\n# variant sender_ratio receiver_ratio bgp_sender_ratio\n",
     );
     for (name, disable) in [("shifted", false), ("unshifted", true)] {
-        let analyzer = Analyzer::new(
-            AnalyzerConfig::builder()
-                .disable_ack_shift(disable)
-                .build()
-                .expect("valid ablation config"),
-        );
-        let analyses = analyzer.analyze_frames(&transfer.frames);
+        let config = AnalyzerConfig::builder()
+            .disable_ack_shift(disable)
+            .build()
+            .expect("valid ablation config");
+        let analyses = analyze(&transfer.frames, config);
         let v = &analyses[0].vector;
         writeln!(
             out,
@@ -1041,13 +1042,11 @@ pub fn ablation_ack_shift() -> String {
     let frames = sim.into_output().taps.remove(0).1;
     out.push_str("# window-bound transfer\n# variant tcp_window_ratio cwnd_ratio\n");
     for (name, disable) in [("shifted", false), ("unshifted", true)] {
-        let analyzer = Analyzer::new(
-            AnalyzerConfig::builder()
-                .disable_ack_shift(disable)
-                .build()
-                .expect("valid ablation config"),
-        );
-        let analyses = analyzer.analyze_frames(&frames);
+        let config = AnalyzerConfig::builder()
+            .disable_ack_shift(disable)
+            .build()
+            .expect("valid ablation config");
+        let analyses = analyze(&frames, config);
         let v = &analyses[0].vector;
         writeln!(
             out,
@@ -1072,13 +1071,11 @@ pub fn ablation_window_threshold() -> String {
     );
     let mut out = String::from("# threshold_mss bgp_recv_ratio tcp_window_ratio\n");
     for threshold in [1.0f64, 2.0, 3.0, 4.0, 5.0, 6.0] {
-        let analyzer = Analyzer::new(
-            AnalyzerConfig::builder()
-                .small_window_mss(threshold)
-                .build()
-                .expect("valid ablation config"),
-        );
-        let analyses = analyzer.analyze_frames(&transfer.frames);
+        let config = AnalyzerConfig::builder()
+            .small_window_mss(threshold)
+            .build()
+            .expect("valid ablation config");
+        let analyses = analyze(&transfer.frames, config);
         let v = &analyses[0].vector;
         writeln!(
             out,

@@ -122,17 +122,15 @@ fn sharded_batch_reports_match_serial_over_oracle_matrix() {
     for sc in scenario_matrix(0xBA5E) {
         let frames = scenario_capture(&sc);
         let serial = engine(0, TrackerConfig::batch());
-        let mut want = Vec::new();
-        serial
-            .analyze_stream(frames.iter().cloned().map(Ok), |a| want.push(a))
+        let want = serial
+            .analyze_frames(&frames)
             .expect("serial analysis succeeds");
         let want = rendered(&serial, &want);
         assert!(!want.is_empty(), "{}: no connections analyzed", sc.name);
         for shards in [2, 5] {
             let sharded = engine(shards, TrackerConfig::batch());
-            let mut got = Vec::new();
-            sharded
-                .analyze_stream(frames.iter().cloned().map(Ok), |a| got.push(a))
+            let got = sharded
+                .analyze_frames(&frames)
                 .expect("sharded analysis succeeds");
             assert_eq!(
                 rendered(&sharded, &got),
@@ -352,15 +350,9 @@ proptest! {
     ) {
         let frames = synthetic_frames(n, opt_mix, payload);
         let serial = engine(0, TrackerConfig::batch());
-        let mut want = Vec::new();
-        serial
-            .analyze_stream(frames.iter().cloned().map(Ok), |a| want.push(a))
-            .expect("serial analysis succeeds");
+        let want = serial.analyze_frames(&frames).expect("serial analysis succeeds");
         let sharded = engine(shards, TrackerConfig::batch());
-        let mut got = Vec::new();
-        sharded
-            .analyze_stream(frames.iter().cloned().map(Ok), |a| got.push(a))
-            .expect("sharded analysis succeeds");
+        let got = sharded.analyze_frames(&frames).expect("sharded analysis succeeds");
         prop_assert_eq!(rendered(&sharded, &got), rendered(&serial, &want));
     }
 }

@@ -391,28 +391,27 @@ fn idle_connections_cost_a_steady_tick_nothing() {
 }
 
 /// `alloc.batch.count_per_frame`, pinned as a count: a clean
-/// 8 000-route transfer through the inline [`StreamAnalyzer`] — decode
-/// aside, the whole batch pass: tracker, reassembly into the message
-/// log, MCT, labelling, series, factors. Measured (debug and release,
-/// repeating exactly): 305 allocations over the transfer's 173 frames,
-/// 1.8 per frame, most of them the per-connection analysis; when
-/// reassembly kept an owned `BgpMessage` tree per message the same pass
-/// made 19 363, 112 per frame. That path still exists for the
-/// `pcap2bgp` tool, and guards the test: `extract_all` over the same
-/// frames makes 19 108, 110 per frame — if the counter stopped seeing
-/// reassembly, the second assertion would fail first.
+/// 8 000-route transfer through the inline [`StreamAnalyzer`], its
+/// frames borrowed — decode aside, the whole batch pass: tracker,
+/// reassembly into the message log, MCT, labelling, series, factors.
+/// Measured (debug and release, repeating exactly): 305 allocations
+/// over the transfer's 173 frames, 1.8 per frame, most of them the
+/// per-connection analysis; when reassembly kept an owned `BgpMessage`
+/// tree per message the same pass made 19 363, 112 per frame. That path
+/// still exists for the `pcap2bgp` tool, and guards the test:
+/// `extract_all` over the same frames — the same tracker and the same
+/// reassembler, keeping whole messages — makes 19 109, 110 per frame; if
+/// the counter stopped seeing reassembly, the second assertion would
+/// fail first.
 #[test]
 fn batch_pass_allocates_a_few_times_per_frame() {
     const PER_FRAME: u64 = 3;
     let frames = generate_transfer(Dataset::IspAQuagga, 0, Scenario::Clean, 8_000, 7).frames;
     let count = frames.len() as u64;
-    let owned: Vec<tdat_packet::Result<TcpFrame>> = frames.iter().cloned().map(Ok).collect();
+    let engine = StreamAnalyzer::default();
 
     let before = allocations();
-    let mut analyses = Vec::new();
-    StreamAnalyzer::new(Default::default())
-        .analyze_stream(owned, |analysis| analyses.push(analysis))
-        .expect("in-memory frames");
+    let analyses = engine.analyze_frames(&frames).expect("in-memory frames");
     let inline = allocations() - before;
     assert_eq!(analyses.len(), 1);
     let prefixes = analyses[0].transfer.as_ref().map(|t| t.prefix_count);

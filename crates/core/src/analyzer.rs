@@ -1,13 +1,10 @@
-//! The analyzer façade: pcap in, delay factors out (Fig. 10).
-
-use std::path::Path;
+//! The per-connection analysis: one connection and its BGP messages
+//! in, delay factors out (Fig. 10).
 
 use tdat_bgp::{find_transfer_end_ref, MctConfig, TableTransfer};
-use tdat_packet::{AnomalyCounts, TcpFrame};
+use tdat_packet::AnomalyCounts;
 use tdat_timeset::Span;
-use tdat_trace::{
-    extract_connections, label_segments, ConnProfile, LabelConfig, SegLabel, TcpConnection,
-};
+use tdat_trace::{label_segments, ConnProfile, LabelConfig, SegLabel, TcpConnection};
 
 use crate::config::AnalyzerConfig;
 use crate::detect::{
@@ -81,20 +78,36 @@ impl Analysis {
     }
 }
 
-/// The T-DAT analyzer: configure once, run over connections.
+/// The per-connection steps of T-DAT: configure once, then analyze
+/// connections whose BGP messages are already extracted. Frames and
+/// captures go through [`StreamAnalyzer`](crate::StreamAnalyzer), which
+/// tracks and reassembles each connection and calls
+/// [`analyze_extracted_lossy`](Self::analyze_extracted_lossy) as it
+/// finalizes; the live monitor calls
+/// [`analyze_partial_lossy`](Self::analyze_partial_lossy) on connections
+/// still open.
 ///
 /// # Examples
 ///
-/// ```no_run
-/// use tdat::Analyzer;
+/// The engine's inline pass, by hand:
 ///
+/// ```no_run
+/// use tdat::{Analyzer, BgpDemux, TrackerConfig};
+/// use tdat_packet::AnomalyCounts;
+/// use tdat_trace::ConnectionTracker;
+///
+/// let frames = tdat_packet::read_pcap_file("bgp-session.pcap")?;
 /// let analyzer = Analyzer::default();
-/// for analysis in analyzer.analyze_pcap("transfer.pcap")? {
-///     println!(
-///         "{}:{} -> {}:{}",
-///         analysis.sender.0, analysis.sender.1,
-///         analysis.receiver.0, analysis.receiver.1
-///     );
+/// let mut tracker = ConnectionTracker::new(TrackerConfig::batch());
+/// let mut demux = BgpDemux::new();
+/// for frame in &frames {
+///     demux.feed(frame);
+///     tracker.ingest(frame);
+/// }
+/// for fin in tracker.finish() {
+///     let extraction = demux.take(fin.key, fin.connection.sender);
+///     let analysis =
+///         analyzer.analyze_extracted_lossy(fin.connection, &extraction, AnomalyCounts::default());
 ///     println!("{}", analysis.vector);
 /// }
 /// # Ok::<(), Box<dyn std::error::Error>>(())
@@ -134,38 +147,8 @@ impl Analyzer {
         &self.quarantine
     }
 
-    /// Analyzes every TCP connection in a pcap file.
-    ///
-    /// # Errors
-    ///
-    /// Fails on I/O or pcap decode errors.
-    pub fn analyze_pcap(&self, path: impl AsRef<Path>) -> crate::Result<Vec<Analysis>> {
-        let frames = tdat_packet::read_pcap_file(path)?;
-        Ok(self.analyze_frames(&frames))
-    }
-
-    /// Analyzes every TCP connection in an in-memory frame trace.
-    pub fn analyze_frames(&self, frames: &[TcpFrame]) -> Vec<Analysis> {
-        extract_connections(frames)
-            .into_iter()
-            .map(|conn| self.analyze_connection(&conn, frames))
-            .collect()
-    }
-
-    /// Analyzes one extracted connection. `frames` must be the slice
-    /// the connection was extracted from (for BGP payload access).
-    ///
-    /// The analysis period starts at the TCP connection start (§II-A:
-    /// the table transfer begins right after establishment) and ends at
-    /// the MCT-estimated transfer end when BGP updates are decodable,
-    /// else at the last captured frame.
-    pub fn analyze_connection(&self, conn: &TcpConnection, frames: &[TcpFrame]) -> Analysis {
-        let extraction = tdat_pcap2bgp::extract_from_frames(conn, frames);
-        self.analyze_extracted_lossy(conn.clone(), &extraction, AnomalyCounts::default())
-    }
-
     /// Analyzes a connection whose BGP messages are already extracted —
-    /// the streaming engine's entry point, which owns both pieces and
+    /// the batch engine's step, which owns both pieces and
     /// so moves the profile and segments into the [`Analysis`] instead
     /// of cloning them. `anomalies` are the capture anomalies a lossy
     /// ingestion path attributed to this connection (the default for a
@@ -282,7 +265,7 @@ mod tests {
     use super::*;
     use std::net::Ipv4Addr;
     use tdat_bgp::TableGenerator;
-    use tdat_packet::FrameBuilder;
+    use tdat_packet::{FrameBuilder, TcpFrame};
     use tdat_timeset::Micros;
 
     /// Builds a simple clean transfer trace: handshake + update stream
@@ -358,7 +341,9 @@ mod tests {
     #[test]
     fn end_to_end_analysis_of_clean_transfer() {
         let frames = clean_transfer(200);
-        let analyses = Analyzer::default().analyze_frames(&frames);
+        let analyses = crate::StreamAnalyzer::default()
+            .analyze_frames(&frames)
+            .unwrap();
         assert_eq!(analyses.len(), 1);
         let a = &analyses[0];
         assert_eq!(a.sender.1, 179);
@@ -380,8 +365,8 @@ mod tests {
     #[test]
     fn analyze_partial_clips_period_to_window() {
         let frames = clean_transfer(150);
-        let conn = tdat_trace::extract_connections(&frames).remove(0);
-        let extraction = tdat_pcap2bgp::extract_from_frames(&conn, &frames);
+        let (conn, whole) = tdat_pcap2bgp::extract_all(&frames).remove(0);
+        let extraction = whole.to_log();
         let last = frames.last().unwrap().timestamp;
         // A trailing window covering the second half of the capture,
         // reaching past the last frame (live "now").
@@ -425,7 +410,9 @@ mod tests {
                 .payload(tdat_bgp::BgpMessage::Keepalive.to_bytes())
                 .build(),
         );
-        let analyses = Analyzer::default().analyze_frames(&frames);
+        let analyses = crate::StreamAnalyzer::default()
+            .analyze_frames(&frames)
+            .unwrap();
         let analysis = &analyses[0];
         assert!(
             analysis.period.duration() < Micros::from_secs(300),

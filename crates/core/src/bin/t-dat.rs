@@ -19,7 +19,7 @@
 use std::io::{self, Write};
 use std::process::ExitCode;
 
-use tdat::{Analysis, Analyzer, StreamAnalyzer, StreamOptions, TrackerConfig};
+use tdat::{Analysis, Analyzer, StreamAnalyzer, StreamOptions};
 
 const USAGE: &str = "usage: t-dat <trace.pcap> [--json] [--plot] [--tsplot] [--series] \
                      [--threshold 0.3] [--shards N]
@@ -89,9 +89,6 @@ fn main() -> ExitCode {
     let engine = StreamAnalyzer::with_options(
         config,
         StreamOptions {
-            // The CLI reports on the whole capture, so hold every
-            // connection to its last frame like the batch path.
-            tracker: TrackerConfig::batch(),
             shards,
             ..Default::default()
         },

@@ -8,21 +8,28 @@
 //! behaviour — and attributes the transfer delay to eight factors
 //! across three groups (sender, receiver, network limited).
 //!
-//! The primary entry point is the **streaming engine**,
-//! [`StreamAnalyzer`]: it ingests frames one at a time, demultiplexes
-//! them into per-connection state ([`tdat_trace::ConnectionTracker`]),
-//! reassembles BGP messages incrementally, finalizes each connection
-//! when it closes or idles out ([`TrackerConfig`]), and runs the
-//! per-connection pipeline on it there and then. It is one loop over
-//! three sources (a pcap path, a frame iterator, a lossy reader) into
-//! one of two sinks: the calling thread — the default — or
-//! [`StreamOptions::shards`] worker lanes with byte-identical output.
-//! Memory stays proportional to the *open* connections — not the trace
-//! size — so day-long multi-session captures analyze in bounded space,
-//! and results arrive as connections finish instead of after the whole
-//! file is read.
+//! The entry point is the **batch engine**, [`StreamAnalyzer`]: it
+//! ingests frames one at a time, demultiplexes them into
+//! per-connection state ([`tdat_trace::ConnectionTracker`]), reassembles
+//! BGP messages incrementally, finalizes each connection at the end of
+//! the input — or, with [`TrackerConfig::streaming`], when it closes or
+//! idles out — and runs the per-connection pipeline on it there and
+//! then. It is one loop over three sources (a pcap path, frames in
+//! memory, a lossy reader) into one of two sinks: the calling thread —
+//! the default — or [`StreamOptions::shards`] worker lanes with
+//! byte-identical output. `t-dat`, the oracle, the paper experiments
+//! and the tests all run this one pass; [`Analyzer`] holds only its
+//! per-connection steps.
 //!
-//! The per-connection pipeline (paper Fig. 10) is unchanged:
+//! Frame payloads are never retained. By default every connection is
+//! held to its last frame, so memory grows with the capture's frame
+//! count (a fixed-size record per frame, plus 16 bytes per BGP message
+//! and 8 per announced prefix); a [`TrackerConfig::streaming`] engine
+//! holds only the connections still open, which keeps day-long
+//! multi-session captures in bounded space and delivers results as
+//! connections finish.
+//!
+//! The per-connection pipeline (paper Fig. 10):
 //!
 //! 1. **Preprocess** ([`preprocess`]): approximate the sender-side view
 //!    by shifting each ACK *flight* forward by its tightest
@@ -36,19 +43,14 @@
 //!    consecutive-loss episodes, peer-group blocking, and the
 //!    `ZeroAckBug` conflicting-series check.
 //!
-//! The batch [`Analyzer`] remains for in-memory frame slices and is
-//! guaranteed to produce byte-identical analyses (both paths share the
-//! same connection builder and BGP extractor; see
-//! `tests/streaming_vs_batch.rs`).
-//!
 //! # Examples
 //!
-//! Streaming, results delivered as connections finalize:
+//! A capture, connection by connection:
 //!
 //! ```no_run
 //! use tdat::StreamAnalyzer;
 //!
-//! let engine = StreamAnalyzer::new(Default::default());
+//! let engine = StreamAnalyzer::default();
 //! engine.analyze_pcap_with("bgp-session.pcap", |analysis| {
 //!     let v = &analysis.vector;
 //!     println!(
@@ -63,18 +65,6 @@
 //!     }
 //! })?;
 //! # Ok::<(), tdat::Error>(())
-//! ```
-//!
-//! Batch, for frames already in memory:
-//!
-//! ```no_run
-//! use tdat::Analyzer;
-//!
-//! let frames = tdat_packet::read_pcap_file("bgp-session.pcap")?;
-//! for analysis in Analyzer::default().analyze_frames(&frames) {
-//!     println!("{}", analysis.vector);
-//! }
-//! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
 #![forbid(unsafe_code)]

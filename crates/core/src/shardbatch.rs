@@ -424,33 +424,26 @@ mod tests {
             .collect()
     }
 
+    fn engine(tracker: TrackerConfig, shards: usize) -> StreamAnalyzer {
+        StreamAnalyzer::with_options(
+            AnalyzerConfig::default(),
+            StreamOptions {
+                tracker,
+                shards,
+                ..Default::default()
+            },
+        )
+    }
+
     #[test]
     fn sharded_stream_matches_serial_reports() {
         let frames = mixed_trace();
-        let serial = StreamAnalyzer::with_options(
-            AnalyzerConfig::default(),
-            StreamOptions {
-                tracker: TrackerConfig::batch(),
-                shards: 0,
-                ..Default::default()
-            },
-        );
-        let mut want = Vec::new();
-        serial
-            .analyze_stream(frames.iter().cloned().map(Ok), |a| want.push(a))
+        let want = engine(TrackerConfig::batch(), 0)
+            .analyze_frames(&frames)
             .unwrap();
         for shards in [1, 2, 3, 7] {
-            let engine = StreamAnalyzer::with_options(
-                AnalyzerConfig::default(),
-                StreamOptions {
-                    tracker: TrackerConfig::batch(),
-                    shards,
-                    ..Default::default()
-                },
-            );
-            let mut got = Vec::new();
-            engine
-                .analyze_stream(frames.iter().cloned().map(Ok), |a| got.push(a))
+            let got = engine(TrackerConfig::batch(), shards)
+                .analyze_frames(&frames)
                 .unwrap();
             assert_eq!(
                 summaries(&got),
@@ -477,30 +470,8 @@ mod tests {
             max_connections: Some(3),
             ..TrackerConfig::streaming()
         };
-        let serial = StreamAnalyzer::with_options(
-            AnalyzerConfig::default(),
-            StreamOptions {
-                tracker,
-                shards: 0,
-                ..Default::default()
-            },
-        );
-        let mut want = Vec::new();
-        serial
-            .analyze_stream(frames.iter().cloned().map(Ok), |a| want.push(a))
-            .unwrap();
-        let engine = StreamAnalyzer::with_options(
-            AnalyzerConfig::default(),
-            StreamOptions {
-                tracker,
-                shards: 4,
-                ..Default::default()
-            },
-        );
-        let mut got = Vec::new();
-        engine
-            .analyze_stream(frames.iter().cloned().map(Ok), |a| got.push(a))
-            .unwrap();
+        let want = engine(tracker, 0).analyze_frames(&frames).unwrap();
+        let got = engine(tracker, 4).analyze_frames(&frames).unwrap();
         assert!(!want.is_empty());
         assert_eq!(summaries(&got), summaries(&want));
     }
@@ -512,24 +483,12 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("mixed.pcap");
         tdat_packet::write_pcap_file(&path, frames.iter()).unwrap();
-        let serial = StreamAnalyzer::with_options(
-            AnalyzerConfig::default(),
-            StreamOptions {
-                tracker: TrackerConfig::batch(),
-                shards: 0,
-                ..Default::default()
-            },
-        );
-        let want = serial.analyze_pcap(&path).unwrap();
-        let engine = StreamAnalyzer::with_options(
-            AnalyzerConfig::default(),
-            StreamOptions {
-                tracker: TrackerConfig::batch(),
-                shards: 2,
-                ..Default::default()
-            },
-        );
-        let got = engine.analyze_pcap(&path).unwrap();
+        let want = engine(TrackerConfig::batch(), 0)
+            .analyze_pcap(&path)
+            .unwrap();
+        let got = engine(TrackerConfig::batch(), 2)
+            .analyze_pcap(&path)
+            .unwrap();
         assert_eq!(summaries(&got), summaries(&want));
     }
 }

@@ -1,19 +1,19 @@
 //! The batch engine: one loop, two sinks, three sources.
 //!
-//! [`StreamAnalyzer`] is the primary entry point of the crate. Every
-//! entry point is the same pass — demultiplex frames into
-//! per-connection state with a [`ConnectionTracker`], feed payload
-//! bytes straight into incremental BGP reassembly
-//! ([`tdat_pcap2bgp::StreamExtractor`], which keeps a flat message log
-//! per connection, not decoded messages), run the
-//! series/factor/detector pipeline on each connection as it finalizes,
-//! deliver the [`Analysis`] results in finalization order — and the
-//! entry points differ only in their **source**, what is read:
+//! [`StreamAnalyzer`] is the crate's one batch pass; `t-dat`, the
+//! oracle, the paper experiments and the tests all run it. Every entry
+//! point is the same pass — demultiplex frames into per-connection
+//! state with a [`ConnectionTracker`], feed payload bytes straight into
+//! incremental BGP reassembly ([`tdat_pcap2bgp::StreamExtractor`], which
+//! keeps a flat message log per connection, not decoded messages), run
+//! the series/factor/detector pipeline on each connection as it
+//! finalizes, deliver the [`Analysis`] results in finalization order —
+//! and the entry points differ only in their **source**, what is read:
 //!
 //! * strict zero-copy [`FrameView`](tdat_packet::FrameView)s from a
 //!   pcap path ([`analyze_pcap_with`](StreamAnalyzer::analyze_pcap_with)),
-//! * owned [`TcpFrame`]s from any iterator
-//!   ([`analyze_stream`](StreamAnalyzer::analyze_stream)),
+//! * [`TcpFrame`]s already in memory, borrowed
+//!   ([`analyze_frames`](StreamAnalyzer::analyze_frames)),
 //! * damage-tolerant views from a [`LossyReader`]
 //!   ([`analyze_lossy_with`](StreamAnalyzer::analyze_lossy_with)), whose
 //!   anomalies are charged to the connection they hit. The strict
@@ -28,11 +28,13 @@
 //! finalized ahead of the failing record is delivered, at any lane
 //! count.
 //!
-//! Unlike the batch path ([`Analyzer::analyze_pcap`]), which
-//! materializes the whole trace, memory here is proportional to the
-//! *open* connections' segment metadata and message logs (16 bytes per
-//! BGP message, 8 per announced prefix) plus bounded reassembly
-//! buffers — frame payloads are dropped as soon as they are ingested.
+//! Frame payloads are dropped as soon as they are ingested. What is
+//! held is, per open connection, one fixed-size metadata record per
+//! frame and the message log (16 bytes per BGP message, 8 per announced
+//! prefix) plus bounded reassembly buffers. By default every connection
+//! stays open to its last frame ([`StreamOptions::tracker`]), so memory
+//! grows with the input's frame count; a [`TrackerConfig::streaming`]
+//! engine finalizes on close or idle and holds only what is still open.
 
 use std::collections::{BTreeMap, HashMap};
 use std::path::Path;
@@ -49,14 +51,18 @@ use crate::config::AnalyzerConfig;
 use crate::error::Result;
 use crate::shardbatch::ShardCoordinator;
 
-/// Tuning of the streaming engine.
-#[derive(Debug, Clone, Default)]
+/// Tuning of the batch engine.
+#[derive(Debug, Clone)]
 pub struct StreamOptions {
     /// No effect. The thread pool it sized is gone; the field outlives
     /// it only until the repository benchmark, which builds this struct
     /// as a literal, stops naming it.
     pub workers: usize,
-    /// When connections are finalized (close/idle policy).
+    /// When connections are finalized. The default,
+    /// [`TrackerConfig::batch`], holds every connection to its last
+    /// frame, so each report covers the whole input and memory grows
+    /// with the input's frame count; [`TrackerConfig::streaming`]
+    /// finalizes on close or idle and holds only the open connections.
     pub tracker: TrackerConfig,
     /// Worker lanes. `0` and `1` (`0` is the default) both mean the
     /// serial pass on the calling thread; `N >= 2` splits the capture
@@ -70,20 +76,35 @@ pub struct StreamOptions {
     pub shards: usize,
 }
 
-/// The batch engine: per-connection frame ingestion, close/idle
-/// finalization, and analysis of each connection as it finalizes — see
-/// the module docs for the sources and sinks.
+impl Default for StreamOptions {
+    fn default() -> StreamOptions {
+        StreamOptions {
+            workers: 0,
+            tracker: TrackerConfig::batch(),
+            shards: 0,
+        }
+    }
+}
+
+/// The batch engine: per-connection frame ingestion, finalization at
+/// the end of the input (or on close/idle, per
+/// [`StreamOptions::tracker`]), and analysis of each connection as it
+/// finalizes — see the module docs for the sources and sinks.
 ///
 /// # Examples
 ///
 /// ```no_run
 /// use tdat::StreamAnalyzer;
 ///
-/// let engine = StreamAnalyzer::new(Default::default());
+/// let engine = StreamAnalyzer::default();
 /// engine.analyze_pcap_with("bgp-session.pcap", |analysis| {
 ///     println!("{} → {}", analysis.sender.0, analysis.receiver.0);
 ///     println!("{}", analysis.vector);
 /// })?;
+/// let frames = tdat_packet::read_pcap_file("bgp-session.pcap")?;
+/// for analysis in engine.analyze_frames(&frames)? {
+///     println!("{}", analysis.vector);
+/// }
 /// # Ok::<(), tdat::Error>(())
 /// ```
 #[derive(Debug, Clone, Default)]
@@ -110,12 +131,13 @@ pub struct LossyRunReport {
 }
 
 impl StreamAnalyzer {
-    /// Creates a streaming analyzer with default options.
+    /// Creates an engine with default options: the serial pass, every
+    /// connection held to its last frame.
     pub fn new(config: AnalyzerConfig) -> StreamAnalyzer {
         StreamAnalyzer::with_options(config, StreamOptions::default())
     }
 
-    /// Creates a streaming analyzer with explicit options.
+    /// Creates an engine with explicit options.
     pub fn with_options(config: AnalyzerConfig, options: StreamOptions) -> StreamAnalyzer {
         StreamAnalyzer {
             analyzer: Analyzer::new(config),
@@ -172,21 +194,18 @@ impl StreamAnalyzer {
         Ok(out)
     }
 
-    /// Streams already-decoded frames (capture order), invoking
-    /// `on_result` per connection in finalization order.
+    /// Analyzes frames already in memory (capture order), borrowing
+    /// them, and returns the analyses in finalization order.
     ///
     /// # Errors
     ///
-    /// Fails on a decode error from the iterator, or if a lane dies —
-    /// after delivering every connection finalized before the failure.
-    pub fn analyze_stream<I, F>(&self, frames: I, on_result: F) -> Result<()>
-    where
-        I: IntoIterator<Item = tdat_packet::Result<TcpFrame>>,
-        F: FnMut(Analysis),
-    {
-        let mut sink = self.sink(on_result);
-        let read = frames.into_iter().try_for_each(|frame| sink.step(&frame?));
-        sink.finish(read)
+    /// Fails only if a lane dies.
+    pub fn analyze_frames(&self, frames: &[TcpFrame]) -> Result<Vec<Analysis>> {
+        let mut out = Vec::new();
+        let mut sink = self.sink(|a| out.push(a));
+        let read = frames.iter().try_for_each(|frame| sink.step(frame));
+        sink.finish(read)?;
+        Ok(out)
     }
 
     /// Streams a pcap file through the *lossy* decoder: damaged

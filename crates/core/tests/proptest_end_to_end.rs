@@ -2,7 +2,7 @@
 //! → full T-DAT analysis, checking cross-layer invariants every time.
 
 use proptest::prelude::*;
-use tdat::Analyzer;
+use tdat::StreamAnalyzer;
 use tdat_bgp::TableGenerator;
 use tdat_tcpsim::net::LossModel;
 use tdat_tcpsim::scenario::{monitoring_topology, transfer_spec, TopologyOptions};
@@ -124,7 +124,7 @@ proptest! {
         prop_assert_eq!(announced, p.routes, "reliable delivery under {:?}", p);
 
         // Full analysis runs without panicking and with sane outputs.
-        let analyses = Analyzer::default().analyze_frames(&out.taps[0].1);
+        let analyses = StreamAnalyzer::default().analyze_frames(&out.taps[0].1).unwrap();
         prop_assert_eq!(analyses.len(), 1);
         let a = &analyses[0];
         for (factor, ratio) in a.vector.factors {

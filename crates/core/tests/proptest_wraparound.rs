@@ -9,7 +9,7 @@
 
 use proptest::prelude::*;
 use std::net::Ipv4Addr;
-use tdat::Analyzer;
+use tdat::StreamAnalyzer;
 use tdat_packet::{FrameBuilder, TcpFlags, TcpFrame, TcpOption};
 use tdat_timeset::Micros;
 
@@ -111,9 +111,9 @@ proptest! {
 
     #[test]
     fn analysis_invariant_under_wrap(chunks in arb_chunks(), cross in 0usize..100_000) {
-        let low = Analyzer::default().analyze_frames(&flow(100_000, &chunks));
+        let low = StreamAnalyzer::default().analyze_frames(&flow(100_000, &chunks)).unwrap();
         let wrapped =
-            Analyzer::default().analyze_frames(&flow(wrap_base(&chunks, cross), &chunks));
+            StreamAnalyzer::default().analyze_frames(&flow(wrap_base(&chunks, cross), &chunks)).unwrap();
         prop_assert_eq!(low.len(), 1);
         prop_assert_eq!(wrapped.len(), 1);
         let (l, w) = (&low[0], &wrapped[0]);

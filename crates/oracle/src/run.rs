@@ -3,7 +3,7 @@
 //! full passive pipeline, and score inference against the simulator's
 //! ground truth.
 
-use tdat::{Analysis, Analyzer};
+use tdat::{Analysis, StreamAnalyzer};
 use tdat_bgp::TableGenerator;
 use tdat_tcpsim::net::LossModel;
 use tdat_tcpsim::scenario::{
@@ -271,6 +271,13 @@ pub fn scenario_capture(sc: &OracleScenario) -> Vec<tdat_packet::TcpFrame> {
     }
 }
 
+/// Every connection of a capture, through the one batch pass.
+fn analyze(frames: &[tdat_packet::TcpFrame]) -> Vec<Analysis> {
+    StreamAnalyzer::default()
+        .analyze_frames(frames)
+        .expect("in-memory frames cannot fail")
+}
+
 fn run_monitored(sc: &OracleScenario) -> ScenarioReport {
     let MonitoredRun {
         frames,
@@ -279,7 +286,7 @@ fn run_monitored(sc: &OracleScenario) -> ScenarioReport {
     } = simulate_monitored(sc);
     let report = &report;
 
-    let analyses = Analyzer::default().analyze_frames(&frames);
+    let analyses = analyze(&frames);
     assert_eq!(
         analyses.len(),
         1,
@@ -305,7 +312,7 @@ fn run_peergroup(sc: &OracleScenario) -> ScenarioReport {
     let mut out = sim.into_output();
     let frames = out.taps.remove(0).1;
 
-    let analyses = Analyzer::default().analyze_frames(&frames);
+    let analyses = analyze(&frames);
 
     // Truth: the surviving (quagga) session was blocked by its failed
     // peer-group sibling for these spans.

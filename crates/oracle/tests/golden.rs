@@ -14,18 +14,21 @@
 //!   so a change to any field (trace, labels, series, vector) shows,
 //!   not only to those a report carries.
 //!
+//! The interleaved capture also checks that the streaming tracker
+//! policy, which finalizes on close or idle, delivers the same sessions
+//! with the same dominant factors as the default, which holds every
+//! connection to the end.
+//!
 //! On a mismatch the test writes the actual output under
-//! `CARGO_TARGET_TMPDIR/golden/` and names the first differing line. A
-//! golden changes only by copying that file over it, in a commit that
-//! says why the output had to change.
+//! `CARGO_TARGET_TMPDIR/golden/oracle/` and names the first differing
+//! line. A golden changes only by copying that file over it, in a
+//! commit that says why the output had to change.
 
 use std::fmt::Write as _;
 use std::path::Path;
 use std::process::Command;
 
-use tdat::{
-    Analysis, Analyzer, AnalyzerConfig, Report, StreamAnalyzer, StreamOptions, TrackerConfig,
-};
+use tdat::{AnalyzerConfig, Report, StreamAnalyzer, StreamOptions, TrackerConfig};
 use tdat_bgp::TableGenerator;
 use tdat_oracle::{scenario_capture, scenario_matrix};
 use tdat_packet::TcpFrame;
@@ -81,38 +84,16 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     h
 }
 
-/// `reports.jsonl` as `analyze` reads every capture.
-fn reports(
-    captures: &[(String, Vec<TcpFrame>)],
-    analyze: impl Fn(&[TcpFrame]) -> Vec<Analysis>,
-) -> String {
-    let config = AnalyzerConfig::default();
-    let mut out = String::new();
-    for (name, frames) in captures {
-        for analysis in analyze(frames) {
-            let _ = writeln!(
-                out,
-                "{{\"capture\":\"{name}\",\"debug_fnv1a\":\"{:016x}\",\"report\":{}}}",
-                fnv1a(format!("{analysis:?}").as_bytes()),
-                Report::from_analysis(&analysis, &config).to_json()
-            );
-        }
-    }
-    out
-}
-
 /// Compares `actual` with the golden `name`, byte for byte; on a
-/// mismatch, writes `actual` under `CARGO_TARGET_TMPDIR/golden/<dir>`
-/// and describes the first differing line.
-fn check(name: &str, dir: &str, actual: &str) -> Option<String> {
+/// mismatch, writes `actual` out and describes the first differing
+/// line.
+fn check(name: &str, actual: &str) -> Option<String> {
     let golden = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden");
     let expected = std::fs::read(golden.join(name)).unwrap_or_default();
     if actual.as_bytes() == expected {
         return None;
     }
-    let dir = Path::new(env!("CARGO_TARGET_TMPDIR"))
-        .join("golden")
-        .join(dir);
+    let dir = Path::new(env!("CARGO_TARGET_TMPDIR")).join("golden/oracle");
     let written = dir.join(name);
     std::fs::create_dir_all(&dir).expect("create the actual-output directory");
     std::fs::write(&written, actual).expect("write the actual output");
@@ -166,7 +147,7 @@ fn oracle_sweeps_replay_their_goldens() {
             String::from_utf8_lossy(&run.stdout)
         );
         let stdout = String::from_utf8(run.stdout).expect("utf-8 summary");
-        mismatches.extend(check(name, "t-dat-oracle", &stdout));
+        mismatches.extend(check(name, &stdout));
     }
     assert_goldens(mismatches);
 }
@@ -178,31 +159,56 @@ fn analyses_replay_their_golden() {
         .map(|sc| (sc.name.clone(), scenario_capture(sc)))
         .collect();
     captures.push(("interleaved-3".to_string(), interleaved_trace()));
-    let engine = StreamAnalyzer::with_options(
+    let config = AnalyzerConfig::default();
+    let mut out = String::new();
+    for (name, frames) in &captures {
+        let analyses = StreamAnalyzer::default()
+            .analyze_frames(frames)
+            .expect("in-memory frames cannot fail");
+        for analysis in analyses {
+            let _ = writeln!(
+                out,
+                "{{\"capture\":\"{name}\",\"debug_fnv1a\":\"{:016x}\",\"report\":{}}}",
+                fnv1a(format!("{analysis:?}").as_bytes()),
+                Report::from_analysis(&analysis, &config).to_json()
+            );
+        }
+    }
+    assert_goldens(check("reports.jsonl", &out).into_iter().collect());
+}
+
+#[test]
+fn streaming_finalization_policy_still_covers_every_connection() {
+    // With the streaming tracker (close/idle finalization) the engine
+    // must still deliver one analysis per session, each attributing the
+    // same dominant factor as under the default policy, which holds
+    // every connection to the end of the capture.
+    let frames = interleaved_trace();
+    let held = StreamAnalyzer::default()
+        .analyze_frames(&frames)
+        .expect("in-memory frames cannot fail");
+    assert_eq!(held.len(), 3, "one analysis per router session");
+    let streamed = StreamAnalyzer::with_options(
         AnalyzerConfig::default(),
         StreamOptions {
-            tracker: TrackerConfig::batch(),
+            tracker: TrackerConfig::streaming(),
             ..Default::default()
         },
-    );
-    let mut mismatches = Vec::new();
-    mismatches.extend(check(
-        "reports.jsonl",
-        "engine",
-        &reports(&captures, |frames| {
-            let mut out = Vec::new();
-            engine
-                .analyze_stream(frames.iter().cloned().map(Ok), |a| out.push(a))
-                .expect("in-memory frames cannot fail");
-            out
-        }),
-    ));
-    mismatches.extend(check(
-        "reports.jsonl",
-        "owned",
-        &reports(&captures, |frames| {
-            Analyzer::default().analyze_frames(frames)
-        }),
-    ));
-    assert_goldens(mismatches);
+    )
+    .analyze_frames(&frames)
+    .expect("in-memory frames cannot fail");
+    assert_eq!(streamed.len(), held.len());
+    for h in &held {
+        let s = streamed
+            .iter()
+            .find(|s| s.sender == h.sender && s.receiver == h.receiver)
+            .expect("every connection appears under both policies");
+        assert_eq!(
+            s.vector.dominant_factor(),
+            h.vector.dominant_factor(),
+            "{} -> {}",
+            h.sender.0,
+            h.receiver.0
+        );
+    }
 }

@@ -146,12 +146,6 @@ impl<R: Read> PcapReader<R> {
         std::iter::from_fn(move || self.next_frame().transpose())
     }
 
-    /// Owning iterator over parsed TCP frames, for handing a whole
-    /// reader to a streaming consumer.
-    pub fn into_frames(mut self) -> impl Iterator<Item = Result<TcpFrame>> {
-        std::iter::from_fn(move || self.next_frame().transpose())
-    }
-
     /// Reads all frames into memory.
     ///
     /// # Errors

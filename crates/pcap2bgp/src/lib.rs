@@ -48,7 +48,7 @@ use tdat_bgp::{
 };
 use tdat_packet::{seq_diff, TcpFlags, TcpFrame};
 use tdat_timeset::Micros;
-use tdat_trace::{Direction, TcpConnection};
+use tdat_trace::TcpConnection;
 
 /// An in-order TCP byte-stream reassembler.
 ///
@@ -340,12 +340,13 @@ impl Extraction {
 /// Incremental BGP extraction from one direction of a TCP connection.
 ///
 /// Feed it segments in capture order with [`push`](Self::push); it
-/// anchors the sequence space (from the SYN, or from the lowest
-/// sequence among the first segments of a mid-connection capture),
-/// reassembles the byte stream and frames BGP messages as their bytes
-/// become contiguous, keeping of each what `K` keeps.
-/// [`finish`](Self::finish) yields the same [`Extraction`] the batch
-/// [`extract_from_frames`] produces.
+/// anchors the sequence space (from the SYN, or, in a mid-connection
+/// capture, at the lowest sequence among the first 64 payload segments
+/// or [`PREANCHOR_BYTES`], whichever fills first — bytes captured later
+/// below that anchor count as duplicates), reassembles the byte stream
+/// and frames BGP messages as their bytes become contiguous, keeping of
+/// each what `K` keeps. This is the only anchoring rule: the analysis
+/// engine and [`extract_all`] both feed it.
 ///
 /// Memory has a bounded part and a part that grows with the stream.
 /// Bounded: the reassembler's out-of-order window
@@ -524,53 +525,24 @@ impl<K: KeptMessages> StreamExtractor<K> {
     }
 }
 
-/// Reassembles the data direction of `conn` (whose segments index into
-/// `frames`) and extracts its BGP messages, keeping what `K` keeps.
-pub fn extract_from_frames<K: KeptMessages>(
-    conn: &TcpConnection,
-    frames: &[TcpFrame],
-) -> Extraction<K> {
-    let mut extractor = StreamExtractor::<K>::default();
-    // Anchor at the SYN if captured, so handshake seq space is skipped.
-    // Without a SYN (capture started mid-connection), anchor at the
-    // lowest data sequence number seen — the first captured segment may
-    // have arrived out of order.
-    let data_segs = || conn.segments.iter().filter(|s| s.dir == Direction::Data);
-    if let Some(syn) = data_segs().find(|s| s.flags.contains(TcpFlags::SYN)) {
-        extractor.anchor(syn.seq.wrapping_add(1));
-    } else if let Some(first) = data_segs().find(|s| s.payload_len > 0) {
-        let ref_seq = first.seq;
-        let min_rel = data_segs()
-            .filter(|s| s.payload_len > 0)
-            .map(|s| seq_diff(s.seq, ref_seq))
-            .min()
-            .unwrap_or(0);
-        extractor.anchor(ref_seq.wrapping_add(min_rel as u32));
-    }
-    for seg in data_segs() {
-        if seg.payload_len == 0 {
-            continue;
-        }
-        extractor.push(
-            seg.time,
-            seg.seq,
-            seg.flags,
-            &frames[seg.frame_index].payload,
-        );
-    }
-    extractor.finish()
-}
-
 /// Extracts the whole BGP messages of every connection in `frames` —
 /// the `pcap2bgp` tool's view, which exists to hand messages on.
 ///
 /// Returns `(connection, extraction)` pairs in the order of
-/// [`tdat_trace::extract_connections`].
+/// [`tdat_trace::extract_connections`]. Each connection's data
+/// direction goes through [`StreamExtractor::push`] segment by segment
+/// in capture order, exactly as the analysis engine feeds it, so both
+/// see the same messages: one anchoring rule, one reassembly.
 pub fn extract_all(frames: &[TcpFrame]) -> Vec<(TcpConnection, Extraction<WholeMessages>)> {
     tdat_trace::extract_connections(frames)
         .into_iter()
         .map(|conn| {
-            let extraction = extract_from_frames(&conn, frames);
+            let mut extractor = StreamExtractor::default();
+            for seg in conn.data_segments() {
+                let payload = &frames[seg.frame_index].payload;
+                extractor.push(seg.time, seg.seq, seg.flags, payload);
+            }
+            let extraction = extractor.finish();
             (conn, extraction)
         })
         .collect()

@@ -9,7 +9,7 @@
 
 use std::collections::BTreeMap;
 
-use tdat::{Analyzer, Report};
+use tdat::{Report, StreamAnalyzer};
 use tdat_oracle::{scenario_capture, scenario_matrix};
 use tdat_store::{JsonlIngester, Query, Store};
 
@@ -34,11 +34,12 @@ fn matrix_reports() -> Vec<(String, Vec<Report>)> {
                 let item = work.lock().unwrap().pop();
                 let Some((index, sc)) = item else { break };
                 let frames = scenario_capture(&sc);
-                let analyzer = Analyzer::default();
-                let reports: Vec<Report> = analyzer
+                let engine = StreamAnalyzer::default();
+                let reports: Vec<Report> = engine
                     .analyze_frames(&frames)
+                    .unwrap()
                     .iter()
-                    .map(|a| Report::from_analysis(a, analyzer.config()))
+                    .map(|a| Report::from_analysis(a, engine.analyzer().config()))
                     .collect();
                 assert!(
                     !reports.is_empty(),

@@ -3,7 +3,7 @@
 use std::collections::HashMap;
 use std::net::Ipv4Addr;
 
-use tdat_packet::{seq_diff, FrameLike, TcpFlags, TcpFrame};
+use tdat_packet::{seq_diff, FrameLike, TcpFlags};
 use tdat_timeset::Micros;
 
 /// One endpoint of a connection.
@@ -21,7 +21,7 @@ pub struct ConnKey {
 impl ConnKey {
     /// Builds the normalized key for a frame's 4-tuple. Accepts any
     /// [`FrameLike`], so borrowed zero-copy views work without an owned
-    /// [`TcpFrame`].
+    /// [`TcpFrame`](tdat_packet::TcpFrame).
     pub fn of(frame: &impl FrameLike) -> ConnKey {
         ConnKey::of_endpoints(frame.src(), frame.dst())
     }
@@ -177,9 +177,9 @@ impl TcpConnection {
     }
 }
 
-/// The per-frame facts connection building needs, captured once so the
-/// batch and incremental paths construct identical [`TcpConnection`]s
-/// without retaining frame payloads.
+/// The per-frame facts connection building needs, captured once per
+/// frame so a [`TcpConnection`] is built without retaining frame
+/// payloads.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct FrameMeta {
     pub time: Micros,
@@ -217,35 +217,14 @@ impl FrameMeta {
     }
 }
 
-/// Splits a frame trace into connections and profiles each one.
-///
-/// The data sender of each connection is the side that transmitted more
-/// payload bytes (for BGP monitoring traces, the operational router by
-/// orders of magnitude); ties go to the connection initiator.
-pub fn extract_connections(frames: &[TcpFrame]) -> Vec<TcpConnection> {
-    // Group frame metadata per normalized key, preserving order.
-    let mut order: Vec<ConnKey> = Vec::new();
-    let mut groups: HashMap<ConnKey, Vec<FrameMeta>> = HashMap::new();
-    for (idx, frame) in frames.iter().enumerate() {
-        let key = ConnKey::of(frame);
-        groups
-            .entry(key)
-            .or_insert_with(|| {
-                order.push(key);
-                Vec::new()
-            })
-            .push(FrameMeta::of(frame, idx));
-    }
-    order
-        .into_iter()
-        .map(|key| build_connection(&groups[&key]))
-        .collect()
-}
-
 /// Builds one oriented, profiled connection from its frames' metadata
-/// (in capture order). Shared by [`extract_connections`] and the
-/// incremental [`ConnectionTracker`](crate::ConnectionTracker), which
-/// guarantees the two paths produce identical connections.
+/// (in capture order) — the one connection builder, behind every
+/// [`ConnectionTracker`](crate::ConnectionTracker) finalization and
+/// snapshot.
+///
+/// The data sender is the side that transmitted more payload bytes
+/// (for BGP monitoring traces, the operational router by orders of
+/// magnitude); ties go to the connection initiator.
 pub(crate) fn build_connection(metas: &[FrameMeta]) -> TcpConnection {
     // Payload bytes per source endpoint.
     let mut bytes: HashMap<Endpoint, u64> = HashMap::new();
@@ -430,7 +409,8 @@ fn estimate_d1(segments: &[Segment]) -> Option<Micros> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tdat_packet::FrameBuilder;
+    use crate::extract_connections;
+    use tdat_packet::{FrameBuilder, TcpFrame};
 
     fn addr(last: u8) -> Ipv4Addr {
         Ipv4Addr::new(10, 0, 0, last)

@@ -236,7 +236,7 @@ pub fn loss_episodes(labels: &[SegLabel], max_gap: Micros) -> Vec<LossEpisode> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::conn::extract_connections;
+    use crate::extract_connections;
     use std::net::Ipv4Addr;
     use tdat_packet::{FrameBuilder, TcpFrame};
 

@@ -50,12 +50,12 @@ mod rtt;
 mod throughput;
 mod tracker;
 
-pub use conn::{
-    extract_connections, shard_of, ConnKey, ConnProfile, Direction, Endpoint, Segment,
-    TcpConnection,
-};
+pub use conn::{shard_of, ConnKey, ConnProfile, Direction, Endpoint, Segment, TcpConnection};
 pub use flight::{default_flight_gap, group_flights, Flight};
 pub use label::{label_segments, loss_episodes, LabelConfig, LossEpisode, SegLabel};
 pub use rtt::{rtt_samples, rtt_samples_from_timestamps, rtt_stats, RttSample, RttStats};
 pub use throughput::{throughput_series, RateSample};
-pub use tracker::{ConnectionTracker, FinalizedConnection, TrackerConfig, DEFAULT_MAX_CONNECTIONS};
+pub use tracker::{
+    extract_connections, ConnectionTracker, FinalizedConnection, TrackerConfig,
+    DEFAULT_MAX_CONNECTIONS,
+};

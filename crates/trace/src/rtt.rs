@@ -175,7 +175,7 @@ pub fn rtt_stats(samples: &[RttSample]) -> Option<RttStats> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::conn::extract_connections;
+    use crate::extract_connections;
     use std::net::Ipv4Addr;
     use tdat_packet::{FrameBuilder, TcpFrame};
 

@@ -74,7 +74,7 @@ pub fn throughput_series(conn: &TcpConnection, window: Micros) -> Vec<RateSample
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::conn::extract_connections;
+    use crate::extract_connections;
     use std::net::Ipv4Addr;
     use tdat_packet::{FrameBuilder, TcpFrame};
 

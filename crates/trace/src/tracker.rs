@@ -1,24 +1,43 @@
-//! Incremental per-connection tracking for streaming analysis.
+//! Per-connection tracking: the one way frames become connections.
 //!
-//! [`ConnectionTracker`] consumes a trace one [`TcpFrame`] at a time,
-//! demultiplexes frames into per-connection state, and finalizes a
-//! connection when it closes (FIN in both directions or RST, after a
-//! grace period for straggling retransmissions) or goes idle. Finalized
-//! connections are built with the same code path as the batch
-//! [`extract_connections`](crate::extract_connections), so the two
-//! produce identical [`TcpConnection`]s for the same frames.
+//! [`ConnectionTracker`] consumes a trace one frame at a time,
+//! demultiplexes frames into per-connection state, and finalizes each
+//! connection by its [`TrackerConfig`]: [`batch`](TrackerConfig::batch)
+//! holds every connection to [`finish`](ConnectionTracker::finish);
+//! [`streaming`](TrackerConfig::streaming) also finalizes one when it
+//! closes (FIN in both directions or RST, after a grace period for
+//! straggling retransmissions) or goes idle, and caps how many are
+//! open. [`extract_connections`] is the batch tracker over a slice.
 //!
-//! Memory is proportional to the *open* connections' segment metadata,
-//! not to the trace size: frame payloads are never retained (callers
-//! that need payload bytes, like BGP reassembly, consume them per frame
-//! before handing the frame to the tracker).
+//! Frame payloads are never retained (callers that need payload bytes,
+//! like BGP reassembly, consume them per frame before handing the frame
+//! to the tracker); what is held is one fixed-size metadata record per
+//! frame of each *open* connection. Under the batch policy that is
+//! every frame of the trace; under the streaming policy, only the
+//! connections still open.
 
 use std::collections::HashMap;
 
-use tdat_packet::{FrameLike, TcpFlags};
+use tdat_packet::{FrameLike, TcpFlags, TcpFrame};
 use tdat_timeset::Micros;
 
 use crate::conn::{build_connection, ConnKey, FrameMeta, TcpConnection};
+
+/// Splits a frame trace into connections and profiles each one, in
+/// order of first appearance: the [`batch`](TrackerConfig::batch)
+/// tracker's ingest and finish, so a slice groups exactly as a capture
+/// streamed through the engine does.
+pub fn extract_connections(frames: &[TcpFrame]) -> Vec<TcpConnection> {
+    let mut tracker = ConnectionTracker::new(TrackerConfig::batch());
+    for frame in frames {
+        tracker.ingest(frame);
+    }
+    tracker
+        .finish()
+        .into_iter()
+        .map(|fin| fin.connection)
+        .collect()
+}
 
 /// When a tracked connection is considered finished.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -469,9 +488,8 @@ impl ConnectionTracker {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::extract_connections;
     use std::net::Ipv4Addr;
-    use tdat_packet::{FrameBuilder, TcpFrame};
+    use tdat_packet::FrameBuilder;
 
     fn addr(last: u8) -> Ipv4Addr {
         Ipv4Addr::new(10, 0, 0, last)
@@ -524,23 +542,6 @@ mod tests {
         }
         out.extend(tracker.finish());
         out
-    }
-
-    #[test]
-    fn batch_mode_matches_extract_connections() {
-        // Two interleaved connections.
-        let x = exchange(addr(1), addr(2), 0);
-        let y = exchange(addr(3), addr(2), 50);
-        let mut frames: Vec<TcpFrame> = x.into_iter().chain(y).collect();
-        frames.sort_by_key(|f| f.timestamp);
-        let batch = extract_connections(&frames);
-        let streamed = track_all(&frames, TrackerConfig::batch());
-        assert_eq!(streamed.len(), batch.len());
-        for (got, want) in streamed.iter().zip(&batch) {
-            assert_eq!(&got.connection, want);
-        }
-        assert_eq!(streamed[0].ordinal, 0);
-        assert_eq!(streamed[1].ordinal, 1);
     }
 
     #[test]
@@ -658,12 +659,7 @@ mod tests {
             tracker.ingest(f);
         }
         let full = tracker.snapshot();
-        let finished = tracker.finish();
-        assert_eq!(full, finished);
-        let batch = extract_connections(&frames);
-        for (got, want) in finished.iter().zip(&batch) {
-            assert_eq!(&got.connection, want);
-        }
+        assert_eq!(full, tracker.finish());
     }
 
     #[test]
@@ -845,16 +841,15 @@ mod tests {
         let mut frames: Vec<TcpFrame> = x.into_iter().chain(y).collect();
         frames.sort_by_key(|f| f.timestamp);
         let finalized = track_all(&frames, TrackerConfig::batch());
-        let batch = extract_connections(&frames);
-        for (got, want) in finalized.iter().zip(&batch) {
-            let got_idx: Vec<usize> = got
-                .connection
-                .segments
-                .iter()
-                .map(|s| s.frame_index)
-                .collect();
-            let want_idx: Vec<usize> = want.segments.iter().map(|s| s.frame_index).collect();
-            assert_eq!(got_idx, want_idx);
+        assert_eq!(finalized.len(), 2);
+        // Every segment points back at the frame it came from, by its
+        // index in the whole interleaved trace.
+        for fin in &finalized {
+            for seg in &fin.connection.segments {
+                let frame = &frames[seg.frame_index];
+                assert_eq!((frame.timestamp, frame.tcp.seq), (seg.time, seg.seq));
+                assert_eq!(ConnKey::of(frame), fin.key);
+            }
         }
     }
 }

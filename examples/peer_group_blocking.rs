@@ -8,7 +8,7 @@
 //! cargo run --example peer_group_blocking
 //! ```
 
-use tdat::Analyzer;
+use tdat::StreamAnalyzer;
 use tdat_bgp::TableGenerator;
 use tdat_tcpsim::net::{LinkConfig, Network};
 use tdat_tcpsim::{
@@ -90,7 +90,9 @@ fn main() {
     }
 
     println!("\n== what T-DAT sees from the pcap alone ==");
-    let analyses = Analyzer::default().analyze_frames(&out.taps[0].1);
+    let analyses = StreamAnalyzer::default()
+        .analyze_frames(&out.taps[0].1)
+        .expect("in-memory frames cannot fail");
     let quagga_a = analyses
         .iter()
         .find(|a| a.receiver.0 == quagga_addr)

@@ -8,7 +8,7 @@
 //! cargo run --release --example session_reset_storm
 //! ```
 
-use tdat::Analyzer;
+use tdat::StreamAnalyzer;
 use tdat_bgp::TableGenerator;
 use tdat_tcpsim::scenario::{monitoring_topology, transfer_spec, TopologyOptions};
 use tdat_tcpsim::{ScriptAction, Simulation};
@@ -47,7 +47,9 @@ fn main() {
     let frames = &out.taps[0].1;
     println!("one capture, {} frames", frames.len());
 
-    let analyses = Analyzer::default().analyze_frames(frames);
+    let analyses = StreamAnalyzer::default()
+        .analyze_frames(frames)
+        .expect("in-memory frames cannot fail");
     println!("{} table transfer attempts found:", analyses.len());
     let mut complete = 0;
     for (i, analysis) in analyses.iter().enumerate() {

@@ -6,7 +6,7 @@
 //! cargo run --example slow_transfer_triage
 //! ```
 
-use tdat::{Analyzer, FactorGroup};
+use tdat::{FactorGroup, StreamAnalyzer};
 use tdat_bgp::TableGenerator;
 use tdat_tcpsim::net::LossModel;
 use tdat_tcpsim::scenario::{monitoring_topology, transfer_spec, TopologyOptions};
@@ -96,9 +96,11 @@ fn main() {
         ),
     ];
 
-    let analyzer = Analyzer::default();
+    let engine = StreamAnalyzer::default();
     for case in &cases {
-        let analyses = analyzer.analyze_frames(&case.frames);
+        let analyses = engine
+            .analyze_frames(&case.frames)
+            .expect("in-memory frames cannot fail");
         let analysis = &analyses[0];
         let v = &analysis.vector;
         println!(
@@ -129,7 +131,7 @@ fn main() {
                 timer.total_delay.as_secs_f64()
             );
         }
-        let losses = analysis.consecutive_losses(analyzer.config());
+        let losses = analysis.consecutive_losses(engine.analyzer().config());
         for ep in &losses {
             println!(
                 "    ... consecutive-loss episode: {} retransmissions over {}",

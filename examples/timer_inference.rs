@@ -8,7 +8,7 @@
 //! ```
 
 use tdat::plot::render_gap_distribution;
-use tdat::Analyzer;
+use tdat::StreamAnalyzer;
 use tdat_bgp::TableGenerator;
 use tdat_tcpsim::scenario::{monitoring_topology, transfer_spec, TopologyOptions};
 use tdat_tcpsim::{SenderTimer, Simulation};
@@ -32,7 +32,9 @@ fn main() {
         sim.run(Micros::from_secs(900));
         let out = sim.into_output();
 
-        let analyses = Analyzer::default().analyze_frames(&out.taps[0].1);
+        let analyses = StreamAnalyzer::default()
+            .analyze_frames(&out.taps[0].1)
+            .expect("in-memory frames cannot fail");
         let analysis = &analyses[0];
         println!("== hidden timer: {timer_ms} ms ==");
         let gaps: Vec<Micros> = analysis.series.send_app_limited.durations().collect();

@@ -4,7 +4,7 @@
 //! (the paper's claim that the preprocessing step makes the tool
 //! vantage-agnostic, §III-B1).
 
-use tdat::{Analyzer, AnalyzerConfig, Factor, SnifferLocation};
+use tdat::{AnalyzerConfig, Factor, SnifferLocation, StreamAnalyzer};
 use tdat_bgp::TableGenerator;
 use tdat_tcpsim::net::{LinkConfig, Network};
 use tdat_tcpsim::{ConnectionSpec, SenderTimer, Simulation};
@@ -80,13 +80,13 @@ fn both_vantages_agree_on_a_sender_limited_transfer() {
             quota: 8192,
         });
     });
-    let near_sender = Analyzer::new(AnalyzerConfig {
+    let near_sender = StreamAnalyzer::new(AnalyzerConfig {
         sniffer: SnifferLocation::NearSender,
         ..AnalyzerConfig::default()
     });
-    let near_receiver = Analyzer::default(); // NearReceiver
-    let a = &near_sender.analyze_frames(&at_sender)[0];
-    let b = &near_receiver.analyze_frames(&at_receiver)[0];
+    let near_receiver = StreamAnalyzer::default(); // NearReceiver
+    let a = &near_sender.analyze_frames(&at_sender).unwrap()[0];
+    let b = &near_receiver.analyze_frames(&at_receiver).unwrap()[0];
     assert_eq!(
         a.vector.dominant_factor(),
         Factor::BgpSenderApp,

@@ -2,7 +2,7 @@
 //! included — simulate → pcap file → tcptrace'/pcap2bgp/MCT → T-DAT →
 //! factors and detectors.
 
-use tdat::{Analyzer, Factor, StreamAnalyzer};
+use tdat::{Factor, StreamAnalyzer};
 use tdat_bgp::{read_mrt, BgpMessage, TableGenerator};
 use tdat_packet::{read_pcap_file, write_pcap_file};
 use tdat_pcap2bgp::{extract_all, to_mrt_records};
@@ -129,7 +129,9 @@ fn analyzer_handles_multiple_connections_in_one_capture() {
     }
     sim.run(Micros::from_secs(600));
     let out = sim.into_output();
-    let analyses = Analyzer::default().analyze_frames(&out.taps[0].1);
+    let analyses = StreamAnalyzer::default()
+        .analyze_frames(&out.taps[0].1)
+        .unwrap();
     assert_eq!(analyses.len(), 3);
     for a in &analyses {
         let transfer = a.transfer.as_ref().expect("transfer per connection");
@@ -140,7 +142,7 @@ fn analyzer_handles_multiple_connections_in_one_capture() {
 
 #[test]
 fn empty_and_degenerate_captures_do_not_panic() {
-    let analyses = Analyzer::default().analyze_frames(&[]);
+    let analyses = StreamAnalyzer::default().analyze_frames(&[]).unwrap();
     assert!(analyses.is_empty());
 
     // A single stray ACK.
@@ -149,7 +151,7 @@ fn empty_and_degenerate_captures_do_not_panic() {
             .ports(179, 40000)
             .ack_to(1)
             .build();
-    let analyses = Analyzer::default().analyze_frames(&[frame]);
+    let analyses = StreamAnalyzer::default().analyze_frames(&[frame]).unwrap();
     assert_eq!(analyses.len(), 1);
     assert!(analyses[0].transfer.is_none());
     assert!(analyses[0].series.all_loss().is_empty());
