@@ -2,13 +2,18 @@
 //! as one sentence (two of them once carried 18 stray spaces from a
 //! lost line continuation), and an unknown flag is a usage error
 //! (exit code 2) wherever it appears — not taken for the capture path
-//! when it happens to come first; and a reader that closes the pipe
-//! early (`t-dat … | head`) ends the run quietly, not with a panic.
+//! when it happens to come first; a reader that closes the pipe early
+//! (`t-dat … | head`) ends the run quietly, not with a panic; and a
+//! SYN-less capture reads the same through `t-dat`, the engine and
+//! `pcap2bgp`'s extraction.
 
 use std::io::Read;
+use std::net::Ipv4Addr;
 use std::process::{Command, Output, Stdio};
 
-use tdat_packet::write_pcap_file;
+use tdat::StreamAnalyzer;
+use tdat_packet::{write_pcap_file, FrameBuilder, TcpFrame};
+use tdat_pcap2bgp::extract_all;
 use tdat_tcpsim::scenario::{
     build_scenario, monitoring_topology, transfer_spec, ScenarioOptions, TopologyOptions,
 };
@@ -132,4 +137,56 @@ fn closed_stdout_ends_the_run_quietly() {
         output.status
     );
     assert!(!stderr.contains("panicked"), "stderr: {stderr}");
+}
+
+/// A capture that starts mid-connection (no SYN) and whose lowest
+/// sequence arrives late: a 10 000-route table in 127 segments, segment
+/// 0 captured 71st. The one anchoring rule — the lowest sequence among
+/// the first 64 payload segments — anchors at segment 1, so segment 0
+/// comes in behind the stream head and the messages it starts are
+/// lost. `t-dat --json`, the engine over the frames and the `pcap2bgp`
+/// extraction must lose the same ones.
+#[test]
+fn synless_capture_with_a_late_first_segment_reads_the_same_everywhere() {
+    const SEGMENTS: usize = 127;
+    let stream = tdat_bgp::TableGenerator::new(1)
+        .routes(10_000)
+        .generate()
+        .to_update_stream();
+    let chunks: Vec<&[u8]> = stream.chunks(stream.len().div_ceil(SEGMENTS)).collect();
+    assert_eq!(chunks.len(), SEGMENTS);
+    let (router, collector) = (Ipv4Addr::new(10, 0, 0, 1), Ipv4Addr::new(10, 0, 0, 2));
+    let order = (1..=70).chain([0]).chain(71..SEGMENTS);
+    let frames: Vec<TcpFrame> = order
+        .enumerate()
+        .map(|(at, k)| {
+            let offset: usize = chunks[..k].iter().map(|c| c.len()).sum();
+            FrameBuilder::new(router, collector)
+                .at(Micros::from_millis(at as i64))
+                .ports(179, 40000)
+                .seq(5_000_000 + offset as u32)
+                .ack_to(1)
+                .payload(chunks[k].to_vec())
+                .build()
+        })
+        .collect();
+    let path = std::env::temp_dir().join(format!("tdat-cli-synless-{}.pcap", std::process::id()));
+    write_pcap_file(&path, frames.iter()).expect("write capture");
+    let output = t_dat(&["--json", path.to_str().expect("utf-8 temp path")]);
+    std::fs::remove_file(&path).ok();
+    let stdout = String::from_utf8_lossy(&output.stdout);
+    let cli: usize = stdout
+        .split("\"prefixes\":")
+        .nth(1)
+        .and_then(|rest| rest.split(',').next())
+        .and_then(|n| n.parse().ok())
+        .unwrap_or_else(|| panic!("no prefix count in: {stdout}"));
+
+    let engine = StreamAnalyzer::default()
+        .analyze_frames(&frames)
+        .expect("in-memory frames");
+    let analyzed = engine[0].transfer.as_ref().map_or(0, |t| t.prefix_count);
+    let extracted = extract_all(&frames)[0].1.announced_prefixes();
+    assert_eq!((analyzed, extracted), (cli, cli));
+    assert!(cli < 10_000, "segment 0 lies behind the anchor: {cli}");
 }
