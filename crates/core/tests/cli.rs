@@ -153,18 +153,18 @@ fn synless_capture_with_a_late_first_segment_reads_the_same_everywhere() {
         .routes(10_000)
         .generate()
         .to_update_stream();
-    let chunks: Vec<&[u8]> = stream.chunks(stream.len().div_ceil(SEGMENTS)).collect();
+    let size = stream.len().div_ceil(SEGMENTS);
+    let chunks: Vec<&[u8]> = stream.chunks(size).collect();
     assert_eq!(chunks.len(), SEGMENTS);
     let (router, collector) = (Ipv4Addr::new(10, 0, 0, 1), Ipv4Addr::new(10, 0, 0, 2));
     let order = (1..=70).chain([0]).chain(71..SEGMENTS);
     let frames: Vec<TcpFrame> = order
         .enumerate()
         .map(|(at, k)| {
-            let offset: usize = chunks[..k].iter().map(|c| c.len()).sum();
             FrameBuilder::new(router, collector)
                 .at(Micros::from_millis(at as i64))
                 .ports(179, 40000)
-                .seq(5_000_000 + offset as u32)
+                .seq(5_000_000 + (k * size) as u32)
                 .ack_to(1)
                 .payload(chunks[k].to_vec())
                 .build()

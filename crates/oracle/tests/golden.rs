@@ -28,7 +28,7 @@ use std::fmt::Write as _;
 use std::path::Path;
 use std::process::Command;
 
-use tdat::{AnalyzerConfig, Report, StreamAnalyzer, StreamOptions, TrackerConfig};
+use tdat::{Analysis, AnalyzerConfig, Report, StreamAnalyzer, StreamOptions, TrackerConfig};
 use tdat_bgp::TableGenerator;
 use tdat_oracle::{scenario_capture, scenario_matrix};
 use tdat_packet::TcpFrame;
@@ -40,96 +40,77 @@ use tdat_timeset::Micros;
 /// timer-paced, one with a slow collector) through the shared
 /// monitoring topology and returns the sniffer's interleaved capture.
 fn interleaved_trace() -> Vec<TcpFrame> {
-    let routers = 3;
-    let mut topo = monitoring_topology(routers, TopologyOptions::default());
-    let mut specs = Vec::new();
-    for i in 0..routers {
+    let mut topo = monitoring_topology(3, TopologyOptions::default());
+    let mut sim = Simulation::new(topo.take_net());
+    for i in 0..3 {
         let stream = TableGenerator::new(1000 + i as u64)
             .routes(2500 + 500 * i)
             .generate()
             .to_update_stream();
         let mut spec = transfer_spec(&topo, i, stream);
         spec.open_at = Micros::from_millis(40 * i as i64);
-        match i {
-            1 => {
-                spec.sender_app.timer = Some(SenderTimer {
-                    interval: Micros::from_millis(150),
-                    quota: 16_384,
-                });
-            }
-            2 => {
-                spec.receiver_app = BgpReceiverConfig {
-                    processing_rate: 120_000.0,
-                    ..BgpReceiverConfig::default()
-                };
-            }
-            _ => {}
+        if i == 1 {
+            spec.sender_app.timer = Some(SenderTimer {
+                interval: Micros::from_millis(150),
+                quota: 16_384,
+            });
+        } else if i == 2 {
+            spec.receiver_app = BgpReceiverConfig {
+                processing_rate: 120_000.0,
+                ..BgpReceiverConfig::default()
+            };
         }
-        specs.push(spec);
-    }
-    let mut sim = Simulation::new(topo.take_net());
-    for spec in specs {
         sim.add_connection(spec);
     }
     sim.run(Micros::from_secs(600));
     sim.into_output().taps.remove(0).1
 }
 
+fn analyze(frames: &[TcpFrame], tracker: TrackerConfig) -> Vec<Analysis> {
+    let options = StreamOptions {
+        tracker,
+        ..Default::default()
+    };
+    StreamAnalyzer::with_options(AnalyzerConfig::default(), options)
+        .analyze_frames(frames)
+        .expect("in-memory frames cannot fail")
+}
+
 fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3)
+    })
 }
 
 /// Compares `actual` with the golden `name`, byte for byte; on a
-/// mismatch, writes `actual` out and describes the first differing
+/// mismatch, writes `actual` out and fails naming the first differing
 /// line.
-fn check(name: &str, actual: &str) -> Option<String> {
+fn assert_golden(name: &str, actual: &str) {
     let golden = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden");
-    let expected = std::fs::read(golden.join(name)).unwrap_or_default();
-    if actual.as_bytes() == expected {
-        return None;
+    let expected = std::fs::read_to_string(golden.join(name)).unwrap_or_default();
+    if actual == expected {
+        return;
     }
-    let dir = Path::new(env!("CARGO_TARGET_TMPDIR")).join("golden/oracle");
-    let written = dir.join(name);
-    std::fs::create_dir_all(&dir).expect("create the actual-output directory");
+    let written = Path::new(env!("CARGO_TARGET_TMPDIR")).join("golden/oracle");
+    std::fs::create_dir_all(&written).expect("create the actual-output directory");
+    let written = written.join(name);
     std::fs::write(&written, actual).expect("write the actual output");
-    let lines = |bytes: &[u8]| -> Vec<String> {
-        bytes
-            .split_inclusive(|&b| b == b'\n')
-            .map(|l| String::from_utf8_lossy(l).into_owned())
-            .collect()
-    };
-    let (want, got) = (lines(&expected), lines(actual.as_bytes()));
-    let line = (0..)
+    let (want, got): (Vec<_>, Vec<_>) = (expected.lines().collect(), actual.lines().collect());
+    let line = (0..want.len().max(got.len()))
         .find(|&i| want.get(i) != got.get(i))
-        .expect("outputs differ");
-    let show =
-        |side: Option<&String>| side.map_or("<end of output>".to_string(), |l| format!("{l:?}"));
-    Some(format!(
-        "{name}: first difference at line {}\n  golden: {}\n  actual: {}\n  actual output written to {}",
+        .unwrap_or(want.len());
+    panic!(
+        "{name}: first difference at line {}\n  golden: {:?}\n  actual: {:?}\n  \
+         actual output written to {}",
         line + 1,
-        show(want.get(line)),
-        show(got.get(line)),
+        want.get(line),
+        got.get(line),
         written.display()
-    ))
-}
-
-fn assert_goldens(mismatches: Vec<String>) {
-    assert!(
-        mismatches.is_empty(),
-        "{} golden output(s) differ:\n{}",
-        mismatches.len(),
-        mismatches.join("\n")
     );
 }
 
 #[test]
 fn oracle_sweeps_replay_their_goldens() {
-    let mut mismatches = Vec::new();
     for (name, args) in [
         ("oracle.txt", &["--seed", "1"][..]),
         (
@@ -141,15 +122,13 @@ fn oracle_sweeps_replay_their_goldens() {
             .args(args)
             .output()
             .expect("spawn t-dat-oracle");
+        let stdout = String::from_utf8(run.stdout).expect("utf-8 summary");
         assert!(
             run.status.success(),
-            "t-dat-oracle {args:?} failed:\n{}",
-            String::from_utf8_lossy(&run.stdout)
+            "t-dat-oracle {args:?} failed:\n{stdout}"
         );
-        let stdout = String::from_utf8(run.stdout).expect("utf-8 summary");
-        mismatches.extend(check(name, &stdout));
+        assert_golden(name, &stdout);
     }
-    assert_goldens(mismatches);
 }
 
 #[test]
@@ -162,10 +141,7 @@ fn analyses_replay_their_golden() {
     let config = AnalyzerConfig::default();
     let mut out = String::new();
     for (name, frames) in &captures {
-        let analyses = StreamAnalyzer::default()
-            .analyze_frames(frames)
-            .expect("in-memory frames cannot fail");
-        for analysis in analyses {
+        for analysis in analyze(frames, TrackerConfig::batch()) {
             let _ = writeln!(
                 out,
                 "{{\"capture\":\"{name}\",\"debug_fnv1a\":\"{:016x}\",\"report\":{}}}",
@@ -174,7 +150,7 @@ fn analyses_replay_their_golden() {
             );
         }
     }
-    assert_goldens(check("reports.jsonl", &out).into_iter().collect());
+    assert_golden("reports.jsonl", &out);
 }
 
 #[test]
@@ -184,31 +160,20 @@ fn streaming_finalization_policy_still_covers_every_connection() {
     // same dominant factor as under the default policy, which holds
     // every connection to the end of the capture.
     let frames = interleaved_trace();
-    let held = StreamAnalyzer::default()
-        .analyze_frames(&frames)
-        .expect("in-memory frames cannot fail");
+    let held = analyze(&frames, TrackerConfig::batch());
+    let streamed = analyze(&frames, TrackerConfig::streaming());
     assert_eq!(held.len(), 3, "one analysis per router session");
-    let streamed = StreamAnalyzer::with_options(
-        AnalyzerConfig::default(),
-        StreamOptions {
-            tracker: TrackerConfig::streaming(),
-            ..Default::default()
-        },
-    )
-    .analyze_frames(&frames)
-    .expect("in-memory frames cannot fail");
     assert_eq!(streamed.len(), held.len());
     for h in &held {
         let s = streamed
             .iter()
-            .find(|s| s.sender == h.sender && s.receiver == h.receiver)
+            .find(|s| (s.sender, s.receiver) == (h.sender, h.receiver))
             .expect("every connection appears under both policies");
+        let (a, b) = (h.sender.0, h.receiver.0);
         assert_eq!(
             s.vector.dominant_factor(),
             h.vector.dominant_factor(),
-            "{} -> {}",
-            h.sender.0,
-            h.receiver.0
+            "{a} -> {b}"
         );
     }
 }
