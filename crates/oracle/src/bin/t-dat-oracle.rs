@@ -7,9 +7,11 @@
 //! Exits 0 when every acceptance threshold holds, 1 otherwise; the
 //! summary (per-scenario scores plus the aggregated loss-location
 //! confusion matrix) goes to stdout and, with `--artifact`, to a file
-//! for CI upload. With `--chaos`, every clean scenario is additionally
-//! re-run through seeded sniffer-side damage (survivable and poison
-//! presets) and the quarantine contract is enforced.
+//! for CI upload. With `--chaos`, every clean scenario selected is
+//! additionally re-run through seeded sniffer-side damage (survivable
+//! and poison presets) and the quarantine contract is enforced; the
+//! documented chaos run is `--seed 1 --filter clean --chaos`, whose
+//! scenarios are long enough for the presets' damage rates.
 
 use std::process::ExitCode;
 
@@ -88,6 +90,6 @@ fn main() -> ExitCode {
 
 fn usage(msg: &str) -> ExitCode {
     eprintln!("t-dat-oracle: {msg}");
-    eprintln!("usage: t-dat-oracle [--seed N] [--filter SUBSTR] [--artifact PATH]");
+    eprintln!("usage: t-dat-oracle [--seed N] [--filter SUBSTR] [--artifact PATH] [--chaos]");
     ExitCode::FAILURE
 }
