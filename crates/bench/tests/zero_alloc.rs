@@ -6,6 +6,7 @@
 //! next to nothing) and the capture path's reassembly: a whole batch
 //! pass allocates a couple of times per frame, not once per path
 //! attribute, and a flow that is not BGP costs no allocation at all.
+//! Beside the count, a byte tally pins how MCT sizes its set.
 //!
 //! The counting allocator lives here because the packet crate itself
 //! (rightly) forbids `unsafe`; an integration test is its own crate,
@@ -17,7 +18,9 @@ use std::net::Ipv4Addr;
 
 use tdat::StreamAnalyzer;
 use tdat_bench::{generate_transfer, Dataset, Scenario};
-use tdat_bgp::BgpMessage;
+use tdat_bgp::{
+    find_transfer_end_ref, BgpMessage, MctConfig, MessageLog, TableGenerator, UpdateMessage,
+};
 use tdat_monitor::{Monitor, MonitorConfig};
 use tdat_packet::{
     FrameBlock, FrameBuilder, FrameLike, MmapReader, PcapReader, PcapWriter, TcpFlags, TcpFrame,
@@ -36,6 +39,9 @@ thread_local! {
     /// initialisation nor a destructor, so touching it from inside the
     /// allocator cannot itself allocate or recurse.
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+    /// Bytes those allocations asked for (a `realloc` counts its new
+    /// size), on the same terms.
+    static BYTES: Cell<u64> = const { Cell::new(0) };
 }
 
 /// Allocations the calling thread has made so far.
@@ -43,25 +49,31 @@ fn allocations() -> u64 {
     ALLOCATIONS.with(Cell::get)
 }
 
-fn count_one() {
+/// Bytes the calling thread's allocations have asked for so far.
+fn allocated_bytes() -> u64 {
+    BYTES.with(Cell::get)
+}
+
+fn count_one(size: usize) {
     // `try_with`: a thread may still allocate while its locals are
     // being torn down; those allocations belong to no test.
     let _ = ALLOCATIONS.try_with(|count| count.set(count.get() + 1));
+    let _ = BYTES.try_with(|bytes| bytes.set(bytes.get() + size as u64));
 }
 
-// SAFETY: delegates every operation to `System`; the counter is the
-// only addition and is thread-local.
+// SAFETY: delegates every operation to `System`; the counters are the
+// only addition and are thread-local.
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count_one();
+        count_one(layout.size());
         unsafe { System.alloc(layout) }
     }
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count_one();
+        count_one(layout.size());
         unsafe { System.alloc_zeroed(layout) }
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count_one();
+        count_one(new_size);
         unsafe { System.realloc(ptr, layout, new_size) }
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
@@ -359,12 +371,12 @@ fn steady_tick_allocations(sessions: usize, busy: bool) -> u64 {
 /// "Tick cost tracks new traffic, not open connections", as a count:
 /// 500 open-but-idle sessions may add at most `PER_IDLE_PER_TICK`
 /// allocations each to a steady tick. Measured (debug and release,
-/// repeating exactly): 1 007 allocations over the 16 steady ticks with
-/// the transfer alone, 9 135 with 500 idle sessions beside it — 8 128
+/// repeating exactly): 985 allocations over the 16 steady ticks with
+/// the transfer alone, 9 113 with 500 idle sessions beside it — 8 128
 /// more, 1.02 per idle session per tick, the peer-group correlation's
 /// one bucket per sender. The same 500 sessions each sending one
 /// segment per interval, so every one is dirty at every tick, make
-/// 804 451 — 100 per session per tick, its segment's ingest plus its
+/// 804 429 — 100 per session per tick, its segment's ingest plus its
 /// re-analysis. That run guards the test itself: sessions that do cost
 /// a tick land above the bound, and if the counter stopped seeing the
 /// tick it would fail first.
@@ -394,15 +406,16 @@ fn idle_connections_cost_a_steady_tick_nothing() {
 /// 8 000-route transfer through the inline [`StreamAnalyzer`], its
 /// frames borrowed — decode aside, the whole batch pass: tracker,
 /// reassembly into the message log, MCT, labelling, series, factors.
-/// Measured (debug and release, repeating exactly): 305 allocations
-/// over the transfer's 173 frames, 1.8 per frame, most of them the
-/// per-connection analysis; when reassembly kept an owned `BgpMessage`
-/// tree per message the same pass made 19 363, 112 per frame. That path
-/// still exists for the `pcap2bgp` tool, and guards the test:
-/// `extract_all` over the same frames — the same tracker and the same
-/// reassembler, keeping whole messages — makes 19 109, 110 per frame; if
-/// the counter stopped seeing reassembly, the second assertion would
-/// fail first.
+/// Measured (debug and release, repeating exactly): 299 allocations
+/// over the transfer's 173 frames, 1.7 per frame, most of them the
+/// per-connection analysis (305 while MCT grew its set from empty in 7
+/// allocations, where it now makes one); when reassembly kept an owned
+/// `BgpMessage` tree per message the same pass made 19 363, 112 per
+/// frame. That path still exists for the `pcap2bgp` tool, and guards
+/// the test: `extract_all` over the same frames — the same tracker and
+/// the same reassembler, keeping whole messages — makes 19 109, 110 per
+/// frame; if the counter stopped seeing reassembly, the second
+/// assertion would fail first.
 #[test]
 fn batch_pass_allocates_a_few_times_per_frame() {
     const PER_FRAME: u64 = 3;
@@ -472,4 +485,85 @@ fn non_bgp_payload_allocates_nothing() {
     assert_eq!(extractor.messages_decoded(), 0);
     let skipped = extractor.extraction().unparsed_bytes + extractor.buffered_bytes() as u64;
     assert_eq!(skipped, (2 * SEGMENT + payload.len()) as u64);
+}
+
+/// A log of a `routes`-route table as the generator packs it, then
+/// `reannounced` more prefixes — the same routes again, 100 to an
+/// UPDATE — each UPDATE 1 ms after the one before, all inside MCT's gap.
+fn announced_log(routes: usize, reannounced: usize) -> MessageLog {
+    let table = TableGenerator::new(11)
+        .routes(routes)
+        .generate()
+        .to_updates();
+    let mut again = table
+        .iter()
+        .flat_map(|u| u.announced.iter().copied())
+        .cycle();
+    let reannouncements = (0..reannounced / 100).map(|_| UpdateMessage {
+        announced: again.by_ref().take(100).collect(),
+        ..table[0].clone()
+    });
+    let messages: Vec<(Micros, BgpMessage)> = table
+        .iter()
+        .cloned()
+        .chain(reannouncements)
+        .enumerate()
+        .map(|(i, u)| (Micros::from_millis(i as i64), BgpMessage::Update(u)))
+        .collect();
+    let log: MessageLog = messages.iter().collect();
+    assert_eq!(
+        log.updates()
+            .map(|(_, row)| row.announced.len())
+            .sum::<usize>(),
+        routes + reannounced
+    );
+    log
+}
+
+/// Allocations and bytes one MCT run over `log` makes.
+fn mct_allocations(log: &MessageLog) -> (u64, u64, usize) {
+    let (count, bytes) = (allocations(), allocated_bytes());
+    let transfer = find_transfer_end_ref(Micros::ZERO, log.updates(), &MctConfig::default());
+    let prefixes = transfer.expect("a transfer").prefix_count;
+    (allocations() - count, allocated_bytes() - bytes, prefixes)
+}
+
+/// The most a hash set of `n` packed prefixes can take: at most twice
+/// `n` ÷ 7/8 load buckets, 8 bytes and one control byte each.
+fn set_bytes_bound(n: usize) -> u64 {
+    (2 * n * 8 / 7 * 9 + 64) as u64
+}
+
+/// MCT sizes its set of seen prefixes once from the rows still to
+/// read. Measured (debug and release): over an 8 000-route log, one
+/// allocation of 147 472 bytes; growing the set from empty, as MCT did
+/// before, took 7 allocations and 292 720 bytes.
+#[test]
+fn mct_over_a_table_allocates_its_set_once() {
+    let log = announced_log(8_000, 0);
+    let (count, bytes, prefixes) = mct_allocations(&log);
+    assert_eq!(prefixes, 8_000);
+    assert_eq!(count, 1, "{count} allocations, {bytes} bytes");
+    assert!(bytes <= set_bytes_bound(8_000), "{bytes} bytes");
+}
+
+/// Sizing from the log is capped by what was inserted: a 1 000-route
+/// table followed by 200 000 re-announcements inside MCT's gap sizes
+/// the set within 64 × what it holds — the growth rule's bound — not
+/// for the 201 000 prefixes the log announces. Measured: one allocation
+/// of 294 928 bytes, the 16 384-prefix floor of the rule (growing from
+/// empty took 5 allocations and 35 792 bytes; sized from the log it
+/// would take about 2.4 MB).
+#[test]
+fn mct_set_is_bounded_by_what_was_inserted_not_by_the_log() {
+    let log = announced_log(1_000, 200_000);
+    let (count, bytes, prefixes) = mct_allocations(&log);
+    assert_eq!(prefixes, 1_000);
+    assert_eq!(count, 1, "{count} allocations, {bytes} bytes");
+    let bound = set_bytes_bound(64 * 1_000);
+    assert!(bytes <= bound, "{bytes} bytes (bound {bound})");
+    assert!(
+        bound < set_bytes_bound(201_000) / 2,
+        "the bound tells the two apart"
+    );
 }

@@ -138,7 +138,10 @@ impl<'a> FromIterator<&'a (Micros, BgpMessage)> for MessageLog {
     }
 }
 
-/// A borrowed view of one message of a [`MessageLog`].
+/// A borrowed view of one message of a [`MessageLog`], with what is
+/// left of the log from it on: the length of the arena from this row's
+/// prefixes to the end, which MCT reads to size its set once
+/// ([`MctUpdate::announced_ahead`](crate::MctUpdate::announced_ahead)).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LogRow<'a> {
     /// When the message's last byte became contiguous.
@@ -150,6 +153,8 @@ pub struct LogRow<'a> {
     pub announced: &'a [u64],
     /// How many prefixes the message withdrew.
     pub withdrawn: u16,
+    /// Prefixes this message and every later one in the log announce.
+    pub announced_ahead: usize,
 }
 
 impl MessageLog {
@@ -167,6 +172,7 @@ impl MessageLog {
     pub fn iter(&self) -> impl Iterator<Item = LogRow<'_>> {
         let mut arena = &self.announced[..];
         self.rows.iter().map(move |row| {
+            let announced_ahead = arena.len();
             let (announced, rest) = arena.split_at(usize::from(row.announced));
             arena = rest;
             LogRow {
@@ -174,7 +180,18 @@ impl MessageLog {
                 type_code: row.type_code,
                 announced,
                 withdrawn: row.withdrawn,
+                announced_ahead,
             }
+        })
+    }
+
+    /// True when a message from row `from` on is an UPDATE that
+    /// announces or withdraws a prefix — the only rows MCT reads — or
+    /// when the log holds fewer than `from` rows. Walks those rows only.
+    pub fn announces_or_withdraws_since(&self, from: usize) -> bool {
+        self.rows.get(from..).is_none_or(|rows| {
+            rows.iter()
+                .any(|row| row.type_code == 2 && (row.announced > 0 || row.withdrawn > 0))
         })
     }
 

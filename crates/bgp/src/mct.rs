@@ -15,6 +15,13 @@
 //! in-transfer duplication (retransmitted or re-packed updates) and a
 //! bounded quiet gap (timer gaps, loss recovery). An update beyond
 //! either bound is attributed to steady-state churn.
+//!
+//! The set is the cost: one hash probe per announced prefix, so each
+//! prefix is inserted once and counted by `insert`'s answer. The set
+//! is sized from the rows still to read ([`MctUpdate::announced_ahead`])
+//! rather than grown from empty, and holds nothing past the call: a
+//! caller that wants the answer again over a longer stream either runs
+//! it again or knows that nothing it reads has changed.
 
 use std::collections::HashSet;
 
@@ -116,6 +123,14 @@ pub trait MctUpdate {
     fn withdrawn_is_empty(&self) -> bool;
     /// The announced prefixes in wire order, packed.
     fn packed_announced(&self) -> impl Iterator<Item = u64> + '_;
+    /// Prefixes this update and every later one in the stream announce:
+    /// the most the set of seen prefixes can still have to take, which
+    /// lets MCT size it once instead of doubling it from empty. Only
+    /// sizing reads it, never the result. 0 (the default) when the
+    /// source cannot say; the set then grows as it fills.
+    fn announced_ahead(&self) -> usize {
+        0
+    }
 }
 
 impl MctUpdate for &UpdateMessage {
@@ -139,6 +154,9 @@ impl MctUpdate for LogRow<'_> {
     }
     fn packed_announced(&self) -> impl Iterator<Item = u64> + '_ {
         self.announced.iter().copied()
+    }
+    fn announced_ahead(&self) -> usize {
+        self.announced_ahead
     }
 }
 
@@ -168,12 +186,49 @@ impl std::hash::Hasher for PackedHasher {
 
 type PackedSet = HashSet<u64, std::hash::BuildHasherDefault<PackedHasher>>;
 
+/// Makes room in `seen` for an update of `announced` prefixes. When the
+/// set is full it grows to hold `min(ahead, 64 × max(len, 256))` more:
+/// a table of up to 16 384 routes never rehashes and a larger one
+/// rehashes once, while what is reserved past need stays bounded by
+/// what was inserted, not by how much churn the stream still holds.
+/// With `ahead` unknown (0) the set doubles as it fills.
+fn make_room(seen: &mut PackedSet, announced: usize, ahead: usize) {
+    if seen.capacity() - seen.len() < announced {
+        let bound = 64 * seen.len().max(256);
+        seen.reserve(ahead.min(bound).max(announced));
+    }
+}
+
+/// How many of `update`'s prefixes are new, once its insert at index
+/// `first_repeat` found a prefix already in `seen`; inserts the rest
+/// (`rest`). Counted per occurrence, as MCT always has: a prefix the
+/// update is first to announce counts at every place it appears in the
+/// update, one seen before at none. O(k log k) for k prefixes, and only
+/// updates with a repeat come here.
+fn count_with_repeats<U: MctUpdate>(
+    seen: &mut PackedSet,
+    update: &U,
+    first_repeat: usize,
+    rest: impl Iterator<Item = u64>,
+) -> usize {
+    let mut fresh: Vec<u64> = rest.filter(|&p| seen.insert(p)).collect();
+    if first_repeat == 0 && fresh.is_empty() {
+        return 0;
+    }
+    fresh.extend(update.packed_announced().take(first_repeat));
+    fresh.sort_unstable();
+    update
+        .packed_announced()
+        .filter(|p| fresh.binary_search(p).is_ok())
+        .count()
+}
+
 /// [`find_transfer_end`] over anything MCT can read as updates —
 /// borrowed [`UpdateMessage`]s or the rows of a
 /// [`MessageLog`](crate::MessageLog) — so callers holding an extraction
-/// run MCT without cloning or rebuilding a message. The distinct-prefix
-/// count is maintained inline during the single scan instead of
-/// re-counting in a second pass.
+/// run MCT without cloning or rebuilding a message. Each announced
+/// prefix is inserted once, its `insert` answering whether it is new,
+/// and the distinct-prefix count is the set's length.
 pub fn find_transfer_end_ref<I, U>(
     start: Micros,
     updates: I,
@@ -200,12 +255,15 @@ where
             break;
         }
         counted += 1;
-        let new = update
-            .packed_announced()
-            .filter(|p| !seen.contains(p))
-            .count();
+        make_room(&mut seen, announced, update.announced_ahead());
+        let mut prefixes = update.packed_announced();
+        // Every insert up to the first that finds its prefix there is a
+        // new prefix; most updates end here.
+        let mut new = prefixes.by_ref().take_while(|&p| seen.insert(p)).count();
+        if new < announced {
+            new = count_with_repeats(&mut seen, &update, new, prefixes);
+        }
         let dup_frac = 1.0 - new as f64 / announced.max(1) as f64;
-        seen.extend(update.packed_announced());
         last_time = time;
         if new > 0 && dup_frac <= config.dup_tolerance {
             end = Some(time);

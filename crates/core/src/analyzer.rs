@@ -3,7 +3,7 @@
 
 use tdat_bgp::{find_transfer_end_ref, MctConfig, TableTransfer};
 use tdat_packet::AnomalyCounts;
-use tdat_timeset::Span;
+use tdat_timeset::{Micros, Span};
 use tdat_trace::{label_segments, ConnProfile, LabelConfig, SegLabel, TcpConnection};
 
 use crate::config::AnalyzerConfig;
@@ -160,10 +160,7 @@ impl Analyzer {
         extraction: &tdat_pcap2bgp::Extraction,
         anomalies: AnomalyCounts,
     ) -> Analysis {
-        // Identify the transfer end via MCT over the extracted updates
-        // (borrowed: MCT scans them without cloning the table).
-        let transfer =
-            find_transfer_end_ref(conn.profile.start, extraction.updates_iter(), &self.mct);
+        let transfer = self.transfer_of(conn.profile.start, extraction);
         let period_end = transfer
             .as_ref()
             .map(|t| t.span.end)
@@ -174,6 +171,22 @@ impl Analyzer {
         self.build_analysis(conn, period, transfer, anomalies, verdict)
     }
 
+    /// The table transfer MCT finds in `extraction`'s UPDATEs for a
+    /// connection that started at `start` — the one place the
+    /// analyzer's MCT configuration is read. It scans the log in place,
+    /// cloning nothing. A caller holding an earlier answer for the same
+    /// connection, sender and start may keep it while the log gains no
+    /// UPDATE that announces or withdraws
+    /// ([`MessageLog::announces_or_withdraws_since`](tdat_bgp::MessageLog::announces_or_withdraws_since)):
+    /// MCT reads no other row, so the answer would be the same.
+    pub fn transfer_of(
+        &self,
+        start: Micros,
+        extraction: &tdat_pcap2bgp::Extraction,
+    ) -> Option<TableTransfer> {
+        find_transfer_end_ref(start, extraction.updates_iter(), &self.mct)
+    }
+
     /// Analyzes a point-in-time snapshot of a *still-open* connection
     /// over a trailing `window` — the live-monitoring entry point.
     ///
@@ -182,18 +195,19 @@ impl Analyzer {
     /// [`analyze_extracted_lossy`](Self::analyze_extracted_lossy) it is
     /// *not* clipped to the MCT transfer end, because a live view must
     /// keep counting silence up to "now" (`window.end`) — that is
-    /// exactly how a stalled transfer shows up. The MCT transfer
-    /// estimate over the messages decoded so far is still computed and
-    /// reported. `anomalies` are as for `analyze_extracted_lossy`.
+    /// exactly how a stalled transfer shows up. `transfer` is the MCT
+    /// estimate over the messages decoded so far, which the caller
+    /// supplies — [`transfer_of`](Self::transfer_of) over `extraction`,
+    /// or an earlier answer it knows still holds — and the analysis
+    /// reports. `anomalies` are as for `analyze_extracted_lossy`.
     pub fn analyze_partial_lossy(
         &self,
         conn: TcpConnection,
         extraction: &tdat_pcap2bgp::Extraction,
+        transfer: Option<TableTransfer>,
         window: Span,
         anomalies: AnomalyCounts,
     ) -> Analysis {
-        let transfer =
-            find_transfer_end_ref(conn.profile.start, extraction.updates_iter(), &self.mct);
         let start = window.start.max(conn.profile.start);
         let period = Span::new(start, window.end.max(start));
         let verdict = self.quarantine.assess(&anomalies, extraction);
@@ -372,9 +386,12 @@ mod tests {
         // reaching past the last frame (live "now").
         let now = last + Micros::from_millis(10);
         let window = Span::new(last / 2, now);
-        let analysis = Analyzer::default().analyze_partial_lossy(
+        let analyzer = Analyzer::default();
+        let transfer = analyzer.transfer_of(conn.profile.start, &extraction);
+        let analysis = analyzer.analyze_partial_lossy(
             conn.clone(),
             &extraction,
+            transfer.clone(),
             window,
             AnomalyCounts::default(),
         );
@@ -385,9 +402,10 @@ mod tests {
         }
         // A window starting before the connection clips to its start.
         let wide = Span::new(Micros(-5_000_000), now);
-        let analysis = Analyzer::default().analyze_partial_lossy(
+        let analysis = analyzer.analyze_partial_lossy(
             conn,
             &extraction,
+            transfer,
             wide,
             AnomalyCounts::default(),
         );

@@ -53,8 +53,11 @@ use tdat::{
     Report,
 };
 use tdat_packet::{AnomalyCounts, CaptureAnomaly, TcpFrame};
+use tdat_pcap2bgp::Extraction;
 use tdat_timeset::{Micros, Span};
-use tdat_trace::{ConnKey, ConnectionTracker, FinalizedConnection, TrackerConfig};
+use tdat_trace::{
+    ConnKey, ConnectionTracker, Endpoint, FinalizedConnection, TcpConnection, TrackerConfig,
+};
 
 use crate::alerts::{Alert, AlertConfig, AlertEngine, AlertKind, Condition};
 use crate::metrics::MonitorMetrics;
@@ -439,6 +442,39 @@ pub(crate) struct CachedAnalysis {
     /// they stay in the per-tick sweep.
     pub(crate) conditions: Vec<Condition>,
     pub(crate) analysis: Analysis,
+    /// What `analysis.transfer` was computed from.
+    pub(crate) transfer_input: TransferInput,
+}
+
+/// What a cached MCT answer was computed from: the data sender (whose
+/// log MCT read), the connection start (MCT's origin) and the log's row
+/// count. A later tick keeps the answer while sender and start match
+/// and no row past `rows` is an UPDATE that announces or withdraws —
+/// the only rows MCT reads — checking by walking just those rows.
+#[derive(Debug)]
+pub(crate) struct TransferInput {
+    sender: Endpoint,
+    start: Micros,
+    rows: usize,
+}
+
+impl TransferInput {
+    /// The input of an MCT run over `extraction`'s log now.
+    fn of(connection: &TcpConnection, extraction: &Extraction) -> TransferInput {
+        TransferInput {
+            sender: connection.sender,
+            start: connection.profile.start,
+            rows: extraction.messages.len(),
+        }
+    }
+
+    /// True when MCT over `now`, whose log is `extraction`'s, would
+    /// answer what it answered over this input.
+    fn same_answer(&self, now: &TransferInput, extraction: &Extraction) -> bool {
+        self.sender == now.sender
+            && self.start == now.start
+            && !extraction.messages.announces_or_withdraws_since(self.rows)
+    }
 }
 
 /// Evaluates the detectors whose outcome depends only on the analysis
@@ -629,11 +665,15 @@ impl SourceScope {
     }
 
     /// Re-analyzes the connections in `work` over the window ending at
-    /// tick time `at` and caches the results (tick phase 1).
+    /// tick time `at` and caches the results (tick phase 1). A
+    /// connection's MCT answer is carried over from its cached analysis
+    /// when nothing MCT reads has changed since ([`TransferInput`]) —
+    /// a session that only exchanged KEEPALIVEs since the last tick does
+    /// not re-hash its table.
     fn refresh(&mut self, work: Vec<ConnKey>, at: Micros, ctx: &AnalysisCtx) {
         let analyzer = &ctx.analyzer;
         // What a connection the demux holds no stream for reads as.
-        let unseen = tdat_pcap2bgp::Extraction::default();
+        let unseen = Extraction::default();
         let span = Span::new(at.saturating_sub(ctx.window), at);
         for key in work {
             let (Some(fin), Some(ordinal)) =
@@ -646,7 +686,17 @@ impl SourceScope {
                 .snapshot(key, fin.connection.sender)
                 .unwrap_or(&unseen);
             let counts = self.quality.get(&key).copied().unwrap_or_default();
-            let analysis = analyzer.analyze_partial_lossy(fin.connection, extraction, span, counts);
+            let input = TransferInput::of(&fin.connection, extraction);
+            let transfer = self
+                .cache
+                .get(&key)
+                .filter(|cached| cached.transfer_input.same_answer(&input, extraction))
+                .map_or_else(
+                    || analyzer.transfer_of(input.start, extraction),
+                    |cached| cached.analysis.transfer.clone(),
+                );
+            let analysis =
+                analyzer.analyze_partial_lossy(fin.connection, extraction, transfer, span, counts);
             let session = session_id(&analysis);
             let conditions = analysis_conditions(
                 &analysis,
@@ -662,6 +712,7 @@ impl SourceScope {
                     session,
                     conditions,
                     analysis,
+                    transfer_input: input,
                 },
             );
         }
@@ -1322,11 +1373,7 @@ impl Monitor {
     pub fn snapshot_reports(&mut self) -> Vec<(String, String, String)> {
         self.sync();
         let config = self.control.ctx.analyzer.config();
-        let fleet = match &self.plane {
-            Plane::Inline(scopes) => fleet_view(&[scopes.as_slice()]),
-            Plane::Lanes(lanes) => lanes.fleet(),
-        };
-        fleet
+        self.fleet()
             .into_iter()
             .map(|(source, cached)| {
                 (
@@ -1336,6 +1383,26 @@ impl Monitor {
                 )
             })
             .collect()
+    }
+
+    /// The per-connection analyses as of the last tick, unrendered, as
+    /// `(source, analysis)` in the order of
+    /// [`snapshot_reports`](Self::snapshot_reports).
+    pub fn snapshot_analyses(&mut self) -> Vec<(&str, &Analysis)> {
+        self.sync();
+        self.fleet()
+            .into_iter()
+            .map(|(source, cached)| (&**source, &cached.analysis))
+            .collect()
+    }
+
+    /// Every cached analysis in (source, tracker-insertion) order, as
+    /// of the last [`sync`](Self::sync).
+    fn fleet(&self) -> Vec<(&Arc<str>, &CachedAnalysis)> {
+        match &self.plane {
+            Plane::Inline(scopes) => fleet_view(&[scopes.as_slice()]),
+            Plane::Lanes(lanes) => lanes.fleet(),
+        }
     }
 
     /// Ends the watch: finalizes every still-open connection in every
@@ -1871,5 +1938,66 @@ mod tests {
             .expect("valid");
         assert_eq!(built.window, Micros::from_secs(30));
         assert_eq!(built.interval, Micros::from_secs(5));
+    }
+
+    /// A cached MCT answer is kept only while MCT would give it again:
+    /// another sender or start, or a new UPDATE that announces or
+    /// withdraws, each mean running MCT again; KEEPALIVEs and UPDATEs
+    /// that carry no prefix do not.
+    #[test]
+    fn transfer_input_keeps_an_answer_only_while_nothing_mct_reads_changed() {
+        use tdat_bgp::{BgpMessage, PathAttribute, Prefix, UpdateMessage};
+        let prefix = Prefix::new(Ipv4Addr::new(10, 0, 0, 0), 24).expect("valid prefix");
+        let announce = BgpMessage::Update(UpdateMessage::announce(
+            vec![PathAttribute::Med(1)],
+            vec![prefix],
+        ));
+        let withdraw = BgpMessage::Update(UpdateMessage {
+            withdrawn: vec![prefix],
+            attributes: Vec::new(),
+            announced: Vec::new(),
+        });
+        let empty = BgpMessage::Update(UpdateMessage::announce(
+            vec![PathAttribute::Med(2)],
+            Vec::new(),
+        ));
+        let extraction = |messages: &[&BgpMessage]| {
+            let stamped: Vec<(Micros, BgpMessage)> = messages
+                .iter()
+                .map(|message| (Micros(1), (*message).clone()))
+                .collect();
+            Extraction {
+                messages: stamped.iter().collect(),
+                ..Extraction::default()
+            }
+        };
+        let sender = (Ipv4Addr::new(10, 0, 0, 1), 179);
+        let cached = TransferInput {
+            sender,
+            start: Micros(5),
+            rows: 1,
+        };
+        let now = |extraction: &Extraction| TransferInput {
+            rows: extraction.messages.len(),
+            ..cached
+        };
+        let quiet = extraction(&[&announce, &BgpMessage::Keepalive, &empty]);
+        assert!(cached.same_answer(&now(&quiet), &quiet));
+        let other_sender = TransferInput {
+            sender: (Ipv4Addr::new(10, 0, 0, 2), 40000),
+            ..now(&quiet)
+        };
+        assert!(!cached.same_answer(&other_sender, &quiet));
+        let other_start = TransferInput {
+            start: Micros(4),
+            ..now(&quiet)
+        };
+        assert!(!cached.same_answer(&other_start, &quiet));
+        for new_row in [&announce, &withdraw] {
+            let grown = extraction(&[&announce, &BgpMessage::Keepalive, new_row]);
+            assert!(!cached.same_answer(&now(&grown), &grown));
+        }
+        let shorter = extraction(&[]);
+        assert!(!cached.same_answer(&now(&shorter), &shorter));
     }
 }

@@ -5,9 +5,18 @@
 
 use std::net::Ipv4Addr;
 
-use tdat_monitor::{AlertAction, AlertConfig, Monitor, MonitorConfig, MonitorEvent, TrackerConfig};
+use tdat::BgpDemux;
+use tdat_bgp::{
+    find_transfer_end_ref, BgpMessage, MctConfig, PathAttribute, Prefix, TableTransfer,
+    UpdateMessage,
+};
+use tdat_monitor::{
+    AlertAction, AlertConfig, Monitor, MonitorConfig, MonitorEvent, SourceId, TrackerConfig,
+};
 use tdat_packet::{FrameBuilder, TcpFlags, TcpFrame, TcpOption};
+use tdat_pcap2bgp::Extraction;
 use tdat_timeset::Micros;
+use tdat_trace::{ConnectionTracker, Endpoint};
 
 const CAP: usize = 4;
 const SESSIONS: usize = 12;
@@ -266,6 +275,196 @@ fn sender_flip_between_tick_and_finalize_still_clears_alerts() {
         clears.contains(&&cached_session),
         "the alert raised under the cached session must clear under it: {clears:?}"
     );
+}
+
+/// A tick may carry a connection's MCT answer over from its cached
+/// analysis instead of running MCT again, but what it caches must be
+/// what MCT finds over the connection as it stands. A table transfer,
+/// then ticks that see only KEEPALIVEs, then a late announcement, then
+/// the other side out-sending the first between two ticks (the sender
+/// flips, and its log is longer than the first side's with only
+/// KEEPALIVEs past that length): at every tick, each cached transfer
+/// equals `find_transfer_end_ref` over the snapshot a tracker and demux
+/// fed the same frames hold.
+#[test]
+fn cached_transfer_is_mct_over_the_current_snapshot_at_every_tick() {
+    let router = Ipv4Addr::new(10, 9, 1, 1);
+    let collector = Ipv4Addr::new(10, 9, 1, 2);
+    let mut watch = TransferWatch::new();
+    let mut from_router = Side::new(router, 179, collector, 40000);
+    let mut from_collector = Side::new(collector, 40000, router, 179);
+    watch.send(from_router.syn(0));
+    watch.send(from_collector.syn(100));
+    let prefixes = |from: usize, n: usize| -> Vec<Prefix> {
+        (from..from + n)
+            .map(|i| Prefix::new(Ipv4Addr::from(0x0b00_0000 + ((i as u32) << 8)), 24).unwrap())
+            .collect()
+    };
+    let update = |prefixes: Vec<Prefix>| {
+        BgpMessage::Update(UpdateMessage::announce(
+            vec![PathAttribute::Med(1)],
+            prefixes,
+        ))
+        .to_bytes()
+    };
+    let keepalive = BgpMessage::Keepalive.to_bytes();
+    let secs = |s: i64| Micros::from_secs(s).0;
+
+    // The table: 30 UPDATEs of 5 fresh prefixes each.
+    for i in 0..30 {
+        watch.send(from_router.data(1_000 + i as i64 * 10_000, update(prefixes(5 * i, 5))));
+    }
+    let table = watch.tick(secs(5));
+    // Ticks at which the router sent a KEEPALIVE and nothing else.
+    let mut quiet = Vec::new();
+    for k in 1..=3 {
+        watch.send(from_router.data(secs(5 * k + 1), keepalive.clone()));
+        quiet.push(watch.tick(secs(5 * k + 5)));
+    }
+    // A late announcement, inside MCT's gap: the transfer grows.
+    watch.send(from_router.data(secs(21), update(prefixes(150, 5))));
+    let late = watch.tick(secs(25));
+    // The collector out-sends the router: two large UPDATEs, then more
+    // KEEPALIVEs than the router's log has rows.
+    for i in 0..2 {
+        let announced = prefixes(10_000 + 400 * i, 400);
+        watch.send(from_collector.data(secs(26) + i as i64, update(announced)));
+    }
+    for i in 0..50 {
+        watch.send(from_collector.data(secs(27) + i, keepalive.clone()));
+    }
+    let flipped = watch.tick(secs(30));
+    watch.send(from_collector.data(secs(31), keepalive.clone()));
+    let flipped_quiet = watch.tick(secs(35));
+
+    let prefix_count =
+        |check: &[(Endpoint, Option<TableTransfer>)]| check[0].1.as_ref().map(|t| t.prefix_count);
+    assert_eq!(prefix_count(&table), Some(150));
+    for check in &quiet {
+        assert_eq!(check, &table, "KEEPALIVEs change no transfer");
+    }
+    assert_eq!(
+        prefix_count(&late),
+        Some(155),
+        "the late announcement counts"
+    );
+    assert_eq!(flipped[0].0, (collector, 40000), "the sender flips");
+    assert_eq!(prefix_count(&flipped), Some(800));
+    assert_eq!(flipped_quiet, flipped);
+}
+
+/// A one-connection watch beside a tracker and a demux fed the same
+/// frames, which say what MCT finds over the connection as it stands.
+struct TransferWatch {
+    monitor: Monitor,
+    id: SourceId,
+    tracker: ConnectionTracker,
+    demux: BgpDemux,
+}
+
+impl TransferWatch {
+    fn new() -> TransferWatch {
+        let tracker = TrackerConfig {
+            idle_timeout: None,
+            ..TrackerConfig::default()
+        };
+        let config = MonitorConfig::builder()
+            .window(Micros::from_secs(120))
+            .interval(Micros::from_secs(5))
+            .tracker(tracker)
+            .build()
+            .expect("valid config");
+        let mut monitor = Monitor::new(config);
+        let id = monitor.register_source("capture");
+        TransferWatch {
+            monitor,
+            id,
+            tracker: ConnectionTracker::new(tracker),
+            demux: BgpDemux::new(),
+        }
+    }
+
+    fn send(&mut self, frame: TcpFrame) {
+        self.demux.feed(&frame);
+        self.tracker.ingest(&frame);
+        self.monitor.ingest_owned(self.id, frame);
+    }
+
+    /// Runs the tick at `at` and returns each cached (sender, transfer),
+    /// asserting it is MCT over the current snapshot.
+    fn tick(&mut self, at: i64) -> Vec<(Endpoint, Option<TableTransfer>)> {
+        self.monitor.advance_to(Micros(at));
+        let unseen = Extraction::default();
+        let expected: Vec<(Endpoint, Option<TableTransfer>)> = self
+            .tracker
+            .snapshot()
+            .into_iter()
+            .map(|fin| {
+                let connection = &fin.connection;
+                let extraction = self
+                    .demux
+                    .snapshot(fin.key, connection.sender)
+                    .unwrap_or(&unseen);
+                let start = connection.profile.start;
+                let transfer =
+                    find_transfer_end_ref(start, extraction.updates_iter(), &MctConfig::default());
+                (connection.sender, transfer)
+            })
+            .collect();
+        let cached: Vec<(Endpoint, Option<TableTransfer>)> = self
+            .monitor
+            .snapshot_analyses()
+            .into_iter()
+            .map(|(_, analysis)| (analysis.sender, analysis.transfer.clone()))
+            .collect();
+        assert_eq!(cached, expected, "tick at {}", Micros(at));
+        cached
+    }
+}
+
+/// One direction of a TCP connection, numbering its own bytes.
+struct Side {
+    src: Ipv4Addr,
+    src_port: u16,
+    dst: Ipv4Addr,
+    dst_port: u16,
+    seq: u32,
+}
+
+impl Side {
+    fn new(src: Ipv4Addr, src_port: u16, dst: Ipv4Addr, dst_port: u16) -> Side {
+        Side {
+            src,
+            src_port,
+            dst,
+            dst_port,
+            seq: 0,
+        }
+    }
+
+    fn syn(&mut self, at: i64) -> TcpFrame {
+        self.seq = 1;
+        FrameBuilder::new(self.src, self.dst)
+            .at(Micros(at))
+            .ports(self.src_port, self.dst_port)
+            .seq(0)
+            .flags(TcpFlags::SYN)
+            .option(TcpOption::Mss(1448))
+            .window(65535)
+            .build()
+    }
+
+    fn data(&mut self, at: i64, payload: Vec<u8>) -> TcpFrame {
+        let frame = FrameBuilder::new(self.src, self.dst)
+            .at(Micros(at))
+            .ports(self.src_port, self.dst_port)
+            .seq(self.seq)
+            .ack_to(1)
+            .payload(payload)
+            .build();
+        self.seq = self.seq.wrapping_add(frame.payload.len() as u32);
+        frame
+    }
 }
 
 /// Pulls a `"key":"value"` string field out of a JSONL line.

@@ -53,8 +53,15 @@ pub struct ProptestConfig {
 }
 
 impl Default for ProptestConfig {
+    /// 256 cases, or as many as the `PROPTEST_CASES` environment
+    /// variable says, as upstream; an explicit
+    /// [`with_cases`](Self::with_cases) ignores it.
     fn default() -> Self {
-        ProptestConfig { cases: 256 }
+        let cases = std::env::var("PROPTEST_CASES")
+            .ok()
+            .and_then(|cases| cases.parse().ok())
+            .unwrap_or(256);
+        ProptestConfig { cases }
     }
 }
 
