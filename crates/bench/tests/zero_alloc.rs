@@ -6,7 +6,8 @@
 //! next to nothing) and the capture path's reassembly: a whole batch
 //! pass allocates a couple of times per frame, not once per path
 //! attribute, and a flow that is not BGP costs no allocation at all.
-//! Beside the count, a byte tally pins how MCT sizes its set.
+//! Beside the count, a byte tally pins how MCT sizes its set, and that
+//! a monitor tick allocates none.
 //!
 //! The counting allocator lives here because the packet crate itself
 //! (rightly) forbids `unsafe`; an integration test is its own crate,
@@ -371,15 +372,17 @@ fn steady_tick_allocations(sessions: usize, busy: bool) -> u64 {
 /// "Tick cost tracks new traffic, not open connections", as a count:
 /// 500 open-but-idle sessions may add at most `PER_IDLE_PER_TICK`
 /// allocations each to a steady tick. Measured (debug and release,
-/// repeating exactly): 985 allocations over the 16 steady ticks with
-/// the transfer alone, 9 113 with 500 idle sessions beside it — 8 128
+/// repeating exactly): 982 allocations over the 16 steady ticks with
+/// the transfer alone, 9 110 with 500 idle sessions beside it — 8 128
 /// more, 1.02 per idle session per tick, the peer-group correlation's
 /// one bucket per sender. The same 500 sessions each sending one
 /// segment per interval, so every one is dirty at every tick, make
-/// 804 429 — 100 per session per tick, its segment's ingest plus its
+/// 804 426 — 100 per session per tick, its segment's ingest plus its
 /// re-analysis. That run guards the test itself: sessions that do cost
 /// a tick land above the bound, and if the counter stopped seeing the
-/// tick it would fail first.
+/// tick it would fail first. (Each count was 3 higher while a tick ran
+/// MCT: one set for each of the three steady ticks that re-analyse the
+/// transfer.)
 #[test]
 fn idle_connections_cost_a_steady_tick_nothing() {
     const IDLE: usize = 500;
@@ -400,6 +403,62 @@ fn idle_connections_cost_a_steady_tick_nothing() {
         "{IDLE} sessions dirty at every tick should each be re-analysed per tick \
          ({alone} alone, {busy} busy; bound {bound})"
     );
+}
+
+/// A tick runs no MCT; the snapshot pull does. Over the 8 000-route
+/// transfer of [`watch_with_sessions`] each tick that re-analyses the
+/// connection while its table arrives allocates fewer bytes in all than
+/// the one set MCT sizes for the log that tick saw, so none of its
+/// allocations can be that set; the pull right after allocates it, once,
+/// and a second pull nothing more. Measured (debug and release): the
+/// four transfer ticks allocate 98 / 141 / 225 / 265 times, 14 463 /
+/// 18 919 / 64 943 / 75 967 bytes, and their pulls settle 962 / 2 647 /
+/// 6 466 / 8 000 prefixes in one allocation each, of 18 448 / 36 880 /
+/// 73 744 / 147 472 bytes. While the tick ran MCT, each of those ticks
+/// made one allocation more, that set — 147 472 bytes at the last — and
+/// a pull made none.
+#[test]
+fn ticks_over_a_transfer_allocate_no_mct_set() {
+    let (frames, interval) = watch_with_sessions(0, false);
+    let mut monitor = Monitor::new(MonitorConfig {
+        interval,
+        ..MonitorConfig::default()
+    });
+    // Allocations, bytes and the transfer's prefix count of one pull.
+    let pull = |monitor: &mut Monitor| {
+        let (count, bytes) = (allocations(), allocated_bytes());
+        let analyses = monitor.snapshot_analyses();
+        let prefixes = analyses[0].1.transfer.as_ref().map(|t| t.prefix_count);
+        (allocations() - count, allocated_bytes() - bytes, prefixes)
+    };
+    let mut settled = Vec::new();
+    let mut boundary = frames[0].timestamp + interval;
+    for frame in &frames {
+        while frame.timestamp >= boundary {
+            let (count, bytes) = (allocations(), allocated_bytes());
+            monitor.advance_to(boundary);
+            let tick = (allocations() - count, allocated_bytes() - bytes);
+            let (first, again) = (pull(&mut monitor), pull(&mut monitor));
+            let set = (first.0 - again.0, first.1 - again.1);
+            if set.0 > 0 {
+                assert_eq!(set.0, 1, "a pull makes one MCT set, {} bytes", set.1);
+                assert!(
+                    tick.1 < set.1,
+                    "a transfer tick allocated {} times, {} bytes: as much as the {}-byte \
+                     set MCT sizes for its log",
+                    tick.0,
+                    tick.1,
+                    set.1
+                );
+                settled.push(first.2);
+            }
+            boundary += interval;
+        }
+        monitor.ingest(frame);
+    }
+    assert_eq!(settled.len(), 4, "ticks that re-analysed the transfer");
+    assert!(settled[0] < Some(8_000), "the first is mid-transfer");
+    assert_eq!(settled.last(), Some(&Some(8_000)));
 }
 
 /// `alloc.batch.count_per_frame`, pinned as a count: a clean

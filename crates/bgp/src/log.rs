@@ -170,8 +170,21 @@ impl MessageLog {
 
     /// The messages in arrival order.
     pub fn iter(&self) -> impl Iterator<Item = LogRow<'_>> {
-        let mut arena = &self.announced[..];
-        self.rows.iter().map(move |row| {
+        self.head(self.len())
+    }
+
+    /// The first `rows` messages (all of them if the log holds fewer),
+    /// exactly as [`iter`](Self::iter) yielded them when the log held
+    /// only those: `announced_ahead` counts no prefix of a later row.
+    fn head(&self, rows: usize) -> impl Iterator<Item = LogRow<'_>> {
+        let rows = &self.rows[..rows.min(self.rows.len())];
+        let mut arena = if rows.len() == self.rows.len() {
+            &self.announced[..]
+        } else {
+            let end = rows.iter().map(|row| usize::from(row.announced)).sum();
+            &self.announced[..end]
+        };
+        rows.iter().map(move |row| {
             let announced_ahead = arena.len();
             let (announced, rest) = arena.split_at(usize::from(row.announced));
             arena = rest;
@@ -185,19 +198,17 @@ impl MessageLog {
         })
     }
 
-    /// True when a message from row `from` on is an UPDATE that
-    /// announces or withdraws a prefix — the only rows MCT reads — or
-    /// when the log holds fewer than `from` rows. Walks those rows only.
-    pub fn announces_or_withdraws_since(&self, from: usize) -> bool {
-        self.rows.get(from..).is_none_or(|rows| {
-            rows.iter()
-                .any(|row| row.type_code == 2 && (row.announced > 0 || row.withdrawn > 0))
-        })
-    }
-
     /// The timestamped UPDATEs in arrival order — the MCT input.
     pub fn updates(&self) -> impl Iterator<Item = (Micros, LogRow<'_>)> {
-        self.iter()
+        self.updates_in_first(self.len())
+    }
+
+    /// The timestamped UPDATEs among the first `rows` messages, as
+    /// [`updates`](Self::updates) yielded them when the log held only
+    /// those. A log is only ever appended to, so this is the MCT input
+    /// as of that moment, read later.
+    pub fn updates_in_first(&self, rows: usize) -> impl Iterator<Item = (Micros, LogRow<'_>)> {
+        self.head(rows)
             .filter(|row| row.type_code == 2)
             .map(|row| (row.time, row))
     }
@@ -380,6 +391,26 @@ mod tests {
         assert_eq!(whole.announced_prefixes(), 500);
         assert_eq!(log.updates().count(), log.len() - 1);
         assert_eq!(log, whole.iter().collect());
+    }
+
+    #[test]
+    fn the_first_rows_read_as_the_log_that_held_only_them() {
+        let table = TableGenerator::new(4).routes(300).generate();
+        let mut messages: WholeMessages = table
+            .to_updates()
+            .into_iter()
+            .enumerate()
+            .map(|(i, update)| (Micros(i as i64), BgpMessage::Update(update)))
+            .collect();
+        messages.insert(3, (Micros(2), BgpMessage::Keepalive));
+        let log: MessageLog = messages.iter().collect();
+        for rows in 0..=log.len() + 1 {
+            let earlier: MessageLog = messages.iter().take(rows).collect();
+            assert!(
+                log.updates_in_first(rows).eq(earlier.updates()),
+                "first {rows} rows"
+            );
+        }
     }
 
     #[test]

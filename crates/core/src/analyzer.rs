@@ -160,7 +160,7 @@ impl Analyzer {
         extraction: &tdat_pcap2bgp::Extraction,
         anomalies: AnomalyCounts,
     ) -> Analysis {
-        let transfer = self.transfer_of(conn.profile.start, extraction);
+        let transfer = self.transfer_of(conn.profile.start, extraction, extraction.messages.len());
         let period_end = transfer
             .as_ref()
             .map(|t| t.span.end)
@@ -171,20 +171,22 @@ impl Analyzer {
         self.build_analysis(conn, period, transfer, anomalies, verdict)
     }
 
-    /// The table transfer MCT finds in `extraction`'s UPDATEs for a
-    /// connection that started at `start` — the one place the
-    /// analyzer's MCT configuration is read. It scans the log in place,
-    /// cloning nothing. A caller holding an earlier answer for the same
-    /// connection, sender and start may keep it while the log gains no
-    /// UPDATE that announces or withdraws
-    /// ([`MessageLog::announces_or_withdraws_since`](tdat_bgp::MessageLog::announces_or_withdraws_since)):
-    /// MCT reads no other row, so the answer would be the same.
+    /// The table transfer MCT finds in the UPDATEs among the first
+    /// `rows` messages of `extraction`'s log, for a connection that
+    /// started at `start` — the one place the analyzer's MCT
+    /// configuration is read. It scans the log in place, cloning
+    /// nothing. A log is only ever appended to while its connection is
+    /// open, so a caller that noted the log's length at some moment can
+    /// ask later for the answer as of that moment
+    /// ([`MessageLog::updates_in_first`](tdat_bgp::MessageLog::updates_in_first));
+    /// `extraction.messages.len()` asks for it as of now.
     pub fn transfer_of(
         &self,
         start: Micros,
         extraction: &tdat_pcap2bgp::Extraction,
+        rows: usize,
     ) -> Option<TableTransfer> {
-        find_transfer_end_ref(start, extraction.updates_iter(), &self.mct)
+        find_transfer_end_ref(start, extraction.messages.updates_in_first(rows), &self.mct)
     }
 
     /// Analyzes a point-in-time snapshot of a *still-open* connection
@@ -195,23 +197,23 @@ impl Analyzer {
     /// [`analyze_extracted_lossy`](Self::analyze_extracted_lossy) it is
     /// *not* clipped to the MCT transfer end, because a live view must
     /// keep counting silence up to "now" (`window.end`) — that is
-    /// exactly how a stalled transfer shows up. `transfer` is the MCT
-    /// estimate over the messages decoded so far, which the caller
-    /// supplies — [`transfer_of`](Self::transfer_of) over `extraction`,
-    /// or an earlier answer it knows still holds — and the analysis
-    /// reports. `anomalies` are as for `analyze_extracted_lossy`.
+    /// exactly how a stalled transfer shows up. Nothing else in the
+    /// analysis reads MCT, so none runs here: `transfer` comes back
+    /// `None`, and a caller that reports it fills it in with
+    /// [`transfer_of`](Self::transfer_of) — the monitor does so only
+    /// when a snapshot is pulled. `anomalies` are as for
+    /// `analyze_extracted_lossy`.
     pub fn analyze_partial_lossy(
         &self,
         conn: TcpConnection,
         extraction: &tdat_pcap2bgp::Extraction,
-        transfer: Option<TableTransfer>,
         window: Span,
         anomalies: AnomalyCounts,
     ) -> Analysis {
         let start = window.start.max(conn.profile.start);
         let period = Span::new(start, window.end.max(start));
         let verdict = self.quarantine.assess(&anomalies, extraction);
-        self.build_analysis(conn, period, transfer, anomalies, verdict)
+        self.build_analysis(conn, period, None, anomalies, verdict)
     }
 
     /// The shared pipeline tail: label, ACK-shift, generate series over
@@ -387,28 +389,24 @@ mod tests {
         let now = last + Micros::from_millis(10);
         let window = Span::new(last / 2, now);
         let analyzer = Analyzer::default();
-        let transfer = analyzer.transfer_of(conn.profile.start, &extraction);
         let analysis = analyzer.analyze_partial_lossy(
             conn.clone(),
             &extraction,
-            transfer.clone(),
             window,
             AnomalyCounts::default(),
         );
         assert_eq!(analysis.period, window, "window within the connection");
-        assert!(analysis.transfer.is_some(), "MCT still estimated");
+        assert!(analysis.transfer.is_none(), "MCT is the caller's to run");
+        let rows = extraction.messages.len();
+        let transfer = analyzer.transfer_of(conn.profile.start, &extraction, rows);
+        assert_eq!(transfer.map(|t| t.prefix_count), Some(150));
         for (_, r) in analysis.vector.factors {
             assert!((0.0..=1.0).contains(&r), "{r}");
         }
         // A window starting before the connection clips to its start.
         let wide = Span::new(Micros(-5_000_000), now);
-        let analysis = analyzer.analyze_partial_lossy(
-            conn,
-            &extraction,
-            transfer,
-            wide,
-            AnomalyCounts::default(),
-        );
+        let analysis =
+            analyzer.analyze_partial_lossy(conn, &extraction, wide, AnomalyCounts::default());
         assert_eq!(analysis.period.start, Micros::ZERO);
     }
 

@@ -30,7 +30,8 @@
 //!    accounting and the same messages ([`run_kept_types`]).
 //!
 //! The `anomaly-summary` binary runs the full corpus and emits the
-//! per-class outcome table CI uploads as an artifact.
+//! per-class outcome table CI uploads as an artifact; its seed-1 table
+//! is checked in as `tests/golden/anomaly-summary.txt`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

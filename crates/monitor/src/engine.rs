@@ -55,9 +55,7 @@ use tdat::{
 use tdat_packet::{AnomalyCounts, CaptureAnomaly, TcpFrame};
 use tdat_pcap2bgp::Extraction;
 use tdat_timeset::{Micros, Span};
-use tdat_trace::{
-    ConnKey, ConnectionTracker, Endpoint, FinalizedConnection, TcpConnection, TrackerConfig,
-};
+use tdat_trace::{ConnKey, ConnectionTracker, Endpoint, FinalizedConnection, TrackerConfig};
 
 use crate::alerts::{Alert, AlertConfig, AlertEngine, AlertKind, Condition};
 use crate::metrics::MonitorMetrics;
@@ -441,40 +439,26 @@ pub(crate) struct CachedAnalysis {
     /// depend on the current tick time or on other connections, so
     /// they stay in the per-tick sweep.
     pub(crate) conditions: Vec<Condition>,
+    /// The tick's analysis. Its `transfer` is `None` until
+    /// [`SourceScope::settle`] computes it from `unsettled`.
     pub(crate) analysis: Analysis,
-    /// What `analysis.transfer` was computed from.
-    pub(crate) transfer_input: TransferInput,
+    /// What MCT reads for `analysis.transfer`, while it is still to be
+    /// computed: nothing the tick emits reads it, so the tick only
+    /// notes this and a snapshot pull settles it.
+    unsettled: Option<TransferInput>,
 }
 
-/// What a cached MCT answer was computed from: the data sender (whose
-/// log MCT read), the connection start (MCT's origin) and the log's row
-/// count. A later tick keeps the answer while sender and start match
-/// and no row past `rows` is an UPDATE that announces or withdraws —
-/// the only rows MCT reads — checking by walking just those rows.
+/// What MCT reads for a tick's analysis: the data sender (whose log it
+/// reads), the connection start (its origin) and how many rows that log
+/// held at the tick. A log is only appended to while its connection is
+/// open, and finalization drops the cache entry, so MCT over the first
+/// `rows` rows at any later pull answers exactly what it would have at
+/// the tick.
 #[derive(Debug)]
-pub(crate) struct TransferInput {
+struct TransferInput {
     sender: Endpoint,
     start: Micros,
     rows: usize,
-}
-
-impl TransferInput {
-    /// The input of an MCT run over `extraction`'s log now.
-    fn of(connection: &TcpConnection, extraction: &Extraction) -> TransferInput {
-        TransferInput {
-            sender: connection.sender,
-            start: connection.profile.start,
-            rows: extraction.messages.len(),
-        }
-    }
-
-    /// True when MCT over `now`, whose log is `extraction`'s, would
-    /// answer what it answered over this input.
-    fn same_answer(&self, now: &TransferInput, extraction: &Extraction) -> bool {
-        self.sender == now.sender
-            && self.start == now.start
-            && !extraction.messages.announces_or_withdraws_since(self.rows)
-    }
 }
 
 /// Evaluates the detectors whose outcome depends only on the analysis
@@ -665,11 +649,9 @@ impl SourceScope {
     }
 
     /// Re-analyzes the connections in `work` over the window ending at
-    /// tick time `at` and caches the results (tick phase 1). A
-    /// connection's MCT answer is carried over from its cached analysis
-    /// when nothing MCT reads has changed since ([`TransferInput`]) —
-    /// a session that only exchanged KEEPALIVEs since the last tick does
-    /// not re-hash its table.
+    /// tick time `at` and caches the results (tick phase 1). No MCT
+    /// runs: each entry keeps what its transfer is to be computed from
+    /// ([`TransferInput`]) for [`settle`](Self::settle).
     fn refresh(&mut self, work: Vec<ConnKey>, at: Micros, ctx: &AnalysisCtx) {
         let analyzer = &ctx.analyzer;
         // What a connection the demux holds no stream for reads as.
@@ -686,17 +668,12 @@ impl SourceScope {
                 .snapshot(key, fin.connection.sender)
                 .unwrap_or(&unseen);
             let counts = self.quality.get(&key).copied().unwrap_or_default();
-            let input = TransferInput::of(&fin.connection, extraction);
-            let transfer = self
-                .cache
-                .get(&key)
-                .filter(|cached| cached.transfer_input.same_answer(&input, extraction))
-                .map_or_else(
-                    || analyzer.transfer_of(input.start, extraction),
-                    |cached| cached.analysis.transfer.clone(),
-                );
-            let analysis =
-                analyzer.analyze_partial_lossy(fin.connection, extraction, transfer, span, counts);
+            let input = TransferInput {
+                sender: fin.connection.sender,
+                start: fin.connection.profile.start,
+                rows: extraction.messages.len(),
+            };
+            let analysis = analyzer.analyze_partial_lossy(fin.connection, extraction, span, counts);
             let session = session_id(&analysis);
             let conditions = analysis_conditions(
                 &analysis,
@@ -712,9 +689,23 @@ impl SourceScope {
                     session,
                     conditions,
                     analysis,
-                    transfer_input: input,
+                    unsettled: Some(input),
                 },
             );
+        }
+    }
+
+    /// Computes the MCT transfer of every cached analysis a tick left
+    /// without one, over the data sender's log as it stood at that tick
+    /// — what the tick itself would have found.
+    pub(crate) fn settle(&mut self, analyzer: &Analyzer) {
+        let unseen = Extraction::default();
+        for (&key, cached) in &mut self.cache {
+            let Some(input) = cached.unsettled.take() else {
+                continue;
+            };
+            let extraction = self.demux.snapshot(key, input.sender).unwrap_or(&unseen);
+            cached.analysis.transfer = analyzer.transfer_of(input.start, extraction, input.rows);
         }
     }
 
@@ -1370,8 +1361,14 @@ impl Monitor {
     /// order — a point-in-time view of the monitor's working state. The
     /// golden streams (`tests/golden_streams.rs`) pin it after every
     /// tick boundary, at every lane count.
+    ///
+    /// A report's `prefixes` is MCT's, and MCT runs here, at the pull,
+    /// not at the tick (nothing a tick emits reads it): once per
+    /// analysis the ticks refreshed since the last pull, over the data
+    /// sender's log as of the last tick — frames ingested since do not
+    /// show, as in the rest of the analysis.
     pub fn snapshot_reports(&mut self) -> Vec<(String, String, String)> {
-        self.sync();
+        self.settle();
         let config = self.control.ctx.analyzer.config();
         self.fleet()
             .into_iter()
@@ -1387,13 +1384,27 @@ impl Monitor {
 
     /// The per-connection analyses as of the last tick, unrendered, as
     /// `(source, analysis)` in the order of
-    /// [`snapshot_reports`](Self::snapshot_reports).
+    /// [`snapshot_reports`](Self::snapshot_reports). Each `transfer` is
+    /// computed at this pull, over the log as of the last tick, as
+    /// there.
     pub fn snapshot_analyses(&mut self) -> Vec<(&str, &Analysis)> {
-        self.sync();
+        self.settle();
         self.fleet()
             .into_iter()
             .map(|(source, cached)| (&**source, &cached.analysis))
             .collect()
+    }
+
+    /// [`sync`](Self::sync), then computes the transfer of every cached
+    /// analysis still without one ([`SourceScope::settle`]), on every
+    /// healthy scope of the plane.
+    fn settle(&mut self) {
+        self.sync();
+        let analyzer = &self.control.ctx.analyzer;
+        match &mut self.plane {
+            Plane::Inline(scopes) => scopes.iter_mut().for_each(|s| s.settle(analyzer)),
+            Plane::Lanes(lanes) => lanes.settle(analyzer),
+        }
     }
 
     /// Every cached analysis in (source, tracker-insertion) order, as
@@ -1938,66 +1949,5 @@ mod tests {
             .expect("valid");
         assert_eq!(built.window, Micros::from_secs(30));
         assert_eq!(built.interval, Micros::from_secs(5));
-    }
-
-    /// A cached MCT answer is kept only while MCT would give it again:
-    /// another sender or start, or a new UPDATE that announces or
-    /// withdraws, each mean running MCT again; KEEPALIVEs and UPDATEs
-    /// that carry no prefix do not.
-    #[test]
-    fn transfer_input_keeps_an_answer_only_while_nothing_mct_reads_changed() {
-        use tdat_bgp::{BgpMessage, PathAttribute, Prefix, UpdateMessage};
-        let prefix = Prefix::new(Ipv4Addr::new(10, 0, 0, 0), 24).expect("valid prefix");
-        let announce = BgpMessage::Update(UpdateMessage::announce(
-            vec![PathAttribute::Med(1)],
-            vec![prefix],
-        ));
-        let withdraw = BgpMessage::Update(UpdateMessage {
-            withdrawn: vec![prefix],
-            attributes: Vec::new(),
-            announced: Vec::new(),
-        });
-        let empty = BgpMessage::Update(UpdateMessage::announce(
-            vec![PathAttribute::Med(2)],
-            Vec::new(),
-        ));
-        let extraction = |messages: &[&BgpMessage]| {
-            let stamped: Vec<(Micros, BgpMessage)> = messages
-                .iter()
-                .map(|message| (Micros(1), (*message).clone()))
-                .collect();
-            Extraction {
-                messages: stamped.iter().collect(),
-                ..Extraction::default()
-            }
-        };
-        let sender = (Ipv4Addr::new(10, 0, 0, 1), 179);
-        let cached = TransferInput {
-            sender,
-            start: Micros(5),
-            rows: 1,
-        };
-        let now = |extraction: &Extraction| TransferInput {
-            rows: extraction.messages.len(),
-            ..cached
-        };
-        let quiet = extraction(&[&announce, &BgpMessage::Keepalive, &empty]);
-        assert!(cached.same_answer(&now(&quiet), &quiet));
-        let other_sender = TransferInput {
-            sender: (Ipv4Addr::new(10, 0, 0, 2), 40000),
-            ..now(&quiet)
-        };
-        assert!(!cached.same_answer(&other_sender, &quiet));
-        let other_start = TransferInput {
-            start: Micros(4),
-            ..now(&quiet)
-        };
-        assert!(!cached.same_answer(&other_start, &quiet));
-        for new_row in [&announce, &withdraw] {
-            let grown = extraction(&[&announce, &BgpMessage::Keepalive, new_row]);
-            assert!(!cached.same_answer(&now(&grown), &grown));
-        }
-        let shorter = extraction(&[]);
-        assert!(!cached.same_answer(&now(&shorter), &shorter));
     }
 }

@@ -57,6 +57,7 @@ use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use tdat::Analyzer;
 use tdat_packet::{CaptureAnomaly, TcpFrame};
 use tdat_timeset::workpool::WorkerPool;
 use tdat_timeset::Micros;
@@ -450,6 +451,16 @@ impl Lanes {
             self.route_finalized(idx as u32, lifecycle.finish(), control.now);
         }
         self.flush(control);
+    }
+
+    /// Settles the transfers of the healthy shards' cached analyses
+    /// ([`SourceScope::settle`]), on the caller's thread: only a
+    /// snapshot pull runs it, after a flush has brought every shard
+    /// home.
+    pub(crate) fn settle(&mut self, analyzer: &Analyzer) {
+        for shard in self.shards.iter_mut().filter(|s| s.poisoned.is_none()) {
+            shard.scopes.iter_mut().for_each(|s| s.settle(analyzer));
+        }
     }
 
     /// The healthy shards' cached analyses in (source, ordinal) order.

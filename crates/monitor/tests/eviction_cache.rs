@@ -277,17 +277,30 @@ fn sender_flip_between_tick_and_finalize_still_clears_alerts() {
     );
 }
 
-/// A tick may carry a connection's MCT answer over from its cached
-/// analysis instead of running MCT again, but what it caches must be
-/// what MCT finds over the connection as it stands. A table transfer,
-/// then ticks that see only KEEPALIVEs, then a late announcement, then
-/// the other side out-sending the first between two ticks (the sender
-/// flips, and its log is longer than the first side's with only
-/// KEEPALIVEs past that length): at every tick, each cached transfer
-/// equals `find_transfer_end_ref` over the snapshot a tracker and demux
-/// fed the same frames hold.
-#[test]
-fn cached_transfer_is_mct_over_the_current_snapshot_at_every_tick() {
+/// `n` fresh /24s from the `from`-th on.
+fn prefixes(from: usize, n: usize) -> Vec<Prefix> {
+    (from..from + n)
+        .map(|i| Prefix::new(Ipv4Addr::from(0x0b00_0000 + ((i as u32) << 8)), 24).unwrap())
+        .collect()
+}
+
+/// An UPDATE announcing `prefixes`, on the wire.
+fn update(prefixes: Vec<Prefix>) -> Vec<u8> {
+    BgpMessage::Update(UpdateMessage::announce(
+        vec![PathAttribute::Med(1)],
+        prefixes,
+    ))
+    .to_bytes()
+}
+
+fn secs(s: i64) -> i64 {
+    Micros::from_secs(s).0
+}
+
+/// A router's table transfer to a collector, 30 UPDATEs of 5 fresh
+/// prefixes each in the connection's first 0.3 s: the watch and both
+/// sides of the connection.
+fn table_transfer() -> (TransferWatch, Side, Side) {
     let router = Ipv4Addr::new(10, 9, 1, 1);
     let collector = Ipv4Addr::new(10, 9, 1, 2);
     let mut watch = TransferWatch::new();
@@ -295,25 +308,24 @@ fn cached_transfer_is_mct_over_the_current_snapshot_at_every_tick() {
     let mut from_collector = Side::new(collector, 40000, router, 179);
     watch.send(from_router.syn(0));
     watch.send(from_collector.syn(100));
-    let prefixes = |from: usize, n: usize| -> Vec<Prefix> {
-        (from..from + n)
-            .map(|i| Prefix::new(Ipv4Addr::from(0x0b00_0000 + ((i as u32) << 8)), 24).unwrap())
-            .collect()
-    };
-    let update = |prefixes: Vec<Prefix>| {
-        BgpMessage::Update(UpdateMessage::announce(
-            vec![PathAttribute::Med(1)],
-            prefixes,
-        ))
-        .to_bytes()
-    };
-    let keepalive = BgpMessage::Keepalive.to_bytes();
-    let secs = |s: i64| Micros::from_secs(s).0;
-
-    // The table: 30 UPDATEs of 5 fresh prefixes each.
     for i in 0..30 {
         watch.send(from_router.data(1_000 + i as i64 * 10_000, update(prefixes(5 * i, 5))));
     }
+    (watch, from_router, from_collector)
+}
+
+/// What a snapshot reports of a connection's transfer is what MCT finds
+/// over the connection as it stood at the last tick. A table transfer,
+/// then ticks that see only KEEPALIVEs, then a late announcement, then
+/// the other side out-sending the first between two ticks (the sender
+/// flips, and its log is longer than the first side's with only
+/// KEEPALIVEs past that length): pulled right after every tick, each
+/// transfer equals `find_transfer_end_ref` over the snapshot a tracker
+/// and demux fed the same frames hold.
+#[test]
+fn cached_transfer_is_mct_over_the_current_snapshot_at_every_tick() {
+    let (mut watch, mut from_router, mut from_collector) = table_transfer();
+    let keepalive = BgpMessage::Keepalive.to_bytes();
     let table = watch.tick(secs(5));
     // Ticks at which the router sent a KEEPALIVE and nothing else.
     let mut quiet = Vec::new();
@@ -348,9 +360,42 @@ fn cached_transfer_is_mct_over_the_current_snapshot_at_every_tick() {
         Some(155),
         "the late announcement counts"
     );
-    assert_eq!(flipped[0].0, (collector, 40000), "the sender flips");
+    assert_eq!(flipped[0].0, from_collector.endpoint(), "the sender flips");
     assert_eq!(prefix_count(&flipped), Some(800));
     assert_eq!(flipped_quiet, flipped);
+}
+
+/// A tick runs no MCT; the pull does, and it reports the transfer as of
+/// the last tick however much the connection sent since: over the
+/// tick-time rows of the log of the sender elected at the tick. Pulled
+/// after a new announcing UPDATE, the transfer must not count it; pulled
+/// after the other side out-sent the first, it must still be MCT over
+/// the first side's log.
+#[test]
+fn snapshot_transfer_is_mct_as_of_the_last_tick() {
+    let (mut watch, mut from_router, mut from_collector) = table_transfer();
+    let at_tick = watch.tick_unread(secs(5));
+    // A late announcement inside MCT's gap: the transfer as it stands
+    // now has grown.
+    watch.send(from_router.data(secs(6), update(prefixes(150, 5))));
+    assert_ne!(watch.mct_now(), at_tick, "the log moved on since the tick");
+    assert_eq!(watch.snapshot(), at_tick, "pulled after a new UPDATE");
+    assert_eq!(at_tick[0].1.as_ref().map(|t| t.prefix_count), Some(150));
+
+    let at_tick = watch.tick_unread(secs(10));
+    assert_eq!(at_tick[0].0, from_router.endpoint());
+    // The collector out-sends the router: it is the sender now, and its
+    // log holds more rows than the router's did at the tick.
+    for i in 0..2 {
+        let announced = prefixes(10_000 + 400 * i, 400);
+        watch.send(from_collector.data(secs(11) + i as i64, update(announced)));
+    }
+    for i in 0..50 {
+        watch.send(from_collector.data(secs(12) + i, BgpMessage::Keepalive.to_bytes()));
+    }
+    assert_eq!(watch.mct_now()[0].0, from_collector.endpoint());
+    assert_eq!(watch.snapshot(), at_tick, "pulled after a sender flip");
+    assert_eq!(at_tick[0].1.as_ref().map(|t| t.prefix_count), Some(155));
 }
 
 /// A one-connection watch beside a tracker and a demux fed the same
@@ -390,13 +435,28 @@ impl TransferWatch {
         self.monitor.ingest_owned(self.id, frame);
     }
 
-    /// Runs the tick at `at` and returns each cached (sender, transfer),
-    /// asserting it is MCT over the current snapshot.
+    /// Runs the tick at `at`, pulls a snapshot right after it and
+    /// returns each (sender, transfer) it reports, asserting it is MCT
+    /// over the connection as it stands.
     fn tick(&mut self, at: i64) -> Vec<(Endpoint, Option<TableTransfer>)> {
+        let expected = self.tick_unread(at);
+        let reported = self.snapshot();
+        assert_eq!(reported, expected, "tick at {}", Micros(at));
+        reported
+    }
+
+    /// Runs the tick at `at` without pulling a snapshot and returns what
+    /// MCT finds over each connection as it stands at the tick.
+    fn tick_unread(&mut self, at: i64) -> Vec<(Endpoint, Option<TableTransfer>)> {
         self.monitor.advance_to(Micros(at));
+        self.mct_now()
+    }
+
+    /// Each (data sender, `find_transfer_end_ref` over that sender's
+    /// log) the tracker and demux beside the monitor hold now.
+    fn mct_now(&self) -> Vec<(Endpoint, Option<TableTransfer>)> {
         let unseen = Extraction::default();
-        let expected: Vec<(Endpoint, Option<TableTransfer>)> = self
-            .tracker
+        self.tracker
             .snapshot()
             .into_iter()
             .map(|fin| {
@@ -410,15 +470,17 @@ impl TransferWatch {
                     find_transfer_end_ref(start, extraction.updates_iter(), &MctConfig::default());
                 (connection.sender, transfer)
             })
-            .collect();
-        let cached: Vec<(Endpoint, Option<TableTransfer>)> = self
-            .monitor
+            .collect()
+    }
+
+    /// Each (sender, transfer) a snapshot pulled from the monitor now
+    /// reports.
+    fn snapshot(&mut self) -> Vec<(Endpoint, Option<TableTransfer>)> {
+        self.monitor
             .snapshot_analyses()
             .into_iter()
             .map(|(_, analysis)| (analysis.sender, analysis.transfer.clone()))
-            .collect();
-        assert_eq!(cached, expected, "tick at {}", Micros(at));
-        cached
+            .collect()
     }
 }
 
@@ -464,6 +526,11 @@ impl Side {
             .build();
         self.seq = self.seq.wrapping_add(frame.payload.len() as u32);
         frame
+    }
+
+    /// The endpoint that sends this side's bytes.
+    fn endpoint(&self) -> Endpoint {
+        (self.src, self.src_port)
     }
 }
 

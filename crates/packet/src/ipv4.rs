@@ -172,26 +172,48 @@ pub fn internet_checksum(data: &[u8]) -> u16 {
     finish_checksum(sum_be_words(data))
 }
 
-/// Accumulates `data` as big-endian 16-bit words into a running 32-bit
-/// sum (odd trailing byte padded with zero).
-pub fn sum_be_words(data: &[u8]) -> u32 {
-    let mut sum = 0u32;
-    let mut chunks = data.chunks_exact(2);
-    for chunk in &mut chunks {
-        sum = sum.wrapping_add(u16::from_be_bytes([chunk[0], chunk[1]]) as u32);
+/// The ones'-complement sum of `data` as big-endian 16-bit words (odd
+/// trailing byte padded with zero), folded to at most `0xffff`: partial
+/// sums to add up and fold with [`finish_checksum`].
+///
+/// Reads eight bytes per step, little-endian, and adds the word's two
+/// 32-bit halves into a `u64`, then folds once and swaps the two bytes.
+/// That is the byte-pair sum exactly, by RFC 1071's byte-order
+/// independence (§2 (A), (B)): `2^16 ≡ 1` modulo `0xffff`, so grouping
+/// whole 16-bit words into wider ones leaves the sum unchanged, and
+/// summing the words byte-swapped yields the sum byte-swapped. Only
+/// all-zero data sums to zero, so zero stays distinct from `0xffff`, and
+/// slices cut at even offsets add up to their concatenation. Each step
+/// adds less than `2^33`, so the `u64` cannot wrap below 16 GiB of
+/// input (a `u32` sum of byte pairs loses carries past 128 KiB).
+pub fn sum_be_words(data: &[u8]) -> u64 {
+    let halves = |word: [u8; 8]| {
+        let word = u64::from_le_bytes(word);
+        (word & 0xffff_ffff) + (word >> 32)
+    };
+    let (words, tail) = data.as_chunks::<8>();
+    let mut sum = words.iter().map(|&word| halves(word)).sum::<u64>();
+    if !tail.is_empty() {
+        let mut last = [0u8; 8];
+        last[..tail.len()].copy_from_slice(tail);
+        sum += halves(last);
     }
-    if let [last] = chunks.remainder() {
-        sum = sum.wrapping_add((*last as u32) << 8);
-    }
-    sum
+    u64::from(fold(sum).swap_bytes())
 }
 
-/// Folds a running sum into the final ones'-complement checksum.
-pub fn finish_checksum(mut sum: u32) -> u16 {
+/// `sum` folded to 16 bits with end-around carries: zero only for zero.
+fn fold(mut sum: u64) -> u16 {
     while sum >> 16 != 0 {
         sum = (sum & 0xffff) + (sum >> 16);
     }
-    !(sum as u16)
+    sum as u16
+}
+
+/// Folds a running sum into the final ones'-complement checksum. Only
+/// an all-zero sum folds to zero, so zero data checksums to `0xffff`
+/// and data whose words sum to `0xffff` checksums to zero.
+pub fn finish_checksum(sum: u64) -> u16 {
+    !fold(sum)
 }
 
 #[cfg(test)]

@@ -332,24 +332,58 @@ impl<'a> FrameView<'a> {
     }
 }
 
-/// Signature used for duplicate-record detection: a cheap FNV-1a hash
-/// over the timestamp and captured bytes.
+/// Odd multiplier of the signature's mixing step (2^64 / φ).
+const SIGNATURE_MUL: u64 = 0x9e37_79b9_7f4a_7c15;
+
+/// One mixing step: xor in a word, multiply, rotate. Each part is a
+/// bijection of the state, so two inputs that differ in one word leave
+/// different states behind, and the rotation carries the product's
+/// well-mixed high bits down into the next multiply.
+fn mix(state: u64, word: u64) -> u64 {
+    (state ^ word).wrapping_mul(SIGNATURE_MUL).rotate_left(29)
+}
+
+/// Signature used for duplicate-record detection over the timestamp,
+/// the original length, the captured length and the captured bytes.
+///
+/// Eight bytes per step, in four independent lanes (each 32-byte block
+/// feeds one word to every lane, so the multiplies overlap instead of
+/// each waiting on the one before); the last partial word is
+/// zero-padded, which is why the captured length is mixed in: without
+/// it, a record and the same record with a `0x00` appended would
+/// collide. Records that differ in one word only, in the timestamp or
+/// `orig_len` only, or only by trailing `0x00` bytes inside the last
+/// word never collide; other differences collide only by chance. Any
+/// hash with those properties
+/// would do: nothing outside the decoder's ring of recent signatures
+/// ever sees it.
 fn record_signature(timestamp: Micros, orig_len: u32, data: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut eat = |byte: u8| {
-        h ^= u64::from(byte);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    };
-    for byte in timestamp.0.to_le_bytes() {
-        eat(byte);
+    let mut lanes = [
+        timestamp.0 as u64,
+        u64::from(orig_len),
+        data.len() as u64,
+        SIGNATURE_MUL,
+    ];
+    let (blocks, rest) = data.as_chunks::<32>();
+    for block in blocks {
+        let (words, _) = block.as_chunks::<8>();
+        for (lane, &word) in lanes.iter_mut().zip(words) {
+            *lane = mix(*lane, u64::from_le_bytes(word));
+        }
     }
-    for byte in orig_len.to_le_bytes() {
-        eat(byte);
+    let (words, tail) = rest.as_chunks::<8>();
+    for (lane, &word) in lanes.iter_mut().zip(words) {
+        *lane = mix(*lane, u64::from_le_bytes(word));
     }
-    for &byte in data {
-        eat(byte);
+    if !tail.is_empty() {
+        let mut last = [0u8; 8];
+        last[..tail.len()].copy_from_slice(tail);
+        lanes[words.len()] = mix(lanes[words.len()], u64::from_le_bytes(last));
     }
-    h
+    let folded = lanes.into_iter().fold(0, mix);
+    // Final avalanche (xorshift-multiply, a bijection).
+    let h = (folded ^ (folded >> 32)).wrapping_mul(SIGNATURE_MUL);
+    h ^ (h >> 29)
 }
 
 /// Stateful lossy record-to-frame decoder.

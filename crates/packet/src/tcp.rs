@@ -515,12 +515,12 @@ fn decode_one_option(kind: u8, data: &[u8]) -> Result<TcpOption> {
 /// Computes the TCP checksum over the IPv4 pseudo-header, the header
 /// bytes (checksum field zeroed), and the payload.
 pub fn tcp_checksum(src: Ipv4Addr, dst: Ipv4Addr, header: &[u8], payload: &[u8]) -> u16 {
-    let mut sum = sum_be_words(&src.octets());
-    sum = sum.wrapping_add(sum_be_words(&dst.octets()));
-    sum = sum.wrapping_add(IPPROTO_TCP as u32);
-    sum = sum.wrapping_add((header.len() + payload.len()) as u32);
-    sum = sum.wrapping_add(sum_be_words(header));
-    sum = sum.wrapping_add(sum_be_words(payload));
+    let sum = sum_be_words(&src.octets())
+        + sum_be_words(&dst.octets())
+        + u64::from(IPPROTO_TCP)
+        + (header.len() + payload.len()) as u64
+        + sum_be_words(header)
+        + sum_be_words(payload);
     finish_checksum(sum)
 }
 
