@@ -4,7 +4,7 @@
 use tdat_bgp::{find_transfer_end_ref, MctConfig, TableTransfer};
 use tdat_packet::AnomalyCounts;
 use tdat_timeset::{Micros, Span};
-use tdat_trace::{label_segments, ConnProfile, LabelConfig, SegLabel, TcpConnection};
+use tdat_trace::{label_segments, ConnProfile, LabelConfig, SegLabel, Segment, TcpConnection};
 
 use crate::config::AnalyzerConfig;
 use crate::detect::{
@@ -12,9 +12,9 @@ use crate::detect::{
     ConsecutiveLosses, DelayedAckInteraction, InferredTimer, ZeroAckBug,
 };
 use crate::factors::{delay_vector_with, DelayVector};
-use crate::preprocess::{shift_acks, ShiftedTrace};
+use crate::preprocess::{shift_acks_into, ShiftedTrace};
 use crate::quarantine::{QuarantineConfig, Verdict};
-use crate::series::{generate_series_with, SeriesSet};
+use crate::series::{generate_alert_series, generate_series_with, SeriesSet};
 
 /// The complete analysis of one TCP connection.
 #[derive(Debug)]
@@ -76,6 +76,32 @@ impl Analysis {
     pub fn plot(&self, width: usize) -> String {
         crate::plot::render_series_set(&self.series, width)
     }
+}
+
+/// A still-open connection as a live monitor's tick reads it: what its
+/// alerts, its peer-group correlation and its stall check look at, and
+/// no more. [`Analyzer::analyze_partial_lossy`] makes one;
+/// [`Analyzer::complete`] turns one into the whole [`Analysis`], given
+/// the connection it was made from.
+#[derive(Debug)]
+pub struct PartialAnalysis {
+    /// The connection's profile.
+    pub profile: ConnProfile,
+    /// Data-sender endpoint.
+    pub sender: tdat_trace::Endpoint,
+    /// Receiver endpoint.
+    pub receiver: tdat_trace::Endpoint,
+    /// The analysis period: the window, clipped to the connection.
+    pub period: Span,
+    /// The series the detectors of a live view read — `UpstreamLoss`,
+    /// `DownstreamLoss`, `SpuriousRetx`, `ZeroWindow`, `SendAppLimited`
+    /// — with `WindowProbes` and `Outstanding`, each exactly as the
+    /// whole analysis has it. The others are empty.
+    pub series: SeriesSet,
+    /// Capture anomalies attributed to this connection.
+    pub anomalies: AnomalyCounts,
+    /// Capture-quality classification.
+    pub verdict: Verdict,
 }
 
 /// The per-connection steps of T-DAT: configure once, then analyze
@@ -190,30 +216,80 @@ impl Analyzer {
     }
 
     /// Analyzes a point-in-time snapshot of a *still-open* connection
-    /// over a trailing `window` — the live-monitoring entry point.
+    /// over a trailing `window` — the live-monitoring entry point — as
+    /// far as a live view reads it ([`PartialAnalysis`]).
     ///
     /// The analysis period is `window` clipped to start no earlier than
     /// the connection itself; unlike
     /// [`analyze_extracted_lossy`](Self::analyze_extracted_lossy) it is
     /// *not* clipped to the MCT transfer end, because a live view must
     /// keep counting silence up to "now" (`window.end`) — that is
-    /// exactly how a stalled transfer shows up. Nothing else in the
-    /// analysis reads MCT, so none runs here: `transfer` comes back
-    /// `None`, and a caller that reports it fills it in with
-    /// [`transfer_of`](Self::transfer_of) — the monitor does so only
-    /// when a snapshot is pulled. `anomalies` are as for
-    /// `analyze_extracted_lossy`.
+    /// exactly how a stalled transfer shows up. Nothing a live view
+    /// reads needs MCT, the factor vector or the series behind it, so
+    /// none of them is computed, and the preprocessed trace and labels
+    /// are dropped once the series are made; a caller that reports the
+    /// connection asks [`complete`](Self::complete) for the rest — the
+    /// monitor does so only when a snapshot is pulled. `anomalies` are
+    /// as for `analyze_extracted_lossy`.
     pub fn analyze_partial_lossy(
         &self,
         conn: TcpConnection,
         extraction: &tdat_pcap2bgp::Extraction,
         window: Span,
         anomalies: AnomalyCounts,
-    ) -> Analysis {
+    ) -> PartialAnalysis {
         let start = window.start.max(conn.profile.start);
         let period = Span::new(start, window.end.max(start));
         let verdict = self.quarantine.assess(&anomalies, extraction);
-        self.build_analysis(conn, period, None, anomalies, verdict)
+        let labels = label_segments(&conn, &self.label_config);
+        let TcpConnection {
+            sender,
+            receiver,
+            segments,
+            profile,
+        } = conn;
+        let trace = self.preprocess(segments, &profile);
+        let series = generate_alert_series(
+            &trace,
+            &labels,
+            period,
+            profile.max_receiver_window,
+            profile.rtt,
+            &self.config,
+            &mut tdat_timeset::SpanScratch::new(),
+        );
+        PartialAnalysis {
+            profile,
+            sender,
+            receiver,
+            period,
+            series,
+            anomalies,
+            verdict,
+        }
+    }
+
+    /// The whole analysis of the connection `partial` was made from, with
+    /// `transfer` as its MCT answer: what
+    /// [`analyze_partial_lossy`](Self::analyze_partial_lossy) left out,
+    /// computed over `conn`, which must be that connection as it stood
+    /// then (a tracker rebuilds it from the frames it had:
+    /// [`ConnectionTracker::snapshot_first`](tdat_trace::ConnectionTracker::snapshot_first)).
+    /// Period, verdict and anomalies are `partial`'s.
+    pub fn complete(
+        &self,
+        conn: TcpConnection,
+        partial: &PartialAnalysis,
+        transfer: Option<TableTransfer>,
+    ) -> Analysis {
+        debug_assert_eq!(conn.profile, partial.profile, "the connection as it stood");
+        self.build_analysis(
+            conn,
+            partial.period,
+            transfer,
+            partial.anomalies,
+            partial.verdict.clone(),
+        )
     }
 
     /// The shared pipeline tail: label, ACK-shift, generate series over
@@ -227,23 +303,13 @@ impl Analyzer {
         verdict: Verdict,
     ) -> Analysis {
         let labels = label_segments(&conn, &self.label_config);
-        let shifted = if self.config.disable_ack_shift {
-            None
-        } else {
-            Some(shift_acks(&conn))
-        };
         let TcpConnection {
             sender,
             receiver,
             segments,
             profile,
         } = conn;
-        // With shifting disabled the raw segments are the trace; they
-        // are moved, not cloned.
-        let trace = shifted.unwrap_or(ShiftedTrace {
-            segments,
-            shifts: Vec::new(),
-        });
+        let trace = self.preprocess(segments, &profile);
         // One scratch pool serves the whole analysis: every span-set
         // intermediate in series generation and factor classification
         // draws from it, so buffer count stays constant per connection
@@ -272,6 +338,20 @@ impl Analyzer {
             transfer,
             anomalies,
             verdict,
+        }
+    }
+
+    /// The preprocessed trace of a connection's own segments: ACK-shifted
+    /// in place, or as captured when shifting is disabled — moved, never
+    /// copied, either way.
+    fn preprocess(&self, segments: Vec<Segment>, profile: &ConnProfile) -> ShiftedTrace {
+        if self.config.disable_ack_shift {
+            ShiftedTrace {
+                segments,
+                shifts: Vec::new(),
+            }
+        } else {
+            shift_acks_into(segments, profile)
         }
     }
 }
@@ -389,25 +469,44 @@ mod tests {
         let now = last + Micros::from_millis(10);
         let window = Span::new(last / 2, now);
         let analyzer = Analyzer::default();
-        let analysis = analyzer.analyze_partial_lossy(
+        let partial = analyzer.analyze_partial_lossy(
             conn.clone(),
             &extraction,
             window,
             AnomalyCounts::default(),
         );
-        assert_eq!(analysis.period, window, "window within the connection");
-        assert!(analysis.transfer.is_none(), "MCT is the caller's to run");
+        assert_eq!(partial.period, window, "window within the connection");
         let rows = extraction.messages.len();
         let transfer = analyzer.transfer_of(conn.profile.start, &extraction, rows);
-        assert_eq!(transfer.map(|t| t.prefix_count), Some(150));
+        assert_eq!(transfer.as_ref().map(|t| t.prefix_count), Some(150));
+        let analysis = analyzer.complete(conn.clone(), &partial, transfer);
+        assert_eq!(analysis.period, window);
         for (_, r) in analysis.vector.factors {
             assert!((0.0..=1.0).contains(&r), "{r}");
         }
+        // The partial view's series are the whole analysis's.
+        let alert = |s: &SeriesSet| {
+            format!(
+                "{:?}",
+                (
+                    &s.upstream_loss,
+                    &s.downstream_loss,
+                    &s.spurious_retx,
+                    &s.window_probes,
+                    &s.zero_window,
+                    &s.outstanding,
+                    &s.send_app_limited,
+                )
+            )
+        };
+        assert_eq!(alert(&partial.series), alert(&analysis.series));
+        assert!(!analysis.series.transmission.is_empty());
+        assert!(partial.series.transmission.is_empty(), "not read live");
         // A window starting before the connection clips to its start.
         let wide = Span::new(Micros(-5_000_000), now);
-        let analysis =
+        let partial =
             analyzer.analyze_partial_lossy(conn, &extraction, wide, AnomalyCounts::default());
-        assert_eq!(analysis.period.start, Micros::ZERO);
+        assert_eq!(partial.period.start, Micros::ZERO);
     }
 
     #[test]

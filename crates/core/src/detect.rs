@@ -1,6 +1,8 @@
 //! Problem detectors (§IV-B): BGP timer gaps, consecutive packet
 //! losses, peer-group blocking, and the zero-window-probe bug.
 
+use std::net::Ipv4Addr;
+
 use tdat_timeset::{Micros, Span, SpanSet};
 
 use crate::series::SeriesSet;
@@ -234,29 +236,48 @@ pub fn find_peer_group_blocking_all<B: std::borrow::Borrow<crate::Analysis>>(
     analyses: &[B],
     min_pause: Micros,
 ) -> Vec<(usize, usize, Vec<PeerGroupBlocking>)> {
+    let members: Vec<(Ipv4Addr, &SeriesSet)> = analyses
+        .iter()
+        .map(|a| (a.borrow().sender.0, &a.borrow().series))
+        .collect();
+    find_peer_group_blocking_among(&members, min_pause)
+}
+
+/// [`find_peer_group_blocking_all`] over what it reads of each
+/// analysis: the data sender's address and the series.
+pub fn find_peer_group_blocking_among(
+    members: &[(Ipv4Addr, &SeriesSet)],
+    min_pause: Micros,
+) -> Vec<(usize, usize, Vec<PeerGroupBlocking>)> {
     // Peer groups replicate from one router: only sessions sharing a
-    // sender address can pair. Bucket by sender first so a population
-    // of unrelated sessions (the common live-monitor case) costs one
-    // hash insert each instead of an O(n²) pair scan.
-    let mut groups: std::collections::HashMap<std::net::Ipv4Addr, Vec<usize>> =
-        std::collections::HashMap::new();
-    for (i, a) in analyses.iter().enumerate() {
-        groups.entry(a.borrow().sender.0).or_default().push(i);
+    // sender address can pair. Order the members by sender first, so a
+    // group is a run and a population of unrelated sessions (the common
+    // live-monitor case) costs a sort instead of an O(n²) pair scan,
+    // with no allocation per member.
+    let mut by_sender: Vec<usize> = (0..members.len()).collect();
+    by_sender.sort_unstable_by_key(|&i| (members[i].0, i));
+    let mut group_of = vec![0..0; members.len()];
+    let mut start = 0;
+    for end in 1..=by_sender.len() {
+        if by_sender
+            .get(end)
+            .is_none_or(|&i| members[i].0 != members[by_sender[start]].0)
+        {
+            for &i in &by_sender[start..end] {
+                group_of[i] = start..end;
+            }
+            start = end;
+        }
     }
     let mut hits = Vec::new();
-    for (i, blocked) in analyses.iter().enumerate() {
-        let blocked = blocked.borrow();
-        let Some(group) = groups.get(&blocked.sender.0) else {
-            continue;
-        };
-        // Group indices ascend, so hits keep the (blocked asc, faulty
-        // asc) order of the full pair scan.
-        for &j in group {
+    for (i, (_, blocked)) in members.iter().enumerate() {
+        // Indices ascend within a run, so hits keep the (blocked asc,
+        // faulty asc) order of the full pair scan.
+        for &j in &by_sender[group_of[i].clone()] {
             if i == j {
                 continue;
             }
-            let faulty = analyses[j].borrow();
-            let incidents = find_peer_group_blocking(&blocked.series, &faulty.series, min_pause);
+            let incidents = find_peer_group_blocking(blocked, members[j].1, min_pause);
             if !incidents.is_empty() {
                 hits.push((i, j, incidents));
             }

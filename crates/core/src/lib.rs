@@ -84,12 +84,12 @@ pub mod series;
 mod shardbatch;
 mod stream;
 
-pub use analyzer::{Analysis, Analyzer};
+pub use analyzer::{Analysis, Analyzer, PartialAnalysis};
 pub use config::{AnalyzerConfig, AnalyzerConfigBuilder, SnifferLocation};
 pub use detect::{
     find_consecutive_losses, find_delayed_ack_interaction, find_peer_group_blocking,
-    find_peer_group_blocking_all, find_zero_ack_bug, infer_timer, ConsecutiveLosses,
-    DelayedAckInteraction, InferredTimer, PeerGroupBlocking, ZeroAckBug,
+    find_peer_group_blocking_all, find_peer_group_blocking_among, find_zero_ack_bug, infer_timer,
+    ConsecutiveLosses, DelayedAckInteraction, InferredTimer, PeerGroupBlocking, ZeroAckBug,
 };
 pub use error::{Error, Result};
 pub use factors::{

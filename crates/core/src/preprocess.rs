@@ -12,7 +12,7 @@
 
 use tdat_packet::seq_diff;
 use tdat_timeset::{Micros, Span};
-use tdat_trace::{default_flight_gap, group_flights, Direction, Segment, TcpConnection};
+use tdat_trace::{default_flight_gap, ConnProfile, Direction, Segment, TcpConnection};
 
 /// One applied flight shift, for diagnostics.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -41,17 +41,25 @@ pub struct ShiftedTrace {
 /// gap; each flight is shifted forward by the minimum over its members
 /// of *delay to the first new data that followed* (`d2`). Flights with
 /// no subsequent new data (e.g. the trace tail) are left in place.
+///
+/// The result is a copy of `conn`'s segments; a caller that owns the
+/// connection shifts its segments in place with [`shift_acks_into`].
 pub fn shift_acks(conn: &TcpConnection) -> ShiftedTrace {
-    let gap = default_flight_gap(conn.profile.rtt);
-    let acks: Vec<Segment> = conn.ack_segments().cloned().collect();
-    let data: Vec<Segment> = conn.data_segments().cloned().collect();
-    let flights = group_flights(&acks, gap);
+    shift_acks_into(conn.segments.clone(), &conn.profile)
+}
+
+/// [`shift_acks`] over a connection's own segments (capture order, both
+/// directions, as [`TcpConnection::segments`]) and its profile: the ACK
+/// times are rewritten and the segments reordered in place, so the
+/// shifted trace is the same allocation, never a copy.
+pub fn shift_acks_into(mut segments: Vec<Segment>, profile: &ConnProfile) -> ShiftedTrace {
+    let gap = default_flight_gap(profile.rtt);
 
     // New-data events: (time, seq_end) for segments advancing the
     // maximum sequence — both columns monotone.
     let mut new_data: Vec<(Micros, u32)> = Vec::new();
     let mut max_end: Option<u32> = None;
-    for seg in &data {
+    for seg in segments.iter().filter(|s| s.dir == Direction::Data) {
         if seg.payload_len == 0 {
             continue;
         }
@@ -65,116 +73,213 @@ pub fn shift_acks(conn: &TcpConnection) -> ShiftedTrace {
     // Relative (wrap-free) sequence for binary search.
     let rel = |s: u32| seq_diff(s, base_seq);
 
-    // Per-ACK d2 estimate via *release points*: data with
-    // `seq_end > prev_release` could only leave the sender after this
-    // ACK arrived, so its sniffer arrival is a true lower bound on
-    // t_ack + d2. (The naive "next data after the ACK" estimate
-    // degenerates to ~0 under pipelined flow, where data released by
-    // *earlier* ACKs keeps arriving continuously.)
-    let mut d2_primary: Vec<Option<Micros>> = vec![None; acks.len()];
-    let mut d2_fallback: Vec<Option<Micros>> = vec![None; acks.len()];
-    {
-        let mut prev_release: Option<i64> = None; // rel(seq) permitted so far
-        for (i, ack) in acks.iter().enumerate() {
-            if let Some(release) = prev_release {
-                let idx = new_data.partition_point(|(_, s)| rel(*s) <= release);
-                if let Some((t, _)) = new_data.get(idx) {
-                    if *t >= ack.time {
-                        d2_primary[i] = Some(*t - ack.time);
-                    }
-                }
-            }
-            // Fallback (window never binding, e.g. cwnd-clocked flow,
-            // or no window context yet): first new data after the ACK.
-            // Degenerate under pipelining — data released by *earlier*
-            // ACKs keeps arriving ~immediately — so it is only used
-            // when the whole flight lacks release-point estimates AND
-            // no profile d2 is available.
-            let idx = new_data.partition_point(|(t, _)| *t <= ack.time);
-            if let Some((t, _)) = new_data.get(idx) {
-                d2_fallback[i] = Some(*t - ack.time);
-            }
-            if ack.window > 0 {
-                let this_release = rel(ack.ack) + ack.window as i64;
-                prev_release = Some(prev_release.map_or(this_release, |p| p.max(this_release)));
-            }
-        }
-    }
-
     // Connection-level upper bound on any shift: the upstream RTT
     // component d2 = rtt - d1 from the profile. Without it, a flight
     // whose sender idled before responding would absorb the idle time
     // into the shift and erase the very gap T-DAT needs to see.
-    let global_d2 = conn.profile.d2();
+    let global_d2 = profile.d2();
 
+    // The release-point search below asks for the first new data past
+    // a release level that never decreases, so while the sequence
+    // column is monotone (it is unless the connection carried over
+    // 2 GiB and sequence numbers wrapped past its first) a forward
+    // cursor finds what bisection finds.
+    let monotone = new_data.windows(2).all(|w| rel(w[0].1) < rel(w[1].1));
+    let mut released = 0usize;
+
+    // One pass over the ACKs in capture order. An ACK's d2 estimates
+    // read only the ACKs before it, and a flight is a run of
+    // consecutive ACKs, so a flight's shift is known when the next one
+    // starts, and is applied then to members nothing reads again.
     let mut shifts = Vec::new();
-    let mut shifted_acks = acks.clone();
-    for flight in &flights {
-        // Zero-window ACKs release nothing; the data that follows
-        // them came after the window reopened, so their estimate is
+    let mut flight: Option<AckFlight> = None;
+    let mut prev_release: Option<i64> = None; // rel(seq) permitted so far
+    for pos in 0..segments.len() {
+        let Segment {
+            dir,
+            time,
+            ack,
+            window,
+            ..
+        } = segments[pos];
+        if dir != Direction::Ack {
+            continue;
+        }
+        // Per-ACK d2 estimate via *release points*: data with
+        // `seq_end > prev_release` could only leave the sender after
+        // this ACK arrived, so its sniffer arrival is a true lower
+        // bound on t_ack + d2. (The naive "next data after the ACK"
+        // estimate degenerates to ~0 under pipelined flow, where data
+        // released by *earlier* ACKs keeps arriving continuously.)
+        let primary = prev_release.and_then(|release| {
+            let idx = if monotone {
+                while new_data
+                    .get(released)
+                    .is_some_and(|(_, s)| rel(*s) <= release)
+                {
+                    released += 1;
+                }
+                released
+            } else {
+                new_data.partition_point(|(_, s)| rel(*s) <= release)
+            };
+            new_data
+                .get(idx)
+                .filter(|(t, _)| *t >= time)
+                .map(|(t, _)| *t - time)
+        });
+        // Fallback (window never binding, e.g. cwnd-clocked flow, or
+        // no window context yet): first new data after the ACK.
+        // Degenerate under pipelining — data released by *earlier*
+        // ACKs keeps arriving ~immediately — so it is only used when
+        // the whole flight lacks release-point estimates AND no
+        // profile d2 is available; with one, it is never asked.
+        let fallback = if global_d2.is_none() {
+            let idx = new_data.partition_point(|(t, _)| *t <= time);
+            new_data.get(idx).map(|(t, _)| *t - time)
+        } else {
+            None
+        };
+        if window > 0 {
+            let this_release = rel(ack) + window as i64;
+            prev_release = Some(prev_release.map_or(this_release, |p| p.max(this_release)));
+        }
+        match &mut flight {
+            Some(f) if time - f.end <= gap => f.last = pos,
+            _ => {
+                if let Some(done) = flight.take() {
+                    done.apply(&mut segments, global_d2, &mut shifts);
+                }
+                flight = Some(AckFlight::new(pos, time));
+            }
+        }
+        let f = flight.as_mut().expect("set above");
+        f.end = time;
+        f.acks += 1;
+        // Zero-window ACKs release nothing; the data that follows them
+        // came after the window reopened, so their estimate is
         // meaningless and they must stay in place.
-        let open = |i: &&usize| acks[**i].window > 0;
-        let d2_min = flight
-            .members
-            .iter()
-            .filter(open)
-            .filter_map(|&i| d2_primary[i])
-            .min()
-            // No release point fired in this flight: the window never
-            // bound the sender here, so ACK→release delay is pure path
-            // (the profile d2). The per-ACK fallback would collapse to
-            // ~0 under pipelined cwnd-clocked flow and turn every cwnd
-            // wait into a phantom sender-idle gap one RTT wide.
-            .or(global_d2)
-            .or_else(|| {
-                flight
-                    .members
-                    .iter()
-                    .filter(open)
-                    .filter_map(|&i| d2_fallback[i])
-                    .min()
-            });
-        let Some(mut shift) = d2_min else { continue };
+        if window > 0 {
+            f.primary = min_of(f.primary, primary);
+            f.fallback = min_of(f.fallback, fallback);
+        }
+    }
+    if let Some(done) = flight {
+        done.apply(&mut segments, global_d2, &mut shifts);
+    }
+    merge_shifted(&mut segments);
+    ShiftedTrace { segments, shifts }
+}
+
+/// One ACK flight of [`shift_acks_into`]'s pass, as far as it has been
+/// read.
+struct AckFlight {
+    /// Positions (in the segment vector) of the first and last member.
+    first: usize,
+    last: usize,
+    /// Original arrival times of the first and the latest member.
+    start: Micros,
+    end: Micros,
+    acks: usize,
+    /// The smallest release-point and fallback estimates over the
+    /// members with an open window.
+    primary: Option<Micros>,
+    fallback: Option<Micros>,
+}
+
+impl AckFlight {
+    fn new(pos: usize, time: Micros) -> AckFlight {
+        AckFlight {
+            first: pos,
+            last: pos,
+            start: time,
+            end: time,
+            acks: 0,
+            primary: None,
+            fallback: None,
+        }
+    }
+
+    /// Shifts the flight's open-window members by its `d2_min`, noting
+    /// the shift.
+    fn apply(
+        self,
+        segments: &mut [Segment],
+        global_d2: Option<Micros>,
+        shifts: &mut Vec<FlightShift>,
+    ) {
+        // No release point fired in this flight: the window never bound
+        // the sender here, so ACK→release delay is pure path (the
+        // profile d2). The per-ACK fallback would collapse to ~0 under
+        // pipelined cwnd-clocked flow and turn every cwnd wait into a
+        // phantom sender-idle gap one RTT wide.
+        let Some(mut shift) = self.primary.or(global_d2).or(self.fallback) else {
+            return;
+        };
         if let Some(cap) = global_d2 {
             shift = shift.min(cap);
         }
         if shift <= Micros::ZERO {
-            continue;
+            return;
         }
-        for &i in &flight.members {
-            if shifted_acks[i].window > 0 {
-                shifted_acks[i].time += shift;
+        for seg in &mut segments[self.first..=self.last] {
+            if seg.dir == Direction::Ack && seg.window > 0 {
+                seg.time += shift;
             }
         }
         shifts.push(FlightShift {
-            flight: flight.span(),
+            flight: Span::new(self.start, self.end),
             shift,
-            acks: flight.members.len(),
+            acks: self.acks,
         });
     }
-    // Individual zero-window ACKs staying put may now be out of order
-    // relative to shifted neighbours; restore time order.
-    shifted_acks.sort_by_key(|s| s.time);
+}
 
-    // Merge back into one stream ordered by the new times. A shifted
-    // ACK is placed *before* data at the same instant (it caused it).
-    let mut segments: Vec<Segment> = Vec::with_capacity(data.len() + shifted_acks.len());
-    let (mut i, mut j) = (0, 0);
-    while i < data.len() || j < shifted_acks.len() {
-        let take_ack = match (data.get(i), shifted_acks.get(j)) {
-            (Some(d), Some(a)) => a.time <= d.time,
-            (None, Some(_)) => true,
-            _ => false,
+fn min_of(a: Option<Micros>, b: Option<Micros>) -> Option<Micros> {
+    match (a, b) {
+        (Some(a), Some(b)) => Some(a.min(b)),
+        (a, b) => a.or(b),
+    }
+}
+
+/// Reorders shifted segments in place into one stream by the new times:
+/// the data segments in capture order, the ACKs stably sorted by their
+/// (shifted) time, merged with an ACK placed *before* data at the same
+/// instant (it caused it). Zero-window ACKs stay put and may now be out
+/// of order relative to shifted neighbours, hence the sort.
+fn merge_shifted(segments: &mut [Segment]) {
+    let mut acks: Vec<usize> = (0..segments.len())
+        .filter(|&p| segments[p].dir == Direction::Ack)
+        .collect();
+    acks.sort_by_key(|&p| segments[p].time);
+    let mut data = (0..segments.len())
+        .filter(|&p| segments[p].dir == Direction::Data)
+        .peekable();
+    let mut acks = acks.into_iter().peekable();
+    let mut order: Vec<usize> = Vec::with_capacity(segments.len());
+    loop {
+        let next = match (data.peek(), acks.peek()) {
+            (Some(&d), Some(&a)) if segments[a].time <= segments[d].time => acks.next(),
+            (Some(_), _) => data.next(),
+            (None, _) => acks.next(),
         };
-        if take_ack {
-            segments.push(shifted_acks[j].clone());
-            j += 1;
-        } else {
-            segments.push(data[i].clone());
-            i += 1;
+        let Some(pos) = next else { break };
+        order.push(pos);
+    }
+    // Apply `order` (position k takes the segment at `order[k]`) cycle
+    // by cycle; a placed position is marked by pointing at itself.
+    for start in 0..order.len() {
+        let mut cur = start;
+        loop {
+            let next = order[cur];
+            order[cur] = cur;
+            if next == start || next == cur {
+                break;
+            }
+            segments.swap(cur, next);
+            cur = next;
         }
     }
-    ShiftedTrace { segments, shifts }
 }
 
 impl ShiftedTrace {

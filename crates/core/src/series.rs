@@ -184,24 +184,89 @@ pub fn generate_series_with(
     config: &AnalyzerConfig,
     scratch: &mut SpanScratch,
 ) -> SeriesSet {
-    let mut set = SeriesSet {
+    let (data, acks) = data_and_acks(trace);
+    let mut set = alert_series_of(
+        trace,
+        labels,
         period,
-        mss,
         max_adv_window,
-        ..SeriesSet::default()
-    };
-    let data: Vec<&Segment> = trace
+        &data,
+        &acks,
+        rtt,
+        config,
+        scratch,
+    );
+    set.mss = mss;
+    extraction(&mut set, &data, &acks, rtt, config);
+    interpretation(&mut set, config);
+    operation(&mut set, &data, &acks, rtt, config, scratch);
+    set
+}
+
+/// The series a live monitor's alerts read, and the one they are
+/// derived from: `UpstreamLoss`, `DownstreamLoss`, `SpuriousRetx` and
+/// `WindowProbes` (from the labels), `ZeroWindow`, `Outstanding` and
+/// `SendAppLimited`, each exactly as [`generate_series_with`] makes it.
+/// Every other series is left empty, and `mss` zero.
+pub(crate) fn generate_alert_series(
+    trace: &ShiftedTrace,
+    labels: &[SegLabel],
+    period: Span,
+    max_adv_window: u32,
+    rtt: Option<Micros>,
+    config: &AnalyzerConfig,
+    scratch: &mut SpanScratch,
+) -> SeriesSet {
+    let (data, acks) = data_and_acks(trace);
+    alert_series_of(
+        trace,
+        labels,
+        period,
+        max_adv_window,
+        &data,
+        &acks,
+        rtt,
+        config,
+        scratch,
+    )
+}
+
+/// The payload-carrying data segments and the ACK-flagged ACKs of the
+/// trace, in (shifted) time order: what every rule walks.
+fn data_and_acks(trace: &ShiftedTrace) -> (Vec<&Segment>, Vec<&Segment>) {
+    let data = trace
         .data_segments()
         .filter(|s| s.payload_len > 0)
         .collect();
-    let acks: Vec<&Segment> = trace
+    let acks = trace
         .ack_segments()
         .filter(|s| s.flags.contains(tdat_packet::TcpFlags::ACK))
         .collect();
+    (data, acks)
+}
 
-    extraction(&mut set, trace, labels, &data, &acks, rtt, config);
-    interpretation(&mut set, config);
-    operation(&mut set, &data, &acks, rtt, config, scratch);
+/// [`generate_alert_series`] over the trace's data and ACK segments.
+#[allow(clippy::too_many_arguments)]
+fn alert_series_of(
+    trace: &ShiftedTrace,
+    labels: &[SegLabel],
+    period: Span,
+    max_adv_window: u32,
+    data: &[&Segment],
+    acks: &[&Segment],
+    rtt: Option<Micros>,
+    config: &AnalyzerConfig,
+    scratch: &mut SpanScratch,
+) -> SeriesSet {
+    let mut set = SeriesSet {
+        period,
+        max_adv_window,
+        ..SeriesSet::default()
+    };
+    outstanding(&mut set, trace);
+    label_series(&mut set, trace, labels);
+    zero_window(&mut set, acks);
+    send_app_limited(&mut set, data, acks, rtt, config, scratch);
     set
 }
 
@@ -222,8 +287,6 @@ fn union_series_into(acc: &mut SpanSet, series: &EventSeries<u32>, scratch: &mut
 
 fn extraction(
     set: &mut SeriesSet,
-    trace: &ShiftedTrace,
-    labels: &[SegLabel],
     data: &[&Segment],
     acks: &[&Segment],
     rtt: Option<Micros>,
@@ -237,52 +300,11 @@ fn extraction(
     // Transmission: data flights.
     set.transmission = EventSeries::new("Transmission");
     for flight in group_flights(data, flight_gap) {
-        let bytes: u32 = flight.members.iter().map(|&i| data[i].payload_len).sum();
+        let bytes: u32 = data[flight.members].iter().map(|s| s.payload_len).sum();
         // Give an instantaneous burst a minimal width of one
         // microsecond so it is visible to the set algebra.
         let end = flight.end.max(flight.start + Micros(1));
         set.transmission.push(Span::new(flight.start, end), bytes);
-    }
-
-    // Outstanding: walk data/ack events, tracking unacked bytes.
-    set.outstanding = EventSeries::new("Outstanding");
-    {
-        let mut snd_max: Option<u32> = None;
-        let mut ack_max: Option<u32> = None;
-        let mut open_since: Option<Micros> = None;
-        let mut peak: u32 = 0;
-        for seg in &trace.segments {
-            match seg.dir {
-                Direction::Data if seg.payload_len > 0 => {
-                    if snd_max.is_none_or(|m| seq_diff(seg.seq_end, m) > 0) {
-                        snd_max = Some(seg.seq_end);
-                    }
-                    let out = outstanding(snd_max, ack_max);
-                    if out > 0 && open_since.is_none() {
-                        open_since = Some(seg.time);
-                        peak = out;
-                    }
-                    peak = peak.max(out);
-                }
-                Direction::Ack if seg.flags.contains(tdat_packet::TcpFlags::ACK) => {
-                    if ack_max.is_none_or(|m| seq_diff(seg.ack, m) > 0) {
-                        ack_max = Some(seg.ack);
-                    }
-                    let out = outstanding(snd_max, ack_max);
-                    if out == 0 {
-                        if let Some(start) = open_since.take() {
-                            set.outstanding.push(Span::new(start, seg.time), peak);
-                            peak = 0;
-                        }
-                    }
-                }
-                _ => {}
-            }
-        }
-        if let Some(start) = open_since {
-            // Trace ended with data in flight.
-            set.outstanding.push(Span::new(start, set.period.end), peak);
-        }
     }
 
     // Advertised window: each ACK's window holds until the next ACK.
@@ -295,8 +317,52 @@ fn extraction(
         set.adv_window
             .push(Span::new(last.time, set.period.end), last.window);
     }
+}
 
-    // Losses from the labels (aligned with data segments in order).
+/// Outstanding: walk data/ack events, tracking unacked bytes.
+fn outstanding(set: &mut SeriesSet, trace: &ShiftedTrace) {
+    set.outstanding = EventSeries::new("Outstanding");
+    let mut snd_max: Option<u32> = None;
+    let mut ack_max: Option<u32> = None;
+    let mut open_since: Option<Micros> = None;
+    let mut peak: u32 = 0;
+    for seg in &trace.segments {
+        match seg.dir {
+            Direction::Data if seg.payload_len > 0 => {
+                if snd_max.is_none_or(|m| seq_diff(seg.seq_end, m) > 0) {
+                    snd_max = Some(seg.seq_end);
+                }
+                let out = unacked(snd_max, ack_max);
+                if out > 0 && open_since.is_none() {
+                    open_since = Some(seg.time);
+                    peak = out;
+                }
+                peak = peak.max(out);
+            }
+            Direction::Ack if seg.flags.contains(tdat_packet::TcpFlags::ACK) => {
+                if ack_max.is_none_or(|m| seq_diff(seg.ack, m) > 0) {
+                    ack_max = Some(seg.ack);
+                }
+                let out = unacked(snd_max, ack_max);
+                if out == 0 {
+                    if let Some(start) = open_since.take() {
+                        set.outstanding.push(Span::new(start, seg.time), peak);
+                        peak = 0;
+                    }
+                }
+            }
+            _ => {}
+        }
+    }
+    if let Some(start) = open_since {
+        // Trace ended with data in flight.
+        set.outstanding.push(Span::new(start, set.period.end), peak);
+    }
+}
+
+/// Losses and probes from the labels (aligned with data segments in
+/// order).
+fn label_series(set: &mut SeriesSet, trace: &ShiftedTrace, labels: &[SegLabel]) {
     set.upstream_loss = EventSeries::new("UpstreamLoss");
     set.downstream_loss = EventSeries::new("DownstreamLoss");
     set.spurious_retx = EventSeries::new("SpuriousRetx");
@@ -318,8 +384,10 @@ fn extraction(
             SegLabel::InOrder | SegLabel::Reordered => {}
         }
     }
+}
 
-    // Zero-window periods.
+/// Zero-window periods.
+fn zero_window(set: &mut SeriesSet, acks: &[&Segment]) {
     set.zero_window = EventSeries::new("ZeroWindow");
     let mut zero_since: Option<Micros> = None;
     for ack in acks {
@@ -334,7 +402,7 @@ fn extraction(
     }
 }
 
-fn outstanding(snd_max: Option<u32>, ack_max: Option<u32>) -> u32 {
+fn unacked(snd_max: Option<u32>, ack_max: Option<u32>) -> u32 {
     match (snd_max, ack_max) {
         (Some(s), Some(a)) => seq_diff(s, a).max(0) as u32,
         (Some(_), None) => 1, // data sent, nothing acked yet
@@ -374,6 +442,55 @@ fn interpretation(set: &mut SeriesSet, config: &AnalyzerConfig) {
 // Rule 3: Operation
 // ----------------------------------------------------------------------
 
+/// Sender-app-limited: gaps where everything was acked, the window was
+/// open, and the sender stayed silent.
+fn send_app_limited(
+    set: &mut SeriesSet,
+    data: &[&Segment],
+    acks: &[&Segment],
+    rtt: Option<Micros>,
+    config: &AnalyzerConfig,
+    scratch: &mut SpanScratch,
+) {
+    set.send_app_limited = EventSeries::new("SendAppLimited");
+    let idle_threshold = match rtt {
+        Some(rtt) => config.min_idle_gap.max(rtt / 4),
+        None => config.min_idle_gap,
+    };
+    // Times at which outstanding hit zero = ends of outstanding
+    // events; next data transmission after each. Outstanding spans
+    // end in strictly increasing order, so the data and ack lookups
+    // are monotone cursors rather than per-span scans from the
+    // front.
+    let mut outstanding_set = scratch.take();
+    set.outstanding.span_set_into(&mut outstanding_set);
+    let mut di = 0usize;
+    let mut ai = 0usize;
+    let mut last_window: Option<u32> = None;
+    for span in outstanding_set.iter() {
+        // Find the next data segment after this outstanding period.
+        while di < data.len() && data[di].time <= span.end {
+            di += 1;
+        }
+        let Some(next) = data.get(di) else { break };
+        let gap_end = next.time;
+        // Window at the gap: last ACK at or before the gap start.
+        while ai < acks.len() && acks[ai].time <= span.end {
+            last_window = Some(acks[ai].window);
+            ai += 1;
+        }
+        if gap_end - span.end < idle_threshold {
+            continue;
+        }
+        let window = last_window.unwrap_or(set.max_adv_window);
+        if window == 0 {
+            continue; // that is flow control, not the application
+        }
+        set.send_app_limited.push(Span::new(span.end, gap_end), 0);
+    }
+    scratch.put(outstanding_set);
+}
+
 fn operation(
     set: &mut SeriesSet,
     data: &[&Segment],
@@ -398,48 +515,6 @@ fn operation(
         if e.data >= large && set.max_adv_window > 0 {
             set.large_adv_window.push(e.span, e.data);
         }
-    }
-
-    // Sender-app-limited: gaps where everything was acked, the window
-    // was open, and the sender stayed silent.
-    set.send_app_limited = EventSeries::new("SendAppLimited");
-    let idle_threshold = match rtt {
-        Some(rtt) => config.min_idle_gap.max(rtt / 4),
-        None => config.min_idle_gap,
-    };
-    {
-        // Times at which outstanding hit zero = ends of outstanding
-        // events; next data transmission after each. Outstanding spans
-        // end in strictly increasing order, so the data and ack lookups
-        // are monotone cursors rather than per-span scans from the
-        // front.
-        let mut outstanding_set = scratch.take();
-        set.outstanding.span_set_into(&mut outstanding_set);
-        let mut di = 0usize;
-        let mut ai = 0usize;
-        let mut last_window: Option<u32> = None;
-        for span in outstanding_set.iter() {
-            // Find the next data segment after this outstanding period.
-            while di < data.len() && data[di].time <= span.end {
-                di += 1;
-            }
-            let Some(next) = data.get(di) else { break };
-            let gap_end = next.time;
-            // Window at the gap: last ACK at or before the gap start.
-            while ai < acks.len() && acks[ai].time <= span.end {
-                last_window = Some(acks[ai].window);
-                ai += 1;
-            }
-            if gap_end - span.end < idle_threshold {
-                continue;
-            }
-            let window = last_window.unwrap_or(set.max_adv_window);
-            if window == 0 {
-                continue; // that is flow control, not the application
-            }
-            set.send_app_limited.push(Span::new(span.end, gap_end), 0);
-        }
-        scratch.put(outstanding_set);
     }
 
     // Advertised-window-bounded outstanding, as a continuous check:
@@ -540,7 +615,7 @@ fn operation(
     let mut ai = 0usize;
     let mut cursor_ack: Option<&Segment> = None;
     for (k, flight) in flights.iter().enumerate() {
-        let mut members = flight.members.iter().map(|&i| data[i].seq_end);
+        let mut members = data[flight.members.clone()].iter().map(|s| s.seq_end);
         let first = members.next().expect("flights are nonempty");
         let flight_top = members.fold(first, |acc, s| if seq_diff(s, acc) > 0 { s } else { acc });
         while ai < acks.len() && acks[ai].time <= flight.end {

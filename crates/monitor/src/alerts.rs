@@ -276,10 +276,11 @@ impl AlertEngine {
     /// key order for clears).
     pub fn observe(&mut self, now: Micros, conditions: &[Condition]) -> Vec<Alert> {
         let mut events = Vec::new();
-        let mut present: BTreeSet<AlertKey> = BTreeSet::new();
+        // The keys this tick's conditions name, borrowed from them.
+        let mut present: BTreeSet<(&str, &str, AlertKind)> = BTreeSet::new();
         for c in conditions {
+            let first_this_tick = present.insert((&c.source, &c.session, c.kind));
             let key = (c.source.clone(), c.session.clone(), c.kind);
-            let first_this_tick = present.insert(key.clone());
             let state = self.states.entry(key).or_insert(KeyState {
                 hits: 0,
                 misses: 0,
@@ -297,7 +298,7 @@ impl AlertEngine {
                 // blocked by two faulty peers) widens the evidence.
                 state.evidence = state.evidence.hull(c.evidence);
             }
-            state.detail = c.detail.clone();
+            state.detail.clone_from(&c.detail);
             if !state.active && state.hits >= self.config.raise_after {
                 state.active = true;
                 state.since = now;
@@ -317,7 +318,7 @@ impl AlertEngine {
 
         let mut dead = Vec::new();
         for (key, state) in self.states.iter_mut() {
-            if present.contains(key) {
+            if present.contains(&(&*key.0, key.1.as_str(), key.2)) {
                 continue;
             }
             state.hits = 0;

@@ -32,13 +32,14 @@
 //! The data plane does the per-connection work: every scope owns a
 //! [`ConnectionTracker`] (per-connection state), a [`BgpDemux`]
 //! (incremental BGP reassembly for both directions) and the tick cache
-//! ([`Analyzer::analyze_partial_lossy`] results). [`MonitorConfig::shards`]
-//! alone picks it: `<= 1` runs the scopes *inline* — nothing queued,
-//! events immediate; `N >= 2` partitions the connections across N
-//! worker *lanes* ([`crate::shard`]), which report back through the
-//! same two control-plane steps (`Control::emit_finalized`,
-//! `Control::close_tick`) the inline plane calls directly, so the
-//! stream is byte-identical either way.
+//! ([`Analyzer::analyze_partial_lossy`] results: what the alerts read,
+//! completed into whole analyses only when a snapshot is pulled).
+//! [`MonitorConfig::shards`] alone picks it: `<= 1` runs the scopes
+//! *inline* — nothing queued, events immediate; `N >= 2` partitions the
+//! connections across N worker *lanes* ([`crate::shard`]), which report
+//! back through the same two control-plane steps
+//! (`Control::emit_finalized`, `Control::close_tick`) the inline plane
+//! calls directly, so the stream is byte-identical either way.
 //!
 //! The loop that feeds a [`SourceSet`] into the engine is
 //! [`Monitor::step`]; [`Monitor::run_set`] is that step until the set
@@ -49,8 +50,8 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use tdat::{
-    find_peer_group_blocking_all, report::json, Analysis, Analyzer, BgpDemux, QuarantineConfig,
-    Report,
+    find_consecutive_losses, find_peer_group_blocking_among, find_zero_ack_bug, infer_timer,
+    report::json, Analysis, Analyzer, BgpDemux, PartialAnalysis, QuarantineConfig, Report,
 };
 use tdat_packet::{AnomalyCounts, CaptureAnomaly, TcpFrame};
 use tdat_pcap2bgp::Extraction;
@@ -417,11 +418,8 @@ impl EventSchema {
 }
 
 /// The session identifier used in events and alert keys.
-pub(crate) fn session_id(analysis: &Analysis) -> String {
-    format!(
-        "{}:{}->{}:{}",
-        analysis.sender.0, analysis.sender.1, analysis.receiver.0, analysis.receiver.1
-    )
+pub(crate) fn session_id(sender: Endpoint, receiver: Endpoint) -> String {
+    format!("{}:{}->{}:{}", sender.0, sender.1, receiver.0, receiver.1)
 }
 
 /// One connection's cached tick analysis.
@@ -439,33 +437,22 @@ pub(crate) struct CachedAnalysis {
     /// depend on the current tick time or on other connections, so
     /// they stay in the per-tick sweep.
     pub(crate) conditions: Vec<Condition>,
-    /// The tick's analysis. Its `transfer` is `None` until
-    /// [`SourceScope::settle`] computes it from `unsettled`.
-    pub(crate) analysis: Analysis,
-    /// What MCT reads for `analysis.transfer`, while it is still to be
-    /// computed: nothing the tick emits reads it, so the tick only
-    /// notes this and a snapshot pull settles it.
-    unsettled: Option<TransferInput>,
-}
-
-/// What MCT reads for a tick's analysis: the data sender (whose log it
-/// reads), the connection start (its origin) and how many rows that log
-/// held at the tick. A log is only appended to while its connection is
-/// open, and finalization drops the cache entry, so MCT over the first
-/// `rows` rows at any later pull answers exactly what it would have at
-/// the tick.
-#[derive(Debug)]
-struct TransferInput {
-    sender: Endpoint,
-    start: Micros,
+    /// The tick's analysis, as far as anything a tick emits reads it.
+    pub(crate) partial: PartialAnalysis,
+    /// How many rows the data sender's message log held at the tick:
+    /// what MCT reads for the report's transfer.
     rows: usize,
+    /// The whole analysis as of the tick — factors, every series, MCT's
+    /// transfer — which only a snapshot renders, so the first pull after
+    /// the tick builds it ([`SourceScope::settle`]).
+    settled: Option<Analysis>,
 }
 
 /// Evaluates the detectors whose outcome depends only on the analysis
 /// itself, producing the cacheable subset of a connection's alert
 /// conditions.
 pub(crate) fn analysis_conditions(
-    analysis: &Analysis,
+    analysis: &PartialAnalysis,
     source: &Arc<str>,
     session: &str,
     timer_min_gaps: usize,
@@ -484,7 +471,7 @@ pub(crate) fn analysis_conditions(
         });
         return conditions;
     }
-    if let Some(timer) = analysis.infer_timer(timer_min_gaps) {
+    if let Some(timer) = infer_timer(&analysis.series, timer_min_gaps) {
         conditions.push(Condition {
             source: source.clone(),
             session: session.to_string(),
@@ -497,7 +484,11 @@ pub(crate) fn analysis_conditions(
             ),
         });
     }
-    let episodes = analysis.consecutive_losses(config);
+    let episodes = find_consecutive_losses(
+        &analysis.series,
+        config.consecutive_loss_threshold,
+        config.episode_gap,
+    );
     if let Some(worst) = episodes.iter().max_by_key(|e| e.retransmissions) {
         let evidence = episodes
             .iter()
@@ -514,7 +505,7 @@ pub(crate) fn analysis_conditions(
             ),
         });
     }
-    if let Some(bug) = analysis.zero_ack_bug() {
+    if let Some(bug) = find_zero_ack_bug(&analysis.series) {
         conditions.push(Condition {
             source: source.clone(),
             session: session.to_string(),
@@ -649,9 +640,10 @@ impl SourceScope {
     }
 
     /// Re-analyzes the connections in `work` over the window ending at
-    /// tick time `at` and caches the results (tick phase 1). No MCT
-    /// runs: each entry keeps what its transfer is to be computed from
-    /// ([`TransferInput`]) for [`settle`](Self::settle).
+    /// tick time `at` and caches the results (tick phase 1), as far as
+    /// the alerts read them ([`Analyzer::analyze_partial_lossy`]): no
+    /// MCT, no factors, none of the series only a report reads. A
+    /// snapshot pull completes each entry ([`settle`](Self::settle)).
     fn refresh(&mut self, work: Vec<ConnKey>, at: Micros, ctx: &AnalysisCtx) {
         let analyzer = &ctx.analyzer;
         // What a connection the demux holds no stream for reads as.
@@ -668,15 +660,11 @@ impl SourceScope {
                 .snapshot(key, fin.connection.sender)
                 .unwrap_or(&unseen);
             let counts = self.quality.get(&key).copied().unwrap_or_default();
-            let input = TransferInput {
-                sender: fin.connection.sender,
-                start: fin.connection.profile.start,
-                rows: extraction.messages.len(),
-            };
-            let analysis = analyzer.analyze_partial_lossy(fin.connection, extraction, span, counts);
-            let session = session_id(&analysis);
+            let rows = extraction.messages.len();
+            let partial = analyzer.analyze_partial_lossy(fin.connection, extraction, span, counts);
+            let session = session_id(partial.sender, partial.receiver);
             let conditions = analysis_conditions(
-                &analysis,
+                &partial,
                 &self.name,
                 &session,
                 ctx.timer_min_gaps,
@@ -688,24 +676,38 @@ impl SourceScope {
                     ordinal,
                     session,
                     conditions,
-                    analysis,
-                    unsettled: Some(input),
+                    partial,
+                    rows,
+                    settled: None,
                 },
             );
         }
     }
 
-    /// Computes the MCT transfer of every cached analysis a tick left
-    /// without one, over the data sender's log as it stood at that tick
-    /// — what the tick itself would have found.
+    /// Completes every cached analysis a tick left partial into the
+    /// whole analysis as of that tick: over the connection rebuilt from
+    /// the frames the tick saw ([`ConnectionTracker::snapshot_first`]),
+    /// with MCT over the rows the data sender's log held then. A
+    /// connection's frames and log are only appended to while it is
+    /// open, and finalization drops its cache entry, so this is exactly
+    /// what the tick would have found.
     pub(crate) fn settle(&mut self, analyzer: &Analyzer) {
         let unseen = Extraction::default();
         for (&key, cached) in &mut self.cache {
-            let Some(input) = cached.unsettled.take() else {
+            if cached.settled.is_some() {
+                continue;
+            }
+            let partial = &cached.partial;
+            let Some(conn) = self
+                .tracker
+                .snapshot_first(key, partial.profile.frames as usize)
+            else {
+                debug_assert!(false, "a cached connection is open in its tracker");
                 continue;
             };
-            let extraction = self.demux.snapshot(key, input.sender).unwrap_or(&unseen);
-            cached.analysis.transfer = analyzer.transfer_of(input.start, extraction, input.rows);
+            let extraction = self.demux.snapshot(key, partial.sender).unwrap_or(&unseen);
+            let transfer = analyzer.transfer_of(partial.profile.start, extraction, cached.rows);
+            cached.settled = Some(analyzer.complete(conn, partial, transfer));
         }
     }
 
@@ -724,7 +726,7 @@ impl SourceScope {
         entries.sort_unstable_by_key(|(_, cached)| cached.ordinal);
         let mut out: Vec<(u64, Vec<Condition>)> = Vec::with_capacity(entries.len());
         for (key, cached) in entries {
-            let analysis = &cached.analysis;
+            let analysis = &cached.partial;
             // Analysis-derived conditions were evaluated once at the
             // entry's last refresh; a clean, idle connection costs
             // nothing here beyond the stall watermark check below.
@@ -773,7 +775,7 @@ impl SourceScope {
         let counts = self.quality.remove(&fin.key).unwrap_or_default();
         let extraction = self.demux.take(fin.key, fin.connection.sender);
         let analysis = analyzer.analyze_extracted_lossy(fin.connection, &extraction, counts);
-        let session = session_id(&analysis);
+        let session = session_id(analysis.sender, analysis.receiver);
         let stale_session = cached_session.filter(|cached| cached != &session);
         let report = Report::from_analysis(&analysis, analyzer.config());
         FinalizeOutcome {
@@ -815,16 +817,21 @@ fn peer_group_conditions(
     min_pause: Micros,
     conditions: &mut Vec<Condition>,
 ) {
-    let analyses: Vec<&Analysis> = fleet.iter().map(|(_, c)| &c.analysis).collect();
-    for (blocked, faulty, incidents) in find_peer_group_blocking_all(&analyses, min_pause) {
-        if analyses[blocked].verdict.is_quarantined() || analyses[faulty].verdict.is_quarantined() {
+    let members: Vec<_> = fleet
+        .iter()
+        .map(|(_, c)| (c.partial.sender.0, &c.partial.series))
+        .collect();
+    for (blocked, faulty, incidents) in find_peer_group_blocking_among(&members, min_pause) {
+        let (blocked_src, blocked_cached) = fleet[blocked];
+        let (faulty_src, faulty_cached) = fleet[faulty];
+        if blocked_cached.partial.verdict.is_quarantined()
+            || faulty_cached.partial.verdict.is_quarantined()
+        {
             continue;
         }
         let Some(last) = incidents.last() else {
             continue;
         };
-        let (blocked_src, blocked_cached) = fleet[blocked];
-        let (faulty_src, faulty_cached) = fleet[faulty];
         // Name the faulty member's source only when it differs —
         // single-source detail stays byte-identical.
         let cross = if blocked_src == faulty_src {
@@ -1362,42 +1369,43 @@ impl Monitor {
     /// golden streams (`tests/golden_streams.rs`) pin it after every
     /// tick boundary, at every lane count.
     ///
-    /// A report's `prefixes` is MCT's, and MCT runs here, at the pull,
-    /// not at the tick (nothing a tick emits reads it): once per
-    /// analysis the ticks refreshed since the last pull, over the data
-    /// sender's log as of the last tick — frames ingested since do not
-    /// show, as in the rest of the analysis.
+    /// A tick computes only what its alerts read; the rest of a report —
+    /// the factor vector, the series behind it, MCT's `prefixes` — is
+    /// computed here, at the pull, once per analysis the ticks refreshed
+    /// since the last pull, over the connection and the data sender's
+    /// log as of the last tick: frames ingested since do not show.
     pub fn snapshot_reports(&mut self) -> Vec<(String, String, String)> {
         self.settle();
         let config = self.control.ctx.analyzer.config();
         self.fleet()
             .into_iter()
-            .map(|(source, cached)| {
-                (
+            .filter_map(|(source, cached)| {
+                let analysis = cached.settled.as_ref()?;
+                Some((
                     source.to_string(),
                     cached.session.clone(),
-                    Report::from_analysis(&cached.analysis, config).to_json(),
-                )
+                    Report::from_analysis(analysis, config).to_json(),
+                ))
             })
             .collect()
     }
 
     /// The per-connection analyses as of the last tick, unrendered, as
     /// `(source, analysis)` in the order of
-    /// [`snapshot_reports`](Self::snapshot_reports). Each `transfer` is
-    /// computed at this pull, over the log as of the last tick, as
-    /// there.
+    /// [`snapshot_reports`](Self::snapshot_reports). As there, each is
+    /// completed at this pull, over the connection and its log as of
+    /// the last tick.
     pub fn snapshot_analyses(&mut self) -> Vec<(&str, &Analysis)> {
         self.settle();
         self.fleet()
             .into_iter()
-            .map(|(source, cached)| (&**source, &cached.analysis))
+            .filter_map(|(source, cached)| Some((&**source, cached.settled.as_ref()?)))
             .collect()
     }
 
-    /// [`sync`](Self::sync), then computes the transfer of every cached
-    /// analysis still without one ([`SourceScope::settle`]), on every
-    /// healthy scope of the plane.
+    /// [`sync`](Self::sync), then completes every cached analysis a
+    /// tick left partial ([`SourceScope::settle`]), on every healthy
+    /// scope of the plane.
     fn settle(&mut self) {
         self.sync();
         let analyzer = &self.control.ctx.analyzer;

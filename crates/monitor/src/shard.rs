@@ -453,7 +453,7 @@ impl Lanes {
         self.flush(control);
     }
 
-    /// Settles the transfers of the healthy shards' cached analyses
+    /// Completes the healthy shards' cached analyses
     /// ([`SourceScope::settle`]), on the caller's thread: only a
     /// snapshot pull runs it, after a flush has brought every shard
     /// home.

@@ -398,6 +398,32 @@ fn snapshot_transfer_is_mct_as_of_the_last_tick() {
     assert_eq!(at_tick[0].1.as_ref().map(|t| t.prefix_count), Some(155));
 }
 
+/// A tick builds only what its alerts read; the pull completes the rest
+/// — the trace and its labels, every series, the factor vector, MCT's
+/// transfer — as of the last tick however much the connection sent
+/// since: over the frames the tick saw. A second watch fed exactly those
+/// frames and pulled at the same tick is the reference. Pulled after a
+/// new announcing UPDATE and its ACK, and after the other side out-sent
+/// the first, each whole analysis must equal it field for field.
+#[test]
+fn snapshot_analysis_is_the_analysis_as_of_the_last_tick() {
+    let (mut watch, mut from_router, mut from_collector) = table_transfer();
+    watch.tick_unread(secs(5));
+    let at_tick = watch.replayed_to(secs(5));
+    watch.send(from_router.data(secs(6), update(prefixes(150, 5))));
+    watch.send(from_collector.data(secs(6) + 300, Vec::new()));
+    assert_eq!(watch.analyses(), at_tick, "pulled after a new UPDATE");
+
+    watch.tick_unread(secs(10));
+    let at_tick = watch.replayed_to(secs(10));
+    for i in 0..2 {
+        let announced = prefixes(10_000 + 400 * i, 400);
+        watch.send(from_collector.data(secs(11) + i as i64, update(announced)));
+    }
+    assert_eq!(watch.mct_now()[0].0, from_collector.endpoint());
+    assert_eq!(watch.analyses(), at_tick, "pulled after a sender flip");
+}
+
 /// A one-connection watch beside a tracker and a demux fed the same
 /// frames, which say what MCT finds over the connection as it stands.
 struct TransferWatch {
@@ -405,34 +431,59 @@ struct TransferWatch {
     id: SourceId,
     tracker: ConnectionTracker,
     demux: BgpDemux,
+    /// Every frame sent, in order.
+    sent: Vec<TcpFrame>,
 }
 
 impl TransferWatch {
     fn new() -> TransferWatch {
-        let tracker = TrackerConfig {
-            idle_timeout: None,
-            ..TrackerConfig::default()
-        };
-        let config = MonitorConfig::builder()
-            .window(Micros::from_secs(120))
-            .interval(Micros::from_secs(5))
-            .tracker(tracker)
-            .build()
-            .expect("valid config");
+        let config = TransferWatch::config();
+        let tracker = ConnectionTracker::new(config.tracker);
         let mut monitor = Monitor::new(config);
         let id = monitor.register_source("capture");
         TransferWatch {
             monitor,
             id,
-            tracker: ConnectionTracker::new(tracker),
+            tracker,
             demux: BgpDemux::new(),
+            sent: Vec::new(),
         }
+    }
+
+    fn config() -> MonitorConfig {
+        MonitorConfig::builder()
+            .window(Micros::from_secs(120))
+            .interval(Micros::from_secs(5))
+            .tracker(TrackerConfig {
+                idle_timeout: None,
+                ..TrackerConfig::default()
+            })
+            .build()
+            .expect("valid config")
     }
 
     fn send(&mut self, frame: TcpFrame) {
         self.demux.feed(&frame);
         self.tracker.ingest(&frame);
+        self.sent.push(frame.clone());
         self.monitor.ingest_owned(self.id, frame);
+    }
+
+    /// Every analysis a snapshot pulled now holds, in full.
+    fn analyses(&mut self) -> Vec<String> {
+        analyses_of(&mut self.monitor)
+    }
+
+    /// What [`analyses`](Self::analyses) says of a fresh watch fed every
+    /// frame sent so far and advanced to `at`.
+    fn replayed_to(&self, at: i64) -> Vec<String> {
+        let mut twin = Monitor::new(TransferWatch::config());
+        let id = twin.register_source("capture");
+        for frame in &self.sent {
+            twin.ingest_from(id, frame);
+        }
+        twin.advance_to(Micros(at));
+        analyses_of(&mut twin)
     }
 
     /// Runs the tick at `at`, pulls a snapshot right after it and
@@ -482,6 +533,14 @@ impl TransferWatch {
             .map(|(_, analysis)| (analysis.sender, analysis.transfer.clone()))
             .collect()
     }
+}
+
+fn analyses_of(monitor: &mut Monitor) -> Vec<String> {
+    monitor
+        .snapshot_analyses()
+        .into_iter()
+        .map(|(source, analysis)| format!("{source}: {analysis:?}"))
+        .collect()
 }
 
 /// One direction of a TCP connection, numbering its own bytes.

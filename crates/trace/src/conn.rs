@@ -1,6 +1,6 @@
 //! TCP connection extraction from packet traces.
 
-use std::collections::HashMap;
+use std::collections::VecDeque;
 use std::net::Ipv4Addr;
 
 use tdat_packet::{seq_diff, FrameLike, TcpFlags};
@@ -226,26 +226,35 @@ impl FrameMeta {
 /// (for BGP monitoring traces, the operational router by orders of
 /// magnitude); ties go to the connection initiator.
 pub(crate) fn build_connection(metas: &[FrameMeta]) -> TcpConnection {
-    // Payload bytes per source endpoint.
-    let mut bytes: HashMap<Endpoint, u64> = HashMap::new();
+    // Payload bytes per endpoint that sent a frame: a connection's
+    // frames come from its two endpoints, the first frame's two.
+    let endpoints = [metas[0].src, metas[0].dst];
+    let mut bytes: [Option<u64>; 2] = [None; 2];
     let mut initiator: Option<Endpoint> = None;
     for m in metas {
-        *bytes.entry(m.src).or_insert(0) += m.payload_len as u64;
+        debug_assert!(endpoints.contains(&m.src), "one connection's frames");
+        let side = usize::from(m.src != endpoints[0]);
+        *bytes[side].get_or_insert(0) += m.payload_len as u64;
         if m.flags.contains(TcpFlags::SYN) && !m.flags.contains(TcpFlags::ACK) {
             initiator.get_or_insert(m.src);
         }
     }
+    let sent = || {
+        endpoints
+            .into_iter()
+            .zip(bytes)
+            .filter_map(|(ep, b)| Some((ep, b?)))
+    };
     let first_src = metas[0].src;
     // Most payload bytes wins; the initiator breaks a tie, then the
     // endpoint ordering (for determinism without a captured SYN).
-    let max_bytes = bytes.values().copied().max().unwrap_or(0);
+    let max_bytes = sent().map(|(_, b)| b).max().unwrap_or(0);
     let sender = initiator
-        .filter(|init| bytes.get(init).copied().unwrap_or(0) == max_bytes)
+        .filter(|init| sent().find(|(ep, _)| ep == init).map_or(0, |(_, b)| b) == max_bytes)
         .or_else(|| {
-            bytes
-                .iter()
-                .filter(|(_, b)| **b == max_bytes)
-                .map(|(ep, _)| *ep)
+            sent()
+                .filter(|(_, b)| *b == max_bytes)
+                .map(|(ep, _)| ep)
                 .min()
         })
         .unwrap_or(first_src);
@@ -374,27 +383,45 @@ pub(crate) fn build_connection(metas: &[FrameMeta]) -> TcpConnection {
 /// first ACK covering it — the `d1` (sniffer↔receiver) RTT component.
 fn estimate_d1(segments: &[Segment]) -> Option<Micros> {
     let mut samples: Vec<i64> = Vec::new();
-    let mut pending: Vec<(u32, Micros)> = Vec::new(); // (seq_end, sent)
-    let mut max_seen: Option<u32> = None;
+    // First transmissions not yet covered, in sequence order, as
+    // (seq_end, sent, offset): `offset` is `seq_end` unwrapped, counted
+    // from the first one.
+    let mut pending: VecDeque<(u32, Micros, i64)> = VecDeque::new();
+    let mut max_seen: Option<(u32, i64)> = None;
     for seg in segments {
         match seg.dir {
             Direction::Data if seg.payload_len > 0 => {
                 // Only time first transmissions (Karn).
-                let fresh = max_seen.is_none_or(|m| seq_diff(seg.seq_end, m) > 0);
-                if fresh {
-                    pending.push((seg.seq_end, seg.time));
-                    max_seen = Some(seg.seq_end);
-                }
+                let offset = match max_seen {
+                    None => 0,
+                    Some((m, at)) if seq_diff(seg.seq_end, m) > 0 => at + seq_diff(seg.seq_end, m),
+                    Some(_) => continue,
+                };
+                pending.push_back((seg.seq_end, seg.time, offset));
+                max_seen = Some((seg.seq_end, offset));
             }
             Direction::Ack if seg.flags.contains(TcpFlags::ACK) => {
-                pending.retain(|(seq_end, sent)| {
-                    if seq_diff(seg.ack, *seq_end) >= 0 {
-                        samples.push((seg.time - *sent).as_micros());
-                        false
-                    } else {
-                        true
+                let covered = |seq_end: u32| seq_diff(seg.ack, seq_end) >= 0;
+                while let Some(&(_, sent, _)) = pending.front().filter(|(e, _, _)| covered(*e)) {
+                    samples.push((seg.time - sent).as_micros());
+                    pending.pop_front();
+                }
+                // The rest lie above the first uncovered one, within
+                // `span` of it, so the ACK covers none of them unless it
+                // trails that one by so much that comparing with one of
+                // them wraps: then each is tested.
+                if let (Some(first), Some(last)) = (pending.front(), pending.back()) {
+                    let span = last.2 - first.2;
+                    if seq_diff(seg.ack, first.0) - span < -(1i64 << 31) {
+                        pending.retain(|&(seq_end, sent, _)| {
+                            let hit = covered(seq_end);
+                            if hit {
+                                samples.push((seg.time - sent).as_micros());
+                            }
+                            !hit
+                        });
                     }
-                });
+                }
             }
             _ => {}
         }
@@ -402,8 +429,9 @@ fn estimate_d1(segments: &[Segment]) -> Option<Micros> {
     if samples.is_empty() {
         return None;
     }
-    samples.sort_unstable();
-    Some(Micros(samples[samples.len() / 2]))
+    // The upper median: the element a sort would put at `len / 2`.
+    let middle = samples.len() / 2;
+    Some(Micros(*samples.select_nth_unstable(middle).1))
 }
 
 #[cfg(test)]

@@ -6,15 +6,19 @@
 //! larger than the threshold starts a new flight. The paper groups data
 //! packets this way (after [38]) and extends the term to ACKs.
 
+use std::ops::Range;
+
 use tdat_timeset::{Micros, Span};
 
 use crate::conn::Segment;
 
-/// One flight: indices into the segment slice it was built from.
+/// One flight: a run of consecutive segments of the slice it was built
+/// from.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Flight {
-    /// Indices of the member segments (into the input slice).
-    pub members: Vec<usize>,
+    /// Indices of the member segments (into the input slice): a flight
+    /// is always a contiguous run, so this is a range, not a list.
+    pub members: Range<usize>,
     /// First arrival time.
     pub start: Micros,
     /// Last arrival time.
@@ -40,7 +44,8 @@ impl Flight {
 }
 
 /// Groups `segments` (assumed time-ordered) into flights: a new flight
-/// starts whenever the inter-arrival gap exceeds `gap`.
+/// starts whenever the inter-arrival gap exceeds `gap`. Allocates the
+/// returned vector and nothing per flight.
 ///
 /// # Examples
 ///
@@ -64,16 +69,16 @@ impl Flight {
 pub fn group_flights<S: std::borrow::Borrow<Segment>>(segments: &[S], gap: Micros) -> Vec<Flight> {
     let mut flights: Vec<Flight> = Vec::new();
     for (idx, seg) in segments.iter().enumerate() {
-        let seg = seg.borrow();
+        let time = seg.borrow().time;
         match flights.last_mut() {
-            Some(f) if seg.time - f.end <= gap => {
-                f.members.push(idx);
-                f.end = seg.time;
+            Some(f) if time - f.end <= gap => {
+                f.members.end = idx + 1;
+                f.end = time;
             }
             _ => flights.push(Flight {
-                members: vec![idx],
-                start: seg.time,
-                end: seg.time,
+                members: idx..idx + 1,
+                start: time,
+                end: time,
             }),
         }
     }
@@ -119,7 +124,7 @@ mod tests {
         let segs: Vec<Segment> = (0..5).map(|i| seg(i * 10)).collect();
         let flights = group_flights(&segs, Micros::from_millis(1));
         assert_eq!(flights.len(), 1);
-        assert_eq!(flights[0].members, vec![0, 1, 2, 3, 4]);
+        assert_eq!(flights[0].members, 0..5);
         assert_eq!(flights[0].span(), Span::new(Micros(0), Micros(40)));
     }
 

@@ -84,49 +84,32 @@ impl Default for LabelConfig {
 /// Labels every data-direction segment of `conn`, returned in the same
 /// order as [`TcpConnection::data_segments`]. Only payload-carrying
 /// segments receive loss labels; empty segments are `InOrder`.
+///
+/// Reads the connection in place. What only a retransmission asks —
+/// which ACKs covered a range by some time, which ACK values were
+/// duplicated — is gathered the first time one does, so a clean
+/// transfer pays one pass and the label vector.
 pub fn label_segments(conn: &TcpConnection, config: &LabelConfig) -> Vec<SegLabel> {
     let threshold = match conn.profile.rtt {
         Some(rtt) => config.reorder_threshold.max(rtt / 4),
         None => config.reorder_threshold,
     };
-
-    // Pre-extract the ACK stream (time, ack) to answer "was this range
-    // acked by time t".
-    let acks: Vec<(Micros, u32)> = conn
-        .segments
-        .iter()
-        .filter(|s| s.dir == Direction::Ack && s.flags.contains(tdat_packet::TcpFlags::ACK))
-        .map(|s| (s.time, s.ack))
-        .collect();
-    // Duplicate-ACK times keyed by the ack value (for the reordering
+    // The ACK stream (time, ack), to answer "was this range acked by
+    // time t".
+    let mut acks: Option<Vec<(Micros, u32)>> = None;
+    // The values of duplicated pure ACKs, sorted (for the reordering
     // filter: real upstream loss triggers dup ACKs from the receiver).
-    let dup_ack_values: std::collections::HashSet<u32> = {
-        let mut seen = std::collections::HashMap::new();
-        let mut dups = std::collections::HashSet::new();
-        for s in conn.segments.iter().filter(|s| s.dir == Direction::Ack) {
-            if s.is_pure_ack() {
-                let count = seen.entry(s.ack).or_insert(0u32);
-                *count += 1;
-                if *count >= 2 {
-                    dups.insert(s.ack);
-                }
-            }
-        }
-        dups
-    };
-    let acked_by = |seq_end: u32, t: Micros| -> bool {
-        acks.iter()
-            .any(|(at, ack)| *at <= t && seq_diff(*ack, seq_end) >= 0)
-    };
+    let mut dup_ack_values: Option<Vec<u32>> = None;
 
     // Open sequence holes: (start_seq, end_seq, opened_at).
     let mut holes: Vec<(u32, u32, Micros)> = Vec::new();
-    // First-transmission record per range start: (seq, seq_end, time).
-    let mut seen_ranges: Vec<(u32, u32, Micros)> = Vec::new();
     let mut max_end: Option<u32> = None;
     let mut labels = Vec::new();
 
-    for seg in conn.data_segments() {
+    for (pos, seg) in conn.segments.iter().enumerate() {
+        if seg.dir != Direction::Data {
+            continue;
+        }
         if seg.payload_len == 0 && seg.seq == seg.seq_end {
             labels.push(SegLabel::InOrder);
             continue;
@@ -153,7 +136,10 @@ pub fn label_segments(conn: &TcpConnection, config: &LabelConfig) -> Vec<SegLabe
                         if seq_diff(he, seg.seq_end) > 0 {
                             holes.push((seg.seq_end, he, opened));
                         }
-                        let dup_acked = dup_ack_values.contains(&hs);
+                        let dup_acked = dup_ack_values
+                            .get_or_insert_with(|| duplicated_ack_values(conn))
+                            .binary_search(&hs)
+                            .is_ok();
                         if delay <= threshold && !dup_acked {
                             SegLabel::Reordered
                         } else {
@@ -161,22 +147,31 @@ pub fn label_segments(conn: &TcpConnection, config: &LabelConfig) -> Vec<SegLabe
                         }
                     }
                     None => {
-                        // Seen before: find the original transmission.
-                        let original = seen_ranges
+                        // Seen before: find the original transmission,
+                        // the latest earlier labelled segment starting
+                        // at this sequence number, else the latest one
+                        // holding it.
+                        let earlier = || {
+                            conn.segments[..pos].iter().rev().filter(|s| {
+                                s.dir == Direction::Data
+                                    && !(s.payload_len == 0 && s.seq == s.seq_end)
+                            })
+                        };
+                        let original = earlier().find(|o| o.seq == seg.seq).or_else(|| {
+                            earlier().find(|o| {
+                                seq_diff(seg.seq, o.seq) >= 0 && seq_diff(o.seq_end, seg.seq) > 0
+                            })
+                        });
+                        let sent_at = original.map(|o| o.time).unwrap_or(seg.time);
+                        let acked = acks
+                            .get_or_insert_with(|| ack_stream(conn))
                             .iter()
-                            .rev()
-                            .find(|(os, _, _)| *os == seg.seq)
-                            .or_else(|| {
-                                seen_ranges.iter().rev().find(|(os, oe, _)| {
-                                    seq_diff(seg.seq, *os) >= 0 && seq_diff(*oe, seg.seq) > 0
-                                })
-                            });
-                        let sent_at = original.map(|(_, _, t)| *t).unwrap_or(seg.time);
-                        if seg.payload_len == 1 && !acked_by(seg.seq_end, seg.time) {
+                            .any(|(at, ack)| *at <= seg.time && seq_diff(*ack, seg.seq_end) >= 0);
+                        if seg.payload_len == 1 && !acked {
                             // 1-byte re-send under a closed window is a
                             // persist probe, not a loss.
                             SegLabel::WindowProbe
-                        } else if acked_by(seg.seq_end, seg.time) {
+                        } else if acked {
                             SegLabel::SpuriousRetransmission(Span::new(sent_at, seg.time))
                         } else {
                             SegLabel::DownstreamLoss(Span::new(sent_at, seg.time))
@@ -185,7 +180,7 @@ pub fn label_segments(conn: &TcpConnection, config: &LabelConfig) -> Vec<SegLabe
                 }
             }
         };
-        // Bookkeeping: record the range and any new hole.
+        // Bookkeeping: record any new hole.
         if let Some(max) = max_end {
             if seq_diff(seg.seq, max) > 0 {
                 holes.push((max, seg.seq, seg.time));
@@ -194,10 +189,36 @@ pub fn label_segments(conn: &TcpConnection, config: &LabelConfig) -> Vec<SegLabe
         if max_end.is_none_or(|m| seq_diff(seg.seq_end, m) > 0) {
             max_end = Some(seg.seq_end);
         }
-        seen_ranges.push((seg.seq, seg.seq_end, seg.time));
         labels.push(label);
     }
     labels
+}
+
+/// `(time, ack)` of every ACK-flagged segment of the ACK direction, in
+/// capture order.
+fn ack_stream(conn: &TcpConnection) -> Vec<(Micros, u32)> {
+    conn.ack_segments()
+        .filter(|s| s.flags.contains(tdat_packet::TcpFlags::ACK))
+        .map(|s| (s.time, s.ack))
+        .collect()
+}
+
+/// The ACK values that at least two pure ACKs of the ACK direction
+/// carried, sorted and distinct.
+fn duplicated_ack_values(conn: &TcpConnection) -> Vec<u32> {
+    let mut values: Vec<u32> = conn
+        .ack_segments()
+        .filter(|s| s.is_pure_ack())
+        .map(|s| s.ack)
+        .collect();
+    values.sort_unstable();
+    let mut dups: Vec<u32> = values
+        .windows(2)
+        .filter(|w| w[0] == w[1])
+        .map(|w| w[0])
+        .collect();
+    dups.dedup();
+    dups
 }
 
 /// A consecutive-loss episode: a maximal run of retransmissions whose

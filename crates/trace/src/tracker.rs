@@ -439,6 +439,16 @@ impl ConnectionTracker {
         })
     }
 
+    /// The open connection `key` as its first `frames` frames built it —
+    /// what [`snapshot_of`](Self::snapshot_of) returned when the tracker
+    /// had seen that many of its frames: a connection's frames are only
+    /// ever appended to while it is open. `None` when `key` is not open
+    /// or has not seen `frames` frames (or `frames` is 0).
+    pub fn snapshot_first(&self, key: ConnKey, frames: usize) -> Option<TcpConnection> {
+        let metas = self.open.get(&key)?.metas.get(..frames)?;
+        (!metas.is_empty()).then(|| build_connection(metas))
+    }
+
     /// Keys of open connections that received frames since the last
     /// `take_dirty` call (or since they opened), by ordinal, clearing
     /// their dirty marks. The incremental-monitor hook: a tick only
