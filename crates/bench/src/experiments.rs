@@ -59,9 +59,7 @@ impl ExperimentCtx {
 
 /// Every connection of `frames`, through the one batch pass.
 fn analyze(frames: &[TcpFrame], config: AnalyzerConfig) -> Vec<Analysis> {
-    StreamAnalyzer::new(config)
-        .analyze_frames(frames)
-        .expect("in-memory frames cannot fail")
+    StreamAnalyzer::new(config).analyze_frames(frames)
 }
 
 fn secs(m: Micros) -> f64 {

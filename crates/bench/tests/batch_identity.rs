@@ -1,5 +1,4 @@
-//! Observational identity of the saturated batch path against its
-//! serial equivalents, layer by layer:
+//! Observational identity of the batch pass's readers and sources:
 //!
 //! 1. **mmap vs buffered** — [`MmapReader`] (mapped or owned backing)
 //!    decodes the same frames as the classic [`PcapReader`], across the
@@ -8,25 +7,20 @@
 //! 2. **block decode vs per-frame decode** — `next_views_into` yields
 //!    the same frame sequence and the same error at the same position
 //!    as the `PcapReader::next_view` loop.
-//! 3. **sharded batch analyzer vs serial** — `StreamAnalyzer` with
-//!    `shards: N` renders byte-identical reports to the serial driver
-//!    over the oracle matrix, and under both chaos presets the lossy
-//!    sharded run matches the serial one report-for-report and
-//!    anomaly-count-for-anomaly-count; a source that fails mid-capture
-//!    delivers the same reports and the same error at every lane count;
-//!    and on a clean capture the lossy source reads what the strict one
-//!    does.
+//! 3. **the batch pass's sources** — a pcap source that fails
+//!    mid-capture delivers exactly the connections that finalized
+//!    before the failing record, then the reader's error; and on a
+//!    clean capture the lossy source reads what the strict one does.
 
 use proptest::prelude::*;
 use std::path::PathBuf;
 use tdat::{Analysis, AnalyzerConfig, Report, StreamAnalyzer, StreamOptions, TrackerConfig};
 use tdat_oracle::{scenario_capture, scenario_matrix};
 use tdat_packet::{
-    FrameBlock, FrameBuilder, LossyReader, MmapReader, PcapReader, PcapWriter, TcpFlags, TcpFrame,
-    TcpOption,
+    FrameBlock, FrameBuilder, MmapReader, PcapReader, PcapWriter, TcpFlags, TcpFrame, TcpOption,
 };
-use tdat_tcpsim::chaos::{apply_chaos, ChaosSpec};
 use tdat_timeset::Micros;
+use tdat_trace::ConnectionTracker;
 
 fn pcap_of(frames: &[TcpFrame]) -> Vec<u8> {
     let mut bytes = Vec::new();
@@ -38,19 +32,18 @@ fn pcap_of(frames: &[TcpFrame]) -> Vec<u8> {
 }
 
 fn temp_pcap(name: &str, bytes: &[u8]) -> PathBuf {
-    let dir = std::env::temp_dir().join("tdat_batch_shard_identity");
+    let dir = std::env::temp_dir().join("tdat_batch_identity");
     std::fs::create_dir_all(&dir).expect("temp dir");
     let path = dir.join(name);
     std::fs::write(&path, bytes).expect("temp pcap");
     path
 }
 
-fn engine(shards: usize, tracker: TrackerConfig) -> StreamAnalyzer {
+fn engine(tracker: TrackerConfig) -> StreamAnalyzer {
     StreamAnalyzer::with_options(
         AnalyzerConfig::default(),
         StreamOptions {
             tracker,
-            shards,
             ..Default::default()
         },
     )
@@ -117,38 +110,24 @@ fn mmap_and_block_decode_match_buffered_over_oracle_matrix() {
     }
 }
 
+/// The strict sources are the lossy source with nothing to charge: on
+/// a clean capture the two read the same reports.
 #[test]
-fn sharded_batch_reports_match_serial_over_oracle_matrix() {
+fn lossy_reports_match_strict_on_clean_captures_over_oracle_matrix() {
+    let engine = engine(TrackerConfig::batch());
     for sc in scenario_matrix(0xBA5E) {
-        let frames = scenario_capture(&sc);
-        let serial = engine(0, TrackerConfig::batch());
-        let want = serial
-            .analyze_frames(&frames)
-            .expect("serial analysis succeeds");
-        let want = rendered(&serial, &want);
-        assert!(!want.is_empty(), "{}: no connections analyzed", sc.name);
-        for shards in [2, 5] {
-            let sharded = engine(shards, TrackerConfig::batch());
-            let got = sharded
-                .analyze_frames(&frames)
-                .expect("sharded analysis succeeds");
-            assert_eq!(
-                rendered(&sharded, &got),
-                want,
-                "{}: {shards}-shard reports diverged from serial",
-                sc.name
-            );
-        }
-        // The strict sources are the lossy source with nothing to
-        // charge: on a clean capture the two read the same reports.
-        let path = temp_pcap(&format!("{}-clean.pcap", sc.name), &pcap_of(&frames));
-        let strict = serial.analyze_pcap(&path).expect("clean capture");
-        let (lossy, report) = serial.analyze_pcap_lossy(&path).expect("clean capture");
+        let path = temp_pcap(
+            &format!("{}-clean.pcap", sc.name),
+            &pcap_of(&scenario_capture(&sc)),
+        );
+        let strict = engine.analyze_pcap(&path).expect("clean capture");
+        assert!(!strict.is_empty(), "{}: no connections analyzed", sc.name);
+        let (lossy, report) = engine.analyze_pcap_lossy(&path).expect("clean capture");
         assert_eq!(report.counts.total(), 0, "{}: clean capture", sc.name);
         assert_eq!(report.connections, lossy.len(), "{}", sc.name);
         assert_eq!(
-            rendered(&serial, &lossy),
-            rendered(&serial, &strict),
+            rendered(&engine, &lossy),
+            rendered(&engine, &strict),
             "{}: lossy reports diverged from strict on a clean capture",
             sc.name
         );
@@ -203,75 +182,38 @@ fn short_sessions(sessions: u8, gap: Micros) -> Vec<TcpFrame> {
 }
 
 #[test]
-fn read_error_delivers_the_same_reports_at_every_lane_count() {
+fn read_error_delivers_what_finalized_before_the_cut() {
     // 40 sessions 9 s apart under the 60 s idle timeout: most have
     // finalized by the time the reader hits the cut in the last record.
     let bytes = pcap_of(&short_sessions(40, Micros::from_secs(9)));
-    let path = temp_pcap("cut-short.pcap", &bytes[..bytes.len() - 20]);
-    let outcome = |shards: usize| {
-        let engine = engine(shards, TrackerConfig::streaming());
-        let mut got = Vec::new();
-        let err = engine
-            .analyze_pcap_with(&path, |a| got.push(a))
-            .expect_err("the last record is cut short");
-        (rendered(&engine, &got), err.to_string())
-    };
-    let (want, want_err) = outcome(0);
+    let cut = &bytes[..bytes.len() - 20];
+    let (read, read_err) = buffered_outcome(cut).expect("the header is whole");
+    let read_err = read_err.expect("the last record is cut short");
+
+    let engine = engine(TrackerConfig::streaming());
+    let mut got = Vec::new();
+    let err = engine
+        .analyze_pcap_with(temp_pcap("cut-short.pcap", cut), |a| got.push(a))
+        .expect_err("the last record is cut short");
+
+    // What finalized while the frames ahead of the cut were ingested, in
+    // that order: the start of a whole analysis of those frames, whose
+    // end-of-input sweep the failed read never reaches.
+    let mut tracker = ConnectionTracker::new(TrackerConfig::streaming());
+    let finalized: usize = read.iter().map(|f| tracker.ingest(f).len()).sum();
     assert!(
-        (1..40).contains(&want.len()),
-        "finalized before the failure, and only those: {}",
-        want.len()
+        (1..40).contains(&finalized),
+        "finalized before the failure: {finalized}"
     );
-    for shards in [2, 5] {
-        let (got, err) = outcome(shards);
-        assert_eq!(got, want, "{shards} lanes: delivered set diverged");
-        assert_eq!(err, want_err, "{shards} lanes");
-    }
+    let whole = engine.analyze_frames(&read);
+    assert_eq!(
+        rendered(&engine, &got),
+        rendered(&engine, &whole[..finalized])
+    );
+    assert_eq!(err.to_string(), format!("packet trace error: {read_err}"));
 }
 
-#[test]
-fn sharded_lossy_runs_match_serial_under_chaos() {
-    for sc in scenario_matrix(0xBA5E) {
-        let frames = scenario_capture(&sc);
-        for (mode, spec) in [
-            ("survivable", ChaosSpec::survivable(sc.seed)),
-            ("poison", ChaosSpec::poison(sc.seed)),
-        ] {
-            let (bytes, _) = apply_chaos(&frames, &spec);
-            let serial = engine(0, TrackerConfig::streaming());
-            let mut want = Vec::new();
-            let want_report = serial
-                .analyze_lossy_with(
-                    LossyReader::new(&bytes[..]).expect("chaos keeps the header"),
-                    |a| want.push(a),
-                )
-                .expect("lossy runs never abort on damage");
-            let want = rendered(&serial, &want);
-            let sharded = engine(3, TrackerConfig::streaming());
-            let mut got = Vec::new();
-            let got_report = sharded
-                .analyze_lossy_with(
-                    LossyReader::new(&bytes[..]).expect("chaos keeps the header"),
-                    |a| got.push(a),
-                )
-                .expect("lossy runs never abort on damage");
-            assert_eq!(
-                rendered(&sharded, &got),
-                want,
-                "{}+{mode}: sharded lossy reports diverged",
-                sc.name
-            );
-            assert_eq!(
-                format!("{got_report:?}"),
-                format!("{want_report:?}"),
-                "{}+{mode}: run reports (anomaly counts) diverged",
-                sc.name
-            );
-        }
-    }
-}
-
-/// A small synthetic capture parameterized for the proptests: `n`
+/// A small synthetic capture parameterized for the proptest: `n`
 /// data frames between two hosts, exercising the SWAR option layouts
 /// (all-NOP padding, timestamps, SACK) and plain headers.
 fn synthetic_frames(n: usize, opt_mix: u8, payload: usize) -> Vec<TcpFrame> {
@@ -337,22 +279,5 @@ proptest! {
                 )));
             }
         }
-    }
-
-    /// Sharded batch analysis equals serial for arbitrary small
-    /// captures at an arbitrary shard count.
-    #[test]
-    fn sharded_reports_equal_serial_for_synthetic_captures(
-        n in 1usize..32,
-        opt_mix in any::<u8>(),
-        payload in 0usize..600,
-        shards in 1usize..6,
-    ) {
-        let frames = synthetic_frames(n, opt_mix, payload);
-        let serial = engine(0, TrackerConfig::batch());
-        let want = serial.analyze_frames(&frames).expect("serial analysis succeeds");
-        let sharded = engine(shards, TrackerConfig::batch());
-        let got = sharded.analyze_frames(&frames).expect("sharded analysis succeeds");
-        prop_assert_eq!(rendered(&sharded, &got), rendered(&serial, &want));
     }
 }

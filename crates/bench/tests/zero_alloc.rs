@@ -475,7 +475,7 @@ fn ticks_over_a_transfer_allocate_no_mct_set() {
 }
 
 /// `alloc.batch.count_per_frame`, pinned as a count: a clean
-/// 8 000-route transfer through the inline [`StreamAnalyzer`], its
+/// 8 000-route transfer through the [`StreamAnalyzer`], its
 /// frames borrowed — decode aside, the whole batch pass: tracker,
 /// reassembly into the message log, MCT, labelling, series, factors.
 /// Measured (debug and release, repeating exactly): 299 allocations
@@ -496,14 +496,14 @@ fn batch_pass_allocates_a_few_times_per_frame() {
     let engine = StreamAnalyzer::default();
 
     let before = allocations();
-    let analyses = engine.analyze_frames(&frames).expect("in-memory frames");
-    let inline = allocations() - before;
+    let analyses = engine.analyze_frames(&frames);
+    let batch = allocations() - before;
     assert_eq!(analyses.len(), 1);
     let prefixes = analyses[0].transfer.as_ref().map(|t| t.prefix_count);
     assert_eq!(prefixes, Some(8_000));
     assert!(
-        inline <= PER_FRAME * count,
-        "{inline} allocations over {count} frames (bound {PER_FRAME} per frame)"
+        batch <= PER_FRAME * count,
+        "{batch} allocations over {count} frames (bound {PER_FRAME} per frame)"
     );
 
     let before = allocations();

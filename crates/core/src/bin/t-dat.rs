@@ -1,8 +1,7 @@
 //! `t-dat` — the command-line TCP delay analyzer (paper Table VI).
 //!
 //! ```text
-//! t-dat <trace.pcap> [--json] [--plot] [--tsplot] [--series]
-//!       [--threshold 0.3] [--shards N]
+//! t-dat <trace.pcap> [--json] [--plot] [--tsplot] [--series] [--threshold 0.3]
 //! ```
 //!
 //! Runs a pcap capture of BGP sessions through the [`StreamAnalyzer`]
@@ -10,22 +9,16 @@
 //! connection on the calling thread — identifies each connection's
 //! table transfer, and prints the delay-factor report; `--plot` adds
 //! the BGPlot square-wave view and `--series` lists every series with
-//! its delay ratio. `--shards N` (N ≥ 2) partitions the same pass: the
-//! capture is memory-mapped, frames are block-decoded straight out of
-//! the mapping, and connections are fanned out to `N` persistent
-//! worker lanes by connection hash — output is byte-identical to the
-//! serial run.
+//! its delay ratio. A corpus of captures is spread over cores one
+//! capture per pass by `t-dat-monitor --sweep DIR --jobs N`.
 
 use std::io::{self, Write};
 use std::process::ExitCode;
 
-use tdat::{Analysis, Analyzer, StreamAnalyzer, StreamOptions};
+use tdat::{Analysis, Analyzer, StreamAnalyzer};
 
 const USAGE: &str = "usage: t-dat <trace.pcap> [--json] [--plot] [--tsplot] [--series] \
-                     [--threshold 0.3] [--shards N]
-  --shards N   split the capture across N worker lanes (0 or 1: serial, the default);
-               byte-identical output; measured slower than serial on a 2-core host,
-               see benchmark/README.md";
+                     [--threshold 0.3]";
 
 fn main() -> ExitCode {
     let mut args = std::env::args().skip(1);
@@ -35,7 +28,6 @@ fn main() -> ExitCode {
     let mut json = false;
     let mut series = false;
     let mut threshold = 0.3f64;
-    let mut shards = 0usize;
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--plot" => plot = true,
@@ -44,17 +36,10 @@ fn main() -> ExitCode {
             "--series" => series = true,
             "--threshold" => {
                 let Some(v) = args.next().and_then(|v| v.parse().ok()) else {
-                    eprintln!("--threshold needs a number in (0, 1)");
+                    eprintln!("--threshold needs a number in (0, 1]");
                     return ExitCode::from(2);
                 };
                 threshold = v;
-            }
-            "--shards" => {
-                let Some(v) = args.next().and_then(|v| v.parse().ok()) else {
-                    eprintln!("--shards needs a lane count (0 or 1 = serial)");
-                    return ExitCode::from(2);
-                };
-                shards = v;
             }
             "--help" | "-h" => {
                 eprintln!("{USAGE}");
@@ -86,13 +71,7 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    let engine = StreamAnalyzer::with_options(
-        config,
-        StreamOptions {
-            shards,
-            ..Default::default()
-        },
-    );
+    let engine = StreamAnalyzer::new(config);
     let analyzer = engine.analyzer();
     let analyses = match engine.analyze_pcap(&path) {
         Ok(a) => a,

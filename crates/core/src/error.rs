@@ -10,9 +10,6 @@ pub enum Error {
     Packet(tdat_packet::PacketError),
     /// A configuration value was rejected by validation.
     Config(String),
-    /// An analysis worker disappeared mid-stream (it panicked or its
-    /// channel closed unexpectedly).
-    WorkerLost,
 }
 
 /// Result alias for analyzer entry points.
@@ -23,7 +20,6 @@ impl fmt::Display for Error {
         match self {
             Error::Packet(e) => write!(f, "packet trace error: {e}"),
             Error::Config(reason) => write!(f, "invalid configuration: {reason}"),
-            Error::WorkerLost => f.write_str("analysis worker lost mid-stream"),
         }
     }
 }

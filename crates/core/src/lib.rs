@@ -15,11 +15,9 @@
 //! the input — or, with [`TrackerConfig::streaming`], when it closes or
 //! idles out — and runs the per-connection pipeline on it there and
 //! then. It is one loop over three sources (a pcap path, frames in
-//! memory, a lossy reader) into one of two sinks: the calling thread —
-//! the default — or [`StreamOptions::shards`] worker lanes with
-//! byte-identical output. `t-dat`, the oracle, the paper experiments
-//! and the tests all run this one pass; [`Analyzer`] holds only its
-//! per-connection steps.
+//! memory, a lossy reader) into one sink on the calling thread. `t-dat`,
+//! the oracle, the paper experiments and the tests all run this one
+//! pass; [`Analyzer`] holds only its per-connection steps.
 //!
 //! Frame payloads are never retained. By default every connection is
 //! held to its last frame, so memory grows with the capture's frame
@@ -81,7 +79,6 @@ pub mod preprocess;
 mod quarantine;
 pub mod report;
 pub mod series;
-mod shardbatch;
 mod stream;
 
 pub use analyzer::{Analysis, Analyzer, PartialAnalysis};

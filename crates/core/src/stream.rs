@@ -1,4 +1,4 @@
-//! The batch engine: one loop, two sinks, three sources.
+//! The batch engine: one loop, one sink, three sources.
 //!
 //! [`StreamAnalyzer`] is the crate's one batch pass; `t-dat`, the
 //! oracle, the paper experiments and the tests all run it. Every entry
@@ -19,14 +19,13 @@
 //!   anomalies are charged to the connection they hit. The strict
 //!   sources are this one with nothing to charge.
 //!
-//! A source steps its frames into one of two **sinks**, picked by
-//! [`StreamOptions::shards`] and by nothing else: *inline* — tracker,
-//! demux and analysis on the calling thread, the serial pass and the
-//! default — or *lanes*, the partitioned pass of the `shardbatch`
-//! module, whose output is byte-identical. When a source fails, the
-//! sink is drained before the error is returned: every connection that
-//! finalized ahead of the failing record is delivered, at any lane
-//! count.
+//! A source steps its frames into the one **sink**: tracker, demux and
+//! analysis on the calling thread, each connection delivered the moment
+//! it finalizes. So when a source fails, every connection that
+//! finalized ahead of the failing record has already been delivered by
+//! the time the error is returned. One capture is one serial pass;
+//! a corpus of captures is spread over cores one capture per pass
+//! (`t-dat-monitor --sweep DIR --jobs N`).
 //!
 //! Frame payloads are dropped as soon as they are ingested. What is
 //! held is, per open connection, one fixed-size metadata record per
@@ -36,12 +35,11 @@
 //! grows with the input's frame count; a [`TrackerConfig::streaming`]
 //! engine finalizes on close or idle and holds only what is still open.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::path::Path;
 
 use tdat_packet::{
-    AnomalyCounts, CaptureAnomaly, FrameBlock, FrameLike, LossyFrameView, LossyReader, MmapReader,
-    PcapReader, TcpFrame,
+    AnomalyCounts, CaptureAnomaly, FrameLike, LossyFrameView, LossyReader, PcapReader, TcpFrame,
 };
 use tdat_pcap2bgp::{Extraction, StreamExtractor};
 use tdat_trace::{ConnKey, ConnectionTracker, Endpoint, FinalizedConnection, TrackerConfig};
@@ -49,7 +47,6 @@ use tdat_trace::{ConnKey, ConnectionTracker, Endpoint, FinalizedConnection, Trac
 use crate::analyzer::{Analysis, Analyzer};
 use crate::config::AnalyzerConfig;
 use crate::error::Result;
-use crate::shardbatch::ShardCoordinator;
 
 /// Tuning of the batch engine.
 #[derive(Debug, Clone)]
@@ -64,15 +61,9 @@ pub struct StreamOptions {
     /// with the input's frame count; [`TrackerConfig::streaming`]
     /// finalizes on close or idle and holds only the open connections.
     pub tracker: TrackerConfig,
-    /// Worker lanes. `0` and `1` (`0` is the default) both mean the
-    /// serial pass on the calling thread; `N >= 2` splits the capture
-    /// across `N` persistent lanes by connection hash
-    /// ([`tdat_trace::shard_of`]), each owning its slice's tracking,
-    /// reassembly, and analysis, with results merged back to serial
-    /// finalization order — output is byte-identical at every count. On
-    /// the repository benchmark's 2-core host two lanes measure slower
-    /// than serial on every workload (`benchmark/README.md`,
-    /// `core.sharded2.speedup`).
+    /// No effect. The worker lanes it counted are gone; the field
+    /// outlives them only until the repository benchmark, which builds
+    /// this struct as a literal, stops naming it.
     pub shards: usize,
 }
 
@@ -89,7 +80,7 @@ impl Default for StreamOptions {
 /// The batch engine: per-connection frame ingestion, finalization at
 /// the end of the input (or on close/idle, per
 /// [`StreamOptions::tracker`]), and analysis of each connection as it
-/// finalizes — see the module docs for the sources and sinks.
+/// finalizes — see the module docs for the sources and the sink.
 ///
 /// # Examples
 ///
@@ -102,7 +93,7 @@ impl Default for StreamOptions {
 ///     println!("{}", analysis.vector);
 /// })?;
 /// let frames = tdat_packet::read_pcap_file("bgp-session.pcap")?;
-/// for analysis in engine.analyze_frames(&frames)? {
+/// for analysis in engine.analyze_frames(&frames) {
 ///     println!("{}", analysis.vector);
 /// }
 /// # Ok::<(), tdat::Error>(())
@@ -110,7 +101,7 @@ impl Default for StreamOptions {
 #[derive(Debug, Clone, Default)]
 pub struct StreamAnalyzer {
     analyzer: Analyzer,
-    pub(crate) options: StreamOptions,
+    options: StreamOptions,
 }
 
 /// Summary of a lossy (damage-tolerant) streaming run: what the
@@ -150,18 +141,13 @@ impl StreamAnalyzer {
         &self.analyzer
     }
 
-    /// The sink the lane count selects.
     fn sink<F: FnMut(Analysis)>(&self, on_result: F) -> Sink<'_, F> {
-        if self.options.shards > 1 {
-            Sink::Lanes(ShardCoordinator::new(self, on_result))
-        } else {
-            Sink::Inline(InlineSink {
-                analyzer: &self.analyzer,
-                tracker: ConnectionTracker::new(self.options.tracker),
-                demux: BgpDemux::default(),
-                quality: HashMap::new(),
-                on_result,
-            })
+        Sink {
+            analyzer: &self.analyzer,
+            tracker: ConnectionTracker::new(self.options.tracker),
+            demux: BgpDemux::default(),
+            quality: HashMap::new(),
+            on_result,
         }
     }
 
@@ -171,15 +157,19 @@ impl StreamAnalyzer {
     ///
     /// # Errors
     ///
-    /// Fails on I/O or pcap decode errors, or if a lane dies — after
-    /// delivering every connection finalized before the failure.
+    /// Fails on I/O or pcap decode errors — after delivering every
+    /// connection finalized before the failure.
     pub fn analyze_pcap_with<F>(&self, path: impl AsRef<Path>, on_result: F) -> Result<()>
     where
         F: FnMut(Analysis),
     {
         let mut sink = self.sink(on_result);
-        let read = read_pcap(path.as_ref(), &mut sink);
-        sink.finish(read)
+        let mut reader = PcapReader::open(path)?;
+        while let Some(frame) = reader.next_view()? {
+            sink.step(&frame);
+        }
+        sink.finish();
+        Ok(())
     }
 
     /// Streams a pcap file, collecting the analyses in finalization
@@ -196,16 +186,14 @@ impl StreamAnalyzer {
 
     /// Analyzes frames already in memory (capture order), borrowing
     /// them, and returns the analyses in finalization order.
-    ///
-    /// # Errors
-    ///
-    /// Fails only if a lane dies.
-    pub fn analyze_frames(&self, frames: &[TcpFrame]) -> Result<Vec<Analysis>> {
+    pub fn analyze_frames(&self, frames: &[TcpFrame]) -> Vec<Analysis> {
         let mut out = Vec::new();
         let mut sink = self.sink(|a| out.push(a));
-        let read = frames.iter().try_for_each(|frame| sink.step(frame));
-        sink.finish(read)?;
-        Ok(out)
+        for frame in frames {
+            sink.step(frame);
+        }
+        sink.finish();
+        out
     }
 
     /// Streams a pcap file through the *lossy* decoder: damaged
@@ -271,44 +259,13 @@ impl StreamAnalyzer {
             }
             on_result(analysis);
         });
-        let read = read_lossy(&mut reader, &mut sink);
-        sink.finish(read)?;
+        read_lossy(&mut reader, &mut sink)?;
+        sink.finish();
         report.counts = *reader.counts();
         report.frames = reader.decoder().frames_decoded();
         report.cross_traffic = reader.decoder().cross_traffic();
         Ok(report)
     }
-}
-
-/// Source: strict views out of a pcap file. This is the one place a
-/// pcap reader is picked. Without lanes, a read window over the file
-/// decodes one record at a time in place; with lanes the file is mapped
-/// and decoded a block at a time (one shrink check per block), which
-/// keeps the calling thread — all the lanes wait on — on the cheapest
-/// decoder.
-fn read_pcap<F: FnMut(Analysis)>(path: &Path, sink: &mut Sink<'_, F>) -> Result<()> {
-    match sink {
-        Sink::Inline(sink) => {
-            let mut reader = PcapReader::open(path)?;
-            while let Some(frame) = reader.next_view()? {
-                sink.step(&frame);
-            }
-        }
-        Sink::Lanes(sink) => {
-            let mut reader = MmapReader::open(path)?;
-            let mut block = FrameBlock::new();
-            loop {
-                let views = reader.next_views_into(&mut block)?;
-                if views.is_empty() {
-                    break;
-                }
-                for frame in &views {
-                    sink.step(&frame)?;
-                }
-            }
-        }
-    }
-    Ok(())
 }
 
 /// Source: lossy views out of an open reader, borrowed against its
@@ -327,7 +284,7 @@ fn read_lossy<R: std::io::Read, F: FnMut(Analysis)>(
             sink.note(key, &lossy.anomalies);
         }
         if let Some(frame) = &lossy.frame {
-            sink.step(frame)?;
+            sink.step(frame);
         }
     }
     Ok(())
@@ -342,54 +299,13 @@ fn connection_of(lossy: &LossyFrameView<'_>) -> Option<ConnKey> {
     lossy.endpoints.map(|(x, y)| ConnKey::of_endpoints(x, y))
 }
 
-/// Where a source's frames go. Both sinks take the same three
-/// operations, so each source is written once: [`note`](Self::note)
-/// anomalies against a connection, [`step`](Self::step) a frame
-/// (capture order), [`finish`](Self::finish).
-enum Sink<'a, F: FnMut(Analysis)> {
-    Inline(InlineSink<'a, F>),
-    Lanes(ShardCoordinator<F>),
-}
-
-impl<F: FnMut(Analysis)> Sink<'_, F> {
-    /// Charges capture anomalies to a connection: its analysis, when it
-    /// finalizes, carries them into the quarantine verdict.
-    fn note(&mut self, key: ConnKey, anomalies: &[CaptureAnomaly]) {
-        let quality = match self {
-            Sink::Inline(sink) => &mut sink.quality,
-            Sink::Lanes(sink) => &mut sink.quality,
-        };
-        let counts = quality.entry(key).or_default();
-        for anomaly in anomalies {
-            counts.note(anomaly);
-        }
-    }
-
-    fn step(&mut self, frame: &impl FrameLike) -> Result<()> {
-        match self {
-            Sink::Inline(sink) => sink.step(frame),
-            Sink::Lanes(sink) => sink.step(frame)?,
-        }
-        Ok(())
-    }
-
-    /// Ends the run with the source's outcome. A source that read to
-    /// the end finalizes every connection still open, in ordinal order;
-    /// one that failed finalizes nothing further, but whatever it had
-    /// already finalized is still delivered before its error comes
-    /// back.
-    fn finish(self, read: Result<()>) -> Result<()> {
-        match self {
-            Sink::Inline(sink) => sink.finish(read),
-            Sink::Lanes(sink) => sink.finish(read),
-        }
-    }
-}
-
-/// The inline sink: one tracker, one demux and the capture-quality
-/// ledger on the calling thread, each connection analyzed and delivered
-/// the moment it finalizes — so there is never anything to drain.
-struct InlineSink<'a, F> {
+/// Where a source's frames go: one tracker, one demux and the
+/// capture-quality ledger on the calling thread, each connection
+/// analyzed and delivered the moment it finalizes. Each source is
+/// written against its three operations: [`note`](Self::note) anomalies
+/// against a connection, [`step`](Self::step) a frame (capture order),
+/// [`finish`](Self::finish).
+struct Sink<'a, F> {
     analyzer: &'a Analyzer,
     tracker: ConnectionTracker,
     demux: BgpDemux,
@@ -398,7 +314,16 @@ struct InlineSink<'a, F> {
     on_result: F,
 }
 
-impl<F: FnMut(Analysis)> InlineSink<'_, F> {
+impl<F: FnMut(Analysis)> Sink<'_, F> {
+    /// Charges capture anomalies to a connection: its analysis, when it
+    /// finalizes, carries them into the quarantine verdict.
+    fn note(&mut self, key: ConnKey, anomalies: &[CaptureAnomaly]) {
+        let counts = self.quality.entry(key).or_default();
+        for anomaly in anomalies {
+            counts.note(anomaly);
+        }
+    }
+
     fn step(&mut self, frame: &impl FrameLike) {
         self.demux.feed(frame);
         for fin in self.tracker.ingest(frame) {
@@ -415,8 +340,11 @@ impl<F: FnMut(Analysis)> InlineSink<'_, F> {
         (self.on_result)(analysis);
     }
 
-    fn finish(mut self, read: Result<()>) -> Result<()> {
-        read?;
+    /// Ends a run whose source read to the end: every connection still
+    /// open is finalized, in ordinal order. A source that failed skips
+    /// this and finalizes nothing further; whatever it had already
+    /// finalized was delivered as it happened.
+    fn finish(mut self) {
         let tracker = std::mem::replace(
             &mut self.tracker,
             ConnectionTracker::new(TrackerConfig::batch()),
@@ -424,7 +352,6 @@ impl<F: FnMut(Analysis)> InlineSink<'_, F> {
         for fin in tracker.finish() {
             self.deliver(fin);
         }
-        Ok(())
     }
 }
 
@@ -497,65 +424,5 @@ impl BgpDemux {
         } else {
             pair.from_b.extraction()
         })
-    }
-}
-
-/// Restores dispatch order: items arrive tagged with the dense sequence
-/// number they were issued under, in any order, and leave in sequence —
-/// an item is held until every one before it has been emitted.
-#[derive(Debug)]
-pub(crate) struct ReorderBuffer<T> {
-    held: BTreeMap<usize, T>,
-    /// Items emitted so far, which is also the next sequence number due.
-    pub(crate) emitted: usize,
-}
-
-impl<T> ReorderBuffer<T> {
-    pub(crate) fn new() -> ReorderBuffer<T> {
-        ReorderBuffer {
-            held: BTreeMap::new(),
-            emitted: 0,
-        }
-    }
-
-    pub(crate) fn insert(&mut self, seq: usize, item: T, emit: &mut impl FnMut(T)) {
-        self.held.insert(seq, item);
-        while let Some(item) = self.held.remove(&self.emitted) {
-            emit(item);
-            self.emitted += 1;
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use proptest::prelude::*;
-
-    proptest! {
-        /// Any arrival order of `0..n` leaves in sequence, and a missing
-        /// sequence number holds back everything behind it.
-        #[test]
-        fn reorder_buffer_emits_in_dispatch_order(
-            keys in prop::collection::vec(any::<u32>(), 1..40),
-            gap in any::<usize>(),
-        ) {
-            let n = keys.len();
-            let mut arrival: Vec<usize> = (0..n).collect();
-            arrival.sort_by_key(|&seq| keys[seq]);
-            let gap = gap % n;
-
-            let mut reorder = ReorderBuffer::new();
-            let mut out = Vec::new();
-            for &seq in arrival.iter().filter(|&&seq| seq != gap) {
-                reorder.insert(seq, seq, &mut |item| out.push(item));
-            }
-            prop_assert_eq!(&out, &(0..gap).collect::<Vec<_>>());
-            prop_assert_eq!(reorder.emitted, gap);
-
-            reorder.insert(gap, gap, &mut |item| out.push(item));
-            prop_assert_eq!(&out, &(0..n).collect::<Vec<_>>());
-            prop_assert_eq!(reorder.emitted, n);
-        }
     }
 }

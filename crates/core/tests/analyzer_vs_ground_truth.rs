@@ -41,7 +41,7 @@ fn quota_timer_transfer_is_sender_app_limited_with_inferable_timer() {
         },
         TopologyOptions::default(),
     );
-    let analyses = StreamAnalyzer::default().analyze_frames(&frames).unwrap();
+    let analyses = StreamAnalyzer::default().analyze_frames(&frames);
     let analysis = &analyses[0];
     let v = &analysis.vector;
     assert!(
@@ -72,7 +72,7 @@ fn slow_receiver_is_receiver_limited() {
         },
         TopologyOptions::default(),
     );
-    let analyses = StreamAnalyzer::default().analyze_frames(&frames).unwrap();
+    let analyses = StreamAnalyzer::default().analyze_frames(&frames);
     let v = &analyses[0].vector;
     assert!(
         v.receiver > 0.5,
@@ -101,7 +101,7 @@ fn small_max_window_is_tcp_window_limited() {
         },
         topo_opts,
     );
-    let analyses = StreamAnalyzer::default().analyze_frames(&frames).unwrap();
+    let analyses = StreamAnalyzer::default().analyze_frames(&frames);
     let v = &analyses[0].vector;
     assert!(
         v.receiver > 0.3,
@@ -121,7 +121,7 @@ fn downstream_burst_yields_receiver_local_loss_and_episodes() {
         Micros::from_millis(40),
     )]);
     let frames = run(|_| {}, topo_opts);
-    let analyses = StreamAnalyzer::default().analyze_frames(&frames).unwrap();
+    let analyses = StreamAnalyzer::default().analyze_frames(&frames);
     let analysis = &analyses[0];
     assert!(
         analysis.vector.ratio(Factor::ReceiverLocalLoss) > 0.0,
@@ -143,7 +143,7 @@ fn upstream_random_loss_attributed_to_network() {
     let mut topo_opts = TopologyOptions::default();
     topo_opts.access.loss = LossModel::Random { p: 0.03, seed: 5 };
     let frames = run(|_| {}, topo_opts);
-    let analyses = StreamAnalyzer::default().analyze_frames(&frames).unwrap();
+    let analyses = StreamAnalyzer::default().analyze_frames(&frames);
     let v = &analyses[0].vector;
     assert!(
         v.ratio(Factor::NetworkLoss) > 0.0,
@@ -185,7 +185,7 @@ fn zero_window_probe_bug_detected_via_conflicting_series() {
         "the bug must have fired in the simulation"
     );
     let frames = &out.taps[0].1;
-    let analyses = StreamAnalyzer::default().analyze_frames(frames).unwrap();
+    let analyses = StreamAnalyzer::default().analyze_frames(frames);
     let analysis = &analyses[0];
     assert!(
         analysis.zero_ack_bug().is_some(),
@@ -215,7 +215,7 @@ fn sender_side_sniffer_attributes_local_losses_to_sender() {
         sniffer: SnifferLocation::NearSender,
         ..AnalyzerConfig::default()
     });
-    let analyses = near_sender.analyze_frames(&frames).unwrap();
+    let analyses = near_sender.analyze_frames(&frames);
     let v = &analyses[0].vector;
     assert!(
         v.ratio(Factor::SenderLocalLoss) > 0.0,
@@ -229,7 +229,7 @@ fn sender_side_sniffer_attributes_local_losses_to_sender() {
         sniffer: SnifferLocation::Middle,
         ..AnalyzerConfig::default()
     });
-    let analyses = middle.analyze_frames(&frames).unwrap();
+    let analyses = middle.analyze_frames(&frames);
     let v = &analyses[0].vector;
     assert_eq!(v.ratio(Factor::SenderLocalLoss), 0.0);
     assert_eq!(v.ratio(Factor::ReceiverLocalLoss), 0.0);
@@ -290,7 +290,7 @@ fn peer_group_blocking_detected_across_connections() {
     let out = sim.into_output();
     let frames = &out.taps[0].1;
 
-    let analyses = StreamAnalyzer::default().analyze_frames(frames).unwrap();
+    let analyses = StreamAnalyzer::default().analyze_frames(frames);
     assert_eq!(analyses.len(), 2);
     let quagga_analysis = analyses
         .iter()
@@ -326,7 +326,7 @@ fn mid_capture_start_still_analyzable() {
     let frames = run(|_| {}, topo_opts);
     assert!(frames.len() > 60);
     let truncated = &frames[40..]; // drop the SYNs and early flights
-    let analyses = StreamAnalyzer::default().analyze_frames(truncated).unwrap();
+    let analyses = StreamAnalyzer::default().analyze_frames(truncated);
     assert_eq!(analyses.len(), 1);
     let a = &analyses[0];
     // No handshake → no RTT estimate, but the pipeline still works.
@@ -396,9 +396,7 @@ fn peer_group_scan_finds_pairs_automatically() {
     sim.run(Micros::from_secs(600));
     let out = sim.into_output();
 
-    let analyses = StreamAnalyzer::default()
-        .analyze_frames(&out.taps[0].1)
-        .unwrap();
+    let analyses = StreamAnalyzer::default().analyze_frames(&out.taps[0].1);
     let hits = tdat::find_peer_group_blocking_all(&analyses, Micros::from_secs(60));
     assert!(!hits.is_empty(), "scanner must find the blocked pair");
     let (blocked, faulty, incidents) = &hits[0];
@@ -424,7 +422,7 @@ fn report_summarizes_analysis_faithfully() {
         TopologyOptions::default(),
     );
     let engine = StreamAnalyzer::default();
-    let analyses = engine.analyze_frames(&frames).unwrap();
+    let analyses = engine.analyze_frames(&frames);
     let report = tdat::Report::from_analysis(&analyses[0], engine.analyzer().config());
     assert_eq!(report.prefixes, 8_000);
     assert!(report.sender_ratio > 0.5);

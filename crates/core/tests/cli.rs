@@ -79,6 +79,7 @@ fn warning_lines_read_as_one_sentence() {
 fn unknown_flag_is_a_usage_error_in_any_position() {
     assert_usage_error(&["--bogus"], "usage:");
     assert_usage_error(&["x.pcap", "--bogus"], "usage:");
+    assert_usage_error(&["x.pcap", "--shards", "2"], "usage:");
 }
 
 #[test]
@@ -182,9 +183,7 @@ fn synless_capture_with_a_late_first_segment_reads_the_same_everywhere() {
         .and_then(|n| n.parse().ok())
         .unwrap_or_else(|| panic!("no prefix count in: {stdout}"));
 
-    let engine = StreamAnalyzer::default()
-        .analyze_frames(&frames)
-        .expect("in-memory frames");
+    let engine = StreamAnalyzer::default().analyze_frames(&frames);
     let analyzed = engine[0].transfer.as_ref().map_or(0, |t| t.prefix_count);
     let extracted = extract_all(&frames)[0].1.announced_prefixes();
     assert_eq!((analyzed, extracted), (cli, cli));

@@ -124,7 +124,7 @@ proptest! {
         prop_assert_eq!(announced, p.routes, "reliable delivery under {:?}", p);
 
         // Full analysis runs without panicking and with sane outputs.
-        let analyses = StreamAnalyzer::default().analyze_frames(&out.taps[0].1).unwrap();
+        let analyses = StreamAnalyzer::default().analyze_frames(&out.taps[0].1);
         prop_assert_eq!(analyses.len(), 1);
         let a = &analyses[0];
         for (factor, ratio) in a.vector.factors {

@@ -32,8 +32,8 @@
 //! follow live files must therefore re-check the on-disk length (via
 //! [`MappedFile::current_file_len`]) before trusting bytes near the
 //! tail, and treat a shrink as a typed error instead of walking into
-//! the dead zone. The batch analyzer does exactly that; see
-//! `DESIGN.md` § "Batch parallelism" for the full argument.
+//! the dead zone. `tdat_packet::MmapReader` does exactly that, once
+//! per decoded block; see `DESIGN.md` § "Capture ingest".
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 #![warn(missing_docs)]

@@ -273,9 +273,7 @@ pub fn scenario_capture(sc: &OracleScenario) -> Vec<tdat_packet::TcpFrame> {
 
 /// Every connection of a capture, through the one batch pass.
 fn analyze(frames: &[tdat_packet::TcpFrame]) -> Vec<Analysis> {
-    StreamAnalyzer::default()
-        .analyze_frames(frames)
-        .expect("in-memory frames cannot fail")
+    StreamAnalyzer::default().analyze_frames(frames)
 }
 
 fn run_monitored(sc: &OracleScenario) -> ScenarioReport {

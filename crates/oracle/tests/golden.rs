@@ -71,9 +71,7 @@ fn analyze(frames: &[TcpFrame], tracker: TrackerConfig) -> Vec<Analysis> {
         tracker,
         ..Default::default()
     };
-    StreamAnalyzer::with_options(AnalyzerConfig::default(), options)
-        .analyze_frames(frames)
-        .expect("in-memory frames cannot fail")
+    StreamAnalyzer::with_options(AnalyzerConfig::default(), options).analyze_frames(frames)
 }
 
 fn fnv1a(bytes: &[u8]) -> u64 {

@@ -29,7 +29,7 @@
 //! | reader | source | policy | used by |
 //! |---|---|---|---|
 //! | [`PcapReader`] | read window over any `Read` | strict | `t-dat FILE`, tools, tests |
-//! | [`MmapReader`] | the whole mapping (or a buffered copy) | strict | `t-dat --shards N` (block decode) |
+//! | [`MmapReader`] | the whole mapping (or a buffered copy) | strict | block decode: the repository benchmark's `packet.mmap_block` row, tests |
 //! | [`LossyReader`] | read window over any `Read` | lossy | `StreamAnalyzer::analyze_pcap_lossy`, oracle `--chaos`, fuzz corpus |
 //! | [`PcapFollower`] | read window over a growing file | lossy | `t-dat-monitor --follow` / `--sweep` |
 //!

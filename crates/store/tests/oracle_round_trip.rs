@@ -37,7 +37,6 @@ fn matrix_reports() -> Vec<(String, Vec<Report>)> {
                 let engine = StreamAnalyzer::default();
                 let reports: Vec<Report> = engine
                     .analyze_frames(&frames)
-                    .unwrap()
                     .iter()
                     .map(|a| Report::from_analysis(a, engine.analyzer().config()))
                     .collect();

@@ -42,9 +42,8 @@ impl ConnKey {
 /// of a connection map to the same [`ConnKey`] (endpoints are sorted),
 /// so a connection can never split across shards.
 ///
-/// This is the single partition function shared by every sharded
-/// consumer — the monitor's sharded engine and the batch analyzer's
-/// `--shards` mode — so their partitions always agree.
+/// This is the partition function of the monitor's worker lanes
+/// (`t-dat-monitor --shards N`).
 pub fn shard_of(key: &ConnKey, shards: usize) -> usize {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     let mut eat = |bytes: &[u8]| {

@@ -232,8 +232,8 @@ impl ConnectionTracker {
 
     /// Like [`ingest`](Self::ingest), but also returns the ordinal of
     /// the frame's *own* connection — already at hand from the open-map
-    /// entry, saving a router a second lookup per frame on the sharded
-    /// batch hot path. The returned finalizations never include the
+    /// entry, saving the monitor's lane router a second lookup per
+    /// frame. The returned finalizations never include the
     /// frame's own connection, so the ordinal always refers to a
     /// still-open connection.
     pub fn ingest_with_ordinal(

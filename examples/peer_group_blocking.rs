@@ -90,9 +90,7 @@ fn main() {
     }
 
     println!("\n== what T-DAT sees from the pcap alone ==");
-    let analyses = StreamAnalyzer::default()
-        .analyze_frames(&out.taps[0].1)
-        .expect("in-memory frames cannot fail");
+    let analyses = StreamAnalyzer::default().analyze_frames(&out.taps[0].1);
     let quagga_a = analyses
         .iter()
         .find(|a| a.receiver.0 == quagga_addr)

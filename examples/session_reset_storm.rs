@@ -47,9 +47,7 @@ fn main() {
     let frames = &out.taps[0].1;
     println!("one capture, {} frames", frames.len());
 
-    let analyses = StreamAnalyzer::default()
-        .analyze_frames(frames)
-        .expect("in-memory frames cannot fail");
+    let analyses = StreamAnalyzer::default().analyze_frames(frames);
     println!("{} table transfer attempts found:", analyses.len());
     let mut complete = 0;
     for (i, analysis) in analyses.iter().enumerate() {

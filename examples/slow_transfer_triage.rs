@@ -98,9 +98,7 @@ fn main() {
 
     let engine = StreamAnalyzer::default();
     for case in &cases {
-        let analyses = engine
-            .analyze_frames(&case.frames)
-            .expect("in-memory frames cannot fail");
+        let analyses = engine.analyze_frames(&case.frames);
         let analysis = &analyses[0];
         let v = &analysis.vector;
         println!(

@@ -32,9 +32,7 @@ fn main() {
         sim.run(Micros::from_secs(900));
         let out = sim.into_output();
 
-        let analyses = StreamAnalyzer::default()
-            .analyze_frames(&out.taps[0].1)
-            .expect("in-memory frames cannot fail");
+        let analyses = StreamAnalyzer::default().analyze_frames(&out.taps[0].1);
         let analysis = &analyses[0];
         println!("== hidden timer: {timer_ms} ms ==");
         let gaps: Vec<Micros> = analysis.series.send_app_limited.durations().collect();

@@ -85,8 +85,8 @@ fn both_vantages_agree_on_a_sender_limited_transfer() {
         ..AnalyzerConfig::default()
     });
     let near_receiver = StreamAnalyzer::default(); // NearReceiver
-    let a = &near_sender.analyze_frames(&at_sender).unwrap()[0];
-    let b = &near_receiver.analyze_frames(&at_receiver).unwrap()[0];
+    let a = &near_sender.analyze_frames(&at_sender)[0];
+    let b = &near_receiver.analyze_frames(&at_receiver)[0];
     assert_eq!(
         a.vector.dominant_factor(),
         Factor::BgpSenderApp,
