@@ -7,7 +7,9 @@
 //! pass allocates a couple of times per frame, not once per path
 //! attribute, and a flow that is not BGP costs no allocation at all.
 //! Beside the count, a byte tally pins how MCT sizes its set, and that
-//! a monitor tick allocates none: the snapshot pull does.
+//! a monitor tick allocates none: the snapshot pull does. A live-byte
+//! tally pins what an open connection holds: its map entry and its
+//! message log, no segment-sized buffer.
 //!
 //! The counting allocator lives here because the packet crate itself
 //! (rightly) forbids `unsafe`; an integration test is its own crate,
@@ -17,10 +19,11 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::net::Ipv4Addr;
 
-use tdat::StreamAnalyzer;
+use tdat::{BgpDemux, StreamAnalyzer};
 use tdat_bench::{generate_transfer, Dataset, Scenario};
 use tdat_bgp::{
-    find_transfer_end_ref, BgpMessage, MctConfig, MessageLog, TableGenerator, UpdateMessage,
+    find_transfer_end_ref, BgpMessage, MctConfig, MessageLog, OpenMessage, TableGenerator,
+    UpdateMessage,
 };
 use tdat_monitor::{Monitor, MonitorConfig};
 use tdat_packet::{
@@ -43,6 +46,11 @@ thread_local! {
     /// Bytes those allocations asked for (a `realloc` counts its new
     /// size), on the same terms.
     static BYTES: Cell<u64> = const { Cell::new(0) };
+    /// Bytes this thread holds: allocations add their size, a
+    /// `realloc` its growth, a `dealloc` subtracts. Memory freed by a
+    /// thread other than the one that allocated it skews both tallies,
+    /// which no test here does.
+    static LIVE: Cell<i64> = const { Cell::new(0) };
 }
 
 /// Allocations the calling thread has made so far.
@@ -55,6 +63,11 @@ fn allocated_bytes() -> u64 {
     BYTES.with(Cell::get)
 }
 
+/// Bytes the calling thread holds, net of what it freed.
+fn live_bytes() -> i64 {
+    LIVE.with(Cell::get)
+}
+
 fn count_one(size: usize) {
     // `try_with`: a thread may still allocate while its locals are
     // being torn down; those allocations belong to no test.
@@ -62,22 +75,30 @@ fn count_one(size: usize) {
     let _ = BYTES.try_with(|bytes| bytes.set(bytes.get() + size as u64));
 }
 
+fn hold(delta: i64) {
+    let _ = LIVE.try_with(|live| live.set(live.get() + delta));
+}
+
 // SAFETY: delegates every operation to `System`; the counters are the
 // only addition and are thread-local.
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         count_one(layout.size());
+        hold(layout.size() as i64);
         unsafe { System.alloc(layout) }
     }
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         count_one(layout.size());
+        hold(layout.size() as i64);
         unsafe { System.alloc_zeroed(layout) }
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         count_one(new_size);
+        hold(new_size as i64 - layout.size() as i64);
         unsafe { System.realloc(ptr, layout, new_size) }
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        hold(-(layout.size() as i64));
         unsafe { System.dealloc(ptr, layout) }
     }
 }
@@ -478,16 +499,19 @@ fn ticks_over_a_transfer_allocate_no_mct_set() {
 /// 8 000-route transfer through the [`StreamAnalyzer`], its
 /// frames borrowed — decode aside, the whole batch pass: tracker,
 /// reassembly into the message log, MCT, labelling, series, factors.
-/// Measured (debug and release, repeating exactly): 299 allocations
-/// over the transfer's 173 frames, 1.7 per frame, most of them the
-/// per-connection analysis (305 while MCT grew its set from empty in 7
-/// allocations, where it now makes one); when reassembly kept an owned
-/// `BgpMessage` tree per message the same pass made 19 363, 112 per
-/// frame. That path still exists for the `pcap2bgp` tool, and guards
-/// the test: `extract_all` over the same frames — the same tracker and
-/// the same reassembler, keeping whole messages — makes 19 109, 110 per
-/// frame; if the counter stopped seeing reassembly, the second
-/// assertion would fail first.
+/// Measured (debug and release, repeating exactly): 140 allocations
+/// over the transfer's 173 frames, 0.81 per frame, most of them the
+/// per-connection analysis — the same count whether or not the framing
+/// buffer is released when a feed frames it empty, since a message
+/// straddles nearly every segment boundary of a transfer (it read 299
+/// while the analysis made more, 305 while MCT grew its set from empty
+/// in 7 allocations, where it now makes one); when reassembly kept an
+/// owned `BgpMessage` tree per message the same pass made 19 363, 112
+/// per frame. That path still exists for the `pcap2bgp` tool, and
+/// guards the test: `extract_all` over the same frames — the same
+/// tracker and the same reassembler, keeping whole messages — makes
+/// 19 108, 110 per frame; if the counter stopped seeing reassembly, the
+/// second assertion would fail first.
 #[test]
 fn batch_pass_allocates_a_few_times_per_frame() {
     const PER_FRAME: u64 = 3;
@@ -540,8 +564,8 @@ fn non_bgp_payload_allocates_nothing() {
     let mut extractor = StreamExtractor::new();
     extractor.anchor(1);
     let mut seq = 1u32;
-    // Warm-up: two segments size the reassembler's ready buffer and
-    // the framing buffer (one segment plus a carried-over tail).
+    // Warm-up: two segments size the framing buffer (one segment plus
+    // a carried-over tail, which a rejected flow always leaves).
     for _ in 0..2 {
         extractor.push(Micros(0), seq, TcpFlags::ACK, &[0xAB; SEGMENT]);
         seq += SEGMENT as u32;
@@ -557,6 +581,113 @@ fn non_bgp_payload_allocates_nothing() {
     assert_eq!(extractor.messages_decoded(), 0);
     let skipped = extractor.extraction().unparsed_bytes + extractor.buffered_bytes() as u64;
     assert_eq!(skipped, (2 * SEGMENT + payload.len()) as u64);
+}
+
+/// One short BGP session on endpoints of its own, numbered `i`:
+/// handshake, then OPEN, KEEPALIVE and a `routes`-route table from the
+/// router in 1 448-byte segments, then its FIN. Returns the frames and
+/// the messages the router sent.
+fn short_session(i: usize, routes: usize) -> (Vec<TcpFrame>, usize) {
+    let router = Ipv4Addr::new(10, 60, (i >> 8) as u8, i as u8);
+    let collector = Ipv4Addr::new(172, 20, (i >> 8) as u8, i as u8);
+    let updates = TableGenerator::new(i as u64)
+        .routes(routes)
+        .generate()
+        .to_updates();
+    let mut stream = BgpMessage::Open(OpenMessage::new(65_001, 180, router)).to_bytes();
+    stream.extend(BgpMessage::Keepalive.to_bytes());
+    for update in &updates {
+        stream.extend(BgpMessage::Update(update.clone()).to_bytes());
+    }
+    let t0 = Micros(i as i64 * 10_000);
+    let out = FrameBuilder::new(router, collector).ports(179, 40_000);
+    let back = FrameBuilder::new(collector, router).ports(40_000, 179);
+    let mut frames = vec![
+        out.clone().at(t0).seq(0).flags(TcpFlags::SYN).build(),
+        back.clone()
+            .at(t0 + Micros(100))
+            .seq(0)
+            .ack_to(1)
+            .flags(TcpFlags::SYN | TcpFlags::ACK)
+            .build(),
+    ];
+    let mut seq = 1u32;
+    for (n, segment) in stream.chunks(1448).enumerate() {
+        frames.push(
+            out.clone()
+                .at(t0 + Micros(200 + n as i64 * 50))
+                .seq(seq)
+                .ack_to(1)
+                .flags(TcpFlags::ACK)
+                .payload(segment.to_vec())
+                .build(),
+        );
+        seq += segment.len() as u32;
+    }
+    frames.push(
+        out.at(t0 + Micros(5_000))
+            .seq(seq)
+            .ack_to(1)
+            .flags(TcpFlags::FIN | TcpFlags::ACK)
+            .build(),
+    );
+    (frames, 2 + updates.len())
+}
+
+/// Bytes a [`BgpDemux`] holds after `frames`, none of them taken.
+fn held_by_demux(frames: &[TcpFrame]) -> i64 {
+    let before = live_bytes();
+    let mut demux = BgpDemux::new();
+    for frame in frames {
+        demux.feed(frame);
+    }
+    live_bytes() - before
+}
+
+/// What an open connection holds, as a law: its map entry, and its
+/// message log — 16-byte rows and the 8-byte prefix arena, each at most
+/// twice its length (or four entries) as a `Vec` grows — and nothing
+/// else. 300 short sessions of 90–110 routes go through one
+/// [`BgpDemux`] and are never taken; the map is measured apart, from
+/// the same connections' SYNs alone. Measured (debug and release,
+/// repeating exactly): the 300 sessions hold 734 224 bytes, 2 447 per
+/// connection; the map is 221 712 of them (739 per connection) and the
+/// logs 512 512 (1 708), against a law of 2 599 per connection. While
+/// the reassembler staged contiguous bytes in a buffer of its own and
+/// the framing buffer kept its capacity once empty, the same sessions
+/// held 1 627 600 bytes: the logs' share was 4 604 per connection, two
+/// 1 448-byte segments more, and the map 246 288, the staging buffer's
+/// 24-byte header in each of an entry's two streams.
+#[test]
+fn open_connection_holds_its_log_and_no_segment() {
+    const SESSIONS: usize = 300;
+    let mut frames = Vec::new();
+    let mut law = 0usize;
+    let mut prefixes = 0usize;
+    for i in 0..SESSIONS {
+        let routes = 90 + i % 21;
+        let (session, messages) = short_session(i, routes);
+        frames.extend(session);
+        law += 16 * (2 * messages).max(4) + 8 * (2 * routes).max(4);
+        prefixes += routes;
+    }
+    let syns: Vec<TcpFrame> = frames
+        .iter()
+        .filter(|f| f.tcp.flags.contains(TcpFlags::SYN))
+        .cloned()
+        .collect();
+    let map = held_by_demux(&syns);
+    let logs = held_by_demux(&frames) - map;
+    assert!(map > 0, "the map is counted");
+    assert!(
+        logs >= (8 * prefixes) as i64,
+        "the arena alone is 8 bytes per prefix ({logs} bytes held beyond the map)"
+    );
+    assert!(
+        logs <= law as i64,
+        "{SESSIONS} open connections hold {logs} bytes beyond their map entries, \
+         more than their logs' {law}: a buffer outlived its bytes"
+    );
 }
 
 /// A log of a `routes`-route table as the generator packs it, then

@@ -30,10 +30,12 @@
 //! Frame payloads are dropped as soon as they are ingested. What is
 //! held is, per open connection, one fixed-size metadata record per
 //! frame and the message log (16 bytes per BGP message, 8 per announced
-//! prefix) plus bounded reassembly buffers. By default every connection
-//! stays open to its last frame ([`StreamOptions::tracker`]), so memory
-//! grows with the input's frame count; a [`TrackerConfig::streaming`]
-//! engine finalizes on close or idle and holds only what is still open.
+//! prefix), plus whatever reassembly has parked out of order (bounded)
+//! and at most one partial message per direction. By default every
+//! connection stays open to its last frame
+//! ([`StreamOptions::tracker`]), so memory grows with the input's frame
+//! count; a [`TrackerConfig::streaming`] engine finalizes on close or
+//! idle and holds only what is still open.
 
 use std::collections::HashMap;
 use std::path::Path;
@@ -363,8 +365,11 @@ impl<F: FnMut(Analysis)> Sink<'_, F> {
 /// [`take`](BgpDemux::take). What is kept per message is the flat
 /// [`MessageLog`](tdat_bgp::MessageLog) — a row and the announced
 /// prefixes, which is all the analysis reads — so an open connection
-/// holds 16 bytes per message and 8 per announced prefix until it is
-/// taken. Live monitors that diagnose still-open connections borrow
+/// holds its map entry, 16 bytes per message and 8 per announced
+/// prefix until it is taken, and beside them only out-of-order data
+/// still parked and a partial message still straddling segments: no
+/// segment-sized buffer is kept once a segment's messages are framed.
+/// Live monitors that diagnose still-open connections borrow
 /// that state with [`snapshot`](BgpDemux::snapshot), which copies
 /// nothing and leaves the streams in place.
 #[derive(Debug, Default)]

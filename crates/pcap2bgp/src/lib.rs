@@ -52,18 +52,18 @@ use tdat_trace::TcpConnection;
 
 /// An in-order TCP byte-stream reassembler.
 ///
-/// Feed it segments in *capture* order (any sequence order); it emits
-/// the contiguous byte stream, discarding retransmitted overlap and
-/// holding out-of-order data until the gap fills. Works online: bytes
-/// can be taken incrementally with [`take_ready`](Self::take_ready).
+/// Feed it segments in *capture* order (any sequence order). Each
+/// [`push`](Self::push) appends the bytes it made contiguous to a
+/// buffer the caller passes, discards retransmitted overlap and parks
+/// out-of-order data until the gap fills. It keeps no copy of the
+/// contiguous stream: what it holds is the parked data.
 #[derive(Debug)]
 pub struct StreamReassembler {
     /// Next expected sequence number (`None` until anchored).
     next_seq: Option<u32>,
-    /// Out-of-order segments keyed by start seq.
+    /// Out-of-order segments keyed by start seq. Between pushes every
+    /// key is ahead of the stream head.
     pending: BTreeMap<u32, Vec<u8>>,
-    /// Reassembled contiguous bytes not yet taken.
-    ready: Vec<u8>,
     /// Total contiguous bytes ever emitted.
     emitted: u64,
     /// Count of duplicate/overlap bytes discarded.
@@ -104,7 +104,6 @@ impl StreamReassembler {
         StreamReassembler {
             next_seq: None,
             pending: BTreeMap::new(),
-            ready: Vec::new(),
             emitted: 0,
             duplicate_bytes: 0,
             pending_bytes: 0,
@@ -118,54 +117,64 @@ impl StreamReassembler {
         self.next_seq.get_or_insert(seq);
     }
 
-    /// Pushes one segment's payload at `seq`.
-    pub fn push(&mut self, seq: u32, payload: &[u8]) {
+    /// Pushes one segment's payload at `seq`, appending the bytes it
+    /// makes contiguous — its own fresh bytes, then any parked data
+    /// they reach — to `out`.
+    pub fn push(&mut self, seq: u32, payload: &[u8], out: &mut Vec<u8>) {
+        if self.place(seq, payload, out) {
+            self.drain_pending(out);
+        }
+    }
+
+    /// Accepts, discards or parks one segment. Returns whether the
+    /// stream head moved: only then can parked data have come within
+    /// reach, since every parked key is ahead of the head between
+    /// pushes.
+    fn place(&mut self, seq: u32, payload: &[u8], out: &mut Vec<u8>) -> bool {
         if payload.is_empty() {
-            return;
+            return false;
         }
         let next = *self.next_seq.get_or_insert(seq);
         let offset = seq_diff(next, seq); // how far seq lags the stream head
         if offset >= payload.len() as i64 {
             // Entirely old: a pure retransmission.
             self.duplicate_bytes += payload.len() as u64;
-            return;
+            return false;
         }
-        if offset > 0 {
-            // Partial overlap: keep the fresh tail.
+        if offset >= 0 {
+            // At the head, or a partial overlap: keep the fresh tail.
             self.duplicate_bytes += offset as u64;
-            self.accept_at_head(&payload[offset as usize..]);
-        } else if offset == 0 {
-            self.accept_at_head(payload);
-        } else {
-            // Future data: park it.
-            match self.pending.get(&seq) {
-                Some(existing) if existing.len() >= payload.len() => {
-                    self.duplicate_bytes += payload.len() as u64;
+            self.accept_at_head(&payload[offset as usize..], out);
+            return true;
+        }
+        // Future data: park it.
+        match self.pending.get(&seq) {
+            Some(existing) if existing.len() >= payload.len() => {
+                self.duplicate_bytes += payload.len() as u64;
+            }
+            _ => {
+                self.pending_bytes += payload.len();
+                if let Some(old) = self.pending.insert(seq, payload.to_vec()) {
+                    self.pending_bytes -= old.len();
+                    self.duplicate_bytes += old.len() as u64;
                 }
-                _ => {
-                    self.pending_bytes += payload.len();
-                    if let Some(old) = self.pending.insert(seq, payload.to_vec()) {
-                        self.pending_bytes -= old.len();
-                        self.duplicate_bytes += old.len() as u64;
-                    }
-                    // Bound memory under pathological holes: evict the
-                    // parked data farthest ahead of the stream head
-                    // (an adversarial flood lands far from the head;
-                    // near-head data is about to drain).
-                    while self.pending_bytes > self.pending_cap {
-                        let Some(victim) = self.farthest_pending(next) else {
-                            break;
-                        };
-                        let Some(dropped) = self.pending.remove(&victim) else {
-                            break;
-                        };
-                        self.pending_bytes -= dropped.len();
-                        self.overflow_bytes += dropped.len() as u64;
-                    }
+                // Bound memory under pathological holes: evict the
+                // parked data farthest ahead of the stream head
+                // (an adversarial flood lands far from the head;
+                // near-head data is about to drain).
+                while self.pending_bytes > self.pending_cap {
+                    let Some(victim) = self.farthest_pending(next) else {
+                        break;
+                    };
+                    let Some(dropped) = self.pending.remove(&victim) else {
+                        break;
+                    };
+                    self.pending_bytes -= dropped.len();
+                    self.overflow_bytes += dropped.len() as u64;
                 }
             }
         }
-        self.drain_pending();
+        false
     }
 
     /// The parked key farthest ahead of `next` in wrapped sequence
@@ -193,8 +202,8 @@ impl StreamReassembler {
         }
         .map(|(k, _)| *k);
         future.or_else(|| {
-            // Only past/overlapping keys remain (rare: the stale sweep
-            // usually clears them); evict the most-negative offset.
+            // Only past/overlapping keys remain (rare: the drain clears
+            // them); evict the most-negative offset.
             self.pending
                 .keys()
                 .min_by_key(|k| seq_diff(**k, next))
@@ -202,66 +211,55 @@ impl StreamReassembler {
         })
     }
 
-    fn accept_at_head(&mut self, bytes: &[u8]) {
+    fn accept_at_head(&mut self, bytes: &[u8], out: &mut Vec<u8>) {
         let Some(next) = self.next_seq else {
             return; // unanchored: push() always anchors before this
         };
-        self.ready.extend_from_slice(bytes);
+        out.extend_from_slice(bytes);
         self.emitted += bytes.len() as u64;
         self.next_seq = Some(next.wrapping_add(bytes.len() as u32));
     }
 
-    fn drain_pending(&mut self) {
-        loop {
-            let Some(next) = self.next_seq else { return };
-            // A parked segment is usable if it starts at or before the
-            // stream head and extends beyond it.
-            let usable = self
-                .pending
-                .iter()
-                .find(|(k, v)| {
-                    let off = seq_diff(next, **k);
-                    off >= 0 && off < v.len() as i64
-                })
-                .map(|(k, _)| *k);
-            let Some(start) = usable else { break };
+    /// Moves parked data the stream head has reached to `out`, and
+    /// discards parked data it has passed. Only keys at or behind the
+    /// head are visited, lowest key first: a parked segment there either
+    /// extends beyond the head — the next bytes — or lies wholly behind
+    /// it, a duplicate.
+    fn drain_pending(&mut self, out: &mut Vec<u8>) {
+        while let Some(next) = self.next_seq {
+            let Some((&start, data)) = self.behind_head(next).next() else {
+                return;
+            };
+            let offset = seq_diff(next, start) as usize; // ≥ 0: behind the head
+            let usable = offset < data.len();
             let Some(data) = self.pending.remove(&start) else {
-                break;
+                return;
             };
             self.pending_bytes -= data.len();
-            let offset = seq_diff(next, start);
-            if offset > 0 {
+            if usable {
                 self.duplicate_bytes += offset as u64;
-            }
-            self.accept_at_head(&data[offset.max(0) as usize..]);
-        }
-        // Discard parked segments the stream head has passed entirely.
-        let Some(next) = self.next_seq else { return };
-        let stale: Vec<u32> = self
-            .pending
-            .iter()
-            .filter(|(k, v)| seq_diff(next, **k) >= v.len() as i64)
-            .map(|(k, _)| *k)
-            .collect();
-        for k in stale {
-            if let Some(dropped) = self.pending.remove(&k) {
-                self.pending_bytes -= dropped.len();
-                self.duplicate_bytes += dropped.len() as u64;
+                self.accept_at_head(&data[offset..], out);
+            } else {
+                self.duplicate_bytes += data.len() as u64;
             }
         }
     }
 
-    /// Takes the reassembled bytes accumulated so far.
-    pub fn take_ready(&mut self) -> Vec<u8> {
-        std::mem::take(&mut self.ready)
-    }
-
-    /// Appends the reassembled bytes accumulated so far to `out` and
-    /// clears the internal ready buffer, retaining its capacity. The
-    /// per-segment drain path: after warm-up neither buffer reallocates.
-    pub fn take_ready_into(&mut self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&self.ready);
-        self.ready.clear();
+    /// Parked segments whose key is at or behind `next` — at most
+    /// 2^31 − 1 bytes back, where [`seq_diff`] turns negative — in
+    /// ascending key order. The window is one key range, or two where
+    /// it wraps past zero (as in [`farthest_pending`](Self::farthest_pending)).
+    fn behind_head(&self, next: u32) -> impl Iterator<Item = (&u32, &Vec<u8>)> {
+        let oldest = next.wrapping_sub(i32::MAX as u32);
+        let (low, high) = if oldest <= next {
+            (oldest..=next, None)
+        } else {
+            (0..=next, Some(oldest..=u32::MAX))
+        };
+        let pending = &self.pending;
+        pending
+            .range(low)
+            .chain(high.into_iter().flat_map(move |keys| pending.range(keys)))
     }
 
     /// Contiguous bytes emitted over the reassembler's lifetime.
@@ -354,7 +352,10 @@ impl Extraction {
 /// and at most one partial message. Growing, until the extraction is
 /// taken: what is kept of every message framed so far — with the
 /// default [`MessageLog`], one 16-byte row per message plus 8 bytes per
-/// announced prefix.
+/// announced prefix. Nothing else: the reassembler appends an in-order
+/// segment straight into the framing buffer, its one copy, and that
+/// buffer is released whenever a feed frames every byte in it, so a
+/// stream that is between messages holds no segment-sized capacity.
 #[derive(Debug, Default)]
 pub struct StreamExtractor<K = MessageLog> {
     reasm: StreamReassembler,
@@ -365,7 +366,8 @@ pub struct StreamExtractor<K = MessageLog> {
     prebuf: Vec<(Micros, u32, Vec<u8>)>,
     /// Bytes currently held in `prebuf`.
     prebuf_bytes: usize,
-    /// Contiguous bytes not yet framed as a whole message.
+    /// Contiguous bytes not yet framed as a whole message: empty, with
+    /// no capacity, whenever the stream is between messages.
     buffer: Vec<u8>,
     /// The extraction so far: messages and unparsed bytes accumulate
     /// here, the reassembler's byte counters are copied in after every
@@ -455,11 +457,10 @@ impl<K: KeptMessages> StreamExtractor<K> {
         if payload.is_empty() {
             return;
         }
-        self.reasm.push(seq, payload);
+        let before = self.buffer.len();
+        self.reasm.push(seq, payload, &mut self.buffer);
         self.so_far.duplicate_bytes = self.reasm.duplicate_bytes();
         self.so_far.overflow_bytes = self.reasm.overflow_bytes();
-        let before = self.buffer.len();
-        self.reasm.take_ready_into(&mut self.buffer);
         if self.buffer.len() == before {
             return;
         }
@@ -486,8 +487,14 @@ impl<K: KeptMessages> StreamExtractor<K> {
                 }
             }
         }
-        let consumed = self.buffer.len() - cursor.len();
-        self.buffer.drain(..consumed);
+        if cursor.is_empty() {
+            // Every byte framed: between segments a stream holds no
+            // framing capacity, only a partial message when one is left.
+            self.buffer = Vec::new();
+        } else {
+            let consumed = self.buffer.len() - cursor.len();
+            self.buffer.drain(..consumed);
+        }
     }
 
     /// Messages framed so far.
@@ -592,9 +599,10 @@ mod tests {
     #[test]
     fn reassembler_in_order() {
         let mut r = StreamReassembler::new();
-        r.push(100, b"hello ");
-        r.push(106, b"world");
-        assert_eq!(r.take_ready(), b"hello world");
+        let mut out = Vec::new();
+        r.push(100, b"hello ", &mut out);
+        r.push(106, b"world", &mut out);
+        assert_eq!(out, b"hello world");
         assert_eq!(r.emitted(), 11);
         assert_eq!(r.duplicate_bytes(), 0);
     }
@@ -603,23 +611,25 @@ mod tests {
     fn reassembler_out_of_order_and_retransmission() {
         let mut r = StreamReassembler::new();
         r.anchor(100);
-        r.push(106, b"world"); // future
-        assert!(r.take_ready().is_empty());
+        let mut out = Vec::new();
+        r.push(106, b"world", &mut out); // future
+        assert!(out.is_empty());
         assert_eq!(r.pending_bytes(), 5);
-        r.push(100, b"hello ");
-        assert_eq!(r.take_ready(), b"hello world");
-        r.push(100, b"hello "); // pure retransmission
-        assert!(r.take_ready().is_empty());
+        r.push(100, b"hello ", &mut out);
+        assert_eq!(out, b"hello world");
+        r.push(100, b"hello ", &mut out); // pure retransmission
+        assert_eq!(out, b"hello world");
         assert_eq!(r.duplicate_bytes(), 6);
     }
 
     #[test]
     fn reassembler_partial_overlap() {
         let mut r = StreamReassembler::new();
-        r.push(100, b"abcd");
+        let mut out = Vec::new();
+        r.push(100, b"abcd", &mut out);
         // Overlapping retransmission carrying two fresh bytes.
-        r.push(102, b"cdEF");
-        assert_eq!(r.take_ready(), b"abcdEF");
+        r.push(102, b"cdEF", &mut out);
+        assert_eq!(out, b"abcdEF");
         assert_eq!(r.duplicate_bytes(), 2);
     }
 
@@ -627,10 +637,11 @@ mod tests {
     fn reassembler_overlapping_future_segments() {
         let mut r = StreamReassembler::new();
         r.anchor(0);
-        r.push(10, b"KLMNO");
-        r.push(5, b"FGHIJ");
-        r.push(0, b"ABCDE");
-        assert_eq!(r.take_ready(), b"ABCDEFGHIJKLMNO");
+        let mut out = Vec::new();
+        r.push(10, b"KLMNO", &mut out);
+        r.push(5, b"FGHIJ", &mut out);
+        r.push(0, b"ABCDE", &mut out);
+        assert_eq!(out, b"ABCDEFGHIJKLMNO");
     }
 
     #[test]
@@ -638,9 +649,10 @@ mod tests {
         let mut r = StreamReassembler::new();
         let start = u32::MAX - 2;
         r.anchor(start);
-        r.push(start, b"abc"); // occupies MAX-2..=MAX, next wraps to 0
-        r.push(0, b"def");
-        assert_eq!(r.take_ready(), b"abcdef");
+        let mut out = Vec::new();
+        r.push(start, b"abc", &mut out); // occupies MAX-2..=MAX, next wraps to 0
+        r.push(0, b"def", &mut out);
+        assert_eq!(out, b"abcdef");
     }
 
     #[test]
@@ -824,15 +836,15 @@ mod tests {
     fn reassembler_cap_drops_lowest_parked_segments() {
         let mut r = StreamReassembler::with_pending_cap(1024);
         r.anchor(0);
+        let mut out = Vec::new();
         // Flood of future segments behind an unfillable hole at seq 0.
         for i in 0..8u32 {
-            r.push(1_000 + i * 512, &[b'x'; 512]);
+            r.push(1_000 + i * 512, &[b'x'; 512], &mut out);
         }
         assert!(r.pending_bytes() <= 1024, "{}", r.pending_bytes());
         assert!(r.overflow_bytes() > 0);
         // Filling the hole still drains whatever survived, no panic.
-        r.push(0, &[b'y'; 1_000]);
-        let out = r.take_ready();
+        r.push(0, &[b'y'; 1_000], &mut out);
         assert!(out.len() >= 1_000);
     }
 
@@ -842,11 +854,12 @@ mod tests {
         // head is about to reach must survive when it fits the cap.
         let mut r = StreamReassembler::with_pending_cap(64);
         r.anchor(0);
-        r.push(10, b"near-head");
-        r.push(5_000, &[b'z'; 200]); // far segment blows the cap
+        let mut out = Vec::new();
+        r.push(10, b"near-head", &mut out);
+        r.push(5_000, &[b'z'; 200], &mut out); // far segment blows the cap
         assert!(r.pending_bytes() <= 64);
-        r.push(0, b"0123456789");
-        assert_eq!(r.take_ready(), b"0123456789near-head");
+        r.push(0, b"0123456789", &mut out);
+        assert_eq!(out, b"0123456789near-head");
     }
 
     #[test]
@@ -871,6 +884,41 @@ mod tests {
         assert_eq!(out.unparsed_bytes, 0);
     }
 
+    /// One push as the reassembler made it before the drain looked
+    /// parked segments up by range: the segment is placed the same way,
+    /// then, whatever the head did, the whole map is scanned for the
+    /// first segment in key order that reaches past the head until none
+    /// is left, and a second scan sweeps every segment the head has
+    /// passed.
+    fn push_by_scan(r: &mut StreamReassembler, seq: u32, payload: &[u8], out: &mut Vec<u8>) {
+        r.place(seq, payload, out);
+        let Some(mut next) = r.next_seq else { return };
+        while let Some(start) = r
+            .pending
+            .iter()
+            .find(|(k, v)| (0..v.len() as i64).contains(&seq_diff(next, **k)))
+            .map(|(k, _)| *k)
+        {
+            let data = r.pending.remove(&start).expect("found in the map");
+            r.pending_bytes -= data.len();
+            let offset = seq_diff(next, start) as usize;
+            r.duplicate_bytes += offset as u64;
+            r.accept_at_head(&data[offset..], out);
+            next = r.next_seq.expect("anchored");
+        }
+        let stale: Vec<u32> = r
+            .pending
+            .iter()
+            .filter(|(k, v)| seq_diff(next, **k) >= v.len() as i64)
+            .map(|(k, _)| *k)
+            .collect();
+        for k in stale {
+            let dropped = r.pending.remove(&k).expect("found in the map");
+            r.pending_bytes -= dropped.len();
+            r.duplicate_bytes += dropped.len() as u64;
+        }
+    }
+
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
 
@@ -890,12 +938,13 @@ mod tests {
                 let start = base.wrapping_add(offset);
                 let mut r = StreamReassembler::with_pending_cap(2_048);
                 r.anchor(start);
+                let mut out = Vec::new();
                 for (rel, len) in &segs {
                     let payload = vec![0xAB; *len];
-                    r.push(start.wrapping_add(*rel), &payload);
+                    r.push(start.wrapping_add(*rel), &payload, &mut out);
                 }
                 (
-                    r.take_ready().len(),
+                    out.len(),
                     r.emitted(),
                     r.duplicate_bytes(),
                     r.overflow_bytes(),
@@ -906,6 +955,42 @@ mod tests {
             let shifted = run(1 << 31);
             proptest::prop_assert_eq!(plain, shifted);
             proptest::prop_assert!(plain.4 <= 2_048);
+        }
+
+        /// Satellite: the drain looks up only the keys at or behind the
+        /// stream head, yet chooses what a scan of every parked segment
+        /// chooses. Segments carry bytes that name the push, so taking
+        /// a different one of two overlapping segments shows in the
+        /// output; holes, overlaps, stale parked data, a cap that evicts
+        /// and a head that crosses the 2^32 wrap are all generated.
+        #[test]
+        fn range_drain_matches_scan_reference(
+            base in proptest::prelude::any::<u32>(),
+            near_wrap in proptest::prelude::any::<bool>(),
+            cap in proptest::prop_oneof![
+                proptest::prelude::Just(256usize),
+                proptest::prelude::Just(2_048),
+                proptest::prelude::Just(MAX_PENDING_BYTES),
+            ],
+            segs in proptest::prop::collection::vec((-2_000i64..6_000, 1usize..700), 1..80),
+        ) {
+            let start = if near_wrap { 0u32.wrapping_sub(base % 6_000) } else { base };
+            let mut fast = StreamReassembler::with_pending_cap(cap);
+            let mut scan = StreamReassembler::with_pending_cap(cap);
+            fast.anchor(start);
+            scan.anchor(start);
+            let (mut fast_out, mut scan_out) = (Vec::new(), Vec::new());
+            for (n, (rel, len)) in segs.iter().enumerate() {
+                let seq = start.wrapping_add(*rel as u32);
+                let payload: Vec<u8> = (0..*len).map(|i| (i as u8) ^ (n as u8).rotate_left(3)).collect();
+                fast.push(seq, &payload, &mut fast_out);
+                push_by_scan(&mut scan, seq, &payload, &mut scan_out);
+                proptest::prop_assert_eq!(&fast_out, &scan_out);
+                proptest::prop_assert_eq!(
+                    (fast.emitted(), fast.duplicate_bytes(), fast.overflow_bytes(), fast.pending_bytes()),
+                    (scan.emitted(), scan.duplicate_bytes(), scan.overflow_bytes(), scan.pending_bytes())
+                );
+            }
         }
     }
 

@@ -2,13 +2,21 @@
 //! duplication of a valid BGP byte stream reassembles to exactly the
 //! original message sequence — whichever of the two kept-message types
 //! the extractor fills — and a stream that is only partly BGP resyncs
-//! exactly as a byte-at-a-time retry loop would.
+//! exactly as a byte-at-a-time retry loop would. The reassembler, which
+//! appends straight into its caller's buffer, emits what the two-buffer
+//! reassembler it replaced emitted, byte for byte and counter for
+//! counter.
+//!
+//! The case count is proptest's default, so `PROPTEST_CASES` scales it.
 
 use proptest::prelude::*;
+use std::collections::BTreeMap;
 use std::net::Ipv4Addr;
 use tdat_bgp::{BgpMessage, KeptMessages, MessageLog, TableGenerator, WholeMessages};
-use tdat_packet::{FrameBuilder, TcpFlags, TcpFrame};
-use tdat_pcap2bgp::{extract_all, Extraction, StreamExtractor, StreamReassembler};
+use tdat_packet::{seq_diff, FrameBuilder, TcpFlags, TcpFrame};
+use tdat_pcap2bgp::{
+    extract_all, Extraction, StreamExtractor, StreamReassembler, MAX_PENDING_BYTES,
+};
 use tdat_timeset::Micros;
 
 fn frame(t: i64, seq: u32, payload: Vec<u8>) -> TcpFrame {
@@ -34,6 +42,190 @@ fn extract_incrementally(frames: &[TcpFrame]) -> Result<Extraction<WholeMessages
     let whole = whole.finish();
     prop_assert_eq!(log.finish(), whole.to_log());
     Ok(whole)
+}
+
+/// The reassembler as it was before it appended into its caller's
+/// buffer, kept as the byte-stream reference: contiguous bytes are
+/// staged in `staged` and taken after each push, and the drain scans
+/// every parked segment.
+struct TwoBufferReassembler {
+    next_seq: Option<u32>,
+    pending: BTreeMap<u32, Vec<u8>>,
+    staged: Vec<u8>,
+    emitted: u64,
+    duplicate_bytes: u64,
+    pending_bytes: usize,
+    pending_cap: usize,
+    overflow_bytes: u64,
+}
+
+impl TwoBufferReassembler {
+    fn with_pending_cap(cap: usize) -> TwoBufferReassembler {
+        TwoBufferReassembler {
+            next_seq: None,
+            pending: BTreeMap::new(),
+            staged: Vec::new(),
+            emitted: 0,
+            duplicate_bytes: 0,
+            pending_bytes: 0,
+            pending_cap: cap.max(1),
+            overflow_bytes: 0,
+        }
+    }
+
+    fn anchor(&mut self, seq: u32) {
+        self.next_seq.get_or_insert(seq);
+    }
+
+    fn push(&mut self, seq: u32, payload: &[u8]) {
+        if payload.is_empty() {
+            return;
+        }
+        let next = *self.next_seq.get_or_insert(seq);
+        let offset = seq_diff(next, seq);
+        if offset >= payload.len() as i64 {
+            self.duplicate_bytes += payload.len() as u64;
+            return;
+        }
+        if offset > 0 {
+            self.duplicate_bytes += offset as u64;
+            self.accept_at_head(&payload[offset as usize..]);
+        } else if offset == 0 {
+            self.accept_at_head(payload);
+        } else {
+            match self.pending.get(&seq) {
+                Some(existing) if existing.len() >= payload.len() => {
+                    self.duplicate_bytes += payload.len() as u64;
+                }
+                _ => {
+                    self.pending_bytes += payload.len();
+                    if let Some(old) = self.pending.insert(seq, payload.to_vec()) {
+                        self.pending_bytes -= old.len();
+                        self.duplicate_bytes += old.len() as u64;
+                    }
+                    while self.pending_bytes > self.pending_cap {
+                        let Some(victim) = self.farthest_pending(next) else {
+                            break;
+                        };
+                        let Some(dropped) = self.pending.remove(&victim) else {
+                            break;
+                        };
+                        self.pending_bytes -= dropped.len();
+                        self.overflow_bytes += dropped.len() as u64;
+                    }
+                }
+            }
+        }
+        self.drain_pending();
+    }
+
+    fn farthest_pending(&self, next: u32) -> Option<u32> {
+        let horizon = next.wrapping_add(1 << 31);
+        let future = match next.checked_add(1) {
+            Some(lo) if lo < horizon => self.pending.range(lo..horizon).next_back(),
+            Some(lo) => self
+                .pending
+                .range(..horizon)
+                .next_back()
+                .or_else(|| self.pending.range(lo..).next_back()),
+            None => self.pending.range(..horizon).next_back(),
+        }
+        .map(|(k, _)| *k);
+        future.or_else(|| {
+            self.pending
+                .keys()
+                .min_by_key(|k| seq_diff(**k, next))
+                .copied()
+        })
+    }
+
+    fn accept_at_head(&mut self, bytes: &[u8]) {
+        let Some(next) = self.next_seq else {
+            return;
+        };
+        self.staged.extend_from_slice(bytes);
+        self.emitted += bytes.len() as u64;
+        self.next_seq = Some(next.wrapping_add(bytes.len() as u32));
+    }
+
+    fn drain_pending(&mut self) {
+        loop {
+            let Some(next) = self.next_seq else { return };
+            let usable = self
+                .pending
+                .iter()
+                .find(|(k, v)| {
+                    let off = seq_diff(next, **k);
+                    off >= 0 && off < v.len() as i64
+                })
+                .map(|(k, _)| *k);
+            let Some(start) = usable else { break };
+            let Some(data) = self.pending.remove(&start) else {
+                break;
+            };
+            self.pending_bytes -= data.len();
+            let offset = seq_diff(next, start);
+            if offset > 0 {
+                self.duplicate_bytes += offset as u64;
+            }
+            self.accept_at_head(&data[offset.max(0) as usize..]);
+        }
+        let Some(next) = self.next_seq else { return };
+        let stale: Vec<u32> = self
+            .pending
+            .iter()
+            .filter(|(k, v)| seq_diff(next, **k) >= v.len() as i64)
+            .map(|(k, _)| *k)
+            .collect();
+        for k in stale {
+            if let Some(dropped) = self.pending.remove(&k) {
+                self.pending_bytes -= dropped.len();
+                self.duplicate_bytes += dropped.len() as u64;
+            }
+        }
+    }
+
+    fn take_staged_into(&mut self, out: &mut Vec<u8>) {
+        out.extend_from_slice(&self.staged);
+        self.staged.clear();
+    }
+}
+
+/// Pushes every frame's payload, capture order, through a reassembler
+/// anchored at `anchor` and through the two-buffer reference, holding
+/// after every push that both have emitted the same bytes and counted
+/// the same; returns the reassembled stream.
+fn reassemble_against_reference(
+    frames: &[TcpFrame],
+    anchor: u32,
+    cap: usize,
+) -> Result<Vec<u8>, TestCaseError> {
+    let mut reasm = StreamReassembler::with_pending_cap(cap);
+    let mut reference = TwoBufferReassembler::with_pending_cap(cap);
+    reasm.anchor(anchor);
+    reference.anchor(anchor);
+    let (mut out, mut expected) = (Vec::new(), Vec::new());
+    for f in frames {
+        reasm.push(f.tcp.seq, &f.payload, &mut out);
+        reference.push(f.tcp.seq, &f.payload);
+        reference.take_staged_into(&mut expected);
+        prop_assert_eq!(&out, &expected);
+        prop_assert_eq!(
+            (
+                reasm.emitted(),
+                reasm.duplicate_bytes(),
+                reasm.overflow_bytes(),
+                reasm.pending_bytes()
+            ),
+            (
+                reference.emitted,
+                reference.duplicate_bytes,
+                reference.overflow_bytes,
+                reference.pending_bytes
+            )
+        );
+    }
+    Ok(out)
 }
 
 /// A delivery plan: chunk sizes, a permutation bias, and duplication
@@ -254,8 +446,6 @@ fn resync_against_reference<K: KeptMessages>(
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
     /// Skipping ahead to the next possible marker start on a reject is
     /// the byte-at-a-time rule, faster: over mixes of valid updates,
     /// truncated ones, `0xff` runs and noise under random segmentation,
@@ -307,14 +497,27 @@ proptest! {
     #[test]
     fn reassembler_reconstructs_byte_stream(plan in arb_plan(), len in 1usize..20_000) {
         let stream: Vec<u8> = (0..len).map(|i| (i % 251) as u8).collect();
-        let mut reasm = StreamReassembler::new();
-        reasm.anchor(plan.base_seq);
-        let mut out = Vec::new();
-        for f in deliver(&stream, &plan) {
-            reasm.push(f.tcp.seq, &f.payload);
-            out.extend(reasm.take_ready());
-        }
+        let frames = deliver(&stream, &plan);
+        let out = reassemble_against_reference(&frames, plan.base_seq, MAX_PENDING_BYTES)?;
         prop_assert_eq!(out, stream);
+    }
+
+    /// Overlapping retransmissions that straddle segment boundaries,
+    /// under a window cap small enough to evict: the reassembler and
+    /// the two-buffer reference emit and count the same, and with the
+    /// default cap the stream comes out whole.
+    #[test]
+    fn reassembler_matches_two_buffer_reference(
+        plan in arb_retrans_plan(),
+        len in 1usize..20_000,
+        cap in prop_oneof![Just(1_024usize), Just(8_192), Just(MAX_PENDING_BYTES)],
+    ) {
+        let stream: Vec<u8> = (0..len).map(|i| (i % 251) as u8).collect();
+        let frames = deliver_with_retrans(&stream, &plan);
+        let out = reassemble_against_reference(&frames, plan.base_seq, cap)?;
+        if cap == MAX_PENDING_BYTES {
+            prop_assert_eq!(out, stream);
+        }
     }
 
     #[test]
@@ -381,13 +584,8 @@ proptest! {
         let cross = 1 + cross_seed % len;
         let plan = Plan { base_seq: 0u32.wrapping_sub(cross as u32), ..plan };
 
-        let mut reasm = StreamReassembler::new();
-        reasm.anchor(plan.base_seq);
-        let mut out = Vec::new();
-        for f in deliver(&stream, &plan) {
-            reasm.push(f.tcp.seq, &f.payload);
-            out.extend(reasm.take_ready());
-        }
+        let frames = deliver(&stream, &plan);
+        let out = reassemble_against_reference(&frames, plan.base_seq, MAX_PENDING_BYTES)?;
         prop_assert_eq!(out, stream);
     }
 

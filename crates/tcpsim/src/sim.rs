@@ -9,7 +9,7 @@
 //! analyzer.
 
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, HashMap};
 use std::net::Ipv4Addr;
 
 use tdat_bgp::BgpMessage;
@@ -223,11 +223,18 @@ pub struct SimOutput {
     pub group_blocking: Vec<Vec<tdat_timeset::Span>>,
 }
 
+/// An endpoint's `(local, remote)` address and port pair.
+type EndpointPair = ((Ipv4Addr, u16), (Ipv4Addr, u16));
+
 /// The simulation itself.
 #[derive(Debug)]
 pub struct Simulation {
     net: Network,
     conns: Vec<Connection>,
+    /// Each endpoint's `(local, remote)` pair to its connection: the
+    /// first connection added with that pair, as a scan in `conns`
+    /// order would find it.
+    endpoints: HashMap<EndpointPair, usize>,
     groups: Vec<PeerGroup>,
     script: Vec<(Micros, ScriptAction)>,
     heap: BinaryHeap<Reverse<Ev>>,
@@ -247,6 +254,7 @@ impl Simulation {
         Simulation {
             net,
             conns: Vec::new(),
+            endpoints: HashMap::new(),
             groups: Vec::new(),
             script: Vec::new(),
             heap: BinaryHeap::new(),
@@ -295,6 +303,11 @@ impl Simulation {
         let rx_app = BgpReceiverApp::new(spec.receiver_app);
         if let Some(g) = spec.group {
             self.groups[g].add_member(id);
+        }
+        for endpoint in [&sender, &receiver] {
+            self.endpoints
+                .entry((endpoint.local, endpoint.remote))
+                .or_insert(id);
         }
         self.conns.push(Connection {
             sender_node: spec.sender_node,
@@ -473,20 +486,10 @@ impl Simulation {
         let node_owns = self.net.node(node_id).addresses.contains(&dst);
         if node_owns {
             // Find the connection and side this frame belongs to.
-            let four_tuple = (
-                frame.ip.dst,
-                frame.tcp.dst_port,
-                frame.ip.src,
-                frame.tcp.src_port,
-            );
-            let target = self.conns.iter().position(|c| {
-                (c.sender.local, c.sender.remote)
-                    == ((four_tuple.0, four_tuple.1), (four_tuple.2, four_tuple.3))
-                    || (c.receiver.local, c.receiver.remote)
-                        == ((four_tuple.0, four_tuple.1), (four_tuple.2, four_tuple.3))
-            });
-            if let Some(conn) = target {
-                let side = if self.conns[conn].sender.local == (four_tuple.0, four_tuple.1) {
+            let local = (frame.ip.dst, frame.tcp.dst_port);
+            let remote = (frame.ip.src, frame.tcp.src_port);
+            if let Some(&conn) = self.endpoints.get(&(local, remote)) {
+                let side = if self.conns[conn].sender.local == local {
                     Side::Sender
                 } else {
                     Side::Receiver
