@@ -9,7 +9,8 @@
 //! Beside the count, a byte tally pins how MCT sizes its set, and that
 //! a monitor tick allocates none: the snapshot pull does. A live-byte
 //! tally pins what an open connection holds: its map entry and its
-//! message log, no segment-sized buffer.
+//! message log, no segment-sized buffer; and what a settled transfer
+//! holds: no table, and nothing more for the rows after it.
 //!
 //! The counting allocator lives here because the packet crate itself
 //! (rightly) forbids `unsafe`; an integration test is its own crate,
@@ -458,7 +459,7 @@ fn ticks_over_a_transfer_allocate_no_mct_set() {
         let prefixes = analyses[0].1.transfer.as_ref().map(|t| t.prefix_count);
         (allocations() - count, allocated_bytes() - bytes, prefixes)
     };
-    let mut settled = Vec::new();
+    let mut completed = Vec::new();
     let mut boundary = frames[0].timestamp + interval;
     for (seen, frame) in frames.iter().enumerate() {
         while frame.timestamp >= boundary {
@@ -474,7 +475,7 @@ fn ticks_over_a_transfer_allocate_no_mct_set() {
                 assert_eq!(
                     first.2,
                     Some(prefixes),
-                    "the pull settles the tick's transfer"
+                    "the pull completes the tick's transfer"
                 );
                 assert!(
                     tick.1 < set_bytes,
@@ -484,15 +485,15 @@ fn ticks_over_a_transfer_allocate_no_mct_set() {
                     tick.1,
                     set_bytes
                 );
-                settled.push(first.2);
+                completed.push(first.2);
             }
             boundary += interval;
         }
         monitor.ingest(frame);
     }
-    assert_eq!(settled.len(), 4, "ticks that re-analysed the transfer");
-    assert!(settled[0] < Some(8_000), "the first is mid-transfer");
-    assert_eq!(settled.last(), Some(&Some(8_000)));
+    assert_eq!(completed.len(), 4, "ticks that re-analysed the transfer");
+    assert!(completed[0] < Some(8_000), "the first is mid-transfer");
+    assert_eq!(completed.last(), Some(&Some(8_000)));
 }
 
 /// `alloc.batch.count_per_frame`, pinned as a count: a clean
@@ -657,10 +658,15 @@ fn held_by_demux(frames: &[TcpFrame]) -> i64 {
 /// the framing buffer kept its capacity once empty, the same sessions
 /// held 1 627 600 bytes: the logs' share was 4 604 per connection, two
 /// 1 448-byte segments more, and the map 246 288, the staging buffer's
-/// 24-byte header in each of an entry's two streams.
+/// 24-byte header in each of an entry's two streams. The map is bound
+/// too, at `MAP_PER_CONNECTION` bytes a connection, and the log's
+/// width with it: each entry holds two logs, and 300 entries sit in 512
+/// buckets, so a log 96 bytes wider would read ≈ 1 066 bytes a
+/// connection, all of it in the map.
 #[test]
 fn open_connection_holds_its_log_and_no_segment() {
     const SESSIONS: usize = 300;
+    const MAP_PER_CONNECTION: i64 = 740;
     let mut frames = Vec::new();
     let mut law = 0usize;
     let mut prefixes = 0usize;
@@ -680,6 +686,16 @@ fn open_connection_holds_its_log_and_no_segment() {
     let logs = held_by_demux(&frames) - map;
     assert!(map > 0, "the map is counted");
     assert!(
+        map <= MAP_PER_CONNECTION * SESSIONS as i64,
+        "{SESSIONS} connections' map entries hold {map} bytes, more than \
+         {MAP_PER_CONNECTION} each: an entry grew"
+    );
+    assert_eq!(
+        std::mem::size_of::<MessageLog>(),
+        48,
+        "an open log is two Vecs; a settled one fits beside them"
+    );
+    assert!(
         logs >= (8 * prefixes) as i64,
         "the arena alone is 8 bytes per prefix ({logs} bytes held beyond the map)"
     );
@@ -687,6 +703,122 @@ fn open_connection_holds_its_log_and_no_segment() {
         logs <= law as i64,
         "{SESSIONS} open connections hold {logs} bytes beyond their map entries, \
          more than their logs' {law}: a buffer outlived its bytes"
+    );
+}
+
+/// What the settle test's watch and its reference did: the live bytes
+/// the tick that settles added, those the rows after it added, and
+/// how many logs settled.
+struct SettleWatch {
+    settle_tick: i64,
+    rows_after: i64,
+    settled: u64,
+}
+
+/// One 8 000-route [`short_session`] without its FIN through an inline
+/// [`Monitor`], a KEEPALIVE `wait` after the table's last UPDATE, the
+/// tick after that KEEPALIVE, then the `churn` segments before the next
+/// tick.
+fn settle_watch(wait: Micros, churn: &[Vec<u8>]) -> SettleWatch {
+    let (mut frames, _) = short_session(0, 8_000);
+    let fin = frames.pop().expect("the session ends with its FIN");
+    let table_end = frames.last().expect("the table").timestamp;
+    let router = FrameBuilder::new(fin.ip.src, fin.ip.dst).ports(179, 40_000);
+    let mut seq = fin.tcp.seq;
+    let mut segment = |at: Micros, payload: &[u8]| {
+        let frame = router
+            .clone()
+            .at(at)
+            .seq(seq)
+            .ack_to(1)
+            .payload(payload.to_vec());
+        seq = seq.wrapping_add(payload.len() as u32);
+        frame.flags(TcpFlags::ACK).build()
+    };
+    let keepalive = segment(table_end + wait, &BgpMessage::Keepalive.to_bytes());
+    let after = Micros::from_secs(71);
+    let churn: Vec<TcpFrame> = churn.iter().map(|bytes| segment(after, bytes)).collect();
+
+    let mut monitor = Monitor::new(MonitorConfig::default());
+    for frame in frames.iter().chain([&keepalive]) {
+        monitor.ingest(frame);
+    }
+    let before = live_bytes();
+    monitor.advance_to(Micros::from_secs(70));
+    let settle_tick = live_bytes() - before;
+    let before = live_bytes();
+    for frame in &churn {
+        monitor.ingest(frame);
+    }
+    let rows_after = live_bytes() - before;
+    assert_eq!(monitor.metrics().ticks(), 7, "no tick among the rows after");
+    SettleWatch {
+        settle_tick,
+        rows_after,
+        settled: monitor.metrics().transfers_settled(),
+    }
+}
+
+/// What a settled session holds, in bytes. An 8 000-route transfer goes
+/// through an inline [`Monitor`]; a KEEPALIVE one microsecond more than
+/// MCT's `max_gap` after its last UPDATE moves the demux clock past the
+/// gap, so the tick after it settles the router's log. A reference
+/// watch whose KEEPALIVE comes exactly `max_gap` after does all the
+/// same work and settles nothing. Across that tick the settling watch
+/// holds fewer bytes by exactly what the router's log held — its rows
+/// and prefix arena, as a [`StreamExtractor`] fed the same segments
+/// holds them — so the log keeps nothing on the heap: its answer lives
+/// in its own 48 bytes. Then 5 000 UPDATEs re-announcing a prefix and
+/// 5 000 KEEPALIVEs, in segments of whole messages, add no byte to the
+/// settled watch, where the reference's open log takes a row each.
+/// Measured (debug and release, repeating exactly): the router's log
+/// held 131 072 bytes, and the settling watch's tick freed exactly
+/// those while the reference's tick held as much after as before; the
+/// 10 000 rows add 0 bytes to the settled watch and 262 144 to the
+/// reference.
+#[test]
+fn settled_transfer_holds_no_table() {
+    let max_gap = MctConfig::default().max_gap;
+    let (table, _) = short_session(0, 8_000);
+    let held = {
+        let before = live_bytes();
+        let mut log = StreamExtractor::new();
+        for frame in table.iter().filter(|f| f.tcp.src_port == 179) {
+            log.push(
+                frame.timestamp,
+                frame.tcp.seq,
+                frame.tcp.flags,
+                &frame.payload,
+            );
+        }
+        let held = live_bytes() - before;
+        assert_eq!(log.extraction().announced_prefixes(), 8_000);
+        held
+    };
+    let first = TableGenerator::new(0).routes(8_000).generate().to_updates()[0].clone();
+    let again = BgpMessage::Update(UpdateMessage {
+        announced: first.announced[..1].to_vec(),
+        ..first
+    });
+    let mut pair = again.to_bytes();
+    pair.extend(BgpMessage::Keepalive.to_bytes());
+    // Five segments of 1 000 UPDATE-and-KEEPALIVE pairs each.
+    let churn = vec![pair.repeat(1_000); 5];
+
+    let settling = settle_watch(max_gap + Micros(1), &churn);
+    let reference = settle_watch(max_gap, &churn);
+    assert_eq!((settling.settled, reference.settled), (1, 0));
+    assert!(held >= 8 * 8_000, "the arena alone is 8 bytes a prefix");
+    assert_eq!(
+        reference.settle_tick - settling.settle_tick,
+        held,
+        "settling freed what the log held"
+    );
+    assert_eq!(settling.rows_after, 0, "rows after the settle hold nothing");
+    assert!(
+        reference.rows_after >= 16 * 10_000,
+        "an open log takes 16 bytes a row ({} bytes)",
+        reference.rows_after
     );
 }
 

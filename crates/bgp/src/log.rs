@@ -12,14 +12,22 @@
 //! materialising nothing else, so both accept exactly the same byte
 //! strings.
 //!
+//! MCT reads the rows and the arena for one answer, and once that
+//! answer can no longer change nothing else reads them: a live monitor
+//! [settles](MessageLog::settle) the log, which keeps MCT's answer and
+//! its row count and drops the rest.
+//!
 //! [`KeptMessages`] is the one seam between the two: a reassembler is
 //! generic over what it keeps, the log by default, whole
 //! [`BgpMessage`]s ([`WholeMessages`]) where bytes-faithful messages
 //! are the point (MRT export).
 
-use tdat_timeset::Micros;
+use std::num::NonZeroU32;
+
+use tdat_timeset::{Micros, Span};
 
 use crate::attrs::FLAG_EXT_LEN;
+use crate::mct::{find_transfer_end_ref, MctConfig, TableTransfer};
 use crate::message::{BgpMessage, BGP_HEADER_LEN, BGP_MAX_MESSAGE_LEN};
 
 /// The outcome of framing one message from the front of a buffer —
@@ -98,7 +106,10 @@ impl KeptMessages for MessageLog {
     }
 
     fn announced_prefixes(&self) -> usize {
-        self.announced.len()
+        match &self.state {
+            State::Open { announced, .. } => announced.len(),
+            State::Settled(_) => 0,
+        }
     }
 }
 
@@ -113,17 +124,88 @@ struct Row {
     withdrawn: u16,
 }
 
+impl Row {
+    /// Whether MCT counts the row: an UPDATE that announces or
+    /// withdraws a prefix. MCT skips every other row, and only counted
+    /// rows move its gap check.
+    fn counted(&self) -> bool {
+        self.type_code == 2 && (self.announced > 0 || self.withdrawn > 0)
+    }
+}
+
 /// A flat per-connection message log: one row per message (time, wire
 /// type code, announced and withdrawn prefix counts) and one arena of
 /// every announced prefix in arrival order, packed
-/// `network << 8 | len` — the form MCT hashes. Memory is 16 bytes per
-/// message plus 8 per announced prefix; nothing else of a message is
-/// retained.
+/// `network << 8 | len` — the form MCT hashes. Until it is
+/// [settled](Self::settle), memory is 16 bytes per message plus 8 per
+/// announced prefix; nothing else of a message is retained. A settled
+/// log holds nothing beyond its own 48 bytes, however many messages it
+/// counts after: it keeps MCT's answer and a row count.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct MessageLog {
-    rows: Vec<Row>,
-    /// Announced prefixes of all rows, concatenated in row order.
-    announced: Vec<u64>,
+    state: State,
+}
+
+#[derive(Debug, Clone, PartialEq, Eq)]
+enum State {
+    /// Every row, and the announced prefixes of all rows concatenated
+    /// in row order: what MCT reads.
+    Open { rows: Vec<Row>, announced: Vec<u64> },
+    /// MCT's answer, which no later row can change. Fits beside the
+    /// open arm's niche, so an open log stays two `Vec`s wide.
+    Settled(Settled),
+}
+
+impl Default for State {
+    fn default() -> State {
+        State::Open {
+            rows: Vec::new(),
+            announced: Vec::new(),
+        }
+    }
+}
+
+/// What a settled log keeps: how many messages it has counted, and MCT's
+/// answer for any session start.
+///
+/// MCT reads the session start twice: in the gap check of the first
+/// counted UPDATE, and as the transfer's start. So the scan is run once
+/// from that UPDATE's own time, and any start is answered from it:
+/// `None` when that UPDATE lies more than `max_gap` after the start,
+/// the stored transfer from the start on otherwise.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Settled {
+    /// Messages counted, before settling and since.
+    rows: usize,
+    /// Messages the log held when it settled: no answer is asked of
+    /// fewer.
+    settled_rows: usize,
+    /// When the first counted UPDATE arrived.
+    first: Micros,
+    /// MCT's answer for a session that started at `first`.
+    transfer: Option<SettledTransfer>,
+}
+
+/// A [`TableTransfer`] less its start, in 16 bytes so that [`Settled`]
+/// fits beside an open log's niche.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct SettledTransfer {
+    end: Micros,
+    /// At least one: a transfer ends at a counted UPDATE.
+    update_count: NonZeroU32,
+    prefix_count: u32,
+}
+
+impl SettledTransfer {
+    /// `None` for a transfer whose counts outgrow 32 bits: such a log
+    /// stays open.
+    fn of(transfer: &TableTransfer) -> Option<SettledTransfer> {
+        Some(SettledTransfer {
+            end: transfer.span.end,
+            update_count: NonZeroU32::new(u32::try_from(transfer.update_count).ok()?)?,
+            prefix_count: u32::try_from(transfer.prefix_count).ok()?,
+        })
+    }
 }
 
 /// The log that [`WholeMessages`] skim to: the bridge from one
@@ -158,17 +240,21 @@ pub struct LogRow<'a> {
 }
 
 impl MessageLog {
-    /// Messages in the log.
+    /// Messages in the log, settled or not.
     pub fn len(&self) -> usize {
-        self.rows.len()
+        match &self.state {
+            State::Open { rows, .. } => rows.len(),
+            State::Settled(settled) => settled.rows,
+        }
     }
 
     /// True when the log holds no message.
     pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
+        self.len() == 0
     }
 
-    /// The messages in arrival order.
+    /// The messages in arrival order; none once the log has settled,
+    /// since it keeps none.
     pub fn iter(&self) -> impl Iterator<Item = LogRow<'_>> {
         self.head(self.len())
     }
@@ -177,12 +263,16 @@ impl MessageLog {
     /// exactly as [`iter`](Self::iter) yielded them when the log held
     /// only those: `announced_ahead` counts no prefix of a later row.
     fn head(&self, rows: usize) -> impl Iterator<Item = LogRow<'_>> {
-        let rows = &self.rows[..rows.min(self.rows.len())];
-        let mut arena = if rows.len() == self.rows.len() {
-            &self.announced[..]
+        let (all, announced): (&[Row], &[u64]) = match &self.state {
+            State::Open { rows, announced } => (rows, announced),
+            State::Settled(_) => (&[], &[]),
+        };
+        let rows = &all[..rows.min(all.len())];
+        let mut arena = if rows.len() == all.len() {
+            announced
         } else {
             let end = rows.iter().map(|row| usize::from(row.announced)).sum();
-            &self.announced[..end]
+            &announced[..end]
         };
         rows.iter().map(move |row| {
             let announced_ahead = arena.len();
@@ -213,17 +303,109 @@ impl MessageLog {
             .map(|row| (row.time, row))
     }
 
+    /// MCT's table transfer over the UPDATEs among the first `rows`
+    /// messages, for a session that started at `start`: what
+    /// [`find_transfer_end_ref`] finds over
+    /// [`updates_in_first(rows)`](Self::updates_in_first) while the log
+    /// is open, and answered from what it kept once it has settled —
+    /// for as many rows as it held then, or more, and under the
+    /// `config` it settled with.
+    pub fn transfer_end(
+        &self,
+        start: Micros,
+        rows: usize,
+        config: &MctConfig,
+    ) -> Option<TableTransfer> {
+        let settled = match &self.state {
+            State::Open { .. } => {
+                return find_transfer_end_ref(start, self.updates_in_first(rows), config)
+            }
+            State::Settled(settled) => settled,
+        };
+        debug_assert!(
+            rows >= settled.settled_rows,
+            "asked about {rows} rows of a log settled at {}",
+            settled.settled_rows
+        );
+        if settled.first - start > config.max_gap {
+            return None;
+        }
+        let transfer = settled.transfer?;
+        Some(TableTransfer {
+            span: Span::new(start, transfer.end),
+            update_count: transfer.update_count.get() as usize,
+            prefix_count: transfer.prefix_count as usize,
+        })
+    }
+
+    /// Settles the log if MCT's answer can no longer change, and
+    /// returns whether it did so now.
+    ///
+    /// `now` bounds the time of every row still to come. Once it lies
+    /// more than `config.max_gap` past the last UPDATE that announced or
+    /// withdrew a prefix, any later such UPDATE fails MCT's gap check
+    /// and ends the scan, and every other row is skipped: the answer is
+    /// final. The log then runs MCT once, keeps the answer
+    /// ([`transfer_end`](Self::transfer_end) reads it) and frees its rows
+    /// and prefix arena; from then on it only validates and counts
+    /// messages, and [`iter`](Self::iter) yields none. A log that
+    /// announced nothing is left open: MCT finds no transfer in it, and
+    /// it holds no arena.
+    pub fn settle(&mut self, now: Micros, config: &MctConfig) -> bool {
+        let State::Open { rows, announced } = &self.state else {
+            return false;
+        };
+        if announced.is_empty() {
+            return false;
+        }
+        // Trailing rows MCT skips are few: KEEPALIVEs since the last
+        // counted UPDATE, which is within `max_gap` unless it settles.
+        let Some(last) = rows.iter().rev().find(|row| row.counted()) else {
+            return false;
+        };
+        if now - last.time <= config.max_gap {
+            return false;
+        }
+        let Some(first) = rows.iter().find(|row| row.counted()) else {
+            return false;
+        };
+        let transfer = match find_transfer_end_ref(first.time, self.updates(), config) {
+            Some(transfer) => match SettledTransfer::of(&transfer) {
+                Some(kept) => Some(kept),
+                None => return false,
+            },
+            None => None,
+        };
+        self.state = State::Settled(Settled {
+            rows: rows.len(),
+            settled_rows: rows.len(),
+            first: first.time,
+            transfer,
+        });
+        true
+    }
+
+    /// Logs one message's row: kept while the log is open, counted once
+    /// it has settled.
+    fn push_row(&mut self, row: Row) {
+        match &mut self.state {
+            State::Open { rows, .. } => rows.push(row),
+            State::Settled(settled) => settled.rows += 1,
+        }
+    }
+
     /// Appends the row a decoded `message` skims to.
     fn push_message(&mut self, time: Micros, message: &BgpMessage) {
         let (announced, withdrawn) = match message {
             BgpMessage::Update(update) => {
-                self.announced
-                    .extend(update.announced.iter().map(|p| p.packed()));
+                if let State::Open { announced, .. } = &mut self.state {
+                    announced.extend(update.announced.iter().map(|p| p.packed()));
+                }
                 (update.announced.len(), update.withdrawn.len())
             }
             _ => (0, 0),
         };
-        self.rows.push(Row {
+        self.push_row(Row {
             time,
             type_code: message.type_code(),
             announced: announced as u16,
@@ -264,7 +446,7 @@ impl MessageLog {
         let Some((announced, withdrawn)) = counts else {
             return Framed::Rejected;
         };
-        self.rows.push(Row {
+        self.push_row(Row {
             time,
             type_code,
             announced,
@@ -274,19 +456,25 @@ impl MessageLog {
         Framed::Kept
     }
 
-    /// Validates an UPDATE body and appends its NLRI to the arena,
-    /// returning the (announced, withdrawn) counts; on a reject the
-    /// arena is left as it was.
+    /// Validates an UPDATE body and appends its NLRI to the arena of an
+    /// open log, returning the (announced, withdrawn) counts; on a
+    /// reject the arena is left as it was.
     fn skim_update(&mut self, body: &[u8]) -> Option<(u16, u16)> {
         let (withdrawn, rest) = split_u16_prefixed(body)?;
         let (attributes, nlri) = split_u16_prefixed(rest)?;
         let withdrawn = walk_nlri(withdrawn, |_| ())?;
         skim_attributes(attributes)?;
-        let mark = self.announced.len();
-        let announced = walk_nlri(nlri, |packed| self.announced.push(packed));
-        if announced.is_none() {
-            self.announced.truncate(mark);
-        }
+        let announced = match &mut self.state {
+            State::Open { announced, .. } => {
+                let mark = announced.len();
+                let count = walk_nlri(nlri, |packed| announced.push(packed));
+                if count.is_none() {
+                    announced.truncate(mark);
+                }
+                count
+            }
+            State::Settled(_) => walk_nlri(nlri, |_| ()),
+        };
         Some((announced?, withdrawn))
     }
 }

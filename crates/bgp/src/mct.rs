@@ -21,7 +21,9 @@
 //! is sized from the rows still to read ([`MctUpdate::announced_ahead`])
 //! rather than grown from empty, and holds nothing past the call: a
 //! caller that wants the answer again over a longer stream either runs
-//! it again or knows that nothing it reads has changed.
+//! it again or knows that nothing it reads has changed — as a
+//! [`MessageLog`](crate::MessageLog) knows once it has
+//! [settled](crate::MessageLog::settle).
 
 use std::collections::HashSet;
 

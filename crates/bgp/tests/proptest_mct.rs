@@ -1,8 +1,10 @@
-//! Differential property test: MCT as it is written now — one insert
+//! Differential property tests: MCT as it is written now — one insert
 //! per announced prefix, into a set sized from the rows still to read —
 //! finds the same transfer as MCT as it was first written, kept here as
 //! the reference, over streams built to reach its corners, read both as
-//! borrowed `UpdateMessage`s and as the rows of a `MessageLog`.
+//! borrowed `UpdateMessage`s and as the rows of a `MessageLog`; and a
+//! `MessageLog` that has settled answers as MCT over the same rows kept
+//! whole.
 //!
 //! `PROPTEST_CASES` raises the case count (CI runs 20 000).
 
@@ -11,8 +13,8 @@ use std::net::Ipv4Addr;
 
 use proptest::prelude::*;
 use tdat_bgp::{
-    find_transfer_end_ref, BgpMessage, MctConfig, MctUpdate, MessageLog, PathAttribute, Prefix,
-    TableTransfer, UpdateMessage,
+    find_transfer_end_ref, BgpMessage, Framed, KeptMessages, MctConfig, MctUpdate, MessageLog,
+    PathAttribute, Prefix, TableTransfer, UpdateMessage,
 };
 use tdat_timeset::{Micros, Span};
 
@@ -304,6 +306,86 @@ proptest! {
         pieces.extend(churn);
         let stream = build(Micros::ZERO, &pieces, &config);
         prop_assert!(agree(Micros::ZERO, &stream, &config)?.is_some());
+    }
+}
+
+/// Whether MCT counts `message`: an UPDATE that announces or withdraws.
+fn counted(message: &BgpMessage) -> bool {
+    matches!(message, BgpMessage::Update(u) if !u.announced.is_empty() || !u.withdrawn.is_empty())
+}
+
+/// How far past the last counted UPDATE a log is settled: not past
+/// `max_gap`, exactly at it, one microsecond past it, or far past it.
+fn arb_wait() -> impl Strategy<Value = Step> {
+    prop_oneof![
+        Just(Step::Same),
+        (1i64..100).prop_map(Step::Small),
+        Just(Step::MaxGap),
+        Just(Step::PastMaxGap),
+        Just(Step::PastMaxGap),
+        Just(Step::Far),
+    ]
+}
+
+proptest! {
+    /// A log settled at `now` — a bound on every row still to come —
+    /// settles exactly when `now` lies more than `max_gap` past its last
+    /// counted UPDATE and it announced a prefix; and then, with rows
+    /// stamped from `now` on appended (re-announced prefixes, fresh
+    /// ones, withdrawals and KEEPALIVEs), answers for any session start
+    /// and any row count from its settle count on what MCT finds over a
+    /// twin that kept every row. The logs have KEEPALIVEs trailing the
+    /// last counted UPDATE, withdraw-only and attribute-only UPDATEs,
+    /// duplicate runs that break the scan early, and first counted
+    /// UPDATEs more than `max_gap` after the start.
+    #[test]
+    fn a_settled_log_answers_as_mct_over_its_rows_kept_whole(
+        first in arb_step(),
+        pieces in prop::collection::vec((arb_step(), arb_piece()), 0..40),
+        config in arb_config(),
+        wait in arb_wait(),
+        later in prop::collection::vec((arb_step(), arb_piece()), 0..12),
+        leads in prop::collection::vec((arb_step(), any::<bool>()), 1..4),
+    ) {
+        let mut pieces = pieces;
+        if let Some(head) = pieces.first_mut() {
+            head.0 = first;
+        }
+        let settle_rows = pieces.len();
+        pieces.extend(later);
+        let mut stream = build(Micros::ZERO, &pieces, &config);
+        let (before, after) = stream.split_at_mut(settle_rows);
+        let last_row = before.last().map_or(Micros::ZERO, |(time, _)| *time);
+        let last_counted = before.iter().rev().find(|(_, m)| counted(m)).map(|(t, _)| *t);
+        let now = last_row.max(last_counted.unwrap_or(last_row) + wait.micros(&config));
+        // The rows still to come keep their spacing, from `now` on.
+        for (time, _) in after.iter_mut() {
+            *time += now - last_row;
+        }
+
+        let mut log: MessageLog = stream[..settle_rows].iter().collect();
+        let mut twin = log.clone();
+        let announced = log.announced_prefixes() > 0;
+        let settles = announced && last_counted.is_some_and(|last| now - last > config.max_gap);
+        prop_assert_eq!(log.settle(now, &config), settles);
+        for (time, message) in &stream[settle_rows..] {
+            let bytes = message.to_bytes();
+            prop_assert_eq!(log.keep(*time, &mut &bytes[..]), Framed::Kept);
+            prop_assert_eq!(twin.keep(*time, &mut &bytes[..]), Framed::Kept);
+        }
+        prop_assert_eq!(log.len(), twin.len());
+        // Starts around the first counted UPDATE: up to `max_gap` before
+        // it, exactly that, one microsecond more, far before, or after.
+        let anchor = stream.iter().find(|(_, m)| counted(m)).map_or(Micros::ZERO, |(t, _)| *t);
+        for (lead, after) in leads {
+            let lead = lead.micros(&config);
+            let start = if after { anchor + lead } else { anchor - lead };
+            for rows in settle_rows..=twin.len() {
+                let expected = find_transfer_end_ref(start, twin.updates_in_first(rows), &config);
+                let answer = log.transfer_end(start, rows, &config);
+                prop_assert_eq!(answer, expected, "start {}, rows {}", start, rows);
+            }
+        }
     }
 }
 

@@ -1,7 +1,7 @@
 //! The per-connection analysis: one connection and its BGP messages
 //! in, delay factors out (Fig. 10).
 
-use tdat_bgp::{find_transfer_end_ref, MctConfig, TableTransfer};
+use tdat_bgp::{MctConfig, TableTransfer};
 use tdat_packet::AnomalyCounts;
 use tdat_timeset::{Micros, Span};
 use tdat_trace::{label_segments, ConnProfile, LabelConfig, SegLabel, Segment, TcpConnection};
@@ -199,20 +199,28 @@ impl Analyzer {
 
     /// The table transfer MCT finds in the UPDATEs among the first
     /// `rows` messages of `extraction`'s log, for a connection that
-    /// started at `start` — the one place the analyzer's MCT
-    /// configuration is read. It scans the log in place, cloning
-    /// nothing. A log is only ever appended to while its connection is
-    /// open, so a caller that noted the log's length at some moment can
-    /// ask later for the answer as of that moment
-    /// ([`MessageLog::updates_in_first`](tdat_bgp::MessageLog::updates_in_first));
-    /// `extraction.messages.len()` asks for it as of now.
+    /// started at `start`, as the log answers it
+    /// ([`MessageLog::transfer_end`](tdat_bgp::MessageLog::transfer_end)):
+    /// a scan in place while it is open, cloning nothing, and the answer
+    /// it kept once it has [settled](crate::BgpDemux::settle). A log is
+    /// only ever appended to while its connection is open, so a caller
+    /// that noted the log's length at some moment can ask later for the
+    /// answer as of that moment; `extraction.messages.len()` asks for it
+    /// as of now.
     pub fn transfer_of(
         &self,
         start: Micros,
         extraction: &tdat_pcap2bgp::Extraction,
         rows: usize,
     ) -> Option<TableTransfer> {
-        find_transfer_end_ref(start, extraction.messages.updates_in_first(rows), &self.mct)
+        extraction.messages.transfer_end(start, rows, &self.mct)
+    }
+
+    /// The MCT configuration: read here and by the settle sweep
+    /// ([`BgpDemux::settle`](crate::BgpDemux::settle)), which must keep
+    /// the answer this analyzer would find.
+    pub(crate) fn mct(&self) -> &MctConfig {
+        &self.mct
     }
 
     /// Analyzes a point-in-time snapshot of a *still-open* connection

@@ -35,7 +35,11 @@
 //! connection stays open to its last frame
 //! ([`StreamOptions::tracker`]), so memory grows with the input's frame
 //! count; a [`TrackerConfig::streaming`] engine finalizes on close or
-//! idle and holds only what is still open.
+//! idle and holds only what is still open. The batch pass never
+//! [settles](BgpDemux::settle) a log: it reads each once, at
+//! finalization. A live monitor, which holds sessions for their whole
+//! life, settles each log once MCT's answer is final and keeps the
+//! answer in place of the table.
 
 use std::collections::HashMap;
 use std::path::Path;
@@ -44,6 +48,7 @@ use tdat_packet::{
     AnomalyCounts, CaptureAnomaly, FrameLike, LossyFrameView, LossyReader, PcapReader, TcpFrame,
 };
 use tdat_pcap2bgp::{Extraction, StreamExtractor};
+use tdat_timeset::Micros;
 use tdat_trace::{ConnKey, ConnectionTracker, Endpoint, FinalizedConnection, TrackerConfig};
 
 use crate::analyzer::{Analysis, Analyzer};
@@ -366,15 +371,22 @@ impl<F: FnMut(Analysis)> Sink<'_, F> {
 /// [`MessageLog`](tdat_bgp::MessageLog) — a row and the announced
 /// prefixes, which is all the analysis reads — so an open connection
 /// holds its map entry, 16 bytes per message and 8 per announced
-/// prefix until it is taken, and beside them only out-of-order data
-/// still parked and a partial message still straddling segments: no
-/// segment-sized buffer is kept once a segment's messages are framed.
-/// Live monitors that diagnose still-open connections borrow
-/// that state with [`snapshot`](BgpDemux::snapshot), which copies
-/// nothing and leaves the streams in place.
+/// prefix until it is taken or its log settles, and beside them only
+/// out-of-order data still parked and a partial message still
+/// straddling segments: no segment-sized buffer is kept once a
+/// segment's messages are framed. Live monitors that diagnose
+/// still-open connections borrow that state with
+/// [`snapshot`](BgpDemux::snapshot), which copies nothing and leaves
+/// the streams in place, and [`settle`](BgpDemux::settle) the logs
+/// whose table transfer can no longer change, which then hold MCT's
+/// answer and a row count only.
 #[derive(Debug, Default)]
 pub struct BgpDemux {
     streams: HashMap<ConnKey, SidePair>,
+    /// The timestamp of the frame fed last: the settle horizon. Every
+    /// log row is stamped with the time of a frame fed, so while frame
+    /// times do not decrease, no row still to come is stamped before it.
+    clock: Micros,
 }
 
 #[derive(Debug, Default)]
@@ -396,6 +408,7 @@ impl BgpDemux {
     /// owned frames; the payload bytes are copied only if the stream's
     /// reassembler retains them.
     pub fn feed(&mut self, frame: &impl FrameLike) {
+        self.clock = frame.timestamp();
         let key = ConnKey::of(frame);
         let pair = self.streams.entry(key).or_default();
         let side = if frame.src() == key.a {
@@ -418,6 +431,26 @@ impl BgpDemux {
         }
     }
 
+    /// Settles every log whose table transfer MCT can no longer change
+    /// as of the frame fed last, under `analyzer`'s MCT configuration
+    /// ([`MessageLog::settle`](tdat_bgp::MessageLog::settle)), and
+    /// returns how many settled now. A settled log frees its rows and
+    /// prefix arena; [`Analyzer::transfer_of`] answers from what it
+    /// kept, exactly as MCT over the whole log would, provided frame
+    /// times never decrease from one [`feed`](Self::feed) to the next.
+    /// A row stamped behind the horizon breaks that precondition: it is
+    /// counted, but it cannot reopen the transfer.
+    pub fn settle(&mut self, analyzer: &Analyzer) -> usize {
+        let (now, config) = (self.clock, analyzer.mct());
+        self.streams
+            .values_mut()
+            .map(|pair| {
+                usize::from(pair.from_a.settle(now, config))
+                    + usize::from(pair.from_b.settle(now, config))
+            })
+            .sum()
+    }
+
     /// The extraction so far of the `sender` side of an open
     /// connection, lent in place: nothing is copied and the streams
     /// stay where they are for further feeding. `None` when no stream
@@ -429,5 +462,79 @@ impl BgpDemux {
         } else {
             pair.from_b.extraction()
         })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::net::Ipv4Addr;
+    use tdat_bgp::{BgpMessage, PathAttribute, Prefix, UpdateMessage};
+    use tdat_packet::FrameBuilder;
+
+    /// A row stamped behind the settle horizon — a frame fed out of time
+    /// order, which `feed`'s precondition rules out — is counted, and
+    /// cannot reopen the transfer its log settled: a log kept whole would
+    /// take its prefix into the transfer.
+    #[test]
+    fn a_row_behind_the_settled_horizon_is_counted_and_reopens_nothing() {
+        let (router, collector) = (Ipv4Addr::new(10, 0, 0, 1), Ipv4Addr::new(10, 0, 0, 2));
+        let update = |i: u32| {
+            let prefix = Prefix::new(Ipv4Addr::from(0x0b00_0000 + (i << 8)), 24).unwrap();
+            let update = UpdateMessage::announce(vec![PathAttribute::Med(1)], vec![prefix]);
+            BgpMessage::Update(update).to_bytes()
+        };
+        let keepalive = BgpMessage::Keepalive.to_bytes();
+        let mut seq = 1u32;
+        let mut frame = |at: Micros, payload: Vec<u8>| {
+            let frame = FrameBuilder::new(router, collector)
+                .at(at)
+                .ports(179, 40_000)
+                .seq(seq)
+                .ack_to(1)
+                .payload(payload)
+                .build();
+            seq += frame.payload.len() as u32;
+            frame
+        };
+        let analyzer = Analyzer::default();
+        let (mut demux, mut whole) = (BgpDemux::new(), BgpDemux::new());
+        let mut feed = |frame: TcpFrame| {
+            demux.feed(&frame);
+            whole.feed(&frame);
+            (demux.settle(&analyzer), ConnKey::of(&frame))
+        };
+        let syn = FrameBuilder::new(router, collector)
+            .ports(179, 40_000)
+            .flags(tdat_packet::TcpFlags::SYN)
+            .build();
+        feed(syn);
+        for i in 1..=3 {
+            assert_eq!(
+                feed(frame(Micros::from_millis(10 * i), update(i as u32))).0,
+                0
+            );
+        }
+        let (settled, _) = feed(frame(Micros::from_secs(30), keepalive.clone()));
+        assert_eq!(settled, 0, "30 s after the last UPDATE");
+        let (settled, key) = feed(frame(Micros::from_secs(61), keepalive));
+        assert_eq!(settled, 1, "61 s after it");
+        let sender = (router, 179);
+        let transfer = |demux: &BgpDemux| {
+            let extraction = demux.snapshot(key, sender).expect("fed");
+            let rows = extraction.messages.len();
+            (rows, analyzer.transfer_of(Micros::ZERO, extraction, rows))
+        };
+        let (rows, at_settle) = transfer(&demux);
+        assert_eq!(at_settle.as_ref().map(|t| t.prefix_count), Some(3));
+
+        // A fresh UPDATE stamped 59 s in: behind the horizon, and within
+        // MCT's gap of the table's last UPDATE.
+        let late = frame(Micros::from_secs(59), update(4));
+        demux.feed(&late);
+        whole.feed(&late);
+        assert_eq!(transfer(&demux), (rows + 1, at_settle), "counted, not read");
+        let (_, kept_whole) = transfer(&whole);
+        assert_eq!(kept_whole.map(|t| t.prefix_count), Some(4));
     }
 }

@@ -444,8 +444,8 @@ pub(crate) struct CachedAnalysis {
     rows: usize,
     /// The whole analysis as of the tick — factors, every series, MCT's
     /// transfer — which only a snapshot renders, so the first pull after
-    /// the tick builds it ([`SourceScope::settle`]).
-    settled: Option<Analysis>,
+    /// the tick builds it ([`SourceScope::complete`]).
+    completed: Option<Analysis>,
 }
 
 /// Evaluates the detectors whose outcome depends only on the analysis
@@ -643,7 +643,7 @@ impl SourceScope {
     /// tick time `at` and caches the results (tick phase 1), as far as
     /// the alerts read them ([`Analyzer::analyze_partial_lossy`]): no
     /// MCT, no factors, none of the series only a report reads. A
-    /// snapshot pull completes each entry ([`settle`](Self::settle)).
+    /// snapshot pull completes each entry ([`complete`](Self::complete)).
     fn refresh(&mut self, work: Vec<ConnKey>, at: Micros, ctx: &AnalysisCtx) {
         let analyzer = &ctx.analyzer;
         // What a connection the demux holds no stream for reads as.
@@ -678,7 +678,7 @@ impl SourceScope {
                     conditions,
                     partial,
                     rows,
-                    settled: None,
+                    completed: None,
                 },
             );
         }
@@ -690,11 +690,14 @@ impl SourceScope {
     /// with MCT over the rows the data sender's log held then. A
     /// connection's frames and log are only appended to while it is
     /// open, and finalization drops its cache entry, so this is exactly
-    /// what the tick would have found.
-    pub(crate) fn settle(&mut self, analyzer: &Analyzer) {
+    /// what the tick would have found. A log that settled since
+    /// ([`BgpDemux::settle`]) answers MCT for those rows from what it
+    /// kept: it settles only right after a tick, when every connection's
+    /// cache entry holds the rows its log holds.
+    pub(crate) fn complete(&mut self, analyzer: &Analyzer) {
         let unseen = Extraction::default();
         for (&key, cached) in &mut self.cache {
-            if cached.settled.is_some() {
+            if cached.completed.is_some() {
                 continue;
             }
             let partial = &cached.partial;
@@ -707,7 +710,7 @@ impl SourceScope {
             };
             let extraction = self.demux.snapshot(key, partial.sender).unwrap_or(&unseen);
             let transfer = analyzer.transfer_of(partial.profile.start, extraction, cached.rows);
-            cached.settled = Some(analyzer.complete(conn, partial, transfer));
+            cached.completed = Some(analyzer.complete(conn, partial, transfer));
         }
     }
 
@@ -983,6 +986,21 @@ impl Control {
         }
         self.metrics.record_tick(open, analysis + started.elapsed());
     }
+
+    /// The settle sweep that follows a closed tick, outside its latency
+    /// sample (no alert reads MCT): every log of `scopes` whose table
+    /// transfer can no longer change keeps MCT's answer and drops its
+    /// table ([`BgpDemux::settle`]). Right after a tick every cache
+    /// entry holds the rows its log holds, so no snapshot of an earlier
+    /// tick asks a settled log about fewer rows than it settled with.
+    pub(crate) fn settle<'a>(&mut self, scopes: impl IntoIterator<Item = &'a mut SourceScope>) {
+        let analyzer = &self.ctx.analyzer;
+        let settled = scopes
+            .into_iter()
+            .map(|scope| scope.demux.settle(analyzer))
+            .sum();
+        self.metrics.record_settled(settled);
+    }
 }
 
 /// Where the per-connection work runs; picked by
@@ -1032,6 +1050,7 @@ fn tick_inline(control: &mut Control, scopes: &mut [SourceScope], at: Micros) {
         std::time::Duration::ZERO,
         started,
     );
+    control.settle(scopes);
 }
 
 /// A connection left its inline scope's tracker, which stamped the
@@ -1170,9 +1189,17 @@ impl Monitor {
     }
 
     /// Ingests one captured frame under a registered source scope.
-    /// Frames must arrive in capture order *per source*; the caller (or
-    /// a [`SourceSet`]) is responsible for a sensible global
-    /// interleaving. Runs any analysis ticks that became due before
+    /// Frames must arrive in capture order *per source*, with
+    /// timestamps that never decrease; the caller (or a [`SourceSet`])
+    /// is responsible for a sensible global interleaving. After each
+    /// tick a scope settles every log whose table transfer can no longer
+    /// change as of the scope's latest frame ([`BgpDemux::settle`]),
+    /// which keeps MCT's answer and drops the table; that answer is
+    /// exact because no later frame of the scope is stamped earlier. The
+    /// lossy decoder behind a followed capture clamps timestamp
+    /// regressions and the simulator is ordered; a frame stamped behind
+    /// the horizon anyway is counted, but cannot reopen a settled
+    /// transfer. Runs any analysis ticks that became due before
     /// this frame's timestamp. Worker lanes queue the frame, which
     /// costs a clone here; callers that own their frames should prefer
     /// [`ingest_owned`](Self::ingest_owned).
@@ -1375,12 +1402,12 @@ impl Monitor {
     /// since the last pull, over the connection and the data sender's
     /// log as of the last tick: frames ingested since do not show.
     pub fn snapshot_reports(&mut self) -> Vec<(String, String, String)> {
-        self.settle();
+        self.complete();
         let config = self.control.ctx.analyzer.config();
         self.fleet()
             .into_iter()
             .filter_map(|(source, cached)| {
-                let analysis = cached.settled.as_ref()?;
+                let analysis = cached.completed.as_ref()?;
                 Some((
                     source.to_string(),
                     cached.session.clone(),
@@ -1396,22 +1423,22 @@ impl Monitor {
     /// completed at this pull, over the connection and its log as of
     /// the last tick.
     pub fn snapshot_analyses(&mut self) -> Vec<(&str, &Analysis)> {
-        self.settle();
+        self.complete();
         self.fleet()
             .into_iter()
-            .filter_map(|(source, cached)| Some((&**source, cached.settled.as_ref()?)))
+            .filter_map(|(source, cached)| Some((&**source, cached.completed.as_ref()?)))
             .collect()
     }
 
     /// [`sync`](Self::sync), then completes every cached analysis a
-    /// tick left partial ([`SourceScope::settle`]), on every healthy
+    /// tick left partial ([`SourceScope::complete`]), on every healthy
     /// scope of the plane.
-    fn settle(&mut self) {
+    fn complete(&mut self) {
         self.sync();
         let analyzer = &self.control.ctx.analyzer;
         match &mut self.plane {
-            Plane::Inline(scopes) => scopes.iter_mut().for_each(|s| s.settle(analyzer)),
-            Plane::Lanes(lanes) => lanes.settle(analyzer),
+            Plane::Inline(scopes) => scopes.iter_mut().for_each(|s| s.complete(analyzer)),
+            Plane::Lanes(lanes) => lanes.complete(analyzer),
         }
     }
 

@@ -81,6 +81,7 @@ pub struct MonitorMetrics {
     ticks: u64,
     open_connections: usize,
     connections_finalized: u64,
+    transfers_settled: u64,
     capture_anomalies: u64,
     raised: BTreeMap<AlertKind, u64>,
     cleared: BTreeMap<AlertKind, u64>,
@@ -138,6 +139,11 @@ impl MonitorMetrics {
     pub(crate) fn record_finalized(&mut self, open_connections: usize) {
         self.connections_finalized += 1;
         self.open_connections = open_connections;
+    }
+
+    /// Records message logs whose table transfer settled at a tick.
+    pub(crate) fn record_settled(&mut self, logs: usize) {
+        self.transfers_settled += logs as u64;
     }
 
     /// Records one capture anomaly survived by the source.
@@ -210,6 +216,15 @@ impl MonitorMetrics {
         self.connections_finalized
     }
 
+    /// Table transfers settled: message logs whose MCT answer became
+    /// final while their connection was open, and which since hold the
+    /// answer in place of their table. A worker lane settles by the
+    /// frames of its own partition, so the count can trail the inline
+    /// plane's; the events never differ.
+    pub fn transfers_settled(&self) -> u64 {
+        self.transfers_settled
+    }
+
     /// Capture anomalies survived by the source.
     pub fn capture_anomalies(&self) -> u64 {
         self.capture_anomalies
@@ -251,11 +266,13 @@ impl fmt::Display for MonitorMetrics {
              analysis ticks       {:>10}\n\
              open connections     {:>10}\n\
              finalized            {:>10}\n\
+             settled transfers    {:>10}\n\
              capture anomalies    {:>10}",
             self.frames,
             self.ticks,
             self.open_connections,
             self.connections_finalized,
+            self.transfers_settled,
             self.capture_anomalies
         )?;
         // Per-source breakdown only when there is something to break

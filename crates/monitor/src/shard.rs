@@ -454,13 +454,21 @@ impl Lanes {
     }
 
     /// Completes the healthy shards' cached analyses
-    /// ([`SourceScope::settle`]), on the caller's thread: only a
+    /// ([`SourceScope::complete`]), on the caller's thread: only a
     /// snapshot pull runs it, after a flush has brought every shard
     /// home.
-    pub(crate) fn settle(&mut self, analyzer: &Analyzer) {
-        for shard in self.shards.iter_mut().filter(|s| s.poisoned.is_none()) {
-            shard.scopes.iter_mut().for_each(|s| s.settle(analyzer));
+    pub(crate) fn complete(&mut self, analyzer: &Analyzer) {
+        for scope in self.healthy_scopes() {
+            scope.complete(analyzer);
         }
+    }
+
+    /// Every scope of every shard a panic has not poisoned.
+    fn healthy_scopes(&mut self) -> impl Iterator<Item = &mut SourceScope> {
+        self.shards
+            .iter_mut()
+            .filter(|shard| shard.poisoned.is_none())
+            .flat_map(|shard| shard.scopes.iter_mut())
     }
 
     /// The healthy shards' cached analyses in (source, ordinal) order.
@@ -609,6 +617,9 @@ impl Lanes {
                     // cross-shard state meets: the correlation reads
                     // the merged fleet by reference.
                     control.close_tick(at, open, conditions, &self.fleet(), analysis, started);
+                    // A tick is the last op of its flush: the shards
+                    // are home and hold the state the tick saw.
+                    control.settle(self.healthy_scopes());
                 }
             }
         }

@@ -1,11 +1,14 @@
 //! Regression tests: LRU eviction mid-watch must finalize the
 //! monitor's cached per-connection tick state and clear every alert it
 //! raised for the evicted session — the cache can neither leak nor go
-//! stale when `max_connections` forces connections out.
+//! stale when `max_connections` forces connections out. And the cached
+//! transfer a snapshot reports, and the report a connection finalizes
+//! with, are what MCT and the batch analysis find over the connection,
+//! whether or not its message log has settled.
 
 use std::net::Ipv4Addr;
 
-use tdat::BgpDemux;
+use tdat::{Analyzer, BgpDemux, Report};
 use tdat_bgp::{
     find_transfer_end_ref, BgpMessage, MctConfig, PathAttribute, Prefix, TableTransfer,
     UpdateMessage,
@@ -13,7 +16,7 @@ use tdat_bgp::{
 use tdat_monitor::{
     AlertAction, AlertConfig, Monitor, MonitorConfig, MonitorEvent, SourceId, TrackerConfig,
 };
-use tdat_packet::{FrameBuilder, TcpFlags, TcpFrame, TcpOption};
+use tdat_packet::{AnomalyCounts, FrameBuilder, TcpFlags, TcpFrame, TcpOption};
 use tdat_pcap2bgp::Extraction;
 use tdat_timeset::Micros;
 use tdat_trace::{ConnectionTracker, Endpoint};
@@ -297,21 +300,34 @@ fn secs(s: i64) -> i64 {
     Micros::from_secs(s).0
 }
 
+/// The lane counts every watch below runs at: inline, and two worker
+/// lanes.
+const LANES: [usize; 2] = [1, 2];
+
+/// When the table of [`table_transfer`] ends: its last UPDATE.
+const TABLE_END: i64 = 291_000;
+
 /// A router's table transfer to a collector, 30 UPDATEs of 5 fresh
-/// prefixes each in the connection's first 0.3 s: the watch and both
-/// sides of the connection.
-fn table_transfer() -> (TransferWatch, Side, Side) {
+/// prefixes each in the connection's first 0.3 s, ending at
+/// [`TABLE_END`]: the watch on `shards` lanes and both sides of the
+/// connection, the router's numbering its bytes from `isn`.
+fn table_transfer_from(shards: usize, isn: u32) -> (TransferWatch, Side, Side) {
     let router = Ipv4Addr::new(10, 9, 1, 1);
     let collector = Ipv4Addr::new(10, 9, 1, 2);
-    let mut watch = TransferWatch::new();
-    let mut from_router = Side::new(router, 179, collector, 40000);
-    let mut from_collector = Side::new(collector, 40000, router, 179);
+    let mut watch = TransferWatch::new(shards);
+    let mut from_router = Side::new(router, 179, collector, 40000, isn);
+    let mut from_collector = Side::new(collector, 40000, router, 179, 0);
     watch.send(from_router.syn(0));
     watch.send(from_collector.syn(100));
     for i in 0..30 {
         watch.send(from_router.data(1_000 + i as i64 * 10_000, update(prefixes(5 * i, 5))));
     }
     (watch, from_router, from_collector)
+}
+
+/// [`table_transfer_from`] with the router's bytes numbered from 0.
+fn table_transfer(shards: usize) -> (TransferWatch, Side, Side) {
+    table_transfer_from(shards, 0)
 }
 
 /// What a snapshot reports of a connection's transfer is what MCT finds
@@ -324,45 +340,48 @@ fn table_transfer() -> (TransferWatch, Side, Side) {
 /// and demux fed the same frames hold.
 #[test]
 fn cached_transfer_is_mct_over_the_current_snapshot_at_every_tick() {
-    let (mut watch, mut from_router, mut from_collector) = table_transfer();
-    let keepalive = BgpMessage::Keepalive.to_bytes();
-    let table = watch.tick(secs(5));
-    // Ticks at which the router sent a KEEPALIVE and nothing else.
-    let mut quiet = Vec::new();
-    for k in 1..=3 {
-        watch.send(from_router.data(secs(5 * k + 1), keepalive.clone()));
-        quiet.push(watch.tick(secs(5 * k + 5)));
-    }
-    // A late announcement, inside MCT's gap: the transfer grows.
-    watch.send(from_router.data(secs(21), update(prefixes(150, 5))));
-    let late = watch.tick(secs(25));
-    // The collector out-sends the router: two large UPDATEs, then more
-    // KEEPALIVEs than the router's log has rows.
-    for i in 0..2 {
-        let announced = prefixes(10_000 + 400 * i, 400);
-        watch.send(from_collector.data(secs(26) + i as i64, update(announced)));
-    }
-    for i in 0..50 {
-        watch.send(from_collector.data(secs(27) + i, keepalive.clone()));
-    }
-    let flipped = watch.tick(secs(30));
-    watch.send(from_collector.data(secs(31), keepalive.clone()));
-    let flipped_quiet = watch.tick(secs(35));
+    for shards in LANES {
+        let (mut watch, mut from_router, mut from_collector) = table_transfer(shards);
+        let keepalive = BgpMessage::Keepalive.to_bytes();
+        let table = watch.tick(secs(5));
+        // Ticks at which the router sent a KEEPALIVE and nothing else.
+        let mut quiet = Vec::new();
+        for k in 1..=3 {
+            watch.send(from_router.data(secs(5 * k + 1), keepalive.clone()));
+            quiet.push(watch.tick(secs(5 * k + 5)));
+        }
+        // A late announcement, inside MCT's gap: the transfer grows.
+        watch.send(from_router.data(secs(21), update(prefixes(150, 5))));
+        let late = watch.tick(secs(25));
+        // The collector out-sends the router: two large UPDATEs, then more
+        // KEEPALIVEs than the router's log has rows.
+        for i in 0..2 {
+            let announced = prefixes(10_000 + 400 * i, 400);
+            watch.send(from_collector.data(secs(26) + i as i64, update(announced)));
+        }
+        for i in 0..50 {
+            watch.send(from_collector.data(secs(27) + i, keepalive.clone()));
+        }
+        let flipped = watch.tick(secs(30));
+        watch.send(from_collector.data(secs(31), keepalive.clone()));
+        let flipped_quiet = watch.tick(secs(35));
 
-    let prefix_count =
-        |check: &[(Endpoint, Option<TableTransfer>)]| check[0].1.as_ref().map(|t| t.prefix_count);
-    assert_eq!(prefix_count(&table), Some(150));
-    for check in &quiet {
-        assert_eq!(check, &table, "KEEPALIVEs change no transfer");
+        let prefix_count = |check: &[(Endpoint, Option<TableTransfer>)]| {
+            check[0].1.as_ref().map(|t| t.prefix_count)
+        };
+        assert_eq!(prefix_count(&table), Some(150));
+        for check in &quiet {
+            assert_eq!(check, &table, "KEEPALIVEs change no transfer");
+        }
+        assert_eq!(
+            prefix_count(&late),
+            Some(155),
+            "the late announcement counts"
+        );
+        assert_eq!(flipped[0].0, from_collector.endpoint(), "the sender flips");
+        assert_eq!(prefix_count(&flipped), Some(800));
+        assert_eq!(flipped_quiet, flipped);
     }
-    assert_eq!(
-        prefix_count(&late),
-        Some(155),
-        "the late announcement counts"
-    );
-    assert_eq!(flipped[0].0, from_collector.endpoint(), "the sender flips");
-    assert_eq!(prefix_count(&flipped), Some(800));
-    assert_eq!(flipped_quiet, flipped);
 }
 
 /// A tick runs no MCT; the pull does, and it reports the transfer as of
@@ -373,29 +392,31 @@ fn cached_transfer_is_mct_over_the_current_snapshot_at_every_tick() {
 /// the first side's log.
 #[test]
 fn snapshot_transfer_is_mct_as_of_the_last_tick() {
-    let (mut watch, mut from_router, mut from_collector) = table_transfer();
-    let at_tick = watch.tick_unread(secs(5));
-    // A late announcement inside MCT's gap: the transfer as it stands
-    // now has grown.
-    watch.send(from_router.data(secs(6), update(prefixes(150, 5))));
-    assert_ne!(watch.mct_now(), at_tick, "the log moved on since the tick");
-    assert_eq!(watch.snapshot(), at_tick, "pulled after a new UPDATE");
-    assert_eq!(at_tick[0].1.as_ref().map(|t| t.prefix_count), Some(150));
+    for shards in LANES {
+        let (mut watch, mut from_router, mut from_collector) = table_transfer(shards);
+        let at_tick = watch.tick_unread(secs(5));
+        // A late announcement inside MCT's gap: the transfer as it stands
+        // now has grown.
+        watch.send(from_router.data(secs(6), update(prefixes(150, 5))));
+        assert_ne!(watch.mct_now(), at_tick, "the log moved on since the tick");
+        assert_eq!(watch.snapshot(), at_tick, "pulled after a new UPDATE");
+        assert_eq!(at_tick[0].1.as_ref().map(|t| t.prefix_count), Some(150));
 
-    let at_tick = watch.tick_unread(secs(10));
-    assert_eq!(at_tick[0].0, from_router.endpoint());
-    // The collector out-sends the router: it is the sender now, and its
-    // log holds more rows than the router's did at the tick.
-    for i in 0..2 {
-        let announced = prefixes(10_000 + 400 * i, 400);
-        watch.send(from_collector.data(secs(11) + i as i64, update(announced)));
+        let at_tick = watch.tick_unread(secs(10));
+        assert_eq!(at_tick[0].0, from_router.endpoint());
+        // The collector out-sends the router: it is the sender now, and its
+        // log holds more rows than the router's did at the tick.
+        for i in 0..2 {
+            let announced = prefixes(10_000 + 400 * i, 400);
+            watch.send(from_collector.data(secs(11) + i as i64, update(announced)));
+        }
+        for i in 0..50 {
+            watch.send(from_collector.data(secs(12) + i, BgpMessage::Keepalive.to_bytes()));
+        }
+        assert_eq!(watch.mct_now()[0].0, from_collector.endpoint());
+        assert_eq!(watch.snapshot(), at_tick, "pulled after a sender flip");
+        assert_eq!(at_tick[0].1.as_ref().map(|t| t.prefix_count), Some(155));
     }
-    for i in 0..50 {
-        watch.send(from_collector.data(secs(12) + i, BgpMessage::Keepalive.to_bytes()));
-    }
-    assert_eq!(watch.mct_now()[0].0, from_collector.endpoint());
-    assert_eq!(watch.snapshot(), at_tick, "pulled after a sender flip");
-    assert_eq!(at_tick[0].1.as_ref().map(|t| t.prefix_count), Some(155));
 }
 
 /// A tick builds only what its alerts read; the pull completes the rest
@@ -407,21 +428,157 @@ fn snapshot_transfer_is_mct_as_of_the_last_tick() {
 /// the first, each whole analysis must equal it field for field.
 #[test]
 fn snapshot_analysis_is_the_analysis_as_of_the_last_tick() {
-    let (mut watch, mut from_router, mut from_collector) = table_transfer();
-    watch.tick_unread(secs(5));
-    let at_tick = watch.replayed_to(secs(5));
-    watch.send(from_router.data(secs(6), update(prefixes(150, 5))));
-    watch.send(from_collector.data(secs(6) + 300, Vec::new()));
-    assert_eq!(watch.analyses(), at_tick, "pulled after a new UPDATE");
+    for shards in LANES {
+        let (mut watch, mut from_router, mut from_collector) = table_transfer(shards);
+        watch.tick_unread(secs(5));
+        let at_tick = watch.replayed_to(secs(5));
+        watch.send(from_router.data(secs(6), update(prefixes(150, 5))));
+        watch.send(from_collector.data(secs(6) + 300, Vec::new()));
+        assert_eq!(watch.analyses(), at_tick, "pulled after a new UPDATE");
 
-    watch.tick_unread(secs(10));
-    let at_tick = watch.replayed_to(secs(10));
-    for i in 0..2 {
-        let announced = prefixes(10_000 + 400 * i, 400);
-        watch.send(from_collector.data(secs(11) + i as i64, update(announced)));
+        watch.tick_unread(secs(10));
+        let at_tick = watch.replayed_to(secs(10));
+        for i in 0..2 {
+            let announced = prefixes(10_000 + 400 * i, 400);
+            watch.send(from_collector.data(secs(11) + i as i64, update(announced)));
+        }
+        assert_eq!(watch.mct_now()[0].0, from_collector.endpoint());
+        assert_eq!(watch.analyses(), at_tick, "pulled after a sender flip");
     }
-    assert_eq!(watch.mct_now()[0].0, from_collector.endpoint());
-    assert_eq!(watch.analyses(), at_tick, "pulled after a sender flip");
+}
+
+/// A table, then silence past MCT's `max_gap` — which settles nothing,
+/// since a demux settles by the frames it was fed and silence feeds it
+/// none — then KEEPALIVEs, the first of which moves the clock past the
+/// gap: the tick after it settles the router's log. Pulled after every
+/// tick, before and after the settle, each transfer is MCT over the
+/// connection as it stands, and the report the connection finalizes
+/// with is the batch analysis of the finished connection.
+#[test]
+fn a_transfer_settles_after_silence_and_keepalives_change_nothing() {
+    for shards in LANES {
+        let (mut watch, mut from_router, _) = table_transfer(shards);
+        let keepalive = BgpMessage::Keepalive.to_bytes();
+        let table = watch.tick(secs(5));
+        assert_eq!(watch.tick(secs(60)), table);
+        assert_eq!(watch.settled(), 0, "silence moves no demux clock");
+        watch.send(from_router.data(secs(61), keepalive.clone()));
+        assert_eq!(watch.tick(secs(65)), table);
+        assert_eq!(watch.settled(), 1, "{shards} lanes");
+        for k in 0..3 {
+            watch.send(from_router.data(secs(70 + 10 * k), keepalive.clone()));
+            assert_eq!(watch.tick(secs(75 + 10 * k)), table);
+        }
+        assert_eq!(watch.settled(), 1);
+        watch.finish();
+    }
+}
+
+/// Churn after the settle — the table's prefixes announced again and
+/// fresh ones, all past the gap, and a late retransmission of the
+/// table's first segment — is counted but is no part of the transfer:
+/// pulled before the next tick the transfer is the settled tick's, and
+/// after it MCT over the connection as it stands.
+#[test]
+fn churn_after_a_settle_is_no_part_of_the_transfer() {
+    for shards in LANES {
+        let (mut watch, mut from_router, _) = table_transfer(shards);
+        let table = watch.tick(secs(5));
+        watch.send(from_router.data(secs(61), BgpMessage::Keepalive.to_bytes()));
+        assert_eq!(watch.tick(secs(65)), table);
+        assert_eq!(watch.settled(), 1, "{shards} lanes");
+        watch.send(from_router.data(secs(66), update(prefixes(0, 5))));
+        watch.send(from_router.data(secs(67), update(prefixes(150, 5))));
+        let mut retransmitted = watch.sent[2].clone();
+        retransmitted.timestamp = Micros(secs(68));
+        watch.send(retransmitted);
+        assert_eq!(watch.snapshot(), table, "pulled after churn");
+        assert_eq!(watch.tick(secs(70)), table);
+        watch.send(from_router.data(secs(71), update(prefixes(155, 5))));
+        assert_eq!(watch.tick(secs(75)), table);
+        watch.finish();
+    }
+}
+
+/// After the router's log settled, the collector out-sends it: the
+/// sender flips to a side whose log is open, and MCT is read from that
+/// log, until it settles in turn. Its UPDATEs come more than `max_gap`
+/// after the session start, so MCT finds no transfer in them, settled
+/// or not.
+#[test]
+fn a_sender_flip_after_a_settle_reads_the_new_senders_log() {
+    for shards in LANES {
+        let (mut watch, mut from_router, mut from_collector) = table_transfer(shards);
+        let keepalive = BgpMessage::Keepalive.to_bytes();
+        let table = watch.tick(secs(5));
+        watch.send(from_router.data(secs(61), keepalive.clone()));
+        assert_eq!(watch.tick(secs(65)), table);
+        assert_eq!(watch.settled(), 1, "{shards} lanes");
+        for i in 0..2 {
+            let announced = prefixes(10_000 + 400 * i, 400);
+            watch.send(from_collector.data(secs(66) + i as i64, update(announced)));
+        }
+        for i in 0..50 {
+            watch.send(from_collector.data(secs(67) + i, keepalive.clone()));
+        }
+        assert_eq!(watch.snapshot(), table, "pulled after the flip");
+        let flipped = watch.tick(secs(70));
+        assert_eq!(flipped[0].0, from_collector.endpoint(), "the sender flips");
+        assert_eq!(flipped[0].1, None);
+        assert_eq!(watch.settled(), 1, "the collector's UPDATEs are recent");
+        watch.send(from_collector.data(secs(127), keepalive.clone()));
+        assert_eq!(watch.tick(secs(130)), flipped);
+        assert_eq!(watch.settled(), 2);
+        watch.finish();
+    }
+}
+
+/// The demux clock reaches the table's end plus `max_gap` to the
+/// microsecond: not past the gap, so nothing settles, and an UPDATE at
+/// that instant still grows the transfer. It settles once the clock is
+/// past the gap of that last UPDATE.
+#[test]
+fn a_transfer_resumed_just_inside_max_gap_has_not_settled() {
+    for shards in LANES {
+        let (mut watch, mut from_router, _) = table_transfer(shards);
+        let max_gap = MctConfig::default().max_gap.0;
+        let keepalive = BgpMessage::Keepalive.to_bytes();
+        let table = watch.tick(secs(5));
+        let resume = TABLE_END + max_gap;
+        watch.send(from_router.data(resume, keepalive.clone()));
+        assert_eq!(watch.tick(secs(65)), table);
+        assert_eq!(
+            watch.settled(),
+            0,
+            "{shards} lanes: exactly max_gap is inside it"
+        );
+        watch.send(from_router.data(resume, update(prefixes(150, 5))));
+        let resumed = watch.tick(secs(70));
+        assert_eq!(resumed[0].1.as_ref().map(|t| t.prefix_count), Some(155));
+        assert_eq!(watch.settled(), 0);
+        watch.send(from_router.data(resume + max_gap + 1, keepalive.clone()));
+        assert_eq!(watch.tick(secs(125)), resumed);
+        assert_eq!(watch.settled(), 1);
+        watch.finish();
+    }
+}
+
+/// The router numbers its bytes from just below `u32::MAX`, so its
+/// sequence numbers wrap in the middle of the table: the transfer
+/// settles and finalizes as one that did not wrap.
+#[test]
+fn a_transfer_whose_sequence_wraps_settles_as_any_other() {
+    for shards in LANES {
+        let (mut watch, mut from_router, _) = table_transfer_from(shards, u32::MAX - 700);
+        let table = watch.tick(secs(5));
+        assert_eq!(table[0].1.as_ref().map(|t| t.prefix_count), Some(150));
+        watch.send(from_router.data(secs(61), BgpMessage::Keepalive.to_bytes()));
+        assert_eq!(watch.tick(secs(65)), table);
+        assert_eq!(watch.settled(), 1, "{shards} lanes");
+        watch.send(from_router.data(secs(66), update(prefixes(150, 5))));
+        assert_eq!(watch.tick(secs(70)), table);
+        watch.finish();
+    }
 }
 
 /// A one-connection watch beside a tracker and a demux fed the same
@@ -433,11 +590,12 @@ struct TransferWatch {
     demux: BgpDemux,
     /// Every frame sent, in order.
     sent: Vec<TcpFrame>,
+    shards: usize,
 }
 
 impl TransferWatch {
-    fn new() -> TransferWatch {
-        let config = TransferWatch::config();
+    fn new(shards: usize) -> TransferWatch {
+        let config = TransferWatch::config(shards);
         let tracker = ConnectionTracker::new(config.tracker);
         let mut monitor = Monitor::new(config);
         let id = monitor.register_source("capture");
@@ -447,11 +605,13 @@ impl TransferWatch {
             tracker,
             demux: BgpDemux::new(),
             sent: Vec::new(),
+            shards,
         }
     }
 
-    fn config() -> MonitorConfig {
+    fn config(shards: usize) -> MonitorConfig {
         MonitorConfig::builder()
+            .shards(shards)
             .window(Micros::from_secs(120))
             .interval(Micros::from_secs(5))
             .tracker(TrackerConfig {
@@ -477,7 +637,7 @@ impl TransferWatch {
     /// What [`analyses`](Self::analyses) says of a fresh watch fed every
     /// frame sent so far and advanced to `at`.
     fn replayed_to(&self, at: i64) -> Vec<String> {
-        let mut twin = Monitor::new(TransferWatch::config());
+        let mut twin = Monitor::new(TransferWatch::config(self.shards));
         let id = twin.register_source("capture");
         for frame in &self.sent {
             twin.ingest_from(id, frame);
@@ -524,6 +684,43 @@ impl TransferWatch {
             .collect()
     }
 
+    /// Message logs the watch has settled so far.
+    fn settled(&self) -> u64 {
+        self.monitor.metrics().transfers_settled()
+    }
+
+    /// Ends the watch, asserting that each report it finalized is byte
+    /// for byte the batch analysis of the finished connection: the
+    /// tracker's connection and the data sender's log, neither ever
+    /// settled.
+    fn finish(mut self) {
+        self.monitor.finish();
+        let reports: Vec<String> = self
+            .monitor
+            .drain_events()
+            .iter()
+            .filter_map(|event| match event {
+                MonitorEvent::Connection(c) => Some(c.report.to_json()),
+                _ => None,
+            })
+            .collect();
+        let analyzer = Analyzer::default();
+        let batch: Vec<String> = self
+            .tracker
+            .finish()
+            .into_iter()
+            .map(|fin| {
+                let extraction = self.demux.take(fin.key, fin.connection.sender);
+                let counts = AnomalyCounts::default();
+                let analysis =
+                    analyzer.analyze_extracted_lossy(fin.connection, &extraction, counts);
+                Report::from_analysis(&analysis, analyzer.config()).to_json()
+            })
+            .collect();
+        assert!(!batch.is_empty());
+        assert_eq!(reports, batch);
+    }
+
     /// Each (sender, transfer) a snapshot pulled from the monitor now
     /// reports.
     fn snapshot(&mut self) -> Vec<(Endpoint, Option<TableTransfer>)> {
@@ -543,32 +740,35 @@ fn analyses_of(monitor: &mut Monitor) -> Vec<String> {
         .collect()
 }
 
-/// One direction of a TCP connection, numbering its own bytes.
+/// One direction of a TCP connection, numbering its own bytes from its
+/// initial sequence number on, wrapping past `u32::MAX`.
 struct Side {
     src: Ipv4Addr,
     src_port: u16,
     dst: Ipv4Addr,
     dst_port: u16,
+    isn: u32,
     seq: u32,
 }
 
 impl Side {
-    fn new(src: Ipv4Addr, src_port: u16, dst: Ipv4Addr, dst_port: u16) -> Side {
+    fn new(src: Ipv4Addr, src_port: u16, dst: Ipv4Addr, dst_port: u16, isn: u32) -> Side {
         Side {
             src,
             src_port,
             dst,
             dst_port,
-            seq: 0,
+            isn,
+            seq: isn,
         }
     }
 
     fn syn(&mut self, at: i64) -> TcpFrame {
-        self.seq = 1;
+        self.seq = self.isn.wrapping_add(1);
         FrameBuilder::new(self.src, self.dst)
             .at(Micros(at))
             .ports(self.src_port, self.dst_port)
-            .seq(0)
+            .seq(self.isn)
             .flags(TcpFlags::SYN)
             .option(TcpOption::Mss(1448))
             .window(65535)

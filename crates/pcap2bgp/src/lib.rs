@@ -14,8 +14,8 @@
 //! ([`tdat_bgp::KeptMessages`]). The analysis path needs two facts per
 //! message — that time, and the prefixes announced — so by default an
 //! [`Extraction`] holds a flat [`tdat_bgp::MessageLog`] filled by a
-//! skim decoder: 16 bytes per message and 8 per announced prefix, no
-//! tree per message to build and free. The tool proper, whose product
+//! skim decoder: 16 bytes per message and 8 per announced prefix until
+//! MCT's answer is settled, no tree per message to build and free. The tool proper, whose product
 //! *is* the messages, keeps [`tdat_bgp::WholeMessages`]:
 //! [`extract_all`] and [`to_mrt_records`] speak that type.
 //!
@@ -44,7 +44,7 @@
 use std::collections::BTreeMap;
 
 use tdat_bgp::{
-    Framed, KeptMessages, LogRow, MessageLog, MrtRecord, WholeMessages, BGP_HEADER_LEN,
+    Framed, KeptMessages, LogRow, MctConfig, MessageLog, MrtRecord, WholeMessages, BGP_HEADER_LEN,
 };
 use tdat_packet::{seq_diff, TcpFlags, TcpFrame};
 use tdat_timeset::Micros;
@@ -350,12 +350,14 @@ impl Extraction {
 /// Bounded: the reassembler's out-of-order window
 /// ([`MAX_PENDING_BYTES`]), the pre-anchor buffer ([`PREANCHOR_BYTES`])
 /// and at most one partial message. Growing, until the extraction is
-/// taken: what is kept of every message framed so far — with the
-/// default [`MessageLog`], one 16-byte row per message plus 8 bytes per
-/// announced prefix. Nothing else: the reassembler appends an in-order
-/// segment straight into the framing buffer, its one copy, and that
-/// buffer is released whenever a feed frames every byte in it, so a
-/// stream that is between messages holds no segment-sized capacity.
+/// taken or [settled](Self::settle): what is kept of every message
+/// framed so far — with the default [`MessageLog`], one 16-byte row per
+/// message plus 8 bytes per announced prefix. A settled log keeps MCT's
+/// answer and a row count in place of both, and grows no more. Nothing
+/// else: the reassembler appends an in-order segment straight into the
+/// framing buffer, its one copy, and that buffer is released whenever a
+/// feed frames every byte in it, so a stream that is between messages
+/// holds no segment-sized capacity.
 #[derive(Debug, Default)]
 pub struct StreamExtractor<K = MessageLog> {
     reasm: StreamReassembler,
@@ -389,6 +391,13 @@ impl StreamExtractor {
     /// with `StreamExtractor::<K>::default()`.
     pub fn new() -> StreamExtractor {
         StreamExtractor::default()
+    }
+
+    /// Settles the log's table transfer once MCT's answer can no longer
+    /// change ([`MessageLog::settle`]): `now` must bound the time of
+    /// every segment still to be pushed. Returns whether it settled now.
+    pub fn settle(&mut self, now: Micros, config: &MctConfig) -> bool {
+        self.so_far.messages.settle(now, config)
     }
 }
 
