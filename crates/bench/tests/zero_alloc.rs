@@ -10,7 +10,8 @@
 //! a monitor tick allocates none: the snapshot pull does. A live-byte
 //! tally pins what an open connection holds: its map entry and its
 //! message log, no segment-sized buffer; and what a settled transfer
-//! holds: no table, and nothing more for the rows after it.
+//! holds: no table, and nothing more for the rows after it. A report
+//! renders into its line with no temporary.
 //!
 //! The counting allocator lives here because the packet crate itself
 //! (rightly) forbids `unsafe`; an integration test is its own crate,
@@ -20,13 +21,13 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::net::Ipv4Addr;
 
-use tdat::{BgpDemux, StreamAnalyzer};
+use tdat::{AnalyzerConfig, BgpDemux, Report, StreamAnalyzer};
 use tdat_bench::{generate_transfer, Dataset, Scenario};
 use tdat_bgp::{
     find_transfer_end_ref, BgpMessage, MctConfig, MessageLog, OpenMessage, TableGenerator,
     UpdateMessage,
 };
-use tdat_monitor::{Monitor, MonitorConfig};
+use tdat_monitor::{ConnectionSummary, Monitor, MonitorConfig, MonitorEvent};
 use tdat_packet::{
     FrameBlock, FrameBuilder, FrameLike, MmapReader, PcapReader, PcapWriter, TcpFlags, TcpFrame,
     TcpOption,
@@ -542,6 +543,59 @@ fn batch_pass_allocates_a_few_times_per_frame() {
     );
 }
 
+/// A report renders into its line with no temporary: [`Report::write_json`]
+/// into a string with room makes no allocation, and
+/// [`MonitorEvent::to_json`] writes the report straight into the event's
+/// line, so a connection event costs its one string and its growth.
+/// Measured (debug and release) over the report of a 2 000-route
+/// transfer with upstream loss (611 bytes): `to_json` makes 2
+/// allocations, the 512-byte string and one growth, and the connection
+/// event 3; when every field went through `format!` and each value
+/// through an escaped or formatted temporary, they made 94 and 114.
+#[test]
+fn a_report_renders_without_temporaries() {
+    let frames = generate_transfer(
+        Dataset::IspAQuagga,
+        0,
+        Scenario::UpstreamLoss { p: 0.02 },
+        2_000,
+        7,
+    )
+    .frames;
+    let analyses = StreamAnalyzer::default().analyze_frames(&frames);
+    let report = Report::from_analysis(&analyses[0], &AnalyzerConfig::default());
+    let json = report.to_json();
+    let mut line = String::with_capacity(json.len());
+
+    let before = allocations();
+    report.write_json(&mut line);
+    assert_eq!(
+        allocations() - before,
+        0,
+        "write_json into a string with room"
+    );
+    assert_eq!(line, json);
+
+    let before = allocations();
+    let rendered = report.to_json();
+    let to_json = allocations() - before;
+    let event = MonitorEvent::Connection(ConnectionSummary {
+        at: Micros::from_secs(1),
+        source: "a.pcap".into(),
+        session: "10.0.0.1:179->10.0.0.2:40000".to_string(),
+        report,
+    });
+    let before = allocations();
+    let line = event.to_json();
+    let event_line = allocations() - before;
+    assert!(to_json <= 2, "{to_json} allocations for one report");
+    assert!(
+        event_line <= 3,
+        "{event_line} allocations for one connection event"
+    );
+    assert!(line.contains(&format!(",\"report\":{rendered}}}")));
+}
+
 /// A TCP flow that is not BGP is skipped without a single allocation:
 /// once the framing buffer has grown to a segment, 64 KiB of payload —
 /// pseudo-random bytes and a long run of marker bytes, the worst case
@@ -646,14 +700,17 @@ fn held_by_demux(frames: &[TcpFrame]) -> i64 {
 }
 
 /// What an open connection holds, as a law: its map entry, and its
-/// message log — 16-byte rows and the 8-byte prefix arena, each at most
-/// twice its length (or four entries) as a `Vec` grows — and nothing
-/// else. 300 short sessions of 90–110 routes go through one
-/// [`BgpDemux`] and are never taken; the map is measured apart, from
-/// the same connections' SYNs alone. Measured (debug and release,
-/// repeating exactly): the 300 sessions hold 734 224 bytes, 2 447 per
-/// connection; the map is 221 712 of them (739 per connection) and the
-/// logs 512 512 (1 708), against a law of 2 599 per connection. While
+/// message log — 4 bytes a row, 16 a run of rows stamped alike (at most
+/// one run per segment) and 5 a prefix, rows and runs in one `Vec` and
+/// the prefixes in another, each at most twice its length (or four
+/// entries) as a `Vec` grows — and nothing else. 300 short sessions of
+/// 90–110 routes go through one [`BgpDemux`] and are never taken; the
+/// map is measured apart, from the same connections' SYNs alone.
+/// Measured (debug and release, repeating exactly): the 300 sessions
+/// hold 490 512 bytes, 1 635 per connection; the map is 221 712 of them
+/// (739 per connection) and the logs 268 800 (896), against a law of
+/// 1 313 per connection. With 16-byte rows and an 8-byte prefix arena
+/// the logs held 512 512 (1 708) against a law of 2 599. While
 /// the reassembler staged contiguous bytes in a buffer of its own and
 /// the framing buffer kept its capacity once empty, the same sessions
 /// held 1 627 600 bytes: the logs' share was 4 604 per connection, two
@@ -673,8 +730,10 @@ fn open_connection_holds_its_log_and_no_segment() {
     for i in 0..SESSIONS {
         let routes = 90 + i % 21;
         let (session, messages) = short_session(i, routes);
+        // A segment's messages share its time: at most one run each.
+        let runs = session.iter().filter(|f| !f.payload.is_empty()).count();
         frames.extend(session);
-        law += 16 * (2 * messages).max(4) + 8 * (2 * routes).max(4);
+        law += 4 * (2 * (messages + 4 * runs)).max(4) + 5 * (2 * routes).max(4);
         prefixes += routes;
     }
     let syns: Vec<TcpFrame> = frames
@@ -696,8 +755,8 @@ fn open_connection_holds_its_log_and_no_segment() {
         "an open log is two Vecs; a settled one fits beside them"
     );
     assert!(
-        logs >= (8 * prefixes) as i64,
-        "the arena alone is 8 bytes per prefix ({logs} bytes held beyond the map)"
+        logs >= (5 * prefixes) as i64,
+        "the arena alone is 5 bytes per prefix ({logs} bytes held beyond the map)"
     );
     assert!(
         logs <= law as i64,
@@ -772,10 +831,12 @@ fn settle_watch(wait: Micros, churn: &[Vec<u8>]) -> SettleWatch {
 /// 5 000 KEEPALIVEs, in segments of whole messages, add no byte to the
 /// settled watch, where the reference's open log takes a row each.
 /// Measured (debug and release, repeating exactly): the router's log
-/// held 131 072 bytes, and the settling watch's tick freed exactly
-/// those while the reference's tick held as much after as before; the
-/// 10 000 rows add 0 bytes to the settled watch and 262 144 to the
-/// reference.
+/// held 57 344 bytes (131 072 with 16-byte rows and 8-byte prefixes),
+/// and the settling watch's tick freed exactly those while the
+/// reference's tick held as much after as before; the 10 000 rows add
+/// 0 bytes to the settled watch and 90 112 to the reference (262 144
+/// before), of which 40 960 are the arena growing for the 5 000
+/// re-announced prefixes.
 #[test]
 fn settled_transfer_holds_no_table() {
     let max_gap = MctConfig::default().max_gap;
@@ -808,7 +869,7 @@ fn settled_transfer_holds_no_table() {
     let settling = settle_watch(max_gap + Micros(1), &churn);
     let reference = settle_watch(max_gap, &churn);
     assert_eq!((settling.settled, reference.settled), (1, 0));
-    assert!(held >= 8 * 8_000, "the arena alone is 8 bytes a prefix");
+    assert!(held >= 5 * 8_000, "the arena alone is 5 bytes a prefix");
     assert_eq!(
         reference.settle_tick - settling.settle_tick,
         held,
@@ -816,8 +877,8 @@ fn settled_transfer_holds_no_table() {
     );
     assert_eq!(settling.rows_after, 0, "rows after the settle hold nothing");
     assert!(
-        reference.rows_after >= 16 * 10_000,
-        "an open log takes 16 bytes a row ({} bytes)",
+        reference.rows_after >= 4 * 10_000,
+        "an open log takes 4 bytes a row ({} bytes)",
         reference.rows_after
     );
 }

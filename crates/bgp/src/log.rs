@@ -7,7 +7,8 @@
 //! builds far more — owned attribute, AS-path and prefix vectors per
 //! UPDATE — and a reassembler that kept those trees spent most of its
 //! time allocating and freeing what nobody read. The log keeps one
-//! 16-byte row per message plus one arena of announced prefixes, and
+//! 4-byte row per message, one time per run of messages stamped alike
+//! and one arena of announced prefixes at 5 bytes each, and
 //! [`MessageLog::skim`] validates every rule `decode` enforces while
 //! materialising nothing else, so both accept exactly the same byte
 //! strings.
@@ -113,34 +114,155 @@ impl KeptMessages for MessageLog {
     }
 }
 
-/// One message of the log. The counts are `u16`: a message is at most
-/// [`BGP_MAX_MESSAGE_LEN`] bytes and a prefix at least one, and unlike
-/// arena offsets they cannot outgrow their width on a long session.
+/// Bits of each count in a [`Row`]: a message is at most
+/// [`BGP_MAX_MESSAGE_LEN`] bytes and a prefix at least one, so an
+/// UPDATE announces or withdraws at most 4 073 prefixes, and neither
+/// count reaches `1 << COUNT_BITS`.
+const COUNT_BITS: u32 = 12;
+/// The largest count a row holds.
+const COUNT_MAX: u32 = (1 << COUNT_BITS) - 1;
+/// Where a row keeps its wire type code (1 to 4, three bits).
+const TYPE_SHIFT: u32 = 2 * COUNT_BITS;
+/// Set in the first and last word of a run's trailer, never in a row.
+const TAG: u32 = 1 << 31;
+/// Words in a run's trailer: the tag with the message count's low 31
+/// bits, the time's low and high halves, the tag with the count's next
+/// 31 bits.
+const TRAILER: usize = 4;
+
+/// One message of the log in one word: the wire type code in bits
+/// 24–26, the withdrawn count in bits 12–23 and the announced count in
+/// bits 0–11. Bit 31 is clear, so a row never reads as a trailer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Row {
-    time: Micros,
-    type_code: u8,
-    announced: u16,
-    withdrawn: u16,
-}
+struct Row(u32);
 
 impl Row {
+    fn new(type_code: u8, announced: usize, withdrawn: usize) -> Row {
+        debug_assert!(type_code < 8, "type code {type_code}");
+        debug_assert!(announced <= COUNT_MAX as usize && withdrawn <= COUNT_MAX as usize);
+        Row(u32::from(type_code) << TYPE_SHIFT
+            | (withdrawn as u32) << COUNT_BITS
+            | announced as u32)
+    }
+
+    fn type_code(self) -> u8 {
+        (self.0 >> TYPE_SHIFT) as u8
+    }
+
+    fn announced(self) -> usize {
+        (self.0 & COUNT_MAX) as usize
+    }
+
+    fn withdrawn(self) -> u16 {
+        (self.0 >> COUNT_BITS & COUNT_MAX) as u16
+    }
+
     /// Whether MCT counts the row: an UPDATE that announces or
     /// withdraws a prefix. MCT skips every other row, and only counted
     /// rows move its gap check.
-    fn counted(&self) -> bool {
-        self.type_code == 2 && (self.announced > 0 || self.withdrawn > 0)
+    fn counted(self) -> bool {
+        self.type_code() == 2 && (self.announced() > 0 || self.withdrawn() > 0)
     }
 }
 
-/// A flat per-connection message log: one row per message (time, wire
-/// type code, announced and withdrawn prefix counts) and one arena of
-/// every announced prefix in arrival order, packed
-/// `network << 8 | len` — the form MCT hashes. Until it is
-/// [settled](Self::settle), memory is 16 bytes per message plus 8 per
-/// announced prefix; nothing else of a message is retained. A settled
-/// log holds nothing beyond its own 48 bytes, however many messages it
-/// counts after: it keeps MCT's answer and a row count.
+/// The trailer that ends a run of rows stamped `time`, the last of
+/// them the log's `messages`-th.
+fn trailer(messages: usize, time: Micros) -> [u32; TRAILER] {
+    let (messages, bits) = (messages as u64, time.0 as u64);
+    [
+        TAG | (messages as u32 & !TAG),
+        bits as u32,
+        (bits >> 32) as u32,
+        TAG | (messages >> 31) as u32,
+    ]
+}
+
+/// The messages up to and including a run, and the run's time.
+fn read_trailer(trailer: &[u32; TRAILER]) -> (usize, Micros) {
+    let [low_count, low, high, high_count] = *trailer;
+    let messages = u64::from(high_count & !TAG) << 31 | u64::from(low_count & !TAG);
+    (
+        messages as usize,
+        Micros((u64::from(high) << 32 | u64::from(low)) as i64),
+    )
+}
+
+/// A log's rows run by run from the back: each run's time and its row
+/// words.
+fn runs_back(mut words: &[u32]) -> impl Iterator<Item = (Micros, &[u32])> {
+    std::iter::from_fn(move || {
+        let (rest, trailer) = words.split_last_chunk::<TRAILER>()?;
+        let start = rest
+            .iter()
+            .rposition(|word| word & TAG != 0)
+            .map_or(0, |i| i + 1);
+        let (before, run) = rest.split_at(start);
+        words = before;
+        Some((read_trailer(trailer).1, run))
+    })
+}
+
+/// A log's rows in arrival order, each with its run's time. A run is
+/// found by reading on to its trailer, so each word is read twice.
+#[derive(Debug, Clone)]
+struct Rows<'a> {
+    /// The words after the current run's trailer.
+    words: &'a [u32],
+    /// What is left of the current run.
+    run: std::slice::Iter<'a, u32>,
+    time: Micros,
+}
+
+impl<'a> Rows<'a> {
+    fn new(words: &'a [u32]) -> Rows<'a> {
+        Rows {
+            words,
+            run: [].iter(),
+            time: Micros::ZERO,
+        }
+    }
+}
+
+impl Iterator for Rows<'_> {
+    type Item = (Micros, Row);
+
+    fn next(&mut self) -> Option<(Micros, Row)> {
+        if self.run.len() == 0 {
+            let end = self.words.iter().position(|word| word & TAG != 0)?;
+            let (run, rest) = self.words.split_at(end);
+            let (trailer, rest) = rest.split_first_chunk::<TRAILER>()?;
+            self.time = read_trailer(trailer).1;
+            self.run = run.iter();
+            self.words = rest;
+        }
+        self.run.next().map(|&word| (self.time, Row(word)))
+    }
+}
+
+/// A prefix as the arena keeps it: the masked network, big-endian, then
+/// the length.
+fn arena_prefix(network: u32, len: u8) -> [u8; 5] {
+    let [a, b, c, d] = network.to_be_bytes();
+    [a, b, c, d, len]
+}
+
+/// An arena prefix packed into one word, `network << 8 | len`: the
+/// form MCT hashes.
+pub(crate) fn packed(prefix: &[u8; 5]) -> u64 {
+    let [a, b, c, d, len] = *prefix;
+    u64::from(u32::from_be_bytes([a, b, c, d])) << 8 | u64::from(len)
+}
+
+/// A flat per-connection message log: one word per message (wire type
+/// code, announced and withdrawn prefix counts), one time per run of
+/// messages stamped alike, and one arena of every announced prefix in
+/// arrival order, five bytes each (the masked network, then the
+/// length). Until it is [settled](Self::settle), memory is 4 bytes per
+/// message, 16 per run and 5 per announced prefix; a segment's messages
+/// share its time, so a table transfer's runs are some twenty messages
+/// long. Nothing else of a message is retained. A settled log holds
+/// nothing beyond its own 48 bytes, however many messages it counts
+/// after: it keeps MCT's answer and a row count.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct MessageLog {
     state: State,
@@ -148,9 +270,16 @@ pub struct MessageLog {
 
 #[derive(Debug, Clone, PartialEq, Eq)]
 enum State {
-    /// Every row, and the announced prefixes of all rows concatenated
-    /// in row order: what MCT reads.
-    Open { rows: Vec<Row>, announced: Vec<u64> },
+    /// Every row, each run of rows stamped alike followed by its
+    /// trailer, and the announced prefixes of all rows concatenated in
+    /// row order: what MCT reads. The last trailer counts every
+    /// message, so the length is read in O(1); a message stamped as the
+    /// run before it takes that run's trailer's place and pushes the
+    /// trailer on, and one stamped anew starts a run.
+    Open {
+        rows: Vec<u32>,
+        announced: Vec<[u8; 5]>,
+    },
     /// MCT's answer, which no later row can change. Fits beside the
     /// open arm's niche, so an open log stays two `Vec`s wide.
     Settled(Settled),
@@ -230,9 +359,11 @@ pub struct LogRow<'a> {
     pub time: Micros,
     /// Wire type code (1 OPEN, 2 UPDATE, 3 NOTIFICATION, 4 KEEPALIVE).
     pub type_code: u8,
-    /// The announced prefixes, packed `network << 8 | len` with the
-    /// network masked to the length.
-    pub announced: &'a [u64],
+    /// The announced prefixes, five bytes each: the network masked to
+    /// the length, big-endian, then the length.
+    /// [`MctUpdate::packed_announced`](crate::MctUpdate::packed_announced)
+    /// reads them as `network << 8 | len`.
+    pub announced: &'a [[u8; 5]],
     /// How many prefixes the message withdrew.
     pub withdrawn: u16,
     /// Prefixes this message and every later one in the log announce.
@@ -243,7 +374,9 @@ impl MessageLog {
     /// Messages in the log, settled or not.
     pub fn len(&self) -> usize {
         match &self.state {
-            State::Open { rows, .. } => rows.len(),
+            State::Open { rows, .. } => rows
+                .last_chunk::<TRAILER>()
+                .map_or(0, |trailer| read_trailer(trailer).0),
             State::Settled(settled) => settled.rows,
         }
     }
@@ -263,26 +396,30 @@ impl MessageLog {
     /// exactly as [`iter`](Self::iter) yielded them when the log held
     /// only those: `announced_ahead` counts no prefix of a later row.
     fn head(&self, rows: usize) -> impl Iterator<Item = LogRow<'_>> {
-        let (all, announced): (&[Row], &[u64]) = match &self.state {
+        let (words, announced): (&[u32], &[[u8; 5]]) = match &self.state {
             State::Open { rows, announced } => (rows, announced),
             State::Settled(_) => (&[], &[]),
         };
-        let rows = &all[..rows.min(all.len())];
-        let mut arena = if rows.len() == all.len() {
+        let all = self.len();
+        let rows = rows.min(all);
+        let mut arena = if rows == all {
             announced
         } else {
-            let end = rows.iter().map(|row| usize::from(row.announced)).sum();
+            let end = Rows::new(words)
+                .take(rows)
+                .map(|(_, row)| row.announced())
+                .sum();
             &announced[..end]
         };
-        rows.iter().map(move |row| {
+        Rows::new(words).take(rows).map(move |(time, row)| {
             let announced_ahead = arena.len();
-            let (announced, rest) = arena.split_at(usize::from(row.announced));
+            let (announced, rest) = arena.split_at(row.announced());
             arena = rest;
             LogRow {
-                time: row.time,
-                type_code: row.type_code,
+                time,
+                type_code: row.type_code(),
                 announced,
-                withdrawn: row.withdrawn,
+                withdrawn: row.withdrawn(),
                 announced_ahead,
             }
         })
@@ -360,57 +497,89 @@ impl MessageLog {
         }
         // Trailing rows MCT skips are few: KEEPALIVEs since the last
         // counted UPDATE, which is within `max_gap` unless it settles.
-        let Some(last) = rows.iter().rev().find(|row| row.counted()) else {
+        let Some((last, _)) =
+            runs_back(rows).find(|(_, run)| run.iter().any(|&word| Row(word).counted()))
+        else {
             return false;
         };
-        if now - last.time <= config.max_gap {
+        if now - last <= config.max_gap {
             return false;
         }
-        let Some(first) = rows.iter().find(|row| row.counted()) else {
+        let Some((first, _)) = Rows::new(rows).find(|(_, row)| row.counted()) else {
             return false;
         };
-        let transfer = match find_transfer_end_ref(first.time, self.updates(), config) {
+        let transfer = match find_transfer_end_ref(first, self.updates(), config) {
             Some(transfer) => match SettledTransfer::of(&transfer) {
                 Some(kept) => Some(kept),
                 None => return false,
             },
             None => None,
         };
+        let rows = self.len();
         self.state = State::Settled(Settled {
-            rows: rows.len(),
-            settled_rows: rows.len(),
-            first: first.time,
+            rows,
+            settled_rows: rows,
+            first,
             transfer,
         });
         true
     }
 
-    /// Logs one message's row: kept while the log is open, counted once
-    /// it has settled.
-    fn push_row(&mut self, row: Row) {
-        match &mut self.state {
-            State::Open { rows, .. } => rows.push(row),
-            State::Settled(settled) => settled.rows += 1,
-        }
+    /// Logs one message's row, stamped `time`: kept while the log is
+    /// open, counted once it has settled.
+    fn push_row(&mut self, time: Micros, row: Row) {
+        let rows = match &mut self.state {
+            State::Open { rows, .. } => rows,
+            State::Settled(settled) => {
+                settled.rows += 1;
+                return;
+            }
+        };
+        let (messages, at) = match rows.last_chunk::<TRAILER>() {
+            Some(last) => {
+                let (messages, last_time) = read_trailer(last);
+                let at = rows.len() - if last_time == time { TRAILER } else { 0 };
+                (messages, at)
+            }
+            None => (0, 0),
+        };
+        rows.truncate(at);
+        rows.push(row.0);
+        rows.extend_from_slice(&trailer(messages + 1, time));
     }
 
     /// Appends the row a decoded `message` skims to.
+    ///
+    /// # Panics
+    ///
+    /// If `message` is an UPDATE that announces or withdraws more
+    /// prefixes than a row's count holds (4 095), which only a message
+    /// built rather than decoded can do: one on the wire has room for
+    /// 4 073.
     fn push_message(&mut self, time: Micros, message: &BgpMessage) {
         let (announced, withdrawn) = match message {
             BgpMessage::Update(update) => {
+                let counts = (update.announced.len(), update.withdrawn.len());
+                assert!(
+                    counts.0 <= COUNT_MAX as usize && counts.1 <= COUNT_MAX as usize,
+                    "an UPDATE of {} announced and {} withdrawn prefixes is larger than \
+                     a BGP message can be",
+                    counts.0,
+                    counts.1
+                );
                 if let State::Open { announced, .. } = &mut self.state {
-                    announced.extend(update.announced.iter().map(|p| p.packed()));
+                    announced.extend(
+                        update
+                            .announced
+                            .iter()
+                            .map(|p| arena_prefix(p.network().into(), p.len())),
+                    );
                 }
-                (update.announced.len(), update.withdrawn.len())
+                counts
             }
             _ => (0, 0),
         };
-        self.push_row(Row {
-            time,
-            type_code: message.type_code(),
-            announced: announced as u16,
-            withdrawn: withdrawn as u16,
-        });
+        self.push_row(time, Row::new(message.type_code(), announced, withdrawn));
     }
 
     /// Skims one message from the front of `buf` into the log: accepts
@@ -446,12 +615,7 @@ impl MessageLog {
         let Some((announced, withdrawn)) = counts else {
             return Framed::Rejected;
         };
-        self.push_row(Row {
-            time,
-            type_code,
-            announced,
-            withdrawn,
-        });
+        self.push_row(time, Row::new(type_code, announced, withdrawn));
         *buf = &bytes[len..];
         Framed::Kept
     }
@@ -459,7 +623,7 @@ impl MessageLog {
     /// Validates an UPDATE body and appends its NLRI to the arena of an
     /// open log, returning the (announced, withdrawn) counts; on a
     /// reject the arena is left as it was.
-    fn skim_update(&mut self, body: &[u8]) -> Option<(u16, u16)> {
+    fn skim_update(&mut self, body: &[u8]) -> Option<(usize, usize)> {
         let (withdrawn, rest) = split_u16_prefixed(body)?;
         let (attributes, nlri) = split_u16_prefixed(rest)?;
         let withdrawn = walk_nlri(withdrawn, |_| ())?;
@@ -467,7 +631,7 @@ impl MessageLog {
         let announced = match &mut self.state {
             State::Open { announced, .. } => {
                 let mark = announced.len();
-                let count = walk_nlri(nlri, |packed| announced.push(packed));
+                let count = walk_nlri(nlri, |prefix| announced.push(prefix));
                 if count.is_none() {
                     announced.truncate(mark);
                 }
@@ -487,9 +651,9 @@ fn split_u16_prefixed(buf: &[u8]) -> Option<(&[u8], &[u8])> {
 
 /// Walks NLRI with [`Prefix::decode`](crate::Prefix::decode)'s rules —
 /// length byte at most 32, `ceil(len / 8)` address bytes present, host
-/// bits masked off — handing each prefix on in packed form.
-fn walk_nlri(mut buf: &[u8], mut each: impl FnMut(u64)) -> Option<u16> {
-    let mut count = 0u16;
+/// bits masked off — handing each prefix on in the arena's form.
+fn walk_nlri(mut buf: &[u8], mut each: impl FnMut([u8; 5])) -> Option<usize> {
+    let mut count = 0;
     while let Some((&len, rest)) = buf.split_first() {
         if len > 32 {
             return None;
@@ -499,7 +663,7 @@ fn walk_nlri(mut buf: &[u8], mut each: impl FnMut(u64)) -> Option<u16> {
         octets[..address.len()].copy_from_slice(address);
         let mask = u32::MAX.checked_shl(32 - u32::from(len)).unwrap_or(0);
         let network = u32::from_be_bytes(octets) & mask;
-        each(u64::from(network) << 8 | u64::from(len));
+        each(arena_prefix(network, len));
         buf = rest;
         count += 1;
     }
@@ -558,7 +722,11 @@ fn skim_segments(mut value: &[u8], asn_width: usize, kind_ok: impl Fn(u8) -> boo
 
 #[cfg(test)]
 mod tests {
+    use std::net::Ipv4Addr;
+
     use super::*;
+    use crate::message::UpdateMessage;
+    use crate::prefix::Prefix;
     use crate::table::TableGenerator;
 
     #[test]
@@ -618,5 +786,57 @@ mod tests {
         assert_eq!(buf.len(), wire.len());
         assert_eq!(log, before);
         assert!(BgpMessage::decode(&mut &wire[..]).is_err());
+    }
+
+    #[test]
+    fn a_trailer_reads_back_any_count_and_time() {
+        let counts = [1, (1 << 31) - 1, 1 << 31, (1 << 40) + 7];
+        let times = [i64::MIN, -1, 0, 1 << 31, (1 << 32) - 1, i64::MAX];
+        for messages in counts {
+            for time in times.map(Micros) {
+                let words = trailer(messages, time);
+                assert_eq!(read_trailer(&words), (messages, time));
+                assert!(words[0] & TAG != 0 && words[TRAILER - 1] & TAG != 0);
+            }
+        }
+    }
+
+    /// An UPDATE of `count` /0s, announced or withdrawn, with no
+    /// attributes: 4 073 of them fill a 4 096-byte message.
+    fn full_update(count: usize, withdraw: bool) -> BgpMessage {
+        let all = vec![Prefix::new(Ipv4Addr::UNSPECIFIED, 0).unwrap(); count];
+        let (withdrawn, announced) = if withdraw {
+            (all, Vec::new())
+        } else {
+            (Vec::new(), all)
+        };
+        BgpMessage::Update(UpdateMessage {
+            withdrawn,
+            attributes: Vec::new(),
+            announced,
+        })
+    }
+
+    #[test]
+    fn the_largest_updates_read_back_their_exact_counts() {
+        for withdraw in [false, true] {
+            let message = full_update(4_073, withdraw);
+            let wire = message.to_bytes();
+            assert_eq!(wire.len(), BGP_MAX_MESSAGE_LEN);
+            let mut log = MessageLog::default();
+            assert_eq!(log.skim(Micros(1), &mut &wire[..]), Framed::Kept);
+            let (_, row) = log.updates().next().expect("one UPDATE");
+            let (announced, withdrawn) = if withdraw { (0, 4_073) } else { (4_073, 0) };
+            assert_eq!((row.announced.len(), row.withdrawn), (announced, withdrawn));
+            assert_eq!(log.announced_prefixes(), announced);
+            assert_eq!(log, [(Micros(1), message)].iter().collect());
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "larger than a BGP message can be")]
+    fn a_built_update_past_the_count_width_is_refused() {
+        let message = full_update(4_096, false);
+        let _: MessageLog = [(Micros(1), message)].iter().collect();
     }
 }

@@ -27,7 +27,7 @@
 
 use std::collections::HashSet;
 
-use crate::log::LogRow;
+use crate::log::{self, LogRow};
 use crate::message::UpdateMessage;
 use crate::prefix::Prefix;
 use tdat_timeset::{Micros, Span};
@@ -155,7 +155,7 @@ impl MctUpdate for LogRow<'_> {
         self.withdrawn == 0
     }
     fn packed_announced(&self) -> impl Iterator<Item = u64> + '_ {
-        self.announced.iter().copied()
+        self.announced.iter().map(log::packed)
     }
     fn announced_ahead(&self) -> usize {
         self.announced_ahead

@@ -259,12 +259,16 @@ proptest! {
 
     /// A good marker in front of any type code and any body, small
     /// bytes over-represented so OPEN's parameter length is sometimes
-    /// satisfiable; the header length is the body's, or off by one, or
-    /// near either end of the legal range, or anything.
+    /// satisfiable and short bodies so each type's least length is
+    /// probed from both sides; the header length is the body's, or off
+    /// by one, or near either end of the legal range, or anything.
     #[test]
     fn skim_matches_decode_on_arbitrary_bodies(
         type_code in 0u8..=6,
-        body in prop::collection::vec(prop_oneof![any::<u8>(), 0u8..4], 0..40),
+        body in prop_oneof![
+            prop::collection::vec(prop_oneof![any::<u8>(), 0u8..4], 0..4),
+            prop::collection::vec(prop_oneof![any::<u8>(), 0u8..4], 0..40),
+        ],
         len in prop_oneof![
             (0usize..12).prop_map(Err),
             (0usize..12).prop_map(Err),

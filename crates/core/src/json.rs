@@ -18,7 +18,7 @@
 //! surfaces have no reason to grow their own.
 
 use std::collections::HashMap;
-use std::fmt;
+use std::fmt::{self, Write};
 
 /// Escapes `\`, `"`, and control characters for embedding in a JSON
 /// string. Control characters must be escaped: [`parse`] (like any
@@ -26,70 +26,97 @@ use std::fmt;
 /// newline would split a JSONL line in two.
 pub fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '\\' => out.push_str("\\\\"),
-            '"' => out.push_str("\\\""),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
+    write_escaped(&mut out, s);
     out
+}
+
+/// Appends `s` escaped as [`escape`] does, without a temporary.
+pub fn write_escaped(out: &mut String, s: &str) {
+    // Every byte that needs escaping is ASCII, so a run between two of
+    // them is whole UTF-8.
+    let mut run = 0;
+    for (i, byte) in s.bytes().enumerate() {
+        if !matches!(byte, b'\\' | b'"' | 0..=0x1f) {
+            continue;
+        }
+        out.push_str(&s[run..i]);
+        match byte {
+            b'\\' => out.push_str("\\\\"),
+            b'"' => out.push_str("\\\""),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            _ => {
+                let _ = write!(out, "\\u{byte:04x}");
+            }
+        }
+        run = i + 1;
+    }
+    out.push_str(&s[run..]);
 }
 
 /// Formats a number with fixed six-decimal precision (`null` if
 /// non-finite), keeping emitted JSON byte-stable.
 pub fn fmt_num(v: f64) -> String {
+    let mut out = String::new();
+    write_num(&mut out, v);
+    out
+}
+
+/// Appends `v` formatted as [`fmt_num`] does, without a temporary.
+pub fn write_num(out: &mut String, v: f64) {
     if v.is_finite() {
-        format!("{v:.6}")
+        let _ = write!(out, "{v:.6}");
     } else {
-        "null".to_string()
+        out.push_str("null");
     }
+}
+
+/// Appends `"key":`, preceded by a comma if `comma`.
+fn push_key(out: &mut String, key: &str, comma: bool) {
+    if comma {
+        out.push(',');
+    }
+    out.push('"');
+    out.push_str(key);
+    out.push_str("\":");
 }
 
 /// Appends `"key":"value"` (escaped), preceded by a comma if
 /// `comma`.
 pub fn push_str_field(out: &mut String, key: &str, value: &str, comma: bool) {
-    if comma {
-        out.push(',');
-    }
-    out.push_str(&format!("\"{}\":\"{}\"", key, escape(value)));
+    push_key(out, key, comma);
+    out.push('"');
+    write_escaped(out, value);
+    out.push('"');
 }
 
 /// Appends `"key":1.234567`, preceded by a comma if `comma`.
 pub fn push_num_field(out: &mut String, key: &str, value: f64, comma: bool) {
-    if comma {
-        out.push(',');
-    }
-    out.push_str(&format!("\"{}\":{}", key, fmt_num(value)));
+    push_key(out, key, comma);
+    write_num(out, value);
 }
 
-/// Appends `"key":<raw>` verbatim (caller guarantees `raw` is valid
-/// JSON), preceded by a comma if `comma`.
-pub fn push_raw_field(out: &mut String, key: &str, raw: &str, comma: bool) {
-    if comma {
-        out.push(',');
-    }
-    out.push_str(&format!("\"{}\":{}", key, raw));
+/// Appends `"key":<raw>` verbatim (caller guarantees `raw` displays as
+/// valid JSON — an integer, `true`, `null`, an encoded value),
+/// preceded by a comma if `comma`.
+pub fn push_raw_field(out: &mut String, key: &str, raw: impl fmt::Display, comma: bool) {
+    push_key(out, key, comma);
+    let _ = write!(out, "{raw}");
 }
 
 /// Appends `"key":["a","b",…]` (each element escaped), preceded by
 /// a comma if `comma`.
 pub fn push_str_array_field<S: AsRef<str>>(out: &mut String, key: &str, values: &[S], comma: bool) {
-    if comma {
-        out.push(',');
-    }
-    out.push_str(&format!("\"{}\":[", key));
+    push_key(out, key, comma);
+    out.push('[');
     for (i, value) in values.iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
-        out.push_str(&format!("\"{}\"", escape(value.as_ref())));
+        out.push('"');
+        write_escaped(out, value.as_ref());
+        out.push('"');
     }
     out.push(']');
 }

@@ -21,8 +21,9 @@
 //!
 //! Frame payloads are never retained. By default every connection is
 //! held to its last frame, so memory grows with the capture's frame
-//! count (a fixed-size record per frame, plus 16 bytes per BGP message
-//! and 8 per announced prefix); a [`TrackerConfig::streaming`] engine
+//! count (a fixed-size record per frame, plus 4 bytes per BGP message,
+//! 16 per run of messages one segment framed and 5 per announced
+//! prefix); a [`TrackerConfig::streaming`] engine
 //! holds only the connections still open, which keeps day-long
 //! multi-session captures in bounded space and delivers results as
 //! connections finish.

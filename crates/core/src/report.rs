@@ -5,9 +5,12 @@
 //! encoder, so `t-dat --json` works without pulling a JSON crate into
 //! the tool.
 
+use std::fmt::Write;
+
 use crate::analyzer::Analysis;
 use crate::config::AnalyzerConfig;
 use crate::factors::Factor;
+use crate::json::{write_escaped, write_num};
 
 /// Machine-readable summary of one connection's analysis.
 #[derive(Debug, Clone, PartialEq)]
@@ -96,71 +99,60 @@ impl Report {
     /// format is fixed by this module and covered by tests).
     pub fn to_json(&self) -> String {
         let mut out = String::with_capacity(512);
+        self.write_json(&mut out);
+        out
+    }
+
+    /// Appends [`to_json`](Self::to_json)'s object to `out`, allocating
+    /// nothing but `out`'s growth.
+    pub fn write_json(&self, out: &mut String) {
         out.push('{');
-        push_str_field(&mut out, "sender", &self.sender, false);
-        push_str_field(&mut out, "receiver", &self.receiver, true);
-        push_num_field(&mut out, "duration_s", self.duration_s, true);
-        push_raw_field(&mut out, "prefixes", &self.prefixes.to_string(), true);
+        push_str_field(out, "sender", &self.sender, false);
+        push_str_field(out, "receiver", &self.receiver, true);
+        push_num_field(out, "duration_s", self.duration_s, true);
+        push_raw_field(out, "prefixes", self.prefixes, true);
         match self.rtt_ms {
-            Some(rtt) => push_num_field(&mut out, "rtt_ms", rtt, true),
-            None => push_raw_field(&mut out, "rtt_ms", "null", true),
+            Some(rtt) => push_num_field(out, "rtt_ms", rtt, true),
+            None => push_raw_field(out, "rtt_ms", "null", true),
         }
-        push_num_field(&mut out, "sender_ratio", self.sender_ratio, true);
-        push_num_field(&mut out, "receiver_ratio", self.receiver_ratio, true);
-        push_num_field(&mut out, "network_ratio", self.network_ratio, true);
+        push_num_field(out, "sender_ratio", self.sender_ratio, true);
+        push_num_field(out, "receiver_ratio", self.receiver_ratio, true);
+        push_num_field(out, "network_ratio", self.network_ratio, true);
         out.push_str(",\"factors\":{");
         for (i, (name, ratio)) in self.factors.iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
-            out.push_str(&format!("\"{}\":{}", escape(name), fmt_num(*ratio)));
+            out.push('"');
+            write_escaped(out, name);
+            out.push_str("\":");
+            write_num(out, *ratio);
         }
         out.push('}');
-        out.push_str(",\"major_groups\":[");
-        for (i, g) in self.major_groups.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("\"{}\"", escape(g)));
-        }
-        out.push(']');
+        push_str_array_field(out, "major_groups", &self.major_groups, true);
         match self.inferred_timer_ms {
-            Some(ms) => push_num_field(&mut out, "inferred_timer_ms", ms, true),
-            None => push_raw_field(&mut out, "inferred_timer_ms", "null", true),
+            Some(ms) => push_num_field(out, "inferred_timer_ms", ms, true),
+            None => push_raw_field(out, "inferred_timer_ms", "null", true),
         }
         out.push_str(",\"loss_episodes\":[");
         for (i, (n, secs)) in self.loss_episodes.iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
-            out.push_str(&format!("[{},{}]", n, fmt_num(*secs)));
+            let _ = write!(out, "[{n},");
+            write_num(out, *secs);
+            out.push(']');
         }
         out.push(']');
-        push_raw_field(
-            &mut out,
-            "zero_ack_bug",
-            if self.zero_ack_bug { "true" } else { "false" },
-            true,
-        );
-        push_raw_field(
-            &mut out,
-            "delayed_ack_spurious",
-            &self.delayed_ack_spurious.to_string(),
-            true,
-        );
-        push_str_field(&mut out, "verdict", &self.verdict, true);
+        push_raw_field(out, "zero_ack_bug", self.zero_ack_bug, true);
+        push_raw_field(out, "delayed_ack_spurious", self.delayed_ack_spurious, true);
+        push_str_field(out, "verdict", &self.verdict, true);
         match &self.quarantine_reason {
-            Some(reason) => push_str_field(&mut out, "quarantine_reason", reason, true),
-            None => push_raw_field(&mut out, "quarantine_reason", "null", true),
+            Some(reason) => push_str_field(out, "quarantine_reason", reason, true),
+            None => push_raw_field(out, "quarantine_reason", "null", true),
         }
-        push_raw_field(
-            &mut out,
-            "capture_anomalies",
-            &self.capture_anomalies.to_string(),
-            true,
-        );
+        push_raw_field(out, "capture_anomalies", self.capture_anomalies, true);
         out.push('}');
-        out
     }
 
     /// Parses a report from its canonical JSON encoding (one

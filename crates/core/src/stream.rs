@@ -29,8 +29,9 @@
 //!
 //! Frame payloads are dropped as soon as they are ingested. What is
 //! held is, per open connection, one fixed-size metadata record per
-//! frame and the message log (16 bytes per BGP message, 8 per announced
-//! prefix), plus whatever reassembly has parked out of order (bounded)
+//! frame and the message log (4 bytes per BGP message, 16 per run of
+//! messages one segment framed, 5 per announced prefix), plus whatever
+//! reassembly has parked out of order (bounded)
 //! and at most one partial message per direction. By default every
 //! connection stays open to its last frame
 //! ([`StreamOptions::tracker`]), so memory grows with the input's frame
@@ -370,8 +371,9 @@ impl<F: FnMut(Analysis)> Sink<'_, F> {
 /// [`take`](BgpDemux::take). What is kept per message is the flat
 /// [`MessageLog`](tdat_bgp::MessageLog) — a row and the announced
 /// prefixes, which is all the analysis reads — so an open connection
-/// holds its map entry, 16 bytes per message and 8 per announced
-/// prefix until it is taken or its log settles, and beside them only
+/// holds its map entry, 4 bytes per message, 16 per run of messages
+/// one segment framed and 5 per announced prefix until it is taken or
+/// its log settles, and beside them only
 /// out-of-order data still parked and a partial message still
 /// straddling segments: no segment-sized buffer is kept once a
 /// segment's messages are framed. Live monitors that diagnose

@@ -364,7 +364,8 @@ impl MonitorEvent {
                 json::push_str_field(&mut out, "source", &c.source, true);
                 json::push_num_field(&mut out, "at_s", c.at.as_secs_f64(), true);
                 json::push_str_field(&mut out, "session", &c.session, true);
-                json::push_raw_field(&mut out, "report", &c.report.to_json(), true);
+                out.push_str(",\"report\":");
+                c.report.write_json(&mut out);
             }
             MonitorEvent::SourceDown(d) => {
                 json::push_str_field(&mut out, "type", "source_down", false);
@@ -376,7 +377,7 @@ impl MonitorEvent {
                 json::push_str_field(&mut out, "type", "source_up", false);
                 json::push_str_field(&mut out, "source", &u.source, true);
                 json::push_num_field(&mut out, "at_s", u.at.as_secs_f64(), true);
-                json::push_raw_field(&mut out, "attempts", &u.attempts.to_string(), true);
+                json::push_raw_field(&mut out, "attempts", u.attempts, true);
                 json::push_str_field(&mut out, "detail", &u.detail, true);
             }
         }

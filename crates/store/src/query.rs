@@ -263,7 +263,7 @@ impl KeyValue {
     fn render(&self, out: &mut String, name: &str, comma: bool) {
         match self {
             KeyValue::Null => json::push_raw_field(out, name, "null", comma),
-            KeyValue::Int(v) => json::push_raw_field(out, name, &v.to_string(), comma),
+            KeyValue::Int(v) => json::push_raw_field(out, name, v, comma),
             KeyValue::Str(s) => json::push_str_field(out, name, s, comma),
         }
     }
@@ -381,12 +381,10 @@ impl Acc {
 
     fn render(&self, out: &mut String, name: &str) {
         match self {
-            Acc::Count(n) => json::push_raw_field(out, name, &n.to_string(), true),
-            Acc::Sum(s) => json::push_raw_field(out, name, &json::fmt_num(*s), true),
+            Acc::Count(n) => json::push_raw_field(out, name, n, true),
+            Acc::Sum(s) => json::push_num_field(out, name, *s, true),
             Acc::Mean { n: 0, .. } => json::push_raw_field(out, name, "null", true),
-            Acc::Mean { sum, n } => {
-                json::push_raw_field(out, name, &json::fmt_num(sum / *n as f64), true)
-            }
+            Acc::Mean { sum, n } => json::push_num_field(out, name, sum / *n as f64, true),
         }
     }
 }

@@ -194,11 +194,12 @@ impl SessionRecord {
         json::push_str_field(&mut out, "kind", self.kind.as_str(), true);
         json::push_num_field(&mut out, "at_s", self.at.as_secs_f64(), true);
         match self.peer_as {
-            Some(asn) => json::push_raw_field(&mut out, "peer_as", &asn.to_string(), true),
+            Some(asn) => json::push_raw_field(&mut out, "peer_as", asn, true),
             None => json::push_raw_field(&mut out, "peer_as", "null", true),
         }
         json::push_str_array_field(&mut out, "alerts", &self.alerts, true);
-        json::push_raw_field(&mut out, "report", &self.report.to_json(), true);
+        out.push_str(",\"report\":");
+        self.report.write_json(&mut out);
         out.push('}');
         out
     }

@@ -260,22 +260,17 @@ impl Store {
         line.push('{');
         json::push_str_field(&mut line, "type", "segment", false);
         json::push_str_field(&mut line, "file", file, true);
-        json::push_raw_field(
-            &mut line,
-            "records",
-            &segment.meta.records.to_string(),
-            true,
-        );
+        json::push_raw_field(&mut line, "records", segment.meta.records, true);
         json::push_raw_field(
             &mut line,
             "min_at_us",
-            &segment.meta.min_at.as_micros().to_string(),
+            segment.meta.min_at.as_micros(),
             true,
         );
         json::push_raw_field(
             &mut line,
             "max_at_us",
-            &segment.meta.max_at.as_micros().to_string(),
+            segment.meta.max_at.as_micros(),
             true,
         );
         json::push_str_array_field(&mut line, "sources", &segment.meta.sources, true);
