@@ -394,23 +394,27 @@ fn steady_tick_allocations(sessions: usize, busy: bool) -> u64 {
 
 /// "Tick cost tracks new traffic, not open connections", as a count:
 /// 500 open-but-idle sessions add no allocation to a steady tick.
-/// Measured (debug and release, repeating exactly): 323 allocations
-/// over the 16 steady ticks with the transfer alone, and 323 with 500
+/// Measured (debug and release, repeating exactly): 217 allocations
+/// over the 16 steady ticks with the transfer alone, and 217 with 500
 /// idle sessions beside it. The same 500 sessions each sending one
 /// segment per interval, so every one is dirty at every tick, make
-/// 263 139 — 33 per session per tick, its segment's ingest plus its
+/// 239 853 — 30 per session per tick, its segment's ingest plus its
 /// re-analysis — and may make at most `PER_BUSY_PER_TICK`: a tick
-/// builds only what its alerts read. That run also guards the test
+/// builds only what its alerts read, and a refresh keeps the session id
+/// it cached while the endpoints stay. That run also guards the test
 /// itself: if the counter stopped seeing the tick it would fail first.
-/// (While the peer-group correlation bucketed senders in a hash map of
-/// vectors, each idle session cost a tick 1.02 allocations; while a
-/// tick built the whole analysis — every series, the factor vector, a
-/// copy of the trace per kernel — a busy one cost it 100. The three
-/// counts were 982 / 9 110 / 804 426.)
+/// (While the sweep collected and sorted the whole cache each tick, the
+/// transfer alone made 323; while a refresh formatted the session id
+/// again, a busy session made 33 a tick; while the peer-group
+/// correlation bucketed senders in a hash map of vectors, each idle
+/// session cost a tick 1.02 allocations; while a tick built the whole
+/// analysis — every series, the factor vector, a copy of the trace per
+/// kernel — a busy one cost it 100. The three counts were 982 / 9 110
+/// / 804 426.)
 #[test]
 fn idle_connections_cost_a_steady_tick_nothing() {
     const IDLE: usize = 500;
-    const PER_BUSY_PER_TICK: u64 = 40;
+    const PER_BUSY_PER_TICK: u64 = 30;
 
     let alone = steady_tick_allocations(0, false);
     let crowded = steady_tick_allocations(IDLE, false);
@@ -430,6 +434,185 @@ fn idle_connections_cost_a_steady_tick_nothing() {
         "{IDLE} sessions re-analysed at every tick added {} allocations to \
          {STEADY_TICKS} ticks (bound {busy_bound})",
         busy - alone
+    );
+}
+
+/// Sessions per router in [`reconnecting_routers`]: four closed, one
+/// live.
+const GROUP: usize = 5;
+
+/// When [`reconnecting_routers`]' sessions are all in place: the tick
+/// at this time is the last one before the steady ticks.
+const SETUP: Micros = Micros::from_secs(36);
+
+/// `routers` routers, each of which reconnected to one collector
+/// [`GROUP`] times just before [`SETUP`]: every session moves two
+/// KEEPALIVEs 28 ms apart, so its `SendAppLimited` series is not empty,
+/// and all but the last close, to linger for the tracker's 5 s
+/// `close_grace`. So each router is one sender group of [`GROUP`]
+/// sessions, the session-reset pattern of the paper's Table I. With
+/// `paused`, the first router's live session came up 34 s earlier and
+/// was silent in between: a pause past the default 30 s `min_pause`.
+fn reconnecting_routers(routers: usize, paused: bool) -> Vec<TcpFrame> {
+    let keepalive = BgpMessage::Keepalive.to_bytes();
+    let len = keepalive.len() as u32;
+    let collector = Ipv4Addr::new(172, 16, 0, 1);
+    let mut frames = Vec::new();
+    for g in 0..routers {
+        let router = Ipv4Addr::new(10, 100, (g >> 8) as u8, g as u8);
+        for k in 0..GROUP {
+            let port = 40_000 + k as u16;
+            let out = |at: Micros, seq: u32| {
+                FrameBuilder::new(router, collector)
+                    .ports(port, 179)
+                    .at(at)
+                    .seq(seq)
+                    .ack_to(1)
+                    .flags(TcpFlags::ACK)
+            };
+            let back = |at: Micros, ack: u32| {
+                FrameBuilder::new(collector, router)
+                    .ports(179, port)
+                    .at(at)
+                    .seq(1)
+                    .ack_to(ack)
+                    .window(65_535)
+                    .flags(TcpFlags::ACK)
+            };
+            let live = k == GROUP - 1;
+            let t0 = Micros::from_secs(35) + Micros(g as i64 * 1_000 + k as i64 * 100_000);
+            let first = if live && paused && g == 0 {
+                Micros::from_secs(1)
+            } else {
+                t0
+            };
+            frames.push(out(first, 0).ack_to(0).flags(TcpFlags::SYN).build());
+            frames.push(
+                back(first + Micros(100), 1)
+                    .seq(0)
+                    .flags(TcpFlags::SYN | TcpFlags::ACK)
+                    .build(),
+            );
+            frames.push(out(first + Micros(200), 1).build());
+            frames.push(
+                out(first + Micros(1_000), 1)
+                    .payload(keepalive.clone())
+                    .build(),
+            );
+            frames.push(back(first + Micros(2_000), 1 + len).build());
+            frames.push(
+                out(t0 + Micros(30_000), 1 + len)
+                    .payload(keepalive.clone())
+                    .build(),
+            );
+            frames.push(back(t0 + Micros(31_000), 1 + 2 * len).build());
+            if !live {
+                let fin = 1 + 2 * len;
+                frames.push(
+                    out(t0 + Micros(40_000), fin)
+                        .flags(TcpFlags::FIN | TcpFlags::ACK)
+                        .build(),
+                );
+                frames.push(
+                    back(t0 + Micros(41_000), fin + 1)
+                        .flags(TcpFlags::FIN | TcpFlags::ACK)
+                        .build(),
+                );
+                frames.push(out(t0 + Micros(42_000), fin + 1).ack_to(2).build());
+            }
+        }
+    }
+    frames.sort_by_key(|f| f.timestamp);
+    frames
+}
+
+/// Peer-group pair checks and allocations an inline [`Monitor`] makes
+/// over [`STEADY_TICKS`] ticks after [`reconnecting_routers`]' setup,
+/// every session of which is cached and idle by then.
+fn steady_group_ticks(routers: usize, paused: bool) -> (u64, u64) {
+    let interval = Micros::from_millis(250);
+    let mut monitor = Monitor::new(MonitorConfig {
+        interval,
+        ..MonitorConfig::default()
+    });
+    monitor.register_source("capture");
+    // Fixes the tick schedule at multiples of the interval.
+    monitor.advance_to(Micros::ZERO);
+    for frame in reconnecting_routers(routers, paused) {
+        monitor.ingest(&frame);
+    }
+    monitor.advance_to(SETUP);
+    assert_eq!(monitor.open_connections(), routers * GROUP);
+
+    let (pairs, before) = (monitor.metrics().peer_pairs_checked(), allocations());
+    monitor.advance_to(SETUP + Micros(interval.0 * STEADY_TICKS as i64));
+    let after = allocations();
+    assert_eq!(
+        monitor.metrics().ticks(),
+        (SETUP.0 / interval.0) as u64 + STEADY_TICKS
+    );
+    assert_eq!(
+        monitor.open_connections(),
+        routers * GROUP,
+        "closed sessions linger inside close_grace"
+    );
+    let analyses = monitor.snapshot_analyses();
+    assert_eq!(analyses.len(), routers * GROUP);
+    for (_, analysis) in analyses {
+        assert!(
+            !analysis.series.send_app_limited.is_empty(),
+            "every session moved data and went quiet"
+        );
+    }
+    let counted = (
+        monitor.metrics().peer_pairs_checked() - pairs,
+        after - before,
+    );
+    // Past `close_grace`, a frame of another session sweeps the closed
+    // ones out: only each router's live session stays.
+    let probe = FrameBuilder::new(Ipv4Addr::new(10, 200, 0, 1), Ipv4Addr::new(172, 16, 0, 1))
+        .ports(40_000, 179)
+        .at(SETUP + Micros::from_secs(6))
+        .flags(TcpFlags::SYN)
+        .build();
+    monitor.ingest(&probe);
+    assert_eq!(monitor.open_connections(), routers + 1);
+    counted
+}
+
+/// The same law where senders are shared: 500 sessions in sender
+/// groups of five — routers reconnecting, their closed sessions still
+/// inside `close_grace` — add no pair check and no allocation to a
+/// steady tick, because none of them paused for `min_pause` and so none
+/// can be found blocked. Once one member has paused that long, its
+/// group checks exactly its four pairs per tick. Measured (debug and
+/// release): 0 pair checks and the same allocations as no sessions at
+/// all; with the pause, 64 pair checks over the 16 ticks. (While the
+/// correlation paired every two sessions sharing a sender, the 500
+/// cost 2 000 pair checks and their allocations per tick.)
+#[test]
+fn shared_senders_cost_a_steady_tick_nothing_until_one_pauses() {
+    const ROUTERS: usize = 100;
+    let (no_pairs, alone) = steady_group_ticks(0, false);
+    assert_eq!(no_pairs, 0);
+    let (pairs, crowded) = steady_group_ticks(ROUTERS, false);
+    assert_eq!(
+        pairs,
+        0,
+        "{} sessions in groups of {GROUP} with no long pause were paired",
+        ROUTERS * GROUP
+    );
+    assert_eq!(
+        crowded,
+        alone,
+        "{} idle sessions sharing senders added allocations to {STEADY_TICKS} steady ticks",
+        ROUTERS * GROUP
+    );
+    let (pairs, _) = steady_group_ticks(ROUTERS, true);
+    assert_eq!(
+        pairs,
+        (GROUP as u64 - 1) * STEADY_TICKS,
+        "one paused member pairs with each of its group's other members, every tick"
     );
 }
 

@@ -174,43 +174,52 @@ pub struct PeerGroupBlocking {
     pub overlap: Span,
 }
 
-/// Detects pathological peer-group blocking between two sessions of the
-/// same group: a long pause in `blocked`'s sending (its
-/// `SendAppLimited` series, merged across keepalive interruptions)
-/// that coincides with loss/retransmission activity on `faulty`
-/// (`blocked.SendAppLimited ∩ faulty.Loss` in the paper's notation).
-///
-/// `min_pause` filters ordinary idleness; the paper's incidents run
-/// 90–180 s (a BGP hold timeout).
-pub fn find_peer_group_blocking(
-    blocked: &SeriesSet,
-    faulty: &SeriesSet,
-    min_pause: Micros,
-) -> Vec<PeerGroupBlocking> {
-    // Merge the blocked session's idle spans across small interruptions
-    // (keepalives every ~60 s briefly interrupt SendAppLimited).
-    let idle = blocked.send_app_limited.to_span_set();
-    let mut merged = SpanSet::new();
+/// Idle spans of one session closer than this merge into one pause:
+/// keepalives every ~60 s briefly interrupt `SendAppLimited`.
+const PAUSE_MERGE_GAP: Micros = Micros::from_secs(2);
+
+/// The pauses a session could be blocked in: its `SendAppLimited`
+/// spans merged across interruptions of at most 2 s, keeping those
+/// that last at least `min_pause`. The blocked side of
+/// [`find_peer_group_blocking`], and what the live monitor computes once
+/// per analysis. Allocates nothing when no pause qualifies.
+pub fn long_pauses(series: &SeriesSet, min_pause: Micros) -> Vec<Span> {
+    let mut pauses = Vec::new();
     let mut current: Option<Span> = None;
-    for span in idle.iter() {
+    // Events are kept in start order, so one pass merges them: a span
+    // starting within the gap of the running hull's end extends it.
+    for span in series.send_app_limited.iter().map(|e| e.span) {
+        if span.is_empty() {
+            continue;
+        }
         match current {
-            Some(c) if span.start - c.end <= Micros::from_secs(2) => {
-                current = Some(c.hull(*span));
-            }
+            Some(c) if span.start - c.end <= PAUSE_MERGE_GAP => current = Some(c.hull(span)),
             Some(c) => {
-                merged.insert(c);
-                current = Some(*span);
+                if c.duration() >= min_pause {
+                    pauses.push(c);
+                }
+                current = Some(span);
             }
-            None => current = Some(*span),
+            None => current = Some(span),
         }
     }
-    if let Some(c) = current {
-        merged.insert(c);
+    if let Some(c) = current.filter(|c| c.duration() >= min_pause) {
+        pauses.push(c);
     }
+    pauses
+}
 
+/// The blocking rule for one ordered pair: each of the blocked
+/// session's `pauses` ([`long_pauses`]) that the `faulty` session's
+/// loss, retransmission or zero-window activity covers for at least a
+/// quarter of its length.
+fn blocking_during(pauses: &[Span], faulty: &SeriesSet) -> Vec<PeerGroupBlocking> {
+    if pauses.is_empty() {
+        return Vec::new();
+    }
     let faulty_loss = faulty.all_loss().union(&faulty.zero_window.to_span_set());
     let mut incidents = Vec::new();
-    for pause in merged.iter().filter(|s| s.duration() >= min_pause) {
+    for pause in pauses {
         let overlap = SpanSet::from_span(*pause).intersection(&faulty_loss);
         if let Some(hull) = overlap.hull() {
             // Require a substantial overlap: the faulty session was in
@@ -224,6 +233,22 @@ pub fn find_peer_group_blocking(
         }
     }
     incidents
+}
+
+/// Detects pathological peer-group blocking between two sessions of the
+/// same group: a long pause in `blocked`'s sending (its
+/// `SendAppLimited` series, merged across keepalive interruptions)
+/// that coincides with loss/retransmission activity on `faulty`
+/// (`blocked.SendAppLimited ∩ faulty.Loss` in the paper's notation).
+///
+/// `min_pause` filters ordinary idleness; the paper's incidents run
+/// 90–180 s (a BGP hold timeout).
+pub fn find_peer_group_blocking(
+    blocked: &SeriesSet,
+    faulty: &SeriesSet,
+    min_pause: Micros,
+) -> Vec<PeerGroupBlocking> {
+    blocking_during(&long_pauses(blocked, min_pause), faulty)
 }
 
 /// Scans every ordered pair of analyses for peer-group blocking — the
@@ -249,19 +274,55 @@ pub fn find_peer_group_blocking_among(
     members: &[(Ipv4Addr, &SeriesSet)],
     min_pause: Micros,
 ) -> Vec<(usize, usize, Vec<PeerGroupBlocking>)> {
-    // Peer groups replicate from one router: only sessions sharing a
-    // sender address can pair. Order the members by sender first, so a
-    // group is a run and a population of unrelated sessions (the common
-    // live-monitor case) costs a sort instead of an O(n²) pair scan,
-    // with no allocation per member.
+    let pauses: Vec<Vec<Span>> = members
+        .iter()
+        .map(|(_, series)| long_pauses(series, min_pause))
+        .collect();
+    let members: Vec<PeerMember<'_>> = members
+        .iter()
+        .zip(&pauses)
+        .map(|(&(sender, series), pauses)| PeerMember {
+            sender,
+            pauses,
+            series,
+        })
+        .collect();
+    pair_peer_groups(&members).0
+}
+
+/// One session of a peer-group scan: its data sender's address, its
+/// [`long_pauses`], and its series.
+#[derive(Debug, Clone, Copy)]
+pub struct PeerMember<'a> {
+    /// The data sender's address: the router that would block it.
+    pub sender: Ipv4Addr,
+    /// The pauses it could be blocked in.
+    pub pauses: &'a [Span],
+    /// The series a faulty member's losses are read from.
+    pub series: &'a SeriesSet,
+}
+
+/// The pairing core of [`find_peer_group_blocking_among`]: pairs each
+/// member holding a long pause with every other member of its sender
+/// group, and returns `(blocked index, faulty index, incidents)` for
+/// each pair with an incident, in (blocked asc, faulty asc) order, plus
+/// the number of pairs it compared. Peer groups replicate from one
+/// router, so only sessions sharing a sender address can pair, and only
+/// a member with a long pause can be the blocked one: a population
+/// without long pauses costs a sort and compares no pair.
+pub fn pair_peer_groups(
+    members: &[PeerMember<'_>],
+) -> (Vec<(usize, usize, Vec<PeerGroupBlocking>)>, usize) {
+    // Order the members by sender first, so a group is a run, with no
+    // allocation per member.
     let mut by_sender: Vec<usize> = (0..members.len()).collect();
-    by_sender.sort_unstable_by_key(|&i| (members[i].0, i));
+    by_sender.sort_unstable_by_key(|&i| (members[i].sender, i));
     let mut group_of = vec![0..0; members.len()];
     let mut start = 0;
     for end in 1..=by_sender.len() {
         if by_sender
             .get(end)
-            .is_none_or(|&i| members[i].0 != members[by_sender[start]].0)
+            .is_none_or(|&i| members[i].sender != members[by_sender[start]].sender)
         {
             for &i in &by_sender[start..end] {
                 group_of[i] = start..end;
@@ -270,20 +331,25 @@ pub fn find_peer_group_blocking_among(
         }
     }
     let mut hits = Vec::new();
-    for (i, (_, blocked)) in members.iter().enumerate() {
+    let mut pairs = 0;
+    for (i, blocked) in members.iter().enumerate() {
+        if blocked.pauses.is_empty() {
+            continue;
+        }
         // Indices ascend within a run, so hits keep the (blocked asc,
         // faulty asc) order of the full pair scan.
         for &j in &by_sender[group_of[i].clone()] {
             if i == j {
                 continue;
             }
-            let incidents = find_peer_group_blocking(blocked, members[j].1, min_pause);
+            pairs += 1;
+            let incidents = blocking_during(blocked.pauses, members[j].series);
             if !incidents.is_empty() {
                 hits.push((i, j, incidents));
             }
         }
     }
-    hits
+    (hits, pairs)
 }
 
 /// A detected zero-window-probe bug incident (§IV-B `ZeroAckBug`).
@@ -486,6 +552,24 @@ mod tests {
         let found = find_peer_group_blocking(&blocked, &faulty, Micros::from_secs(90));
         assert_eq!(found.len(), 1);
         assert!(found[0].pause.duration() >= Micros::from_secs(170));
+    }
+
+    #[test]
+    fn long_pauses_merge_across_two_seconds_and_keep_min_pause() {
+        let mut s = series_with_gaps(&[]);
+        let mut sal: EventSeries<u32> = EventSeries::new("SendAppLimited");
+        // 0–10 s and 12–20 s merge (2 s apart); 23–30 s stays apart.
+        sal.push(Span::from_micros(0, 10_000_000), 0);
+        sal.push(Span::from_micros(12_000_000, 20_000_000), 0);
+        sal.push(Span::from_micros(23_000_000, 30_000_000), 0);
+        s.send_app_limited = sal;
+        let merged = Span::from_micros(0, 20_000_000);
+        assert_eq!(long_pauses(&s, Micros::from_secs(20)), vec![merged]);
+        assert_eq!(
+            long_pauses(&s, Micros::from_secs(7)),
+            vec![merged, Span::from_micros(23_000_000, 30_000_000)]
+        );
+        assert!(long_pauses(&s, Micros(20_000_001)).is_empty());
     }
 
     #[test]

@@ -87,7 +87,8 @@ pub use config::{AnalyzerConfig, AnalyzerConfigBuilder, SnifferLocation};
 pub use detect::{
     find_consecutive_losses, find_delayed_ack_interaction, find_peer_group_blocking,
     find_peer_group_blocking_all, find_peer_group_blocking_among, find_zero_ack_bug, infer_timer,
-    ConsecutiveLosses, DelayedAckInteraction, InferredTimer, PeerGroupBlocking, ZeroAckBug,
+    long_pauses, pair_peer_groups, ConsecutiveLosses, DelayedAckInteraction, InferredTimer,
+    PeerGroupBlocking, PeerMember, ZeroAckBug,
 };
 pub use error::{Error, Result};
 pub use factors::{

@@ -12,8 +12,7 @@
 //! * every `interval` of *trace* time a tick re-analyzes the
 //!   connections that saw traffic (or new capture damage) since their
 //!   last analysis over a trailing `window`, reusing cached analyses
-//!   for idle connections — steady-state tick cost follows new
-//!   traffic, not the open-connection count;
+//!   for idle connections;
 //! * the detector outcomes become [`Condition`]s fed to an
 //!   [`AlertEngine`] keyed per (source, session, kind); peer-group
 //!   blocking correlates across the whole fleet of scopes, but
@@ -41,17 +40,33 @@
 //! (`Control::emit_finalized`, `Control::close_tick`) the inline plane
 //! calls directly, so the stream is byte-identical either way.
 //!
+//! What a tick costs follows what changed, not the open-connection
+//! count. A dirty connection costs its re-analysis, which computes once
+//! everything later ticks read of it: its session id (kept while the
+//! endpoints stay), its analysis-derived conditions, and its pauses of
+//! at least `min_pause` (the side peer-group blocking is found on).
+//! Beside the cache a scope keeps one compact row per connection in
+//! ordinal order, so an idle connection costs the tick's sweep one row
+//! read: a stall-watermark check, plus a clone of its conditions when it
+//! has any. The peer-group correlation pairs only the sender groups in
+//! which some member paused for `min_pause`, so a fleet of short
+//! sessions that share routers (reconnects lingering in `close_grace`)
+//! pairs nothing. What still scales with open connections is the row
+//! sweep and the settle sweep after the tick.
+//!
 //! The loop that feeds a [`SourceSet`] into the engine is
 //! [`Monitor::step`]; [`Monitor::run_set`] is that step until the set
 //! finishes.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap, HashSet};
+use std::net::Ipv4Addr;
 use std::sync::Arc;
 use std::time::Instant;
 
 use tdat::{
-    find_consecutive_losses, find_peer_group_blocking_among, find_zero_ack_bug, infer_timer,
-    report::json, Analysis, Analyzer, BgpDemux, PartialAnalysis, QuarantineConfig, Report,
+    find_consecutive_losses, find_zero_ack_bug, infer_timer, long_pauses, pair_peer_groups,
+    report::json, Analysis, Analyzer, BgpDemux, PartialAnalysis, PeerMember, QuarantineConfig,
+    Report,
 };
 use tdat_packet::{AnomalyCounts, CaptureAnomaly, TcpFrame};
 use tdat_pcap2bgp::Extraction;
@@ -440,13 +455,42 @@ pub(crate) struct CachedAnalysis {
     pub(crate) conditions: Vec<Condition>,
     /// The tick's analysis, as far as anything a tick emits reads it.
     pub(crate) partial: PartialAnalysis,
+    /// The pauses the peer-group correlation could find this
+    /// connection blocked in ([`long_pauses`] at `min_pause`), computed
+    /// once per refresh; empty, and unallocated, for nearly every
+    /// connection.
+    pauses: Vec<Span>,
     /// How many rows the data sender's message log held at the tick:
     /// what MCT reads for the report's transfer.
     rows: usize,
     /// The whole analysis as of the tick — factors, every series, MCT's
     /// transfer — which only a snapshot renders, so the first pull after
-    /// the tick builds it ([`SourceScope::complete`]).
-    completed: Option<Analysis>,
+    /// the tick builds it ([`SourceScope::complete`]). Boxed: most
+    /// entries never hold one.
+    completed: Option<Box<Analysis>>,
+}
+
+/// What a tick reads of one cached connection, kept compact and in
+/// ordinal order beside the cache, so a connection that did not change
+/// costs the tick's sweep one row read. Written at every refresh of its
+/// connection; only the stall mark changes between refreshes.
+#[derive(Debug, Clone, Copy)]
+struct TickRow {
+    /// The connection, to reach its cache entry.
+    key: ConnKey,
+    /// The data sender's address: its peer group.
+    sender: Ipv4Addr,
+    /// Data-direction payload bytes as of the refresh.
+    data_bytes: u64,
+    /// The analysis is quarantined: no stall check, no peer pairing.
+    quarantined: bool,
+    /// The cache entry carries analysis-derived conditions.
+    has_conditions: bool,
+    /// The cache entry holds at least one long pause.
+    long_pause: bool,
+    /// The stall watermark: `(data bytes at last progress, tick time of
+    /// last progress)`, set by the first sweep that checks it.
+    mark: Option<(u64, Micros)>,
 }
 
 /// Evaluates the detectors whose outcome depends only on the analysis
@@ -531,6 +575,9 @@ pub(crate) struct AnalysisCtx {
     pub(crate) window: Micros,
     pub(crate) timer_min_gaps: usize,
     pub(crate) stall_after: Micros,
+    /// The shortest pause the peer-group correlation pairs
+    /// ([`AlertConfig::min_pause`]).
+    pub(crate) min_pause: Micros,
 }
 
 /// Per-source isolation unit: everything whose damage must stay
@@ -542,9 +589,6 @@ pub(crate) struct SourceScope {
     pub(crate) name: Arc<str>,
     pub(crate) tracker: ConnectionTracker,
     pub(crate) demux: BgpDemux,
-    /// Per-connection data-progress watermarks for stall detection:
-    /// `(data bytes at last progress, tick time of last progress)`.
-    progress: HashMap<ConnKey, (u64, Micros)>,
     /// Capture anomalies attributed to each open connection; consumed
     /// by the quarantine verdict at every tick and at finalization.
     quality: HashMap<ConnKey, AnomalyCounts>,
@@ -554,6 +598,9 @@ pub(crate) struct SourceScope {
     /// Cached per-connection analyses from previous ticks; entries are
     /// refreshed only when their connection is dirty.
     pub(crate) cache: HashMap<ConnKey, CachedAnalysis>,
+    /// One row per cache entry, by tracker ordinal: what the tick's
+    /// sweep and the peer-group correlation read.
+    rows: BTreeMap<u64, TickRow>,
 }
 
 /// What [`SourceScope::finalize_connection`] produced: the data-plane
@@ -581,10 +628,10 @@ impl SourceScope {
             name,
             tracker,
             demux: BgpDemux::new(),
-            progress: HashMap::new(),
             quality: HashMap::new(),
             quality_dirty: HashSet::new(),
             cache: HashMap::new(),
+            rows: BTreeMap::new(),
         }
     }
 
@@ -600,18 +647,25 @@ impl SourceScope {
     /// Tick phases 1–2 for this scope at trace time `at`: re-analyze
     /// the *dirty* connections (new traffic or new capture damage since
     /// their last analysis), reuse cached analyses for the rest, then
-    /// evaluate the detectors over the whole cache. Returns one
-    /// `(ordinal, conditions)` entry per cached connection, in
-    /// tracker-insertion order.
+    /// sweep the rows for conditions. Returns the number of cached
+    /// connections and an `(ordinal, conditions)` entry for each one
+    /// that carries a condition, in tracker-insertion order.
     ///
     /// Each connection's analysis window is anchored at its last-dirty
     /// tick (`[tick - window, tick]`), so a cached entry is exactly
-    /// what re-analysis would produce — steady-state tick cost scales
-    /// with new traffic, not with the open-connection count.
-    pub(crate) fn tick(&mut self, at: Micros, ctx: &AnalysisCtx) -> Vec<(u64, Vec<Condition>)> {
+    /// what re-analysis would produce. The cost law: a dirty connection
+    /// costs its re-analysis, an idle one a row read (one stall check,
+    /// and a clone of its conditions when it has any); the peer-group
+    /// correlation that follows costs nothing for a sender group none
+    /// of whose members paused for `min_pause`.
+    pub(crate) fn tick(
+        &mut self,
+        at: Micros,
+        ctx: &AnalysisCtx,
+    ) -> (usize, Vec<(u64, Vec<Condition>)>) {
         let work = self.dirty_work();
         self.refresh(work, at, ctx);
-        self.entry_conditions(at, ctx.stall_after)
+        (self.rows.len(), self.entry_conditions(at, ctx.stall_after))
     }
 
     /// The tick's analysis work list: tracker-dirty (saw frames) plus
@@ -663,26 +717,65 @@ impl SourceScope {
             let counts = self.quality.get(&key).copied().unwrap_or_default();
             let rows = extraction.messages.len();
             let partial = analyzer.analyze_partial_lossy(fin.connection, extraction, span, counts);
-            let session = session_id(partial.sender, partial.receiver);
-            let conditions = analysis_conditions(
-                &partial,
-                &self.name,
-                &session,
-                ctx.timer_min_gaps,
-                analyzer.config(),
-            );
-            self.cache.insert(
-                key,
-                CachedAnalysis {
-                    ordinal,
-                    session,
-                    conditions,
-                    partial,
-                    rows,
-                    completed: None,
-                },
-            );
+            self.store(key, ordinal, partial, rows, ctx);
         }
+    }
+
+    /// Caches connection `key`'s fresh analysis under its tracker
+    /// `ordinal`, with everything a tick reads of it computed once: its
+    /// session id (the cached one while the endpoints stay), its
+    /// analysis-derived conditions, its long pauses and its tick row,
+    /// whose stall mark carries over.
+    pub(crate) fn store(
+        &mut self,
+        key: ConnKey,
+        ordinal: u64,
+        partial: PartialAnalysis,
+        rows: usize,
+        ctx: &AnalysisCtx,
+    ) {
+        let endpoints = (partial.sender, partial.receiver);
+        let session = match self.cache.remove(&key) {
+            Some(old) => {
+                debug_assert_eq!(old.ordinal, ordinal, "an open connection keeps its ordinal");
+                if (old.partial.sender, old.partial.receiver) == endpoints {
+                    old.session
+                } else {
+                    session_id(partial.sender, partial.receiver)
+                }
+            }
+            None => session_id(partial.sender, partial.receiver),
+        };
+        let conditions = analysis_conditions(
+            &partial,
+            &self.name,
+            &session,
+            ctx.timer_min_gaps,
+            ctx.analyzer.config(),
+        );
+        let pauses = long_pauses(&partial.series, ctx.min_pause);
+        let row = TickRow {
+            key,
+            sender: partial.sender.0,
+            data_bytes: partial.profile.data_bytes,
+            quarantined: partial.verdict.is_quarantined(),
+            has_conditions: !conditions.is_empty(),
+            long_pause: !pauses.is_empty(),
+            mark: self.rows.get(&ordinal).and_then(|row| row.mark),
+        };
+        self.rows.insert(ordinal, row);
+        self.cache.insert(
+            key,
+            CachedAnalysis {
+                ordinal,
+                session,
+                conditions,
+                pauses,
+                partial,
+                rows,
+                completed: None,
+            },
+        );
     }
 
     /// Completes every cached analysis a tick left partial into the
@@ -711,56 +804,60 @@ impl SourceScope {
             };
             let extraction = self.demux.snapshot(key, partial.sender).unwrap_or(&unseen);
             let transfer = analyzer.transfer_of(partial.profile.start, extraction, cached.rows);
-            cached.completed = Some(analyzer.complete(conn, partial, transfer));
+            cached.completed = Some(Box::new(analyzer.complete(conn, partial, transfer)));
         }
     }
 
-    /// Tick phase 2 over this scope's cache, in tracker-insertion
-    /// order: one `(ordinal, conditions)` entry per cached connection
-    /// (cached analysis-derived conditions plus the stall watermark
-    /// check, which mutates `progress` against the current tick time).
+    /// Tick phase 2 over this scope's rows, in tracker-insertion order:
+    /// an `(ordinal, conditions)` entry for each cached connection with
+    /// a condition (its cached analysis-derived conditions plus the
+    /// stall watermark check, which moves the row's mark against the
+    /// current tick time). A row with neither costs one read.
     fn entry_conditions(&mut self, at: Micros, stall_after: Micros) -> Vec<(u64, Vec<Condition>)> {
         let SourceScope {
-            name,
-            progress,
-            cache,
-            ..
+            name, cache, rows, ..
         } = self;
-        let mut entries: Vec<(&ConnKey, &CachedAnalysis)> = cache.iter().collect();
-        entries.sort_unstable_by_key(|(_, cached)| cached.ordinal);
-        let mut out: Vec<(u64, Vec<Condition>)> = Vec::with_capacity(entries.len());
-        for (key, cached) in entries {
-            let analysis = &cached.partial;
-            // Analysis-derived conditions were evaluated once at the
-            // entry's last refresh; a clean, idle connection costs
-            // nothing here beyond the stall watermark check below.
-            let mut conditions: Vec<Condition> = cached.conditions.clone();
-            // Stall detection: trace-time watermark on data
-            // progress. Independent of analysis caching — an idle
-            // connection's byte count cannot have changed, and the
-            // comparison runs against the *current* tick time.
-            // Quarantined connections only surface the
-            // capture-quality condition.
-            if !analysis.verdict.is_quarantined() {
-                let bytes = analysis.profile.data_bytes;
-                let mark = progress.entry(*key).or_insert((bytes, at));
+        let mut out: Vec<(u64, Vec<Condition>)> = Vec::new();
+        for (&ordinal, row) in rows.iter_mut() {
+            // Stall detection: trace-time watermark on data progress.
+            // Independent of analysis caching — an idle connection's
+            // byte count cannot have changed, and the comparison runs
+            // against the *current* tick time. Quarantined connections
+            // only surface the capture-quality condition.
+            let mut stalled = None;
+            if !row.quarantined {
+                let bytes = row.data_bytes;
+                let mark = row.mark.get_or_insert((bytes, at));
                 if bytes > mark.0 {
                     *mark = (bytes, at);
                 } else if bytes > 0 && at - mark.1 >= stall_after {
-                    conditions.push(Condition {
-                        source: name.clone(),
-                        session: cached.session.clone(),
-                        kind: AlertKind::StalledTransfer,
-                        evidence: Span::new(mark.1, at),
-                        detail: format!(
-                            "no data progress for {:.0} s ({} bytes transferred)",
-                            (at - mark.1).as_secs_f64(),
-                            bytes
-                        ),
-                    });
+                    stalled = Some(mark.1);
                 }
             }
-            out.push((cached.ordinal, conditions));
+            if !row.has_conditions && stalled.is_none() {
+                continue;
+            }
+            let Some(cached) = cache.get(&row.key) else {
+                debug_assert!(false, "a tick row without its cache entry");
+                continue;
+            };
+            // Analysis-derived conditions were evaluated once at the
+            // entry's last refresh.
+            let mut conditions: Vec<Condition> = cached.conditions.clone();
+            if let Some(since) = stalled {
+                conditions.push(Condition {
+                    source: name.clone(),
+                    session: cached.session.clone(),
+                    kind: AlertKind::StalledTransfer,
+                    evidence: Span::new(since, at),
+                    detail: format!(
+                        "no data progress for {:.0} s ({} bytes transferred)",
+                        (at - since).as_secs_f64(),
+                        row.data_bytes
+                    ),
+                });
+            }
+            out.push((ordinal, conditions));
         }
         out
     }
@@ -773,8 +870,10 @@ impl SourceScope {
         fin: FinalizedConnection,
         analyzer: &Analyzer,
     ) -> FinalizeOutcome {
-        self.progress.remove(&fin.key);
-        let cached_session = self.cache.remove(&fin.key).map(|cached| cached.session);
+        let cached_session = self.cache.remove(&fin.key).map(|cached| {
+            self.rows.remove(&cached.ordinal);
+            cached.session
+        });
         self.quality_dirty.remove(&fin.key);
         let counts = self.quality.remove(&fin.key).unwrap_or_default();
         let extraction = self.demux.take(fin.key, fin.connection.sender);
@@ -792,10 +891,10 @@ impl SourceScope {
 }
 
 /// The cached analyses of every source in (source, tracker-insertion)
-/// order — the order the peer-group correlation and the report
-/// snapshots read the fleet in. `partitions` holds each healthy
-/// partition's scopes, indexed by source: the inline plane's one, or
-/// one per unpoisoned shard, whose entries interleave by ordinal.
+/// order — the order the report snapshots read the fleet in.
+/// `partitions` holds each healthy partition's scopes, indexed by
+/// source: the inline plane's one, or one per unpoisoned shard, whose
+/// entries interleave by ordinal.
 pub(crate) fn fleet_view<'a>(
     partitions: &[&'a [SourceScope]],
 ) -> Vec<(&'a Arc<str>, &'a CachedAnalysis)> {
@@ -811,21 +910,64 @@ pub(crate) fn fleet_view<'a>(
     fleet
 }
 
+/// The cached analyses the peer-group correlation reads, in (source,
+/// tracker-insertion) order: every member of each sender group that
+/// holds a long pause, with the groups counted across all sources and
+/// all `partitions` (as for [`fleet_view`]). Only such a member can be
+/// found blocked, so the other groups can pair nothing; with no long
+/// pause anywhere this is a scan of the rows and allocates nothing.
+pub(crate) fn peer_fleet<'a>(
+    partitions: &[&'a [SourceScope]],
+) -> Vec<(&'a Arc<str>, &'a CachedAnalysis)> {
+    let mut senders: Vec<Ipv4Addr> = partitions
+        .iter()
+        .flat_map(|p| p.iter())
+        .flat_map(|scope| scope.rows.values())
+        .filter(|row| row.long_pause)
+        .map(|row| row.sender)
+        .collect();
+    if senders.is_empty() {
+        return Vec::new();
+    }
+    senders.sort_unstable();
+    senders.dedup();
+    let sources = partitions.iter().map(|p| p.len()).max().unwrap_or(0);
+    let mut fleet = Vec::new();
+    for source in 0..sources {
+        let start = fleet.len();
+        for scope in partitions.iter().filter_map(|p| p.get(source)) {
+            let members = scope
+                .rows
+                .values()
+                .filter(|row| senders.binary_search(&row.sender).is_ok())
+                .filter_map(|row| scope.cache.get(&row.key));
+            fleet.extend(members.map(|cached| (&scope.name, cached)));
+        }
+        fleet[start..].sort_unstable_by_key(|(_, cached)| cached.ordinal);
+    }
+    fleet
+}
+
 /// Tick phase 3: peer-group blocking correlates across the whole
 /// fleet — a BGP sender paces *all* its group members, wherever each
 /// one was captured. Quarantined connections are excluded, so a
-/// poisoned source cannot contaminate the correlation. `fleet` must be
-/// in (source, tracker-insertion) order for deterministic output.
-fn peer_group_conditions(
+/// poisoned source cannot contaminate the correlation. `fleet` is
+/// [`peer_fleet`]'s, in (source, tracker-insertion) order for
+/// deterministic output. Returns the pairs compared.
+pub(crate) fn peer_group_conditions(
     fleet: &[(&Arc<str>, &CachedAnalysis)],
-    min_pause: Micros,
     conditions: &mut Vec<Condition>,
-) {
-    let members: Vec<_> = fleet
+) -> usize {
+    let members: Vec<PeerMember<'_>> = fleet
         .iter()
-        .map(|(_, c)| (c.partial.sender.0, &c.partial.series))
+        .map(|(_, c)| PeerMember {
+            sender: c.partial.sender.0,
+            pauses: &c.pauses,
+            series: &c.partial.series,
+        })
         .collect();
-    for (blocked, faulty, incidents) in find_peer_group_blocking_among(&members, min_pause) {
+    let (hits, pairs) = pair_peer_groups(&members);
+    for (blocked, faulty, incidents) in hits {
         let (blocked_src, blocked_cached) = fleet[blocked];
         let (faulty_src, faulty_cached) = fleet[faulty];
         if blocked_cached.partial.verdict.is_quarantined()
@@ -856,6 +998,7 @@ fn peer_group_conditions(
             ),
         });
     }
+    pairs
 }
 
 /// What a data plane hands [`Control::emit_finalized`].
@@ -968,10 +1111,10 @@ impl Control {
     }
 
     /// The tick-close step (phase 3): correlate peer-group blocking
-    /// across `fleet`, feed the tick's conditions to the alert engine,
-    /// and record the tick. Its latency sample is `analysis` — the
-    /// per-connection work already done off this clock — plus the time
-    /// since `started`.
+    /// across `fleet` ([`peer_fleet`]), feed the tick's conditions to
+    /// the alert engine, and record the tick. Its latency sample is
+    /// `analysis` — the per-connection work already done off this
+    /// clock — plus the time since `started`.
     pub(crate) fn close_tick(
         &mut self,
         at: Micros,
@@ -981,10 +1124,11 @@ impl Control {
         analysis: std::time::Duration,
         started: Instant,
     ) {
-        peer_group_conditions(fleet, self.alerts.config().min_pause, &mut conditions);
+        let pairs = peer_group_conditions(fleet, &mut conditions);
         for alert in self.alerts.observe(at, &conditions) {
             self.emit_alert(alert);
         }
+        self.metrics.record_peer_pairs(pairs);
         self.metrics.record_tick(open, analysis + started.elapsed());
     }
 
@@ -1036,13 +1180,13 @@ fn tick_inline(control: &mut Control, scopes: &mut [SourceScope], at: Micros) {
     let mut conditions: Vec<Condition> = Vec::new();
     let mut open = 0usize;
     for scope in scopes.iter_mut() {
-        let entries = scope.tick(at, &control.ctx);
-        open += entries.len();
+        let (cached, entries) = scope.tick(at, &control.ctx);
+        open += cached;
         for (_, entry) in entries {
             conditions.extend(entry);
         }
     }
-    let fleet = fleet_view(&[&*scopes]);
+    let fleet = peer_fleet(&[&*scopes]);
     control.close_tick(
         at,
         open,
@@ -1106,6 +1250,7 @@ impl Monitor {
                 window: config.window.max(Micros(1)),
                 timer_min_gaps: config.alerts.timer_min_gaps,
                 stall_after: config.alerts.stall_after,
+                min_pause: config.alerts.min_pause,
             },
             tracker_config: config.tracker,
             alerts: AlertEngine::new(config.alerts),
@@ -1408,7 +1553,7 @@ impl Monitor {
         self.fleet()
             .into_iter()
             .filter_map(|(source, cached)| {
-                let analysis = cached.completed.as_ref()?;
+                let analysis = cached.completed.as_deref()?;
                 Some((
                     source.to_string(),
                     cached.session.clone(),
@@ -1427,7 +1572,7 @@ impl Monitor {
         self.complete();
         self.fleet()
             .into_iter()
-            .filter_map(|(source, cached)| Some((&**source, cached.completed.as_ref()?)))
+            .filter_map(|(source, cached)| Some((&**source, cached.completed.as_deref()?)))
             .collect()
     }
 

@@ -70,6 +70,8 @@ pub mod alerts;
 pub mod checkpoint;
 pub mod engine;
 pub mod metrics;
+#[cfg(test)]
+mod peer_props;
 pub mod set;
 pub mod shard;
 pub mod source;

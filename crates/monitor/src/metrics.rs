@@ -82,6 +82,7 @@ pub struct MonitorMetrics {
     open_connections: usize,
     connections_finalized: u64,
     transfers_settled: u64,
+    peer_pairs_checked: u64,
     capture_anomalies: u64,
     raised: BTreeMap<AlertKind, u64>,
     cleared: BTreeMap<AlertKind, u64>,
@@ -144,6 +145,12 @@ impl MonitorMetrics {
     /// Records message logs whose table transfer settled at a tick.
     pub(crate) fn record_settled(&mut self, logs: usize) {
         self.transfers_settled += logs as u64;
+    }
+
+    /// Records the session pairs a tick's peer-group correlation
+    /// compared.
+    pub(crate) fn record_peer_pairs(&mut self, pairs: usize) {
+        self.peer_pairs_checked += pairs as u64;
     }
 
     /// Records one capture anomaly survived by the source.
@@ -225,6 +232,14 @@ impl MonitorMetrics {
         self.transfers_settled
     }
 
+    /// Ordered session pairs the ticks' peer-group correlation
+    /// compared: within each sender group, every member that paused for
+    /// at least `min_pause` against each other member. A group none of
+    /// whose members paused that long costs none.
+    pub fn peer_pairs_checked(&self) -> u64 {
+        self.peer_pairs_checked
+    }
+
     /// Capture anomalies survived by the source.
     pub fn capture_anomalies(&self) -> u64 {
         self.capture_anomalies
@@ -267,12 +282,14 @@ impl fmt::Display for MonitorMetrics {
              open connections     {:>10}\n\
              finalized            {:>10}\n\
              settled transfers    {:>10}\n\
+             peer pairs checked   {:>10}\n\
              capture anomalies    {:>10}",
             self.frames,
             self.ticks,
             self.open_connections,
             self.connections_finalized,
             self.transfers_settled,
+            self.peer_pairs_checked,
             self.capture_anomalies
         )?;
         // Per-source breakdown only when there is something to break

@@ -65,8 +65,8 @@ use tdat_trace::{ConnKey, ConnectionTracker, FinalizedConnection, TrackerConfig}
 
 use crate::alerts::Condition;
 use crate::engine::{
-    fleet_view, AnalysisCtx, CachedAnalysis, Control, FinalizeOutcome, Finalized, MonitorEvent,
-    SourceScope,
+    fleet_view, peer_fleet, AnalysisCtx, CachedAnalysis, Control, FinalizeOutcome, Finalized,
+    MonitorEvent, SourceScope,
 };
 
 /// Flush the shard queues once this many ops are buffered, even
@@ -135,8 +135,10 @@ enum GlobalOp {
 /// One shard's share of a tick.
 #[derive(Debug, Default)]
 struct TickOutput {
-    /// `[source][entry]`, each entry `(ordinal, conditions)` sorted by
-    /// ordinal within the shard.
+    /// Connections cached on the shard, over every source.
+    cached: usize,
+    /// `[source][entry]`, an `(ordinal, conditions)` entry per cached
+    /// connection with a condition, sorted by ordinal within the shard.
     entries: Vec<Vec<(u64, Vec<Condition>)>>,
     /// Wall-clock time the shard spent on its `Tick` op.
     elapsed: Duration,
@@ -290,8 +292,18 @@ impl Shard {
                     // Timed here, where the analysis happens: the
                     // router's clock only ever sees the merge.
                     let started = Instant::now();
-                    let entries = self.scopes.iter_mut().map(|s| s.tick(at, ctx)).collect();
+                    let mut cached = 0;
+                    let entries = self
+                        .scopes
+                        .iter_mut()
+                        .map(|s| {
+                            let (n, entries) = s.tick(at, ctx);
+                            cached += n;
+                            entries
+                        })
+                        .collect();
                     self.ticks.push_back(TickOutput {
+                        cached,
                         entries,
                         elapsed: started.elapsed(),
                     });
@@ -471,15 +483,18 @@ impl Lanes {
             .flat_map(|shard| shard.scopes.iter_mut())
     }
 
-    /// The healthy shards' cached analyses in (source, ordinal) order.
-    pub(crate) fn fleet(&self) -> Vec<(&Arc<str>, &CachedAnalysis)> {
-        let healthy: Vec<&[SourceScope]> = self
-            .shards
+    /// The healthy shards' scopes, one partition each.
+    fn healthy(&self) -> Vec<&[SourceScope]> {
+        self.shards
             .iter()
             .filter(|shard| shard.poisoned.is_none())
             .map(|shard| shard.scopes.as_slice())
-            .collect();
-        fleet_view(&healthy)
+            .collect()
+    }
+
+    /// The healthy shards' cached analyses in (source, ordinal) order.
+    pub(crate) fn fleet(&self) -> Vec<(&Arc<str>, &CachedAnalysis)> {
+        fleet_view(&self.healthy())
     }
 
     /// Fork-join: every shard drains its mailbox, then the router
@@ -595,10 +610,10 @@ impl Lanes {
                     } else {
                         elapsed.sum()
                     };
+                    let open = outputs.iter().map(|output| output.cached).sum();
                     let mut conditions: Vec<Condition> = Vec::new();
-                    let mut open = 0usize;
                     for s in 0..self.lifecycles.len() {
-                        // K-way merge of this source's per-entry
+                        // K-way merge of this source's entries with
                         // conditions across shards, by tracker ordinal
                         // — the inline plane's iteration order.
                         let mut merged: Vec<(u64, Vec<Condition>)> = Vec::new();
@@ -608,15 +623,15 @@ impl Lanes {
                             }
                         }
                         merged.sort_unstable_by_key(|(ordinal, _)| *ordinal);
-                        open += merged.len();
                         for (_, entry) in merged {
                             conditions.extend(entry);
                         }
                     }
                     // Snapshot boundaries are the only place
                     // cross-shard state meets: the correlation reads
-                    // the merged fleet by reference.
-                    control.close_tick(at, open, conditions, &self.fleet(), analysis, started);
+                    // the merged peer fleet by reference.
+                    let fleet = peer_fleet(&self.healthy());
+                    control.close_tick(at, open, conditions, &fleet, analysis, started);
                     // A tick is the last op of its flush: the shards
                     // are home and hold the state the tick saw.
                     control.settle(self.healthy_scopes());
