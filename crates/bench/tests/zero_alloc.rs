@@ -11,7 +11,8 @@
 //! tally pins what an open connection holds: its map entry and its
 //! message log, no segment-sized buffer; and what a settled transfer
 //! holds: no table, and nothing more for the rows after it. A report
-//! renders into its line with no temporary.
+//! renders into its line with no temporary, and a short session costs
+//! its state, not the names of its series or its report's fixed words.
 //!
 //! The counting allocator lives here because the packet crate itself
 //! (rightly) forbids `unsafe`; an integration test is its own crate,
@@ -394,18 +395,22 @@ fn steady_tick_allocations(sessions: usize, busy: bool) -> u64 {
 
 /// "Tick cost tracks new traffic, not open connections", as a count:
 /// 500 open-but-idle sessions add no allocation to a steady tick.
-/// Measured (debug and release, repeating exactly): 217 allocations
-/// over the 16 steady ticks with the transfer alone, and 217 with 500
+/// Measured (debug and release, repeating exactly): 189 allocations
+/// over the 16 steady ticks with the transfer alone, and 189 with 500
 /// idle sessions beside it. The same 500 sessions each sending one
 /// segment per interval, so every one is dirty at every tick, make
-/// 239 853 — 30 per session per tick, its segment's ingest plus its
+/// 183 825 — 23 per session per tick, its segment's ingest plus its
 /// re-analysis — and may make at most `PER_BUSY_PER_TICK`: a tick
-/// builds only what its alerts read, and a refresh keeps the session id
-/// it cached while the endpoints stay. That run also guards the test
+/// builds only what its alerts read, a refresh keeps the session id
+/// it cached while the endpoints stay, and a series is named by its
+/// slot, so a refresh allocates no name. That run also guards the test
 /// itself: if the counter stopped seeing the tick it would fail first.
-/// (While the sweep collected and sorted the whole cache each tick, the
-/// transfer alone made 323; while a refresh formatted the session id
-/// again, a busy session made 33 a tick; while the peer-group
+/// (While each of the seven series a refresh builds carried an owned
+/// name, the transfer alone made 217 and a busy session 30 a tick,
+/// 239 853 in all; while the sweep collected and sorted the whole
+/// cache each tick, the transfer alone made 323; while a refresh
+/// formatted the session id again, a busy session made 33 a tick;
+/// while the peer-group
 /// correlation bucketed senders in a hash map of vectors, each idle
 /// session cost a tick 1.02 allocations; while a tick built the whole
 /// analysis — every series, the factor vector, a copy of the trace per
@@ -414,7 +419,7 @@ fn steady_tick_allocations(sessions: usize, busy: bool) -> u64 {
 #[test]
 fn idle_connections_cost_a_steady_tick_nothing() {
     const IDLE: usize = 500;
-    const PER_BUSY_PER_TICK: u64 = 30;
+    const PER_BUSY_PER_TICK: u64 = 23;
 
     let alone = steady_tick_allocations(0, false);
     let crowded = steady_tick_allocations(IDLE, false);
@@ -684,11 +689,12 @@ fn ticks_over_a_transfer_allocate_no_mct_set() {
 /// 8 000-route transfer through the [`StreamAnalyzer`], its
 /// frames borrowed — decode aside, the whole batch pass: tracker,
 /// reassembly into the message log, MCT, labelling, series, factors.
-/// Measured (debug and release, repeating exactly): 140 allocations
-/// over the transfer's 173 frames, 0.81 per frame, most of them the
-/// per-connection analysis — the same count whether or not the framing
-/// buffer is released when a feed frames it empty, since a message
-/// straddles nearly every segment boundary of a transfer (it read 299
+/// Measured (debug and release, repeating exactly): 123 allocations
+/// over the transfer's 173 frames, 0.71 per frame, most of them the
+/// per-connection analysis (140 while every series carried an owned
+/// name) — the same count whether or not the framing buffer is
+/// released when a feed frames it empty, since a message straddles
+/// nearly every segment boundary of a transfer (it read 299
 /// while the analysis made more, 305 while MCT grew its set from empty
 /// in 7 allocations, where it now makes one); when reassembly kept an
 /// owned `BgpMessage` tree per message the same pass made 19 363, 112
@@ -777,6 +783,41 @@ fn a_report_renders_without_temporaries() {
         "{event_line} allocations for one connection event"
     );
     assert!(line.contains(&format!(",\"report\":{rendered}}}")));
+}
+
+/// What a short session costs, as a count: the session-reset pattern of
+/// the paper's Table I is thousands of these, and a batch pass keeps
+/// each one's analysis until it returns. A generated clean 100-route
+/// transfer (11 frames) through the batch pass, then its report and the
+/// report's JSON line, may make at most `PER_SESSION` allocations.
+/// Measured (debug and release, repeating exactly): 58 — 53 in the pass,
+/// which allocates nothing until the first frame, and none of them a
+/// name: each of the 17 series is one `Vec`, allocated only once it
+/// holds an event (4 do here); 3 in the report, its two endpoints each
+/// written once into a string sized for the longest, and the factor
+/// list, whose names and verdict are borrowed (a major group adds its
+/// list); and 2 in `to_json`, the 512-byte string and one growth. While
+/// every series carried an owned name the same session made 88: 72 in
+/// the pass (17 names and 2 copies of one), 14 in the report (8 factor
+/// names, the verdict, each endpoint grown by `format!`) and 2 in
+/// `to_json`.
+#[test]
+fn a_short_session_costs_its_state_and_no_names() {
+    const PER_SESSION: u64 = 60;
+    let frames = generate_transfer(Dataset::IspAQuagga, 0, Scenario::Clean, 100, 7).frames;
+    let engine = StreamAnalyzer::default();
+
+    let before = allocations();
+    let analyses = engine.analyze_frames(&frames);
+    let line = Report::from_analysis(&analyses[0], &AnalyzerConfig::default()).to_json();
+    let count = allocations() - before;
+    assert_eq!(analyses.len(), 1);
+    assert!(line.contains("\"prefixes\":100,"), "{line}");
+    assert!(
+        count <= PER_SESSION,
+        "a {}-frame session and its report made {count} allocations (bound {PER_SESSION})",
+        frames.len()
+    );
 }
 
 /// A TCP flow that is not BGP is skipped without a single allocation:

@@ -539,4 +539,15 @@ mod tests {
             analysis.period.duration()
         );
     }
+
+    /// What a batch pass keeps per finished session until it returns,
+    /// inline: 912 bytes, of which the series set is 432 — 17 series of
+    /// 24 bytes, one `Vec` each, beside the period and two windows.
+    /// While every series carried an owned name the set was 840 bytes
+    /// and the analysis 1 320.
+    #[test]
+    fn an_analysis_holds_its_series_without_names() {
+        assert_eq!(std::mem::size_of::<SeriesSet>(), 432);
+        assert_eq!(std::mem::size_of::<Analysis>(), 912);
+    }
 }

@@ -432,7 +432,7 @@ mod tests {
             max_adv_window: 65535,
             ..SeriesSet::default()
         };
-        let mut sal: EventSeries<u32> = EventSeries::new("SendAppLimited");
+        let mut sal: EventSeries<u32> = EventSeries::new();
         let mut t = 0i64;
         for &g in gaps_us {
             sal.push(Span::from_micros(t, t + g), 0);
@@ -521,7 +521,7 @@ mod tests {
     #[test]
     fn consecutive_losses_thresholded() {
         let mut s = series_with_gaps(&[]);
-        let mut up: EventSeries<u32> = EventSeries::new("UpstreamLoss");
+        let mut up: EventSeries<u32> = EventSeries::new();
         // 9 chained waves, then an isolated one far away.
         for i in 0..9 {
             up.push(Span::from_micros(i * 1_000, i * 1_000 + 900), 1448);
@@ -539,14 +539,14 @@ mod tests {
     fn peer_group_blocking_detected() {
         // Blocked session: idle 0–180 s in 60 s chunks (keepalives).
         let mut blocked = series_with_gaps(&[]);
-        let mut sal: EventSeries<u32> = EventSeries::new("SendAppLimited");
+        let mut sal: EventSeries<u32> = EventSeries::new();
         sal.push(Span::from_micros(0, 59_999_000), 0);
         sal.push(Span::from_micros(60_000_000, 119_999_000), 0);
         sal.push(Span::from_micros(120_000_000, 180_000_000), 0);
         blocked.send_app_limited = sal;
         // Faulty session: retransmission storm over the same window.
         let mut faulty = series_with_gaps(&[]);
-        let mut loss: EventSeries<u32> = EventSeries::new("DownstreamLoss");
+        let mut loss: EventSeries<u32> = EventSeries::new();
         loss.push(Span::from_micros(1_000_000, 170_000_000), 1448);
         faulty.downstream_loss = loss;
         let found = find_peer_group_blocking(&blocked, &faulty, Micros::from_secs(90));
@@ -557,7 +557,7 @@ mod tests {
     #[test]
     fn long_pauses_merge_across_two_seconds_and_keep_min_pause() {
         let mut s = series_with_gaps(&[]);
-        let mut sal: EventSeries<u32> = EventSeries::new("SendAppLimited");
+        let mut sal: EventSeries<u32> = EventSeries::new();
         // 0–10 s and 12–20 s merge (2 s apart); 23–30 s stays apart.
         sal.push(Span::from_micros(0, 10_000_000), 0);
         sal.push(Span::from_micros(12_000_000, 20_000_000), 0);
@@ -575,7 +575,7 @@ mod tests {
     #[test]
     fn no_peer_group_blocking_without_faulty_overlap() {
         let mut blocked = series_with_gaps(&[]);
-        let mut sal: EventSeries<u32> = EventSeries::new("SendAppLimited");
+        let mut sal: EventSeries<u32> = EventSeries::new();
         sal.push(Span::from_micros(0, 180_000_000), 0);
         blocked.send_app_limited = sal;
         let faulty = series_with_gaps(&[]); // healthy
@@ -586,13 +586,13 @@ mod tests {
     #[test]
     fn delayed_ack_interaction_detected_when_isolated() {
         let mut s = series_with_gaps(&[]);
-        let mut sp: EventSeries<u32> = EventSeries::new("SpuriousRetx");
+        let mut sp: EventSeries<u32> = EventSeries::new();
         sp.push(Span::from_micros(10_000_000, 10_200_000), 100);
         s.spurious_retx = sp.clone();
         let found = find_delayed_ack_interaction(&s).expect("isolated spurious retx");
         assert_eq!(found.count, 1);
         // A real loss episode right next to it disqualifies the wave.
-        let mut up: EventSeries<u32> = EventSeries::new("UpstreamLoss");
+        let mut up: EventSeries<u32> = EventSeries::new();
         up.push(Span::from_micros(9_900_000, 10_050_000), 1448);
         s.upstream_loss = up;
         assert_eq!(find_delayed_ack_interaction(&s), None);
@@ -607,11 +607,11 @@ mod tests {
     #[test]
     fn zero_ack_bug_conflict() {
         let mut s = series_with_gaps(&[]);
-        let mut zw: EventSeries<u32> = EventSeries::new("ZeroWindow");
+        let mut zw: EventSeries<u32> = EventSeries::new();
         zw.push(Span::from_micros(0, 10_000_000), 0);
         s.zero_window = zw;
         assert!(find_zero_ack_bug(&s).is_none(), "zero window alone is fine");
-        let mut up: EventSeries<u32> = EventSeries::new("UpstreamLoss");
+        let mut up: EventSeries<u32> = EventSeries::new();
         up.push(Span::from_micros(5_000_000, 6_000_000), 1);
         s.upstream_loss = up;
         let bug = find_zero_ack_bug(&s).expect("conflict must be flagged");

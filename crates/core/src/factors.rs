@@ -67,11 +67,10 @@ impl Factor {
     pub fn is_bgp(self) -> bool {
         matches!(self, Factor::BgpSenderApp | Factor::BgpReceiverApp)
     }
-}
 
-impl fmt::Display for Factor {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
+    /// The factor's name in reports and listings.
+    pub const fn name(self) -> &'static str {
+        match self {
             Factor::BgpSenderApp => "BGP sender app",
             Factor::TcpCongestionWindow => "TCP congestion window",
             Factor::SenderLocalLoss => "sender local loss",
@@ -80,7 +79,13 @@ impl fmt::Display for Factor {
             Factor::ReceiverLocalLoss => "receiver local loss",
             Factor::Bandwidth => "bandwidth limited",
             Factor::NetworkLoss => "network packet loss",
-        })
+        }
+    }
+}
+
+impl fmt::Display for Factor {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.name())
     }
 }
 
@@ -102,15 +107,20 @@ impl FactorGroup {
         FactorGroup::Receiver,
         FactorGroup::Network,
     ];
+
+    /// The group's name in reports and listings.
+    pub const fn name(self) -> &'static str {
+        match self {
+            FactorGroup::Sender => "sender",
+            FactorGroup::Receiver => "receiver",
+            FactorGroup::Network => "network",
+        }
+    }
 }
 
 impl fmt::Display for FactorGroup {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
-            FactorGroup::Sender => "sender",
-            FactorGroup::Receiver => "receiver",
-            FactorGroup::Network => "network",
-        })
+        f.write_str(self.name())
     }
 }
 
@@ -336,9 +346,9 @@ mod tests {
         let period = Span::from_micros(0, 1_000_000);
         let mut s = series_with(period);
         // Two overlapping sender-side series covering the same 40%.
-        let mut sal: EventSeries<u32> = EventSeries::new("SendAppLimited");
+        let mut sal: EventSeries<u32> = EventSeries::new();
         sal.push(Span::from_micros(0, 400_000), 0);
-        let mut cwd: EventSeries<u32> = EventSeries::new("CwdBndOut");
+        let mut cwd: EventSeries<u32> = EventSeries::new();
         cwd.push(Span::from_micros(200_000, 400_000), 0);
         s.send_app_limited = sal;
         s.cwd_bnd_out = cwd;
@@ -354,10 +364,10 @@ mod tests {
     fn major_groups_and_dominant_factor() {
         let period = Span::from_micros(0, 1_000_000);
         let mut s = series_with(period);
-        let mut sal: EventSeries<u32> = EventSeries::new("SendAppLimited");
+        let mut sal: EventSeries<u32> = EventSeries::new();
         sal.push(Span::from_micros(0, 800_000), 0);
         s.send_app_limited = sal;
-        let mut loss: EventSeries<u32> = EventSeries::new("RecvLocalLoss");
+        let mut loss: EventSeries<u32> = EventSeries::new();
         loss.push(Span::from_micros(800_000, 1_000_000), 0);
         s.recv_local_loss = loss;
         let v = delay_vector(&s, &AnalyzerConfig::default());
@@ -377,7 +387,7 @@ mod tests {
     fn zero_window_counts_toward_bgp_receiver() {
         let period = Span::from_micros(0, 1_000_000);
         let mut s = series_with(period);
-        let mut zw: EventSeries<u32> = EventSeries::new("ZeroWindow");
+        let mut zw: EventSeries<u32> = EventSeries::new();
         zw.push(Span::from_micros(0, 500_000), 0);
         s.zero_window = zw;
         let v = delay_vector(&s, &AnalyzerConfig::default());

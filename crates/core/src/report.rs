@@ -3,9 +3,14 @@
 //!
 //! The report is a plain-data struct with its own dependency-free JSON
 //! encoder, so `t-dat --json` works without pulling a JSON crate into
-//! the tool.
+//! the tool. Its fixed vocabulary — factor and group names, the
+//! verdict — is borrowed from `'static` strings when the report is
+//! built from an analysis, and owned only when it is parsed back.
 
+use std::borrow::Cow;
 use std::fmt::Write;
+
+use tdat_trace::Endpoint;
 
 use crate::analyzer::Analysis;
 use crate::config::AnalyzerConfig;
@@ -32,9 +37,9 @@ pub struct Report {
     /// Network group ratio.
     pub network_ratio: f64,
     /// `(factor name, delay ratio)` for all eight factors.
-    pub factors: Vec<(String, f64)>,
+    pub factors: Vec<(Cow<'static, str>, f64)>,
     /// Names of the major groups at the configured threshold.
-    pub major_groups: Vec<String>,
+    pub major_groups: Vec<Cow<'static, str>>,
     /// Inferred sender pacing timer in milliseconds, if any.
     pub inferred_timer_ms: Option<f64>,
     /// Consecutive-loss episodes `(retransmissions, seconds)`.
@@ -45,9 +50,9 @@ pub struct Report {
     /// race), if detected.
     pub delayed_ack_spurious: usize,
     /// Capture-quality verdict: `clean`, `degraded`, or `quarantined`.
-    pub verdict: String,
+    pub verdict: Cow<'static, str>,
     /// Why the connection was quarantined, if it was.
-    pub quarantine_reason: Option<String>,
+    pub quarantine_reason: Option<Cow<'static, str>>,
     /// Total capture anomalies attributed to this connection.
     pub capture_anomalies: u64,
 }
@@ -57,8 +62,8 @@ impl Report {
     pub fn from_analysis(analysis: &Analysis, config: &AnalyzerConfig) -> Report {
         let v = &analysis.vector;
         Report {
-            sender: format!("{}:{}", analysis.sender.0, analysis.sender.1),
-            receiver: format!("{}:{}", analysis.receiver.0, analysis.receiver.1),
+            sender: endpoint_string(analysis.sender),
+            receiver: endpoint_string(analysis.receiver),
             duration_s: analysis.period.duration().as_secs_f64(),
             prefixes: analysis
                 .transfer
@@ -71,12 +76,12 @@ impl Report {
             network_ratio: v.network,
             factors: Factor::ALL
                 .iter()
-                .map(|f| (f.to_string(), v.ratio(*f)))
+                .map(|f| (Cow::Borrowed(f.name()), v.ratio(*f)))
                 .collect(),
             major_groups: v
                 .major_groups(config.major_threshold)
                 .iter()
-                .map(|g| g.to_string())
+                .map(|g| Cow::Borrowed(g.name()))
                 .collect(),
             inferred_timer_ms: analysis.infer_timer(8).map(|t| t.period.as_millis_f64()),
             loss_episodes: analysis
@@ -89,8 +94,11 @@ impl Report {
                 .delayed_ack_interaction()
                 .map(|d| d.count)
                 .unwrap_or(0),
-            verdict: analysis.verdict.as_str().to_string(),
-            quarantine_reason: analysis.verdict.reason().map(str::to_string),
+            verdict: Cow::Borrowed(analysis.verdict.as_str()),
+            quarantine_reason: analysis
+                .verdict
+                .reason()
+                .map(|reason| Cow::Owned(reason.to_string())),
             capture_anomalies: analysis.anomalies.total(),
         }
     }
@@ -205,7 +213,7 @@ impl Report {
                     ratio
                         .as_f64()
                         .or_else(|| ratio.is_null().then_some(f64::NAN))
-                        .map(|r| (name.clone(), r))
+                        .map(|r| (Cow::Owned(name.clone()), r))
                         .ok_or_else(|| format!("factor {name:?} ratio is not a number"))
                 })
                 .collect::<Result<Vec<_>, _>>()?,
@@ -216,7 +224,7 @@ impl Report {
                 .iter()
                 .map(|g| {
                     g.as_str()
-                        .map(str::to_string)
+                        .map(|g| Cow::Owned(g.to_string()))
                         .ok_or_else(|| "major_groups entry is not a string".to_string())
                 })
                 .collect::<Result<Vec<_>, _>>()?,
@@ -245,7 +253,7 @@ impl Report {
             Some(JsonValue::Null) => None,
             Some(v) => Some(
                 v.as_str()
-                    .map(str::to_string)
+                    .map(|reason| Cow::Owned(reason.to_string()))
                     .ok_or("report field \"quarantine_reason\" is neither string nor null")?,
             ),
             None => return Err("report field \"quarantine_reason\" missing".to_string()),
@@ -270,7 +278,7 @@ impl Report {
             loss_episodes,
             zero_ack_bug,
             delayed_ack_spurious: count_field("delayed_ack_spurious")? as usize,
-            verdict: str_field("verdict")?,
+            verdict: Cow::Owned(str_field("verdict")?),
             quarantine_reason,
             capture_anomalies: count_field("capture_anomalies")?,
         })
@@ -286,6 +294,13 @@ impl Report {
         let value = json::parse(text).map_err(|e| e.to_string())?;
         Report::from_json(&value)
     }
+}
+
+/// `ip:port`, written once into a string sized for the longest one.
+fn endpoint_string((ip, port): Endpoint) -> String {
+    let mut out = String::with_capacity("255.255.255.255:65535".len());
+    let _ = write!(out, "{ip}:{port}");
+    out
 }
 
 /// The canonical JSON helpers, re-exported from [`crate::json`] where
@@ -367,7 +382,7 @@ mod tests {
         r.factors = crate::Factor::ALL
             .iter()
             .enumerate()
-            .map(|(i, f)| (f.to_string(), i as f64 * 0.125))
+            .map(|(i, f)| (f.name().into(), i as f64 * 0.125))
             .collect();
         r.loss_episodes = vec![(9, 4.2), (2, 0.5)];
         let parsed = Report::from_json_str(&r.to_json()).expect("canonical JSON parses");

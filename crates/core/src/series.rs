@@ -4,7 +4,8 @@
 //! each representing one type of TCP behaviour, via three rules:
 //! *Extraction* (directly from packets), *Interpretation* (renaming a
 //! series given deployment knowledge, e.g. downstream loss = receiver-
-//! local when the sniffer sits at the receiver), and *Operation*
+//! local when the sniffer sits at the receiver: the series is cloned
+//! into the slot whose name it takes), and *Operation*
 //! (inference and set algebra over existing series). Every event keeps
 //! a `u32` payload with the byte count behind it (window size,
 //! retransmitted bytes, outstanding bytes) so high-level observations
@@ -19,9 +20,12 @@ use crate::preprocess::ShiftedTrace;
 
 /// The generated series for one connection over one analysis period.
 ///
-/// Field names follow the paper. All series are flattened to
-/// [`SpanSet`]s on demand for the set algebra; the payload-carrying
-/// [`EventSeries`] form is preserved for drill-down.
+/// Field names follow the paper. A series is named by its slot: an
+/// [`EventSeries`] holds only its events, and every printed name comes
+/// from [`named`](SeriesSet::named), which lists each field under its
+/// paper name. All series are flattened to [`SpanSet`]s on demand for
+/// the set algebra; the payload-carrying [`EventSeries`] form is
+/// preserved for drill-down.
 #[derive(Debug, Clone, Default)]
 pub struct SeriesSet {
     /// The analysis period (the table-transfer duration in this work).
@@ -298,7 +302,6 @@ fn extraction(
     };
 
     // Transmission: data flights.
-    set.transmission = EventSeries::new("Transmission");
     for flight in group_flights(data, flight_gap) {
         let bytes: u32 = data[flight.members].iter().map(|s| s.payload_len).sum();
         // Give an instantaneous burst a minimal width of one
@@ -308,7 +311,6 @@ fn extraction(
     }
 
     // Advertised window: each ACK's window holds until the next ACK.
-    set.adv_window = EventSeries::new("AdvWindow");
     for pair in acks.windows(2) {
         set.adv_window
             .push(Span::new(pair[0].time, pair[1].time), pair[0].window);
@@ -321,7 +323,6 @@ fn extraction(
 
 /// Outstanding: walk data/ack events, tracking unacked bytes.
 fn outstanding(set: &mut SeriesSet, trace: &ShiftedTrace) {
-    set.outstanding = EventSeries::new("Outstanding");
     let mut snd_max: Option<u32> = None;
     let mut ack_max: Option<u32> = None;
     let mut open_since: Option<Micros> = None;
@@ -363,10 +364,6 @@ fn outstanding(set: &mut SeriesSet, trace: &ShiftedTrace) {
 /// Losses and probes from the labels (aligned with data segments in
 /// order).
 fn label_series(set: &mut SeriesSet, trace: &ShiftedTrace, labels: &[SegLabel]) {
-    set.upstream_loss = EventSeries::new("UpstreamLoss");
-    set.downstream_loss = EventSeries::new("DownstreamLoss");
-    set.spurious_retx = EventSeries::new("SpuriousRetx");
-    set.window_probes = EventSeries::new("WindowProbes");
     // Labels align one-to-one with the data-direction segments in
     // order (data segments are never shifted, so the shifted trace
     // preserves that order).
@@ -388,7 +385,6 @@ fn label_series(set: &mut SeriesSet, trace: &ShiftedTrace, labels: &[SegLabel]) 
 
 /// Zero-window periods.
 fn zero_window(set: &mut SeriesSet, acks: &[&Segment]) {
-    set.zero_window = EventSeries::new("ZeroWindow");
     let mut zero_since: Option<Micros> = None;
     for ack in acks {
         if ack.window == 0 {
@@ -414,22 +410,20 @@ fn unacked(snd_max: Option<u32>, ack_max: Option<u32>) -> u32 {
 // Rule 2: Interpretation
 // ----------------------------------------------------------------------
 
+/// Clones the loss series into the slots that name them for the
+/// sniffer's location; a slot no location fills stays empty.
 fn interpretation(set: &mut SeriesSet, config: &AnalyzerConfig) {
     match config.sniffer {
         SnifferLocation::NearReceiver => {
-            set.recv_local_loss = set.downstream_loss.clone().renamed("RecvLocalLoss");
-            set.send_local_loss = EventSeries::new("SendLocalLoss");
-            set.network_loss = set.upstream_loss.clone().renamed("NetworkLoss");
+            set.recv_local_loss = set.downstream_loss.clone();
+            set.network_loss = set.upstream_loss.clone();
         }
         SnifferLocation::NearSender => {
-            set.send_local_loss = set.upstream_loss.clone().renamed("SendLocalLoss");
-            set.recv_local_loss = EventSeries::new("RecvLocalLoss");
-            set.network_loss = set.downstream_loss.clone().renamed("NetworkLoss");
+            set.send_local_loss = set.upstream_loss.clone();
+            set.network_loss = set.downstream_loss.clone();
         }
         SnifferLocation::Middle => {
-            set.send_local_loss = EventSeries::new("SendLocalLoss");
-            set.recv_local_loss = EventSeries::new("RecvLocalLoss");
-            let mut network = set.upstream_loss.clone().renamed("NetworkLoss");
+            let mut network = set.upstream_loss.clone();
             for e in set.downstream_loss.iter() {
                 network.push(e.span, e.data);
             }
@@ -452,7 +446,6 @@ fn send_app_limited(
     config: &AnalyzerConfig,
     scratch: &mut SpanScratch,
 ) {
-    set.send_app_limited = EventSeries::new("SendAppLimited");
     let idle_threshold = match rtt {
         Some(rtt) => config.min_idle_gap.max(rtt / 4),
         None => config.min_idle_gap,
@@ -506,8 +499,6 @@ fn operation(
         .saturating_sub((config.small_window_mss * mss as f64) as u32);
 
     // Small / large advertised-window series.
-    set.small_adv_window = EventSeries::new("SmallAdvWindow");
-    set.large_adv_window = EventSeries::new("LargeAdvWindow");
     for e in set.adv_window.iter() {
         if e.data < small {
             set.small_adv_window.push(e.span, e.data);
@@ -523,7 +514,6 @@ fn operation(
     // within `window_bound_mss × MSS` are AdvBndOut. A per-flight test
     // would miss continuously ACK-clocked flow, which has no flight
     // boundaries precisely *because* the window is the limiter.
-    set.adv_bnd_out = EventSeries::new("AdvBndOut");
     let bound_margin = (config.window_bound_mss * mss as f64) as i64;
     {
         let mut snd_max: Option<u32> = None;
@@ -600,7 +590,6 @@ fn operation(
     // flights exist exactly when the window is open but cwnd paces the
     // sender), excluding flights already explained by the advertised
     // window.
-    set.cwd_bnd_out = EventSeries::new("CwdBndOut");
     let flight_gap = match rtt {
         Some(rtt) if rtt > Micros::ZERO => (rtt / 2).max(Micros::from_millis(1)),
         _ => config.fallback_flight_gap,
@@ -656,7 +645,6 @@ fn operation(
 
     // Bandwidth-limited: long continuous transmission not explained by
     // windows or losses.
-    set.bandwidth_limited = EventSeries::new("BandwidthLimited");
     let bw_gap = match rtt {
         Some(rtt) if rtt > Micros::ZERO => (rtt / 8).max(Micros(500)),
         _ => Micros::from_millis(1),
@@ -866,13 +854,68 @@ mod tests {
         );
     }
 
+    /// A series carries no name, so a series in the wrong slot would
+    /// print under the wrong name with nothing else to show it. Each of
+    /// the 17 stored slots gets one event of its own, in field order;
+    /// `named` must list every slot exactly once, in that order, beside
+    /// the 5 derived sets, under 22 distinct names.
     #[test]
     fn named_lists_every_series() {
-        let s = series_for(&[data(0, 1, 100), ack_w(300, 101, 65535)]);
-        let names: Vec<&str> = s.named().iter().map(|(n, _)| *n).collect();
-        assert!(names.contains(&"Transmission"));
-        assert!(names.contains(&"SendAppLimited"));
-        assert!(names.contains(&"ZeroAckBug"));
+        const DERIVED: [&str; 5] = [
+            "SmallAdvBndOut",
+            "LargeAdvBndOut",
+            "ZeroAdvBndOut",
+            "AllLoss",
+            "ZeroAckBug",
+        ];
+        let mut s = SeriesSet::default();
+        let slots = [
+            &mut s.transmission,
+            &mut s.outstanding,
+            &mut s.adv_window,
+            &mut s.upstream_loss,
+            &mut s.downstream_loss,
+            &mut s.spurious_retx,
+            &mut s.zero_window,
+            &mut s.window_probes,
+            &mut s.send_local_loss,
+            &mut s.recv_local_loss,
+            &mut s.network_loss,
+            &mut s.send_app_limited,
+            &mut s.small_adv_window,
+            &mut s.large_adv_window,
+            &mut s.adv_bnd_out,
+            &mut s.cwd_bnd_out,
+            &mut s.bandwidth_limited,
+        ];
+        let stored = slots.len();
+        assert_eq!(stored, 17);
+        let mark = |slot: usize| Span::from_micros(10 * slot as i64 + 1, 10 * slot as i64 + 2);
+        for (slot, series) in slots.into_iter().enumerate() {
+            series.push(mark(slot), 0);
+        }
+        // The period is empty, so `ZeroAdvBndOut` and `ZeroAckBug` are
+        // too, and no derived set can pass for a single slot.
+        let named = s.named();
+        let mut next = 0;
+        for (name, set) in &named {
+            if DERIVED.contains(name) {
+                assert_ne!(*set, SpanSet::from_spans([mark(next)]), "{name}");
+                continue;
+            }
+            assert_eq!(
+                *set,
+                SpanSet::from_spans([mark(next)]),
+                "{name} lists slot {next}"
+            );
+            next += 1;
+        }
+        assert_eq!(next, stored, "every stored slot is listed");
+        let mut names: Vec<&str> = named.iter().map(|(n, _)| *n).collect();
         assert_eq!(names.len(), 22);
+        assert!(DERIVED.iter().all(|d| names.contains(d)));
+        names.sort_unstable();
+        names.dedup();
+        assert_eq!(names.len(), 22, "names are unique");
     }
 }

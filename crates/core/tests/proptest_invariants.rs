@@ -6,9 +6,9 @@ use tdat_timeset::{EventSeries, Span};
 
 const PERIOD: Span = Span::from_micros(0, 1_000_000);
 
-fn arb_series(name: &'static str) -> impl Strategy<Value = EventSeries<u32>> {
-    prop::collection::vec((0i64..1_000_000, 1i64..200_000), 0..8).prop_map(move |spans| {
-        let mut s = EventSeries::new(name);
+fn arb_series() -> impl Strategy<Value = EventSeries<u32>> {
+    prop::collection::vec((0i64..1_000_000, 1i64..200_000), 0..8).prop_map(|spans| {
+        let mut s = EventSeries::new();
         for (start, len) in spans {
             s.push(Span::from_micros(start, (start + len).min(1_000_000)), 0);
         }
@@ -18,16 +18,16 @@ fn arb_series(name: &'static str) -> impl Strategy<Value = EventSeries<u32>> {
 
 fn arb_series_set() -> impl Strategy<Value = SeriesSet> {
     (
-        arb_series("SendAppLimited"),
-        arb_series("CwdBndOut"),
-        arb_series("SendLocalLoss"),
-        arb_series("ZeroWindow"),
-        arb_series("RecvLocalLoss"),
-        arb_series("BandwidthLimited"),
-        arb_series("NetworkLoss"),
-        arb_series("AdvBndOut"),
-        arb_series("SmallAdvWindow"),
-        arb_series("LargeAdvWindow"),
+        arb_series(),
+        arb_series(),
+        arb_series(),
+        arb_series(),
+        arb_series(),
+        arb_series(),
+        arb_series(),
+        arb_series(),
+        arb_series(),
+        arb_series(),
     )
         .prop_map(
             |(sal, cwd, sll, zw, rll, bw, nl, adv, small, large)| SeriesSet {

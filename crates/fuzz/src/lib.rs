@@ -285,7 +285,7 @@ pub fn run_follow(entry: &CorpusEntry) -> PipelineOutcome {
         };
         outcome.connections += 1;
         let report = &summary.report;
-        match report.verdict.as_str() {
+        match &*report.verdict {
             "quarantined" => {
                 outcome.quarantined += 1;
                 assert!(

@@ -2051,7 +2051,7 @@ mod tests {
             .iter()
             .filter_map(|e| match e {
                 MonitorEvent::Connection(c) => {
-                    Some((c.source.to_string(), c.report.verdict.clone()))
+                    Some((c.source.to_string(), c.report.verdict.to_string()))
                 }
                 _ => None,
             })

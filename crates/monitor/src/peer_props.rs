@@ -239,7 +239,7 @@ fn router(g: usize) -> Ipv4Addr {
 /// short idle span, two spans `gap` apart whose hull is `min_pause` plus
 /// one of [`HULLS`], or that hull and a second long pause a minute on.
 fn idle_spans(series: &mut SeriesSet, shape: usize, gap: i64, start: i64) {
-    let mut sal = EventSeries::new("SendAppLimited");
+    let mut sal = EventSeries::new();
     match shape {
         0 => {}
         1 => sal.push(Span::from_micros(start, start + 5_000_000), 0),
@@ -261,7 +261,7 @@ fn idle_spans(series: &mut SeriesSet, shape: usize, gap: i64, start: i64) {
 /// `len`, a second into the pauses.
 fn trouble(series: &mut SeriesSet, kind: usize, len: i64) {
     let span = Span::from_micros(BASE + 1_000_000, BASE + 1_000_000 + len);
-    let mut events = EventSeries::new("Trouble");
+    let mut events = EventSeries::new();
     events.push(span, 1448);
     match kind {
         0 => series.upstream_loss = events,

@@ -186,15 +186,15 @@ pub(crate) fn poisoned_shard_report(
         network_ratio: 0.0,
         factors: tdat::Factor::ALL
             .iter()
-            .map(|f| (f.to_string(), 0.0))
+            .map(|f| (f.name().into(), 0.0))
             .collect(),
         major_groups: Vec::new(),
         inferred_timer_ms: None,
         loss_episodes: Vec::new(),
         zero_ack_bug: false,
         delayed_ack_spurious: 0,
-        verdict: "quarantined".to_string(),
-        quarantine_reason: Some(format!("shard worker panicked: {reason}")),
+        verdict: "quarantined".into(),
+        quarantine_reason: Some(format!("shard worker panicked: {reason}").into()),
         capture_anomalies: 0,
     }
 }

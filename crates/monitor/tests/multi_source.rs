@@ -345,7 +345,9 @@ fn a_quarantined_source_never_suppresses_its_siblings_alerts() {
     let verdicts: Vec<(String, String)> = events
         .iter()
         .filter_map(|e| match e {
-            MonitorEvent::Connection(c) => Some((c.source.to_string(), c.report.verdict.clone())),
+            MonitorEvent::Connection(c) => {
+                Some((c.source.to_string(), c.report.verdict.to_string()))
+            }
             _ => None,
         })
         .collect();

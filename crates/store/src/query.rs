@@ -673,7 +673,7 @@ impl Query {
                 Some(asn) => KeyValue::Int(i64::from(asn)),
                 None => KeyValue::Null,
             },
-            GroupKey::Verdict => KeyValue::Str(r.report.verdict.clone()),
+            GroupKey::Verdict => KeyValue::Str(r.report.verdict.to_string()),
             GroupKey::Kind => KeyValue::Str(r.kind.as_str().to_string()),
             GroupKey::Major => KeyValue::Str(r.dominant_group().to_string()),
             GroupKey::Factor => match r.dominant_factor() {

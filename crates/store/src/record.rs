@@ -419,15 +419,15 @@ mod tests {
             receiver_ratio: 0.25,
             network_ratio: 0.125,
             factors: vec![
-                ("BGP sender app".to_string(), 0.5),
-                ("TCP advertised window".to_string(), 0.25),
+                ("BGP sender app".into(), 0.5),
+                ("TCP advertised window".into(), 0.25),
             ],
-            major_groups: vec!["sender".to_string()],
+            major_groups: vec!["sender".into()],
             inferred_timer_ms: None,
             loss_episodes: vec![(3, 1.5)],
             zero_ack_bug: false,
             delayed_ack_spurious: 0,
-            verdict: "clean".to_string(),
+            verdict: "clean".into(),
             quarantine_reason: None,
             capture_anomalies: 0,
         }

@@ -20,6 +20,8 @@
 //! min/max finalization time, and the source/verdict value sets — that
 //! the query engine uses to skip segments without decoding them.
 
+use std::borrow::Cow;
+
 use tdat::Report;
 use tdat_timeset::colenc::{
     decode_micros_column, decode_span_column, encode_micros_column, encode_span_column,
@@ -63,8 +65,8 @@ impl SegmentMeta {
             if !sources.contains(&r.source) {
                 sources.push(r.source.clone());
             }
-            if !verdicts.contains(&r.report.verdict) {
-                verdicts.push(r.report.verdict.clone());
+            if !verdicts.iter().any(|v| *v == r.report.verdict) {
+                verdicts.push(r.report.verdict.to_string());
             }
         }
         if records.is_empty() {
@@ -463,27 +465,27 @@ pub fn decode_segment(bytes: &[u8], file: &str) -> Result<Segment, StoreError> {
         reasons.push(if v == 0 {
             None
         } else {
-            Some(lookup(&r, v - 1)?)
+            Some(lookup(&r, v - 1)?.into())
         });
     }
-    let mut factors: Vec<Vec<(String, f64)>> = Vec::with_capacity(count);
+    let mut factors: Vec<Vec<(Cow<'static, str>, f64)>> = Vec::with_capacity(count);
     for _ in 0..count {
         let n = r.len("factor list", 1 << 8)?;
         let mut list = Vec::with_capacity(n);
         for _ in 0..n {
             let i = r.varint()?;
             let name = lookup(&r, i)?;
-            list.push((name, r.f64()?));
+            list.push((name.into(), r.f64()?));
         }
         factors.push(list);
     }
-    let mut majors: Vec<Vec<String>> = Vec::with_capacity(count);
+    let mut majors: Vec<Vec<Cow<'static, str>>> = Vec::with_capacity(count);
     for _ in 0..count {
         let n = r.len("major-group list", 1 << 8)?;
         let mut list = Vec::with_capacity(n);
         for _ in 0..n {
             let i = r.varint()?;
-            list.push(lookup(&r, i)?);
+            list.push(lookup(&r, i)?.into());
         }
         majors.push(list);
     }
@@ -532,7 +534,7 @@ pub fn decode_segment(bytes: &[u8], file: &str) -> Result<Segment, StoreError> {
                 loss_episodes: std::mem::take(&mut losses[i]),
                 zero_ack_bug: zero_ack[i],
                 delayed_ack_spurious: counts[i].1,
-                verdict: verdicts[i].clone(),
+                verdict: verdicts[i].clone().into(),
                 quarantine_reason: std::mem::take(&mut reasons[i]),
                 capture_anomalies: counts[i].2,
             },
@@ -584,7 +586,7 @@ mod tests {
         assert!(records.iter().all(|r| meta.sources.contains(&r.source)));
         assert!(records
             .iter()
-            .all(|r| meta.verdicts.contains(&r.report.verdict)));
+            .all(|r| meta.verdicts.iter().any(|v| *v == r.report.verdict)));
         let mut sorted = meta.sources.clone();
         sorted.sort_unstable();
         assert_eq!(meta.sources, sorted);

@@ -471,8 +471,8 @@ mod tests {
         let store = Store::create(&dir).unwrap();
         let mut records = synth_records(3, 7);
         records[0].source = "tap\nA".to_string();
-        records[0].report.verdict = "x\ny".to_string();
-        records[1].report.verdict = "tab\tbell\u{7}".to_string();
+        records[0].report.verdict = "x\ny".into();
+        records[1].report.verdict = "tab\tbell\u{7}".into();
         records[1].report.sender = "10.0.0.1\r:179".to_string();
         store.ingest(records.clone()).unwrap();
 

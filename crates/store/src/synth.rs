@@ -8,6 +8,8 @@
 //! milliseconds with zero captures on disk. The same `(n, seed)` pair
 //! always produces byte-identical records.
 
+use std::borrow::Cow;
+
 use tdat::Report;
 use tdat_timeset::Micros;
 
@@ -71,9 +73,9 @@ pub fn synth_records(n: usize, seed: u64) -> Vec<SessionRecord> {
 
         // Factor profile: one dominant factor, small noise elsewhere.
         let dominant = rng.below(FACTORS.len() as u64) as usize;
-        let mut factors: Vec<(String, f64)> = FACTORS
+        let mut factors: Vec<(Cow<'static, str>, f64)> = FACTORS
             .iter()
-            .map(|f| (f.to_string(), rng.f64() * 0.08))
+            .map(|f| (Cow::Borrowed(*f), rng.f64() * 0.08))
             .collect();
         factors[dominant].1 = 0.4 + rng.f64() * 0.5;
         let sum = |idx: std::ops::Range<usize>| factors[idx].iter().map(|f| f.1).sum::<f64>();
@@ -87,7 +89,7 @@ pub fn synth_records(n: usize, seed: u64) -> Vec<SessionRecord> {
             ("network", network_ratio),
         ] {
             if ratio > 0.3 {
-                major_groups.push(name.to_string());
+                major_groups.push(Cow::Borrowed(name));
             }
         }
 
@@ -97,7 +99,7 @@ pub fn synth_records(n: usize, seed: u64) -> Vec<SessionRecord> {
         } else if verdict_roll < 0.92 {
             ("degraded", None)
         } else {
-            ("quarantined", Some("anomaly budget exceeded".to_string()))
+            ("quarantined", Some("anomaly budget exceeded".into()))
         };
 
         let mut alerts = Vec::new();
@@ -124,7 +126,7 @@ pub fn synth_records(n: usize, seed: u64) -> Vec<SessionRecord> {
                 .collect(),
             zero_ack_bug: rng.f64() < 0.02,
             delayed_ack_spurious: rng.below(4) as usize,
-            verdict: verdict.to_string(),
+            verdict: verdict.into(),
             quarantine_reason,
             capture_anomalies: if verdict == "clean" { 0 } else { rng.below(50) },
         };
@@ -159,7 +161,7 @@ mod tests {
     fn corpus_is_varied_and_time_ordered() {
         let records = synth_records(1000, 5);
         let verdicts: std::collections::HashSet<_> =
-            records.iter().map(|r| r.report.verdict.as_str()).collect();
+            records.iter().map(|r| &*r.report.verdict).collect();
         assert!(verdicts.len() >= 3, "want all verdicts, got {verdicts:?}");
         let peers: std::collections::HashSet<_> = records.iter().map(|r| &r.peer).collect();
         assert!(peers.len() >= 20, "want many peers, got {}", peers.len());

@@ -14,7 +14,8 @@
 //! * [`SpanSet`] — a normalized set of disjoint spans with full set
 //!   algebra, gap iteration, and delay-ratio computation;
 //! * [`EventSeries`] — spans with payloads, the `(event_duration,
-//!   event_data)` tuples of the paper.
+//!   event_data)` tuples of the paper. A series is its events alone;
+//!   whatever holds it gives it its name.
 //!
 //! # Examples
 //!

@@ -45,12 +45,17 @@ impl<T: fmt::Display> fmt::Display for Event<T> {
 /// overlapping time is never double-counted, matching the paper's
 /// definition of series size.
 ///
+/// A series carries no name, only its events: 24 bytes, one `Vec`. The
+/// place that holds it names it — in the analyzer, the field of the
+/// series set it sits in — so a program that keeps thousands of
+/// analyses keeps no name per series.
+///
 /// # Examples
 ///
 /// ```
 /// use tdat_timeset::{EventSeries, Micros, Span};
 ///
-/// let mut retx: EventSeries<u32> = EventSeries::new("UpstreamLoss");
+/// let mut retx: EventSeries<u32> = EventSeries::new();
 /// retx.push(Span::from_micros(100, 300), 1448);
 /// retx.push(Span::from_micros(250, 400), 1448); // overlaps the first
 /// assert_eq!(retx.len(), 2);
@@ -59,30 +64,14 @@ impl<T: fmt::Display> fmt::Display for Event<T> {
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct EventSeries<T> {
-    name: String,
     events: Vec<Event<T>>,
 }
 
 impl<T> EventSeries<T> {
-    /// Creates an empty series with a descriptive name (e.g.
-    /// `"SendAppLimited"`).
-    pub fn new(name: impl Into<String>) -> EventSeries<T> {
-        EventSeries {
-            name: name.into(),
-            events: Vec::new(),
-        }
-    }
-
-    /// The series name.
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
-    /// Renames the series; used by the *Interpretation* rule (§III-C2),
-    /// which clones an existing series under a more meaningful name.
-    pub fn renamed(mut self, name: impl Into<String>) -> EventSeries<T> {
-        self.name = name.into();
-        self
+    /// Creates an empty series. It allocates nothing until its first
+    /// event.
+    pub const fn new() -> EventSeries<T> {
+        EventSeries { events: Vec::new() }
     }
 
     /// Number of events (not the covered duration; see [`size`]).
@@ -197,7 +186,7 @@ impl<T> EventSeries<T> {
     where
         T: Clone,
     {
-        let mut out = EventSeries::new(self.name.clone());
+        let mut out = EventSeries::new();
         for event in &self.events {
             for span in keep.iter() {
                 if let Some(common) = event.span.intersect(*span) {
@@ -241,13 +230,7 @@ impl<T> Extend<(Span, T)> for EventSeries<T> {
 
 impl<T: fmt::Display> fmt::Display for EventSeries<T> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(
-            f,
-            "{} ({} events, size {})",
-            self.name,
-            self.len(),
-            self.size()
-        )?;
+        writeln!(f, "{} events, size {}", self.len(), self.size())?;
         for event in &self.events {
             writeln!(f, "  {event}")?;
         }
@@ -261,7 +244,7 @@ mod tests {
 
     #[test]
     fn push_keeps_sorted_order() {
-        let mut s: EventSeries<&str> = EventSeries::new("t");
+        let mut s: EventSeries<&str> = EventSeries::new();
         s.push(Span::from_micros(100, 200), "b");
         s.push(Span::from_micros(0, 50), "a");
         s.push(Span::from_micros(150, 160), "c");
@@ -271,7 +254,7 @@ mod tests {
 
     #[test]
     fn size_flattens_overlap() {
-        let mut s: EventSeries<()> = EventSeries::new("t");
+        let mut s: EventSeries<()> = EventSeries::new();
         s.push(Span::from_micros(0, 100), ());
         s.push(Span::from_micros(50, 150), ());
         assert_eq!(s.size(), Micros(150));
@@ -281,7 +264,7 @@ mod tests {
 
     #[test]
     fn overlapping_and_within_queries() {
-        let mut s: EventSeries<u8> = EventSeries::new("t");
+        let mut s: EventSeries<u8> = EventSeries::new();
         s.push(Span::from_micros(0, 10), 1);
         s.push(Span::from_micros(20, 30), 2);
         s.push(Span::from_micros(40, 50), 3);
@@ -299,7 +282,7 @@ mod tests {
 
     #[test]
     fn clipped_to_respects_set() {
-        let mut s: EventSeries<u8> = EventSeries::new("loss");
+        let mut s: EventSeries<u8> = EventSeries::new();
         s.push(Span::from_micros(0, 100), 9);
         let keep = SpanSet::from_spans([Span::from_micros(10, 20), Span::from_micros(80, 200)]);
         let clipped = s.clipped_to(&keep);
@@ -310,17 +293,13 @@ mod tests {
     }
 
     #[test]
-    fn renamed_preserves_events() {
-        let mut s: EventSeries<()> = EventSeries::new("DownstreamLoss");
-        s.push(Span::from_micros(0, 10), ());
-        let r = s.clone().renamed("RecvLocalLoss");
-        assert_eq!(r.name(), "RecvLocalLoss");
-        assert_eq!(r.events(), s.events());
+    fn a_series_is_its_events_alone() {
+        assert_eq!(std::mem::size_of::<EventSeries<u32>>(), 24);
     }
 
     #[test]
     fn durations_in_order() {
-        let mut s: EventSeries<()> = EventSeries::new("gaps");
+        let mut s: EventSeries<()> = EventSeries::new();
         s.push(Span::from_micros(0, 200), ());
         s.push(Span::from_micros(500, 600), ());
         let d: Vec<i64> = s.durations().map(|m| m.0).collect();
@@ -329,7 +308,7 @@ mod tests {
 
     #[test]
     fn extend_from_tuples() {
-        let mut s: EventSeries<u8> = EventSeries::new("t");
+        let mut s: EventSeries<u8> = EventSeries::new();
         s.extend([(Span::from_micros(10, 20), 1), (Span::from_micros(0, 5), 2)]);
         assert_eq!(s.events()[0].data, 2);
     }

@@ -219,7 +219,7 @@ proptest! {
     /// (sort + flatten) path for arbitrary, possibly overlapping events.
     #[test]
     fn series_fast_paths_match_flatten(spans in prop::collection::vec(arb_span(), 0..12), w in arb_span()) {
-        let mut series: EventSeries<u32> = EventSeries::new("t");
+        let mut series: EventSeries<u32> = EventSeries::new();
         for (i, s) in spans.iter().enumerate() {
             series.push(*s, i as u32);
         }
