@@ -17,10 +17,28 @@
 //! it is known to have passed (its last buffered frame, or its own
 //! clock for simulator taps), and frames are released only up to the
 //! minimum watermark over the live sources — globally ordered by
-//! timestamp, ties broken by source index, FIFO within a source. The
-//! released stream is a pure function of the sources' contents, so a
-//! deterministic set of sources yields a byte-deterministic event
-//! stream.
+//! timestamp, ties broken by source index, FIFO within a source.
+//!
+//! A source sitting exactly at that minimum may still deliver frames
+//! stamped with it, so a frame stamped at the limit waits while a
+//! lower-indexed live source sits there, and the clock a
+//! [`SetEvent::Batch`] reports stays below every frame it holds back.
+//! Where reads end then changes nothing: the released frames, and
+//! where ticks fall among them, are a pure function of the sources'
+//! contents, so a deterministic set of sources yields a
+//! byte-deterministic event stream. Capture anomalies are the
+//! exception: a source reports them when it reads the damaged record,
+//! so the tick that first counts them depends on the read-ahead.
+//!
+//! # Buffering bound
+//!
+//! A live source is read again only once the merge has released every
+//! frame of its previous read, and a follow source reads at most
+//! 256 KiB of capture (plus the record that crosses the line) per
+//! read. However far the sources' clocks drift apart, the set holds at
+//! most one read per source. A source whose frames wait on the merge is
+//! neither stale nor idle: the stale valve and a follow source's idle
+//! budget restart on every turn it waits.
 //!
 //! A live feed that goes silent would stall that minimum forever;
 //! [`SourceSetBuilder::stale_after`] bounds the damage by excluding a
@@ -333,16 +351,23 @@ enum EntryState {
 
 struct SetEntry {
     name: Arc<str>,
+    /// The fault points checked before each poll and each reopen,
+    /// named once per entry.
+    poll_point: String,
+    open_point: String,
     source: Box<dyn PacketSource>,
     /// The spec this source was opened from, retained so a transient
     /// failure can reopen it. `None` for custom sources, which are
     /// therefore not resurrectable.
     spec: Option<SourceSpec>,
+    /// What the merge has not released of the source's last batch; the
+    /// source is read again only once this is empty.
     buffer: VecDeque<TcpFrame>,
     /// Latest trace timestamp this source is known to have passed.
     watermark: Option<Micros>,
     state: EntryState,
-    /// Wall clock of the last productive poll (for the stale valve).
+    /// Wall clock of the last productive poll, or of the last turn its
+    /// buffer waited on the merge (for the stale valve).
     last_progress: Instant,
     /// Frames dropped because this source delivered them behind the
     /// already-released merge clock (a stale source that resumed).
@@ -394,8 +419,11 @@ const RETRY_CAP: Duration = Duration::from_secs(30);
 enum ReleaseLimit {
     /// A live source has produced nothing yet: nothing may release.
     Blocked,
-    /// Release frames with timestamps up to (and including) this.
-    Upto(Micros),
+    /// Release frames stamped before `limit`, and frames stamped at it
+    /// from sources indexed up to `tied`: the lowest-indexed live
+    /// source whose watermark is `limit`, which may still deliver
+    /// frames with that stamp.
+    Upto { limit: Micros, tied: usize },
     /// No live constraint remains: release everything buffered.
     All,
 }
@@ -410,6 +438,8 @@ pub struct SourceSet {
     pending_notices: VecDeque<SetEvent>,
     /// The merged clock last reported in a [`SetEvent::Batch`].
     last_now: Option<Micros>,
+    /// Runs the last release made: the next one's first guess.
+    runs_hint: usize,
     stale_after: Option<Duration>,
     /// Reopen attempts allowed per unhealthy episode; 0 disables
     /// resurrection entirely.
@@ -497,7 +527,9 @@ impl SourceSet {
         self.entries.iter().map(|e| e.late_frames).collect()
     }
 
-    /// Polls every live source once, retries downed sources whose
+    /// Reads every live source whose last batch the merge has wholly
+    /// released (a source with frames still buffered waits, and its
+    /// stale and idle clocks with it), retries downed sources whose
     /// backoff has elapsed, and releases the frames the watermark
     /// merge allows. Never fails as a whole: per-source errors surface
     /// as lifecycle notices ([`SetEvent::SourceDown`] /
@@ -517,15 +549,25 @@ impl SourceSet {
 
         match self.release_limit() {
             ReleaseLimit::Blocked => SetEvent::Pending,
-            ReleaseLimit::Upto(limit) => {
-                let runs = self.drain_releasable(Some(limit));
-                if runs.is_empty() && Some(limit) <= self.last_now {
+            ReleaseLimit::Upto { limit, tied } => {
+                let runs = self.drain_releasable(Some((limit, tied)));
+                // A frame held at the limit keeps the clock below it,
+                // so no tick fires ahead of the frame.
+                let held = self.entries[tied + 1..]
+                    .iter()
+                    .any(|e| e.buffer.front().is_some_and(|f| f.timestamp == limit));
+                let now = if held {
+                    Micros(limit.0.saturating_sub(1))
+                } else {
+                    limit
+                };
+                if runs.is_empty() && Some(now) <= self.last_now {
                     return SetEvent::Pending;
                 }
-                self.last_now = Some(self.last_now.map_or(limit, |n| n.max(limit)));
+                self.last_now = Some(self.last_now.map_or(now, |n| n.max(now)));
                 SetEvent::Batch {
                     runs,
-                    now: Some(limit),
+                    now: Some(now),
                 }
             }
             ReleaseLimit::All => {
@@ -556,19 +598,26 @@ impl SourceSet {
         }
     }
 
-    /// One poll pass over the live sources, routing errors through the
-    /// transient/fatal classifier.
+    /// One poll pass over the live sources whose buffers the merge has
+    /// emptied, routing errors through the transient/fatal classifier.
     fn poll_sources(&mut self) {
         for (i, entry) in self.entries.iter_mut().enumerate() {
             if entry.state != EntryState::Live {
                 continue;
             }
+            if !entry.buffer.is_empty() {
+                // Waiting on the merge is neither staleness nor
+                // idleness: both clocks restart.
+                entry.last_progress = Instant::now();
+                entry.source.held();
+                continue;
+            }
             let id = SourceId(i as u32);
-            let point = format!("source.poll:{}", entry.name);
             let at = entry.watermark.or(self.last_now).unwrap_or(Micros::ZERO);
-            let polled = if self.faults.should_fail_at(&point, at) {
+            let polled = if self.faults.should_fail_at(&entry.poll_point, at) {
                 Err(PacketError::Io(std::io::Error::other(format!(
-                    "injected fault: {point}"
+                    "injected fault: {}",
+                    entry.poll_point
                 ))))
             } else {
                 entry.source.poll()
@@ -583,20 +632,18 @@ impl SourceSet {
                             self.anomalies.push((id, anomaly));
                         }
                     }
-                    let mut accepted = false;
-                    for frame in frames {
-                        if entry.skip_replay > 0 {
-                            entry.skip_replay -= 1;
-                            continue;
-                        }
-                        accepted = true;
-                        entry.frames_polled += 1;
-                        entry.watermark = Some(match entry.watermark {
-                            Some(w) => w.max(frame.timestamp),
-                            None => frame.timestamp,
-                        });
-                        entry.buffer.push_back(frame);
+                    // The buffer is empty: the batch becomes it, without
+                    // a copy, less what a reopened source replays.
+                    let mut buffer = VecDeque::from(frames);
+                    let replayed = (buffer.len() as u64).min(entry.skip_replay);
+                    buffer.drain(..replayed as usize);
+                    entry.skip_replay -= replayed;
+                    let accepted = !buffer.is_empty();
+                    entry.frames_polled += buffer.len() as u64;
+                    if let Some(last) = buffer.iter().map(|f| f.timestamp).max() {
+                        entry.watermark = Some(entry.watermark.map_or(last, |w| w.max(last)));
                     }
+                    entry.buffer = buffer;
                     if let Some(clock) = now {
                         if entry.skip_replay == 0 {
                             entry.watermark = Some(match entry.watermark {
@@ -684,9 +731,8 @@ impl SourceSet {
                 continue;
             }
             let id = SourceId(i as u32);
-            let open_point = format!("source.open:{}", entry.name);
-            let reopened = if self.faults.should_fail(&open_point) {
-                Err(format!("injected fault: {open_point}"))
+            let reopened = if self.faults.should_fail(&entry.open_point) {
+                Err(format!("injected fault: {}", entry.open_point))
             } else {
                 match &entry.spec {
                     Some(spec) => spec.open_with(&self.faults),
@@ -731,11 +777,11 @@ impl SourceSet {
         }
     }
 
-    /// The watermark rule: the minimum over live (non-stale) sources.
+    /// The watermark rule: the minimum over live (non-stale) sources,
+    /// and the first of them to sit at it.
     fn release_limit(&self) -> ReleaseLimit {
-        let mut min: Option<Micros> = None;
-        let mut constrained = false;
-        for entry in &self.entries {
+        let mut min: Option<(Micros, usize)> = None;
+        for (i, entry) in self.entries.iter().enumerate() {
             if entry.state != EntryState::Live {
                 continue;
             }
@@ -744,74 +790,92 @@ impl SourceSet {
                     continue;
                 }
             }
-            constrained = true;
             match entry.watermark {
-                Some(w) => min = Some(min.map_or(w, |m| m.min(w))),
+                Some(w) if min.is_none_or(|(m, _)| w < m) => min = Some((w, i)),
+                Some(_) => {}
                 None => return ReleaseLimit::Blocked,
             }
         }
-        match (constrained, min) {
-            (true, Some(limit)) => ReleaseLimit::Upto(limit),
-            _ => ReleaseLimit::All,
+        match min {
+            Some((limit, tied)) => ReleaseLimit::Upto { limit, tied },
+            None => ReleaseLimit::All,
         }
     }
 
     /// K-way merge of the buffered frames up to `limit` (`None` drains
-    /// everything): globally timestamp-ordered, ties to the lowest
-    /// source index, FIFO within a source.
+    /// everything; see [`ReleaseLimit::Upto`] for frames stamped at the
+    /// limit): globally timestamp-ordered, ties to the lowest source
+    /// index, FIFO within a source.
     ///
     /// A frame *behind* the already-released merge clock — possible
     /// only from a source the stale valve excluded that later resumed —
     /// would reorder the released stream; it is dropped here with a
     /// [`CaptureAnomaly::TimestampRegression`] attributed to its source
     /// and connection, and counted in [`late_frames`](Self::late_frames).
-    fn drain_releasable(&mut self, limit: Option<Micros>) -> Vec<SourceRun> {
-        let mut runs: Vec<SourceRun> = Vec::new();
+    fn drain_releasable(&mut self, limit: Option<(Micros, usize)>) -> Vec<SourceRun> {
+        let releasable = |key: (Micros, usize)| limit.is_none_or(|l| key <= l);
+        let mut runs: Vec<SourceRun> = Vec::with_capacity(self.runs_hint);
         loop {
-            let mut best: Option<(usize, Micros)> = None;
+            // The lowest releasable front opens a run, which lasts while
+            // its source's frames stay below every other front.
+            let (mut first, mut second) = (None, None);
             for (i, entry) in self.entries.iter().enumerate() {
                 let Some(frame) = entry.buffer.front() else {
                     continue;
                 };
-                if limit.is_some_and(|l| frame.timestamp > l) {
+                let key = (frame.timestamp, i);
+                if !releasable(key) {
                     continue;
                 }
-                if best.is_none_or(|(_, ts)| frame.timestamp < ts) {
-                    best = Some((i, frame.timestamp));
+                if first.is_none_or(|f| key < f) {
+                    second = first;
+                    first = Some(key);
+                } else if second.is_none_or(|s| key < s) {
+                    second = Some(key);
                 }
             }
-            let Some((i, ts)) = best else { break };
-            let Some(frame) = self.entries.get_mut(i).and_then(|e| e.buffer.pop_front()) else {
-                break;
-            };
-            if let Some(floor) = self.last_now {
-                // The merge always picks the global minimum, so every
-                // late frame is caught here before anything newer.
-                if ts < floor {
-                    if let Some(entry) = self.entries.get_mut(i) {
+            let Some((_, i)) = first else { break };
+            let entry = &mut self.entries[i];
+            let len = entry
+                .buffer
+                .iter()
+                .take_while(|f| {
+                    let key = (f.timestamp, i);
+                    releasable(key) && second.is_none_or(|s| key < s)
+                })
+                .count();
+            let mut frames = Vec::with_capacity(len);
+            for frame in entry.buffer.drain(..len) {
+                match self.last_now {
+                    // The merge always takes the global minimum, so every
+                    // late frame is caught here before anything newer.
+                    Some(floor) if frame.timestamp < floor => {
                         entry.late_frames += 1;
-                    }
-                    self.anomalies.push((
-                        SourceId(i as u32),
-                        AttributedAnomaly {
-                            key: Some(ConnKey::of(&frame)),
-                            anomaly: CaptureAnomaly::TimestampRegression {
-                                previous: floor,
-                                observed: ts,
+                        self.anomalies.push((
+                            SourceId(i as u32),
+                            AttributedAnomaly {
+                                key: Some(ConnKey::of(&frame)),
+                                anomaly: CaptureAnomaly::TimestampRegression {
+                                    previous: floor,
+                                    observed: frame.timestamp,
+                                },
                             },
-                        },
-                    ));
-                    continue;
+                        ));
+                    }
+                    _ => frames.push(frame),
                 }
             }
             match runs.last_mut() {
-                Some(run) if run.source.index() == i => run.frames.push(frame),
+                _ if frames.is_empty() => {}
+                // Only late frames stood between the two runs.
+                Some(run) if run.source.index() == i => run.frames.append(&mut frames),
                 _ => runs.push(SourceRun {
                     source: SourceId(i as u32),
-                    frames: vec![frame],
+                    frames,
                 }),
             }
         }
+        self.runs_hint = runs.len();
         runs
     }
 }
@@ -955,6 +1019,8 @@ impl SourceSetBuilder {
                 PendingSource::Custom(source) => (source, None),
             };
             entries.push(SetEntry {
+                poll_point: format!("source.poll:{unique}"),
+                open_point: format!("source.open:{unique}"),
                 name: Arc::from(unique.as_str()),
                 source,
                 spec,
@@ -974,6 +1040,7 @@ impl SourceSetBuilder {
             anomalies: Vec::new(),
             pending_notices: VecDeque::new(),
             last_now: None,
+            runs_hint: 0,
             stale_after: self.stale_after,
             retry_budget: self.retry_budget,
             retry_base: self.retry_base,
@@ -1251,6 +1318,123 @@ mod tests {
         );
     }
 
+    /// Polls `set` `n` times, keeping the stamps it released.
+    fn poll_n(set: &mut SourceSet, n: usize, pause: Duration) -> Vec<(u32, i64)> {
+        let mut out = Vec::new();
+        for _ in 0..n {
+            if let SetEvent::Batch { runs, .. } = set.poll() {
+                for run in runs {
+                    out.extend(run.frames.iter().map(|f| (run.source.0, f.timestamp.0)));
+                }
+            }
+            std::thread::sleep(pause);
+        }
+        out
+    }
+
+    #[test]
+    fn a_source_ahead_of_a_pending_sibling_holds_one_read() {
+        // "lag" reports one early frame and then stays pending, so
+        // nothing of "ahead" can release; "ahead" has 50 reads of 10
+        // frames to give. It is read once and then waits for the merge,
+        // however many times the set is polled.
+        let ahead = Scripted::of(
+            (0..50)
+                .map(|k| ((0..10).map(|j| frame(1, 100 + 10 * k + j)).collect(), None))
+                .collect(),
+        );
+        let lag = Scripted::steps(
+            std::iter::once(Step::Batch(vec![frame(2, 1)], None))
+                .chain(std::iter::repeat_with(|| Step::Pending).take(60))
+                .collect(),
+        );
+        let mut set = SourceSet::builder()
+            .custom("ahead", Box::new(ahead))
+            .custom("lag", Box::new(lag))
+            .build()
+            .expect("build");
+        assert_eq!(poll_n(&mut set, 50, Duration::ZERO), vec![(1, 1)]);
+        assert_eq!(set.entries[0].buffer.len(), 10, "one read is buffered");
+        assert_eq!(set.progress()[0].frames_accepted, 10);
+    }
+
+    #[test]
+    fn a_source_waiting_on_the_merge_does_not_go_stale() {
+        // "held" reads ts 1000 and waits while "steady" creeps from 1
+        // to 40, a read per poll, for far longer than the stale valve.
+        // Were the wait counted as silence, "steady"'s jump to 2000
+        // would release past "held" and drop its next frame, ts 1500,
+        // as late.
+        let held = Scripted::of(vec![
+            (vec![frame(1, 1000)], None),
+            (vec![frame(1, 1500)], None),
+        ]);
+        let steady = Scripted::of(
+            (1..=40)
+                .map(|t| (vec![frame(2, t)], None))
+                .chain(std::iter::once((vec![frame(2, 2000)], None)))
+                .collect(),
+        );
+        let mut set = SourceSet::builder()
+            .custom("held", Box::new(held))
+            .custom("steady", Box::new(steady))
+            .stale_after(Duration::from_millis(20))
+            .build()
+            .expect("build");
+        let released = poll_n(&mut set, 50, Duration::from_millis(4));
+        assert_eq!(set.late_frames(), vec![0, 0]);
+        assert_eq!(
+            &released[40..],
+            &[(0, 1000), (0, 1500), (1, 2000)],
+            "released: {released:?}"
+        );
+    }
+
+    #[test]
+    fn a_source_waiting_on_the_merge_does_not_idle_out() {
+        // A follow source with a 100 ms idle budget reads its whole
+        // capture at once, then waits 300 ms behind a pending sibling
+        // that sits just before its first stamp. Read again once the
+        // merge takes its frames, it finds nothing new: that is not
+        // 300 ms of idleness, so it stays live until the budget passes.
+        let path =
+            std::env::temp_dir().join(format!("tdat-set-held-idle-{}.pcap", std::process::id()));
+        let capture: Vec<TcpFrame> = [0, 10_000, 20_000].map(|t| frame(1, t)).into();
+        tdat_packet::write_pcap_file(&path, &capture).expect("scratch pcap");
+        let lag = Scripted::steps(
+            std::iter::once(Step::Batch(vec![frame(2, -1)], None))
+                .chain(std::iter::repeat_with(|| Step::Pending).take(60))
+                .chain(std::iter::once(Step::Batch(vec![frame(2, 30_000)], None)))
+                .chain(std::iter::repeat_with(|| Step::Pending).take(100))
+                .collect(),
+        );
+        let mut set = SourceSet::builder()
+            .custom("lag", Box::new(lag))
+            .named(
+                "capture",
+                SourceSpec::follow(&path).with_exit_idle(Duration::from_millis(100)),
+            )
+            .build()
+            .expect("build");
+        let waited = poll_n(&mut set, 61, Duration::from_millis(5));
+        assert_eq!(waited, vec![(0, -1)], "the capture waits on lag's stamp");
+        assert_eq!(set.entries[1].buffer.len(), 3);
+        let released = poll_n(&mut set, 1, Duration::ZERO);
+        assert_eq!(released, vec![(1, 0), (1, 10_000), (1, 20_000)]);
+        poll_n(&mut set, 1, Duration::ZERO);
+        let state = set.entries[1].state.clone();
+        std::thread::sleep(Duration::from_millis(150));
+        poll_n(&mut set, 1, Duration::ZERO);
+        let after = set.entries[1].state.clone();
+        let _ = std::fs::remove_file(&path);
+        assert_eq!(
+            state,
+            EntryState::Live,
+            "read again, the capture is not idle yet"
+        );
+        assert_eq!(after, EntryState::Done, "the idle budget still ends it");
+    }
+
     #[test]
     fn duplicate_labels_are_deduplicated() {
         let a = Scripted::of(vec![]);
@@ -1307,5 +1491,103 @@ mod tests {
                 .label(),
             "sim:clean"
         );
+    }
+
+    /// The released order against read boundaries: scripted sources
+    /// with many equal stamps, each read in pieces of 1 frame up to all
+    /// of them with pending turns between, against the same sources
+    /// read whole.
+    mod rebatch_props {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// One source: the steps between its stamps (mostly 0, so that
+        /// stamps tie), its read sizes (cycled, from 1 frame to more than
+        /// it has) and whether a pending turn comes before each read.
+        fn source() -> impl Strategy<Value = (Vec<i64>, Vec<usize>, Vec<bool>)> {
+            (
+                prop::collection::vec((0i64..5).prop_map(|x| (x - 2).max(0)), 1..16),
+                prop::collection::vec(1usize..17, 1..6),
+                prop::collection::vec(any::<bool>(), 1..6),
+            )
+        }
+
+        /// Source `s`'s frames at `stamps`, numbered by their place in
+        /// the source (the sequence number).
+        fn frames(s: usize, stamps: &[i64]) -> Vec<TcpFrame> {
+            let mut t = 100;
+            stamps
+                .iter()
+                .enumerate()
+                .map(|(k, step)| {
+                    t += step;
+                    let mut f = frame(s as u8 + 1, t);
+                    f.tcp.seq = k as u32;
+                    f
+                })
+                .collect()
+        }
+
+        /// Drains `set`, checking that no buffered frame sits at or
+        /// before a reported clock, and returns the released
+        /// `(source, stamp, number)` in order.
+        fn release(mut set: SourceSet) -> Vec<(u32, i64, u32)> {
+            let mut out = Vec::new();
+            loop {
+                match set.poll() {
+                    SetEvent::Batch { runs, now } => {
+                        for run in runs {
+                            out.extend(
+                                run.frames
+                                    .iter()
+                                    .map(|f| (run.source.0, f.timestamp.0, f.tcp.seq)),
+                            );
+                        }
+                        let now = now.expect("a bounded release reports its clock");
+                        for entry in &set.entries {
+                            if let Some(f) = entry.buffer.iter().find(|f| f.timestamp <= now) {
+                                panic!("clock {now:?} passed held frame {:?}", f.timestamp);
+                            }
+                        }
+                    }
+                    SetEvent::Pending => {}
+                    SetEvent::Finished => break,
+                    other => panic!("unexpected {other:?}"),
+                }
+            }
+            out
+        }
+
+        proptest! {
+            #[test]
+            fn released_order_ignores_read_boundaries(
+                sources in prop::collection::vec(source(), 1..4),
+            ) {
+                let mut whole = SourceSet::builder();
+                let mut pieces = SourceSet::builder();
+                for (s, (stamps, sizes, pauses)) in sources.iter().enumerate() {
+                    let mut rest = frames(s, stamps);
+                    let once = Scripted::of(vec![(rest.clone(), None)]);
+                    whole = whole.custom(s.to_string(), Box::new(once));
+                    let mut steps = Vec::new();
+                    for k in 0.. {
+                        if rest.is_empty() {
+                            break;
+                        }
+                        if pauses[k % pauses.len()] {
+                            steps.push(Step::Pending);
+                        }
+                        let tail = rest.split_off(sizes[k % sizes.len()].min(rest.len()));
+                        steps.push(Step::Batch(std::mem::replace(&mut rest, tail), None));
+                    }
+                    pieces = pieces.custom(s.to_string(), Box::new(Scripted::steps(steps)));
+                }
+                let whole = release(whole.build().expect("build"));
+                let mut sorted = whole.clone();
+                sorted.sort_by_key(|&(s, t, k)| (t, s, k));
+                prop_assert_eq!(&whole, &sorted);
+                prop_assert_eq!(release(pieces.build().expect("build")), whole);
+            }
+        }
     }
 }

@@ -94,12 +94,25 @@ pub trait PacketSource {
     fn cursor(&self) -> Option<SourceCursor> {
         None
     }
+
+    /// Notes a turn on which the reader did not poll this source
+    /// because the frames of its last batch still wait to be consumed
+    /// (a [`SourceSet`](crate::SourceSet) merging it behind a slower
+    /// sibling). A wall-clock idle budget must not run during such a
+    /// wait. The default does nothing.
+    fn held(&mut self) {}
 }
 
-/// Frames read at most per [`FollowSource`] poll, bounding the latency
-/// between a burst landing on disk and the analysis tick seeing its
-/// first half.
-const FOLLOW_BATCH: usize = 4096;
+/// Capture bytes one [`FollowSource`] poll reads, counted over whole
+/// records (headers included): a poll stops at the first record that
+/// reaches it, so one batch holds at most this plus one record, however
+/// large the frames.
+const READ_BUDGET: u64 = 256 * 1024;
+
+/// Frames a poll's batch has room for before it grows: the budget over
+/// a 512-byte record, between a bare ACK (70 bytes with its record
+/// header) and a full segment (1 530).
+const READ_FRAMES: usize = (READ_BUDGET / 512) as usize;
 
 /// Tails a growing pcap file on disk through the lossy decoder:
 /// damaged records become [`AttributedAnomaly`] entries instead of
@@ -177,9 +190,10 @@ impl FollowSource {
 
 impl PacketSource for FollowSource {
     fn poll(&mut self) -> Result<SourceEvent> {
-        let mut frames = Vec::new();
+        let start = self.follower.offset();
+        let mut frames = Vec::with_capacity(READ_FRAMES);
         let mut consumed = false;
-        while frames.len() < FOLLOW_BATCH {
+        while self.follower.offset() - start < READ_BUDGET {
             match self.follower.poll_lossy(&mut self.decoder)? {
                 Some(lossy) => {
                     consumed = true;
@@ -214,6 +228,14 @@ impl PacketSource for FollowSource {
 
     fn drain_anomalies(&mut self) -> Vec<AttributedAnomaly> {
         std::mem::take(&mut self.anomalies)
+    }
+
+    /// A batch that waits is progress: the idle clock restarts, so the
+    /// budget counts only the time the source is read and found idle.
+    fn held(&mut self) {
+        if let Some(last) = &mut self.last_progress {
+            *last = Instant::now();
+        }
     }
 
     fn cursor(&self) -> Option<SourceCursor> {
@@ -338,6 +360,46 @@ mod tests {
         assert!(matches!(src.poll().expect("poll"), SourceEvent::Pending));
         std::thread::sleep(Duration::from_millis(15));
         assert!(matches!(src.poll().expect("poll"), SourceEvent::Finished));
+    }
+
+    #[test]
+    fn one_poll_reads_the_budget_and_at_most_one_record_more() {
+        // 60 jumbo frames of 9 000 payload bytes: 9 070 bytes a record
+        // with its header, 544 200 in all.
+        let capture: Vec<TcpFrame> = (0..60)
+            .map(|k| {
+                tdat_packet::FrameBuilder::new(
+                    "10.0.0.1".parse().unwrap(),
+                    "10.0.0.2".parse().unwrap(),
+                )
+                .at(Micros::from_millis(k))
+                .ports(179, 40000)
+                .seq(1 + 9_000 * k as u32)
+                .payload(vec![0xee; 9_000])
+                .build()
+            })
+            .collect();
+        let record = 16 + capture[0].to_wire().len() as u64;
+        assert_eq!(record, 9_070);
+        let mut bytes = Vec::new();
+        let mut w = tdat_packet::PcapWriter::new(&mut bytes).expect("writer");
+        for frame in &capture {
+            w.write_frame(frame).expect("frame");
+        }
+        let file = TempPcap::create("read_budget", &bytes);
+        let mut src = FollowSource::tail(&file.0).expect("open");
+        let mut reads = Vec::new();
+        while let SourceEvent::Batch { frames, .. } = src.poll().expect("poll") {
+            reads.push(frames.len() as u64);
+        }
+        assert_eq!(reads.iter().sum::<u64>(), 60, "every frame is read once");
+        for &n in &reads {
+            assert!(n >= 1, "a poll reads at least one record");
+            assert!(
+                n * record <= READ_BUDGET + record,
+                "a read of {n} records passed the budget: {reads:?}"
+            );
+        }
     }
 
     #[test]
