@@ -8,10 +8,10 @@
 //! ```
 //!
 //! The crate's `tests/` hold the cross-crate identity suites
-//! (`shard_identity`, `batch_identity`, `zero_copy_identity`,
-//! `zero_alloc`). It measures no speed except the report store's three
-//! rows (`bench-json`): every capture-path number comes from the
-//! repository benchmark, the command in `BENCHMARK.json`.
+//! (`batch_identity`, `zero_copy_identity`, `zero_alloc`). It measures
+//! no speed except the report store's three rows (`bench-json`): every
+//! capture-path number comes from the repository benchmark, the command
+//! in `BENCHMARK.json`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -19,11 +19,6 @@
 //!   --pace F          sim mode: F virtual seconds per wall second
 //!   --routes N        sim table size   --seed S   sim RNG seed
 //!   --jobs N          sweep worker threads (default: CPU count)
-//!   --shards N        partition connections across N worker lanes
-//!                     (default 1 = analyze inline; output is
-//!                     byte-identical for any N; measured cost on a
-//!                     2-core host: monitor.sharded2.speedup 0.92 /
-//!                     1.04 / 0.82, see benchmark/README.md)
 //!
 //! supervision options:
 //!   --checkpoint PATH periodically snapshot recovery state to PATH
@@ -92,7 +87,6 @@ fn main() -> ExitCode {
     let mut stale: Option<f64> = None;
     let mut pace: Option<f64> = None;
     let mut jobs: Option<usize> = None;
-    let mut shards: usize = 1;
     let mut checkpoint: Option<String> = None;
     let mut resume = false;
     let mut faults_spec: Option<String> = None;
@@ -115,7 +109,6 @@ fn main() -> ExitCode {
                 "--stale" => stale = Some(parse(&take("--stale")?, "--stale")?),
                 "--pace" => pace = Some(parse(&take("--pace")?, "--pace")?),
                 "--jobs" => jobs = Some(parse(&take("--jobs")?, "--jobs")?),
-                "--shards" => shards = parse(&take("--shards")?, "--shards")?,
                 "--routes" => opts.routes = parse(&take("--routes")?, "--routes")?,
                 "--seed" => opts.seed = parse(&take("--seed")?, "--seed")?,
                 "--checkpoint" => checkpoint = Some(take("--checkpoint")?),
@@ -165,7 +158,6 @@ fn main() -> ExitCode {
     let config = match MonitorConfig::builder()
         .window(Micros::from_secs_f64(window_s))
         .interval(Micros::from_secs_f64(interval_s))
-        .shards(shards)
         .build()
     {
         Ok(config) => config,
@@ -518,10 +510,8 @@ fn usage(message: &str) -> ExitCode {
         "usage: t-dat-monitor [--follow <pcap>]... [--sim <{SCENARIO_USAGE}>]... \
          [--sweep <dir> [--jobs N]] [--exit-idle SECS] [--stale SECS] \
          [--routes N] [--seed S] [--pace F] \
-         [--window SECS] [--interval SECS] [--events PATH] [--shards N] \
-         [--checkpoint PATH] [--resume] [--faults SPEC] [--fault-seed N]\n\
-         --shards N: byte-identical output at any N; monitor.sharded2.speedup \
-         0.92 / 1.04 / 0.82 on a 2-core host, see benchmark/README.md"
+         [--window SECS] [--interval SECS] [--events PATH] \
+         [--checkpoint PATH] [--resume] [--faults SPEC] [--fault-seed N]"
     );
     ExitCode::from(2)
 }

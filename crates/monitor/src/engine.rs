@@ -1,10 +1,10 @@
 //! The monitoring engine: frames in, JSONL events out.
 //!
 //! [`Monitor`] glues the suite's streaming pieces into a long-running
-//! watcher. It is one *control plane* over one of two *data planes*.
+//! watcher, on the caller's thread. It is a *control plane* over one
+//! *scope* per source.
 //!
-//! The control plane (`Control`, written once, always on the caller's
-//! thread) decides what the event stream says:
+//! The control plane (`Control`) decides what the event stream says:
 //!
 //! * frames arrive from one or more packet sources, each registered as
 //!   a named *scope* ([`register_source`](Monitor::register_source)),
@@ -28,17 +28,13 @@
 //!   produces byte-identical output; wall-clock readings go to
 //!   [`MonitorMetrics`] instead.
 //!
-//! The data plane does the per-connection work: every scope owns a
+//! The scopes (`SourceScope`) do the per-connection work: each owns a
 //! [`ConnectionTracker`] (per-connection state), a [`BgpDemux`]
 //! (incremental BGP reassembly for both directions) and the tick cache
 //! ([`Analyzer::analyze_partial_lossy`] results: what the alerts read,
 //! completed into whole analyses only when a snapshot is pulled).
-//! [`MonitorConfig::shards`] alone picks it: `<= 1` runs the scopes
-//! *inline* — nothing queued, events immediate; `N >= 2` partitions the
-//! connections across N worker *lanes* ([`crate::shard`]), which report
-//! back through the same two control-plane steps
-//! (`Control::emit_finalized`, `Control::close_tick`) the inline plane
-//! calls directly, so the stream is byte-identical either way.
+//! Nothing is queued: a frame is tracked, and whatever it finalizes is
+//! emitted, before the next one is ingested.
 //!
 //! What a tick costs follows what changed, not the open-connection
 //! count. A dirty connection costs its re-analysis, which computes once
@@ -76,7 +72,6 @@ use tdat_trace::{ConnKey, ConnectionTracker, Endpoint, FinalizedConnection, Trac
 use crate::alerts::{Alert, AlertConfig, AlertEngine, AlertKind, Condition};
 use crate::metrics::MonitorMetrics;
 use crate::set::{SetEvent, SourceId, SourceSet};
-use crate::shard::{poisoned_shard_report, Lanes};
 use crate::source::AttributedAnomaly;
 
 /// The scope name the single-source convenience APIs
@@ -104,11 +99,9 @@ pub struct MonitorConfig {
     pub alerts: AlertConfig,
     /// When per-connection capture damage tips into quarantine.
     pub quarantine: QuarantineConfig,
-    /// Worker lanes for the data plane, and the only thing that picks
-    /// one: `1` (the default) analyzes inline on the caller's thread;
-    /// `N >= 2` partitions connections by key hash across that many
-    /// per-shard trackers/demuxes/tick caches (see
-    /// [`shard`](crate::shard)), producing byte-identical output.
+    /// No effect. The worker lanes it counted are gone; the field
+    /// outlives them only until the repository benchmark, which sets
+    /// it, stops naming it. Not validated.
     pub shards: usize,
     /// Wall-clock wait between polls while every source is
     /// [`Pending`](crate::source::SourceEvent::Pending). One knob for
@@ -192,7 +185,7 @@ impl MonitorConfigBuilder {
         self
     }
 
-    /// Sets the worker lane count (1 = analyze inline).
+    /// No effect: sets [`MonitorConfig::shards`], which nothing reads.
     pub fn shards(mut self, shards: usize) -> MonitorConfigBuilder {
         self.config.shards = shards;
         self
@@ -260,9 +253,6 @@ impl MonitorConfigBuilder {
         }
         if c.tracker.max_connections == Some(0) {
             return fail("tracker max_connections, when set, must be at least 1".to_string());
-        }
-        if c.shards == 0 {
-            return fail("shards must be at least 1 (1 is the serial engine)".to_string());
         }
         if c.pending_backoff.is_zero() {
             return fail(
@@ -443,7 +433,7 @@ pub(crate) fn session_id(sender: Endpoint, receiver: Endpoint) -> String {
 pub(crate) struct CachedAnalysis {
     /// The tracker's insertion ordinal — deterministic iteration order
     /// for condition evaluation regardless of hash-map layout.
-    pub(crate) ordinal: u64,
+    ordinal: u64,
     /// The session id, formatted once per refresh instead of per tick.
     pub(crate) session: String,
     /// Conditions derived purely from the analysis (timer gaps, loss
@@ -452,7 +442,7 @@ pub(crate) struct CachedAnalysis {
     /// subsequent ticks. Stall and peer-group-blocking conditions
     /// depend on the current tick time or on other connections, so
     /// they stay in the per-tick sweep.
-    pub(crate) conditions: Vec<Condition>,
+    conditions: Vec<Condition>,
     /// The tick's analysis, as far as anything a tick emits reads it.
     pub(crate) partial: PartialAnalysis,
     /// The pauses the peer-group correlation could find this
@@ -496,7 +486,7 @@ struct TickRow {
 /// Evaluates the detectors whose outcome depends only on the analysis
 /// itself, producing the cacheable subset of a connection's alert
 /// conditions.
-pub(crate) fn analysis_conditions(
+fn analysis_conditions(
     analysis: &PartialAnalysis,
     source: &Arc<str>,
     session: &str,
@@ -565,13 +555,11 @@ pub(crate) fn analysis_conditions(
     conditions
 }
 
-/// The read-only analysis context a data plane works under. Fixed at
-/// construction: the inline plane borrows it, the lanes plane clones it
-/// (the analyzer behind its `Arc`) into every shard it ships to a
-/// worker lane, which outlives any one flush.
-#[derive(Debug, Clone)]
+/// The read-only analysis context the scopes work under, fixed at
+/// construction.
+#[derive(Debug)]
 pub(crate) struct AnalysisCtx {
-    pub(crate) analyzer: Arc<Analyzer>,
+    pub(crate) analyzer: Analyzer,
     pub(crate) window: Micros,
     pub(crate) timer_min_gaps: usize,
     pub(crate) stall_after: Micros,
@@ -581,14 +569,13 @@ pub(crate) struct AnalysisCtx {
 }
 
 /// Per-source isolation unit: everything whose damage must stay
-/// confined to the source that produced it. The inline plane holds one
-/// per source; the lanes plane holds one per (shard, source) pair —
-/// the methods below are the data-plane logic both drive.
+/// confined to the source that produced it. The monitor holds one per
+/// source, indexed by [`SourceId`].
 #[derive(Debug)]
 pub(crate) struct SourceScope {
-    pub(crate) name: Arc<str>,
-    pub(crate) tracker: ConnectionTracker,
-    pub(crate) demux: BgpDemux,
+    name: Arc<str>,
+    tracker: ConnectionTracker,
+    demux: BgpDemux,
     /// Capture anomalies attributed to each open connection; consumed
     /// by the quarantine verdict at every tick and at finalization.
     quality: HashMap<ConnKey, AnomalyCounts>,
@@ -597,29 +584,29 @@ pub(crate) struct SourceScope {
     quality_dirty: HashSet<ConnKey>,
     /// Cached per-connection analyses from previous ticks; entries are
     /// refreshed only when their connection is dirty.
-    pub(crate) cache: HashMap<ConnKey, CachedAnalysis>,
+    cache: HashMap<ConnKey, CachedAnalysis>,
     /// One row per cache entry, by tracker ordinal: what the tick's
     /// sweep and the peer-group correlation read.
     rows: BTreeMap<u64, TickRow>,
 }
 
-/// What [`SourceScope::finalize_connection`] produced: the data-plane
-/// half of finalization. [`Control::emit_finalized`] owns the other
-/// half — alert clearing, metrics, and the event itself.
+/// What [`SourceScope::finalize_connection`] produced: the scope's
+/// half of finalization. [`Control::finalize`] owns the other half —
+/// alert clearing, metrics, and the event itself.
 #[derive(Debug)]
-pub(crate) struct FinalizeOutcome {
+struct FinalizeOutcome {
     /// The finalized session id.
-    pub(crate) session: String,
+    session: String,
     /// The session id the tick cache last published for this
     /// connection, when it differs from the final one (late traffic
     /// re-elected the data sender): alerts raised under it must be
     /// cleared too, or they leak past the connection's lifetime.
-    pub(crate) stale_session: Option<String>,
+    stale_session: Option<String>,
     /// The whole-lifetime report.
-    pub(crate) report: Report,
+    report: Report,
     /// The analysis profile's end time (event timestamps never run
     /// behind the traffic they describe).
-    pub(crate) profile_end: Micros,
+    profile_end: Micros,
 }
 
 impl SourceScope {
@@ -639,7 +626,7 @@ impl SourceScope {
     /// quarantine budget. New damage changes the verdict, so the
     /// connection must be re-analyzed at the next tick even if it saw
     /// no traffic.
-    pub(crate) fn note_damage(&mut self, key: ConnKey, anomaly: &CaptureAnomaly) {
+    fn note_damage(&mut self, key: ConnKey, anomaly: &CaptureAnomaly) {
         self.quality.entry(key).or_default().note(anomaly);
         self.quality_dirty.insert(key);
     }
@@ -647,9 +634,9 @@ impl SourceScope {
     /// Tick phases 1–2 for this scope at trace time `at`: re-analyze
     /// the *dirty* connections (new traffic or new capture damage since
     /// their last analysis), reuse cached analyses for the rest, then
-    /// sweep the rows for conditions. Returns the number of cached
-    /// connections and an `(ordinal, conditions)` entry for each one
-    /// that carries a condition, in tracker-insertion order.
+    /// sweep the rows for conditions, appending them to `conditions` in
+    /// tracker-insertion order. Returns the number of cached
+    /// connections.
     ///
     /// Each connection's analysis window is anchored at its last-dirty
     /// tick (`[tick - window, tick]`), so a cached entry is exactly
@@ -658,14 +645,11 @@ impl SourceScope {
     /// and a clone of its conditions when it has any); the peer-group
     /// correlation that follows costs nothing for a sender group none
     /// of whose members paused for `min_pause`.
-    pub(crate) fn tick(
-        &mut self,
-        at: Micros,
-        ctx: &AnalysisCtx,
-    ) -> (usize, Vec<(u64, Vec<Condition>)>) {
+    fn tick(&mut self, at: Micros, ctx: &AnalysisCtx, conditions: &mut Vec<Condition>) -> usize {
         let work = self.dirty_work();
         self.refresh(work, at, ctx);
-        (self.rows.len(), self.entry_conditions(at, ctx.stall_after))
+        self.row_conditions(at, ctx.stall_after, conditions);
+        self.rows.len()
     }
 
     /// The tick's analysis work list: tracker-dirty (saw frames) plus
@@ -788,7 +772,7 @@ impl SourceScope {
     /// ([`BgpDemux::settle`]) answers MCT for those rows from what it
     /// kept: it settles only right after a tick, when every connection's
     /// cache entry holds the rows its log holds.
-    pub(crate) fn complete(&mut self, analyzer: &Analyzer) {
+    fn complete(&mut self, analyzer: &Analyzer) {
         let unseen = Extraction::default();
         for (&key, cached) in &mut self.cache {
             if cached.completed.is_some() {
@@ -808,17 +792,29 @@ impl SourceScope {
         }
     }
 
+    /// The cached analyses whose rows pass `keep`, in tracker-insertion
+    /// order, each beside this scope's name.
+    fn cached(
+        &self,
+        keep: impl Fn(&TickRow) -> bool,
+    ) -> impl Iterator<Item = (&Arc<str>, &CachedAnalysis)> {
+        self.rows
+            .values()
+            .filter(move |row| keep(row))
+            .filter_map(|row| self.cache.get(&row.key))
+            .map(|cached| (&self.name, cached))
+    }
+
     /// Tick phase 2 over this scope's rows, in tracker-insertion order:
-    /// an `(ordinal, conditions)` entry for each cached connection with
-    /// a condition (its cached analysis-derived conditions plus the
-    /// stall watermark check, which moves the row's mark against the
-    /// current tick time). A row with neither costs one read.
-    fn entry_conditions(&mut self, at: Micros, stall_after: Micros) -> Vec<(u64, Vec<Condition>)> {
+    /// appends each cached connection's conditions to `out` (its cached
+    /// analysis-derived conditions, then the stall watermark check,
+    /// which moves the row's mark against the current tick time). A row
+    /// with neither costs one read.
+    fn row_conditions(&mut self, at: Micros, stall_after: Micros, out: &mut Vec<Condition>) {
         let SourceScope {
             name, cache, rows, ..
         } = self;
-        let mut out: Vec<(u64, Vec<Condition>)> = Vec::new();
-        for (&ordinal, row) in rows.iter_mut() {
+        for row in rows.values_mut() {
             // Stall detection: trace-time watermark on data progress.
             // Independent of analysis caching — an idle connection's
             // byte count cannot have changed, and the comparison runs
@@ -843,9 +839,9 @@ impl SourceScope {
             };
             // Analysis-derived conditions were evaluated once at the
             // entry's last refresh.
-            let mut conditions: Vec<Condition> = cached.conditions.clone();
+            out.extend(cached.conditions.iter().cloned());
             if let Some(since) = stalled {
-                conditions.push(Condition {
+                out.push(Condition {
                     source: name.clone(),
                     session: cached.session.clone(),
                     kind: AlertKind::StalledTransfer,
@@ -857,15 +853,13 @@ impl SourceScope {
                     ),
                 });
             }
-            out.push((ordinal, conditions));
         }
-        out
     }
 
-    /// The data-plane half of finalizing a connection that left this
-    /// scope's tracker: clear its per-connection state, drain its BGP
+    /// The scope's half of finalizing a connection that left its
+    /// tracker: clear its per-connection state, drain its BGP
     /// extraction, and build the whole-lifetime analysis.
-    pub(crate) fn finalize_connection(
+    fn finalize_connection(
         &mut self,
         fin: FinalizedConnection,
         analyzer: &Analyzer,
@@ -892,36 +886,22 @@ impl SourceScope {
 
 /// The cached analyses of every source in (source, tracker-insertion)
 /// order — the order the report snapshots read the fleet in.
-/// `partitions` holds each healthy partition's scopes, indexed by
-/// source: the inline plane's one, or one per unpoisoned shard, whose
-/// entries interleave by ordinal.
-pub(crate) fn fleet_view<'a>(
-    partitions: &[&'a [SourceScope]],
-) -> Vec<(&'a Arc<str>, &'a CachedAnalysis)> {
-    let sources = partitions.iter().map(|p| p.len()).max().unwrap_or(0);
-    let mut fleet = Vec::new();
-    for source in 0..sources {
-        let start = fleet.len();
-        for scope in partitions.iter().filter_map(|p| p.get(source)) {
-            fleet.extend(scope.cache.values().map(|cached| (&scope.name, cached)));
-        }
-        fleet[start..].sort_unstable_by_key(|(_, cached)| cached.ordinal);
-    }
-    fleet
+pub(crate) fn fleet_view(scopes: &[SourceScope]) -> Vec<(&Arc<str>, &CachedAnalysis)> {
+    scopes
+        .iter()
+        .flat_map(|scope| scope.cached(|_| true))
+        .collect()
 }
 
 /// The cached analyses the peer-group correlation reads, in (source,
 /// tracker-insertion) order: every member of each sender group that
-/// holds a long pause, with the groups counted across all sources and
-/// all `partitions` (as for [`fleet_view`]). Only such a member can be
-/// found blocked, so the other groups can pair nothing; with no long
-/// pause anywhere this is a scan of the rows and allocates nothing.
-pub(crate) fn peer_fleet<'a>(
-    partitions: &[&'a [SourceScope]],
-) -> Vec<(&'a Arc<str>, &'a CachedAnalysis)> {
-    let mut senders: Vec<Ipv4Addr> = partitions
+/// holds a long pause, with the groups counted across all sources. Only
+/// such a member can be found blocked, so the other groups can pair
+/// nothing; with no long pause anywhere this is a scan of the rows and
+/// allocates nothing.
+pub(crate) fn peer_fleet(scopes: &[SourceScope]) -> Vec<(&Arc<str>, &CachedAnalysis)> {
+    let mut senders: Vec<Ipv4Addr> = scopes
         .iter()
-        .flat_map(|p| p.iter())
         .flat_map(|scope| scope.rows.values())
         .filter(|row| row.long_pause)
         .map(|row| row.sender)
@@ -931,21 +911,11 @@ pub(crate) fn peer_fleet<'a>(
     }
     senders.sort_unstable();
     senders.dedup();
-    let sources = partitions.iter().map(|p| p.len()).max().unwrap_or(0);
-    let mut fleet = Vec::new();
-    for source in 0..sources {
-        let start = fleet.len();
-        for scope in partitions.iter().filter_map(|p| p.get(source)) {
-            let members = scope
-                .rows
-                .values()
-                .filter(|row| senders.binary_search(&row.sender).is_ok())
-                .filter_map(|row| scope.cache.get(&row.key));
-            fleet.extend(members.map(|cached| (&scope.name, cached)));
-        }
-        fleet[start..].sort_unstable_by_key(|(_, cached)| cached.ordinal);
-    }
-    fleet
+    let member = |row: &TickRow| senders.binary_search(&row.sender).is_ok();
+    scopes
+        .iter()
+        .flat_map(|scope| scope.cached(member))
+        .collect()
 }
 
 /// Tick phase 3: peer-group blocking correlates across the whole
@@ -1001,32 +971,19 @@ pub(crate) fn peer_group_conditions(
     pairs
 }
 
-/// What a data plane hands [`Control::emit_finalized`].
-// Built and consumed within one call, and the large variant is the
-// common one: boxing it would only add an allocation per finalization.
-#[allow(clippy::large_enum_variant)]
+/// The control plane: the trace clock and tick schedule, the source
+/// registry, alert hysteresis, metrics, and the event buffer —
+/// everything that decides *what the stream says*, as opposed to the
+/// per-connection analysis the scopes do.
 #[derive(Debug)]
-pub(crate) enum Finalized {
-    /// The owning scope analyzed the connection.
-    Outcome(FinalizeOutcome),
-    /// The shard that owned the connection was lost to a panic (whose
-    /// message is `reason`) before it produced the outcome.
-    Lost { key: ConnKey, reason: String },
-}
-
-/// The control plane, written once for both data planes: the trace
-/// clock and tick schedule, the source registry, alert hysteresis,
-/// metrics, and the event buffer — everything that decides *what the
-/// stream says*, as opposed to where the per-connection analysis runs.
-#[derive(Debug)]
-pub(crate) struct Control {
-    pub(crate) ctx: AnalysisCtx,
-    pub(crate) tracker_config: TrackerConfig,
+struct Control {
+    ctx: AnalysisCtx,
+    tracker_config: TrackerConfig,
     alerts: AlertEngine,
-    pub(crate) metrics: MonitorMetrics,
+    metrics: MonitorMetrics,
     interval: Micros,
     /// Trace time the monitor has advanced to.
-    pub(crate) now: Micros,
+    now: Micros,
     /// Next tick boundary; set by the first time advance.
     next_tick: Option<Micros>,
     /// Registered source names, indexed by [`SourceId`].
@@ -1034,10 +991,10 @@ pub(crate) struct Control {
     /// Name → id, for idempotent registration.
     index: HashMap<Arc<str>, SourceId>,
     /// Per-source capture damage no connection could be blamed for
-    /// (order-insensitive counters, so they never need a data plane).
+    /// (order-insensitive counters, so no scope needs them).
     unattributed: Vec<AnomalyCounts>,
     pending_backoff: std::time::Duration,
-    pub(crate) events: Vec<MonitorEvent>,
+    events: Vec<MonitorEvent>,
 }
 
 impl Control {
@@ -1052,163 +1009,82 @@ impl Control {
         }
     }
 
-    /// The finalize-emit step: a connection of source `source` left
-    /// its tracker when the engine clock read `now`, leaving `open`
-    /// connections behind. Clears its alerts, counts it, and emits its
-    /// whole-lifetime report attributed to its source.
-    pub(crate) fn emit_finalized(
-        &mut self,
-        source: usize,
-        now: Micros,
-        open: usize,
-        finalized: Finalized,
-    ) {
-        let Some(name) = self.names.get(source).cloned() else {
-            debug_assert!(
-                false,
-                "finalized connection from unregistered source {source}"
-            );
-            return;
-        };
-        let (at, session, report) = match finalized {
-            Finalized::Outcome(outcome) => {
-                let at = now.max(outcome.profile_end);
-                // Alerts are keyed by the session id the tick cache
-                // last published; if late traffic re-elected the data
-                // sender (an LRU-evicted connection captured
-                // mid-stream, say), the final session differs and the
-                // cached session's alerts would otherwise survive
-                // their connection.
-                if let Some(stale) = &outcome.stale_session {
-                    self.clear_alerts(&name, stale, at);
-                }
-                self.clear_alerts(&name, &outcome.session, at);
-                (at, outcome.session, outcome.report)
-            }
-            // No analysis survived: quarantine the connection instead
-            // of dropping it silently. Its direction is unknown, so
-            // alerts clear under both orientations and the endpoints
-            // follow the normalized key.
-            Finalized::Lost { key, reason } => {
-                let (a, b) = (
-                    format!("{}:{}", key.a.0, key.a.1),
-                    format!("{}:{}", key.b.0, key.b.1),
-                );
-                let session = format!("{a}->{b}");
-                self.clear_alerts(&name, &session, now);
-                self.clear_alerts(&name, &format!("{b}->{a}"), now);
-                (now, session, poisoned_shard_report(a, b, &reason))
-            }
-        };
-        self.metrics.record_finalized(open);
-        self.events
-            .push(MonitorEvent::Connection(ConnectionSummary {
-                at,
-                source: name,
-                session,
-                report,
-            }));
-    }
-
-    /// The tick-close step (phase 3): correlate peer-group blocking
-    /// across `fleet` ([`peer_fleet`]), feed the tick's conditions to
-    /// the alert engine, and record the tick. Its latency sample is
-    /// `analysis` — the per-connection work already done off this
-    /// clock — plus the time since `started`.
-    pub(crate) fn close_tick(
-        &mut self,
-        at: Micros,
-        open: usize,
-        mut conditions: Vec<Condition>,
-        fleet: &[(&Arc<str>, &CachedAnalysis)],
-        analysis: std::time::Duration,
-        started: Instant,
-    ) {
-        let pairs = peer_group_conditions(fleet, &mut conditions);
-        for alert in self.alerts.observe(at, &conditions) {
-            self.emit_alert(alert);
-        }
-        self.metrics.record_peer_pairs(pairs);
-        self.metrics.record_tick(open, analysis + started.elapsed());
-    }
-
     /// The settle sweep that follows a closed tick, outside its latency
     /// sample (no alert reads MCT): every log of `scopes` whose table
     /// transfer can no longer change keeps MCT's answer and drops its
     /// table ([`BgpDemux::settle`]). Right after a tick every cache
     /// entry holds the rows its log holds, so no snapshot of an earlier
     /// tick asks a settled log about fewer rows than it settled with.
-    pub(crate) fn settle<'a>(&mut self, scopes: impl IntoIterator<Item = &'a mut SourceScope>) {
+    fn settle(&mut self, scopes: &mut [SourceScope]) {
         let analyzer = &self.ctx.analyzer;
         let settled = scopes
-            .into_iter()
+            .iter_mut()
             .map(|scope| scope.demux.settle(analyzer))
             .sum();
         self.metrics.record_settled(settled);
     }
-}
 
-/// Where the per-connection work runs; picked by
-/// [`MonitorConfig::shards`] and nothing else.
-#[derive(Debug)]
-pub(crate) enum Plane {
-    /// On the caller's thread, one scope per source (indexed by
-    /// [`SourceId`]): nothing queued, events immediate.
-    Inline(Vec<SourceScope>),
-    /// Across worker lanes; see [`crate::shard`].
-    Lanes(Lanes),
-}
-
-/// One frame through an inline scope: feed the reassembler, track the
-/// connection, and finalize whatever the advance of time closed.
-fn ingest_inline(
-    control: &mut Control,
-    scopes: &mut [SourceScope],
-    source: usize,
-    frame: &TcpFrame,
-) {
-    let scope = &mut scopes[source];
-    scope.demux.feed(frame);
-    for fin in scope.tracker.ingest(frame) {
-        finalize_inline(control, scopes, fin);
-    }
-}
-
-/// One inline analysis tick at trace time `at`.
-fn tick_inline(control: &mut Control, scopes: &mut [SourceScope], at: Micros) {
-    let started = Instant::now();
-    let mut conditions: Vec<Condition> = Vec::new();
-    let mut open = 0usize;
-    for scope in scopes.iter_mut() {
-        let (cached, entries) = scope.tick(at, &control.ctx);
-        open += cached;
-        for (_, entry) in entries {
-            conditions.extend(entry);
+    /// One frame through scope `source`: feed the reassembler, track
+    /// the connection, and finalize whatever the advance of time closed.
+    fn ingest(&mut self, scopes: &mut [SourceScope], source: usize, frame: &TcpFrame) {
+        let scope = &mut scopes[source];
+        scope.demux.feed(frame);
+        for fin in scope.tracker.ingest(frame) {
+            self.finalize(scopes, fin);
         }
     }
-    let fleet = peer_fleet(&[&*scopes]);
-    control.close_tick(
-        at,
-        open,
-        conditions,
-        &fleet,
-        std::time::Duration::ZERO,
-        started,
-    );
-    control.settle(scopes);
-}
 
-/// A connection left its inline scope's tracker, which stamped the
-/// scope index into `fin.scope`.
-fn finalize_inline(control: &mut Control, scopes: &mut [SourceScope], fin: FinalizedConnection) {
-    let source = fin.scope as usize;
-    let Some(scope) = scopes.get_mut(source) else {
-        debug_assert!(false, "finalized connection from unknown scope {source}");
-        return;
-    };
-    let outcome = scope.finalize_connection(fin, &control.ctx.analyzer);
-    let open = scopes.iter().map(|s| s.tracker.open_connections()).sum();
-    control.emit_finalized(source, control.now, open, Finalized::Outcome(outcome));
+    /// One analysis tick at trace time `at`: per scope, re-analyze what
+    /// changed and sweep the rows (phases 1–2); across the fleet,
+    /// correlate peer-group blocking and update the alerts (phase 3).
+    /// Its latency sample covers those; the settle sweep follows it.
+    fn tick(&mut self, scopes: &mut [SourceScope], at: Micros) {
+        let started = Instant::now();
+        let mut conditions: Vec<Condition> = Vec::new();
+        let open = scopes
+            .iter_mut()
+            .map(|scope| scope.tick(at, &self.ctx, &mut conditions))
+            .sum();
+        let pairs = peer_group_conditions(&peer_fleet(scopes), &mut conditions);
+        for alert in self.alerts.observe(at, &conditions) {
+            self.emit_alert(alert);
+        }
+        self.metrics.record_peer_pairs(pairs);
+        self.metrics.record_tick(open, started.elapsed());
+        self.settle(scopes);
+    }
+
+    /// A connection left its scope's tracker, which stamped the scope
+    /// index into `fin.scope`. Clears its alerts, counts it, and emits
+    /// its whole-lifetime report attributed to its source.
+    fn finalize(&mut self, scopes: &mut [SourceScope], fin: FinalizedConnection) {
+        let source = fin.scope as usize;
+        let (Some(scope), Some(name)) = (scopes.get_mut(source), self.names.get(source).cloned())
+        else {
+            debug_assert!(false, "finalized connection from unknown scope {source}");
+            return;
+        };
+        let outcome = scope.finalize_connection(fin, &self.ctx.analyzer);
+        let at = self.now.max(outcome.profile_end);
+        // Alerts are keyed by the session id the tick cache last
+        // published; if late traffic re-elected the data sender (an
+        // LRU-evicted connection captured mid-stream, say), the final
+        // session differs and the cached session's alerts would
+        // otherwise survive their connection.
+        if let Some(stale) = &outcome.stale_session {
+            self.clear_alerts(&name, stale, at);
+        }
+        self.clear_alerts(&name, &outcome.session, at);
+        let open = scopes.iter().map(|s| s.tracker.open_connections()).sum();
+        self.metrics.record_finalized(open);
+        self.events
+            .push(MonitorEvent::Connection(ConnectionSummary {
+                at,
+                source: name,
+                session: outcome.session,
+                report: outcome.report,
+            }));
+    }
 }
 
 /// What one [`Monitor::step`] did.
@@ -1231,22 +1107,16 @@ pub enum Step {
 #[derive(Debug)]
 pub struct Monitor {
     control: Control,
-    pub(crate) plane: Plane,
+    /// One scope per registered source, indexed by [`SourceId`].
+    scopes: Vec<SourceScope>,
 }
 
 impl Monitor {
-    /// Creates a monitor; `config.shards` picks its data plane.
+    /// Creates a monitor with no sources registered.
     pub fn new(config: MonitorConfig) -> Monitor {
-        let plane = if config.shards <= 1 {
-            Plane::Inline(Vec::new())
-        } else {
-            Plane::Lanes(Lanes::new(config.shards))
-        };
         let control = Control {
             ctx: AnalysisCtx {
-                analyzer: Arc::new(
-                    Analyzer::new(config.analyzer).with_quarantine(config.quarantine),
-                ),
+                analyzer: Analyzer::new(config.analyzer).with_quarantine(config.quarantine),
                 window: config.window.max(Micros(1)),
                 timer_min_gaps: config.alerts.timer_min_gaps,
                 stall_after: config.alerts.stall_after,
@@ -1264,12 +1134,13 @@ impl Monitor {
             pending_backoff: config.pending_backoff,
             events: Vec::new(),
         };
-        Monitor { control, plane }
+        Monitor {
+            control,
+            scopes: Vec::new(),
+        }
     }
 
-    /// The monitor's health counters. With worker lanes, tick and
-    /// finalization counters update at flush boundaries, not per
-    /// queued op.
+    /// The monitor's health counters.
     pub fn metrics(&self) -> &MonitorMetrics {
         &self.control.metrics
     }
@@ -1298,23 +1169,20 @@ impl Monitor {
     /// [`SourceId`] — connections, capture damage, alerts, reports —
     /// stays attributed to this source.
     pub fn register_source(&mut self, name: &str) -> SourceId {
-        let Monitor { control, plane } = self;
+        let Monitor { control, scopes } = self;
         if let Some(&id) = control.index.get(name) {
             return id;
         }
         let id = SourceId(control.names.len() as u32);
         let name: Arc<str> = Arc::from(name);
         control.index.insert(name.clone(), id);
-        match plane {
-            // The tracker stamps the scope index into everything it
-            // finalizes, so a finalized connection routes back to its
-            // source without a lookup.
-            Plane::Inline(scopes) => scopes.push(SourceScope::new(
-                name.clone(),
-                ConnectionTracker::scoped(control.tracker_config, id.index() as u64),
-            )),
-            Plane::Lanes(lanes) => lanes.register(&name, control.tracker_config),
-        }
+        // The tracker stamps the scope index into everything it
+        // finalizes, so a finalized connection routes back to its
+        // source without a lookup.
+        scopes.push(SourceScope::new(
+            name.clone(),
+            ConnectionTracker::scoped(control.tracker_config, id.index() as u64),
+        ));
         control.unattributed.push(AnomalyCounts::default());
         control.names.push(name);
         control.metrics.record_sources(control.names.len());
@@ -1346,30 +1214,10 @@ impl Monitor {
     /// regressions and the simulator is ordered; a frame stamped behind
     /// the horizon anyway is counted, but cannot reopen a settled
     /// transfer. Runs any analysis ticks that became due before
-    /// this frame's timestamp. Worker lanes queue the frame, which
-    /// costs a clone here; callers that own their frames should prefer
-    /// [`ingest_owned`](Self::ingest_owned).
+    /// this frame's timestamp.
     pub fn ingest_from(&mut self, source: SourceId, frame: &TcpFrame) {
-        if !self.admit(source, frame.timestamp) {
-            return;
-        }
-        let Monitor { control, plane } = self;
-        match plane {
-            Plane::Inline(scopes) => ingest_inline(control, scopes, source.index(), frame),
-            Plane::Lanes(lanes) => lanes.ingest(control, source.index(), frame.clone()),
-        }
-    }
-
-    /// [`ingest_from`](Self::ingest_from) for a frame the caller is
-    /// done with: worker lanes take it without a copy.
-    pub fn ingest_owned(&mut self, source: SourceId, frame: TcpFrame) {
-        if !self.admit(source, frame.timestamp) {
-            return;
-        }
-        let Monitor { control, plane } = self;
-        match plane {
-            Plane::Inline(scopes) => ingest_inline(control, scopes, source.index(), &frame),
-            Plane::Lanes(lanes) => lanes.ingest(control, source.index(), frame),
+        if self.admit(source, frame.timestamp) {
+            self.control.ingest(&mut self.scopes, source.index(), frame);
         }
     }
 
@@ -1392,7 +1240,7 @@ impl Monitor {
     /// changed; across the fleet, correlate peer-group blocking and
     /// update alerts.
     pub fn advance_to(&mut self, now: Micros) {
-        let Monitor { control, plane } = self;
+        let Monitor { control, scopes } = self;
         if now <= control.now && control.next_tick.is_some() {
             return;
         }
@@ -1406,10 +1254,7 @@ impl Monitor {
             }
         };
         while boundary <= control.now {
-            match plane {
-                Plane::Inline(scopes) => tick_inline(control, scopes, boundary),
-                Plane::Lanes(lanes) => lanes.tick(control, boundary),
-            }
+            control.tick(scopes, boundary);
             boundary += control.interval;
         }
         control.next_tick = Some(boundary);
@@ -1427,20 +1272,15 @@ impl Monitor {
     /// *within that source's scope*; unattributable damage is tallied
     /// per source.
     pub fn note_anomaly_from(&mut self, source: SourceId, anomaly: AttributedAnomaly) {
-        let Monitor { control, plane } = self;
+        let Monitor { control, scopes } = self;
         control.metrics.record_anomaly();
         let Some(unattributed) = control.unattributed.get_mut(source.index()) else {
             debug_assert!(false, "unregistered source {source}");
             return;
         };
-        match (anomaly.key, plane) {
-            (None, _) => unattributed.note(&anomaly.anomaly),
-            (Some(key), Plane::Inline(scopes)) => {
-                scopes[source.index()].note_damage(key, &anomaly.anomaly)
-            }
-            (Some(key), Plane::Lanes(lanes)) => {
-                lanes.note_damage(source.index(), key, anomaly.anomaly)
-            }
+        match anomaly.key {
+            None => unattributed.note(&anomaly.anomaly),
+            Some(key) => scopes[source.index()].note_damage(key, &anomaly.anomaly),
         }
     }
 
@@ -1484,23 +1324,19 @@ impl Monitor {
     }
 
     /// Emits an event about `source` itself, stamped with the engine
-    /// clock, in stream order: behind every finalization already
-    /// decided, which worker lanes may not have reported yet.
+    /// clock.
     fn source_notice(
         &mut self,
         source: SourceId,
         event: impl FnOnce(Micros, Arc<str>) -> MonitorEvent,
     ) {
-        let Monitor { control, plane } = self;
+        let control = &mut self.control;
         let Some(name) = control.names.get(source.index()) else {
             debug_assert!(false, "unregistered source {source}");
             return;
         };
         let event = event(control.now, name.clone());
-        match plane {
-            Plane::Inline(_) => control.events.push(event),
-            Plane::Lanes(lanes) => lanes.defer(event),
-        }
+        control.events.push(event);
     }
 
     /// Capture damage no source could tie to any connection, summed
@@ -1515,24 +1351,14 @@ impl Monitor {
 
     /// Open connections across every source scope.
     pub fn open_connections(&self) -> usize {
-        match &self.plane {
-            Plane::Inline(scopes) => scopes.iter().map(|s| s.tracker.open_connections()).sum(),
-            Plane::Lanes(lanes) => lanes.open_connections(),
-        }
-    }
-
-    /// Brings the event buffer and the tick caches up to date with
-    /// everything ingested so far. Inline they always are; worker
-    /// lanes flush their queues (a snapshot boundary).
-    fn sync(&mut self) {
-        if let Plane::Lanes(lanes) = &mut self.plane {
-            lanes.flush(&mut self.control);
-        }
+        self.scopes
+            .iter()
+            .map(|s| s.tracker.open_connections())
+            .sum()
     }
 
     /// Takes the events accumulated since the last drain.
     pub fn drain_events(&mut self) -> Vec<MonitorEvent> {
-        self.sync();
         std::mem::take(&mut self.control.events)
     }
 
@@ -1540,7 +1366,7 @@ impl Monitor {
     /// `(source, session, report JSON)` in (source, tracker-insertion)
     /// order — a point-in-time view of the monitor's working state. The
     /// golden streams (`tests/golden_streams.rs`) pin it after every
-    /// tick boundary, at every lane count.
+    /// tick boundary.
     ///
     /// A tick computes only what its alerts read; the rest of a report —
     /// the factor vector, the series behind it, MCT's `prefixes` — is
@@ -1550,7 +1376,7 @@ impl Monitor {
     pub fn snapshot_reports(&mut self) -> Vec<(String, String, String)> {
         self.complete();
         let config = self.control.ctx.analyzer.config();
-        self.fleet()
+        fleet_view(&self.scopes)
             .into_iter()
             .filter_map(|(source, cached)| {
                 let analysis = cached.completed.as_deref()?;
@@ -1570,30 +1396,18 @@ impl Monitor {
     /// the last tick.
     pub fn snapshot_analyses(&mut self) -> Vec<(&str, &Analysis)> {
         self.complete();
-        self.fleet()
+        fleet_view(&self.scopes)
             .into_iter()
             .filter_map(|(source, cached)| Some((&**source, cached.completed.as_deref()?)))
             .collect()
     }
 
-    /// [`sync`](Self::sync), then completes every cached analysis a
-    /// tick left partial ([`SourceScope::complete`]), on every healthy
-    /// scope of the plane.
+    /// Completes every cached analysis a tick left partial
+    /// ([`SourceScope::complete`]), in every scope.
     fn complete(&mut self) {
-        self.sync();
         let analyzer = &self.control.ctx.analyzer;
-        match &mut self.plane {
-            Plane::Inline(scopes) => scopes.iter_mut().for_each(|s| s.complete(analyzer)),
-            Plane::Lanes(lanes) => lanes.complete(analyzer),
-        }
-    }
-
-    /// Every cached analysis in (source, tracker-insertion) order, as
-    /// of the last [`sync`](Self::sync).
-    fn fleet(&self) -> Vec<(&Arc<str>, &CachedAnalysis)> {
-        match &self.plane {
-            Plane::Inline(scopes) => fleet_view(&[scopes.as_slice()]),
-            Plane::Lanes(lanes) => lanes.fleet(),
+        for scope in &mut self.scopes {
+            scope.complete(analyzer);
         }
     }
 
@@ -1601,18 +1415,13 @@ impl Monitor {
     /// scope (emitting its report and clearing its alerts). The monitor
     /// is reusable afterwards, fresh.
     pub fn finish(&mut self) {
-        let Monitor { control, plane } = self;
-        match plane {
-            Plane::Inline(scopes) => {
-                for idx in 0..scopes.len() {
-                    let fresh = ConnectionTracker::scoped(control.tracker_config, idx as u64);
-                    let tracker = std::mem::replace(&mut scopes[idx].tracker, fresh);
-                    for fin in tracker.finish() {
-                        finalize_inline(control, scopes, fin);
-                    }
-                }
+        let Monitor { control, scopes } = self;
+        for idx in 0..scopes.len() {
+            let fresh = ConnectionTracker::scoped(control.tracker_config, idx as u64);
+            let tracker = std::mem::replace(&mut scopes[idx].tracker, fresh);
+            for fin in tracker.finish() {
+                control.finalize(scopes, fin);
             }
-            Plane::Lanes(lanes) => lanes.finalize_open(control),
         }
         control.next_tick = None;
     }
@@ -1656,7 +1465,7 @@ impl Monitor {
                         continue;
                     };
                     for frame in run.frames {
-                        self.ingest_owned(id, frame);
+                        self.ingest_from(id, &frame);
                     }
                 }
                 if let Some(now) = now {

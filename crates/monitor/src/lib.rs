@@ -17,11 +17,9 @@
 //! (`tdat-monitor-events/2`, see [`EventSchema`]: a `meta` preamble
 //! naming the sources, then every line attributed to one);
 //! operational counters (including an analysis-latency histogram and
-//! per-source frame counts) live in [`MonitorMetrics`]. There is one
-//! engine: [`MonitorConfig::shards`] only moves its per-connection
-//! work from the caller's thread onto worker lanes (module [`shard`]),
-//! byte-identical output either way. A capture corpus on disk can be
-//! swept in parallel with [`sweep_directory`].
+//! per-source frame counts) live in [`MonitorMetrics`]. One watch runs
+//! on the caller's thread; a capture corpus on disk can be swept in
+//! parallel, one watch per file, with [`sweep_directory`].
 //!
 //! Determinism: the event stream is keyed exclusively to *trace*
 //! (virtual) time, so the same capture or scenario always produces
@@ -73,7 +71,6 @@ pub mod metrics;
 #[cfg(test)]
 mod peer_props;
 pub mod set;
-pub mod shard;
 pub mod source;
 pub mod sweep;
 
@@ -85,12 +82,12 @@ pub use engine::{
 };
 pub use metrics::{LatencyHistogram, MonitorMetrics};
 pub use set::{SetEvent, SourceId, SourceRun, SourceSet, SourceSetBuilder, SourceSpec};
-pub use shard::shard_of;
 pub use source::{AttributedAnomaly, FollowSource, PacketSource, SimSource, SourceEvent};
 pub use sweep::{sweep_directory, SweepOutcome, SweepReport};
 pub use tdat_trace::TrackerConfig;
 
 /// The repository benchmark's spelling of [`Monitor`] at
-/// `shards >= 2`, from when that was a separate type. `benchmark/`
-/// may only change in a PR of its own; this alias goes with that PR.
+/// `shards >= 2`, from when worker lanes were a separate type; there is
+/// one engine, and `shards` has no effect. The alias goes once the
+/// benchmark stops naming it.
 pub type ShardedMonitor = Monitor;

@@ -77,7 +77,6 @@ pub struct MonitorMetrics {
     source_failures: u64,
     source_flaps: u64,
     source_resurrections: u64,
-    shards_poisoned: u64,
     ticks: u64,
     open_connections: usize,
     connections_finalized: u64,
@@ -121,11 +120,6 @@ impl MonitorMetrics {
     /// Records one transiently-down source coming back.
     pub(crate) fn record_source_resurrection(&mut self) {
         self.source_resurrections += 1;
-    }
-
-    /// Records one worker shard quarantined after a panic.
-    pub(crate) fn record_shard_poisoned(&mut self) {
-        self.shards_poisoned += 1;
     }
 
     /// Records one analysis tick: the open-connection gauge and the
@@ -201,13 +195,6 @@ impl MonitorMetrics {
         self.source_resurrections
     }
 
-    /// Worker shards quarantined after a panic; their connections were
-    /// reported with a quarantined verdict and the watch degraded
-    /// instead of dying.
-    pub fn shards_poisoned(&self) -> u64 {
-        self.shards_poisoned
-    }
-
     /// Analysis ticks run.
     pub fn ticks(&self) -> u64 {
         self.ticks
@@ -225,9 +212,7 @@ impl MonitorMetrics {
 
     /// Table transfers settled: message logs whose MCT answer became
     /// final while their connection was open, and which since hold the
-    /// answer in place of their table. A worker lane settles by the
-    /// frames of its own partition, so the count can trail the inline
-    /// plane's; the events never differ.
+    /// answer in place of their table.
     pub fn transfers_settled(&self) -> u64 {
         self.transfers_settled
     }
@@ -261,13 +246,8 @@ impl MonitorMetrics {
     }
 
     /// The analysis-tick wall-clock latency histogram: one sample per
-    /// tick, its critical path. Inline (`shards <= 1`) that is the
-    /// whole tick — dirty re-analysis, detectors, peer-group
-    /// correlation, alert update. On worker lanes it is the slowest
-    /// shard's share of the re-analysis and detectors (each shard
-    /// times its own; their sum when the batch was small enough to run
-    /// on the caller's thread) plus the merge, correlation and alert
-    /// update — not the queueing before the flush.
+    /// tick, the whole tick — dirty re-analysis, detectors, peer-group
+    /// correlation, alert update — but not the settle sweep after it.
     pub fn analysis_latency(&self) -> &LatencyHistogram {
         &self.latency
     }
@@ -308,9 +288,6 @@ impl fmt::Display for MonitorMetrics {
                 "source flaps         {:>10} ({} resurrected)",
                 self.source_flaps, self.source_resurrections
             )?;
-        }
-        if self.shards_poisoned > 0 {
-            writeln!(f, "shards poisoned      {:>10}", self.shards_poisoned)?;
         }
         for kind in AlertKind::ALL {
             let raised = self.alerts_raised(kind);

@@ -4,8 +4,7 @@
 //! scan's functions as they were: [`find_peer_group_blocking_among`]
 //! over every cached analysis of the fleet, each pause merged afresh.
 //!
-//! The fleets: 1–3 sources over 1–2 partitions (the lanes' shards),
-//! sender groups of 1–6 members, `SendAppLimited` spans whose 2 s-merged
+//! The fleets: 1–3 sources, sender groups of 1–6 members, `SendAppLimited` spans whose 2 s-merged
 //! hull straddles `min_pause`, loss or zero-window activity covering
 //! about a quarter of it on other members, quarantined members, and a
 //! second refresh that changes a member's pauses or re-elects its data
@@ -198,12 +197,11 @@ const HULLS: [i64; 5] = [-1_000_000, -1, 0, 1, 1_000_000];
 /// quarter of a 30 s pause.
 const LOSSES: [i64; 5] = [7_000_000, 7_499_999, 7_500_000, 7_750_000, 15_000_000];
 
-/// One member as generated: `(source, partition, shape, gap, loss kind,
-/// loss length, quarantine roll, second refresh, start offset, rank)`.
+/// One member as generated: `(source, shape, gap, loss kind, loss
+/// length, quarantine roll, second refresh, start offset, rank)`.
 /// A source's ordinals follow its members' ranks, so groups interleave
 /// in ordinal order.
 type Spec = (
-    usize,
     usize,
     usize,
     usize,
@@ -218,7 +216,6 @@ type Spec = (
 fn member() -> impl Strategy<Value = Spec> {
     (
         0usize..3,
-        0usize..2,
         0usize..8,
         0usize..5,
         0usize..5,
@@ -276,7 +273,7 @@ fn trouble(series: &mut SeriesSet, kind: usize, len: i64) {
 /// its second when `again` (a changed shape, or the data sender
 /// re-elected).
 fn analysis(spec: &Spec, g: usize, groups: usize, m: usize, again: bool) -> PartialAnalysis {
-    let &(_, _, shape, gap, kind, len, quarantine, refresh, offset, _) = spec;
+    let &(_, shape, gap, kind, len, quarantine, refresh, offset, _) = spec;
     let (mut sender, mut receiver) = (
         (router(g), 179),
         (router((g + 1) % groups), 40_000 + m as u16),
@@ -323,29 +320,24 @@ proptest! {
     #[test]
     fn cached_pause_correlation_matches_the_pairwise_scan(
         groups in prop::collection::vec(prop::collection::vec(member(), 1..7), 1..4),
-        partitions in 1usize..3,
     ) {
         assert_eq!(AlertConfig::default().min_pause, MIN_PAUSE);
         let ctx = AnalysisCtx {
-            analyzer: Arc::new(Analyzer::default()),
+            analyzer: Analyzer::default(),
             window: Micros::from_secs(120),
             timer_min_gaps: 8,
             stall_after: Micros::from_secs(60),
             min_pause: MIN_PAUSE,
         };
         let names: Vec<Arc<str>> = ["a", "b", "c"].into_iter().map(Arc::from).collect();
-        let mut lanes: Vec<Vec<SourceScope>> = (0..partitions)
-            .map(|_| {
-                names
-                    .iter()
-                    .enumerate()
-                    .map(|(s, name)| {
-                        SourceScope::new(
-                            name.clone(),
-                            ConnectionTracker::scoped(TrackerConfig::streaming(), s as u64),
-                        )
-                    })
-                    .collect()
+        let mut scopes: Vec<SourceScope> = names
+            .iter()
+            .enumerate()
+            .map(|(s, name)| {
+                SourceScope::new(
+                    name.clone(),
+                    ConnectionTracker::scoped(TrackerConfig::streaming(), s as u64),
+                )
             })
             .collect();
         // Members in (group, member) order, each with its source's
@@ -360,32 +352,30 @@ proptest! {
             specs
                 .iter()
                 .enumerate()
-                .filter(|(n, (_, other))| other.0 == spec.0 && (other.9, *n) < (spec.9, m))
+                .filter(|(n, (_, other))| other.0 == spec.0 && (other.8, *n) < (spec.8, m))
                 .count() as u64
         };
         for again in [false, true] {
             for (m, &(g, spec)) in specs.iter().enumerate() {
                 // A second refresh for three members in four.
-                if again && spec.7 == 3 {
+                if again && spec.6 == 3 {
                     continue;
                 }
-                let (source, lane) = (spec.0, spec.1 % partitions);
                 let key = ConnKey::of_endpoints(
                     (router(g), 179),
                     (router((g + 1) % groups.len()), 40_000 + m as u16),
                 );
                 let partial = analysis(spec, g, groups.len(), m, again);
-                lanes[lane][source].store(key, ordinal(m), partial, 0, &ctx);
+                scopes[spec.0].store(key, ordinal(m), partial, 0, &ctx);
             }
         }
-        let lanes: Vec<&[SourceScope]> = lanes.iter().map(Vec::as_slice).collect();
 
         let mut expected: Vec<Condition> = Vec::new();
-        reference::peer_group_conditions(&fleet_view(&lanes), MIN_PAUSE, &mut expected);
+        reference::peer_group_conditions(&fleet_view(&scopes), MIN_PAUSE, &mut expected);
         let mut actual: Vec<Condition> = Vec::new();
-        peer_group_conditions(&peer_fleet(&lanes), &mut actual);
+        peer_group_conditions(&peer_fleet(&scopes), &mut actual);
         prop_assert_eq!(actual, expected);
-        for (_, cached) in fleet_view(&lanes) {
+        for (_, cached) in fleet_view(&scopes) {
             prop_assert_eq!(
                 &cached.session,
                 &session_id(cached.partial.sender, cached.partial.receiver)

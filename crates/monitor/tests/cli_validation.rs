@@ -5,7 +5,8 @@
 //! permanently stale, which disables the multi-source merge). The one
 //! stream schema is pinned from the outside too: the option that picked
 //! a schema is gone, and `--resume` will not append to a file that is
-//! not that stream.
+//! not that stream. There is one data plane, too: `--shards`, which
+//! picked worker lanes, is an unknown option.
 
 use std::process::Command;
 
@@ -75,6 +76,10 @@ fn schema_is_an_unknown_option() {
     run_expecting_usage_error(
         &["--sim", "clean", "--schema", "2"],
         "unknown option --schema",
+    );
+    run_expecting_usage_error(
+        &["--sim", "clean", "--shards", "2"],
+        "unknown option --shards",
     );
 }
 

@@ -24,7 +24,7 @@ use tdat_trace::{ConnectionTracker, Endpoint};
 const CAP: usize = 4;
 const SESSIONS: usize = 12;
 
-fn config(shards: usize) -> MonitorConfig {
+fn config() -> MonitorConfig {
     MonitorConfig::builder()
         .window(Micros::from_secs(120))
         .interval(Micros::from_secs(5))
@@ -37,7 +37,6 @@ fn config(shards: usize) -> MonitorConfig {
             stall_after: Micros::from_secs(20),
             ..AlertConfig::default()
         })
-        .shards(shards)
         .build()
         .expect("valid config")
 }
@@ -96,15 +95,15 @@ fn session_frames(i: usize, t0: i64) -> Vec<TcpFrame> {
 
 /// Drives 12 staggered stalling sessions through a cap-4 watch and
 /// returns the rendered event stream.
-fn run_eviction_watch(shards: usize) -> Vec<String> {
-    let mut monitor = Monitor::new(config(shards));
+fn run_eviction_watch() -> Vec<String> {
+    let mut monitor = Monitor::new(config());
     let id = monitor.register_source("capture");
     for i in 0..SESSIONS {
         // 15 s apart: each new session finds the tracker full and
         // LRU-evicts the oldest one, which by then has a raised
         // stalled-transfer alert (stall_after = 20 s).
         for frame in session_frames(i, i as i64 * 15_000_000) {
-            monitor.ingest_owned(id, frame);
+            monitor.ingest_from(id, &frame);
         }
         assert!(
             monitor.open_connections() <= CAP,
@@ -140,7 +139,7 @@ fn run_eviction_watch(shards: usize) -> Vec<String> {
 
 #[test]
 fn eviction_mid_watch_clears_cache_and_balances_alerts() {
-    let events = run_eviction_watch(1);
+    let events = run_eviction_watch();
 
     // Re-parse the stream: every raise must be matched by a clear for
     // the same (session, kind) — an evicted session whose alert never
@@ -172,15 +171,6 @@ fn eviction_mid_watch_clears_cache_and_balances_alerts() {
     raised.sort_unstable();
     cleared.sort_unstable();
     assert_eq!(raised, cleared, "every raised alert needs a matching clear");
-}
-
-#[test]
-fn eviction_watch_is_identical_under_sharding() {
-    // The lifecycle router must reproduce the serial engine's eviction
-    // decisions exactly — byte-identical JSONL at 2 and 4 shards.
-    let serial = run_eviction_watch(1);
-    assert_eq!(serial, run_eviction_watch(2));
-    assert_eq!(serial, run_eviction_watch(4));
 }
 
 /// Raised-then-finalized alerts must clear even when the finalization
@@ -219,7 +209,7 @@ fn sender_flip_between_tick_and_finalize_still_clears_alerts() {
             .payload(vec![0xcd; 1448])
             .build();
         seq = seq.wrapping_add(1448);
-        monitor.ingest_owned(id, frame);
+        monitor.ingest_from(id, &frame);
     }
     // Silence long enough for the stalled-transfer alert to raise
     // under the Y-elected session id.
@@ -251,7 +241,7 @@ fn sender_flip_between_tick_and_finalize_still_clears_alerts() {
             .payload(vec![0xef; 1448])
             .build();
         seq = seq.wrapping_add(1448);
-        monitor.ingest_owned(id, frame);
+        monitor.ingest_from(id, &frame);
     }
     monitor.finish();
 
@@ -300,21 +290,17 @@ fn secs(s: i64) -> i64 {
     Micros::from_secs(s).0
 }
 
-/// The lane counts every watch below runs at: inline, and two worker
-/// lanes.
-const LANES: [usize; 2] = [1, 2];
-
 /// When the table of [`table_transfer`] ends: its last UPDATE.
 const TABLE_END: i64 = 291_000;
 
 /// A router's table transfer to a collector, 30 UPDATEs of 5 fresh
 /// prefixes each in the connection's first 0.3 s, ending at
-/// [`TABLE_END`]: the watch on `shards` lanes and both sides of the
-/// connection, the router's numbering its bytes from `isn`.
-fn table_transfer_from(shards: usize, isn: u32) -> (TransferWatch, Side, Side) {
+/// [`TABLE_END`]: the watch and both sides of the connection, the
+/// router's numbering its bytes from `isn`.
+fn table_transfer_from(isn: u32) -> (TransferWatch, Side, Side) {
     let router = Ipv4Addr::new(10, 9, 1, 1);
     let collector = Ipv4Addr::new(10, 9, 1, 2);
-    let mut watch = TransferWatch::new(shards);
+    let mut watch = TransferWatch::new();
     let mut from_router = Side::new(router, 179, collector, 40000, isn);
     let mut from_collector = Side::new(collector, 40000, router, 179, 0);
     watch.send(from_router.syn(0));
@@ -326,8 +312,8 @@ fn table_transfer_from(shards: usize, isn: u32) -> (TransferWatch, Side, Side) {
 }
 
 /// [`table_transfer_from`] with the router's bytes numbered from 0.
-fn table_transfer(shards: usize) -> (TransferWatch, Side, Side) {
-    table_transfer_from(shards, 0)
+fn table_transfer() -> (TransferWatch, Side, Side) {
+    table_transfer_from(0)
 }
 
 /// What a snapshot reports of a connection's transfer is what MCT finds
@@ -340,48 +326,45 @@ fn table_transfer(shards: usize) -> (TransferWatch, Side, Side) {
 /// and demux fed the same frames hold.
 #[test]
 fn cached_transfer_is_mct_over_the_current_snapshot_at_every_tick() {
-    for shards in LANES {
-        let (mut watch, mut from_router, mut from_collector) = table_transfer(shards);
-        let keepalive = BgpMessage::Keepalive.to_bytes();
-        let table = watch.tick(secs(5));
-        // Ticks at which the router sent a KEEPALIVE and nothing else.
-        let mut quiet = Vec::new();
-        for k in 1..=3 {
-            watch.send(from_router.data(secs(5 * k + 1), keepalive.clone()));
-            quiet.push(watch.tick(secs(5 * k + 5)));
-        }
-        // A late announcement, inside MCT's gap: the transfer grows.
-        watch.send(from_router.data(secs(21), update(prefixes(150, 5))));
-        let late = watch.tick(secs(25));
-        // The collector out-sends the router: two large UPDATEs, then more
-        // KEEPALIVEs than the router's log has rows.
-        for i in 0..2 {
-            let announced = prefixes(10_000 + 400 * i, 400);
-            watch.send(from_collector.data(secs(26) + i as i64, update(announced)));
-        }
-        for i in 0..50 {
-            watch.send(from_collector.data(secs(27) + i, keepalive.clone()));
-        }
-        let flipped = watch.tick(secs(30));
-        watch.send(from_collector.data(secs(31), keepalive.clone()));
-        let flipped_quiet = watch.tick(secs(35));
-
-        let prefix_count = |check: &[(Endpoint, Option<TableTransfer>)]| {
-            check[0].1.as_ref().map(|t| t.prefix_count)
-        };
-        assert_eq!(prefix_count(&table), Some(150));
-        for check in &quiet {
-            assert_eq!(check, &table, "KEEPALIVEs change no transfer");
-        }
-        assert_eq!(
-            prefix_count(&late),
-            Some(155),
-            "the late announcement counts"
-        );
-        assert_eq!(flipped[0].0, from_collector.endpoint(), "the sender flips");
-        assert_eq!(prefix_count(&flipped), Some(800));
-        assert_eq!(flipped_quiet, flipped);
+    let (mut watch, mut from_router, mut from_collector) = table_transfer();
+    let keepalive = BgpMessage::Keepalive.to_bytes();
+    let table = watch.tick(secs(5));
+    // Ticks at which the router sent a KEEPALIVE and nothing else.
+    let mut quiet = Vec::new();
+    for k in 1..=3 {
+        watch.send(from_router.data(secs(5 * k + 1), keepalive.clone()));
+        quiet.push(watch.tick(secs(5 * k + 5)));
     }
+    // A late announcement, inside MCT's gap: the transfer grows.
+    watch.send(from_router.data(secs(21), update(prefixes(150, 5))));
+    let late = watch.tick(secs(25));
+    // The collector out-sends the router: two large UPDATEs, then more
+    // KEEPALIVEs than the router's log has rows.
+    for i in 0..2 {
+        let announced = prefixes(10_000 + 400 * i, 400);
+        watch.send(from_collector.data(secs(26) + i as i64, update(announced)));
+    }
+    for i in 0..50 {
+        watch.send(from_collector.data(secs(27) + i, keepalive.clone()));
+    }
+    let flipped = watch.tick(secs(30));
+    watch.send(from_collector.data(secs(31), keepalive.clone()));
+    let flipped_quiet = watch.tick(secs(35));
+
+    let prefix_count =
+        |check: &[(Endpoint, Option<TableTransfer>)]| check[0].1.as_ref().map(|t| t.prefix_count);
+    assert_eq!(prefix_count(&table), Some(150));
+    for check in &quiet {
+        assert_eq!(check, &table, "KEEPALIVEs change no transfer");
+    }
+    assert_eq!(
+        prefix_count(&late),
+        Some(155),
+        "the late announcement counts"
+    );
+    assert_eq!(flipped[0].0, from_collector.endpoint(), "the sender flips");
+    assert_eq!(prefix_count(&flipped), Some(800));
+    assert_eq!(flipped_quiet, flipped);
 }
 
 /// A tick runs no MCT; the pull does, and it reports the transfer as of
@@ -392,31 +375,29 @@ fn cached_transfer_is_mct_over_the_current_snapshot_at_every_tick() {
 /// the first side's log.
 #[test]
 fn snapshot_transfer_is_mct_as_of_the_last_tick() {
-    for shards in LANES {
-        let (mut watch, mut from_router, mut from_collector) = table_transfer(shards);
-        let at_tick = watch.tick_unread(secs(5));
-        // A late announcement inside MCT's gap: the transfer as it stands
-        // now has grown.
-        watch.send(from_router.data(secs(6), update(prefixes(150, 5))));
-        assert_ne!(watch.mct_now(), at_tick, "the log moved on since the tick");
-        assert_eq!(watch.snapshot(), at_tick, "pulled after a new UPDATE");
-        assert_eq!(at_tick[0].1.as_ref().map(|t| t.prefix_count), Some(150));
+    let (mut watch, mut from_router, mut from_collector) = table_transfer();
+    let at_tick = watch.tick_unread(secs(5));
+    // A late announcement inside MCT's gap: the transfer as it stands
+    // now has grown.
+    watch.send(from_router.data(secs(6), update(prefixes(150, 5))));
+    assert_ne!(watch.mct_now(), at_tick, "the log moved on since the tick");
+    assert_eq!(watch.snapshot(), at_tick, "pulled after a new UPDATE");
+    assert_eq!(at_tick[0].1.as_ref().map(|t| t.prefix_count), Some(150));
 
-        let at_tick = watch.tick_unread(secs(10));
-        assert_eq!(at_tick[0].0, from_router.endpoint());
-        // The collector out-sends the router: it is the sender now, and its
-        // log holds more rows than the router's did at the tick.
-        for i in 0..2 {
-            let announced = prefixes(10_000 + 400 * i, 400);
-            watch.send(from_collector.data(secs(11) + i as i64, update(announced)));
-        }
-        for i in 0..50 {
-            watch.send(from_collector.data(secs(12) + i, BgpMessage::Keepalive.to_bytes()));
-        }
-        assert_eq!(watch.mct_now()[0].0, from_collector.endpoint());
-        assert_eq!(watch.snapshot(), at_tick, "pulled after a sender flip");
-        assert_eq!(at_tick[0].1.as_ref().map(|t| t.prefix_count), Some(155));
+    let at_tick = watch.tick_unread(secs(10));
+    assert_eq!(at_tick[0].0, from_router.endpoint());
+    // The collector out-sends the router: it is the sender now, and its
+    // log holds more rows than the router's did at the tick.
+    for i in 0..2 {
+        let announced = prefixes(10_000 + 400 * i, 400);
+        watch.send(from_collector.data(secs(11) + i as i64, update(announced)));
     }
+    for i in 0..50 {
+        watch.send(from_collector.data(secs(12) + i, BgpMessage::Keepalive.to_bytes()));
+    }
+    assert_eq!(watch.mct_now()[0].0, from_collector.endpoint());
+    assert_eq!(watch.snapshot(), at_tick, "pulled after a sender flip");
+    assert_eq!(at_tick[0].1.as_ref().map(|t| t.prefix_count), Some(155));
 }
 
 /// A tick builds only what its alerts read; the pull completes the rest
@@ -428,23 +409,21 @@ fn snapshot_transfer_is_mct_as_of_the_last_tick() {
 /// the first, each whole analysis must equal it field for field.
 #[test]
 fn snapshot_analysis_is_the_analysis_as_of_the_last_tick() {
-    for shards in LANES {
-        let (mut watch, mut from_router, mut from_collector) = table_transfer(shards);
-        watch.tick_unread(secs(5));
-        let at_tick = watch.replayed_to(secs(5));
-        watch.send(from_router.data(secs(6), update(prefixes(150, 5))));
-        watch.send(from_collector.data(secs(6) + 300, Vec::new()));
-        assert_eq!(watch.analyses(), at_tick, "pulled after a new UPDATE");
+    let (mut watch, mut from_router, mut from_collector) = table_transfer();
+    watch.tick_unread(secs(5));
+    let at_tick = watch.replayed_to(secs(5));
+    watch.send(from_router.data(secs(6), update(prefixes(150, 5))));
+    watch.send(from_collector.data(secs(6) + 300, Vec::new()));
+    assert_eq!(watch.analyses(), at_tick, "pulled after a new UPDATE");
 
-        watch.tick_unread(secs(10));
-        let at_tick = watch.replayed_to(secs(10));
-        for i in 0..2 {
-            let announced = prefixes(10_000 + 400 * i, 400);
-            watch.send(from_collector.data(secs(11) + i as i64, update(announced)));
-        }
-        assert_eq!(watch.mct_now()[0].0, from_collector.endpoint());
-        assert_eq!(watch.analyses(), at_tick, "pulled after a sender flip");
+    watch.tick_unread(secs(10));
+    let at_tick = watch.replayed_to(secs(10));
+    for i in 0..2 {
+        let announced = prefixes(10_000 + 400 * i, 400);
+        watch.send(from_collector.data(secs(11) + i as i64, update(announced)));
     }
+    assert_eq!(watch.mct_now()[0].0, from_collector.endpoint());
+    assert_eq!(watch.analyses(), at_tick, "pulled after a sender flip");
 }
 
 /// A table, then silence past MCT's `max_gap` — which settles nothing,
@@ -456,22 +435,20 @@ fn snapshot_analysis_is_the_analysis_as_of_the_last_tick() {
 /// with is the batch analysis of the finished connection.
 #[test]
 fn a_transfer_settles_after_silence_and_keepalives_change_nothing() {
-    for shards in LANES {
-        let (mut watch, mut from_router, _) = table_transfer(shards);
-        let keepalive = BgpMessage::Keepalive.to_bytes();
-        let table = watch.tick(secs(5));
-        assert_eq!(watch.tick(secs(60)), table);
-        assert_eq!(watch.settled(), 0, "silence moves no demux clock");
-        watch.send(from_router.data(secs(61), keepalive.clone()));
-        assert_eq!(watch.tick(secs(65)), table);
-        assert_eq!(watch.settled(), 1, "{shards} lanes");
-        for k in 0..3 {
-            watch.send(from_router.data(secs(70 + 10 * k), keepalive.clone()));
-            assert_eq!(watch.tick(secs(75 + 10 * k)), table);
-        }
-        assert_eq!(watch.settled(), 1);
-        watch.finish();
+    let (mut watch, mut from_router, _) = table_transfer();
+    let keepalive = BgpMessage::Keepalive.to_bytes();
+    let table = watch.tick(secs(5));
+    assert_eq!(watch.tick(secs(60)), table);
+    assert_eq!(watch.settled(), 0, "silence moves no demux clock");
+    watch.send(from_router.data(secs(61), keepalive.clone()));
+    assert_eq!(watch.tick(secs(65)), table);
+    assert_eq!(watch.settled(), 1);
+    for k in 0..3 {
+        watch.send(from_router.data(secs(70 + 10 * k), keepalive.clone()));
+        assert_eq!(watch.tick(secs(75 + 10 * k)), table);
     }
+    assert_eq!(watch.settled(), 1);
+    watch.finish();
 }
 
 /// Churn after the settle — the table's prefixes announced again and
@@ -481,23 +458,21 @@ fn a_transfer_settles_after_silence_and_keepalives_change_nothing() {
 /// after it MCT over the connection as it stands.
 #[test]
 fn churn_after_a_settle_is_no_part_of_the_transfer() {
-    for shards in LANES {
-        let (mut watch, mut from_router, _) = table_transfer(shards);
-        let table = watch.tick(secs(5));
-        watch.send(from_router.data(secs(61), BgpMessage::Keepalive.to_bytes()));
-        assert_eq!(watch.tick(secs(65)), table);
-        assert_eq!(watch.settled(), 1, "{shards} lanes");
-        watch.send(from_router.data(secs(66), update(prefixes(0, 5))));
-        watch.send(from_router.data(secs(67), update(prefixes(150, 5))));
-        let mut retransmitted = watch.sent[2].clone();
-        retransmitted.timestamp = Micros(secs(68));
-        watch.send(retransmitted);
-        assert_eq!(watch.snapshot(), table, "pulled after churn");
-        assert_eq!(watch.tick(secs(70)), table);
-        watch.send(from_router.data(secs(71), update(prefixes(155, 5))));
-        assert_eq!(watch.tick(secs(75)), table);
-        watch.finish();
-    }
+    let (mut watch, mut from_router, _) = table_transfer();
+    let table = watch.tick(secs(5));
+    watch.send(from_router.data(secs(61), BgpMessage::Keepalive.to_bytes()));
+    assert_eq!(watch.tick(secs(65)), table);
+    assert_eq!(watch.settled(), 1);
+    watch.send(from_router.data(secs(66), update(prefixes(0, 5))));
+    watch.send(from_router.data(secs(67), update(prefixes(150, 5))));
+    let mut retransmitted = watch.sent[2].clone();
+    retransmitted.timestamp = Micros(secs(68));
+    watch.send(retransmitted);
+    assert_eq!(watch.snapshot(), table, "pulled after churn");
+    assert_eq!(watch.tick(secs(70)), table);
+    watch.send(from_router.data(secs(71), update(prefixes(155, 5))));
+    assert_eq!(watch.tick(secs(75)), table);
+    watch.finish();
 }
 
 /// After the router's log settled, the collector out-sends it: the
@@ -507,30 +482,28 @@ fn churn_after_a_settle_is_no_part_of_the_transfer() {
 /// or not.
 #[test]
 fn a_sender_flip_after_a_settle_reads_the_new_senders_log() {
-    for shards in LANES {
-        let (mut watch, mut from_router, mut from_collector) = table_transfer(shards);
-        let keepalive = BgpMessage::Keepalive.to_bytes();
-        let table = watch.tick(secs(5));
-        watch.send(from_router.data(secs(61), keepalive.clone()));
-        assert_eq!(watch.tick(secs(65)), table);
-        assert_eq!(watch.settled(), 1, "{shards} lanes");
-        for i in 0..2 {
-            let announced = prefixes(10_000 + 400 * i, 400);
-            watch.send(from_collector.data(secs(66) + i as i64, update(announced)));
-        }
-        for i in 0..50 {
-            watch.send(from_collector.data(secs(67) + i, keepalive.clone()));
-        }
-        assert_eq!(watch.snapshot(), table, "pulled after the flip");
-        let flipped = watch.tick(secs(70));
-        assert_eq!(flipped[0].0, from_collector.endpoint(), "the sender flips");
-        assert_eq!(flipped[0].1, None);
-        assert_eq!(watch.settled(), 1, "the collector's UPDATEs are recent");
-        watch.send(from_collector.data(secs(127), keepalive.clone()));
-        assert_eq!(watch.tick(secs(130)), flipped);
-        assert_eq!(watch.settled(), 2);
-        watch.finish();
+    let (mut watch, mut from_router, mut from_collector) = table_transfer();
+    let keepalive = BgpMessage::Keepalive.to_bytes();
+    let table = watch.tick(secs(5));
+    watch.send(from_router.data(secs(61), keepalive.clone()));
+    assert_eq!(watch.tick(secs(65)), table);
+    assert_eq!(watch.settled(), 1);
+    for i in 0..2 {
+        let announced = prefixes(10_000 + 400 * i, 400);
+        watch.send(from_collector.data(secs(66) + i as i64, update(announced)));
     }
+    for i in 0..50 {
+        watch.send(from_collector.data(secs(67) + i, keepalive.clone()));
+    }
+    assert_eq!(watch.snapshot(), table, "pulled after the flip");
+    let flipped = watch.tick(secs(70));
+    assert_eq!(flipped[0].0, from_collector.endpoint(), "the sender flips");
+    assert_eq!(flipped[0].1, None);
+    assert_eq!(watch.settled(), 1, "the collector's UPDATEs are recent");
+    watch.send(from_collector.data(secs(127), keepalive.clone()));
+    assert_eq!(watch.tick(secs(130)), flipped);
+    assert_eq!(watch.settled(), 2);
+    watch.finish();
 }
 
 /// The demux clock reaches the table's end plus `max_gap` to the
@@ -539,28 +512,22 @@ fn a_sender_flip_after_a_settle_reads_the_new_senders_log() {
 /// past the gap of that last UPDATE.
 #[test]
 fn a_transfer_resumed_just_inside_max_gap_has_not_settled() {
-    for shards in LANES {
-        let (mut watch, mut from_router, _) = table_transfer(shards);
-        let max_gap = MctConfig::default().max_gap.0;
-        let keepalive = BgpMessage::Keepalive.to_bytes();
-        let table = watch.tick(secs(5));
-        let resume = TABLE_END + max_gap;
-        watch.send(from_router.data(resume, keepalive.clone()));
-        assert_eq!(watch.tick(secs(65)), table);
-        assert_eq!(
-            watch.settled(),
-            0,
-            "{shards} lanes: exactly max_gap is inside it"
-        );
-        watch.send(from_router.data(resume, update(prefixes(150, 5))));
-        let resumed = watch.tick(secs(70));
-        assert_eq!(resumed[0].1.as_ref().map(|t| t.prefix_count), Some(155));
-        assert_eq!(watch.settled(), 0);
-        watch.send(from_router.data(resume + max_gap + 1, keepalive.clone()));
-        assert_eq!(watch.tick(secs(125)), resumed);
-        assert_eq!(watch.settled(), 1);
-        watch.finish();
-    }
+    let (mut watch, mut from_router, _) = table_transfer();
+    let max_gap = MctConfig::default().max_gap.0;
+    let keepalive = BgpMessage::Keepalive.to_bytes();
+    let table = watch.tick(secs(5));
+    let resume = TABLE_END + max_gap;
+    watch.send(from_router.data(resume, keepalive.clone()));
+    assert_eq!(watch.tick(secs(65)), table);
+    assert_eq!(watch.settled(), 0, "exactly max_gap is inside it");
+    watch.send(from_router.data(resume, update(prefixes(150, 5))));
+    let resumed = watch.tick(secs(70));
+    assert_eq!(resumed[0].1.as_ref().map(|t| t.prefix_count), Some(155));
+    assert_eq!(watch.settled(), 0);
+    watch.send(from_router.data(resume + max_gap + 1, keepalive.clone()));
+    assert_eq!(watch.tick(secs(125)), resumed);
+    assert_eq!(watch.settled(), 1);
+    watch.finish();
 }
 
 /// The router numbers its bytes from just below `u32::MAX`, so its
@@ -568,17 +535,15 @@ fn a_transfer_resumed_just_inside_max_gap_has_not_settled() {
 /// settles and finalizes as one that did not wrap.
 #[test]
 fn a_transfer_whose_sequence_wraps_settles_as_any_other() {
-    for shards in LANES {
-        let (mut watch, mut from_router, _) = table_transfer_from(shards, u32::MAX - 700);
-        let table = watch.tick(secs(5));
-        assert_eq!(table[0].1.as_ref().map(|t| t.prefix_count), Some(150));
-        watch.send(from_router.data(secs(61), BgpMessage::Keepalive.to_bytes()));
-        assert_eq!(watch.tick(secs(65)), table);
-        assert_eq!(watch.settled(), 1, "{shards} lanes");
-        watch.send(from_router.data(secs(66), update(prefixes(150, 5))));
-        assert_eq!(watch.tick(secs(70)), table);
-        watch.finish();
-    }
+    let (mut watch, mut from_router, _) = table_transfer_from(u32::MAX - 700);
+    let table = watch.tick(secs(5));
+    assert_eq!(table[0].1.as_ref().map(|t| t.prefix_count), Some(150));
+    watch.send(from_router.data(secs(61), BgpMessage::Keepalive.to_bytes()));
+    assert_eq!(watch.tick(secs(65)), table);
+    assert_eq!(watch.settled(), 1);
+    watch.send(from_router.data(secs(66), update(prefixes(150, 5))));
+    assert_eq!(watch.tick(secs(70)), table);
+    watch.finish();
 }
 
 /// A one-connection watch beside a tracker and a demux fed the same
@@ -590,12 +555,11 @@ struct TransferWatch {
     demux: BgpDemux,
     /// Every frame sent, in order.
     sent: Vec<TcpFrame>,
-    shards: usize,
 }
 
 impl TransferWatch {
-    fn new(shards: usize) -> TransferWatch {
-        let config = TransferWatch::config(shards);
+    fn new() -> TransferWatch {
+        let config = TransferWatch::config();
         let tracker = ConnectionTracker::new(config.tracker);
         let mut monitor = Monitor::new(config);
         let id = monitor.register_source("capture");
@@ -605,13 +569,11 @@ impl TransferWatch {
             tracker,
             demux: BgpDemux::new(),
             sent: Vec::new(),
-            shards,
         }
     }
 
-    fn config(shards: usize) -> MonitorConfig {
+    fn config() -> MonitorConfig {
         MonitorConfig::builder()
-            .shards(shards)
             .window(Micros::from_secs(120))
             .interval(Micros::from_secs(5))
             .tracker(TrackerConfig {
@@ -625,8 +587,8 @@ impl TransferWatch {
     fn send(&mut self, frame: TcpFrame) {
         self.demux.feed(&frame);
         self.tracker.ingest(&frame);
-        self.sent.push(frame.clone());
-        self.monitor.ingest_owned(self.id, frame);
+        self.monitor.ingest_from(self.id, &frame);
+        self.sent.push(frame);
     }
 
     /// Every analysis a snapshot pulled now holds, in full.
@@ -637,7 +599,7 @@ impl TransferWatch {
     /// What [`analyses`](Self::analyses) says of a fresh watch fed every
     /// frame sent so far and advanced to `at`.
     fn replayed_to(&self, at: i64) -> Vec<String> {
-        let mut twin = Monitor::new(TransferWatch::config(self.shards));
+        let mut twin = Monitor::new(TransferWatch::config());
         let id = twin.register_source("capture");
         for frame in &self.sent {
             twin.ingest_from(id, frame);

@@ -2,7 +2,7 @@
 //! depend on a second implementation of it.
 //!
 //! Each file under `tests/golden/` is what one watch says, byte for
-//! byte, and each is replayed at 1, 2 and 4 worker lanes:
+//! byte:
 //!
 //! * `ticks-<scenario>.jsonl` — a simulator scenario (8 000 routes,
 //!   about ten ticks) materialized and fed through [`Monitor::ingest`]:
@@ -15,11 +15,10 @@
 //!   [`Monitor::run_set`] watch over one simulated source (the watches
 //!   of `monitor_alerts.rs`); byte-identical to what `t-dat-monitor
 //!   --sim <scenario>` prints with the same `--routes`, `--window` and
-//!   `--interval`.
+//!   `--interval` (CI job `monitor-identity` `cmp`s the two).
 //!
 //! On a mismatch the test writes the actual stream under
-//! `CARGO_TARGET_TMPDIR/golden/<N>-lanes/` and names the first differing
-//! line. A golden changes only by copying that file over it, in a
+//! `CARGO_TARGET_TMPDIR/golden/` and names the first differing line. A golden changes only by copying that file over it, in a
 //! commit that says why the stream had to change.
 
 use std::path::Path;
@@ -32,8 +31,6 @@ use tdat_packet::{CaptureAnomaly, TcpFrame};
 use tdat_tcpsim::scenario::ScenarioOptions;
 use tdat_timeset::Micros;
 use tdat_trace::ConnKey;
-
-const LANES: [usize; 3] = [1, 2, 4];
 
 /// Materializes a scenario's capture, plus the simulator's final clock.
 fn collect(spec: &str, routes: usize) -> (Vec<TcpFrame>, Micros) {
@@ -86,14 +83,13 @@ fn push_snapshot(out: &mut String, monitor: &mut Monitor, tick: usize) {
 /// `damage > 0`, that many truncated records are then noted against
 /// the first frame's session, with a snapshot after each of the next
 /// two intervals, before the finish.
-fn ticks(frames: &[TcpFrame], end: Micros, damage: usize, shards: usize) -> String {
+fn ticks(frames: &[TcpFrame], end: Micros, damage: usize) -> String {
     // Scenario durations span 0.2 s to minutes; pick the interval so
     // every run crosses about ten tick boundaries.
     let interval = Micros((end.0 / 10).max(1));
     let mut monitor = Monitor::new(MonitorConfig {
         interval,
         window: Micros::from_secs(60),
-        shards,
         ..MonitorConfig::default()
     });
     let mut out = String::new();
@@ -131,11 +127,10 @@ fn ticks(frames: &[TcpFrame], end: Micros, damage: usize, shards: usize) -> Stri
 }
 
 /// A watch golden: one simulated source through [`Monitor::run_set`].
-fn watch(spec: &str, routes: usize, window_s: i64, interval_s: i64, shards: usize) -> String {
+fn watch(spec: &str, routes: usize, window_s: i64, interval_s: i64) -> String {
     let config = MonitorConfig::builder()
         .window(Micros::from_secs(window_s))
         .interval(Micros::from_secs(interval_s))
-        .shards(shards)
         .build()
         .expect("valid monitor config");
     let opts = ScenarioOptions {
@@ -157,15 +152,13 @@ fn watch(spec: &str, routes: usize, window_s: i64, interval_s: i64, shards: usiz
 /// Compares `actual` with the golden `name`, byte for byte; on a
 /// mismatch, writes `actual` out and describes the first differing
 /// line.
-fn check(name: &str, shards: usize, actual: &str) -> Option<String> {
+fn check(name: &str, actual: &str) -> Option<String> {
     let golden = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden");
     let expected = std::fs::read(golden.join(name)).unwrap_or_default();
     if actual.as_bytes() == expected {
         return None;
     }
-    let dir = Path::new(env!("CARGO_TARGET_TMPDIR"))
-        .join("golden")
-        .join(format!("{shards}-lanes"));
+    let dir = Path::new(env!("CARGO_TARGET_TMPDIR")).join("golden");
     let written = dir.join(name);
     std::fs::create_dir_all(&dir).expect("create the actual-stream directory");
     std::fs::write(&written, actual).expect("write the actual stream");
@@ -191,7 +184,7 @@ fn check(name: &str, shards: usize, actual: &str) -> Option<String> {
         None => "<end of stream>".to_string(),
     };
     Some(format!(
-        "{name} at {shards} lane(s): first difference at line {}, byte {}\n  \
+        "{name}: first difference at line {}, byte {}\n  \
          golden: {}\n  actual: {}\n  actual stream written to {}",
         line + 1,
         column + 1,
@@ -217,9 +210,7 @@ fn tick_goldens_replay_at_every_lane_count() {
     for (name, spec, damage) in matrix.into_iter().chain([("damaged", "clean", 20)]) {
         let (frames, end) = collect(spec, 8_000);
         let name = format!("ticks-{name}.jsonl");
-        for shards in LANES {
-            mismatches.extend(check(&name, shards, &ticks(&frames, end, damage, shards)));
-        }
+        mismatches.extend(check(&name, &ticks(&frames, end, damage)));
     }
     assert_goldens(mismatches);
 }
@@ -233,10 +224,8 @@ fn watch_goldens_replay_at_every_lane_count() {
         ("clean", 10_000, 120, 10),
     ] {
         let name = format!("watch-{spec}.jsonl");
-        for shards in LANES {
-            let actual = watch(spec, routes, window, interval, shards);
-            mismatches.extend(check(&name, shards, &actual));
-        }
+        let actual = watch(spec, routes, window, interval);
+        mismatches.extend(check(&name, &actual));
     }
     assert_goldens(mismatches);
 }

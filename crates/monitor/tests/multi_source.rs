@@ -1,8 +1,7 @@
 //! Multi-source monitoring end to end: interleaved follow files plus a
 //! simulator tap must merge into a byte-stable, fully-attributed event
 //! stream, and a quarantined source must never suppress alerts on its
-//! siblings — on the inline data plane and, byte for byte, on 2 and 4
-//! worker lanes.
+//! siblings.
 
 use std::net::Ipv4Addr;
 
@@ -79,11 +78,10 @@ fn follow_static(path: &std::path::Path) -> SourceSpec {
         .with_idle_from_open()
 }
 
-fn config(shards: usize) -> MonitorConfig {
+fn config() -> MonitorConfig {
     MonitorConfig::builder()
         .window(Micros::from_secs(60))
         .interval(Micros::from_secs(1))
-        .shards(shards)
         .build()
         .expect("valid config")
 }
@@ -120,21 +118,17 @@ fn render(sources: &SourceSet, events: &[MonitorEvent]) -> String {
 }
 
 /// One full v2 run over [`fleet_set`].
-fn run_once(
-    a: &std::path::Path,
-    b: &std::path::Path,
-    shards: usize,
-) -> (String, Vec<MonitorEvent>) {
-    let config = config(shards);
+fn run_once(a: &std::path::Path, b: &std::path::Path) -> (String, Vec<MonitorEvent>) {
+    let config = config();
     let mut set = fleet_set(a, b, &config);
     let events = Monitor::new(config).run_set(&mut set);
     (render(&set, &events), events)
 }
 
 /// The same watch driven one [`Monitor::step`] at a time with a drain
-/// after every step — the CLI's shape, a flush boundary per poll.
-fn run_stepwise(a: &std::path::Path, b: &std::path::Path, shards: usize) -> String {
-    let config = config(shards);
+/// after every step — the CLI's shape.
+fn run_stepwise(a: &std::path::Path, b: &std::path::Path) -> String {
+    let config = config();
     let mut set = fleet_set(a, b, &config);
     let mut monitor = Monitor::new(config);
     let ids = monitor.register_set(&set);
@@ -180,22 +174,16 @@ fn interleaved_sources_merge_into_a_byte_stable_attributed_stream() {
     )
     .expect("scratch pcap");
 
-    let (first, events) = run_once(&a_path, &b_path, 1);
-    let (second, _) = run_once(&a_path, &b_path, 1);
-    let sharded = [2, 4].map(|shards| run_once(&a_path, &b_path, shards).0);
-    let stepwise = [1, 2].map(|shards| run_stepwise(&a_path, &b_path, shards));
+    let (first, events) = run_once(&a_path, &b_path);
+    let (second, _) = run_once(&a_path, &b_path);
+    let stepwise = run_stepwise(&a_path, &b_path);
     let _ = std::fs::remove_file(&a_path);
     let _ = std::fs::remove_file(&b_path);
     assert_eq!(first, second, "merged stream must be byte-stable");
-    for stream in &sharded {
-        assert_eq!(stream, &first, "worker lanes must not change the stream");
-    }
-    for stream in &stepwise {
-        assert_eq!(
-            stream, &first,
-            "per-step drains must concatenate to run_set"
-        );
-    }
+    assert_eq!(
+        stepwise, first,
+        "per-step drains must concatenate to run_set"
+    );
 
     // The preamble names every source, in registration order.
     let mut lines = first.lines();
@@ -268,8 +256,8 @@ impl PacketSource for Poisoned {
 }
 
 /// A poisoned custom source next to a healthy sim tap.
-fn quarantined_watch(shards: usize) -> Vec<MonitorEvent> {
-    let config = config(shards);
+fn quarantined_watch() -> Vec<MonitorEvent> {
+    let config = config();
     let frames = transfer(
         Ipv4Addr::new(10, 7, 0, 1),
         Ipv4Addr::new(10, 7, 0, 2),
@@ -301,14 +289,7 @@ fn quarantined_watch(shards: usize) -> Vec<MonitorEvent> {
 
 #[test]
 fn a_quarantined_source_never_suppresses_its_siblings_alerts() {
-    let events = quarantined_watch(1);
-    for shards in [2, 4] {
-        assert_eq!(
-            quarantined_watch(shards),
-            events,
-            "{shards} worker lanes must not change the stream"
-        );
-    }
+    let events = quarantined_watch();
 
     // The sibling's injected bug still raises, on the sim tap.
     let raised_on_sim: Vec<AlertKind> = events

@@ -2,8 +2,7 @@
 //! under an injected fault must resurrect (byte-deterministically, for
 //! a fixed fault schedule) without disturbing its healthy sibling; a
 //! source whose outage outlives the retry budget must fail terminally
-//! without killing the watch — each byte-identically on the inline data
-//! plane and on 2 and 4 worker lanes; and a watch restarted with
+//! without killing the watch; and a watch restarted with
 //! `--resume` must append exactly the lines the crashed incarnation
 //! never wrote.
 
@@ -80,12 +79,11 @@ fn follow_static(path: &Path) -> SourceSpec {
         .with_idle_from_open()
 }
 
-fn config(shards: usize) -> MonitorConfig {
+fn config() -> MonitorConfig {
     MonitorConfig::builder()
         .window(Micros::from_secs(60))
         .interval(Micros::from_secs(1))
         .pending_backoff(Duration::from_millis(1))
-        .shards(shards)
         .build()
         .expect("valid config")
 }
@@ -102,7 +100,7 @@ struct Watch {
 
 /// One two-source watch over static files `a`/`b` named "a"/"b", with
 /// an optional fault schedule and a reopen budget of `retries`.
-fn watch(a: &Path, b: &Path, faults: Option<&str>, retries: u32, shards: usize) -> Watch {
+fn watch(a: &Path, b: &Path, faults: Option<&str>, retries: u32) -> Watch {
     let plan = match faults {
         Some(spec) => FaultPlan::parse(spec, 7).expect("spec parses"),
         None => FaultPlan::disabled(),
@@ -114,7 +112,7 @@ fn watch(a: &Path, b: &Path, faults: Option<&str>, retries: u32, shards: usize) 
         .faults(plan)
         .build()
         .expect("sources open");
-    let mut monitor = Monitor::new(config(shards));
+    let mut monitor = Monitor::new(config());
     let events = monitor.run_set(&mut set);
     let mut stream = String::new();
     for event in &events {
@@ -171,15 +169,9 @@ fn a_flapping_source_resurrects_deterministically_without_disturbing_its_sibling
     // set reopens it after the 1 ms backoff and resumes at the released
     // watermark, replaying nothing into the merge.
     let schedule = "source.poll:b@hit=2";
-    let first = watch(&a_path, &b_path, Some(schedule), 3, 1);
-    let second = watch(&a_path, &b_path, Some(schedule), 3, 1);
-    let baseline = watch(&a_path, &b_path, None, 3, 1);
-    let sharded = [2, 4].map(|shards| {
-        (
-            watch(&a_path, &b_path, Some(schedule), 3, shards).stream,
-            watch(&a_path, &b_path, None, 3, shards).stream,
-        )
-    });
+    let first = watch(&a_path, &b_path, Some(schedule), 3);
+    let second = watch(&a_path, &b_path, Some(schedule), 3);
+    let baseline = watch(&a_path, &b_path, None, 3);
     let _ = std::fs::remove_file(&a_path);
     let _ = std::fs::remove_file(&b_path);
 
@@ -187,10 +179,6 @@ fn a_flapping_source_resurrects_deterministically_without_disturbing_its_sibling
         first.stream, second.stream,
         "a fixed fault schedule must replay byte-identically"
     );
-    for (flapped, clean) in &sharded {
-        assert_eq!(flapped, &first.stream, "worker lanes changed the flap");
-        assert_eq!(clean, &baseline.stream, "worker lanes changed the baseline");
-    }
     let (events, baseline_events) = (&first.events, &baseline.events);
 
     // The outage surfaces as a paired down/up on b, in that order.
@@ -236,17 +224,13 @@ fn an_outage_that_outlives_the_retry_budget_fails_terminally_not_fatally() {
 
     let outage = "source.poll:b@always";
     let Watch {
-        stream,
         events,
         failed,
         metrics,
-    } = watch(&a_path, &b_path, Some(outage), 2, 1);
-    let sharded = [2, 4].map(|shards| watch(&a_path, &b_path, Some(outage), 2, shards).stream);
+        ..
+    } = watch(&a_path, &b_path, Some(outage), 2);
     let _ = std::fs::remove_file(&a_path);
     let _ = std::fs::remove_file(&b_path);
-    for other in &sharded {
-        assert_eq!(other, &stream, "worker lanes changed the outage");
-    }
 
     // b burned its whole budget and was declared terminally failed...
     assert_eq!(failed, 1);

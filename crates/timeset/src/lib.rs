@@ -46,7 +46,6 @@ pub mod faultpoint;
 mod series;
 mod set;
 mod time;
-pub mod workpool;
 
 pub use series::{Event, EventSeries};
 pub use set::{Gaps, SpanScratch, SpanSet};

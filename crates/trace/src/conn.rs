@@ -37,28 +37,6 @@ impl ConnKey {
     }
 }
 
-/// The deterministic shard for a connection key: an FNV-1a hash of the
-/// normalized endpoint pair, reduced modulo `shards`. Both directions
-/// of a connection map to the same [`ConnKey`] (endpoints are sorted),
-/// so a connection can never split across shards.
-///
-/// This is the partition function of the monitor's worker lanes
-/// (`t-dat-monitor --shards N`).
-pub fn shard_of(key: &ConnKey, shards: usize) -> usize {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut eat = |bytes: &[u8]| {
-        for &b in bytes {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x100_0000_01b3);
-        }
-    };
-    eat(&key.a.0.octets());
-    eat(&key.a.1.to_be_bytes());
-    eat(&key.b.0.octets());
-    eat(&key.b.1.to_be_bytes());
-    (h % shards.max(1) as u64) as usize
-}
-
 /// Direction of a segment relative to the connection's *data sender*
 /// (the operational router in the paper's setting).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

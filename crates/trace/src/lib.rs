@@ -50,7 +50,7 @@ mod rtt;
 mod throughput;
 mod tracker;
 
-pub use conn::{shard_of, ConnKey, ConnProfile, Direction, Endpoint, Segment, TcpConnection};
+pub use conn::{ConnKey, ConnProfile, Direction, Endpoint, Segment, TcpConnection};
 pub use flight::{default_flight_gap, group_flights, Flight};
 pub use label::{label_segments, loss_episodes, LabelConfig, LossEpisode, SegLabel};
 pub use rtt::{rtt_samples, rtt_samples_from_timestamps, rtt_stats, RttSample, RttStats};

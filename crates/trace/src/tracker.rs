@@ -149,10 +149,6 @@ pub struct ConnectionTracker {
     now: Micros,
     last_sweep: Micros,
     evicted: u64,
-    /// Lifecycle mode (see [`lifecycle`](Self::lifecycle)): keep only
-    /// the first frame's metadata per connection — enough to build a
-    /// placeholder connection, not the real one.
-    lifecycle_only: bool,
 }
 
 /// How often (in trace time) expiry conditions are re-checked.
@@ -178,23 +174,6 @@ impl ConnectionTracker {
             now: Micros::ZERO,
             last_sweep: Micros::ZERO,
             evicted: 0,
-            lifecycle_only: false,
-        }
-    }
-
-    /// Creates a *lifecycle* tracker: it runs the full finalization
-    /// policy (sweep timing, idle/close expiry, LRU eviction, ordinal
-    /// assignment) exactly like [`scoped`](Self::scoped), but keeps
-    /// only the first frame's metadata per connection, so memory stays
-    /// proportional to the open-connection count regardless of
-    /// traffic. The connections it finalizes are placeholders — callers
-    /// use their `key`/`ordinal` to drive real trackers elsewhere (the
-    /// sharded monitor's router replicates policy decisions this way
-    /// while per-shard trackers hold the actual segment metadata).
-    pub fn lifecycle(config: TrackerConfig, scope: u64) -> ConnectionTracker {
-        ConnectionTracker {
-            lifecycle_only: true,
-            ..ConnectionTracker::scoped(config, scope)
         }
     }
 
@@ -227,19 +206,6 @@ impl ConnectionTracker {
     /// `frame_index`, matching the batch extractor's indices into the
     /// full trace slice.
     pub fn ingest(&mut self, frame: &impl FrameLike) -> Vec<FinalizedConnection> {
-        self.ingest_with_ordinal(frame).1
-    }
-
-    /// Like [`ingest`](Self::ingest), but also returns the ordinal of
-    /// the frame's *own* connection — already at hand from the open-map
-    /// entry, saving the monitor's lane router a second lookup per
-    /// frame. The returned finalizations never include the
-    /// frame's own connection, so the ordinal always refers to a
-    /// still-open connection.
-    pub fn ingest_with_ordinal(
-        &mut self,
-        frame: &impl FrameLike,
-    ) -> (u64, Vec<FinalizedConnection>) {
         let index = self.frames_seen;
         self.frames_seen += 1;
         let timestamp = frame.timestamp();
@@ -252,69 +218,7 @@ impl ConnectionTracker {
             *next_ordinal += 1;
             ConnState::fresh(ordinal, timestamp)
         });
-        let ordinal = state.ordinal;
-        Self::apply_frame(state, frame, key, index, self.lifecycle_only);
-
-        let mut finalized = if self.now - self.last_sweep >= SWEEP_INTERVAL {
-            self.last_sweep = self.now;
-            self.sweep(Some(key))
-        } else {
-            Vec::new()
-        };
-        finalized.extend(self.evict_over_cap(key));
-        (ordinal, finalized)
-    }
-
-    /// Ingests one frame under *externally-supplied* ordering: the
-    /// caller assigns the connection's insertion `ordinal` (used on
-    /// first appearance) and the frame's per-source `index`. Runs no
-    /// finalization policy — no sweep, no eviction — so a router
-    /// replicating those decisions on a [`lifecycle`](Self::lifecycle)
-    /// tracker can drive many routed trackers without them disagreeing
-    /// about when anything finalizes.
-    pub fn ingest_routed(&mut self, frame: &impl FrameLike, ordinal: u64, index: usize) {
-        let timestamp = frame.timestamp();
-        self.now = self.now.max(timestamp);
-        self.frames_seen += 1;
-        let key = ConnKey::of(frame);
-        let next_ordinal = &mut self.next_ordinal;
-        let state = self.open.entry(key).or_insert_with(|| {
-            *next_ordinal = (*next_ordinal).max(ordinal + 1);
-            ConnState::fresh(ordinal, timestamp)
-        });
-        debug_assert_eq!(
-            state.ordinal, ordinal,
-            "routed ordinal must be stable for an open connection"
-        );
-        Self::apply_frame(state, frame, key, index, self.lifecycle_only);
-    }
-
-    /// Removes and builds one open connection immediately, regardless
-    /// of policy — the execution side of split lifecycle/routed
-    /// tracking. Returns `None` when `key` is not open.
-    pub fn finalize_key(&mut self, key: ConnKey) -> Option<FinalizedConnection> {
-        let state = self.open.remove(&key)?;
-        Some(FinalizedConnection {
-            ordinal: state.ordinal,
-            scope: self.scope,
-            key,
-            connection: build_connection(&state.metas),
-        })
-    }
-
-    /// The per-frame state update shared by [`ingest`](Self::ingest)
-    /// and [`ingest_routed`](Self::ingest_routed).
-    fn apply_frame(
-        state: &mut ConnState,
-        frame: &impl FrameLike,
-        key: ConnKey,
-        index: usize,
-        lifecycle_only: bool,
-    ) {
-        let timestamp = frame.timestamp();
-        if !lifecycle_only || state.metas.is_empty() {
-            state.metas.push(FrameMeta::of(frame, index));
-        }
+        state.metas.push(FrameMeta::of(frame, index));
         state.last_seen = state.last_seen.max(timestamp);
         state.dirty = true;
         let flags = frame.tcp().flags;
@@ -328,6 +232,15 @@ impl ConnectionTracker {
         if flags.contains(TcpFlags::RST) || (state.fin_low && state.fin_high) {
             state.closed_at.get_or_insert(timestamp);
         }
+
+        let mut finalized = if self.now - self.last_sweep >= SWEEP_INTERVAL {
+            self.last_sweep = self.now;
+            self.sweep(Some(key))
+        } else {
+            Vec::new()
+        };
+        finalized.extend(self.evict_over_cap(key));
+        finalized
     }
 
     /// Enforces [`TrackerConfig::max_connections`]: finalizes the
@@ -737,101 +650,6 @@ mod tests {
             .expect("keeper in batch extraction");
         assert_eq!(keeper_final.connection.segments.len(), want.segments.len());
         assert_eq!(keeper_final.connection.profile, want.profile);
-    }
-
-    /// A traffic mix that exercises idle expiry, close grace, and LRU
-    /// eviction: many overlapping exchanges with large time gaps.
-    fn churn_frames() -> Vec<TcpFrame> {
-        let mut frames = Vec::new();
-        for i in 0..12u8 {
-            frames.extend(exchange(addr(10 + i), addr(2), i as i64 * 7_000_000));
-        }
-        frames.sort_by_key(|f| f.timestamp);
-        frames
-    }
-
-    #[test]
-    fn lifecycle_tracker_mirrors_policy_decisions() {
-        // The lifecycle tracker must finalize exactly the same keys, in
-        // the same order, on the same ingest calls as a full tracker —
-        // it only skips retaining the metadata.
-        let config = TrackerConfig {
-            max_connections: Some(3),
-            ..TrackerConfig::streaming()
-        };
-        let mut full = ConnectionTracker::scoped(config, 7);
-        let mut life = ConnectionTracker::lifecycle(config, 7);
-        for f in &churn_frames() {
-            let a = full.ingest(f);
-            let b = life.ingest(f);
-            let got: Vec<(ConnKey, u64)> = b.iter().map(|x| (x.key, x.ordinal)).collect();
-            let want: Vec<(ConnKey, u64)> = a.iter().map(|x| (x.key, x.ordinal)).collect();
-            assert_eq!(got, want, "policy decisions diverged mid-stream");
-        }
-        assert_eq!(full.open_connections(), life.open_connections());
-        assert_eq!(full.evicted_connections(), life.evicted_connections());
-        let a = full.finish();
-        let b = life.finish();
-        assert_eq!(
-            a.iter().map(|x| (x.key, x.ordinal)).collect::<Vec<_>>(),
-            b.iter().map(|x| (x.key, x.ordinal)).collect::<Vec<_>>(),
-        );
-        // Lifecycle keeps one meta per connection, so its placeholder
-        // connections must still carry the scope tag.
-        assert!(b.iter().all(|x| x.scope == 7));
-    }
-
-    #[test]
-    fn routed_split_rebuilds_serial_connections() {
-        // A lifecycle "router" makes the policy decisions; two routed
-        // trackers partitioned by key hash hold the metadata. The union
-        // of their finalized connections must equal the serial
-        // tracker's, connection for connection.
-        let config = TrackerConfig {
-            max_connections: Some(4),
-            ..TrackerConfig::streaming()
-        };
-        let frames = churn_frames();
-        let mut serial_out = Vec::new();
-        {
-            let mut serial = ConnectionTracker::scoped(config, 0);
-            for f in &frames {
-                serial_out.extend(serial.ingest(f));
-            }
-            serial_out.extend(serial.finish());
-        }
-
-        let shard_of = |key: &ConnKey| (key.a.1 as usize) % 2;
-        let mut router = ConnectionTracker::lifecycle(config, 0);
-        let mut shards = [
-            ConnectionTracker::scoped(TrackerConfig::batch(), 0),
-            ConnectionTracker::scoped(TrackerConfig::batch(), 0),
-        ];
-        let mut split_out = Vec::new();
-        for (index, f) in frames.iter().enumerate() {
-            let key = ConnKey::of(f);
-            let fins = router.ingest(f);
-            let ordinal = router.ordinal_of(key).expect("just ingested");
-            shards[shard_of(&key)].ingest_routed(f, ordinal, index);
-            for fin in fins {
-                let built = shards[shard_of(&fin.key)]
-                    .finalize_key(fin.key)
-                    .expect("router-finalized key open in its shard");
-                split_out.push(built);
-            }
-        }
-        for fin in router.finish() {
-            let built = shards[shard_of(&fin.key)]
-                .finalize_key(fin.key)
-                .expect("router-finalized key open in its shard");
-            split_out.push(built);
-        }
-        assert_eq!(split_out.len(), serial_out.len());
-        for (got, want) in split_out.iter().zip(&serial_out) {
-            assert_eq!(got.key, want.key);
-            assert_eq!(got.ordinal, want.ordinal);
-            assert_eq!(got.connection, want.connection, "metadata diverged");
-        }
     }
 
     #[test]
