@@ -238,39 +238,6 @@ impl AlertEngine {
         self.states.values().filter(|s| s.active).count()
     }
 
-    /// A deterministic FNV-1a fingerprint of the full hysteresis state
-    /// (every key with its hit/miss streaks, active flag, raise time,
-    /// evidence, and detail), iterated in key order. Two engines that
-    /// observed the same condition history — e.g. an original watch and
-    /// a crash-resumed replay — fingerprint identically; checkpoints
-    /// record the value so resume can be validated cheaply without
-    /// serializing the state itself.
-    pub fn fingerprint(&self) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut eat = |bytes: &[u8]| {
-            for &b in bytes {
-                h ^= u64::from(b);
-                h = h.wrapping_mul(0x100_0000_01b3);
-            }
-        };
-        for ((source, session, kind), state) in &self.states {
-            eat(source.as_bytes());
-            eat(&[0]);
-            eat(session.as_bytes());
-            eat(&[0]);
-            eat(kind.as_str().as_bytes());
-            eat(&state.hits.to_le_bytes());
-            eat(&state.misses.to_le_bytes());
-            eat(&[u8::from(state.active)]);
-            eat(&state.since.0.to_le_bytes());
-            eat(&state.evidence.start.0.to_le_bytes());
-            eat(&state.evidence.end.0.to_le_bytes());
-            eat(state.detail.as_bytes());
-            eat(&[0]);
-        }
-        h
-    }
-
     /// Feeds one tick's detector conditions and returns the transitions
     /// they cause, in deterministic order (condition order for raises,
     /// key order for clears).

@@ -21,14 +21,12 @@
 //!   --jobs N          sweep worker threads (default: CPU count)
 //!
 //! supervision options:
-//!   --checkpoint PATH periodically snapshot recovery state to PATH
-//!                     (atomic replace + checksum)
 //!   --resume          continue a crashed watch: append to --events
 //!                     after replaying and suppressing the lines it
-//!                     already holds (needs --checkpoint and a file
-//!                     --events PATH)
+//!                     already holds (needs a file --events PATH whose
+//!                     meta line names this watch's sources)
 //!   --faults SPEC     deterministic fault injection, e.g.
-//!                     "source.poll:b.pcap@hit=2;atomic.rename@once"
+//!                     "source.poll:b.pcap@hit=2;source.open:b.pcap@once"
 //!   --fault-seed N    seed for probabilistic fault triggers (default 0)
 //! ```
 //!
@@ -53,17 +51,19 @@
 //! counts the complete lines already in the events file (truncating a
 //! torn trailing line the crash may have left), suppresses exactly
 //! that many regenerated lines, and appends — the concatenation is
-//! byte-identical to a watch that never died. A metrics summary goes
-//! to stderr on exit.
+//! byte-identical to a watch that never died. The file is its own
+//! validation: its `meta` line must name the sources this watch was
+//! given, in order, or the resume is refused before a byte of the file
+//! changes. A metrics summary goes to stderr on exit.
 
 use std::io::Write;
-use std::path::PathBuf;
 use std::process::ExitCode;
-use std::time::{Duration, Instant};
+use std::sync::Arc;
+use std::time::Duration;
 
+use tdat::json::{self, JsonValue};
 use tdat_monitor::{
-    sweep_directory, Checkpoint, EventSchema, Monitor, MonitorConfig, SourceCheckpoint, SourceSet,
-    SourceSpec, Step,
+    sweep_directory, EventSchema, Monitor, MonitorConfig, SourceSet, SourceSpec, Step, SweepReport,
 };
 use tdat_tcpsim::scenario::{ScenarioOptions, SCENARIO_USAGE};
 use tdat_timeset::faultpoint::FaultPlan;
@@ -73,9 +73,6 @@ use tdat_timeset::Micros;
 /// holding back its siblings' analysis after this long.
 const DEFAULT_STALE: Duration = Duration::from_secs(5);
 
-/// Wall-clock cadence between checkpoint snapshots.
-const CHECKPOINT_EVERY: Duration = Duration::from_secs(1);
-
 fn main() -> ExitCode {
     let mut args = std::env::args().skip(1);
     let mut specs: Vec<SourceSpec> = Vec::new();
@@ -83,11 +80,10 @@ fn main() -> ExitCode {
     let mut events = String::from("-");
     let mut window_s = 120.0f64;
     let mut interval_s = 10.0f64;
-    let mut exit_idle: Option<f64> = None;
-    let mut stale: Option<f64> = None;
+    let mut exit_idle: Option<Duration> = None;
+    let mut stale: Option<Duration> = None;
     let mut pace: Option<f64> = None;
     let mut jobs: Option<usize> = None;
-    let mut checkpoint: Option<String> = None;
     let mut resume = false;
     let mut faults_spec: Option<String> = None;
     let mut fault_seed: u64 = 0;
@@ -105,13 +101,16 @@ fn main() -> ExitCode {
                 "--events" => events = take("--events")?,
                 "--window" => window_s = parse(&take("--window")?, "--window")?,
                 "--interval" => interval_s = parse(&take("--interval")?, "--interval")?,
-                "--exit-idle" => exit_idle = Some(parse(&take("--exit-idle")?, "--exit-idle")?),
-                "--stale" => stale = Some(parse(&take("--stale")?, "--stale")?),
-                "--pace" => pace = Some(parse(&take("--pace")?, "--pace")?),
+                "--exit-idle" => {
+                    exit_idle = Some(seconds(&take("--exit-idle")?, "--exit-idle", true)?)
+                }
+                "--stale" => stale = Some(seconds(&take("--stale")?, "--stale", false)?),
+                // A factor (virtual seconds per wall second), refused
+                // wherever that many seconds would be.
+                "--pace" => pace = Some(seconds(&take("--pace")?, "--pace", false)?.as_secs_f64()),
                 "--jobs" => jobs = Some(parse(&take("--jobs")?, "--jobs")?),
                 "--routes" => opts.routes = parse(&take("--routes")?, "--routes")?,
                 "--seed" => opts.seed = parse(&take("--seed")?, "--seed")?,
-                "--checkpoint" => checkpoint = Some(take("--checkpoint")?),
                 "--resume" => resume = true,
                 "--faults" => faults_spec = Some(take("--faults")?),
                 "--fault-seed" => fault_seed = parse(&take("--fault-seed")?, "--fault-seed")?,
@@ -132,21 +131,11 @@ fn main() -> ExitCode {
     if jobs == Some(0) {
         return usage("--jobs must be at least 1 (omit the flag for auto)");
     }
-    if let Some(valve) = stale {
-        if !valve.is_finite() || valve <= 0.0 {
-            return usage("--stale must be a positive number of seconds");
-        }
+    if resume && events == "-" {
+        return usage("--resume needs --events PATH (a file to check, count and append to)");
     }
-    if resume {
-        if checkpoint.is_none() {
-            return usage("--resume needs --checkpoint PATH to validate the watch against");
-        }
-        if events == "-" {
-            return usage("--resume needs --events PATH (a file to count and append to)");
-        }
-    }
-    if sweep.is_some() && (resume || checkpoint.is_some()) {
-        return usage("--checkpoint/--resume supervise live watches, not --sweep");
+    if resume && sweep.is_some() {
+        return usage("--resume supervises live watches, not --sweep");
     }
     let faults = match &faults_spec {
         Some(spec) => match FaultPlan::parse(spec, fault_seed) {
@@ -177,20 +166,56 @@ fn main() -> ExitCode {
     if let Some(budget) = exit_idle {
         specs = specs
             .into_iter()
-            .map(|s| s.with_exit_idle(Duration::from_secs_f64(budget)))
+            .map(|s| s.with_exit_idle(budget))
             .collect();
     }
     if specs.is_empty() && sweep.is_none() {
         return usage("at least one of --follow, --sim, or --sweep is required");
     }
 
+    // Sweep mode drains the corpus first; its events are written ahead
+    // of the live sources' (if any). Exit failure if any swept file
+    // failed.
+    let swept = match &sweep {
+        Some(dir) => match sweep_directory(dir, &config, jobs.unwrap_or(0)) {
+            Ok(report) => Some(report),
+            Err(e) => {
+                eprintln!("t-dat-monitor: sweep: {e}");
+                return ExitCode::FAILURE;
+            }
+        },
+        None => None,
+    };
+
+    let plural = specs.len() > 1 || swept.is_some();
+    let set = if specs.is_empty() {
+        None
+    } else {
+        let mut builder = SourceSet::builder().faults(faults);
+        for spec in specs {
+            builder = builder.source(spec);
+        }
+        if let Some(valve) = stale.or(plural.then_some(DEFAULT_STALE)) {
+            builder = builder.stale_after(valve);
+        }
+        match builder.build() {
+            Ok(set) => Some(set),
+            Err(e) => {
+                eprintln!("t-dat-monitor: {e}");
+                return ExitCode::FAILURE;
+            }
+        }
+    };
+
     // Resume: the events file is the authority on how far the previous
-    // incarnation got. Count its complete event lines (dropping a torn
-    // tail), then replay the watch from the origin suppressing that many.
+    // incarnation got, and on which watch it was. Check its meta line
+    // against this watch's sources, count its complete event lines
+    // (dropping a torn tail), then replay the watch from the origin
+    // suppressing that many.
     let mut skip = 0u64;
     let mut write_preamble = true;
-    if resume {
-        match prepare_resume(&events) {
+    if let Some(set) = set.as_ref().filter(|_| resume) {
+        match prepare_resume(&events, &set.names()) {
             Ok(Some(lines)) => {
                 write_preamble = false;
                 skip = lines;
@@ -224,53 +249,17 @@ fn main() -> ExitCode {
         }
     };
 
-    // Sweep mode: drain the corpus, then (optionally) keep watching the
-    // live sources. Exit failure if any swept file failed.
     let mut failed = false;
-    if let Some(dir) = &sweep {
-        match sweep_directory(dir, &config, jobs.unwrap_or(0)) {
-            Ok(report) => {
-                if let Some(preamble) = EventSchema::V2.preamble(
-                    &report
-                        .outcomes
-                        .iter()
-                        .map(|o| o.source.as_str())
-                        .collect::<Vec<_>>(),
-                ) {
-                    if writeln!(out, "{preamble}").is_err() {
-                        return ExitCode::FAILURE;
-                    }
-                }
-                for outcome in &report.outcomes {
-                    match &outcome.result {
-                        Ok(events) => {
-                            for event in events {
-                                if writeln!(out, "{}", event.to_json()).is_err() {
-                                    return ExitCode::FAILURE;
-                                }
-                            }
-                        }
-                        Err(e) => {
-                            failed = true;
-                            eprintln!("t-dat-monitor: sweep: {}: {e}", outcome.file.display());
-                        }
-                    }
-                }
-                eprintln!(
-                    "t-dat-monitor: swept {} file(s), {} failed",
-                    report.outcomes.len(),
-                    report.failed()
-                );
-                failed |= report.failed() > 0;
-            }
+    if let Some(report) = &swept {
+        match write_sweep(&mut out, report) {
+            Ok(any_failed) => failed = any_failed,
             Err(e) => {
-                eprintln!("t-dat-monitor: sweep: {e}");
+                eprintln!("t-dat-monitor: {events}: {e}");
                 return ExitCode::FAILURE;
             }
         }
     }
-
-    if specs.is_empty() {
+    let Some(mut set) = set else {
         if out.flush().is_err() {
             return ExitCode::FAILURE;
         }
@@ -279,67 +268,15 @@ fn main() -> ExitCode {
         } else {
             ExitCode::SUCCESS
         };
-    }
-
-    let plural = specs.len() > 1 || sweep.is_some();
-    let mut builder = SourceSet::builder().faults(faults.clone());
-    for spec in specs {
-        builder = builder.source(spec);
-    }
-    if plural {
-        builder = builder.stale_after(stale.map(Duration::from_secs_f64).unwrap_or(DEFAULT_STALE));
-    } else if let Some(valve) = stale {
-        builder = builder.stale_after(Duration::from_secs_f64(valve));
-    }
-    let mut set = match builder.build() {
-        Ok(set) => set,
-        Err(e) => {
-            eprintln!("t-dat-monitor: {e}");
-            return ExitCode::FAILURE;
-        }
     };
-
-    // A checkpoint left by the previous incarnation validates that we
-    // are resuming the same watch (same sources, same order); a corrupt
-    // one is reported and ignored — the events file stays authoritative.
-    let ckpt = checkpoint.as_ref().map(|path| CheckpointCtx {
-        path: PathBuf::from(path),
-        faults: faults.clone(),
-        last: Instant::now(),
-    });
-    if resume {
-        if let Some(ctx) = &ckpt {
-            match Checkpoint::load(&ctx.path) {
-                Ok(prev) => {
-                    let names = set.names();
-                    let ours: Vec<&str> = names.iter().map(|n| &**n).collect();
-                    let theirs: Vec<&str> = prev.sources.iter().map(|s| s.name.as_str()).collect();
-                    if ours != theirs {
-                        eprintln!(
-                            "t-dat-monitor: --resume: checkpoint {} describes sources \
-                             {theirs:?}, this watch has {ours:?}",
-                            ctx.path.display()
-                        );
-                        return ExitCode::FAILURE;
-                    }
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
-                Err(e) => eprintln!(
-                    "t-dat-monitor: ignoring checkpoint {}: {e}",
-                    ctx.path.display()
-                ),
-            }
-        }
-    }
 
     let mut output = WatchOutput {
         out: &mut out,
         skip,
-        emitted: skip,
         write_preamble,
     };
     let mut monitor = Monitor::new(config);
-    let status = drive(&mut monitor, &mut set, &mut output, ckpt);
+    let status = drive(&mut monitor, &mut set, &mut output);
     eprint!("{}", monitor.metrics());
     failed |= !set.failures().is_empty();
     match status {
@@ -352,31 +289,48 @@ fn main() -> ExitCode {
     }
 }
 
+/// Writes a swept corpus's stream — a `meta` line naming the swept
+/// files, then each file's events in file-name order — and reports
+/// each file that failed; `Ok(true)` when any did.
+fn write_sweep(out: &mut impl Write, report: &SweepReport) -> std::io::Result<bool> {
+    let names: Vec<&str> = report.outcomes.iter().map(|o| o.source.as_str()).collect();
+    if let Some(preamble) = EventSchema::V2.preamble(&names) {
+        writeln!(out, "{preamble}")?;
+    }
+    for outcome in &report.outcomes {
+        match &outcome.result {
+            Ok(events) => {
+                for event in events {
+                    writeln!(out, "{}", event.to_json())?;
+                }
+            }
+            Err(e) => eprintln!("t-dat-monitor: sweep: {}: {e}", outcome.file.display()),
+        }
+    }
+    eprintln!(
+        "t-dat-monitor: swept {} file(s), {} failed",
+        report.outcomes.len(),
+        report.failed()
+    );
+    Ok(report.failed() > 0)
+}
+
 /// Where the event stream goes, plus the resume bookkeeping: `skip`
 /// output lines are suppressed (they are already in the file from the
-/// previous incarnation) and `emitted` tracks how many event lines the
-/// file holds, for checkpoints.
+/// previous incarnation).
 struct WatchOutput<'a> {
     out: &'a mut Box<dyn Write>,
     skip: u64,
-    emitted: u64,
     write_preamble: bool,
 }
 
-/// A `--checkpoint` destination and its write cadence.
-struct CheckpointCtx {
-    path: PathBuf,
-    faults: FaultPlan,
-    last: Instant,
-}
-
-/// Readies the events file at `path` for a resumed watch: the number of
-/// event lines after its `meta` preamble, or `None` when it holds no
-/// complete line yet (missing, empty, or torn inside the preamble).
-/// A torn trailing partial line a crash may have left mid-write is
-/// truncated; a file whose first line is not a `meta` preamble is
-/// refused and left as it is.
-fn prepare_resume(path: &str) -> Result<Option<u64>, String> {
+/// Readies the events file at `path` for a resumed watch over the
+/// sources `names`: the number of event lines after its `meta` line,
+/// or `None` when it holds no complete line yet (missing, empty, or
+/// torn inside the `meta` line). A torn trailing partial line a crash
+/// may have left mid-write is truncated. A file whose first line is not
+/// a `meta` line naming exactly `names` is refused and left as it is.
+fn prepare_resume(path: &str, names: &[Arc<str>]) -> Result<Option<u64>, String> {
     let bytes = match std::fs::read(path) {
         Ok(bytes) => bytes,
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
@@ -386,11 +340,9 @@ fn prepare_resume(path: &str) -> Result<Option<u64>, String> {
         Some(i) => i + 1,
         None => 0,
     };
-    if keep > 0 && !bytes.starts_with(b"{\"type\":\"meta\"") {
-        return Err(format!(
-            "{path}: the first line is not a tdat-monitor-events/2 meta line (an older \
-             single-source stream, or not an events file); refusing to resume into it"
-        ));
+    if keep > 0 {
+        let first = bytes.split(|&b| b == b'\n').next().unwrap_or_default();
+        check_meta(first, names).map_err(|e| format!("{path}: {e}; refusing to resume into it"))?;
     }
     if keep < bytes.len() {
         let file = std::fs::File::options()
@@ -408,42 +360,49 @@ fn prepare_resume(path: &str) -> Result<Option<u64>, String> {
     Ok(lines.checked_sub(1))
 }
 
-/// Snapshots recovery state to the checkpoint file; failures are
-/// reported but never kill the watch (the previous checkpoint, if any,
-/// is still intact thanks to the atomic replace).
-fn write_checkpoint(ctx: &CheckpointCtx, set: &SourceSet, monitor: &Monitor, emitted: u64) {
-    let sources = set
-        .progress()
-        .into_iter()
-        .map(|p| SourceCheckpoint {
-            name: p.name.to_string(),
-            offset: p.cursor.as_ref().map(|c| c.offset).unwrap_or(0),
-            records_read: p.cursor.as_ref().map(|c| c.records_read).unwrap_or(0),
-            watermark: p.watermark,
-            frames_accepted: p.frames_accepted,
-        })
-        .collect();
-    let snapshot = Checkpoint {
-        now: set.last_now().unwrap_or(Micros(0)),
-        events_emitted: emitted,
-        alert_fingerprint: monitor.alert_fingerprint(),
-        sources,
+/// Checks that `line` is the `meta` line of a watch over `names`, in
+/// order.
+fn check_meta(line: &[u8], names: &[Arc<str>]) -> Result<(), String> {
+    let meta = std::str::from_utf8(line)
+        .ok()
+        .and_then(|text| json::parse(text).ok());
+    let field = |key: &str| meta.as_ref().and_then(|m| m.get(key));
+    let theirs: Option<Vec<&str>> = field("sources")
+        .and_then(JsonValue::as_arr)
+        .and_then(|sources| sources.iter().map(JsonValue::as_str).collect());
+    let theirs = match theirs {
+        Some(theirs)
+            if field("type").and_then(JsonValue::as_str) == Some("meta")
+                && field("schema").and_then(JsonValue::as_str) == Some("tdat-monitor-events/2") =>
+        {
+            theirs
+        }
+        _ => {
+            return Err(
+                "the first line is not a tdat-monitor-events/2 meta line (an older \
+                        single-source stream, or not an events file)"
+                    .to_string(),
+            )
+        }
     };
-    if let Err(e) = snapshot.write(&ctx.path, &ctx.faults) {
-        eprintln!("t-dat-monitor: checkpoint {}: {e}", ctx.path.display());
+    let ours: Vec<&str> = names.iter().map(|n| &**n).collect();
+    if theirs != ours {
+        return Err(format!(
+            "its meta line names sources {theirs:?}, this watch has {ours:?}"
+        ));
     }
+    Ok(())
 }
 
 /// The streaming main loop: [`Monitor::run_set`]'s loop with the
-/// events written out after every step that can produce them, and the
-/// checkpoint cadence in between. Per-source failures are logged and
-/// the loop keeps going; transient outages surface as down/up pairs
-/// while the set resurrects the source.
+/// events written out after every step that can produce them.
+/// Per-source failures are logged and the loop keeps going; transient
+/// outages surface as down/up pairs while the set resurrects the
+/// source.
 fn drive(
     monitor: &mut Monitor,
     set: &mut SourceSet,
     output: &mut WatchOutput<'_>,
-    mut ckpt: Option<CheckpointCtx>,
 ) -> Result<(), String> {
     let ids = monitor.register_set(set);
     if output.write_preamble {
@@ -465,22 +424,10 @@ fn drive(
             }
             Step::Finished => break,
         }
-        if let Some(ctx) = ckpt.as_mut() {
-            if ctx.last.elapsed() >= CHECKPOINT_EVERY {
-                write_checkpoint(ctx, set, monitor, output.emitted);
-                ctx.last = Instant::now();
-            }
-        }
     }
     monitor.finish();
     write_events(monitor, output)?;
-    output.out.flush().map_err(|e| e.to_string())?;
-    if let Some(ctx) = &ckpt {
-        // Final snapshot after the stream is durable, so the checkpoint
-        // never claims more lines than the file holds.
-        write_checkpoint(ctx, set, monitor, output.emitted);
-    }
-    Ok(())
+    output.out.flush().map_err(|e| e.to_string())
 }
 
 fn write_events(monitor: &mut Monitor, output: &mut WatchOutput<'_>) -> Result<(), String> {
@@ -491,7 +438,6 @@ fn write_events(monitor: &mut Monitor, output: &mut WatchOutput<'_>) -> Result<(
             continue;
         }
         writeln!(output.out, "{}", event.to_json()).map_err(|e| e.to_string())?;
-        output.emitted += 1;
     }
     Ok(())
 }
@@ -500,6 +446,20 @@ fn parse<T: std::str::FromStr>(value: &str, flag: &str) -> Result<T, String> {
     value
         .parse()
         .map_err(|_| format!("{flag}: invalid value {value:?}"))
+}
+
+/// Parses a number of seconds for `flag` as a [`Duration`]: negative,
+/// non-finite and overflowing values are refused, and so is zero (or a
+/// value that rounds to it) unless `zero_ok`.
+fn seconds(value: &str, flag: &str, zero_ok: bool) -> Result<Duration, String> {
+    let secs: f64 = parse(value, flag)?;
+    match Duration::try_from_secs_f64(secs) {
+        Ok(d) if zero_ok || !d.is_zero() => Ok(d),
+        _ => Err(format!(
+            "{flag} must be a {} finite number, not {value:?}",
+            if zero_ok { "non-negative" } else { "positive" }
+        )),
+    }
 }
 
 fn usage(message: &str) -> ExitCode {
@@ -511,7 +471,7 @@ fn usage(message: &str) -> ExitCode {
          [--sweep <dir> [--jobs N]] [--exit-idle SECS] [--stale SECS] \
          [--routes N] [--seed S] [--pace F] \
          [--window SECS] [--interval SECS] [--events PATH] \
-         [--checkpoint PATH] [--resume] [--faults SPEC] [--fault-seed N]"
+         [--resume] [--faults SPEC] [--fault-seed N]"
     );
     ExitCode::from(2)
 }

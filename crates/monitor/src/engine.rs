@@ -1156,14 +1156,6 @@ impl Monitor {
         self.control.pending_backoff
     }
 
-    /// A deterministic fingerprint of the alert engine's hysteresis
-    /// state (see [`AlertEngine::fingerprint`]); checkpoints record it
-    /// so a resumed watch can be validated against the state the
-    /// original would have had.
-    pub fn alert_fingerprint(&self) -> u64 {
-        self.control.alerts.fingerprint()
-    }
-
     /// Registers a named source scope (idempotent: a known name returns
     /// its existing id). Everything ingested under the returned
     /// [`SourceId`] — connections, capture damage, alerts, reports —

@@ -24,7 +24,9 @@
 //! Determinism: the event stream is keyed exclusively to *trace*
 //! (virtual) time, so the same capture or scenario always produces
 //! byte-identical JSONL. Wall-clock readings appear only in the
-//! metrics.
+//! metrics. That is all a crashed watch needs to resume: the binary's
+//! `--resume` replays from the origin and checks and counts the events
+//! file it appends to, and keeps no other state on disk.
 //!
 //! The `t-dat-monitor` binary wraps all of this:
 //!
@@ -65,7 +67,6 @@
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod alerts;
-pub mod checkpoint;
 pub mod engine;
 pub mod metrics;
 #[cfg(test)]
@@ -75,7 +76,6 @@ pub mod source;
 pub mod sweep;
 
 pub use alerts::{Alert, AlertAction, AlertConfig, AlertEngine, AlertKind, Condition, Severity};
-pub use checkpoint::{Checkpoint, SourceCheckpoint, CHECKPOINT_SCHEMA};
 pub use engine::{
     ConnectionSummary, EventSchema, Monitor, MonitorConfig, MonitorConfigBuilder, MonitorEvent,
     SourceDown, SourceUp, Step, DEFAULT_SOURCE,

@@ -83,9 +83,7 @@ use tdat_timeset::faultpoint::FaultPlan;
 use tdat_timeset::Micros;
 use tdat_trace::ConnKey;
 
-use crate::source::{
-    AttributedAnomaly, FollowSource, PacketSource, SimSource, SourceCursor, SourceEvent,
-};
+use crate::source::{AttributedAnomaly, FollowSource, PacketSource, SimSource, SourceEvent};
 
 /// Identifies one source within a [`SourceSet`] — and the per-source
 /// scope a [`Monitor`](crate::Monitor) opens for it. A dense 0-based
@@ -260,20 +258,6 @@ impl SourceSpec {
             }
         }
     }
-}
-
-/// One source's recovery state, as reported by
-/// [`SourceSet::progress`] for checkpointing.
-#[derive(Debug, Clone)]
-pub struct SourceProgress {
-    /// The source's stable name.
-    pub name: Arc<str>,
-    /// The backing-file cursor, for sources that have one.
-    pub cursor: Option<SourceCursor>,
-    /// Latest trace timestamp the source is known to have passed.
-    pub watermark: Option<Micros>,
-    /// Frames accepted from this source across all incarnations.
-    pub frames_accepted: u64,
 }
 
 /// A maximal run of consecutively released frames from one source, in
@@ -497,25 +481,6 @@ impl SourceSet {
     /// tagged with its originating source, in poll order.
     pub fn drain_anomalies(&mut self) -> Vec<(SourceId, AttributedAnomaly)> {
         std::mem::take(&mut self.anomalies)
-    }
-
-    /// Per-source recovery state for checkpointing, by [`SourceId`]
-    /// index.
-    pub fn progress(&self) -> Vec<SourceProgress> {
-        self.entries
-            .iter()
-            .map(|e| SourceProgress {
-                name: e.name.clone(),
-                cursor: e.source.cursor(),
-                watermark: e.watermark,
-                frames_accepted: e.frames_polled,
-            })
-            .collect()
-    }
-
-    /// The merged clock last reported in a [`SetEvent::Batch`].
-    pub fn last_now(&self) -> Option<Micros> {
-        self.last_now
     }
 
     /// Frames each source delivered *behind* the already-released merge
@@ -1355,7 +1320,7 @@ mod tests {
             .expect("build");
         assert_eq!(poll_n(&mut set, 50, Duration::ZERO), vec![(1, 1)]);
         assert_eq!(set.entries[0].buffer.len(), 10, "one read is buffered");
-        assert_eq!(set.progress()[0].frames_accepted, 10);
+        assert_eq!(set.entries[0].frames_polled, 10);
     }
 
     #[test]

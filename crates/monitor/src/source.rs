@@ -55,18 +55,6 @@ pub struct AttributedAnomaly {
     pub anomaly: CaptureAnomaly,
 }
 
-/// The recovery cursor one source contributes to a monitor
-/// checkpoint: how far into its backing file the source has committed.
-/// Sources without a byte-addressable backing (the simulator) have
-/// none.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SourceCursor {
-    /// Byte offset just past the last fully consumed pcap item.
-    pub offset: u64,
-    /// Complete records consumed so far.
-    pub records_read: u64,
-}
-
 /// A pollable producer of captured frames.
 pub trait PacketSource {
     /// Polls for the next event without blocking on packet arrival.
@@ -87,12 +75,6 @@ pub trait PacketSource {
     /// produce any; the default returns nothing.
     fn drain_anomalies(&mut self) -> Vec<AttributedAnomaly> {
         Vec::new()
-    }
-
-    /// The source's recovery cursor for checkpointing, when it has
-    /// one. The default reports none.
-    fn cursor(&self) -> Option<SourceCursor> {
-        None
     }
 
     /// Notes a turn on which the reader did not poll this source
@@ -236,13 +218,6 @@ impl PacketSource for FollowSource {
         if let Some(last) = &mut self.last_progress {
             *last = Instant::now();
         }
-    }
-
-    fn cursor(&self) -> Option<SourceCursor> {
-        Some(SourceCursor {
-            offset: self.follower.offset(),
-            records_read: self.follower.records_read(),
-        })
     }
 }
 

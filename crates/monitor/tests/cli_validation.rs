@@ -2,11 +2,14 @@
 //! `--jobs 0` and `--stale 0` values must be rejected up front with a
 //! usage error (exit code 2), not silently accepted into behaviour
 //! that only breaks later (a zero stale valve marks every source
-//! permanently stale, which disables the multi-source merge). The one
-//! stream schema is pinned from the outside too: the option that picked
-//! a schema is gone, and `--resume` will not append to a file that is
-//! not that stream. There is one data plane, too: `--shards`, which
-//! picked worker lanes, is an unknown option.
+//! permanently stale, which disables the multi-source merge), and so
+//! must a duration no `Duration` can hold, rather than panic mid-watch.
+//! The one stream schema is pinned from the outside too: the option
+//! that picked a schema is gone, and `--resume` will not append to a
+//! file that is not that stream, or is the stream of other sources.
+//! There is one data plane, too: `--shards`, which picked worker lanes,
+//! is an unknown option; and resume reads only the events file, so
+//! `--checkpoint` is unknown as well.
 
 use std::process::Command;
 
@@ -44,31 +47,41 @@ fn stale_zero_is_rejected() {
 
 #[test]
 fn stale_negative_and_non_finite_are_rejected() {
-    run_expecting_usage_error(&["--sim", "clean", "--stale", "-1"], "--stale");
-    run_expecting_usage_error(&["--sim", "clean", "--stale", "nan"], "--stale");
+    // Every flag read as seconds refuses what no `Duration` holds, here
+    // or mid-watch: `--stale` and `--pace` must also be positive (a pace
+    // that rounds to no time would stretch each step's sleep past any
+    // duration), `--exit-idle` may be 0.
+    for (flag, value) in [
+        ("--stale", "-1"),
+        ("--stale", "nan"),
+        ("--stale", "1e300"),
+        ("--exit-idle", "-1"),
+        ("--exit-idle", "inf"),
+        ("--pace", "1e-30"),
+        ("--pace", "-3"),
+        ("--pace", "0"),
+        ("--pace", "nan"),
+    ] {
+        run_expecting_usage_error(&["--sim", "clean", flag, value], flag);
+    }
 }
 
 #[test]
 fn positive_jobs_and_stale_still_work() {
     // A tiny sim run with valid values must exit cleanly — the new
     // validation must not reject the values it documents as accepted.
-    let output = monitor()
-        .args([
-            "--sim",
-            "clean",
-            "--stale",
-            "5",
-            "--routes",
-            "40",
-            "--exit-idle",
-            "1",
-            "--events",
-            "/dev/null",
-        ])
-        .output()
-        .expect("spawn t-dat-monitor");
-    let stderr = String::from_utf8_lossy(&output.stderr);
-    assert_eq!(output.status.code(), Some(0), "stderr: {stderr}");
+    for extra in [
+        ["--stale", "5", "--exit-idle", "1"],
+        ["--exit-idle", "0", "--pace", "1000"],
+    ] {
+        let output = monitor()
+            .args(["--sim", "clean", "--routes", "40", "--events", "/dev/null"])
+            .args(extra)
+            .output()
+            .expect("spawn t-dat-monitor");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(output.status.code(), Some(0), "{extra:?}: stderr: {stderr}");
+    }
 }
 
 #[test]
@@ -81,6 +94,35 @@ fn schema_is_an_unknown_option() {
         &["--sim", "clean", "--shards", "2"],
         "unknown option --shards",
     );
+    run_expecting_usage_error(
+        &["--sim", "clean", "--checkpoint", "watch.ckpt"],
+        "unknown option --checkpoint",
+    );
+}
+
+/// Resumes a one-sim watch into an events file holding `contents`,
+/// which must be refused (exit 1, every one of `needles` on stderr)
+/// with the file left byte-for-byte, torn tail included.
+fn resume_is_refused(name: &str, contents: &str, needles: &[&str]) {
+    let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR"));
+    let events = dir.join(format!("cli-{name}-{}.jsonl", std::process::id()));
+    std::fs::write(&events, contents).expect("write the events file");
+    let output = monitor()
+        .args(["--sim", "clean", "--routes", "40", "--resume", "--events"])
+        .arg(&events)
+        .output()
+        .expect("spawn t-dat-monitor");
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert_eq!(output.status.code(), Some(1), "stderr: {stderr}");
+    for needle in needles {
+        assert!(
+            stderr.contains(needle),
+            "the refusal says {needle:?}: {stderr}"
+        );
+    }
+    let after = std::fs::read_to_string(&events).expect("events file still there");
+    assert_eq!(after, contents, "the refused file is left byte-for-byte");
+    let _ = std::fs::remove_file(&events);
 }
 
 #[test]
@@ -88,28 +130,24 @@ fn resume_refuses_a_file_without_a_meta_line_and_leaves_it_alone() {
     // What a single-source watch wrote before the stream had one
     // schema: no preamble, no `source` fields — and, to show the file
     // is not even tidied, a torn trailing line.
-    let old_stream = "{\"type\":\"connection\",\"at_s\":1.000000,\
-                      \"session\":\"10.0.0.1:179->10.0.0.2:40000\",\"report\":{}}\n\
-                      {\"type\":\"alert\",\"at_s\":2.0";
-    let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR"));
-    let events = dir.join(format!("cli-resume-{}.jsonl", std::process::id()));
-    let ckpt = dir.join(format!("cli-resume-{}.ckpt", std::process::id()));
-    std::fs::write(&events, old_stream).expect("write the old stream");
-    let output = monitor()
-        .args(["--sim", "clean", "--routes", "40", "--resume", "--events"])
-        .arg(&events)
-        .arg("--checkpoint")
-        .arg(&ckpt)
-        .output()
-        .expect("spawn t-dat-monitor");
-    let stderr = String::from_utf8_lossy(&output.stderr);
-    assert_eq!(output.status.code(), Some(1), "stderr: {stderr}");
-    assert!(
-        stderr.contains("not a tdat-monitor-events/2 meta line") && stderr.contains("refusing"),
-        "the refusal says why: {stderr}"
+    resume_is_refused(
+        "resume-v1",
+        "{\"type\":\"connection\",\"at_s\":1.000000,\
+         \"session\":\"10.0.0.1:179->10.0.0.2:40000\",\"report\":{}}\n\
+         {\"type\":\"alert\",\"at_s\":2.0",
+        &["not a tdat-monitor-events/2 meta line", "refusing"],
     );
-    let after = std::fs::read_to_string(&events).expect("events file still there");
-    assert_eq!(after, old_stream, "the refused file is left byte-for-byte");
-    assert!(!ckpt.exists(), "a refused resume writes no checkpoint");
-    let _ = std::fs::remove_file(&events);
+}
+
+#[test]
+fn resume_refuses_the_stream_of_other_sources_and_leaves_it_alone() {
+    // A watch over two captures crashed mid-line; resuming it as a
+    // different watch would splice two streams into one file.
+    resume_is_refused(
+        "resume-other",
+        "{\"type\":\"meta\",\"schema\":\"tdat-monitor-events/2\",\
+         \"sources\":[\"a.pcap\",\"b.pcap\"]}\n\
+         {\"type\":\"alert\",\"source\":\"a.pcap\",\"at_s\":2.0",
+        &[r#"["a.pcap", "b.pcap"]"#, r#"["sim:clean"]"#, "refusing"],
+    );
 }

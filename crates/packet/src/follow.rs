@@ -162,9 +162,8 @@ impl<R: Read + Seek> PcapFollower<R> {
     }
 
     /// Byte offset just past the last fully consumed item (global
-    /// header or record). This is the recovery cursor a checkpoint
-    /// records: everything before it has been delivered, everything
-    /// after it has not been touched.
+    /// header or record): everything before it has been delivered,
+    /// everything after it has not been touched.
     pub fn offset(&self) -> u64 {
         self.tail.offset
     }

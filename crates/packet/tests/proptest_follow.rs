@@ -3,8 +3,8 @@
 //! However a capture lands on disk — cut inside the global header,
 //! inside a record header, inside a body, a window and more at a time —
 //! `PcapFollower::poll_lossy` must deliver exactly what one
-//! `LossyReader` pass over the finished file does, and its checkpoint
-//! cursor must only ever name the byte past the last *delivered* item,
+//! `LossyReader` pass over the finished file does, and its committed
+//! offset must only ever name the byte past the last *delivered* item,
 //! never the read-ahead sitting in its window.
 
 use std::io::Write;

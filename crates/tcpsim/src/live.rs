@@ -112,9 +112,9 @@ impl LiveTap {
         }
         let target = (self.cursor + self.step).min(self.horizon);
         if let Some(factor) = self.pace {
-            let wall_s = (target - self.cursor).as_secs_f64() / factor;
-            if wall_s > 0.0 {
-                std::thread::sleep(Duration::from_secs_f64(wall_s));
+            let wall = pace_sleep(target - self.cursor, factor);
+            if !wall.is_zero() {
+                std::thread::sleep(wall);
             }
         }
         self.sim.run(target);
@@ -124,6 +124,14 @@ impl LiveTap {
         }
         Some(self.sim.take_tap_frames(self.tap_node))
     }
+}
+
+/// The wall time `step` of virtual time takes at `factor` virtual
+/// seconds per wall second, clamped to what a [`Duration`] can hold: a
+/// factor tiny enough to overflow it sleeps for [`Duration::MAX`].
+fn pace_sleep(step: Micros, factor: f64) -> Duration {
+    let wall_s = (step.as_secs_f64() / factor).max(0.0);
+    Duration::try_from_secs_f64(wall_s).unwrap_or(Duration::MAX)
 }
 
 #[cfg(test)]
@@ -180,5 +188,14 @@ mod tests {
         while tap.advance().is_some() {}
         assert_eq!(tap.virtual_now(), horizon);
         assert!(!tap.simulation().all_quiet(), "stopped mid-transfer");
+    }
+
+    #[test]
+    fn pacing_sleeps_scale_and_clamp_rather_than_overflow() {
+        let step = Micros::from_secs(1);
+        assert_eq!(pace_sleep(step, 2.0), Duration::from_millis(500));
+        assert_eq!(pace_sleep(Micros::ZERO, 1.0), Duration::ZERO);
+        // 1e30 wall seconds per step is past any Duration.
+        assert_eq!(pace_sleep(step, 1e-30), Duration::MAX);
     }
 }

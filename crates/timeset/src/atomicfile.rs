@@ -1,10 +1,9 @@
 //! Crash-safe whole-file replacement: tmp + fsync + rename + dir fsync.
 //!
-//! Several T-DAT components persist small state files whose readers
-//! must never observe a torn write — the store's `MANIFEST`, the
-//! monitor's checkpoint. They all follow the same discipline: write the
-//! new contents to a sibling `*.tmp`, fsync it, rename it over the
-//! target, then fsync the directory so the rename itself is durable.
+//! Small state files whose readers must never observe a torn write —
+//! the store's `MANIFEST` — follow one discipline: write the new
+//! contents to a sibling `*.tmp`, fsync it, rename it over the target,
+//! then fsync the directory so the rename itself is durable.
 //! This module is that discipline, factored once, with
 //! [`FaultPlan`] points threaded through
 //! every step so crash tests can kill the sequence at any boundary:

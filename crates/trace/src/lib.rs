@@ -47,14 +47,12 @@ mod conn;
 mod flight;
 mod label;
 mod rtt;
-mod throughput;
 mod tracker;
 
 pub use conn::{ConnKey, ConnProfile, Direction, Endpoint, Segment, TcpConnection};
 pub use flight::{default_flight_gap, group_flights, Flight};
 pub use label::{label_segments, loss_episodes, LabelConfig, LossEpisode, SegLabel};
 pub use rtt::{rtt_samples, rtt_samples_from_timestamps, rtt_stats, RttSample, RttStats};
-pub use throughput::{throughput_series, RateSample};
 pub use tracker::{
     extract_connections, ConnectionTracker, FinalizedConnection, TrackerConfig,
     DEFAULT_MAX_CONNECTIONS,
