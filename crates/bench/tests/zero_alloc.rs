@@ -22,16 +22,16 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::net::Ipv4Addr;
 
-use tdat::{AnalyzerConfig, BgpDemux, Report, StreamAnalyzer};
+use tdat::{AnalyzerConfig, BgpDemux, Report, StreamAnalyzer, TrackerConfig};
 use tdat_bench::{generate_transfer, Dataset, Scenario};
 use tdat_bgp::{
-    find_transfer_end_ref, BgpMessage, MctConfig, MessageLog, OpenMessage, TableGenerator,
-    UpdateMessage,
+    find_transfer_end_ref, BgpMessage, MctConfig, MessageLog, OpenMessage, PathAttribute, Prefix,
+    TableGenerator, UpdateMessage,
 };
 use tdat_monitor::{ConnectionSummary, Monitor, MonitorConfig, MonitorEvent};
 use tdat_packet::{
-    FrameBlock, FrameBuilder, FrameLike, MmapReader, PcapReader, PcapWriter, TcpFlags, TcpFrame,
-    TcpOption,
+    FrameBlock, FrameBuilder, FrameLike, LossyReader, MmapReader, PcapReader, PcapWriter, TcpFlags,
+    TcpFrame, TcpOption,
 };
 use tdat_pcap2bgp::{extract_all, StreamExtractor};
 use tdat_timeset::Micros;
@@ -440,6 +440,116 @@ fn idle_connections_cost_a_steady_tick_nothing() {
          {STEADY_TICKS} ticks (bound {busy_bound})",
         busy - alone
     );
+}
+
+/// An UPDATE announcing `count` /24s, numbered from `first` on.
+fn announce(first: u32, count: usize) -> Vec<u8> {
+    let announced = (first..first + count as u32)
+        .map(|n| Prefix::new(Ipv4Addr::from(0x0b00_0000 + (n << 8)), 24).expect("a /24"))
+        .collect();
+    let update = UpdateMessage::announce(vec![PathAttribute::Med(1)], announced);
+    BgpMessage::Update(update).to_bytes()
+}
+
+/// `router`'s session with a collector of its own, as frames: the
+/// handshake at `t0`, then one segment per `(time, payload)`, in
+/// sequence. Nothing closes it.
+fn router_session(
+    router: Ipv4Addr,
+    t0: Micros,
+    segments: impl IntoIterator<Item = (Micros, Vec<u8>)>,
+) -> Vec<TcpFrame> {
+    let [_, b, c, d] = router.octets();
+    let collector = Ipv4Addr::new(172, b, c, d);
+    let out = FrameBuilder::new(router, collector).ports(179, 40_000);
+    let syn_ack = FrameBuilder::new(collector, router)
+        .ports(40_000, 179)
+        .at(t0 + Micros(100))
+        .seq(0)
+        .ack_to(1)
+        .flags(TcpFlags::SYN | TcpFlags::ACK);
+    let mut frames = vec![
+        out.clone().at(t0).seq(0).flags(TcpFlags::SYN).build(),
+        syn_ack.build(),
+    ];
+    let mut seq = 1u32;
+    for (at, payload) in segments {
+        let segment = out.clone().at(at).seq(seq).ack_to(1).flags(TcpFlags::ACK);
+        seq += payload.len() as u32;
+        frames.push(segment.payload(payload).build());
+    }
+    frames
+}
+
+/// What the settle queue runs after the ticks of a watch visit, beside
+/// `idle` open sessions whose logs it holds. One session announces a
+/// prefix at 0.5 s and then sends a KEEPALIVE every 10 s to 85 s, which
+/// moves the clock; the `idle` sessions each come up and announce one
+/// prefix 30 s in, and then say nothing. Ticks run every 10 s; returns
+/// the entries visited by the tick at 40 s and by 90 s, and the logs
+/// settled by 90 s.
+fn settle_visits(idle: usize) -> (u64, u64, u64) {
+    let keepalive = BgpMessage::Keepalive.to_bytes();
+    let mut clock = vec![(Micros::from_millis(500), announce(0, 1))];
+    clock.extend((0..9).map(|k| (Micros::from_secs(5 + 10 * k), keepalive.clone())));
+    let mut frames = router_session(Ipv4Addr::new(10, 80, 0, 0), Micros::ZERO, clock);
+    for i in 0..idle {
+        let router = Ipv4Addr::new(10, 81, (i >> 8) as u8, i as u8);
+        let t0 = Micros::from_secs(30) + Micros(i as i64);
+        frames.extend(router_session(
+            router,
+            t0,
+            [(t0 + Micros(200), announce(1, 1))],
+        ));
+    }
+    frames.sort_by_key(|f| f.timestamp);
+
+    let (setup, steady) =
+        frames.split_at(frames.partition_point(|f| f.timestamp < Micros::from_secs(40)));
+    let defaults = MonitorConfig::default();
+    let mut monitor = Monitor::new(MonitorConfig {
+        tracker: TrackerConfig {
+            max_connections: None,
+            ..defaults.tracker
+        },
+        ..defaults
+    });
+    for frame in setup {
+        monitor.ingest(frame);
+    }
+    monitor.advance_to(Micros::from_secs(40));
+    let before_due = monitor.metrics().settle_queue_visits();
+    for frame in steady {
+        monitor.ingest(frame);
+    }
+    monitor.advance_to(Micros::from_secs(90));
+    assert_eq!(monitor.metrics().ticks(), 9);
+    assert_eq!(monitor.open_connections(), idle + 1, "nothing idled out");
+    let metrics = monitor.metrics();
+    (
+        before_due,
+        metrics.settle_queue_visits(),
+        metrics.transfers_settled(),
+    )
+}
+
+/// A settle costs the queue entries due, not the logs open, as a
+/// count: beside 1 000 and beside 10 000 idle open sessions, each with
+/// a log in the settle queue, the ticks before any log is due visit no
+/// entry, and the tick at which one log falls due visits that one
+/// entry and settles it. (While the settle ran as a sweep, every tick
+/// read both logs of every open connection: 1 001 and 10 001
+/// connections a tick.)
+#[test]
+fn idle_logs_cost_a_settle_nothing() {
+    for idle in [1_000, 10_000] {
+        assert_eq!(
+            settle_visits(idle),
+            (0, 1, 1),
+            "settle queue entries visited by 40 s and by 90 s, and logs settled, \
+             beside {idle} idle logs"
+        );
+    }
 }
 
 /// Sessions per router in [`reconnecting_routers`]: four closed, one
@@ -1104,6 +1214,85 @@ fn settled_transfer_holds_no_table() {
         reference.rows_after >= 4 * 10_000,
         "an open log takes 4 bytes a row ({} bytes)",
         reference.rows_after
+    );
+}
+
+/// UPDATEs in each table of [`quiet_sessions`].
+const QUIET_UPDATES: usize = 20;
+
+/// `sessions` sessions on endpoints of their own, as one in-memory
+/// capture: session `i` opens `spacing` after session `i − 1`, and its
+/// router then sends [`QUIET_UPDATES`] UPDATEs of `width` fresh /24s
+/// each, one to a segment, a millisecond apart. None closes.
+fn quiet_sessions(sessions: usize, spacing: Micros, width: usize) -> Vec<u8> {
+    let mut pcap = Vec::new();
+    let mut writer = PcapWriter::new(&mut pcap).expect("in-memory pcap");
+    for i in 0..sessions {
+        let t0 = Micros(spacing.0 * i as i64);
+        let updates = (0..QUIET_UPDATES).map(|u| {
+            let at = t0 + Micros::from_millis(1 + u as i64);
+            (at, announce((u * width) as u32, width))
+        });
+        for frame in router_session(Ipv4Addr::new(10, 70, 0, i as u8), t0, updates) {
+            writer.write_frame(&frame).expect("in-memory pcap");
+        }
+    }
+    pcap
+}
+
+/// Bytes a batch pass over `pcap` holds once its input has ended, read
+/// as it delivers its first connection: every connection finalizes
+/// then, so all of them are still held.
+fn held_at_end_of_input(pcap: &[u8]) -> i64 {
+    let reader = LossyReader::new(pcap).expect("in-memory pcap");
+    let before = live_bytes();
+    let mut held = None;
+    StreamAnalyzer::default()
+        .analyze_lossy_with(reader, |_| {
+            held.get_or_insert(live_bytes() - before);
+        })
+        .expect("an in-memory capture reads to its end");
+    held.expect("a connection was delivered")
+}
+
+/// The bytes that [`quiet_sessions`]' tables of 200 prefixes an UPDATE
+/// hold at the end of a batch pass beyond twins of the same sessions
+/// announcing one prefix an UPDATE. The twins have the same frames,
+/// rows and connections, so their map entries, metas, rows and the
+/// settle queue cancel out, and what is left is the prefix arenas still
+/// held.
+fn tables_held(sessions: usize, spacing: Micros) -> i64 {
+    held_at_end_of_input(&quiet_sessions(sessions, spacing, 200))
+        - held_at_end_of_input(&quiet_sessions(sessions, spacing, 1))
+}
+
+/// The batch pass holds the tables of only the sessions it has not
+/// settled, as a law: K sessions, each opening more than MCT's
+/// `max_gap` after the one before it sent its last UPDATE, and none
+/// closed, go through one batch pass; at the end of the input it holds
+/// the table of the last session only, however large K is. So the
+/// bytes held beyond each session's map entries, metas and rows
+/// ([`tables_held`]) do not grow from K = 4 to K = 16. The same 16
+/// sessions a second apart settle nothing, and hold every table.
+/// Measured (debug and release, repeating exactly): 20 320 bytes at
+/// K = 4 and 20 320 at K = 16, one table's arena; 325 120 a second
+/// apart. While only the watch settled, the batch pass held 81 280 at
+/// K = 4 and 325 120 at K = 16.
+#[test]
+fn batch_pass_holds_the_tables_of_unsettled_sessions_only() {
+    let apart = MctConfig::default().max_gap + Micros::from_secs(10);
+    let (four, sixteen) = (tables_held(4, apart), tables_held(16, apart));
+    let close = tables_held(16, Micros::from_secs(1));
+    let table = (5 * QUIET_UPDATES * 199) as i64;
+    assert!(four >= table, "the last table is held ({four} bytes)");
+    assert!(
+        sixteen <= four,
+        "16 sessions hold {sixteen} bytes beyond their twins', 4 hold {four}: \
+         a settled table is still held"
+    );
+    assert!(
+        close >= 16 * table,
+        "16 sessions inside MCT's gap hold every table ({close} bytes)"
     );
 }
 

@@ -14,9 +14,9 @@
 //! strings.
 //!
 //! MCT reads the rows and the arena for one answer, and once that
-//! answer can no longer change nothing else reads them: a live monitor
-//! [settles](MessageLog::settle) the log, which keeps MCT's answer and
-//! its row count and drops the rest.
+//! answer can no longer change nothing else reads them: the batch pass
+//! and a live monitor alike [settle](MessageLog::settle) the log, which
+//! keeps MCT's answer and its row count and drops the rest.
 //!
 //! [`KeptMessages`] is the one seam between the two: a reassembler is
 //! generic over what it keeps, the log by default, whole
@@ -475,36 +475,51 @@ impl MessageLog {
         })
     }
 
+    /// When the last UPDATE that announced or withdrew a prefix arrived,
+    /// for a log that [`settle`](Self::settle) may yet settle: `None`
+    /// once it has settled, and while it has announced nothing. The log
+    /// settles once the clock lies more than `max_gap` past this time.
+    ///
+    /// Read from the back: the rows after that UPDATE are the ones MCT
+    /// skips, KEEPALIVEs since it, and they are few unless the log is
+    /// due to settle anyway. A log that has announced nothing answers
+    /// at once.
+    pub fn last_counted(&self) -> Option<Micros> {
+        let State::Open { rows, announced } = &self.state else {
+            return None;
+        };
+        if announced.is_empty() {
+            return None;
+        }
+        runs_back(rows)
+            .find(|(_, run)| run.iter().any(|&word| Row(word).counted()))
+            .map(|(last, _)| last)
+    }
+
     /// Settles the log if MCT's answer can no longer change, and
     /// returns whether it did so now.
     ///
     /// `now` bounds the time of every row still to come. Once it lies
-    /// more than `config.max_gap` past the last UPDATE that announced or
-    /// withdrew a prefix, any later such UPDATE fails MCT's gap check
-    /// and ends the scan, and every other row is skipped: the answer is
-    /// final. The log then runs MCT once, keeps the answer
+    /// more than `config.max_gap` past the
+    /// [last UPDATE that announced or withdrew a prefix](Self::last_counted),
+    /// any later such UPDATE fails MCT's gap check and ends the scan, and
+    /// every other row is skipped: the answer is final. The log then runs
+    /// MCT once, keeps the answer
     /// ([`transfer_end`](Self::transfer_end) reads it) and frees its rows
     /// and prefix arena; from then on it only validates and counts
     /// messages, and [`iter`](Self::iter) yields none. A log that
     /// announced nothing is left open: MCT finds no transfer in it, and
     /// it holds no arena.
     pub fn settle(&mut self, now: Micros, config: &MctConfig) -> bool {
-        let State::Open { rows, announced } = &self.state else {
-            return false;
-        };
-        if announced.is_empty() {
-            return false;
-        }
-        // Trailing rows MCT skips are few: KEEPALIVEs since the last
-        // counted UPDATE, which is within `max_gap` unless it settles.
-        let Some((last, _)) =
-            runs_back(rows).find(|(_, run)| run.iter().any(|&word| Row(word).counted()))
-        else {
+        let Some(last) = self.last_counted() else {
             return false;
         };
         if now - last <= config.max_gap {
             return false;
         }
+        let State::Open { rows, .. } = &self.state else {
+            return false;
+        };
         let Some((first, _)) = Rows::new(rows).find(|(_, row)| row.counted()) else {
             return false;
         };

@@ -216,7 +216,7 @@ impl Analyzer {
         extraction.messages.transfer_end(start, rows, &self.mct)
     }
 
-    /// The MCT configuration: read here and by the settle sweep
+    /// The MCT configuration: read here and by the settle queue
     /// ([`BgpDemux::settle`](crate::BgpDemux::settle)), which must keep
     /// the answer this analyzer would find.
     pub(crate) fn mct(&self) -> &MctConfig {

@@ -21,12 +21,17 @@
 //!
 //! Frame payloads are never retained. By default every connection is
 //! held to its last frame, so memory grows with the capture's frame
-//! count (a fixed-size record per frame, plus 4 bytes per BGP message,
-//! 16 per run of messages one segment framed and 5 per announced
-//! prefix); a [`TrackerConfig::streaming`] engine
-//! holds only the connections still open, which keeps day-long
-//! multi-session captures in bounded space and delivers results as
-//! connections finish.
+//! count: a fixed-size record per frame, plus, until its table transfer
+//! settles, 4 bytes per BGP message, 16 per run of messages one segment
+//! framed and 5 per announced prefix. A log settles once the capture's
+//! clock lies more than MCT's `max_gap` past its last UPDATE that
+//! announced or withdrew a prefix ([`BgpDemux::settle`]); it then keeps
+//! MCT's answer in place of the table, so a capture of many transfers
+//! holds the tables of the sessions still transferring, not of every
+//! session seen. That answer is exact while frame times do not
+//! decrease. A [`TrackerConfig::streaming`] engine holds only the
+//! connections still open, which keeps day-long multi-session captures
+//! in bounded space and delivers results as connections finish.
 //!
 //! The per-connection pipeline (paper Fig. 10):
 //!
@@ -98,5 +103,5 @@ pub use factors::{
 pub use quarantine::{QuarantineConfig, Verdict};
 pub use report::Report;
 pub use series::{generate_series, generate_series_with, SeriesSet};
-pub use stream::{BgpDemux, LossyRunReport, StreamAnalyzer, StreamOptions};
+pub use stream::{BgpDemux, LossyRunReport, SettleCount, StreamAnalyzer, StreamOptions};
 pub use tdat_trace::TrackerConfig;

@@ -36,13 +36,18 @@
 //! connection stays open to its last frame
 //! ([`StreamOptions::tracker`]), so memory grows with the input's frame
 //! count; a [`TrackerConfig::streaming`] engine finalizes on close or
-//! idle and holds only what is still open. The batch pass never
-//! [settles](BgpDemux::settle) a log: it reads each once, at
-//! finalization. A live monitor, which holds sessions for their whole
-//! life, settles each log once MCT's answer is final and keeps the
-//! answer in place of the table.
+//! idle and holds only what is still open. After every frame the sink
+//! [settles](BgpDemux::settle) the logs whose MCT answer that frame made
+//! final, as a live monitor does after every tick: a settled log keeps
+//! the answer in place of its table. So a pass over a capture of many
+//! table transfers holds the tables of the sessions whose answer can
+//! still change, not of every session it has seen. The answer is
+//! exact while frame times do not decrease, the precondition the batch
+//! pass shares with the watch; a row stamped behind a settled horizon
+//! is counted, not read.
 
-use std::collections::HashMap;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, HashMap};
 use std::path::Path;
 
 use tdat_packet::{
@@ -332,11 +337,15 @@ impl<F: FnMut(Analysis)> Sink<'_, F> {
         }
     }
 
+    /// One frame (capture order): fed, tracked, whatever it finalizes
+    /// delivered, and then every log it made due settled — a comparison
+    /// when none is.
     fn step(&mut self, frame: &impl FrameLike) {
         self.demux.feed(frame);
         for fin in self.tracker.ingest(frame) {
             self.deliver(fin);
         }
+        self.demux.settle(self.analyzer);
     }
 
     fn deliver(&mut self, fin: FinalizedConnection) {
@@ -379,16 +388,27 @@ impl<F: FnMut(Analysis)> Sink<'_, F> {
 /// segment's messages are framed. Live monitors that diagnose
 /// still-open connections borrow that state with
 /// [`snapshot`](BgpDemux::snapshot), which copies nothing and leaves
-/// the streams in place, and [`settle`](BgpDemux::settle) the logs
-/// whose table transfer can no longer change, which then hold MCT's
-/// answer and a row count only.
+/// the streams in place. The batch pass and the monitors alike
+/// [`settle`](BgpDemux::settle) the logs whose table transfer can no
+/// longer change, which then hold MCT's answer and a row count only.
+///
+/// Settling is driven by a queue, not a scan: a log joins it when it
+/// first announces a prefix, ordered by when its last counted UPDATE
+/// (one that announced or withdrew a prefix) arrived, and a settle
+/// visits only the entries the clock has passed by more than MCT's
+/// `max_gap`. Each such entry's logs are read again: a log that is due
+/// settles, one that has logged counted UPDATEs since goes back in at
+/// the latest of them, and the entry of a connection already taken is
+/// dropped. So a settle costs the entries due, not the logs open.
 #[derive(Debug, Default)]
 pub struct BgpDemux {
     streams: HashMap<ConnKey, SidePair>,
-    /// The timestamp of the frame fed last: the settle horizon. Every
-    /// log row is stamped with the time of a frame fed, so while frame
-    /// times do not decrease, no row still to come is stamped before it.
+    /// The timestamp of the frame fed last: the settle horizon is
+    /// `max_gap` before it. Every log row is stamped with the time of a
+    /// frame fed, so while frame times do not decrease, no row still to
+    /// come is stamped before the clock.
     clock: Micros,
+    queue: SettleQueue,
 }
 
 #[derive(Debug, Default)]
@@ -397,6 +417,83 @@ struct SidePair {
     from_a: StreamExtractor,
     /// Bytes sent by the larger endpoint.
     from_b: StreamExtractor,
+}
+
+/// What one [`BgpDemux::settle`] did.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct SettleCount {
+    /// Logs that settled.
+    pub settled: usize,
+    /// Settle queue entries visited: those the clock had passed. None
+    /// while no log is due, however many are open.
+    pub visited: usize,
+}
+
+/// The settle queue: a min-heap of 16-byte entries, one per connection
+/// with a log that has announced a prefix and may yet settle (and,
+/// until popped, one per such connection taken since).
+///
+/// An entry keeps its time as microseconds past `base`, in 32 bits. That
+/// time is never later than its connection's last counted UPDATE, except
+/// where it was clamped up to `base`, which lies
+/// [`SLACK`](Self::SLACK) behind the clock it was set at and so, while
+/// frame times do not decrease, before every horizon to come. So every
+/// log that is due has an entry before the horizon, and a settle finds
+/// it.
+#[derive(Debug, Default)]
+struct SettleQueue {
+    heap: BinaryHeap<Reverse<Queued>>,
+    base: Micros,
+}
+
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct Queued {
+    /// Microseconds past the queue's base.
+    at: u32,
+    key: ConnKey,
+}
+
+impl SettleQueue {
+    /// How far `base` is put behind the clock: half of what an entry's
+    /// 32 bits span, and far more than any `max_gap` MCT is run with.
+    const SLACK: Micros = Micros(1 << 31);
+
+    /// Queues `key` at `last`, a time no later than its last counted
+    /// UPDATE, as of the demux clock `clock`. A time past what 32 bits
+    /// hold moves `base` up to `SLACK` behind the clock first, which
+    /// rebuilds the heap: once per half hour of trace time at most.
+    fn push(&mut self, last: Micros, key: ConnKey, clock: Micros) {
+        if self.heap.is_empty() {
+            self.base = clock - Self::SLACK;
+        } else if (last - self.base).0 > i64::from(u32::MAX) {
+            let base = clock - Self::SLACK;
+            let shift = (base - self.base).0;
+            let entries = std::mem::take(&mut self.heap).into_vec();
+            self.heap = entries
+                .into_iter()
+                .map(|Reverse(q)| {
+                    let at = (i64::from(q.at) - shift).clamp(0, i64::from(u32::MAX)) as u32;
+                    Reverse(Queued { at, ..q })
+                })
+                .collect();
+            self.base = base;
+        }
+        let at = (last - self.base).0.clamp(0, i64::from(u32::MAX)) as u32;
+        self.heap.push(Reverse(Queued { at, key }));
+    }
+
+    /// Pops the earliest entry if it lies before `horizon`, with every
+    /// copy of it: a key taken and fed again can be queued twice.
+    fn pop_before(&mut self, horizon: Micros) -> Option<ConnKey> {
+        let &Reverse(head) = self.heap.peek()?;
+        if self.base + Micros(i64::from(head.at)) >= horizon {
+            return None;
+        }
+        while self.heap.peek() == Some(&Reverse(head)) {
+            self.heap.pop();
+        }
+        Some(head.key)
+    }
 }
 
 impl BgpDemux {
@@ -408,7 +505,8 @@ impl BgpDemux {
     /// Feeds one frame's payload into its connection's reassembly
     /// (capture order). Accepts borrowed [`FrameView`](tdat_packet::FrameView)s as well as
     /// owned frames; the payload bytes are copied only if the stream's
-    /// reassembler retains them.
+    /// reassembler retains them. A log that announces its first prefix
+    /// joins the settle queue.
     pub fn feed(&mut self, frame: &impl FrameLike) {
         self.clock = frame.timestamp();
         let key = ConnKey::of(frame);
@@ -419,11 +517,18 @@ impl BgpDemux {
             &mut pair.from_b
         };
         let tcp = frame.tcp();
+        let fresh = side.extraction().announced_prefixes() == 0;
         side.push(frame.timestamp(), tcp.seq, tcp.flags, frame.payload());
+        if fresh {
+            if let Some(last) = side.last_counted() {
+                self.queue.push(last, key, self.clock);
+            }
+        }
     }
 
     /// Removes the connection's streams and finishes the data-sender
-    /// side.
+    /// side. Its settle queue entry stays until it is due, and is then
+    /// dropped.
     pub fn take(&mut self, key: ConnKey, sender: Endpoint) -> Extraction {
         let pair = self.streams.remove(&key).unwrap_or_default();
         if sender == key.a {
@@ -435,22 +540,45 @@ impl BgpDemux {
 
     /// Settles every log whose table transfer MCT can no longer change
     /// as of the frame fed last, under `analyzer`'s MCT configuration
-    /// ([`MessageLog::settle`](tdat_bgp::MessageLog::settle)), and
-    /// returns how many settled now. A settled log frees its rows and
-    /// prefix arena; [`Analyzer::transfer_of`] answers from what it
-    /// kept, exactly as MCT over the whole log would, provided frame
-    /// times never decrease from one [`feed`](Self::feed) to the next.
-    /// A row stamped behind the horizon breaks that precondition: it is
-    /// counted, but it cannot reopen the transfer.
-    pub fn settle(&mut self, analyzer: &Analyzer) -> usize {
+    /// ([`MessageLog::settle`](tdat_bgp::MessageLog::settle)): those
+    /// whose last counted UPDATE lies more than `max_gap` before it. A
+    /// settled log frees its rows and prefix arena;
+    /// [`Analyzer::transfer_of`] answers from what it kept, exactly as
+    /// MCT over the whole log would, provided frame times never
+    /// decrease from one [`feed`](Self::feed) to the next — the
+    /// precondition the batch pass and the watch share. A row stamped
+    /// behind the horizon breaks it: it is counted, but it cannot reopen
+    /// the transfer.
+    ///
+    /// Visits only the settle queue entries the horizon has passed, so
+    /// with none due it costs one comparison, however many logs are
+    /// open.
+    pub fn settle(&mut self, analyzer: &Analyzer) -> SettleCount {
         let (now, config) = (self.clock, analyzer.mct());
-        self.streams
-            .values_mut()
-            .map(|pair| {
-                usize::from(pair.from_a.settle(now, config))
-                    + usize::from(pair.from_b.settle(now, config))
-            })
-            .sum()
+        let horizon = now - config.max_gap;
+        let mut count = SettleCount::default();
+        while let Some(key) = self.queue.pop_before(horizon) {
+            count.visited += 1;
+            let Some(pair) = self.streams.get_mut(&key) else {
+                continue;
+            };
+            let mut next: Option<Micros> = None;
+            for side in [&mut pair.from_a, &mut pair.from_b] {
+                match side.last_counted() {
+                    // Due. A log whose answer does not fit what a
+                    // settled log keeps stays open, and leaves the queue.
+                    Some(last) if last < horizon => {
+                        count.settled += usize::from(side.settle(now, config));
+                    }
+                    Some(last) => next = Some(next.map_or(last, |n| n.min(last))),
+                    None => {}
+                }
+            }
+            if let Some(last) = next {
+                self.queue.push(last, key, now);
+            }
+        }
+        count
     }
 
     /// The extraction so far of the `sender` side of an open
@@ -471,8 +599,78 @@ impl BgpDemux {
 mod tests {
     use super::*;
     use std::net::Ipv4Addr;
-    use tdat_bgp::{BgpMessage, PathAttribute, Prefix, UpdateMessage};
-    use tdat_packet::FrameBuilder;
+    use tdat_bgp::{
+        find_transfer_end_ref, BgpMessage, MctConfig, PathAttribute, Prefix, UpdateMessage,
+    };
+    use tdat_packet::{FrameBuilder, TcpFlags};
+
+    /// An UPDATE announcing the /24 numbered `i`.
+    fn update(i: u32) -> Vec<u8> {
+        let prefix = Prefix::new(Ipv4Addr::from(0x0b00_0000 + (i << 8)), 24).unwrap();
+        let update = UpdateMessage::announce(vec![PathAttribute::Med(1)], vec![prefix]);
+        BgpMessage::Update(update).to_bytes()
+    }
+
+    fn keepalive() -> Vec<u8> {
+        BgpMessage::Keepalive.to_bytes()
+    }
+
+    /// Router `i`'s side of a session with its collector: a SYN, then
+    /// segments in sequence.
+    struct Router {
+        out: FrameBuilder,
+        seq: u32,
+    }
+
+    impl Router {
+        fn new(i: u8) -> Router {
+            let (router, collector) = (Ipv4Addr::new(10, 0, 0, i), Ipv4Addr::new(10, 0, 1, i));
+            Router {
+                out: FrameBuilder::new(router, collector).ports(179, 40_000),
+                seq: 1,
+            }
+        }
+
+        fn syn(&self, at: Micros) -> TcpFrame {
+            self.out.clone().at(at).flags(TcpFlags::SYN).build()
+        }
+
+        fn segment(&mut self, at: Micros, payload: Vec<u8>) -> TcpFrame {
+            let frame = self
+                .out
+                .clone()
+                .at(at)
+                .seq(self.seq)
+                .ack_to(1)
+                .payload(payload)
+                .build();
+            self.seq += frame.payload.len() as u32;
+            frame
+        }
+    }
+
+    /// Feeds `frame`, then settles: what settled and what was visited.
+    fn step(demux: &mut BgpDemux, analyzer: &Analyzer, frame: &TcpFrame) -> (usize, usize) {
+        demux.feed(frame);
+        let count = demux.settle(analyzer);
+        (count.settled, count.visited)
+    }
+
+    /// Three UPDATEs 10 ms apart, KEEPALIVEs 30 s and 61 s in — the last
+    /// takes the clock past the log's horizon — and then an UPDATE
+    /// stamped 59 s in: behind the horizon, and within MCT's gap of the
+    /// table's last UPDATE.
+    fn a_late_update() -> Vec<TcpFrame> {
+        let mut router = Router::new(1);
+        let mut frames = vec![router.syn(Micros::ZERO)];
+        for i in 1..=3 {
+            frames.push(router.segment(Micros::from_millis(10 * i), update(i as u32)));
+        }
+        frames.push(router.segment(Micros::from_secs(30), keepalive()));
+        frames.push(router.segment(Micros::from_secs(61), keepalive()));
+        frames.push(router.segment(Micros::from_secs(59), update(4)));
+        frames
+    }
 
     /// A row stamped behind the settle horizon — a frame fed out of time
     /// order, which `feed`'s precondition rules out — is counted, and
@@ -480,48 +678,21 @@ mod tests {
     /// take its prefix into the transfer.
     #[test]
     fn a_row_behind_the_settled_horizon_is_counted_and_reopens_nothing() {
-        let (router, collector) = (Ipv4Addr::new(10, 0, 0, 1), Ipv4Addr::new(10, 0, 0, 2));
-        let update = |i: u32| {
-            let prefix = Prefix::new(Ipv4Addr::from(0x0b00_0000 + (i << 8)), 24).unwrap();
-            let update = UpdateMessage::announce(vec![PathAttribute::Med(1)], vec![prefix]);
-            BgpMessage::Update(update).to_bytes()
-        };
-        let keepalive = BgpMessage::Keepalive.to_bytes();
-        let mut seq = 1u32;
-        let mut frame = |at: Micros, payload: Vec<u8>| {
-            let frame = FrameBuilder::new(router, collector)
-                .at(at)
-                .ports(179, 40_000)
-                .seq(seq)
-                .ack_to(1)
-                .payload(payload)
-                .build();
-            seq += frame.payload.len() as u32;
-            frame
-        };
         let analyzer = Analyzer::default();
+        let frames = a_late_update();
+        let (late, frames) = frames.split_last().unwrap();
         let (mut demux, mut whole) = (BgpDemux::new(), BgpDemux::new());
-        let mut feed = |frame: TcpFrame| {
-            demux.feed(&frame);
-            whole.feed(&frame);
-            (demux.settle(&analyzer), ConnKey::of(&frame))
-        };
-        let syn = FrameBuilder::new(router, collector)
-            .ports(179, 40_000)
-            .flags(tdat_packet::TcpFlags::SYN)
-            .build();
-        feed(syn);
-        for i in 1..=3 {
-            assert_eq!(
-                feed(frame(Micros::from_millis(10 * i), update(i as u32))).0,
-                0
-            );
+        let mut settled = Vec::new();
+        for frame in frames {
+            whole.feed(frame);
+            settled.push(step(&mut demux, &analyzer, frame).0);
         }
-        let (settled, _) = feed(frame(Micros::from_secs(30), keepalive.clone()));
-        assert_eq!(settled, 0, "30 s after the last UPDATE");
-        let (settled, key) = feed(frame(Micros::from_secs(61), keepalive));
-        assert_eq!(settled, 1, "61 s after it");
-        let sender = (router, 179);
+        assert_eq!(
+            settled,
+            [0, 0, 0, 0, 0, 1],
+            "61 s after the last UPDATE, not 30 s"
+        );
+        let (key, sender) = (ConnKey::of(late), late.src());
         let transfer = |demux: &BgpDemux| {
             let extraction = demux.snapshot(key, sender).expect("fed");
             let rows = extraction.messages.len();
@@ -530,13 +701,105 @@ mod tests {
         let (rows, at_settle) = transfer(&demux);
         assert_eq!(at_settle.as_ref().map(|t| t.prefix_count), Some(3));
 
-        // A fresh UPDATE stamped 59 s in: behind the horizon, and within
-        // MCT's gap of the table's last UPDATE.
-        let late = frame(Micros::from_secs(59), update(4));
-        demux.feed(&late);
-        whole.feed(&late);
+        demux.feed(late);
+        whole.feed(late);
         assert_eq!(transfer(&demux), (rows + 1, at_settle), "counted, not read");
         let (_, kept_whole) = transfer(&whole);
         assert_eq!(kept_whole.map(|t| t.prefix_count), Some(4));
+    }
+
+    /// The same rule holds in the batch pass, which settles as it reads:
+    /// the frame 61 s in settles the router's log, and the UPDATE stamped
+    /// 59 s in that follows is counted, not read, where MCT over the
+    /// session's whole message list takes it in.
+    #[test]
+    fn the_batch_pass_settles_as_it_reads_and_a_late_row_reopens_nothing() {
+        let frames = a_late_update();
+        let analyses = StreamAnalyzer::default().analyze_frames(&frames);
+        assert_eq!(analyses.len(), 1);
+        let transfer = analyses[0].transfer.as_ref();
+        assert_eq!(transfer.map(|t| t.prefix_count), Some(3));
+        let (conn, whole) = &tdat_pcap2bgp::extract_all(&frames)[0];
+        let updates = whole
+            .messages
+            .iter()
+            .filter_map(|(at, message)| match message {
+                BgpMessage::Update(update) => Some((*at, update)),
+                _ => None,
+            });
+        let kept_whole = find_transfer_end_ref(conn.profile.start, updates, &MctConfig::default());
+        assert_eq!(kept_whole.map(|t| t.prefix_count), Some(4));
+    }
+
+    /// A settle visits only the queue entries the horizon has passed. A
+    /// log popped before it is due, because it logged a counted UPDATE
+    /// after it was queued, goes back in at that UPDATE and settles
+    /// exactly once the clock lies more than `max_gap` past it; the
+    /// entry of a connection taken before it was due is dropped; and a
+    /// settled log does not come back.
+    #[test]
+    fn the_settle_queue_visits_only_what_is_due() {
+        let analyzer = Analyzer::default();
+        let max_gap = analyzer.mct().max_gap;
+        let secs = Micros::from_secs;
+        let mut demux = BgpDemux::new();
+        let (mut router, mut gone) = (Router::new(1), Router::new(2));
+        let taken = gone.syn(Micros::ZERO);
+        for frame in [taken.clone(), gone.segment(secs(1), update(9))] {
+            assert_eq!(step(&mut demux, &analyzer, &frame), (0, 0));
+        }
+        demux.take(ConnKey::of(&taken), taken.src());
+        assert_eq!(step(&mut demux, &analyzer, &router.syn(secs(1))), (0, 0));
+        let mut at = |time: Micros, payload: Vec<u8>| {
+            let frame = router.segment(time, payload);
+            step(&mut demux, &analyzer, &frame)
+        };
+        assert_eq!(at(secs(1), update(1)), (0, 0));
+        assert_eq!(at(secs(50), update(2)), (0, 0));
+        assert_eq!(
+            at(secs(70), keepalive()),
+            (0, 2),
+            "one dropped, one back in"
+        );
+        assert_eq!(at(secs(50) + max_gap, keepalive()), (0, 0));
+        assert_eq!(at(secs(50) + max_gap + Micros(1), keepalive()), (1, 1));
+        assert_eq!(at(secs(500), update(3)), (0, 0));
+        assert_eq!(at(secs(1_000), keepalive()), (0, 0));
+    }
+
+    /// An entry keeps its time in 32 bits of microseconds past a base
+    /// that moves up as the clock does, yet a settle stays exact: at
+    /// epoch timestamps, with logs queued an hour apart, and with an
+    /// entry still queued, and due, when the base moves past it.
+    #[test]
+    fn the_settle_queue_is_exact_across_an_hour_of_epoch_time() {
+        let analyzer = Analyzer::default();
+        let max_gap = analyzer.mct().max_gap;
+        let t0 = Micros::from_secs(1_700_000_000);
+        let hour = Micros::from_secs(3_600);
+        let mut demux = BgpDemux::new();
+        let (mut early, mut mid, mut late) = (Router::new(1), Router::new(2), Router::new(3));
+        // Fed without a settle, as a watch feeds between ticks.
+        for frame in [
+            early.syn(t0),
+            early.segment(t0, update(1)),
+            mid.syn(t0 + hour),
+            mid.segment(t0 + hour, update(2)),
+            late.syn(t0 + hour),
+            late.segment(t0 + hour + Micros(10), update(3)),
+        ] {
+            demux.feed(&frame);
+        }
+        let settled = demux.settle(&analyzer);
+        assert_eq!((settled.settled, settled.visited), (1, 1), "the early log");
+        let due = t0 + hour + max_gap;
+        let frame = mid.segment(due, keepalive());
+        assert_eq!(step(&mut demux, &analyzer, &frame), (0, 0));
+        let frame = mid.segment(due + Micros(1), keepalive());
+        assert_eq!(step(&mut demux, &analyzer, &frame), (1, 1), "the mid log");
+        let frame = mid.segment(due + Micros(10), keepalive());
+        assert_eq!(step(&mut demux, &analyzer, &frame), (0, 0));
+        let frame = mid.segment(due + Micros(11), keepalive());
+        assert_eq!(step(&mut demux, &analyzer, &frame), (1, 1), "the late log");
     }
 }

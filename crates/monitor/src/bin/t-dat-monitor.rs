@@ -42,8 +42,9 @@
 //! per file, and concatenates the streams in file-name order.
 //!
 //! The stream is `tdat-monitor-events/2` however many sources there
-//! are: a `meta` line naming the sources, then one line per event, each
-//! carrying the `source` it is attributed to.
+//! are: one `meta` line naming the sources (the swept files first, then
+//! the live sources), then one line per event, each carrying the
+//! `source` it is attributed to.
 //!
 //! Events use trace (virtual) time only, so a given input produces
 //! byte-identical output. That determinism is what makes `--resume`
@@ -249,6 +250,24 @@ fn main() -> ExitCode {
         }
     };
 
+    // One `meta` line for the whole stream: the swept files, then the
+    // live sources, in the order their events follow it.
+    if write_preamble {
+        let mut names: Vec<&str> = swept
+            .iter()
+            .flat_map(|report| report.outcomes.iter().map(|o| o.source.as_str()))
+            .collect();
+        let live = set.as_ref().map(SourceSet::names).unwrap_or_default();
+        names.extend(live.iter().map(|name| &**name));
+        let written = match EventSchema::V2.preamble(&names) {
+            Some(preamble) => writeln!(out, "{preamble}"),
+            None => Ok(()),
+        };
+        if let Err(e) = written {
+            eprintln!("t-dat-monitor: {events}: {e}");
+            return ExitCode::FAILURE;
+        }
+    }
     let mut failed = false;
     if let Some(report) = &swept {
         match write_sweep(&mut out, report) {
@@ -273,7 +292,6 @@ fn main() -> ExitCode {
     let mut output = WatchOutput {
         out: &mut out,
         skip,
-        write_preamble,
     };
     let mut monitor = Monitor::new(config);
     let status = drive(&mut monitor, &mut set, &mut output);
@@ -289,14 +307,10 @@ fn main() -> ExitCode {
     }
 }
 
-/// Writes a swept corpus's stream — a `meta` line naming the swept
-/// files, then each file's events in file-name order — and reports
-/// each file that failed; `Ok(true)` when any did.
+/// Writes a swept corpus's events, each file's in file-name order
+/// after the stream's `meta` line, and reports each file that failed;
+/// `Ok(true)` when any did.
 fn write_sweep(out: &mut impl Write, report: &SweepReport) -> std::io::Result<bool> {
-    let names: Vec<&str> = report.outcomes.iter().map(|o| o.source.as_str()).collect();
-    if let Some(preamble) = EventSchema::V2.preamble(&names) {
-        writeln!(out, "{preamble}")?;
-    }
     for outcome in &report.outcomes {
         match &outcome.result {
             Ok(events) => {
@@ -315,13 +329,12 @@ fn write_sweep(out: &mut impl Write, report: &SweepReport) -> std::io::Result<bo
     Ok(report.failed() > 0)
 }
 
-/// Where the event stream goes, plus the resume bookkeeping: `skip`
-/// output lines are suppressed (they are already in the file from the
-/// previous incarnation).
+/// Where the event stream goes after its `meta` line, plus the resume
+/// bookkeeping: `skip` output lines are suppressed (they are already in
+/// the file from the previous incarnation).
 struct WatchOutput<'a> {
     out: &'a mut Box<dyn Write>,
     skip: u64,
-    write_preamble: bool,
 }
 
 /// Readies the events file at `path` for a resumed watch over the
@@ -405,11 +418,6 @@ fn drive(
     output: &mut WatchOutput<'_>,
 ) -> Result<(), String> {
     let ids = monitor.register_set(set);
-    if output.write_preamble {
-        if let Some(preamble) = EventSchema::V2.preamble(&set.names()) {
-            writeln!(output.out, "{preamble}").map_err(|e| e.to_string())?;
-        }
-    }
     loop {
         match monitor.step(set, &ids) {
             Step::Progress => write_events(monitor, output)?,

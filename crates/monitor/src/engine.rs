@@ -48,7 +48,8 @@
 //! which some member paused for `min_pause`, so a fleet of short
 //! sessions that share routers (reconnects lingering in `close_grace`)
 //! pairs nothing. What still scales with open connections is the row
-//! sweep and the settle sweep after the tick.
+//! sweep. The settle queue run after the tick costs the logs whose
+//! table transfer became final, and nothing while none did.
 //!
 //! The loop that feeds a [`SourceSet`] into the engine is
 //! [`Monitor::step`]; [`Monitor::run_set`] is that step until the set
@@ -1009,19 +1010,18 @@ impl Control {
         }
     }
 
-    /// The settle sweep that follows a closed tick, outside its latency
-    /// sample (no alert reads MCT): every log of `scopes` whose table
-    /// transfer can no longer change keeps MCT's answer and drops its
-    /// table ([`BgpDemux::settle`]). Right after a tick every cache
+    /// The settle queue run that follows a closed tick, outside its
+    /// latency sample (no alert reads MCT): every log of `scopes` whose
+    /// table transfer can no longer change keeps MCT's answer and drops
+    /// its table ([`BgpDemux::settle`]), at the cost of the queue
+    /// entries due, not of the logs open. Right after a tick every cache
     /// entry holds the rows its log holds, so no snapshot of an earlier
     /// tick asks a settled log about fewer rows than it settled with.
     fn settle(&mut self, scopes: &mut [SourceScope]) {
         let analyzer = &self.ctx.analyzer;
-        let settled = scopes
-            .iter_mut()
-            .map(|scope| scope.demux.settle(analyzer))
-            .sum();
-        self.metrics.record_settled(settled);
+        for scope in scopes {
+            self.metrics.record_settled(scope.demux.settle(analyzer));
+        }
     }
 
     /// One frame through scope `source`: feed the reassembler, track
@@ -1037,7 +1037,7 @@ impl Control {
     /// One analysis tick at trace time `at`: per scope, re-analyze what
     /// changed and sweep the rows (phases 1–2); across the fleet,
     /// correlate peer-group blocking and update the alerts (phase 3).
-    /// Its latency sample covers those; the settle sweep follows it.
+    /// Its latency sample covers those; the settle queue runs after it.
     fn tick(&mut self, scopes: &mut [SourceScope], at: Micros) {
         let started = Instant::now();
         let mut conditions: Vec<Condition> = Vec::new();
@@ -1200,8 +1200,9 @@ impl Monitor {
     /// is responsible for a sensible global interleaving. After each
     /// tick a scope settles every log whose table transfer can no longer
     /// change as of the scope's latest frame ([`BgpDemux::settle`]),
-    /// which keeps MCT's answer and drops the table; that answer is
-    /// exact because no later frame of the scope is stamped earlier. The
+    /// which keeps MCT's answer and drops the table, as the batch pass
+    /// does after every frame; that answer is exact because no later
+    /// frame of the scope is stamped earlier. The
     /// lossy decoder behind a followed capture clamps timestamp
     /// regressions and the simulator is ordered; a frame stamped behind
     /// the horizon anyway is counted, but cannot reopen a settled

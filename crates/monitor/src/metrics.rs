@@ -12,6 +12,7 @@ use std::fmt;
 use std::time::Duration;
 
 use crate::alerts::{Alert, AlertAction, AlertKind};
+use tdat::SettleCount;
 
 /// Upper bucket bounds of the analysis-latency histogram, in
 /// microseconds; a final unbounded bucket catches the rest.
@@ -81,6 +82,7 @@ pub struct MonitorMetrics {
     open_connections: usize,
     connections_finalized: u64,
     transfers_settled: u64,
+    settle_queue_visits: u64,
     peer_pairs_checked: u64,
     capture_anomalies: u64,
     raised: BTreeMap<AlertKind, u64>,
@@ -136,9 +138,11 @@ impl MonitorMetrics {
         self.open_connections = open_connections;
     }
 
-    /// Records message logs whose table transfer settled at a tick.
-    pub(crate) fn record_settled(&mut self, logs: usize) {
-        self.transfers_settled += logs as u64;
+    /// Records what one scope's settle queue run after a tick did: the
+    /// logs whose table transfer settled, and the entries it visited.
+    pub(crate) fn record_settled(&mut self, count: SettleCount) {
+        self.transfers_settled += count.settled as u64;
+        self.settle_queue_visits += count.visited as u64;
     }
 
     /// Records the session pairs a tick's peer-group correlation
@@ -217,6 +221,16 @@ impl MonitorMetrics {
         self.transfers_settled
     }
 
+    /// Settle queue entries the runs after the ticks visited: those
+    /// more than `max_gap` behind the clock — an entry of logs that were
+    /// due, of logs that have logged a counted UPDATE since they were
+    /// queued (they go back in), or of a connection finalized since. A
+    /// tick at which no entry is due visits none, however many logs are
+    /// open.
+    pub fn settle_queue_visits(&self) -> u64 {
+        self.settle_queue_visits
+    }
+
     /// Ordered session pairs the ticks' peer-group correlation
     /// compared: within each sender group, every member that paused for
     /// at least `min_pause` against each other member. A group none of
@@ -247,7 +261,7 @@ impl MonitorMetrics {
 
     /// The analysis-tick wall-clock latency histogram: one sample per
     /// tick, the whole tick — dirty re-analysis, detectors, peer-group
-    /// correlation, alert update — but not the settle sweep after it.
+    /// correlation, alert update — but not the settle queue run after it.
     pub fn analysis_latency(&self) -> &LatencyHistogram {
         &self.latency
     }
@@ -262,6 +276,7 @@ impl fmt::Display for MonitorMetrics {
              open connections     {:>10}\n\
              finalized            {:>10}\n\
              settled transfers    {:>10}\n\
+             settle queue visits  {:>10}\n\
              peer pairs checked   {:>10}\n\
              capture anomalies    {:>10}",
             self.frames,
@@ -269,6 +284,7 @@ impl fmt::Display for MonitorMetrics {
             self.open_connections,
             self.connections_finalized,
             self.transfers_settled,
+            self.settle_queue_visits,
             self.peer_pairs_checked,
             self.capture_anomalies
         )?;

@@ -9,9 +9,13 @@
 //! file that is not that stream, or is the stream of other sources.
 //! There is one data plane, too: `--shards`, which picked worker lanes,
 //! is an unknown option; and resume reads only the events file, so
-//! `--checkpoint` is unknown as well.
+//! `--checkpoint` is unknown as well. A sweep beside live sources is
+//! one stream with one `meta` line, and is not resumed.
 
+use std::net::Ipv4Addr;
 use std::process::Command;
+
+use tdat_packet::{write_pcap_file, FrameBuilder, TcpFlags};
 
 fn monitor() -> Command {
     Command::new(env!("CARGO_BIN_EXE_t-dat-monitor"))
@@ -150,4 +154,73 @@ fn resume_refuses_the_stream_of_other_sources_and_leaves_it_alone() {
          {\"type\":\"alert\",\"source\":\"a.pcap\",\"at_s\":2.0",
         &[r#"["a.pcap", "b.pcap"]"#, r#"["sim:clean"]"#, "refusing"],
     );
+}
+
+#[test]
+fn a_sweep_beside_a_live_source_writes_one_meta_line_and_is_not_resumed() {
+    let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR"))
+        .join(format!("cli-sweep-{}", std::process::id()));
+    let corpus = dir.join("corpus");
+    std::fs::create_dir_all(&corpus).expect("make the corpus directory");
+    let (router, collector) = (Ipv4Addr::new(10, 0, 0, 1), Ipv4Addr::new(10, 0, 0, 2));
+    let out = FrameBuilder::new(router, collector).ports(179, 40_000);
+    let frames = [
+        out.clone().seq(0).flags(TcpFlags::SYN).build(),
+        FrameBuilder::new(collector, router)
+            .ports(40_000, 179)
+            .seq(0)
+            .ack_to(1)
+            .flags(TcpFlags::SYN | TcpFlags::ACK)
+            .build(),
+        out.seq(1).ack_to(1).payload(vec![0xff; 19]).build(),
+    ];
+    write_pcap_file(corpus.join("a.pcap"), &frames).expect("write the swept capture");
+    let events = dir.join("events.jsonl");
+    let sweep_and_sim = |extra: &[&str]| {
+        monitor()
+            .arg("--sweep")
+            .arg(&corpus)
+            .args(["--sim", "clean", "--routes", "40", "--events"])
+            .arg(&events)
+            .args(extra)
+            .output()
+            .expect("spawn t-dat-monitor")
+    };
+
+    let output = sweep_and_sim(&[]);
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert_eq!(output.status.code(), Some(0), "stderr: {stderr}");
+    let stream = std::fs::read_to_string(&events).expect("the events file");
+    let metas: Vec<&str> = stream
+        .lines()
+        .filter(|line| line.contains(r#""type":"meta""#))
+        .collect();
+    assert_eq!(
+        metas,
+        [r#"{"type":"meta","schema":"tdat-monitor-events/2","sources":["a.pcap","sim:clean"]}"#],
+        "one meta line, naming the swept file and then the live source:\n{stream}"
+    );
+    assert!(
+        stream.starts_with(metas[0]),
+        "and it comes first:\n{stream}"
+    );
+    for source in ["a.pcap", "sim:clean"] {
+        let attributed = format!(r#""source":"{source}""#);
+        assert!(
+            stream.contains(&attributed),
+            "{source} has events:\n{stream}"
+        );
+    }
+
+    let output = sweep_and_sim(&["--resume"]);
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert_eq!(output.status.code(), Some(2), "stderr: {stderr}");
+    assert!(
+        stderr.contains("--resume supervises live watches, not --sweep")
+            && stderr.contains("usage:"),
+        "{stderr}"
+    );
+    let after = std::fs::read_to_string(&events).expect("the events file");
+    assert_eq!(after, stream, "the refused resume leaves the stream alone");
+    let _ = std::fs::remove_dir_all(&dir);
 }

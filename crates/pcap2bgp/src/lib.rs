@@ -401,6 +401,13 @@ impl StreamExtractor {
     pub fn settle(&mut self, now: Micros, config: &MctConfig) -> bool {
         self.so_far.messages.settle(now, config)
     }
+
+    /// When the log's last UPDATE that announced or withdrew a prefix
+    /// arrived, while [`settle`](Self::settle) may yet settle it
+    /// ([`MessageLog::last_counted`]).
+    pub fn last_counted(&self) -> Option<Micros> {
+        self.so_far.messages.last_counted()
+    }
 }
 
 impl<K: KeptMessages> StreamExtractor<K> {
