@@ -9,7 +9,7 @@
 //!   into UPDATE messages like routers pack them;
 //! * [`MrtRecord`] — the MRT (`BGP4MP`) archive format written by
 //!   Quagga collectors;
-//! * [`find_transfer_end`] — the MCT (Minimum Collection Time)
+//! * [`find_transfer_end_ref`] — the MCT (Minimum Collection Time)
 //!   estimator for where an initial table transfer ends in an update
 //!   stream;
 //! * [`MessageLog`] — what the capture path keeps of a stream instead
@@ -52,7 +52,7 @@ mod table;
 pub use attrs::{AsPath, AsPathSegment, Origin, PathAttribute};
 pub use error::{BgpError, Result};
 pub use log::{Framed, KeptMessages, LogRow, MessageLog, WholeMessages};
-pub use mct::{find_transfer_end, find_transfer_end_ref, MctConfig, MctUpdate, TableTransfer};
+pub use mct::{find_transfer_end_ref, MctConfig, MctUpdate, TableTransfer};
 pub use message::{
     BgpMessage, NotificationMessage, OpenMessage, UpdateMessage, BGP_HEADER_LEN,
     BGP_MAX_MESSAGE_LEN, KEEPALIVE_LEN,

@@ -32,7 +32,7 @@ use crate::message::UpdateMessage;
 use crate::prefix::Prefix;
 use tdat_timeset::{Micros, Span};
 
-/// Tuning knobs for [`find_transfer_end`].
+/// Tuning knobs for [`find_transfer_end_ref`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct MctConfig {
     /// Maximum quiet gap *inside* a transfer. Gaps longer than this end
@@ -74,42 +74,6 @@ impl TableTransfer {
     pub fn duration(&self) -> Micros {
         self.span.duration()
     }
-}
-
-/// Estimates where the initial table transfer ends in a timestamped
-/// update stream that begins at session establishment (`start`).
-///
-/// Returns `None` if the stream contains no announcing update.
-///
-/// # Examples
-///
-/// ```
-/// use tdat_bgp::{find_transfer_end, MctConfig, TableGenerator};
-/// use tdat_timeset::Micros;
-///
-/// let table = TableGenerator::new(1).routes(300).generate();
-/// // Table transfer: one update every 10 ms...
-/// let mut stream: Vec<_> = table
-///     .to_updates()
-///     .into_iter()
-///     .enumerate()
-///     .map(|(i, u)| (Micros::from_millis(10 * i as i64), u))
-///     .collect();
-/// // ...then steady-state churn re-announcing an old prefix much later.
-/// let churn_start = Micros::from_secs(600);
-/// let churn = stream[0].1.clone();
-/// stream.push((churn_start, churn));
-///
-/// let transfer = find_transfer_end(Micros::ZERO, &stream, &MctConfig::default()).unwrap();
-/// assert_eq!(transfer.prefix_count, 300);
-/// assert!(transfer.span.end < churn_start);
-/// ```
-pub fn find_transfer_end(
-    start: Micros,
-    updates: &[(Micros, UpdateMessage)],
-    config: &MctConfig,
-) -> Option<TableTransfer> {
-    find_transfer_end_ref(start, updates.iter().map(|(t, u)| (*t, u)), config)
 }
 
 /// What MCT reads of one UPDATE: how many prefixes it announced,
@@ -225,12 +189,40 @@ fn count_with_repeats<U: MctUpdate>(
         .count()
 }
 
-/// [`find_transfer_end`] over anything MCT can read as updates —
-/// borrowed [`UpdateMessage`]s or the rows of a
-/// [`MessageLog`](crate::MessageLog) — so callers holding an extraction
-/// run MCT without cloning or rebuilding a message. Each announced
-/// prefix is inserted once, its `insert` answering whether it is new,
-/// and the distinct-prefix count is the set's length.
+/// Estimates where the initial table transfer ends in a timestamped
+/// update stream that begins at session establishment (`start`).
+///
+/// Returns `None` if the stream contains no announcing update. Reads
+/// anything MCT can read as updates — borrowed [`UpdateMessage`]s or
+/// the rows of a [`MessageLog`](crate::MessageLog) — so callers holding
+/// an extraction run MCT without cloning or rebuilding a message. Each
+/// announced prefix is inserted once, its `insert` answering whether it
+/// is new, and the distinct-prefix count is the set's length.
+///
+/// # Examples
+///
+/// ```
+/// use tdat_bgp::{find_transfer_end_ref, MctConfig, TableGenerator};
+/// use tdat_timeset::Micros;
+///
+/// let table = TableGenerator::new(1).routes(300).generate();
+/// // Table transfer: one update every 10 ms...
+/// let mut stream: Vec<_> = table
+///     .to_updates()
+///     .into_iter()
+///     .enumerate()
+///     .map(|(i, u)| (Micros::from_millis(10 * i as i64), u))
+///     .collect();
+/// // ...then steady-state churn re-announcing an old prefix much later.
+/// let churn_start = Micros::from_secs(600);
+/// let churn = stream[0].1.clone();
+/// stream.push((churn_start, churn));
+///
+/// let updates = stream.iter().map(|(at, update)| (*at, update));
+/// let transfer = find_transfer_end_ref(Micros::ZERO, updates, &MctConfig::default()).unwrap();
+/// assert_eq!(transfer.prefix_count, 300);
+/// assert!(transfer.span.end < churn_start);
+/// ```
 pub fn find_transfer_end_ref<I, U>(
     start: Micros,
     updates: I,
@@ -318,11 +310,18 @@ mod tests {
             .collect()
     }
 
+    /// MCT over `stream` from a session start at zero, under the
+    /// default configuration.
+    fn mct(stream: &[(Micros, UpdateMessage)]) -> Option<TableTransfer> {
+        let updates = stream.iter().map(|(at, update)| (*at, update));
+        find_transfer_end_ref(Micros::ZERO, updates, &MctConfig::default())
+    }
+
     #[test]
     fn clean_transfer_detected_exactly() {
         let table = TableGenerator::new(2).routes(400).generate();
         let stream = stream_of(&table, 5);
-        let t = find_transfer_end(Micros::ZERO, &stream, &MctConfig::default()).unwrap();
+        let t = mct(&stream).unwrap();
         assert_eq!(t.prefix_count, 400);
         assert_eq!(t.update_count, stream.len());
         assert_eq!(t.span.end, stream.last().unwrap().0);
@@ -338,7 +337,7 @@ mod tests {
         for entry in &mut stream[half..] {
             entry.0 += Micros::from_secs(120);
         }
-        let t = find_transfer_end(Micros::ZERO, &stream, &MctConfig::default()).unwrap();
+        let t = mct(&stream).unwrap();
         assert_eq!(t.span.end, expected_end);
         assert!(t.prefix_count < 400);
     }
@@ -353,7 +352,7 @@ mod tests {
         for entry in &mut stream[half..] {
             entry.0 += Micros::from_millis(400);
         }
-        let t = find_transfer_end(Micros::ZERO, &stream, &MctConfig::default()).unwrap();
+        let t = mct(&stream).unwrap();
         assert_eq!(t.update_count, stream.len());
     }
 
@@ -368,25 +367,19 @@ mod tests {
             let update = stream[i].1.clone();
             stream.push((end + Micros::from_secs(30 + i as i64), update));
         }
-        let t = find_transfer_end(Micros::ZERO, &stream, &MctConfig::default()).unwrap();
+        let t = mct(&stream).unwrap();
         assert_eq!(t.span.end, end);
         assert_eq!(t.prefix_count, 200);
     }
 
     #[test]
     fn empty_or_silent_stream_yields_none() {
-        assert_eq!(
-            find_transfer_end(Micros::ZERO, &[], &MctConfig::default()),
-            None
-        );
+        assert_eq!(mct(&[]), None);
         let silent = vec![(
             Micros::from_secs(1),
             UpdateMessage::announce(vec![PathAttribute::Med(1)], vec![]),
         )];
-        assert_eq!(
-            find_transfer_end(Micros::ZERO, &silent, &MctConfig::default()),
-            None
-        );
+        assert_eq!(mct(&silent), None);
     }
 
     #[test]
@@ -397,7 +390,7 @@ mod tests {
         // artifacts appear after pcap2bgp reconstruction).
         let dup = stream[10].clone();
         stream.insert(11, (dup.0 + Micros::from_millis(1), dup.1));
-        let t = find_transfer_end(Micros::ZERO, &stream, &MctConfig::default()).unwrap();
+        let t = mct(&stream).unwrap();
         assert_eq!(t.prefix_count, 300);
         assert_eq!(t.span.end, stream.last().unwrap().0);
     }

@@ -115,26 +115,19 @@ pub struct PartialAnalysis {
 ///
 /// # Examples
 ///
-/// The engine's inline pass, by hand:
+/// The engine's pass, by hand, through the ingest core it runs:
 ///
 /// ```no_run
-/// use tdat::{Analyzer, BgpDemux, TrackerConfig};
-/// use tdat_packet::AnomalyCounts;
-/// use tdat_trace::ConnectionTracker;
+/// use tdat::{Analyzer, Ingest, TrackerConfig};
 ///
 /// let frames = tdat_packet::read_pcap_file("bgp-session.pcap")?;
 /// let analyzer = Analyzer::default();
-/// let mut tracker = ConnectionTracker::new(TrackerConfig::batch());
-/// let mut demux = BgpDemux::new();
+/// let mut ingest = Ingest::new(TrackerConfig::batch());
 /// for frame in &frames {
-///     demux.feed(frame);
-///     tracker.ingest(frame);
+///     ingest.step(frame, &analyzer);
 /// }
-/// for fin in tracker.finish() {
-///     let extraction = demux.take(fin.key, fin.connection.sender);
-///     let analysis =
-///         analyzer.analyze_extracted_lossy(fin.connection, &extraction, AnomalyCounts::default());
-///     println!("{}", analysis.vector);
+/// for fin in ingest.finish() {
+///     println!("{}", ingest.analyze(fin, &analyzer).vector);
 /// }
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```

@@ -209,15 +209,10 @@ pub struct FactorSpans {
     pub spans: Vec<(Factor, SpanSet)>,
 }
 
-/// Computes the factor spans from a series set.
-pub fn factor_spans(series: &SeriesSet) -> FactorSpans {
-    let mut scratch = SpanScratch::new();
-    factor_spans_with(series, &mut scratch)
-}
-
-/// [`factor_spans`] with a caller-provided scratch pool. The shared
-/// intermediates (`AdvBndOut` flattened, `SmallAdvBndOut`) are computed
-/// once into pooled buffers instead of once per factor that needs them.
+/// Computes the factor spans from a series set, with a caller-provided
+/// scratch pool. The shared intermediates (`AdvBndOut` flattened,
+/// `SmallAdvBndOut`) are computed once into pooled buffers instead of
+/// once per factor that needs them.
 pub fn factor_spans_with(series: &SeriesSet, scratch: &mut SpanScratch) -> FactorSpans {
     let mut adv = scratch.take();
     series.adv_bnd_out.span_set_into(&mut adv);
@@ -274,14 +269,9 @@ pub fn factor_spans_with(series: &SeriesSet, scratch: &mut SpanScratch) -> Facto
     FactorSpans { spans }
 }
 
-/// Computes the delay vector for `series` over its analysis period.
-pub fn delay_vector(series: &SeriesSet, config: &AnalyzerConfig) -> DelayVector {
-    let mut scratch = SpanScratch::new();
-    delay_vector_with(series, config, &mut scratch)
-}
-
-/// [`delay_vector`] with a caller-provided scratch pool; the group
-/// unions run through pooled buffers instead of allocating per member.
+/// Computes the delay vector for `series` over its analysis period, with
+/// a caller-provided scratch pool; the group unions run through pooled
+/// buffers instead of allocating per member.
 pub fn delay_vector_with(
     series: &SeriesSet,
     _config: &AnalyzerConfig,
@@ -352,7 +342,7 @@ mod tests {
         cwd.push(Span::from_micros(200_000, 400_000), 0);
         s.send_app_limited = sal;
         s.cwd_bnd_out = cwd;
-        let v = delay_vector(&s, &AnalyzerConfig::default());
+        let v = delay_vector_with(&s, &AnalyzerConfig::default(), &mut SpanScratch::new());
         assert!((v.ratio(Factor::BgpSenderApp) - 0.4).abs() < 1e-9);
         assert!((v.ratio(Factor::TcpCongestionWindow) - 0.2).abs() < 1e-9);
         assert!((v.sender - 0.4).abs() < 1e-9, "union, not 0.6");
@@ -370,7 +360,7 @@ mod tests {
         let mut loss: EventSeries<u32> = EventSeries::new();
         loss.push(Span::from_micros(800_000, 1_000_000), 0);
         s.recv_local_loss = loss;
-        let v = delay_vector(&s, &AnalyzerConfig::default());
+        let v = delay_vector_with(&s, &AnalyzerConfig::default(), &mut SpanScratch::new());
         assert_eq!(v.major_groups(0.3), vec![FactorGroup::Sender]);
         assert_eq!(
             v.major_groups(0.1),
@@ -390,7 +380,7 @@ mod tests {
         let mut zw: EventSeries<u32> = EventSeries::new();
         zw.push(Span::from_micros(0, 500_000), 0);
         s.zero_window = zw;
-        let v = delay_vector(&s, &AnalyzerConfig::default());
+        let v = delay_vector_with(&s, &AnalyzerConfig::default(), &mut SpanScratch::new());
         assert!((v.ratio(Factor::BgpReceiverApp) - 0.5).abs() < 1e-9);
         assert!((v.receiver - 0.5).abs() < 1e-9);
     }
@@ -398,7 +388,7 @@ mod tests {
     #[test]
     fn display_renders_all_lines() {
         let s = series_with(Span::from_micros(0, 100));
-        let v = delay_vector(&s, &AnalyzerConfig::default());
+        let v = delay_vector_with(&s, &AnalyzerConfig::default(), &mut SpanScratch::new());
         let text = v.to_string();
         assert!(text.contains("groups:"));
         assert!(text.contains("BGP sender app"));

@@ -15,7 +15,8 @@
 //! the input — or, with [`TrackerConfig::streaming`], when it closes or
 //! idles out — and runs the per-connection pipeline on it there and
 //! then. It is one loop over three sources (a pcap path, frames in
-//! memory, a lossy reader) into one sink on the calling thread. `t-dat`,
+//! memory, a lossy reader) into one [`Ingest`] on the calling thread,
+//! the ingest core a live monitor runs once per source too. `t-dat`,
 //! the oracle, the paper experiments and the tests all run this one
 //! pass; [`Analyzer`] holds only its per-connection steps.
 //!
@@ -97,11 +98,10 @@ pub use detect::{
 };
 pub use error::{Error, Result};
 pub use factors::{
-    delay_vector, delay_vector_with, factor_spans, factor_spans_with, DelayVector, Factor,
-    FactorGroup, FactorSpans,
+    delay_vector_with, factor_spans_with, DelayVector, Factor, FactorGroup, FactorSpans,
 };
 pub use quarantine::{QuarantineConfig, Verdict};
 pub use report::Report;
-pub use series::{generate_series, generate_series_with, SeriesSet};
-pub use stream::{BgpDemux, LossyRunReport, SettleCount, StreamAnalyzer, StreamOptions};
+pub use series::{generate_series_with, SeriesSet};
+pub use stream::{BgpDemux, Ingest, LossyRunReport, SettleCount, StreamAnalyzer, StreamOptions};
 pub use tdat_trace::TrackerConfig;

@@ -151,32 +151,9 @@ impl SeriesSet {
 
 /// Generates the full series set from a shifted trace, its labels
 /// (aligned with the trace's data segments in order), and the analysis
-/// period.
-pub fn generate_series(
-    trace: &ShiftedTrace,
-    labels: &[SegLabel],
-    period: Span,
-    mss: u32,
-    max_adv_window: u32,
-    rtt: Option<Micros>,
-    config: &AnalyzerConfig,
-) -> SeriesSet {
-    let mut scratch = SpanScratch::new();
-    generate_series_with(
-        trace,
-        labels,
-        period,
-        mss,
-        max_adv_window,
-        rtt,
-        config,
-        &mut scratch,
-    )
-}
-
-/// [`generate_series`] with a caller-provided scratch pool, so the
-/// intermediate span sets of the Operation rules reuse buffers instead
-/// of allocating per series op.
+/// period, with a caller-provided scratch pool, so the intermediate span
+/// sets of the Operation rules reuse buffers instead of allocating per
+/// series op.
 #[allow(clippy::too_many_arguments)]
 pub fn generate_series_with(
     trace: &ShiftedTrace,
@@ -719,7 +696,7 @@ mod tests {
         let conn = &conns[0];
         let labels = label_segments(conn, &LabelConfig::default());
         let shifted = shift_acks(conn);
-        generate_series(
+        generate_series_with(
             &shifted,
             &labels,
             Span::new(conn.profile.start, conn.profile.end),
@@ -727,6 +704,7 @@ mod tests {
             conn.profile.max_receiver_window,
             conn.profile.rtt,
             &AnalyzerConfig::default(),
+            &mut SpanScratch::new(),
         )
     }
 

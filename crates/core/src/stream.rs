@@ -19,13 +19,13 @@
 //!   anomalies are charged to the connection they hit. The strict
 //!   sources are this one with nothing to charge.
 //!
-//! A source steps its frames into the one **sink**: tracker, demux and
-//! analysis on the calling thread, each connection delivered the moment
-//! it finalizes. So when a source fails, every connection that
-//! finalized ahead of the failing record has already been delivered by
-//! the time the error is returned. One capture is one serial pass;
-//! a corpus of captures is spread over cores one capture per pass
-//! (`t-dat-monitor --sweep DIR --jobs N`).
+//! A source steps its frames into the one **sink**, an [`Ingest`] (the
+//! ingest core a live monitor runs per source) on the calling thread,
+//! each connection delivered the moment it finalizes. So when a source
+//! fails, every connection that finalized ahead of the failing record
+//! has already been delivered by the time the error is returned. One
+//! capture is one serial pass; a corpus of captures is spread over
+//! cores one capture per pass (`t-dat-monitor --sweep DIR --jobs N`).
 //!
 //! Frame payloads are dropped as soon as they are ingested. What is
 //! held is, per open connection, one fixed-size metadata record per
@@ -36,15 +36,14 @@
 //! connection stays open to its last frame
 //! ([`StreamOptions::tracker`]), so memory grows with the input's frame
 //! count; a [`TrackerConfig::streaming`] engine finalizes on close or
-//! idle and holds only what is still open. After every frame the sink
-//! [settles](BgpDemux::settle) the logs whose MCT answer that frame made
-//! final, as a live monitor does after every tick: a settled log keeps
-//! the answer in place of its table. So a pass over a capture of many
-//! table transfers holds the tables of the sessions whose answer can
-//! still change, not of every session it has seen. The answer is
-//! exact while frame times do not decrease, the precondition the batch
-//! pass shares with the watch; a row stamped behind a settled horizon
-//! is counted, not read.
+//! idle and holds only what is still open. Before every frame the
+//! ingest core [settles](BgpDemux::settle) the logs whose MCT answer is
+//! final as of its time ([`Ingest`]): a settled log keeps the answer in
+//! place of its table. So a pass over a capture of many table transfers
+//! holds the tables of the sessions whose answer can still change, not
+//! of every session it has seen. The answer is exact while frame times
+//! do not decrease, the precondition the batch pass shares with the
+//! watch; a row stamped behind a settled horizon is counted, not read.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
@@ -157,9 +156,7 @@ impl StreamAnalyzer {
     fn sink<F: FnMut(Analysis)>(&self, on_result: F) -> Sink<'_, F> {
         Sink {
             analyzer: &self.analyzer,
-            tracker: ConnectionTracker::new(self.options.tracker),
-            demux: BgpDemux::default(),
-            quality: HashMap::new(),
+            ingest: Ingest::new(self.options.tracker),
             on_result,
         }
     }
@@ -294,7 +291,7 @@ fn read_lossy<R: std::io::Read, F: FnMut(Analysis)>(
             continue;
         }
         if let Some(key) = connection_of(&lossy) {
-            sink.note(key, &lossy.anomalies);
+            sink.ingest.note(key, &lossy.anomalies);
         }
         if let Some(frame) = &lossy.frame {
             sink.step(frame);
@@ -312,49 +309,25 @@ fn connection_of(lossy: &LossyFrameView<'_>) -> Option<ConnKey> {
     lossy.endpoints.map(|(x, y)| ConnKey::of_endpoints(x, y))
 }
 
-/// Where a source's frames go: one tracker, one demux and the
-/// capture-quality ledger on the calling thread, each connection
-/// analyzed and delivered the moment it finalizes. Each source is
-/// written against its three operations: [`note`](Self::note) anomalies
-/// against a connection, [`step`](Self::step) a frame (capture order),
-/// [`finish`](Self::finish).
+/// Where a source's frames go: an [`Ingest`] on the calling thread,
+/// each connection delivered the moment it finalizes.
 struct Sink<'a, F> {
     analyzer: &'a Analyzer,
-    tracker: ConnectionTracker,
-    demux: BgpDemux,
-    /// Capture anomalies per still-open connection (lossy sources).
-    quality: HashMap<ConnKey, AnomalyCounts>,
+    ingest: Ingest,
     on_result: F,
 }
 
 impl<F: FnMut(Analysis)> Sink<'_, F> {
-    /// Charges capture anomalies to a connection: its analysis, when it
-    /// finalizes, carries them into the quarantine verdict.
-    fn note(&mut self, key: ConnKey, anomalies: &[CaptureAnomaly]) {
-        let counts = self.quality.entry(key).or_default();
-        for anomaly in anomalies {
-            counts.note(anomaly);
-        }
-    }
-
-    /// One frame (capture order): fed, tracked, whatever it finalizes
-    /// delivered, and then every log it made due settled — a comparison
-    /// when none is.
+    /// One frame (capture order), and whatever it finalizes delivered.
     fn step(&mut self, frame: &impl FrameLike) {
-        self.demux.feed(frame);
-        for fin in self.tracker.ingest(frame) {
-            self.deliver(fin);
-        }
-        self.demux.settle(self.analyzer);
+        let (finalized, _) = self.ingest.step(frame, self.analyzer);
+        self.deliver(finalized);
     }
 
-    fn deliver(&mut self, fin: FinalizedConnection) {
-        let extraction = self.demux.take(fin.key, fin.connection.sender);
-        let counts = self.quality.remove(&fin.key).unwrap_or_default();
-        let analysis = self
-            .analyzer
-            .analyze_extracted_lossy(fin.connection, &extraction, counts);
-        (self.on_result)(analysis);
+    fn deliver(&mut self, finalized: Vec<FinalizedConnection>) {
+        for fin in finalized {
+            (self.on_result)(self.ingest.analyze(fin, self.analyzer));
+        }
     }
 
     /// Ends a run whose source read to the end: every connection still
@@ -362,13 +335,110 @@ impl<F: FnMut(Analysis)> Sink<'_, F> {
     /// this and finalizes nothing further; whatever it had already
     /// finalized was delivered as it happened.
     fn finish(mut self) {
-        let tracker = std::mem::replace(
-            &mut self.tracker,
-            ConnectionTracker::new(TrackerConfig::batch()),
-        );
-        for fin in tracker.finish() {
-            self.deliver(fin);
+        let rest = self.ingest.finish();
+        self.deliver(rest);
+    }
+}
+
+/// The ingest core of one capture — tracker, BGP demux and
+/// capture-quality ledger — shared by the batch pass (one per pass) and
+/// the live monitor (one per source). [`step`](Self::step) takes a frame
+/// through it, [`analyze`](Self::analyze) turns each connection that
+/// finalizes into its [`Analysis`], and a tick reads the open state in
+/// between through borrowing accessors.
+///
+/// **The settle rule.** Before a frame is fed, every log whose MCT
+/// answer is final as of that frame's time settles
+/// ([`BgpDemux::settle`]), but never past the time of the first frame
+/// stepped since the open state was last read
+/// ([`take_dirty`](Self::take_dirty), a watch's tick). So a log settles
+/// only while it holds exactly the rows the last read saw, and a
+/// snapshot of that read gets MCT's answer over those rows, whatever the
+/// interval between reads. The batch pass never reads: it settles at
+/// every frame's time.
+#[derive(Debug)]
+pub struct Ingest {
+    tracker: ConnectionTracker,
+    demux: BgpDemux,
+    /// Capture anomalies per still-open connection.
+    quality: HashMap<ConnKey, AnomalyCounts>,
+    /// No log settles past this: [`Micros::MAX`] until the first read,
+    /// then the time of the first frame stepped since the last one.
+    settle_to: Option<Micros>,
+}
+
+impl Ingest {
+    /// An empty ingest core whose tracker finalizes by `tracker`.
+    pub fn new(tracker: TrackerConfig) -> Ingest {
+        Ingest {
+            tracker: ConnectionTracker::new(tracker),
+            demux: BgpDemux::new(),
+            quality: HashMap::new(),
+            settle_to: Some(Micros::MAX),
         }
+    }
+
+    /// Charges capture anomalies to a connection's quarantine verdict,
+    /// marking it dirty as a frame would.
+    pub fn note(&mut self, key: ConnKey, anomalies: &[CaptureAnomaly]) {
+        let counts = self.quality.entry(key).or_default();
+        for anomaly in anomalies {
+            counts.note(anomaly);
+        }
+        self.tracker.mark_dirty(key);
+    }
+
+    /// One frame (capture order, times never decreasing): settles by the
+    /// settle rule, then feeds and tracks the frame. Returns the
+    /// connections the advance of time finalized, by ordinal, and what
+    /// the settle did.
+    pub fn step(
+        &mut self,
+        frame: &impl FrameLike,
+        analyzer: &Analyzer,
+    ) -> (Vec<FinalizedConnection>, SettleCount) {
+        let at = frame.timestamp();
+        let bound = *self.settle_to.get_or_insert(at);
+        let settled = self.demux.settle(at.min(bound), analyzer);
+        self.demux.feed(frame);
+        (self.tracker.ingest(frame), settled)
+    }
+
+    /// The whole-lifetime analysis of a finalized connection, over its
+    /// data sender's log and its capture anomalies, both taken.
+    pub fn analyze(&mut self, fin: FinalizedConnection, analyzer: &Analyzer) -> Analysis {
+        let extraction = self.demux.take(fin.key, fin.connection.sender);
+        let counts = self.quality.remove(&fin.key).unwrap_or_default();
+        analyzer.analyze_extracted_lossy(fin.connection, &extraction, counts)
+    }
+
+    /// Ends the capture: every connection still open, by ordinal. The
+    /// tracker starts afresh under the same policy.
+    pub fn finish(&mut self) -> Vec<FinalizedConnection> {
+        let fresh = ConnectionTracker::new(self.tracker.config());
+        std::mem::replace(&mut self.tracker, fresh).finish()
+    }
+
+    /// The open connections that saw frames or capture damage since the
+    /// last call, by ordinal: the read the settle rule bounds.
+    pub fn take_dirty(&mut self) -> Vec<ConnKey> {
+        self.settle_to = None;
+        self.tracker.take_dirty()
+    }
+
+    /// The open connections, lent.
+    pub fn tracker(&self) -> &ConnectionTracker {
+        &self.tracker
+    }
+
+    /// The open connections' reassembly and message logs, lent.
+    pub fn demux(&self) -> &BgpDemux {
+        &self.demux
+    }
+
+    /// The capture anomalies charged to an open connection so far.
+    pub fn quality(&self, key: ConnKey) -> AnomalyCounts {
+        self.quality.get(&key).copied().unwrap_or_default()
     }
 }
 
@@ -403,11 +473,6 @@ impl<F: FnMut(Analysis)> Sink<'_, F> {
 #[derive(Debug, Default)]
 pub struct BgpDemux {
     streams: HashMap<ConnKey, SidePair>,
-    /// The timestamp of the frame fed last: the settle horizon is
-    /// `max_gap` before it. Every log row is stamped with the time of a
-    /// frame fed, so while frame times do not decrease, no row still to
-    /// come is stamped before the clock.
-    clock: Micros,
     queue: SettleQueue,
 }
 
@@ -459,9 +524,10 @@ impl SettleQueue {
     const SLACK: Micros = Micros(1 << 31);
 
     /// Queues `key` at `last`, a time no later than its last counted
-    /// UPDATE, as of the demux clock `clock`. A time past what 32 bits
-    /// hold moves `base` up to `SLACK` behind the clock first, which
-    /// rebuilds the heap: once per half hour of trace time at most.
+    /// UPDATE, as of `clock`, the time of the frame fed or of the
+    /// settle. A time past what 32 bits hold moves `base` up to `SLACK`
+    /// behind the clock first, which rebuilds the heap: once per half
+    /// hour of trace time at most.
     fn push(&mut self, last: Micros, key: ConnKey, clock: Micros) {
         if self.heap.is_empty() {
             self.base = clock - Self::SLACK;
@@ -508,8 +574,7 @@ impl BgpDemux {
     /// reassembler retains them. A log that announces its first prefix
     /// joins the settle queue.
     pub fn feed(&mut self, frame: &impl FrameLike) {
-        self.clock = frame.timestamp();
-        let key = ConnKey::of(frame);
+        let (at, key) = (frame.timestamp(), ConnKey::of(frame));
         let pair = self.streams.entry(key).or_default();
         let side = if frame.src() == key.a {
             &mut pair.from_a
@@ -518,10 +583,10 @@ impl BgpDemux {
         };
         let tcp = frame.tcp();
         let fresh = side.extraction().announced_prefixes() == 0;
-        side.push(frame.timestamp(), tcp.seq, tcp.flags, frame.payload());
+        side.push(at, tcp.seq, tcp.flags, frame.payload());
         if fresh {
             if let Some(last) = side.last_counted() {
-                self.queue.push(last, key, self.clock);
+                self.queue.push(last, key, at);
             }
         }
     }
@@ -539,22 +604,21 @@ impl BgpDemux {
     }
 
     /// Settles every log whose table transfer MCT can no longer change
-    /// as of the frame fed last, under `analyzer`'s MCT configuration
+    /// as of `now`, under `analyzer`'s MCT configuration
     /// ([`MessageLog::settle`](tdat_bgp::MessageLog::settle)): those
     /// whose last counted UPDATE lies more than `max_gap` before it. A
     /// settled log frees its rows and prefix arena;
     /// [`Analyzer::transfer_of`] answers from what it kept, exactly as
-    /// MCT over the whole log would, provided frame times never
-    /// decrease from one [`feed`](Self::feed) to the next — the
-    /// precondition the batch pass and the watch share. A row stamped
-    /// behind the horizon breaks it: it is counted, but it cannot reopen
-    /// the transfer.
+    /// MCT over the whole log would, provided no frame fed from here on
+    /// is stamped before `now` ([`Ingest::step`] settles at the time of
+    /// the frame it is about to feed, or earlier). A row stamped behind
+    /// the horizon is counted, but it cannot reopen the transfer.
     ///
     /// Visits only the settle queue entries the horizon has passed, so
     /// with none due it costs one comparison, however many logs are
     /// open.
-    pub fn settle(&mut self, analyzer: &Analyzer) -> SettleCount {
-        let (now, config) = (self.clock, analyzer.mct());
+    pub fn settle(&mut self, now: Micros, analyzer: &Analyzer) -> SettleCount {
+        let config = analyzer.mct();
         let horizon = now - config.max_gap;
         let mut count = SettleCount::default();
         while let Some(key) = self.queue.pop_before(horizon) {
@@ -649,10 +713,11 @@ mod tests {
         }
     }
 
-    /// Feeds `frame`, then settles: what settled and what was visited.
+    /// Feeds `frame`, then settles at its time: what settled and what
+    /// was visited.
     fn step(demux: &mut BgpDemux, analyzer: &Analyzer, frame: &TcpFrame) -> (usize, usize) {
         demux.feed(frame);
-        let count = demux.settle(analyzer);
+        let count = demux.settle(frame.timestamp, analyzer);
         (count.settled, count.visited)
     }
 
@@ -790,7 +855,7 @@ mod tests {
         ] {
             demux.feed(&frame);
         }
-        let settled = demux.settle(&analyzer);
+        let settled = demux.settle(t0 + hour + Micros(10), &analyzer);
         assert_eq!((settled.settled, settled.visited), (1, 1), "the early log");
         let due = t0 + hour + max_gap;
         let frame = mid.segment(due, keepalive());

@@ -1,8 +1,8 @@
 //! Property tests of the analyzer's algebraic invariants.
 
 use proptest::prelude::*;
-use tdat::{delay_vector, AnalyzerConfig, Factor, FactorGroup, SeriesSet};
-use tdat_timeset::{EventSeries, Span};
+use tdat::{delay_vector_with, AnalyzerConfig, Factor, FactorGroup, SeriesSet};
+use tdat_timeset::{EventSeries, Span, SpanScratch};
 
 const PERIOD: Span = Span::from_micros(0, 1_000_000);
 
@@ -52,7 +52,7 @@ fn arb_series_set() -> impl Strategy<Value = SeriesSet> {
 proptest! {
     #[test]
     fn ratios_are_probabilities(set in arb_series_set()) {
-        let v = delay_vector(&set, &AnalyzerConfig::default());
+        let v = delay_vector_with(&set, &AnalyzerConfig::default(), &mut SpanScratch::new());
         for (factor, ratio) in v.factors {
             prop_assert!((0.0..=1.0).contains(&ratio), "{factor}: {ratio}");
         }
@@ -64,7 +64,7 @@ proptest! {
 
     #[test]
     fn group_ratio_bounded_by_members(set in arb_series_set()) {
-        let v = delay_vector(&set, &AnalyzerConfig::default());
+        let v = delay_vector_with(&set, &AnalyzerConfig::default(), &mut SpanScratch::new());
         for group in FactorGroup::ALL {
             let members: Vec<f64> = Factor::ALL
                 .iter()
@@ -83,7 +83,7 @@ proptest! {
 
     #[test]
     fn major_groups_monotone_in_threshold(set in arb_series_set()) {
-        let v = delay_vector(&set, &AnalyzerConfig::default());
+        let v = delay_vector_with(&set, &AnalyzerConfig::default(), &mut SpanScratch::new());
         let low = v.major_groups(0.2);
         let high = v.major_groups(0.5);
         for g in &high {
@@ -93,7 +93,7 @@ proptest! {
 
     #[test]
     fn dominant_factor_belongs_to_its_group(set in arb_series_set()) {
-        let v = delay_vector(&set, &AnalyzerConfig::default());
+        let v = delay_vector_with(&set, &AnalyzerConfig::default(), &mut SpanScratch::new());
         for group in FactorGroup::ALL {
             prop_assert_eq!(v.dominant_factor_in(group).group(), group);
         }

@@ -64,7 +64,8 @@ use std::time::Duration;
 
 use tdat::json::{self, JsonValue};
 use tdat_monitor::{
-    sweep_directory, EventSchema, Monitor, MonitorConfig, SourceSet, SourceSpec, Step, SweepReport,
+    sweep_directory, unique_name, EventSchema, Monitor, MonitorConfig, SourceSet, SourceSpec, Step,
+    SweepReport,
 };
 use tdat_tcpsim::scenario::{ScenarioOptions, SCENARIO_USAGE};
 use tdat_timeset::faultpoint::FaultPlan;
@@ -192,9 +193,17 @@ fn main() -> ExitCode {
     let set = if specs.is_empty() {
         None
     } else {
+        // A live source is named apart from the swept files too, as
+        // the set names its own sources apart.
+        let mut taken: Vec<String> = swept
+            .iter()
+            .flat_map(|report| report.outcomes.iter().map(|o| o.source.clone()))
+            .collect();
         let mut builder = SourceSet::builder().faults(faults);
         for spec in specs {
-            builder = builder.source(spec);
+            let name = unique_name(&taken, &spec.label());
+            taken.push(name.clone());
+            builder = builder.named(name, spec);
         }
         if let Some(valve) = stale.or(plural.then_some(DEFAULT_STALE)) {
             builder = builder.stale_after(valve);

@@ -28,12 +28,12 @@
 //!   produces byte-identical output; wall-clock readings go to
 //!   [`MonitorMetrics`] instead.
 //!
-//! The scopes (`SourceScope`) do the per-connection work: each owns a
-//! [`ConnectionTracker`] (per-connection state), a [`BgpDemux`]
-//! (incremental BGP reassembly for both directions) and the tick cache
+//! The scopes (`SourceScope`) do the per-connection work: each owns an
+//! [`Ingest`] — the batch pass's ingest core: tracker, BGP demux and
+//! capture-quality ledger — and the tick cache
 //! ([`Analyzer::analyze_partial_lossy`] results: what the alerts read,
 //! completed into whole analyses only when a snapshot is pulled).
-//! Nothing is queued: a frame is tracked, and whatever it finalizes is
+//! Nothing is queued: a frame is stepped, and whatever it finalizes is
 //! emitted, before the next one is ingested.
 //!
 //! What a tick costs follows what changed, not the open-connection
@@ -48,27 +48,28 @@
 //! which some member paused for `min_pause`, so a fleet of short
 //! sessions that share routers (reconnects lingering in `close_grace`)
 //! pairs nothing. What still scales with open connections is the row
-//! sweep. The settle queue run after the tick costs the logs whose
-//! table transfer became final, and nothing while none did.
+//! sweep. The settle, which the first frame after a tick runs before it
+//! is fed ([`Ingest::step`]), costs the logs whose table transfer became
+//! final, and one comparison while none did.
 //!
 //! The loop that feeds a [`SourceSet`] into the engine is
 //! [`Monitor::step`]; [`Monitor::run_set`] is that step until the set
 //! finishes.
 
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap};
 use std::net::Ipv4Addr;
 use std::sync::Arc;
 use std::time::Instant;
 
 use tdat::{
     find_consecutive_losses, find_zero_ack_bug, infer_timer, long_pauses, pair_peer_groups,
-    report::json, Analysis, Analyzer, BgpDemux, PartialAnalysis, PeerMember, QuarantineConfig,
+    report::json, Analysis, Analyzer, Ingest, PartialAnalysis, PeerMember, QuarantineConfig,
     Report,
 };
-use tdat_packet::{AnomalyCounts, CaptureAnomaly, TcpFrame};
+use tdat_packet::{AnomalyCounts, TcpFrame};
 use tdat_pcap2bgp::Extraction;
 use tdat_timeset::{Micros, Span};
-use tdat_trace::{ConnKey, ConnectionTracker, Endpoint, FinalizedConnection, TrackerConfig};
+use tdat_trace::{ConnKey, Endpoint, FinalizedConnection, TrackerConfig};
 
 use crate::alerts::{Alert, AlertConfig, AlertEngine, AlertKind, Condition};
 use crate::metrics::MonitorMetrics;
@@ -575,14 +576,9 @@ pub(crate) struct AnalysisCtx {
 #[derive(Debug)]
 pub(crate) struct SourceScope {
     name: Arc<str>,
-    tracker: ConnectionTracker,
-    demux: BgpDemux,
-    /// Capture anomalies attributed to each open connection; consumed
-    /// by the quarantine verdict at every tick and at finalization.
-    quality: HashMap<ConnKey, AnomalyCounts>,
-    /// Connections whose `quality` entry changed since their last
-    /// analysis — they must be re-analyzed even without new traffic.
-    quality_dirty: HashSet<ConnKey>,
+    /// The source's tracker, BGP demux and capture-quality ledger, and
+    /// the step a frame takes through them.
+    ingest: Ingest,
     /// Cached per-connection analyses from previous ticks; entries are
     /// refreshed only when their connection is dirty.
     cache: HashMap<ConnKey, CachedAnalysis>,
@@ -591,45 +587,14 @@ pub(crate) struct SourceScope {
     rows: BTreeMap<u64, TickRow>,
 }
 
-/// What [`SourceScope::finalize_connection`] produced: the scope's
-/// half of finalization. [`Control::finalize`] owns the other half —
-/// alert clearing, metrics, and the event itself.
-#[derive(Debug)]
-struct FinalizeOutcome {
-    /// The finalized session id.
-    session: String,
-    /// The session id the tick cache last published for this
-    /// connection, when it differs from the final one (late traffic
-    /// re-elected the data sender): alerts raised under it must be
-    /// cleared too, or they leak past the connection's lifetime.
-    stale_session: Option<String>,
-    /// The whole-lifetime report.
-    report: Report,
-    /// The analysis profile's end time (event timestamps never run
-    /// behind the traffic they describe).
-    profile_end: Micros,
-}
-
 impl SourceScope {
-    pub(crate) fn new(name: Arc<str>, tracker: ConnectionTracker) -> SourceScope {
+    pub(crate) fn new(name: Arc<str>, tracker: TrackerConfig) -> SourceScope {
         SourceScope {
             name,
-            tracker,
-            demux: BgpDemux::new(),
-            quality: HashMap::new(),
-            quality_dirty: HashSet::new(),
+            ingest: Ingest::new(tracker),
             cache: HashMap::new(),
             rows: BTreeMap::new(),
         }
-    }
-
-    /// Counts attributed capture damage against a connection's
-    /// quarantine budget. New damage changes the verdict, so the
-    /// connection must be re-analyzed at the next tick even if it saw
-    /// no traffic.
-    fn note_damage(&mut self, key: ConnKey, anomaly: &CaptureAnomaly) {
-        self.quality.entry(key).or_default().note(anomaly);
-        self.quality_dirty.insert(key);
     }
 
     /// Tick phases 1–2 for this scope at trace time `at`: re-analyze
@@ -647,36 +612,10 @@ impl SourceScope {
     /// correlation that follows costs nothing for a sender group none
     /// of whose members paused for `min_pause`.
     fn tick(&mut self, at: Micros, ctx: &AnalysisCtx, conditions: &mut Vec<Condition>) -> usize {
-        let work = self.dirty_work();
+        let work = self.ingest.take_dirty();
         self.refresh(work, at, ctx);
         self.row_conditions(at, ctx.stall_after, conditions);
         self.rows.len()
-    }
-
-    /// The tick's analysis work list: tracker-dirty (saw frames) plus
-    /// quality-dirty (new capture damage), deduplicated, still-open
-    /// only.
-    fn dirty_work(&mut self) -> Vec<ConnKey> {
-        let mut dirty = self.tracker.take_dirty();
-        if !self.quality_dirty.is_empty() {
-            let seen: HashSet<ConnKey> = dirty.iter().copied().collect();
-            let mut extra: Vec<(u64, ConnKey)> = Vec::new();
-            for key in self.quality_dirty.drain() {
-                if seen.contains(&key) {
-                    continue;
-                }
-                // A key the tracker does not know (damage attributed
-                // to a connection that never produced a decodable
-                // frame, or one that already finalized) has nothing
-                // to analyze.
-                if let Some(ordinal) = self.tracker.ordinal_of(key) {
-                    extra.push((ordinal, key));
-                }
-            }
-            extra.sort_unstable();
-            dirty.extend(extra.into_iter().map(|(_, key)| key));
-        }
-        dirty
     }
 
     /// Re-analyzes the connections in `work` over the window ending at
@@ -690,19 +629,18 @@ impl SourceScope {
         let unseen = Extraction::default();
         let span = Span::new(at.saturating_sub(ctx.window), at);
         for key in work {
-            let (Some(fin), Some(ordinal)) =
-                (self.tracker.snapshot_of(key), self.tracker.ordinal_of(key))
-            else {
+            let Some(fin) = self.ingest.tracker().snapshot_of(key) else {
                 continue;
             };
             let extraction = self
-                .demux
+                .ingest
+                .demux()
                 .snapshot(key, fin.connection.sender)
                 .unwrap_or(&unseen);
-            let counts = self.quality.get(&key).copied().unwrap_or_default();
+            let counts = self.ingest.quality(key);
             let rows = extraction.messages.len();
             let partial = analyzer.analyze_partial_lossy(fin.connection, extraction, span, counts);
-            self.store(key, ordinal, partial, rows, ctx);
+            self.store(key, fin.ordinal, partial, rows, ctx);
         }
     }
 
@@ -770,9 +708,10 @@ impl SourceScope {
     /// connection's frames and log are only appended to while it is
     /// open, and finalization drops its cache entry, so this is exactly
     /// what the tick would have found. A log that settled since
-    /// ([`BgpDemux::settle`]) answers MCT for those rows from what it
-    /// kept: it settles only right after a tick, when every connection's
-    /// cache entry holds the rows its log holds.
+    /// ([`tdat::BgpDemux::settle`]) answers MCT for those rows from what
+    /// it kept: by the settle rule ([`Ingest`]) it settles only while it
+    /// holds the rows the last tick saw, so no cache entry asks it about
+    /// fewer.
     fn complete(&mut self, analyzer: &Analyzer) {
         let unseen = Extraction::default();
         for (&key, cached) in &mut self.cache {
@@ -781,13 +720,18 @@ impl SourceScope {
             }
             let partial = &cached.partial;
             let Some(conn) = self
-                .tracker
+                .ingest
+                .tracker()
                 .snapshot_first(key, partial.profile.frames as usize)
             else {
                 debug_assert!(false, "a cached connection is open in its tracker");
                 continue;
             };
-            let extraction = self.demux.snapshot(key, partial.sender).unwrap_or(&unseen);
+            let extraction = self
+                .ingest
+                .demux()
+                .snapshot(key, partial.sender)
+                .unwrap_or(&unseen);
             let transfer = analyzer.transfer_of(partial.profile.start, extraction, cached.rows);
             cached.completed = Some(Box::new(analyzer.complete(conn, partial, transfer)));
         }
@@ -857,31 +801,12 @@ impl SourceScope {
         }
     }
 
-    /// The scope's half of finalizing a connection that left its
-    /// tracker: clear its per-connection state, drain its BGP
-    /// extraction, and build the whole-lifetime analysis.
-    fn finalize_connection(
-        &mut self,
-        fin: FinalizedConnection,
-        analyzer: &Analyzer,
-    ) -> FinalizeOutcome {
-        let cached_session = self.cache.remove(&fin.key).map(|cached| {
-            self.rows.remove(&cached.ordinal);
-            cached.session
-        });
-        self.quality_dirty.remove(&fin.key);
-        let counts = self.quality.remove(&fin.key).unwrap_or_default();
-        let extraction = self.demux.take(fin.key, fin.connection.sender);
-        let analysis = analyzer.analyze_extracted_lossy(fin.connection, &extraction, counts);
-        let session = session_id(analysis.sender, analysis.receiver);
-        let stale_session = cached_session.filter(|cached| cached != &session);
-        let report = Report::from_analysis(&analysis, analyzer.config());
-        FinalizeOutcome {
-            session,
-            stale_session,
-            report,
-            profile_end: analysis.profile.end,
-        }
+    /// Drops the tick state of a connection that left the tracker,
+    /// returning the session id its cache entry last published.
+    fn forget(&mut self, key: ConnKey) -> Option<String> {
+        let cached = self.cache.remove(&key)?;
+        self.rows.remove(&cached.ordinal);
+        Some(cached.session)
     }
 }
 
@@ -1010,34 +935,10 @@ impl Control {
         }
     }
 
-    /// The settle queue run that follows a closed tick, outside its
-    /// latency sample (no alert reads MCT): every log of `scopes` whose
-    /// table transfer can no longer change keeps MCT's answer and drops
-    /// its table ([`BgpDemux::settle`]), at the cost of the queue
-    /// entries due, not of the logs open. Right after a tick every cache
-    /// entry holds the rows its log holds, so no snapshot of an earlier
-    /// tick asks a settled log about fewer rows than it settled with.
-    fn settle(&mut self, scopes: &mut [SourceScope]) {
-        let analyzer = &self.ctx.analyzer;
-        for scope in scopes {
-            self.metrics.record_settled(scope.demux.settle(analyzer));
-        }
-    }
-
-    /// One frame through scope `source`: feed the reassembler, track
-    /// the connection, and finalize whatever the advance of time closed.
-    fn ingest(&mut self, scopes: &mut [SourceScope], source: usize, frame: &TcpFrame) {
-        let scope = &mut scopes[source];
-        scope.demux.feed(frame);
-        for fin in scope.tracker.ingest(frame) {
-            self.finalize(scopes, fin);
-        }
-    }
-
     /// One analysis tick at trace time `at`: per scope, re-analyze what
     /// changed and sweep the rows (phases 1–2); across the fleet,
     /// correlate peer-group blocking and update the alerts (phase 3).
-    /// Its latency sample covers those; the settle queue runs after it.
+    /// Its latency sample covers all of it.
     fn tick(&mut self, scopes: &mut [SourceScope], at: Micros) {
         let started = Instant::now();
         let mut conditions: Vec<Condition> = Vec::new();
@@ -1051,38 +952,44 @@ impl Control {
         }
         self.metrics.record_peer_pairs(pairs);
         self.metrics.record_tick(open, started.elapsed());
-        self.settle(scopes);
     }
 
-    /// A connection left its scope's tracker, which stamped the scope
-    /// index into `fin.scope`. Clears its alerts, counts it, and emits
-    /// its whole-lifetime report attributed to its source.
-    fn finalize(&mut self, scopes: &mut [SourceScope], fin: FinalizedConnection) {
-        let source = fin.scope as usize;
+    /// A connection left the tracker of scope `source`. Clears its
+    /// alerts, counts it, and emits its whole-lifetime report attributed
+    /// to its source.
+    fn finalize(&mut self, scopes: &mut [SourceScope], source: usize, fin: FinalizedConnection) {
         let (Some(scope), Some(name)) = (scopes.get_mut(source), self.names.get(source).cloned())
         else {
             debug_assert!(false, "finalized connection from unknown scope {source}");
             return;
         };
-        let outcome = scope.finalize_connection(fin, &self.ctx.analyzer);
-        let at = self.now.max(outcome.profile_end);
+        let cached = scope.forget(fin.key);
+        let analysis = scope.ingest.analyze(fin, &self.ctx.analyzer);
+        let session = session_id(analysis.sender, analysis.receiver);
+        // Event timestamps never run behind the traffic they describe.
+        let at = self.now.max(analysis.profile.end);
+        let report = Report::from_analysis(&analysis, self.ctx.analyzer.config());
+        drop(analysis);
         // Alerts are keyed by the session id the tick cache last
         // published; if late traffic re-elected the data sender (an
         // LRU-evicted connection captured mid-stream, say), the final
         // session differs and the cached session's alerts would
         // otherwise survive their connection.
-        if let Some(stale) = &outcome.stale_session {
-            self.clear_alerts(&name, stale, at);
+        if let Some(stale) = cached.filter(|cached| cached != &session) {
+            self.clear_alerts(&name, &stale, at);
         }
-        self.clear_alerts(&name, &outcome.session, at);
-        let open = scopes.iter().map(|s| s.tracker.open_connections()).sum();
+        self.clear_alerts(&name, &session, at);
+        let open = scopes
+            .iter()
+            .map(|s| s.ingest.tracker().open_connections())
+            .sum();
         self.metrics.record_finalized(open);
         self.events
             .push(MonitorEvent::Connection(ConnectionSummary {
                 at,
                 source: name,
-                session: outcome.session,
-                report: outcome.report,
+                session,
+                report,
             }));
     }
 }
@@ -1168,13 +1075,7 @@ impl Monitor {
         let id = SourceId(control.names.len() as u32);
         let name: Arc<str> = Arc::from(name);
         control.index.insert(name.clone(), id);
-        // The tracker stamps the scope index into everything it
-        // finalizes, so a finalized connection routes back to its
-        // source without a lookup.
-        scopes.push(SourceScope::new(
-            name.clone(),
-            ConnectionTracker::scoped(control.tracker_config, id.index() as u64),
-        ));
+        scopes.push(SourceScope::new(name.clone(), control.tracker_config));
         control.unattributed.push(AnomalyCounts::default());
         control.names.push(name);
         control.metrics.record_sources(control.names.len());
@@ -1197,20 +1098,27 @@ impl Monitor {
     /// Ingests one captured frame under a registered source scope.
     /// Frames must arrive in capture order *per source*, with
     /// timestamps that never decrease; the caller (or a [`SourceSet`])
-    /// is responsible for a sensible global interleaving. After each
-    /// tick a scope settles every log whose table transfer can no longer
-    /// change as of the scope's latest frame ([`BgpDemux::settle`]),
-    /// which keeps MCT's answer and drops the table, as the batch pass
-    /// does after every frame; that answer is exact because no later
-    /// frame of the scope is stamped earlier. The
-    /// lossy decoder behind a followed capture clamps timestamp
-    /// regressions and the simulator is ordered; a frame stamped behind
-    /// the horizon anyway is counted, but cannot reopen a settled
-    /// transfer. Runs any analysis ticks that became due before
-    /// this frame's timestamp.
+    /// is responsible for a sensible global interleaving. Runs any
+    /// analysis ticks that became due before this frame's timestamp,
+    /// then steps the frame through the scope's ingest core, the batch
+    /// pass's own ([`Ingest::step`], which settles first by the one
+    /// settle rule), and emits a report for every connection the advance
+    /// of time finalized. Settling is exact because no later frame of
+    /// the scope is stamped earlier: the lossy decoder behind a followed
+    /// capture clamps timestamp regressions and the simulator is
+    /// ordered; a frame stamped behind the horizon anyway is counted,
+    /// but cannot reopen a settled transfer.
     pub fn ingest_from(&mut self, source: SourceId, frame: &TcpFrame) {
-        if self.admit(source, frame.timestamp) {
-            self.control.ingest(&mut self.scopes, source.index(), frame);
+        if !self.admit(source, frame.timestamp) {
+            return;
+        }
+        let Monitor { control, scopes } = self;
+        let (finalized, settled) = scopes[source.index()]
+            .ingest
+            .step(frame, &control.ctx.analyzer);
+        control.metrics.record_settled(settled);
+        for fin in finalized {
+            control.finalize(scopes, source.index(), fin);
         }
     }
 
@@ -1273,7 +1181,11 @@ impl Monitor {
         };
         match anomaly.key {
             None => unattributed.note(&anomaly.anomaly),
-            Some(key) => scopes[source.index()].note_damage(key, &anomaly.anomaly),
+            // New damage changes the verdict: the connection is
+            // re-analyzed at the next tick even if it saw no traffic.
+            Some(key) => scopes[source.index()]
+                .ingest
+                .note(key, std::slice::from_ref(&anomaly.anomaly)),
         }
     }
 
@@ -1346,7 +1258,7 @@ impl Monitor {
     pub fn open_connections(&self) -> usize {
         self.scopes
             .iter()
-            .map(|s| s.tracker.open_connections())
+            .map(|s| s.ingest.tracker().open_connections())
             .sum()
     }
 
@@ -1409,11 +1321,9 @@ impl Monitor {
     /// is reusable afterwards, fresh.
     pub fn finish(&mut self) {
         let Monitor { control, scopes } = self;
-        for idx in 0..scopes.len() {
-            let fresh = ConnectionTracker::scoped(control.tracker_config, idx as u64);
-            let tracker = std::mem::replace(&mut scopes[idx].tracker, fresh);
-            for fin in tracker.finish() {
-                control.finalize(scopes, fin);
+        for source in 0..scopes.len() {
+            for fin in scopes[source].ingest.finish() {
+                control.finalize(scopes, source, fin);
             }
         }
         control.next_tick = None;

@@ -81,7 +81,9 @@ pub use engine::{
     SourceDown, SourceUp, Step, DEFAULT_SOURCE,
 };
 pub use metrics::{LatencyHistogram, MonitorMetrics};
-pub use set::{SetEvent, SourceId, SourceRun, SourceSet, SourceSetBuilder, SourceSpec};
+pub use set::{
+    unique_name, SetEvent, SourceId, SourceRun, SourceSet, SourceSetBuilder, SourceSpec,
+};
 pub use source::{AttributedAnomaly, FollowSource, PacketSource, SimSource, SourceEvent};
 pub use sweep::{sweep_directory, SweepOutcome, SweepReport};
 pub use tdat_trace::TrackerConfig;

@@ -18,7 +18,7 @@ use std::sync::Arc;
 use proptest::prelude::*;
 use tdat::{Analyzer, PartialAnalysis, SeriesSet, Verdict};
 use tdat_timeset::{EventSeries, Micros, Span};
-use tdat_trace::{ConnKey, ConnProfile, ConnectionTracker, TrackerConfig};
+use tdat_trace::{ConnKey, ConnProfile, TrackerConfig};
 
 use crate::alerts::{AlertConfig, Condition};
 use crate::engine::{
@@ -332,13 +332,7 @@ proptest! {
         let names: Vec<Arc<str>> = ["a", "b", "c"].into_iter().map(Arc::from).collect();
         let mut scopes: Vec<SourceScope> = names
             .iter()
-            .enumerate()
-            .map(|(s, name)| {
-                SourceScope::new(
-                    name.clone(),
-                    ConnectionTracker::scoped(TrackerConfig::streaming(), s as u64),
-                )
-            })
+            .map(|name| SourceScope::new(name.clone(), TrackerConfig::streaming()))
             .collect();
         // Members in (group, member) order, each with its source's
         // ordinal: its place among that source's members by rank.

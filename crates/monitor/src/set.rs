@@ -859,6 +859,20 @@ pub struct SourceSetBuilder {
     faults: FaultPlan,
 }
 
+/// `base`, or, when `taken` already holds it, the first of `base#2`,
+/// `base#3`, … that `taken` does not: how the sources of one event
+/// stream keep distinct names, within a [`SourceSet`] and beside the
+/// files a sweep wrote into the same stream.
+pub fn unique_name(taken: &[String], base: &str) -> String {
+    let mut unique = base.to_string();
+    let mut serial = 1usize;
+    while taken.contains(&unique) {
+        serial += 1;
+        unique = format!("{base}#{serial}");
+    }
+    unique
+}
+
 impl fmt::Debug for SourceSetBuilder {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("SourceSetBuilder")
@@ -933,7 +947,7 @@ impl SourceSetBuilder {
     }
 
     /// Opens every source and builds the set. Names are deduplicated
-    /// by appending `#2`, `#3`, … to later collisions.
+    /// by appending `#2`, `#3`, … to later collisions ([`unique_name`]).
     ///
     /// # Errors
     ///
@@ -967,12 +981,7 @@ impl SourceSetBuilder {
                 (None, PendingSource::Spec(spec)) => spec.label(),
                 (None, PendingSource::Custom(_)) => "custom".to_string(),
             };
-            let mut unique = base.clone();
-            let mut serial = 1usize;
-            while taken.contains(&unique) {
-                serial += 1;
-                unique = format!("{base}#{serial}");
-            }
+            let unique = unique_name(&taken, &base);
             taken.push(unique.clone());
             let (source, spec) = match pending {
                 PendingSource::Spec(spec) => {

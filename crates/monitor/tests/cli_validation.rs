@@ -10,7 +10,8 @@
 //! There is one data plane, too: `--shards`, which picked worker lanes,
 //! is an unknown option; and resume reads only the events file, so
 //! `--checkpoint` is unknown as well. A sweep beside live sources is
-//! one stream with one `meta` line, and is not resumed.
+//! one stream with one `meta` line, whose sources all have distinct
+//! names, and is not resumed.
 
 use std::net::Ipv4Addr;
 use std::process::Command;
@@ -176,43 +177,63 @@ fn a_sweep_beside_a_live_source_writes_one_meta_line_and_is_not_resumed() {
     ];
     write_pcap_file(corpus.join("a.pcap"), &frames).expect("write the swept capture");
     let events = dir.join("events.jsonl");
-    let sweep_and_sim = |extra: &[&str]| {
+    let sweep_beside = |live: &[&str], extra: &[&str]| {
         monitor()
             .arg("--sweep")
             .arg(&corpus)
-            .args(["--sim", "clean", "--routes", "40", "--events"])
+            .args(live)
+            .arg("--events")
             .arg(&events)
             .args(extra)
             .output()
             .expect("spawn t-dat-monitor")
     };
-
-    let output = sweep_and_sim(&[]);
-    let stderr = String::from_utf8_lossy(&output.stderr);
-    assert_eq!(output.status.code(), Some(0), "stderr: {stderr}");
-    let stream = std::fs::read_to_string(&events).expect("the events file");
-    let metas: Vec<&str> = stream
-        .lines()
-        .filter(|line| line.contains(r#""type":"meta""#))
-        .collect();
-    assert_eq!(
-        metas,
-        [r#"{"type":"meta","schema":"tdat-monitor-events/2","sources":["a.pcap","sim:clean"]}"#],
-        "one meta line, naming the swept file and then the live source:\n{stream}"
-    );
-    assert!(
-        stream.starts_with(metas[0]),
-        "and it comes first:\n{stream}"
-    );
-    for source in ["a.pcap", "sim:clean"] {
-        let attributed = format!(r#""source":"{source}""#);
-        assert!(
-            stream.contains(&attributed),
-            "{source} has events:\n{stream}"
+    let sim = ["--sim", "clean", "--routes", "40"];
+    let swept = corpus.join("a.pcap");
+    let follow = [
+        "--follow",
+        swept.to_str().expect("a UTF-8 path"),
+        "--exit-idle",
+        "0",
+    ];
+    // The live source named like the swept file is named apart from it,
+    // as the set names its own sources apart.
+    let mut stream = String::new();
+    for (live, names) in [
+        (&follow[..], ["a.pcap", "a.pcap#2"]),
+        (&sim[..], ["a.pcap", "sim:clean"]),
+    ] {
+        let output = sweep_beside(live, &[]);
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(output.status.code(), Some(0), "stderr: {stderr}");
+        stream = std::fs::read_to_string(&events).expect("the events file");
+        let metas: Vec<&str> = stream
+            .lines()
+            .filter(|line| line.contains(r#""type":"meta""#))
+            .collect();
+        let meta = format!(
+            r#"{{"type":"meta","schema":"tdat-monitor-events/2","sources":["{}"]}}"#,
+            names.join(r#"",""#)
         );
+        assert_eq!(
+            metas,
+            [meta.as_str()],
+            "one meta line, naming the swept file and then the live source:\n{stream}"
+        );
+        assert!(
+            stream.starts_with(metas[0]),
+            "and it comes first:\n{stream}"
+        );
+        for source in names {
+            let attributed = format!(r#""source":"{source}""#);
+            assert!(
+                stream.contains(&attributed),
+                "{source} has events:\n{stream}"
+            );
+        }
     }
 
-    let output = sweep_and_sim(&["--resume"]);
+    let output = sweep_beside(&sim, &["--resume"]);
     let stderr = String::from_utf8_lossy(&output.stderr);
     assert_eq!(output.status.code(), Some(2), "stderr: {stderr}");
     assert!(

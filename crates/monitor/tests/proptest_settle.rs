@@ -6,9 +6,12 @@
 //! pass finds it and as the watch reports it at finalization, is what
 //! `find_transfer_end_ref` finds over that connection's whole message
 //! list from `extract_all`, which keeps every message and settles
-//! nothing. Both passes settle logs along the way: the batch pass as
-//! soon as a frame takes its clock past a log's horizon, the watch
-//! after a tick.
+//! nothing. Both passes settle logs along the way, by their shared
+//! settle rule. The watch runs at tick intervals of 1 s, 10 s and 90 s
+//! under a 120 s window, and after every tick, at the last frame before
+//! the next, each snapshot report's `prefixes` is MCT's over the data
+//! sender's UPDATEs stamped before that tick: no log may settle with an
+//! UPDATE the tick did not see, even past `max_gap` between ticks.
 //!
 //! `PROPTEST_CASES` raises the case count (CI runs 20 000).
 
@@ -16,15 +19,19 @@ use std::collections::HashMap;
 use std::net::Ipv4Addr;
 
 use proptest::prelude::*;
-use tdat::{AnalyzerConfig, Report, StreamAnalyzer};
+use tdat::{json, AnalyzerConfig, Report, StreamAnalyzer};
 use tdat_bgp::{
     find_transfer_end_ref, BgpMessage, MctConfig, PathAttribute, Prefix, TableTransfer,
-    UpdateMessage,
+    UpdateMessage, WholeMessages,
 };
 use tdat_monitor::{Monitor, MonitorConfig, MonitorEvent};
 use tdat_packet::{FrameBuilder, TcpFlags, TcpFrame};
-use tdat_pcap2bgp::extract_all;
+use tdat_pcap2bgp::{extract_all, Extraction};
 use tdat_timeset::Micros;
+use tdat_trace::TcpConnection;
+
+/// The watch's tick intervals, in seconds, under a 120 s window.
+const INTERVALS: [i64; 3] = [1, 10, 90];
 
 /// What a router sends: prefixes are indices into a pool of sixteen,
 /// so announcements repeat and duplicate runs can end MCT's scan.
@@ -134,9 +141,32 @@ fn frames_of(s: usize, (open, messages): &Session, max_gap: Micros) -> Vec<TcpFr
     frames
 }
 
+/// What `find_transfer_end_ref` finds over the UPDATEs stamped before
+/// `before` of the connection whose data sender is `sender`, from the
+/// whole message lists `extract_all` keeps.
+fn mct_before(
+    whole: &[(TcpConnection, Extraction<WholeMessages>)],
+    sender: &str,
+    before: Micros,
+) -> Option<TableTransfer> {
+    let (conn, extraction) = whole
+        .iter()
+        .find(|(conn, _)| format!("{}:{}", conn.sender.0, conn.sender.1) == sender)?;
+    let updates = extraction
+        .messages
+        .iter()
+        .filter_map(|(at, message)| match message {
+            BgpMessage::Update(update) if *at < before => Some((*at, update)),
+            _ => None,
+        });
+    find_transfer_end_ref(conn.profile.start, updates, &MctConfig::default())
+}
+
 proptest! {
     /// Every connection's transfer, from the batch pass and from the
-    /// watch's final report, is MCT's over its whole message list.
+    /// watch's final report at every tick interval, is MCT's over its
+    /// whole message list; and after every tick, every snapshot report
+    /// is MCT's over the UPDATEs that tick saw.
     #[test]
     fn settling_changes_no_transfer_in_batch_or_watch(
         sessions in prop::collection::vec(arb_session(), 1..5),
@@ -149,54 +179,75 @@ proptest! {
             .flat_map(|(s, session)| frames_of(s, session, max_gap))
             .collect();
         frames.sort_by_key(|frame| frame.timestamp);
-
-        let reference: HashMap<String, Option<TableTransfer>> = extract_all(&frames)
-            .iter()
-            .map(|(conn, extraction)| {
-                let updates = extraction.messages.iter().filter_map(|(at, message)| match message {
-                    BgpMessage::Update(update) => Some((*at, update)),
-                    _ => None,
-                });
-                let transfer = find_transfer_end_ref(conn.profile.start, updates, &MctConfig::default());
-                (format!("{}:{}", conn.sender.0, conn.sender.1), transfer)
-            })
-            .collect();
+        let whole = extract_all(&frames);
 
         let batch = StreamAnalyzer::new(config.clone()).analyze_frames(&frames);
-        prop_assert_eq!(batch.len(), reference.len());
+        prop_assert_eq!(batch.len(), whole.len());
         let mut reports = HashMap::new();
         for analysis in &batch {
             let sender = format!("{}:{}", analysis.sender.0, analysis.sender.1);
             prop_assert_eq!(
-                reference.get(&sender),
-                Some(&analysis.transfer),
+                &mct_before(&whole, &sender, Micros::MAX),
+                &analysis.transfer,
                 "batch transfer of {}",
                 sender
             );
             reports.insert(sender, Report::from_analysis(analysis, &config).to_json());
         }
 
-        let mut monitor = Monitor::new(MonitorConfig::default());
-        for frame in &frames {
-            monitor.ingest(frame);
-        }
-        monitor.finish();
-        let mut finalized = 0;
-        for event in monitor.drain_events() {
-            let MonitorEvent::Connection(summary) = event else {
-                continue;
+        for interval in INTERVALS.map(Micros::from_secs) {
+            let mut monitor = Monitor::new(MonitorConfig {
+                window: Micros::from_secs(120),
+                interval,
+                ..MonitorConfig::default()
+            });
+            // The snapshots as of the last tick, pulled before the next.
+            let check = |monitor: &mut Monitor| -> Result<(), TestCaseError> {
+                let ticks = monitor.metrics().ticks() as i64;
+                let tick = frames[0].timestamp + Micros(interval.0 * ticks);
+                for (_, _, report) in monitor.snapshot_reports() {
+                    let report = json::parse(&report).expect("a report is JSON");
+                    let field = |key: &str| report.get(key).expect("a report field");
+                    let sender = field("sender").as_str().expect("a sender");
+                    let prefixes = field("prefixes").as_u64().expect("a count");
+                    prop_assert_eq!(
+                        prefixes as usize,
+                        mct_before(&whole, sender, tick).map_or(0, |t| t.prefix_count),
+                        "snapshot of {} as of the tick at {} every {}",
+                        sender,
+                        tick,
+                        interval
+                    );
+                }
+                Ok(())
             };
-            finalized += 1;
-            let report = &summary.report;
-            let expected = reference.get(&report.sender).cloned().flatten();
-            prop_assert_eq!(
-                report.prefixes,
-                expected.map_or(0, |t| t.prefix_count),
-                "watch transfer of {}",
-                report.sender
-            );
-            prop_assert_eq!(Some(&report.to_json()), reports.get(&report.sender));
+            for frame in &frames {
+                let ticks = monitor.metrics().ticks() as i64 + 1;
+                if frame.timestamp >= frames[0].timestamp + Micros(interval.0 * ticks) {
+                    check(&mut monitor)?;
+                }
+                monitor.ingest(frame);
+            }
+            check(&mut monitor)?;
+            monitor.finish();
+            let mut finalized = 0;
+            for event in monitor.drain_events() {
+                let MonitorEvent::Connection(summary) = event else {
+                    continue;
+                };
+                finalized += 1;
+                let report = &summary.report;
+                let expected = mct_before(&whole, &report.sender, Micros::MAX);
+                prop_assert_eq!(
+                    report.prefixes,
+                    expected.map_or(0, |t| t.prefix_count),
+                    "watch transfer of {} every {}",
+                    report.sender,
+                    interval
+                );
+                prop_assert_eq!(Some(&report.to_json()), reports.get(&report.sender));
+            }
+            prop_assert_eq!(finalized, whole.len());
         }
-        prop_assert_eq!(finalized, reference.len());
     }
 }

@@ -97,9 +97,6 @@ impl TrackerConfig {
 pub struct FinalizedConnection {
     /// 0-based order in which the connection first appeared.
     pub ordinal: u64,
-    /// The opaque scope tag of the tracker that built this connection
-    /// (see [`ConnectionTracker::scoped`]); 0 for unscoped trackers.
-    pub scope: u64,
     /// The connection's normalized key.
     pub key: ConnKey,
     /// The built connection, identical to what the batch extractor
@@ -139,10 +136,6 @@ impl ConnState {
 #[derive(Debug)]
 pub struct ConnectionTracker {
     config: TrackerConfig,
-    /// Opaque tag copied onto every [`FinalizedConnection`]; lets a
-    /// caller running several trackers side by side (one per capture
-    /// source) attribute finalizations without extra bookkeeping.
-    scope: u64,
     open: HashMap<ConnKey, ConnState>,
     next_ordinal: u64,
     frames_seen: usize,
@@ -157,17 +150,8 @@ const SWEEP_INTERVAL: Micros = Micros::from_millis(250);
 impl ConnectionTracker {
     /// Creates a tracker with the given finalization policy.
     pub fn new(config: TrackerConfig) -> ConnectionTracker {
-        ConnectionTracker::scoped(config, 0)
-    }
-
-    /// Creates a tracker whose finalized connections carry `scope` —
-    /// the multi-source hook: one tracker per capture source, each
-    /// tagged so downstream consumers can attribute every
-    /// [`FinalizedConnection`] to its origin.
-    pub fn scoped(config: TrackerConfig, scope: u64) -> ConnectionTracker {
         ConnectionTracker {
             config,
-            scope,
             open: HashMap::new(),
             next_ordinal: 0,
             frames_seen: 0,
@@ -177,19 +161,14 @@ impl ConnectionTracker {
         }
     }
 
-    /// The scope tag stamped onto finalized connections.
-    pub fn scope(&self) -> u64 {
-        self.scope
+    /// The finalization policy the tracker was created with.
+    pub fn config(&self) -> TrackerConfig {
+        self.config
     }
 
     /// Connections currently held open.
     pub fn open_connections(&self) -> usize {
         self.open.len()
-    }
-
-    /// Total frames ingested so far.
-    pub fn frames_seen(&self) -> usize {
-        self.frames_seen
     }
 
     /// Connections finalized early because the
@@ -272,7 +251,6 @@ impl ConnectionTracker {
                 self.evicted += 1;
                 Some(FinalizedConnection {
                     ordinal: state.ordinal,
-                    scope: self.scope,
                     key,
                     connection: build_connection(&state.metas),
                 })
@@ -311,7 +289,6 @@ impl ConnectionTracker {
                 let state = self.open.remove(&key).expect("selected above");
                 FinalizedConnection {
                     ordinal: state.ordinal,
-                    scope: self.scope,
                     key,
                     connection: build_connection(&state.metas),
                 }
@@ -334,7 +311,6 @@ impl ConnectionTracker {
         open.into_iter()
             .map(|(key, state)| FinalizedConnection {
                 ordinal: state.ordinal,
-                scope: self.scope,
                 key: *key,
                 connection: build_connection(&state.metas),
             })
@@ -346,7 +322,6 @@ impl ConnectionTracker {
     pub fn snapshot_of(&self, key: ConnKey) -> Option<FinalizedConnection> {
         self.open.get(&key).map(|state| FinalizedConnection {
             ordinal: state.ordinal,
-            scope: self.scope,
             key,
             connection: build_connection(&state.metas),
         })
@@ -381,15 +356,14 @@ impl ConnectionTracker {
         dirty.into_iter().map(|(_, k)| k).collect()
     }
 
-    /// The ordinal of an open connection, or `None` if `key` is not
-    /// open.
-    pub fn ordinal_of(&self, key: ConnKey) -> Option<u64> {
-        self.open.get(&key).map(|s| s.ordinal)
-    }
-
-    /// The latest trace timestamp seen so far.
-    pub fn now(&self) -> Micros {
-        self.now
+    /// Marks an open connection as changed without a frame (capture
+    /// damage charged to it, say), so the next
+    /// [`take_dirty`](Self::take_dirty) returns it. Nothing for a
+    /// connection not open.
+    pub fn mark_dirty(&mut self, key: ConnKey) {
+        if let Some(state) = self.open.get_mut(&key) {
+            state.dirty = true;
+        }
     }
 
     /// Flushes all remaining open connections (end of trace), by
@@ -400,7 +374,6 @@ impl ConnectionTracker {
         rest.into_iter()
             .map(|(key, state)| FinalizedConnection {
                 ordinal: state.ordinal,
-                scope: self.scope,
                 key,
                 connection: build_connection(&state.metas),
             })
