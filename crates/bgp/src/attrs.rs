@@ -65,7 +65,6 @@ pub enum AsPathSegment {
 /// use tdat_bgp::AsPath;
 /// let path = AsPath::sequence([7018, 3356, 15169]);
 /// assert_eq!(path.to_string(), "7018 3356 15169");
-/// assert_eq!(path.hop_count(), 3);
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Hash, Default)]
 pub struct AsPath {
@@ -79,24 +78,6 @@ impl AsPath {
         AsPath {
             segments: vec![AsPathSegment::Sequence(ases.into_iter().collect())],
         }
-    }
-
-    /// Total number of ASes across all segments (AS sets count their
-    /// members).
-    pub fn hop_count(&self) -> usize {
-        self.segments
-            .iter()
-            .map(|s| match s {
-                AsPathSegment::Sequence(v) | AsPathSegment::Set(v) => v.len(),
-            })
-            .sum()
-    }
-
-    /// The neighboring (first) AS on the path, if any.
-    pub fn first_as(&self) -> Option<u16> {
-        self.segments.first().and_then(|s| match s {
-            AsPathSegment::Sequence(v) | AsPathSegment::Set(v) => v.first().copied(),
-        })
     }
 
     fn encode(&self, out: &mut impl BufMut) {
@@ -514,8 +495,6 @@ mod tests {
             ],
         };
         assert_eq!(p.to_string(), "7018 3356 {1,2}");
-        assert_eq!(p.hop_count(), 4);
-        assert_eq!(p.first_as(), Some(7018));
     }
 
     #[test]

@@ -46,7 +46,6 @@ mod mct;
 mod message;
 mod mrt;
 mod prefix;
-mod rib_dump;
 mod table;
 
 pub use attrs::{AsPath, AsPathSegment, Origin, PathAttribute};
@@ -61,8 +60,4 @@ pub use mrt::{
     read_mrt, write_mrt, MrtRecord, BGP4MP_MESSAGE, BGP4MP_STATE_CHANGE, MRT_TYPE_BGP4MP,
 };
 pub use prefix::Prefix;
-pub use rib_dump::{
-    PeerEntry, RibDump, RibEntry, MRT_TYPE_TABLE_DUMP_V2, TDV2_PEER_INDEX_TABLE,
-    TDV2_RIB_IPV4_UNICAST,
-};
 pub use table::{Route, RoutingTable, TableGenerator};

@@ -15,6 +15,9 @@ use crate::attrs::{AsPath, Origin, PathAttribute};
 use crate::message::{BgpMessage, UpdateMessage, BGP_HEADER_LEN, BGP_MAX_MESSAGE_LEN};
 use crate::prefix::Prefix;
 
+/// The NEXT_HOP carried in every generated attribute set.
+const NEXT_HOP: Ipv4Addr = Ipv4Addr::new(192, 0, 2, 1);
+
 /// One route: a prefix and the attributes it is announced with.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Route {
@@ -115,7 +118,6 @@ pub struct TableGenerator {
     routes: usize,
     attr_sets: Option<usize>,
     local_as: u16,
-    next_hop: Ipv4Addr,
 }
 
 impl TableGenerator {
@@ -129,7 +131,6 @@ impl TableGenerator {
             routes: 10_000,
             attr_sets: None,
             local_as: 65_000,
-            next_hop: Ipv4Addr::new(192, 0, 2, 1),
         }
     }
 
@@ -150,12 +151,6 @@ impl TableGenerator {
     /// Sets the first AS on every path (the announcing neighbor).
     pub fn local_as(mut self, local_as: u16) -> TableGenerator {
         self.local_as = local_as;
-        self
-    }
-
-    /// Sets the NEXT_HOP carried in every attribute set.
-    pub fn next_hop(mut self, next_hop: Ipv4Addr) -> TableGenerator {
-        self.next_hop = next_hop;
         self
     }
 
@@ -198,7 +193,7 @@ impl TableGenerator {
                 _ => Origin::Igp,
             }),
             PathAttribute::AsPath(AsPath::sequence(ases)),
-            PathAttribute::NextHop(self.next_hop),
+            PathAttribute::NextHop(NEXT_HOP),
         ];
         if rng.gen_bool(0.3) {
             attrs.push(PathAttribute::Med(rng.gen_range(0..1000)));

@@ -62,12 +62,6 @@ impl Factor {
         }
     }
 
-    /// True for the factors driven by the BGP application rather than
-    /// TCP (the BGP-vs-TCP breakdown of Table IV).
-    pub fn is_bgp(self) -> bool {
-        matches!(self, Factor::BgpSenderApp | Factor::BgpReceiverApp)
-    }
-
     /// The factor's name in reports and listings.
     pub const fn name(self) -> &'static str {
         match self {
@@ -327,8 +321,6 @@ mod tests {
         assert_eq!(Factor::BgpSenderApp.group(), FactorGroup::Sender);
         assert_eq!(Factor::TcpAdvertisedWindow.group(), FactorGroup::Receiver);
         assert_eq!(Factor::NetworkLoss.group(), FactorGroup::Network);
-        assert!(Factor::BgpReceiverApp.is_bgp());
-        assert!(!Factor::TcpCongestionWindow.is_bgp());
     }
 
     #[test]

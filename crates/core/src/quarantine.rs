@@ -46,11 +46,6 @@ impl Verdict {
         matches!(self, Verdict::Quarantined { .. })
     }
 
-    /// `true` for [`Verdict::Clean`].
-    pub fn is_clean(&self) -> bool {
-        matches!(self, Verdict::Clean)
-    }
-
     /// Stable snake_case identifier used in reports and JSON.
     pub fn as_str(&self) -> &'static str {
         match self {
@@ -167,7 +162,6 @@ mod tests {
         let v =
             QuarantineConfig::default().assess(&AnomalyCounts::default(), &Extraction::default());
         assert_eq!(v, Verdict::Clean);
-        assert!(v.is_clean());
         assert_eq!(v.as_str(), "clean");
     }
 

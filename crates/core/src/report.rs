@@ -283,17 +283,6 @@ impl Report {
             capture_anomalies: count_field("capture_anomalies")?,
         })
     }
-
-    /// Parses a report from canonical JSON text; see
-    /// [`from_json`](Self::from_json).
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of the parse or field error.
-    pub fn from_json_str(text: &str) -> Result<Report, String> {
-        let value = json::parse(text).map_err(|e| e.to_string())?;
-        Report::from_json(&value)
-    }
 }
 
 /// `ip:port`, written once into a string sized for the longest one.
@@ -385,7 +374,8 @@ mod tests {
             .map(|(i, f)| (f.name().into(), i as f64 * 0.125))
             .collect();
         r.loss_episodes = vec![(9, 4.2), (2, 0.5)];
-        let parsed = Report::from_json_str(&r.to_json()).expect("canonical JSON parses");
+        let value = json::parse(&r.to_json()).expect("canonical JSON parses");
+        let parsed = Report::from_json(&value).expect("every field present");
         assert_eq!(parsed, r);
         // And the encoding is a fixpoint under parse → re-encode.
         assert_eq!(parsed.to_json(), r.to_json());
@@ -393,9 +383,10 @@ mod tests {
 
     #[test]
     fn from_json_reports_missing_fields() {
-        let err = Report::from_json_str("{\"sender\":\"a\"}").expect_err("incomplete");
+        let value = json::parse("{\"sender\":\"a\"}").expect("valid JSON");
+        let err = Report::from_json(&value).expect_err("incomplete");
         assert!(err.contains("missing"), "{err}");
-        let err = Report::from_json_str("not json").expect_err("garbage");
+        let err = json::parse("not json").expect_err("garbage").to_string();
         assert!(err.contains("invalid JSON"), "{err}");
     }
 

@@ -3,12 +3,11 @@
 //! Registry-based fuzzers (`cargo-fuzz`) need network access and a
 //! nightly toolchain; this harness gets the same class of coverage
 //! hermetically. One *golden* capture — a seeded simulator run of a
-//! clean BGP table transfer — is mutated by the
-//! [`ChaosEngine`](tdat_tcpsim::ChaosEngine) into a corpus spanning
-//! every sniffer-damage class (record truncation, snaplen clipping,
-//! byte corruption, record duplication, reordering, clock jumps, and a
-//! mixed "poison" blend). Each corpus entry is then driven through all
-//! three consumption pipelines:
+//! clean BGP table transfer — is mutated by [`apply_chaos`] into a
+//! corpus spanning every sniffer-damage class (record truncation,
+//! snaplen clipping, byte corruption, record duplication, reordering,
+//! clock jumps, and a mixed "poison" blend). Each corpus entry is then
+//! driven through all three consumption pipelines:
 //!
 //! * **batch** — [`StreamAnalyzer::analyze_pcap_lossy`] over the file;
 //! * **streaming** — [`StreamAnalyzer::analyze_lossy_with`] over an
@@ -104,11 +103,6 @@ pub fn golden_frames() -> &'static [TcpFrame] {
         );
         frames
     })
-}
-
-/// The golden capture as undamaged pcap bytes.
-pub fn golden_pcap() -> Vec<u8> {
-    apply_chaos(golden_frames(), &ChaosSpec::quiet(0)).0
 }
 
 /// One mutated capture of the corpus.
@@ -363,6 +357,11 @@ pub fn run_all(entry: &CorpusEntry) -> (PipelineOutcome, PipelineOutcome, Pipeli
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    /// The golden capture as undamaged pcap bytes.
+    fn golden_pcap() -> Vec<u8> {
+        apply_chaos(golden_frames(), &ChaosSpec::quiet(0)).0
+    }
 
     #[test]
     fn corpus_covers_every_damage_class_with_real_damage() {

@@ -170,11 +170,6 @@ impl MonitorMetrics {
         self.frames
     }
 
-    /// Frames ingested from one named source.
-    pub fn frames_from(&self, source: &str) -> u64 {
-        self.frames_by_source.get(source).copied().unwrap_or(0)
-    }
-
     /// Sources ever registered with the monitor.
     pub fn sources(&self) -> usize {
         self.sources
@@ -184,19 +179,6 @@ impl MonitorMetrics {
     /// damage).
     pub fn source_failures(&self) -> u64 {
         self.source_failures
-    }
-
-    /// Sources that went down transiently (entered backoff); each flap
-    /// either resurrects (see
-    /// [`source_resurrections`](Self::source_resurrections)) or, once
-    /// the retry budget is spent, becomes a terminal failure.
-    pub fn source_flaps(&self) -> u64 {
-        self.source_flaps
-    }
-
-    /// Transiently-down sources successfully resurrected.
-    pub fn source_resurrections(&self) -> u64 {
-        self.source_resurrections
     }
 
     /// Analysis ticks run.
@@ -375,8 +357,6 @@ mod tests {
         };
         m.record_alert(&alert);
         assert_eq!(m.frames(), 2);
-        assert_eq!(m.frames_from("capture"), 2);
-        assert_eq!(m.frames_from("other"), 0);
         assert_eq!(m.ticks(), 1);
         assert_eq!(m.open_connections(), 2);
         assert_eq!(m.connections_finalized(), 1);
@@ -400,12 +380,17 @@ mod tests {
         m.record_sources(2);
         m.record_source_failure();
         assert_eq!(m.frames(), 3);
-        assert_eq!(m.frames_from("b.pcap"), 2);
         assert_eq!(m.sources(), 2);
         assert_eq!(m.source_failures(), 1);
         let text = m.to_string();
-        assert!(text.contains("a.pcap"), "{text}");
-        assert!(text.contains("b.pcap"), "{text}");
+        assert!(
+            text.contains(&format!("  from {:<24} {:>10}\n", "a.pcap", 1)),
+            "{text}"
+        );
+        assert!(
+            text.contains(&format!("  from {:<24} {:>10}\n", "b.pcap", 2)),
+            "{text}"
+        );
         assert!(text.contains("source failures"), "{text}");
     }
 }

@@ -130,11 +130,6 @@ impl LossMatrix {
         self.cells.iter().flatten().sum()
     }
 
-    /// Correctly located drops (diagonal).
-    pub fn correct(&self) -> u64 {
-        self.cells[0][0] + self.cells[1][1]
-    }
-
     /// Drops attributed to the wrong side of the tap, plus inferred
     /// losses that never happened. (Unlocated repairs — spurious,
     /// reordered, probe, missed — are reported but not counted here.)
@@ -333,6 +328,6 @@ mod tests {
         }];
         let m = loss_matrix(&drops, &[]);
         assert_eq!(m.cells[0][5], 1);
-        assert_eq!(m.correct(), 0);
+        assert_eq!(m.cells[0][0] + m.cells[1][1], 0);
     }
 }

@@ -22,9 +22,6 @@ pub const ETHERTYPE_IPV4: u16 = 0x0800;
 pub struct MacAddr(pub [u8; 6]);
 
 impl MacAddr {
-    /// The broadcast address `ff:ff:ff:ff:ff:ff`.
-    pub const BROADCAST: MacAddr = MacAddr([0xff; 6]);
-
     /// A locally-administered unicast address derived from a small
     /// integer id; handy for simulated hosts.
     pub fn from_host_id(id: u32) -> MacAddr {

@@ -85,12 +85,6 @@ impl TcpFrame {
         self.tcp.seq.wrapping_add(advance)
     }
 
-    /// True if the frame carries data (or SYN/FIN) that occupies
-    /// sequence space.
-    pub fn occupies_seq_space(&self) -> bool {
-        self.seq_end() != self.tcp.seq
-    }
-
     /// True if this is a pure ACK: no payload, no SYN/FIN/RST.
     pub fn is_pure_ack(&self) -> bool {
         self.payload.is_empty()
@@ -283,12 +277,6 @@ pub trait FrameLike {
             advance = advance.wrapping_add(1);
         }
         tcp.seq.wrapping_add(advance)
-    }
-
-    /// True if the frame carries data (or SYN/FIN) that occupies
-    /// sequence space.
-    fn occupies_seq_space(&self) -> bool {
-        FrameLike::seq_end(self) != self.tcp().seq
     }
 
     /// True if this is a pure ACK: no payload, no SYN/FIN/RST.
@@ -504,7 +492,6 @@ mod tests {
             .flags(TcpFlags::SYN)
             .build();
         assert_eq!(syn.seq_end(), 101);
-        assert!(syn.occupies_seq_space());
 
         let data = FrameBuilder::new(addr(1), addr(2))
             .seq(100)
@@ -524,7 +511,6 @@ mod tests {
     fn pure_ack_detection() {
         let ack = FrameBuilder::new(addr(1), addr(2)).ack_to(500).build();
         assert!(ack.is_pure_ack());
-        assert!(!ack.occupies_seq_space());
         let dataack = FrameBuilder::new(addr(1), addr(2))
             .ack_to(500)
             .payload(vec![1])

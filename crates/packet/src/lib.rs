@@ -120,7 +120,7 @@ pub use lossy::{
 };
 pub use mmap::{BlockFrame, BlockIter, BlockViews, FrameBlock, MmapReader, DEFAULT_BLOCK_FRAMES};
 pub use pcap::{
-    read_pcap_file, write_pcap_file, PcapReader, PcapWriter, RawRecord, LINKTYPE_ETHERNET,
-    MAGIC_MICROS, MAGIC_NANOS,
+    read_pcap_file, write_pcap_file, PcapReader, PcapWriter, LINKTYPE_ETHERNET, MAGIC_MICROS,
+    MAGIC_NANOS,
 };
 pub use tcp::{seq_cmp, seq_diff, tcp_checksum, TcpFlags, TcpHeader, TcpOption, TCP_HEADER_LEN};

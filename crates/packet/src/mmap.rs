@@ -2,10 +2,10 @@
 //!
 //! [`MmapReader`] is the strict policy over a source that is all there
 //! (see the crate docs, "Capture ingest"): it maps the file (via
-//! [`tdat_mapfile`]) and feeds [`FrameView`]s straight out of the
-//! mapping, with no window in between; when mapping is unavailable the
-//! whole file is buffered once at open and the reader behaves
-//! identically.
+//! [`tdat_mapfile`]) and feeds [`FrameView`](crate::FrameView)s
+//! straight out of the mapping, with no window in between; when mapping
+//! is unavailable the whole file is buffered once at open and the
+//! reader behaves identically.
 //!
 //! On top of that sits block decode: [`MmapReader::next_views_into`]
 //! fills a caller-owned [`FrameBlock`] with up to a block's worth of
@@ -35,7 +35,7 @@ use std::path::Path;
 
 use crate::error::{PacketError, Result};
 use crate::eth::EthernetHeader;
-use crate::frame::{FrameLike, FrameView, Layers, TcpFrame};
+use crate::frame::{FrameLike, Layers, TcpFrame};
 use crate::ipv4::Ipv4Header;
 use crate::pcap::LINKTYPE_ETHERNET;
 use crate::tcp::TcpHeader;
@@ -271,10 +271,11 @@ struct FrameSlot {
 }
 
 impl FrameSlot {
-    /// Decodes one record into this slot: [`FrameView::parse`] over the
-    /// same header walk, but with the TCP header written in place so
-    /// option-vector capacity is reused. `base` is the record's data
-    /// offset in the source mapping.
+    /// Decodes one record into this slot:
+    /// [`FrameView::parse`](crate::FrameView::parse) over the same header
+    /// walk, but with the TCP header written in place so option-vector
+    /// capacity is reused. `base` is the record's data offset in the
+    /// source mapping.
     fn parse(&mut self, timestamp: Micros, base: usize, wire: &[u8]) -> Result<()> {
         let layers = Layers::walk(wire, false)?;
         let consumed = self.tcp.decode_into(layers.segment)?;
@@ -405,7 +406,7 @@ impl ExactSizeIterator for BlockIter<'_> {}
 /// One block-decoded frame: pre-parsed headers in the block slot plus
 /// a payload borrowed from the source mapping. Implements
 /// [`FrameLike`], so trackers and demultiplexers consume it exactly
-/// like a [`FrameView`].
+/// like a [`FrameView`](crate::FrameView).
 #[derive(Debug, Clone, Copy)]
 pub struct BlockFrame<'a> {
     slot: &'a FrameSlot,
@@ -413,24 +414,6 @@ pub struct BlockFrame<'a> {
 }
 
 impl<'a> BlockFrame<'a> {
-    /// Link layer header.
-    pub fn eth(&self) -> &'a EthernetHeader {
-        &self.slot.eth
-    }
-
-    /// Reassembles the equivalent [`FrameView`], byte-identical to what
-    /// [`PcapReader::next_view`](crate::PcapReader::next_view) yields for
-    /// the same record.
-    pub fn to_view(&self) -> FrameView<'a> {
-        FrameView {
-            timestamp: self.slot.timestamp,
-            eth: self.slot.eth,
-            ip: self.slot.ip.clone(),
-            tcp: self.slot.tcp.clone(),
-            payload: self.payload_bytes(),
-        }
-    }
-
     /// Copies into an owned [`TcpFrame`].
     pub fn to_frame(&self) -> TcpFrame {
         TcpFrame {
@@ -635,7 +618,7 @@ mod tests {
         let first = views.get(0).unwrap();
         assert!(first.is_pure_ack());
         assert_eq!(FrameLike::seq_end(&views.get(1).unwrap()), 4);
-        assert_eq!(views.get(1).unwrap().to_view().tcp.flags.to_string(), "FA");
+        assert_eq!(views.get(1).unwrap().tcp().flags.to_string(), "FA");
     }
 
     #[test]

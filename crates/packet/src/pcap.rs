@@ -23,18 +23,6 @@ pub const MAGIC_NANOS: u32 = 0xa1b2_3c4d;
 /// Link type for Ethernet (LINKTYPE_ETHERNET / DLT_EN10MB).
 pub const LINKTYPE_ETHERNET: u32 = 1;
 
-/// A raw pcap record: capture timestamp plus captured bytes.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RawRecord {
-    /// Capture timestamp (converted to microseconds regardless of file
-    /// resolution).
-    pub timestamp: Micros,
-    /// Original (untruncated) packet length on the wire.
-    pub orig_len: u32,
-    /// Captured bytes (may be shorter than `orig_len` with a snaplen).
-    pub data: Vec<u8>,
-}
-
 /// Streaming reader for classic pcap files: the strict policy over a
 /// read window (see the crate docs, "Capture ingest").
 ///
@@ -86,23 +74,6 @@ impl<R: Read> PcapReader<R> {
         self.walker.link_type()
     }
 
-    /// Reads the next raw record, or `None` at a clean end of file.
-    ///
-    /// Timestamps are reported relative to the first record in the file
-    /// (the trace epoch), in microseconds.
-    ///
-    /// # Errors
-    ///
-    /// Fails on I/O errors or a record that ends mid-data.
-    pub fn next_record(&mut self) -> Result<Option<RawRecord>> {
-        let record = self.walker.next_strict(&mut self.src)?;
-        Ok(record.map(|record| RawRecord {
-            timestamp: record.timestamp,
-            orig_len: record.orig_len,
-            data: self.src.behind(record.body_len).to_vec(),
-        }))
-    }
-
     /// Reads the next record and parses it as a borrowed, zero-copy
     /// [`FrameView`] over the reader's window. The view is valid until
     /// the next read call; the steady-state loop performs no heap
@@ -122,8 +93,7 @@ impl<R: Read> PcapReader<R> {
     /// # Errors
     ///
     /// Fails on I/O errors, on a non-Ethernet link type, or on frames
-    /// that are not TCP over IPv4 (callers that expect mixed traffic
-    /// should use [`next_record`](PcapReader::next_record) and filter).
+    /// that are not TCP over IPv4.
     pub fn next_view(&mut self) -> Result<Option<FrameView<'_>>> {
         if self.link_type() != LINKTYPE_ETHERNET {
             return Err(PacketError::UnsupportedLinkType(self.link_type()));
@@ -353,9 +323,9 @@ mod tests {
         buf.extend_from_slice(&(inner.len() as u32).to_be_bytes());
         buf.extend_from_slice(&inner);
         let mut r = PcapReader::new(&buf[..]).unwrap();
-        let rec = r.next_record().unwrap().unwrap();
-        assert_eq!(rec.data, inner);
-        assert_eq!(rec.timestamp, Micros::ZERO); // first record = epoch
+        let view = r.next_view().unwrap().unwrap();
+        assert_eq!(view.to_frame().to_wire(), inner);
+        assert_eq!(view.timestamp, Micros::ZERO); // first record = epoch
     }
 
     #[test]
@@ -377,8 +347,8 @@ mod tests {
             buf.extend_from_slice(&inner);
         }
         let mut r = PcapReader::new(&buf[..]).unwrap();
-        assert_eq!(r.next_record().unwrap().unwrap().timestamp, Micros(0));
-        assert_eq!(r.next_record().unwrap().unwrap().timestamp, Micros(1500));
+        assert_eq!(r.next_view().unwrap().unwrap().timestamp, Micros(0));
+        assert_eq!(r.next_view().unwrap().unwrap().timestamp, Micros(1500));
     }
 
     #[test]
@@ -399,7 +369,7 @@ mod tests {
         }
         buf.truncate(buf.len() - 10);
         let mut r = PcapReader::new(&buf[..]).unwrap();
-        assert!(r.next_record().is_err());
+        assert!(r.next_view().is_err());
     }
 
     #[test]

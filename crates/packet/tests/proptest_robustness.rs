@@ -24,7 +24,7 @@ proptest! {
         if let Ok(mut reader) = PcapReader::new(&bytes[..]) {
             // Drain until error or EOF; must not panic or loop forever.
             for _ in 0..64 {
-                match reader.next_record() {
+                match reader.next_view() {
                     Ok(Some(_)) => {}
                     _ => break,
                 }
@@ -69,7 +69,7 @@ proptest! {
         let cut = cut % (buf.len() + 1);
         buf.truncate(cut);
         if let Ok(mut reader) = PcapReader::new(&buf[..]) {
-            while let Ok(Some(_)) = reader.next_record() {}
+            while let Ok(Some(_)) = reader.next_view() {}
         }
     }
 }

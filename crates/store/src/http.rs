@@ -59,8 +59,8 @@ impl Default for HttpLimits {
     }
 }
 
-/// A running server; dropping it (or calling
-/// [`shutdown`](StoreServer::shutdown)) stops the accept loop.
+/// A running server; dropping it stops the accept loop and joins the
+/// server thread. In-flight requests finish on their own threads.
 pub struct StoreServer {
     addr: SocketAddr,
     stop: Arc<AtomicBool>,
@@ -126,24 +126,14 @@ impl StoreServer {
     pub fn addr(&self) -> SocketAddr {
         self.addr
     }
-
-    /// Stops the accept loop and joins the server thread. In-flight
-    /// requests finish on their own threads.
-    pub fn shutdown(mut self) {
-        self.stop_and_join();
-    }
-
-    fn stop_and_join(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
-        if let Some(handle) = self.handle.take() {
-            let _ = handle.join();
-        }
-    }
 }
 
 impl Drop for StoreServer {
     fn drop(&mut self) {
-        self.stop_and_join();
+        self.stop.store(true, Ordering::Relaxed);
+        if let Some(handle) = self.handle.take() {
+            let _ = handle.join();
+        }
     }
 }
 
@@ -437,7 +427,7 @@ mod tests {
         let (head, _) = get(addr, "/nope");
         assert!(head.starts_with("HTTP/1.1 404"), "{head}");
 
-        server.shutdown();
+        drop(server);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -466,7 +456,7 @@ mod tests {
         let (_, body) = get(addr, "/query?q=where+source+%3D+push");
         assert_eq!(body.lines().count(), 10);
 
-        server.shutdown();
+        drop(server);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -517,7 +507,7 @@ mod tests {
         let (head, body) = get(addr, "/stats");
         assert!(head.starts_with("HTTP/1.1 200"), "{head}");
         assert!(body.contains("\"records\":5"), "{body}");
-        server.shutdown();
+        drop(server);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -561,7 +551,7 @@ mod tests {
         );
         assert!(text.contains("request body too large"), "{text}");
 
-        server.shutdown();
+        drop(server);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

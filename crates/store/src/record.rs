@@ -29,13 +29,6 @@ pub enum RecordKind {
 }
 
 impl RecordKind {
-    /// All kinds, in column-encoding order.
-    pub const ALL: [RecordKind; 3] = [
-        RecordKind::Batch,
-        RecordKind::MonitorV1,
-        RecordKind::MonitorV2,
-    ];
-
     /// Stable wire name (`batch`, `monitor_v1`, `monitor_v2`).
     pub const fn as_str(self) -> &'static str {
         match self {
@@ -43,11 +36,6 @@ impl RecordKind {
             RecordKind::MonitorV1 => "monitor_v1",
             RecordKind::MonitorV2 => "monitor_v2",
         }
-    }
-
-    /// Inverse of [`as_str`](Self::as_str).
-    pub fn from_str_opt(s: &str) -> Option<RecordKind> {
-        RecordKind::ALL.into_iter().find(|k| k.as_str() == s)
     }
 
     pub(crate) const fn code(self) -> u8 {

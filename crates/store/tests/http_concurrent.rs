@@ -128,6 +128,6 @@ fn eight_readers_see_deterministic_rollups_during_live_ingest() {
         "readers never straddled a seal boundary; the race never happened"
     );
 
-    server.shutdown();
+    drop(server);
     std::fs::remove_dir_all(&dir).ok();
 }

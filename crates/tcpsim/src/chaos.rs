@@ -3,11 +3,10 @@
 //! A real sniffer does not hand the analyzer the simulator's pristine
 //! frames — it truncates records when the disk stalls, clips payloads
 //! at the snap length, corrupts bytes, duplicates and reorders records
-//! under load, and steps its clock. [`ChaosEngine`] reproduces that
+//! under load, and steps its clock. [`apply_chaos`] reproduces that
 //! damage deterministically from a seed, at the *pcap byte* level: a
-//! clean [`TcpFrame`] stream goes in, a damaged capture file comes out.
-//! [`ChaosTap`] wraps a [`LiveTap`] to do the same incrementally, so
-//! the differential oracle and the fuzz corpus can prove the pipeline
+//! clean [`TcpFrame`] stream goes in, a damaged capture file comes out,
+//! so the differential oracle and the fuzz corpus can prove the pipeline
 //! survives (and quarantines) exactly what a hostile capture produces.
 //!
 //! Damage is applied to serialized pcap records, not to the simulation:
@@ -19,10 +18,7 @@ use rand::{Rng, SeedableRng};
 use tdat_packet::TcpFrame;
 use tdat_timeset::Micros;
 
-use crate::live::LiveTap;
-use crate::sim::Simulation;
-
-/// The pcap global header `ChaosEngine` output starts with
+/// The pcap global header damaged captures start with
 /// (microsecond magic, v2.4, 65535 snaplen, Ethernet), matching
 /// `tdat_packet::PcapWriter`.
 const GLOBAL_HEADER: [u8; 24] = [
@@ -142,9 +138,9 @@ struct PendingRecord {
     emit_len: usize,
 }
 
-/// The seeded damage engine; see the module docs.
+/// The seeded damage engine behind [`apply_chaos`]; see the module docs.
 #[derive(Debug)]
-pub struct ChaosEngine {
+struct ChaosEngine {
     spec: ChaosSpec,
     rng: StdRng,
     stats: ChaosStats,
@@ -155,23 +151,13 @@ pub struct ChaosEngine {
 impl ChaosEngine {
     /// Creates an engine from a spec (the spec's seed fixes every
     /// decision).
-    pub fn new(spec: ChaosSpec) -> ChaosEngine {
+    fn new(spec: ChaosSpec) -> ChaosEngine {
         ChaosEngine {
             rng: StdRng::seed_from_u64(spec.seed),
             spec,
             stats: ChaosStats::default(),
             held: None,
         }
-    }
-
-    /// What the engine has damaged so far.
-    pub fn stats(&self) -> &ChaosStats {
-        &self.stats
-    }
-
-    /// The 24-byte pcap global header damaged captures start with.
-    pub fn global_header() -> [u8; 24] {
-        GLOBAL_HEADER
     }
 
     fn budget_left(&self) -> bool {
@@ -182,7 +168,7 @@ impl ChaosEngine {
     }
 
     /// Damages one frame and appends its record(s) to `out`.
-    pub fn damage_into(&mut self, frame: &TcpFrame, out: &mut Vec<u8>) {
+    fn damage_into(&mut self, frame: &TcpFrame, out: &mut Vec<u8>) {
         let wire = frame.to_wire();
         let orig_len = wire.len() as u32;
         let mut record = PendingRecord {
@@ -249,7 +235,7 @@ impl ChaosEngine {
 
     /// Emits any record still held back by the reorder class. Call once
     /// after the last frame.
-    pub fn finish_into(&mut self, out: &mut Vec<u8>) {
+    fn finish_into(&mut self, out: &mut Vec<u8>) {
         if let Some(prior) = self.held.take() {
             push_record(out, &prior);
         }
@@ -277,85 +263,23 @@ pub fn apply_chaos(frames: &[TcpFrame], spec: &ChaosSpec) -> (Vec<u8>, ChaosStat
         engine.damage_into(frame, &mut out);
     }
     engine.finish_into(&mut out);
-    (out, *engine.stats())
-}
-
-/// A [`LiveTap`] whose output passes through a [`ChaosEngine`]: each
-/// [`advance`](Self::advance) yields damaged pcap *bytes* (the first
-/// batch starts with the global header), exactly what a hostile sniffer
-/// would append to a capture file.
-#[derive(Debug)]
-pub struct ChaosTap {
-    tap: LiveTap,
-    engine: ChaosEngine,
-    header_sent: bool,
-}
-
-impl ChaosTap {
-    /// Wraps a live tap with seeded damage.
-    pub fn new(tap: LiveTap, spec: ChaosSpec) -> ChaosTap {
-        ChaosTap {
-            tap,
-            engine: ChaosEngine::new(spec),
-            header_sent: false,
-        }
-    }
-
-    /// Advances the simulation one step and returns the damaged capture
-    /// bytes it produced (possibly just the global header, or empty).
-    /// Returns `None` once the underlying tap is exhausted.
-    pub fn advance(&mut self) -> Option<Vec<u8>> {
-        let frames = self.tap.advance()?;
-        let mut out = Vec::new();
-        if !self.header_sent {
-            out.extend_from_slice(&GLOBAL_HEADER);
-            self.header_sent = true;
-        }
-        for frame in &frames {
-            self.engine.damage_into(frame, &mut out);
-        }
-        if self.tap.is_finished() {
-            self.engine.finish_into(&mut out);
-        }
-        Some(out)
-    }
-
-    /// Virtual time the underlying tap has advanced to.
-    pub fn virtual_now(&self) -> Micros {
-        self.tap.virtual_now()
-    }
-
-    /// Whether the underlying drive has ended.
-    pub fn is_finished(&self) -> bool {
-        self.tap.is_finished()
-    }
-
-    /// Damage tally so far.
-    pub fn stats(&self) -> &ChaosStats {
-        &self.engine.stats
-    }
-
-    /// Consumes the tap, returning the simulation (for ground truth).
-    pub fn into_simulation(self) -> Simulation {
-        self.tap.into_simulation()
-    }
+    (out, engine.stats)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::scenario::{monitoring_topology, transfer_spec, TopologyOptions};
+    use crate::sim::Simulation;
     use tdat_bgp::TableGenerator;
 
     fn frames(routes: usize) -> Vec<TcpFrame> {
         let table = TableGenerator::new(3).routes(routes).generate();
         let mut topo = monitoring_topology(1, TopologyOptions::default());
         let spec = transfer_spec(&topo, 0, table.to_update_stream());
-        let sniffer = topo.sniffer;
         let mut sim = Simulation::new(topo.take_net());
         sim.add_connection(spec);
         sim.run(Micros::from_secs(300));
-        let _ = sniffer;
         let mut out = sim.into_output();
         out.taps.remove(0).1
     }
@@ -395,44 +319,5 @@ mod tests {
         let cap = spec.max_events.expect("survivable caps events");
         assert!(stats.total() <= cap, "{stats:?} exceeds {cap}");
         assert!(stats.total() > 0, "a long capture hits the budget");
-    }
-
-    #[test]
-    fn chaos_tap_bytes_match_batch_application() {
-        let build = || {
-            let table = TableGenerator::new(5).routes(300).generate();
-            let mut topo = monitoring_topology(1, TopologyOptions::default());
-            let spec = transfer_spec(&topo, 0, table.to_update_stream());
-            let sniffer = topo.sniffer;
-            let mut sim = Simulation::new(topo.take_net());
-            sim.add_connection(spec);
-            (sim, sniffer)
-        };
-        let (sim, sniffer) = build();
-        let tap = LiveTap::new(
-            sim,
-            sniffer,
-            Micros::from_millis(50),
-            Micros::from_secs(300),
-        );
-        let mut chaos = ChaosTap::new(tap, ChaosSpec::poison(9));
-        let mut live = Vec::new();
-        while let Some(bytes) = chaos.advance() {
-            live.extend(bytes);
-        }
-
-        let (sim2, sniffer2) = build();
-        let mut tap2 = LiveTap::new(
-            sim2,
-            sniffer2,
-            Micros::from_millis(50),
-            Micros::from_secs(300),
-        );
-        let mut all = Vec::new();
-        while let Some(batch) = tap2.advance() {
-            all.extend(batch);
-        }
-        let (batch_bytes, _) = apply_chaos(&all, &ChaosSpec::poison(9));
-        assert_eq!(live, batch_bytes);
     }
 }

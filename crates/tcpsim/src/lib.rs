@@ -49,7 +49,7 @@ pub mod scenario;
 pub mod sim;
 pub mod tcp;
 
-pub use chaos::{apply_chaos, ChaosEngine, ChaosSpec, ChaosStats, ChaosTap};
+pub use chaos::{apply_chaos, ChaosSpec, ChaosStats};
 pub use config::{BgpReceiverConfig, BgpSenderConfig, SenderTimer, TcpConfig, TcpFlavor};
 pub use live::LiveTap;
 pub use sim::{

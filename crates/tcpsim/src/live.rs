@@ -86,22 +86,6 @@ impl LiveTap {
         self.cursor
     }
 
-    /// Whether the drive has ended (simulation quiet or horizon hit).
-    pub fn is_finished(&self) -> bool {
-        self.finished
-    }
-
-    /// Read access to the underlying simulation.
-    pub fn simulation(&self) -> &Simulation {
-        &self.sim
-    }
-
-    /// Consumes the driver, returning the simulation (e.g. for
-    /// `into_output` ground truth after the drive ends).
-    pub fn into_simulation(self) -> Simulation {
-        self.sim
-    }
-
     /// Advances virtual time by one step and returns the frames the tap
     /// captured during it (often empty — sniffers see bursts). Returns
     /// `None` once the simulation has gone quiet or the horizon was
@@ -172,10 +156,6 @@ mod tests {
         }
         assert!(steps > 1, "transfer spans multiple steps");
         assert_eq!(live_frames, batch_frames);
-        assert!(tap.is_finished());
-        // Frames drained live are gone from the final output.
-        let leftover = tap.into_simulation().into_output().taps.remove(0).1;
-        assert!(leftover.is_empty());
     }
 
     #[test]
@@ -185,9 +165,15 @@ mod tests {
         let (sim, sniffer) = build(5_000);
         let horizon = Micros::from_millis(5);
         let mut tap = LiveTap::new(sim, sniffer, Micros::from_millis(2), horizon);
-        while tap.advance().is_some() {}
+        let mut live = 0;
+        while let Some(frames) = tap.advance() {
+            live += frames.len();
+        }
         assert_eq!(tap.virtual_now(), horizon);
-        assert!(!tap.simulation().all_quiet(), "stopped mid-transfer");
+        let (mut whole, _) = build(5_000);
+        whole.run(Micros::from_secs(300));
+        let all = whole.into_output().taps.remove(0).1.len();
+        assert!(live < all, "stopped mid-transfer: {live} of {all} frames");
     }
 
     #[test]

@@ -294,14 +294,6 @@ impl Network {
         self.nodes[node.0].routes.insert(dst, link);
     }
 
-    /// The node holding `addr` as one of its own addresses, if any.
-    pub fn node_for_address(&self, addr: Ipv4Addr) -> Option<NodeId> {
-        self.nodes
-            .iter()
-            .position(|n| n.addresses.contains(&addr))
-            .map(NodeId)
-    }
-
     /// Looks up the egress link for `dst` at `node`.
     pub fn route(&self, node: NodeId, dst: Ipv4Addr) -> Option<LinkId> {
         self.nodes[node.0].routes.get(&dst).copied()
@@ -330,16 +322,6 @@ impl Network {
     /// Number of nodes.
     pub fn node_count(&self) -> usize {
         self.nodes.len()
-    }
-
-    /// Number of links.
-    pub fn link_count(&self) -> usize {
-        self.links.len()
-    }
-
-    /// All links (for ground-truth inspection).
-    pub fn links(&self) -> &[Link] {
-        &self.links
     }
 
     /// Marks a node failed (it discards all arriving frames) or revives
@@ -452,7 +434,6 @@ mod tests {
         let (fwd, rev) = net.add_duplex(a, b, LinkConfig::default());
         net.add_route(a, Ipv4Addr::new(10, 0, 0, 2), fwd);
         net.add_route(b, Ipv4Addr::new(10, 0, 0, 1), rev);
-        assert_eq!(net.node_for_address(Ipv4Addr::new(10, 0, 0, 2)), Some(b));
         assert_eq!(net.route(a, Ipv4Addr::new(10, 0, 0, 2)), Some(fwd));
         assert_eq!(net.route(a, Ipv4Addr::new(10, 0, 0, 99)), None);
     }

@@ -173,30 +173,6 @@ impl<T> EventSeries<T> {
         self.events.iter().filter(move |e| e.span.overlaps(span))
     }
 
-    /// Events fully contained in `span`.
-    pub fn within(&self, span: Span) -> impl Iterator<Item = &Event<T>> {
-        self.events
-            .iter()
-            .filter(move |e| span.contains_span(e.span))
-    }
-
-    /// Restricts the series to events that intersect `keep`, clipping
-    /// each event's span to the covered region. Payloads are cloned.
-    pub fn clipped_to(&self, keep: &SpanSet) -> EventSeries<T>
-    where
-        T: Clone,
-    {
-        let mut out = EventSeries::new();
-        for event in &self.events {
-            for span in keep.iter() {
-                if let Some(common) = event.span.intersect(*span) {
-                    out.push(common, event.data.clone());
-                }
-            }
-        }
-        out
-    }
-
     /// The durations of the individual events, in order. Useful for gap
     /// length distributions (Fig. 17 of the paper).
     pub fn durations(&self) -> impl Iterator<Item = Micros> + '_ {
@@ -273,23 +249,6 @@ mod tests {
             .map(|e| e.data)
             .collect();
         assert_eq!(hits, vec![1, 2]);
-        let inside: Vec<u8> = s
-            .within(Span::from_micros(15, 55))
-            .map(|e| e.data)
-            .collect();
-        assert_eq!(inside, vec![2, 3]);
-    }
-
-    #[test]
-    fn clipped_to_respects_set() {
-        let mut s: EventSeries<u8> = EventSeries::new();
-        s.push(Span::from_micros(0, 100), 9);
-        let keep = SpanSet::from_spans([Span::from_micros(10, 20), Span::from_micros(80, 200)]);
-        let clipped = s.clipped_to(&keep);
-        assert_eq!(clipped.len(), 2);
-        assert_eq!(clipped.events()[0].span, Span::from_micros(10, 20));
-        assert_eq!(clipped.events()[1].span, Span::from_micros(80, 100));
-        assert_eq!(clipped.events()[0].data, 9);
     }
 
     #[test]

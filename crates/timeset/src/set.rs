@@ -178,13 +178,6 @@ impl SpanSet {
         self.spans.clear();
     }
 
-    /// Replaces this set's contents with `other`'s, reusing the existing
-    /// allocation when capacity allows (no heap traffic in steady state).
-    pub fn assign(&mut self, other: &SpanSet) {
-        self.spans.clear();
-        self.spans.extend_from_slice(&other.spans);
-    }
-
     /// Appends a span with a start no earlier than any span already
     /// present, skipping empty spans. Used to flatten an already-sorted
     /// event series without the sort in [`from_spans`](SpanSet::from_spans).

@@ -218,12 +218,6 @@ impl Span {
         Span::new(start, start + duration)
     }
 
-    /// An instantaneous (empty) span at `t`; useful as a probe for
-    /// ordered searches.
-    pub const fn instant(t: Micros) -> Span {
-        Span::new(t, t)
-    }
-
     /// The length of the span, zero if empty.
     pub fn duration(self) -> Micros {
         self.end.saturating_sub(self.start)

@@ -46,13 +46,11 @@
 mod conn;
 mod flight;
 mod label;
-mod rtt;
 mod tracker;
 
 pub use conn::{ConnKey, ConnProfile, Direction, Endpoint, Segment, TcpConnection};
 pub use flight::{default_flight_gap, group_flights, Flight};
 pub use label::{label_segments, loss_episodes, LabelConfig, LossEpisode, SegLabel};
-pub use rtt::{rtt_samples, rtt_samples_from_timestamps, rtt_stats, RttSample, RttStats};
 pub use tracker::{
     extract_connections, ConnectionTracker, FinalizedConnection, TrackerConfig,
     DEFAULT_MAX_CONNECTIONS,

@@ -52,8 +52,7 @@ pub struct TrackerConfig {
     /// Hard cap on simultaneously tracked connections (`None` is
     /// unbounded). A SYN flood otherwise grows the open map without
     /// limit; past the cap the least-recently-active connection is
-    /// finalized early (LRU eviction) and counted in
-    /// [`evicted_connections`](ConnectionTracker::evicted_connections).
+    /// finalized early (LRU eviction).
     pub max_connections: Option<usize>,
 }
 
@@ -141,7 +140,6 @@ pub struct ConnectionTracker {
     frames_seen: usize,
     now: Micros,
     last_sweep: Micros,
-    evicted: u64,
 }
 
 /// How often (in trace time) expiry conditions are re-checked.
@@ -157,7 +155,6 @@ impl ConnectionTracker {
             frames_seen: 0,
             now: Micros::ZERO,
             last_sweep: Micros::ZERO,
-            evicted: 0,
         }
     }
 
@@ -169,12 +166,6 @@ impl ConnectionTracker {
     /// Connections currently held open.
     pub fn open_connections(&self) -> usize {
         self.open.len()
-    }
-
-    /// Connections finalized early because the
-    /// [`max_connections`](TrackerConfig::max_connections) cap tripped.
-    pub fn evicted_connections(&self) -> u64 {
-        self.evicted
     }
 
     /// Ingests one frame (in capture order), returning any connections
@@ -248,7 +239,6 @@ impl ConnectionTracker {
             .take(excess)
             .filter_map(|(_, _, key)| {
                 let state = self.open.remove(&key)?;
-                self.evicted += 1;
                 Some(FinalizedConnection {
                     ordinal: state.ordinal,
                     key,
@@ -566,7 +556,6 @@ mod tests {
             evicted.extend(tracker.ingest(f));
         }
         assert_eq!(tracker.open_connections(), 2);
-        assert_eq!(tracker.evicted_connections(), 2);
         assert_eq!(
             evicted.iter().map(|f| f.ordinal).collect::<Vec<_>>(),
             vec![0, 1],
@@ -590,6 +579,9 @@ mod tests {
             ..TrackerConfig::batch()
         });
         let mut keeper_global: Vec<TcpFrame> = Vec::new();
+        // Without close or idle finalization, only the cap finalizes a
+        // connection early.
+        let mut evicted = 0;
         // Interleave: one keeper frame, then a burst of single-SYN
         // flood connections that overflows the cap. The flood frames
         // are captured marginally *before* the keeper's latest frame,
@@ -597,7 +589,7 @@ mod tests {
         // and must never be the LRU victim.
         for (i, kf) in keeper.iter().enumerate() {
             keeper_global.push(kf.clone());
-            tracker.ingest(kf);
+            evicted += tracker.ingest(kf).len();
             for j in 0..5u8 {
                 let syn = FrameBuilder::new(addr(100 + (i as u8 * 5) + j), addr(2))
                     .at(Micros(kf.timestamp.0 - 1))
@@ -605,10 +597,10 @@ mod tests {
                     .seq(7)
                     .flags(TcpFlags::SYN)
                     .build();
-                tracker.ingest(&syn);
+                evicted += tracker.ingest(&syn).len();
             }
         }
-        assert!(tracker.evicted_connections() > 0, "flood must trip the cap");
+        assert!(evicted > 0, "flood must trip the cap");
         let finished = tracker.finish();
         let keeper_final = finished
             .iter()
