@@ -9,7 +9,8 @@
 //! Beside the count, a byte tally pins how MCT sizes its set, and that
 //! a monitor tick allocates none: the snapshot pull does. A live-byte
 //! tally pins what an open connection holds: its map entry and its
-//! message log, no segment-sized buffer; and what a settled transfer
+//! message log, no segment-sized buffer, and in the tracker 32 bytes a
+//! frame, with no allocation per frame; and what a settled transfer
 //! holds: no table, and nothing more for the rows after it. A report
 //! renders into its line with no temporary, and a short session costs
 //! its state, not the names of its series or its report's fixed words.
@@ -35,6 +36,7 @@ use tdat_packet::{
 };
 use tdat_pcap2bgp::{extract_all, StreamExtractor};
 use tdat_timeset::Micros;
+use tdat_trace::ConnectionTracker;
 
 struct CountingAllocator;
 
@@ -799,9 +801,11 @@ fn ticks_over_a_transfer_allocate_no_mct_set() {
 /// 8 000-route transfer through the [`StreamAnalyzer`], its
 /// frames borrowed — decode aside, the whole batch pass: tracker,
 /// reassembly into the message log, MCT, labelling, series, factors.
-/// Measured (debug and release, repeating exactly): 123 allocations
-/// over the transfer's 173 frames, 0.71 per frame, most of them the
-/// per-connection analysis (140 while every series carried an owned
+/// Measured (debug and release, repeating exactly): 125 allocations
+/// over the transfer's 173 frames, 0.72 per frame, most of them the
+/// per-connection analysis, one the tracker's list of the handshake's
+/// options (124 while each frame's record carried its options; 140
+/// while every series carried an owned
 /// name) — the same count whether or not the framing buffer is
 /// released when a feed frames it empty, since a message straddles
 /// nearly every segment boundary of a transfer (it read 299
@@ -900,13 +904,16 @@ fn a_report_renders_without_temporaries() {
 /// each one's analysis until it returns. A generated clean 100-route
 /// transfer (11 frames) through the batch pass, then its report and the
 /// report's JSON line, may make at most `PER_SESSION` allocations.
-/// Measured (debug and release, repeating exactly): 58 — 53 in the pass,
+/// Measured (debug and release, repeating exactly): 60 — 55 in the pass,
 /// which allocates nothing until the first frame, and none of them a
 /// name: each of the 17 series is one `Vec`, allocated only once it
-/// holds an event (4 do here); 3 in the report, its two endpoints each
-/// written once into a string sized for the longest, and the factor
-/// list, whose names and verdict are borrowed (a major group adds its
-/// list); and 2 in `to_json`, the 512-byte string and one growth. While
+/// holds an event (4 do here), and the tracker keeps the handshake's
+/// options in a list of their own, allocated with the first (54 while
+/// each frame's record carried its options); 3 in the report, its two
+/// endpoints each written once into a string sized for the longest,
+/// and the factor list, whose names and verdict are borrowed (a major
+/// group adds its list); and 2 in `to_json`, the 512-byte string and
+/// one growth. While
 /// every series carried an owned name the same session made 88: 72 in
 /// the pass (17 names and 2 copies of one), 14 in the report (8 factor
 /// names, the verdict, each endpoint grown by `format!`) and 2 in
@@ -1096,6 +1103,84 @@ fn open_connection_holds_its_log_and_no_segment() {
         logs <= law as i64,
         "{SESSIONS} open connections hold {logs} bytes beyond their map entries, \
          more than their logs' {law}: a buffer outlived its bytes"
+    );
+}
+
+/// What an open connection's tracker state costs, as a law: 32 bytes a
+/// frame, plus `Vec` growth, and no allocation per frame. Both endpoints
+/// are kept once, in the connection's key; a frame keeps a direction
+/// bit, and the options of the few frames that carry one (here the two
+/// SYNs' MSS) sit beside the records. A connection's handshake and
+/// 8 190 more frames, data and ACKs, go through a tracker under the
+/// monitor's policy; from its 4 096th frame to its 8 192nd the records'
+/// `Vec` doubles once, so the tracker holds exactly 4 096 × 32 bytes
+/// more, in one allocation. While each frame's record kept both
+/// endpoints, its `seq_end` and its options, it was 56 bytes, and the
+/// same frames added 229 376.
+#[test]
+fn an_open_connection_costs_32_bytes_a_frame() {
+    const FRAMES: usize = 8_192;
+    let router = FrameBuilder::new(Ipv4Addr::new(10, 70, 0, 1), Ipv4Addr::new(10, 70, 0, 2))
+        .ports(179, 40_000);
+    let collector = FrameBuilder::new(Ipv4Addr::new(10, 70, 0, 2), Ipv4Addr::new(10, 70, 0, 1))
+        .ports(40_000, 179);
+    let mut frames = vec![
+        router
+            .clone()
+            .seq(0)
+            .flags(TcpFlags::SYN)
+            .option(TcpOption::Mss(1_448))
+            .build(),
+        collector
+            .clone()
+            .at(Micros(100))
+            .seq(0)
+            .ack_to(1)
+            .flags(TcpFlags::SYN | TcpFlags::ACK)
+            .option(TcpOption::Mss(1_448))
+            .build(),
+    ];
+    for i in 0..(FRAMES - frames.len()) as u32 {
+        let at = Micros(200 + 1_000 * i64::from(i));
+        frames.push(if i % 2 == 0 {
+            router
+                .clone()
+                .at(at)
+                .seq(1 + 50 * i)
+                .ack_to(1)
+                .payload(vec![0; 100])
+                .build()
+        } else {
+            collector
+                .clone()
+                .at(at)
+                .seq(1)
+                .ack_to(1 + 50 * (i + 1))
+                .build()
+        });
+    }
+    let (first, second) = frames.split_at(FRAMES / 2);
+    let mut tracker = ConnectionTracker::new(TrackerConfig::streaming());
+    for frame in first {
+        assert!(tracker.ingest(frame).is_empty());
+    }
+    let (held, made) = (live_bytes(), allocations());
+    for frame in second {
+        assert!(tracker.ingest(frame).is_empty());
+    }
+    let (held, made) = (live_bytes() - held, allocations() - made);
+    assert_eq!(tracker.open_connections(), 1);
+    assert_eq!(
+        held,
+        32 * second.len() as i64,
+        "bytes held for frames {} to {FRAMES}",
+        first.len() + 1
+    );
+    assert_eq!(
+        made,
+        1,
+        "allocations for {} frames: one doubling",
+        second.len()
     );
 }
 

@@ -28,8 +28,9 @@
 //! cores one capture per pass (`t-dat-monitor --sweep DIR --jobs N`).
 //!
 //! Frame payloads are dropped as soon as they are ingested. What is
-//! held is, per open connection, one fixed-size metadata record per
-//! frame and the message log (4 bytes per BGP message, 16 per run of
+//! held is, per open connection, a 32-byte record per frame (its
+//! endpoints are kept once, in the connection's key) and the message
+//! log (4 bytes per BGP message, 16 per run of
 //! messages one segment framed, 5 per announced prefix), plus whatever
 //! reassembly has parked out of order (bounded)
 //! and at most one partial message per direction. By default every

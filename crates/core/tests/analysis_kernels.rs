@@ -4,14 +4,22 @@
 //! read a connection in place: no kernel copies the trace, ACK shifting
 //! reorders the connection's own segments, and a flight is an index
 //! range. Each is held here to the implementation it replaced, kept
-//! verbatim as the reference (only renamed, `Flight` spelled with its
-//! member list, and the tracker's per-frame record restated here):
-//! on generated connections — holes, reordering, retransmissions of
-//! seen and of acknowledged data, window probes, zero windows, clocks
-//! that step back, sequence numbers that wrap past 2 GiB of transfer,
-//! with and without a captured handshake — every output must be equal.
-//! And a live view's series must be the whole analysis's, series for
-//! series. CI runs this file with `PROPTEST_CASES=20000`.
+//! verbatim as the reference (only renamed, and `Flight` spelled with
+//! its member list). The connection builder's reference reads the
+//! tracker's former 56-byte per-frame record, kept here too: both
+//! endpoints, `seq_end` and the options in every frame, where the
+//! tracker now keeps 32 bytes, a direction bit and the few frames'
+//! options beside them. On generated connections — holes, reordering,
+//! retransmissions of seen and of acknowledged data, window probes,
+//! zero windows, clocks that step back, sequence numbers that wrap past
+//! 2 GiB of transfer, FINs with and without payload from either side,
+//! RSTs, a SYN sent again, MSS and window-scale options mid-stream in
+//! both directions, with and without a captured handshake — every
+//! output must be equal, and so must the tracker's
+//! `snapshot_first(key, n)` and the reference over the first `n`
+//! frames, for every `n`. And a live view's series must be the whole
+//! analysis's, series for series. CI runs this file with
+//! `PROPTEST_CASES=20000`.
 
 use std::net::Ipv4Addr;
 
@@ -26,13 +34,17 @@ use tdat_packet::{
 use tdat_pcap2bgp::Extraction;
 use tdat_timeset::{Micros, Span};
 use tdat_trace::{
-    default_flight_gap, extract_connections, group_flights, label_segments, ConnProfile, Direction,
-    Endpoint, LabelConfig, SegLabel, Segment, TcpConnection,
+    default_flight_gap, extract_connections, group_flights, label_segments, ConnKey, ConnProfile,
+    ConnectionTracker, Direction, Endpoint, LabelConfig, SegLabel, Segment, TcpConnection,
+    TrackerConfig,
 };
 
 /// One generated step of a connection: what kind of segment, and three
 /// free parameters it reads as it needs.
 type Step = (u8, u32, u32, u8);
+
+/// How many kinds of step [`frames_of`] tells apart.
+const KINDS: u8 = 20;
 
 /// A connection between a router (179) and a collector: an optional
 /// handshake (with or without window scaling), then `steps`.
@@ -98,16 +110,27 @@ fn frames_of(handshake: u8, wrapping: bool, isn: u32, steps: &[Step]) -> Vec<Tcp
                 .build(),
         );
     }
+    // An MSS, a window scale or both, their values drawn from `a` and
+    // `c`.
+    let options = |frame: FrameBuilder, a: u32, c: u8| {
+        let mss = TcpOption::Mss(536 + (a % 1_000) as u16);
+        let wscale = TcpOption::WindowScale(c % 15);
+        match c % 3 {
+            0 => frame.option(mss),
+            1 => frame.option(wscale),
+            _ => frame.option(mss).option(wscale),
+        }
+    };
     let mut next = isn; // next fresh sequence number
     let mut acked = isn;
     for &(kind, a, b, c) in steps {
         t += i64::from(b % 40_000);
-        match kind % 14 {
+        match kind % KINDS {
             // Fresh data, now and then jumping ahead (a hole, or the
             // sequence space racing towards its wrap).
             0..=4 => {
                 let len = 1 + (a % 1_448) as usize;
-                if kind % 14 == 4 {
+                if kind % KINDS == 4 {
                     next = next.wrapping_add(a % 3_000);
                 }
                 if wrapping && c % 4 == 0 {
@@ -157,11 +180,95 @@ fn frames_of(handshake: u8, wrapping: bool, isn: u32, steps: &[Step]) -> Vec<Tcp
             // ahead of anything acknowledged.
             12 => frames.push(ack(t, next, 65_535, TcpFlags::PSH)),
             // The clock steps back.
-            _ => {
+            13 => {
                 t -= i64::from(a % 5_000);
                 frames.push(data(t, next, 1, 100));
                 next = next.wrapping_add(100);
             }
+            // The router's FIN, now and then with payload.
+            14 => {
+                let len = if c % 2 == 0 { 0 } else { 1 + a % 1_448 };
+                frames.push(
+                    FrameBuilder::new(router, collector)
+                        .at(Micros(t))
+                        .ports(179, 40_000)
+                        .seq(next)
+                        .ack_to(1)
+                        .flags(TcpFlags::FIN | TcpFlags::ACK)
+                        .payload(vec![0; len as usize])
+                        .build(),
+                );
+                next = next.wrapping_add(len + 1);
+            }
+            // The collector's FIN, now and then with bytes of its own.
+            15 => frames.push(
+                FrameBuilder::new(collector, router)
+                    .at(Micros(t))
+                    .ports(40_000, 179)
+                    .seq(1)
+                    .ack_to(acked)
+                    .window(65_535)
+                    .flags(TcpFlags::FIN | TcpFlags::ACK)
+                    .payload(vec![0; if c % 2 == 0 { 0 } else { 19 }])
+                    .build(),
+            ),
+            // A RST from either side.
+            16 => frames.push(if c % 2 == 0 {
+                FrameBuilder::new(router, collector)
+                    .at(Micros(t))
+                    .ports(179, 40_000)
+                    .seq(next)
+                    .flags(TcpFlags::RST)
+                    .build()
+            } else {
+                ack(t, acked, 0, TcpFlags::RST | TcpFlags::ACK)
+            }),
+            // The router's SYN once more, its options as drawn.
+            17 => frames.push(
+                options(
+                    FrameBuilder::new(router, collector)
+                        .at(Micros(t))
+                        .ports(179, 40_000)
+                        .seq(isn.wrapping_sub(1))
+                        .flags(TcpFlags::SYN)
+                        .window(65_535),
+                    a,
+                    c,
+                )
+                .build(),
+            ),
+            // Options on a segment mid-stream: the router's fresh data…
+            18 => {
+                let len = 1 + a % 1_448;
+                frames.push(
+                    options(
+                        FrameBuilder::new(router, collector)
+                            .at(Micros(t))
+                            .ports(179, 40_000)
+                            .seq(next)
+                            .ack_to(1)
+                            .payload(vec![0; len as usize]),
+                        a,
+                        c,
+                    )
+                    .build(),
+                );
+                next = next.wrapping_add(len);
+            }
+            // …or the collector's ACK.
+            _ => frames.push(
+                options(
+                    FrameBuilder::new(collector, router)
+                        .at(Micros(t))
+                        .ports(40_000, 179)
+                        .seq(1)
+                        .ack_to(acked)
+                        .window(65_535),
+                    a,
+                    c,
+                )
+                .build(),
+            ),
         }
     }
     frames
@@ -204,6 +311,50 @@ proptest! {
                 .collect();
             prop_assert_eq!(flights, reference);
         }
+    }
+
+    #[test]
+    fn every_snapshot_is_the_reference_over_its_first_frames(
+        handshake in 0u8..3,
+        wrapping in any::<bool>(),
+        isn in any::<u32>(),
+        steps in steps(),
+    ) {
+        let frames = frames_of(handshake, wrapping, isn, &steps);
+        let Some(first) = frames.first() else { return Ok(()) };
+        let key = ConnKey::of(first);
+        // A neighbour's frame before every third of the connection's,
+        // so a frame's trace index and its place in its connection
+        // differ.
+        let mut trace = Vec::new();
+        for (i, frame) in frames.iter().enumerate() {
+            if i % 3 == 1 {
+                let mut neighbour = frame.clone();
+                if neighbour.tcp.src_port == 40_000 {
+                    neighbour.tcp.src_port = 40_001;
+                } else {
+                    neighbour.tcp.dst_port = 40_001;
+                }
+                trace.push(neighbour);
+            }
+            trace.push(frame.clone());
+        }
+        let mut tracker = ConnectionTracker::new(TrackerConfig::batch());
+        for frame in &trace {
+            prop_assert!(tracker.ingest(frame).is_empty());
+        }
+        let metas: Vec<FrameMeta> = trace
+            .iter()
+            .enumerate()
+            .filter(|(_, f)| ConnKey::of(f) == key)
+            .map(|(i, f)| FrameMeta::of(f, i))
+            .collect();
+        prop_assert_eq!(metas.len(), frames.len());
+        for n in 1..=metas.len() {
+            prop_assert_eq!(tracker.snapshot_first(key, n), Some(build_connection_ref(&metas[..n])), "first {} frames", n);
+        }
+        prop_assert_eq!(tracker.snapshot_first(key, 0), None);
+        prop_assert_eq!(tracker.snapshot_first(key, metas.len() + 1), None);
     }
 
     #[test]
@@ -607,7 +758,8 @@ fn shift_acks_ref(conn: &TcpConnection) -> ShiftedTrace {
 
 /// The per-frame facts connection building needs, captured once per
 /// frame so a [`TcpConnection`] is built without retaining frame
-/// payloads.
+/// payloads: the tracker's 56-byte record before it kept the endpoints
+/// once per connection and the options beside the records.
 #[derive(Debug, Clone, PartialEq, Eq)]
 struct FrameMeta {
     pub time: Micros,

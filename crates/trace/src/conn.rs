@@ -156,73 +156,140 @@ impl TcpConnection {
 
 /// The per-frame facts connection building needs, captured once per
 /// frame so a [`TcpConnection`] is built without retaining frame
-/// payloads.
+/// payloads: 32 bytes a frame. Both endpoints are the connection's
+/// [`ConnKey`], `seq_end` follows from the flags, and the MSS and
+/// window-scale options, which few frames carry, are kept beside the
+/// records (see [`ConnFrames`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) struct FrameMeta {
-    pub time: Micros,
-    pub src: Endpoint,
-    pub dst: Endpoint,
-    pub seq: u32,
-    pub seq_end: u32,
-    pub ack: u32,
-    pub window: u16,
-    pub payload_len: u32,
-    pub flags: TcpFlags,
-    pub mss: Option<u16>,
-    pub wscale: Option<u8>,
-    pub frame_index: usize,
+struct FrameMeta {
+    time: Micros,
+    frame_index: usize,
+    seq: u32,
+    ack: u32,
+    payload_len: u32,
+    /// The advertised window as sent, before any window scale.
+    window: u16,
+    flags: TcpFlags,
+    /// Sent by the key's lower endpoint, [`ConnKey::a`].
+    from_a: bool,
 }
 
 impl FrameMeta {
-    /// Captures the fields of `frame`, recorded as trace index `index`.
-    pub(crate) fn of(frame: &impl FrameLike, index: usize) -> FrameMeta {
-        let tcp = frame.tcp();
-        FrameMeta {
-            time: frame.timestamp(),
-            src: frame.src(),
-            dst: frame.dst(),
-            seq: tcp.seq,
-            seq_end: frame.seq_end(),
-            ack: tcp.ack,
-            window: tcp.window,
-            payload_len: frame.payload_len() as u32,
-            flags: tcp.flags,
-            mss: tcp.mss(),
-            wscale: tcp.window_scale(),
-            frame_index: index,
+    /// The sequence number after the payload, counting SYN and FIN as
+    /// one unit each: the recorded frame's [`FrameLike::seq_end`].
+    fn seq_end(&self) -> u32 {
+        let mut advance = self.payload_len;
+        if self.flags.contains(TcpFlags::SYN) {
+            advance = advance.wrapping_add(1);
         }
+        if self.flags.contains(TcpFlags::FIN) {
+            advance = advance.wrapping_add(1);
+        }
+        self.seq.wrapping_add(advance)
     }
 }
 
-/// Builds one oriented, profiled connection from its frames' metadata
-/// (in capture order) — the one connection builder, behind every
+/// The MSS and window-scale options of the frame at `position` in its
+/// connection.
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct FrameOptions {
+    position: usize,
+    mss: Option<u16>,
+    wscale: Option<u8>,
+}
+
+/// One connection's frames as the tracker holds them, in capture
+/// order: a [`FrameMeta`] per frame, and the options of the frames that
+/// carried an MSS or a window scale — a handshake's two, as a rule.
+#[derive(Debug, Default)]
+pub(crate) struct ConnFrames {
+    metas: Vec<FrameMeta>,
+    /// By position; the list allocates with the first frame that
+    /// carries an option.
+    options: Vec<FrameOptions>,
+}
+
+impl ConnFrames {
+    /// Records `frame` of connection `key`, captured as trace index
+    /// `index`. Returns whether the key's lower endpoint sent it.
+    pub(crate) fn push(&mut self, key: ConnKey, frame: &impl FrameLike, index: usize) -> bool {
+        let tcp = frame.tcp();
+        let from_a = frame.src() == key.a;
+        let (mss, wscale) = (tcp.mss(), tcp.window_scale());
+        if mss.is_some() || wscale.is_some() {
+            self.options.push(FrameOptions {
+                position: self.metas.len(),
+                mss,
+                wscale,
+            });
+        }
+        self.metas.push(FrameMeta {
+            time: frame.timestamp(),
+            frame_index: index,
+            seq: tcp.seq,
+            ack: tcp.ack,
+            payload_len: frame.payload_len() as u32,
+            window: tcp.window,
+            flags: tcp.flags,
+            from_a,
+        });
+        from_a
+    }
+
+    /// Builds connection `key` from every frame recorded.
+    pub(crate) fn build(&self, key: ConnKey) -> TcpConnection {
+        build_connection(key, &self.metas, &self.options)
+    }
+
+    /// Builds connection `key` from its first `frames` frames, or `None`
+    /// if fewer were recorded (or `frames` is 0).
+    pub(crate) fn build_first(&self, key: ConnKey, frames: usize) -> Option<TcpConnection> {
+        let metas = self.metas.get(..frames).filter(|m| !m.is_empty())?;
+        Some(build_connection(key, metas, &self.options))
+    }
+}
+
+/// Each record with the options its frame carried, if any: an option
+/// is read at its frame's position, so those of frames past the last
+/// record are never read.
+fn with_options<'a>(
+    metas: &'a [FrameMeta],
+    options: &'a [FrameOptions],
+) -> impl Iterator<Item = (&'a FrameMeta, Option<&'a FrameOptions>)> {
+    let mut options = options.iter().peekable();
+    metas
+        .iter()
+        .enumerate()
+        .map(move |(i, m)| (m, options.next_if(|o| o.position == i)))
+}
+
+/// Builds one oriented, profiled connection, `key`, from its frames'
+/// records (in capture order) and their options (by position; the list
+/// may run past the records, as a snapshot of a connection's first
+/// frames passes it) — the one connection builder, behind every
 /// [`ConnectionTracker`](crate::ConnectionTracker) finalization and
 /// snapshot.
 ///
 /// The data sender is the side that transmitted more payload bytes
 /// (for BGP monitoring traces, the operational router by orders of
 /// magnitude); ties go to the connection initiator.
-pub(crate) fn build_connection(metas: &[FrameMeta]) -> TcpConnection {
-    // Payload bytes per endpoint that sent a frame: a connection's
-    // frames come from its two endpoints, the first frame's two.
-    let endpoints = [metas[0].src, metas[0].dst];
+fn build_connection(key: ConnKey, metas: &[FrameMeta], options: &[FrameOptions]) -> TcpConnection {
+    let src = |m: &FrameMeta| if m.from_a { key.a } else { key.b };
+    // Payload bytes per endpoint that sent a frame, `a` first.
     let mut bytes: [Option<u64>; 2] = [None; 2];
     let mut initiator: Option<Endpoint> = None;
     for m in metas {
-        debug_assert!(endpoints.contains(&m.src), "one connection's frames");
-        let side = usize::from(m.src != endpoints[0]);
-        *bytes[side].get_or_insert(0) += m.payload_len as u64;
+        *bytes[usize::from(!m.from_a)].get_or_insert(0) += m.payload_len as u64;
         if m.flags.contains(TcpFlags::SYN) && !m.flags.contains(TcpFlags::ACK) {
-            initiator.get_or_insert(m.src);
+            initiator.get_or_insert(src(m));
         }
     }
     let sent = || {
-        endpoints
+        [key.a, key.b]
             .into_iter()
             .zip(bytes)
             .filter_map(|(ep, b)| Some((ep, b?)))
     };
-    let first_src = metas[0].src;
     // Most payload bytes wins; the initiator breaks a tie, then the
     // endpoint ordering (for determinism without a captured SYN).
     let max_bytes = sent().map(|(_, b)| b).max().unwrap_or(0);
@@ -234,19 +301,9 @@ pub(crate) fn build_connection(metas: &[FrameMeta]) -> TcpConnection {
                 .map(|(ep, _)| ep)
                 .min()
         })
-        .unwrap_or(first_src);
-    let receiver = metas
-        .iter()
-        .find_map(|m| {
-            if m.src == sender {
-                Some(m.dst)
-            } else if m.dst == sender {
-                Some(m.src)
-            } else {
-                None
-            }
-        })
-        .expect("nonempty group");
+        .unwrap_or_else(|| src(&metas[0]));
+    let sender_is_a = sender == key.a;
+    let receiver = if sender_is_a { key.b } else { key.a };
 
     let mut segments = Vec::with_capacity(metas.len());
     let mut profile = ConnProfile {
@@ -261,12 +318,13 @@ pub(crate) fn build_connection(metas: &[FrameMeta]) -> TcpConnection {
     // First pass: window-scale negotiation (RFC 1323 — active only if
     // *both* SYNs carried the option). Scaled values are applied to
     // every non-SYN segment below.
-    for m in metas {
+    for (m, opts) in with_options(metas, options) {
         if m.flags.contains(TcpFlags::SYN) {
-            if m.src == sender {
-                profile.sender_wscale = m.wscale;
+            let wscale = opts.and_then(|o| o.wscale);
+            if m.from_a == sender_is_a {
+                profile.sender_wscale = wscale;
             } else {
-                profile.receiver_wscale = m.wscale;
+                profile.receiver_wscale = wscale;
             }
         }
     }
@@ -283,8 +341,8 @@ pub(crate) fn build_connection(metas: &[FrameMeta]) -> TcpConnection {
         }
     };
 
-    for m in metas {
-        let dir = if m.src == sender {
+    for (m, opts) in with_options(metas, options) {
+        let dir = if m.from_a == sender_is_a {
             Direction::Data
         } else {
             Direction::Ack
@@ -298,7 +356,7 @@ pub(crate) fn build_connection(metas: &[FrameMeta]) -> TcpConnection {
             time: m.time,
             dir,
             seq: m.seq,
-            seq_end: m.seq_end,
+            seq_end: m.seq_end(),
             ack: m.ack,
             window: (m.window as u32) << shift,
             payload_len: m.payload_len,
@@ -316,7 +374,7 @@ pub(crate) fn build_connection(metas: &[FrameMeta]) -> TcpConnection {
                 if seg.payload_len > 0 {
                     profile.data_segments += 1;
                 }
-                if let Some(mss) = m.mss {
+                if let Some(mss) = opts.and_then(|o| o.mss) {
                     sender_mss = Some(mss as u32);
                 }
                 if m.flags.contains(TcpFlags::SYN) && !m.flags.contains(TcpFlags::ACK) {
@@ -333,7 +391,7 @@ pub(crate) fn build_connection(metas: &[FrameMeta]) -> TcpConnection {
             }
             Direction::Ack => {
                 profile.max_receiver_window = profile.max_receiver_window.max(seg.window);
-                if let Some(mss) = m.mss {
+                if let Some(mss) = opts.and_then(|o| o.mss) {
                     receiver_mss = Some(mss as u32);
                 }
                 if m.flags.contains(TcpFlags::SYN) && m.flags.contains(TcpFlags::ACK) {
@@ -468,6 +526,40 @@ mod tests {
                 .window(16384)
                 .build(),
         ]
+    }
+
+    #[test]
+    fn a_frame_costs_32_bytes() {
+        assert_eq!(std::mem::size_of::<FrameMeta>(), 32);
+    }
+
+    #[test]
+    fn a_record_ends_where_its_frame_does() {
+        let key = ConnKey::of_endpoints((addr(1), 179), (addr(2), 40000));
+        for flags in [
+            TcpFlags::ACK,
+            TcpFlags::SYN,
+            TcpFlags::SYN | TcpFlags::ACK,
+            TcpFlags::FIN | TcpFlags::ACK,
+            TcpFlags::SYN | TcpFlags::FIN,
+            TcpFlags::RST,
+        ] {
+            for (seq, len) in [(100, 0), (100, 1448), (u32::MAX, 0), (u32::MAX - 10, 1448)] {
+                let frame = FrameBuilder::new(addr(1), addr(2))
+                    .ports(179, 40000)
+                    .seq(seq)
+                    .flags(flags)
+                    .payload(vec![0; len])
+                    .build();
+                let mut frames = ConnFrames::default();
+                assert!(frames.push(key, &frame, 0));
+                assert_eq!(
+                    frames.metas[0].seq_end(),
+                    frame.seq_end(),
+                    "{flags} {seq} {len}"
+                );
+            }
+        }
     }
 
     #[test]

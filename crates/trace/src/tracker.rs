@@ -11,17 +11,20 @@
 //!
 //! Frame payloads are never retained (callers that need payload bytes,
 //! like BGP reassembly, consume them per frame before handing the frame
-//! to the tracker); what is held is one fixed-size metadata record per
-//! frame of each *open* connection. Under the batch policy that is
-//! every frame of the trace; under the streaming policy, only the
-//! connections still open.
+//! to the tracker); what is held is a 32-byte record per frame of each
+//! *open* connection, plus `Vec` growth: both endpoints are kept once,
+//! in the connection's key, and a frame keeps a direction bit; the MSS
+//! and window-scale options of the few frames that carry them are kept
+//! beside the records. Under the batch policy that is every frame of
+//! the trace; under the streaming policy, only the connections still
+//! open.
 
 use std::collections::HashMap;
 
 use tdat_packet::{FrameLike, TcpFlags, TcpFrame};
 use tdat_timeset::Micros;
 
-use crate::conn::{build_connection, ConnKey, FrameMeta, TcpConnection};
+use crate::conn::{ConnFrames, ConnKey, TcpConnection};
 
 /// Splits a frame trace into connections and profiles each one, in
 /// order of first appearance: the [`batch`](TrackerConfig::batch)
@@ -106,7 +109,7 @@ pub struct FinalizedConnection {
 #[derive(Debug)]
 struct ConnState {
     ordinal: u64,
-    metas: Vec<FrameMeta>,
+    frames: ConnFrames,
     last_seen: Micros,
     fin_low: bool,
     fin_high: bool,
@@ -119,7 +122,7 @@ impl ConnState {
     fn fresh(ordinal: u64, timestamp: Micros) -> ConnState {
         ConnState {
             ordinal,
-            metas: Vec::new(),
+            frames: ConnFrames::default(),
             last_seen: timestamp,
             fin_low: false,
             fin_high: false,
@@ -188,12 +191,12 @@ impl ConnectionTracker {
             *next_ordinal += 1;
             ConnState::fresh(ordinal, timestamp)
         });
-        state.metas.push(FrameMeta::of(frame, index));
+        let from_a = state.frames.push(key, frame, index);
         state.last_seen = state.last_seen.max(timestamp);
         state.dirty = true;
         let flags = frame.tcp().flags;
         if flags.contains(TcpFlags::FIN) {
-            if frame.src() == key.a {
+            if from_a {
                 state.fin_low = true;
             } else {
                 state.fin_high = true;
@@ -226,26 +229,24 @@ impl ConnectionTracker {
         if self.open.len() <= cap {
             return Vec::new();
         }
-        let mut candidates: Vec<(Micros, u64, ConnKey)> = self
-            .open
-            .iter()
-            .filter(|(k, _)| **k != keep)
-            .map(|(k, s)| (s.last_seen, s.ordinal, *k))
-            .collect();
-        candidates.sort_unstable_by_key(|(last_seen, ordinal, _)| (*last_seen, *ordinal));
         let excess = self.open.len() - cap;
-        let mut out: Vec<FinalizedConnection> = candidates
-            .into_iter()
-            .take(excess)
-            .filter_map(|(_, _, key)| {
-                let state = self.open.remove(&key)?;
-                Some(FinalizedConnection {
-                    ordinal: state.ordinal,
-                    key,
-                    connection: build_connection(&state.metas),
-                })
-            })
-            .collect();
+        let mut out = Vec::with_capacity(excess);
+        // One scan a victim: an ingest over the cap evicts one as a rule.
+        for _ in 0..excess {
+            let key = *self
+                .open
+                .iter()
+                .filter(|(k, _)| **k != keep)
+                .min_by_key(|(_, s)| (s.last_seen, s.ordinal))
+                .expect("a cap of at least 1 leaves `excess` besides `keep`")
+                .0;
+            let state = self.open.remove(&key).expect("found above");
+            out.push(FinalizedConnection {
+                ordinal: state.ordinal,
+                key,
+                connection: state.frames.build(key),
+            });
+        }
         out.sort_unstable_by_key(|f| f.ordinal);
         out
     }
@@ -280,7 +281,7 @@ impl ConnectionTracker {
                 FinalizedConnection {
                     ordinal: state.ordinal,
                     key,
-                    connection: build_connection(&state.metas),
+                    connection: state.frames.build(key),
                 }
             })
             .collect()
@@ -302,7 +303,7 @@ impl ConnectionTracker {
             .map(|(key, state)| FinalizedConnection {
                 ordinal: state.ordinal,
                 key: *key,
-                connection: build_connection(&state.metas),
+                connection: state.frames.build(*key),
             })
             .collect()
     }
@@ -313,7 +314,7 @@ impl ConnectionTracker {
         self.open.get(&key).map(|state| FinalizedConnection {
             ordinal: state.ordinal,
             key,
-            connection: build_connection(&state.metas),
+            connection: state.frames.build(key),
         })
     }
 
@@ -323,8 +324,7 @@ impl ConnectionTracker {
     /// ever appended to while it is open. `None` when `key` is not open
     /// or has not seen `frames` frames (or `frames` is 0).
     pub fn snapshot_first(&self, key: ConnKey, frames: usize) -> Option<TcpConnection> {
-        let metas = self.open.get(&key)?.metas.get(..frames)?;
-        (!metas.is_empty()).then(|| build_connection(metas))
+        self.open.get(&key)?.frames.build_first(key, frames)
     }
 
     /// Keys of open connections that received frames since the last
@@ -365,7 +365,7 @@ impl ConnectionTracker {
             .map(|(key, state)| FinalizedConnection {
                 ordinal: state.ordinal,
                 key,
-                connection: build_connection(&state.metas),
+                connection: state.frames.build(key),
             })
             .collect()
     }

@@ -5,6 +5,9 @@
 //! `u32::MAX` mid-transfer. Connection extraction and the streaming
 //! tracker must be invariant under that translation (times and byte
 //! counts identical, sequence numbers shifted by exactly the base delta).
+//! The tracker derives a segment's `seq_end` from its record, so the
+//! wrap crosses that sum too. CI runs this file with
+//! `PROPTEST_CASES=20000`.
 
 use proptest::prelude::*;
 use std::net::Ipv4Addr;
@@ -113,8 +116,6 @@ fn wrap_base(chunks: &[Chunk], cross_seed: usize) -> u32 {
 const LOW_BASE: u32 = 100_000;
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
     #[test]
     fn extraction_invariant_under_wrap(chunks in arb_chunks(), cross in 0usize..100_000) {
         let base = wrap_base(&chunks, cross);
