@@ -275,7 +275,7 @@ pub fn table3() -> String {
     );
     let analyses = analyze(&transfer.frames, AnalyzerConfig::default());
     let analysis = &analyses[0];
-    let episodes = tdat::find_consecutive_losses(&analysis.series, 2, Micros::from_secs(2));
+    let episodes = tdat::find_consecutive_losses(&analysis.series, 2);
     let mut out = String::new();
     let Some(episode) = episodes.first() else {
         out.push_str("no retransmission episode found\n");

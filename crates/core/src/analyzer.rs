@@ -13,7 +13,7 @@ use crate::detect::{
 };
 use crate::factors::{delay_vector_with, DelayVector};
 use crate::preprocess::{shift_acks_into, ShiftedTrace};
-use crate::quarantine::{QuarantineConfig, Verdict};
+use crate::quarantine::Verdict;
 use crate::series::{generate_alert_series, generate_series_with, SeriesSet};
 
 /// The complete analysis of one TCP connection.
@@ -54,11 +54,7 @@ impl Analysis {
 
     /// Detector: consecutive-loss episodes (§IV-B).
     pub fn consecutive_losses(&self, config: &AnalyzerConfig) -> Vec<ConsecutiveLosses> {
-        find_consecutive_losses(
-            &self.series,
-            config.consecutive_loss_threshold,
-            config.episode_gap,
-        )
+        find_consecutive_losses(&self.series, config.consecutive_loss_threshold)
     }
 
     /// Detector: the zero-window-probe bug (§IV-B).
@@ -105,7 +101,9 @@ pub struct PartialAnalysis {
 }
 
 /// The per-connection steps of T-DAT: configure once, then analyze
-/// connections whose BGP messages are already extracted. Frames and
+/// connections whose BGP messages are already extracted. Labelling and
+/// MCT run at their defaults ([`LabelConfig`], [`MctConfig`]), and the
+/// verdict by the quarantine budgets ([`Verdict::assess`]). Frames and
 /// captures go through [`StreamAnalyzer`](crate::StreamAnalyzer), which
 /// tracks and reassembles each connection and calls
 /// [`analyze_extracted_lossy`](Self::analyze_extracted_lossy) as it
@@ -124,7 +122,7 @@ pub struct PartialAnalysis {
 /// let analyzer = Analyzer::default();
 /// let mut ingest = Ingest::new(TrackerConfig::batch());
 /// for frame in &frames {
-///     ingest.step(frame, &analyzer);
+///     ingest.step(frame);
 /// }
 /// for fin in ingest.finish() {
 ///     println!("{}", ingest.analyze(fin, &analyzer).vector);
@@ -134,36 +132,17 @@ pub struct PartialAnalysis {
 #[derive(Debug, Clone, Default)]
 pub struct Analyzer {
     config: AnalyzerConfig,
-    label_config: LabelConfig,
-    mct: MctConfig,
-    quarantine: QuarantineConfig,
 }
 
 impl Analyzer {
     /// Creates an analyzer with the given configuration.
     pub fn new(config: AnalyzerConfig) -> Analyzer {
-        Analyzer {
-            config,
-            label_config: LabelConfig::default(),
-            mct: MctConfig::default(),
-            quarantine: QuarantineConfig::default(),
-        }
-    }
-
-    /// Replaces the capture-quality quarantine budgets.
-    pub fn with_quarantine(mut self, quarantine: QuarantineConfig) -> Analyzer {
-        self.quarantine = quarantine;
-        self
+        Analyzer { config }
     }
 
     /// The analyzer configuration.
     pub fn config(&self) -> &AnalyzerConfig {
         &self.config
-    }
-
-    /// The capture-quality quarantine budgets.
-    pub fn quarantine(&self) -> &QuarantineConfig {
-        &self.quarantine
     }
 
     /// Analyzes a connection whose BGP messages are already extracted —
@@ -186,7 +165,7 @@ impl Analyzer {
             .unwrap_or(conn.profile.end)
             .max(conn.profile.start);
         let period = Span::new(conn.profile.start, period_end);
-        let verdict = self.quarantine.assess(&anomalies, extraction);
+        let verdict = Verdict::assess(&anomalies, extraction);
         self.build_analysis(conn, period, transfer, anomalies, verdict)
     }
 
@@ -206,14 +185,9 @@ impl Analyzer {
         extraction: &tdat_pcap2bgp::Extraction,
         rows: usize,
     ) -> Option<TableTransfer> {
-        extraction.messages.transfer_end(start, rows, &self.mct)
-    }
-
-    /// The MCT configuration: read here and by the settle queue
-    /// ([`BgpDemux::settle`](crate::BgpDemux::settle)), which must keep
-    /// the answer this analyzer would find.
-    pub(crate) fn mct(&self) -> &MctConfig {
-        &self.mct
+        extraction
+            .messages
+            .transfer_end(start, rows, &MctConfig::default())
     }
 
     /// Analyzes a point-in-time snapshot of a *still-open* connection
@@ -241,8 +215,8 @@ impl Analyzer {
     ) -> PartialAnalysis {
         let start = window.start.max(conn.profile.start);
         let period = Span::new(start, window.end.max(start));
-        let verdict = self.quarantine.assess(&anomalies, extraction);
-        let labels = label_segments(&conn, &self.label_config);
+        let verdict = Verdict::assess(&anomalies, extraction);
+        let labels = label_segments(&conn, &LabelConfig::default());
         let TcpConnection {
             sender,
             receiver,
@@ -256,7 +230,6 @@ impl Analyzer {
             period,
             profile.max_receiver_window,
             profile.rtt,
-            &self.config,
             &mut tdat_timeset::SpanScratch::new(),
         );
         PartialAnalysis {
@@ -303,7 +276,7 @@ impl Analyzer {
         anomalies: AnomalyCounts,
         verdict: Verdict,
     ) -> Analysis {
-        let labels = label_segments(&conn, &self.label_config);
+        let labels = label_segments(&conn, &LabelConfig::default());
         let TcpConnection {
             sender,
             receiver,

@@ -1,7 +1,5 @@
 //! Analyzer configuration.
 
-use tdat_timeset::Micros;
-
 /// Where the sniffer sat relative to the connection — a configured
 /// setting, as the paper leaves it to the user's knowledge of the
 /// collection setup (§III-C2).
@@ -19,8 +17,15 @@ pub enum SnifferLocation {
     Middle,
 }
 
-/// Tunables of the T-DAT analyzer. Defaults follow the paper (§III-C,
-/// §IV).
+/// Tunables of the T-DAT analyzer: the sniffer vantage and the
+/// thresholds the paper's experiments vary. Defaults follow the paper
+/// (§III-C, §IV). The gaps and margins it fixes are constants where
+/// they are read: the window-bound margin (3 MSS), the shortest
+/// sender-idle gap (5 ms), the flight gap without an RTT (10 ms) and
+/// the congestion-window clocking slack (2 ms) in the
+/// [`series`](crate::series) rules, and the gap chaining retransmissions
+/// into one episode (2 s) in
+/// [`find_consecutive_losses`](crate::find_consecutive_losses).
 #[derive(Debug, Clone, PartialEq)]
 pub struct AnalyzerConfig {
     /// Sniffer vantage.
@@ -29,29 +34,12 @@ pub struct AnalyzerConfig {
     /// (receiver application cannot keep up); within the same margin of
     /// the maximum it is *large*. The paper adopts 3 from T-RAT \[28,38\].
     pub small_window_mss: f64,
-    /// The margin (in MSS) within which outstanding data is considered
-    /// *bounded* by the advertised window (§III-C3; default 3).
-    pub window_bound_mss: f64,
     /// Group delay ratio above which a factor group is *major*
     /// (§IV-A; default 0.3, qualitatively stable in 0.3–0.5).
     pub major_threshold: f64,
     /// Consecutive retransmissions in one episode before it counts as a
     /// consecutive-loss problem (§IV-B; default 8).
     pub consecutive_loss_threshold: usize,
-    /// Maximum silence between retransmissions chained into one
-    /// episode.
-    pub episode_gap: Micros,
-    /// A sender-idle gap must exceed this to enter the
-    /// `SendAppLimited` series (filters sub-RTT scheduling noise; the
-    /// effective threshold also adapts to the measured RTT).
-    pub min_idle_gap: Micros,
-    /// Gap used to group data/ACK packets into flights when the RTT is
-    /// unknown.
-    pub fallback_flight_gap: Micros,
-    /// A new flight must start within this delay of the ACKs of the
-    /// previous one for the connection to count as congestion-window
-    /// clocked across the boundary.
-    pub cwnd_clock_slack: Micros,
     /// Skip the ACK-flight shifting preprocessing step (§III-B1) —
     /// used by the ablation study; leave `false` for receiver-side
     /// traces.
@@ -63,13 +51,8 @@ impl Default for AnalyzerConfig {
         AnalyzerConfig {
             sniffer: SnifferLocation::NearReceiver,
             small_window_mss: 3.0,
-            window_bound_mss: 3.0,
             major_threshold: 0.3,
             consecutive_loss_threshold: 8,
-            episode_gap: Micros::from_secs(2),
-            min_idle_gap: Micros::from_millis(5),
-            fallback_flight_gap: Micros::from_millis(10),
-            cwnd_clock_slack: Micros::from_millis(2),
             disable_ack_shift: false,
         }
     }
@@ -118,12 +101,6 @@ impl AnalyzerConfigBuilder {
         self
     }
 
-    /// Sets the window-bound margin in MSS units.
-    pub fn window_bound_mss(mut self, mss: f64) -> Self {
-        self.config.window_bound_mss = mss;
-        self
-    }
-
     /// Sets the major-group delay-ratio threshold.
     pub fn major_threshold(mut self, threshold: f64) -> Self {
         self.config.major_threshold = threshold;
@@ -133,31 +110,6 @@ impl AnalyzerConfigBuilder {
     /// Sets the consecutive-loss episode threshold.
     pub fn consecutive_loss_threshold(mut self, threshold: usize) -> Self {
         self.config.consecutive_loss_threshold = threshold;
-        self
-    }
-
-    /// Sets the maximum silence chaining retransmissions into one
-    /// episode.
-    pub fn episode_gap(mut self, gap: Micros) -> Self {
-        self.config.episode_gap = gap;
-        self
-    }
-
-    /// Sets the minimum sender-idle gap entering `SendAppLimited`.
-    pub fn min_idle_gap(mut self, gap: Micros) -> Self {
-        self.config.min_idle_gap = gap;
-        self
-    }
-
-    /// Sets the flight-grouping gap used when the RTT is unknown.
-    pub fn fallback_flight_gap(mut self, gap: Micros) -> Self {
-        self.config.fallback_flight_gap = gap;
-        self
-    }
-
-    /// Sets the congestion-window clocking slack.
-    pub fn cwnd_clock_slack(mut self, slack: Micros) -> Self {
-        self.config.cwnd_clock_slack = slack;
         self
     }
 
@@ -173,8 +125,8 @@ impl AnalyzerConfigBuilder {
     ///
     /// Returns [`Error::Config`](crate::Error::Config) when a value is
     /// out of range: a zero consecutive-loss threshold, a major
-    /// threshold outside `(0, 1]`, non-positive MSS multiples, or
-    /// non-positive gaps.
+    /// threshold outside `(0, 1]`, or a non-positive small-window
+    /// multiple.
     pub fn build(self) -> crate::Result<AnalyzerConfig> {
         let c = &self.config;
         let fail = |reason: String| Err(crate::Error::Config(reason));
@@ -191,27 +143,6 @@ impl AnalyzerConfigBuilder {
             return fail(format!(
                 "small_window_mss must be positive, got {}",
                 c.small_window_mss
-            ));
-        }
-        if c.window_bound_mss <= 0.0 || c.window_bound_mss.is_nan() {
-            return fail(format!(
-                "window_bound_mss must be positive, got {}",
-                c.window_bound_mss
-            ));
-        }
-        for (name, gap) in [
-            ("episode_gap", c.episode_gap),
-            ("min_idle_gap", c.min_idle_gap),
-            ("fallback_flight_gap", c.fallback_flight_gap),
-        ] {
-            if gap <= Micros::ZERO {
-                return fail(format!("{name} must be positive, got {gap}"));
-            }
-        }
-        if c.cwnd_clock_slack < Micros::ZERO {
-            return fail(format!(
-                "cwnd_clock_slack must be non-negative, got {}",
-                c.cwnd_clock_slack
             ));
         }
         Ok(self.config)
@@ -244,25 +175,15 @@ mod tests {
         let c = AnalyzerConfig::builder()
             .sniffer(SnifferLocation::NearSender)
             .small_window_mss(2.0)
-            .window_bound_mss(4.0)
             .major_threshold(0.5)
             .consecutive_loss_threshold(3)
-            .episode_gap(Micros::from_secs(1))
-            .min_idle_gap(Micros::from_millis(7))
-            .fallback_flight_gap(Micros::from_millis(20))
-            .cwnd_clock_slack(Micros::from_millis(1))
             .disable_ack_shift(true)
             .build()
             .unwrap();
         assert_eq!(c.sniffer, SnifferLocation::NearSender);
         assert_eq!(c.small_window_mss, 2.0);
-        assert_eq!(c.window_bound_mss, 4.0);
         assert_eq!(c.major_threshold, 0.5);
         assert_eq!(c.consecutive_loss_threshold, 3);
-        assert_eq!(c.episode_gap, Micros::from_secs(1));
-        assert_eq!(c.min_idle_gap, Micros::from_millis(7));
-        assert_eq!(c.fallback_flight_gap, Micros::from_millis(20));
-        assert_eq!(c.cwnd_clock_slack, Micros::from_millis(1));
         assert!(c.disable_ack_shift);
     }
 
@@ -285,15 +206,7 @@ mod tests {
             .build()
             .is_err());
         assert!(AnalyzerConfig::builder()
-            .window_bound_mss(0.0)
-            .build()
-            .is_err());
-        assert!(AnalyzerConfig::builder()
-            .episode_gap(Micros::ZERO)
-            .build()
-            .is_err());
-        assert!(AnalyzerConfig::builder()
-            .cwnd_clock_slack(Micros(-1))
+            .small_window_mss(f64::NAN)
             .build()
             .is_err());
     }

@@ -130,14 +130,18 @@ pub struct ConsecutiveLosses {
     pub retransmissions: usize,
 }
 
+/// Maximum silence between retransmissions chained into one
+/// consecutive-loss episode.
+const EPISODE_GAP: Micros = Micros::from_secs(2);
+
+const _: () = assert!(EPISODE_GAP.as_micros() > 0);
+
 /// Finds episodes of at least `threshold` consecutive retransmissions
-/// in the union of all loss series. The paper's default threshold is 8
-/// — enough losses to collapse cwnd and ssthresh to their minimum.
-pub fn find_consecutive_losses(
-    series: &SeriesSet,
-    threshold: usize,
-    episode_gap: Micros,
-) -> Vec<ConsecutiveLosses> {
+/// in the union of all loss series, a retransmission chaining into the
+/// episode before it when it starts at most 2 s after that episode
+/// ends. The paper's default threshold is 8 — enough losses to
+/// collapse cwnd and ssthresh to their minimum.
+pub fn find_consecutive_losses(series: &SeriesSet, threshold: usize) -> Vec<ConsecutiveLosses> {
     // Collect every loss-recovery wave (unflattened: one per event).
     let mut waves: Vec<Span> = series
         .upstream_loss
@@ -150,7 +154,7 @@ pub fn find_consecutive_losses(
     let mut episodes: Vec<ConsecutiveLosses> = Vec::new();
     for wave in waves {
         match episodes.last_mut() {
-            Some(ep) if wave.start - ep.span.end <= episode_gap || ep.span.overlaps(wave) => {
+            Some(ep) if wave.start - ep.span.end <= EPISODE_GAP || ep.span.overlaps(wave) => {
                 ep.span = ep.span.hull(wave);
                 ep.retransmissions += 1;
             }
@@ -528,10 +532,10 @@ mod tests {
         }
         up.push(Span::from_micros(50_000_000, 50_000_900), 1448);
         s.upstream_loss = up;
-        let found = find_consecutive_losses(&s, 8, Micros::from_secs(2));
+        let found = find_consecutive_losses(&s, 8);
         assert_eq!(found.len(), 1);
         assert_eq!(found[0].retransmissions, 9);
-        let none = find_consecutive_losses(&s, 10, Micros::from_secs(2));
+        let none = find_consecutive_losses(&s, 10);
         assert!(none.is_empty());
     }
 

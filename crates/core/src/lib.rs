@@ -48,6 +48,13 @@
 //!    consecutive-loss episodes, peer-group blocking, and the
 //!    `ZeroAckBug` conflicting-series check.
 //!
+//! [`AnalyzerConfig`] holds what the paper's experiments vary: the
+//! sniffer vantage, the small-window and major-group thresholds, the
+//! consecutive-loss count and the ACK shift. Each analysis also carries
+//! a capture-quality [`Verdict`], whose budgets are constants
+//! ([`Verdict::MAX_ANOMALIES`] capture anomalies, 4 KiB of unframed BGP
+//! payload, 64 KiB dropped by the reassembly caps).
+//!
 //! # Examples
 //!
 //! A capture, connection by connection:
@@ -100,7 +107,7 @@ pub use error::{Error, Result};
 pub use factors::{
     delay_vector_with, factor_spans_with, DelayVector, Factor, FactorGroup, FactorSpans,
 };
-pub use quarantine::{QuarantineConfig, Verdict};
+pub use quarantine::Verdict;
 pub use report::Report;
 pub use series::{generate_series_with, SeriesSet};
 pub use stream::{BgpDemux, Ingest, LossyRunReport, SettleCount, StreamAnalyzer, StreamOptions};

@@ -7,17 +7,18 @@
 //!
 //! * [`Clean`](Verdict::Clean) — no capture anomalies touched it;
 //! * [`Degraded`](Verdict::Degraded) — some damage was observed but
-//!   stayed within the [`QuarantineConfig`] budget; the analysis is
-//!   usable with caution;
+//!   stayed within the budgets; the analysis is usable with caution;
 //! * [`Quarantined`](Verdict::Quarantined) — the anomaly budget
 //!   tripped; the connection is sealed with a typed reason and its
 //!   factor attribution must not be trusted. The *run* continues: one
 //!   poisoned stream never aborts the batch.
 //!
-//! The budget covers three independent damage surfaces: typed capture
-//! anomalies from lossy decode ([`AnomalyCounts`]), bytes that failed
-//! BGP framing (payload corruption the one-byte resync skipped), and
-//! bytes dropped by the reassembly/pre-anchor resource caps.
+//! The budgets, constants of [`Verdict::assess`], cover three
+//! independent damage surfaces: typed capture anomalies from lossy
+//! decode ([`AnomalyCounts`], at most [`Verdict::MAX_ANOMALIES`], 16),
+//! bytes that failed BGP framing (payload corruption the one-byte
+//! resync skipped; at most 4 KiB), and bytes dropped by the
+//! reassembly/pre-anchor resource caps (at most 64 KiB).
 
 use std::fmt;
 
@@ -62,73 +63,50 @@ impl Verdict {
             _ => None,
         }
     }
-}
 
-impl fmt::Display for Verdict {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Verdict::Quarantined { reason } => write!(f, "quarantined: {reason}"),
-            other => f.write_str(other.as_str()),
-        }
-    }
-}
-
-/// Budgets that decide when a connection's damage tips from
-/// [`Degraded`](Verdict::Degraded) into
-/// [`Quarantined`](Verdict::Quarantined).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct QuarantineConfig {
     /// Typed capture anomalies (truncation, clipping, bad headers,
-    /// clock damage, duplicates) attributed to the connection before it
-    /// is sealed.
-    pub max_anomalies: u64,
-    /// Bytes that failed BGP framing before the stream is considered
+    /// clock damage, duplicates) a connection may carry before it is
+    /// sealed.
+    pub const MAX_ANOMALIES: u64 = 16;
+    /// Bytes that may fail BGP framing before the stream is considered
     /// systematically corrupted rather than nicked.
-    pub max_unparsed_bytes: u64,
+    const MAX_UNPARSED_BYTES: u64 = 4 << 10;
     /// Bytes the reassembly window / pre-anchor caps may drop before
     /// the stream's timings are considered unreconstructable.
-    pub max_overflow_bytes: u64,
-}
+    const MAX_OVERFLOW_BYTES: u64 = 64 << 10;
 
-impl Default for QuarantineConfig {
-    fn default() -> QuarantineConfig {
-        QuarantineConfig {
-            max_anomalies: 16,
-            max_unparsed_bytes: 4 << 10,
-            max_overflow_bytes: 64 << 10,
-        }
-    }
-}
-
-impl QuarantineConfig {
     /// Classifies one connection given the capture anomalies attributed
-    /// to it and its BGP extraction.
-    pub fn assess(&self, anomalies: &AnomalyCounts, extraction: &Extraction) -> Verdict {
+    /// to it and its BGP extraction: damage past a budget tips it from
+    /// [`Degraded`](Verdict::Degraded) into
+    /// [`Quarantined`](Verdict::Quarantined).
+    pub fn assess(anomalies: &AnomalyCounts, extraction: &Extraction) -> Verdict {
         let total = anomalies.total();
-        if total > self.max_anomalies {
+        if total > Self::MAX_ANOMALIES {
             return Verdict::Quarantined {
                 reason: format!(
                     "{total} capture anomalies exceed the budget of {} ({anomalies})",
-                    self.max_anomalies
+                    Self::MAX_ANOMALIES
                 ),
             };
         }
         // The unparsed budget only applies to streams that framed as
         // BGP at least once: a capture that never was BGP (a generic
         // TCP transfer) is un-analyzed, not damaged.
-        if !extraction.messages.is_empty() && extraction.unparsed_bytes > self.max_unparsed_bytes {
+        if !extraction.messages.is_empty() && extraction.unparsed_bytes > Self::MAX_UNPARSED_BYTES {
             return Verdict::Quarantined {
                 reason: format!(
                     "{} bytes failed BGP framing (budget {})",
-                    extraction.unparsed_bytes, self.max_unparsed_bytes
+                    extraction.unparsed_bytes,
+                    Self::MAX_UNPARSED_BYTES
                 ),
             };
         }
-        if extraction.overflow_bytes > self.max_overflow_bytes {
+        if extraction.overflow_bytes > Self::MAX_OVERFLOW_BYTES {
             return Verdict::Quarantined {
                 reason: format!(
                     "{} bytes dropped by reassembly resource caps (budget {})",
-                    extraction.overflow_bytes, self.max_overflow_bytes
+                    extraction.overflow_bytes,
+                    Self::MAX_OVERFLOW_BYTES
                 ),
             };
         }
@@ -140,6 +118,23 @@ impl QuarantineConfig {
         }
     }
 }
+
+impl fmt::Display for Verdict {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Verdict::Quarantined { reason } => write!(f, "quarantined: {reason}"),
+            other => f.write_str(other.as_str()),
+        }
+    }
+}
+
+// A zero budget would quarantine every connection on its first anomaly
+// byte.
+const _: () = assert!(
+    Verdict::MAX_ANOMALIES >= 1
+        && Verdict::MAX_UNPARSED_BYTES >= 1
+        && Verdict::MAX_OVERFLOW_BYTES >= 1
+);
 
 #[cfg(test)]
 mod tests {
@@ -159,23 +154,21 @@ mod tests {
 
     #[test]
     fn clean_connection_is_clean() {
-        let v =
-            QuarantineConfig::default().assess(&AnomalyCounts::default(), &Extraction::default());
+        let v = Verdict::assess(&AnomalyCounts::default(), &Extraction::default());
         assert_eq!(v, Verdict::Clean);
         assert_eq!(v.as_str(), "clean");
     }
 
     #[test]
     fn within_budget_is_degraded_not_quarantined() {
-        let v = QuarantineConfig::default().assess(&counts(3), &Extraction::default());
+        let v = Verdict::assess(&counts(3), &Extraction::default());
         assert_eq!(v, Verdict::Degraded);
         assert!(!v.is_quarantined());
     }
 
     #[test]
     fn anomaly_budget_trips_quarantine_with_typed_reason() {
-        let config = QuarantineConfig::default();
-        let v = config.assess(&counts(config.max_anomalies + 1), &Extraction::default());
+        let v = Verdict::assess(&counts(Verdict::MAX_ANOMALIES + 1), &Extraction::default());
         assert!(v.is_quarantined());
         let reason = v.reason().expect("sealed verdicts carry a reason");
         assert!(reason.contains("capture anomalies"), "{reason}");
@@ -184,20 +177,19 @@ mod tests {
 
     #[test]
     fn unparsed_and_overflow_budgets_trip_independently() {
-        let config = QuarantineConfig::default();
         let one_keepalive = [(tdat_timeset::Micros::ZERO, tdat_bgp::BgpMessage::Keepalive)];
         let bad_framing = Extraction {
             messages: one_keepalive.iter().collect(),
-            unparsed_bytes: config.max_unparsed_bytes + 1,
+            unparsed_bytes: Verdict::MAX_UNPARSED_BYTES + 1,
             ..Extraction::default()
         };
-        let v = config.assess(&AnomalyCounts::default(), &bad_framing);
+        let v = Verdict::assess(&AnomalyCounts::default(), &bad_framing);
         assert!(v.reason().is_some_and(|r| r.contains("BGP framing")));
         let overflowed = Extraction {
-            overflow_bytes: config.max_overflow_bytes + 1,
+            overflow_bytes: Verdict::MAX_OVERFLOW_BYTES + 1,
             ..Extraction::default()
         };
-        let v = config.assess(&AnomalyCounts::default(), &overflowed);
+        let v = Verdict::assess(&AnomalyCounts::default(), &overflowed);
         assert!(v.reason().is_some_and(|r| r.contains("resource caps")));
     }
 
@@ -209,7 +201,7 @@ mod tests {
             unparsed_bytes: 10 << 20,
             ..Extraction::default()
         };
-        let v = QuarantineConfig::default().assess(&AnomalyCounts::default(), &not_bgp);
+        let v = Verdict::assess(&AnomalyCounts::default(), &not_bgp);
         assert_eq!(v, Verdict::Clean);
     }
 }

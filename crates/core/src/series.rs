@@ -18,6 +18,28 @@ use tdat_trace::{group_flights, Direction, SegLabel, Segment};
 use crate::config::{AnalyzerConfig, SnifferLocation};
 use crate::preprocess::ShiftedTrace;
 
+/// The margin (in MSS) within which outstanding data is considered
+/// *bounded* by the advertised window (§III-C3).
+const WINDOW_BOUND_MSS: i64 = 3;
+/// A sender-idle gap must exceed this to enter the `SendAppLimited`
+/// series (filters sub-RTT scheduling noise; the threshold rises to a
+/// quarter of the measured RTT where that is longer).
+const MIN_IDLE_GAP: Micros = Micros::from_millis(5);
+/// Gap used to group data/ACK packets into flights when the RTT is
+/// unknown.
+const FALLBACK_FLIGHT_GAP: Micros = Micros::from_millis(10);
+/// A new flight must start within this delay of the ACKs of the
+/// previous one for the connection to count as congestion-window
+/// clocked across the boundary.
+const CWND_CLOCK_SLACK: Micros = Micros::from_millis(2);
+
+const _: () = assert!(
+    WINDOW_BOUND_MSS > 0
+        && MIN_IDLE_GAP.as_micros() > 0
+        && FALLBACK_FLIGHT_GAP.as_micros() > 0
+        && CWND_CLOCK_SLACK.as_micros() >= 0
+);
+
 /// The generated series for one connection over one analysis period.
 ///
 /// Field names follow the paper. A series is named by its slot: an
@@ -174,11 +196,10 @@ pub fn generate_series_with(
         &data,
         &acks,
         rtt,
-        config,
         scratch,
     );
     set.mss = mss;
-    extraction(&mut set, &data, &acks, rtt, config);
+    extraction(&mut set, &data, &acks, rtt);
     interpretation(&mut set, config);
     operation(&mut set, &data, &acks, rtt, config, scratch);
     set
@@ -195,7 +216,6 @@ pub(crate) fn generate_alert_series(
     period: Span,
     max_adv_window: u32,
     rtt: Option<Micros>,
-    config: &AnalyzerConfig,
     scratch: &mut SpanScratch,
 ) -> SeriesSet {
     let (data, acks) = data_and_acks(trace);
@@ -207,7 +227,6 @@ pub(crate) fn generate_alert_series(
         &data,
         &acks,
         rtt,
-        config,
         scratch,
     )
 }
@@ -236,7 +255,6 @@ fn alert_series_of(
     data: &[&Segment],
     acks: &[&Segment],
     rtt: Option<Micros>,
-    config: &AnalyzerConfig,
     scratch: &mut SpanScratch,
 ) -> SeriesSet {
     let mut set = SeriesSet {
@@ -247,7 +265,7 @@ fn alert_series_of(
     outstanding(&mut set, trace);
     label_series(&mut set, trace, labels);
     zero_window(&mut set, acks);
-    send_app_limited(&mut set, data, acks, rtt, config, scratch);
+    send_app_limited(&mut set, data, acks, rtt, scratch);
     set
 }
 
@@ -266,16 +284,10 @@ fn union_series_into(acc: &mut SpanSet, series: &EventSeries<u32>, scratch: &mut
 // Rule 1: Extraction
 // ----------------------------------------------------------------------
 
-fn extraction(
-    set: &mut SeriesSet,
-    data: &[&Segment],
-    acks: &[&Segment],
-    rtt: Option<Micros>,
-    config: &AnalyzerConfig,
-) {
+fn extraction(set: &mut SeriesSet, data: &[&Segment], acks: &[&Segment], rtt: Option<Micros>) {
     let flight_gap = match rtt {
         Some(rtt) if rtt > Micros::ZERO => (rtt / 2).max(Micros::from_millis(1)),
-        _ => config.fallback_flight_gap,
+        _ => FALLBACK_FLIGHT_GAP,
     };
 
     // Transmission: data flights.
@@ -420,12 +432,11 @@ fn send_app_limited(
     data: &[&Segment],
     acks: &[&Segment],
     rtt: Option<Micros>,
-    config: &AnalyzerConfig,
     scratch: &mut SpanScratch,
 ) {
     let idle_threshold = match rtt {
-        Some(rtt) => config.min_idle_gap.max(rtt / 4),
-        None => config.min_idle_gap,
+        Some(rtt) => MIN_IDLE_GAP.max(rtt / 4),
+        None => MIN_IDLE_GAP,
     };
     // Times at which outstanding hit zero = ends of outstanding
     // events; next data transmission after each. Outstanding spans
@@ -488,10 +499,10 @@ fn operation(
     // Advertised-window-bounded outstanding, as a continuous check:
     // walk the (shifted) event stream tracking outstanding bytes and
     // the window in effect; periods where the gap between them stays
-    // within `window_bound_mss × MSS` are AdvBndOut. A per-flight test
+    // within `WINDOW_BOUND_MSS × MSS` are AdvBndOut. A per-flight test
     // would miss continuously ACK-clocked flow, which has no flight
     // boundaries precisely *because* the window is the limiter.
-    let bound_margin = (config.window_bound_mss * mss as f64) as i64;
+    let bound_margin = WINDOW_BOUND_MSS * i64::from(mss);
     {
         let mut snd_max: Option<u32> = None;
         let mut ack_max: Option<u32> = None;
@@ -569,7 +580,7 @@ fn operation(
     // window.
     let flight_gap = match rtt {
         Some(rtt) if rtt > Micros::ZERO => (rtt / 2).max(Micros::from_millis(1)),
-        _ => config.fallback_flight_gap,
+        _ => FALLBACK_FLIGHT_GAP,
     };
     let flights = group_flights(data, flight_gap);
     let mut adv_bound_set = scratch.take();
@@ -611,9 +622,7 @@ fn operation(
                 .find(|a| seq_diff(a.ack, ack_level) > 0)
                 .map(|a| a.time)
                 .unwrap_or(cov);
-            if next.start >= first_ack_after
-                && next.start - first_ack_after <= config.cwnd_clock_slack
-            {
+            if next.start >= first_ack_after && next.start - first_ack_after <= CWND_CLOCK_SLACK {
                 set.cwd_bnd_out.push(span, out as u32);
             }
         }

@@ -50,12 +50,13 @@ use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
 use std::path::Path;
 
+use tdat_bgp::MctConfig;
 use tdat_packet::{
     AnomalyCounts, CaptureAnomaly, FrameLike, LossyFrameView, LossyReader, PcapReader, TcpFrame,
 };
 use tdat_pcap2bgp::{Extraction, StreamExtractor};
 use tdat_timeset::Micros;
-use tdat_trace::{ConnKey, ConnectionTracker, Endpoint, FinalizedConnection, TrackerConfig};
+use tdat_trace::{ConnKey, ConnectionTracker, Drain, Endpoint, FinalizedConnection, TrackerConfig};
 
 use crate::analyzer::{Analysis, Analyzer};
 use crate::config::AnalyzerConfig;
@@ -321,20 +322,21 @@ struct Sink<'a, F> {
 impl<F: FnMut(Analysis)> Sink<'_, F> {
     /// One frame (capture order), and whatever it finalizes delivered.
     fn step(&mut self, frame: &impl FrameLike) {
-        let (finalized, _) = self.ingest.step(frame, self.analyzer);
+        let (finalized, _) = self.ingest.step(frame);
         self.deliver(finalized);
     }
 
-    fn deliver(&mut self, finalized: Vec<FinalizedConnection>) {
+    fn deliver(&mut self, finalized: impl IntoIterator<Item = FinalizedConnection>) {
         for fin in finalized {
             (self.on_result)(self.ingest.analyze(fin, self.analyzer));
         }
     }
 
     /// Ends a run whose source read to the end: every connection still
-    /// open is finalized, in ordinal order. A source that failed skips
-    /// this and finalizes nothing further; whatever it had already
-    /// finalized was delivered as it happened.
+    /// open is finalized, in ordinal order, each built and analysed
+    /// before the next is built. A source that failed skips this and
+    /// finalizes nothing further; whatever it had already finalized was
+    /// delivered as it happened.
     fn finish(mut self) {
         let rest = self.ingest.finish();
         self.deliver(rest);
@@ -393,14 +395,10 @@ impl Ingest {
     /// settle rule, then feeds and tracks the frame. Returns the
     /// connections the advance of time finalized, by ordinal, and what
     /// the settle did.
-    pub fn step(
-        &mut self,
-        frame: &impl FrameLike,
-        analyzer: &Analyzer,
-    ) -> (Vec<FinalizedConnection>, SettleCount) {
+    pub fn step(&mut self, frame: &impl FrameLike) -> (Vec<FinalizedConnection>, SettleCount) {
         let at = frame.timestamp();
         let bound = *self.settle_to.get_or_insert(at);
-        let settled = self.demux.settle(at.min(bound), analyzer);
+        let settled = self.demux.settle(at.min(bound));
         self.demux.feed(frame);
         (self.tracker.ingest(frame), settled)
     }
@@ -413,11 +411,14 @@ impl Ingest {
         analyzer.analyze_extracted_lossy(fin.connection, &extraction, counts)
     }
 
-    /// Ends the capture: every connection still open, by ordinal. The
-    /// tracker starts afresh under the same policy.
-    pub fn finish(&mut self) -> Vec<FinalizedConnection> {
+    /// Ends the capture: every connection still open, by ordinal, each
+    /// built as the drain yields it ([`ConnectionTracker::drain`]), so a
+    /// caller that analyses each before taking the next holds one built
+    /// connection at a time. The tracker starts afresh under the same
+    /// policy.
+    pub fn finish(&mut self) -> Drain {
         let fresh = ConnectionTracker::new(self.tracker.config());
-        std::mem::replace(&mut self.tracker, fresh).finish()
+        std::mem::replace(&mut self.tracker, fresh).drain()
     }
 
     /// The open connections that saw frames or capture damage since the
@@ -605,7 +606,8 @@ impl BgpDemux {
     }
 
     /// Settles every log whose table transfer MCT can no longer change
-    /// as of `now`, under `analyzer`'s MCT configuration
+    /// as of `now` under [`MctConfig`]'s default, the configuration
+    /// [`Analyzer::transfer_of`] runs
     /// ([`MessageLog::settle`](tdat_bgp::MessageLog::settle)): those
     /// whose last counted UPDATE lies more than `max_gap` before it. A
     /// settled log frees its rows and prefix arena;
@@ -618,8 +620,8 @@ impl BgpDemux {
     /// Visits only the settle queue entries the horizon has passed, so
     /// with none due it costs one comparison, however many logs are
     /// open.
-    pub fn settle(&mut self, now: Micros, analyzer: &Analyzer) -> SettleCount {
-        let config = analyzer.mct();
+    pub fn settle(&mut self, now: Micros) -> SettleCount {
+        let config = &MctConfig::default();
         let horizon = now - config.max_gap;
         let mut count = SettleCount::default();
         while let Some(key) = self.queue.pop_before(horizon) {
@@ -664,9 +666,7 @@ impl BgpDemux {
 mod tests {
     use super::*;
     use std::net::Ipv4Addr;
-    use tdat_bgp::{
-        find_transfer_end_ref, BgpMessage, MctConfig, PathAttribute, Prefix, UpdateMessage,
-    };
+    use tdat_bgp::{find_transfer_end_ref, BgpMessage, PathAttribute, Prefix, UpdateMessage};
     use tdat_packet::{FrameBuilder, TcpFlags};
 
     /// An UPDATE announcing the /24 numbered `i`.
@@ -716,9 +716,9 @@ mod tests {
 
     /// Feeds `frame`, then settles at its time: what settled and what
     /// was visited.
-    fn step(demux: &mut BgpDemux, analyzer: &Analyzer, frame: &TcpFrame) -> (usize, usize) {
+    fn step(demux: &mut BgpDemux, frame: &TcpFrame) -> (usize, usize) {
         demux.feed(frame);
-        let count = demux.settle(frame.timestamp, analyzer);
+        let count = demux.settle(frame.timestamp);
         (count.settled, count.visited)
     }
 
@@ -751,7 +751,7 @@ mod tests {
         let mut settled = Vec::new();
         for frame in frames {
             whole.feed(frame);
-            settled.push(step(&mut demux, &analyzer, frame).0);
+            settled.push(step(&mut demux, frame).0);
         }
         assert_eq!(
             settled,
@@ -805,20 +805,19 @@ mod tests {
     /// settled log does not come back.
     #[test]
     fn the_settle_queue_visits_only_what_is_due() {
-        let analyzer = Analyzer::default();
-        let max_gap = analyzer.mct().max_gap;
+        let max_gap = MctConfig::default().max_gap;
         let secs = Micros::from_secs;
         let mut demux = BgpDemux::new();
         let (mut router, mut gone) = (Router::new(1), Router::new(2));
         let taken = gone.syn(Micros::ZERO);
         for frame in [taken.clone(), gone.segment(secs(1), update(9))] {
-            assert_eq!(step(&mut demux, &analyzer, &frame), (0, 0));
+            assert_eq!(step(&mut demux, &frame), (0, 0));
         }
         demux.take(ConnKey::of(&taken), taken.src());
-        assert_eq!(step(&mut demux, &analyzer, &router.syn(secs(1))), (0, 0));
+        assert_eq!(step(&mut demux, &router.syn(secs(1))), (0, 0));
         let mut at = |time: Micros, payload: Vec<u8>| {
             let frame = router.segment(time, payload);
-            step(&mut demux, &analyzer, &frame)
+            step(&mut demux, &frame)
         };
         assert_eq!(at(secs(1), update(1)), (0, 0));
         assert_eq!(at(secs(50), update(2)), (0, 0));
@@ -839,8 +838,7 @@ mod tests {
     /// entry still queued, and due, when the base moves past it.
     #[test]
     fn the_settle_queue_is_exact_across_an_hour_of_epoch_time() {
-        let analyzer = Analyzer::default();
-        let max_gap = analyzer.mct().max_gap;
+        let max_gap = MctConfig::default().max_gap;
         let t0 = Micros::from_secs(1_700_000_000);
         let hour = Micros::from_secs(3_600);
         let mut demux = BgpDemux::new();
@@ -856,16 +854,16 @@ mod tests {
         ] {
             demux.feed(&frame);
         }
-        let settled = demux.settle(t0 + hour + Micros(10), &analyzer);
+        let settled = demux.settle(t0 + hour + Micros(10));
         assert_eq!((settled.settled, settled.visited), (1, 1), "the early log");
         let due = t0 + hour + max_gap;
         let frame = mid.segment(due, keepalive());
-        assert_eq!(step(&mut demux, &analyzer, &frame), (0, 0));
+        assert_eq!(step(&mut demux, &frame), (0, 0));
         let frame = mid.segment(due + Micros(1), keepalive());
-        assert_eq!(step(&mut demux, &analyzer, &frame), (1, 1), "the mid log");
+        assert_eq!(step(&mut demux, &frame), (1, 1), "the mid log");
         let frame = mid.segment(due + Micros(10), keepalive());
-        assert_eq!(step(&mut demux, &analyzer, &frame), (0, 0));
+        assert_eq!(step(&mut demux, &frame), (0, 0));
         let frame = mid.segment(due + Micros(11), keepalive());
-        assert_eq!(step(&mut demux, &analyzer, &frame), (1, 1), "the late log");
+        assert_eq!(step(&mut demux, &frame), (1, 1), "the late log");
     }
 }

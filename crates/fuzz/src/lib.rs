@@ -41,7 +41,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 use std::time::Duration;
 
-use tdat::{Analysis, QuarantineConfig, StreamAnalyzer};
+use tdat::{Analysis, StreamAnalyzer, Verdict};
 use tdat_bgp::{TableGenerator, WholeMessages};
 use tdat_monitor::{Monitor, MonitorConfig, MonitorEvent, SourceSet, SourceSpec};
 use tdat_packet::{FrameLike, LossyReader, TcpFrame};
@@ -167,7 +167,7 @@ fn check_analysis(context: &str, a: &Analysis) {
             "{context}: quarantined connection without a typed reason"
         );
     }
-    let budget = QuarantineConfig::default().max_anomalies;
+    let budget = Verdict::MAX_ANOMALIES;
     if a.anomalies.total() > budget {
         assert!(
             a.verdict.is_quarantined(),
@@ -272,7 +272,7 @@ pub fn run_follow(entry: &CorpusEntry) -> PipelineOutcome {
         anomalies: monitor.metrics().capture_anomalies(),
         ..PipelineOutcome::default()
     };
-    let budget = QuarantineConfig::default().max_anomalies;
+    let budget = Verdict::MAX_ANOMALIES;
     for event in &events {
         let MonitorEvent::Connection(summary) = event else {
             continue;

@@ -4,10 +4,13 @@
 //! (a pause hovering around a threshold, a loss episode straddling the
 //! window edge) would flap an edge-triggered alert on and off each
 //! tick. [`AlertEngine`] dedupes that: a [`Condition`] must hold for
-//! `raise_after` consecutive ticks before the alert is raised, and must
-//! be absent for `clear_after` consecutive ticks before it clears.
-//! Events are emitted only on the raise/clear transitions, never while
-//! a state persists.
+//! 2 consecutive ticks before the alert is raised, and must be absent
+//! for 3 consecutive ticks before it clears. Events are emitted only on
+//! the raise/clear transitions, never while a state persists. The
+//! detectors' own thresholds are constants here too: 8 idle gaps before
+//! a pacing timer is inferred, a 30 s pause before a session can be
+//! found blocked by its peer group, and [`STALL_AFTER`] without data
+//! progress before a transfer counts as stalled.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
@@ -106,33 +109,23 @@ impl fmt::Display for Severity {
     }
 }
 
-/// Hysteresis thresholds and detector tunables.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct AlertConfig {
-    /// Consecutive ticks a condition must hold before it raises.
-    pub raise_after: u32,
-    /// Consecutive condition-free ticks before an active alert clears.
-    pub clear_after: u32,
-    /// Minimum idle gaps for the timer-inference detector.
-    pub timer_min_gaps: usize,
-    /// Minimum sending pause for peer-group blocking detection.
-    pub min_pause: Micros,
-    /// How long an open transfer may make no data progress before it
-    /// counts as stalled.
-    pub stall_after: Micros,
-}
+/// Consecutive ticks a condition must hold before it raises.
+pub(crate) const RAISE_AFTER: u32 = 2;
+/// Consecutive condition-free ticks before an active alert clears.
+pub(crate) const CLEAR_AFTER: u32 = 3;
+/// Minimum idle gaps for the timer-inference detector.
+pub(crate) const TIMER_MIN_GAPS: usize = 8;
+/// Minimum sending pause for peer-group blocking detection.
+pub(crate) const MIN_PAUSE: Micros = Micros::from_secs(30);
+/// How long an open transfer may make no data progress before it
+/// counts as stalled.
+pub const STALL_AFTER: Micros = Micros::from_secs(60);
 
-impl Default for AlertConfig {
-    fn default() -> AlertConfig {
-        AlertConfig {
-            raise_after: 2,
-            clear_after: 3,
-            timer_min_gaps: 8,
-            min_pause: Micros::from_secs(30),
-            stall_after: Micros::from_secs(60),
-        }
-    }
-}
+// A zero streak would raise (or clear) an alert without a tick's
+// evidence; a non-positive pause or stall threshold would flag every
+// session at every tick.
+const _: () = assert!(RAISE_AFTER >= 1 && CLEAR_AFTER >= 1 && TIMER_MIN_GAPS >= 1);
+const _: () = assert!(MIN_PAUSE.as_micros() > 0 && STALL_AFTER.as_micros() > 0);
 
 /// One detector firing for one session during one analysis tick — the
 /// engine's input. Conditions are stateless; the engine supplies the
@@ -213,24 +206,15 @@ type AlertKey = (Arc<str>, String, AlertKind);
 
 /// Per-(source, session, kind) hysteresis state machine; see the module
 /// docs.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct AlertEngine {
-    config: AlertConfig,
     states: BTreeMap<AlertKey, KeyState>,
 }
 
 impl AlertEngine {
-    /// Creates an engine with the given thresholds.
-    pub fn new(config: AlertConfig) -> AlertEngine {
-        AlertEngine {
-            config,
-            states: BTreeMap::new(),
-        }
-    }
-
-    /// The engine's thresholds.
-    pub fn config(&self) -> &AlertConfig {
-        &self.config
+    /// Creates an engine with no alert pending or active.
+    pub fn new() -> AlertEngine {
+        AlertEngine::default()
     }
 
     /// Feeds one tick's detector conditions and returns the transitions
@@ -261,7 +245,7 @@ impl AlertEngine {
                 state.evidence = state.evidence.hull(c.evidence);
             }
             state.detail.clone_from(&c.detail);
-            if !state.active && state.hits >= self.config.raise_after {
+            if !state.active && state.hits >= RAISE_AFTER {
                 state.active = true;
                 state.since = now;
                 events.push(Alert {
@@ -286,7 +270,7 @@ impl AlertEngine {
             state.hits = 0;
             state.misses += 1;
             if state.active {
-                if state.misses >= self.config.clear_after {
+                if state.misses >= CLEAR_AFTER {
                     events.push(Alert {
                         at: now,
                         source: key.0.clone(),
@@ -363,12 +347,11 @@ mod tests {
         }
     }
 
+    /// The tests below step the engine through its hysteresis tick by
+    /// tick, at these thresholds.
     fn engine() -> AlertEngine {
-        AlertEngine::new(AlertConfig {
-            raise_after: 2,
-            clear_after: 3,
-            ..AlertConfig::default()
-        })
+        assert_eq!((RAISE_AFTER, CLEAR_AFTER), (2, 3));
+        AlertEngine::new()
     }
 
     #[test]
@@ -482,7 +465,7 @@ mod tests {
             cond("a", AlertKind::PeerGroupBlocking),
         ];
         // Two identical-key conditions in one tick must not raise on
-        // the first tick (hits would jump straight to raise_after).
+        // the first tick (hits would jump straight to RAISE_AFTER).
         assert!(e.observe(Micros::from_secs(1), &dup).is_empty());
         assert_eq!(e.observe(Micros::from_secs(2), &dup).len(), 1);
     }

@@ -40,12 +40,12 @@
 //! count. A dirty connection costs its re-analysis, which computes once
 //! everything later ticks read of it: its session id (kept while the
 //! endpoints stay), its analysis-derived conditions, and its pauses of
-//! at least `min_pause` (the side peer-group blocking is found on).
+//! at least `MIN_PAUSE`, 30 s (the side peer-group blocking is found on).
 //! Beside the cache a scope keeps one compact row per connection in
 //! ordinal order, so an idle connection costs the tick's sweep one row
 //! read: a stall-watermark check, plus a clone of its conditions when it
 //! has any. The peer-group correlation pairs only the sender groups in
-//! which some member paused for `min_pause`, so a fleet of short
+//! which some member paused for `MIN_PAUSE`, so a fleet of short
 //! sessions that share routers (reconnects lingering in `close_grace`)
 //! pairs nothing. What still scales with open connections is the row
 //! sweep. The settle, which the first frame after a tick runs before it
@@ -63,15 +63,16 @@ use std::time::Instant;
 
 use tdat::{
     find_consecutive_losses, find_zero_ack_bug, infer_timer, long_pauses, pair_peer_groups,
-    report::json, Analysis, Analyzer, Ingest, PartialAnalysis, PeerMember, QuarantineConfig,
-    Report,
+    report::json, Analysis, Analyzer, Ingest, PartialAnalysis, PeerMember, Report,
 };
 use tdat_packet::{AnomalyCounts, TcpFrame};
 use tdat_pcap2bgp::Extraction;
 use tdat_timeset::{Micros, Span};
 use tdat_trace::{ConnKey, Endpoint, FinalizedConnection, TrackerConfig};
 
-use crate::alerts::{Alert, AlertConfig, AlertEngine, AlertKind, Condition};
+use crate::alerts::{
+    Alert, AlertEngine, AlertKind, Condition, MIN_PAUSE, STALL_AFTER, TIMER_MIN_GAPS,
+};
 use crate::metrics::MonitorMetrics;
 use crate::set::{SetEvent, SourceId, SourceSet};
 use crate::source::AttributedAnomaly;
@@ -83,24 +84,22 @@ pub const DEFAULT_SOURCE: &str = "capture";
 
 /// Monitor tuning. Build one with [`MonitorConfig::builder`] for
 /// validation, or use `Default` / struct update syntax for the
-/// historical permissive path.
+/// historical permissive path. What it leaves out is fixed: each
+/// connection is analysed at [`AnalyzerConfig`](tdat::AnalyzerConfig)'s
+/// defaults and judged by the quarantine budgets
+/// ([`Verdict::assess`](tdat::Verdict::assess)), and alerts follow the
+/// thresholds in [`alerts`](crate::alerts).
 #[derive(Debug, Clone)]
 pub struct MonitorConfig {
     /// Trailing analysis window each tick looks at.
     pub window: Micros,
     /// Trace time between analysis ticks.
     pub interval: Micros,
-    /// The per-connection analysis pipeline configuration.
-    pub analyzer: tdat::AnalyzerConfig,
     /// When connections are finalized. The default keeps sessions for
     /// 10 idle minutes — a live monitor must ride out long stalls
     /// (precisely the interesting part) without splitting a session in
     /// two.
     pub tracker: TrackerConfig,
-    /// Alerting thresholds.
-    pub alerts: AlertConfig,
-    /// When per-connection capture damage tips into quarantine.
-    pub quarantine: QuarantineConfig,
     /// No effect. The worker lanes it counted are gone; the field
     /// outlives them only until the repository benchmark, which sets
     /// it, stops naming it. Not validated.
@@ -117,14 +116,11 @@ impl Default for MonitorConfig {
         MonitorConfig {
             window: Micros::from_secs(120),
             interval: Micros::from_secs(10),
-            analyzer: tdat::AnalyzerConfig::default(),
             tracker: TrackerConfig {
                 idle_timeout: Some(Micros::from_secs(600)),
                 close_grace: Some(Micros::from_secs(5)),
                 ..TrackerConfig::streaming()
             },
-            alerts: AlertConfig::default(),
-            quarantine: QuarantineConfig::default(),
             shards: 1,
             pending_backoff: std::time::Duration::from_millis(50),
         }
@@ -133,8 +129,8 @@ impl Default for MonitorConfig {
 
 impl MonitorConfig {
     /// Starts a builder seeded with the defaults;
-    /// [`build`](MonitorConfigBuilder::build) validates the window, interval,
-    /// alert hysteresis, tracker timeouts, and quarantine budgets.
+    /// [`build`](MonitorConfigBuilder::build) validates the window,
+    /// interval, tracker timeouts and poll backoff.
     pub fn builder() -> MonitorConfigBuilder {
         MonitorConfigBuilder {
             config: MonitorConfig::default(),
@@ -163,27 +159,9 @@ impl MonitorConfigBuilder {
         self
     }
 
-    /// Sets the analysis pipeline configuration.
-    pub fn analyzer(mut self, analyzer: tdat::AnalyzerConfig) -> MonitorConfigBuilder {
-        self.config.analyzer = analyzer;
-        self
-    }
-
     /// Sets the connection-finalization policy.
     pub fn tracker(mut self, tracker: TrackerConfig) -> MonitorConfigBuilder {
         self.config.tracker = tracker;
-        self
-    }
-
-    /// Sets the alerting thresholds.
-    pub fn alerts(mut self, alerts: AlertConfig) -> MonitorConfigBuilder {
-        self.config.alerts = alerts;
-        self
-    }
-
-    /// Sets the quarantine budgets.
-    pub fn quarantine(mut self, quarantine: QuarantineConfig) -> MonitorConfigBuilder {
-        self.config.quarantine = quarantine;
         self
     }
 
@@ -206,10 +184,8 @@ impl MonitorConfigBuilder {
     ///
     /// Returns [`tdat::Error::Config`] when the window or interval is
     /// non-positive, the interval exceeds the window (traffic between
-    /// consecutive windows would never be analyzed), a hysteresis or
-    /// detector threshold is zero, a tracker timeout is set to zero, or
-    /// a quarantine budget is zero (which would quarantine every
-    /// connection on its first anomaly byte).
+    /// consecutive windows would never be analyzed), a tracker timeout
+    /// or connection cap is set to zero, or the poll backoff is zero.
     pub fn build(self) -> tdat::Result<MonitorConfig> {
         let fail = |reason: String| Err(tdat::Error::Config(reason));
         let c = &self.config;
@@ -233,18 +209,6 @@ impl MonitorConfigBuilder {
                 c.window.as_secs_f64()
             ));
         }
-        if c.alerts.raise_after == 0 {
-            return fail("alert raise_after must be at least 1 tick".to_string());
-        }
-        if c.alerts.clear_after == 0 {
-            return fail("alert clear_after must be at least 1 tick".to_string());
-        }
-        if c.alerts.stall_after <= Micros::ZERO {
-            return fail("stall_after must be positive".to_string());
-        }
-        if c.alerts.min_pause <= Micros::ZERO {
-            return fail("min_pause must be positive".to_string());
-        }
         for (name, timeout) in [
             ("tracker idle_timeout", c.tracker.idle_timeout),
             ("tracker close_grace", c.tracker.close_grace),
@@ -259,16 +223,6 @@ impl MonitorConfigBuilder {
         if c.pending_backoff.is_zero() {
             return fail(
                 "pending backoff must be positive (a zero backoff busy-spins the poll loop)"
-                    .to_string(),
-            );
-        }
-        if c.quarantine.max_anomalies == 0
-            || c.quarantine.max_unparsed_bytes == 0
-            || c.quarantine.max_overflow_bytes == 0
-        {
-            return fail(
-                "quarantine budgets must be at least 1 (a zero budget would quarantine \
-                 every connection immediately)"
                     .to_string(),
             );
         }
@@ -448,7 +402,7 @@ pub(crate) struct CachedAnalysis {
     /// The tick's analysis, as far as anything a tick emits reads it.
     pub(crate) partial: PartialAnalysis,
     /// The pauses the peer-group correlation could find this
-    /// connection blocked in ([`long_pauses`] at `min_pause`), computed
+    /// connection blocked in ([`long_pauses`] at [`MIN_PAUSE`]), computed
     /// once per refresh; empty, and unallocated, for nearly every
     /// connection.
     pauses: Vec<Span>,
@@ -492,7 +446,6 @@ fn analysis_conditions(
     analysis: &PartialAnalysis,
     source: &Arc<str>,
     session: &str,
-    timer_min_gaps: usize,
     config: &tdat::AnalyzerConfig,
 ) -> Vec<Condition> {
     let mut conditions = Vec::new();
@@ -508,7 +461,7 @@ fn analysis_conditions(
         });
         return conditions;
     }
-    if let Some(timer) = infer_timer(&analysis.series, timer_min_gaps) {
+    if let Some(timer) = infer_timer(&analysis.series, TIMER_MIN_GAPS) {
         conditions.push(Condition {
             source: source.clone(),
             session: session.to_string(),
@@ -521,11 +474,7 @@ fn analysis_conditions(
             ),
         });
     }
-    let episodes = find_consecutive_losses(
-        &analysis.series,
-        config.consecutive_loss_threshold,
-        config.episode_gap,
-    );
+    let episodes = find_consecutive_losses(&analysis.series, config.consecutive_loss_threshold);
     if let Some(worst) = episodes.iter().max_by_key(|e| e.retransmissions) {
         let evidence = episodes
             .iter()
@@ -563,11 +512,6 @@ fn analysis_conditions(
 pub(crate) struct AnalysisCtx {
     pub(crate) analyzer: Analyzer,
     pub(crate) window: Micros,
-    pub(crate) timer_min_gaps: usize,
-    pub(crate) stall_after: Micros,
-    /// The shortest pause the peer-group correlation pairs
-    /// ([`AlertConfig::min_pause`]).
-    pub(crate) min_pause: Micros,
 }
 
 /// Per-source isolation unit: everything whose damage must stay
@@ -610,11 +554,11 @@ impl SourceScope {
     /// costs its re-analysis, an idle one a row read (one stall check,
     /// and a clone of its conditions when it has any); the peer-group
     /// correlation that follows costs nothing for a sender group none
-    /// of whose members paused for `min_pause`.
+    /// of whose members paused for [`MIN_PAUSE`].
     fn tick(&mut self, at: Micros, ctx: &AnalysisCtx, conditions: &mut Vec<Condition>) -> usize {
         let work = self.ingest.take_dirty();
         self.refresh(work, at, ctx);
-        self.row_conditions(at, ctx.stall_after, conditions);
+        self.row_conditions(at, conditions);
         self.rows.len()
     }
 
@@ -669,14 +613,8 @@ impl SourceScope {
             }
             None => session_id(partial.sender, partial.receiver),
         };
-        let conditions = analysis_conditions(
-            &partial,
-            &self.name,
-            &session,
-            ctx.timer_min_gaps,
-            ctx.analyzer.config(),
-        );
-        let pauses = long_pauses(&partial.series, ctx.min_pause);
+        let conditions = analysis_conditions(&partial, &self.name, &session, ctx.analyzer.config());
+        let pauses = long_pauses(&partial.series, MIN_PAUSE);
         let row = TickRow {
             key,
             sender: partial.sender.0,
@@ -755,7 +693,7 @@ impl SourceScope {
     /// analysis-derived conditions, then the stall watermark check,
     /// which moves the row's mark against the current tick time). A row
     /// with neither costs one read.
-    fn row_conditions(&mut self, at: Micros, stall_after: Micros, out: &mut Vec<Condition>) {
+    fn row_conditions(&mut self, at: Micros, out: &mut Vec<Condition>) {
         let SourceScope {
             name, cache, rows, ..
         } = self;
@@ -771,7 +709,7 @@ impl SourceScope {
                 let mark = row.mark.get_or_insert((bytes, at));
                 if bytes > mark.0 {
                     *mark = (bytes, at);
-                } else if bytes > 0 && at - mark.1 >= stall_after {
+                } else if bytes > 0 && at - mark.1 >= STALL_AFTER {
                     stalled = Some(mark.1);
                 }
             }
@@ -910,8 +848,10 @@ struct Control {
     interval: Micros,
     /// Trace time the monitor has advanced to.
     now: Micros,
-    /// Next tick boundary; set by the first time advance.
-    next_tick: Option<Micros>,
+    /// Next tick boundary: `None` until the first time advance
+    /// schedules one, then `Some(None)` once the next boundary lies
+    /// past representable trace time.
+    next_tick: Option<Option<Micros>>,
     /// Registered source names, indexed by [`SourceId`].
     names: Vec<Arc<str>>,
     /// Name → id, for idempotent registration.
@@ -924,6 +864,12 @@ struct Control {
 }
 
 impl Control {
+    /// The tick boundary one interval after `at`; `None` past
+    /// representable trace time, so an interval that long never ticks.
+    fn after(&self, at: Micros) -> Option<Micros> {
+        at.0.checked_add(self.interval.0).map(Micros)
+    }
+
     fn emit_alert(&mut self, alert: Alert) {
         self.metrics.record_alert(&alert);
         self.events.push(MonitorEvent::Alert(alert));
@@ -1023,14 +969,11 @@ impl Monitor {
     pub fn new(config: MonitorConfig) -> Monitor {
         let control = Control {
             ctx: AnalysisCtx {
-                analyzer: Analyzer::new(config.analyzer).with_quarantine(config.quarantine),
+                analyzer: Analyzer::default(),
                 window: config.window.max(Micros(1)),
-                timer_min_gaps: config.alerts.timer_min_gaps,
-                stall_after: config.alerts.stall_after,
-                min_pause: config.alerts.min_pause,
             },
             tracker_config: config.tracker,
-            alerts: AlertEngine::new(config.alerts),
+            alerts: AlertEngine::new(),
             metrics: MonitorMetrics::default(),
             interval: config.interval.max(Micros(1)),
             now: Micros::ZERO,
@@ -1113,9 +1056,7 @@ impl Monitor {
             return;
         }
         let Monitor { control, scopes } = self;
-        let (finalized, settled) = scopes[source.index()]
-            .ingest
-            .step(frame, &control.ctx.analyzer);
+        let (finalized, settled) = scopes[source.index()].ingest.step(frame);
         control.metrics.record_settled(settled);
         for fin in finalized {
             control.finalize(scopes, source.index(), fin);
@@ -1146,19 +1087,16 @@ impl Monitor {
             return;
         }
         control.now = control.now.max(now);
-        let mut boundary = match control.next_tick {
-            Some(t) => t,
+        let Some(mut next) = control.next_tick else {
             // First sign of time: schedule the first tick one interval in.
-            None => {
-                control.next_tick = Some(now + control.interval);
-                return;
-            }
+            control.next_tick = Some(control.after(now));
+            return;
         };
-        while boundary <= control.now {
+        while let Some(boundary) = next.filter(|&b| b <= control.now) {
             control.tick(scopes, boundary);
-            boundary += control.interval;
+            next = control.after(boundary);
         }
-        control.next_tick = Some(boundary);
+        control.next_tick = Some(next);
     }
 
     /// Notes one capture anomaly under the default [`DEFAULT_SOURCE`]
@@ -1317,8 +1255,9 @@ impl Monitor {
     }
 
     /// Ends the watch: finalizes every still-open connection in every
-    /// scope (emitting its report and clearing its alerts). The monitor
-    /// is reusable afterwards, fresh.
+    /// scope (emitting its report and clearing its alerts), each built
+    /// and analysed before the next is built. The monitor is reusable
+    /// afterwards, fresh.
     pub fn finish(&mut self) {
         let Monitor { control, scopes } = self;
         for source in 0..scopes.len() {
@@ -1822,21 +1761,18 @@ mod tests {
             .expect_err("interval exceeding window");
         assert!(err.to_string().contains("exceeds"), "{err}");
         let err = MonitorConfig::builder()
-            .alerts(AlertConfig {
-                raise_after: 0,
-                ..AlertConfig::default()
+            .tracker(TrackerConfig {
+                close_grace: Some(Micros::ZERO),
+                ..TrackerConfig::streaming()
             })
             .build()
-            .expect_err("zero raise_after");
-        assert!(err.to_string().contains("raise_after"), "{err}");
+            .expect_err("zero close grace");
+        assert!(err.to_string().contains("close_grace"), "{err}");
         let err = MonitorConfig::builder()
-            .quarantine(QuarantineConfig {
-                max_anomalies: 0,
-                ..QuarantineConfig::default()
-            })
+            .pending_backoff(std::time::Duration::ZERO)
             .build()
-            .expect_err("zero quarantine budget");
-        assert!(err.to_string().contains("quarantine"), "{err}");
+            .expect_err("zero backoff");
+        assert!(err.to_string().contains("backoff"), "{err}");
         let built = MonitorConfig::builder()
             .window(Micros::from_secs(30))
             .interval(Micros::from_secs(5))

@@ -13,7 +13,11 @@
 //! produced it, so one bad collector degrades only its own view.
 //! Detector outcomes feed an [`AlertEngine`] with per-(source,
 //! session) hysteresis, so alerts raise when a problem persists and
-//! clear when it goes away, once each. Events stream out as JSON Lines
+//! clear when it goes away, once each. Its thresholds are constants
+//! (see [`alerts`]), and every connection is analysed at
+//! [`tdat::AnalyzerConfig`]'s defaults: a [`MonitorConfig`] sets the
+//! window, the tick interval, the tracker's finalization policy and the
+//! idle poll backoff. Events stream out as JSON Lines
 //! (`tdat-monitor-events/2`, see [`EventSchema`]: a `meta` preamble
 //! naming the sources, then every line attributed to one);
 //! operational counters (including an analysis-latency histogram and
@@ -75,7 +79,7 @@ pub mod set;
 pub mod source;
 pub mod sweep;
 
-pub use alerts::{Alert, AlertAction, AlertConfig, AlertEngine, AlertKind, Condition, Severity};
+pub use alerts::{Alert, AlertAction, AlertEngine, AlertKind, Condition, Severity};
 pub use engine::{
     ConnectionSummary, EventSchema, Monitor, MonitorConfig, MonitorConfigBuilder, MonitorEvent,
     SourceDown, SourceUp, Step, DEFAULT_SOURCE,

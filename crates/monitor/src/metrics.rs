@@ -215,8 +215,8 @@ impl MonitorMetrics {
 
     /// Ordered session pairs the ticks' peer-group correlation
     /// compared: within each sender group, every member that paused for
-    /// at least `min_pause` against each other member. A group none of
-    /// whose members paused that long costs none.
+    /// at least 30 s against each other member. A group none of whose
+    /// members paused that long costs none.
     pub fn peer_pairs_checked(&self) -> u64 {
         self.peer_pairs_checked
     }

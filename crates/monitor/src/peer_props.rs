@@ -20,7 +20,7 @@ use tdat::{Analyzer, PartialAnalysis, SeriesSet, Verdict};
 use tdat_timeset::{EventSeries, Micros, Span};
 use tdat_trace::{ConnKey, ConnProfile, TrackerConfig};
 
-use crate::alerts::{AlertConfig, Condition};
+use crate::alerts::{Condition, MIN_PAUSE};
 use crate::engine::{
     fleet_view, peer_fleet, peer_group_conditions, session_id, AnalysisCtx, SourceScope,
 };
@@ -180,9 +180,6 @@ mod reference {
     }
 }
 
-/// The correlation's `min_pause`, the default's 30 s.
-const MIN_PAUSE: Micros = Micros::from_secs(30);
-
 /// When every member's activity starts: well inside a tick's window.
 const BASE: i64 = 100_000_000;
 
@@ -321,13 +318,9 @@ proptest! {
     fn cached_pause_correlation_matches_the_pairwise_scan(
         groups in prop::collection::vec(prop::collection::vec(member(), 1..7), 1..4),
     ) {
-        assert_eq!(AlertConfig::default().min_pause, MIN_PAUSE);
         let ctx = AnalysisCtx {
             analyzer: Analyzer::default(),
             window: Micros::from_secs(120),
-            timer_min_gaps: 8,
-            stall_after: Micros::from_secs(60),
-            min_pause: MIN_PAUSE,
         };
         let names: Vec<Arc<str>> = ["a", "b", "c"].into_iter().map(Arc::from).collect();
         let mut scopes: Vec<SourceScope> = names

@@ -89,6 +89,30 @@ fn positive_jobs_and_stale_still_work() {
     }
 }
 
+/// `--window` and `--interval` as long as a duration parses to run past
+/// representable trace time: the tick schedule's addition overflows
+/// there, so the watch never ticks, as at the default interval on a
+/// capture shorter than one interval, and still reports its connection.
+#[test]
+fn an_interval_past_representable_time_never_ticks() {
+    let output = monitor()
+        .args(["--sim", "clean", "--routes", "200", "--events", "/dev/null"])
+        .args(["--window", "1e300", "--interval", "1e300"])
+        .output()
+        .expect("spawn t-dat-monitor");
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert_eq!(output.status.code(), Some(0), "stderr: {stderr}");
+    let count = |name: &str| {
+        stderr
+            .lines()
+            .find_map(|line| line.strip_prefix(name))
+            .and_then(|rest| rest.trim().parse::<u64>().ok())
+            .unwrap_or_else(|| panic!("no {name:?} line in: {stderr}"))
+    };
+    assert_eq!(count("analysis ticks"), 0, "{stderr}");
+    assert_eq!(count("finalized"), 1, "{stderr}");
+}
+
 #[test]
 fn schema_is_an_unknown_option() {
     run_expecting_usage_error(

@@ -13,9 +13,8 @@ use tdat_bgp::{
     find_transfer_end_ref, BgpMessage, MctConfig, PathAttribute, Prefix, TableTransfer,
     UpdateMessage,
 };
-use tdat_monitor::{
-    AlertAction, AlertConfig, Monitor, MonitorConfig, MonitorEvent, SourceId, TrackerConfig,
-};
+use tdat_monitor::alerts::STALL_AFTER;
+use tdat_monitor::{AlertAction, Monitor, MonitorConfig, MonitorEvent, SourceId, TrackerConfig};
 use tdat_packet::{AnomalyCounts, FrameBuilder, TcpFlags, TcpFrame, TcpOption};
 use tdat_pcap2bgp::Extraction;
 use tdat_timeset::Micros;
@@ -32,10 +31,6 @@ fn config() -> MonitorConfig {
             idle_timeout: None,
             max_connections: Some(CAP),
             ..TrackerConfig::default()
-        })
-        .alerts(AlertConfig {
-            stall_after: Micros::from_secs(20),
-            ..AlertConfig::default()
         })
         .build()
         .expect("valid config")
@@ -96,13 +91,16 @@ fn session_frames(i: usize, t0: i64) -> Vec<TcpFrame> {
 /// Drives 12 staggered stalling sessions through a cap-4 watch and
 /// returns the rendered event stream.
 fn run_eviction_watch() -> Vec<String> {
+    // A session's stall is first checked at the tick after its burst,
+    // holds `STALL_AFTER` later, and raises at the tick after that.
+    assert_eq!(STALL_AFTER, Micros::from_secs(60));
     let mut monitor = Monitor::new(config());
     let id = monitor.register_source("capture");
     for i in 0..SESSIONS {
-        // 15 s apart: each new session finds the tracker full and
-        // LRU-evicts the oldest one, which by then has a raised
-        // stalled-transfer alert (stall_after = 20 s).
-        for frame in session_frames(i, i as i64 * 15_000_000) {
+        // 45 s apart: each new session finds the tracker full and
+        // LRU-evicts the oldest one, which started 180 s before and so
+        // has a raised stalled-transfer alert (raised 70 s in).
+        for frame in session_frames(i, i as i64 * 45_000_000) {
             monitor.ingest_from(id, &frame);
         }
         assert!(
@@ -111,7 +109,7 @@ fn run_eviction_watch() -> Vec<String> {
             monitor.open_connections()
         );
     }
-    monitor.advance_to(Micros::from_secs(300));
+    monitor.advance_to(Micros::from_secs(900));
 
     // Mid-watch (before finish): evictions already finalized most
     // sessions, and their cached tick state must be gone — only live
@@ -188,10 +186,6 @@ fn sender_flip_between_tick_and_finalize_still_clears_alerts() {
             idle_timeout: None,
             ..TrackerConfig::default()
         })
-        .alerts(AlertConfig {
-            stall_after: Micros::from_secs(10),
-            ..AlertConfig::default()
-        })
         .build()
         .expect("valid config");
     let mut monitor = Monitor::new(config);
@@ -212,8 +206,10 @@ fn sender_flip_between_tick_and_finalize_still_clears_alerts() {
         monitor.ingest_from(id, &frame);
     }
     // Silence long enough for the stalled-transfer alert to raise
-    // under the Y-elected session id.
-    monitor.advance_to(Micros::from_secs(30));
+    // under the Y-elected session id: checked first at the 5 s tick,
+    // stalled `STALL_AFTER` later, raised at the 70 s tick.
+    assert_eq!(STALL_AFTER, Micros::from_secs(60));
+    monitor.advance_to(Micros::from_secs(75));
     let raised: Vec<String> = monitor
         .drain_events()
         .iter()
@@ -234,7 +230,7 @@ fn sender_flip_between_tick_and_finalize_still_clears_alerts() {
     let mut seq = 1u32;
     for i in 0..6 {
         let frame = FrameBuilder::new(x, y)
-            .at(Micros(30_000_100 + i * 100))
+            .at(Micros(75_000_100 + i * 100))
             .ports(179, 40000)
             .seq(seq)
             .ack_to(1)

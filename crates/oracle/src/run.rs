@@ -46,7 +46,7 @@ pub struct ScenarioReport {
 }
 
 /// Minimum truth-span duration the analyzer is held accountable for.
-/// The analyzer's own idle threshold is `min_idle_gap` (5 ms default);
+/// The analyzer's own idle threshold is 5 ms (`series`' `MIN_IDLE_GAP`);
 /// sub-RTT window stalls are likewise below passive resolution.
 fn truth_floor(rtt: Micros) -> Micros {
     Micros(5_000).max(rtt)

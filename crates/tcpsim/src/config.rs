@@ -18,15 +18,16 @@ pub enum TcpFlavor {
     NewReno,
 }
 
-/// Tunables of a simulated TCP endpoint.
+/// Tunables of a simulated TCP endpoint: what the scenarios vary. The
+/// initial congestion window (2 segments) and the delayed-ACK, RTO and
+/// persist timers are fixed; they are constants of the endpoint
+/// ([`TcpEndpoint`](crate::tcp::TcpEndpoint)).
 #[derive(Debug, Clone, PartialEq)]
 pub struct TcpConfig {
     /// Congestion-control flavour.
     pub flavor: TcpFlavor,
     /// Maximum segment size in bytes (payload per segment).
     pub mss: u32,
-    /// Initial congestion window in segments.
-    pub initial_cwnd_segments: u32,
     /// Initial slow-start threshold in bytes.
     pub initial_ssthresh: u32,
     /// Receive buffer capacity = maximum advertised window, in bytes.
@@ -35,21 +36,10 @@ pub struct TcpConfig {
     /// Send (socket) buffer capacity in bytes; bounds how far the
     /// application can run ahead of the ACK clock.
     pub send_buffer: u32,
-    /// Delayed-ACK timer; an ACK is also forced by every second
-    /// full-sized segment (RFC 1122).
-    pub delayed_ack: Micros,
-    /// Lower bound of the retransmission timeout.
-    pub min_rto: Micros,
-    /// Initial RTO before any RTT sample (RFC 6298 suggests 1 s).
-    pub initial_rto: Micros,
-    /// Upper bound of the RTO after backoff.
-    pub max_rto: Micros,
     /// Multiplicative backoff factor applied per timeout. RouteViews'
     /// stacks back off "more aggressively" (§IV-B) — model with a larger
     /// factor.
     pub rto_backoff: f64,
-    /// Persist (zero-window probe) interval.
-    pub persist_interval: Micros,
     /// Offer RFC 1323 timestamps; active only if both endpoints offer
     /// them. Every segment then carries `(TSval, TSecr)`, enabling
     /// passive timestamp-based RTT measurement from captures.
@@ -75,20 +65,10 @@ impl Default for TcpConfig {
         TcpConfig {
             flavor: TcpFlavor::NewReno,
             mss: 1448,
-            initial_cwnd_segments: 2,
             initial_ssthresh: 64 * 1024,
             recv_buffer: 65_535,
             send_buffer: 64 * 1024,
-            // Keep well below min_rto: a delayed ACK slower than the
-            // minimum RTO makes every transfer tail spuriously
-            // retransmit (a real pathology — inject it deliberately by
-            // raising this, never by default).
-            delayed_ack: Micros::from_millis(100),
-            min_rto: Micros::from_millis(200),
-            initial_rto: Micros::from_secs(1),
-            max_rto: Micros::from_secs(60),
             rto_backoff: 2.0,
-            persist_interval: Micros::from_secs(5),
             timestamps: false,
             sack: false,
             window_scale: 0,
@@ -163,9 +143,9 @@ mod tests {
 
     #[test]
     fn defaults_are_sane() {
+        // The timers' order is checked where they are defined, at
+        // compile time.
         let tcp = TcpConfig::default();
-        assert!(tcp.min_rto <= tcp.initial_rto);
-        assert!(tcp.initial_rto <= tcp.max_rto);
         assert!(tcp.rto_backoff >= 1.0);
         assert!(tcp.recv_buffer >= 3 * tcp.mss);
         let tx = BgpSenderConfig::default();

@@ -8,7 +8,11 @@
 //!   drop-tail queues, stochastic or scripted loss, and sniffer taps;
 //! * window-based [`tcp::TcpEndpoint`]s (Tahoe / Reno / NewReno) with
 //!   delayed ACKs, RTO backoff, flow control, persist probing, and the
-//!   paper's zero-window-probe bug as fault injection;
+//!   paper's zero-window-probe bug as fault injection. What a scenario
+//!   varies is a [`TcpConfig`]; the initial window (2 segments) and the
+//!   timers are constants of the endpoint: a 100 ms delayed ACK, an RTO
+//!   of 1 s before the first sample and within 200 ms–60 s after it,
+//!   and a 5 s persist interval;
 //! * BGP applications ([`bgpapp`]): a timer-paced, peer-group-aware
 //!   table-transfer sender and a rate-limited collector that archives
 //!   the messages it consumes.

@@ -20,6 +20,30 @@ use tdat_timeset::{Micros, Span};
 
 use crate::config::{TcpConfig, TcpFlavor};
 
+/// Initial congestion window, in segments.
+const INITIAL_CWND_SEGMENTS: u32 = 2;
+/// Delayed-ACK timer; an ACK is also forced by every second
+/// full-sized segment (RFC 1122). Kept well below [`MIN_RTO`]: a
+/// delayed ACK slower than the minimum RTO makes every transfer tail
+/// spuriously retransmit.
+const DELAYED_ACK: Micros = Micros::from_millis(100);
+/// Lower bound of the retransmission timeout.
+const MIN_RTO: Micros = Micros::from_millis(200);
+/// Initial RTO before any RTT sample (RFC 6298 suggests 1 s).
+const INITIAL_RTO: Micros = Micros::from_secs(1);
+/// Upper bound of the RTO after backoff.
+const MAX_RTO: Micros = Micros::from_secs(60);
+/// Persist (zero-window probe) interval.
+const PERSIST_INTERVAL: Micros = Micros::from_secs(5);
+
+const _: () = assert!(INITIAL_CWND_SEGMENTS >= 1 && PERSIST_INTERVAL.as_micros() > 0);
+const _: () = assert!(
+    0 < DELAYED_ACK.as_micros()
+        && DELAYED_ACK.as_micros() < MIN_RTO.as_micros()
+        && MIN_RTO.as_micros() <= INITIAL_RTO.as_micros()
+        && INITIAL_RTO.as_micros() <= MAX_RTO.as_micros()
+);
+
 /// Connection state (simplified FSM; data transfer is the focus).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TcpState {
@@ -273,9 +297,9 @@ impl TcpEndpoint {
         iss: u32,
         config: TcpConfig,
     ) -> TcpEndpoint {
-        let cwnd = (config.initial_cwnd_segments * config.mss) as f64;
+        let cwnd = (INITIAL_CWND_SEGMENTS * config.mss) as f64;
         let ssthresh = config.initial_ssthresh as f64;
-        let rto = config.initial_rto;
+        let rto = INITIAL_RTO;
         let peer_mss = config.mss;
         TcpEndpoint {
             local,
@@ -707,7 +731,7 @@ impl TcpEndpoint {
         {
             self.probing = true;
             self.window_opened_during_probe = false;
-            let deadline = now + self.config.persist_interval;
+            let deadline = now + PERSIST_INTERVAL;
             self.persist_timer
                 .arm(deadline, &mut self.timer_requests, TimerKind::Persist);
         }
@@ -873,7 +897,7 @@ impl TcpEndpoint {
                 cause: RetxCause::WindowProbe,
             });
         }
-        let deadline = now + self.config.persist_interval;
+        let deadline = now + PERSIST_INTERVAL;
         self.persist_timer
             .arm(deadline, &mut self.timer_requests, TimerKind::Persist);
     }
@@ -1175,7 +1199,7 @@ impl TcpEndpoint {
         if self.segs_since_ack >= 2 {
             self.emit_ack(now);
         } else if !self.delack_timer.armed {
-            let deadline = now + self.config.delayed_ack;
+            let deadline = now + DELAYED_ACK;
             self.delack_timer
                 .arm(deadline, &mut self.timer_requests, TimerKind::DelAck);
         }
@@ -1279,16 +1303,13 @@ impl TcpEndpoint {
         }
         let srtt = self.srtt.expect("just set");
         let rto = srtt + (4.0 * self.rttvar).max(1000.0);
-        self.rto =
-            Micros((rto as i64).max(self.config.min_rto.as_micros())).min(self.config.max_rto);
+        self.rto = Micros((rto as i64).max(MIN_RTO.as_micros())).min(MAX_RTO);
     }
 
     fn current_rto(&self) -> Micros {
         let factor = self.config.rto_backoff.powi(self.backoff as i32);
         let scaled = (self.rto.as_micros() as f64 * factor) as i64;
-        Micros(scaled)
-            .min(self.config.max_rto)
-            .max(self.config.min_rto)
+        Micros(scaled).min(MAX_RTO).max(MIN_RTO)
     }
 
     fn track_zero_window(&mut self, now: Micros, window: u32) {
@@ -1488,6 +1509,24 @@ mod tests {
         assert_eq!(b.state(), TcpState::Established);
     }
 
+    /// Grows `a`'s congestion window by slow start from its initial
+    /// [`INITIAL_CWND_SEGMENTS`] to at least `segments` MSS: whole
+    /// windows sent, delivered, acknowledged (the receiver's delayed
+    /// ACK fired) and consumed.
+    fn open_cwnd(a: &mut TcpEndpoint, b: &mut TcpEndpoint, segments: u32) {
+        while a.cwnd() < segments * a.mss() {
+            a.app_send(Micros::ZERO, &vec![0u8; a.cwnd() as usize]);
+            pump(a, b, Micros::ZERO);
+            for req in b.take_timer_requests() {
+                b.on_timer(req.deadline, req.kind, req.epoch);
+            }
+            pump(a, b, Micros::ZERO);
+            b.app_consume(Micros::ZERO, usize::MAX);
+            pump(a, b, Micros::ZERO);
+            assert_eq!(a.flight_size(), 0, "every window acknowledged");
+        }
+    }
+
     #[test]
     fn three_way_handshake() {
         let (mut a, mut b) = pair();
@@ -1551,17 +1590,12 @@ mod tests {
     fn triple_dup_ack_triggers_fast_retransmit_reno() {
         let a_addr = ("10.0.0.1".parse().unwrap(), 179);
         let b_addr = ("10.0.0.2".parse().unwrap(), 40000);
-        let config = TcpConfig {
-            initial_cwnd_segments: 8,
-            ..TcpConfig::default()
-        };
-        let mut a = TcpEndpoint::new(a_addr, b_addr, 1, config);
+        let mut a = TcpEndpoint::new(a_addr, b_addr, 1, TcpConfig::default());
         let mut b = TcpEndpoint::new(b_addr, a_addr, 2, TcpConfig::default());
-        b.open_passive();
-        a.open_active(Micros::ZERO);
-        pump(&mut a, &mut b, Micros::ZERO);
+        establish(&mut a, &mut b);
+        open_cwnd(&mut a, &mut b, 8);
         let mss = a.mss() as usize;
-        a.app_send(Micros::ZERO, &vec![7u8; 10 * mss]);
+        a.app_send(Micros::ZERO, &vec![7u8; 8 * mss]);
         let flight = a.take_outbox();
         assert_eq!(flight.len(), 8);
         let lost_seq = flight[1].tcp.seq;
@@ -1774,14 +1808,12 @@ mod tests {
         let b_addr = ("10.0.0.2".parse().unwrap(), 40000);
         let config = TcpConfig {
             flavor: TcpFlavor::Tahoe,
-            initial_cwnd_segments: 8,
             ..TcpConfig::default()
         };
         let mut a = TcpEndpoint::new(a_addr, b_addr, 1, config);
         let mut b = TcpEndpoint::new(b_addr, a_addr, 2, TcpConfig::default());
-        b.open_passive();
-        a.open_active(Micros::ZERO);
-        pump(&mut a, &mut b, Micros::ZERO);
+        establish(&mut a, &mut b);
+        open_cwnd(&mut a, &mut b, 8);
         let mss = a.mss() as usize;
         a.app_send(Micros::ZERO, &vec![0u8; 8 * mss]);
         let flight = a.take_outbox();

@@ -52,6 +52,6 @@ pub use conn::{ConnKey, ConnProfile, Direction, Endpoint, Segment, TcpConnection
 pub use flight::{default_flight_gap, group_flights, Flight};
 pub use label::{label_segments, loss_episodes, LabelConfig, LossEpisode, SegLabel};
 pub use tracker::{
-    extract_connections, ConnectionTracker, FinalizedConnection, TrackerConfig,
+    extract_connections, ConnectionTracker, Drain, FinalizedConnection, TrackerConfig,
     DEFAULT_MAX_CONNECTIONS,
 };

@@ -357,17 +357,46 @@ impl ConnectionTracker {
     }
 
     /// Flushes all remaining open connections (end of trace), by
-    /// ordinal.
-    pub fn finish(mut self) -> Vec<FinalizedConnection> {
-        let mut rest: Vec<(ConnKey, ConnState)> = self.open.drain().collect();
+    /// ordinal: [`drain`](Self::drain), collected.
+    pub fn finish(self) -> Vec<FinalizedConnection> {
+        self.drain().collect()
+    }
+
+    /// Ends the trace one connection at a time: every connection still
+    /// open, by ordinal, each built only when it is asked for, so a
+    /// caller that is done with one before it asks for the next holds
+    /// one built connection beside the others' frame records.
+    pub fn drain(self) -> Drain {
+        let mut rest: Vec<(ConnKey, ConnState)> = self.open.into_iter().collect();
         rest.sort_unstable_by_key(|(_, s)| s.ordinal);
-        rest.into_iter()
-            .map(|(key, state)| FinalizedConnection {
-                ordinal: state.ordinal,
-                key,
-                connection: state.frames.build(key),
-            })
-            .collect()
+        Drain {
+            rest: rest.into_iter(),
+        }
+    }
+}
+
+/// The connections a tracker still held at the end of the trace, by
+/// ordinal, each built as it is yielded; made by
+/// [`ConnectionTracker::drain`].
+#[derive(Debug)]
+pub struct Drain {
+    rest: std::vec::IntoIter<(ConnKey, ConnState)>,
+}
+
+impl Iterator for Drain {
+    type Item = FinalizedConnection;
+
+    fn next(&mut self) -> Option<FinalizedConnection> {
+        let (key, state) = self.rest.next()?;
+        Some(FinalizedConnection {
+            ordinal: state.ordinal,
+            key,
+            connection: state.frames.build(key),
+        })
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        self.rest.size_hint()
     }
 }
 
