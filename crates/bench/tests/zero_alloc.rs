@@ -27,8 +27,8 @@ use std::net::Ipv4Addr;
 use tdat::{AnalyzerConfig, BgpDemux, Report, StreamAnalyzer, TrackerConfig};
 use tdat_bench::{generate_transfer, Dataset, Scenario};
 use tdat_bgp::{
-    find_transfer_end_ref, BgpMessage, MctConfig, MessageLog, OpenMessage, PathAttribute, Prefix,
-    TableGenerator, UpdateMessage,
+    find_transfer_end_ref, BgpMessage, Framed, KeptMessages, MctConfig, MctUpdate, MessageLog,
+    OpenMessage, PathAttribute, Prefix, TableGenerator, UpdateMessage,
 };
 use tdat_monitor::{ConnectionSummary, Monitor, MonitorConfig, MonitorEvent};
 use tdat_packet::{
@@ -57,6 +57,9 @@ thread_local! {
     /// thread other than the one that allocated it skews both tallies,
     /// which no test here does.
     static LIVE: Cell<i64> = const { Cell::new(0) };
+    /// The largest single allocation (a `realloc` counts its new size)
+    /// since the thread last reset it.
+    static LARGEST: Cell<u64> = const { Cell::new(0) };
 }
 
 /// Allocations the calling thread has made so far.
@@ -74,11 +77,18 @@ fn live_bytes() -> i64 {
     LIVE.with(Cell::get)
 }
 
+/// The largest single allocation the calling thread has made since the
+/// last call, which resets it.
+fn take_largest() -> u64 {
+    LARGEST.with(|largest| largest.replace(0))
+}
+
 fn count_one(size: usize) {
     // `try_with`: a thread may still allocate while its locals are
     // being torn down; those allocations belong to no test.
     let _ = ALLOCATIONS.try_with(|count| count.set(count.get() + 1));
     let _ = BYTES.try_with(|bytes| bytes.set(bytes.get() + size as u64));
+    let _ = LARGEST.try_with(|largest| largest.set(largest.get().max(size as u64)));
 }
 
 fn hold(delta: i64) {
@@ -734,19 +744,25 @@ fn shared_senders_cost_a_steady_tick_nothing_until_one_pauses() {
     );
 }
 
-/// A tick runs no MCT; the snapshot pull does. Over the 8 000-route
-/// transfer of [`watch_with_sessions`] each tick that re-analyses the
-/// connection while its table arrives allocates fewer bytes in all than
-/// the one set MCT sizes for the log that tick saw, so none of its
-/// allocations can be that set; the pull right after completes the
-/// analysis, that set among it, and a second pull builds nothing more
-/// (it allocates only its result vector). Measured (debug and release):
-/// the four transfer ticks allocate 40 / 50 / 62 / 63 times, 12 889 /
-/// 7 345 / 23 761 / 26 625 bytes, against sets of 18 448 / 36 880 /
-/// 73 744 / 147 472 bytes for 962 / 2 647 / 6 466 / 8 000 prefixes;
-/// their pulls allocate 58 / 71 / 94 / 99 times. While the tick built
-/// the whole analysis it allocated 98 / 141 / 225 / 265 times, 14 463 /
-/// 18 919 / 64 943 / 75 967 bytes, and while it ran MCT, one set more.
+/// A tick runs no MCT; the snapshot pull does. MCT sizes its set in one
+/// allocation, so a tick that ran it would make one allocation at least
+/// as large as the set MCT sizes for the log that tick saw. Over the
+/// 8 000-route transfer of [`watch_with_sessions`] no single allocation
+/// of a tick that re-analyses the connection while its table arrives is
+/// that large; the pull right after completes the analysis, that set
+/// among it, and a second pull builds nothing more (it allocates only
+/// its result vector). Measured (debug and release): the four transfer
+/// ticks allocate 27 / 34 / 46 / 47 times, 6 392 / 7 004 / 23 420 /
+/// 26 284 bytes, at most 3 060 / 1 480 / 4 920 / 6 880 at once, against
+/// sets of 10 256 / 20 496 / 40 976 / 81 936 bytes for 962 / 2 647 /
+/// 6 466 / 8 000 prefixes. The test compared the tick's bytes in all
+/// with the set while the set took 8 bytes a key (18 448 bytes for 962
+/// prefixes); at 4 the first tick's set is 10 256 bytes against the
+/// 6 392 that tick allocates without it, a margin any growth of the
+/// tick's own allocations would close, where its largest single
+/// allocation stays under a third of the set. While the tick built the
+/// whole analysis it allocated 98 / 141 / 225 / 265 times, and while it
+/// ran MCT, one set more.
 #[test]
 fn ticks_over_a_transfer_allocate_no_mct_set() {
     let (frames, interval) = watch_with_sessions(0, false);
@@ -766,8 +782,13 @@ fn ticks_over_a_transfer_allocate_no_mct_set() {
     for (seen, frame) in frames.iter().enumerate() {
         while frame.timestamp >= boundary {
             let (count, bytes) = (allocations(), allocated_bytes());
+            take_largest();
             monitor.advance_to(boundary);
-            let tick = (allocations() - count, allocated_bytes() - bytes);
+            let tick = (
+                allocations() - count,
+                allocated_bytes() - bytes,
+                take_largest(),
+            );
             let (first, again) = (pull(&mut monitor), pull(&mut monitor));
             if first.0 > again.0 {
                 // MCT's set over the log the tick saw, sized as the pull
@@ -780,11 +801,12 @@ fn ticks_over_a_transfer_allocate_no_mct_set() {
                     "the pull completes the tick's transfer"
                 );
                 assert!(
-                    tick.1 < set_bytes,
-                    "a transfer tick allocated {} times, {} bytes: as much as the {}-byte \
-                     set MCT sizes for its log",
+                    tick.2 < set_bytes,
+                    "a transfer tick allocated {} times, {} bytes, {} at once: as much as \
+                     the {}-byte set MCT sizes for its log",
                     tick.0,
                     tick.1,
+                    tick.2,
                     set_bytes
                 );
                 completed.push(first.2);
@@ -1043,16 +1065,17 @@ fn held_by_demux(frames: &[TcpFrame]) -> i64 {
 
 /// What an open connection holds, as a law: its map entry, and its
 /// message log — 4 bytes a row, 16 a run of rows stamped alike (at most
-/// one run per segment) and 5 a prefix, rows and runs in one `Vec` and
+/// one run per segment) and 4 a prefix, rows and runs in one `Vec` and
 /// the prefixes in another, each at most twice its length (or four
 /// entries) as a `Vec` grows — and nothing else. 300 short sessions of
 /// 90–110 routes go through one [`BgpDemux`] and are never taken; the
 /// map is measured apart, from the same connections' SYNs alone.
 /// Measured (debug and release, repeating exactly): the 300 sessions
-/// hold 490 512 bytes, 1 635 per connection; the map is 221 712 of them
-/// (739 per connection) and the logs 268 800 (896), against a law of
-/// 1 313 per connection. With 16-byte rows and an 8-byte prefix arena
-/// the logs held 512 512 (1 708) against a law of 2 599. While
+/// hold 460 304 bytes, 1 534 per connection; the map is 221 712 of them
+/// (739 per connection) and the logs 238 592 (795), against a law of
+/// 1 113 per connection. With a 5-byte prefix arena the logs held
+/// 268 800 (896) against a law of 1 313, and with 16-byte rows and an
+/// 8-byte prefix arena 512 512 (1 708) against a law of 2 599. While
 /// the reassembler staged contiguous bytes in a buffer of its own and
 /// the framing buffer kept its capacity once empty, the same sessions
 /// held 1 627 600 bytes: the logs' share was 4 604 per connection, two
@@ -1075,7 +1098,7 @@ fn open_connection_holds_its_log_and_no_segment() {
         // A segment's messages share its time: at most one run each.
         let runs = session.iter().filter(|f| !f.payload.is_empty()).count();
         frames.extend(session);
-        law += 4 * (2 * (messages + 4 * runs)).max(4) + 5 * (2 * routes).max(4);
+        law += 4 * (2 * (messages + 4 * runs)).max(4) + 4 * (2 * routes).max(4);
         prefixes += routes;
     }
     let syns: Vec<TcpFrame> = frames
@@ -1097,13 +1120,52 @@ fn open_connection_holds_its_log_and_no_segment() {
         "an open log is two Vecs; a settled one fits beside them"
     );
     assert!(
-        logs >= (5 * prefixes) as i64,
-        "the arena alone is 5 bytes per prefix ({logs} bytes held beyond the map)"
+        logs >= (4 * prefixes) as i64,
+        "the arena alone is 4 bytes per prefix ({logs} bytes held beyond the map)"
     );
     assert!(
         logs <= law as i64,
         "{SESSIONS} open connections hold {logs} bytes beyond their map entries, \
          more than their logs' {law}: a buffer outlived its bytes"
+    );
+}
+
+/// What an open log's prefix arena costs, as a law: 4 bytes a prefix of
+/// up to 24 bits, its one prefix word. 4 096 /24s in five UPDATEs of
+/// one segment fill a log's arena to its capacity; 4 096 more in five
+/// more UPDATEs stamped alike double it once, so the log holds exactly
+/// 4 × 4 096 bytes more, in one allocation: the rows' `Vec` (a word a
+/// message, one trailer for the run) does not grow. While the arena
+/// kept the masked network and the length in 5 bytes, the same prefixes
+/// added 5 × 4 096.
+#[test]
+fn an_open_log_costs_4_bytes_a_prefix() {
+    const PREFIXES: usize = 4_096;
+    // Five UPDATEs of `PREFIXES` /24s in all, numbered from `first` on.
+    let updates = |first: u32| -> Vec<Vec<u8>> {
+        [1_000, 1_000, 1_000, 1_000, 96]
+            .into_iter()
+            .scan(first, |next, count| {
+                *next += count as u32;
+                Some(announce(*next - count as u32, count))
+            })
+            .collect()
+    };
+    let (filling, crossing) = (updates(0), updates(PREFIXES as u32));
+    let mut log = MessageLog::default();
+    for wire in &filling {
+        assert_eq!(log.skim(Micros(1), &mut &wire[..]), Framed::Kept);
+    }
+    let (count, before) = (allocations(), live_bytes());
+    for wire in &crossing {
+        assert_eq!(log.skim(Micros(1), &mut &wire[..]), Framed::Kept);
+    }
+    let (count, held) = (allocations() - count, live_bytes() - before);
+    assert_eq!(log.announced_prefixes(), 2 * PREFIXES);
+    assert_eq!(
+        (count, held),
+        (1, (4 * PREFIXES) as i64),
+        "{PREFIXES} /24s past the arena's capacity: {count} allocations, {held} bytes"
     );
 }
 
@@ -1251,12 +1313,13 @@ fn settle_watch(wait: Micros, churn: &[Vec<u8>]) -> SettleWatch {
 /// re-announcing a prefix and 5 000 KEEPALIVEs, in segments of whole
 /// messages, add no byte to the settled watch, where the reference's
 /// open log takes a row each. Measured (debug and release, repeating
-/// exactly): the router's log held 57 344 bytes (131 072 with 16-byte
-/// rows and 8-byte prefixes); the reference's step held 4 004 bytes
-/// more after than before, the tick's cache entry, and the settling
-/// watch's step 53 340 fewer; the 10 000 rows add 0 bytes to the
-/// settled watch and 90 112 to the reference (262 144 before), of which
-/// 40 960 are the arena growing for the 5 000 re-announced prefixes.
+/// exactly): the router's log held 49 152 bytes (57 344 with 5-byte
+/// prefixes, 131 072 with 16-byte rows and 8-byte prefixes); the
+/// reference's step held 4 004 bytes more after than before, the tick's
+/// cache entry, and the settling watch's step 45 148 fewer; the 10 000
+/// rows add 0 bytes to the settled watch and 81 920 to the reference
+/// (262 144 with 16-byte rows), of which 32 768 are the arena growing
+/// for the 5 000 re-announced prefixes (40 960 at 5 bytes a prefix).
 #[test]
 fn settled_transfer_holds_no_table() {
     let max_gap = MctConfig::default().max_gap;
@@ -1289,7 +1352,7 @@ fn settled_transfer_holds_no_table() {
     let settling = settle_watch(max_gap + Micros(1), &churn);
     let reference = settle_watch(max_gap, &churn);
     assert_eq!((settling.settled, reference.settled), (1, 0));
-    assert!(held >= 5 * 8_000, "the arena alone is 5 bytes a prefix");
+    assert!(held >= 4 * 8_000, "the arena alone is 4 bytes a prefix");
     assert_eq!(
         reference.settle_step - settling.settle_step,
         held,
@@ -1362,17 +1425,18 @@ fn tables_held(sessions: usize, spacing: Micros) -> i64 {
 /// ([`tables_held`]) do not grow from K = 4 to K = 16. The same 16
 /// sessions a second apart settle nothing, and hold every table but the
 /// one delivered first. Measured (debug and release, repeating
-/// exactly): 20 320 bytes at K = 4 and 20 320 at K = 16, one table's
-/// arena; 304 800 a second apart, fifteen (325 120, all sixteen, while
-/// the delivered connection's log lived until its analysis was
-/// delivered). While only the watch settled, the batch pass held 81 280
-/// at K = 4 and 325 120 at K = 16.
+/// exactly): 16 256 bytes at K = 4 and 16 256 at K = 16, one table's
+/// arena; 243 840 a second apart, fifteen. At 5 bytes a prefix these
+/// read 20 320, 20 320 and 304 800 (325 120, all sixteen, while the
+/// delivered connection's log lived until its analysis was delivered).
+/// While only the watch settled, the batch pass held 81 280 at K = 4
+/// and 325 120 at K = 16, at 5 bytes a prefix.
 #[test]
 fn batch_pass_holds_the_tables_of_unsettled_sessions_only() {
     let apart = MctConfig::default().max_gap + Micros::from_secs(10);
     let (four, sixteen) = (tables_held(4, apart), tables_held(16, apart));
     let close = tables_held(16, Micros::from_secs(1));
-    let table = (5 * QUIET_UPDATES * 199) as i64;
+    let table = (4 * QUIET_UPDATES * 199) as i64;
     assert!(four >= table, "the last table is held ({four} bytes)");
     assert!(
         sixteen <= four,
@@ -1455,7 +1519,7 @@ fn announced_log(routes: usize, reannounced: usize) -> MessageLog {
     let log: MessageLog = messages.iter().collect();
     assert_eq!(
         log.updates()
-            .map(|(_, row)| row.announced.len())
+            .map(|(_, row)| row.announced_len())
             .sum::<usize>(),
         routes + reannounced
     );
@@ -1470,22 +1534,29 @@ fn mct_allocations(log: &MessageLog) -> (u64, u64, usize) {
     (allocations() - count, allocated_bytes() - bytes, prefixes)
 }
 
-/// The most a hash set of `n` packed prefixes can take: at most twice
-/// `n` ÷ 7/8 load buckets, 8 bytes and one control byte each.
+/// The most a hash set of `n` prefix words can take: at most twice
+/// `n` ÷ 7/8 load buckets, 4 bytes and one control byte each.
 fn set_bytes_bound(n: usize) -> u64 {
-    (2 * n * 8 / 7 * 9 + 64) as u64
+    (2 * n * 8 / 7 * 5 + 64) as u64
 }
 
 /// MCT sizes its set of seen prefixes once from the rows still to
-/// read. Measured (debug and release): over an 8 000-route log, one
-/// allocation of 147 472 bytes; growing the set from empty, as MCT did
-/// before, took 7 allocations and 292 720 bytes.
+/// read, keyed by 4-byte prefix words: over an 8 000-route log (no
+/// prefix longer than /24, so no side set), one allocation of exactly
+/// 81 936 bytes, 16 384 buckets of a 4-byte key and a control byte each
+/// and one 16-byte group of control bytes more. Keyed by 8-byte packed
+/// prefixes the same set took 147 472 bytes, and growing it from empty,
+/// as MCT did before that, 7 allocations and 292 720 bytes.
 #[test]
 fn mct_over_a_table_allocates_its_set_once() {
     let log = announced_log(8_000, 0);
     let (count, bytes, prefixes) = mct_allocations(&log);
     assert_eq!(prefixes, 8_000);
-    assert_eq!(count, 1, "{count} allocations, {bytes} bytes");
+    assert_eq!(
+        (count, bytes),
+        (1, 81_936),
+        "{count} allocations, {bytes} bytes"
+    );
     assert!(bytes <= set_bytes_bound(8_000), "{bytes} bytes");
 }
 
@@ -1493,9 +1564,9 @@ fn mct_over_a_table_allocates_its_set_once() {
 /// table followed by 200 000 re-announcements inside MCT's gap sizes
 /// the set within 64 × what it holds — the growth rule's bound — not
 /// for the 201 000 prefixes the log announces. Measured: one allocation
-/// of 294 928 bytes, the 16 384-prefix floor of the rule (growing from
-/// empty took 5 allocations and 35 792 bytes; sized from the log it
-/// would take about 2.4 MB).
+/// of 163 856 bytes, the 16 384-prefix floor of the rule (294 928 with
+/// 8-byte keys; growing from empty took 5 allocations and 35 792 bytes;
+/// sized from the log it would take about 2.4 MB).
 #[test]
 fn mct_set_is_bounded_by_what_was_inserted_not_by_the_log() {
     let log = announced_log(1_000, 200_000);

@@ -8,12 +8,14 @@
 //! UPDATE — and a reassembler that kept those trees spent most of its
 //! time allocating and freeing what nobody read. The log keeps one
 //! 4-byte row per message, one time per run of messages stamped alike
-//! and one arena of announced prefixes at 5 bytes each, and
+//! and one arena of announced prefixes at 4 bytes each (a prefix word,
+//! [`LogRow::announced`]; 8 bytes for a prefix longer than /24), and
 //! [`MessageLog::skim`] validates every rule `decode` enforces while
 //! materialising nothing else, so both accept exactly the same byte
 //! strings.
 //!
-//! MCT reads the rows and the arena for one answer, and once that
+//! MCT reads the rows and the arena for one answer, keying its set by
+//! the prefix words as they are, and once that
 //! answer can no longer change nothing else reads them: the batch pass
 //! and a live monitor alike [settle](MessageLog::settle) the log, which
 //! keeps MCT's answer and its row count and drops the rest.
@@ -108,7 +110,7 @@ impl KeptMessages for MessageLog {
 
     fn announced_prefixes(&self) -> usize {
         match &self.state {
-            State::Open { announced, .. } => announced.len(),
+            State::Open { rows, .. } => Rows::new(rows).map(|(_, row)| row.announced()).sum(),
             State::Settled(_) => 0,
         }
     }
@@ -123,6 +125,9 @@ const COUNT_BITS: u32 = 12;
 const COUNT_MAX: u32 = (1 << COUNT_BITS) - 1;
 /// Where a row keeps its wire type code (1 to 4, three bits).
 const TYPE_SHIFT: u32 = 2 * COUNT_BITS;
+/// Set in a row whose announced prefixes take more arena words than
+/// there are of them: one of them is longer than /24 (an escape).
+const ESCAPED: u32 = 1 << 27;
 /// Set in the first and last word of a run's trailer, never in a row.
 const TAG: u32 = 1 << 31;
 /// Words in a run's trailer: the tag with the message count's low 31
@@ -131,26 +136,38 @@ const TAG: u32 = 1 << 31;
 const TRAILER: usize = 4;
 
 /// One message of the log in one word: the wire type code in bits
-/// 24–26, the withdrawn count in bits 12–23 and the announced count in
-/// bits 0–11. Bit 31 is clear, so a row never reads as a trailer.
+/// 24–26, the withdrawn count in bits 12–23, the announced count in
+/// bits 0–11, and [`ESCAPED`]. Bit 31 is clear, so a row never reads as
+/// a trailer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Row(u32);
 
 impl Row {
-    fn new(type_code: u8, announced: usize, withdrawn: usize) -> Row {
+    fn new(type_code: u8, announced: usize, withdrawn: usize, escaped: bool) -> Row {
         debug_assert!(type_code < 8, "type code {type_code}");
         debug_assert!(announced <= COUNT_MAX as usize && withdrawn <= COUNT_MAX as usize);
         Row(u32::from(type_code) << TYPE_SHIFT
+            | if escaped { ESCAPED } else { 0 }
             | (withdrawn as u32) << COUNT_BITS
             | announced as u32)
     }
 
     fn type_code(self) -> u8 {
-        (self.0 >> TYPE_SHIFT) as u8
+        (self.0 >> TYPE_SHIFT & 0b111) as u8
     }
 
     fn announced(self) -> usize {
         (self.0 & COUNT_MAX) as usize
+    }
+
+    /// How many words at the front of `arena` the row's announced
+    /// prefixes take: one each, unless the row is [`ESCAPED`].
+    fn words(self, arena: &[u32]) -> usize {
+        let prefixes = self.announced();
+        if self.0 & ESCAPED == 0 {
+            return prefixes;
+        }
+        (0..prefixes).fold(0, |at, _| at + 1 + usize::from(is_escape(arena[at])))
     }
 
     fn withdrawn(self) -> u16 {
@@ -187,18 +204,18 @@ fn read_trailer(trailer: &[u32; TRAILER]) -> (usize, Micros) {
     )
 }
 
-/// A log's rows run by run from the back: each run's time and its row
-/// words.
-fn runs_back(mut words: &[u32]) -> impl Iterator<Item = (Micros, &[u32])> {
-    std::iter::from_fn(move || {
+/// A log's rows from the back, each with its run's time.
+fn rows_back(mut words: &[u32]) -> impl Iterator<Item = (Micros, Row)> + '_ {
+    let mut time = Micros::ZERO;
+    std::iter::from_fn(move || loop {
+        let (&word, rest) = words.split_last()?;
+        if word & TAG == 0 {
+            words = rest;
+            return Some((time, Row(word)));
+        }
         let (rest, trailer) = words.split_last_chunk::<TRAILER>()?;
-        let start = rest
-            .iter()
-            .rposition(|word| word & TAG != 0)
-            .map_or(0, |i| i + 1);
-        let (before, run) = rest.split_at(start);
-        words = before;
-        Some((read_trailer(trailer).1, run))
+        time = read_trailer(trailer).1;
+        words = rest;
     })
 }
 
@@ -239,30 +256,51 @@ impl Iterator for Rows<'_> {
     }
 }
 
-/// A prefix as the arena keeps it: the masked network, big-endian, then
-/// the length.
-fn arena_prefix(network: u32, len: u8) -> [u8; 5] {
-    let [a, b, c, d] = network.to_be_bytes();
-    [a, b, c, d, len]
+/// The longest prefix whose masked network leaves the low octet of its
+/// word zero, free to hold the length.
+const WORD_LEN_MAX: u8 = 24;
+
+/// A prefix as the arena keeps it, in the words it takes (one or two):
+/// a prefix of up to 24 bits is one word, the masked network with the
+/// length in its low octet (`network | len`); a longer one is an escape
+/// word, the length alone, followed by the whole network. The low octet
+/// of a prefix's first word is its length either way, so one above 24
+/// marks an escape.
+pub(crate) fn prefix_words(network: u32, len: u8) -> ([u32; 2], usize) {
+    if len <= WORD_LEN_MAX {
+        ([network | u32::from(len), 0], 1)
+    } else {
+        ([u32::from(len), network], 2)
+    }
 }
 
-/// An arena prefix packed into one word, `network << 8 | len`: the
-/// form MCT hashes.
-pub(crate) fn packed(prefix: &[u8; 5]) -> u64 {
-    let [a, b, c, d, len] = *prefix;
-    u64::from(u32::from_be_bytes([a, b, c, d])) << 8 | u64::from(len)
+/// Whether `word`, the first word of a prefix, is an escape: the prefix
+/// is longer than /24, `word` is its length and the next word its
+/// network.
+pub(crate) fn is_escape(word: u32) -> bool {
+    word as u8 > WORD_LEN_MAX
+}
+
+/// Appends `network/len`'s words to an arena.
+fn push_prefix(arena: &mut Vec<u32>, network: u32, len: u8) {
+    match prefix_words(network, len) {
+        ([word, _], 1) => arena.push(word),
+        (words, _) => arena.extend_from_slice(&words),
+    }
 }
 
 /// A flat per-connection message log: one word per message (wire type
 /// code, announced and withdrawn prefix counts), one time per run of
 /// messages stamped alike, and one arena of every announced prefix in
-/// arrival order, five bytes each (the masked network, then the
-/// length). Until it is [settled](Self::settle), memory is 4 bytes per
-/// message, 16 per run and 5 per announced prefix; a segment's messages
-/// share its time, so a table transfer's runs are some twenty messages
-/// long. Nothing else of a message is retained. A settled log holds
-/// nothing beyond its own 48 bytes, however many messages it counts
-/// after: it keeps MCT's answer and a row count.
+/// arrival order, a word each (the masked network with the length in
+/// its low octet; two words for a prefix longer than /24, see
+/// [`LogRow::announced`]). Until it is [settled](Self::settle), memory
+/// is 4 bytes per message, 16 per run and 4 per announced prefix (8 per
+/// prefix longer than /24); a segment's messages share its time, so a
+/// table transfer's runs are some twenty messages long. Nothing else of
+/// a message is retained. A settled log holds nothing beyond its own 48
+/// bytes, however many messages it counts after: it keeps MCT's answer
+/// and a row count.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct MessageLog {
     state: State,
@@ -276,10 +314,7 @@ enum State {
     /// message, so the length is read in O(1); a message stamped as the
     /// run before it takes that run's trailer's place and pushes the
     /// trailer on, and one stamped anew starts a run.
-    Open {
-        rows: Vec<u32>,
-        announced: Vec<[u8; 5]>,
-    },
+    Open { rows: Vec<u32>, announced: Vec<u32> },
     /// MCT's answer, which no later row can change. Fits beside the
     /// open arm's niche, so an open log stays two `Vec`s wide.
     Settled(Settled),
@@ -351,7 +386,7 @@ impl<'a> FromIterator<&'a (Micros, BgpMessage)> for MessageLog {
 
 /// A borrowed view of one message of a [`MessageLog`], with what is
 /// left of the log from it on: the length of the arena from this row's
-/// prefixes to the end, which MCT reads to size its set once
+/// prefix words to the end, which MCT reads to size its set once
 /// ([`MctUpdate::announced_ahead`](crate::MctUpdate::announced_ahead)).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LogRow<'a> {
@@ -359,15 +394,24 @@ pub struct LogRow<'a> {
     pub time: Micros,
     /// Wire type code (1 OPEN, 2 UPDATE, 3 NOTIFICATION, 4 KEEPALIVE).
     pub type_code: u8,
-    /// The announced prefixes, five bytes each: the network masked to
-    /// the length, big-endian, then the length.
-    /// [`MctUpdate::packed_announced`](crate::MctUpdate::packed_announced)
-    /// reads them as `network << 8 | len`.
-    pub announced: &'a [[u8; 5]],
+    /// The announced prefixes as prefix words, one word a prefix: the
+    /// network masked to the length, with the length in the low octet
+    /// (`network | len`). A prefix longer than /24 leaves no octet for
+    /// its length and takes two words, an escape word (the length, so
+    /// its low octet is above 24) and then the whole network. MCT keys
+    /// its set by these words as they are
+    /// ([`MctUpdate::announced_words`](crate::MctUpdate::announced_words)).
+    pub announced: &'a [u32],
     /// How many prefixes the message withdrew.
     pub withdrawn: u16,
-    /// Prefixes this message and every later one in the log announce.
+    /// Prefix words this message and every later one in the log take:
+    /// the prefixes they announce, and one word more for each longer
+    /// than /24.
     pub announced_ahead: usize,
+    /// How many prefixes the message announced: the prefixes in
+    /// `announced`
+    /// ([`MctUpdate::announced_len`](crate::MctUpdate::announced_len)).
+    pub(crate) announced_len: u16,
 }
 
 impl MessageLog {
@@ -396,7 +440,7 @@ impl MessageLog {
     /// exactly as [`iter`](Self::iter) yielded them when the log held
     /// only those: `announced_ahead` counts no prefix of a later row.
     fn head(&self, rows: usize) -> impl Iterator<Item = LogRow<'_>> {
-        let (words, announced): (&[u32], &[[u8; 5]]) = match &self.state {
+        let (words, announced): (&[u32], &[u32]) = match &self.state {
             State::Open { rows, announced } => (rows, announced),
             State::Settled(_) => (&[], &[]),
         };
@@ -407,13 +451,12 @@ impl MessageLog {
         } else {
             let end = Rows::new(words)
                 .take(rows)
-                .map(|(_, row)| row.announced())
-                .sum();
+                .fold(0, |end, (_, row)| end + row.words(&announced[end..]));
             &announced[..end]
         };
         Rows::new(words).take(rows).map(move |(time, row)| {
             let announced_ahead = arena.len();
-            let (announced, rest) = arena.split_at(row.announced());
+            let (announced, rest) = arena.split_at(row.words(arena));
             arena = rest;
             LogRow {
                 time,
@@ -421,6 +464,7 @@ impl MessageLog {
                 announced,
                 withdrawn: row.withdrawn(),
                 announced_ahead,
+                announced_len: row.announced() as u16,
             }
         })
     }
@@ -480,10 +524,10 @@ impl MessageLog {
     /// once it has settled, and while it has announced nothing. The log
     /// settles once the clock lies more than `max_gap` past this time.
     ///
-    /// Read from the back: the rows after that UPDATE are the ones MCT
-    /// skips, KEEPALIVEs since it, and they are few unless the log is
-    /// due to settle anyway. A log that has announced nothing answers
-    /// at once.
+    /// Read from the back, up to that UPDATE: the rows after it are the
+    /// ones MCT skips, KEEPALIVEs since it, and they are few unless the
+    /// log is due to settle anyway. A log that has announced nothing
+    /// answers at once.
     pub fn last_counted(&self) -> Option<Micros> {
         let State::Open { rows, announced } = &self.state else {
             return None;
@@ -491,8 +535,8 @@ impl MessageLog {
         if announced.is_empty() {
             return None;
         }
-        runs_back(rows)
-            .find(|(_, run)| run.iter().any(|&word| Row(word).counted()))
+        rows_back(rows)
+            .find(|(_, row)| row.counted())
             .map(|(last, _)| last)
     }
 
@@ -540,6 +584,14 @@ impl MessageLog {
         true
     }
 
+    /// Words in the prefix arena; none once the log has settled.
+    fn arena_len(&self) -> usize {
+        match &self.state {
+            State::Open { announced, .. } => announced.len(),
+            State::Settled(_) => 0,
+        }
+    }
+
     /// Logs one message's row, stamped `time`: kept while the log is
     /// open, counted once it has settled.
     fn push_row(&mut self, time: Micros, row: Row) {
@@ -572,6 +624,7 @@ impl MessageLog {
     /// built rather than decoded can do: one on the wire has room for
     /// 4 073.
     fn push_message(&mut self, time: Micros, message: &BgpMessage) {
+        let words = self.arena_len();
         let (announced, withdrawn) = match message {
             BgpMessage::Update(update) => {
                 let counts = (update.announced.len(), update.withdrawn.len());
@@ -583,18 +636,17 @@ impl MessageLog {
                     counts.1
                 );
                 if let State::Open { announced, .. } = &mut self.state {
-                    announced.extend(
-                        update
-                            .announced
-                            .iter()
-                            .map(|p| arena_prefix(p.network().into(), p.len())),
-                    );
+                    for prefix in &update.announced {
+                        push_prefix(announced, prefix.network().into(), prefix.len());
+                    }
                 }
                 counts
             }
             _ => (0, 0),
         };
-        self.push_row(time, Row::new(message.type_code(), announced, withdrawn));
+        let escaped = self.arena_len() - words > announced;
+        let row = Row::new(message.type_code(), announced, withdrawn, escaped);
+        self.push_row(time, row);
     }
 
     /// Skims one message from the front of `buf` into the log: accepts
@@ -618,6 +670,7 @@ impl MessageLog {
         }
         let type_code = bytes[18];
         let body = &bytes[BGP_HEADER_LEN..len];
+        let words = self.arena_len();
         let counts = match type_code {
             // OPEN: ten fixed bytes, then the optional parameters their
             // length byte promises.
@@ -630,7 +683,8 @@ impl MessageLog {
         let Some((announced, withdrawn)) = counts else {
             return Framed::Rejected;
         };
-        self.push_row(time, Row::new(type_code, announced, withdrawn));
+        let escaped = self.arena_len() - words > announced;
+        self.push_row(time, Row::new(type_code, announced, withdrawn, escaped));
         *buf = &bytes[len..];
         Framed::Kept
     }
@@ -641,18 +695,18 @@ impl MessageLog {
     fn skim_update(&mut self, body: &[u8]) -> Option<(usize, usize)> {
         let (withdrawn, rest) = split_u16_prefixed(body)?;
         let (attributes, nlri) = split_u16_prefixed(rest)?;
-        let withdrawn = walk_nlri(withdrawn, |_| ())?;
+        let withdrawn = walk_nlri(withdrawn, |_, _| ())?;
         skim_attributes(attributes)?;
         let announced = match &mut self.state {
             State::Open { announced, .. } => {
                 let mark = announced.len();
-                let count = walk_nlri(nlri, |prefix| announced.push(prefix));
+                let count = walk_nlri(nlri, |network, len| push_prefix(announced, network, len));
                 if count.is_none() {
                     announced.truncate(mark);
                 }
                 count
             }
-            State::Settled(_) => walk_nlri(nlri, |_| ()),
+            State::Settled(_) => walk_nlri(nlri, |_, _| ()),
         };
         Some((announced?, withdrawn))
     }
@@ -666,8 +720,8 @@ fn split_u16_prefixed(buf: &[u8]) -> Option<(&[u8], &[u8])> {
 
 /// Walks NLRI with [`Prefix::decode`](crate::Prefix::decode)'s rules —
 /// length byte at most 32, `ceil(len / 8)` address bytes present, host
-/// bits masked off — handing each prefix on in the arena's form.
-fn walk_nlri(mut buf: &[u8], mut each: impl FnMut([u8; 5])) -> Option<usize> {
+/// bits masked off — handing on each prefix's masked network and length.
+fn walk_nlri(mut buf: &[u8], mut each: impl FnMut(u32, u8)) -> Option<usize> {
     let mut count = 0;
     while let Some((&len, rest)) = buf.split_first() {
         if len > 32 {
@@ -678,7 +732,7 @@ fn walk_nlri(mut buf: &[u8], mut each: impl FnMut([u8; 5])) -> Option<usize> {
         octets[..address.len()].copy_from_slice(address);
         let mask = u32::MAX.checked_shl(32 - u32::from(len)).unwrap_or(0);
         let network = u32::from_be_bytes(octets) & mask;
-        each(arena_prefix(network, len));
+        each(network, len);
         buf = rest;
         count += 1;
     }

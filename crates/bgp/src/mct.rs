@@ -17,7 +17,11 @@
 //! either bound is attributed to steady-state churn.
 //!
 //! The set is the cost: one hash probe per announced prefix, so each
-//! prefix is inserted once and counted by `insert`'s answer. The set
+//! prefix is inserted once and counted by `insert`'s answer. It is
+//! keyed by the message log's prefix words as they are, 4 bytes a key:
+//! a prefix of up to 24 bits is one word, `network | len`, and the rare
+//! longer prefix (an escape word, then its network) goes to a side set
+//! of `network << 8 | len` that allocates only once one occurs. The set
 //! is sized from the rows still to read ([`MctUpdate::announced_ahead`])
 //! rather than grown from empty, and holds nothing past the call: a
 //! caller that wants the answer again over a longer stream either runs
@@ -26,6 +30,7 @@
 //! [settled](crate::MessageLog::settle).
 
 use std::collections::HashSet;
+use std::hash::BuildHasherDefault;
 
 use crate::log::{self, LogRow};
 use crate::message::UpdateMessage;
@@ -77,20 +82,23 @@ impl TableTransfer {
 }
 
 /// What MCT reads of one UPDATE: how many prefixes it announced,
-/// whether it withdrew any, and the announced prefixes packed into one
-/// word each (`network << 8 | len`). The set of prefixes seen so far is
-/// hot (one membership probe per announced prefix of every update), so
-/// it is keyed by that packed form under a multiplicative hasher
-/// instead of hashing the struct field-by-field with SipHash.
+/// whether it withdrew any, and the announced prefixes as the message
+/// log's prefix words ([`LogRow::announced`]): `network | len` for a
+/// prefix of up to 24 bits, an escape word and the network for a
+/// longer one. The set of prefixes seen so far is hot (one membership
+/// probe per announced prefix of every update), so it is keyed by those
+/// words as they are under a multiplicative hasher instead of hashing
+/// the struct field-by-field with SipHash.
 pub trait MctUpdate {
     /// Number of announced prefixes.
     fn announced_len(&self) -> usize;
     /// True when the update withdraws nothing.
     fn withdrawn_is_empty(&self) -> bool;
-    /// The announced prefixes in wire order, packed.
-    fn packed_announced(&self) -> impl Iterator<Item = u64> + '_;
-    /// Prefixes this update and every later one in the stream announce:
-    /// the most the set of seen prefixes can still have to take, which
+    /// The announced prefixes' words in wire order.
+    fn announced_words(&self) -> impl Iterator<Item = u32> + '_;
+    /// Prefixes this update and every later one in the stream announce,
+    /// or a bound above them (a log row counts its arena's words): the
+    /// most the set of seen prefixes can still have to take, which
     /// lets MCT size it once instead of doubling it from empty. Only
     /// sizing reads it, never the result. 0 (the default) when the
     /// source cannot say; the set then grows as it fills.
@@ -106,27 +114,27 @@ impl MctUpdate for &UpdateMessage {
     fn withdrawn_is_empty(&self) -> bool {
         self.withdrawn.is_empty()
     }
-    fn packed_announced(&self) -> impl Iterator<Item = u64> + '_ {
-        self.announced.iter().map(Prefix::packed)
+    fn announced_words(&self) -> impl Iterator<Item = u32> + '_ {
+        self.announced.iter().flat_map(Prefix::words)
     }
 }
 
 impl MctUpdate for LogRow<'_> {
     fn announced_len(&self) -> usize {
-        self.announced.len()
+        usize::from(self.announced_len)
     }
     fn withdrawn_is_empty(&self) -> bool {
         self.withdrawn == 0
     }
-    fn packed_announced(&self) -> impl Iterator<Item = u64> + '_ {
-        self.announced.iter().map(log::packed)
+    fn announced_words(&self) -> impl Iterator<Item = u32> + '_ {
+        self.announced.iter().copied()
     }
     fn announced_ahead(&self) -> usize {
         self.announced_ahead
     }
 }
 
-/// Multiplicative hasher for already-well-distributed packed prefixes
+/// Multiplicative hasher for already-well-distributed prefix words
 /// (Fibonacci hashing). Not DoS-hardened — fine here: the set is
 /// per-call scratch over a bounded update stream, not a long-lived map
 /// keyed by attacker-controlled input.
@@ -138,19 +146,68 @@ impl std::hash::Hasher for PackedHasher {
         self.0
     }
     fn write(&mut self, bytes: &[u8]) {
-        // Generic fallback (unused by u64 keys): FNV-1a.
+        // Generic fallback (unused by u32 and u64 keys): FNV-1a, a byte
+        // at a time.
         let mut h = self.0 ^ 0xcbf2_9ce4_8422_2325;
         for &b in bytes {
             h = (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3);
         }
         self.0 = h;
     }
+    fn write_u32(&mut self, n: u32) {
+        self.write_u64(u64::from(n));
+    }
     fn write_u64(&mut self, n: u64) {
         self.0 = n.wrapping_mul(0x9e37_79b9_7f4a_7c15).rotate_right(23);
     }
 }
 
-type PackedSet = HashSet<u64, std::hash::BuildHasherDefault<PackedHasher>>;
+type PackedSet<K> = HashSet<K, BuildHasherDefault<PackedHasher>>;
+
+/// A prefix as MCT's sets key it: a word as it is, or, for a prefix
+/// longer than /24, `network << 8 | len` from its escape word (the
+/// length) and the network word after it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum Key {
+    Word(u32),
+    Escaped(u64),
+}
+
+/// The keys of the prefixes whose words `words` yields.
+fn keys(mut words: impl Iterator<Item = u32>) -> impl Iterator<Item = Key> {
+    std::iter::from_fn(move || {
+        let word = words.next()?;
+        if !log::is_escape(word) {
+            return Some(Key::Word(word));
+        }
+        Some(Key::Escaped(
+            u64::from(words.next()?) << 8 | u64::from(word),
+        ))
+    })
+}
+
+/// The prefixes seen so far: prefix words in one set, and the prefixes
+/// longer than /24 in a side set, which allocates only once one is
+/// inserted.
+#[derive(Default)]
+struct Seen {
+    words: PackedSet<u32>,
+    escaped: PackedSet<u64>,
+}
+
+impl Seen {
+    /// Inserts `key`, answering whether it was new.
+    fn insert(&mut self, key: Key) -> bool {
+        match key {
+            Key::Word(word) => self.words.insert(word),
+            Key::Escaped(prefix) => self.escaped.insert(prefix),
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.words.len() + self.escaped.len()
+    }
+}
 
 /// Makes room in `seen` for an update of `announced` prefixes. When the
 /// set is full it grows to hold `min(ahead, 64 × max(len, 256))` more:
@@ -158,7 +215,7 @@ type PackedSet = HashSet<u64, std::hash::BuildHasherDefault<PackedHasher>>;
 /// rehashes once, while what is reserved past need stays bounded by
 /// what was inserted, not by how much churn the stream still holds.
 /// With `ahead` unknown (0) the set doubles as it fills.
-fn make_room(seen: &mut PackedSet, announced: usize, ahead: usize) {
+fn make_room(seen: &mut PackedSet<u32>, announced: usize, ahead: usize) {
     if seen.capacity() - seen.len() < announced {
         let bound = 64 * seen.len().max(256);
         seen.reserve(ahead.min(bound).max(announced));
@@ -172,20 +229,19 @@ fn make_room(seen: &mut PackedSet, announced: usize, ahead: usize) {
 /// update, one seen before at none. O(k log k) for k prefixes, and only
 /// updates with a repeat come here.
 fn count_with_repeats<U: MctUpdate>(
-    seen: &mut PackedSet,
+    seen: &mut Seen,
     update: &U,
     first_repeat: usize,
-    rest: impl Iterator<Item = u64>,
+    rest: impl Iterator<Item = Key>,
 ) -> usize {
-    let mut fresh: Vec<u64> = rest.filter(|&p| seen.insert(p)).collect();
+    let mut fresh: Vec<Key> = rest.filter(|&key| seen.insert(key)).collect();
     if first_repeat == 0 && fresh.is_empty() {
         return 0;
     }
-    fresh.extend(update.packed_announced().take(first_repeat));
+    fresh.extend(keys(update.announced_words()).take(first_repeat));
     fresh.sort_unstable();
-    update
-        .packed_announced()
-        .filter(|p| fresh.binary_search(p).is_ok())
+    keys(update.announced_words())
+        .filter(|key| fresh.binary_search(key).is_ok())
         .count()
 }
 
@@ -232,7 +288,7 @@ where
     I: IntoIterator<Item = (Micros, U)>,
     U: MctUpdate,
 {
-    let mut seen = PackedSet::default();
+    let mut seen = Seen::default();
     let mut end: Option<Micros> = None;
     let mut update_count = 0;
     let mut counted = 0;
@@ -249,11 +305,14 @@ where
             break;
         }
         counted += 1;
-        make_room(&mut seen, announced, update.announced_ahead());
-        let mut prefixes = update.packed_announced();
+        make_room(&mut seen.words, announced, update.announced_ahead());
+        let mut prefixes = keys(update.announced_words());
         // Every insert up to the first that finds its prefix there is a
         // new prefix; most updates end here.
-        let mut new = prefixes.by_ref().take_while(|&p| seen.insert(p)).count();
+        let mut new = prefixes
+            .by_ref()
+            .take_while(|&key| seen.insert(key))
+            .count();
         if new < announced {
             new = count_with_repeats(&mut seen, &update, new, prefixes);
         }
@@ -285,7 +344,9 @@ where
         if time > end {
             break;
         }
-        seen.extend(update.packed_announced());
+        for key in keys(update.announced_words()) {
+            seen.insert(key);
+        }
         prefix_count = seen.len();
     }
     Some(TableTransfer {

@@ -72,10 +72,12 @@ impl Prefix {
         (u32::from(addr) & mask) == self.bits
     }
 
-    /// The prefix as one word, `network << 8 | len` — the key MCT's
-    /// seen-set hashes and the form the message log stores.
-    pub(crate) fn packed(&self) -> u64 {
-        u64::from(self.bits) << 8 | u64::from(self.len)
+    /// The prefix as the message log stores it and MCT keys it: one
+    /// word, `network | len`, up to /24, and an escape word then the
+    /// network beyond.
+    pub(crate) fn words(&self) -> impl Iterator<Item = u32> {
+        let (words, taken) = crate::log::prefix_words(self.bits, self.len);
+        words.into_iter().take(taken)
     }
 
     /// Number of bytes the NLRI encoding of this prefix occupies.

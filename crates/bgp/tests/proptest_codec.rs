@@ -2,6 +2,9 @@
 //! message streams re-segment correctly from arbitrary split points,
 //! and the skim decoder that fills a `MessageLog` accepts, waits on and
 //! rejects exactly what `BgpMessage::decode` does.
+//!
+//! `PROPTEST_CASES` raises the skim properties' 512 cases (CI runs
+//! 20 000), never lowers them.
 
 use proptest::prelude::*;
 use std::net::Ipv4Addr;
@@ -236,7 +239,8 @@ fn arb_update_wire() -> impl Strategy<Value = Vec<u8>> {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(512))]
+    // At least 512 cases, more where `PROPTEST_CASES` asks for more.
+    #![proptest_config(ProptestConfig::with_cases(ProptestConfig::default().cases.max(512)))]
 
     /// Valid streams, then damaged: random byte mutations and a
     /// truncated tail.

@@ -1,8 +1,9 @@
 //! Differential property test: the compact `MessageLog` — a 4-byte row
-//! per message, one time per run of rows stamped alike, 5 bytes per
-//! announced prefix — reads exactly as the log it replaced, kept here
-//! as the reference: a 16-byte row per message and an arena of
-//! prefixes packed into 8 bytes each.
+//! per message, one time per run of rows stamped alike, a 4-byte prefix
+//! word per announced prefix (8 bytes past /24) — reads exactly as the
+//! log it replaced, kept here as the reference: a 16-byte row per
+//! message and an arena of prefixes packed into 8 bytes each, whose
+//! prefix words are derived from the packed form here.
 //!
 //! The streams mix OPENs, KEEPALIVEs and UPDATEs that withdraw, announce
 //! or both, up to the largest a message can carry (4 073 prefixes), with
@@ -60,18 +61,18 @@ impl MctUpdate for RefRow<'_> {
     fn withdrawn_is_empty(&self) -> bool {
         self.withdrawn == 0
     }
-    fn packed_announced(&self) -> impl Iterator<Item = u64> + '_ {
-        self.announced.iter().copied()
+    fn announced_words(&self) -> impl Iterator<Item = u32> + '_ {
+        self.announced.iter().flat_map(|&packed| words(packed))
     }
     fn announced_ahead(&self) -> usize {
         self.announced_ahead
     }
 }
 
-/// What a log yields for one UPDATE: time, type code, packed announced
-/// prefixes, withdrawn count, and the prefixes it and every later row
-/// announce.
-type Read = (Micros, u8, Vec<u64>, u16, usize);
+/// What a log yields for one UPDATE: time, type code, the announced
+/// prefixes' words and their count, withdrawn count, and the prefix
+/// words it and every later row take.
+type Read = (Micros, u8, Vec<u32>, usize, u16, usize);
 
 impl Reference {
     /// Keeps the message at the front of `buf` with
@@ -107,17 +108,23 @@ impl Reference {
         let rows = &self.rows[..rows.min(self.rows.len())];
         let end = rows.iter().map(|row| usize::from(row.announced)).sum();
         let mut arena = &self.announced[..end];
+        // Words the prefixes take: one each, two past /24.
+        let width = |prefixes: &[u64]| -> usize {
+            prefixes.len() + prefixes.iter().filter(|&&p| p as u8 > 24).count()
+        };
+        let mut announced_ahead = width(arena);
         rows.iter()
             .map(move |row| {
-                let announced_ahead = arena.len();
                 let (announced, rest) = arena.split_at(usize::from(row.announced));
                 arena = rest;
+                let ahead = announced_ahead;
+                announced_ahead -= width(announced);
                 (
                     row,
                     RefRow {
                         announced,
                         withdrawn: row.withdrawn,
-                        announced_ahead,
+                        announced_ahead: ahead,
                     },
                 )
             })
@@ -128,8 +135,16 @@ impl Reference {
     fn reads(&self, rows: usize) -> Vec<Read> {
         self.updates_in_first(rows)
             .map(|(time, row)| {
-                let announced = row.announced.to_vec();
-                (time, 2, announced, row.withdrawn, row.announced_ahead)
+                let announced = row.announced_words().collect();
+                let count = row.announced.len();
+                (
+                    time,
+                    2,
+                    announced,
+                    count,
+                    row.withdrawn,
+                    row.announced_ahead,
+                )
             })
             .collect()
     }
@@ -160,14 +175,26 @@ fn packed(prefix: Prefix) -> u64 {
     u64::from(u32::from(prefix.network())) << 8 | u64::from(prefix.len())
 }
 
+/// A packed prefix's prefix words: `network | len` up to /24, the
+/// length then the network beyond.
+fn words(packed: u64) -> impl Iterator<Item = u32> {
+    let (network, len) = ((packed >> 8) as u32, packed as u8);
+    let (words, taken) = if len <= 24 {
+        ([network | u32::from(len), 0], 1)
+    } else {
+        ([u32::from(len), network], 2)
+    };
+    words.into_iter().take(taken)
+}
+
 fn reads(log: &MessageLog, rows: usize) -> Vec<Read> {
     log.updates_in_first(rows)
         .map(|(time, row)| {
-            let announced = row.packed_announced().collect();
             (
                 time,
                 row.type_code,
-                announced,
+                row.announced.to_vec(),
+                row.announced_len(),
                 row.withdrawn,
                 row.announced_ahead,
             )

@@ -4,7 +4,10 @@
 //! the reference, over streams built to reach its corners, read both as
 //! borrowed `UpdateMessage`s and as the rows of a `MessageLog`; and a
 //! `MessageLog` that has settled answers as MCT over the same rows kept
-//! whole.
+//! whole. The reference keys its set by each prefix's network and
+//! length, read back from the prefix words; MCT keys prefixes of up to
+//! 24 bits by their word and longer ones by an escaped key, and the
+//! streams carry both, several long prefixes on one network.
 //!
 //! `PROPTEST_CASES` raises the case count (CI runs 20 000).
 
@@ -18,8 +21,30 @@ use tdat_bgp::{
 };
 use tdat_timeset::{Micros, Span};
 
-/// The set the reference keeps; its hasher never changed an answer.
-type PackedSet = HashSet<u64>;
+/// The set the reference keeps, of (network, length); its hasher never
+/// changed an answer.
+type PackedSet = HashSet<(u32, u8)>;
+
+/// The prefixes `update` announces, read back from their words: a word
+/// is `network | len` up to /24, and beyond an escape word (the length)
+/// followed by the network.
+fn announced<U: MctUpdate>(update: &U) -> Vec<(u32, u8)> {
+    let mut words = update.announced_words();
+    let mut prefixes = Vec::new();
+    while let Some(word) = words.next() {
+        let len = word as u8;
+        let network = if len <= 24 {
+            word & !0xff
+        } else {
+            words
+                .next()
+                .expect("an escape word is followed by its network")
+        };
+        prefixes.push((network, len));
+    }
+    assert_eq!(prefixes.len(), update.announced_len());
+    prefixes
+}
 
 /// `find_transfer_end_ref` as it was first written: a `contains` probe
 /// per announced prefix to count the new ones, then `extend` to insert
@@ -47,12 +72,10 @@ where
             break;
         }
         counted += 1;
-        let new = update
-            .packed_announced()
-            .filter(|p| !seen.contains(p))
-            .count();
+        let prefixes = self::announced(&update);
+        let new = prefixes.iter().filter(|p| !seen.contains(p)).count();
         let dup_frac = 1.0 - new as f64 / announced.max(1) as f64;
-        seen.extend(update.packed_announced());
+        seen.extend(prefixes);
         last_time = time;
         if new > 0 && dup_frac <= config.dup_tolerance {
             end = Some(time);
@@ -80,7 +103,7 @@ where
         if time > end {
             break;
         }
-        seen.extend(update.packed_announced());
+        seen.extend(self::announced(&update));
         prefix_count = seen.len();
     }
     Some(TableTransfer {
@@ -90,9 +113,19 @@ where
     })
 }
 
-/// The `i`-th prefix of the generated streams: distinct /24s.
+/// The `i`-th prefix of the generated streams, each distinct: of every
+/// eight, four /24s and four longer prefixes, whose network ends in
+/// `.128` at every length from 25 to 32 — eight prefixes on one
+/// network, told apart by their length alone — and the third of all the
+/// default route, `/0`.
 fn prefix(i: usize) -> Prefix {
-    Prefix::new(Ipv4Addr::from(0x0a00_0000 + ((i as u32) << 8)), 24).unwrap()
+    let (group, k) = ((i / 8) as u32, (i % 8) as u32);
+    let (address, len) = match k {
+        _ if i == 2 => (0, 0),
+        0..=3 => (0x0a00_0000 + ((4 * group + k) << 8), 24),
+        _ => (0x0b00_0080 + ((group / 2) << 8), 21 + k + 4 * (group % 2)),
+    };
+    Prefix::new(Ipv4Addr::from(address), len as u8).unwrap()
 }
 
 /// One announced prefix of a generated UPDATE.

@@ -24,7 +24,7 @@
 //! held to its last frame, so memory grows with the capture's frame
 //! count: a fixed-size record per frame, plus, until its table transfer
 //! settles, 4 bytes per BGP message, 16 per run of messages one segment
-//! framed and 5 per announced prefix. A log settles once the capture's
+//! framed and 4 per announced prefix. A log settles once the capture's
 //! clock lies more than MCT's `max_gap` past its last UPDATE that
 //! announced or withdrew a prefix ([`BgpDemux::settle`]); it then keeps
 //! MCT's answer in place of the table, so a capture of many transfers

@@ -31,7 +31,7 @@
 //! held is, per open connection, a 32-byte record per frame (its
 //! endpoints are kept once, in the connection's key) and the message
 //! log (4 bytes per BGP message, 16 per run of
-//! messages one segment framed, 5 per announced prefix), plus whatever
+//! messages one segment framed, 4 per announced prefix), plus whatever
 //! reassembly has parked out of order (bounded)
 //! and at most one partial message per direction. By default every
 //! connection stays open to its last frame
@@ -453,7 +453,7 @@ impl Ingest {
 /// [`MessageLog`](tdat_bgp::MessageLog) — a row and the announced
 /// prefixes, which is all the analysis reads — so an open connection
 /// holds its map entry, 4 bytes per message, 16 per run of messages
-/// one segment framed and 5 per announced prefix until it is taken or
+/// one segment framed and 4 per announced prefix until it is taken or
 /// its log settles, and beside them only
 /// out-of-order data still parked and a partial message still
 /// straddling segments: no segment-sized buffer is kept once a
@@ -584,7 +584,7 @@ impl BgpDemux {
             &mut pair.from_b
         };
         let tcp = frame.tcp();
-        let fresh = side.extraction().announced_prefixes() == 0;
+        let fresh = side.last_counted().is_none();
         side.push(at, tcp.seq, tcp.flags, frame.payload());
         if fresh {
             if let Some(last) = side.last_counted() {

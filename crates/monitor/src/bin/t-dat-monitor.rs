@@ -80,8 +80,8 @@ fn main() -> ExitCode {
     let mut specs: Vec<SourceSpec> = Vec::new();
     let mut sweep: Option<String> = None;
     let mut events = String::from("-");
-    let mut window_s = 120.0f64;
-    let mut interval_s = 10.0f64;
+    let mut window = Micros::from_secs(120);
+    let mut interval = Micros::from_secs(10);
     let mut exit_idle: Option<Duration> = None;
     let mut stale: Option<Duration> = None;
     let mut pace: Option<f64> = None;
@@ -101,8 +101,8 @@ fn main() -> ExitCode {
                 "--sim" => sims.push(take("--sim")?),
                 "--sweep" => sweep = Some(take("--sweep")?),
                 "--events" => events = take("--events")?,
-                "--window" => window_s = parse(&take("--window")?, "--window")?,
-                "--interval" => interval_s = parse(&take("--interval")?, "--interval")?,
+                "--window" => window = trace_seconds(&take("--window")?, "--window")?,
+                "--interval" => interval = trace_seconds(&take("--interval")?, "--interval")?,
                 "--exit-idle" => {
                     exit_idle = Some(seconds(&take("--exit-idle")?, "--exit-idle", true)?)
                 }
@@ -125,11 +125,6 @@ fn main() -> ExitCode {
             return usage(&message);
         }
     }
-    for value in [window_s, interval_s] {
-        if !value.is_finite() || value <= 0.0 {
-            return usage("--window and --interval must be positive");
-        }
-    }
     if jobs == Some(0) {
         return usage("--jobs must be at least 1 (omit the flag for auto)");
     }
@@ -147,8 +142,8 @@ fn main() -> ExitCode {
         None => FaultPlan::disabled(),
     };
     let config = match MonitorConfig::builder()
-        .window(Micros::from_secs_f64(window_s))
-        .interval(Micros::from_secs_f64(interval_s))
+        .window(window)
+        .interval(interval)
         .build()
     {
         Ok(config) => config,
@@ -475,6 +470,20 @@ fn seconds(value: &str, flag: &str, zero_ok: bool) -> Result<Duration, String> {
         _ => Err(format!(
             "{flag} must be a {} finite number, not {value:?}",
             if zero_ok { "non-negative" } else { "positive" }
+        )),
+    }
+}
+
+/// Parses a number of seconds for `flag` as a span of trace time:
+/// refused as [`seconds`] refuses a zero, and also when it rounds to no
+/// microsecond or to more than trace time holds.
+fn trace_seconds(value: &str, flag: &str) -> Result<Micros, String> {
+    let micros = (seconds(value, flag, false)?.as_nanos() + 500) / 1_000;
+    match i64::try_from(micros) {
+        Ok(micros) if micros > 0 => Ok(Micros(micros)),
+        _ => Err(format!(
+            "{flag} must be at least 1 µs and at most {} s, not {value:?}",
+            i64::MAX / 1_000_000
         )),
     }
 }

@@ -3,7 +3,9 @@
 //! usage error (exit code 2), not silently accepted into behaviour
 //! that only breaks later (a zero stale valve marks every source
 //! permanently stale, which disables the multi-source merge), and so
-//! must a duration no `Duration` can hold, rather than panic mid-watch.
+//! must a duration no `Duration` can hold, rather than panic mid-watch,
+//! and a `--window` or `--interval` that no span of trace time holds,
+//! rather than saturate.
 //! The one stream schema is pinned from the outside too: the option
 //! that picked a schema is gone, and `--resume` will not append to a
 //! file that is not that stream, or is the stream of other sources.
@@ -16,7 +18,9 @@
 use std::net::Ipv4Addr;
 use std::process::Command;
 
+use tdat_bgp::BgpMessage;
 use tdat_packet::{write_pcap_file, FrameBuilder, TcpFlags};
+use tdat_timeset::Micros;
 
 fn monitor() -> Command {
     Command::new(env!("CARGO_BIN_EXE_t-dat-monitor"))
@@ -89,17 +93,55 @@ fn positive_jobs_and_stale_still_work() {
     }
 }
 
-/// `--window` and `--interval` as long as a duration parses to run past
-/// representable trace time: the tick schedule's addition overflows
+#[test]
+fn window_and_interval_that_no_trace_time_holds_are_refused() {
+    // Non-finite, overflowing (as a `Duration`, or as trace time's
+    // microseconds), not positive, or rounding to no microsecond.
+    for flag in ["--window", "--interval"] {
+        for value in ["1e300", "inf", "nan", "9223372036855", "-1", "0", "1e-7"] {
+            run_expecting_usage_error(&["--sim", "clean", "--routes", "40", flag, value], flag);
+        }
+    }
+}
+
+/// `--window` and `--interval` as long as trace time holds, on a
+/// capture stamped in this century: the first tick would fall past
+/// representable trace time, the tick schedule's addition overflows
 /// there, so the watch never ticks, as at the default interval on a
 /// capture shorter than one interval, and still reports its connection.
 #[test]
 fn an_interval_past_representable_time_never_ticks() {
+    let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR"));
+    let capture = dir.join(format!("cli-long-interval-{}.pcap", std::process::id()));
+    let (router, collector) = (Ipv4Addr::new(10, 0, 0, 1), Ipv4Addr::new(10, 0, 0, 2));
+    let t0 = Micros::from_secs(1_300_000_000);
+    let out = FrameBuilder::new(router, collector).ports(179, 40_000);
+    let frames = [
+        out.clone().at(t0).seq(0).flags(TcpFlags::SYN).build(),
+        FrameBuilder::new(collector, router)
+            .ports(40_000, 179)
+            .at(t0 + Micros(100))
+            .seq(0)
+            .ack_to(1)
+            .flags(TcpFlags::SYN | TcpFlags::ACK)
+            .build(),
+        out.at(t0 + Micros(200))
+            .seq(1)
+            .ack_to(1)
+            .flags(TcpFlags::ACK)
+            .payload(BgpMessage::Keepalive.to_bytes())
+            .build(),
+    ];
+    write_pcap_file(&capture, &frames).expect("write the capture");
+    let longest = (i64::MAX / 1_000_000).to_string();
     let output = monitor()
-        .args(["--sim", "clean", "--routes", "200", "--events", "/dev/null"])
-        .args(["--window", "1e300", "--interval", "1e300"])
+        .arg("--follow")
+        .arg(&capture)
+        .args(["--exit-idle", "0", "--events", "/dev/null"])
+        .args(["--window", &longest, "--interval", &longest])
         .output()
         .expect("spawn t-dat-monitor");
+    let _ = std::fs::remove_file(&capture);
     let stderr = String::from_utf8_lossy(&output.stderr);
     assert_eq!(output.status.code(), Some(0), "stderr: {stderr}");
     let count = |name: &str| {

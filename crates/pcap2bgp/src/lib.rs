@@ -15,7 +15,7 @@
 //! message — that time, and the prefixes announced — so by default an
 //! [`Extraction`] holds a flat [`tdat_bgp::MessageLog`] filled by a
 //! skim decoder: 4 bytes per message, 16 per run of messages stamped
-//! alike and 5 per announced prefix until MCT's answer is settled, no
+//! alike and 4 per announced prefix until MCT's answer is settled, no
 //! tree per message to build and free. The tool proper, whose product
 //! *is* the messages, keeps [`tdat_bgp::WholeMessages`]:
 //! [`extract_all`] and [`to_mrt_records`] speak that type.
@@ -354,7 +354,7 @@ impl Extraction {
 /// taken or [settled](Self::settle): what is kept of every message
 /// framed so far — with the default [`MessageLog`], one 4-byte row per
 /// message, 16 bytes per run of messages framed by the same segment and
-/// 5 per announced prefix. A settled log keeps MCT's
+/// 4 per announced prefix. A settled log keeps MCT's
 /// answer and a row count in place of both, and grows no more. Nothing
 /// else: the reassembler appends an in-order segment straight into the
 /// framing buffer, its one copy, and that buffer is released whenever a

@@ -20,6 +20,7 @@
 use std::io::Read;
 use std::process::ExitCode;
 use std::sync::Arc;
+use std::time::Duration;
 
 use tdat_store::{
     record::records_from_sweep, AsMap, JsonlIngester, Query, SessionRecord, Store, StoreServer,
@@ -84,14 +85,33 @@ fn parse_num<T: std::str::FromStr>(value: &str, what: &str) -> Result<T, String>
         .map_err(|_| format!("{what}: bad value {value:?}"))
 }
 
+/// Parses a number of seconds for `flag` as a span of trace time, as a
+/// [`Duration`] parses it: negative, non-finite and overflowing values
+/// are refused, and so are those that round to no microsecond or to
+/// more than trace time holds.
+fn trace_seconds(value: &str, flag: &str) -> Result<Micros, String> {
+    let secs: f64 = parse_num(value, flag)?;
+    let micros = Duration::try_from_secs_f64(secs)
+        .ok()
+        .and_then(|duration| i64::try_from((duration.as_nanos() + 500) / 1_000).ok())
+        .filter(|&micros| micros > 0);
+    micros.map(Micros).ok_or_else(|| {
+        format!(
+            "{flag} must be a positive finite number of seconds, at least 1 µs and at most {} s, \
+             not {value:?}",
+            i64::MAX / 1_000_000
+        )
+    })
+}
+
 fn ingest(dir: &str, args: &[String]) -> ExitCode {
     let mut files: Vec<String> = Vec::new();
     let mut source = String::from("ingest");
     let mut sweep: Option<String> = None;
     let mut as_map_path: Option<String> = None;
     let mut jobs = 0usize;
-    let mut window_s = 120.0f64;
-    let mut interval_s = 10.0f64;
+    let mut window = Micros::from_secs(120);
+    let mut interval = Micros::from_secs(10);
     let mut i = 0usize;
     while i < args.len() {
         let result: Result<(), String> = (|| {
@@ -105,9 +125,9 @@ fn ingest(dir: &str, args: &[String]) -> ExitCode {
                         return Err("--jobs must be at least 1 (omit for auto)".to_string());
                     }
                 }
-                "--window" => window_s = parse_num(&take(args, &mut i, "--window")?, "--window")?,
+                "--window" => window = trace_seconds(&take(args, &mut i, "--window")?, "--window")?,
                 "--interval" => {
-                    interval_s = parse_num(&take(args, &mut i, "--interval")?, "--interval")?
+                    interval = trace_seconds(&take(args, &mut i, "--interval")?, "--interval")?
                 }
                 other if other.starts_with("--") => {
                     return Err(format!("unknown option {other}"));
@@ -144,8 +164,8 @@ fn ingest(dir: &str, args: &[String]) -> ExitCode {
     let mut records: Vec<SessionRecord> = Vec::new();
     if let Some(capture_dir) = sweep {
         let config = match tdat_monitor::MonitorConfig::builder()
-            .window(Micros::from_secs_f64(window_s))
-            .interval(Micros::from_secs_f64(interval_s))
+            .window(window)
+            .interval(interval)
             .build()
         {
             Ok(config) => config,

@@ -1,6 +1,7 @@
 //! End-to-end coverage of the `t-dat-store` CLI: synth, ingest from a
 //! file, query (stable JSONL on stdout), compact, stats, and the
-//! usage-error paths.
+//! usage-error paths, among them a sweep's `--window` or `--interval`
+//! that no span of trace time holds.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -136,4 +137,28 @@ fn usage_errors_exit_two() {
     let out = run(&["query", dir_s, "group by nonsense"]);
     assert_eq!(out.status.code(), Some(2));
     std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn a_sweep_window_or_interval_no_trace_time_holds_is_refused() {
+    let captures = tempdir("captures");
+    std::fs::create_dir_all(&captures).expect("make the capture directory");
+    let captures_s = captures.to_str().expect("utf-8 temp dir");
+    // Non-finite, overflowing (as a `Duration`, or as trace time's
+    // microseconds), not positive, or rounding to no microsecond.
+    for flag in ["--window", "--interval"] {
+        for value in ["inf", "1e300", "nan", "9223372036855", "-1", "0", "1e-7"] {
+            let dir = tempdir("refused");
+            let dir_s = dir.to_str().expect("utf-8 temp dir");
+            let out = run(&["ingest", dir_s, "--sweep", captures_s, flag, value]);
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(2), "{flag} {value}: {stderr}");
+            assert!(
+                stderr.contains(flag) && stderr.contains("usage:"),
+                "{flag} {value}: {stderr}"
+            );
+            assert!(!dir.exists(), "{flag} {value}: no store is made");
+        }
+    }
+    std::fs::remove_dir_all(&captures).ok();
 }
