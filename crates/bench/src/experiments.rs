@@ -541,7 +541,13 @@ pub fn fig9() -> String {
     let (quagga, vendor, incidents) = run_peer_group_incident(9_009);
     let mut out = String::new();
     writeln!(out, "# quagga idle spans (SendAppLimited):").unwrap();
-    for span in quagga.series.send_app_limited.to_span_set().iter().take(8) {
+    for span in quagga
+        .series
+        .send_app_limited()
+        .to_span_set()
+        .iter()
+        .take(8)
+    {
         writeln!(out, "  {span}").unwrap();
     }
     writeln!(out, "# vendor loss spans:").unwrap();
@@ -967,7 +973,7 @@ pub fn fig17(ctx: &ExperimentCtx) -> String {
     );
     let analyses = analyze(&transfer.frames, AnalyzerConfig::default());
     let analysis = &analyses[0];
-    let gaps: Vec<Micros> = analysis.series.send_app_limited.durations().collect();
+    let gaps: Vec<Micros> = analysis.series.send_app_limited().durations().collect();
     out.push_str("\n# example 200 ms transfer gap distribution\n");
     out.push_str(&tdat::plot::render_gap_distribution(&gaps, 8));
     if let Some(timer) = analysis.infer_timer(8) {

@@ -24,7 +24,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::net::Ipv4Addr;
 
-use tdat::{AnalyzerConfig, BgpDemux, Report, StreamAnalyzer, TrackerConfig};
+use tdat::{AnalyzerConfig, BgpDemux, Report, SeriesBuilder, Slot, StreamAnalyzer, TrackerConfig};
 use tdat_bench::{generate_transfer, Dataset, Scenario};
 use tdat_bgp::{
     find_transfer_end_ref, BgpMessage, Framed, KeptMessages, MctConfig, MctUpdate, MessageLog,
@@ -36,7 +36,7 @@ use tdat_packet::{
     TcpFrame, TcpOption,
 };
 use tdat_pcap2bgp::{extract_all, StreamExtractor};
-use tdat_timeset::Micros;
+use tdat_timeset::{Event, Micros};
 use tdat_trace::ConnectionTracker;
 
 struct CountingAllocator;
@@ -408,18 +408,22 @@ fn steady_tick_allocations(sessions: usize, busy: bool) -> u64 {
 
 /// "Tick cost tracks new traffic, not open connections", as a count:
 /// 500 open-but-idle sessions add no allocation to a steady tick.
-/// Measured (debug and release, repeating exactly): 189 allocations
-/// over the 16 steady ticks with the transfer alone, and 189 with 500
+/// Measured (debug and release, repeating exactly): 150 allocations
+/// over the 16 steady ticks with the transfer alone, and 150 with 500
 /// idle sessions beside it. The same 500 sessions each sending one
 /// segment per interval, so every one is dirty at every tick, make
-/// 183 825 — 23 per session per tick, its segment's ingest plus its
+/// 149 786 — 18.7 per session per tick, its segment's ingest plus its
 /// re-analysis — and may make at most `PER_BUSY_PER_TICK`: a tick
 /// builds only what its alerts read, a refresh keeps the session id
-/// it cached while the endpoints stay, and a series is named by its
-/// slot, so a refresh allocates no name. That run also guards the test
-/// itself: if the counter stopped seeing the tick it would fail first.
-/// (While each of the seven series a refresh builds carried an owned
-/// name, the transfer alone made 217 and a busy session 30 a tick,
+/// it cached while the endpoints stay, a series is named by its slot,
+/// so a refresh allocates no name, and a refresh builds its series in
+/// the source's pooled builders and freezes them in one allocation.
+/// That run also guards the test itself: if the counter stopped seeing
+/// the tick it would fail first. (While every refresh built its
+/// series in `Vec`s of their own, with a scratch of its own, the
+/// transfer alone made 189 and a busy session 23 a tick, 183 825 in
+/// all. While each of the seven series a refresh builds carried an
+/// owned name, the transfer alone made 217 and a busy session 30 a tick,
 /// 239 853 in all; while the sweep collected and sorted the whole
 /// cache each tick, the transfer alone made 323; while a refresh
 /// formatted the session id again, a busy session made 33 a tick;
@@ -432,7 +436,7 @@ fn steady_tick_allocations(sessions: usize, busy: bool) -> u64 {
 #[test]
 fn idle_connections_cost_a_steady_tick_nothing() {
     const IDLE: usize = 500;
-    const PER_BUSY_PER_TICK: u64 = 23;
+    const PER_BUSY_PER_TICK: u64 = 19;
 
     let alone = steady_tick_allocations(0, false);
     let crowded = steady_tick_allocations(IDLE, false);
@@ -688,7 +692,7 @@ fn steady_group_ticks(routers: usize, paused: bool) -> (u64, u64) {
     assert_eq!(analyses.len(), routers * GROUP);
     for (_, analysis) in analyses {
         assert!(
-            !analysis.series.send_app_limited.is_empty(),
+            !analysis.series.send_app_limited().is_empty(),
             "every session moved data and went quiet"
         );
     }
@@ -752,10 +756,13 @@ fn shared_senders_cost_a_steady_tick_nothing_until_one_pauses() {
 /// that large; the pull right after completes the analysis, that set
 /// among it, and a second pull builds nothing more (it allocates only
 /// its result vector). Measured (debug and release): the four transfer
-/// ticks allocate 27 / 34 / 46 / 47 times, 6 392 / 7 004 / 23 420 /
-/// 26 284 bytes, at most 3 060 / 1 480 / 4 920 / 6 880 at once, against
+/// ticks allocate 27 / 27 / 35 / 36 times, 5 448 / 6 364 / 21 164 /
+/// 24 420 bytes, at most 1 780 / 1 480 / 4 920 / 6 880 at once, against
 /// sets of 10 256 / 20 496 / 40 976 / 81 936 bytes for 962 / 2 647 /
-/// 6 466 / 8 000 prefixes. The test compared the tick's bytes in all
+/// 6 466 / 8 000 prefixes (27 / 34 / 46 / 47 times, 6 392 / 7 004 /
+/// 23 420 / 26 284 bytes and 3 060 at most at the first while every
+/// refresh built its series in `Vec`s and a scratch of its own). The
+/// test compared the tick's bytes in all
 /// with the set while the set took 8 bytes a key (18 448 bytes for 962
 /// prefixes); at 4 the first tick's set is 10 256 bytes against the
 /// 6 392 that tick allocates without it, a margin any growth of the
@@ -824,10 +831,13 @@ fn ticks_over_a_transfer_allocate_no_mct_set() {
 /// 8 000-route transfer through the [`StreamAnalyzer`], its
 /// frames borrowed — decode aside, the whole batch pass: tracker,
 /// reassembly into the message log, MCT, labelling, series, factors.
-/// Measured (debug and release, repeating exactly): 125 allocations
-/// over the transfer's 173 frames, 0.72 per frame, most of them the
+/// Measured (debug and release, repeating exactly): 109 allocations
+/// over the transfer's 173 frames, 0.63 per frame, most of them the
 /// per-connection analysis, one the tracker's list of the handshake's
-/// options (124 while each frame's record carried its options; 140
+/// options, one the demux's box of the connection's streams (124 while
+/// each series was a `Vec` of its own, the data and ACK lists and the
+/// series grew by doubling and the flights were grouped twice; 124
+/// too while each frame's record carried its options; 140
 /// while every series carried an owned
 /// name) — the same count whether or not the framing buffer is
 /// released when a feed frames it empty, since a message straddles
@@ -927,20 +937,30 @@ fn a_report_renders_without_temporaries() {
 /// each one's analysis until it returns. A generated clean 100-route
 /// transfer (11 frames) through the batch pass, then its report and the
 /// report's JSON line, may make at most `PER_SESSION` allocations.
-/// Measured (debug and release, repeating exactly): 60 — 55 in the pass,
+/// Measured (debug and release, repeating exactly): 59 — 54 in the pass,
 /// which allocates nothing until the first frame, and none of them a
-/// name: each of the 17 series is one `Vec`, allocated only once it
-/// holds an event (4 do here), and the tracker keeps the handshake's
-/// options in a list of their own, allocated with the first (54 while
-/// each frame's record carried its options); 3 in the report, its two
-/// endpoints each written once into a string sized for the longest,
-/// and the factor list, whose names and verdict are borrowed (a major
-/// group adds its list); and 2 in `to_json`, the 512-byte string and
-/// one growth. While
-/// every series carried an owned name the same session made 88: 72 in
-/// the pass (17 names and 2 copies of one), 14 in the report (8 factor
-/// names, the verdict, each endpoint grown by `format!`) and 2 in
-/// `to_json`.
+/// name: 26 while stepping the frames, the demux's one box per
+/// connection among them, and 24 in the analysis. Its series are built
+/// in pooled builders, here 5 allocations for the 4 series that take an
+/// event (the advertised window's sized once, to its ACKs), and the 17
+/// builders go back to the pool in 1; the finished set is 1, its events
+/// in one slice. The data and ACK lists are sized once, and the flights
+/// grouped once for the two rules that read them. The tracker keeps the
+/// handshake's options in a list of their own, allocated with the
+/// first (54 while each frame's record carried its options). Then 3 in
+/// the report, its two endpoints each written once into a string sized
+/// for the longest, and the factor list, whose names and verdict are
+/// borrowed (a major group adds its list); and 2 in `to_json`, the
+/// 512-byte string and one growth. While each series was a `Vec` of
+/// its own and the demux held its streams inline, the same session
+/// made 59 too: the box, the frozen set and the pool's list cost 3,
+/// and sizing the two lists, the advertised window's series and
+/// grouping the flights once won 3 back. While every series carried an owned
+/// name the same session made 88: 72 in the pass (17 names and 2
+/// copies of one), 14 in the report (8 factor names, the verdict, each
+/// endpoint grown by `format!`) and 2 in `to_json`. A pass of many
+/// sessions builds each one's series in the buffers of the last
+/// (`a_pass_builds_each_session_in_the_buffers_of_the_last`).
 #[test]
 fn a_short_session_costs_its_state_and_no_names() {
     const PER_SESSION: u64 = 60;
@@ -958,6 +978,83 @@ fn a_short_session_costs_its_state_and_no_names() {
         "a {}-frame session and its report made {count} allocations (bound {PER_SESSION})",
         frames.len()
     );
+}
+
+/// A pass of many short sessions builds each one's series in the
+/// buffers of the last: the ingest core keeps one scratch — span-set
+/// buffers and series builders — for every connection it analyses, so
+/// past the first few sessions one costs its state, its frozen series
+/// and its report's temporaries, and no builder. Sessions 12 to 41 of
+/// one pass, each a 100-route table on endpoints of its own, may make
+/// at most `PER_SESSION` allocations each. Measured (debug and release,
+/// repeating exactly): 878 for the 30, 29.3 a session; while every
+/// analysis made its own scratch and its own series, 1 178, 39.3.
+#[test]
+fn a_pass_builds_each_session_in_the_buffers_of_the_last() {
+    const PER_SESSION: u64 = 30;
+    let pass = |sessions: usize| {
+        let frames: Vec<TcpFrame> = (0..sessions)
+            .flat_map(|i| short_session(i, 100).0)
+            .collect();
+        let before = allocations();
+        let analyses = StreamAnalyzer::default().analyze_frames(&frames);
+        let count = allocations() - before;
+        assert_eq!(analyses.len(), sessions);
+        count
+    };
+    let (first, all) = (pass(11), pass(41));
+    assert!(
+        all - first <= PER_SESSION * 30,
+        "30 sessions past the 11th made {} allocations (bound {PER_SESSION} each)",
+        all - first
+    );
+}
+
+/// A finished analysis's series are one allocation: the events of its
+/// 17 series back to back, 24 bytes an event, and nothing when it has
+/// none. Over the analysis of an 8 000-route transfer that meets the
+/// zero-window-probe bug (10 series hold 286 events), freezing a builder that holds the same
+/// series makes exactly one allocation of 24 bytes an event, and
+/// dropping the analysis's set frees exactly those bytes; an empty set
+/// allocates nothing. While each series was a `Vec` of its own, the
+/// same set was one allocation per series that held an event, each
+/// rounded up to a power of two.
+#[test]
+fn an_analysis_holds_its_series_in_one_allocation() {
+    assert_eq!(std::mem::size_of::<Event<u32>>(), 24);
+    let frames =
+        generate_transfer(Dataset::IspAQuagga, 0, Scenario::ZeroWindowBug, 8_000, 7).frames;
+    let mut analyses = StreamAnalyzer::default().analyze_frames(&frames);
+    let series = std::mem::take(&mut analyses[0].series);
+    let events = series.events().len() as u64;
+    let held = Slot::ALL
+        .iter()
+        .filter(|slot| !series.get(**slot).is_empty())
+        .count();
+    assert!(held >= 10, "{held} series hold events");
+
+    let mut built = SeriesBuilder::new(series.period, series.mss, series.max_adv_window);
+    for slot in Slot::ALL {
+        built[slot].extend(series.get(slot).iter().map(|e| (e.span, e.data)));
+    }
+    let (before, bytes) = (allocations(), allocated_bytes());
+    let frozen = built.build();
+    assert_eq!(allocations() - before, 1, "one allocation");
+    assert_eq!(allocated_bytes() - bytes, 24 * events, "exactly its events");
+    assert_eq!(format!("{frozen:?}"), format!("{series:?}"));
+
+    let live = live_bytes();
+    drop(series);
+    assert_eq!(
+        live - live_bytes(),
+        24 * events as i64,
+        "what the analysis held"
+    );
+
+    let before = allocations();
+    let empty = SeriesBuilder::default().build();
+    assert_eq!(allocations() - before, 0, "an empty set allocates nothing");
+    assert!(empty.events().is_empty());
 }
 
 /// A TCP flow that is not BGP is skipped without a single allocation:
@@ -1071,24 +1168,27 @@ fn held_by_demux(frames: &[TcpFrame]) -> i64 {
 /// 90–110 routes go through one [`BgpDemux`] and are never taken; the
 /// map is measured apart, from the same connections' SYNs alone.
 /// Measured (debug and release, repeating exactly): the 300 sessions
-/// hold 460 304 bytes, 1 534 per connection; the map is 221 712 of them
-/// (739 per connection) and the logs 238 592 (795), against a law of
-/// 1 113 per connection. With a 5-byte prefix arena the logs held
-/// 268 800 (896) against a law of 1 313, and with 16-byte rows and an
-/// 8-byte prefix arena 512 512 (1 708) against a law of 2 599. While
-/// the reassembler staged contiguous bytes in a buffer of its own and
-/// the framing buffer kept its capacity once empty, the same sessions
-/// held 1 627 600 bytes: the logs' share was 4 604 per connection, two
+/// hold 376 208 bytes, 1 254 per connection; the map is 137 616 of them
+/// (459 per connection: a 416-byte box of the connection's two streams,
+/// and its bucket, 24 bytes, of 512) and the logs 238 592 (795),
+/// against a law of 1 113 per connection. While an entry held its two
+/// streams inline the map was 221 712 (739 per connection): 512 buckets
+/// of 432 bytes, and a table keeps its buckets once its entries are
+/// taken. With a 5-byte prefix arena the logs held 268 800 (896)
+/// against a law of 1 313, and with 16-byte rows and an 8-byte prefix
+/// arena 512 512 (1 708) against a law of 2 599. While the reassembler
+/// staged contiguous bytes in a buffer of its own and the framing
+/// buffer kept its capacity once empty, the same sessions held
+/// 1 627 600 bytes: the logs' share was 4 604 per connection, two
 /// 1 448-byte segments more, and the map 246 288, the staging buffer's
 /// 24-byte header in each of an entry's two streams. The map is bound
-/// too, at `MAP_PER_CONNECTION` bytes a connection, and the log's
-/// width with it: each entry holds two logs, and 300 entries sit in 512
-/// buckets, so a log 96 bytes wider would read ≈ 1 066 bytes a
-/// connection, all of it in the map.
+/// too, at `MAP_PER_CONNECTION` bytes a connection, and the log's width
+/// with it: each box holds two logs, so a log 8 bytes wider would read
+/// ≈ 475 bytes a connection, all of it in the map.
 #[test]
 fn open_connection_holds_its_log_and_no_segment() {
     const SESSIONS: usize = 300;
-    const MAP_PER_CONNECTION: i64 = 740;
+    const MAP_PER_CONNECTION: i64 = 460;
     let mut frames = Vec::new();
     let mut law = 0usize;
     let mut prefixes = 0usize;
@@ -1315,8 +1415,9 @@ fn settle_watch(wait: Micros, churn: &[Vec<u8>]) -> SettleWatch {
 /// open log takes a row each. Measured (debug and release, repeating
 /// exactly): the router's log held 49 152 bytes (57 344 with 5-byte
 /// prefixes, 131 072 with 16-byte rows and 8-byte prefixes); the
-/// reference's step held 4 004 bytes more after than before, the tick's
-/// cache entry, and the settling watch's step 45 148 fewer; the 10 000
+/// reference's step held 3 340 bytes more after than before, the tick's
+/// cache entry, and the settling watch's step 45 812 fewer (4 004 and
+/// 45 148 while the entry's series were a `Vec` each); the 10 000
 /// rows add 0 bytes to the settled watch and 81 920 to the reference
 /// (262 144 with 16-byte rows), of which 32 768 are the arena growing
 /// for the 5 000 re-announced prefixes (40 960 at 5 bytes a prefix).
@@ -1477,9 +1578,11 @@ fn open_sessions(sessions: usize) -> Vec<u8> {
 /// connections at a 40-byte segment a frame. So each session past the
 /// first adds to what is held then its records and its share of the
 /// demux and the drain, and no segment. Measured (debug and release,
-/// repeating exactly): 33 868 bytes a session from K = 4 to K = 16,
-/// 32 768 of them records; 42 132, 40 960 of them segments, while every
-/// open connection was built before the first was analysed.
+/// repeating exactly): 33 468 bytes a session from K = 4 to K = 16,
+/// 32 768 of them records (33 868 while the demux held each
+/// connection's streams inline in its table); 42 132, 40 960 of them
+/// segments, while every open connection was built before the first
+/// was analysed.
 #[test]
 fn the_end_of_input_builds_one_connection_at_a_time() {
     let four = held_at_end_of_input(&open_sessions(4));

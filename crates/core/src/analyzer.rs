@@ -1,9 +1,17 @@
 //! The per-connection analysis: one connection and its BGP messages
 //! in, delay factors out (Fig. 10).
+//!
+//! An [`Analysis`] is 592 bytes inline, and holds beside them the
+//! connection's shifted trace, its labels and its series set's one
+//! allocation of events ([`SeriesSet`]). Every entry point runs one
+//! pipeline over a [`SpanScratch`]: the public ones make a fresh scratch
+//! per call, and an [`Ingest`](crate::Ingest) lends its own, so the
+//! analyses of one capture or one watched source reuse the span-set
+//! buffers and series builders of the last.
 
 use tdat_bgp::{MctConfig, TableTransfer};
 use tdat_packet::AnomalyCounts;
-use tdat_timeset::{Micros, Span};
+use tdat_timeset::{Micros, Span, SpanScratch};
 use tdat_trace::{label_segments, ConnProfile, LabelConfig, SegLabel, Segment, TcpConnection};
 
 use crate::config::AnalyzerConfig;
@@ -158,6 +166,20 @@ impl Analyzer {
         extraction: &tdat_pcap2bgp::Extraction,
         anomalies: AnomalyCounts,
     ) -> Analysis {
+        self.analyze_extracted_in(conn, extraction, anomalies, &mut SpanScratch::new())
+    }
+
+    /// [`analyze_extracted_lossy`](Self::analyze_extracted_lossy) with
+    /// `scratch`'s buffers: an [`Ingest`](crate::Ingest) passes its own,
+    /// so the connections of one capture are analysed in the buffers of
+    /// the last.
+    pub(crate) fn analyze_extracted_in(
+        &self,
+        conn: TcpConnection,
+        extraction: &tdat_pcap2bgp::Extraction,
+        anomalies: AnomalyCounts,
+        scratch: &mut SpanScratch,
+    ) -> Analysis {
         let transfer = self.transfer_of(conn.profile.start, extraction, extraction.messages.len());
         let period_end = transfer
             .as_ref()
@@ -166,7 +188,7 @@ impl Analyzer {
             .max(conn.profile.start);
         let period = Span::new(conn.profile.start, period_end);
         let verdict = Verdict::assess(&anomalies, extraction);
-        self.build_analysis(conn, period, transfer, anomalies, verdict)
+        self.build_analysis(conn, period, transfer, anomalies, verdict, scratch)
     }
 
     /// The table transfer MCT finds in the UPDATEs among the first
@@ -213,6 +235,19 @@ impl Analyzer {
         window: Span,
         anomalies: AnomalyCounts,
     ) -> PartialAnalysis {
+        self.analyze_partial_in(conn, extraction, window, anomalies, &mut SpanScratch::new())
+    }
+
+    /// [`analyze_partial_lossy`](Self::analyze_partial_lossy) with
+    /// `scratch`'s buffers ([`Ingest::analyze_open`](crate::Ingest::analyze_open)).
+    pub(crate) fn analyze_partial_in(
+        &self,
+        conn: TcpConnection,
+        extraction: &tdat_pcap2bgp::Extraction,
+        window: Span,
+        anomalies: AnomalyCounts,
+        scratch: &mut SpanScratch,
+    ) -> PartialAnalysis {
         let start = window.start.max(conn.profile.start);
         let period = Span::new(start, window.end.max(start));
         let verdict = Verdict::assess(&anomalies, extraction);
@@ -230,7 +265,7 @@ impl Analyzer {
             period,
             profile.max_receiver_window,
             profile.rtt,
-            &mut tdat_timeset::SpanScratch::new(),
+            scratch,
         );
         PartialAnalysis {
             profile,
@@ -256,6 +291,18 @@ impl Analyzer {
         partial: &PartialAnalysis,
         transfer: Option<TableTransfer>,
     ) -> Analysis {
+        self.complete_in(conn, partial, transfer, &mut SpanScratch::new())
+    }
+
+    /// [`complete`](Self::complete) with `scratch`'s buffers
+    /// ([`Ingest::complete`](crate::Ingest::complete)).
+    pub(crate) fn complete_in(
+        &self,
+        conn: TcpConnection,
+        partial: &PartialAnalysis,
+        transfer: Option<TableTransfer>,
+        scratch: &mut SpanScratch,
+    ) -> Analysis {
         debug_assert_eq!(conn.profile, partial.profile, "the connection as it stood");
         self.build_analysis(
             conn,
@@ -263,11 +310,17 @@ impl Analyzer {
             transfer,
             partial.anomalies,
             partial.verdict.clone(),
+            scratch,
         )
     }
 
     /// The shared pipeline tail: label, ACK-shift, generate series over
-    /// `period`, and compute the factor vector.
+    /// `period`, and compute the factor vector. One scratch pool serves
+    /// all of it: every span-set intermediate in series generation and
+    /// factor classification draws from it, and the series are built in
+    /// its pooled builders, so buffer count stays constant per
+    /// connection regardless of how many set operations run, and a pool
+    /// kept across connections allocates none of them again.
     fn build_analysis(
         &self,
         conn: TcpConnection,
@@ -275,6 +328,7 @@ impl Analyzer {
         transfer: Option<TableTransfer>,
         anomalies: AnomalyCounts,
         verdict: Verdict,
+        scratch: &mut SpanScratch,
     ) -> Analysis {
         let labels = label_segments(&conn, &LabelConfig::default());
         let TcpConnection {
@@ -284,11 +338,6 @@ impl Analyzer {
             profile,
         } = conn;
         let trace = self.preprocess(segments, &profile);
-        // One scratch pool serves the whole analysis: every span-set
-        // intermediate in series generation and factor classification
-        // draws from it, so buffer count stays constant per connection
-        // regardless of how many set operations run.
-        let mut scratch = tdat_timeset::SpanScratch::new();
         let series = generate_series_with(
             &trace,
             &labels,
@@ -297,9 +346,9 @@ impl Analyzer {
             profile.max_receiver_window,
             profile.rtt,
             &self.config,
-            &mut scratch,
+            scratch,
         );
-        let vector = delay_vector_with(&series, &self.config, &mut scratch);
+        let vector = delay_vector_with(&series, &self.config, scratch);
         Analysis {
             profile,
             sender,
@@ -461,19 +510,19 @@ mod tests {
             format!(
                 "{:?}",
                 (
-                    &s.upstream_loss,
-                    &s.downstream_loss,
-                    &s.spurious_retx,
-                    &s.window_probes,
-                    &s.zero_window,
-                    &s.outstanding,
-                    &s.send_app_limited,
+                    s.upstream_loss(),
+                    s.downstream_loss(),
+                    s.spurious_retx(),
+                    s.window_probes(),
+                    s.zero_window(),
+                    s.outstanding(),
+                    s.send_app_limited(),
                 )
             )
         };
         assert_eq!(alert(&partial.series), alert(&analysis.series));
-        assert!(!analysis.series.transmission.is_empty());
-        assert!(partial.series.transmission.is_empty(), "not read live");
+        assert!(!analysis.series.transmission().is_empty());
+        assert!(partial.series.transmission().is_empty(), "not read live");
         // A window starting before the connection clips to its start.
         let wide = Span::new(Micros(-5_000_000), now);
         let partial =
@@ -507,13 +556,17 @@ mod tests {
     }
 
     /// What a batch pass keeps per finished session until it returns,
-    /// inline: 912 bytes, of which the series set is 432 — 17 series of
-    /// 24 bytes, one `Vec` each, beside the period and two windows.
-    /// While every series carried an owned name the set was 840 bytes
+    /// inline: 592 bytes, of which the series set is 112 — the period
+    /// and two windows, the 17 series' ends and the one slice their
+    /// events share — and what a monitor caches per open connection,
+    /// 328. While each of the 17 series was a `Vec` of its own the
+    /// set was 432 bytes, the analysis 912 and the partial analysis 648;
+    /// while every series carried an owned name as well, the set was 840
     /// and the analysis 1 320.
     #[test]
     fn an_analysis_holds_its_series_without_names() {
-        assert_eq!(std::mem::size_of::<SeriesSet>(), 432);
-        assert_eq!(std::mem::size_of::<Analysis>(), 912);
+        assert_eq!(std::mem::size_of::<SeriesSet>(), 112);
+        assert_eq!(std::mem::size_of::<Analysis>(), 592);
+        assert_eq!(std::mem::size_of::<PartialAnalysis>(), 328);
     }
 }

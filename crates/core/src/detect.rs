@@ -30,7 +30,7 @@ pub struct InferredTimer {
 /// the knee.
 pub fn infer_timer(series: &SeriesSet, min_gaps: usize) -> Option<InferredTimer> {
     let mut gaps: Vec<i64> = series
-        .send_app_limited
+        .send_app_limited()
         .durations()
         .map(|d| d.as_micros())
         .filter(|&d| d > 0)
@@ -144,10 +144,10 @@ const _: () = assert!(EPISODE_GAP.as_micros() > 0);
 pub fn find_consecutive_losses(series: &SeriesSet, threshold: usize) -> Vec<ConsecutiveLosses> {
     // Collect every loss-recovery wave (unflattened: one per event).
     let mut waves: Vec<Span> = series
-        .upstream_loss
+        .upstream_loss()
         .iter()
-        .chain(series.downstream_loss.iter())
-        .chain(series.spurious_retx.iter())
+        .chain(series.downstream_loss().iter())
+        .chain(series.spurious_retx().iter())
         .map(|e| e.span)
         .collect();
     waves.sort();
@@ -192,7 +192,7 @@ pub fn long_pauses(series: &SeriesSet, min_pause: Micros) -> Vec<Span> {
     let mut current: Option<Span> = None;
     // Events are kept in start order, so one pass merges them: a span
     // starting within the gap of the running hull's end extends it.
-    for span in series.send_app_limited.iter().map(|e| e.span) {
+    for span in series.send_app_limited().iter().map(|e| e.span) {
         if span.is_empty() {
             continue;
         }
@@ -221,7 +221,7 @@ fn blocking_during(pauses: &[Span], faulty: &SeriesSet) -> Vec<PeerGroupBlocking
     if pauses.is_empty() {
         return Vec::new();
     }
-    let faulty_loss = faulty.all_loss().union(&faulty.zero_window.to_span_set());
+    let faulty_loss = faulty.all_loss().union(&faulty.zero_window().to_span_set());
     let mut incidents = Vec::new();
     for pause in pauses {
         let overlap = SpanSet::from_span(*pause).intersection(&faulty_loss);
@@ -375,7 +375,7 @@ pub struct ZeroAckBug {
 /// immediately *after* the strict zero-window span.
 pub fn find_zero_ack_bug(series: &SeriesSet) -> Option<ZeroAckBug> {
     let dilated = series.zero_adv_bnd_out().dilated(Micros::from_secs(1));
-    let conflict = dilated.intersection(&series.upstream_loss.to_span_set());
+    let conflict = dilated.intersection(&series.upstream_loss().to_span_set());
     if conflict.is_empty() {
         None
     } else {
@@ -403,16 +403,16 @@ pub struct DelayedAckInteraction {
 /// delayed-ACK timer shows this at transfer tails and after odd-sized
 /// flights.
 pub fn find_delayed_ack_interaction(series: &SeriesSet) -> Option<DelayedAckInteraction> {
-    let spurious = series.spurious_retx.to_span_set();
+    let spurious = series.spurious_retx().to_span_set();
     if spurious.is_empty() {
         return None;
     }
     // Genuine loss activity nearby disqualifies a spurious wave: fast
     // retransmit of a real hole can also resend delivered bytes.
     let real_loss = series
-        .upstream_loss
+        .upstream_loss()
         .to_span_set()
-        .union(&series.downstream_loss.to_span_set())
+        .union(&series.downstream_loss().to_span_set())
         .dilated(Micros::from_millis(500));
     let isolated = spurious.difference(&real_loss);
     if isolated.is_empty() {
@@ -427,23 +427,21 @@ pub fn find_delayed_ack_interaction(series: &SeriesSet) -> Option<DelayedAckInte
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::series::{SeriesBuilder, Slot};
     use tdat_timeset::EventSeries;
 
-    fn series_with_gaps(gaps_us: &[i64]) -> SeriesSet {
-        let mut s = SeriesSet {
-            period: Span::from_micros(0, 100_000_000),
-            mss: 1448,
-            max_adv_window: 65535,
-            ..SeriesSet::default()
-        };
-        let mut sal: EventSeries<u32> = EventSeries::new();
+    fn builder_with_gaps(gaps_us: &[i64]) -> SeriesBuilder {
+        let mut s = SeriesBuilder::new(Span::from_micros(0, 100_000_000), 1448, 65535);
         let mut t = 0i64;
         for &g in gaps_us {
-            sal.push(Span::from_micros(t, t + g), 0);
+            s[Slot::SendAppLimited].push(Span::from_micros(t, t + g), 0);
             t += g + 1_000;
         }
-        s.send_app_limited = sal;
         s
+    }
+
+    fn series_with_gaps(gaps_us: &[i64]) -> SeriesSet {
+        builder_with_gaps(gaps_us).build()
     }
 
     mod fuzz {
@@ -524,82 +522,83 @@ mod tests {
 
     #[test]
     fn consecutive_losses_thresholded() {
-        let mut s = series_with_gaps(&[]);
+        let mut s = builder_with_gaps(&[]);
         let mut up: EventSeries<u32> = EventSeries::new();
         // 9 chained waves, then an isolated one far away.
         for i in 0..9 {
             up.push(Span::from_micros(i * 1_000, i * 1_000 + 900), 1448);
         }
         up.push(Span::from_micros(50_000_000, 50_000_900), 1448);
-        s.upstream_loss = up;
-        let found = find_consecutive_losses(&s, 8);
+        s[Slot::UpstreamLoss] = up;
+        let found = find_consecutive_losses(&s.build(), 8);
         assert_eq!(found.len(), 1);
         assert_eq!(found[0].retransmissions, 9);
-        let none = find_consecutive_losses(&s, 10);
+        let none = find_consecutive_losses(&s.build(), 10);
         assert!(none.is_empty());
     }
 
     #[test]
     fn peer_group_blocking_detected() {
         // Blocked session: idle 0–180 s in 60 s chunks (keepalives).
-        let mut blocked = series_with_gaps(&[]);
+        let mut blocked = builder_with_gaps(&[]);
         let mut sal: EventSeries<u32> = EventSeries::new();
         sal.push(Span::from_micros(0, 59_999_000), 0);
         sal.push(Span::from_micros(60_000_000, 119_999_000), 0);
         sal.push(Span::from_micros(120_000_000, 180_000_000), 0);
-        blocked.send_app_limited = sal;
+        blocked[Slot::SendAppLimited] = sal;
         // Faulty session: retransmission storm over the same window.
-        let mut faulty = series_with_gaps(&[]);
+        let mut faulty = builder_with_gaps(&[]);
         let mut loss: EventSeries<u32> = EventSeries::new();
         loss.push(Span::from_micros(1_000_000, 170_000_000), 1448);
-        faulty.downstream_loss = loss;
-        let found = find_peer_group_blocking(&blocked, &faulty, Micros::from_secs(90));
+        faulty[Slot::DownstreamLoss] = loss;
+        let found =
+            find_peer_group_blocking(&blocked.build(), &faulty.build(), Micros::from_secs(90));
         assert_eq!(found.len(), 1);
         assert!(found[0].pause.duration() >= Micros::from_secs(170));
     }
 
     #[test]
     fn long_pauses_merge_across_two_seconds_and_keep_min_pause() {
-        let mut s = series_with_gaps(&[]);
+        let mut s = builder_with_gaps(&[]);
         let mut sal: EventSeries<u32> = EventSeries::new();
         // 0–10 s and 12–20 s merge (2 s apart); 23–30 s stays apart.
         sal.push(Span::from_micros(0, 10_000_000), 0);
         sal.push(Span::from_micros(12_000_000, 20_000_000), 0);
         sal.push(Span::from_micros(23_000_000, 30_000_000), 0);
-        s.send_app_limited = sal;
+        s[Slot::SendAppLimited] = sal;
         let merged = Span::from_micros(0, 20_000_000);
-        assert_eq!(long_pauses(&s, Micros::from_secs(20)), vec![merged]);
+        assert_eq!(long_pauses(&s.build(), Micros::from_secs(20)), vec![merged]);
         assert_eq!(
-            long_pauses(&s, Micros::from_secs(7)),
+            long_pauses(&s.build(), Micros::from_secs(7)),
             vec![merged, Span::from_micros(23_000_000, 30_000_000)]
         );
-        assert!(long_pauses(&s, Micros(20_000_001)).is_empty());
+        assert!(long_pauses(&s.build(), Micros(20_000_001)).is_empty());
     }
 
     #[test]
     fn no_peer_group_blocking_without_faulty_overlap() {
-        let mut blocked = series_with_gaps(&[]);
+        let mut blocked = builder_with_gaps(&[]);
         let mut sal: EventSeries<u32> = EventSeries::new();
         sal.push(Span::from_micros(0, 180_000_000), 0);
-        blocked.send_app_limited = sal;
+        blocked[Slot::SendAppLimited] = sal;
         let faulty = series_with_gaps(&[]); // healthy
-        let found = find_peer_group_blocking(&blocked, &faulty, Micros::from_secs(90));
+        let found = find_peer_group_blocking(&blocked.build(), &faulty, Micros::from_secs(90));
         assert!(found.is_empty());
     }
 
     #[test]
     fn delayed_ack_interaction_detected_when_isolated() {
-        let mut s = series_with_gaps(&[]);
+        let mut s = builder_with_gaps(&[]);
         let mut sp: EventSeries<u32> = EventSeries::new();
         sp.push(Span::from_micros(10_000_000, 10_200_000), 100);
-        s.spurious_retx = sp.clone();
-        let found = find_delayed_ack_interaction(&s).expect("isolated spurious retx");
+        s[Slot::SpuriousRetx] = sp.clone();
+        let found = find_delayed_ack_interaction(&s.build()).expect("isolated spurious retx");
         assert_eq!(found.count, 1);
         // A real loss episode right next to it disqualifies the wave.
         let mut up: EventSeries<u32> = EventSeries::new();
         up.push(Span::from_micros(9_900_000, 10_050_000), 1448);
-        s.upstream_loss = up;
-        assert_eq!(find_delayed_ack_interaction(&s), None);
+        s[Slot::UpstreamLoss] = up;
+        assert_eq!(find_delayed_ack_interaction(&s.build()), None);
     }
 
     #[test]
@@ -610,15 +609,18 @@ mod tests {
 
     #[test]
     fn zero_ack_bug_conflict() {
-        let mut s = series_with_gaps(&[]);
+        let mut s = builder_with_gaps(&[]);
         let mut zw: EventSeries<u32> = EventSeries::new();
         zw.push(Span::from_micros(0, 10_000_000), 0);
-        s.zero_window = zw;
-        assert!(find_zero_ack_bug(&s).is_none(), "zero window alone is fine");
+        s[Slot::ZeroWindow] = zw;
+        assert!(
+            find_zero_ack_bug(&s.build()).is_none(),
+            "zero window alone is fine"
+        );
         let mut up: EventSeries<u32> = EventSeries::new();
         up.push(Span::from_micros(5_000_000, 6_000_000), 1);
-        s.upstream_loss = up;
-        let bug = find_zero_ack_bug(&s).expect("conflict must be flagged");
+        s[Slot::UpstreamLoss] = up;
+        let bug = find_zero_ack_bug(&s.build()).expect("conflict must be flagged");
         assert_eq!(bug.spans.size(), Micros::from_secs(1));
     }
 }

@@ -209,25 +209,25 @@ pub struct FactorSpans {
 /// once per factor that needs them.
 pub fn factor_spans_with(series: &SeriesSet, scratch: &mut SpanScratch) -> FactorSpans {
     let mut adv = scratch.take();
-    series.adv_bnd_out.span_set_into(&mut adv);
+    series.adv_bnd_out().span_set_into(&mut adv);
     let mut tmp = scratch.take();
 
     // SmallAdvBndOut = AdvBndOut ∩ SmallAdvWindow, computed once and
     // shared between the BgpReceiverApp and TcpAdvertisedWindow rows.
     let mut small = scratch.take();
-    series.small_adv_window.span_set_into(&mut tmp);
+    series.small_adv_window().span_set_into(&mut tmp);
     adv.intersect_into(&tmp, &mut small);
 
     // BgpReceiverApp = SmallAdvBndOut ∪ ZeroAdvBndOut.
     let mut zero = scratch.take();
-    series.zero_window.span_set_into(&mut tmp);
+    series.zero_window().span_set_into(&mut tmp);
     tmp.clipped_into(series.period, &mut zero);
     let mut bgp_receiver = SpanSet::new();
     small.union_into(&zero, &mut bgp_receiver);
 
     // TcpAdvertisedWindow = LargeAdvBndOut ∪ (AdvBndOut ∖ SmallAdvBndOut).
     let mut large = scratch.take();
-    series.large_adv_window.span_set_into(&mut tmp);
+    series.large_adv_window().span_set_into(&mut tmp);
     adv.intersect_into(&tmp, &mut large);
     let mut rest = scratch.take();
     adv.difference_into(&small, &mut rest);
@@ -242,23 +242,26 @@ pub fn factor_spans_with(series: &SeriesSet, scratch: &mut SpanScratch) -> Facto
     scratch.put(rest);
 
     let spans = vec![
-        (Factor::BgpSenderApp, series.send_app_limited.to_span_set()),
+        (
+            Factor::BgpSenderApp,
+            series.send_app_limited().to_span_set(),
+        ),
         (
             Factor::TcpCongestionWindow,
-            series.cwd_bnd_out.to_span_set(),
+            series.cwd_bnd_out().to_span_set(),
         ),
         (
             Factor::SenderLocalLoss,
-            series.send_local_loss.to_span_set(),
+            series.send_local_loss().to_span_set(),
         ),
         (Factor::BgpReceiverApp, bgp_receiver),
         (Factor::TcpAdvertisedWindow, tcp_adv),
         (
             Factor::ReceiverLocalLoss,
-            series.recv_local_loss.to_span_set(),
+            series.recv_local_loss().to_span_set(),
         ),
-        (Factor::Bandwidth, series.bandwidth_limited.to_span_set()),
-        (Factor::NetworkLoss, series.network_loss.to_span_set()),
+        (Factor::Bandwidth, series.bandwidth_limited().to_span_set()),
+        (Factor::NetworkLoss, series.network_loss().to_span_set()),
     ];
     FactorSpans { spans }
 }
@@ -305,15 +308,11 @@ pub fn delay_vector_with(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::series::{SeriesBuilder, Slot};
     use tdat_timeset::{EventSeries, Span};
 
-    fn series_with(period: Span) -> SeriesSet {
-        SeriesSet {
-            period,
-            mss: 1448,
-            max_adv_window: 65535,
-            ..SeriesSet::default()
-        }
+    fn series_with(period: Span) -> SeriesBuilder {
+        SeriesBuilder::new(period, 1448, 65535)
     }
 
     #[test]
@@ -332,9 +331,13 @@ mod tests {
         sal.push(Span::from_micros(0, 400_000), 0);
         let mut cwd: EventSeries<u32> = EventSeries::new();
         cwd.push(Span::from_micros(200_000, 400_000), 0);
-        s.send_app_limited = sal;
-        s.cwd_bnd_out = cwd;
-        let v = delay_vector_with(&s, &AnalyzerConfig::default(), &mut SpanScratch::new());
+        s[Slot::SendAppLimited] = sal;
+        s[Slot::CwdBndOut] = cwd;
+        let v = delay_vector_with(
+            &s.build(),
+            &AnalyzerConfig::default(),
+            &mut SpanScratch::new(),
+        );
         assert!((v.ratio(Factor::BgpSenderApp) - 0.4).abs() < 1e-9);
         assert!((v.ratio(Factor::TcpCongestionWindow) - 0.2).abs() < 1e-9);
         assert!((v.sender - 0.4).abs() < 1e-9, "union, not 0.6");
@@ -348,11 +351,15 @@ mod tests {
         let mut s = series_with(period);
         let mut sal: EventSeries<u32> = EventSeries::new();
         sal.push(Span::from_micros(0, 800_000), 0);
-        s.send_app_limited = sal;
+        s[Slot::SendAppLimited] = sal;
         let mut loss: EventSeries<u32> = EventSeries::new();
         loss.push(Span::from_micros(800_000, 1_000_000), 0);
-        s.recv_local_loss = loss;
-        let v = delay_vector_with(&s, &AnalyzerConfig::default(), &mut SpanScratch::new());
+        s[Slot::RecvLocalLoss] = loss;
+        let v = delay_vector_with(
+            &s.build(),
+            &AnalyzerConfig::default(),
+            &mut SpanScratch::new(),
+        );
         assert_eq!(v.major_groups(0.3), vec![FactorGroup::Sender]);
         assert_eq!(
             v.major_groups(0.1),
@@ -371,8 +378,12 @@ mod tests {
         let mut s = series_with(period);
         let mut zw: EventSeries<u32> = EventSeries::new();
         zw.push(Span::from_micros(0, 500_000), 0);
-        s.zero_window = zw;
-        let v = delay_vector_with(&s, &AnalyzerConfig::default(), &mut SpanScratch::new());
+        s[Slot::ZeroWindow] = zw;
+        let v = delay_vector_with(
+            &s.build(),
+            &AnalyzerConfig::default(),
+            &mut SpanScratch::new(),
+        );
         assert!((v.ratio(Factor::BgpReceiverApp) - 0.5).abs() < 1e-9);
         assert!((v.receiver - 0.5).abs() < 1e-9);
     }
@@ -380,7 +391,11 @@ mod tests {
     #[test]
     fn display_renders_all_lines() {
         let s = series_with(Span::from_micros(0, 100));
-        let v = delay_vector_with(&s, &AnalyzerConfig::default(), &mut SpanScratch::new());
+        let v = delay_vector_with(
+            &s.build(),
+            &AnalyzerConfig::default(),
+            &mut SpanScratch::new(),
+        );
         let text = v.to_string();
         assert!(text.contains("groups:"));
         assert!(text.contains("BGP sender app"));

@@ -109,6 +109,6 @@ pub use factors::{
 };
 pub use quarantine::Verdict;
 pub use report::Report;
-pub use series::{generate_series_with, SeriesSet};
+pub use series::{generate_series_with, SeriesBuilder, SeriesSet, Slot};
 pub use stream::{BgpDemux, Ingest, LossyRunReport, SettleCount, StreamAnalyzer, StreamOptions};
 pub use tdat_trace::TrackerConfig;

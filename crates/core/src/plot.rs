@@ -7,7 +7,7 @@
 
 use tdat_timeset::{Micros, Span, SpanSet};
 
-use crate::series::SeriesSet;
+use crate::series::{SeriesSet, Slot};
 
 /// Renders named span sets as aligned square waves over `window`.
 ///
@@ -59,22 +59,16 @@ pub fn render_waves(series: &[(String, SpanSet)], window: Span, width: usize) ->
 /// over the analysis period.
 pub fn render_series_set(series: &SeriesSet, width: usize) -> String {
     let rows: Vec<(String, SpanSet)> = [
-        "Transmission",
-        "SendAppLimited",
-        "UpstreamLoss",
-        "DownstreamLoss",
-        "CwdBndOut",
-        "AdvBndOut",
-        "ZeroWindow",
+        Slot::Transmission,
+        Slot::SendAppLimited,
+        Slot::UpstreamLoss,
+        Slot::DownstreamLoss,
+        Slot::CwdBndOut,
+        Slot::AdvBndOut,
+        Slot::ZeroWindow,
     ]
-    .iter()
-    .filter_map(|wanted| {
-        series
-            .named()
-            .into_iter()
-            .find(|(name, _)| name == wanted)
-            .map(|(name, set)| (name.to_string(), set))
-    })
+    .into_iter()
+    .map(|slot| (slot.name().to_string(), series.get(slot).to_span_set()))
     .collect();
     render_waves(&rows, series.period, width)
 }

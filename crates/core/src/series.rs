@@ -4,16 +4,30 @@
 //! each representing one type of TCP behaviour, via three rules:
 //! *Extraction* (directly from packets), *Interpretation* (renaming a
 //! series given deployment knowledge, e.g. downstream loss = receiver-
-//! local when the sniffer sits at the receiver: the series is cloned
+//! local when the sniffer sits at the receiver: the series is copied
 //! into the slot whose name it takes), and *Operation*
 //! (inference and set algebra over existing series). Every event keeps
 //! a `u32` payload with the byte count behind it (window size,
 //! retransmitted bytes, outstanding bytes) so high-level observations
 //! can be cross-referenced back to the packets.
+//!
+//! The rules write a [`SeriesBuilder`], one growable series per
+//! [`Slot`], and the finished [`SeriesSet`] is that builder frozen once:
+//! the 17 series' events in one exactly sized allocation, 24 bytes an
+//! event (none when every series is empty), each series read through a
+//! borrowed [`SeriesView`]. The builders come from the [`SpanScratch`]
+//! the caller passes and go back to it, so a scratch kept across
+//! connections — an [`Ingest`](crate::Ingest) keeps one — builds every
+//! connection's series in the same buffers.
+
+use std::fmt;
+use std::ops::{Index, IndexMut};
 
 use tdat_packet::seq_diff;
-use tdat_timeset::{EventSeries, Micros, Span, SpanScratch, SpanSet};
-use tdat_trace::{group_flights, Direction, SegLabel, Segment};
+use tdat_timeset::{
+    Event, EventSeries, Micros, SeriesArena, SeriesView, Span, SpanScratch, SpanSet,
+};
+use tdat_trace::{group_flights, Direction, Flight, SegLabel, Segment};
 
 use crate::config::{AnalyzerConfig, SnifferLocation};
 use crate::preprocess::ShiftedTrace;
@@ -40,15 +54,124 @@ const _: () = assert!(
         && CWND_CLOCK_SLACK.as_micros() >= 0
 );
 
+/// How many series a [`SeriesSet`] stores.
+pub const SLOTS: usize = 17;
+
+/// The 17 stored series of a [`SeriesSet`], named as in the paper, in
+/// the order the set stores them. A series carries no name of its own:
+/// its slot names it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum Slot {
+    // ---- Extraction ----
+    /// Periods spent actually transmitting data packets (data flights).
+    Transmission,
+    /// Periods with unacknowledged data in flight; payload is the peak
+    /// outstanding byte count.
+    Outstanding,
+    /// The receiver-advertised window over time (one event per ACK,
+    /// until the next ACK).
+    AdvWindow,
+    /// Loss-recovery periods for retransmissions classified upstream.
+    UpstreamLoss,
+    /// Loss-recovery periods for retransmissions classified downstream.
+    DownstreamLoss,
+    /// Retransmissions of already-acknowledged data.
+    SpuriousRetx,
+    /// Zero-window periods advertised by the receiver.
+    ZeroWindow,
+    /// Zero-window probe transmissions.
+    WindowProbes,
+
+    // ---- Interpretation ----
+    /// Sender-local losses (populated per sniffer location).
+    SendLocalLoss,
+    /// Receiver-local losses (populated per sniffer location).
+    RecvLocalLoss,
+    /// Losses attributed to the network path.
+    NetworkLoss,
+
+    // ---- Operation ----
+    /// Sender idle periods: ACKs for all outstanding data received, the
+    /// window open, yet nothing sent — the sending BGP process is the
+    /// limiter.
+    SendAppLimited,
+    /// Periods with a small advertised window (< `small_window_mss` ×
+    /// MSS): the receiving application cannot keep up.
+    SmallAdvWindow,
+    /// Periods with a large advertised window (within the same margin
+    /// of the maximum): the receiving application keeps up.
+    LargeAdvWindow,
+    /// Outstanding periods bounded by the advertised window.
+    AdvBndOut,
+    /// Outstanding periods bounded by the congestion window.
+    CwdBndOut,
+    /// Continuous-transmission periods not explained by windows or
+    /// losses — the bandwidth-limit indicator.
+    BandwidthLimited,
+}
+
+/// Each slot's paper name, and the name a set's `Debug` prints it under.
+const NAMES: [(&str, &str); SLOTS] = [
+    ("Transmission", "transmission"),
+    ("Outstanding", "outstanding"),
+    ("AdvWindow", "adv_window"),
+    ("UpstreamLoss", "upstream_loss"),
+    ("DownstreamLoss", "downstream_loss"),
+    ("SpuriousRetx", "spurious_retx"),
+    ("ZeroWindow", "zero_window"),
+    ("WindowProbes", "window_probes"),
+    ("SendLocalLoss", "send_local_loss"),
+    ("RecvLocalLoss", "recv_local_loss"),
+    ("NetworkLoss", "network_loss"),
+    ("SendAppLimited", "send_app_limited"),
+    ("SmallAdvWindow", "small_adv_window"),
+    ("LargeAdvWindow", "large_adv_window"),
+    ("AdvBndOut", "adv_bnd_out"),
+    ("CwdBndOut", "cwd_bnd_out"),
+    ("BandwidthLimited", "bandwidth_limited"),
+];
+
+impl Slot {
+    /// Every slot, in the order a set stores them.
+    pub const ALL: [Slot; SLOTS] = [
+        Slot::Transmission,
+        Slot::Outstanding,
+        Slot::AdvWindow,
+        Slot::UpstreamLoss,
+        Slot::DownstreamLoss,
+        Slot::SpuriousRetx,
+        Slot::ZeroWindow,
+        Slot::WindowProbes,
+        Slot::SendLocalLoss,
+        Slot::RecvLocalLoss,
+        Slot::NetworkLoss,
+        Slot::SendAppLimited,
+        Slot::SmallAdvWindow,
+        Slot::LargeAdvWindow,
+        Slot::AdvBndOut,
+        Slot::CwdBndOut,
+        Slot::BandwidthLimited,
+    ];
+
+    /// The series' paper name, as listings and plots print it.
+    pub const fn name(self) -> &'static str {
+        NAMES[self as usize].0
+    }
+}
+
 /// The generated series for one connection over one analysis period.
 ///
-/// Field names follow the paper. A series is named by its slot: an
-/// [`EventSeries`] holds only its events, and every printed name comes
-/// from [`named`](SeriesSet::named), which lists each field under its
-/// paper name. All series are flattened to [`SpanSet`]s on demand for
-/// the set algebra; the payload-carrying [`EventSeries`] form is
-/// preserved for drill-down.
-#[derive(Debug, Clone, Default)]
+/// The 17 stored series ([`Slot`]) are one allocation: their events back
+/// to back in an exactly sized [`SeriesArena`], 24 bytes an event, and
+/// nothing at all when every series is empty. Each is read through a
+/// borrowed [`SeriesView`], by its accessor (`upstream_loss()` …) or by
+/// [`get`](SeriesSet::get); every printed name comes from
+/// [`named`](SeriesSet::named), which lists each slot under its paper
+/// name beside the derived sets. All series are flattened to
+/// [`SpanSet`]s on demand for the set algebra; the payload-carrying
+/// events are preserved for drill-down. A set is built in a
+/// [`SeriesBuilder`] and frozen once.
+#[derive(Clone, Default)]
 pub struct SeriesSet {
     /// The analysis period (the table-transfer duration in this work).
     pub period: Span,
@@ -57,125 +180,290 @@ pub struct SeriesSet {
     /// Maximum window the receiver advertised (threshold base for the
     /// *large window* series).
     pub max_adv_window: u32,
-
-    // ---- Extraction ----
-    /// Periods spent actually transmitting data packets (data flights).
-    pub transmission: EventSeries<u32>,
-    /// Periods with unacknowledged data in flight; payload is the peak
-    /// outstanding byte count.
-    pub outstanding: EventSeries<u32>,
-    /// The receiver-advertised window over time (one event per ACK,
-    /// until the next ACK).
-    pub adv_window: EventSeries<u32>,
-    /// Loss-recovery periods for retransmissions classified upstream.
-    pub upstream_loss: EventSeries<u32>,
-    /// Loss-recovery periods for retransmissions classified downstream.
-    pub downstream_loss: EventSeries<u32>,
-    /// Retransmissions of already-acknowledged data.
-    pub spurious_retx: EventSeries<u32>,
-    /// Zero-window periods advertised by the receiver.
-    pub zero_window: EventSeries<u32>,
-    /// Zero-window probe transmissions.
-    pub window_probes: EventSeries<u32>,
-
-    // ---- Interpretation ----
-    /// Sender-local losses (populated per sniffer location).
-    pub send_local_loss: EventSeries<u32>,
-    /// Receiver-local losses (populated per sniffer location).
-    pub recv_local_loss: EventSeries<u32>,
-    /// Losses attributed to the network path.
-    pub network_loss: EventSeries<u32>,
-
-    // ---- Operation ----
-    /// Sender idle periods: ACKs for all outstanding data received, the
-    /// window open, yet nothing sent — the sending BGP process is the
-    /// limiter.
-    pub send_app_limited: EventSeries<u32>,
-    /// Periods with a small advertised window (< `small_window_mss` ×
-    /// MSS): the receiving application cannot keep up.
-    pub small_adv_window: EventSeries<u32>,
-    /// Periods with a large advertised window (within the same margin
-    /// of the maximum): the receiving application keeps up.
-    pub large_adv_window: EventSeries<u32>,
-    /// Outstanding periods bounded by the advertised window.
-    pub adv_bnd_out: EventSeries<u32>,
-    /// Outstanding periods bounded by the congestion window.
-    pub cwd_bnd_out: EventSeries<u32>,
-    /// Continuous-transmission periods not explained by windows or
-    /// losses — the bandwidth-limit indicator.
-    pub bandwidth_limited: EventSeries<u32>,
+    series: SeriesArena<u32, SLOTS>,
 }
 
 impl SeriesSet {
+    /// The series in `slot`, lent.
+    pub fn get(&self, slot: Slot) -> SeriesView<'_, u32> {
+        self.series.get(slot as usize)
+    }
+
+    /// Every event of every series, slot by slot: the set's one
+    /// allocation.
+    pub fn events(&self) -> &[Event<u32>] {
+        self.series.events()
+    }
+
+    /// [`Slot::Transmission`].
+    pub fn transmission(&self) -> SeriesView<'_, u32> {
+        self.get(Slot::Transmission)
+    }
+
+    /// [`Slot::Outstanding`].
+    pub fn outstanding(&self) -> SeriesView<'_, u32> {
+        self.get(Slot::Outstanding)
+    }
+
+    /// [`Slot::AdvWindow`].
+    pub fn adv_window(&self) -> SeriesView<'_, u32> {
+        self.get(Slot::AdvWindow)
+    }
+
+    /// [`Slot::UpstreamLoss`].
+    pub fn upstream_loss(&self) -> SeriesView<'_, u32> {
+        self.get(Slot::UpstreamLoss)
+    }
+
+    /// [`Slot::DownstreamLoss`].
+    pub fn downstream_loss(&self) -> SeriesView<'_, u32> {
+        self.get(Slot::DownstreamLoss)
+    }
+
+    /// [`Slot::SpuriousRetx`].
+    pub fn spurious_retx(&self) -> SeriesView<'_, u32> {
+        self.get(Slot::SpuriousRetx)
+    }
+
+    /// [`Slot::ZeroWindow`].
+    pub fn zero_window(&self) -> SeriesView<'_, u32> {
+        self.get(Slot::ZeroWindow)
+    }
+
+    /// [`Slot::WindowProbes`].
+    pub fn window_probes(&self) -> SeriesView<'_, u32> {
+        self.get(Slot::WindowProbes)
+    }
+
+    /// [`Slot::SendLocalLoss`].
+    pub fn send_local_loss(&self) -> SeriesView<'_, u32> {
+        self.get(Slot::SendLocalLoss)
+    }
+
+    /// [`Slot::RecvLocalLoss`].
+    pub fn recv_local_loss(&self) -> SeriesView<'_, u32> {
+        self.get(Slot::RecvLocalLoss)
+    }
+
+    /// [`Slot::NetworkLoss`].
+    pub fn network_loss(&self) -> SeriesView<'_, u32> {
+        self.get(Slot::NetworkLoss)
+    }
+
+    /// [`Slot::SendAppLimited`].
+    pub fn send_app_limited(&self) -> SeriesView<'_, u32> {
+        self.get(Slot::SendAppLimited)
+    }
+
+    /// [`Slot::SmallAdvWindow`].
+    pub fn small_adv_window(&self) -> SeriesView<'_, u32> {
+        self.get(Slot::SmallAdvWindow)
+    }
+
+    /// [`Slot::LargeAdvWindow`].
+    pub fn large_adv_window(&self) -> SeriesView<'_, u32> {
+        self.get(Slot::LargeAdvWindow)
+    }
+
+    /// [`Slot::AdvBndOut`].
+    pub fn adv_bnd_out(&self) -> SeriesView<'_, u32> {
+        self.get(Slot::AdvBndOut)
+    }
+
+    /// [`Slot::CwdBndOut`].
+    pub fn cwd_bnd_out(&self) -> SeriesView<'_, u32> {
+        self.get(Slot::CwdBndOut)
+    }
+
+    /// [`Slot::BandwidthLimited`].
+    pub fn bandwidth_limited(&self) -> SeriesView<'_, u32> {
+        self.get(Slot::BandwidthLimited)
+    }
+
     /// `AdvBndOut ∩ SmallAdvWindow` (§III-C3, Rule 4).
     pub fn small_adv_bnd_out(&self) -> SpanSet {
-        self.adv_bnd_out
+        self.adv_bnd_out()
             .to_span_set()
-            .intersection(&self.small_adv_window.to_span_set())
+            .intersection(&self.small_adv_window().to_span_set())
     }
 
     /// `AdvBndOut ∩ LargeAdvWindow`.
     pub fn large_adv_bnd_out(&self) -> SpanSet {
-        self.adv_bnd_out
+        self.adv_bnd_out()
             .to_span_set()
-            .intersection(&self.large_adv_window.to_span_set())
+            .intersection(&self.large_adv_window().to_span_set())
     }
 
     /// Zero-window-bounded outstanding: zero-window periods while the
     /// transfer was still in progress.
     pub fn zero_adv_bnd_out(&self) -> SpanSet {
-        self.zero_window.to_span_set().clipped(self.period)
+        self.zero_window().to_span_set().clipped(self.period)
     }
 
     /// Union of every loss-recovery series.
     pub fn all_loss(&self) -> SpanSet {
-        self.upstream_loss
+        self.upstream_loss()
             .to_span_set()
-            .union(&self.downstream_loss.to_span_set())
-            .union(&self.spurious_retx.to_span_set())
+            .union(&self.downstream_loss().to_span_set())
+            .union(&self.spurious_retx().to_span_set())
     }
 
     /// `ZeroAdvBndOut ∩ UpstreamLoss` — the conflicting-series check
     /// that exposed the zero-window-probe sender bug (§IV-B).
     pub fn zero_ack_bug(&self) -> SpanSet {
         self.zero_adv_bnd_out()
-            .intersection(&self.upstream_loss.to_span_set())
+            .intersection(&self.upstream_loss().to_span_set())
     }
 
     /// Every named series, flattened — for listings and plots.
     pub fn named(&self) -> Vec<(&'static str, SpanSet)> {
+        let stored = |slot: Slot| (slot.name(), self.get(slot).to_span_set());
         vec![
-            ("Transmission", self.transmission.to_span_set()),
-            ("Outstanding", self.outstanding.to_span_set()),
-            ("AdvWindow", self.adv_window.to_span_set()),
-            ("UpstreamLoss", self.upstream_loss.to_span_set()),
-            ("DownstreamLoss", self.downstream_loss.to_span_set()),
-            ("SpuriousRetx", self.spurious_retx.to_span_set()),
-            ("ZeroWindow", self.zero_window.to_span_set()),
-            ("WindowProbes", self.window_probes.to_span_set()),
-            ("SendLocalLoss", self.send_local_loss.to_span_set()),
-            ("RecvLocalLoss", self.recv_local_loss.to_span_set()),
-            ("NetworkLoss", self.network_loss.to_span_set()),
-            ("SendAppLimited", self.send_app_limited.to_span_set()),
-            ("SmallAdvWindow", self.small_adv_window.to_span_set()),
-            ("LargeAdvWindow", self.large_adv_window.to_span_set()),
-            ("AdvBndOut", self.adv_bnd_out.to_span_set()),
-            ("CwdBndOut", self.cwd_bnd_out.to_span_set()),
+            stored(Slot::Transmission),
+            stored(Slot::Outstanding),
+            stored(Slot::AdvWindow),
+            stored(Slot::UpstreamLoss),
+            stored(Slot::DownstreamLoss),
+            stored(Slot::SpuriousRetx),
+            stored(Slot::ZeroWindow),
+            stored(Slot::WindowProbes),
+            stored(Slot::SendLocalLoss),
+            stored(Slot::RecvLocalLoss),
+            stored(Slot::NetworkLoss),
+            stored(Slot::SendAppLimited),
+            stored(Slot::SmallAdvWindow),
+            stored(Slot::LargeAdvWindow),
+            stored(Slot::AdvBndOut),
+            stored(Slot::CwdBndOut),
             ("SmallAdvBndOut", self.small_adv_bnd_out()),
             ("LargeAdvBndOut", self.large_adv_bnd_out()),
             ("ZeroAdvBndOut", self.zero_adv_bnd_out()),
             ("AllLoss", self.all_loss()),
-            ("BandwidthLimited", self.bandwidth_limited.to_span_set()),
+            stored(Slot::BandwidthLimited),
             ("ZeroAckBug", self.zero_ack_bug()),
         ]
     }
 }
 
+/// Prints as the struct of 17 named series the set once was, slot by
+/// slot, so a set prints alike however it is stored.
+impl fmt::Debug for SeriesSet {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let mut out = f.debug_struct("SeriesSet");
+        out.field("period", &self.period)
+            .field("mss", &self.mss)
+            .field("max_adv_window", &self.max_adv_window);
+        for slot in Slot::ALL {
+            out.field(NAMES[slot as usize].1, &self.get(slot));
+        }
+        out.finish()
+    }
+}
+
+/// A [`SeriesSet`] while its rules write it: one growable
+/// [`EventSeries`] per [`Slot`], indexed by slot, beside the period and
+/// the windows. [`build`](Self::build) freezes it into the set's one
+/// allocation. Series generation takes its builders from the
+/// [`SpanScratch`] it is given and puts them back once frozen, so a
+/// scratch kept across connections builds each set in the buffers of
+/// the last.
+///
+/// # Examples
+///
+/// ```
+/// use tdat::{SeriesBuilder, Slot};
+/// use tdat_timeset::Span;
+///
+/// let mut built = SeriesBuilder::new(Span::from_micros(0, 1_000), 1448, 65_535);
+/// built[Slot::SendAppLimited].push(Span::from_micros(100, 400), 0);
+/// let set = built.build();
+/// assert_eq!(set.send_app_limited().size().as_micros(), 300);
+/// assert_eq!(set.events().len(), 1, "one event, in one allocation");
+/// ```
+#[derive(Debug, Default)]
+pub struct SeriesBuilder {
+    /// The analysis period.
+    pub period: Span,
+    /// MSS used for window thresholds.
+    pub mss: u32,
+    /// Maximum window the receiver advertised.
+    pub max_adv_window: u32,
+    slots: [EventSeries<u32>; SLOTS],
+}
+
+impl SeriesBuilder {
+    /// An empty builder over `period`; it allocates nothing until a
+    /// series takes its first event.
+    pub fn new(period: Span, mss: u32, max_adv_window: u32) -> SeriesBuilder {
+        SeriesBuilder {
+            period,
+            mss,
+            max_adv_window,
+            slots: Default::default(),
+        }
+    }
+
+    /// An empty builder whose series are `scratch`'s pooled buffers.
+    fn pooled(
+        scratch: &mut SpanScratch,
+        period: Span,
+        mss: u32,
+        max_adv_window: u32,
+    ) -> SeriesBuilder {
+        SeriesBuilder {
+            period,
+            mss,
+            max_adv_window,
+            slots: std::array::from_fn(|_| scratch.take_series()),
+        }
+    }
+
+    /// The set as built so far, frozen: one allocation of exactly its
+    /// events, none if it has none.
+    pub fn build(&self) -> SeriesSet {
+        SeriesSet {
+            period: self.period,
+            mss: self.mss,
+            max_adv_window: self.max_adv_window,
+            series: SeriesArena::freeze(&self.slots),
+        }
+    }
+
+    /// Freezes the set, and returns the builders' buffers to `scratch`.
+    fn finish(self, scratch: &mut SpanScratch) -> SeriesSet {
+        let set = self.build();
+        scratch.put_series(self.slots);
+        set
+    }
+
+    /// Pushes every event of `from` into `to`, in order.
+    fn copy(&mut self, from: Slot, to: Slot) {
+        let source = std::mem::take(&mut self[from]);
+        self[to].extend(source.iter().map(|e| (e.span, e.data)));
+        self[from] = source;
+    }
+}
+
+impl Index<Slot> for SeriesBuilder {
+    type Output = EventSeries<u32>;
+    fn index(&self, slot: Slot) -> &EventSeries<u32> {
+        &self.slots[slot as usize]
+    }
+}
+
+impl IndexMut<Slot> for SeriesBuilder {
+    fn index_mut(&mut self, slot: Slot) -> &mut EventSeries<u32> {
+        &mut self.slots[slot as usize]
+    }
+}
+
 /// Generates the full series set from a shifted trace, its labels
 /// (aligned with the trace's data segments in order), and the analysis
-/// period, with a caller-provided scratch pool, so the intermediate span
-/// sets of the Operation rules reuse buffers instead of allocating per
-/// series op.
+/// period, with a caller-provided scratch pool: the intermediate span
+/// sets of the Operation rules reuse its buffers instead of allocating
+/// per series op, and the series are built in its pooled builders and
+/// frozen once, so the set is one allocation and a scratch kept across
+/// connections makes no other.
 #[allow(clippy::too_many_arguments)]
 pub fn generate_series_with(
     trace: &ShiftedTrace,
@@ -188,21 +476,17 @@ pub fn generate_series_with(
     scratch: &mut SpanScratch,
 ) -> SeriesSet {
     let (data, acks) = data_and_acks(trace);
-    let mut set = alert_series_of(
-        trace,
-        labels,
-        period,
-        max_adv_window,
-        &data,
-        &acks,
-        rtt,
-        scratch,
-    );
-    set.mss = mss;
-    extraction(&mut set, &data, &acks, rtt);
-    interpretation(&mut set, config);
-    operation(&mut set, &data, &acks, rtt, config, scratch);
-    set
+    let flight_gap = match rtt {
+        Some(rtt) if rtt > Micros::ZERO => (rtt / 2).max(Micros::from_millis(1)),
+        _ => FALLBACK_FLIGHT_GAP,
+    };
+    let flights = group_flights(&data, flight_gap);
+    let mut built = SeriesBuilder::pooled(scratch, period, mss, max_adv_window);
+    alert_series(&mut built, trace, labels, &data, &acks, rtt, scratch);
+    extraction(&mut built, &data, &acks, &flights);
+    interpretation(&mut built, config);
+    operation(&mut built, &data, &acks, &flights, rtt, config, scratch);
+    built.finish(scratch)
 }
 
 /// The series a live monitor's alerts read, and the one they are
@@ -219,58 +503,52 @@ pub(crate) fn generate_alert_series(
     scratch: &mut SpanScratch,
 ) -> SeriesSet {
     let (data, acks) = data_and_acks(trace);
-    alert_series_of(
-        trace,
-        labels,
-        period,
-        max_adv_window,
-        &data,
-        &acks,
-        rtt,
-        scratch,
-    )
+    let mut built = SeriesBuilder::pooled(scratch, period, 0, max_adv_window);
+    alert_series(&mut built, trace, labels, &data, &acks, rtt, scratch);
+    built.finish(scratch)
 }
 
 /// The payload-carrying data segments and the ACK-flagged ACKs of the
-/// trace, in (shifted) time order: what every rule walks.
+/// trace, in (shifted) time order: what every rule walks. One pass
+/// counts both, so each list is one allocation of its exact size, and a
+/// second fills them.
 fn data_and_acks(trace: &ShiftedTrace) -> (Vec<&Segment>, Vec<&Segment>) {
-    let data = trace
-        .data_segments()
-        .filter(|s| s.payload_len > 0)
-        .collect();
-    let acks = trace
-        .ack_segments()
-        .filter(|s| s.flags.contains(tdat_packet::TcpFlags::ACK))
-        .collect();
+    let is_data = |s: &Segment| s.dir == Direction::Data && s.payload_len > 0;
+    let is_ack =
+        |s: &Segment| s.dir == Direction::Ack && s.flags.contains(tdat_packet::TcpFlags::ACK);
+    let (data_len, acks_len) = trace.segments.iter().fold((0, 0), |(d, a), s| {
+        (d + usize::from(is_data(s)), a + usize::from(is_ack(s)))
+    });
+    let (mut data, mut acks) = (Vec::with_capacity(data_len), Vec::with_capacity(acks_len));
+    for s in &trace.segments {
+        if is_data(s) {
+            data.push(s);
+        } else if is_ack(s) {
+            acks.push(s);
+        }
+    }
     (data, acks)
 }
 
-/// [`generate_alert_series`] over the trace's data and ACK segments.
-#[allow(clippy::too_many_arguments)]
-fn alert_series_of(
+/// The rules of [`generate_alert_series`], over the trace's data and
+/// ACK segments.
+fn alert_series(
+    built: &mut SeriesBuilder,
     trace: &ShiftedTrace,
     labels: &[SegLabel],
-    period: Span,
-    max_adv_window: u32,
     data: &[&Segment],
     acks: &[&Segment],
     rtt: Option<Micros>,
     scratch: &mut SpanScratch,
-) -> SeriesSet {
-    let mut set = SeriesSet {
-        period,
-        max_adv_window,
-        ..SeriesSet::default()
-    };
-    outstanding(&mut set, trace);
-    label_series(&mut set, trace, labels);
-    zero_window(&mut set, acks);
-    send_app_limited(&mut set, data, acks, rtt, scratch);
-    set
+) {
+    outstanding(built, trace);
+    label_series(built, trace, labels);
+    zero_window(built, acks);
+    send_app_limited(built, data, acks, rtt, scratch);
 }
 
 /// Flattens `series` and unions it into `acc` using pooled buffers.
-fn union_series_into(acc: &mut SpanSet, series: &EventSeries<u32>, scratch: &mut SpanScratch) {
+fn union_series_into(acc: &mut SpanSet, series: SeriesView<'_, u32>, scratch: &mut SpanScratch) {
     let mut flat = scratch.take();
     series.span_set_into(&mut flat);
     let mut out = scratch.take();
@@ -284,34 +562,36 @@ fn union_series_into(acc: &mut SpanSet, series: &EventSeries<u32>, scratch: &mut
 // Rule 1: Extraction
 // ----------------------------------------------------------------------
 
-fn extraction(set: &mut SeriesSet, data: &[&Segment], acks: &[&Segment], rtt: Option<Micros>) {
-    let flight_gap = match rtt {
-        Some(rtt) if rtt > Micros::ZERO => (rtt / 2).max(Micros::from_millis(1)),
-        _ => FALLBACK_FLIGHT_GAP,
-    };
-
-    // Transmission: data flights.
-    for flight in group_flights(data, flight_gap) {
-        let bytes: u32 = data[flight.members].iter().map(|s| s.payload_len).sum();
+/// `flights` are the data segments grouped at half the RTT (or the
+/// fallback gap), as [`generate_series_with`] groups them once for this
+/// rule and the congestion-window rule.
+fn extraction(built: &mut SeriesBuilder, data: &[&Segment], acks: &[&Segment], flights: &[Flight]) {
+    // Transmission: data flights, one event each.
+    built[Slot::Transmission].reserve(flights.len());
+    for flight in flights {
+        let bytes: u32 = data[flight.members.clone()]
+            .iter()
+            .map(|s| s.payload_len)
+            .sum();
         // Give an instantaneous burst a minimal width of one
         // microsecond so it is visible to the set algebra.
         let end = flight.end.max(flight.start + Micros(1));
-        set.transmission.push(Span::new(flight.start, end), bytes);
+        built[Slot::Transmission].push(Span::new(flight.start, end), bytes);
     }
 
     // Advertised window: each ACK's window holds until the next ACK.
+    built[Slot::AdvWindow].reserve(acks.len());
     for pair in acks.windows(2) {
-        set.adv_window
-            .push(Span::new(pair[0].time, pair[1].time), pair[0].window);
+        built[Slot::AdvWindow].push(Span::new(pair[0].time, pair[1].time), pair[0].window);
     }
     if let Some(last) = acks.last() {
-        set.adv_window
-            .push(Span::new(last.time, set.period.end), last.window);
+        let span = Span::new(last.time, built.period.end);
+        built[Slot::AdvWindow].push(span, last.window);
     }
 }
 
 /// Outstanding: walk data/ack events, tracking unacked bytes.
-fn outstanding(set: &mut SeriesSet, trace: &ShiftedTrace) {
+fn outstanding(built: &mut SeriesBuilder, trace: &ShiftedTrace) {
     let mut snd_max: Option<u32> = None;
     let mut ack_max: Option<u32> = None;
     let mut open_since: Option<Micros> = None;
@@ -336,7 +616,7 @@ fn outstanding(set: &mut SeriesSet, trace: &ShiftedTrace) {
                 let out = unacked(snd_max, ack_max);
                 if out == 0 {
                     if let Some(start) = open_since.take() {
-                        set.outstanding.push(Span::new(start, seg.time), peak);
+                        built[Slot::Outstanding].push(Span::new(start, seg.time), peak);
                         peak = 0;
                     }
                 }
@@ -346,25 +626,28 @@ fn outstanding(set: &mut SeriesSet, trace: &ShiftedTrace) {
     }
     if let Some(start) = open_since {
         // Trace ended with data in flight.
-        set.outstanding.push(Span::new(start, set.period.end), peak);
+        let span = Span::new(start, built.period.end);
+        built[Slot::Outstanding].push(span, peak);
     }
 }
 
 /// Losses and probes from the labels (aligned with data segments in
 /// order).
-fn label_series(set: &mut SeriesSet, trace: &ShiftedTrace, labels: &[SegLabel]) {
+fn label_series(built: &mut SeriesBuilder, trace: &ShiftedTrace, labels: &[SegLabel]) {
     // Labels align one-to-one with the data-direction segments in
     // order (data segments are never shifted, so the shifted trace
     // preserves that order).
     for (label, seg) in labels.iter().zip(trace.data_segments()) {
         match label {
-            SegLabel::UpstreamLoss(span) => set.upstream_loss.push(*span, seg.payload_len),
-            SegLabel::DownstreamLoss(span) => set.downstream_loss.push(*span, seg.payload_len),
+            SegLabel::UpstreamLoss(span) => built[Slot::UpstreamLoss].push(*span, seg.payload_len),
+            SegLabel::DownstreamLoss(span) => {
+                built[Slot::DownstreamLoss].push(*span, seg.payload_len)
+            }
             SegLabel::SpuriousRetransmission(span) => {
-                set.spurious_retx.push(*span, seg.payload_len)
+                built[Slot::SpuriousRetx].push(*span, seg.payload_len)
             }
             SegLabel::WindowProbe => {
-                set.window_probes
+                built[Slot::WindowProbes]
                     .push(Span::new(seg.time, seg.time + Micros(1)), seg.payload_len);
             }
             SegLabel::InOrder | SegLabel::Reordered => {}
@@ -373,17 +656,18 @@ fn label_series(set: &mut SeriesSet, trace: &ShiftedTrace, labels: &[SegLabel]) 
 }
 
 /// Zero-window periods.
-fn zero_window(set: &mut SeriesSet, acks: &[&Segment]) {
+fn zero_window(built: &mut SeriesBuilder, acks: &[&Segment]) {
     let mut zero_since: Option<Micros> = None;
     for ack in acks {
         if ack.window == 0 {
             zero_since.get_or_insert(ack.time);
         } else if let Some(start) = zero_since.take() {
-            set.zero_window.push(Span::new(start, ack.time), 0);
+            built[Slot::ZeroWindow].push(Span::new(start, ack.time), 0);
         }
     }
     if let Some(start) = zero_since {
-        set.zero_window.push(Span::new(start, set.period.end), 0);
+        let span = Span::new(start, built.period.end);
+        built[Slot::ZeroWindow].push(span, 0);
     }
 }
 
@@ -399,24 +683,22 @@ fn unacked(snd_max: Option<u32>, ack_max: Option<u32>) -> u32 {
 // Rule 2: Interpretation
 // ----------------------------------------------------------------------
 
-/// Clones the loss series into the slots that name them for the
-/// sniffer's location; a slot no location fills stays empty.
-fn interpretation(set: &mut SeriesSet, config: &AnalyzerConfig) {
+/// Copies the loss series into the slots that name them for the
+/// sniffer's location; a slot no location fills stays empty. In the
+/// middle, the network's losses are both directions', upstream first.
+fn interpretation(built: &mut SeriesBuilder, config: &AnalyzerConfig) {
     match config.sniffer {
         SnifferLocation::NearReceiver => {
-            set.recv_local_loss = set.downstream_loss.clone();
-            set.network_loss = set.upstream_loss.clone();
+            built.copy(Slot::DownstreamLoss, Slot::RecvLocalLoss);
+            built.copy(Slot::UpstreamLoss, Slot::NetworkLoss);
         }
         SnifferLocation::NearSender => {
-            set.send_local_loss = set.upstream_loss.clone();
-            set.network_loss = set.downstream_loss.clone();
+            built.copy(Slot::UpstreamLoss, Slot::SendLocalLoss);
+            built.copy(Slot::DownstreamLoss, Slot::NetworkLoss);
         }
         SnifferLocation::Middle => {
-            let mut network = set.upstream_loss.clone();
-            for e in set.downstream_loss.iter() {
-                network.push(e.span, e.data);
-            }
-            set.network_loss = network;
+            built.copy(Slot::UpstreamLoss, Slot::NetworkLoss);
+            built.copy(Slot::DownstreamLoss, Slot::NetworkLoss);
         }
     }
 }
@@ -428,7 +710,7 @@ fn interpretation(set: &mut SeriesSet, config: &AnalyzerConfig) {
 /// Sender-app-limited: gaps where everything was acked, the window was
 /// open, and the sender stayed silent.
 fn send_app_limited(
-    set: &mut SeriesSet,
+    built: &mut SeriesBuilder,
     data: &[&Segment],
     acks: &[&Segment],
     rtt: Option<Micros>,
@@ -444,7 +726,9 @@ fn send_app_limited(
     // are monotone cursors rather than per-span scans from the
     // front.
     let mut outstanding_set = scratch.take();
-    set.outstanding.span_set_into(&mut outstanding_set);
+    built[Slot::Outstanding]
+        .view()
+        .span_set_into(&mut outstanding_set);
     let mut di = 0usize;
     let mut ai = 0usize;
     let mut last_window: Option<u32> = None;
@@ -463,38 +747,41 @@ fn send_app_limited(
         if gap_end - span.end < idle_threshold {
             continue;
         }
-        let window = last_window.unwrap_or(set.max_adv_window);
+        let window = last_window.unwrap_or(built.max_adv_window);
         if window == 0 {
             continue; // that is flow control, not the application
         }
-        set.send_app_limited.push(Span::new(span.end, gap_end), 0);
+        built[Slot::SendAppLimited].push(Span::new(span.end, gap_end), 0);
     }
     scratch.put(outstanding_set);
 }
 
 fn operation(
-    set: &mut SeriesSet,
+    built: &mut SeriesBuilder,
     data: &[&Segment],
     acks: &[&Segment],
+    flights: &[Flight],
     rtt: Option<Micros>,
     config: &AnalyzerConfig,
     scratch: &mut SpanScratch,
 ) {
-    let mss = set.mss.max(1);
+    let mss = built.mss.max(1);
     let small = (config.small_window_mss * mss as f64) as u32;
-    let large = set
+    let large = built
         .max_adv_window
         .saturating_sub((config.small_window_mss * mss as f64) as u32);
 
     // Small / large advertised-window series.
-    for e in set.adv_window.iter() {
+    let adv_window = std::mem::take(&mut built[Slot::AdvWindow]);
+    for e in adv_window.iter() {
         if e.data < small {
-            set.small_adv_window.push(e.span, e.data);
+            built[Slot::SmallAdvWindow].push(e.span, e.data);
         }
-        if e.data >= large && set.max_adv_window > 0 {
-            set.large_adv_window.push(e.span, e.data);
+        if e.data >= large && built.max_adv_window > 0 {
+            built[Slot::LargeAdvWindow].push(e.span, e.data);
         }
     }
+    built[Slot::AdvWindow] = adv_window;
 
     // Advertised-window-bounded outstanding, as a continuous check:
     // walk the (shifted) event stream tracking outstanding bytes and
@@ -563,14 +850,15 @@ fn operation(
                 }
                 (true, Some(_)) => peak = peak.max(out as u32),
                 (false, Some(start)) => {
-                    set.adv_bnd_out.push(Span::new(start, time), peak);
+                    built[Slot::AdvBndOut].push(Span::new(start, time), peak);
                     bound_since = None;
                 }
                 (false, None) => {}
             }
         }
         if let Some(start) = bound_since {
-            set.adv_bnd_out.push(Span::new(start, set.period.end), peak);
+            let span = Span::new(start, built.period.end);
+            built[Slot::AdvBndOut].push(span, peak);
         }
     }
 
@@ -578,13 +866,10 @@ fn operation(
     // flights exist exactly when the window is open but cwnd paces the
     // sender), excluding flights already explained by the advertised
     // window.
-    let flight_gap = match rtt {
-        Some(rtt) if rtt > Micros::ZERO => (rtt / 2).max(Micros::from_millis(1)),
-        _ => FALLBACK_FLIGHT_GAP,
-    };
-    let flights = group_flights(data, flight_gap);
     let mut adv_bound_set = scratch.take();
-    set.adv_bnd_out.span_set_into(&mut adv_bound_set);
+    built[Slot::AdvBndOut]
+        .view()
+        .span_set_into(&mut adv_bound_set);
     // Flights end in strictly increasing order, so the "last ACK at or
     // before the flight end" lookup is a monotone cursor, and the
     // forward scans for the covering ACK start at the cursor instead of
@@ -612,7 +897,7 @@ fn operation(
             .iter()
             .find(|a| seq_diff(a.ack, flight_top) >= 0)
             .map(|a| a.time);
-        let span_end = covered_at.unwrap_or(set.period.end);
+        let span_end = covered_at.unwrap_or(built.period.end);
         let span = Span::new(flight.start, span_end);
         // Congestion-window bound: the next flight left immediately
         // after this flight's ACKs arrived.
@@ -623,7 +908,7 @@ fn operation(
                 .map(|a| a.time)
                 .unwrap_or(cov);
             if next.start >= first_ack_after && next.start - first_ack_after <= CWND_CLOCK_SLACK {
-                set.cwd_bnd_out.push(span, out as u32);
+                built[Slot::CwdBndOut].push(span, out as u32);
             }
         }
     }
@@ -641,12 +926,12 @@ fn operation(
     // built by repeated union into pooled buffers (union is associative
     // and SpanSets are normalized, so the grouping doesn't matter).
     let mut explained = scratch.take();
-    set.adv_bnd_out.span_set_into(&mut explained);
-    union_series_into(&mut explained, &set.cwd_bnd_out, scratch);
-    union_series_into(&mut explained, &set.upstream_loss, scratch);
-    union_series_into(&mut explained, &set.downstream_loss, scratch);
-    union_series_into(&mut explained, &set.spurious_retx, scratch);
-    union_series_into(&mut explained, &set.send_app_limited, scratch);
+    built[Slot::AdvBndOut].view().span_set_into(&mut explained);
+    union_series_into(&mut explained, built[Slot::CwdBndOut].view(), scratch);
+    union_series_into(&mut explained, built[Slot::UpstreamLoss].view(), scratch);
+    union_series_into(&mut explained, built[Slot::DownstreamLoss].view(), scratch);
+    union_series_into(&mut explained, built[Slot::SpuriousRetx].view(), scratch);
+    union_series_into(&mut explained, built[Slot::SendAppLimited].view(), scratch);
     let mut single = scratch.take();
     let mut unexplained = scratch.take();
     for burst in continuous {
@@ -657,7 +942,7 @@ fn operation(
             single.difference_into(&explained, &mut unexplained);
             for s in unexplained.iter() {
                 if s.duration() >= min_len {
-                    set.bandwidth_limited.push(*s, 0);
+                    built[Slot::BandwidthLimited].push(*s, 0);
                 }
             }
         }
@@ -761,7 +1046,7 @@ mod tests {
             ack_w(225_600, 3000, 65535),
         ]);
         let s = series_for(&frames);
-        let sal = s.send_app_limited.to_span_set();
+        let sal = s.send_app_limited().to_span_set();
         assert_eq!(sal.len(), 1, "sal = {sal}");
         assert!(
             sal.size() >= Micros::from_millis(150),
@@ -780,7 +1065,7 @@ mod tests {
             ack_w(5_000_700, 3000, 30000),
         ]);
         let s = series_for(&frames);
-        let zw = s.zero_window.to_span_set();
+        let zw = s.zero_window().to_span_set();
         assert_eq!(zw.len(), 1);
         assert!(zw.size() >= Micros::from_secs(4));
         assert!(!s.zero_adv_bnd_out().is_empty());
@@ -797,10 +1082,10 @@ mod tests {
             ack_w(1_100, 4000, 65535), // large again
         ];
         let s = series_for(&frames);
-        assert!(!s.small_adv_window.is_empty());
-        assert!(!s.large_adv_window.is_empty());
-        let small = s.small_adv_window.to_span_set();
-        let large = s.large_adv_window.to_span_set();
+        assert!(!s.small_adv_window().is_empty());
+        assert!(!s.large_adv_window().is_empty());
+        let small = s.small_adv_window().to_span_set();
+        let large = s.large_adv_window().to_span_set();
         assert!(small.intersection(&large).is_empty());
     }
 
@@ -812,11 +1097,11 @@ mod tests {
             ack_w(500_300, 2000, 65535),
         ];
         let s = series_for(&frames);
-        assert_eq!(s.downstream_loss.len(), 1);
-        assert_eq!(s.recv_local_loss.len(), 1, "near-receiver interpretation");
-        assert!(s.send_local_loss.is_empty());
+        assert_eq!(s.downstream_loss().len(), 1);
+        assert_eq!(s.recv_local_loss().len(), 1, "near-receiver interpretation");
+        assert!(s.send_local_loss().is_empty());
         assert_eq!(
-            s.downstream_loss.size(),
+            s.downstream_loss().size(),
             Micros(500_000),
             "recovery span covers original→retransmission"
         );
@@ -836,7 +1121,7 @@ mod tests {
         ];
         let s = series_for(&frames);
         assert!(
-            !s.adv_bnd_out.is_empty(),
+            !s.adv_bnd_out().is_empty(),
             "4000-byte window bounding a 4000-byte flight"
         );
     }
@@ -855,32 +1140,15 @@ mod tests {
             "AllLoss",
             "ZeroAckBug",
         ];
-        let mut s = SeriesSet::default();
-        let slots = [
-            &mut s.transmission,
-            &mut s.outstanding,
-            &mut s.adv_window,
-            &mut s.upstream_loss,
-            &mut s.downstream_loss,
-            &mut s.spurious_retx,
-            &mut s.zero_window,
-            &mut s.window_probes,
-            &mut s.send_local_loss,
-            &mut s.recv_local_loss,
-            &mut s.network_loss,
-            &mut s.send_app_limited,
-            &mut s.small_adv_window,
-            &mut s.large_adv_window,
-            &mut s.adv_bnd_out,
-            &mut s.cwd_bnd_out,
-            &mut s.bandwidth_limited,
-        ];
-        let stored = slots.len();
+        let mut built = SeriesBuilder::default();
+        let stored = Slot::ALL.len();
         assert_eq!(stored, 17);
         let mark = |slot: usize| Span::from_micros(10 * slot as i64 + 1, 10 * slot as i64 + 2);
-        for (slot, series) in slots.into_iter().enumerate() {
-            series.push(mark(slot), 0);
+        for (i, slot) in Slot::ALL.into_iter().enumerate() {
+            assert_eq!(slot as usize, i, "ALL is in storage order");
+            built[slot].push(mark(i), 0);
         }
+        let s = built.build();
         // The period is empty, so `ZeroAdvBndOut` and `ZeroAckBug` are
         // too, and no derived set can pass for a single slot.
         let named = s.named();

@@ -55,10 +55,10 @@ use tdat_packet::{
     AnomalyCounts, CaptureAnomaly, FrameLike, LossyFrameView, LossyReader, PcapReader, TcpFrame,
 };
 use tdat_pcap2bgp::{Extraction, StreamExtractor};
-use tdat_timeset::Micros;
+use tdat_timeset::{Micros, Span, SpanScratch};
 use tdat_trace::{ConnKey, ConnectionTracker, Drain, Endpoint, FinalizedConnection, TrackerConfig};
 
-use crate::analyzer::{Analysis, Analyzer};
+use crate::analyzer::{Analysis, Analyzer, PartialAnalysis};
 use crate::config::AnalyzerConfig;
 use crate::error::Result;
 
@@ -368,6 +368,10 @@ pub struct Ingest {
     /// No log settles past this: [`Micros::MAX`] until the first read,
     /// then the time of the first frame stepped since the last one.
     settle_to: Option<Micros>,
+    /// The buffers every analysis of this capture is made in: span-set
+    /// intermediates and series builders, kept from one connection to
+    /// the next.
+    scratch: SpanScratch,
 }
 
 impl Ingest {
@@ -378,6 +382,7 @@ impl Ingest {
             demux: BgpDemux::new(),
             quality: HashMap::new(),
             settle_to: Some(Micros::MAX),
+            scratch: SpanScratch::new(),
         }
     }
 
@@ -408,7 +413,58 @@ impl Ingest {
     pub fn analyze(&mut self, fin: FinalizedConnection, analyzer: &Analyzer) -> Analysis {
         let extraction = self.demux.take(fin.key, fin.connection.sender);
         let counts = self.quality.remove(&fin.key).unwrap_or_default();
-        analyzer.analyze_extracted_lossy(fin.connection, &extraction, counts)
+        analyzer.analyze_extracted_in(fin.connection, &extraction, counts, &mut self.scratch)
+    }
+
+    /// What a live view reads of open connection `key` as of now, over
+    /// `window` ([`Analyzer::analyze_partial_lossy`]), beside its tracker
+    /// ordinal and the rows its data sender's log holds: what MCT reads
+    /// for the report that [`complete`](Self::complete) makes of it
+    /// later. `None` if the connection is not open.
+    pub fn analyze_open(
+        &mut self,
+        key: ConnKey,
+        window: Span,
+        analyzer: &Analyzer,
+    ) -> Option<(u64, PartialAnalysis, usize)> {
+        let fin = self.tracker.snapshot_of(key)?;
+        let unseen = Extraction::default();
+        let extraction = self
+            .demux
+            .snapshot(key, fin.connection.sender)
+            .unwrap_or(&unseen);
+        let counts = self.quality(key);
+        let rows = extraction.messages.len();
+        let partial = analyzer.analyze_partial_in(
+            fin.connection,
+            extraction,
+            window,
+            counts,
+            &mut self.scratch,
+        );
+        Some((fin.ordinal, partial, rows))
+    }
+
+    /// The whole analysis of open connection `key` as `partial` saw it
+    /// ([`Analyzer::complete`]): over the connection rebuilt from the
+    /// frames `partial` counted
+    /// ([`ConnectionTracker::snapshot_first`]), with MCT over the first
+    /// `rows` rows of its data sender's log. `None` if the connection is
+    /// not open.
+    pub fn complete(
+        &mut self,
+        key: ConnKey,
+        partial: &PartialAnalysis,
+        rows: usize,
+        analyzer: &Analyzer,
+    ) -> Option<Analysis> {
+        let conn = self
+            .tracker
+            .snapshot_first(key, partial.profile.frames as usize)?;
+        let unseen = Extraction::default();
+        let extraction = self.demux.snapshot(key, partial.sender).unwrap_or(&unseen);
+        let transfer = analyzer.transfer_of(partial.profile.start, extraction, rows);
+        Some(analyzer.complete_in(conn, partial, transfer, &mut self.scratch))
     }
 
     /// Ends the capture: every connection still open, by ordinal, each
@@ -474,7 +530,10 @@ impl Ingest {
 /// dropped. So a settle costs the entries due, not the logs open.
 #[derive(Debug, Default)]
 pub struct BgpDemux {
-    streams: HashMap<ConnKey, SidePair>,
+    /// Boxed: one allocation per connection, made with its entry, so the
+    /// table, which keeps its capacity once its entries are taken, holds
+    /// a pointer a bucket rather than two streams.
+    streams: HashMap<ConnKey, Box<SidePair>>,
     queue: SettleQueue,
 }
 
@@ -597,7 +656,10 @@ impl BgpDemux {
     /// side. Its settle queue entry stays until it is due, and is then
     /// dropped.
     pub fn take(&mut self, key: ConnKey, sender: Endpoint) -> Extraction {
-        let pair = self.streams.remove(&key).unwrap_or_default();
+        let pair = self
+            .streams
+            .remove(&key)
+            .map_or_else(SidePair::default, |pair| *pair);
         if sender == key.a {
             pair.from_a.finish()
         } else {

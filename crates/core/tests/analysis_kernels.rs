@@ -18,21 +18,24 @@
 //! output must be equal, and so must the tracker's
 //! `snapshot_first(key, n)` and the reference over the first `n`
 //! frames, for every `n`. And a live view's series must be the whole
-//! analysis's, series for series. CI runs this file with
-//! `PROPTEST_CASES=20000`.
+//! analysis's, series for series. A set of series frozen into its one
+//! allocation must read back, through each slot's accessor, exactly the
+//! events it was built from, and the loss series that interpretation
+//! copies must equal their sources under every sniffer location. CI
+//! runs this file with `PROPTEST_CASES=20000`.
 
 use std::net::Ipv4Addr;
 
 use proptest::prelude::*;
 use std::collections::HashMap;
 use tdat::preprocess::{shift_acks, FlightShift, ShiftedTrace};
-use tdat::{Analyzer, SeriesSet};
+use tdat::{Analyzer, AnalyzerConfig, SeriesBuilder, SeriesSet, Slot, SnifferLocation};
 
 use tdat_packet::{
     seq_diff, AnomalyCounts, FrameBuilder, FrameLike, TcpFlags, TcpFrame, TcpOption,
 };
 use tdat_pcap2bgp::Extraction;
-use tdat_timeset::{Micros, Span};
+use tdat_timeset::{Micros, SeriesView, Span};
 use tdat_trace::{
     default_flight_gap, extract_connections, group_flights, label_segments, ConnKey, ConnProfile,
     ConnectionTracker, Direction, Endpoint, LabelConfig, SegLabel, Segment, TcpConnection,
@@ -375,6 +378,130 @@ proptest! {
     }
 }
 
+/// A [`SeriesSet`] accessor.
+type Accessor = fn(&SeriesSet) -> SeriesView<'_, u32>;
+
+/// Each of the 17 stored series beside the accessor that reads it.
+const ACCESSORS: [(Slot, Accessor); 17] = [
+    (Slot::Transmission, SeriesSet::transmission),
+    (Slot::Outstanding, SeriesSet::outstanding),
+    (Slot::AdvWindow, SeriesSet::adv_window),
+    (Slot::UpstreamLoss, SeriesSet::upstream_loss),
+    (Slot::DownstreamLoss, SeriesSet::downstream_loss),
+    (Slot::SpuriousRetx, SeriesSet::spurious_retx),
+    (Slot::ZeroWindow, SeriesSet::zero_window),
+    (Slot::WindowProbes, SeriesSet::window_probes),
+    (Slot::SendLocalLoss, SeriesSet::send_local_loss),
+    (Slot::RecvLocalLoss, SeriesSet::recv_local_loss),
+    (Slot::NetworkLoss, SeriesSet::network_loss),
+    (Slot::SendAppLimited, SeriesSet::send_app_limited),
+    (Slot::SmallAdvWindow, SeriesSet::small_adv_window),
+    (Slot::LargeAdvWindow, SeriesSet::large_adv_window),
+    (Slot::AdvBndOut, SeriesSet::adv_bnd_out),
+    (Slot::CwdBndOut, SeriesSet::cwd_bnd_out),
+    (Slot::BandwidthLimited, SeriesSet::bandwidth_limited),
+];
+
+/// Freezes `series` into a set through a builder, one list a slot in
+/// [`Slot::ALL`] order, and checks that every list reads back through
+/// its accessor as the builder holds it — every event, in order — and
+/// that the set is those events alone.
+fn freeze_and_read_back(series: &[Vec<(i64, i64, u32)>; 17]) -> Result<(), TestCaseError> {
+    let mut built = SeriesBuilder::new(Span::from_micros(0, 1_000), 1448, 65_535);
+    for (slot, events) in Slot::ALL.into_iter().zip(series) {
+        for &(start, len, data) in events {
+            built[slot].push(Span::from_micros(start, start + len), data);
+        }
+    }
+    let set = built.build();
+    let mut total = 0;
+    for (i, (slot, read)) in ACCESSORS.into_iter().enumerate() {
+        prop_assert_eq!(slot, Slot::ALL[i]);
+        let events = read(&set).events();
+        prop_assert_eq!(events, built[slot].events(), "{:?}", slot);
+        prop_assert_eq!(set.get(slot), read(&set));
+        prop_assert_eq!(events.len(), series[i].len());
+        prop_assert!(events
+            .windows(2)
+            .all(|w| w[0].span.start <= w[1].span.start));
+        total += events.len();
+    }
+    prop_assert_eq!(set.events().len(), total);
+    prop_assert_eq!(
+        (set.period, set.mss, set.max_adv_window),
+        (built.period, 1448, 65_535)
+    );
+    Ok(())
+}
+
+proptest! {
+    /// Freezing loses nothing: 17 arbitrary event lists, some of them
+    /// empty (or all, for about one case in eight), come back through
+    /// their accessors unchanged and in order.
+    #[test]
+    fn freezing_loses_nothing(
+        series in prop::collection::vec(
+            prop::collection::vec((-1_000i64..1_000, 0i64..50, any::<u32>()), 0..6),
+            17..18,
+        ),
+        all_empty in 0u8..8,
+    ) {
+        let series: [_; 17] = series.try_into().expect("17 lists");
+        let series = if all_empty == 0 { Default::default() } else { series };
+        freeze_and_read_back(&series)?;
+    }
+
+    /// Interpretation copies the loss series into the slots that name
+    /// them for the sniffer's location, each exactly its source: near
+    /// the receiver, `RecvLocalLoss` is `DownstreamLoss` and
+    /// `NetworkLoss` `UpstreamLoss`; near the sender, `SendLocalLoss` is
+    /// `UpstreamLoss` and `NetworkLoss` `DownstreamLoss`; in the middle,
+    /// `NetworkLoss` is both, upstream first where starts tie. A slot no
+    /// location fills stays empty.
+    #[test]
+    fn interpretation_copies_its_sources(
+        handshake in 0u8..3,
+        steps in steps(),
+    ) {
+        let frames = frames_of(handshake, false, 1, &steps);
+        let Some(conn) = connection(&frames) else { return Ok(()) };
+        for sniffer in [SnifferLocation::NearReceiver, SnifferLocation::NearSender, SnifferLocation::Middle] {
+            let config = AnalyzerConfig::builder().sniffer(sniffer).build().expect("valid");
+            let analysis = Analyzer::new(config).analyze_extracted_lossy(
+                conn.clone(),
+                &Extraction::default(),
+                AnomalyCounts::default(),
+            );
+            let s = &analysis.series;
+            let (up, down) = (s.upstream_loss(), s.downstream_loss());
+            let none = SeriesView::default();
+            let (send, recv, network) = match sniffer {
+                SnifferLocation::NearReceiver => (none, down, up.events().to_vec()),
+                SnifferLocation::NearSender => (up, none, down.events().to_vec()),
+                SnifferLocation::Middle => {
+                    let mut both = up.events().to_vec();
+                    both.extend_from_slice(down.events());
+                    both.sort_by_key(|e| e.span.start);
+                    (none, none, both)
+                }
+            };
+            prop_assert_eq!(s.send_local_loss(), send, "{:?}", sniffer);
+            prop_assert_eq!(s.recv_local_loss(), recv, "{:?}", sniffer);
+            prop_assert_eq!(s.network_loss().events(), &network[..], "{:?}", sniffer);
+        }
+    }
+}
+
+/// Freezing keeps a series longer than 65 535 events whole, between
+/// empty slots and a slot after it, so no end offset wraps at 16 bits.
+#[test]
+fn a_series_longer_than_65_535_events_freezes_whole() {
+    let mut series: [Vec<(i64, i64, u32)>; 17] = Default::default();
+    series[3] = (0..70_000).map(|i| (i, 1, i as u32)).collect();
+    series[16] = vec![(5, 5, 7)];
+    freeze_and_read_back(&series).expect("read back");
+}
+
 /// The series a live view keeps, rendered for comparison.
 fn alert_series(s: &SeriesSet) -> String {
     format!(
@@ -382,13 +509,13 @@ fn alert_series(s: &SeriesSet) -> String {
         (
             s.period,
             s.max_adv_window,
-            &s.upstream_loss,
-            &s.downstream_loss,
-            &s.spurious_retx,
-            &s.window_probes,
-            &s.zero_window,
-            &s.outstanding,
-            &s.send_app_limited,
+            s.upstream_loss(),
+            s.downstream_loss(),
+            s.spurious_retx(),
+            s.window_probes(),
+            s.zero_window(),
+            s.outstanding(),
+            s.send_app_limited(),
         )
     )
 }

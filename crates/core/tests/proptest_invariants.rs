@@ -1,7 +1,9 @@
 //! Property tests of the analyzer's algebraic invariants.
 
 use proptest::prelude::*;
-use tdat::{delay_vector_with, AnalyzerConfig, Factor, FactorGroup, SeriesSet};
+use tdat::{
+    delay_vector_with, AnalyzerConfig, Factor, FactorGroup, SeriesBuilder, SeriesSet, Slot,
+};
 use tdat_timeset::{EventSeries, Span, SpanScratch};
 
 const PERIOD: Span = Span::from_micros(0, 1_000_000);
@@ -29,24 +31,24 @@ fn arb_series_set() -> impl Strategy<Value = SeriesSet> {
         arb_series(),
         arb_series(),
     )
-        .prop_map(
-            |(sal, cwd, sll, zw, rll, bw, nl, adv, small, large)| SeriesSet {
-                period: PERIOD,
-                mss: 1448,
-                max_adv_window: 65_535,
-                send_app_limited: sal,
-                cwd_bnd_out: cwd,
-                send_local_loss: sll,
-                zero_window: zw,
-                recv_local_loss: rll,
-                bandwidth_limited: bw,
-                network_loss: nl,
-                adv_bnd_out: adv,
-                small_adv_window: small,
-                large_adv_window: large,
-                ..SeriesSet::default()
-            },
-        )
+        .prop_map(|(sal, cwd, sll, zw, rll, bw, nl, adv, small, large)| {
+            let mut built = SeriesBuilder::new(PERIOD, 1448, 65_535);
+            for (slot, series) in [
+                (Slot::SendAppLimited, sal),
+                (Slot::CwdBndOut, cwd),
+                (Slot::SendLocalLoss, sll),
+                (Slot::ZeroWindow, zw),
+                (Slot::RecvLocalLoss, rll),
+                (Slot::BandwidthLimited, bw),
+                (Slot::NetworkLoss, nl),
+                (Slot::AdvBndOut, adv),
+                (Slot::SmallAdvWindow, small),
+                (Slot::LargeAdvWindow, large),
+            ] {
+                built[slot] = series;
+            }
+            built.build()
+        })
 }
 
 proptest! {

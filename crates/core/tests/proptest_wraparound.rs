@@ -123,7 +123,7 @@ proptest! {
         // grouping, outstanding (flight-size) tracking, and every
         // window-bound detector.
         prop_assert_eq!(&l.labels, &w.labels);
-        prop_assert_eq!(&l.series.outstanding, &w.series.outstanding,
+        prop_assert_eq!(l.series.outstanding(), w.series.outstanding(),
             "outstanding byte counts must not depend on the base sequence");
         for ((ln, lset), (wn, wset)) in l.series.named().into_iter().zip(w.series.named()) {
             prop_assert_eq!(ln, wn);

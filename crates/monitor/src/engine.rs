@@ -66,7 +66,6 @@ use tdat::{
     report::json, Analysis, Analyzer, Ingest, PartialAnalysis, PeerMember, Report,
 };
 use tdat_packet::{AnomalyCounts, TcpFrame};
-use tdat_pcap2bgp::Extraction;
 use tdat_timeset::{Micros, Span};
 use tdat_trace::{ConnKey, Endpoint, FinalizedConnection, TrackerConfig};
 
@@ -568,23 +567,13 @@ impl SourceScope {
     /// MCT, no factors, none of the series only a report reads. A
     /// snapshot pull completes each entry ([`complete`](Self::complete)).
     fn refresh(&mut self, work: Vec<ConnKey>, at: Micros, ctx: &AnalysisCtx) {
-        let analyzer = &ctx.analyzer;
-        // What a connection the demux holds no stream for reads as.
-        let unseen = Extraction::default();
         let span = Span::new(at.saturating_sub(ctx.window), at);
         for key in work {
-            let Some(fin) = self.ingest.tracker().snapshot_of(key) else {
+            let Some((ordinal, partial, rows)) = self.ingest.analyze_open(key, span, &ctx.analyzer)
+            else {
                 continue;
             };
-            let extraction = self
-                .ingest
-                .demux()
-                .snapshot(key, fin.connection.sender)
-                .unwrap_or(&unseen);
-            let counts = self.ingest.quality(key);
-            let rows = extraction.messages.len();
-            let partial = analyzer.analyze_partial_lossy(fin.connection, extraction, span, counts);
-            self.store(key, fin.ordinal, partial, rows, ctx);
+            self.store(key, ordinal, partial, rows, ctx);
         }
     }
 
@@ -651,27 +640,18 @@ impl SourceScope {
     /// holds the rows the last tick saw, so no cache entry asks it about
     /// fewer.
     fn complete(&mut self, analyzer: &Analyzer) {
-        let unseen = Extraction::default();
         for (&key, cached) in &mut self.cache {
             if cached.completed.is_some() {
                 continue;
             }
-            let partial = &cached.partial;
-            let Some(conn) = self
+            let completed = self
                 .ingest
-                .tracker()
-                .snapshot_first(key, partial.profile.frames as usize)
-            else {
-                debug_assert!(false, "a cached connection is open in its tracker");
-                continue;
-            };
-            let extraction = self
-                .ingest
-                .demux()
-                .snapshot(key, partial.sender)
-                .unwrap_or(&unseen);
-            let transfer = analyzer.transfer_of(partial.profile.start, extraction, cached.rows);
-            cached.completed = Some(Box::new(analyzer.complete(conn, partial, transfer)));
+                .complete(key, &cached.partial, cached.rows, analyzer);
+            debug_assert!(
+                completed.is_some(),
+                "a cached connection is open in its tracker"
+            );
+            cached.completed = completed.map(Box::new);
         }
     }
 

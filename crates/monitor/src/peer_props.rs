@@ -16,8 +16,8 @@ use std::net::Ipv4Addr;
 use std::sync::Arc;
 
 use proptest::prelude::*;
-use tdat::{Analyzer, PartialAnalysis, SeriesSet, Verdict};
-use tdat_timeset::{EventSeries, Micros, Span};
+use tdat::{Analyzer, PartialAnalysis, SeriesBuilder, Slot, Verdict};
+use tdat_timeset::{Micros, Span};
 use tdat_trace::{ConnKey, ConnProfile, TrackerConfig};
 
 use crate::alerts::{Condition, MIN_PAUSE};
@@ -52,7 +52,7 @@ mod reference {
     ) -> Vec<PeerGroupBlocking> {
         // Merge the blocked session's idle spans across small interruptions
         // (keepalives every ~60 s briefly interrupt SendAppLimited).
-        let idle = blocked.send_app_limited.to_span_set();
+        let idle = blocked.send_app_limited().to_span_set();
         let mut merged = SpanSet::new();
         let mut current: Option<Span> = None;
         for span in idle.iter() {
@@ -71,7 +71,7 @@ mod reference {
             merged.insert(c);
         }
 
-        let faulty_loss = faulty.all_loss().union(&faulty.zero_window.to_span_set());
+        let faulty_loss = faulty.all_loss().union(&faulty.zero_window().to_span_set());
         let mut incidents = Vec::new();
         for pause in merged.iter().filter(|s| s.duration() >= min_pause) {
             let overlap = SpanSet::from_span(*pause).intersection(&faulty_loss);
@@ -232,8 +232,8 @@ fn router(g: usize) -> Ipv4Addr {
 /// `SendAppLimited` of shape `shape` starting at `start`: none, one
 /// short idle span, two spans `gap` apart whose hull is `min_pause` plus
 /// one of [`HULLS`], or that hull and a second long pause a minute on.
-fn idle_spans(series: &mut SeriesSet, shape: usize, gap: i64, start: i64) {
-    let mut sal = EventSeries::new();
+fn idle_spans(series: &mut SeriesBuilder, shape: usize, gap: i64, start: i64) {
+    let sal = &mut series[Slot::SendAppLimited];
     match shape {
         0 => {}
         1 => sal.push(Span::from_micros(start, start + 5_000_000), 0),
@@ -248,22 +248,20 @@ fn idle_spans(series: &mut SeriesSet, shape: usize, gap: i64, start: i64) {
             }
         }
     }
-    series.send_app_limited = sal;
 }
 
 /// Loss or zero-window activity of kind `kind` (none for 4) lasting
 /// `len`, a second into the pauses.
-fn trouble(series: &mut SeriesSet, kind: usize, len: i64) {
+fn trouble(series: &mut SeriesBuilder, kind: usize, len: i64) {
     let span = Span::from_micros(BASE + 1_000_000, BASE + 1_000_000 + len);
-    let mut events = EventSeries::new();
-    events.push(span, 1448);
-    match kind {
-        0 => series.upstream_loss = events,
-        1 => series.downstream_loss = events,
-        2 => series.spurious_retx = events,
-        3 => series.zero_window = events,
-        _ => {}
-    }
+    let slot = match kind {
+        0 => Slot::UpstreamLoss,
+        1 => Slot::DownstreamLoss,
+        2 => Slot::SpuriousRetx,
+        3 => Slot::ZeroWindow,
+        _ => return,
+    };
+    series[slot].push(span, 1448);
 }
 
 /// Member `m` of group `g` (of `groups`), as of its first refresh, or
@@ -282,10 +280,7 @@ fn analysis(spec: &Spec, g: usize, groups: usize, m: usize, again: bool) -> Part
     if again && refresh == 1 {
         (sender, receiver) = (receiver, sender);
     }
-    let mut series = SeriesSet {
-        period: Span::from_micros(0, BASE + 300_000_000),
-        ..SeriesSet::default()
-    };
+    let mut series = SeriesBuilder::new(Span::from_micros(0, BASE + 300_000_000), 0, 0);
     idle_spans(
         &mut series,
         shape,
@@ -293,6 +288,7 @@ fn analysis(spec: &Spec, g: usize, groups: usize, m: usize, again: bool) -> Part
         BASE + offset as i64 * 3_000_000,
     );
     trouble(&mut series, kind, LOSSES[len]);
+    let series = series.build();
     PartialAnalysis {
         profile: ConnProfile {
             data_bytes: 1_000,

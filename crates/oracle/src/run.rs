@@ -157,11 +157,11 @@ pub(crate) fn score_connection(
     let truth = &report.sender_tcp_stats;
 
     let app_truth = truth_set(&truth.app_limited_spans, floor);
-    let app_inferred = analysis.series.send_app_limited.to_span_set();
+    let app_inferred = analysis.series.send_app_limited().to_span_set();
     let app_idle = span_score(&app_truth, &app_inferred, period, tol);
 
     let cwnd_truth = truth_set(&truth.cwnd_limited_spans, floor);
-    let cwnd_inferred = analysis.series.cwd_bnd_out.to_span_set();
+    let cwnd_inferred = analysis.series.cwd_bnd_out().to_span_set();
     let cwnd = span_score(&cwnd_truth, &cwnd_inferred, period, tol);
 
     // The simulator charges zero-window time to the Rwnd limit too, so
@@ -170,13 +170,13 @@ pub(crate) fn score_connection(
         .union(&truth_set(&truth.zero_window_spans, floor));
     let rwnd_inferred = analysis
         .series
-        .adv_bnd_out
+        .adv_bnd_out()
         .to_span_set()
-        .union(&analysis.series.zero_window.to_span_set());
+        .union(&analysis.series.zero_window().to_span_set());
     let rwnd = span_score(&rwnd_truth, &rwnd_inferred, period, tol);
 
     let zw_truth = truth_set(&truth.zero_window_spans, floor);
-    let zw_inferred = analysis.series.zero_window.to_span_set();
+    let zw_inferred = analysis.series.zero_window().to_span_set();
     let zero_window = span_score(&zw_truth, &zw_inferred, period, tol);
 
     let loss = loss_matrix(drops, &labeled_segments(analysis));

@@ -37,6 +37,7 @@
 //! without touching its records ([`QueryStats::segments_pruned`]).
 
 use std::collections::BTreeMap;
+use std::time::Duration;
 
 use tdat::json;
 use tdat_timeset::Micros;
@@ -423,6 +424,10 @@ pub struct Query {
     limit: Option<usize>,
 }
 
+/// A bucket width, `<N>` seconds, minutes, hours or days: refused, as
+/// the CLIs refuse `--window` and `--interval`, when it is not a finite
+/// positive number of seconds ([`Duration::try_from_secs_f64`]), or
+/// rounds to no microsecond or to more than trace time holds.
 fn parse_duration(token: &str) -> Option<Micros> {
     let (num, mult) = match token.as_bytes().last()? {
         b's' => (&token[..token.len() - 1], 1.0),
@@ -432,10 +437,9 @@ fn parse_duration(token: &str) -> Option<Micros> {
         _ => return None,
     };
     let n: f64 = num.parse().ok()?;
-    if !n.is_finite() || n <= 0.0 {
-        return None;
-    }
-    Some(Micros::from_secs_f64(n * mult))
+    let width = Duration::try_from_secs_f64(n * mult).ok()?;
+    let micros = i64::try_from((width.as_nanos() + 500) / 1_000).ok()?;
+    (micros > 0).then_some(Micros(micros))
 }
 
 impl Query {
@@ -499,7 +503,11 @@ impl Query {
                     i += 1;
                     let token = take(&mut i, "a bucket width like 1h")?;
                     query.bucket = Some(parse_duration(token).ok_or_else(|| {
-                        StoreError::Query(format!("bad bucket width {token:?} (want <N>s|m|h|d)"))
+                        StoreError::Query(format!(
+                            "bad bucket width {token:?} (want <N>s|m|h|d, at least 1 µs \
+                             and at most {} s)",
+                            i64::MAX / 1_000_000
+                        ))
                     })?);
                 }
                 "agg" => {
@@ -1008,5 +1016,31 @@ mod tests {
         }
         // order by count is fine when grouping.
         assert!(Query::parse("group by peer order by count desc").is_ok());
+    }
+
+    /// A bucket width no span of trace time holds is a parse error, not
+    /// a division by zero (`1e-9s` rounds to no microsecond) or a
+    /// saturated width (`1e300d`); the widths either side of the limits
+    /// parse, rounded to the microsecond.
+    #[test]
+    fn a_bucket_width_no_trace_time_holds_is_refused() {
+        for width in [
+            "1e-9s", "4e-7s", "1e300d", "1e14d", "0s", "-1h", "nans", "infm",
+        ] {
+            let err = Query::parse(&format!("group by bucket bucket {width} agg count"))
+                .expect_err(width);
+            assert!(
+                err.to_string().contains("bad bucket width"),
+                "{width}: {err}"
+            );
+        }
+        for (width, micros) in [
+            ("5e-7s", 1),
+            ("1h", 3_600_000_000),
+            ("1e8d", 8_640_000_000_000_000_000),
+        ] {
+            let query = Query::parse(&format!("group by bucket bucket {width}")).expect(width);
+            assert_eq!(query.bucket, Some(Micros(micros)), "{width}");
+        }
     }
 }

@@ -1,7 +1,7 @@
 //! End-to-end coverage of the `t-dat-store` CLI: synth, ingest from a
 //! file, query (stable JSONL on stdout), compact, stats, and the
-//! usage-error paths, among them a sweep's `--window` or `--interval`
-//! that no span of trace time holds.
+//! usage-error paths, among them a sweep's `--window` or `--interval`,
+//! or a query's bucket width, that no span of trace time holds.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -161,4 +161,35 @@ fn a_sweep_window_or_interval_no_trace_time_holds_is_refused() {
         }
     }
     std::fs::remove_dir_all(&captures).ok();
+}
+
+/// A query bucket width that rounds to no microsecond, or to more than
+/// trace time holds, is the query-parse error every malformed query
+/// gets (exit 2, naming the width), not a division by zero (exit 101)
+/// or a saturated width answered in silence; `1s` answers.
+#[test]
+fn a_bucket_width_no_trace_time_holds_is_refused() {
+    let dir = tempdir("bucket");
+    let dir_s = dir.to_str().expect("utf-8 temp dir");
+    let out = run(&["synth", dir_s, "--records", "50", "--seed", "1"]);
+    assert!(out.status.success());
+    let query = |width: &str| {
+        let text = format!("group by bucket bucket {width} agg count");
+        run(&["query", dir_s, &text])
+    };
+    for width in ["1e-9s", "1e300d"] {
+        let out = query(width);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{width}: {stderr}");
+        assert!(stderr.contains("bad bucket width"), "{width}: {stderr}");
+        assert!(out.stdout.is_empty(), "{width}: no rows");
+    }
+    let out = query("1s");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert!(!out.stdout.is_empty());
+    std::fs::remove_dir_all(&dir).ok();
 }

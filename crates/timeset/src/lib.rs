@@ -14,8 +14,11 @@
 //! * [`SpanSet`] — a normalized set of disjoint spans with full set
 //!   algebra, gap iteration, and delay-ratio computation;
 //! * [`EventSeries`] — spans with payloads, the `(event_duration,
-//!   event_data)` tuples of the paper. A series is its events alone;
-//!   whatever holds it gives it its name.
+//!   event_data)` tuples of the paper, as a series is built. A series is
+//!   its events alone; whatever holds it gives it its name;
+//! * [`SeriesArena`] — a finished set of `N` series frozen into one
+//!   exactly sized allocation, and [`SeriesView`], the borrowed series
+//!   through which both forms are read.
 //!
 //! # Examples
 //!
@@ -47,6 +50,6 @@ mod series;
 mod set;
 mod time;
 
-pub use series::{Event, EventSeries};
+pub use series::{Event, EventSeries, SeriesArena, SeriesView};
 pub use set::{Gaps, SpanScratch, SpanSet};
 pub use time::{Micros, Span};

@@ -36,7 +36,7 @@ impl<T: fmt::Display> fmt::Display for Event<T> {
     }
 }
 
-/// An ordered series of events of one behaviour type.
+/// An ordered series of events of one behaviour type, as it is built.
 ///
 /// Events are kept sorted by span start. Unlike [`SpanSet`], events may
 /// overlap — e.g. two retransmissions of different segments recovering
@@ -45,10 +45,10 @@ impl<T: fmt::Display> fmt::Display for Event<T> {
 /// overlapping time is never double-counted, matching the paper's
 /// definition of series size.
 ///
-/// A series carries no name, only its events: 24 bytes, one `Vec`. The
-/// place that holds it names it — in the analyzer, the field of the
-/// series set it sits in — so a program that keeps thousands of
-/// analyses keeps no name per series.
+/// A series carries no name, only its events: 24 bytes, one `Vec`. Its
+/// reads are those of a [`SeriesView`], which [`view`](Self::view)
+/// lends; a finished set of series is frozen into one [`SeriesArena`],
+/// which lends the same views, so one implementation reads both.
 ///
 /// # Examples
 ///
@@ -60,7 +60,7 @@ impl<T: fmt::Display> fmt::Display for Event<T> {
 /// retx.push(Span::from_micros(250, 400), 1448); // overlaps the first
 /// assert_eq!(retx.len(), 2);
 /// // Flattened size counts the covered time once.
-/// assert_eq!(retx.size(), Micros(300));
+/// assert_eq!(retx.view().size(), Micros(300));
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct EventSeries<T> {
@@ -74,9 +74,8 @@ impl<T> EventSeries<T> {
         EventSeries { events: Vec::new() }
     }
 
-    /// Number of events (not the covered duration; see [`size`]).
-    ///
-    /// [`size`]: EventSeries::size
+    /// Number of events (not the covered duration; see
+    /// [`SeriesView::size`]).
     pub fn len(&self) -> usize {
         self.events.len()
     }
@@ -102,6 +101,17 @@ impl<T> EventSeries<T> {
         }
     }
 
+    /// Makes room for at least `additional` more events.
+    pub fn reserve(&mut self, additional: usize) {
+        self.events.reserve(additional);
+    }
+
+    /// Removes every event, keeping the allocation for the next series
+    /// built in it.
+    pub fn clear(&mut self) {
+        self.events.clear();
+    }
+
     /// The events in start order.
     pub fn events(&self) -> &[Event<T>] {
         &self.events
@@ -112,71 +122,11 @@ impl<T> EventSeries<T> {
         self.events.iter()
     }
 
-    /// Flattens the series into a normalized [`SpanSet`].
-    pub fn to_span_set(&self) -> SpanSet {
-        let mut out = SpanSet::new();
-        self.span_set_into(&mut out);
-        out
-    }
-
-    /// Flattens the series into `out` (cleared first). Because events
-    /// are kept sorted by start, this is a linear coalescing pass — no
-    /// sort and no allocation beyond growing `out` once.
-    pub fn span_set_into(&self, out: &mut SpanSet) {
-        out.clear();
-        for event in &self.events {
-            out.push_sorted(event.span);
+    /// The series' reads, lent.
+    pub fn view(&self) -> SeriesView<'_, T> {
+        SeriesView {
+            events: &self.events,
         }
-    }
-
-    /// Total covered duration (flattened; overlap counted once).
-    /// Allocation-free: a linear pass over the sorted events.
-    pub fn size(&self) -> Micros {
-        let mut total = Micros::ZERO;
-        let mut covered_to = Micros::MIN;
-        for event in &self.events {
-            let span = event.span;
-            if span.is_empty() {
-                continue;
-            }
-            if span.end > covered_to {
-                total += span.end - span.start.max(covered_to);
-                covered_to = span.end;
-            }
-        }
-        total
-    }
-
-    /// Fraction of `window` covered by this series — its *delay ratio*.
-    pub fn ratio(&self, window: Span) -> f64 {
-        let denom = window.duration().as_micros();
-        if denom <= 0 {
-            return 0.0;
-        }
-        let mut covered = Micros::ZERO;
-        let mut covered_to = Micros::MIN;
-        for event in &self.events {
-            let Some(span) = event.span.intersect(window) else {
-                continue;
-            };
-            if span.end > covered_to {
-                covered += span.end - span.start.max(covered_to);
-                covered_to = span.end;
-            }
-        }
-        covered.as_micros() as f64 / denom as f64
-    }
-
-    /// Events overlapping `span`, for drilling from a high-level
-    /// observation back into the packet trace.
-    pub fn overlapping(&self, span: Span) -> impl Iterator<Item = &Event<T>> {
-        self.events.iter().filter(move |e| e.span.overlaps(span))
-    }
-
-    /// The durations of the individual events, in order. Useful for gap
-    /// length distributions (Fig. 17 of the paper).
-    pub fn durations(&self) -> impl Iterator<Item = Micros> + '_ {
-        self.events.iter().map(|e| e.span.duration())
     }
 }
 
@@ -206,11 +156,237 @@ impl<T> Extend<(Span, T)> for EventSeries<T> {
 
 impl<T: fmt::Display> fmt::Display for EventSeries<T> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.view().fmt(f)
+    }
+}
+
+/// One event series, borrowed read-only: from an [`EventSeries`] being
+/// built ([`EventSeries::view`]) or from a frozen [`SeriesArena`]
+/// ([`SeriesArena::get`]). Every read of a series is here, once.
+///
+/// A view is a slice of events in start order; it is `Copy`, and what it
+/// returns borrows the series, not the view.
+pub struct SeriesView<'a, T> {
+    events: &'a [Event<T>],
+}
+
+impl<T> Clone for SeriesView<'_, T> {
+    fn clone(&self) -> Self {
+        *self
+    }
+}
+
+impl<T> Copy for SeriesView<'_, T> {}
+
+/// The empty series.
+impl<T> Default for SeriesView<'_, T> {
+    fn default() -> Self {
+        SeriesView { events: &[] }
+    }
+}
+
+impl<'a, T> SeriesView<'a, T> {
+    /// Number of events (not the covered duration; see [`size`]).
+    ///
+    /// [`size`]: SeriesView::size
+    pub fn len(self) -> usize {
+        self.events.len()
+    }
+
+    /// True if the series has no events.
+    pub fn is_empty(self) -> bool {
+        self.events.is_empty()
+    }
+
+    /// The events in start order.
+    pub fn events(self) -> &'a [Event<T>] {
+        self.events
+    }
+
+    /// Iterates over the events.
+    pub fn iter(self) -> std::slice::Iter<'a, Event<T>> {
+        self.events.iter()
+    }
+
+    /// Flattens the series into a normalized [`SpanSet`].
+    pub fn to_span_set(self) -> SpanSet {
+        let mut out = SpanSet::new();
+        self.span_set_into(&mut out);
+        out
+    }
+
+    /// Flattens the series into `out` (cleared first). Because events
+    /// are kept sorted by start, this is a linear coalescing pass — no
+    /// sort and no allocation beyond growing `out` once.
+    pub fn span_set_into(self, out: &mut SpanSet) {
+        out.clear();
+        for event in self.events {
+            out.push_sorted(event.span);
+        }
+    }
+
+    /// Total covered duration (flattened; overlap counted once).
+    /// Allocation-free: a linear pass over the sorted events.
+    pub fn size(self) -> Micros {
+        let mut total = Micros::ZERO;
+        let mut covered_to = Micros::MIN;
+        for event in self.events {
+            let span = event.span;
+            if span.is_empty() {
+                continue;
+            }
+            if span.end > covered_to {
+                total += span.end - span.start.max(covered_to);
+                covered_to = span.end;
+            }
+        }
+        total
+    }
+
+    /// Fraction of `window` covered by this series — its *delay ratio*.
+    pub fn ratio(self, window: Span) -> f64 {
+        let denom = window.duration().as_micros();
+        if denom <= 0 {
+            return 0.0;
+        }
+        let mut covered = Micros::ZERO;
+        let mut covered_to = Micros::MIN;
+        for event in self.events {
+            let Some(span) = event.span.intersect(window) else {
+                continue;
+            };
+            if span.end > covered_to {
+                covered += span.end - span.start.max(covered_to);
+                covered_to = span.end;
+            }
+        }
+        covered.as_micros() as f64 / denom as f64
+    }
+
+    /// Events overlapping `span`, for drilling from a high-level
+    /// observation back into the packet trace.
+    pub fn overlapping(self, span: Span) -> impl Iterator<Item = &'a Event<T>> {
+        self.events.iter().filter(move |e| e.span.overlaps(span))
+    }
+
+    /// The durations of the individual events, in order. Useful for gap
+    /// length distributions (Fig. 17 of the paper).
+    pub fn durations(self) -> impl Iterator<Item = Micros> + 'a {
+        self.events.iter().map(|e| e.span.duration())
+    }
+}
+
+impl<T: PartialEq> PartialEq for SeriesView<'_, T> {
+    fn eq(&self, other: &Self) -> bool {
+        self.events == other.events
+    }
+}
+
+/// A view prints as the [`EventSeries`] it reads, so a series prints
+/// alike built and frozen.
+impl<T: fmt::Debug> fmt::Debug for SeriesView<'_, T> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("EventSeries")
+            .field("events", &self.events)
+            .finish()
+    }
+}
+
+impl<T: fmt::Display> fmt::Display for SeriesView<'_, T> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(f, "{} events, size {}", self.len(), self.size())?;
-        for event in &self.events {
+        for event in self.events {
             writeln!(f, "  {event}")?;
         }
         Ok(())
+    }
+}
+
+/// `N` finished event series in one allocation: their events back to
+/// back, series by series, in an exactly sized slice, and beside it the
+/// end of each series in that slice. A set whose series are all empty
+/// allocates nothing. It is frozen from the series as built
+/// ([`freeze`](Self::freeze)) and read through the same [`SeriesView`]s
+/// an [`EventSeries`] lends.
+///
+/// # Examples
+///
+/// ```
+/// use tdat_timeset::{EventSeries, SeriesArena, Span};
+///
+/// let mut built: [EventSeries<u32>; 3] = Default::default();
+/// built[0].push(Span::from_micros(0, 10), 7);
+/// built[2].push(Span::from_micros(5, 20), 9);
+/// built[2].push(Span::from_micros(1, 2), 8);
+/// let frozen = SeriesArena::freeze(&built);
+/// assert_eq!(frozen.events().len(), 3, "one slice of all the events");
+/// assert!(frozen.get(1).is_empty());
+/// assert_eq!(frozen.get(2), built[2].view(), "in start order, as built");
+/// ```
+#[derive(Clone, PartialEq, Eq)]
+pub struct SeriesArena<T, const N: usize> {
+    /// Where each series ends in `events`; series `i` starts where
+    /// series `i - 1` ends.
+    ends: [u32; N],
+    events: Box<[Event<T>]>,
+}
+
+impl<T: Clone, const N: usize> SeriesArena<T, N> {
+    /// Copies `series` into one allocation of exactly their events.
+    ///
+    /// # Panics
+    ///
+    /// If the series hold more than `u32::MAX` events between them.
+    pub fn freeze(series: &[EventSeries<T>; N]) -> SeriesArena<T, N> {
+        let total = series.iter().map(EventSeries::len).sum();
+        let mut events = Vec::with_capacity(total);
+        let mut ends = [0u32; N];
+        for (end, built) in ends.iter_mut().zip(series) {
+            events.extend_from_slice(built.events());
+            *end = u32::try_from(events.len()).expect("a series set holds at most u32::MAX events");
+        }
+        SeriesArena {
+            ends,
+            events: events.into_boxed_slice(),
+        }
+    }
+}
+
+impl<T, const N: usize> SeriesArena<T, N> {
+    /// Series `i`, lent.
+    ///
+    /// # Panics
+    ///
+    /// If `i` is not below `N`.
+    pub fn get(&self, i: usize) -> SeriesView<'_, T> {
+        let start = match i {
+            0 => 0,
+            _ => self.ends[i - 1] as usize,
+        };
+        SeriesView {
+            events: &self.events[start..self.ends[i] as usize],
+        }
+    }
+
+    /// Every event of every series, series by series: the one
+    /// allocation.
+    pub fn events(&self) -> &[Event<T>] {
+        &self.events
+    }
+}
+
+impl<T, const N: usize> Default for SeriesArena<T, N> {
+    fn default() -> SeriesArena<T, N> {
+        SeriesArena {
+            ends: [0; N],
+            events: Box::default(),
+        }
+    }
+}
+
+impl<T: fmt::Debug, const N: usize> fmt::Debug for SeriesArena<T, N> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries((0..N).map(|i| self.get(i))).finish()
     }
 }
 
@@ -233,9 +409,9 @@ mod tests {
         let mut s: EventSeries<()> = EventSeries::new();
         s.push(Span::from_micros(0, 100), ());
         s.push(Span::from_micros(50, 150), ());
-        assert_eq!(s.size(), Micros(150));
+        assert_eq!(s.view().size(), Micros(150));
         assert_eq!(s.len(), 2);
-        assert_eq!(s.ratio(Span::from_micros(0, 300)), 0.5);
+        assert_eq!(s.view().ratio(Span::from_micros(0, 300)), 0.5);
     }
 
     #[test]
@@ -245,6 +421,7 @@ mod tests {
         s.push(Span::from_micros(20, 30), 2);
         s.push(Span::from_micros(40, 50), 3);
         let hits: Vec<u8> = s
+            .view()
             .overlapping(Span::from_micros(5, 25))
             .map(|e| e.data)
             .collect();
@@ -254,6 +431,29 @@ mod tests {
     #[test]
     fn a_series_is_its_events_alone() {
         assert_eq!(std::mem::size_of::<EventSeries<u32>>(), 24);
+        assert_eq!(std::mem::size_of::<SeriesView<'_, u32>>(), 16);
+    }
+
+    /// Frozen series read back as built, empty ones included, and the
+    /// arena prints as the list of series it holds.
+    #[test]
+    fn an_arena_reads_back_each_series() {
+        let mut built: [EventSeries<u8>; 4] = Default::default();
+        built[1].push(Span::from_micros(10, 20), 1);
+        built[1].push(Span::from_micros(0, 5), 2);
+        built[3].push(Span::from_micros(7, 9), 3);
+        let frozen = SeriesArena::freeze(&built);
+        for (i, series) in built.iter().enumerate() {
+            assert_eq!(frozen.get(i), series.view(), "series {i}");
+        }
+        assert_eq!(frozen.events().len(), 3);
+        assert_eq!(format!("{frozen:?}"), format!("{:?}", built));
+        assert_eq!(
+            std::mem::size_of::<SeriesArena<u32, 17>>(),
+            88,
+            "17 ends and one slice"
+        );
+        assert!(SeriesArena::<u8, 4>::default().get(3).is_empty());
     }
 
     #[test]
@@ -261,7 +461,7 @@ mod tests {
         let mut s: EventSeries<()> = EventSeries::new();
         s.push(Span::from_micros(0, 200), ());
         s.push(Span::from_micros(500, 600), ());
-        let d: Vec<i64> = s.durations().map(|m| m.0).collect();
+        let d: Vec<i64> = s.view().durations().map(|m| m.0).collect();
         assert_eq!(d, vec![200, 100]);
     }
 

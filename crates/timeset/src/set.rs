@@ -10,7 +10,7 @@
 
 use std::fmt;
 
-use crate::{Micros, Span};
+use crate::{EventSeries, Micros, Span};
 
 /// A normalized, ordered set of disjoint time spans.
 ///
@@ -401,12 +401,17 @@ impl SpanSet {
 }
 
 /// A pool of reusable [`SpanSet`] buffers for allocation-free set
-/// algebra on a hot path.
+/// algebra on a hot path, and of the [`EventSeries`] buffers series are
+/// built in.
 ///
 /// The analyzer performs hundreds of unions/intersections/differences
 /// per connection; with a scratch pool the intermediate sets are taken
 /// from and returned to the pool, so steady-state analysis performs
-/// O(1) allocations instead of one per set operation.
+/// O(1) allocations instead of one per set operation. The series it
+/// builds (`u32` payloads, the byte counts every T-DAT series carries)
+/// come from the pool too and go back to it once they are frozen, so a
+/// pool kept across connections builds each connection's series in
+/// the buffers of the last.
 ///
 /// # Examples
 ///
@@ -424,6 +429,7 @@ impl SpanSet {
 #[derive(Debug, Default)]
 pub struct SpanScratch {
     pool: Vec<SpanSet>,
+    series: Vec<EventSeries<u32>>,
 }
 
 impl SpanScratch {
@@ -445,9 +451,25 @@ impl SpanScratch {
         self.pool.push(set);
     }
 
-    /// Number of pooled buffers (for tests).
+    /// Number of pooled span-set buffers (for tests).
     pub fn pooled(&self) -> usize {
         self.pool.len()
+    }
+
+    /// Takes an empty series from the pool (allocating nothing: a dry
+    /// pool hands out a series that allocates at its first event).
+    pub fn take_series(&mut self) -> EventSeries<u32> {
+        self.series.pop().unwrap_or_default()
+    }
+
+    /// Returns series to the pool, emptied, each keeping its allocation
+    /// for the next series built in it; the pool grows once for all of
+    /// them.
+    pub fn put_series(&mut self, series: impl IntoIterator<Item = EventSeries<u32>>) {
+        self.series.extend(series.into_iter().map(|mut series| {
+            series.clear();
+            series
+        }));
     }
 }
 

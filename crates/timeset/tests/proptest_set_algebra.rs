@@ -224,11 +224,11 @@ proptest! {
             series.push(*s, i as u32);
         }
         let reference = SpanSet::from_spans(spans.iter().copied());
-        prop_assert_eq!(&series.to_span_set(), &reference);
+        prop_assert_eq!(&series.view().to_span_set(), &reference);
         let mut out = SpanSet::from_span(Span::from_micros(0, 1)); // dirty
-        series.span_set_into(&mut out);
+        series.view().span_set_into(&mut out);
         prop_assert_eq!(&out, &reference);
-        prop_assert_eq!(series.size(), reference.size());
-        prop_assert_eq!(series.ratio(w), reference.ratio(w));
+        prop_assert_eq!(series.view().size(), reference.size());
+        prop_assert_eq!(series.view().ratio(w), reference.ratio(w));
     }
 }

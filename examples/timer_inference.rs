@@ -35,7 +35,7 @@ fn main() {
         let analyses = StreamAnalyzer::default().analyze_frames(&out.taps[0].1);
         let analysis = &analyses[0];
         println!("== hidden timer: {timer_ms} ms ==");
-        let gaps: Vec<Micros> = analysis.series.send_app_limited.durations().collect();
+        let gaps: Vec<Micros> = analysis.series.send_app_limited().durations().collect();
         print!("{}", render_gap_distribution(&gaps, 6));
         match analysis.infer_timer(8) {
             Some(timer) => println!(
