@@ -24,19 +24,22 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::net::Ipv4Addr;
 
-use tdat::{AnalyzerConfig, BgpDemux, Report, SeriesBuilder, Slot, StreamAnalyzer, TrackerConfig};
+use tdat::{
+    delay_vector_with, AnalyzerConfig, BgpDemux, Report, SeriesBuilder, Slot, StreamAnalyzer,
+    TrackerConfig,
+};
 use tdat_bench::{generate_transfer, Dataset, Scenario};
 use tdat_bgp::{
     find_transfer_end_ref, BgpMessage, Framed, KeptMessages, MctConfig, MctUpdate, MessageLog,
     OpenMessage, PathAttribute, Prefix, TableGenerator, UpdateMessage,
 };
-use tdat_monitor::{ConnectionSummary, Monitor, MonitorConfig, MonitorEvent};
+use tdat_monitor::{AlertKind, ConnectionSummary, Monitor, MonitorConfig, MonitorEvent};
 use tdat_packet::{
     FrameBlock, FrameBuilder, FrameLike, LossyReader, MmapReader, PcapReader, PcapWriter, TcpFlags,
     TcpFrame, TcpOption,
 };
 use tdat_pcap2bgp::{extract_all, StreamExtractor};
-use tdat_timeset::{Event, Micros};
+use tdat_timeset::{Event, Micros, SpanScratch};
 use tdat_trace::ConnectionTracker;
 
 struct CountingAllocator;
@@ -658,10 +661,11 @@ fn reconnecting_routers(routers: usize, paused: bool) -> Vec<TcpFrame> {
     frames
 }
 
-/// Peer-group pair checks and allocations an inline [`Monitor`] makes
-/// over [`STEADY_TICKS`] ticks after [`reconnecting_routers`]' setup,
-/// every session of which is cached and idle by then.
-fn steady_group_ticks(routers: usize, paused: bool) -> (u64, u64) {
+/// Peer-group pair checks an inline [`Monitor`] makes over
+/// [`reconnecting_routers`]' setup, and pair checks and allocations over
+/// [`STEADY_TICKS`] ticks after it, every session of which is cached and
+/// idle by then.
+fn steady_group_ticks(routers: usize, paused: bool) -> (u64, u64, u64) {
     let interval = Micros::from_millis(250);
     let mut monitor = Monitor::new(MonitorConfig {
         interval,
@@ -697,6 +701,7 @@ fn steady_group_ticks(routers: usize, paused: bool) -> (u64, u64) {
         );
     }
     let counted = (
+        pairs,
         monitor.metrics().peer_pairs_checked() - pairs,
         after - before,
     );
@@ -717,20 +722,24 @@ fn steady_group_ticks(routers: usize, paused: bool) -> (u64, u64) {
 /// inside `close_grace` — add no pair check and no allocation to a
 /// steady tick, because none of them paused for `min_pause` and so none
 /// can be found blocked. Once one member has paused that long, its
-/// group checks exactly its four pairs per tick. Measured (debug and
-/// release): 0 pair checks and the same allocations as no sessions at
-/// all; with the pause, 64 pair checks over the 16 ticks. (While the
-/// correlation paired every two sessions sharing a sender, the 500
-/// cost 2 000 pair checks and their allocations per tick.)
+/// group checks exactly its four pairs, at each tick that refreshes or
+/// finalizes one of its members, and at no steady tick. Measured (debug
+/// and release): 0 pair checks and the same allocations as no sessions
+/// at all (none); with the pause, 4 pair checks over the setup, and no
+/// pair check and no allocation over the 16 steady ticks. (While the peer-group pass ran at every
+/// tick, the paused group checked its 4 pairs at each of them, 64 over
+/// the steady ticks; while the correlation paired every two sessions
+/// sharing a sender, the 500 cost 2 000 pair checks and their
+/// allocations per tick.)
 #[test]
 fn shared_senders_cost_a_steady_tick_nothing_until_one_pauses() {
     const ROUTERS: usize = 100;
-    let (no_pairs, alone) = steady_group_ticks(0, false);
+    let (_, no_pairs, alone) = steady_group_ticks(0, false);
     assert_eq!(no_pairs, 0);
-    let (pairs, crowded) = steady_group_ticks(ROUTERS, false);
+    let (setup, pairs, crowded) = steady_group_ticks(ROUTERS, false);
     assert_eq!(
-        pairs,
-        0,
+        (setup, pairs),
+        (0, 0),
         "{} sessions in groups of {GROUP} with no long pause were paired",
         ROUTERS * GROUP
     );
@@ -740,12 +749,184 @@ fn shared_senders_cost_a_steady_tick_nothing_until_one_pauses() {
         "{} idle sessions sharing senders added allocations to {STEADY_TICKS} steady ticks",
         ROUTERS * GROUP
     );
-    let (pairs, _) = steady_group_ticks(ROUTERS, true);
+    let (setup, pairs, paused) = steady_group_ticks(ROUTERS, true);
     assert_eq!(
-        pairs,
-        (GROUP as u64 - 1) * STEADY_TICKS,
-        "one paused member pairs with each of its group's other members, every tick"
+        setup,
+        GROUP as u64 - 1,
+        "the paused member was paired with each of its group's other members, once"
     );
+    assert_eq!(
+        pairs, 0,
+        "the paused group's pairs were compared again at a steady tick"
+    );
+    assert_eq!(
+        paused, alone,
+        "a paused group added allocations to {STEADY_TICKS} steady ticks"
+    );
+}
+
+/// Tick interval of [`fleet_frames`]' watch.
+const FLEET_INTERVAL: Micros = Micros::from_secs(10);
+
+/// The last tick before the steady ticks of [`fleet_frames`]' watch:
+/// every stall has raised by then.
+const FLEET_SETUP: Micros = Micros::from_secs(120);
+
+/// `sessions` BGP sessions, each on a router of its own, opened within
+/// the first second in time order: each router sends one KEEPALIVE and
+/// every tenth a second one 34 s later, after a pause past the 30 s
+/// `min_pause`; then every session stays silent, so each stalls a
+/// minute after its last progress. With `busy`, one more session sends
+/// a KEEPALIVE every tick interval from 45 s on, to `end`, and is dirty
+/// at every tick.
+fn fleet_frames(sessions: usize, busy: bool, end: Micros) -> impl Iterator<Item = TcpFrame> {
+    let keepalive = BgpMessage::Keepalive.to_bytes();
+    let len = keepalive.len() as u32;
+    let collector = Ipv4Addr::new(172, 16, 0, 1);
+    let router = move |i: usize| match i < sessions {
+        true => Ipv4Addr::new(10, (i >> 16) as u8, (i >> 8) as u8, i as u8),
+        false => Ipv4Addr::new(11, 0, 0, 1),
+    };
+    let out = move |i: usize, at: Micros, seq: u32| {
+        FrameBuilder::new(router(i), collector)
+            .ports(40_000, 179)
+            .at(at)
+            .seq(seq)
+            .ack_to(1)
+            .flags(TcpFlags::ACK)
+    };
+    let back = move |i: usize, at: Micros, ack: u32| {
+        FrameBuilder::new(collector, router(i))
+            .ports(179, 40_000)
+            .at(at)
+            .seq(1)
+            .ack_to(ack)
+            .window(65_535)
+            .flags(TcpFlags::ACK)
+    };
+    let all = sessions + usize::from(busy);
+    // Frame kind by frame kind, session by session: 1 µs apart, each
+    // kind 100 ms after the last, so times never decrease.
+    let opening = (0..5).flat_map(move |k| {
+        let keepalive = keepalive.clone();
+        (0..all).map(move |i| {
+            let at = Micros(k * 100_000 + i as i64);
+            match k {
+                0 => out(i, at, 0).ack_to(0).flags(TcpFlags::SYN).build(),
+                1 => back(i, at, 1)
+                    .seq(0)
+                    .flags(TcpFlags::SYN | TcpFlags::ACK)
+                    .build(),
+                2 => out(i, at, 1).build(),
+                3 => out(i, at, 1).payload(keepalive.clone()).build(),
+                _ => back(i, at, 1 + len).build(),
+            }
+        })
+    });
+    let keepalive = BgpMessage::Keepalive.to_bytes();
+    let paused = (0..2).flat_map(move |k| {
+        let keepalive = keepalive.clone();
+        (0..sessions).step_by(10).map(move |i| {
+            let at = Micros::from_secs(34) + Micros(k * 100_000 + i as i64);
+            match k {
+                0 => out(i, at, 1 + len).payload(keepalive.clone()).build(),
+                _ => back(i, at, 1 + 2 * len).build(),
+            }
+        })
+    });
+    let keepalive = BgpMessage::Keepalive.to_bytes();
+    let rounds = match busy {
+        true => (end - Micros::from_secs(45)).0 / FLEET_INTERVAL.0 + 1,
+        false => 0,
+    };
+    let steady = (0..rounds as u32).flat_map(move |r| {
+        let at = Micros::from_secs(45) + Micros(r as i64 * FLEET_INTERVAL.0);
+        let seq = 1 + (r + 1) * len;
+        [
+            out(sessions, at, seq).payload(keepalive.clone()).build(),
+            back(sessions, at + Micros(1_000), seq + len).build(),
+        ]
+    });
+    opening.chain(paused).chain(steady)
+}
+
+/// What an inline [`Monitor`] visits and allocates over [`STEADY_TICKS`]
+/// ticks after [`FLEET_SETUP`], watching [`fleet_frames`] with the
+/// tracker's idle timeout, close grace and cap lifted: by then every
+/// idle session holds a raised stall alert, and a tenth of them a long
+/// pause in a sender group of one.
+fn idle_fleet_ticks(sessions: usize, busy: bool) -> (u64, u64) {
+    let end = FLEET_SETUP + Micros(FLEET_INTERVAL.0 * STEADY_TICKS as i64);
+    let mut monitor = Monitor::new(MonitorConfig {
+        interval: FLEET_INTERVAL,
+        tracker: TrackerConfig::batch(),
+        ..MonitorConfig::default()
+    });
+    monitor.register_source("capture");
+    // Fixes the tick schedule at multiples of the interval.
+    monitor.advance_to(Micros::ZERO);
+    let mut frames = fleet_frames(sessions, busy, end).peekable();
+    while let Some(frame) = frames.next_if(|f| f.timestamp <= FLEET_SETUP) {
+        monitor.ingest(&frame);
+    }
+    monitor.advance_to(FLEET_SETUP);
+    let stalled = AlertKind::StalledTransfer;
+    assert_eq!(monitor.metrics().alerts_raised(stalled), sessions as u64);
+    assert_eq!(monitor.open_connections(), sessions + usize::from(busy));
+
+    let (visits, before) = (monitor.metrics().tick_visits(), allocations());
+    for frame in frames {
+        monitor.ingest(&frame);
+    }
+    monitor.advance_to(end);
+    let after = allocations();
+    let metrics = monitor.metrics();
+    assert_eq!(metrics.ticks(), (end.0 / FLEET_INTERVAL.0) as u64);
+    assert_eq!(metrics.alerts_raised(stalled), sessions as u64);
+    assert_eq!(metrics.alerts_cleared(stalled), 0, "every stall stands");
+    assert_eq!(
+        metrics.peer_pairs_checked(),
+        0,
+        "groups of one pair nothing"
+    );
+    (metrics.tick_visits() - visits, after - before)
+}
+
+/// "A steady tick costs what changed" over a fleet of idle sessions
+/// that each hold a raised stall alert, a tenth of them also a long
+/// pause in a sender group of one: the ticks visit only the dirty
+/// connections and the deadlines that fall due, so the count is the
+/// same at 1 000 and at 10 000 sessions, and with no session dirty a
+/// tick visits nothing and allocates nothing. Measured (debug): with
+/// one busy session beside them, 48 visits (its 16 refreshes, the 16
+/// stall deadlines its progress moved, and 16 evaluations of its
+/// timer-gap alert, whose evidence each refresh moves) and 1 611 allocations over
+/// the 16 steady ticks at both sizes; alone, none of either. The larger size is 10 000: at 100 000 beside 10 000
+/// the counts were equal too, but the four watches took 18 s in debug
+/// and 358 MB. (While every tick swept every row, cloned each standing
+/// condition to the alert engine and built the peer-group members of
+/// every group holding a long pause, each idle session cost every tick
+/// a row visit and its stall condition's allocations.)
+#[test]
+fn idle_sessions_with_standing_alerts_cost_a_steady_tick_nothing() {
+    const SMALL: usize = 1_000;
+    const LARGE: usize = 10_000;
+    for busy in [false, true] {
+        let small = idle_fleet_ticks(SMALL, busy);
+        let large = idle_fleet_ticks(LARGE, busy);
+        assert_eq!(
+            large, small,
+            "(visits, allocations) over {STEADY_TICKS} steady ticks at {LARGE} and {SMALL} \
+             idle sessions, busy {busy}"
+        );
+        // The busy session's refresh, the stall deadline its progress
+        // moved a minute before, and its timer-gap alert, at each tick.
+        let visits = if busy { 3 * STEADY_TICKS } else { 0 };
+        assert_eq!(small.0, visits, "visits over {STEADY_TICKS} steady ticks");
+        if !busy {
+            assert_eq!(small.1, 0, "allocations over {STEADY_TICKS} idle ticks");
+        }
+    }
 }
 
 /// A tick runs no MCT; the snapshot pull does. MCT sizes its set in one
@@ -1055,6 +1236,29 @@ fn an_analysis_holds_its_series_in_one_allocation() {
     let empty = SeriesBuilder::default().build();
     assert_eq!(allocations() - before, 0, "an empty set allocates nothing");
     assert!(empty.events().is_empty());
+}
+
+/// The factor vector of an analysis is made in pooled buffers: over the
+/// 8 000-route transfer that meets the zero-window-probe bug, a second
+/// `delay_vector_with` on the scratch of the first allocates nothing
+/// and gives the same vector. Measured (debug and release): 0
+/// allocations. (While each factor's spans were an owned set in a list,
+/// as `factor_spans_with` still returns them, it made 14 allocations,
+/// 3 200 bytes.)
+#[test]
+fn a_factor_vector_allocates_nothing_on_a_warm_scratch() {
+    let frames =
+        generate_transfer(Dataset::IspAQuagga, 0, Scenario::ZeroWindowBug, 8_000, 7).frames;
+    let analyses = StreamAnalyzer::default().analyze_frames(&frames);
+    let (series, config) = (&analyses[0].series, AnalyzerConfig::default());
+    let mut scratch = SpanScratch::new();
+    let first = delay_vector_with(series, &config, &mut scratch);
+    assert_eq!(first, analyses[0].vector);
+    let (before, bytes) = (allocations(), allocated_bytes());
+    let again = delay_vector_with(series, &config, &mut scratch);
+    let counted = (allocations() - before, allocated_bytes() - bytes);
+    assert_eq!(again, first);
+    assert_eq!(counted, (0, 0), "allocations and bytes on a warm scratch");
 }
 
 /// A TCP flow that is not BGP is skipped without a single allocation:

@@ -208,6 +208,18 @@ pub struct FactorSpans {
 /// `SmallAdvBndOut`) are computed once into pooled buffers instead of
 /// once per factor that needs them.
 pub fn factor_spans_with(series: &SeriesSet, scratch: &mut SpanScratch) -> FactorSpans {
+    let mut sets: [SpanSet; 8] = Default::default();
+    factor_sets_into(series, scratch, &mut sets);
+    FactorSpans {
+        spans: Factor::ALL.into_iter().zip(sets).collect(),
+    }
+}
+
+/// Writes each factor's spans into `sets`, in [`Factor::ALL`] order,
+/// with the intermediates in pooled buffers.
+fn factor_sets_into(series: &SeriesSet, scratch: &mut SpanScratch, sets: &mut [SpanSet; 8]) {
+    let [sender_app, cwnd, sender_loss, bgp_receiver, tcp_adv, receiver_loss, bandwidth, network_loss] =
+        sets;
     let mut adv = scratch.take();
     series.adv_bnd_out().span_set_into(&mut adv);
     let mut tmp = scratch.take();
@@ -222,8 +234,7 @@ pub fn factor_spans_with(series: &SeriesSet, scratch: &mut SpanScratch) -> Facto
     let mut zero = scratch.take();
     series.zero_window().span_set_into(&mut tmp);
     tmp.clipped_into(series.period, &mut zero);
-    let mut bgp_receiver = SpanSet::new();
-    small.union_into(&zero, &mut bgp_receiver);
+    small.union_into(&zero, bgp_receiver);
 
     // TcpAdvertisedWindow = LargeAdvBndOut ∪ (AdvBndOut ∖ SmallAdvBndOut).
     let mut large = scratch.take();
@@ -231,72 +242,61 @@ pub fn factor_spans_with(series: &SeriesSet, scratch: &mut SpanScratch) -> Facto
     adv.intersect_into(&tmp, &mut large);
     let mut rest = scratch.take();
     adv.difference_into(&small, &mut rest);
-    let mut tcp_adv = SpanSet::new();
-    large.union_into(&rest, &mut tcp_adv);
+    large.union_into(&rest, tcp_adv);
 
-    scratch.put(adv);
-    scratch.put(tmp);
-    scratch.put(small);
-    scratch.put(zero);
-    scratch.put(large);
-    scratch.put(rest);
+    // Back in reverse, so the next call takes each buffer for the same
+    // role and it has grown to fit.
+    for set in [rest, large, zero, small, tmp, adv] {
+        scratch.put(set);
+    }
 
-    let spans = vec![
-        (
-            Factor::BgpSenderApp,
-            series.send_app_limited().to_span_set(),
-        ),
-        (
-            Factor::TcpCongestionWindow,
-            series.cwd_bnd_out().to_span_set(),
-        ),
-        (
-            Factor::SenderLocalLoss,
-            series.send_local_loss().to_span_set(),
-        ),
-        (Factor::BgpReceiverApp, bgp_receiver),
-        (Factor::TcpAdvertisedWindow, tcp_adv),
-        (
-            Factor::ReceiverLocalLoss,
-            series.recv_local_loss().to_span_set(),
-        ),
-        (Factor::Bandwidth, series.bandwidth_limited().to_span_set()),
-        (Factor::NetworkLoss, series.network_loss().to_span_set()),
-    ];
-    FactorSpans { spans }
+    series.send_app_limited().span_set_into(sender_app);
+    series.cwd_bnd_out().span_set_into(cwnd);
+    series.send_local_loss().span_set_into(sender_loss);
+    series.recv_local_loss().span_set_into(receiver_loss);
+    series.bandwidth_limited().span_set_into(bandwidth);
+    series.network_loss().span_set_into(network_loss);
 }
 
 /// Computes the delay vector for `series` over its analysis period, with
-/// a caller-provided scratch pool; the group unions run through pooled
-/// buffers instead of allocating per member.
+/// a caller-provided scratch pool: each factor's spans and the group
+/// unions run through pooled buffers, so a warm pool allocates nothing.
 pub fn delay_vector_with(
     series: &SeriesSet,
     _config: &AnalyzerConfig,
     scratch: &mut SpanScratch,
 ) -> DelayVector {
     let period = series.period;
-    let spans = factor_spans_with(series, scratch);
+    let mut sets: [SpanSet; 8] = std::array::from_fn(|_| scratch.take());
+    factor_sets_into(series, scratch, &mut sets);
     let mut factors = [(Factor::BgpSenderApp, 0.0); 8];
-    for (i, (factor, set)) in spans.spans.iter().enumerate() {
-        factors[i] = (*factor, set.ratio(period));
+    for (i, (factor, set)) in Factor::ALL.into_iter().zip(&sets).enumerate() {
+        factors[i] = (factor, set.ratio(period));
     }
+    let mut pair = [scratch.take(), scratch.take()];
     let mut group_union = |group: FactorGroup| -> f64 {
-        let mut union = scratch.take();
-        let mut out = scratch.take();
-        for (factor, set) in &spans.spans {
+        let mut union = 0;
+        pair[union].clear();
+        for (factor, set) in Factor::ALL.into_iter().zip(&sets) {
             if factor.group() == group {
-                union.union_into(set, &mut out);
-                std::mem::swap(&mut union, &mut out);
+                let [a, b] = &mut pair;
+                let (from, to) = if union == 0 { (a, b) } else { (b, a) };
+                from.union_into(set, to);
+                union = 1 - union;
             }
         }
-        let ratio = union.ratio(period);
-        scratch.put(union);
-        scratch.put(out);
-        ratio
+        pair[union].ratio(period)
     };
     let sender = group_union(FactorGroup::Sender);
     let receiver = group_union(FactorGroup::Receiver);
     let network = group_union(FactorGroup::Network);
+    // Back in reverse, as in `factor_sets_into`.
+    let [first, second] = pair;
+    scratch.put(second);
+    scratch.put(first);
+    for set in sets.into_iter().rev() {
+        scratch.put(set);
+    }
     DelayVector {
         factors,
         sender,

@@ -12,7 +12,7 @@
 //! found blocked by its peer group, and [`STALL_AFTER`] without data
 //! progress before a transfer counts as stalled.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
 
@@ -189,14 +189,150 @@ pub struct Alert {
     pub detail: String,
 }
 
+/// Where a standing condition sits in a tick's condition order: the
+/// rows of each scope by ordinal — a row's analysis conditions by
+/// index, then its stall — and after every row, the peer-group pass's
+/// conditions in pair order. A tick raises in this order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub(crate) struct Rank {
+    pass: u8,
+    scope: u32,
+    row: u64,
+    index: u32,
+}
+
+impl Rank {
+    /// Analysis condition `index` of row `ordinal` in scope `scope`.
+    pub(crate) fn row(scope: u32, ordinal: u64, index: usize) -> Rank {
+        Rank {
+            pass: 0,
+            scope,
+            row: ordinal,
+            index: index as u32,
+        }
+    }
+
+    /// The stall of row `ordinal` in scope `scope`, after its analysis
+    /// conditions.
+    pub(crate) fn stall(scope: u32, ordinal: u64) -> Rank {
+        Rank {
+            pass: 0,
+            scope,
+            row: ordinal,
+            index: u32::MAX,
+        }
+    }
+
+    /// Condition `index` of the peer-group pass, after every row.
+    pub(crate) fn peer(index: usize) -> Rank {
+        Rank {
+            pass: 1,
+            scope: 0,
+            row: index as u64,
+            index: 0,
+        }
+    }
+}
+
+/// What a standing condition says at a tick.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) enum Held {
+    /// Evidence and detail fixed when the condition was found.
+    Fixed {
+        /// The evidence extent.
+        evidence: Span,
+        /// The specifics.
+        detail: String,
+    },
+    /// A transfer with no data progress since `since`, `bytes` moved:
+    /// its evidence and detail run to the tick.
+    Stall {
+        /// The tick of the last progress.
+        since: Micros,
+        /// Data bytes transferred.
+        bytes: u64,
+    },
+}
+
+impl Held {
+    fn evidence(&self, at: Micros) -> Span {
+        match self {
+            Held::Fixed { evidence, .. } => *evidence,
+            Held::Stall { since, .. } => Span::new(*since, at),
+        }
+    }
+
+    fn detail(&self, at: Micros) -> String {
+        match self {
+            Held::Fixed { detail, .. } => detail.clone(),
+            Held::Stall { since, bytes } => stall_detail(*since, at, *bytes),
+        }
+    }
+}
+
+/// The detail of a stall condition at tick time `at`.
+pub(crate) fn stall_detail(since: Micros, at: Micros, bytes: u64) -> String {
+    format!(
+        "no data progress for {:.0} s ({} bytes transferred)",
+        (at - since).as_secs_f64(),
+        bytes
+    )
+}
+
+/// A tick's evidence and detail for conditions `held` (in rank order)
+/// at tick time `at`: the hull of their evidence, and the last one's
+/// detail.
+fn summary(held: &[(Rank, Held)], at: Micros) -> (Span, String) {
+    let mut conditions = held.iter().map(|(_, held)| held);
+    let Some(first) = conditions.next() else {
+        return (Span::default(), String::new());
+    };
+    let mut last = first;
+    let mut evidence = first.evidence(at);
+    for held in conditions {
+        evidence = evidence.hull(held.evidence(at));
+        last = held;
+    }
+    (evidence, last.detail(at))
+}
+
 #[derive(Debug)]
 struct KeyState {
-    hits: u32,
-    misses: u32,
+    /// The conditions of this key that stand, by rank.
+    held: Vec<(Rank, Held)>,
+    /// Some condition stood at the last tick.
+    present: bool,
     active: bool,
+    /// The raise tick's time, while active.
     since: Micros,
+    /// Evidence and detail as of the last tick a condition stood, once
+    /// the conditions changed after it.
     evidence: Span,
     detail: String,
+    /// On the engine's touched list: the conditions changed, or the
+    /// state was reset, since the last tick.
+    touched: bool,
+    /// The tick the next transition is checked at: a pending key's
+    /// raise, or an active, absent key's clear.
+    due: Option<u64>,
+    /// The last tick that evaluated this key.
+    seen: u64,
+}
+
+impl KeyState {
+    fn new() -> KeyState {
+        KeyState {
+            held: Vec::new(),
+            present: false,
+            active: false,
+            since: Micros::ZERO,
+            evidence: Span::default(),
+            detail: String::new(),
+            touched: false,
+            due: None,
+            seen: 0,
+        }
+    }
 }
 
 /// Hysteresis state key: one alert per (source, session, kind). The
@@ -204,11 +340,44 @@ struct KeyState {
 /// historical (session, kind) order exactly.
 type AlertKey = (Arc<str>, String, AlertKind);
 
+/// How many ticks ahead a transition can be due, plus one: the slots
+/// of the engine's ring of due lists.
+const DUE_SLOTS: usize = if RAISE_AFTER > CLEAR_AFTER {
+    RAISE_AFTER as usize
+} else {
+    CLEAR_AFTER as usize
+};
+
 /// Per-(source, session, kind) hysteresis state machine; see the module
 /// docs.
+///
+/// It is told which conditions start and stop standing, each at its
+/// place in the tick's condition order, and schedules each key's next
+/// transition by tick: a new key's raise check one tick after it
+/// appears, an active key's clear three ticks after its last condition
+/// went. So a tick
+/// costs the keys whose conditions changed or whose transition fell
+/// due; a key that stands, active and unchanged, costs it nothing. What
+/// it emits is what a per-tick pass over every standing condition
+/// emits: raises in condition order, then clears in key order, with
+/// the evidence and detail of the last tick each key's conditions
+/// stood.
 #[derive(Debug, Default)]
 pub struct AlertEngine {
     states: BTreeMap<AlertKey, KeyState>,
+    /// Ticks run so far, and the time of the last.
+    tick: u64,
+    at: Micros,
+    /// Keys whose conditions changed, or whose state was reset, since
+    /// the last tick.
+    touched: Vec<AlertKey>,
+    /// Keys whose next transition is due, by tick modulo
+    /// [`DUE_SLOTS`]; an entry whose key moved on since is skipped.
+    due: [Vec<AlertKey>; DUE_SLOTS],
+    /// The conditions of the last [`observe`](Self::observe).
+    observed: Vec<Condition>,
+    /// Keys the ticks evaluated.
+    visits: u64,
 }
 
 impl AlertEngine {
@@ -219,59 +388,169 @@ impl AlertEngine {
 
     /// Feeds one tick's detector conditions and returns the transitions
     /// they cause, in deterministic order (condition order for raises,
-    /// key order for clears).
+    /// key order for clears): every condition stands at this tick, and
+    /// none other.
     pub fn observe(&mut self, now: Micros, conditions: &[Condition]) -> Vec<Alert> {
-        let mut events = Vec::new();
-        // The keys this tick's conditions name, borrowed from them.
-        let mut present: BTreeSet<(&str, &str, AlertKind)> = BTreeSet::new();
-        for c in conditions {
-            let first_this_tick = present.insert((&c.source, &c.session, c.kind));
-            let key = (c.source.clone(), c.session.clone(), c.kind);
-            let state = self.states.entry(key).or_insert(KeyState {
-                hits: 0,
-                misses: 0,
-                active: false,
-                since: now,
-                evidence: c.evidence,
-                detail: String::new(),
-            });
-            state.misses = 0;
-            if first_this_tick {
-                state.hits += 1;
-                state.evidence = c.evidence;
-            } else {
-                // A second condition of the same kind in one tick (e.g.
-                // blocked by two faulty peers) widens the evidence.
-                state.evidence = state.evidence.hull(c.evidence);
-            }
-            state.detail.clone_from(&c.detail);
-            if !state.active && state.hits >= RAISE_AFTER {
-                state.active = true;
-                state.since = now;
-                events.push(Alert {
-                    at: now,
-                    source: c.source.clone(),
-                    action: AlertAction::Raise,
-                    kind: c.kind,
-                    severity: c.kind.severity(),
-                    session: c.session.clone(),
-                    since: now,
-                    evidence: state.evidence,
-                    detail: state.detail.clone(),
-                });
-            }
-        }
+        let observed = std::mem::take(&mut self.observed);
+        self.replace(&observed, conditions, |i| Rank::row(0, i as u64, 0));
+        self.observed = conditions.to_vec();
+        self.tick(now)
+    }
 
-        let mut dead = Vec::new();
-        for (key, state) in self.states.iter_mut() {
-            if present.contains(&(&*key.0, key.1.as_str(), key.2)) {
+    /// Keys the ticks evaluated: those whose conditions changed or
+    /// whose transition fell due.
+    pub(crate) fn visits(&self) -> u64 {
+        self.visits
+    }
+
+    /// Marks the state of a key about to change: its first change since
+    /// the last tick keeps the evidence and detail its conditions had
+    /// at that tick, and lists it for the next.
+    fn touch(&mut self, key: AlertKey) -> &mut KeyState {
+        let state = self.states.entry(key.clone()).or_insert_with(KeyState::new);
+        if !state.touched {
+            state.touched = true;
+            if state.present {
+                (state.evidence, state.detail) = summary(&state.held, self.at);
+            }
+            self.touched.push(key);
+        }
+        state
+    }
+
+    /// Condition `held` of key `(source, session, kind)` stands from
+    /// the next tick on, at `rank`.
+    pub(crate) fn hold(
+        &mut self,
+        source: &Arc<str>,
+        session: &str,
+        kind: AlertKind,
+        rank: Rank,
+        held: Held,
+    ) {
+        let state = self.touch((source.clone(), session.to_owned(), kind));
+        let at = state.held.partition_point(|(r, _)| *r < rank);
+        debug_assert!(
+            state.held.get(at).is_none_or(|(r, _)| *r != rank),
+            "one condition per rank"
+        );
+        state.held.insert(at, (rank, held));
+    }
+
+    /// The condition of key `(source, session, kind)` at `rank` stands
+    /// no longer. Nothing if none does (its session was cleared since).
+    pub(crate) fn release(
+        &mut self,
+        source: &Arc<str>,
+        session: &str,
+        kind: AlertKind,
+        rank: Rank,
+    ) {
+        let key = (source.clone(), session.to_owned(), kind);
+        let Some(state) = self.states.get(&key) else {
+            return;
+        };
+        if !state.held.iter().any(|(r, _)| *r == rank) {
+            return;
+        }
+        self.touch(key).held.retain(|(r, _)| *r != rank);
+    }
+
+    /// The conditions at ranks `rank(0)`, `rank(1)`, … stand as `new`
+    /// from the next tick on, no longer as `old`; nothing changes when
+    /// the two are equal.
+    pub(crate) fn replace(
+        &mut self,
+        old: &[Condition],
+        new: &[Condition],
+        rank: impl Fn(usize) -> Rank,
+    ) {
+        if old == new {
+            return;
+        }
+        for (i, c) in old.iter().enumerate() {
+            self.release(&c.source, &c.session, c.kind, rank(i));
+        }
+        for (i, c) in new.iter().enumerate() {
+            let held = Held::Fixed {
+                evidence: c.evidence,
+                detail: c.detail.clone(),
+            };
+            self.hold(&c.source, &c.session, c.kind, rank(i), held);
+        }
+    }
+
+    /// One tick at trace time `now`: evaluates the keys whose
+    /// conditions changed or whose transition is due, and returns the
+    /// transitions, raises in condition order, then clears in key
+    /// order.
+    pub(crate) fn tick(&mut self, now: Micros) -> Vec<Alert> {
+        let n = self.tick + 1;
+        let mut raises: Vec<(Rank, Alert)> = Vec::new();
+        let mut clears: Vec<Alert> = Vec::new();
+        let mut touched = std::mem::take(&mut self.touched);
+        let mut due = std::mem::take(&mut self.due[n as usize % DUE_SLOTS]);
+        for key in touched.iter().chain(&due) {
+            let Some(state) = self.states.get_mut(key) else {
+                continue;
+            };
+            if state.seen == n {
                 continue;
             }
-            state.hits = 0;
-            state.misses += 1;
-            if state.active {
-                if state.misses >= CLEAR_AFTER {
-                    events.push(Alert {
+            state.seen = n;
+            state.touched = false;
+            self.visits += 1;
+            let held = !state.held.is_empty();
+            let mut schedule = None;
+            let mut remove = false;
+            match (state.present, held) {
+                // A hit resets an active key's misses; on a quiet key it
+                // starts a streak.
+                (false, true) => {
+                    state.present = true;
+                    state.due = None;
+                    if !state.active {
+                        schedule = Some(n + u64::from(RAISE_AFTER) - 1);
+                    }
+                }
+                (true, true) => {}
+                // The first miss: a pending streak is broken, an active
+                // key counts down from its last hit.
+                (true, false) => {
+                    state.present = false;
+                    state.due = None;
+                    match state.active {
+                        true => schedule = Some(n - 1 + u64::from(CLEAR_AFTER)),
+                        false => remove = true,
+                    }
+                }
+                (false, false) => remove = !state.active,
+            }
+            if let Some(at) = schedule {
+                state.due = Some(at);
+            }
+            if state.due == Some(n) {
+                state.due = None;
+                if state.present {
+                    let (rank, first) = &state.held[0];
+                    state.active = true;
+                    state.since = now;
+                    raises.push((
+                        *rank,
+                        Alert {
+                            at: now,
+                            source: key.0.clone(),
+                            action: AlertAction::Raise,
+                            kind: key.2,
+                            severity: key.2.severity(),
+                            session: key.1.clone(),
+                            since: now,
+                            evidence: first.evidence(now),
+                            detail: first.detail(now),
+                        },
+                    ));
+                } else {
+                    clears.push(Alert {
                         at: now,
                         source: key.0.clone(),
                         action: AlertAction::Clear,
@@ -280,49 +559,76 @@ impl AlertEngine {
                         session: key.1.clone(),
                         since: state.since,
                         evidence: state.evidence,
-                        detail: state.detail.clone(),
+                        detail: std::mem::take(&mut state.detail),
                     });
-                    dead.push(key.clone());
+                    remove = true;
                 }
-            } else {
-                // A pending (never-raised) streak is broken by a single
-                // miss; forget it.
-                dead.push(key.clone());
+            } else if let Some(at) = state.due {
+                if schedule.is_some() {
+                    self.due[at as usize % DUE_SLOTS].push(key.clone());
+                }
+            }
+            if remove {
+                self.states.remove(key);
             }
         }
-        for key in dead {
-            self.states.remove(&key);
-        }
-        events
+        touched.clear();
+        due.clear();
+        self.touched = touched;
+        self.due[n as usize % DUE_SLOTS] = due;
+        self.tick = n;
+        self.at = now;
+        raises.sort_unstable_by_key(|(rank, _)| *rank);
+        clears.sort_unstable_by(|a, b| {
+            (&a.source, &a.session, a.kind).cmp(&(&b.source, &b.session, b.kind))
+        });
+        raises
+            .into_iter()
+            .map(|(_, alert)| alert)
+            .chain(clears)
+            .collect()
     }
 
     /// Clears every alert of a session (on one source) that ended
     /// (finalized), emitting clear transitions for the active ones. The
-    /// same session name observed by a sibling source is untouched.
+    /// same session name observed by a sibling source is untouched. A
+    /// condition of the session that still stands starts a new streak
+    /// at the next tick.
     pub fn clear_session(&mut self, source: &str, session: &str, now: Micros) -> Vec<Alert> {
-        let keys: Vec<AlertKey> = self
-            .states
-            .keys()
-            .filter(|(src, s, _)| src.as_ref() == source && s == session)
-            .cloned()
-            .collect();
         let mut events = Vec::new();
-        for key in keys {
-            let Some(state) = self.states.remove(&key) else {
+        let mut key: AlertKey = (Arc::from(source), session.to_owned(), AlertKind::ALL[0]);
+        for kind in AlertKind::ALL {
+            key.2 = kind;
+            let Some(state) = self.states.get_mut(&key) else {
                 continue;
             };
             if state.active {
+                let evidence = match state.present && !state.touched {
+                    true => summary(&state.held, self.at).0,
+                    false => state.evidence,
+                };
                 events.push(Alert {
                     at: now,
-                    source: key.0,
+                    source: key.0.clone(),
                     action: AlertAction::Clear,
-                    kind: key.2,
-                    severity: key.2.severity(),
-                    session: key.1,
+                    kind,
+                    severity: kind.severity(),
+                    session: key.1.clone(),
                     since: state.since,
-                    evidence: state.evidence,
+                    evidence,
                     detail: "session ended".to_string(),
                 });
+            }
+            if state.held.is_empty() {
+                self.states.remove(&key);
+                continue;
+            }
+            state.active = false;
+            state.present = false;
+            state.due = None;
+            if !state.touched {
+                state.touched = true;
+                self.touched.push(key.clone());
             }
         }
         events

@@ -41,22 +41,33 @@
 //! everything later ticks read of it: its session id (kept while the
 //! endpoints stay), its analysis-derived conditions, and its pauses of
 //! at least `MIN_PAUSE`, 30 s (the side peer-group blocking is found on).
-//! Beside the cache a scope keeps one compact row per connection in
-//! ordinal order, so an idle connection costs the tick's sweep one row
-//! read: a stall-watermark check, plus a clone of its conditions when it
-//! has any. The peer-group correlation pairs only the sender groups in
-//! which some member paused for `MIN_PAUSE`, so a fleet of short
-//! sessions that share routers (reconnects lingering in `close_grace`)
-//! pairs nothing. What still scales with open connections is the row
-//! sweep. The settle, which the first frame after a tick runs before it
-//! is fed ([`Ingest::step`]), costs the logs whose table transfer became
-//! final, and one comparison while none did.
+//! The tracker hands a tick its dirty connections from a list, not a
+//! scan. A refresh compares the connection's new conditions with the
+//! cached ones and tells the [`AlertEngine`] only which appeared and
+//! which vanished; the engine schedules each key's next transition by
+//! tick (a raise check one tick after a key appears, a clear
+//! `CLEAR_AFTER` ticks after its last condition went), so a key that
+//! stands, active and unchanged, costs a tick nothing. A stall is a
+//! deadline, `STALL_AFTER` past the connection's last progress, in a
+//! queue per scope; the stall's evidence and detail run to the tick, and
+//! the engine reads them as of the last tick the stall held. The
+//! peer-group pass pairs only sender groups of two members or more in
+//! which some member paused for `MIN_PAUSE`, and runs again only when a
+//! connection is stored or forgotten in such a group. So **an idle
+//! connection costs a tick nothing, even with standing conditions or a
+//! long pause, until one of its deadlines falls due**, and a sender
+//! group of one member never enters the correlation
+//! ([`MonitorMetrics::tick_visits`] counts what the ticks visit). The
+//! settle, which the first frame after a tick runs before it is fed
+//! ([`Ingest::step`]), costs the logs whose table transfer became final,
+//! and one comparison while none did.
 //!
 //! The loop that feeds a [`SourceSet`] into the engine is
 //! [`Monitor::step`]; [`Monitor::run_set`] is that step until the set
 //! finishes.
 
-use std::collections::{BTreeMap, HashMap};
+use std::cmp::Reverse;
+use std::collections::{BTreeMap, BTreeSet, BinaryHeap, HashMap};
 use std::net::Ipv4Addr;
 use std::sync::Arc;
 use std::time::Instant;
@@ -70,7 +81,7 @@ use tdat_timeset::{Micros, Span};
 use tdat_trace::{ConnKey, Endpoint, FinalizedConnection, TrackerConfig};
 
 use crate::alerts::{
-    Alert, AlertEngine, AlertKind, Condition, MIN_PAUSE, STALL_AFTER, TIMER_MIN_GAPS,
+    Alert, AlertEngine, AlertKind, Condition, Held, Rank, MIN_PAUSE, STALL_AFTER, TIMER_MIN_GAPS,
 };
 use crate::metrics::MonitorMetrics;
 use crate::set::{SetEvent, SourceId, SourceSet};
@@ -393,10 +404,11 @@ pub(crate) struct CachedAnalysis {
     pub(crate) session: String,
     /// Conditions derived purely from the analysis (timer gaps, loss
     /// episodes, zero-window bug, quarantine). Computed at refresh
-    /// time: a clean connection contributes *zero* detector work to
-    /// subsequent ticks. Stall and peer-group-blocking conditions
-    /// depend on the current tick time or on other connections, so
-    /// they stay in the per-tick sweep.
+    /// time, and told to the alert engine only when they differ from
+    /// the last refresh's: a connection whose conditions stand costs
+    /// later ticks nothing. Stall and peer-group-blocking conditions
+    /// depend on the tick time or on other connections: a stall
+    /// deadline and the peer-group pass find them.
     conditions: Vec<Condition>,
     /// The tick's analysis, as far as anything a tick emits reads it.
     pub(crate) partial: PartialAnalysis,
@@ -415,10 +427,10 @@ pub(crate) struct CachedAnalysis {
     completed: Option<Box<Analysis>>,
 }
 
-/// What a tick reads of one cached connection, kept compact and in
-/// ordinal order beside the cache, so a connection that did not change
-/// costs the tick's sweep one row read. Written at every refresh of its
-/// connection; only the stall mark changes between refreshes.
+/// What the ticks read of one cached connection, kept compact and in
+/// ordinal order beside the cache. Written at every refresh of its
+/// connection; between refreshes only `stalled` changes, when the
+/// stall deadline falls due.
 #[derive(Debug, Clone, Copy)]
 struct TickRow {
     /// The connection, to reach its cache entry.
@@ -429,13 +441,38 @@ struct TickRow {
     data_bytes: u64,
     /// The analysis is quarantined: no stall check, no peer pairing.
     quarantined: bool,
-    /// The cache entry carries analysis-derived conditions.
-    has_conditions: bool,
     /// The cache entry holds at least one long pause.
     long_pause: bool,
     /// The stall watermark: `(data bytes at last progress, tick time of
-    /// last progress)`, set by the first sweep that checks it.
+    /// last progress)`, set by the first refresh that finds the
+    /// connection not quarantined.
     mark: Option<(u64, Micros)>,
+    /// The stall condition stands: [`STALL_AFTER`] passed since the
+    /// mark with data moved and none since.
+    stalled: bool,
+}
+
+impl TickRow {
+    /// When the stall condition starts to stand, for a row that can
+    /// stall and does not yet: [`STALL_AFTER`] past its mark.
+    fn stall_deadline(&self) -> Option<Micros> {
+        if self.quarantined || self.data_bytes == 0 || self.stalled {
+            return None;
+        }
+        let (_, since) = self.mark?;
+        since.0.checked_add(STALL_AFTER.0).map(Micros)
+    }
+
+    /// The stall condition the row holds, if it stands.
+    fn stall(&self) -> Option<Held> {
+        match (self.stalled, self.mark) {
+            (true, Some((_, since))) => Some(Held::Stall {
+                since,
+                bytes: self.data_bytes,
+            }),
+            _ => None,
+        }
+    }
 }
 
 /// Evaluates the detectors whose outcome depends only on the analysis
@@ -519,69 +556,73 @@ pub(crate) struct AnalysisCtx {
 #[derive(Debug)]
 pub(crate) struct SourceScope {
     name: Arc<str>,
+    /// The scope's place among the sources: where its conditions rank.
+    index: u32,
     /// The source's tracker, BGP demux and capture-quality ledger, and
     /// the step a frame takes through them.
     ingest: Ingest,
     /// Cached per-connection analyses from previous ticks; entries are
     /// refreshed only when their connection is dirty.
     cache: HashMap<ConnKey, CachedAnalysis>,
-    /// One row per cache entry, by tracker ordinal: what the tick's
-    /// sweep and the peer-group correlation read.
+    /// One row per cache entry, by tracker ordinal: what the stall
+    /// deadlines and the peer-group correlation read.
     rows: BTreeMap<u64, TickRow>,
+    /// `(stall deadline, ordinal)` of the rows that can stall, soonest
+    /// first. A refresh that moves a row's deadline pushes the new one
+    /// and leaves the old, which is skipped when it comes up.
+    stalls: BinaryHeap<Reverse<(Micros, u64)>>,
 }
 
 impl SourceScope {
-    pub(crate) fn new(name: Arc<str>, tracker: TrackerConfig) -> SourceScope {
+    pub(crate) fn new(name: Arc<str>, index: usize, tracker: TrackerConfig) -> SourceScope {
         SourceScope {
             name,
+            index: index as u32,
             ingest: Ingest::new(tracker),
             cache: HashMap::new(),
             rows: BTreeMap::new(),
+            stalls: BinaryHeap::new(),
         }
     }
 
-    /// Tick phases 1–2 for this scope at trace time `at`: re-analyze
+    /// Tick phase 1 for this scope at the fleet's tick time: re-analyze
     /// the *dirty* connections (new traffic or new capture damage since
-    /// their last analysis), reuse cached analyses for the rest, then
-    /// sweep the rows for conditions, appending them to `conditions` in
-    /// tracker-insertion order. Returns the number of cached
-    /// connections.
+    /// their last analysis) and reuse cached analyses for the rest.
+    /// Returns the number of cached connections.
     ///
     /// Each connection's analysis window is anchored at its last-dirty
     /// tick (`[tick - window, tick]`), so a cached entry is exactly
     /// what re-analysis would produce. The cost law: a dirty connection
-    /// costs its re-analysis, an idle one a row read (one stall check,
-    /// and a clone of its conditions when it has any); the peer-group
-    /// correlation that follows costs nothing for a sender group none
-    /// of whose members paused for [`MIN_PAUSE`].
-    fn tick(&mut self, at: Micros, ctx: &AnalysisCtx, conditions: &mut Vec<Condition>) -> usize {
+    /// costs its re-analysis, a stall deadline that fell due one row
+    /// read, and any other connection nothing.
+    fn tick(&mut self, ctx: &AnalysisCtx, fleet: &mut Fleet) -> usize {
         let work = self.ingest.take_dirty();
-        self.refresh(work, at, ctx);
-        self.row_conditions(at, conditions);
+        fleet.visits += work.len() as u64;
+        self.refresh(work, ctx, fleet);
         self.rows.len()
     }
 
     /// Re-analyzes the connections in `work` over the window ending at
-    /// tick time `at` and caches the results (tick phase 1), as far as
-    /// the alerts read them ([`Analyzer::analyze_partial_lossy`]): no
-    /// MCT, no factors, none of the series only a report reads. A
-    /// snapshot pull completes each entry ([`complete`](Self::complete)).
-    fn refresh(&mut self, work: Vec<ConnKey>, at: Micros, ctx: &AnalysisCtx) {
-        let span = Span::new(at.saturating_sub(ctx.window), at);
+    /// the tick and caches the results (tick phase 1), as far as the
+    /// alerts read them ([`Analyzer::analyze_partial_lossy`]): no MCT,
+    /// no factors, none of the series only a report reads. A snapshot
+    /// pull completes each entry ([`complete`](Self::complete)).
+    fn refresh(&mut self, work: Vec<ConnKey>, ctx: &AnalysisCtx, fleet: &mut Fleet) {
+        let span = Span::new(fleet.now.saturating_sub(ctx.window), fleet.now);
         for key in work {
             let Some((ordinal, partial, rows)) = self.ingest.analyze_open(key, span, &ctx.analyzer)
             else {
                 continue;
             };
-            self.store(key, ordinal, partial, rows, ctx);
+            self.store(key, ordinal, partial, rows, ctx, fleet);
         }
     }
 
     /// Caches connection `key`'s fresh analysis under its tracker
-    /// `ordinal`, with everything a tick reads of it computed once: its
-    /// session id (the cached one while the endpoints stay), its
-    /// analysis-derived conditions, its long pauses and its tick row,
-    /// whose stall mark carries over.
+    /// `ordinal` at the fleet's tick time, with everything later ticks
+    /// read of it computed once: its session id (the cached one while
+    /// the endpoints stay), its analysis-derived conditions, its long
+    /// pauses and its tick row, whose stall mark carries over.
     pub(crate) fn store(
         &mut self,
         key: ConnKey,
@@ -589,30 +630,104 @@ impl SourceScope {
         partial: PartialAnalysis,
         rows: usize,
         ctx: &AnalysisCtx,
+        fleet: &mut Fleet,
+    ) {
+        let config = ctx.analyzer.config();
+        self.store_with(
+            key,
+            ordinal,
+            partial,
+            rows,
+            fleet,
+            |partial, name, session| analysis_conditions(partial, name, session, config),
+        );
+    }
+
+    /// [`store`](Self::store), with the analysis-derived conditions
+    /// made by `conditions` from the analysis, the scope's name and the
+    /// session id. Tells the alert engine which of the row's conditions
+    /// appeared and which vanished, and the peer-group index where the
+    /// row now sits.
+    pub(crate) fn store_with(
+        &mut self,
+        key: ConnKey,
+        ordinal: u64,
+        partial: PartialAnalysis,
+        rows: usize,
+        fleet: &mut Fleet,
+        conditions: impl FnOnce(&PartialAnalysis, &Arc<str>, &str) -> Vec<Condition>,
     ) {
         let endpoints = (partial.sender, partial.receiver);
-        let session = match self.cache.remove(&key) {
-            Some(old) => {
-                debug_assert_eq!(old.ordinal, ordinal, "an open connection keeps its ordinal");
-                if (old.partial.sender, old.partial.receiver) == endpoints {
-                    old.session
-                } else {
-                    session_id(partial.sender, partial.receiver)
-                }
-            }
-            None => session_id(partial.sender, partial.receiver),
+        let mut old = self.cache.remove(&key);
+        debug_assert!(
+            old.as_ref().is_none_or(|old| old.ordinal == ordinal),
+            "an open connection keeps its ordinal"
+        );
+        let reused = old
+            .as_ref()
+            .is_some_and(|old| (old.partial.sender, old.partial.receiver) == endpoints);
+        let session = match old.as_mut() {
+            Some(old) if reused => std::mem::take(&mut old.session),
+            _ => session_id(partial.sender, partial.receiver),
         };
-        let conditions = analysis_conditions(&partial, &self.name, &session, ctx.analyzer.config());
+        let conditions = conditions(&partial, &self.name, &session);
         let pauses = long_pauses(&partial.series, MIN_PAUSE);
-        let row = TickRow {
+
+        // Data bytes change only here, so the stall watermark moves here,
+        // at the tick's time.
+        let at = fleet.now;
+        let old_row = self.rows.get(&ordinal).copied();
+        let bytes = partial.profile.data_bytes;
+        let quarantined = partial.verdict.is_quarantined();
+        let mut mark = old_row.and_then(|row| row.mark);
+        if !quarantined {
+            let mark = mark.get_or_insert((bytes, at));
+            if bytes > mark.0 {
+                *mark = (bytes, at);
+            }
+        }
+        let mut row = TickRow {
             key,
             sender: partial.sender.0,
-            data_bytes: partial.profile.data_bytes,
-            quarantined: partial.verdict.is_quarantined(),
-            has_conditions: !conditions.is_empty(),
+            data_bytes: bytes,
+            quarantined,
             long_pause: !pauses.is_empty(),
-            mark: self.rows.get(&ordinal).and_then(|row| row.mark),
+            mark,
+            stalled: false,
         };
+        row.stalled = row.stall_deadline().is_some_and(|deadline| deadline <= at);
+
+        let (index, alerts) = (self.index, &mut fleet.alerts);
+        let old_conditions = old.as_ref().map_or(&[][..], |old| &old.conditions[..]);
+        alerts.replace(old_conditions, &conditions, |i| {
+            Rank::row(index, ordinal, i)
+        });
+        let old_session = match &old {
+            Some(old) if !reused => old.session.as_str(),
+            _ => session.as_str(),
+        };
+        let old_stall = old_row.and_then(|row| row.stall());
+        let stall = row.stall();
+        if (old_session, &old_stall) != (session.as_str(), &stall) {
+            let (kind, rank) = (AlertKind::StalledTransfer, Rank::stall(index, ordinal));
+            if old_stall.is_some() {
+                alerts.release(&self.name, old_session, kind, rank);
+            }
+            if let Some(held) = stall {
+                alerts.hold(&self.name, &session, kind, rank, held);
+            }
+        }
+        if let Some(deadline) = row.stall_deadline() {
+            if old_row.and_then(|row| row.stall_deadline()) != Some(deadline) {
+                self.stalls.push(Reverse((deadline, ordinal)));
+            }
+        }
+        fleet.regroup(
+            (index, ordinal),
+            old_row.map(|row| (row.sender, row.long_pause)),
+            Some((row.sender, row.long_pause)),
+        );
+
         self.rows.insert(ordinal, row);
         self.cache.insert(
             key,
@@ -626,6 +741,38 @@ impl SourceScope {
                 completed: None,
             },
         );
+    }
+
+    /// Tick phase 2 for this scope: stands up the stall of each row
+    /// whose deadline is at or before the tick. A deadline a refresh
+    /// moved since it was queued is skipped.
+    fn stalls_due(&mut self, fleet: &mut Fleet) {
+        while let Some(&Reverse((deadline, ordinal))) = self.stalls.peek() {
+            if deadline > fleet.now {
+                break;
+            }
+            self.stalls.pop();
+            fleet.visits += 1;
+            let Some(row) = self.rows.get_mut(&ordinal) else {
+                continue;
+            };
+            if row.stall_deadline() != Some(deadline) {
+                continue;
+            }
+            row.stalled = true;
+            let (Some(held), Some(cached)) = (row.stall(), self.cache.get(&row.key)) else {
+                debug_assert!(false, "a tick row without its cache entry");
+                continue;
+            };
+            let rank = Rank::stall(self.index, ordinal);
+            fleet.alerts.hold(
+                &self.name,
+                &cached.session,
+                AlertKind::StalledTransfer,
+                rank,
+                held,
+            );
+        }
     }
 
     /// Completes every cached analysis a tick left partial into the
@@ -655,75 +802,32 @@ impl SourceScope {
         }
     }
 
-    /// The cached analyses whose rows pass `keep`, in tracker-insertion
-    /// order, each beside this scope's name.
-    fn cached(
-        &self,
-        keep: impl Fn(&TickRow) -> bool,
-    ) -> impl Iterator<Item = (&Arc<str>, &CachedAnalysis)> {
+    /// The cached analyses, in tracker-insertion order, each beside
+    /// this scope's name.
+    fn cached(&self) -> impl Iterator<Item = (&Arc<str>, &CachedAnalysis)> {
         self.rows
             .values()
-            .filter(move |row| keep(row))
             .filter_map(|row| self.cache.get(&row.key))
             .map(|cached| (&self.name, cached))
     }
 
-    /// Tick phase 2 over this scope's rows, in tracker-insertion order:
-    /// appends each cached connection's conditions to `out` (its cached
-    /// analysis-derived conditions, then the stall watermark check,
-    /// which moves the row's mark against the current tick time). A row
-    /// with neither costs one read.
-    fn row_conditions(&mut self, at: Micros, out: &mut Vec<Condition>) {
-        let SourceScope {
-            name, cache, rows, ..
-        } = self;
-        for row in rows.values_mut() {
-            // Stall detection: trace-time watermark on data progress.
-            // Independent of analysis caching — an idle connection's
-            // byte count cannot have changed, and the comparison runs
-            // against the *current* tick time. Quarantined connections
-            // only surface the capture-quality condition.
-            let mut stalled = None;
-            if !row.quarantined {
-                let bytes = row.data_bytes;
-                let mark = row.mark.get_or_insert((bytes, at));
-                if bytes > mark.0 {
-                    *mark = (bytes, at);
-                } else if bytes > 0 && at - mark.1 >= STALL_AFTER {
-                    stalled = Some(mark.1);
-                }
-            }
-            if !row.has_conditions && stalled.is_none() {
-                continue;
-            }
-            let Some(cached) = cache.get(&row.key) else {
-                debug_assert!(false, "a tick row without its cache entry");
-                continue;
-            };
-            // Analysis-derived conditions were evaluated once at the
-            // entry's last refresh.
-            out.extend(cached.conditions.iter().cloned());
-            if let Some(since) = stalled {
-                out.push(Condition {
-                    source: name.clone(),
-                    session: cached.session.clone(),
-                    kind: AlertKind::StalledTransfer,
-                    evidence: Span::new(since, at),
-                    detail: format!(
-                        "no data progress for {:.0} s ({} bytes transferred)",
-                        (at - since).as_secs_f64(),
-                        row.data_bytes
-                    ),
-                });
-            }
-        }
-    }
-
-    /// Drops the tick state of a connection that left the tracker,
-    /// returning the session id its cache entry last published.
-    fn forget(&mut self, key: ConnKey) -> Option<String> {
+    /// Drops the tick state of a connection that left the tracker —
+    /// its standing conditions, its row and its place in its peer group
+    /// — returning the session id its cache entry last published.
+    pub(crate) fn forget(&mut self, key: ConnKey, fleet: &mut Fleet) -> Option<String> {
         let cached = self.cache.remove(&key)?;
-        self.rows.remove(&cached.ordinal);
+        let (index, ordinal) = (self.index, cached.ordinal);
+        let rank = |i| Rank::row(index, ordinal, i);
+        fleet.alerts.replace(&cached.conditions, &[], rank);
+        if let Some(row) = self.rows.remove(&ordinal) {
+            if row.stalled {
+                let (kind, rank) = (AlertKind::StalledTransfer, Rank::stall(index, ordinal));
+                fleet
+                    .alerts
+                    .release(&self.name, &cached.session, kind, rank);
+            }
+            fleet.regroup((index, ordinal), Some((row.sender, row.long_pause)), None);
+        }
         Some(cached.session)
     }
 }
@@ -731,42 +835,163 @@ impl SourceScope {
 /// The cached analyses of every source in (source, tracker-insertion)
 /// order — the order the report snapshots read the fleet in.
 pub(crate) fn fleet_view(scopes: &[SourceScope]) -> Vec<(&Arc<str>, &CachedAnalysis)> {
-    scopes
-        .iter()
-        .flat_map(|scope| scope.cached(|_| true))
-        .collect()
+    scopes.iter().flat_map(SourceScope::cached).collect()
 }
 
-/// The cached analyses the peer-group correlation reads, in (source,
-/// tracker-insertion) order: every member of each sender group that
-/// holds a long pause, with the groups counted across all sources. Only
-/// such a member can be found blocked, so the other groups can pair
-/// nothing; with no long pause anywhere this is a scan of the rows and
-/// allocates nothing.
-pub(crate) fn peer_fleet(scopes: &[SourceScope]) -> Vec<(&Arc<str>, &CachedAnalysis)> {
-    let mut senders: Vec<Ipv4Addr> = scopes
-        .iter()
-        .flat_map(|scope| scope.rows.values())
-        .filter(|row| row.long_pause)
-        .map(|row| row.sender)
-        .collect();
-    if senders.is_empty() {
-        return Vec::new();
+/// A peer group: the rows whose data sender shares one address, across
+/// every source.
+#[derive(Debug, Default)]
+struct Group {
+    /// `(scope, ordinal)` of each member.
+    members: Vec<(u32, u64)>,
+    /// How many members hold a long pause.
+    paused: usize,
+}
+
+impl Group {
+    /// Whether the group can pair: only a member with a long pause can
+    /// be found blocked, and only by another member.
+    fn pairs(&self) -> bool {
+        self.members.len() >= 2 && self.paused > 0
     }
-    senders.sort_unstable();
-    senders.dedup();
-    let member = |row: &TickRow| senders.binary_search(&row.sender).is_ok();
-    scopes
-        .iter()
-        .flat_map(|scope| scope.cached(member))
-        .collect()
+}
+
+/// What the ticks keep across every scope: the alert engine, the peer
+/// groups, and the conditions of the last peer-group pass.
+#[derive(Debug, Default)]
+pub(crate) struct Fleet {
+    pub(crate) alerts: AlertEngine,
+    /// The time of the tick in progress (of the last, between ticks).
+    now: Micros,
+    /// Every sender's group.
+    groups: HashMap<Ipv4Addr, Group>,
+    /// The senders whose group can pair.
+    pairing: BTreeSet<Ipv4Addr>,
+    /// The conditions the last peer-group pass found, in pair order.
+    peer: Vec<Condition>,
+    /// A row was stored or forgotten, since that pass, in a group that
+    /// could pair before or can after.
+    stale: bool,
+    /// Dirty connections, stall deadlines and peer-group members the
+    /// ticks visited.
+    visits: u64,
+}
+
+impl Fleet {
+    /// Everything the ticks visited: dirty connections, stall deadlines,
+    /// peer-group members and alert keys.
+    fn visits(&self) -> u64 {
+        self.visits + self.alerts.visits()
+    }
+
+    /// Moves row `member` from sender group `old` to `new`, each
+    /// `(sender, holds a long pause)`, or `None` for no group. Marks the
+    /// peer-group pass stale when the row sits in a group that could
+    /// pair before the move or can after it.
+    pub(crate) fn regroup(
+        &mut self,
+        member: (u32, u64),
+        old: Option<(Ipv4Addr, bool)>,
+        new: Option<(Ipv4Addr, bool)>,
+    ) {
+        if old == new {
+            if let Some((sender, _)) = new {
+                self.stale |= self.pairing.contains(&sender);
+            }
+            return;
+        }
+        if let Some((sender, paused)) = old {
+            if let Some(group) = self.groups.get_mut(&sender) {
+                self.stale |= group.pairs();
+                if let Some(at) = group.members.iter().position(|m| *m == member) {
+                    group.members.swap_remove(at);
+                }
+                group.paused -= usize::from(paused);
+                if !group.pairs() {
+                    self.pairing.remove(&sender);
+                }
+                if group.members.is_empty() {
+                    self.groups.remove(&sender);
+                }
+            }
+        }
+        if let Some((sender, paused)) = new {
+            let group = self.groups.entry(sender).or_default();
+            group.members.push(member);
+            group.paused += usize::from(paused);
+            if group.pairs() {
+                self.stale = true;
+                self.pairing.insert(sender);
+            }
+        }
+    }
+
+    /// The cached analyses the peer-group correlation reads, in
+    /// (source, tracker-insertion) order: every member of each sender
+    /// group that can pair. A group of one member, or one none of whose
+    /// members paused for [`MIN_PAUSE`], can pair nothing.
+    pub(crate) fn peer_fleet<'a>(
+        &self,
+        scopes: &'a [SourceScope],
+    ) -> Vec<(&'a Arc<str>, &'a CachedAnalysis)> {
+        let mut members: Vec<(u32, u64)> = self
+            .pairing
+            .iter()
+            .filter_map(|sender| self.groups.get(sender))
+            .flat_map(|group| group.members.iter().copied())
+            .collect();
+        members.sort_unstable();
+        members
+            .into_iter()
+            .filter_map(|(scope, ordinal)| {
+                let scope = scopes.get(scope as usize)?;
+                let row = scope.rows.get(&ordinal)?;
+                Some((&scope.name, scope.cache.get(&row.key)?))
+            })
+            .collect()
+    }
+
+    /// Starts a tick at trace time `at`: the time its refreshes mark
+    /// progress at and its stall deadlines fall due by.
+    pub(crate) fn begin(&mut self, at: Micros) {
+        self.now = at;
+    }
+
+    /// Tick phases 2–3, once every scope refreshed: stands up the stalls
+    /// that fell due, re-runs the peer-group pass if a group that can
+    /// pair changed, and returns the pairs it compared and the alert
+    /// transitions of the tick.
+    pub(crate) fn conclude(&mut self, scopes: &mut [SourceScope]) -> (usize, Vec<Alert>) {
+        for scope in scopes.iter_mut() {
+            scope.stalls_due(self);
+        }
+        let pairs = self.pair(scopes);
+        (pairs, self.alerts.tick(self.now))
+    }
+
+    /// Re-runs the peer-group pass when a row changed in a group that
+    /// can pair, and tells the alert engine which of its conditions
+    /// appeared and which vanished. Returns the pairs compared, none
+    /// when the pass did not run.
+    fn pair(&mut self, scopes: &[SourceScope]) -> usize {
+        if !std::mem::take(&mut self.stale) {
+            return 0;
+        }
+        let fleet = self.peer_fleet(scopes);
+        self.visits += fleet.len() as u64;
+        let mut conditions = Vec::new();
+        let pairs = peer_group_conditions(&fleet, &mut conditions);
+        self.alerts.replace(&self.peer, &conditions, Rank::peer);
+        self.peer = conditions;
+        pairs
+    }
 }
 
 /// Tick phase 3: peer-group blocking correlates across the whole
 /// fleet — a BGP sender paces *all* its group members, wherever each
 /// one was captured. Quarantined connections are excluded, so a
 /// poisoned source cannot contaminate the correlation. `fleet` is
-/// [`peer_fleet`]'s, in (source, tracker-insertion) order for
+/// [`Fleet::peer_fleet`]'s, in (source, tracker-insertion) order for
 /// deterministic output. Returns the pairs compared.
 pub(crate) fn peer_group_conditions(
     fleet: &[(&Arc<str>, &CachedAnalysis)],
@@ -823,7 +1048,7 @@ pub(crate) fn peer_group_conditions(
 struct Control {
     ctx: AnalysisCtx,
     tracker_config: TrackerConfig,
-    alerts: AlertEngine,
+    fleet: Fleet,
     metrics: MonitorMetrics,
     interval: Micros,
     /// Trace time the monitor has advanced to.
@@ -856,27 +1081,31 @@ impl Control {
     }
 
     fn clear_alerts(&mut self, source: &Arc<str>, session: &str, at: Micros) {
-        for alert in self.alerts.clear_session(source, session, at) {
+        for alert in self.fleet.alerts.clear_session(source, session, at) {
             self.emit_alert(alert);
         }
     }
 
     /// One analysis tick at trace time `at`: per scope, re-analyze what
-    /// changed and sweep the rows (phases 1–2); across the fleet,
-    /// correlate peer-group blocking and update the alerts (phase 3).
-    /// Its latency sample covers all of it.
+    /// changed and stand up the stalls that fell due (phases 1–2);
+    /// across the fleet, re-run the peer-group pass if a group that can
+    /// pair changed, and update the alerts (phase 3). Its latency sample
+    /// covers all of it.
     fn tick(&mut self, scopes: &mut [SourceScope], at: Micros) {
         let started = Instant::now();
-        let mut conditions: Vec<Condition> = Vec::new();
+        let visits = self.fleet.visits();
+        self.fleet.begin(at);
         let open = scopes
             .iter_mut()
-            .map(|scope| scope.tick(at, &self.ctx, &mut conditions))
+            .map(|scope| scope.tick(&self.ctx, &mut self.fleet))
             .sum();
-        let pairs = peer_group_conditions(&peer_fleet(scopes), &mut conditions);
-        for alert in self.alerts.observe(at, &conditions) {
+        let (pairs, alerts) = self.fleet.conclude(scopes);
+        for alert in alerts {
             self.emit_alert(alert);
         }
         self.metrics.record_peer_pairs(pairs);
+        self.metrics
+            .record_tick_visits(self.fleet.visits() - visits);
         self.metrics.record_tick(open, started.elapsed());
     }
 
@@ -889,7 +1118,7 @@ impl Control {
             debug_assert!(false, "finalized connection from unknown scope {source}");
             return;
         };
-        let cached = scope.forget(fin.key);
+        let cached = scope.forget(fin.key, &mut self.fleet);
         let analysis = scope.ingest.analyze(fin, &self.ctx.analyzer);
         let session = session_id(analysis.sender, analysis.receiver);
         // Event timestamps never run behind the traffic they describe.
@@ -953,7 +1182,7 @@ impl Monitor {
                 window: config.window.max(Micros(1)),
             },
             tracker_config: config.tracker,
-            alerts: AlertEngine::new(),
+            fleet: Fleet::default(),
             metrics: MonitorMetrics::default(),
             interval: config.interval.max(Micros(1)),
             now: Micros::ZERO,
@@ -998,7 +1227,11 @@ impl Monitor {
         let id = SourceId(control.names.len() as u32);
         let name: Arc<str> = Arc::from(name);
         control.index.insert(name.clone(), id);
-        scopes.push(SourceScope::new(name.clone(), control.tracker_config));
+        scopes.push(SourceScope::new(
+            name.clone(),
+            id.index(),
+            control.tracker_config,
+        ));
         control.unattributed.push(AnomalyCounts::default());
         control.names.push(name);
         control.metrics.record_sources(control.names.len());

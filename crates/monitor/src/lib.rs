@@ -78,6 +78,8 @@ mod peer_props;
 pub mod set;
 pub mod source;
 pub mod sweep;
+#[cfg(test)]
+mod tick_props;
 
 pub use alerts::{Alert, AlertAction, AlertEngine, AlertKind, Condition, Severity};
 pub use engine::{

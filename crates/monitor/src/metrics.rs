@@ -84,6 +84,7 @@ pub struct MonitorMetrics {
     transfers_settled: u64,
     settle_queue_visits: u64,
     peer_pairs_checked: u64,
+    tick_visits: u64,
     capture_anomalies: u64,
     raised: BTreeMap<AlertKind, u64>,
     cleared: BTreeMap<AlertKind, u64>,
@@ -151,6 +152,12 @@ impl MonitorMetrics {
         self.peer_pairs_checked += pairs as u64;
     }
 
+    /// Records what one tick visited: dirty connections, stall
+    /// deadlines, peer-group members and alert keys.
+    pub(crate) fn record_tick_visits(&mut self, visits: u64) {
+        self.tick_visits += visits;
+    }
+
     /// Records one capture anomaly survived by the source.
     pub(crate) fn record_anomaly(&mut self) {
         self.capture_anomalies += 1;
@@ -215,10 +222,22 @@ impl MonitorMetrics {
 
     /// Ordered session pairs the ticks' peer-group correlation
     /// compared: within each sender group, every member that paused for
-    /// at least 30 s against each other member. A group none of whose
-    /// members paused that long costs none.
+    /// at least 30 s against each other member, at each tick that
+    /// refreshed or finalized a member of a group that can pair. A group
+    /// of one member, or none of whose members paused that long, costs
+    /// none, and neither does a tick at which no such group changed.
     pub fn peer_pairs_checked(&self) -> u64 {
         self.peer_pairs_checked
+    }
+
+    /// What the ticks visited: each dirty connection they re-analysed,
+    /// each stall deadline that came up, each member of a peer-group
+    /// pass that re-ran, and each alert key whose conditions changed or
+    /// whose next transition fell due. A tick at which nothing changed
+    /// and nothing fell due visits none, however many sessions are open
+    /// and whatever alerts they hold.
+    pub fn tick_visits(&self) -> u64 {
+        self.tick_visits
     }
 
     /// Capture anomalies survived by the source.
@@ -260,6 +279,7 @@ impl fmt::Display for MonitorMetrics {
              settled transfers    {:>10}\n\
              settle queue visits  {:>10}\n\
              peer pairs checked   {:>10}\n\
+             tick visits          {:>10}\n\
              capture anomalies    {:>10}",
             self.frames,
             self.ticks,
@@ -268,6 +288,7 @@ impl fmt::Display for MonitorMetrics {
             self.transfers_settled,
             self.settle_queue_visits,
             self.peer_pairs_checked,
+            self.tick_visits,
             self.capture_anomalies
         )?;
         // Per-source breakdown only when there is something to break

@@ -22,12 +22,12 @@ use tdat_trace::{ConnKey, ConnProfile, TrackerConfig};
 
 use crate::alerts::{Condition, MIN_PAUSE};
 use crate::engine::{
-    fleet_view, peer_fleet, peer_group_conditions, session_id, AnalysisCtx, SourceScope,
+    fleet_view, peer_group_conditions, session_id, AnalysisCtx, Fleet, SourceScope,
 };
 
 /// The pairwise scan as it was before pauses were cached: every
 /// function verbatim, but for the visibility of the last.
-mod reference {
+pub(crate) mod reference {
     use std::net::Ipv4Addr;
     use std::sync::Arc;
 
@@ -181,18 +181,18 @@ mod reference {
 }
 
 /// When every member's activity starts: well inside a tick's window.
-const BASE: i64 = 100_000_000;
+pub(crate) const BASE: i64 = 100_000_000;
 
 /// Gaps between the two idle spans of a paused member, µs: merged by
 /// the 2 s rule up to 2 s, and not past it.
-const GAPS: [i64; 5] = [500_000, 1_000_000, 1_500_000, 2_000_000, 2_500_000];
+pub(crate) const GAPS: [i64; 5] = [500_000, 1_000_000, 1_500_000, 2_000_000, 2_500_000];
 
 /// Offsets of a merged hull from `min_pause`, µs.
 const HULLS: [i64; 5] = [-1_000_000, -1, 0, 1, 1_000_000];
 
 /// Lengths of a faulty member's loss or zero-window span, µs: around a
 /// quarter of a 30 s pause.
-const LOSSES: [i64; 5] = [7_000_000, 7_499_999, 7_500_000, 7_750_000, 15_000_000];
+pub(crate) const LOSSES: [i64; 5] = [7_000_000, 7_499_999, 7_500_000, 7_750_000, 15_000_000];
 
 /// One member as generated: `(source, shape, gap, loss kind, loss
 /// length, quarantine roll, second refresh, start offset, rank)`.
@@ -225,14 +225,14 @@ fn member() -> impl Strategy<Value = Spec> {
 }
 
 /// The address group `g` sends from.
-fn router(g: usize) -> Ipv4Addr {
+pub(crate) fn router(g: usize) -> Ipv4Addr {
     Ipv4Addr::new(10, 0, 0, g as u8 + 1)
 }
 
 /// `SendAppLimited` of shape `shape` starting at `start`: none, one
 /// short idle span, two spans `gap` apart whose hull is `min_pause` plus
 /// one of [`HULLS`], or that hull and a second long pause a minute on.
-fn idle_spans(series: &mut SeriesBuilder, shape: usize, gap: i64, start: i64) {
+pub(crate) fn idle_spans(series: &mut SeriesBuilder, shape: usize, gap: i64, start: i64) {
     let sal = &mut series[Slot::SendAppLimited];
     match shape {
         0 => {}
@@ -252,7 +252,7 @@ fn idle_spans(series: &mut SeriesBuilder, shape: usize, gap: i64, start: i64) {
 
 /// Loss or zero-window activity of kind `kind` (none for 4) lasting
 /// `len`, a second into the pauses.
-fn trouble(series: &mut SeriesBuilder, kind: usize, len: i64) {
+pub(crate) fn trouble(series: &mut SeriesBuilder, kind: usize, len: i64) {
     let span = Span::from_micros(BASE + 1_000_000, BASE + 1_000_000 + len);
     let slot = match kind {
         0 => Slot::UpstreamLoss,
@@ -321,8 +321,10 @@ proptest! {
         let names: Vec<Arc<str>> = ["a", "b", "c"].into_iter().map(Arc::from).collect();
         let mut scopes: Vec<SourceScope> = names
             .iter()
-            .map(|name| SourceScope::new(name.clone(), TrackerConfig::streaming()))
+            .enumerate()
+            .map(|(i, name)| SourceScope::new(name.clone(), i, TrackerConfig::streaming()))
             .collect();
+        let mut fleet = Fleet::default();
         // Members in (group, member) order, each with its source's
         // ordinal: its place among that source's members by rank.
         let specs: Vec<(usize, &Spec)> = groups
@@ -349,14 +351,14 @@ proptest! {
                     (router((g + 1) % groups.len()), 40_000 + m as u16),
                 );
                 let partial = analysis(spec, g, groups.len(), m, again);
-                scopes[spec.0].store(key, ordinal(m), partial, 0, &ctx);
+                scopes[spec.0].store(key, ordinal(m), partial, 0, &ctx, &mut fleet);
             }
         }
 
         let mut expected: Vec<Condition> = Vec::new();
         reference::peer_group_conditions(&fleet_view(&scopes), MIN_PAUSE, &mut expected);
         let mut actual: Vec<Condition> = Vec::new();
-        peer_group_conditions(&peer_fleet(&scopes), &mut actual);
+        peer_group_conditions(&fleet.peer_fleet(&scopes), &mut actual);
         prop_assert_eq!(actual, expected);
         for (_, cached) in fleet_view(&scopes) {
             prop_assert_eq!(

@@ -311,3 +311,34 @@ fn a_sweep_beside_a_live_source_writes_one_meta_line_and_is_not_resumed() {
     assert_eq!(after, stream, "the refused resume leaves the stream alone");
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// A `--sim` scenario parameter out of its range is refused as a
+/// malformed one is, before any watch starts.
+fn sim_parameter_is_refused(scenario: &str, what: &str) {
+    run_expecting_usage_error(&["--sim", scenario], &format!("bad {what} "));
+}
+
+#[test]
+fn sim_zero_timer_is_refused() {
+    sim_parameter_is_refused("timer:0", "interval");
+}
+
+#[test]
+fn sim_negative_timer_is_refused() {
+    sim_parameter_is_refused("timer:-5", "interval");
+}
+
+#[test]
+fn sim_timer_that_is_not_a_number_is_refused() {
+    sim_parameter_is_refused("timer:nan", "interval");
+}
+
+#[test]
+fn sim_loss_probability_past_one_is_refused() {
+    sim_parameter_is_refused("uploss:2", "loss probability");
+}
+
+#[test]
+fn sim_negative_rate_is_refused() {
+    sim_parameter_is_refused("slow:-1", "rate");
+}

@@ -342,7 +342,7 @@ pub const SCENARIO_USAGE: &str =
 ///
 /// Returns the same descriptive messages [`build_scenario`] would for
 /// an unknown name, a parameter on a parameterless scenario, or a
-/// malformed parameter value.
+/// parameter value that is malformed or out of range.
 pub fn validate_scenario_spec(spec: &str) -> Result<(), String> {
     let (name, param) = match spec.split_once(':') {
         Some((n, p)) => (n, Some(p)),
@@ -351,21 +351,34 @@ pub fn validate_scenario_spec(spec: &str) -> Result<(), String> {
     if !SCENARIO_NAMES.contains(&name) {
         return Err(format!("unknown scenario {name:?}"));
     }
-    match param {
-        None => Ok(()),
-        Some(_) if !matches!(name, "timer" | "slow" | "uploss") => {
-            Err(format!("scenario {name} takes no parameter"))
-        }
-        Some(p) => {
-            let what = match name {
-                "timer" => "interval",
-                "slow" => "rate",
-                _ => "loss probability",
-            };
-            p.parse::<f64>()
-                .map(|_| ())
-                .map_err(|_| format!("scenario {name}: bad {what} {p:?}"))
-        }
+    scenario_param(name, param).map(|_| ())
+}
+
+/// The parameter of scenario `name`, parsed and range-checked: `None`
+/// when there is none. A `timer` interval (ms) must round to at least
+/// 1 µs and to no more than trace time holds, a `slow` rate must be
+/// finite and positive, an `uploss` probability must lie in [0, 1].
+///
+/// # Errors
+///
+/// A parameter on a scenario that takes none, and a parameter that does
+/// not parse as a number or breaks its range, refused alike.
+fn scenario_param(name: &str, param: Option<&str>) -> Result<Option<f64>, String> {
+    let Some(p) = param else {
+        return Ok(None);
+    };
+    let (what, valid): (&str, fn(f64) -> bool) = match name {
+        // The microseconds `Micros::from_secs_f64` makes of it.
+        "timer" => ("interval", |ms| {
+            (1.0..i64::MAX as f64).contains(&(ms / 1e3 * 1e6).round())
+        }),
+        "slow" => ("rate", |rate| rate.is_finite() && rate > 0.0),
+        "uploss" => ("loss probability", |p| (0.0..=1.0).contains(&p)),
+        _ => return Err(format!("scenario {name} takes no parameter")),
+    };
+    match p.parse::<f64>() {
+        Ok(value) if valid(value) => Ok(Some(value)),
+        _ => Err(format!("scenario {name}: bad {what} {p:?}")),
     }
 }
 
@@ -388,24 +401,14 @@ pub fn validate_scenario_spec(spec: &str) -> Result<(), String> {
 ///
 /// # Errors
 ///
-/// Returns a descriptive message for an unknown name or a malformed
-/// parameter.
+/// Returns a descriptive message for an unknown name, or a parameter
+/// that is malformed or out of range (see [`validate_scenario_spec`]).
 pub fn build_scenario(spec: &str, opts: &ScenarioOptions) -> Result<BuiltScenario, String> {
     let (name, param) = match spec.split_once(':') {
         Some((n, p)) => (n, Some(p)),
         None => (spec, None),
     };
-    let parse_param = |what: &str, default: f64| -> Result<f64, String> {
-        match param {
-            None => Ok(default),
-            Some(p) => p
-                .parse()
-                .map_err(|_| format!("scenario {name}: bad {what} {p:?}")),
-        }
-    };
-    if param.is_some() && !matches!(name, "timer" | "slow" | "uploss") {
-        return Err(format!("scenario {name} takes no parameter"));
-    }
+    let param = scenario_param(name, param)?;
 
     let stream = tdat_bgp::TableGenerator::new(opts.seed)
         .routes(opts.routes)
@@ -421,7 +424,7 @@ pub fn build_scenario(spec: &str, opts: &ScenarioOptions) -> Result<BuiltScenari
     topo_opts.access.propagation = Micros::from_secs_f64(opts.rtt_ms / 2.0 / 1e3);
     match name {
         "uploss" => {
-            let p = parse_param("loss probability", 0.02)?;
+            let p = param.unwrap_or(0.02);
             topo_opts.access.loss = LossModel::Random { p, seed: opts.seed };
         }
         "burst" => {
@@ -439,14 +442,14 @@ pub fn build_scenario(spec: &str, opts: &ScenarioOptions) -> Result<BuiltScenari
     match name {
         "clean" | "uploss" | "burst" => {}
         "timer" => {
-            let ms = parse_param("interval", 200.0)?;
+            let ms = param.unwrap_or(200.0);
             spec.sender_app.timer = Some(SenderTimer {
                 interval: Micros::from_secs_f64(ms / 1e3),
                 quota: 8192,
             });
         }
         "slow" => {
-            let rate = parse_param("rate", 40_000.0)?;
+            let rate = param.unwrap_or(40_000.0);
             spec.receiver_app = BgpReceiverConfig {
                 processing_rate: rate,
                 ..BgpReceiverConfig::default()

@@ -114,11 +114,15 @@ struct ConnState {
     fin_low: bool,
     fin_high: bool,
     closed_at: Option<Micros>,
-    /// New frames since the last [`ConnectionTracker::take_dirty`].
+    /// New frames since the last [`ConnectionTracker::take_dirty`]. Once
+    /// the tracker keeps a dirty list, set only together with an entry
+    /// on it.
     dirty: bool,
 }
 
 impl ConnState {
+    /// A connection whose first frame is stamped `timestamp`; its frame
+    /// turns it dirty.
     fn fresh(ordinal: u64, timestamp: Micros) -> ConnState {
         ConnState {
             ordinal,
@@ -127,7 +131,18 @@ impl ConnState {
             fin_low: false,
             fin_high: false,
             closed_at: None,
-            dirty: true,
+            dirty: false,
+        }
+    }
+}
+
+/// Marks connection `key` dirty, listing it when it was not and a list
+/// is kept.
+fn note_dirty(list: &mut Option<Vec<(u64, ConnKey)>>, state: &mut ConnState, key: ConnKey) {
+    if !state.dirty {
+        state.dirty = true;
+        if let Some(list) = list {
+            list.push((state.ordinal, key));
         }
     }
 }
@@ -139,6 +154,12 @@ impl ConnState {
 pub struct ConnectionTracker {
     config: TrackerConfig,
     open: HashMap<ConnKey, ConnState>,
+    /// `(ordinal, key)` of each connection that turned dirty since the
+    /// last [`take_dirty`](Self::take_dirty), in the order it did: what
+    /// that call reads instead of the open map. Kept from the first such
+    /// call on (`None` before it), so a tracker nobody reads that way —
+    /// the batch pass's — keeps no list.
+    dirty: Option<Vec<(u64, ConnKey)>>,
     next_ordinal: u64,
     frames_seen: usize,
     now: Micros,
@@ -154,6 +175,7 @@ impl ConnectionTracker {
         ConnectionTracker {
             config,
             open: HashMap::new(),
+            dirty: None,
             next_ordinal: 0,
             frames_seen: 0,
             now: Micros::ZERO,
@@ -193,7 +215,7 @@ impl ConnectionTracker {
         });
         let from_a = state.frames.push(key, frame, index);
         state.last_seen = state.last_seen.max(timestamp);
-        state.dirty = true;
+        note_dirty(&mut self.dirty, state, key);
         let flags = frame.tcp().flags;
         if flags.contains(TcpFlags::FIN) {
             if from_a {
@@ -253,8 +275,13 @@ impl ConnectionTracker {
 
     /// Finalizes every connection whose close grace or idle timeout has
     /// expired, except `keep` (the connection a frame was just appended
-    /// to — by definition not idle, and still within grace).
+    /// to — by definition not idle, and still within grace). A policy
+    /// with neither (the batch policy) expires nothing, and visits
+    /// nothing.
     fn sweep(&mut self, keep: Option<ConnKey>) -> Vec<FinalizedConnection> {
+        if self.config.idle_timeout.is_none() && self.config.close_grace.is_none() {
+            return Vec::new();
+        }
         let now = self.now;
         let expired = |s: &ConnState| {
             let closed = match (s.closed_at, self.config.close_grace) {
@@ -331,19 +358,38 @@ impl ConnectionTracker {
     /// `take_dirty` call (or since they opened), by ordinal, clearing
     /// their dirty marks. The incremental-monitor hook: a tick only
     /// needs to re-snapshot these; every other open connection is
-    /// byte-identical to its previous snapshot.
+    /// byte-identical to its previous snapshot. Reads the dirty list,
+    /// not the open map, so it costs the connections that turned dirty
+    /// (one that was finalized since is skipped), and allocates nothing
+    /// when none did.
     pub fn take_dirty(&mut self) -> Vec<ConnKey> {
-        let mut dirty: Vec<(u64, ConnKey)> = self
-            .open
-            .iter_mut()
-            .filter(|(_, s)| s.dirty)
-            .map(|(k, s)| {
-                s.dirty = false;
-                (s.ordinal, *k)
-            })
-            .collect();
+        let open = &mut self.open;
+        let Some(dirty) = &mut self.dirty else {
+            // The first read: every connection opened so far is dirty.
+            self.dirty = Some(Vec::new());
+            let mut dirty: Vec<(u64, ConnKey)> = open
+                .iter_mut()
+                .filter(|(_, s)| s.dirty)
+                .map(|(k, s)| {
+                    s.dirty = false;
+                    (s.ordinal, *k)
+                })
+                .collect();
+            dirty.sort_unstable();
+            return dirty.into_iter().map(|(_, k)| k).collect();
+        };
+        if dirty.is_empty() {
+            return Vec::new();
+        }
+        dirty.retain(|(ordinal, key)| match open.get_mut(key) {
+            Some(state) if state.ordinal == *ordinal => {
+                state.dirty = false;
+                true
+            }
+            _ => false,
+        });
         dirty.sort_unstable();
-        dirty.into_iter().map(|(_, k)| k).collect()
+        dirty.drain(..).map(|(_, key)| key).collect()
     }
 
     /// Marks an open connection as changed without a frame (capture
@@ -352,7 +398,7 @@ impl ConnectionTracker {
     /// connection not open.
     pub fn mark_dirty(&mut self, key: ConnKey) {
         if let Some(state) = self.open.get_mut(&key) {
-            state.dirty = true;
+            note_dirty(&mut self.dirty, state, key);
         }
     }
 
@@ -663,5 +709,36 @@ mod tests {
                 assert!(frame.src().0 == sender || frame.dst().0 == sender);
             }
         }
+    }
+
+    #[test]
+    fn take_dirty_lists_by_ordinal_and_skips_finalized_connections() {
+        let mut frames = exchange(addr(1), addr(2), 0);
+        frames.extend(exchange(addr(3), addr(2), 1_000));
+        let mut tracker = ConnectionTracker::new(TrackerConfig {
+            max_connections: Some(2),
+            ..TrackerConfig::batch()
+        });
+        for f in &frames {
+            tracker.ingest(f);
+        }
+        let first = ConnKey::of(&frames[0]);
+        let second = ConnKey::of(&frames[5]);
+        assert_eq!(tracker.take_dirty(), vec![first, second]);
+        assert!(tracker.take_dirty().is_empty(), "nothing changed since");
+        // Dirty in reverse order: still listed by ordinal.
+        tracker.ingest(&frames[9]);
+        tracker.mark_dirty(first);
+        tracker.mark_dirty(first);
+        assert_eq!(tracker.take_dirty(), vec![first, second]);
+        // A dirty connection evicted before the read is not listed; the
+        // one that opened in its place is.
+        tracker.ingest(&frames[4]);
+        tracker.ingest(&frames[9]);
+        let third = exchange(addr(4), addr(2), 2_000);
+        let evicted = tracker.ingest(&third[0]);
+        assert_eq!(evicted.len(), 1, "over the cap of 2");
+        assert_eq!(evicted[0].key, first, "the least recently active");
+        assert_eq!(tracker.take_dirty(), vec![second, ConnKey::of(&third[0])]);
     }
 }
