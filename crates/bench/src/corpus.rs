@@ -382,8 +382,7 @@ pub fn generate_transfer_with(
     let out = sim.into_output();
     let true_duration = out.connections[0]
         .archive
-        .last()
-        .map(|(t, _)| *t)
+        .last_time()
         .unwrap_or(Micros::ZERO);
     let frames = out
         .taps

@@ -14,8 +14,8 @@
 //!   stream;
 //! * [`MessageLog`] — what the capture path keeps of a stream instead
 //!   of decoded messages: a row per message and the announced prefixes,
-//!   filled by a skim decoder that accepts exactly what
-//!   [`BgpMessage::decode`] accepts, and read in place by MCT.
+//!   filled by a skim decoder ([`skim_message`]) that accepts exactly
+//!   what [`BgpMessage::decode`] accepts, and read in place by MCT.
 //!
 //! # Examples
 //!
@@ -50,7 +50,9 @@ mod table;
 
 pub use attrs::{AsPath, AsPathSegment, Origin, PathAttribute};
 pub use error::{BgpError, Result};
-pub use log::{Framed, KeptMessages, LogRow, MessageLog, WholeMessages};
+pub use log::{
+    skim_message, Framed, KeptMessages, LogRow, MessageLog, Skim, Skimmed, WholeMessages,
+};
 pub use mct::{find_transfer_end_ref, MctConfig, MctUpdate, TableTransfer};
 pub use message::{
     BgpMessage, NotificationMessage, OpenMessage, UpdateMessage, BGP_HEADER_LEN,

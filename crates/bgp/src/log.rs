@@ -12,7 +12,9 @@
 //! [`LogRow::announced`]; 8 bytes for a prefix longer than /24), and
 //! [`MessageLog::skim`] validates every rule `decode` enforces while
 //! materialising nothing else, so both accept exactly the same byte
-//! strings.
+//! strings. The rules are [`skim_message`]'s, which any keeper of
+//! valid messages can share: the simulator's collector frames its
+//! archive by them too.
 //!
 //! MCT reads the rows and the arena for one answer, keying its set by
 //! the prefix words as they are, and once that
@@ -650,66 +652,118 @@ impl MessageLog {
     }
 
     /// Skims one message from the front of `buf` into the log: accepts
-    /// exactly the byte strings [`BgpMessage::decode`] accepts — marker,
-    /// length, type and every body rule, down to per-attribute length
-    /// and value checks — and allocates nothing but log growth.
+    /// exactly the byte strings [`BgpMessage::decode`] accepts, by
+    /// [`skim_message`]'s rules, and allocates nothing but log growth.
     pub fn skim(&mut self, time: Micros, buf: &mut &[u8]) -> Framed {
         let bytes = *buf;
-        if bytes.len() < BGP_HEADER_LEN {
-            return Framed::Partial;
-        }
-        if bytes[..16] != [0xff; 16] {
-            return Framed::Rejected;
-        }
-        let len = usize::from(u16::from_be_bytes([bytes[16], bytes[17]]));
-        if !(BGP_HEADER_LEN..=BGP_MAX_MESSAGE_LEN).contains(&len) {
-            return Framed::Rejected;
-        }
-        if bytes.len() < len {
-            return Framed::Partial;
-        }
-        let type_code = bytes[18];
-        let body = &bytes[BGP_HEADER_LEN..len];
         let words = self.arena_len();
-        let counts = match type_code {
-            // OPEN: ten fixed bytes, then the optional parameters their
-            // length byte promises.
-            1 => (body.len() >= 10 && body.len() - 10 >= usize::from(body[9])).then_some((0, 0)),
-            2 => self.skim_update(body),
-            3 => (body.len() >= 2).then_some((0, 0)),
-            4 => body.is_empty().then_some((0, 0)),
-            _ => None,
+        let skim = match &mut self.state {
+            State::Open { announced, .. } => {
+                let skim = skim_message(bytes, |network, len| push_prefix(announced, network, len));
+                if skim == Skim::Rejected {
+                    announced.truncate(words);
+                }
+                skim
+            }
+            State::Settled(_) => skim_message(bytes, |_, _| ()),
         };
-        let Some((announced, withdrawn)) = counts else {
-            return Framed::Rejected;
+        let message = match skim {
+            Skim::Whole(message) => message,
+            Skim::Partial => return Framed::Partial,
+            Skim::Rejected => return Framed::Rejected,
         };
-        let escaped = self.arena_len() - words > announced;
-        self.push_row(time, Row::new(type_code, announced, withdrawn, escaped));
-        *buf = &bytes[len..];
+        let escaped = self.arena_len() - words > message.announced;
+        self.push_row(
+            time,
+            Row::new(
+                message.type_code,
+                message.announced,
+                message.withdrawn,
+                escaped,
+            ),
+        );
+        *buf = &bytes[message.len..];
         Framed::Kept
     }
+}
 
-    /// Validates an UPDATE body and appends its NLRI to the arena of an
-    /// open log, returning the (announced, withdrawn) counts; on a
-    /// reject the arena is left as it was.
-    fn skim_update(&mut self, body: &[u8]) -> Option<(usize, usize)> {
-        let (withdrawn, rest) = split_u16_prefixed(body)?;
-        let (attributes, nlri) = split_u16_prefixed(rest)?;
-        let withdrawn = walk_nlri(withdrawn, |_, _| ())?;
-        skim_attributes(attributes)?;
-        let announced = match &mut self.state {
-            State::Open { announced, .. } => {
-                let mark = announced.len();
-                let count = walk_nlri(nlri, |network, len| push_prefix(announced, network, len));
-                if count.is_none() {
-                    announced.truncate(mark);
-                }
-                count
-            }
-            State::Settled(_) => walk_nlri(nlri, |_, _| ()),
-        };
-        Some((announced?, withdrawn))
+/// What [`skim_message`] makes of the front of a buffer.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Skim {
+    /// A whole valid message.
+    Whole(Skimmed),
+    /// Only part of a message: wait for more bytes. Always the answer
+    /// for fewer than [`BGP_HEADER_LEN`] bytes.
+    Partial,
+    /// Not a BGP message.
+    Rejected,
+}
+
+/// One whole message [`skim_message`] accepted.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Skimmed {
+    /// Its wire length, header included.
+    pub len: usize,
+    /// Its wire type code (1 OPEN, 2 UPDATE, 3 NOTIFICATION, 4
+    /// KEEPALIVE).
+    pub type_code: u8,
+    /// How many prefixes it announces.
+    pub announced: usize,
+    /// How many prefixes it withdraws.
+    pub withdrawn: usize,
+}
+
+/// Frames one message at the front of `bytes` and validates it by every
+/// rule [`BgpMessage::decode`] enforces — marker, length, type and every
+/// body rule, down to per-attribute length and value checks — so that
+/// both accept, wait on and reject exactly the same byte strings, while
+/// this builds nothing. `announced` is handed each announced prefix's
+/// masked network and length in wire order; it may have been handed
+/// some when the message turns out [`Skim::Rejected`].
+pub fn skim_message(bytes: &[u8], announced: impl FnMut(u32, u8)) -> Skim {
+    if bytes.len() < BGP_HEADER_LEN {
+        return Skim::Partial;
     }
+    if bytes[..16] != [0xff; 16] {
+        return Skim::Rejected;
+    }
+    let len = usize::from(u16::from_be_bytes([bytes[16], bytes[17]]));
+    if !(BGP_HEADER_LEN..=BGP_MAX_MESSAGE_LEN).contains(&len) {
+        return Skim::Rejected;
+    }
+    if bytes.len() < len {
+        return Skim::Partial;
+    }
+    let type_code = bytes[18];
+    let body = &bytes[BGP_HEADER_LEN..len];
+    let counts = match type_code {
+        // OPEN: ten fixed bytes, then the optional parameters their
+        // length byte promises.
+        1 => (body.len() >= 10 && body.len() - 10 >= usize::from(body[9])).then_some((0, 0)),
+        2 => skim_update(body, announced),
+        3 => (body.len() >= 2).then_some((0, 0)),
+        4 => body.is_empty().then_some((0, 0)),
+        _ => None,
+    };
+    match counts {
+        Some((announced, withdrawn)) => Skim::Whole(Skimmed {
+            len,
+            type_code,
+            announced,
+            withdrawn,
+        }),
+        None => Skim::Rejected,
+    }
+}
+
+/// Validates an UPDATE body, handing its NLRI to `announced`, and
+/// returns the (announced, withdrawn) counts.
+fn skim_update(body: &[u8], announced: impl FnMut(u32, u8)) -> Option<(usize, usize)> {
+    let (withdrawn, rest) = split_u16_prefixed(body)?;
+    let (attributes, nlri) = split_u16_prefixed(rest)?;
+    let withdrawn = walk_nlri(withdrawn, |_, _| ())?;
+    skim_attributes(attributes)?;
+    Some((walk_nlri(nlri, announced)?, withdrawn))
 }
 
 /// Splits `buf` after a big-endian `u16` length and the bytes it counts.

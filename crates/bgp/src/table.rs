@@ -12,7 +12,7 @@ use rand::{Rng, SeedableRng};
 use std::net::Ipv4Addr;
 
 use crate::attrs::{AsPath, Origin, PathAttribute};
-use crate::message::{BgpMessage, UpdateMessage, BGP_HEADER_LEN, BGP_MAX_MESSAGE_LEN};
+use crate::message::{UpdateMessage, BGP_HEADER_LEN, BGP_MAX_MESSAGE_LEN};
 use crate::prefix::Prefix;
 
 /// The NEXT_HOP carried in every generated attribute set.
@@ -88,13 +88,73 @@ impl RoutingTable {
 
     /// Serializes the packed updates to a contiguous byte stream — the
     /// exact bytes a sender-side BGP process queues on its TCP socket
-    /// for a table transfer.
+    /// for a table transfer: [`to_updates`](Self::to_updates), each
+    /// encoded, written straight from the table by the same split rule,
+    /// with each attribute set encoded once.
     pub fn to_update_stream(&self) -> Vec<u8> {
+        // The prefixes grouped by attribute set, in table order within a
+        // set (a counting sort): set `i`'s are `grouped[ends[i - 1]..ends[i]]`.
+        let mut ends = vec![0; self.attr_sets.len()];
+        for route in &self.routes {
+            ends[route.attr_set] += 1;
+        }
+        let mut start = 0;
+        for end in &mut ends {
+            (start, *end) = (start + *end, start);
+        }
+        let mut grouped: Vec<Prefix> = self.routes.iter().map(|route| route.prefix).collect();
+        for route in &self.routes {
+            grouped[ends[route.attr_set]] = route.prefix;
+            ends[route.attr_set] += 1;
+        }
         let mut out = Vec::new();
-        for update in self.to_updates() {
-            BgpMessage::Update(update).encode(&mut out);
+        let mut attrs = Vec::new();
+        let mut start = 0;
+        for (set, &end) in ends.iter().enumerate() {
+            let prefixes = &grouped[start..end];
+            start = end;
+            if prefixes.is_empty() {
+                continue;
+            }
+            attrs.clear();
+            for attr in &self.attr_sets[set] {
+                attr.encode(&mut attrs);
+            }
+            let fixed = BGP_HEADER_LEN + 2 + 2 + attrs.len();
+            let (mut first, mut len) = (0, fixed);
+            for (i, prefix) in prefixes.iter().enumerate() {
+                if len + prefix.wire_len() > BGP_MAX_MESSAGE_LEN {
+                    write_update(&mut out, len, &attrs, &prefixes[first..i]);
+                    (first, len) = (i, fixed);
+                }
+                len += prefix.wire_len();
+            }
+            write_update(&mut out, len, &attrs, &prefixes[first..]);
         }
         out
+    }
+}
+
+/// Writes an UPDATE of `len` wire bytes that withdraws nothing and
+/// announces `prefixes` with the encoded attributes `attrs`, as
+/// [`BgpMessage::encode`](crate::BgpMessage::encode) writes it.
+///
+/// # Panics
+///
+/// If `len` exceeds [`BGP_MAX_MESSAGE_LEN`], as `encode` does.
+fn write_update(out: &mut Vec<u8>, len: usize, attrs: &[u8], prefixes: &[Prefix]) {
+    assert!(
+        len <= BGP_MAX_MESSAGE_LEN,
+        "bgp message of {len} bytes exceeds the 4096-byte maximum"
+    );
+    out.extend_from_slice(&[0xff; 16]);
+    out.extend_from_slice(&(len as u16).to_be_bytes());
+    // The UPDATE type code, then a withdrawn-routes length of 0.
+    out.extend_from_slice(&[2, 0, 0]);
+    out.extend_from_slice(&(attrs.len() as u16).to_be_bytes());
+    out.extend_from_slice(attrs);
+    for prefix in prefixes {
+        prefix.encode(out);
     }
 }
 
@@ -230,6 +290,7 @@ fn gen_prefix(rng: &mut StdRng) -> Prefix {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::message::BgpMessage;
 
     #[test]
     fn generation_is_deterministic_and_unique() {
@@ -262,7 +323,6 @@ mod tests {
 
     #[test]
     fn update_stream_decodes_back() {
-        use crate::message::BgpMessage;
         let table = TableGenerator::new(3).routes(800).attr_sets(20).generate();
         let stream = table.to_update_stream();
         let mut rest = &stream[..];
@@ -274,6 +334,67 @@ mod tests {
             }
         }
         assert_eq!(announced, 800);
+    }
+
+    /// The reference: [`RoutingTable::to_updates`], each encoded.
+    fn encoded_updates(table: &RoutingTable) -> Vec<u8> {
+        let mut out = Vec::new();
+        for update in table.to_updates() {
+            BgpMessage::Update(update).encode(&mut out);
+        }
+        out
+    }
+
+    #[test]
+    fn update_stream_is_the_updates_encoded() {
+        for seed in 1..=4 {
+            for routes in [0, 1, 7, 900, 6000] {
+                for attr_sets in [None, Some(1), Some(5)] {
+                    let mut generator = TableGenerator::new(seed).routes(routes);
+                    if let Some(sets) = attr_sets {
+                        generator = generator.attr_sets(sets);
+                    }
+                    let table = generator.generate();
+                    assert_eq!(
+                        table.to_update_stream(),
+                        encoded_updates(&table),
+                        "seed {seed}, {routes} routes, attribute sets {attr_sets:?}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn update_stream_splits_as_the_updates_do() {
+        // Sets whose fixed part leaves room for a few prefixes only, so
+        // their NLRI split across messages at every prefix length from
+        // /0 to /32; an empty set is skipped, as `to_updates` skips it.
+        let attr_sets: Vec<Vec<PathAttribute>> = [0, 1, 3_900, 4_040, 4_060]
+            .into_iter()
+            .map(|extra| {
+                let mut attrs = vec![PathAttribute::Origin(Origin::Igp)];
+                if extra > 0 {
+                    attrs.push(PathAttribute::Unknown {
+                        flags: 0xc0,
+                        type_code: 99,
+                        value: vec![7; extra],
+                    });
+                }
+                attrs
+            })
+            .collect();
+        let routes = (0..3_000u32)
+            .map(|i| Route {
+                prefix: Prefix::new(Ipv4Addr::from(i.wrapping_mul(0x9e37_79b9)), (i % 33) as u8)
+                    .unwrap(),
+                attr_set: [0, 2, 3, 4][i as usize % 4],
+            })
+            .collect();
+        let table = RoutingTable { attr_sets, routes };
+        let updates = table.to_updates();
+        assert!(updates.iter().filter(|u| u.announced.len() == 1).count() > 100);
+        assert_eq!(table.to_update_stream(), encoded_updates(&table));
     }
 
     #[test]

@@ -178,7 +178,10 @@ fn ingest(dir: &str, args: &[String]) -> ExitCode {
                         eprintln!("t-dat-store: sweep: {}: {e}", outcome.file.display());
                     }
                 }
-                let swept = records_from_sweep(&report);
+                let swept = match records_from_sweep(&report) {
+                    Ok(swept) => swept,
+                    Err(e) => return fail(format!("sweep: {e}")),
+                };
                 eprintln!(
                     "t-dat-store: swept {} file(s) ({} failed), {} session(s)",
                     report.outcomes.len(),

@@ -102,36 +102,76 @@ pub fn endpoint_host(endpoint: &str) -> &str {
     }
 }
 
+/// `secs` seconds of trace time, read from `field`.
+///
+/// # Errors
+///
+/// [`StoreError::Ingest`], naming `field`, when no [`Micros`] holds
+/// `secs` in microseconds: a record is sealed and read back at the time
+/// it holds, so a time that would saturate is refused.
+fn checked_micros(secs: f64, field: &str) -> Result<Micros, StoreError> {
+    let micros = (secs * 1e6).round();
+    // `i64::MAX as f64` rounds up to 2^63, one past the largest `Micros`;
+    // a NaN fails both tests.
+    if micros >= i64::MIN as f64 && micros < i64::MAX as f64 {
+        Ok(Micros(micros as i64))
+    } else {
+        Err(StoreError::Ingest(format!(
+            "{field} {secs:?} s is outside the trace time a record holds"
+        )))
+    }
+}
+
 impl SessionRecord {
     /// Builds a record around a report finalized at `at` (monitor
     /// semantics: the session interval ends at `at`).
+    ///
+    /// # Errors
+    ///
+    /// [`StoreError::Ingest`] when no [`Micros`] holds the report's
+    /// `duration_s` or the span `[at - duration, at]`.
     pub fn from_monitor_report(
         source: impl Into<String>,
         kind: RecordKind,
         at: Micros,
         alerts: Vec<String>,
         report: Report,
-    ) -> SessionRecord {
-        let duration = Micros::from_secs_f64(report.duration_s.max(0.0));
+    ) -> Result<SessionRecord, StoreError> {
+        let duration = checked_micros(report.duration_s.max(0.0), "duration_s")?;
+        let start = at.as_micros().checked_sub(duration.as_micros()).ok_or_else(|| {
+            StoreError::Ingest(format!(
+                "duration_s {:?} s reaches back from at_s {:?} s past the trace time a record holds",
+                report.duration_s,
+                at.as_secs_f64()
+            ))
+        })?;
         let peer = endpoint_host(&report.sender).to_string();
-        SessionRecord {
+        Ok(SessionRecord {
             source: source.into(),
             kind,
             at,
-            span: Span::new(at - duration, at),
+            span: Span::new(Micros(start), at),
             peer,
             peer_as: None,
             alerts,
             report,
-        }
+        })
     }
 
     /// Builds a record from a batch report, whose trace clock starts
     /// at the capture: the interval is `[0, duration)`.
-    pub fn from_batch_report(source: impl Into<String>, report: Report) -> SessionRecord {
-        let end = Micros::from_secs_f64(report.duration_s.max(0.0));
+    ///
+    /// # Errors
+    ///
+    /// [`StoreError::Ingest`] when no [`Micros`] holds the report's
+    /// `duration_s`.
+    pub fn from_batch_report(
+        source: impl Into<String>,
+        report: Report,
+    ) -> Result<SessionRecord, StoreError> {
+        let end = checked_micros(report.duration_s.max(0.0), "duration_s")?;
         let peer = endpoint_host(&report.sender).to_string();
-        SessionRecord {
+        Ok(SessionRecord {
             source: source.into(),
             kind: RecordKind::Batch,
             at: end,
@@ -140,7 +180,7 @@ impl SessionRecord {
             peer_as: None,
             alerts: Vec::new(),
             report,
-        }
+        })
     }
 
     /// The dominant factor (largest delay ratio; ties resolve to the
@@ -267,7 +307,7 @@ impl JsonlIngester {
                     records.push(SessionRecord::from_batch_report(
                         self.default_source.clone(),
                         report,
-                    ));
+                    )?);
                 }
                 Ok(records)
             }
@@ -278,7 +318,7 @@ impl JsonlIngester {
                 Ok(vec![SessionRecord::from_batch_report(
                     self.default_source.clone(),
                     report,
-                )])
+                )?])
             }
             _ => Err(StoreError::Ingest(
                 "line is neither an event object nor a report".to_string(),
@@ -317,7 +357,7 @@ impl JsonlIngester {
                     None => (self.default_source.clone(), RecordKind::MonitorV1),
                 };
                 let session = str_field(value, "session")?.to_string();
-                let at = Micros::from_secs_f64(num_field(value, "at_s")?);
+                let at = checked_micros(num_field(value, "at_s")?, "at_s")?;
                 let report_value = value
                     .get("report")
                     .ok_or_else(|| StoreError::Ingest("connection line has no report".into()))?;
@@ -334,7 +374,7 @@ impl JsonlIngester {
                     at,
                     alerts,
                     report,
-                )])
+                )?])
             }
             other => Err(StoreError::Ingest(format!("unknown event type {other:?}"))),
         }
@@ -354,7 +394,14 @@ impl JsonlIngester {
 /// Converts a finished sweep into records, attributing each file's
 /// events to its sweep source name. Files that failed to sweep are
 /// skipped (their error already surfaced in the sweep report).
-pub fn records_from_sweep(report: &tdat_monitor::SweepReport) -> Vec<SessionRecord> {
+///
+/// # Errors
+///
+/// [`StoreError::Ingest`] for a connection whose span no [`Micros`]
+/// holds ([`SessionRecord::from_monitor_report`]).
+pub fn records_from_sweep(
+    report: &tdat_monitor::SweepReport,
+) -> Result<Vec<SessionRecord>, StoreError> {
     use tdat_monitor::MonitorEvent;
 
     let mut records = Vec::new();
@@ -383,13 +430,13 @@ pub fn records_from_sweep(report: &tdat_monitor::SweepReport) -> Vec<SessionReco
                         c.at,
                         alerts,
                         c.report.clone(),
-                    ));
+                    )?);
                 }
                 MonitorEvent::SourceDown(_) | MonitorEvent::SourceUp(_) => {}
             }
         }
     }
-    records
+    Ok(records)
 }
 
 #[cfg(test)]
@@ -519,9 +566,50 @@ mod tests {
         assert!(matches!(ingester.line("42"), Err(StoreError::Ingest(_))));
     }
 
+    /// The ingest error a `connection` line at `at_s` with a report of
+    /// `duration_s` gets, if any.
+    fn connection_error(at_s: &str, duration_s: f64) -> Option<String> {
+        let line = format!(
+            r#"{{"type":"connection","source":"tap","at_s":{at_s},"session":"a->b","report":{}}}"#,
+            report("10.1.1.1:179", duration_s).to_json()
+        );
+        match JsonlIngester::new("s").line(&line) {
+            Ok(_) => None,
+            Err(StoreError::Ingest(detail)) => Some(detail),
+            Err(other) => panic!("not an ingest error: {other}"),
+        }
+    }
+
+    #[test]
+    fn times_no_record_holds_are_refused_naming_the_field() {
+        for (at_s, duration_s, field) in [
+            ("1e300", 10.0, "at_s"),
+            ("-1e300", 10.0, "at_s"),
+            ("9.23e12", 0.0, "at_s"),
+            ("60", 1e300, "duration_s"),
+            // Each fits alone; the span back from `at_s` does not.
+            ("-1e12", 9e12, "duration_s"),
+        ] {
+            let detail = connection_error(at_s, duration_s)
+                .unwrap_or_else(|| panic!("at_s {at_s}, duration_s {duration_s} accepted"));
+            assert!(detail.contains(field), "{detail}");
+        }
+        for (at_s, duration_s) in [
+            ("9.22e12", 0.0),
+            ("-9.22e12", 0.0),
+            ("-1e12", 8e12),
+            ("60", 60.0),
+        ] {
+            assert_eq!(connection_error(at_s, duration_s), None, "at_s {at_s}");
+        }
+        let batch = JsonlIngester::new("s").line(&report("10.1.1.1:179", 1e300).to_json());
+        assert!(matches!(batch, Err(StoreError::Ingest(detail)) if detail.contains("duration_s")));
+    }
+
     #[test]
     fn record_json_embeds_the_canonical_report() {
-        let record = SessionRecord::from_batch_report("corpus", report("10.0.0.1:179", 10.0));
+        let record =
+            SessionRecord::from_batch_report("corpus", report("10.0.0.1:179", 10.0)).unwrap();
         let line = record.to_json();
         let value = json::parse(&line).unwrap();
         assert_eq!(value.get("kind").and_then(JsonValue::as_str), Some("batch"));
@@ -549,7 +637,7 @@ mod tests {
 
     #[test]
     fn dominant_factor_and_group() {
-        let record = SessionRecord::from_batch_report("s", report("10.0.0.1:179", 5.0));
+        let record = SessionRecord::from_batch_report("s", report("10.0.0.1:179", 5.0)).unwrap();
         assert_eq!(record.dominant_factor(), Some("BGP sender app"));
         assert_eq!(record.dominant_group(), "sender");
     }

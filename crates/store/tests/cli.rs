@@ -1,7 +1,8 @@
 //! End-to-end coverage of the `t-dat-store` CLI: synth, ingest from a
 //! file, query (stable JSONL on stdout), compact, stats, and the
 //! usage-error paths, among them a sweep's `--window` or `--interval`,
-//! or a query's bucket width, that no span of trace time holds.
+//! or a query's bucket width, that no span of trace time holds, and an
+//! event whose time no record holds.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -117,6 +118,41 @@ fn ingest_from_file_tags_source_and_applies_as_map() {
 
     std::fs::remove_dir_all(&dir).ok();
     std::fs::remove_dir_all(&scratch).ok();
+}
+
+#[test]
+fn ingest_refuses_a_time_no_record_holds() {
+    let report = tdat_store::synth::synth_records(1, 3)[0].report.to_json();
+    for (tag, at_s) in [("late", "1e300"), ("early", "-1e300")] {
+        let dir = tempdir(&format!("time-{tag}"));
+        let dir_s = dir.to_str().expect("utf-8 temp dir");
+        let scratch = tempdir(&format!("time-{tag}-input"));
+        std::fs::create_dir_all(&scratch).expect("scratch dir");
+        let events = scratch.join("events.jsonl");
+        let line = format!(
+            r#"{{"type":"connection","source":"tap","at_s":{at_s},"session":"a->b","report":{report}}}"#
+        );
+        std::fs::write(&events, format!("{line}\n")).expect("write events");
+
+        let out = run(&["ingest", dir_s, events.to_str().expect("utf-8 path")]);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "at_s {at_s}: {stderr}");
+        assert!(stderr.contains("at_s"), "at_s {at_s}: {stderr}");
+
+        // Nothing was sealed, so the store still reads.
+        let out = run(&["stats", dir_s]);
+        assert!(
+            out.status.success(),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let stats =
+            tdat::json::parse(String::from_utf8_lossy(&out.stdout).trim()).expect("stats is JSON");
+        assert_eq!(stats.get("records").and_then(|v| v.as_u64()), Some(0));
+
+        std::fs::remove_dir_all(&dir).ok();
+        std::fs::remove_dir_all(&scratch).ok();
+    }
 }
 
 #[test]

@@ -6,15 +6,15 @@
 //!   [`PeerGroup`] (§II-B3); emits keepalives while blocked; enforces
 //!   the hold timer.
 //! * [`BgpReceiverApp`] — the collector: consumes the socket at a
-//!   configurable processing rate, reassembles BGP messages, and records
-//!   them with their arrival timestamps (the Quagga/MRT archive
-//!   equivalent).
+//!   configurable processing rate, frames BGP messages, and keeps them
+//!   with their consumption times in a [`MessageArchive`] (the
+//!   Quagga/MRT archive equivalent), as bytes decoded only when read.
 //! * [`PeerGroup`] — the replication queue shared by all sessions of a
 //!   peer group: updates are released to members in lockstep and a
 //!   common block is cleared only once *every* member has delivered it,
 //!   so the whole group is dragged down by its slowest member.
 
-use tdat_bgp::{BgpMessage, OpenMessage};
+use tdat_bgp::{skim_message, BgpMessage, OpenMessage, Skim};
 use tdat_timeset::{Micros, Span};
 
 use crate::config::{BgpReceiverConfig, BgpSenderConfig};
@@ -331,14 +331,82 @@ impl BgpSenderApp {
     }
 }
 
+/// What the collector keeps of the messages it consumed: their bytes
+/// back to back, each with its consumption time. A message is framed
+/// and validated by the skim's rules ([`skim_message`]) as its last byte
+/// is consumed; they accept exactly what [`BgpMessage::decode`] accepts,
+/// so every kept message decodes, and it is decoded only when read
+/// ([`iter`](Self::iter)). Until then a message costs its wire bytes
+/// and an 8-byte time; its length is its header's.
+#[derive(Debug, Default)]
+pub struct MessageArchive {
+    /// The kept messages' bytes, then those of a message not yet whole.
+    bytes: Vec<u8>,
+    /// Where the kept messages end in `bytes`.
+    kept: usize,
+    /// Each kept message's consumption time, in order.
+    times: Vec<Micros>,
+}
+
+impl MessageArchive {
+    /// Messages kept.
+    pub fn len(&self) -> usize {
+        self.times.len()
+    }
+
+    /// True when no message has been kept.
+    pub fn is_empty(&self) -> bool {
+        self.times.is_empty()
+    }
+
+    /// When the last kept message was consumed.
+    pub fn last_time(&self) -> Option<Micros> {
+        self.times.last().copied()
+    }
+
+    /// The kept messages in order with their consumption times, each
+    /// decoded as it is read.
+    pub fn iter(&self) -> impl Iterator<Item = (Micros, BgpMessage)> + '_ {
+        let mut rest = &self.bytes[..self.kept];
+        self.times.iter().map(move |&time| {
+            let message = BgpMessage::decode(&mut rest)
+                .ok()
+                .flatten()
+                .expect("the skim kept only whole messages that decode");
+            (time, message)
+        })
+    }
+
+    /// Keeps every whole message the bytes past the kept ones hold,
+    /// stamped `time`, and returns how many. A message the skim rejects
+    /// drops every byte past the kept ones: resynchronizing is hopeless
+    /// in BGP (the session would reset).
+    fn frame(&mut self, time: Micros) -> usize {
+        let before = self.times.len();
+        loop {
+            match skim_message(&self.bytes[self.kept..], |_, _| ()) {
+                Skim::Whole(message) => {
+                    self.kept += message.len;
+                    self.times.push(time);
+                }
+                Skim::Partial => break,
+                Skim::Rejected => {
+                    self.bytes.truncate(self.kept);
+                    break;
+                }
+            }
+        }
+        self.times.len() - before
+    }
+}
+
 /// The receiving BGP process (collector side) for one session.
 #[derive(Debug)]
 pub struct BgpReceiverApp {
     config: BgpReceiverConfig,
-    /// Partial-message reassembly buffer.
-    buffer: Vec<u8>,
-    /// The archive: every decoded message with its consumption time.
-    pub archive: Vec<(Micros, BgpMessage)>,
+    /// The archive: every message consumed, with its consumption time,
+    /// and the bytes of one not yet whole.
+    pub archive: MessageArchive,
     /// Time a message was last received (hold timer).
     pub last_peer_message: Micros,
     /// While true the app stops draining (processing stall injection).
@@ -351,8 +419,7 @@ impl BgpReceiverApp {
     pub fn new(config: BgpReceiverConfig) -> BgpReceiverApp {
         BgpReceiverApp {
             config,
-            buffer: Vec::new(),
-            archive: Vec::new(),
+            archive: MessageArchive::default(),
             last_peer_message: Micros::ZERO,
             paused: false,
             started: false,
@@ -380,36 +447,16 @@ impl BgpReceiverApp {
         tcp.app_send(now, &BgpMessage::Keepalive.to_bytes());
     }
 
-    /// Consumes up to `chunk` bytes from the socket, decoding complete
-    /// BGP messages into the archive. Returns bytes consumed.
+    /// Consumes up to `chunk` bytes from the socket into the archive,
+    /// keeping the messages they complete. Returns bytes consumed.
     pub fn drain(&mut self, now: Micros, tcp: &mut TcpEndpoint, chunk: usize) -> usize {
         if self.paused {
             return 0;
         }
-        let bytes = tcp.app_consume(now, chunk);
-        let n = bytes.len();
-        if n == 0 {
-            return 0;
+        let n = tcp.app_consume(now, chunk, &mut self.archive.bytes);
+        if n > 0 && self.archive.frame(now) > 0 {
+            self.last_peer_message = now;
         }
-        self.buffer.extend_from_slice(&bytes);
-        let mut cursor = &self.buffer[..];
-        loop {
-            match BgpMessage::decode(&mut cursor) {
-                Ok(Some(msg)) => {
-                    self.last_peer_message = now;
-                    self.archive.push((now, msg));
-                }
-                Ok(None) => break,
-                Err(_) => {
-                    // Corrupt framing: resynchronization is hopeless in
-                    // BGP; drop the buffer (the session would reset).
-                    cursor = &[];
-                    break;
-                }
-            }
-        }
-        let consumed = self.buffer.len() - cursor.len();
-        self.buffer.drain(..consumed);
         n
     }
 

@@ -76,8 +76,8 @@ fn main() -> ExitCode {
         report.stream_len,
         report
             .archive
-            .last()
-            .map(|(t, _)| t.to_string())
+            .last_time()
+            .map(|t| t.to_string())
             .unwrap_or_else(|| "-".to_string()),
     );
     ExitCode::SUCCESS

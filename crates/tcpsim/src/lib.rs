@@ -15,7 +15,8 @@
 //!   and a 5 s persist interval;
 //! * BGP applications ([`bgpapp`]): a timer-paced, peer-group-aware
 //!   table-transfer sender and a rate-limited collector that archives
-//!   the messages it consumes.
+//!   the messages it consumes as the bytes it received, validated as
+//!   they are framed and decoded only when read ([`MessageArchive`]).
 //!
 //! The output of a [`Simulation`] run is a set of sniffer captures
 //! (writable as real pcap files via `tdat-packet`) plus ground-truth
@@ -53,6 +54,7 @@ pub mod scenario;
 pub mod sim;
 pub mod tcp;
 
+pub use bgpapp::MessageArchive;
 pub use chaos::{apply_chaos, ChaosSpec, ChaosStats};
 pub use config::{BgpReceiverConfig, BgpSenderConfig, SenderTimer, TcpConfig, TcpFlavor};
 pub use live::LiveTap;

@@ -4,19 +4,18 @@
 //! [`ConnectionSpec`]s, optional [`PeerGroup`]s, and a script of fault
 //! injections. Running it produces a [`SimOutput`]: the pcap-able frame
 //! captures of every sniffer tap, the per-connection BGP archives
-//! (timestamped messages as the collector consumed them — the MRT
-//! equivalent), and ground-truth statistics for validating the
-//! analyzer.
+//! (the messages as the collector consumed them, with their times — the
+//! MRT equivalent — kept as bytes and decoded only when read), and
+//! ground-truth statistics for validating the analyzer.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
 use std::net::Ipv4Addr;
 
-use tdat_bgp::BgpMessage;
 use tdat_packet::TcpFrame;
 use tdat_timeset::Micros;
 
-use crate::bgpapp::{BgpReceiverApp, BgpSenderApp, PeerGroup, SenderAppStats};
+use crate::bgpapp::{BgpReceiverApp, BgpSenderApp, MessageArchive, PeerGroup, SenderAppStats};
 use crate::config::{BgpReceiverConfig, BgpSenderConfig, TcpConfig};
 use crate::net::{LinkId, Network, NodeId};
 use crate::tcp::{TcpEndpoint, TcpState, TcpStats, TimerKind};
@@ -199,9 +198,10 @@ pub struct ConnReport {
     pub closed_at: Option<Micros>,
     /// Update-stream length in bytes.
     pub stream_len: usize,
-    /// The collector-side archive: decoded messages with consumption
-    /// timestamps.
-    pub archive: Vec<(Micros, BgpMessage)>,
+    /// The collector-side archive: every message the collector
+    /// consumed, with its consumption time, as wire bytes that
+    /// [`MessageArchive::iter`] decodes as it reads them.
+    pub archive: MessageArchive,
     /// Sender TCP ground truth.
     pub sender_tcp_stats: TcpStats,
     /// Receiver TCP ground truth.
@@ -638,7 +638,7 @@ impl Simulation {
             let c = &mut self.conns[conn];
             if c.sender.readable_bytes() > 0 {
                 let n = c.sender.readable_bytes();
-                let _ = c.sender.app_consume(now, n);
+                c.sender.app_consume(now, n, &mut Vec::new());
                 c.tx_app.last_peer_message = now;
             }
         }

@@ -12,7 +12,7 @@
 //! timer expirations, and drains the frames it wants transmitted from
 //! its outbox.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 use std::net::Ipv4Addr;
 
 use tdat_packet::{seq_cmp, seq_diff, FrameBuilder, TcpFlags, TcpFrame, TcpOption};
@@ -246,7 +246,7 @@ pub struct TcpEndpoint {
     irs: u32,
     rcv_nxt: u32,
     /// In-order bytes received and not yet consumed by the application.
-    recv_buf: Vec<u8>,
+    recv_buf: VecDeque<u8>,
     /// Out-of-order segments keyed by starting seq.
     ooo: BTreeMap<u32, Vec<u8>>,
     delack_timer: Timer,
@@ -331,7 +331,7 @@ impl TcpEndpoint {
             limit_state: None,
             irs: 0,
             rcv_nxt: 0,
-            recv_buf: Vec::new(),
+            recv_buf: VecDeque::new(),
             ooo: BTreeMap::new(),
             delack_timer: Timer::default(),
             delack_pending: false,
@@ -497,19 +497,24 @@ impl TcpEndpoint {
     }
 
     /// Consumes up to `max` in-order received bytes, as the application
-    /// reading from the socket. Opens the advertised window; a window
-    /// update ACK is emitted when the window grows from below one MSS to
-    /// at least two.
-    pub fn app_consume(&mut self, now: Micros, max: usize) -> Vec<u8> {
+    /// reading from the socket: appends them to `out` and returns how
+    /// many there were. Opens the advertised window; a window update ACK
+    /// is emitted when the window grows from below one MSS to at least
+    /// two.
+    pub fn app_consume(&mut self, now: Micros, max: usize, out: &mut Vec<u8>) -> usize {
         let n = max.min(self.recv_buf.len());
-        let out: Vec<u8> = self.recv_buf.drain(..n).collect();
+        let (front, back) = self.recv_buf.as_slices();
+        let from_front = n.min(front.len());
+        out.extend_from_slice(&front[..from_front]);
+        out.extend_from_slice(&back[..n - from_front]);
+        self.recv_buf.drain(..n);
         if n > 0 && self.state == TcpState::Established {
             let window = self.advertised_window();
             if self.last_advertised < self.mss() && window >= 2 * self.mss() {
                 self.emit_ack(now);
             }
         }
-        out
+        n
     }
 
     /// The window the receive half would advertise right now: buffer
@@ -1130,7 +1135,7 @@ impl TcpEndpoint {
                     .saturating_sub(self.recv_buf.len())
                     .saturating_sub(self.ooo.values().map(Vec::len).sum::<usize>());
                 let accept = payload.len().min(space);
-                self.recv_buf.extend_from_slice(&payload[..accept]);
+                self.recv_buf.extend(&payload[..accept]);
                 self.rcv_nxt = self.rcv_nxt.wrapping_add(accept as u32);
                 self.drain_ooo();
                 if accept < payload.len() {
@@ -1161,7 +1166,7 @@ impl TcpEndpoint {
                         .saturating_sub(self.recv_buf.len())
                         .saturating_sub(self.ooo.values().map(Vec::len).sum::<usize>());
                     let accept = fresh.len().min(space);
-                    self.recv_buf.extend_from_slice(&fresh[..accept]);
+                    self.recv_buf.extend(&fresh[..accept]);
                     self.rcv_nxt = self.rcv_nxt.wrapping_add(accept as u32);
                     self.drain_ooo();
                 }
@@ -1177,7 +1182,7 @@ impl TcpEndpoint {
                 std::cmp::Ordering::Equal => {
                     let data = self.ooo.remove(&seq).expect("key just observed");
                     self.rcv_nxt = self.rcv_nxt.wrapping_add(data.len() as u32);
-                    self.recv_buf.extend_from_slice(&data);
+                    self.recv_buf.extend(&data);
                 }
                 std::cmp::Ordering::Less => {
                     // Stale overlap (filled by a retransmission): keep
@@ -1185,7 +1190,7 @@ impl TcpEndpoint {
                     let data = self.ooo.remove(&seq).expect("key just observed");
                     let overlap = seq_diff(self.rcv_nxt, seq) as usize;
                     if overlap < data.len() {
-                        self.recv_buf.extend_from_slice(&data[overlap..]);
+                        self.recv_buf.extend(&data[overlap..]);
                         self.rcv_nxt = self.rcv_nxt.wrapping_add((data.len() - overlap) as u32);
                     }
                 }
@@ -1521,7 +1526,7 @@ mod tests {
                 b.on_timer(req.deadline, req.kind, req.epoch);
             }
             pump(a, b, Micros::ZERO);
-            b.app_consume(Micros::ZERO, usize::MAX);
+            b.app_consume(Micros::ZERO, usize::MAX, &mut Vec::new());
             pump(a, b, Micros::ZERO);
             assert_eq!(a.flight_size(), 0, "every window acknowledged");
         }
@@ -1545,7 +1550,7 @@ mod tests {
         while received.len() < data.len() {
             written += a.app_send(now, &data[written..]);
             pump(&mut a, &mut b, now);
-            received.extend(b.app_consume(now, usize::MAX));
+            b.app_consume(now, usize::MAX, &mut received);
             now += Micros::from_millis(1);
             // Fire any delayed acks so the ACK clock keeps ticking.
             for req in b.take_timer_requests() {
@@ -1673,8 +1678,7 @@ mod tests {
         assert_eq!(b.readable_bytes(), cap);
         assert!(a.probing, "sender must enter persist state");
         // App consumes; window update lets the sender resume.
-        let consumed = b.app_consume(now, cap);
-        assert_eq!(consumed.len(), cap);
+        assert_eq!(b.app_consume(now, cap, &mut Vec::new()), cap);
         for f in b.take_outbox() {
             a.on_frame(now, &f);
         }
@@ -1725,7 +1729,7 @@ mod tests {
         assert!(a.unsent_bytes() > 0);
         let snd_nxt_before = a.snd_nxt;
         // Window reopens while the probe is pending → bug fires.
-        b.app_consume(now, cap);
+        b.app_consume(now, cap, &mut Vec::new());
         for f in b.take_outbox() {
             a.on_frame(now, &f);
         }
@@ -1782,9 +1786,9 @@ mod tests {
         for f in &flight {
             b.on_frame(Micros::from_millis(1), f);
         }
-        let got = b.app_consume(Micros::from_millis(2), usize::MAX);
+        let got = b.app_consume(Micros::from_millis(2), usize::MAX, &mut Vec::new());
         let expected: usize = flight.iter().map(|f| f.payload.len()).sum();
-        assert_eq!(got.len(), expected);
+        assert_eq!(got, expected);
         // The out-of-order arrival forced an immediate dup ACK.
         assert!(!b.take_outbox().is_empty());
     }
@@ -1852,7 +1856,7 @@ mod tests {
         assert_eq!(a.state(), TcpState::Closed);
         assert_eq!(b.state(), TcpState::Closed);
         // The data arrived intact before the close.
-        assert_eq!(b.app_consume(Micros(50), usize::MAX).len(), 3000);
+        assert_eq!(b.app_consume(Micros(50), usize::MAX, &mut Vec::new()), 3000);
     }
 
     #[test]

@@ -38,7 +38,7 @@ fn run_flavor(flavor: TcpFlavor) -> (Micros, u64, u64, u64) {
     sim.run(Micros::from_secs(900));
     let out = sim.into_output();
     let conn = &out.connections[0];
-    let done = conn.archive.last().map(|(t, _)| *t).unwrap_or(Micros::ZERO);
+    let done = conn.archive.last_time().unwrap_or(Micros::ZERO);
     (
         done,
         conn.sender_tcp_stats.retransmissions,
@@ -141,8 +141,7 @@ fn tahoe_slower_than_reno_after_single_loss() {
         let out = sim.into_output();
         out.connections[0]
             .archive
-            .last()
-            .map(|(t, _)| *t)
+            .last_time()
             .unwrap_or(Micros::ZERO)
     };
     let tahoe = run(TcpFlavor::Tahoe);

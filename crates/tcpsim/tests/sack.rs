@@ -36,8 +36,7 @@ fn run(sack: bool) -> (Micros, u64, Vec<tdat_packet::TcpFrame>) {
     let out = sim.into_output();
     let done = out.connections[0]
         .archive
-        .last()
-        .map(|(t, _)| *t)
+        .last_time()
         .unwrap_or(Micros::ZERO);
     let timeouts = out.connections[0].sender_tcp_stats.timeouts;
     (done, timeouts, out.taps.into_iter().next().unwrap().1)

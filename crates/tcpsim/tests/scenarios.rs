@@ -7,7 +7,8 @@ use tdat_packet::{PcapReader, PcapWriter, TcpFlags};
 use tdat_tcpsim::net::LossModel;
 use tdat_tcpsim::scenario::{monitoring_topology, transfer_spec, TopologyOptions};
 use tdat_tcpsim::{
-    BgpReceiverConfig, ScriptAction, SenderTimer, SessionEvent, Simulation, TcpConfig,
+    BgpReceiverConfig, MessageArchive, ScriptAction, SenderTimer, SessionEvent, Simulation,
+    TcpConfig,
 };
 use tdat_timeset::{Micros, Span};
 
@@ -19,7 +20,7 @@ fn stream_of(routes: usize, seed: u64) -> Vec<u8> {
 }
 
 /// Total announced prefixes in a receiver archive.
-fn announced(archive: &[(Micros, BgpMessage)]) -> usize {
+fn announced(archive: &MessageArchive) -> usize {
     archive
         .iter()
         .filter_map(|(_, m)| match m {

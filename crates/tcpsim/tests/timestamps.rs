@@ -101,7 +101,7 @@ fn run(offers: [bool; 2]) -> Vec<Sent> {
             pair.collect(0);
         }
         pair.deliver(&mut now);
-        received += pair.eps[1].app_consume(now, usize::MAX).len();
+        received += pair.eps[1].app_consume(now, usize::MAX, &mut Vec::new());
         // Fire delayed ACKs so the ACK clock keeps ticking; nothing is
         // lost, so retransmission timers never need to.
         now += Micros::from_millis(1);

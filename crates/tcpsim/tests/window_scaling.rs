@@ -33,8 +33,7 @@ fn run(scale: u8, buffer: u32) -> (Micros, Vec<tdat_packet::TcpFrame>) {
     let out = sim.into_output();
     let done = out.connections[0]
         .archive
-        .last()
-        .map(|(t, _)| *t)
+        .last_time()
         .unwrap_or(Micros::ZERO);
     (done, out.taps.into_iter().next().unwrap().1)
 }

@@ -102,7 +102,7 @@ fn collector_archive_matches_pcap2bgp_reconstruction() {
         .archive
         .iter()
         .filter_map(|(_, m)| match m {
-            BgpMessage::Update(u) => Some(u.clone()),
+            BgpMessage::Update(u) => Some(u),
             _ => None,
         })
         .collect();
