@@ -358,7 +358,7 @@ impl MonitorEvent {
 }
 
 /// The JSONL wire schema of the monitor's event stream. There is one,
-/// `tdat-monitor-events/2`; the store still *reads* v1 files.
+/// `tdat-monitor-events/2`, and it is the one the store ingests.
 // One variant, kept while the repository benchmark spells
 // `EventSchema::V2`; `benchmark/` may only change in a PR of its own.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

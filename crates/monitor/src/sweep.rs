@@ -27,11 +27,6 @@ pub struct SweepOutcome {
     pub file: PathBuf,
     /// The source name its events are attributed to (the file name).
     pub source: String,
-    /// Frames ingested from the file.
-    pub frames: u64,
-    /// Connections finalized (every connection: a finished capture
-    /// finalizes all of them).
-    pub connections: u64,
     /// The file's full event stream, or why it could not be opened.
     pub result: Result<Vec<MonitorEvent>, String>,
 }
@@ -45,23 +40,9 @@ pub struct SweepReport {
 }
 
 impl SweepReport {
-    /// Files that produced an event stream.
-    pub fn succeeded(&self) -> usize {
-        self.outcomes.iter().filter(|o| o.result.is_ok()).count()
-    }
-
     /// Files that could not be opened or drained.
     pub fn failed(&self) -> usize {
-        self.outcomes.len() - self.succeeded()
-    }
-
-    /// The merged event stream: every successful file's events,
-    /// concatenated in file-name order.
-    pub fn events(&self) -> impl Iterator<Item = &MonitorEvent> {
-        self.outcomes
-            .iter()
-            .filter_map(|o| o.result.as_ref().ok())
-            .flatten()
+        self.outcomes.iter().filter(|o| o.result.is_err()).count()
     }
 }
 
@@ -96,23 +77,10 @@ fn sweep_one(path: &Path, config: &MonitorConfig) -> SweepOutcome {
         .with_idle_from_open();
     let source = spec.label();
     let set = SourceSet::builder().source(spec).build();
-    let (frames, connections, result) = match set {
-        Ok(mut set) => {
-            let mut monitor = Monitor::new(config.clone());
-            let events = monitor.run_set(&mut set);
-            (
-                monitor.metrics().frames(),
-                monitor.metrics().connections_finalized(),
-                Ok(events),
-            )
-        }
-        Err(error) => (0, 0, Err(error)),
-    };
+    let result = set.map(|mut set| Monitor::new(config.clone()).run_set(&mut set));
     SweepOutcome {
         file: path.to_path_buf(),
         source,
-        frames,
-        connections,
         result,
     }
 }

@@ -2,7 +2,6 @@
 //!
 //! ```text
 //! t-dat-store ingest <dir> [FILE|-]... [--source NAME] [--as-map FILE]
-//! t-dat-store ingest <dir> --sweep CAPTURE_DIR [--jobs N] [--window S] [--interval S]
 //! t-dat-store synth  <dir> --records N [--seed S]
 //! t-dat-store query  <dir> <query...>
 //! t-dat-store compact <dir>
@@ -11,21 +10,23 @@
 //! ```
 //!
 //! `ingest` reads any suite surface — `t-dat --json` batch output,
-//! `tdat-monitor-events/1|2` JSONL — from files or stdin, or sweeps a
-//! capture directory through the monitor pipeline directly. `query`
-//! takes the query language documented in `tdat_store::query` (the
-//! remaining arguments are joined, so shell quoting is optional).
+//! `tdat-monitor-events/2` JSONL — from files or stdin. `--source`
+//! names the batch reports; every event line names its own source.
+//! Captures reach the store through the monitor's event stream:
+//!
+//! ```text
+//! t-dat-monitor --sweep CAPTURE_DIR --events - | t-dat-store ingest <dir> -
+//! ```
+//!
+//! `query` takes the query language documented in `tdat_store::query`
+//! (the remaining arguments are joined, so shell quoting is optional).
 //! `serve` runs the HTTP front-end until interrupted.
 
 use std::io::Read;
 use std::process::ExitCode;
 use std::sync::Arc;
-use std::time::Duration;
 
-use tdat_store::{
-    record::records_from_sweep, AsMap, JsonlIngester, Query, SessionRecord, Store, StoreServer,
-};
-use tdat_timeset::Micros;
+use tdat_store::{AsMap, JsonlIngester, Query, SessionRecord, Store, StoreServer};
 
 fn usage(message: &str) -> ExitCode {
     if !message.is_empty() {
@@ -36,7 +37,7 @@ fn usage(message: &str) -> ExitCode {
          \n\
          commands:\n\
          \x20 ingest <dir> [FILE|-]... [--source NAME] [--as-map FILE]\n\
-         \x20        [--sweep CAPTURE_DIR [--jobs N] [--window SECS] [--interval SECS]]\n\
+         \x20        (captures: t-dat-monitor --sweep DIR --events - | t-dat-store ingest <dir> -)\n\
          \x20 synth  <dir> --records N [--seed S]\n\
          \x20 query  <dir> <query...>     (e.g. 'group by peer agg count')\n\
          \x20 compact <dir>\n\
@@ -85,50 +86,16 @@ fn parse_num<T: std::str::FromStr>(value: &str, what: &str) -> Result<T, String>
         .map_err(|_| format!("{what}: bad value {value:?}"))
 }
 
-/// Parses a number of seconds for `flag` as a span of trace time, as a
-/// [`Duration`] parses it: negative, non-finite and overflowing values
-/// are refused, and so are those that round to no microsecond or to
-/// more than trace time holds.
-fn trace_seconds(value: &str, flag: &str) -> Result<Micros, String> {
-    let secs: f64 = parse_num(value, flag)?;
-    let micros = Duration::try_from_secs_f64(secs)
-        .ok()
-        .and_then(|duration| i64::try_from((duration.as_nanos() + 500) / 1_000).ok())
-        .filter(|&micros| micros > 0);
-    micros.map(Micros).ok_or_else(|| {
-        format!(
-            "{flag} must be a positive finite number of seconds, at least 1 µs and at most {} s, \
-             not {value:?}",
-            i64::MAX / 1_000_000
-        )
-    })
-}
-
 fn ingest(dir: &str, args: &[String]) -> ExitCode {
     let mut files: Vec<String> = Vec::new();
     let mut source = String::from("ingest");
-    let mut sweep: Option<String> = None;
     let mut as_map_path: Option<String> = None;
-    let mut jobs = 0usize;
-    let mut window = Micros::from_secs(120);
-    let mut interval = Micros::from_secs(10);
     let mut i = 0usize;
     while i < args.len() {
         let result: Result<(), String> = (|| {
             match args[i].as_str() {
                 "--source" => source = take(args, &mut i, "--source")?,
-                "--sweep" => sweep = Some(take(args, &mut i, "--sweep")?),
                 "--as-map" => as_map_path = Some(take(args, &mut i, "--as-map")?),
-                "--jobs" => {
-                    jobs = parse_num(&take(args, &mut i, "--jobs")?, "--jobs")?;
-                    if jobs == 0 {
-                        return Err("--jobs must be at least 1 (omit for auto)".to_string());
-                    }
-                }
-                "--window" => window = trace_seconds(&take(args, &mut i, "--window")?, "--window")?,
-                "--interval" => {
-                    interval = trace_seconds(&take(args, &mut i, "--interval")?, "--interval")?
-                }
                 other if other.starts_with("--") => {
                     return Err(format!("unknown option {other}"));
                 }
@@ -141,7 +108,7 @@ fn ingest(dir: &str, args: &[String]) -> ExitCode {
         }
         i += 1;
     }
-    if files.is_empty() && sweep.is_none() {
+    if files.is_empty() {
         files.push("-".to_string());
     }
 
@@ -162,37 +129,6 @@ fn ingest(dir: &str, args: &[String]) -> ExitCode {
     };
 
     let mut records: Vec<SessionRecord> = Vec::new();
-    if let Some(capture_dir) = sweep {
-        let config = match tdat_monitor::MonitorConfig::builder()
-            .window(window)
-            .interval(interval)
-            .build()
-        {
-            Ok(config) => config,
-            Err(e) => return usage(&e.to_string()),
-        };
-        match tdat_monitor::sweep_directory(&capture_dir, &config, jobs) {
-            Ok(report) => {
-                for outcome in &report.outcomes {
-                    if let Err(e) = &outcome.result {
-                        eprintln!("t-dat-store: sweep: {}: {e}", outcome.file.display());
-                    }
-                }
-                let swept = match records_from_sweep(&report) {
-                    Ok(swept) => swept,
-                    Err(e) => return fail(format!("sweep: {e}")),
-                };
-                eprintln!(
-                    "t-dat-store: swept {} file(s) ({} failed), {} session(s)",
-                    report.outcomes.len(),
-                    report.failed(),
-                    swept.len()
-                );
-                records.extend(swept);
-            }
-            Err(e) => return fail(format!("sweep: {e}")),
-        }
-    }
     for file in &files {
         let text = if file == "-" {
             let mut text = String::new();

@@ -431,6 +431,19 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
+    fn post(addr: SocketAddr, target: &str, body: &str) -> String {
+        let mut stream = TcpStream::connect(addr).unwrap();
+        write!(
+            stream,
+            "POST {target} HTTP/1.1\r\nHost: t\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
+            body.len()
+        )
+        .unwrap();
+        let mut text = String::new();
+        stream.read_to_string(&mut text).unwrap();
+        text
+    }
+
     #[test]
     fn ingest_over_http_becomes_visible() {
         let (dir, store) = tmp_store("ingest");
@@ -442,19 +455,31 @@ mod tests {
             .iter()
             .map(|r| format!("{}\n", r.report.to_json()))
             .collect();
-        let mut stream = TcpStream::connect(addr).unwrap();
-        write!(
-            stream,
-            "POST /ingest?source=push HTTP/1.1\r\nHost: t\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
-            body.len()
-        )
-        .unwrap();
-        let mut text = String::new();
-        stream.read_to_string(&mut text).unwrap();
+        let text = post(addr, "/ingest?source=push", &body);
         assert!(text.contains("\"ingested\":10"), "{text}");
 
         let (_, body) = get(addr, "/query?q=where+source+%3D+push");
         assert_eq!(body.lines().count(), 10);
+
+        drop(server);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// `?source=` names batch reports only: an event line without its
+    /// own `source` is refused, and nothing is sealed.
+    #[test]
+    fn a_source_less_event_line_is_a_400() {
+        let (dir, store) = tmp_store("sourceless");
+        let server = StoreServer::bind(store.clone(), "127.0.0.1:0").unwrap();
+        let addr = server.addr();
+
+        let report = synth_records(1, 3)[0].report.to_json();
+        let line =
+            format!(r#"{{"type":"connection","at_s":9.0,"session":"a->b","report":{report}}}"#);
+        let text = post(addr, "/ingest?source=push", &line);
+        assert!(text.starts_with("HTTP/1.1 400"), "{text}");
+        assert!(text.contains("source"), "{text}");
+        assert_eq!(store.stats().records, 0);
 
         drop(server);
         std::fs::remove_dir_all(&dir).unwrap();

@@ -3,12 +3,14 @@
 //! The analyzer explains *one* slow transfer; a deployment produces
 //! millions of explanations. This crate makes that corpus queryable:
 //! it normalizes every report surface the suite emits — `t-dat --json`
-//! batch reports, `tdat-monitor-events/1|2` JSONL streams, and
-//! `t-dat-monitor --sweep` output — into one [`SessionRecord`] shape
-//! and persists it in **immutable columnar segments** with per-segment
-//! zone maps, so rollup questions ("which peers degrade at 03:00?",
-//! "how much transfer time did the advertised window cost per AS last
-//! week?") answer without re-reading a single pcap.
+//! batch reports and the monitor's `tdat-monitor-events/2` JSONL
+//! stream, which is also how captures arrive (`t-dat-monitor --sweep
+//! DIR --events - | t-dat-store ingest STORE -`) — into one
+//! [`SessionRecord`] shape and persists it in **immutable columnar
+//! segments** with per-segment zone maps, so rollup questions ("which
+//! peers degrade at 03:00?", "how much transfer time did the advertised
+//! window cost per AS last week?") answer without re-reading a single
+//! pcap.
 //!
 //! # Architecture
 //!

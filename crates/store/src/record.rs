@@ -3,11 +3,14 @@
 //! Every report surface the suite emits funnels into one
 //! [`SessionRecord`] shape here: `t-dat --json` batch output (a
 //! one-line JSON array of report objects, or bare report objects one
-//! per line), and the monitor's `tdat-monitor-events/1|2` JSONL
-//! streams (where a `connection` line carries the report and preceding
-//! `alert` lines contribute the session's alert signature). Parsing
-//! uses the canonical [`tdat::json`] parser and
-//! [`tdat::Report::from_json`], so there is exactly one wire format.
+//! per line), and the monitor's `tdat-monitor-events/2` JSONL stream
+//! (where a `connection` line carries the report, preceding `alert`
+//! lines contribute the session's alert signature, and every event
+//! line names its `source`). Captures reach the store only through
+//! that stream: `t-dat-monitor --sweep DIR --events - | t-dat-store
+//! ingest STORE -`. Parsing uses the canonical [`tdat::json`] parser
+//! and [`tdat::Report::from_json`], so there is exactly one wire
+//! format.
 
 use std::collections::HashMap;
 
@@ -22,7 +25,8 @@ use crate::StoreError;
 pub enum RecordKind {
     /// A batch `t-dat --json` report (no event stream context).
     Batch,
-    /// A `tdat-monitor-events/1` connection line (single source).
+    /// A `tdat-monitor-events/1` connection line (single source). No
+    /// longer ingested; kept so segments that stored it still decode.
     MonitorV1,
     /// A `tdat-monitor-events/2` connection line (attributed source).
     MonitorV2,
@@ -253,33 +257,18 @@ fn num_field(value: &JsonValue, key: &str) -> Result<f64, StoreError> {
 /// record when the session finalizes.
 #[derive(Debug)]
 pub struct JsonlIngester {
-    default_source: String,
+    batch_source: String,
     pending_alerts: HashMap<(String, String), Vec<String>>,
-    lines: u64,
-    skipped: u64,
 }
 
 impl JsonlIngester {
-    /// Creates an ingester attributing source-less lines (v1 streams,
-    /// batch reports) to `default_source`.
-    pub fn new(default_source: impl Into<String>) -> JsonlIngester {
+    /// Creates an ingester attributing batch reports, which carry no
+    /// source, to `batch_source`.
+    pub fn new(batch_source: impl Into<String>) -> JsonlIngester {
         JsonlIngester {
-            default_source: default_source.into(),
+            batch_source: batch_source.into(),
             pending_alerts: HashMap::new(),
-            lines: 0,
-            skipped: 0,
         }
-    }
-
-    /// Lines consumed so far.
-    pub fn lines(&self) -> u64 {
-        self.lines
-    }
-
-    /// Non-record lines skipped so far (meta preambles, alert clears,
-    /// source-down notices, blanks).
-    pub fn skipped(&self) -> u64 {
-        self.skipped
     }
 
     /// Consumes one line, returning the records it completes (usually
@@ -287,14 +276,13 @@ impl JsonlIngester {
     ///
     /// # Errors
     ///
-    /// Malformed JSON and unrecognized event shapes are
-    /// [`StoreError::Ingest`] errors; callers decide whether to abort
-    /// or count and continue.
+    /// Malformed JSON, unrecognized event shapes and `alert` or
+    /// `connection` lines without a `source` (the
+    /// `tdat-monitor-events/1` shape) are [`StoreError::Ingest`]
+    /// errors; callers decide whether to abort or count and continue.
     pub fn line(&mut self, line: &str) -> Result<Vec<SessionRecord>, StoreError> {
-        self.lines += 1;
         let line = line.trim();
         if line.is_empty() {
-            self.skipped += 1;
             return Ok(Vec::new());
         }
         let value = json::parse(line).map_err(|e| StoreError::Ingest(e.to_string()))?;
@@ -305,7 +293,7 @@ impl JsonlIngester {
                 for item in items {
                     let report = Report::from_json(item).map_err(StoreError::Ingest)?;
                     records.push(SessionRecord::from_batch_report(
-                        self.default_source.clone(),
+                        self.batch_source.clone(),
                         report,
                     )?);
                 }
@@ -316,7 +304,7 @@ impl JsonlIngester {
                 // A bare report object (one report per line).
                 let report = Report::from_json(&value).map_err(StoreError::Ingest)?;
                 Ok(vec![SessionRecord::from_batch_report(
-                    self.default_source.clone(),
+                    self.batch_source.clone(),
                     report,
                 )?])
             }
@@ -329,16 +317,9 @@ impl JsonlIngester {
     fn event_line(&mut self, value: &JsonValue) -> Result<Vec<SessionRecord>, StoreError> {
         let kind = str_field(value, "type")?;
         match kind {
-            "meta" | "source_down" => {
-                self.skipped += 1;
-                Ok(Vec::new())
-            }
+            "meta" | "source_down" | "source_up" => Ok(Vec::new()),
             "alert" => {
-                let source = value
-                    .get("source")
-                    .and_then(JsonValue::as_str)
-                    .unwrap_or(&self.default_source)
-                    .to_string();
+                let source = str_field(value, "source")?.to_string();
                 let session = str_field(value, "session")?.to_string();
                 let action = str_field(value, "action")?;
                 if action == "raise" {
@@ -348,14 +329,10 @@ impl JsonlIngester {
                         .or_default()
                         .push(alert);
                 }
-                self.skipped += 1;
                 Ok(Vec::new())
             }
             "connection" => {
-                let (source, record_kind) = match value.get("source").and_then(JsonValue::as_str) {
-                    Some(s) => (s.to_string(), RecordKind::MonitorV2),
-                    None => (self.default_source.clone(), RecordKind::MonitorV1),
-                };
+                let source = str_field(value, "source")?.to_string();
                 let session = str_field(value, "session")?.to_string();
                 let at = checked_micros(num_field(value, "at_s")?, "at_s")?;
                 let report_value = value
@@ -370,7 +347,7 @@ impl JsonlIngester {
                 alerts.dedup();
                 Ok(vec![SessionRecord::from_monitor_report(
                     source,
-                    record_kind,
+                    RecordKind::MonitorV2,
                     at,
                     alerts,
                     report,
@@ -389,54 +366,6 @@ impl JsonlIngester {
         }
         Ok(records)
     }
-}
-
-/// Converts a finished sweep into records, attributing each file's
-/// events to its sweep source name. Files that failed to sweep are
-/// skipped (their error already surfaced in the sweep report).
-///
-/// # Errors
-///
-/// [`StoreError::Ingest`] for a connection whose span no [`Micros`]
-/// holds ([`SessionRecord::from_monitor_report`]).
-pub fn records_from_sweep(
-    report: &tdat_monitor::SweepReport,
-) -> Result<Vec<SessionRecord>, StoreError> {
-    use tdat_monitor::MonitorEvent;
-
-    let mut records = Vec::new();
-    for outcome in &report.outcomes {
-        let Ok(events) = &outcome.result else {
-            continue;
-        };
-        let mut pending: HashMap<String, Vec<String>> = HashMap::new();
-        for event in events {
-            match event {
-                MonitorEvent::Alert(a) => {
-                    if a.action == tdat_monitor::AlertAction::Raise {
-                        pending
-                            .entry(a.session.clone())
-                            .or_default()
-                            .push(a.kind.as_str().to_string());
-                    }
-                }
-                MonitorEvent::Connection(c) => {
-                    let mut alerts = pending.remove(&c.session).unwrap_or_default();
-                    alerts.sort_unstable();
-                    alerts.dedup();
-                    records.push(SessionRecord::from_monitor_report(
-                        outcome.source.clone(),
-                        RecordKind::MonitorV2,
-                        c.at,
-                        alerts,
-                        c.report.clone(),
-                    )?);
-                }
-                MonitorEvent::SourceDown(_) | MonitorEvent::SourceUp(_) => {}
-            }
-        }
-    }
-    Ok(records)
 }
 
 #[cfg(test)]
@@ -501,6 +430,13 @@ mod tests {
             )
             .unwrap()
             .is_empty());
+        // A source that went down and came back carries no record.
+        for line in [
+            r#"{"type":"source_down","source":"tap","at_s":5.5,"detail":"x"}"#,
+            r#"{"type":"source_up","source":"tap","at_s":5.6,"attempts":1,"detail":"x"}"#,
+        ] {
+            assert!(ingester.line(line).unwrap().is_empty(), "{line}");
+        }
         // Same alert kind raised twice: signature deduplicates.
         ingester
             .line(
@@ -526,14 +462,18 @@ mod tests {
     }
 
     #[test]
-    fn v1_connection_line_falls_back_to_default_source() {
-        let line = format!(
+    fn event_lines_without_a_source_are_refused_naming_it() {
+        let connection = format!(
             r#"{{"type":"connection","at_s":12.0,"session":"a->b","report":{}}}"#,
             report("10.1.1.1:179", 12.0).to_json()
         );
-        let records = JsonlIngester::new("collector-7").line(&line).unwrap();
-        assert_eq!(records[0].source, "collector-7");
-        assert_eq!(records[0].kind, RecordKind::MonitorV1);
+        let alert = r#"{"type":"alert","at_s":1.0,"action":"raise","kind":"timer_gap","severity":"warn","session":"a->b","since_s":1.0,"evidence_start_s":0.0,"evidence_end_s":1.0,"detail":""}"#;
+        for line in [connection.as_str(), alert] {
+            match JsonlIngester::new("collector-7").line(line) {
+                Err(StoreError::Ingest(detail)) => assert!(detail.contains("source"), "{detail}"),
+                other => panic!("a source-less line is refused: {other:?}"),
+            }
+        }
     }
 
     #[test]
@@ -541,11 +481,11 @@ mod tests {
         let mut ingester = JsonlIngester::new("s");
         ingester
             .line(
-                r#"{"type":"alert","at_s":1.0,"action":"raise","kind":"timer_gap","severity":"warn","session":"other","since_s":1.0,"evidence_start_s":0.0,"evidence_end_s":1.0,"detail":""}"#
+                r#"{"type":"alert","source":"tap","at_s":1.0,"action":"raise","kind":"timer_gap","severity":"warn","session":"other","since_s":1.0,"evidence_start_s":0.0,"evidence_end_s":1.0,"detail":""}"#
             )
             .unwrap();
         let line = format!(
-            r#"{{"type":"connection","at_s":9.0,"session":"a->b","report":{}}}"#,
+            r#"{{"type":"connection","source":"tap","at_s":9.0,"session":"a->b","report":{}}}"#,
             report("10.1.1.1:179", 9.0).to_json()
         );
         let records = ingester.line(&line).unwrap();

@@ -623,4 +623,15 @@ mod tests {
         assert!(segment.records[0].report.factors[0].1.is_nan());
         assert_eq!(segment.records[0].report.rtt_ms, None);
     }
+
+    /// No ingest makes `monitor_v1` records any more; a segment that
+    /// stored one still decodes it, as the same kind.
+    #[test]
+    fn a_stored_monitor_v1_record_still_decodes() {
+        let mut records = synth_records(2, 4);
+        records[0].kind = RecordKind::MonitorV1;
+        let segment = decode_segment(&encode_segment(&records), "seg-v1").unwrap();
+        assert_eq!(segment.records[0].kind, RecordKind::MonitorV1);
+        assert_eq!(segment.records[1].kind, records[1].kind);
+    }
 }

@@ -2,7 +2,7 @@
 //!
 //! Every scenario in the deterministic oracle matrix is simulated to a
 //! capture, analyzed into reports, serialized onto each ingest surface
-//! (batch report lines, `tdat-monitor-events/1` and `/2` JSONL), and
+//! (batch report lines and `tdat-monitor-events/2` JSONL), and
 //! ingested into one store. The store must hand back every report
 //! **bit-exactly** — `Report::to_json` strings compare equal — both
 //! from the live snapshot and after reopening the directory cold.
@@ -56,20 +56,16 @@ fn matrix_reports() -> Vec<(String, Vec<Report>)> {
         .collect()
 }
 
-/// Renders a monitor `connection` event line for `report`; `source`
-/// toggles between the v1 (absent) and v2 (present) wire shapes.
-fn connection_line(report: &Report, at_s: f64, source: Option<&str>) -> String {
-    let mut line = String::from("{\"type\":\"connection\"");
-    if let Some(source) = source {
-        line.push_str(&format!(",\"source\":\"{source}\""));
-    }
-    line.push_str(&format!(
-        ",\"at_s\":{at_s},\"session\":\"{}->{}\",\"report\":{}}}",
+/// Renders a monitor `connection` event line for `report`, attributed
+/// to `source`.
+fn connection_line(report: &Report, at_s: f64, source: &str) -> String {
+    format!(
+        "{{\"type\":\"connection\",\"source\":\"{source}\",\"at_s\":{at_s},\
+         \"session\":\"{}->{}\",\"report\":{}}}",
         report.sender,
         report.receiver,
         report.to_json()
-    ));
-    line
+    )
 }
 
 #[test]
@@ -77,9 +73,8 @@ fn full_matrix_round_trips_bit_exactly_on_every_surface() {
     let per_scenario = matrix_reports();
     let total: usize = per_scenario.iter().map(|(_, r)| r.len()).sum();
 
-    // Serialize the same corpus onto all three ingest surfaces.
+    // Serialize the same corpus onto both ingest surfaces.
     let mut batch = String::new();
-    let mut v1 = String::new();
     let mut v2 = String::from(
         "{\"type\":\"meta\",\"schema\":\"tdat-monitor-events/2\",\"sources\":[\"oracle-v2\"]}\n",
     );
@@ -88,9 +83,7 @@ fn full_matrix_round_trips_bit_exactly_on_every_surface() {
         for report in reports {
             batch.push_str(&report.to_json());
             batch.push('\n');
-            v1.push_str(&connection_line(report, at_s, None));
-            v1.push('\n');
-            v2.push_str(&connection_line(report, at_s, Some("oracle-v2")));
+            v2.push_str(&connection_line(report, at_s, "oracle-v2"));
             v2.push('\n');
             at_s += 17.0;
         }
@@ -98,11 +91,7 @@ fn full_matrix_round_trips_bit_exactly_on_every_surface() {
 
     let dir = tempdir("round-trip");
     let store = Store::create(&dir).expect("create store");
-    for (source, text) in [
-        ("oracle-batch", &batch),
-        ("oracle-v1", &v1),
-        ("oracle-v2", &v2),
-    ] {
+    for (source, text) in [("oracle-batch", &batch), ("oracle-v2", &v2)] {
         let mut ingester = JsonlIngester::new(source);
         let records = ingester.text(text).expect("ingest surface");
         assert_eq!(records.len(), total, "{source}: record count");
@@ -143,7 +132,7 @@ fn assert_identity(store: &Store, total: usize, expected: &[String]) {
     }
     assert_eq!(
         by_source.keys().cloned().collect::<Vec<_>>(),
-        ["oracle-batch", "oracle-v1", "oracle-v2"],
+        ["oracle-batch", "oracle-v2"],
         "sources present in the store"
     );
     for (source, mut rendered) in by_source {
@@ -158,7 +147,7 @@ fn assert_identity(store: &Store, total: usize, expected: &[String]) {
     let rollup = Query::parse("group by source agg count")
         .expect("parse rollup")
         .run(&snapshot);
-    assert_eq!(rollup.lines.len(), 3, "one rollup row per surface");
+    assert_eq!(rollup.lines.len(), 2, "one rollup row per surface");
     for line in &rollup.lines {
         assert!(
             line.ends_with(&format!("\"count\":{total}}}")),
