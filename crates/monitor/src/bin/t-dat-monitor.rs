@@ -36,8 +36,9 @@
 //! every alert, report, and failure is attributed to the source that
 //! produced it. One dying source degrades only its own view — the
 //! siblings keep streaming, and a source that failed with a transient
-//! error (I/O, truncation) is reopened under exponential backoff and
-//! resumes at its released watermark. `--sweep` instead drains a
+//! error (I/O, truncation) is reopened under exponential backoff: it
+//! resumes at its committed byte offset, and a rotated or truncated
+//! capture is read from its start on the same clock. `--sweep` instead drains a
 //! directory of finished captures in parallel, one independent monitor
 //! per file, and concatenates the streams in file-name order.
 //!
@@ -316,13 +317,11 @@ fn main() -> ExitCode {
 /// `Ok(true)` when any did.
 fn write_sweep(out: &mut impl Write, report: &SweepReport) -> std::io::Result<bool> {
     for outcome in &report.outcomes {
-        match &outcome.result {
-            Ok(events) => {
-                for event in events {
-                    writeln!(out, "{}", event.to_json())?;
-                }
-            }
-            Err(e) => eprintln!("t-dat-monitor: sweep: {}: {e}", outcome.file.display()),
+        for event in &outcome.events {
+            writeln!(out, "{}", event.to_json())?;
+        }
+        if let Some(e) = &outcome.error {
+            eprintln!("t-dat-monitor: sweep: {}: {e}", outcome.file.display());
         }
     }
     eprintln!(

@@ -256,7 +256,9 @@ pub enum MonitorEvent {
     /// damage); its siblings keep running.
     SourceDown(SourceDown),
     /// A source that went down transiently came back: its supervising
-    /// set reopened it and resumed at the released watermark.
+    /// set reopened it, and it resumes at its committed byte offset (a
+    /// rotated or truncated capture is read from its start on the same
+    /// clock).
     SourceUp(SourceUp),
 }
 

@@ -54,17 +54,17 @@
 //! keeps draining its healthy siblings. A *transient* error (I/O
 //! hiccup, capture rotation) on a spec-built source instead starts a
 //! deterministic exponential-backoff retry loop: the set emits
-//! [`SetEvent::SourceDown`] once, reopens the source's
-//! [`SourceSpec`] after each backoff delay, and on success emits
-//! [`SetEvent::SourceUp`] and resumes. The reopened source re-reads
-//! its capture from the beginning; the set silently skips the frames
-//! it already accepted (a count-based fast-forward), and anything
-//! older than the already-released merge clock is dropped by the
-//! late-frame guard. A bounded retry budget
+//! [`SetEvent::SourceDown`] once, asks the source to
+//! [`reopen`](PacketSource::reopen) itself after each backoff delay,
+//! and on success emits [`SetEvent::SourceUp`] and resumes. A follow
+//! source resumes at its committed byte offset; a rotated or
+//! truncated capture is read from its start on the same clock. A
+//! simulator goes on from where it stopped. So the set neither
+//! re-reads nor skips anything. A bounded retry budget
 //! ([`SourceSetBuilder::retry`]) converts a source that will not come
 //! back into a terminal [`SetEvent::SourceFailed`]. Sources added via
-//! [`SourceSetBuilder::custom`] carry no spec and cannot be reopened,
-//! so every error is terminal for them.
+//! [`SourceSetBuilder::custom`] are not reopened, so every error is
+//! terminal for them.
 //!
 //! The set only reports [`SetEvent::Finished`] when every source is
 //! done (or failed) and every buffered frame was released; a source
@@ -206,24 +206,15 @@ impl SourceSpec {
         }
     }
 
-    /// Opens the described source.
-    ///
-    /// # Errors
-    ///
-    /// Follow specs fail when the file cannot be opened; sim specs fail
-    /// on a spec the validator missed (parameter semantics checked only
-    /// at build time).
-    pub fn open(&self) -> Result<Box<dyn PacketSource>, String> {
-        self.open_with(&FaultPlan::disabled())
-    }
-
     /// Opens the described source with a fault-injection plan attached
     /// (follow sources thread it into the pcap follower; sim sources
     /// have no I/O to fault).
     ///
     /// # Errors
     ///
-    /// As [`open`](Self::open).
+    /// Follow specs fail when the file cannot be opened; sim specs fail
+    /// on a spec the validator missed (parameter semantics checked only
+    /// at build time).
     pub fn open_with(&self, faults: &FaultPlan) -> Result<Box<dyn PacketSource>, String> {
         match self {
             SourceSpec::Follow {
@@ -340,10 +331,9 @@ struct SetEntry {
     poll_point: String,
     open_point: String,
     source: Box<dyn PacketSource>,
-    /// The spec this source was opened from, retained so a transient
-    /// failure can reopen it. `None` for custom sources, which are
-    /// therefore not resurrectable.
-    spec: Option<SourceSpec>,
+    /// Whether a transient error reopens the source: spec-built sources
+    /// do, custom ones do not.
+    reopens: bool,
     /// What the merge has not released of the source's last batch; the
     /// source is read again only once this is empty.
     buffer: VecDeque<TcpFrame>,
@@ -356,12 +346,6 @@ struct SetEntry {
     /// Frames dropped because this source delivered them behind the
     /// already-released merge clock (a stale source that resumed).
     late_frames: u64,
-    /// Frames accepted from this source across all incarnations — the
-    /// count-based fast-forward target after a reopen.
-    frames_polled: u64,
-    /// Frames still to skip silently because a reopened source is
-    /// replaying input the set already accepted.
-    skip_replay: u64,
     /// Reopen attempts consumed by the current unhealthy episode;
     /// reset when the source delivers a frame again.
     attempts: u32,
@@ -587,63 +571,30 @@ impl SourceSet {
             } else {
                 entry.source.poll()
             };
+            let anomalies = entry.source.drain_anomalies();
+            self.anomalies
+                .extend(anomalies.into_iter().map(|a| (id, a)));
             match polled {
                 Ok(SourceEvent::Batch { frames, now }) => {
                     entry.last_progress = Instant::now();
-                    for anomaly in entry.source.drain_anomalies() {
-                        // A replaying source re-reports anomalies the
-                        // set already attributed before the outage.
-                        if entry.skip_replay == 0 {
-                            self.anomalies.push((id, anomaly));
-                        }
+                    let last = frames.iter().map(|f| f.timestamp).max();
+                    if let Some(mark) = last.max(now) {
+                        entry.watermark = Some(entry.watermark.map_or(mark, |w| w.max(mark)));
                     }
-                    // The buffer is empty: the batch becomes it, without
-                    // a copy, less what a reopened source replays.
-                    let mut buffer = VecDeque::from(frames);
-                    let replayed = (buffer.len() as u64).min(entry.skip_replay);
-                    buffer.drain(..replayed as usize);
-                    entry.skip_replay -= replayed;
-                    let accepted = !buffer.is_empty();
-                    entry.frames_polled += buffer.len() as u64;
-                    if let Some(last) = buffer.iter().map(|f| f.timestamp).max() {
-                        entry.watermark = Some(entry.watermark.map_or(last, |w| w.max(last)));
-                    }
-                    entry.buffer = buffer;
-                    if let Some(clock) = now {
-                        if entry.skip_replay == 0 {
-                            entry.watermark = Some(match entry.watermark {
-                                Some(w) => w.max(clock),
-                                None => clock,
-                            });
-                        }
-                    }
-                    if accepted {
+                    if !frames.is_empty() {
                         // Real progress closes the unhealthy episode:
                         // the next outage gets a fresh retry budget.
                         entry.attempts = 0;
                     }
+                    // The buffer is empty: the batch becomes it, without
+                    // a copy.
+                    entry.buffer = VecDeque::from(frames);
                 }
-                Ok(SourceEvent::Pending) => {
-                    // Anomalies can only accompany consumption, but
-                    // draining here costs nothing and keeps custom
-                    // sources honest.
-                    for anomaly in entry.source.drain_anomalies() {
-                        if entry.skip_replay == 0 {
-                            self.anomalies.push((id, anomaly));
-                        }
-                    }
-                }
-                Ok(SourceEvent::Finished) => {
-                    for anomaly in entry.source.drain_anomalies() {
-                        if entry.skip_replay == 0 {
-                            self.anomalies.push((id, anomaly));
-                        }
-                    }
-                    entry.state = EntryState::Done;
-                }
+                Ok(SourceEvent::Pending) => {}
+                Ok(SourceEvent::Finished) => entry.state = EntryState::Done,
                 Err(e) => {
                     let error = e.to_string();
-                    if e.is_transient() && entry.spec.is_some() && self.retry_budget > 0 {
+                    if e.is_transient() && entry.reopens && self.retry_budget > 0 {
                         entry.attempts += 1;
                         if entry.attempts > self.retry_budget {
                             Self::fail_entry(
@@ -699,17 +650,10 @@ impl SourceSet {
             let reopened = if self.faults.should_fail(&entry.open_point) {
                 Err(format!("injected fault: {}", entry.open_point))
             } else {
-                match &entry.spec {
-                    Some(spec) => spec.open_with(&self.faults),
-                    None => Err("source has no spec to reopen".to_string()),
-                }
+                entry.source.reopen()
             };
             match reopened {
-                Ok(source) => {
-                    entry.source = source;
-                    // The fresh source replays its capture from the
-                    // start; fast-forward past what was accepted.
-                    entry.skip_replay = entry.frames_polled;
+                Ok(()) => {
                     entry.state = EntryState::Live;
                     entry.last_progress = Instant::now();
                     entry.down = false;
@@ -983,28 +927,26 @@ impl SourceSetBuilder {
             };
             let unique = unique_name(&taken, &base);
             taken.push(unique.clone());
-            let (source, spec) = match pending {
+            let (source, reopens) = match pending {
                 PendingSource::Spec(spec) => {
                     let source = spec
                         .open_with(&self.faults)
                         .map_err(|e| format!("source {unique}: {e}"))?;
-                    (source, Some(spec))
+                    (source, true)
                 }
-                PendingSource::Custom(source) => (source, None),
+                PendingSource::Custom(source) => (source, false),
             };
             entries.push(SetEntry {
                 poll_point: format!("source.poll:{unique}"),
                 open_point: format!("source.open:{unique}"),
                 name: Arc::from(unique.as_str()),
                 source,
-                spec,
+                reopens,
                 buffer: VecDeque::new(),
                 watermark: None,
                 state: EntryState::Live,
                 last_progress: Instant::now(),
                 late_frames: 0,
-                frames_polled: 0,
-                skip_replay: 0,
                 attempts: 0,
                 down: false,
             });
@@ -1328,8 +1270,16 @@ mod tests {
             .build()
             .expect("build");
         assert_eq!(poll_n(&mut set, 50, Duration::ZERO), vec![(1, 1)]);
-        assert_eq!(set.entries[0].buffer.len(), 10, "one read is buffered");
-        assert_eq!(set.entries[0].frames_polled, 10);
+        let buffered: Vec<i64> = set.entries[0]
+            .buffer
+            .iter()
+            .map(|f| f.timestamp.0)
+            .collect();
+        assert_eq!(
+            buffered,
+            (100..110).collect::<Vec<_>>(),
+            "the first read is held"
+        );
     }
 
     #[test]

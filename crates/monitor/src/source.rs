@@ -14,10 +14,11 @@
 //! Both are polled; a source never blocks. [`SourceEvent::Pending`]
 //! tells the driver to wait (wall clock) and retry.
 
-use std::path::Path;
+use std::fs::File;
+use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
-use tdat_packet::{CaptureAnomaly, LossyDecoder, PcapFollower, Result, TcpFrame};
+use tdat_packet::{CaptureAnomaly, LossyDecoder, PacketError, PcapFollower, Result, TcpFrame};
 use tdat_tcpsim::scenario::{build_scenario, ScenarioOptions};
 use tdat_tcpsim::LiveTap;
 use tdat_timeset::faultpoint::FaultPlan;
@@ -63,12 +64,23 @@ pub trait PacketSource {
     ///
     /// Fails on I/O errors or on input damaged beyond the source's
     /// recovery strategy (a follow-mode tail that stays unreadable past
-    /// the bounded resynchronization scan, for example). Errors are
-    /// terminal *for this source object*; a supervising
+    /// the bounded resynchronization scan, for example). A supervising
     /// [`SourceSet`](crate::SourceSet) may classify the error as
-    /// transient ([`PacketError::is_transient`](tdat_packet::PacketError::is_transient))
-    /// and resurrect the source by reopening its spec.
+    /// transient ([`PacketError::is_transient`]) and
+    /// [`reopen`](Self::reopen) the source.
     fn poll(&mut self) -> Result<SourceEvent>;
+
+    /// Reopens the source in place after a transient error, so that it
+    /// reads on from where it stopped. The default cannot, and a source
+    /// added with [`SourceSetBuilder::custom`](crate::SourceSetBuilder::custom)
+    /// is never asked: its first error is terminal.
+    ///
+    /// # Errors
+    ///
+    /// Says why the source could not reopen (yet).
+    fn reopen(&mut self) -> std::result::Result<(), String> {
+        Err("this source cannot reopen".to_string())
+    }
 
     /// Takes the capture anomalies the source survived since the last
     /// drain. Sources over trustworthy feeds (the simulator) never
@@ -101,9 +113,14 @@ const READ_FRAMES: usize = (READ_BUDGET / 512) as usize;
 /// terminal errors, so a sniffer glitch never kills the watch.
 #[derive(Debug)]
 pub struct FollowSource {
-    follower: PcapFollower<std::fs::File>,
+    /// The capture file, opened afresh by each reopen.
+    path: PathBuf,
+    follower: PcapFollower<File>,
     decoder: LossyDecoder,
     anomalies: Vec<AttributedAnomaly>,
+    /// An error met after a poll had consumed records: the poll
+    /// delivers them, and the next poll reports it.
+    error: Option<PacketError>,
     /// Report [`SourceEvent::Finished`] after this long (wall clock)
     /// without a single new record; `None` follows forever.
     exit_idle: Option<Duration>,
@@ -125,9 +142,11 @@ impl FollowSource {
     /// Fails if the file cannot be opened.
     pub fn tail(path: impl AsRef<Path>) -> Result<FollowSource> {
         Ok(FollowSource {
+            path: path.as_ref().to_path_buf(),
             follower: PcapFollower::open(path)?,
             decoder: LossyDecoder::new(),
             anomalies: Vec::new(),
+            error: None,
             exit_idle: None,
             last_progress: None,
         })
@@ -162,12 +181,15 @@ impl FollowSource {
 
 impl PacketSource for FollowSource {
     fn poll(&mut self) -> Result<SourceEvent> {
+        if let Some(error) = self.error.take() {
+            return Err(error);
+        }
         let start = self.follower.offset();
         let mut frames = Vec::with_capacity(READ_FRAMES);
         let mut consumed = false;
         while self.follower.offset() - start < READ_BUDGET {
-            match self.follower.poll_lossy(&mut self.decoder)? {
-                Some(lossy) => {
+            match self.follower.poll_lossy(&mut self.decoder) {
+                Ok(Some(lossy)) => {
                     consumed = true;
                     let key = match &lossy.frame {
                         Some(frame) => Some(ConnKey::of(frame)),
@@ -183,7 +205,14 @@ impl PacketSource for FollowSource {
                         frames.push(frame);
                     }
                 }
-                None => break,
+                Ok(None) => break,
+                // The records read so far are past the committed
+                // offset, so this poll must deliver them.
+                Err(e) if consumed => {
+                    self.error = Some(e);
+                    break;
+                }
+                Err(e) => return Err(e),
             }
         }
         if !consumed {
@@ -196,6 +225,20 @@ impl PacketSource for FollowSource {
         }
         self.last_progress = Some(Instant::now());
         Ok(SourceEvent::Batch { frames, now: None })
+    }
+
+    /// A fresh handle on the file: the same capture resumes at its
+    /// committed byte offset, and a rotated or truncated one is read
+    /// from its start on the same clock ([`PcapFollower::reopen`]). The
+    /// idle clock restarts, so a rotated file has the whole budget to
+    /// show its first record.
+    fn reopen(&mut self) -> std::result::Result<(), String> {
+        File::open(&self.path)
+            .map_err(PacketError::from)
+            .and_then(|file| self.follower.reopen(file))
+            .map_err(|e| format!("{}: {e}", self.path.display()))?;
+        self.held();
+        Ok(())
     }
 
     fn drain_anomalies(&mut self) -> Vec<AttributedAnomaly> {
@@ -259,6 +302,13 @@ impl PacketSource for SimSource {
             }),
             None => Ok(SourceEvent::Finished),
         }
+    }
+
+    /// Nothing to do: only an injected poll fault downs a simulator, and
+    /// that fault never reached the tap, which goes on from where it
+    /// stopped.
+    fn reopen(&mut self) -> std::result::Result<(), String> {
+        Ok(())
     }
 }
 
@@ -359,6 +409,44 @@ mod tests {
                 "a read of {n} records passed the budget: {reads:?}"
             );
         }
+    }
+
+    #[test]
+    fn a_read_that_fails_midway_delivers_what_it_read_and_a_reopen_goes_on() {
+        let capture: Vec<TcpFrame> = (0..5)
+            .map(|k| {
+                tdat_packet::FrameBuilder::new(
+                    "10.0.0.1".parse().unwrap(),
+                    "10.0.0.2".parse().unwrap(),
+                )
+                .at(Micros::from_millis(k))
+                .ports(179, 40000)
+                .seq(1 + 100 * k as u32)
+                .payload(vec![0xee; 100])
+                .build()
+            })
+            .collect();
+        let mut bytes = Vec::new();
+        let mut w = tdat_packet::PcapWriter::new(&mut bytes).expect("writer");
+        for frame in &capture {
+            w.write_frame(frame).expect("frame");
+        }
+        let file = TempPcap::create("fails_midway", &bytes);
+        let faults = FaultPlan::parse("follow.read@hit=3", 0).expect("spec parses");
+        let mut src = FollowSource::tail(&file.0)
+            .expect("open")
+            .with_faults(faults);
+        let mut got = match src.poll().expect("the records before the fault") {
+            SourceEvent::Batch { frames, .. } => frames,
+            other => panic!("expected a batch, got {other:?}"),
+        };
+        assert_eq!(got.len(), 2);
+        assert!(src.poll().expect_err("then the fault").is_transient());
+        src.reopen().expect("the file is still there");
+        while let SourceEvent::Batch { frames, .. } = src.poll().expect("poll") {
+            got.extend(frames);
+        }
+        assert_eq!(got, capture, "every record once");
     }
 
     #[test]

@@ -10,7 +10,8 @@
 //! file-name order: deterministic regardless of worker scheduling.
 //!
 //! One unreadable or damaged file fails only its own
-//! [`SweepOutcome`]; the sweep itself keeps going.
+//! [`SweepOutcome`], which keeps the events written before the failure;
+//! the sweep itself keeps going.
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -27,8 +28,11 @@ pub struct SweepOutcome {
     pub file: PathBuf,
     /// The source name its events are attributed to (the file name).
     pub source: String,
-    /// The file's full event stream, or why it could not be opened.
-    pub result: Result<Vec<MonitorEvent>, String>,
+    /// The file's event stream, up to the end of the file or to the
+    /// `source_down` that failed it.
+    pub events: Vec<MonitorEvent>,
+    /// Why the file could not be opened or drained to its end.
+    pub error: Option<String>,
 }
 
 /// The merged result of a directory sweep: one [`SweepOutcome`] per
@@ -42,7 +46,7 @@ pub struct SweepReport {
 impl SweepReport {
     /// Files that could not be opened or drained.
     pub fn failed(&self) -> usize {
-        self.outcomes.iter().filter(|o| o.result.is_err()).count()
+        self.outcomes.iter().filter(|o| o.error.is_some()).count()
     }
 }
 
@@ -76,12 +80,18 @@ fn sweep_one(path: &Path, config: &MonitorConfig) -> SweepOutcome {
         .with_exit_idle(Duration::ZERO)
         .with_idle_from_open();
     let source = spec.label();
-    let set = SourceSet::builder().source(spec).build();
-    let result = set.map(|mut set| Monitor::new(config.clone()).run_set(&mut set));
+    let (events, error) = match SourceSet::builder().source(spec).build() {
+        Ok(mut set) => {
+            let events = Monitor::new(config.clone()).run_set(&mut set);
+            (events, set.failures().pop().map(|(_, error)| error))
+        }
+        Err(error) => (Vec::new(), Some(error)),
+    };
     SweepOutcome {
         file: path.to_path_buf(),
         source,
-        result,
+        events,
+        error,
     }
 }
 

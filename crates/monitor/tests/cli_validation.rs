@@ -13,7 +13,8 @@
 //! is an unknown option; and resume reads only the events file, so
 //! `--checkpoint` is unknown as well. A sweep beside live sources is
 //! one stream with one `meta` line, whose sources all have distinct
-//! names, and is not resumed.
+//! names, and is not resumed. A swept file whose source goes down keeps
+//! its `source_down` line and fails the sweep.
 
 use std::net::Ipv4Addr;
 use std::process::Command;
@@ -310,6 +311,47 @@ fn a_sweep_beside_a_live_source_writes_one_meta_line_and_is_not_resumed() {
     let after = std::fs::read_to_string(&events).expect("the events file");
     assert_eq!(after, stream, "the refused resume leaves the stream alone");
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_swept_file_whose_source_goes_down_fails_the_sweep() {
+    let corpus = std::path::Path::new(env!("CARGO_TARGET_TMPDIR"))
+        .join(format!("cli-sweep-down-{}", std::process::id()));
+    std::fs::create_dir_all(&corpus).expect("make the corpus directory");
+    let (router, collector) = (Ipv4Addr::new(10, 0, 0, 1), Ipv4Addr::new(10, 0, 0, 2));
+    let frames = [FrameBuilder::new(router, collector)
+        .ports(179, 40_000)
+        .seq(0)
+        .flags(TcpFlags::SYN)
+        .build()];
+    write_pcap_file(corpus.join("ok.pcap"), &frames).expect("write the good capture");
+    std::fs::write(
+        corpus.join("text.pcap"),
+        "this is plain text, not a pcap capture\n",
+    )
+    .expect("write the text");
+    let output = monitor()
+        .arg("--sweep")
+        .arg(&corpus)
+        .args(["--events", "-"])
+        .output()
+        .expect("spawn t-dat-monitor");
+    let _ = std::fs::remove_dir_all(&corpus);
+    let stream = String::from_utf8_lossy(&output.stdout);
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    let down: Vec<&str> = stream
+        .lines()
+        .filter(|line| line.contains(r#""type":"source_down""#))
+        .collect();
+    assert_eq!(down.len(), 1, "{stream}");
+    assert!(
+        down[0].contains(r#""source":"text.pcap""#)
+            && down[0].contains("unrecognized pcap magic number"),
+        "{stream}"
+    );
+    assert!(stream.contains(r#""source":"ok.pcap""#), "{stream}");
+    assert!(stderr.contains("swept 2 file(s), 1 failed"), "{stderr}");
+    assert_eq!(output.status.code(), Some(1), "stderr: {stderr}");
 }
 
 /// A `--sim` scenario parameter out of its range is refused as a

@@ -1,8 +1,10 @@
 //! Supervised-runtime end-to-end tests: a source that dies mid-window
 //! under an injected fault must resurrect (byte-deterministically, for
 //! a fixed fault schedule) without disturbing its healthy sibling; a
-//! source whose outage outlives the retry budget must fail terminally
-//! without killing the watch; and a watch restarted with
+//! capture rotated in place must be read whole on the source's clock;
+//! damage read after a reopen must be counted once; a source whose
+//! outage outlives the retry budget must fail terminally without
+//! killing the watch; and a watch restarted with
 //! `--resume` must append exactly the lines the crashed incarnation
 //! never wrote.
 
@@ -10,8 +12,11 @@ use std::net::Ipv4Addr;
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 
-use tdat_monitor::{Monitor, MonitorConfig, MonitorEvent, MonitorMetrics, SourceSet, SourceSpec};
-use tdat_packet::{write_pcap_file, FrameBuilder, TcpFlags, TcpFrame, TcpOption};
+use tdat_monitor::{
+    Monitor, MonitorConfig, MonitorEvent, MonitorMetrics, SetEvent, SourceSet, SourceSpec,
+};
+use tdat_packet::{write_pcap_file, CaptureAnomaly, FrameBuilder, TcpFlags, TcpFrame, TcpOption};
+use tdat_tcpsim::scenario::ScenarioOptions;
 use tdat_timeset::faultpoint::FaultPlan;
 use tdat_timeset::Micros;
 
@@ -98,16 +103,26 @@ struct Watch {
     metrics: MonitorMetrics,
 }
 
-/// One two-source watch over static files `a`/`b` named "a"/"b", with
-/// an optional fault schedule and a reopen budget of `retries`.
-fn watch(a: &Path, b: &Path, faults: Option<&str>, retries: u32) -> Watch {
+/// One watch over static files `a`/`b` named "a"/"b", plus a small
+/// `clean` simulator named "s" when `sim` is set, with an optional
+/// fault schedule and a reopen budget of `retries`.
+fn watch(a: &Path, b: &Path, sim: bool, faults: Option<&str>, retries: u32) -> Watch {
     let plan = match faults {
         Some(spec) => FaultPlan::parse(spec, 7).expect("spec parses"),
         None => FaultPlan::disabled(),
     };
-    let mut set = SourceSet::builder()
+    let mut builder = SourceSet::builder()
         .named("a", follow_static(a))
-        .named("b", follow_static(b))
+        .named("b", follow_static(b));
+    if sim {
+        let opts = ScenarioOptions {
+            routes: 300,
+            ..ScenarioOptions::default()
+        };
+        let spec = SourceSpec::sim("clean", opts, Micros::from_millis(20)).expect("known scenario");
+        builder = builder.named("s", spec);
+    }
+    let mut set = builder
         .retry(retries, Duration::from_millis(1))
         .faults(plan)
         .build()
@@ -165,13 +180,14 @@ fn a_flapping_source_resurrects_deterministically_without_disturbing_its_sibling
     let b_path = scratch("flap-b.pcap");
     write_fleet(&a_path, &b_path);
 
-    // b's second poll dies with a transient (injected) I/O error; the
-    // set reopens it after the 1 ms backoff and resumes at the released
-    // watermark, replaying nothing into the merge.
-    let schedule = "source.poll:b@hit=2";
-    let first = watch(&a_path, &b_path, Some(schedule), 3);
-    let second = watch(&a_path, &b_path, Some(schedule), 3);
-    let baseline = watch(&a_path, &b_path, None, 3);
+    // b's second poll and the simulator's third die with a transient
+    // (injected) I/O error; the set reopens each after the 1 ms backoff
+    // and it resumes where it stopped: b at its committed byte offset,
+    // the simulator at its clock. Nothing is read twice or skipped.
+    let schedule = "source.poll:b@hit=2;source.poll:s@hit=3";
+    let first = watch(&a_path, &b_path, true, Some(schedule), 3);
+    let second = watch(&a_path, &b_path, true, Some(schedule), 3);
+    let baseline = watch(&a_path, &b_path, true, None, 3);
     let _ = std::fs::remove_file(&a_path);
     let _ = std::fs::remove_file(&b_path);
 
@@ -181,7 +197,7 @@ fn a_flapping_source_resurrects_deterministically_without_disturbing_its_sibling
     );
     let (events, baseline_events) = (&first.events, &baseline.events);
 
-    // The outage surfaces as a paired down/up on b, in that order.
+    // Each outage surfaces as a paired down/up, in that order.
     let lifecycle: Vec<(&str, &str)> = events
         .iter()
         .filter_map(|e| match e {
@@ -190,15 +206,20 @@ fn a_flapping_source_resurrects_deterministically_without_disturbing_its_sibling
             _ => None,
         })
         .collect();
-    assert_eq!(lifecycle, vec![("down", "b"), ("up", "b")]);
-    let up = events
-        .iter()
-        .find_map(|e| match e {
-            MonitorEvent::SourceUp(u) => Some(u),
-            _ => None,
-        })
-        .expect("b recovered");
-    assert_eq!(up.attempts, 1, "first retry succeeded");
+    for source in ["b", "s"] {
+        let own: Vec<&str> = lifecycle
+            .iter()
+            .filter(|(_, s)| *s == source)
+            .map(|(kind, _)| *kind)
+            .collect();
+        assert_eq!(own, vec!["down", "up"], "{source}: {lifecycle:?}");
+    }
+    assert_eq!(lifecycle.len(), 4, "{lifecycle:?}");
+    for event in events {
+        if let MonitorEvent::SourceUp(up) = event {
+            assert_eq!(up.attempts, 1, "first retry succeeded");
+        }
+    }
 
     // Stripping the lifecycle lines must give back the no-fault run
     // exactly: the healthy source is untouched and the flapped source
@@ -210,10 +231,155 @@ fn a_flapping_source_resurrects_deterministically_without_disturbing_its_sibling
         .collect();
     let expected: Vec<String> = baseline_events.iter().map(|e| e.to_json()).collect();
     assert_eq!(stripped, expected, "baseline:\n{}", baseline.stream);
-    assert!(
-        baseline_events.iter().any(|e| source_of(e) == "a"),
-        "the healthy source produced events at all"
+    for source in ["a", "s"] {
+        assert!(
+            baseline_events.iter().any(|e| source_of(e) == source),
+            "{source} produced events at all"
+        );
+    }
+}
+
+/// What a set released and reported: the stamps of its frames, and its
+/// lifecycle notices as `down: <error>`, `up` and `failed: <error>`.
+#[derive(Default)]
+struct Drained {
+    stamps: Vec<Micros>,
+    lifecycle: Vec<String>,
+}
+
+/// Polls `set` until it finishes or, with `upto`, has released that many
+/// frames; a pending turn waits a millisecond.
+fn drain(set: &mut SourceSet, upto: Option<usize>) -> Drained {
+    let mut out = Drained::default();
+    while upto.is_none_or(|n| out.stamps.len() < n) {
+        match set.poll() {
+            SetEvent::Batch { runs, .. } => out.stamps.extend(
+                runs.iter()
+                    .flat_map(|r| r.frames.iter().map(|f| f.timestamp)),
+            ),
+            SetEvent::Pending => std::thread::sleep(Duration::from_millis(1)),
+            SetEvent::SourceDown { error, .. } => out.lifecycle.push(format!("down: {error}")),
+            SetEvent::SourceUp { .. } => out.lifecycle.push("up".to_string()),
+            SetEvent::SourceFailed { error, .. } => out.lifecycle.push(format!("failed: {error}")),
+            SetEvent::Finished => break,
+        }
+    }
+    out
+}
+
+/// A one-source set following `path` until it idles for half a second,
+/// reopened after a 1 ms backoff.
+fn followed(path: &Path, faults: FaultPlan) -> SourceSet {
+    SourceSet::builder()
+        .named(
+            "cap",
+            SourceSpec::follow(path).with_exit_idle(Duration::from_millis(500)),
+        )
+        .retry(3, Duration::from_millis(1))
+        .faults(faults)
+        .build()
+        .expect("the capture opens")
+}
+
+#[test]
+fn a_capture_rotated_in_place_is_read_whole_on_the_sources_clock() {
+    let path = scratch("rotated.pcap");
+    // 50 records from 1 s of capture time, then a shorter successor of
+    // 20 records from 3 s.
+    let old = transfer(
+        Ipv4Addr::new(10, 8, 0, 1),
+        Ipv4Addr::new(10, 8, 0, 2),
+        1_000_000,
+        24,
     );
+    let successor = transfer(
+        Ipv4Addr::new(10, 8, 1, 1),
+        Ipv4Addr::new(10, 8, 1, 2),
+        3_000_000,
+        9,
+    );
+    assert_eq!((old.len(), successor.len()), (50, 20));
+    write_pcap_file(&path, &old).expect("scratch pcap");
+    let mut set = followed(&path, FaultPlan::disabled());
+    assert_eq!(drain(&mut set, Some(50)).stamps.len(), 50);
+
+    // The same file, truncated and rewritten.
+    write_pcap_file(&path, &successor).expect("rotated pcap");
+    let after = drain(&mut set, None);
+    let _ = std::fs::remove_file(&path);
+
+    assert_eq!(after.lifecycle.len(), 2, "{:?}", after.lifecycle);
+    assert!(
+        after.lifecycle[0].contains("shrank"),
+        "{:?}",
+        after.lifecycle
+    );
+    assert_eq!(after.lifecycle[1], "up");
+    // Every record of the successor, on the clock the old capture's
+    // first record set.
+    let expected: Vec<Micros> = successor
+        .iter()
+        .map(|f| Micros(f.timestamp.0 - 1_000_000))
+        .collect();
+    assert_eq!(after.stamps, expected);
+    assert_eq!(set.late_frames(), vec![0]);
+}
+
+/// Appends `frames` to the capture at `path` as records, without a
+/// global header.
+fn append_records(path: &Path, frames: &[TcpFrame]) {
+    let mut bytes = Vec::new();
+    {
+        let mut writer = tdat_packet::PcapWriter::new(&mut bytes).expect("writer");
+        for frame in frames {
+            writer.write_frame(frame).expect("frame");
+        }
+    }
+    let mut file = std::fs::OpenOptions::new()
+        .append(true)
+        .open(path)
+        .expect("capture");
+    std::io::Write::write_all(&mut file, &bytes[24..]).expect("append");
+}
+
+#[test]
+fn damage_read_after_a_reopen_is_counted_once() {
+    let path = scratch("damaged.pcap");
+    // 30 frames, one of them mirrored: a duplicate record.
+    let mut first = transfer(
+        Ipv4Addr::new(10, 8, 2, 1),
+        Ipv4Addr::new(10, 8, 2, 2),
+        0,
+        14,
+    );
+    first.insert(10, first[9].clone());
+    write_pcap_file(&path, &first).expect("scratch pcap");
+    let faults = FaultPlan::parse("source.poll:cap@hit=2", 0).expect("spec parses");
+    let mut set = followed(&path, faults);
+    assert_eq!(drain(&mut set, Some(30)).stamps.len(), 30);
+
+    // The capture grows by 10 frames and another mirrored record. The
+    // next poll fails; the read after the reopen holds the new damage.
+    let mut more = transfer(
+        Ipv4Addr::new(10, 8, 3, 1),
+        Ipv4Addr::new(10, 8, 3, 2),
+        100_000,
+        4,
+    );
+    more.insert(5, more[4].clone());
+    append_records(&path, &more);
+    let after = drain(&mut set, None);
+    let _ = std::fs::remove_file(&path);
+
+    assert_eq!(after.lifecycle.len(), 2, "{:?}", after.lifecycle);
+    assert!(after.lifecycle[0].contains("injected fault"));
+    assert_eq!(after.stamps.len(), 10);
+    let duplicates = set
+        .drain_anomalies()
+        .iter()
+        .filter(|(_, a)| matches!(a.anomaly, CaptureAnomaly::DuplicateRecord { .. }))
+        .count();
+    assert_eq!(duplicates, 2, "one before the outage, one after it");
 }
 
 #[test]
@@ -228,7 +394,7 @@ fn an_outage_that_outlives_the_retry_budget_fails_terminally_not_fatally() {
         failed,
         metrics,
         ..
-    } = watch(&a_path, &b_path, Some(outage), 2);
+    } = watch(&a_path, &b_path, false, Some(outage), 2);
     let _ = std::fs::remove_file(&a_path);
     let _ = std::fs::remove_file(&b_path);
 

@@ -46,10 +46,12 @@ impl PacketError {
     /// that reopening would only re-read.
     ///
     /// * [`PacketError::Io`] — transient: filesystem hiccups, NFS
-    ///   stalls, and injected read faults clear on retry.
+    ///   stalls, and injected read faults clear on retry. A reopen
+    ///   resumes at its committed byte offset.
     /// * [`PacketError::SourceTruncated`] — transient: the capture was
-    ///   rotated; the *old* follower is sticky-poisoned by design, but
-    ///   a fresh open reads the successor file from its beginning.
+    ///   rotated or truncated. The follower stays poisoned until a
+    ///   reopen, which reads the new capture from its start on the same
+    ///   clock ([`PcapFollower::reopen`](crate::PcapFollower::reopen)).
     /// * Everything else (bad magic, malformed/truncated headers,
     ///   unsupported link type) — fatal: the bytes themselves are
     ///   wrong, and no number of reopens changes them.

@@ -16,6 +16,11 @@
 //! untouched, so the next poll picks the partial tail up again. A bad
 //! magic number is still an error: growth can only ever fix missing
 //! bytes, not wrong ones.
+//!
+//! After an I/O error or a rotation, [`PcapFollower::reopen`] takes a
+//! fresh handle on the file: the same capture resumes at its committed
+//! byte offset, and a rotated or truncated one is read from its start
+//! on the same clock.
 
 use std::fs::File;
 use std::io::{Read, Seek, SeekFrom};
@@ -24,7 +29,7 @@ use std::path::Path;
 use crate::error::{PacketError, Result};
 use crate::lossy::{CaptureAnomaly, LossyDecoder, LossyFrame};
 use crate::pcap::LINKTYPE_ETHERNET;
-use crate::walk::{LossyStep, Source, Walker, Window, RESYNC_SCAN_LIMIT};
+use crate::walk::{LossyStep, Source, Walker, Window, GLOBAL_HEADER_LEN, RESYNC_SCAN_LIMIT};
 use tdat_timeset::faultpoint::FaultPlan;
 
 /// The growing file as a byte source: a read window whose refill first
@@ -40,9 +45,9 @@ struct Tail<R> {
     /// Largest file length ever observed. A followed capture only ever
     /// grows; any decrease means it was rotated or truncated.
     high_water: u64,
-    /// Set once a shrink is detected; the follower is then permanently
-    /// poisoned (waiting for regrowth would resync onto unrelated
-    /// bytes at the committed offset).
+    /// Set once a shrink is detected; the follower is then poisoned
+    /// until [`PcapFollower::reopen`] (waiting for regrowth would
+    /// resync onto unrelated bytes at the committed offset).
     truncated: bool,
 }
 
@@ -60,9 +65,9 @@ impl<R: Read + Seek> Source for Tail<R> {
     /// window ends. A capture being followed is append-only; a length
     /// decrease means rotation or truncation, and resuming at the
     /// committed offset after regrowth would read bytes from an
-    /// unrelated record stream. The condition is sticky: a poll that
-    /// cannot be served from the window comes back here and fails
-    /// again rather than silently resynchronizing.
+    /// unrelated record stream. The condition is sticky until a
+    /// reopen: a poll that cannot be served from the window comes back
+    /// here and fails again rather than silently resynchronizing.
     fn refill(&mut self, want: usize) -> Result<bool> {
         let len = self.window.input.seek(SeekFrom::End(0))?;
         if len < self.high_water {
@@ -113,6 +118,12 @@ pub struct PcapFollower<R> {
     tail: Tail<R>,
     /// `None` until the global header's 24 bytes have been written.
     walker: Option<Walker>,
+    /// The global header the walker was opened on: a reopen that finds
+    /// another is reading a new capture.
+    header: [u8; GLOBAL_HEADER_LEN],
+    /// The trace epoch the next walker takes: a rotated capture's
+    /// records stay on its predecessor's clock.
+    epoch: Option<i64>,
     records_read: u64,
     /// Fault-injection schedule; disabled (free to check) by default.
     faults: FaultPlan,
@@ -143,6 +154,8 @@ impl<R: Read + Seek> PcapFollower<R> {
                 truncated: false,
             },
             walker: None,
+            header: [0; GLOBAL_HEADER_LEN],
+            epoch: None,
             records_read: 0,
             faults: FaultPlan::disabled(),
         }
@@ -192,11 +205,12 @@ impl<R: Read + Seek> PcapFollower<R> {
     ///
     /// Fails on I/O errors, a bad magic number, a non-Ethernet link
     /// type, [`PacketError::SourceTruncated`] once the file has ever
-    /// shrunk (sticky, since the committed offset no longer refers into
-    /// the original record stream even if the file later regrows past
-    /// it), or when a resynchronization scan exhausts its byte budget
-    /// without finding a plausible record header (the file is garbage
-    /// from the committed offset on, and retrying cannot fix it).
+    /// shrunk (sticky until [`reopen`](Self::reopen), since the
+    /// committed offset no longer refers into the original record
+    /// stream even if the file later regrows past it), or when a
+    /// resynchronization scan exhausts its byte budget without finding
+    /// a plausible record header (the file is garbage from the
+    /// committed offset on, and retrying cannot fix it).
     pub fn poll_lossy(&mut self, decoder: &mut LossyDecoder) -> Result<Option<LossyFrame>> {
         if let Some(err) = self.faults.fail_io("follow.read") {
             return Err(err.into());
@@ -205,7 +219,11 @@ impl<R: Read + Seek> PcapFollower<R> {
             return Ok(None);
         }
         if self.walker.is_none() {
-            self.walker = Walker::open(&mut self.tail)?;
+            self.walker = Walker::open(&mut self.tail)?.map(|w| w.with_epoch(self.epoch));
+            if self.walker.is_some() {
+                let header = self.tail.window.behind(GLOBAL_HEADER_LEN);
+                self.header.copy_from_slice(header);
+            }
         }
         let Some(walker) = &mut self.walker else {
             return Ok(None);
@@ -240,6 +258,42 @@ impl<R: Read + Seek> PcapFollower<R> {
                 ),
             }),
         }
+    }
+
+    /// Reads on through `input`, a fresh handle on the followed file,
+    /// after an I/O error or once the file shrank.
+    ///
+    /// The file still holds the same capture when the follower never
+    /// saw it shrink, it is at least as long as the follower ever saw
+    /// it (so at least [`offset`](Self::offset) bytes), and its global
+    /// header is the one the follower read. Reading then resumes at the
+    /// committed offset under the same format state: the header is
+    /// read to compare it, and no other byte before the offset.
+    /// Otherwise the file holds a new capture (rotated or truncated in
+    /// place), which is read from its start; its records keep this
+    /// follower's trace epoch, so they land on the same clock as the
+    /// records before them.
+    ///
+    /// # Errors
+    ///
+    /// Fails on an I/O error measuring `input` or reading its header.
+    pub fn reopen(&mut self, mut input: R) -> Result<()> {
+        let len = input.seek(SeekFrom::End(0))?;
+        let mut same = !self.tail.truncated && len >= self.tail.high_water;
+        if same && self.walker.is_some() {
+            let mut header = [0; GLOBAL_HEADER_LEN];
+            input.seek(SeekFrom::Start(0))?;
+            input.read_exact(&mut header)?;
+            same = header == self.header;
+        }
+        if !same {
+            self.epoch = self.walker.take().map_or(self.epoch, |w| w.epoch());
+            self.tail.offset = 0;
+            self.tail.high_water = 0;
+            self.tail.truncated = false;
+        }
+        self.tail.window = Window::new(input);
+        Ok(())
     }
 }
 
@@ -591,6 +645,127 @@ mod tests {
         follower.poll_frame().unwrap().unwrap();
         follower.poll_frame().unwrap().unwrap();
         assert_eq!(follower.follower.offset(), bytes.len() as u64);
+    }
+
+    /// A reader over fixed bytes that logs the span of every read.
+    struct Logged {
+        bytes: io::Cursor<Vec<u8>>,
+        reads: std::rc::Rc<std::cell::RefCell<Vec<std::ops::Range<u64>>>>,
+    }
+
+    impl Logged {
+        fn new(bytes: &[u8]) -> Logged {
+            Logged {
+                bytes: io::Cursor::new(bytes.to_vec()),
+                reads: Default::default(),
+            }
+        }
+    }
+
+    impl Read for Logged {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            let at = self.bytes.position();
+            let n = self.bytes.read(buf)?;
+            if n > 0 {
+                self.reads.borrow_mut().push(at..at + n as u64);
+            }
+            Ok(n)
+        }
+    }
+
+    impl Seek for Logged {
+        fn seek(&mut self, to: SeekFrom) -> io::Result<u64> {
+            self.bytes.seek(to)
+        }
+    }
+
+    #[test]
+    fn a_reopen_in_place_reads_nothing_before_the_committed_offset_but_the_header() {
+        let frames: Vec<TcpFrame> = (0..8).map(|k| frame(10 * k, 200)).collect();
+        let bytes = encode(&frames);
+        let record = (bytes.len() - GLOBAL_HEADER_LEN) / frames.len();
+        let first = GLOBAL_HEADER_LEN + 5 * record;
+        let mut follower = Polled::new(PcapFollower::new(Logged::new(&bytes[..first])));
+        for f in &frames[..5] {
+            assert_eq!(follower.poll_frame().unwrap().as_ref(), Some(f));
+        }
+        assert!(follower.poll_frame().unwrap().is_none());
+        let committed = follower.follower.offset();
+        assert_eq!(committed, first as u64);
+
+        // The file grew while its old handle failed; a fresh handle on
+        // the whole file continues where the follower stopped.
+        let fresh = Logged::new(&bytes);
+        let reads = fresh.reads.clone();
+        follower.follower.reopen(fresh).unwrap();
+        assert_eq!(follower.follower.offset(), committed, "resumed in place");
+        let mut got = Vec::new();
+        while let Some(f) = follower.poll_frame().unwrap() {
+            got.push(f);
+        }
+        assert_eq!(got, frames[5..]);
+        let reads = reads.borrow();
+        assert_eq!(reads[0], 0..GLOBAL_HEADER_LEN as u64, "the header check");
+        for read in &reads[1..] {
+            assert!(read.start >= committed, "read {read:?} before {committed}");
+        }
+        let total: u64 = reads.iter().map(|r| r.end - r.start).sum();
+        assert_eq!(
+            total,
+            GLOBAL_HEADER_LEN as u64 + (bytes.len() - first) as u64
+        );
+    }
+
+    #[test]
+    fn a_rotated_capture_is_read_from_its_start_on_the_same_clock() {
+        let old: Vec<TcpFrame> = (0..6).map(|k| frame(1_000 + 10 * k, 300)).collect();
+        let successor: Vec<TcpFrame> = (0..2).map(|k| frame(2_000 + 10 * k, 20)).collect();
+        let mut file = GrowingFile::create("rotated_in_place.pcap");
+        file.append(&encode(&old));
+        let mut follower = open(&file);
+        while follower.poll_frame().unwrap().is_some() {}
+        // Truncated in place and rewritten with a shorter capture.
+        file.out.set_len(0).unwrap();
+        file.out.seek(SeekFrom::Start(0)).unwrap();
+        file.append(&encode(&successor));
+        assert!(matches!(
+            follower.poll_frame(),
+            Err(PacketError::SourceTruncated { .. })
+        ));
+        follower
+            .follower
+            .reopen(File::open(&file.path).unwrap())
+            .unwrap();
+        assert_eq!(follower.follower.offset(), 0, "read from its start");
+        let mut got = Vec::new();
+        while let Some(f) = follower.poll_frame().unwrap() {
+            got.push(f.timestamp);
+        }
+        // The old capture's first record, at 1 s, stays the epoch.
+        assert_eq!(
+            got,
+            vec![Micros::from_millis(1_000), Micros::from_millis(1_010)]
+        );
+    }
+
+    #[test]
+    fn a_changed_global_header_is_a_new_capture() {
+        let frames: Vec<TcpFrame> = (0..3).map(|k| frame(10 * k, 50)).collect();
+        let bytes = encode(&frames);
+        let mut follower = Polled::new(PcapFollower::new(io::Cursor::new(bytes.clone())));
+        assert!(follower.poll_frame().unwrap().is_some());
+        // As long again, but under another snap length: not the capture
+        // the follower was reading.
+        let later: Vec<TcpFrame> = (0..3).map(|k| frame(100 + 10 * k, 50)).collect();
+        let mut other = encode(&later);
+        other[16] ^= 1;
+        follower.follower.reopen(io::Cursor::new(other)).unwrap();
+        assert_eq!(follower.follower.offset(), 0);
+        let mut got = Vec::new();
+        while let Some(f) = follower.poll_frame().unwrap() {
+            got.push(f);
+        }
+        assert_eq!(got, later);
     }
 
     #[test]

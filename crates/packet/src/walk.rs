@@ -27,7 +27,7 @@ use crate::pcap::{MAGIC_MICROS, MAGIC_NANOS};
 use tdat_timeset::Micros;
 
 /// Length of the pcap global header.
-const GLOBAL_HEADER_LEN: usize = 24;
+pub(crate) const GLOBAL_HEADER_LEN: usize = 24;
 
 /// Length of a pcap record header.
 pub(crate) const RECORD_HEADER_LEN: usize = 16;
@@ -302,6 +302,20 @@ impl Walker {
 
     pub(crate) fn link_type(&self) -> u32 {
         self.link_type
+    }
+
+    /// The trace epoch: the absolute time of the first record, once
+    /// one was read (or the one [`with_epoch`](Walker::with_epoch) set).
+    pub(crate) fn epoch(&self) -> Option<i64> {
+        self.epoch
+    }
+
+    /// Rebases this capture's records to `epoch` rather than to its own
+    /// first record: how a successor capture keeps its predecessor's
+    /// clock.
+    pub(crate) fn with_epoch(mut self, epoch: Option<i64>) -> Walker {
+        self.epoch = epoch;
+        self
     }
 
     /// Decodes the record header at the front of `bytes` and applies

@@ -48,7 +48,8 @@ fn a_swept_corpus_ingests_as_the_monitor_reported_it() {
     for outcome in &sweep.outcomes {
         let file = outcome.file.file_name().and_then(|name| name.to_str());
         assert_eq!(Some(outcome.source.as_str()), file, "a source is its file");
-        for event in outcome.result.as_ref().expect("every capture sweeps") {
+        assert_eq!(outcome.error, None, "every capture sweeps");
+        for event in &outcome.events {
             stream.push_str(&event.to_json());
             stream.push('\n');
             match event {
